@@ -23,6 +23,7 @@
 #include <fstream>
 #include <vector>
 
+#include "engine/engine.h"
 #include "inject/adaptive.h"
 #include "inject/campaign.h"
 #include "util/env.h"
@@ -166,10 +167,10 @@ std::vector<SmokeRow> run_simulation_smoke() {
     spec.key = "";  // no caching: measure execution, not the cache
     spec.injections = per_ff * ffs;
     const auto t0 = std::chrono::steady_clock::now();
-    const auto fixed = inject::run_campaign(spec);
+    const auto fixed = engine::run_campaign(spec);
     const auto t1 = std::chrono::steady_clock::now();
     spec.confidence_half_width = 0.12;
-    const auto adaptive = inject::run_campaign(spec);
+    const auto adaptive = engine::run_campaign(spec);
     const auto t2 = std::chrono::steady_clock::now();
 
     SmokeRow row;

@@ -1,11 +1,10 @@
 // Ablation (infrastructure, supporting Sec. 2.1's campaign methodology):
 // what the single-file cache pack and batched campaign submission buy.
 //
-//  * cache shape: a bench-suite run used to leave one `.camp` file per
-//    campaign (thousands across the suite); the pack keeps exactly one
-//    pack + one index per cache directory, with checksummed records and
-//    LRU eviction (CLEAR_CACHE_MAX_BYTES).
-//  * batched submission: run_campaigns() records golden trajectories on
+//  * cache shape: however many campaigns a bench-suite run memoizes, the
+//    pack keeps exactly one pack + one index per cache directory, with
+//    checksummed records and LRU eviction (CLEAR_CACHE_MAX_BYTES).
+//  * batched submission: engine::run_campaigns() records golden trajectories on
 //    the worker pool so they overlap the faulty runs of other campaigns,
 //    instead of serializing on the caller thread.
 #include "bench/common.h"
@@ -13,7 +12,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 
+#include "engine/engine.h"
 #include "inject/cachepack.h"
 #include "inject/campaign.h"
 #include "isa/assembler.h"
@@ -54,18 +55,18 @@ void print_tables() {
   std::vector<inject::CampaignResult> seq;
   for (auto spec : specs) {
     spec.key += "/seq";  // distinct cache identity from the batched run
-    seq.push_back(inject::run_campaign(spec));
+    seq.push_back(engine::run_campaign(spec));
   }
   const double t_seq = seconds_since(t0);
 
   // Batched cold run: golden recording overlaps faulty runs.
   t0 = std::chrono::steady_clock::now();
-  const auto batched = inject::run_campaigns(specs);
+  const auto batched = engine::run_campaigns(specs);
   const double t_batch = seconds_since(t0);
 
   // Warm reload: everything served from the pack.
   t0 = std::chrono::steady_clock::now();
-  const auto warm = inject::run_campaigns(specs);
+  const auto warm = engine::run_campaigns(specs);
   const double t_warm = seconds_since(t0);
 
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -75,11 +76,9 @@ void print_tables() {
     }
   }
 
-  std::size_t files = 0, camp_files = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir)) {
-    ++files;
-    camp_files += e.path().extension() == ".camp";
-  }
+  const auto files = static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator(dir),
+                    std::filesystem::directory_iterator()));
 
   bench::TextTable t({"Phase", "Campaigns", "Seconds"});
   t.add_row({"cold, sequential submission", std::to_string(specs.size()),
@@ -89,9 +88,8 @@ void print_tables() {
   t.add_row({"warm reload from pack", std::to_string(specs.size()),
              util::TextTable::num(t_warm, 3)});
   t.print(std::cout);
-  std::printf("cache dir after the run: %zu files (%zu legacy .camp)\n",
-              files, camp_files);
-  if (files != 2 || camp_files != 0) {
+  std::printf("cache dir after the run: %zu files\n", files);
+  if (files != 2) {
     bench::note("!! expected exactly one pack + one index");
   }
   bench::note("(sharding the same campaigns across machines: see"

@@ -4,9 +4,10 @@
 // naive deep-copy checkpointing.  The golden run is snapshotted at
 // intervals; each faulty run forks from the snapshot nearest below its
 // injection cycle and terminates early once its full state re-converges to
-// the golden trajectory.  Results are bit-identical to the legacy path --
-// this binary exits non-zero on any per-FF counter hash mismatch, which is
-// what the CI perf-smoke job keys on.
+// the golden trajectory.  Results are bit-identical to the from-cycle-0
+// reference engine (tests/reference_campaign.h) -- this binary exits
+// non-zero on any per-FF counter hash mismatch, which is what the CI
+// perf-smoke job keys on.
 //
 // Knobs: CLEAR_BENCH_INJECTIONS scales the campaign sample count (0 =
 // default, one injection per flip-flop) so CI can run a tiny-but-real
@@ -17,8 +18,10 @@
 #include <chrono>
 #include <fstream>
 
+#include "engine/engine.h"
 #include "inject/campaign.h"
 #include "obs/metrics.h"
+#include "tests/reference_campaign.h"
 #include "util/env.h"
 #include "util/hash.h"
 
@@ -35,7 +38,7 @@ std::size_t bench_injections() {
 }
 
 // Order-stable FNV-1a over every per-FF outcome counter: any divergence
-// between the legacy and forked engines lands in this hash.
+// between the reference and forked engines lands in this hash.
 std::uint64_t result_hash(const inject::CampaignResult& r) {
   std::vector<std::uint64_t> words;
   words.reserve(r.per_ff.size() * 6 + 2);
@@ -52,12 +55,14 @@ std::uint64_t result_hash(const inject::CampaignResult& r) {
   return util::fnv1a64(words.data(), words.size() * sizeof(std::uint64_t));
 }
 
-double time_campaign(inject::CampaignSpec spec, int use_checkpoint,
+// Wall clock of one uncached campaign on the from-cycle-0 reference
+// engine (legacy) or the production forked engine.
+double time_campaign(inject::CampaignSpec spec, bool legacy,
                      inject::CampaignResult* out) {
   spec.key = "";  // no caching: measure execution, not the cache
-  spec.use_checkpoint = use_checkpoint;
   const auto t0 = std::chrono::steady_clock::now();
-  *out = inject::run_campaign(spec);
+  *out = legacy ? testref::reference_campaign(spec)
+                : engine::run_campaign(spec);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
 }
@@ -82,8 +87,8 @@ std::vector<CampaignRow> run_campaign_ablation() {
     spec.program = &prog;
     spec.injections = bench_injections();
     inject::CampaignResult legacy, forked;
-    const double t_legacy = time_campaign(spec, 0, &legacy);
-    const double t_forked = time_campaign(spec, 1, &forked);
+    const double t_legacy = time_campaign(spec, true, &legacy);
+    const double t_forked = time_campaign(spec, false, &forked);
     const double speedup = t_forked > 0 ? t_legacy / t_forked : 0.0;
     worst = std::min(worst, speedup);
     // Bit-identical results are a hard invariant, not a statistics detail.
@@ -330,10 +335,10 @@ MetricsOverhead measure_metrics_overhead() {
   for (int rep = 0; rep < 3; ++rep) {
     inject::CampaignResult r;
     obs::set_enabled(false);
-    m.t_off = std::min(m.t_off, time_campaign(spec, 1, &r));
+    m.t_off = std::min(m.t_off, time_campaign(spec, false, &r));
     off_result = r;
     obs::set_enabled(true);
-    m.t_on = std::min(m.t_on, time_campaign(spec, 1, &r));
+    m.t_on = std::min(m.t_on, time_campaign(spec, false, &r));
     on_result = r;
   }
   obs::set_enabled(true);
@@ -424,9 +429,9 @@ void print_tables() {
   write_json(campaigns, anatomy, perf, obs_cost);
   bench::note("(the forked engine skips the golden prefix of every faulty"
               " run and early-terminates once the corrupted state provably"
-              " re-converges to the golden trajectory; CLEAR_CHECKPOINT=0"
-              " forces the legacy path, CLEAR_BENCH_INJECTIONS scales the"
-              " sample count; measurements written to"
+              " re-converges to the golden trajectory; the legacy column is"
+              " the from-cycle-0 reference engine, CLEAR_BENCH_INJECTIONS"
+              " scales the sample count; measurements written to"
               " BENCH_checkpoint.json)");
 }
 
@@ -493,7 +498,7 @@ BENCHMARK(BM_ForkedFaultyRun);
 }  // namespace
 
 // Hand-rolled main (vs CLEAR_BENCH_MAIN): the CI perf-smoke job relies on
-// the exit code -- 2 flags a legacy/forked result divergence, 3 flags
+// the exit code -- 2 flags a reference/forked result divergence, 3 flags
 // metric collection blowing its 2% wall-clock budget.
 int main(int argc, char** argv) {
   print_tables();

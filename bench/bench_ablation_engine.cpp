@@ -129,7 +129,7 @@ void BM_EngineSubmitCached(benchmark::State& state) {
   spec.program = &prog;
   spec.injections = 32;
   spec.key = "ablation/engine/kernel";
-  (void)inject::run_campaign(spec);  // fill the pack
+  (void)engine::run_campaign(spec);  // fill the pack
   for (auto _ : state) {
     engine::Job job = engine::Engine::instance().submit({spec});
     benchmark::DoNotOptimize(job.take_results());

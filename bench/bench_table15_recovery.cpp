@@ -2,6 +2,7 @@
 // plus an in-simulator demonstration of each mechanism.
 #include "bench/common.h"
 
+#include "engine/engine.h"
 #include "inject/campaign.h"
 #include "phys/phys.h"
 
@@ -70,7 +71,7 @@ void print_tables() {
       spec.injections = 1200;
       spec.cfg = &cfg;
       spec.key = std::string(cn) + "/gcc/rec_" + arch::recovery_name(k);
-      const auto r = inject::run_campaign(spec);
+      const auto r = engine::run_campaign(spec);
       d.add_row({cn, arch::recovery_name(k),
                  std::to_string(r.totals.total()),
                  std::to_string(r.totals.recovered),

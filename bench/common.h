@@ -8,7 +8,7 @@
 // index per directory, LRU-bounded by CLEAR_CACHE_MAX_BYTES), so the
 // expensive injection campaigns run once across the whole bench suite.
 // Sessions submit each variant's campaigns as one batch
-// (inject::run_campaigns), overlapping golden-run recording with faulty
+// (engine::run_campaigns), overlapping golden-run recording with faulty
 // runs on the shared worker pool; campaigns too big for one machine shard
 // across processes via CampaignSpec::shard_index/shard_count and merge
 // with inject::merge_campaign_results (see example_shard_and_merge).

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/engine.h"
 #include "inject/campaign.h"
 #include "inject/wire.h"
 #include "isa/assembler.h"
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
   spec.program = &prog;
   spec.injections = injections;
   spec.seed = seed;
-  const auto whole = inject::run_campaign(spec);
+  const auto whole = engine::run_campaign(spec);
 
   std::printf("\nrunning the same campaign as %u `clear run` processes...\n",
               shards);

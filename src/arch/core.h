@@ -175,7 +175,7 @@ class Core {
 // the pending detections, the last recorded flip, and plan flips re-armed
 // by restore() (which drops flips older than the snapshot cycle).  Ring
 // entries older than this are unreachable and are pruned from snapshots --
-// both cores must share this rule or checkpoint/legacy bit-identity
+// both cores must share this rule or forked/from-cycle-0 bit-identity
 // silently breaks on one of them.
 [[nodiscard]] inline std::uint64_t earliest_rollback_target(
     std::uint64_t cycle, const std::vector<PendingDetection>& dets,

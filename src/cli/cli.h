@@ -11,7 +11,7 @@
 // Subcommands:
 //   clear run      simulate one shard (or the whole campaign), write a .csr;
 //                  --spec accepts multi-campaign manifests batched through
-//                  one run_campaigns submission
+//                  one engine::run_campaigns submission
 //   clear merge    fold any partition of .csr shard files into one .csr
 //   clear report   human/CSV/JSON tables from .csr files
 //   clear cache    stats / compact / evict for the campaign cache pack

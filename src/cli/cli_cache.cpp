@@ -16,10 +16,10 @@ namespace {
 void print_stats(const inject::CachePack& pack) {
   const inject::CachePackStats st = pack.stats();
   util::TextTable table({"dir", "records", "pack bytes", "quarantined",
-                         "migrated", "evictions"});
+                         "evictions"});
   table.add_row({pack.dir(), std::to_string(st.records),
                  std::to_string(st.pack_bytes), std::to_string(st.quarantined),
-                 std::to_string(st.migrated), std::to_string(st.evictions)});
+                 std::to_string(st.evictions)});
   table.print(std::cout);
 }
 
@@ -29,7 +29,7 @@ int cmd_cache(int argc, const char* const* argv) {
   util::ArgParser args(
       "clear cache <stats|compact|evict> [options]",
       "Campaign cache pack maintenance.\n"
-      "  stats    open the pack (recovering + migrating as usual), print\n"
+      "  stats    open the pack (recovering as usual), print\n"
       "           record/byte/quarantine counters\n"
       "  compact  rewrite the pack, reclaiming superseded and quarantined\n"
       "           bytes; with --max-bytes also evict LRU records\n"

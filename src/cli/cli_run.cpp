@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cli/cli.h"
+#include "engine/engine.h"
 #include "plan/runplan.h"
 #include "inject/campaign.h"
 #include "inject/wire.h"
@@ -192,7 +193,7 @@ int cmd_run(int argc, const char* const* argv) {
       std::printf("dry run: nothing simulated\n");
       return 0;
     }
-    const int done = finish_campaign(plan, inject::run_campaign(plan.spec));
+    const int done = finish_campaign(plan, engine::run_campaign(plan.spec));
     if (done == 0) write_metrics_out(args.get("metrics-out"), "clear run");
     return done;
   }
@@ -201,7 +202,7 @@ int cmd_run(int argc, const char* const* argv) {
   // Every stanza resolves independently (stanza flags, then the command
   // line again, which wins -- the cluster job passes --shard/--threads
   // once for the whole manifest); all campaigns are submitted as ONE
-  // run_campaigns batch so golden-run recording overlaps faulty runs
+  // engine::run_campaigns batch so golden-run recording overlaps faulty runs
   // across campaigns.
   // In the manifest path `args` holds the command-line parse alone (the
   // spec-token merge above only ran for one-stanza files).
@@ -260,7 +261,7 @@ int cmd_run(int argc, const char* const* argv) {
   }
 
   const std::vector<inject::CampaignResult> results =
-      inject::run_campaigns(specs);
+      engine::run_campaigns(specs);
   for (std::size_t i = 0; i < plans.size(); ++i) {
     std::printf("\ncampaign   %s/%s variant=%s\n", plans[i].core_name.c_str(),
                 plans[i].bench.c_str(), plans[i].variant.key().c_str());

@@ -262,6 +262,20 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
   const auto cancel_all = [&queue] {
     for (auto& j : queue) j->cancel();
   };
+  // The liveness beacon doubles as the telemetry channel: each heartbeat
+  // carries this worker's metric snapshot so the fleet driver (and
+  // `clear status`) see cache/latency/engine state without a side
+  // channel.
+  const auto send_heartbeat = [&] {
+    if (!send_frame(&conn, serve::FrameType::kHeartbeat,
+                    serve::encode_heartbeat(
+                        static_cast<std::uint32_t>(queue.size()),
+                        obs::encode_snapshot(obs::snapshot())),
+                    kServerSendTimeoutMs)) {
+      peer_gone = true;
+      cancel_all();
+    }
+  };
 
   for (;;) {
     // SIGTERM/SIGINT: cancel in-flight work and drain -- the daemon must
@@ -381,18 +395,7 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
     if (!peer_gone && heartbeat_ms > 0) {
       const auto now = std::chrono::steady_clock::now();
       if (now - last_heartbeat_at >= std::chrono::milliseconds(heartbeat_ms)) {
-        // The liveness beacon doubles as the telemetry channel: each
-        // heartbeat carries this worker's metric snapshot so the fleet
-        // driver (and `clear status`) see cache/latency/engine state
-        // without a side channel.
-        if (!send_frame(&conn, serve::FrameType::kHeartbeat,
-                        serve::encode_heartbeat(
-                            static_cast<std::uint32_t>(queue.size()),
-                            obs::encode_snapshot(obs::snapshot())),
-                        kServerSendTimeoutMs)) {
-          peer_gone = true;
-          cancel_all();
-        }
+        send_heartbeat();
         last_heartbeat_at = now;
       }
     }
@@ -419,7 +422,13 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
         }
         break;
       }
-      if (shutdown && buf.empty()) break;
+      if (shutdown && buf.empty()) {
+        // One last heartbeat before closing: the driver keeps each
+        // worker's latest snapshot, so work finished since the previous
+        // beat would otherwise be missing from its merged metrics.
+        if (heartbeat_ms > 0) send_heartbeat();
+        break;
+      }
       // A sibling connection shut the daemon down: drain instead of
       // keeping the accept loop's join waiting on an idle client.
       if (g_shutdown.load(std::memory_order_relaxed) && buf.empty()) break;

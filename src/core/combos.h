@@ -68,7 +68,7 @@ struct Combo {
 // the full variant when at most one profiled layer is involved, otherwise
 // the per-layer single-technique variants (plus the base profile it
 // composes on).  Exploration prefetches the union of these across a batch
-// of combos as ONE inject::run_campaigns submission, so golden-run
+// of combos as ONE engine::run_campaigns submission, so golden-run
 // recording overlaps faulty runs across combos and combos sharing a
 // variant share its campaigns through the cache pack.
 [[nodiscard]] std::vector<Variant> combo_layer_variants(const Combo& combo);

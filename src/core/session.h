@@ -159,7 +159,7 @@ class Session {
   const ProfileSet& profiles(const Variant& v);
 
   // Batch collection: profiles every not-yet-memoized variant of the list
-  // with ONE inject::run_campaigns submission, so golden-run recording
+  // with ONE engine::run_campaigns submission, so golden-run recording
   // overlaps faulty runs across ALL (variant, benchmark) campaigns -- not
   // just within one variant.  Results are bit-identical to calling
   // profiles() per variant; subsequent profiles() calls hit the memo.

@@ -235,14 +235,13 @@ Job Engine::submit(std::vector<inject::CampaignSpec> specs,
   impl->priority = priority;
   impl->specs = std::move(specs);
 
-  const bool inline_exec = util::env_long("CLEAR_ENGINE_ASYNC", 1) == 0;
   bool on_dispatcher = false;
   {
     std::lock_guard<std::mutex> g(m_);
     impl->id = next_id_++;
     on_dispatcher =
         started_ && dispatcher_.get_id() == std::this_thread::get_id();
-    if (!inline_exec && !on_dispatcher) {
+    if (!on_dispatcher) {
       const long queue_max = util::env_long("CLEAR_ENGINE_QUEUE_MAX", 0);
       if (queue_max > 0 &&
           queue_.size() >= static_cast<std::size_t>(queue_max)) {
@@ -262,10 +261,9 @@ Job Engine::submit(std::vector<inject::CampaignSpec> specs,
   // above never became a job, and stats() arithmetic (submitted minus
   // terminal states = in flight) must not see phantoms.
   g_submitted.fetch_add(1);
-  if (inline_exec || on_dispatcher) {
-    // Inline lane: CLEAR_ENGINE_ASYNC=0 debugging, or a submission from
-    // the dispatcher thread itself (which must never wait on a queue
-    // only it drains).
+  if (on_dispatcher) {
+    // A submission from the dispatcher thread itself runs inline: it must
+    // never wait on a queue only it drains.
     run_job(impl);
   } else {
     cv_.notify_all();
@@ -354,6 +352,16 @@ void Engine::run_job(const std::shared_ptr<detail::JobImpl>& job) {
           std::chrono::steady_clock::now() - t0)
           .count()));
   retire(job, final);
+}
+
+std::vector<inject::CampaignResult> run_campaigns(
+    const std::vector<inject::CampaignSpec>& specs) {
+  return Engine::instance().submit(specs, JobPriority::kInteractive)
+      .take_results();
+}
+
+inject::CampaignResult run_campaign(const inject::CampaignSpec& spec) {
+  return std::move(run_campaigns({spec}).front());
 }
 
 }  // namespace clear::engine

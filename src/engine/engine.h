@@ -12,15 +12,17 @@
 //   ... overlap other work, stream job.progress(), maybe job.cancel() ...
 //   std::vector<inject::CampaignResult> r = job.take_results();
 //
+// or, for callers that simply block, engine::run_campaign(s) below.
+//
 // Semantics:
 //   * one dispatcher thread executes jobs strictly one batch at a time
 //     (campaign batches already saturate the worker pool; running two at
 //     once would only interleave their pool jobs), in (priority,
 //     submission-order) order -- interactive CLI jobs overtake queued
 //     bulk exploration prefetches, never the batch already running;
-//   * results are bit-identical to the synchronous path: the engine runs
-//     the exact executor `run_campaign(s)` always ran
-//     (inject/exec.h), with the same campaign-cache semantics;
+//   * results are a pure function of the specs: the engine runs the
+//     campaign executor (inject/exec.h) with its campaign-cache
+//     semantics, whoever submits and however jobs interleave;
 //   * cancellation is cooperative: cancel() flips a flag the simulation
 //     polls at checkpoint boundaries; a cancelled batch never writes a
 //     cache entry, so the pack is never left with partial results;
@@ -37,9 +39,7 @@
 // valid until the job reaches a terminal state (poll() true), not merely
 // until submit() returns.
 //
-// Env knobs (docs/CONFIG.md):
-//   CLEAR_ENGINE_ASYNC=0      execute submissions inline on the calling
-//                             thread (no dispatcher thread; debugging aid)
+// Env knob (docs/CONFIG.md):
 //   CLEAR_ENGINE_QUEUE_MAX=N  refuse submissions while N jobs are queued
 //                             (0 = unlimited; backpressure for daemons)
 #ifndef CLEAR_ENGINE_ENGINE_H
@@ -207,6 +207,23 @@ class Engine {
   std::uint64_t finish_seq_ = 0;
   Stats stats_;
 };
+
+// Runs (or loads from cache) a batch of campaigns as one interactive-lane
+// engine job and blocks until it completes.  Deterministic: bit-identical
+// for a given (program, cfg, injections, seed, shard) across runs, hosts,
+// thread counts and batch compositions; golden-run recording and faulty
+// runs of different campaigns overlap on the shared worker pool.
+// Thread-safe (concurrent callers queue on the engine).  The
+// spec-referenced programs/configs must outlive the call.  Throws
+// std::invalid_argument on a bad spec, std::runtime_error when a golden
+// run does not halt.  For a non-blocking handle with progress and
+// cancellation, use Engine::submit directly.
+[[nodiscard]] std::vector<inject::CampaignResult> run_campaigns(
+    const std::vector<inject::CampaignSpec>& specs);
+
+// One campaign through run_campaigns().
+[[nodiscard]] inject::CampaignResult run_campaign(
+    const inject::CampaignSpec& spec);
 
 }  // namespace clear::engine
 

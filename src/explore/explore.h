@@ -11,7 +11,7 @@
 //     folds their ledgers back bit-identically to the unsharded run
 //     (every record is a pure function of the experiment identity);
 //   * batching -- each batch of combos prefetches ALL its profiling
-//     campaigns as one inject::run_campaigns submission
+//     campaigns as one engine::run_campaigns submission
 //     (core::Session::prefetch): golden-run recording overlaps faulty
 //     runs across combos, and combos sharing a program variant share its
 //     campaigns through the on-disk cache pack;
@@ -78,8 +78,8 @@ struct ExploreSpec {
   // disable it to evaluate every combination (the full Fig. 1d cloud).
   bool prune = true;
   // Combos per scheduling batch (each batch prefetches its profiling
-  // campaigns as one run_campaigns submission).  0 = CLEAR_EXPLORE_BATCH
-  // env or 64.
+  // campaigns as one engine::run_campaigns submission).
+  // 0 = CLEAR_EXPLORE_BATCH env or 64.
   std::size_t batch = 0;
   // Batch pipelining: profile batch N+1 on the engine's bulk lane while
   // batch N's combos are evaluated on the calling thread

@@ -972,14 +972,24 @@ FleetReport Driver::run() {
     // heartbeating until it decodes the shutdown frame; if we close
     // first, a heartbeat send can fail and make the worker drop the
     // connection without draining its receive buffer -- the shutdown
-    // frame would be lost and the daemon would stay up.
-    for (WorkerConn& wc : workers_) {
-      if (wc.status.state == WorkerState::kDead) continue;
+    // frame would be lost and the daemon would stay up.  Frames read
+    // meanwhile go through the normal handler: the worker's final
+    // heartbeat carries the metric snapshot that covers its last shard.
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      WorkerConn& wc = workers_[w];
       const auto deadline = Clock::now() + std::chrono::milliseconds(2000);
       char scratch[4096];
-      while (Clock::now() < deadline) {
+      while (wc.status.state != WorkerState::kDead && Clock::now() < deadline) {
         if (!wc.sock.readable(100)) continue;
-        if (wc.sock.recv_some(scratch, sizeof(scratch)) <= 0) break;
+        const long n = wc.sock.recv_some(scratch, sizeof(scratch));
+        if (n <= 0) break;
+        wc.rx.append(scratch, static_cast<std::size_t>(n));
+        serve::Frame frame;
+        while (wc.status.state != WorkerState::kDead &&
+               serve::decode_frame(&wc.rx, &frame) ==
+                   serve::FrameStatus::kOk) {
+          handle_frame(w, frame);
+        }
       }
     }
   }

@@ -187,12 +187,12 @@ void CachePack::open_locked(bool dir_lock_held) {
   if (!util::ensure_dir(dir_)) return;
   fd_ = ::open(pack_path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd_ < 0) return;
-  // Migration and eviction write; take the cross-process lock unless the
+  // Eviction writes; take the cross-process lock unless the
   // caller (resync) already holds it.
   FileLock lock(dir_lock_fd_locked(), !dir_lock_held);
   // Another process's compaction may have renamed a new pack into place
   // between our open() above and acquiring the lock; re-check under the
-  // lock and reopen so the scan/migration/eviction below never operate on
+  // lock and reopen so the scan/eviction below never operate on
   // (or write into) a stale unlinked inode.  Converges immediately: while
   // we hold the lock nobody else can replace the pack.
   struct stat on_disk;
@@ -206,7 +206,6 @@ void CachePack::open_locked(bool dir_lock_held) {
   }
   scan_pack_range_locked(0);
   load_index_clocks_locked();
-  migrate_legacy_locked();
   maybe_evict_locked();
   stats_.records = entries_.size();
   stats_.pack_bytes = pack_size_;
@@ -306,35 +305,6 @@ void CachePack::load_index_clocks_locked() {
     const auto it = entries_.find(fp);
     if (it != entries_.end()) it->second.clock = std::max(it->second.clock, clk);
     clock_ = std::max(clock_, clk);
-  }
-}
-
-// One-shot ingestion of legacy per-campaign `.camp` files.  The first
-// whitespace token of a legacy file is its own fingerprint; files that do
-// not even yield one are dropped (the legacy loader would have rejected
-// them anyway).  Ingested and unparseable files are removed so the
-// directory converges to exactly pack + index.
-void CachePack::migrate_legacy_locked() {
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir_, ec);
-  if (ec) return;
-  std::vector<std::filesystem::path> legacy;
-  for (const auto& e : it) {
-    if (e.path().extension() == ".camp") legacy.push_back(e.path());
-  }
-  std::sort(legacy.begin(), legacy.end());  // deterministic ingest order
-  for (const auto& path : legacy) {
-    std::ifstream in(path);
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-    in.close();
-    unsigned long long fp = 0;
-    if (std::sscanf(content.c_str(), "%llu", &fp) == 1 && fp != 0 &&
-        entries_.find(fp) == entries_.end()) {
-      append_record_locked(fp, path.stem().string(), content);
-      ++stats_.migrated;
-    }
-    std::filesystem::remove(path, ec);
   }
 }
 

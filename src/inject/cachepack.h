@@ -1,8 +1,5 @@
-// Packed on-disk store for the campaign cache.
-//
-// The legacy cache wrote one `.camp` file per campaign; a full bench-suite
-// run left thousands of small files behind.  The pack replaces them with
-// exactly two files per cache directory:
+// Packed on-disk store for the campaign cache: exactly two files per
+// cache directory, however many campaigns it memoizes:
 //
 //   campaigns.pack - append-only sequence of checksummed records
 //   campaigns.idx  - append-only LRU metadata (one "<fp> <clock>" line per
@@ -37,10 +34,8 @@
 //
 // Eviction: when the pack exceeds `max_bytes` (CLEAR_CACHE_MAX_BYTES,
 // 0 = unlimited), the least-recently-used records are dropped and the pack
-// + index are compacted via tmp-file + atomic rename.
-//
-// A one-shot migrator ingests any legacy `*.camp` files found in the cache
-// directory into the pack and removes them.
+// + index are compacted via tmp-file + atomic rename.  Any other file in
+// the directory is ignored.
 #ifndef CLEAR_INJECT_CACHEPACK_H
 #define CLEAR_INJECT_CACHEPACK_H
 
@@ -61,7 +56,6 @@ constexpr std::uint32_t kCachePackVersion = 1;
 struct CachePackStats {
   std::size_t records = 0;      // live (verified) records
   std::size_t quarantined = 0;  // corrupt records/regions dropped at open
-  std::size_t migrated = 0;     // legacy .camp files ingested at open
   std::size_t evictions = 0;    // records dropped by the byte budget
   std::uint64_t pack_bytes = 0; // pack file size after open/compaction
 };
@@ -69,7 +63,7 @@ struct CachePackStats {
 class CachePack {
  public:
   // Opens (creating if needed) the pack inside `dir`, recovering every
-  // intact record and migrating legacy `.camp` files.  max_bytes = 0 reads
+  // intact record.  max_bytes = 0 reads
   // CLEAR_CACHE_MAX_BYTES (0 = unlimited).
   explicit CachePack(std::string dir, std::uint64_t max_bytes = 0);
   ~CachePack();
@@ -130,7 +124,6 @@ class CachePack {
   void resync_locked();  // requires the directory flock
   void scan_pack_range_locked(std::uint64_t from);
   void load_index_clocks_locked();
-  void migrate_legacy_locked();  // requires the directory flock
   // The append/evict/index writers all require the directory flock.
   void append_record_locked(std::uint64_t fp, const std::string& key,
                             const std::string& payload);

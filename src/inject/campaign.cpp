@@ -14,8 +14,6 @@
 
 #include <cstring>
 
-// lint: allow(layering): intentional back-edge -- campaigns submit work to the shared engine and wait (see exec.h contract + ARCHITECTURE.md)
-#include "engine/engine.h"
 #include "inject/adaptive.h"
 #include "inject/cachepack.h"
 #include "inject/exec.h"
@@ -41,8 +39,7 @@ inline void check_cancel(const std::atomic<bool>* cancel) {
 
 // v4: checkpoint/fork execution engine (results are bit-identical to v3,
 // but the bump invalidates caches written by builds without the hardened
-// loader below).  The payload format is unchanged by the pack store, so
-// migrated v4 `.camp` entries stay valid.
+// loader below).
 constexpr std::uint32_t kCacheVersion = 4;
 
 constexpr std::uint64_t kGoldenBudget = 20'000'000;
@@ -101,12 +98,11 @@ std::string cache_label(const CampaignSpec& spec) {
   return label;
 }
 
-// Campaign payload <-> text.  The format is byte-compatible with the
-// legacy one-file-per-campaign `.camp` cache, so the pack migrator can
-// ingest old entries verbatim.  Parsing tolerates truncated or corrupted
-// payloads: any parse failure, fingerprint mismatch or implausible header
-// leaves *out untouched and returns false, so the caller falls back to
-// re-running the campaign (and rewrites the cache entry).
+// Campaign payload <-> text (the CPK1 record payload, docs/FORMATS.md).
+// Parsing tolerates truncated or corrupted payloads: any parse failure,
+// fingerprint mismatch or implausible header leaves *out untouched and
+// returns false, so the caller falls back to re-running the campaign (and
+// rewrites the cache entry).
 bool parse_result(const std::string& payload, std::uint64_t fp,
                   std::uint32_t expected_ffs, CampaignResult* out) {
   std::istringstream in(payload);
@@ -271,13 +267,12 @@ Outcome run_forked(arch::Core* core, const GoldenTrajectory& traj,
 // watchdog and flips `ready`; faulty tasks of the campaign wait on that.
 struct CampaignJob {
   const CampaignSpec* spec = nullptr;
-  std::size_t spec_index = 0;     // slot in the run_campaigns() result
+  std::size_t spec_index = 0;     // slot in the execute_campaigns() result
   std::uint32_t ff_count = 0;
   std::size_t injections = 0;     // global sample count
   std::size_t local_count = 0;    // samples owned by this shard
   std::uint64_t fp = 0;           // cache fingerprint; 0 = no caching
   std::uint64_t token = 0;
-  bool use_checkpoint = true;
   // Written by the golden task, read by faulty tasks after `ready`.
   GoldenTrajectory traj;
   arch::CoreRunResult golden;
@@ -314,30 +309,18 @@ struct CampaignJob {
 // replay-prefix trade-off, it does not affect results.
 constexpr std::uint64_t kSnapEquivCycles = 3000;
 
-// Snapshot interval for one campaign.  Priority:
-//   1. spec.checkpoint_interval / CLEAR_CHECKPOINT_INTERVAL: fixed-interval
-//      escape hatch, used verbatim.
-//   2. CLEAR_CHECKPOINT_DENSITY <= 0: the legacy ~1/96-of-run auto rule.
-//   3. Otherwise adaptive: every faulty sample's injection cycle derives
-//      from its global index alone (see run_faulty_sample), so the shard's
-//      fork-origin distribution is known *before* any faulty run starts.
-//      Pick the interval minimizing snapshot cost + golden-prefix replay
-//      cost over that distribution, then scale the snapshot count by the
-//      density knob.  The choice only moves work around -- per-sample
-//      injections and outcomes are interval-independent, so results stay
-//      bit-identical at any density.
+// Snapshot interval for one campaign.  Every faulty sample's injection
+// cycle derives from its global index alone (see simulate_sample), so the
+// shard's fork-origin distribution is known *before* any faulty run
+// starts: pick the interval minimizing snapshot cost + golden-prefix
+// replay cost over that distribution.  ~1/96 of the run is the first
+// candidate, and the answer when every strike is suppressed.  The choice
+// only moves work around -- per-sample injections and outcomes are
+// interval-independent, so results stay bit-identical at any placement.
 std::uint64_t pick_interval(const CampaignJob& job,
                             std::uint64_t nominal_cycles) {
   const CampaignSpec& spec = *job.spec;
-  std::uint64_t interval = spec.checkpoint_interval;
-  if (interval == 0) {
-    interval = static_cast<std::uint64_t>(
-        std::max(0L, util::env_long("CLEAR_CHECKPOINT_INTERVAL", 0)));
-  }
-  if (interval != 0) return interval;
-  const std::uint64_t legacy = std::max<std::uint64_t>(64, nominal_cycles / 96);
-  const double density = util::env_double("CLEAR_CHECKPOINT_DENSITY", 1.0);
-  if (!(density > 0.0)) return legacy;
+  const std::uint64_t first = std::max<std::uint64_t>(64, nominal_cycles / 96);
   // Replay the per-sample RNG draws (identical order to run_faulty_sample)
   // to collect the non-suppressed injection cycles this shard will fork at.
   std::vector<std::uint64_t> cycles;
@@ -351,7 +334,7 @@ std::uint64_t pick_interval(const CampaignJob& job,
         spec.cfg != nullptr ? spec.cfg->prot_of(ff) : arch::FFProt::kNone;
     if (rng.bernoulli(ser_ratio(p))) cycles.push_back(cycle);
   }
-  if (cycles.empty()) return legacy;  // all strikes suppressed: no forks
+  if (cycles.empty()) return first;  // all strikes suppressed: no forks
   // A sample at cycle c re-simulates c % I golden cycles after forking;
   // the golden pass takes ~nominal/I snapshots.  Scan geometric candidate
   // counts (the cost curve is smooth, halving resolution is plenty).
@@ -360,8 +343,8 @@ std::uint64_t pick_interval(const CampaignJob& job,
     for (const std::uint64_t cyc : cycles) c += cyc % iv;
     return c;
   };
-  std::uint64_t best_interval = legacy;
-  std::uint64_t best_cost = cost_of(legacy);
+  std::uint64_t best_interval = first;
+  std::uint64_t best_cost = cost_of(first);
   for (std::uint64_t count = 1; count <= 4096; count *= 2) {
     const std::uint64_t iv = std::max<std::uint64_t>(16, nominal_cycles / count);
     const std::uint64_t c = cost_of(iv);
@@ -371,54 +354,39 @@ std::uint64_t pick_interval(const CampaignJob& job,
     }
     if (iv <= 16) break;
   }
-  if (density != 1.0) {
-    const double scaled =
-        static_cast<double>(nominal_cycles) /
-        static_cast<double>(best_interval) * density;
-    best_interval = std::max<std::uint64_t>(
-        16, static_cast<std::uint64_t>(static_cast<double>(nominal_cycles) /
-                                       std::max(1.0, scaled)));
-  }
   return best_interval;
 }
 
-// Records the golden (error-free) reference run; with checkpointing it
-// doubles as the recording pass for the fork snapshots and convergence
-// hashes.  Runs on a pool worker so recordings of different campaigns
-// overlap each other and the faulty runs of already-recorded campaigns.
+// Records the golden (error-free) reference run, which doubles as the
+// recording pass for the fork snapshots and convergence hashes.  Runs on a
+// pool worker so recordings of different campaigns overlap each other and
+// the faulty runs of already-recorded campaigns.
 void record_golden(CampaignJob& job, const std::atomic<bool>* cancel) {
   const obs::Span golden_span(metrics().golden_record);
   metrics().goldens.add();
   const CampaignSpec& spec = *job.spec;
   arch::Core* gcore = worker_core(spec.core_name);
-  if (job.use_checkpoint) {
-    // The snapshot interval depends on the nominal run length, which is
-    // unknown until the golden run finishes: run once to learn the length,
-    // then re-run recording snapshots at the chosen interval.  The golden
-    // run is paid twice per campaign versus `injections` faulty runs, so
-    // the extra pass is noise.
-    job.golden = gcore->run(*spec.program, spec.cfg, nullptr, kGoldenBudget);
-    if (job.golden.status != isa::RunStatus::kHalted) {
-      throw std::runtime_error("golden run did not halt for key " + spec.key);
-    }
-    job.traj.interval = pick_interval(job, job.golden.cycles);
-    gcore->begin(*spec.program, spec.cfg, nullptr);
+  // The snapshot interval depends on the nominal run length, which is
+  // unknown until the golden run finishes: run once to learn the length,
+  // then re-run recording snapshots at the chosen interval.  The golden
+  // run is paid twice per campaign versus `injections` faulty runs, so
+  // the extra pass is noise.
+  job.golden = gcore->run(*spec.program, spec.cfg, nullptr, kGoldenBudget);
+  if (job.golden.status != isa::RunStatus::kHalted) {
+    throw std::runtime_error("golden run did not halt for key " + spec.key);
+  }
+  job.traj.interval = pick_interval(job, job.golden.cycles);
+  gcore->begin(*spec.program, spec.cfg, nullptr);
+  job.traj.checkpoints.emplace_back();
+  {
+    const obs::Span snap_span(metrics().snap_capture);
+    gcore->snapshot(&job.traj.checkpoints.back());
+  }
+  while (gcore->step_to(gcore->cycle() + job.traj.interval, kGoldenBudget)) {
+    check_cancel(cancel);
     job.traj.checkpoints.emplace_back();
-    {
-      const obs::Span snap_span(metrics().snap_capture);
-      gcore->snapshot(&job.traj.checkpoints.back());
-    }
-    while (gcore->step_to(gcore->cycle() + job.traj.interval, kGoldenBudget)) {
-      check_cancel(cancel);
-      job.traj.checkpoints.emplace_back();
-      const obs::Span snap_span(metrics().snap_capture);
-      gcore->snapshot(&job.traj.checkpoints.back());
-    }
-  } else {
-    job.golden = gcore->run(*spec.program, spec.cfg, nullptr, kGoldenBudget);
-    if (job.golden.status != isa::RunStatus::kHalted) {
-      throw std::runtime_error("golden run did not halt for key " + spec.key);
-    }
+    const obs::Span snap_span(metrics().snap_capture);
+    gcore->snapshot(&job.traj.checkpoints.back());
   }
   job.watchdog = job.golden.cycles * 2 + 1024;
 }
@@ -445,14 +413,8 @@ Outcome simulate_sample(CampaignJob& job, std::size_t g,
     return Outcome::kVanished;
   }
   const auto plan = arch::InjectionPlan::single(cycle, ff);
-  if (job.use_checkpoint) {
-    arch::Core* core = bound_worker_core(spec, job.token);
-    return run_forked(core, job.traj, plan, cycle, job.watchdog, job.golden,
-                      cancel);
-  }
-  arch::Core* core = worker_core(spec.core_name);
-  return classify(core->run(*spec.program, spec.cfg, &plan, job.watchdog),
-                  job.golden);
+  return run_forked(bound_worker_core(spec, job.token), job.traj, plan, cycle,
+                    job.watchdog, job.golden, cancel);
 }
 
 // Owned sample: simulate and account into this shard's result strips.
@@ -632,9 +594,6 @@ std::vector<CampaignResult> execute_campaigns(
             ? (job.injections - spec.shard_index + spec.shard_count - 1) /
                   spec.shard_count
             : 0;
-    job.use_checkpoint = spec.use_checkpoint >= 0
-                             ? spec.use_checkpoint != 0
-                             : util::env_long("CLEAR_CHECKPOINT", 1) != 0;
     if (spec.adaptive()) {
       job.base = adaptive::fixed_budget(job.injections, job.ff_count);
       std::uint64_t min_base = job.base.empty() ? 0 : job.base.front();
@@ -941,20 +900,5 @@ std::vector<CampaignResult> execute_campaigns(
 }
 
 }  // namespace detail
-
-std::vector<CampaignResult> run_campaigns(
-    const std::vector<CampaignSpec>& specs) {
-  // Thin client of the job engine: submit on the interactive lane and
-  // block.  Bit-identical to executing directly (the engine runs the same
-  // executor), but queued behind nothing a bulk prefetch started later.
-  engine::Job job = engine::Engine::instance().submit(
-      specs, engine::JobPriority::kInteractive);
-  return job.take_results();
-}
-
-CampaignResult run_campaign(const CampaignSpec& spec) {
-  auto results = run_campaigns({spec});
-  return std::move(results.front());
-}
 
 }  // namespace clear::inject

@@ -19,11 +19,12 @@
 // re-simulating the identical prefix from cycle 0, and terminates early --
 // as Vanished/Recovered -- at the first checkpoint boundary where its full
 // state hash re-converges to the golden trajectory.  Results are
-// bit-identical to the from-cycle-0 path (CLEAR_CHECKPOINT=0 forces the
-// legacy behaviour) and independent of the worker-thread count: every
-// injection derives its RNG from the sample index alone.  Workers run on a
-// persistent pool (util::ThreadPool) and reuse per-worker core instances
-// across the campaigns of a session.
+// bit-identical to simulating every faulty run from cycle 0 (the test-side
+// reference engine, tests/reference_campaign.h, checks this) and
+// independent of the worker-thread count: every injection derives its RNG
+// from the sample index alone.  Workers run on a persistent pool
+// (util::ThreadPool) and reuse per-worker core instances across the
+// campaigns of a session.
 //
 // Sharding: because each injection depends only on its global sample
 // index, a campaign partitions arbitrarily across processes or machines.
@@ -31,20 +32,18 @@
 // i % shard_count == shard_index; folding the K shard results with
 // merge_campaign_results() is bit-identical to the unsharded campaign.
 //
-// Batching: run_campaigns() submits several campaigns as one pool job, so
-// golden-run recordings of later campaigns overlap the faulty runs of
-// earlier ones instead of serializing on the caller thread.
+// Batching: a batch of campaigns runs as one pool job, so golden-run
+// recordings of later campaigns overlap the faulty runs of earlier ones
+// instead of serializing on the caller thread.
 //
-// Execution layering: since the engine redesign, run_campaign(s) are thin
-// submit-and-wait clients of the process-wide asynchronous job engine
-// (engine/engine.h) -- same results, same cache semantics; the engine
-// adds priority lanes, typed progress and cooperative cancellation for
-// callers that want them (Session::prefetch_async, `clear serve`).  The
-// blocking simulation core itself lives behind inject/exec.h.
+// Execution layering: this header owns the campaign vocabulary (spec,
+// result, classification, merge); the blocking simulation core lives
+// behind inject/exec.h, and callers run campaigns through the
+// process-wide job engine one layer up (engine::run_campaign(s) and
+// engine::Engine::submit in engine/engine.h).
 //
 // Caching: results are memoized in a single append-only pack file per
-// cache directory (inject/cachepack.h) instead of one file per campaign;
-// legacy `.camp` caches are migrated automatically on first open.
+// cache directory (inject/cachepack.h).
 //
 // Shard transport: inject/wire.h defines the checksummed `.csr` file
 // format shard results travel in between machines, and the `clear` CLI
@@ -66,8 +65,8 @@ namespace clear::inject {
 
 struct CampaignSpec {
   std::string core_name;  // "InO" or "OoO"; anything else throws
-  // Program to simulate; must be non-null and outlive the run_campaign(s)
-  // call (the engine keeps only this pointer).
+  // Program to simulate; must be non-null and outlive the campaign run
+  // (the engine keeps only this pointer).
   const isa::Program* program = nullptr;
   // Cache identity.  Callers encode everything that shapes the outcome
   // distribution (core, benchmark, program variant, in-sim technique
@@ -88,14 +87,6 @@ struct CampaignSpec {
   // is applied by the campaign driver using the Table 4 SER ratios.
   // Nullable; must outlive the call like `program`.
   const arch::ResilienceConfig* cfg = nullptr;
-  // Checkpoint/fork engine controls.
-  //   use_checkpoint: -1 = CLEAR_CHECKPOINT env (default on), 0 = legacy
-  //                   from-cycle-0 execution, 1 = force checkpointing.
-  //   checkpoint_interval: cycles between golden snapshots; 0 = the
-  //                   CLEAR_CHECKPOINT_INTERVAL env or an automatic choice
-  //                   (~1/96 of the nominal run).
-  int use_checkpoint = -1;
-  std::uint64_t checkpoint_interval = 0;
   // Shard selection: this spec simulates only the global sample indices i
   // with i % shard_count == shard_index.  The defaults run the whole
   // campaign; shard results fold with merge_campaign_results().  The cache
@@ -182,24 +173,6 @@ struct CampaignResult {
 // Per-FF-protection soft-error-rate ratio (Table 4): the probability that
 // a particle strike on a hardened flip-flop still produces an upset.
 [[nodiscard]] double ser_ratio(arch::FFProt p) noexcept;
-
-// Runs (or loads from cache) a campaign.  Deterministic: bit-identical
-// for a given (program, cfg, injections, seed, shard) across runs,
-// hosts, thread counts and engine settings.  Thread-safe (may be called
-// from several threads; campaigns then queue on the process-wide job
-// engine).  Throws std::invalid_argument on a bad spec,
-// std::runtime_error when the golden run does not halt.
-[[nodiscard]] CampaignResult run_campaign(const CampaignSpec& spec);
-
-// Runs a batch of campaigns as one engine job (interactive lane),
-// blocking until it completes.  Results are bit-identical to running
-// each spec through run_campaign() in order, but golden-run recording
-// and faulty runs of different campaigns overlap on the shared worker
-// pool.  The spec-referenced programs/configs must outlive the call.
-// For a non-blocking handle with progress and cancellation, submit the
-// same specs through engine::Engine (engine/engine.h) directly.
-[[nodiscard]] std::vector<CampaignResult> run_campaigns(
-    const std::vector<CampaignSpec>& specs);
 
 // Folds shard results (any order, any partition sizes) into the result of
 // the corresponding unsharded campaign.  All shards must agree on

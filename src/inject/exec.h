@@ -1,13 +1,14 @@
 // Internal campaign-batch executor: the blocking simulation core behind
 // the asynchronous job engine (engine/engine.h).
 //
-// The public execution API is the engine -- `run_campaign(s)` are thin
-// submit-and-wait wrappers over it -- but the simulation itself (golden
-// recording, checkpoint/fork faulty runs, cache probe/fill) stays in
-// inject/campaign.cpp where the per-worker core instances live.  This
-// header is the seam between the two layers: the engine calls
-// execute_campaigns() on its dispatcher thread and wires the hooks to the
-// job handle it returned to the caller.
+// The public execution API is the engine -- engine::run_campaign(s) are
+// thin submit-and-wait wrappers over it -- but the simulation itself
+// (golden recording, checkpoint/fork faulty runs, cache probe/fill) stays
+// in inject/campaign.cpp where the per-worker core instances live.  This
+// header is the seam between the two layers, and dependencies cross it
+// downward only: the engine calls execute_campaigns() on its dispatcher
+// thread and wires the hooks to the job handle it returned to the caller;
+// nothing in inject/ calls up into the engine.
 //
 // Hooks contract:
 //   * cancel is polled cooperatively at every checkpoint boundary of
@@ -64,12 +65,11 @@ struct BatchHooks {
 };
 
 // Runs a batch of campaigns to completion on the process-wide worker
-// pool, blocking the calling thread.  Identical semantics to the
-// pre-engine run_campaigns(): bit-identical results for a given spec
-// across runs, hosts, thread counts and engine settings, and the same
-// cache probe/fill behaviour.  Throws CampaignCancelled when cancelled
-// via the hooks, std::invalid_argument on a bad spec, and
-// std::runtime_error when a golden run does not halt.
+// pool, blocking the calling thread.  Bit-identical results for a given
+// spec across runs, hosts, thread counts and batch compositions, and
+// bit-identical to simulating every faulty run from cycle 0.  Throws
+// CampaignCancelled when cancelled via the hooks, std::invalid_argument
+// on a bad spec, and std::runtime_error when a golden run does not halt.
 [[nodiscard]] std::vector<CampaignResult> execute_campaigns(
     const std::vector<CampaignSpec>& specs, const BatchHooks& hooks);
 

@@ -90,13 +90,6 @@ util::ArgParser make_run_parser() {
   args.add_option("shard", "k/K", "own samples i with i mod K == k", "0/1");
   args.add_option("threads", "N",
                   "worker threads (0 = CLEAR_THREADS or hardware)", "0");
-  args.add_option("checkpoint", "auto|on|off",
-                  "checkpoint/fork engine (auto = CLEAR_CHECKPOINT env)",
-                  "auto");
-  args.add_option("checkpoint-interval", "cycles",
-                  "golden snapshot spacing (0 = CLEAR_CHECKPOINT_INTERVAL "
-                  "or ~1/96 of the run)",
-                  "0");
   args.add_option("recovery", "none|flush|rob|ir|eir",
                   "hardware recovery technique", "");
   args.add_option("key", "text",
@@ -166,14 +159,6 @@ bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
     return fail("bad --shard '" + args.get("shard") +
                 "' (want k/K with k < K)");
   }
-  const std::string ckpt = args.get("checkpoint");
-  int use_checkpoint = -1;
-  if (ckpt == "on" || ckpt == "1") use_checkpoint = 1;
-  else if (ckpt == "off" || ckpt == "0") use_checkpoint = 0;
-  else if (ckpt != "auto") {
-    return fail("bad --checkpoint '" + ckpt + "'");
-  }
-
   try {
     plan->variant = parse_variant(args.get("variant"));
   } catch (const std::invalid_argument& e) {
@@ -197,8 +182,7 @@ bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
 
   // Numeric flags are strict: a mistyped --injections must fail loudly,
   // never silently shrink a cluster campaign to its default.
-  std::uint64_t input_seed64 = 0, injections = 0, seed = 1, threads = 0,
-                interval = 0;
+  std::uint64_t input_seed64 = 0, injections = 0, seed = 1, threads = 0;
   const auto numeric = [&](const char* flag, std::uint64_t def,
                            std::uint64_t* out) {
     if (args.get_u64(flag, def, out)) return true;
@@ -208,8 +192,7 @@ bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
   };
   if (!numeric("input-seed", 0, &input_seed64) ||
       !numeric("injections", 0, &injections) || !numeric("seed", 1, &seed) ||
-      !numeric("threads", 0, &threads) ||
-      !numeric("checkpoint-interval", 0, &interval)) {
+      !numeric("threads", 0, &threads)) {
     return false;
   }
   plan->input_seed = static_cast<std::uint32_t>(input_seed64);
@@ -252,8 +235,6 @@ bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
   plan->spec.injections = static_cast<std::size_t>(injections);
   plan->spec.seed = seed;
   plan->spec.threads = static_cast<unsigned>(threads);
-  plan->spec.use_checkpoint = use_checkpoint;
-  plan->spec.checkpoint_interval = interval;
   plan->spec.shard_index = plan->shard_index;
   plan->spec.shard_count = plan->shard_count;
   if (args.has("no-cache")) {

@@ -7,23 +7,11 @@
 //   CLEAR_CACHE_MAX_BYTES     - campaign cache pack byte budget; exceeding
 //                               it evicts least-recently-used entries
 //                               (0 = unlimited; accepts K/M/G suffixes)
-//   CLEAR_CHECKPOINT          - 0 forces the legacy from-cycle-0 injection
-//                               path (default 1: checkpoint/fork engine)
-//   CLEAR_CHECKPOINT_INTERVAL - cycles between golden snapshots; fixed-
-//                               interval escape hatch that bypasses the
-//                               adaptive placement (0 = adaptive)
-//   CLEAR_CHECKPOINT_DENSITY  - scales the adaptively chosen snapshot
-//                               count (2.0 = twice as dense, 0.5 = half;
-//                               <= 0 = legacy ~1/96-of-run auto interval;
-//                               default 1.0).  Campaign results are bit-
-//                               identical at any density.
 //   CLEAR_EXPLORE_BATCH       - combos per design-space-exploration
 //                               scheduling batch (default 64)
 //   CLEAR_EXPLORE_PIPELINE    - 0 disables exploration batch pipelining
 //                               (profile batch N+1 while evaluating batch
 //                               N; default 1, bit-identical either way)
-//   CLEAR_ENGINE_ASYNC        - 0 executes engine submissions inline on
-//                               the calling thread (debugging aid)
 //   CLEAR_ENGINE_QUEUE_MAX    - refuse engine submissions while this many
 //                               jobs are queued (0 = unlimited)
 //   CLEAR_CONFIDENCE          - confidence-driven adaptive campaigns in
@@ -91,14 +79,6 @@ inline std::uint64_t env_bytes(const char* name, std::uint64_t fallback) {
   if (v == nullptr || *v == '\0') return fallback;
   std::uint64_t bytes = 0;
   return parse_bytes(v, &bytes) ? bytes : fallback;
-}
-
-inline double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return (end != nullptr && end != v) ? parsed : fallback;
 }
 
 inline std::string env_string(const char* name, const std::string& fallback) {

@@ -28,6 +28,7 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "workloads/workloads.h"
+#include "reference_campaign.h"
 
 namespace {
 
@@ -403,7 +404,7 @@ inject::CampaignSpec mixed_stop_spec(const isa::Program* prog) {
 TEST(AdaptiveCampaign, EarlyStopSavesSamplesAndFollowsThePlan) {
   const auto prog = bench("gcc");
   const auto spec = mixed_stop_spec(&prog);
-  const auto r = inject::run_campaign(spec);
+  const auto r = engine::run_campaign(spec);
   ASSERT_TRUE(r.adaptive());
   EXPECT_DOUBLE_EQ(r.confidence_target, 0.12);
   EXPECT_EQ(r.pilot, 32u);
@@ -430,17 +431,17 @@ TEST(AdaptiveCampaign, EarlyStopSavesSamplesAndFollowsThePlan) {
 TEST(AdaptiveCampaign, StopDecisionsIndependentOfThreadsAndEngine) {
   const auto prog = bench("gcc");
   const auto spec1 = mixed_stop_spec(&prog);
-  const auto base = inject::run_campaign(spec1);
+  const auto base = engine::run_campaign(spec1);
 
   auto spec8 = spec1;
   spec8.threads = 8;
-  expect_identical(base, inject::run_campaign(spec8));
+  expect_identical(base, engine::run_campaign(spec8));
 
-  // The legacy from-cycle-0 engine must take the identical decisions.
-  auto legacy = spec1;
-  legacy.threads = 8;
-  legacy.use_checkpoint = 0;
-  expect_identical(base, inject::run_campaign(legacy));
+  // The from-cycle-0 reference must take the identical decisions.
+  const auto ref = testref::reference_campaign(spec8);
+  EXPECT_EQ(ref.pilot, base.pilot);
+  EXPECT_EQ(ref.planned, base.planned);
+  expect_identical(base, ref);
 }
 
 // Runs spec split into K shards (alternating 1 and 8 worker threads to
@@ -452,7 +453,7 @@ inject::CampaignResult run_sharded(inject::CampaignSpec spec, std::uint32_t k) {
     shard.shard_count = k;
     shard.shard_index = s;
     shard.threads = (s % 2 == 0) ? 1 : 8;
-    shards.push_back(inject::run_campaign(shard));
+    shards.push_back(engine::run_campaign(shard));
   }
   return inject::merge_campaign_results(shards);
 }
@@ -460,7 +461,7 @@ inject::CampaignResult run_sharded(inject::CampaignSpec spec, std::uint32_t k) {
 TEST(AdaptiveCampaign, ShardMergeIsBitIdenticalToUnsharded) {
   const auto prog = bench("gcc");
   const auto spec = mixed_stop_spec(&prog);
-  const auto whole = inject::run_campaign(spec);
+  const auto whole = engine::run_campaign(spec);
   ASSERT_TRUE(whole.adaptive());
   ASSERT_LT(whole.samples_executed(), spec.injections);
   const auto merged = run_sharded(spec, 3);
@@ -481,7 +482,7 @@ TEST(AdaptiveCampaign, ShardMergeAcrossPartitionsOnBudgetLimitedPilot) {
   spec.threads = 1;
   spec.confidence_half_width = 0.30;
   spec.confidence_method = IntervalMethod::kClopperPearson;
-  const auto whole = inject::run_campaign(spec);
+  const auto whole = engine::run_campaign(spec);
   ASSERT_TRUE(whole.adaptive());
   EXPECT_EQ(whole.pilot, 8u);
   for (const std::uint32_t k : {2u, 3u, 7u}) {
@@ -500,8 +501,8 @@ TEST(AdaptiveCampaign, MixedAdaptivityNeverMerges) {
   auto adaptive_spec = spec;
   adaptive_spec.confidence_half_width = 0.30;
   adaptive_spec.shard_index = 1;
-  const auto fixed = inject::run_campaign(spec);
-  const auto adapt = inject::run_campaign(adaptive_spec);
+  const auto fixed = engine::run_campaign(spec);
+  const auto adapt = engine::run_campaign(adaptive_spec);
   EXPECT_THROW(
       static_cast<void>(inject::merge_campaign_results({fixed, adapt})),
       std::invalid_argument);
@@ -516,16 +517,16 @@ TEST(AdaptiveCampaign, CacheRoundTripPreservesAdaptiveMetadata) {
   spec.injections = static_cast<std::size_t>(ff_count_of("InO")) * 8;
   spec.seed = 21;
   spec.confidence_half_width = 0.30;
-  const auto first = inject::run_campaign(spec);
+  const auto first = engine::run_campaign(spec);
   // Second run is served from the on-disk cache pack: the adaptive block
   // must round-trip bit-identically through serialization.
-  const auto cached = inject::run_campaign(spec);
+  const auto cached = engine::run_campaign(spec);
   expect_identical(first, cached);
   // A fixed-budget campaign under the same key must NOT alias the
   // adaptive entry (the fingerprint covers the confidence fields).
   auto fixed = spec;
   fixed.confidence_half_width = 0.0;
-  const auto f = inject::run_campaign(fixed);
+  const auto f = engine::run_campaign(fixed);
   EXPECT_FALSE(f.adaptive());
   EXPECT_EQ(f.totals.total(), spec.injections);
 }

@@ -124,32 +124,19 @@ TEST(CachePack, ExplicitCompactReclaimsSupersededBytes) {
   EXPECT_LE(evicted.pack_bytes, stats.pack_bytes / 2);
 }
 
-TEST(CachePack, MigratesLegacyCampFilesToExactlyPackPlusIndex) {
-  const auto dir = fresh_dir("migrate");
+TEST(CachePack, IgnoresStrayFilesInTheCacheDirectory) {
+  // Files the pack does not own (such as one-file-per-campaign caches of
+  // old builds) are neither ingested nor removed.
+  const auto dir = fresh_dir("stray");
   fs::create_directories(dir);
-  const std::string legacy_a = "123 2 100 50\n1 2 3 4 5 6\n7 8 9 10 11 12\n";
-  const std::string legacy_b = "456 1 40 20\n0 1 0 2 0 3\n";
-  { std::ofstream(dir + "/a.0000007b.camp") << legacy_a; }
-  { std::ofstream(dir + "/b.000001c8.camp") << legacy_b; }
-  { std::ofstream(dir + "/broken.garbage.camp") << "not a campaign"; }
+  const std::string stray = "123 2 100 50\n1 2 3 4 5 6\n7 8 9 10 11 12\n";
+  { std::ofstream(dir + "/a.0000007b.camp") << stray; }
 
   inject::CachePack pack(dir);
-  EXPECT_EQ(pack.stats().migrated, 2u);
+  EXPECT_EQ(pack.stats().records, 0u);
   std::string got;
-  EXPECT_TRUE(pack.get(123, &got));
-  EXPECT_EQ(got, legacy_a);
-  EXPECT_TRUE(pack.get(456, &got));
-  EXPECT_EQ(got, legacy_b);
-
-  // The directory converges to exactly one pack + one index.
-  std::size_t files = 0;
-  for (const auto& e : fs::directory_iterator(dir)) {
-    ++files;
-    EXPECT_NE(e.path().extension(), ".camp") << e.path();
-  }
-  EXPECT_EQ(files, 2u);
-  EXPECT_TRUE(fs::exists(pack_path(dir)));
-  EXPECT_TRUE(fs::exists(index_path(dir)));
+  EXPECT_FALSE(pack.get(123, &got));
+  EXPECT_TRUE(fs::exists(dir + "/a.0000007b.camp"));
 }
 
 TEST(CachePack, RecoversUnindexedTailAfterSimulatedCrash) {

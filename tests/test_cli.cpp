@@ -18,6 +18,7 @@
 #include "arch/core.h"
 #include "cli/cli.h"
 #include "core/variants.h"
+#include "engine/engine.h"
 #include "inject/campaign.h"
 #include "inject/wire.h"
 #include "isa/assembler.h"
@@ -188,7 +189,7 @@ TEST(CliE2E, ShardedProcessesMergeBitIdenticalToUnsharded) {
   spec.program = &prog;
   spec.injections = kInjections;
   spec.seed = kSeed;
-  const auto whole = inject::run_campaign(spec);
+  const auto whole = engine::run_campaign(spec);
   ASSERT_EQ(whole.totals.total(), kInjections);
 
   // K real `clear run` processes, one per shard.
@@ -271,6 +272,35 @@ TEST(CliE2E, AdaptiveConfidenceFlagsAreValidatedAndPlanned) {
   EXPECT_NE(plan.find("budget ceiling"), std::string::npos) << plan;
 }
 
+// The engine-selection flags are gone: old scripts that still pass them
+// must fail loudly, naming the flag, instead of running something else.
+TEST(CliE2E, RemovedEngineFlagsAreRejectedByName) {
+  // Exit status of `clear <args> --dry-run`; its stderr lands in *err.
+  const auto run = [](const std::string& args, std::string* err) {
+    const std::string path = "cli_e2e/removed_flag.txt";
+    const int rc = sh(kBin + " " + args + " --dry-run 2>" + path);
+    std::ifstream in(path);
+    err->assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+    return rc;
+  };
+  std::string err;
+  EXPECT_EQ(run("run --bench mcf --checkpoint off", &err), 2);
+  EXPECT_NE(err.find("unknown flag '--checkpoint'"), std::string::npos)
+      << err;
+
+  // A manifest stanza is resolved with the same strict grammar.
+  {
+    std::ofstream spec("cli_e2e/removed_flag.spec");
+    spec << "--bench mcf --injections 10\n---\n"
+            "--bench gcc --injections 10 --checkpoint-interval 97\n";
+  }
+  EXPECT_EQ(run("run --spec cli_e2e/removed_flag.spec", &err), 2);
+  EXPECT_NE(err.find("unknown flag '--checkpoint-interval'"),
+            std::string::npos)
+      << err;
+}
+
 TEST(CliE2E, AdaptiveShardedMergeMatchesInProcessAndReportsIntervals) {
   const auto prog = isa::assemble(workloads::build_benchmark("gcc"));
   const std::uint32_t ffs = arch::make_core("InO")->registry().ff_count();
@@ -285,7 +315,7 @@ TEST(CliE2E, AdaptiveShardedMergeMatchesInProcessAndReportsIntervals) {
   spec.seed = 9;
   spec.confidence_half_width = 0.3;
   spec.confidence_method = util::IntervalMethod::kClopperPearson;
-  const auto whole = inject::run_campaign(spec);
+  const auto whole = engine::run_campaign(spec);
   ASSERT_TRUE(whole.adaptive());
 
   // Two real `clear run` shard processes plus a real merge.
@@ -397,7 +427,7 @@ TEST(CliE2E, MultiCampaignManifestMatchesSingleRunsBitExactly) {
     cs.program = &prog;
     cs.injections = injections;
     cs.seed = seed;
-    const auto whole = inject::run_campaign(cs);
+    const auto whole = engine::run_campaign(cs);
     ASSERT_EQ(s.result.per_ff.size(), whole.per_ff.size()) << path;
     EXPECT_EQ(s.result.nominal_cycles, whole.nominal_cycles) << path;
     for (std::size_t f = 0; f < whole.per_ff.size(); ++f) {

@@ -8,6 +8,7 @@
 #include "core/benchdep.h"
 #include "core/combos.h"
 #include "core/selection.h"
+#include "engine/engine.h"
 #include "inject/campaign.h"
 
 namespace {
@@ -290,10 +291,10 @@ TEST(Selection, AnalyticMatchesSimulation) {
   cs.injections = 2600;
   cs.seed = 77;
   cs.cfg = &cfg;
-  const auto prot_run = inject::run_campaign(cs);
+  const auto prot_run = engine::run_campaign(cs);
   cs.cfg = nullptr;
   cs.seed = 77;
-  const auto base_run = inject::run_campaign(cs);
+  const auto base_run = engine::run_campaign(cs);
   // Protected-vs-base SDC improvement in *simulation* meets the target
   // zone the analytic model promised (sampling noise allowed for).
   // The selection was trained on the 5-benchmark aggregate; re-measuring

@@ -80,7 +80,7 @@ inject::CampaignSpec small_spec(const isa::Program* prog,
 TEST(Engine, SubmitWaitMatchesRunCampaign) {
   const auto prog = bench("mcf");
   const auto spec = small_spec(&prog, "");  // uncached: really simulates
-  const auto reference = inject::run_campaign(spec);
+  const auto reference = engine::run_campaign(spec);
 
   engine::Job job = engine::Engine::instance().submit({spec});
   EXPECT_GT(job.id(), 0u);
@@ -148,7 +148,7 @@ TEST(Engine, ProgressIsMonotonicAndCompletes) {
 TEST(Engine, FullyCachedJobCompletesWithZeroTotals) {
   const auto prog = bench("mcf");
   const auto spec = small_spec(&prog, "engine/cached");
-  const auto first = inject::run_campaign(spec);  // fills the pack
+  const auto first = engine::run_campaign(spec);  // fills the pack
 
   engine::Job job = engine::Engine::instance().submit({spec});
   job.wait();
@@ -226,7 +226,7 @@ TEST(EngineCancel, KilledJobFuzzNeverCorruptsCachePack) {
   const auto spec = small_spec(&prog, "engine/fuzz", 600);
 
   // Undisturbed reference (its own pack entry, written once).
-  const auto reference = inject::run_campaign(spec);
+  const auto reference = engine::run_campaign(spec);
 
   const int kTrials = 6;
   for (int trial = 0; trial < kTrials; ++trial) {
@@ -248,8 +248,8 @@ TEST(EngineCancel, KilledJobFuzzNeverCorruptsCachePack) {
     // The pack must still serve exact bytes: a fresh run of the victim's
     // campaign (cache miss when the cancel won, hit when it lost) equals
     // the reference, twice (the second run is a pack hit either way).
-    expect_identical(inject::run_campaign(victim_spec), reference);
-    expect_identical(inject::run_campaign(victim_spec), reference);
+    expect_identical(engine::run_campaign(victim_spec), reference);
+    expect_identical(engine::run_campaign(victim_spec), reference);
   }
 }
 

@@ -393,6 +393,40 @@ TEST(FleetE2E, DeadWorkerRedispatchKeepsMergeBitIdentical) {
   EXPECT_EQ(reap(pid1), 0);  // shutdown_workers drained it cleanly
 }
 
+// `clear fleet run --metrics-out` must account for every sample the
+// workers simulated.  With heartbeats 60 s apart no periodic beat lands
+// during the run, so the count can only come from the final heartbeat each
+// worker sends on shutdown -- and only if the driver's shutdown linger
+// feeds it through the frame handler instead of discarding it.
+TEST(FleetE2E, MetricsOutCountsEverySampleAfterShutdown) {
+  const pid_t pid0 = spawn_serve({"--socket", kDir + "/m0.sock", "--quiet",
+                                  "--heartbeat-ms", "60000"});
+  ASSERT_GT(pid0, 0);
+  const pid_t pid1 = spawn_serve({"--socket", kDir + "/m1.sock", "--quiet",
+                                  "--heartbeat-ms", "60000"});
+  ASSERT_GT(pid1, 0);
+  {
+    // --no-cache: every sample is simulated, whatever earlier runs cached.
+    std::ofstream spec(kDir + "/m.spec");
+    spec << "--core InO --bench mcf --injections 240 --seed 5 --no-cache\n";
+  }
+  const std::string metrics = kDir + "/m.json";
+  ASSERT_EQ(sh(kBin + " fleet run --spec " + kDir + "/m.spec --shards 4" +
+               " --out-dir " + kDir + "/m_out --shutdown --quiet" +
+               " --metrics-out " + metrics + " " + kDir + "/m0.sock " + kDir +
+               "/m1.sock"),
+            0);
+  const std::string json = slurp(metrics);
+  const std::string key = "\"campaign.samples\": ";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_EQ(std::strtoull(json.c_str() + at + key.size(), nullptr, 10), 240u)
+      << json;
+
+  EXPECT_EQ(reap(pid0), 0);
+  EXPECT_EQ(reap(pid1), 0);
+}
+
 // `clear serve --workers N` fan-out driven as a fleet of explore shards:
 // the children register under distinct "#i" identities and the merged
 // ledger equals the in-process shard merge byte for byte.

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "arch/core.h"
+#include "engine/engine.h"
 #include "inject/cachepack.h"
 #include "inject/campaign.h"
 #include "inject/iss_inject.h"
@@ -17,6 +18,7 @@
 #include "util/fs.h"
 #include "util/threadpool.h"
 #include "workloads/workloads.h"
+#include "reference_campaign.h"
 
 namespace {
 
@@ -73,7 +75,7 @@ TEST(Campaign, ProducesAllOutcomeKindsOnInO) {
   spec.program = &prog;
   spec.injections = 1500;
   spec.key = "";  // no caching
-  const auto r = inject::run_campaign(spec);
+  const auto r = engine::run_campaign(spec);
   EXPECT_EQ(r.totals.total(), 1500u);
   // A realistic campaign has vanished, SDC and DUE outcomes.
   EXPECT_GT(r.totals.vanished, 0u);
@@ -90,8 +92,8 @@ TEST(Campaign, DeterministicForSeed) {
   spec.program = &prog;
   spec.injections = 400;
   spec.seed = 7;
-  const auto a = inject::run_campaign(spec);
-  const auto b = inject::run_campaign(spec);
+  const auto a = engine::run_campaign(spec);
+  const auto b = engine::run_campaign(spec);
   EXPECT_EQ(a.totals.omm, b.totals.omm);
   EXPECT_EQ(a.totals.ut, b.totals.ut);
   EXPECT_EQ(a.totals.hang, b.totals.hang);
@@ -131,30 +133,29 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
   spec.injections = 600;
   spec.seed = 11;
   spec.threads = 1;
-  const auto one = inject::run_campaign(spec);
+  const auto one = engine::run_campaign(spec);
   spec.threads = 8;
-  const auto eight = inject::run_campaign(spec);
+  const auto eight = engine::run_campaign(spec);
   expect_identical(one, eight);
 }
 
-TEST(Campaign, CheckpointMatchesLegacyOnInO) {
+// The forked engine against the from-cycle-0 reference
+// (tests/reference_campaign.h): bit-identical per-FF counters.
+TEST(Campaign, ForkedMatchesReferenceOnInO) {
   const auto prog = bench("mcf");
   inject::CampaignSpec spec;
   spec.core_name = "InO";
   spec.program = &prog;
   spec.injections = 900;
   spec.seed = 5;
-  spec.use_checkpoint = 0;
-  const auto legacy = inject::run_campaign(spec);
-  spec.use_checkpoint = 1;
-  const auto forked = inject::run_campaign(spec);
-  expect_identical(legacy, forked);
+  expect_identical(testref::reference_campaign(spec),
+                   engine::run_campaign(spec));
 }
 
-TEST(Campaign, CheckpointMatchesLegacyOnInOWithRecovery) {
+TEST(Campaign, ForkedMatchesReferenceOnInOWithRecovery) {
   // Exercise detection + IR rollback across the fork boundary: the pruned
   // replay ring serialized into each checkpoint must behave exactly like
-  // the legacy full-history ring.
+  // the full-history ring of a from-cycle-0 run.
   const auto prog = bench("gcc");
   auto core = arch::make_ino_core();
   arch::ResilienceConfig cfg;
@@ -166,29 +167,23 @@ TEST(Campaign, CheckpointMatchesLegacyOnInOWithRecovery) {
   spec.injections = 400;
   spec.seed = 23;
   spec.cfg = &cfg;
-  spec.use_checkpoint = 0;
-  const auto legacy = inject::run_campaign(spec);
-  spec.use_checkpoint = 1;
-  const auto forked = inject::run_campaign(spec);
+  const auto forked = engine::run_campaign(spec);
   EXPECT_GT(forked.totals.recovered, 0u);
-  expect_identical(legacy, forked);
+  expect_identical(testref::reference_campaign(spec), forked);
 }
 
-TEST(Campaign, CheckpointMatchesLegacyOnOoO) {
+TEST(Campaign, ForkedMatchesReferenceOnOoO) {
   const auto prog = bench("mcf");
   inject::CampaignSpec spec;
   spec.core_name = "OoO";
   spec.program = &prog;
   spec.injections = 250;
   spec.seed = 7;
-  spec.use_checkpoint = 0;
-  const auto legacy = inject::run_campaign(spec);
-  spec.use_checkpoint = 1;
-  const auto forked = inject::run_campaign(spec);
-  expect_identical(legacy, forked);
+  expect_identical(testref::reference_campaign(spec),
+                   engine::run_campaign(spec));
 }
 
-TEST(Campaign, CheckpointMatchesLegacyOnOoOWithMonitor) {
+TEST(Campaign, ForkedMatchesReferenceOnOoOWithMonitor) {
   // The monitor's shadow machine is part of the serialized state; forked
   // runs must validate commits exactly like from-cycle-0 runs.
   const auto prog = bench("mcf");
@@ -201,11 +196,8 @@ TEST(Campaign, CheckpointMatchesLegacyOnOoOWithMonitor) {
   spec.injections = 120;
   spec.seed = 13;
   spec.cfg = &cfg;
-  spec.use_checkpoint = 0;
-  const auto legacy = inject::run_campaign(spec);
-  spec.use_checkpoint = 1;
-  const auto forked = inject::run_campaign(spec);
-  expect_identical(legacy, forked);
+  expect_identical(testref::reference_campaign(spec),
+                   engine::run_campaign(spec));
 }
 
 TEST(Campaign, CorruptCacheFallsBackToRerun) {
@@ -216,24 +208,19 @@ TEST(Campaign, CorruptCacheFallsBackToRerun) {
   spec.injections = 200;
   spec.key = "test/parser/corrupt_cache";
   std::filesystem::remove_all(inject::campaign_cache_dir());
-  const auto fresh = inject::run_campaign(spec);
+  const auto fresh = engine::run_campaign(spec);
 
-  // The cache is a single pack + index; no legacy per-campaign files.
   const std::filesystem::path pack_file =
       std::filesystem::path(inject::campaign_cache_dir()) /
       inject::CachePack::kPackName;
   ASSERT_TRUE(std::filesystem::exists(pack_file));
-  for (const auto& e :
-       std::filesystem::directory_iterator(inject::campaign_cache_dir())) {
-    EXPECT_NE(e.path().extension(), ".camp") << e.path();
-  }
 
   // Truncated pack: the stored payload no longer verifies, so the
   // campaign re-runs (and re-appends a good record).
   {
     const auto full_size = std::filesystem::file_size(pack_file);
     std::filesystem::resize_file(pack_file, full_size / 2);
-    const auto again = inject::run_campaign(spec);
+    const auto again = engine::run_campaign(spec);
     expect_identical(fresh, again);
   }
   // Binary garbage: same story.
@@ -241,12 +228,12 @@ TEST(Campaign, CorruptCacheFallsBackToRerun) {
     std::ofstream out(pack_file, std::ios::binary | std::ios::trunc);
     out << "\x7f""ELFgarbage\0\1\2\3";
   }
-  const auto again = inject::run_campaign(spec);
+  const auto again = engine::run_campaign(spec);
   expect_identical(fresh, again);
   // Cache directory removed outright (new inode underneath the open
   // pack): the store reopens and the campaign re-runs.
   std::filesystem::remove_all(inject::campaign_cache_dir());
-  expect_identical(fresh, inject::run_campaign(spec));
+  expect_identical(fresh, engine::run_campaign(spec));
 }
 
 TEST(Campaign, CacheRoundTrips) {
@@ -257,8 +244,8 @@ TEST(Campaign, CacheRoundTrips) {
   spec.injections = 300;
   spec.key = "test/parser/cache_roundtrip";
   std::filesystem::remove_all(inject::campaign_cache_dir());
-  const auto a = inject::run_campaign(spec);
-  const auto b = inject::run_campaign(spec);  // served from cache
+  const auto a = engine::run_campaign(spec);
+  const auto b = engine::run_campaign(spec);  // served from cache
   EXPECT_EQ(a.totals.omm, b.totals.omm);
   EXPECT_EQ(a.totals.due(), b.totals.due());
   EXPECT_EQ(a.nominal_cycles, b.nominal_cycles);
@@ -278,7 +265,7 @@ TEST(Campaign, FullHardeningSuppressesAlmostEverything) {
   spec.program = &prog;
   spec.injections = 2000;
   spec.cfg = &cfg;
-  const auto r = inject::run_campaign(spec);
+  const auto r = engine::run_campaign(spec);
   // SER ratio 2e-4: expect ~0.4 effective upsets in 2000 strikes.
   EXPECT_LT(r.totals.sdc() + r.totals.due(), 5u);
   EXPECT_GT(r.totals.vanished, 1990u);
@@ -310,7 +297,7 @@ TEST(Campaign, ParityPlusFlushRecoversDetectedErrors) {
   spec.program = &prog;
   spec.injections = 1200;
   spec.cfg = &cfg;
-  const auto r = inject::run_campaign(spec);
+  const auto r = engine::run_campaign(spec);
   // Detected + recovered errors; essentially no SDC left.
   EXPECT_GT(r.totals.recovered, 0u);
   EXPECT_EQ(r.totals.sdc(), 0u);
@@ -328,7 +315,7 @@ TEST(Campaign, EdsWithoutRecoveryTurnsErrorsIntoEd) {
   spec.program = &prog;
   spec.injections = 600;
   spec.cfg = &cfg;
-  const auto r = inject::run_campaign(spec);
+  const auto r = engine::run_campaign(spec);
   // EDS detects every upset in-cycle; without recovery everything is ED.
   EXPECT_EQ(r.totals.ed, 600u);
   EXPECT_EQ(r.totals.sdc(), 0u);
@@ -345,7 +332,7 @@ TEST(Campaign, IrRecoveryRepairsEverywhereIncludingUnflushable) {
   spec.program = &prog;
   spec.injections = 500;
   spec.cfg = &cfg;
-  const auto r = inject::run_campaign(spec);
+  const auto r = engine::run_campaign(spec);
   EXPECT_EQ(r.totals.sdc(), 0u);
   EXPECT_EQ(r.totals.ed, 0u);
   EXPECT_EQ(r.totals.due(), 0u);
@@ -358,7 +345,7 @@ TEST(Campaign, MarginOfErrorReported) {
   spec.core_name = "InO";
   spec.program = &prog;
   spec.injections = 500;
-  const auto r = inject::run_campaign(spec);
+  const auto r = engine::run_campaign(spec);
   EXPECT_GT(r.sdc_margin_of_error(), 0.0);
   EXPECT_LT(r.sdc_margin_of_error(), 0.1);
 }
@@ -374,7 +361,7 @@ inject::CampaignResult run_sharded(inject::CampaignSpec spec, std::uint32_t k) {
     shard.shard_count = k;
     shard.shard_index = s;
     shard.threads = (s % 2 == 0) ? 1 : 8;
-    shards.push_back(inject::run_campaign(shard));
+    shards.push_back(engine::run_campaign(shard));
   }
   return inject::merge_campaign_results(shards);
 }
@@ -387,7 +374,7 @@ TEST(Sharding, MergeIsBitIdenticalToUnshardedOnInO) {
   spec.injections = 630;
   spec.seed = 17;
   spec.threads = 1;
-  const auto whole = inject::run_campaign(spec);
+  const auto whole = engine::run_campaign(spec);
   ASSERT_EQ(whole.totals.total(), 630u);
   for (const std::uint32_t k : {2u, 3u, 7u}) {
     const auto merged = run_sharded(spec, k);
@@ -404,15 +391,15 @@ TEST(Sharding, MergeIsBitIdenticalToUnshardedOnOoO) {
   spec.injections = 210;
   spec.seed = 3;
   spec.threads = 1;
-  const auto whole = inject::run_campaign(spec);
+  const auto whole = engine::run_campaign(spec);
   for (const std::uint32_t k : {2u, 3u, 7u}) {
     expect_identical(whole, run_sharded(spec, k));
   }
 }
 
-TEST(Sharding, MergeMatchesUnshardedOnLegacyEngine) {
-  // CLEAR_CHECKPOINT=0 equivalent: the from-cycle-0 path must shard and
-  // merge exactly like the checkpoint/fork engine.
+TEST(Sharding, MergeMatchesUnshardedReference) {
+  // Forked shards merge to the from-cycle-0 unsharded answer, and each
+  // shard matches the reference's view of that shard.
   const auto prog = bench("mcf");
   inject::CampaignSpec spec;
   spec.core_name = "InO";
@@ -420,13 +407,12 @@ TEST(Sharding, MergeMatchesUnshardedOnLegacyEngine) {
   spec.injections = 450;
   spec.seed = 29;
   spec.threads = 1;
-  spec.use_checkpoint = 0;
-  const auto whole_legacy = inject::run_campaign(spec);
-  expect_identical(whole_legacy, run_sharded(spec, 3));
-  // Cross-engine: forked shards merge to the legacy unsharded answer too.
-  inject::CampaignSpec forked = spec;
-  forked.use_checkpoint = 1;
-  expect_identical(whole_legacy, run_sharded(forked, 3));
+  expect_identical(testref::reference_campaign(spec), run_sharded(spec, 3));
+  inject::CampaignSpec shard = spec;
+  shard.shard_index = 1;
+  shard.shard_count = 3;
+  expect_identical(testref::reference_campaign(shard),
+                   engine::run_campaign(shard));
 }
 
 TEST(Sharding, CommutesWithHardeningSuppression) {
@@ -444,7 +430,7 @@ TEST(Sharding, CommutesWithHardeningSuppression) {
   spec.seed = 41;
   spec.threads = 1;
   spec.cfg = &cfg;
-  const auto whole = inject::run_campaign(spec);
+  const auto whole = engine::run_campaign(spec);
   EXPECT_GT(whole.totals.vanished, 0u);  // ~75% suppressed at LHL SER
   expect_identical(whole, run_sharded(spec, 3));
 }
@@ -457,9 +443,9 @@ TEST(Sharding, RejectsInvalidShardAndMismatchedMerges) {
   spec.injections = 100;
   spec.shard_index = 3;
   spec.shard_count = 3;
-  EXPECT_THROW((void)inject::run_campaign(spec), std::invalid_argument);
+  EXPECT_THROW((void)engine::run_campaign(spec), std::invalid_argument);
   spec.shard_count = 0;
-  EXPECT_THROW((void)inject::run_campaign(spec), std::invalid_argument);
+  EXPECT_THROW((void)engine::run_campaign(spec), std::invalid_argument);
 
   EXPECT_THROW((void)inject::merge_campaign_results({}),
                std::invalid_argument);
@@ -492,10 +478,9 @@ TEST(Campaign, BatchedSubmissionMatchesSequential) {
   specs[2].program = &p3;
   specs[2].injections = 200;
   specs[2].seed = 13;
-  specs[2].use_checkpoint = 0;  // engines can be mixed within a batch
   std::vector<inject::CampaignResult> sequential;
-  for (const auto& s : specs) sequential.push_back(inject::run_campaign(s));
-  const auto batched = inject::run_campaigns(specs);
+  for (const auto& s : specs) sequential.push_back(engine::run_campaign(s));
+  const auto batched = engine::run_campaigns(specs);
   ASSERT_EQ(batched.size(), sequential.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     expect_identical(sequential[i], batched[i]);
@@ -514,8 +499,8 @@ TEST(Campaign, BatchedSubmissionUsesTheCache) {
   specs[1].program = &p2;
   specs[1].injections = 150;
   specs[1].key = "test/batch/gcc";
-  const auto first = inject::run_campaigns(specs);
-  const auto second = inject::run_campaigns(specs);  // served from the pack
+  const auto first = engine::run_campaigns(specs);
+  const auto second = engine::run_campaigns(specs);  // served from the pack
   for (std::size_t i = 0; i < specs.size(); ++i) {
     expect_identical(first[i], second[i]);
   }
@@ -533,7 +518,7 @@ TEST(Campaign, BatchGoldenFailurePropagatesWithoutDeadlock) {
   specs[1].core_name = "InO";
   specs[1].program = &good;
   specs[1].injections = 100;
-  EXPECT_THROW((void)inject::run_campaigns(specs), std::runtime_error);
+  EXPECT_THROW((void)engine::run_campaigns(specs), std::runtime_error);
 }
 
 // ---- classification golden table -------------------------------------------

@@ -40,7 +40,9 @@ N or N-1 of the form
 
     // lint: allow(<checker>): <non-empty reason>
 
-The reason is mandatory; a bare allow() is itself a finding.  The
+The reason is mandatory; a bare allow() is itself a finding.  The layer
+DAG takes no exceptions: `allow(layering)` is refused (a finding of its
+own, suppressing nothing), so a back-edge has to be fixed.  The
 atomics checker additionally consults its per-file allowlist (see the
 file's header comment for the entry grammar).
 
@@ -62,7 +64,7 @@ import sys
 # changes.  `clear version --json` reports the same number (kept in sync
 # by the lint self-test), so CI artifacts record which invariant set
 # vetted a build.
-CHECKER_SET_VERSION = 1
+CHECKER_SET_VERSION = 2
 
 try:  # pragma: no cover - environment dependent
     import clang.cindex  # type: ignore
@@ -87,6 +89,8 @@ class Finding:
 
 
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([a-z-]+)\)\s*(?::\s*(\S.*))?")
+# Checkers whose findings no annotation may suppress.
+REFUSED_ALLOWS = {"layering"}
 
 
 class SourceFile:
@@ -106,10 +110,15 @@ class SourceFile:
         self.raw_lines = text.split("\n")
         self.code_lines = _blank_comments_and_strings(text).split("\n")
         self.allows = {}
-        self.bad_allows = []  # (line, message) for reason-less allows
+        self.bad_allows = []  # (line, message): reason-less or refused allows
         for i, line in enumerate(self.raw_lines, start=1):
             m = ALLOW_RE.search(line)
             if not m:
+                continue
+            if m.group(1) in REFUSED_ALLOWS:
+                self.bad_allows.append(
+                    (i, "lint allow(%s) is refused: fix the dependency "
+                        "instead of annotating it" % m.group(1)))
                 continue
             if not m.group(2):
                 self.bad_allows.append(
