@@ -16,9 +16,9 @@
 // dead-worker redispatch) lives in fleet/fleet.h; every redispatch is
 // bit-identical to a single-worker run because shard results derive from
 // the global sample/combo index alone.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -269,12 +269,14 @@ int fleet_run(int argc, const char* const* argv) {
     return 1;
   }
 
-  // Live re-merge: per campaign stanza, fold every arriving shard's .csr
-  // into out_dir/campaign<i>.csr (atomic rewrite) -- watchable while the
-  // fleet runs, complete when it returns.
-  std::map<std::uint32_t, std::vector<inject::ShardFile>> arrived;
+  // Live re-merge: per campaign stanza, fold each arriving shard's .csr
+  // into one running merge (empty coverage = nothing arrived yet) and
+  // rewrite out_dir/campaign<i>.csr from it atomically -- watchable while
+  // the fleet runs, complete when it returns, O(flip-flops) per arrival.
+  std::vector<inject::ShardFile> running;
   const bool quiet = args.has("quiet");
   const auto on_shard = [&](const fleet::ShardResult& res) {
+    running.resize(std::max(running.size(), res.payloads.size()));
     for (std::size_t i = 0; i < res.payloads.size(); ++i) {
       inject::ShardFile shard;
       if (inject::decode_shard(res.payloads[i], &shard) !=
@@ -283,11 +285,11 @@ int fleet_run(int argc, const char* const* argv) {
             "fleet: shard " + std::to_string(res.shard_id) + " campaign #" +
             std::to_string(i) + " failed .csr decode");
       }
-      auto& parts = arrived[static_cast<std::uint32_t>(i)];
-      parts.push_back(std::move(shard));
-      const inject::ShardFile merged = inject::merge_shard_files(parts);
+      running[i] = running[i].covered.empty()
+                       ? inject::merge_shard_files({shard})
+                       : inject::merge_shard_files({running[i], shard});
       inject::write_shard_file(
-          out_dir + "/campaign" + std::to_string(i) + ".csr", merged);
+          out_dir + "/campaign" + std::to_string(i) + ".csr", running[i]);
     }
   };
 
@@ -302,7 +304,7 @@ int fleet_run(int argc, const char* const* argv) {
   }
   if (!quiet) {
     std::printf("fleet      %zu campaign file(s) merged into %s\n",
-                arrived.size(), out_dir.c_str());
+                running.size(), out_dir.c_str());
   }
   return 0;
 }
@@ -402,8 +404,9 @@ int fleet_explore(int argc, const char* const* argv) {
   const std::vector<fleet::ShardWork> shards = fleet::build_explore_shards(
       spec, static_cast<std::uint32_t>(shard_count));
 
+  // Live re-merge into one running ledger, as fleet_run does.
   const std::string ledger_path = args.get("ledger");
-  std::vector<explore::Ledger> arrived;
+  explore::Ledger running;
   const bool quiet = args.has("quiet");
   const auto on_shard = [&](const fleet::ShardResult& res) {
     if (res.payloads.size() != 1) {
@@ -418,9 +421,10 @@ int fleet_explore(int argc, const char* const* argv) {
                                std::to_string(res.shard_id) +
                                " failed .cxl decode");
     }
-    arrived.push_back(std::move(ledger));
-    const explore::Ledger merged = explore::merge_ledger_files(arrived);
-    explore::write_ledger_file(ledger_path, merged);
+    running = running.covered.empty()
+                  ? explore::merge_ledger_files({ledger})
+                  : explore::merge_ledger_files({running, ledger});
+    explore::write_ledger_file(ledger_path, running);
   };
 
   try {

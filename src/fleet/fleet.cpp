@@ -488,7 +488,6 @@ class Driver {
   std::vector<bool> completed_;
   std::vector<int> attempts_;
   std::size_t completed_count_ = 0;
-  std::map<std::uint64_t, ShardResult> results_;  // shard id -> result
   std::size_t redispatched_ = 0;
   std::size_t workers_lost_ = 0;
   Clock::time_point last_status_{};  // epoch value = never written
@@ -721,13 +720,12 @@ void Driver::complete_shard(std::size_t w) {
       res.payloads.push_back(std::move(bytes));
     }
     emit(FleetEvent::Kind::kShardDone, w, res.shard_id);
-    if (on_shard_) on_shard_(res);
-    results_.emplace(res.shard_id, std::move(res));
+    if (on_shard_) on_shard_(res);  // handed over once, never kept
     ++wc.status.shards_done;
   }
   // Duplicate completion (the shard was stolen and re-dispatched, then
   // the original worker finished anyway): drop the payloads -- they are
-  // bit-identical to the recorded ones by construction.
+  // bit-identical to the delivered ones by construction.
   wc.has_shard = false;
   wc.acked = false;
   wc.stealing = false;
@@ -994,11 +992,6 @@ FleetReport Driver::run() {
     }
   }
   FleetReport report;
-  report.results.reserve(results_.size());
-  for (auto& [id, res] : results_) {
-    (void)id;
-    report.results.push_back(std::move(res));
-  }
   report.workers.reserve(workers_.size());
   for (const WorkerConn& wc : workers_) report.workers.push_back(wc.status);
   report.redispatched = redispatched_;
@@ -1012,13 +1005,14 @@ FleetReport run_fleet(const std::vector<Endpoint>& workers,
                       const std::vector<ShardWork>& shards,
                       const FleetOptions& opts, const EventFn& event,
                       const ShardDoneFn& on_shard) {
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    for (std::size_t j = i + 1; j < shards.size(); ++j) {
-      if (shards[i].id == shards[j].id) {
-        throw std::runtime_error("fleet: duplicate shard id " +
-                                 std::to_string(shards[i].id));
-      }
-    }
+  std::vector<std::uint64_t> ids;
+  ids.reserve(shards.size());
+  for (const ShardWork& s : shards) ids.push_back(s.id);
+  std::sort(ids.begin(), ids.end());
+  const auto dup = std::adjacent_find(ids.begin(), ids.end());
+  if (dup != ids.end()) {
+    throw std::runtime_error("fleet: duplicate shard id " +
+                             std::to_string(*dup));
   }
   Driver driver(workers, shards, opts, event, on_shard);
   return driver.run();

@@ -21,10 +21,10 @@
 //     the global sample/combo index alone, so whichever worker completes
 //     it produces bit-identical bytes, and duplicate completions are
 //     de-duplicated by shard id;
-//   * live re-merge: every completed shard's payloads surface through a
-//     callback as they arrive, so `clear fleet` folds them through
-//     merge_shard_files / merge_ledger_files into a watchable output
-//     while the campaign is still running.
+//   * live re-merge: each completed shard's payloads are handed once to a
+//     callback and not kept, so `clear fleet` folds every arrival into
+//     one running merge_shard_files / merge_ledger_files output that is
+//     watchable while the campaign is still running.
 //
 // `clear fleet` (src/cli/cli_fleet.cpp) is the CLI; docs/ARCHITECTURE.md
 // shows the data flow.
@@ -175,7 +175,7 @@ using EventFn = std::function<void(const FleetEvent&)>;
 
 // One completed shard: the payload frames its worker returned, in result
 // order (campaign shards: one `.csr` per manifest stanza; explore shards:
-// exactly one `.cxl`).
+// exactly one `.cxl`).  Valid only during the ShardDoneFn call.
 struct ShardResult {
   std::uint64_t shard_id = 0;
   serve::ShardKind kind = serve::ShardKind::kCampaign;
@@ -184,20 +184,21 @@ struct ShardResult {
 };
 using ShardDoneFn = std::function<void(const ShardResult&)>;
 
+// Registry + tallies only: payloads reach the caller through on_shard.
 struct FleetReport {
-  std::vector<ShardResult> results;  // shard-id ascending, one per shard
   std::vector<WorkerStatus> workers;
   std::size_t redispatched = 0;  // requeues (ack steals + dead workers)
   std::size_t workers_lost = 0;  // workers declared dead during the run
 };
 
 // Runs one fleet: connects + registers `workers`, dispatches every shard
-// in `shards` until all have completed, and returns the collected
-// payloads plus the registry.  `on_shard` (optional) fires as each shard
-// completes -- the live re-merge hook.  Throws std::runtime_error when no
-// registered worker remains alive with work pending, when a shard fails
-// more than max_attempts times, or immediately on a kBadRequest refusal
-// (a malformed shard is deterministic: every worker would refuse it).
+// in `shards` until all have completed, and returns the registry.
+// `on_shard` fires once per shard as it completes, inside the dispatch
+// loop (keep it O(payload)); a caller wanting every payload keeps them.
+// Throws std::runtime_error on a duplicate shard id, when no registered
+// worker remains alive with work pending, when a shard fails more than
+// max_attempts times, or immediately on a kBadRequest refusal (a
+// malformed shard is deterministic: every worker would refuse it).
 FleetReport run_fleet(const std::vector<Endpoint>& workers,
                       const std::vector<ShardWork>& shards,
                       const FleetOptions& opts, const EventFn& event = {},

@@ -1,13 +1,15 @@
 // Fleet orchestrator tests: protocol v2 codecs (hello identity, shard
 // assign/ack, steal, heartbeat) with bit-flip refusal, endpoint grammar
 // and @N fan-out expansion, shard builders (campaign manifest sharding,
-// explore stanza round-trip, forbidden-flag refusal), worker-side explore
-// execution + cancellation, and the multi-process end-to-ends of the
-// acceptance criteria: a worker SIGKILLed mid-shard whose shards are
-// redispatched and whose merged bytes still equal the single-machine
-// merge, `clear serve --workers N` fan-out driven as a fleet, two
-// concurrent submitters against one daemon, the submit hello deadline
-// against a silent server, and SIGTERM draining an in-flight daemon.
+// explore stanza round-trip, forbidden-flag refusal, duplicate shard
+// ids), worker-side explore execution + cancellation, and the
+// multi-process end-to-ends of the acceptance criteria: a worker
+// SIGKILLed mid-shard whose shards are redispatched and whose merged
+// bytes still equal the single-machine merge, `clear fleet run`'s running
+// merge against `clear merge` of the same partition, `clear serve
+// --workers N` fan-out driven as a fleet, two concurrent submitters
+// against one daemon, the submit hello deadline against a silent server,
+// and SIGTERM draining an in-flight daemon.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -319,6 +321,21 @@ TEST(FleetShards, ExploreStanzaHonoursPreSetCancel) {
                std::invalid_argument);
 }
 
+TEST(FleetShards, DuplicateShardIdsAreRefusedBeforeConnecting) {
+  std::vector<fleet::ShardWork> shards(5);
+  for (std::size_t i = 0; i < shards.size(); ++i) shards[i].id = 10 + i;
+  shards[4].id = 12;
+  // No worker is listening there: the refusal must come first.
+  std::vector<fleet::Endpoint> workers(1);
+  workers[0].socket_path = kDir + "/nobody.sock";
+  try {
+    (void)fleet::run_fleet(workers, shards, fleet::FleetOptions{});
+    FAIL() << "duplicate shard ids were accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "fleet: duplicate shard id 12");
+  }
+}
+
 // ---- fleet end-to-ends -----------------------------------------------------
 
 // The acceptance criterion: SIGKILL one of two workers while its shard is
@@ -347,23 +364,26 @@ TEST(FleetE2E, DeadWorkerRedispatchKeepsMergeBitIdentical) {
   fleet::FleetOptions opts;
   opts.shutdown_workers = true;
   bool killed = false;
+  std::vector<fleet::ShardResult> results;
   const auto report = fleet::run_fleet(
-      workers, shards, opts, [&](const fleet::FleetEvent& e) {
+      workers, shards, opts,
+      [&](const fleet::FleetEvent& e) {
         if (e.kind == fleet::FleetEvent::Kind::kAck && e.worker == 0 &&
             !killed) {
           ::kill(pid0, SIGKILL);
           killed = true;
         }
-      });
+      },
+      [&](const fleet::ShardResult& res) { results.push_back(res); });
   EXPECT_TRUE(killed);
   EXPECT_EQ(report.workers_lost, 1u);
   EXPECT_GE(report.redispatched, 1u);
   EXPECT_EQ(report.workers[0].state, fleet::WorkerState::kDead);
-  ASSERT_EQ(report.results.size(), 4u);
+  // Exactly one delivery per shard, however often it was dispatched.
+  ASSERT_EQ(results.size(), 4u);
 
-  // Live re-merge, exactly as `clear fleet run` folds arrivals.
   std::vector<inject::ShardFile> got;
-  for (const auto& res : report.results) {
+  for (const auto& res : results) {
     ASSERT_EQ(res.payloads.size(), 1u) << "shard " << res.shard_id;
     inject::ShardFile shard;
     ASSERT_EQ(inject::decode_shard(res.payloads[0], &shard),
@@ -427,6 +447,48 @@ TEST(FleetE2E, MetricsOutCountsEverySampleAfterShutdown) {
   EXPECT_EQ(reap(pid1), 0);
 }
 
+// `clear fleet run` itself: the CLI's running fold over arrivals, for a
+// fixed-budget and an adaptive stanza at once, must write exactly the
+// bytes `clear merge` makes of the K single-machine shard outputs.
+TEST(FleetE2E, CliRunningMergeMatchesClearMergePerStanza) {
+  const pid_t pid0 = spawn_serve({"--socket", kDir + "/r0.sock", "--quiet"});
+  ASSERT_GT(pid0, 0);
+  const pid_t pid1 = spawn_serve({"--socket", kDir + "/r1.sock", "--quiet"});
+  ASSERT_GT(pid1, 0);
+  const std::vector<std::string> stanzas = {
+      "--core InO --bench mcf --injections 480 --seed 13",
+      "--core InO --bench gcc --injections 480 --seed 13 --confidence 0.1",
+  };
+  {
+    std::ofstream spec(kDir + "/r.spec");
+    spec << stanzas[0] << "\n---\n" << stanzas[1] << "\n";
+  }
+  const std::string out = kDir + "/r_out";
+  ASSERT_EQ(sh(kBin + " fleet run --spec " + kDir + "/r.spec --shards 8" +
+               " --out-dir " + out + " --shutdown --quiet " + kDir +
+               "/r0.sock " + kDir + "/r1.sock"),
+            0);
+  EXPECT_EQ(reap(pid0), 0);
+  EXPECT_EQ(reap(pid1), 0);
+
+  for (std::size_t i = 0; i < stanzas.size(); ++i) {
+    const std::string ref = kDir + "/r_ref" + std::to_string(i);
+    std::string merge_cmd = kBin + " merge --out " + ref + ".csr";
+    for (int k = 0; k < 8; ++k) {
+      const std::string part = ref + "_" + std::to_string(k) + ".csr";
+      ASSERT_EQ(sh(kBin + " run " + stanzas[i] + " --shard " +
+                   std::to_string(k) + "/8 --out " + part),
+                0);
+      merge_cmd += " " + part;
+    }
+    ASSERT_EQ(sh(merge_cmd), 0);
+    const std::string got =
+        slurp(out + "/campaign" + std::to_string(i) + ".csr");
+    ASSERT_FALSE(got.empty()) << "stanza " << i;
+    EXPECT_EQ(got, slurp(ref + ".csr")) << "stanza " << i;
+  }
+}
+
 // `clear serve --workers N` fan-out driven as a fleet of explore shards:
 // the children register under distinct "#i" identities and the merged
 // ledger equals the in-process shard merge byte for byte.
@@ -449,8 +511,11 @@ TEST(FleetE2E, ServeFanOutExploreMatchesLocalMerge) {
 
   fleet::FleetOptions opts;
   opts.shutdown_workers = true;
-  const auto report = fleet::run_fleet(workers, shards, opts);
-  ASSERT_EQ(report.results.size(), 2u);
+  std::vector<fleet::ShardResult> results;
+  const auto report = fleet::run_fleet(
+      workers, shards, opts, {},
+      [&](const fleet::ShardResult& res) { results.push_back(res); });
+  ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(report.workers_lost, 0u);
   // The hello identities are the fan-out children's "--name base#i".
   EXPECT_NE(report.workers[0].name, report.workers[1].name);
@@ -458,7 +523,7 @@ TEST(FleetE2E, ServeFanOutExploreMatchesLocalMerge) {
   EXPECT_GT(report.workers[0].capacity, 0u);
 
   std::vector<explore::Ledger> got;
-  for (const auto& res : report.results) {
+  for (const auto& res : results) {
     ASSERT_EQ(res.payloads.size(), 1u);
     explore::Ledger ledger;
     ASSERT_EQ(explore::decode_ledger(res.payloads[0], &ledger),

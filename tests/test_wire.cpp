@@ -1,10 +1,12 @@
 // Wire-format (.csr) tests: encode/decode round trips, the tolerant
 // loader against truncation at every byte boundary and seeded byte flips,
-// version-mismatch rejection, and merge identity checks.  The
+// version-mismatch rejection, merge identity checks, and the running
+// (one shard at a time) fold against one n-ary merge.  The
 // multi-process `clear run` / `clear merge` end-to-end test lives in
 // tests/test_cli.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -442,6 +444,67 @@ TEST(WireMerge, CompleteUnionReportsComplete) {
   const auto merged = inject::merge_shard_files(parts);
   EXPECT_TRUE(merged.complete());
   EXPECT_EQ(merged.covered.size(), 7u);
+}
+
+// A 5-shard partition of the sample campaign (fixed-budget, or the
+// adaptive variant), each shard with counters of its own so that a fold
+// which dropped or doubled one would show; per-FF sums stay within the
+// adaptive plan.
+std::vector<inject::ShardFile> five_shard_partition(bool adaptive) {
+  std::vector<inject::ShardFile> parts;
+  for (std::uint32_t k = 0; k < 5; ++k) {
+    auto s = adaptive ? adaptive_shard() : sample_shard();
+    s.shard_count = 5;
+    s.covered = {k};
+    s.result.totals = {};
+    for (std::uint32_t f = 0; f < 5; ++f) {
+      auto& c = s.result.per_ff[f];
+      c = {};
+      c.vanished = 1 + (k + f) % 3;
+      c.omm = k % 2;
+      c.ut = f % 2;
+      c.ed = k == f ? 1 : 0;
+      c.recovered = 1;
+      s.result.totals.merge(c);
+    }
+    parts.push_back(std::move(s));
+  }
+  return parts;
+}
+
+bool covered_twice(const inject::ShardFile& running,
+                   const inject::ShardFile& again) {
+  try {
+    (void)inject::merge_shard_files({running, again});
+  } catch (const std::invalid_argument& e) {
+    return std::string(e.what()).find("covered twice") != std::string::npos;
+  }
+  return false;
+}
+
+// The fleet driver folds each arriving shard into one running merge; in
+// every arrival order that must encode to exactly the bytes of one n-ary
+// merge, and re-folding a shard the running merge already covers must be
+// refused.
+TEST(WireMerge, RunningFoldMatchesOneMergeInEveryArrivalOrder) {
+  for (const bool adaptive : {false, true}) {
+    const auto parts = five_shard_partition(adaptive);
+    const std::string expected =
+        inject::encode_shard(inject::merge_shard_files(parts));
+    EXPECT_EQ(static_cast<unsigned char>(expected[4]), adaptive ? 2u : 1u);
+    std::vector<std::size_t> order = {0, 1, 2, 3, 4};
+    do {
+      auto running = inject::merge_shard_files({parts[order[0]]});
+      for (std::size_t j = 1; j < order.size(); ++j) {
+        running = inject::merge_shard_files({running, parts[order[j]]});
+        EXPECT_TRUE(covered_twice(running, parts[order[j - 1]]));
+      }
+      EXPECT_TRUE(running.complete());
+      EXPECT_EQ(inject::encode_shard(running), expected)
+          << (adaptive ? "v2" : "v1") << " order " << order[0] << order[1]
+          << order[2] << order[3] << order[4];
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
 }
 
 TEST(WireMerge, RefusesIdentityMismatches) {
