@@ -57,23 +57,6 @@ void write_metrics_out(const std::string& flag_value, const char* ctx) {
   }
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 int run(int argc, char** argv) {
   if (argc < 2) {
     std::fputs(kTopHelp, stderr);

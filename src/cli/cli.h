@@ -34,6 +34,8 @@
 #include <cstdint>
 #include <string>
 
+#include "util/table.h"
+
 namespace clear::cli {
 
 // Binary version (independent of the on-disk format versions: those only
@@ -53,8 +55,9 @@ int cmd_cache(int argc, const char* const* argv);
 // `clear explore <run|merge|frontier|report>`: argv[0] is the explore
 // subcommand word.
 int cmd_explore(int argc, const char* const* argv);
-// `clear serve` / `clear submit`: the shard-worker daemon and its driver
-// client (engine/protocol.h speaks the framing in docs/FORMATS.md).
+// `clear serve` / `clear submit`: flag handling for the shard-worker
+// daemon (fleet/worker.h) and its driver client (engine/protocol.h speaks
+// the framing in docs/FORMATS.md).
 int cmd_serve(int argc, const char* const* argv);
 int cmd_submit(int argc, const char* const* argv);
 // `clear fleet <run|explore>`: multi-worker orchestration over serve
@@ -90,9 +93,8 @@ bool render_fleet_status(const std::string& json, std::string* out,
 // malformed input.
 bool parse_bytes(const std::string& text, std::uint64_t* bytes);
 
-// Escapes a string for embedding in the JSON output of `clear report` /
-// `clear explore` (backslash, quote, and control characters).
-[[nodiscard]] std::string json_escape(const std::string& s);
+// JSON string escaping for `clear report` / `clear explore` output.
+using util::json_escape;
 
 }  // namespace clear::cli
 

@@ -26,7 +26,6 @@
 #include "fleet/fleet.h"
 #include "obs/metrics.h"
 #include "util/args.h"
-#include "util/socket.h"
 #include "util/table.h"
 
 namespace clear::cli {
@@ -198,59 +197,54 @@ void probe(const fleet::Endpoint& ep, int connect_retry_ms, int timeout_ms,
            WorkerRow* row) {
   row->endpoint = ep.display();
   row->state = "unreachable";
-  util::Socket sock;
+  serve::FrameConn conn;
   try {
-    sock = ep.socket_path.empty()
-               ? util::Socket::connect_tcp_loopback(ep.port, connect_retry_ms)
-               : util::Socket::connect_unix(ep.socket_path, connect_retry_ms);
+    conn = ep.connect(connect_retry_ms);
   } catch (const std::runtime_error&) {
     return;
   }
   row->state = "no-hello";
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  std::string rx;
   bool got_hello = false;
-  while (Clock::now() < deadline) {
-    if (!sock.readable(50)) continue;
-    char buf[65536];
-    const long n = sock.recv_some(buf, sizeof(buf));
-    if (n <= 0) return;  // peer closed: keep whatever state we reached
-    rx.append(buf, static_cast<std::size_t>(n));
-    for (;;) {
-      serve::Frame frame;
-      const serve::FrameStatus st = serve::decode_frame(&rx, &frame);
-      if (st == serve::FrameStatus::kNeedMore) break;
-      if (st == serve::FrameStatus::kBad) {
-        row->state = "bad-stream";
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) return;
+    serve::Frame frame;
+    const serve::FrameConn::Recv got =
+        conn.recv(&frame, static_cast<int>(left.count()));
+    if (got == serve::FrameConn::Recv::kBad) {
+      row->state = "bad-stream";
+      return;
+    }
+    // Timeout or peer closed: keep whatever state we reached.
+    if (got != serve::FrameConn::Recv::kFrame) return;
+    if (frame.type == serve::FrameType::kHello) {
+      serve::Hello hello;
+      if (!serve::decode_hello(frame.payload, &hello)) {
+        row->state = "bad-hello";
         return;
       }
-      if (frame.type == serve::FrameType::kHello) {
-        serve::Hello hello;
-        if (!serve::decode_hello(frame.payload, &hello)) {
-          row->state = "bad-hello";
-          return;
-        }
-        if (hello.proto_version != serve::kProtoVersion) {
-          row->state = "version-skew";
-          return;
-        }
-        row->name = hello.name.empty() ? row->endpoint : hello.name;
-        row->capacity = hello.capacity;
-        row->state = "no-heartbeat";  // until one lands
-        got_hello = true;
-      } else if (frame.type == serve::FrameType::kHeartbeat && got_hello) {
-        std::uint32_t inflight = 0;
-        std::string metrics;
-        if (serve::decode_heartbeat(frame.payload, &inflight, &metrics)) {
-          row->inflight = inflight;
-          row->state = "up";
-          row->has_metrics =
-              !metrics.empty() && obs::decode_snapshot(metrics, &row->metrics);
-          return;
-        }
+      if (hello.proto_version != serve::kProtoVersion) {
+        row->state = "version-skew";
+        return;
       }
-      // Progress/result frames meant for another driver: skip.
+      row->name = hello.name.empty() ? row->endpoint : hello.name;
+      row->capacity = hello.capacity;
+      row->state = "no-heartbeat";  // until one lands
+      got_hello = true;
+    } else if (frame.type == serve::FrameType::kHeartbeat && got_hello) {
+      std::uint32_t inflight = 0;
+      std::string metrics;
+      if (serve::decode_heartbeat(frame.payload, &inflight, &metrics)) {
+        row->inflight = inflight;
+        row->state = "up";
+        row->has_metrics =
+            !metrics.empty() && obs::decode_snapshot(metrics, &row->metrics);
+        return;
+      }
     }
+    // Progress/result frames meant for another driver: skip.
   }
 }
 

@@ -1,5 +1,8 @@
 #include "engine/protocol.h"
 
+#include <algorithm>
+#include <chrono>
+
 #include "util/bytes.h"
 #include "util/hash.h"
 
@@ -67,6 +70,38 @@ FrameStatus decode_frame(std::string* buffer, Frame* out) {
   out->payload.assign(payload, len);
   buffer->erase(0, kFrameHeaderSize + len);
   return FrameStatus::kOk;
+}
+
+bool FrameConn::send(FrameType type, const std::string& payload,
+                     int timeout_ms) {
+  const std::string bytes = encode_frame(type, payload);
+  return sock_.send_all(bytes.data(), bytes.size(), timeout_ms);
+}
+
+FrameConn::Recv FrameConn::recv(Frame* out, int timeout_ms) {
+  using Clock = std::chrono::steady_clock;
+  const auto deadline =
+      Clock::now() + std::chrono::milliseconds(std::max(timeout_ms, 0));
+  char chunk[kReadChunk];
+  for (;;) {
+    const FrameStatus st = decode_frame(&rx_, out);
+    if (st == FrameStatus::kOk) return Recv::kFrame;
+    if (st == FrameStatus::kBad) return Recv::kBad;
+    int wait = -1;
+    if (timeout_ms >= 0) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - Clock::now());
+      wait = static_cast<int>(std::max<long long>(left.count(), 0));
+    }
+    // readable() is false on timeout or on a poll error; with no
+    // deadline only the latter is possible, and it ends the stream.
+    if (!sock_.readable(wait)) {
+      return timeout_ms < 0 ? Recv::kClosed : Recv::kTimeout;
+    }
+    const long n = sock_.recv_some(chunk, sizeof(chunk));
+    if (n <= 0) return Recv::kClosed;
+    rx_.append(chunk, static_cast<std::size_t>(n));
+  }
 }
 
 // ---- typed payloads --------------------------------------------------------

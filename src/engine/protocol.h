@@ -2,6 +2,9 @@
 // daemon and its drivers (`clear submit`, the `clear fleet` orchestrator)
 // speak over a local stream socket.
 //
+// Every peer reads and writes through one FrameConn (below); the daemon
+// itself is fleet/worker.h.
+//
 // The daemon turns the run -> scp -> merge workflow into a live worker: a
 // driver connects, ships job requests (multi-campaign manifests in the
 // `clear run --spec` grammar), watches progress events stream back, and
@@ -54,8 +57,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "engine/engine.h"
+#include "util/socket.h"
 
 namespace clear::serve {
 
@@ -71,6 +76,13 @@ constexpr std::uint32_t kHelloMagic = 0x31565343u;
 
 // Fixed frame header size (type + len + checksum).
 constexpr std::size_t kFrameHeaderSize = 16;
+
+// The bound the daemon and the fleet driver put on every send: a peer
+// that leaves its socket buffer full this long is treated as gone (its
+// work cancelled or re-dispatched) instead of wedging the sender in an
+// uninterruptible ::send().  `clear submit` sends unbounded -- its frames
+// are small and the daemon always reads.
+constexpr int kSendTimeoutMs = 30'000;
 
 // Frames carry manifests and whole .csr payloads; 256 MiB bounds the
 // largest plausible campaign result with a wide margin.
@@ -124,6 +136,42 @@ enum class FrameStatus : std::uint8_t {
 // Consumes one frame from the front of `buffer` on kOk; otherwise the
 // buffer is untouched.  Never reads outside it.
 [[nodiscard]] FrameStatus decode_frame(std::string* buffer, Frame* out);
+
+// One CSV1 peer connection: the socket, its receive buffer and the one
+// frame loop every peer reads with -- the daemon, `clear submit`, the
+// fleet driver and `clear status`.
+class FrameConn {
+ public:
+  enum class Recv : std::uint8_t {
+    kFrame,    // *out holds the next frame
+    kTimeout,  // no whole frame in time; buffered bytes are kept
+    kClosed,   // EOF or receive error (mid-frame bytes are lost)
+    kBad,      // decode_frame said kBad: the stream is unrecoverable
+  };
+
+  FrameConn() = default;
+  explicit FrameConn(util::Socket sock) : sock_(std::move(sock)) {}
+
+  // Encodes and sends one frame.  timeout_ms bounds how long a peer may
+  // leave its socket buffer full (-1 = unbounded); false = peer gone.
+  bool send(FrameType type, const std::string& payload, int timeout_ms = -1);
+  // Returns the next frame, waiting up to timeout_ms for it (0 = only
+  // poll, -1 = wait forever).
+  Recv recv(Frame* out, int timeout_ms);
+
+  // True while a partial frame sits in the receive buffer.
+  [[nodiscard]] bool has_buffered() const noexcept { return !rx_.empty(); }
+  [[nodiscard]] const util::Socket& socket() const noexcept { return sock_; }
+  void close() {
+    sock_.close();
+    rx_.clear();
+  }
+
+ private:
+  static constexpr std::size_t kReadChunk = 64 * 1024;
+  util::Socket sock_;
+  std::string rx_;
+};
 
 // ---- typed payloads --------------------------------------------------------
 

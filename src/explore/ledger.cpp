@@ -1,12 +1,13 @@
 #include "explore/ledger.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <set>
 #include <stdexcept>
 
 #include "util/bytes.h"
+#include "util/fs.h"
+#include "util/sealed.h"
 
 namespace clear::explore {
 
@@ -17,7 +18,6 @@ constexpr unsigned char kMagic[4] = {'C', 'X', 'L', '1'};
 // Sanity bounds: an identity/record that passes its checksum but declares
 // sizes beyond these is treated as damage rather than allocated for.
 constexpr std::uint64_t kMaxIdentLen = 1ULL << 20;
-constexpr std::uint32_t kMaxStringLen = 1u << 16;
 constexpr std::uint32_t kMaxBenchCount = 1u << 10;
 constexpr std::uint32_t kMaxComboCount = 1u << 20;
 constexpr std::uint32_t kMaxShardCount = 1u << 20;
@@ -29,12 +29,6 @@ using util::put_f64;
 using util::put_str;
 using util::put_u32;
 using util::put_u64;
-
-class Reader : public util::ByteReader {
- public:
-  using util::ByteReader::ByteReader;
-  bool str(std::string* s) { return util::ByteReader::str(s, kMaxStringLen); }
-};
 
 // The oldest format version that can represent this ledger: adaptive
 // explorations need the version-2 identity tail, fixed-budget ones stay
@@ -69,7 +63,7 @@ std::string encode_identity(const Ledger& l) {
 
 bool decode_identity(const std::string& bytes, std::uint32_t version,
                      Ledger* out) {
-  Reader r(bytes.data(), bytes.size());
+  util::ByteReader r(bytes.data(), bytes.size());
   std::uint32_t bench_count = 0, pruning = 0, covered_count = 0;
   if (!r.str(&out->core) || !r.f64(&out->target) || !r.u32(&out->metric) ||
       !r.u64(&out->seed) || !r.u64(&out->per_ff_samples) ||
@@ -115,7 +109,7 @@ bool decode_identity(const std::string& bytes, std::uint32_t version,
 
 bool decode_record_payload(const std::string& bytes, std::uint32_t combo_count,
                            LedgerRecord* rec) {
-  Reader r(bytes.data(), bytes.size());
+  util::ByteReader r(bytes.data(), bytes.size());
   std::uint32_t kind = 0, met = 0;
   if (!r.u32(&kind) || kind > static_cast<std::uint32_t>(RecordKind::kSkipped) ||
       !r.u32(&rec->combo_index) || rec->combo_index >= combo_count ||
@@ -220,45 +214,22 @@ std::string encode_record(const LedgerRecord& rec) {
 
 std::string encode_ledger(const Ledger& ledger) {
   const std::string ident = encode_identity(ledger);
-  std::string out;
-  util::append_magic(&out, kMagic);
-  put_u32(&out, ledger_wire_version(ledger));
-  put_u64(&out, ident.size());
-  put_u64(&out, util::fnv1a64(ident.data(), ident.size()));
-  put_u64(&out, util::fnv1a64(out.data(), 24));
-  out.append(ident);
+  std::string out = util::seal(kMagic, ledger_wire_version(ledger), ident);
   for (const LedgerRecord& rec : ledger.records) out.append(encode_record(rec));
   return out;
 }
 
 LedgerStatus decode_ledger(const std::string& bytes, Ledger* out,
                            LedgerLoadInfo* info) {
-  const unsigned char* p = util::byte_ptr(bytes);
-  if (bytes.size() < 4) return LedgerStatus::kTruncated;
-  if (std::memcmp(p, kMagic, 4) != 0) return LedgerStatus::kBadMagic;
-  if (bytes.size() < kLedgerHeaderSize) return LedgerStatus::kTruncated;
-  Reader header(p + 4, kLedgerHeaderSize - 4);
   std::uint32_t version = 0;
-  std::uint64_t ident_len = 0, ident_sum = 0, header_sum = 0;
-  header.u32(&version);
-  header.u64(&ident_len);
-  header.u64(&ident_sum);
-  header.u64(&header_sum);
-  if (header_sum != util::fnv1a64(p, 24)) return LedgerStatus::kCorrupt;
-  // The header checksum vouches for the version field: an unknown version
-  // is a genuinely newer writer, not bit rot.
-  if (version == 0 || version > kLedgerVersion) {
-    return LedgerStatus::kVersionUnsupported;
-  }
-  if (ident_len > kMaxIdentLen) return LedgerStatus::kCorrupt;
-  if (bytes.size() < kLedgerHeaderSize + ident_len) {
-    return LedgerStatus::kTruncated;
+  std::uint64_t ident_len = 0;
+  const util::SealStatus sealed = util::unseal(
+      bytes, kMagic, kLedgerVersion, kMaxIdentLen, &version, &ident_len);
+  if (sealed != util::SealStatus::kOk) {
+    return util::status_as<LedgerStatus>(sealed);
   }
   const std::string ident = bytes.substr(kLedgerHeaderSize,
                                          static_cast<std::size_t>(ident_len));
-  if (util::fnv1a64(ident.data(), ident.size()) != ident_sum) {
-    return LedgerStatus::kCorrupt;
-  }
   Ledger l;
   if (!decode_identity(ident, version, &l)) return LedgerStatus::kCorrupt;
 
@@ -269,7 +240,7 @@ LedgerStatus decode_ledger(const std::string& bytes, Ledger* out,
   std::size_t pos = kLedgerHeaderSize + static_cast<std::size_t>(ident_len);
   LedgerLoadInfo li;
   while (pos < bytes.size()) {
-    Reader frame(bytes.data() + pos, bytes.size() - pos);
+    util::ByteReader frame(bytes.data() + pos, bytes.size() - pos);
     std::uint32_t rec_len = 0;
     std::uint64_t rec_sum = 0;
     if (!frame.u32(&rec_len) || rec_len > kMaxRecordLen ||
@@ -292,20 +263,8 @@ LedgerStatus decode_ledger(const std::string& bytes, Ledger* out,
 }
 
 void write_ledger_file(const std::string& path, const Ledger& ledger) {
-  const std::string bytes = encode_ledger(ledger);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out || !out.write(bytes.data(),
-                           static_cast<std::streamsize>(bytes.size()))) {
-      throw std::runtime_error("cannot write " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    throw std::runtime_error("cannot rename into place: " + path);
+  if (!util::write_file_atomic(path, encode_ledger(ledger))) {
+    throw std::runtime_error("cannot write " + path);
   }
 }
 

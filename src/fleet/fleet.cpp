@@ -6,8 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -16,18 +14,15 @@
 #include "explore/ledger.h"
 #include "inject/wire.h"
 #include "obs/metrics.h"
+#include "util/fs.h"
 #include "util/socket.h"
+#include "util/table.h"
 
 namespace clear::fleet {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// One bounded send keeps the driver loop responsive: a worker that
-// stopped draining its socket is as good as dead, and the dead-worker
-// path handles it.
-constexpr int kSendTimeoutMs = 30'000;
 
 int ms_since(Clock::time_point then, Clock::time_point now) {
   return static_cast<int>(
@@ -123,6 +118,13 @@ bool forbidden_campaign_token(const std::string& tok, std::string* which) {
 std::string Endpoint::display() const {
   if (!socket_path.empty()) return socket_path;
   return "tcp:" + std::to_string(port);
+}
+
+serve::FrameConn Endpoint::connect(int retry_ms) const {
+  return serve::FrameConn(
+      socket_path.empty()
+          ? util::Socket::connect_tcp_loopback(port, retry_ms)
+          : util::Socket::connect_unix(socket_path, retry_ms));
 }
 
 bool parse_endpoint(const std::string& text, Endpoint* out,
@@ -426,8 +428,7 @@ const char* worker_state_name(WorkerState s) noexcept {
 namespace {
 
 struct WorkerConn {
-  util::Socket sock;
-  std::string rx;  // framed receive buffer
+  serve::FrameConn conn;
   WorkerStatus status;
   bool has_shard = false;   // a shard is dispatched (possibly unacked)
   std::size_t shard_pos = 0;  // index into the shards vector
@@ -493,21 +494,6 @@ class Driver {
   Clock::time_point last_status_{};  // epoch value = never written
 };
 
-void json_escape_into(std::string* out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 // obs::to_json output, re-indented for embedding inside the status
 // document (drops the trailing newline, indents continuation lines).
 std::string embed_json(const std::string& json, const std::string& indent) {
@@ -528,58 +514,32 @@ void Driver::register_workers() {
     wc.status.endpoint = endpoints_[w].display();
     wc.status.state = WorkerState::kDead;  // until the hello lands
     try {
-      wc.sock = endpoints_[w].socket_path.empty()
-                    ? util::Socket::connect_tcp_loopback(
-                          endpoints_[w].port, opts_.connect_retry_ms)
-                    : util::Socket::connect_unix(endpoints_[w].socket_path,
-                                                 opts_.connect_retry_ms);
+      wc.conn = endpoints_[w].connect(opts_.connect_retry_ms);
     } catch (const std::runtime_error&) {
       continue;  // unreachable endpoint: proceed with the rest
     }
     // Hello deadline: a server that accepts but never speaks must not
-    // hang the whole fleet.
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(opts_.hello_timeout_ms);
-    bool registered = false;
-    while (!registered) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - Clock::now());
-      if (left.count() <= 0) break;
-      if (!wc.sock.readable(static_cast<int>(
-              std::min<long long>(left.count(), 100)))) {
-        continue;
-      }
-      char buf[4096];
-      const long n = wc.sock.recv_some(buf, sizeof(buf));
-      if (n <= 0) break;
-      wc.rx.append(buf, static_cast<std::size_t>(n));
-      serve::Frame frame;
-      const serve::FrameStatus st = serve::decode_frame(&wc.rx, &frame);
-      if (st == serve::FrameStatus::kNeedMore) continue;
-      if (st != serve::FrameStatus::kOk ||
-          frame.type != serve::FrameType::kHello) {
-        break;
-      }
-      serve::Hello hello;
-      if (!serve::decode_hello(frame.payload, &hello) ||
-          hello.proto_version != serve::kProtoVersion ||
-          hello.wire_version != inject::kWireVersion ||
-          hello.ledger_version != explore::kLedgerVersion) {
-        break;  // version skew: this worker cannot serve this fleet
-      }
-      wc.status.name = hello.name.empty()
-                           ? wc.status.endpoint
-                           : hello.name;
-      wc.status.capacity = hello.capacity;
-      wc.status.state = WorkerState::kIdle;
-      wc.last_seen = Clock::now();
-      registered = true;
+    // hang the whole fleet.  Version skew refuses the worker too: it
+    // cannot serve this fleet.
+    serve::Frame frame;
+    serve::Hello hello;
+    const bool registered =
+        wc.conn.recv(&frame, opts_.hello_timeout_ms) ==
+            serve::FrameConn::Recv::kFrame &&
+        frame.type == serve::FrameType::kHello &&
+        serve::decode_hello(frame.payload, &hello) &&
+        hello.proto_version == serve::kProtoVersion &&
+        hello.wire_version == inject::kWireVersion &&
+        hello.ledger_version == explore::kLedgerVersion;
+    if (!registered) {
+      wc.conn.close();
+      continue;
     }
-    if (registered) {
-      emit(FleetEvent::Kind::kWorkerUp, w, 0);
-    } else {
-      wc.sock.close();
-    }
+    wc.status.name = hello.name.empty() ? wc.status.endpoint : hello.name;
+    wc.status.capacity = hello.capacity;
+    wc.status.state = WorkerState::kIdle;
+    wc.last_seen = Clock::now();
+    emit(FleetEvent::Kind::kWorkerUp, w, 0);
   }
 }
 
@@ -599,7 +559,7 @@ void Driver::declare_dead(std::size_t w, const char* why) {
   const std::uint64_t inflight_shard =
       wc.has_shard ? shards_[wc.shard_pos].id : 0;
   wc.status.state = WorkerState::kDead;
-  wc.sock.close();
+  wc.conn.close();
   ++workers_lost_;
   metrics().workers_dead.add();
   if (wc.has_shard) requeue(w);
@@ -653,9 +613,9 @@ void Driver::assign_idle() {
     assign.kind = shards_[pos].kind;
     assign.priority = opts_.priority;
     assign.text = shards_[pos].text;
-    const std::string bytes = serve::encode_frame(
-        serve::FrameType::kShardAssign, serve::encode_shard_assign(assign));
-    if (!wc.sock.send_all(bytes.data(), bytes.size(), kSendTimeoutMs)) {
+    if (!wc.conn.send(serve::FrameType::kShardAssign,
+                      serve::encode_shard_assign(assign),
+                      serve::kSendTimeoutMs)) {
       queue_.push_front(pos);
       declare_dead(w, "send failed");
       continue;
@@ -686,9 +646,9 @@ void Driver::check_deadlines(Clock::time_point now) {
       // The worker stays registered (frames still count against the dead
       // deadline) but gets no new work until the steal resolves.
       const std::size_t pos = wc.shard_pos;
-      const std::string bytes = serve::encode_frame(
-          serve::FrameType::kSteal, serve::encode_steal(shards_[pos].id));
-      if (!wc.sock.send_all(bytes.data(), bytes.size(), kSendTimeoutMs)) {
+      if (!wc.conn.send(serve::FrameType::kSteal,
+                        serve::encode_steal(shards_[pos].id),
+                        serve::kSendTimeoutMs)) {
         declare_dead(w, "send failed");
         continue;
       }
@@ -880,9 +840,9 @@ void Driver::maybe_write_status(Clock::time_point now, bool force) {
     const WorkerStatus& st = workers_[w].status;
     out += w == 0 ? "\n" : ",\n";
     out += "    {\"index\": " + std::to_string(st.index) + ", \"endpoint\": \"";
-    json_escape_into(&out, st.endpoint);
+    out += util::json_escape(st.endpoint);
     out += "\", \"name\": \"";
-    json_escape_into(&out, st.name);
+    out += util::json_escape(st.name);
     out += "\", \"capacity\": " + std::to_string(st.capacity) +
            ", \"state\": \"" + worker_state_name(st.state) +
            "\", \"shards_done\": " + std::to_string(st.shards_done) +
@@ -895,36 +855,25 @@ void Driver::maybe_write_status(Clock::time_point now, bool force) {
   out += workers_.empty() ? "],\n" : "\n  ],\n";
   out += "  \"driver\": " + embed_json(obs::to_json(obs::snapshot()), "  ");
   out += "\n}\n";
-  const std::string tmp = opts_.status_out + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::trunc);
-    if (!f) return;
-    f << out;
-    if (!f.flush()) return;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, opts_.status_out, ec);
-  if (ec) std::filesystem::remove(tmp, ec);
+  (void)util::write_file_atomic(opts_.status_out, out);  // best effort
 }
 
+// Handles every frame worker w has ready (wait_any saw it readable).
 void Driver::pump(std::size_t w) {
   WorkerConn& wc = workers_[w];
-  char buf[65536];
-  const long n = wc.sock.recv_some(buf, sizeof(buf));
-  if (n <= 0) {
-    declare_dead(w, n == 0 ? "connection closed" : "receive error");
-    return;
-  }
-  wc.rx.append(buf, static_cast<std::size_t>(n));
-  wc.last_seen = Clock::now();
   for (;;) {
     serve::Frame frame;
-    const serve::FrameStatus st = serve::decode_frame(&wc.rx, &frame);
-    if (st == serve::FrameStatus::kNeedMore) break;
-    if (st == serve::FrameStatus::kBad) {
+    const serve::FrameConn::Recv got = wc.conn.recv(&frame, 0);
+    if (got == serve::FrameConn::Recv::kClosed) {
+      declare_dead(w, "connection closed");
+      return;
+    }
+    if (got == serve::FrameConn::Recv::kBad) {
       declare_dead(w, "bad frame");
       return;
     }
+    wc.last_seen = Clock::now();  // any bytes count as a sign of life
+    if (got == serve::FrameConn::Recv::kTimeout) return;
     handle_frame(w, frame);
     if (wc.status.state == WorkerState::kDead) return;
   }
@@ -949,7 +898,7 @@ FleetReport Driver::run() {
     std::vector<const util::Socket*> socks(workers_.size(), nullptr);
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       if (workers_[w].status.state != WorkerState::kDead) {
-        socks[w] = &workers_[w].sock;
+        socks[w] = &workers_[w].conn.socket();
       }
     }
     const int ready = util::Socket::wait_any(socks.data(), socks.size(), 50);
@@ -960,11 +909,10 @@ FleetReport Driver::run() {
   }
   maybe_write_status(Clock::now(), /*force=*/true);
   if (opts_.shutdown_workers) {
-    const std::string bytes =
-        serve::encode_frame(serve::FrameType::kShutdown, "");
     for (WorkerConn& wc : workers_) {
       if (wc.status.state == WorkerState::kDead) continue;
-      (void)wc.sock.send_all(bytes.data(), bytes.size(), kSendTimeoutMs);
+      (void)wc.conn.send(serve::FrameType::kShutdown, "",
+                         serve::kSendTimeoutMs);
     }
     // Linger until each worker closes its end.  The worker keeps
     // heartbeating until it decodes the shutdown frame; if we close
@@ -976,18 +924,12 @@ FleetReport Driver::run() {
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       WorkerConn& wc = workers_[w];
       const auto deadline = Clock::now() + std::chrono::milliseconds(2000);
-      char scratch[4096];
       while (wc.status.state != WorkerState::kDead && Clock::now() < deadline) {
-        if (!wc.sock.readable(100)) continue;
-        const long n = wc.sock.recv_some(scratch, sizeof(scratch));
-        if (n <= 0) break;
-        wc.rx.append(scratch, static_cast<std::size_t>(n));
         serve::Frame frame;
-        while (wc.status.state != WorkerState::kDead &&
-               serve::decode_frame(&wc.rx, &frame) ==
-                   serve::FrameStatus::kOk) {
-          handle_frame(w, frame);
-        }
+        const serve::FrameConn::Recv got = wc.conn.recv(&frame, 100);
+        if (got == serve::FrameConn::Recv::kTimeout) continue;
+        if (got != serve::FrameConn::Recv::kFrame) break;
+        handle_frame(w, frame);
       }
     }
   }

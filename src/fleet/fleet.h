@@ -26,8 +26,9 @@
 //     one running merge_shard_files / merge_ledger_files output that is
 //     watchable while the campaign is still running.
 //
-// `clear fleet` (src/cli/cli_fleet.cpp) is the CLI; docs/ARCHITECTURE.md
-// shows the data flow.
+// The worker end of the same protocol is fleet/worker.h; both ends read
+// and write through serve::FrameConn.  `clear fleet` (src/cli/cli_fleet.cpp)
+// is the CLI; docs/ARCHITECTURE.md shows the data flow.
 #ifndef CLEAR_FLEET_FLEET_H
 #define CLEAR_FLEET_FLEET_H
 
@@ -52,6 +53,9 @@ struct Endpoint {
   std::uint16_t port = 0;
 
   [[nodiscard]] std::string display() const;
+  // Connects, retrying a refused or not-yet-bound endpoint for up to
+  // retry_ms (daemon startup race).  Throws std::runtime_error.
+  [[nodiscard]] serve::FrameConn connect(int retry_ms) const;
 };
 
 // Parses one endpoint operand: "tcp:PORT" -> loopback TCP, anything else

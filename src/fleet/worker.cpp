@@ -1,0 +1,503 @@
+#include "fleet/worker.h"
+
+#include <chrono>
+#include <cstdio>
+#include <deque>
+#include <memory>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
+#include "engine/engine.h"
+#include "explore/ledger.h"
+#include "fleet/fleet.h"
+#include "inject/wire.h"
+#include "obs/metrics.h"
+#include "plan/runplan.h"
+#include "util/threadpool.h"
+
+namespace clear::fleet {
+
+namespace {
+
+// One submitted work item: a kJob manifest or a kShardAssign shard.  The
+// resolved plans are the stable storage the engine job's spec pointers
+// alias; explore shards run on a dedicated thread because
+// run_exploration blocks (the connection loop must keep pumping
+// heartbeats and steal frames meanwhile).  Destruction cancels and joins
+// unfinished work before the plans go away.  A request refused before
+// submission (bad manifest, engine backpressure) still occupies a queue
+// slot so its kDone is delivered in request order -- a pipelining driver
+// matches done frames to requests by position.
+struct ServedWork {
+  // Shard bookkeeping (kShardAssign only).
+  bool is_shard = false;
+  std::uint64_t shard_id = 0;
+  serve::ShardKind kind = serve::ShardKind::kCampaign;
+  // kSteal honoured: retire silently -- the driver was promised no kDone.
+  bool revoked = false;
+
+  // Campaign path (kJob, or kShardAssign/kCampaign).
+  std::vector<plan::RunPlan> plans;
+  engine::Job job;
+
+  // Explore path (kShardAssign/kExplore).
+  std::thread explore_thread;
+  std::atomic<bool> explore_done{false};
+  std::atomic<bool> explore_cancel{false};
+  std::atomic<std::uint64_t> explore_combos_total{0};
+  std::atomic<std::uint64_t> explore_combos_done{0};
+  std::string explore_result;  // encoded .cxl on success
+  serve::Done explore_outcome;  // the shard's kDone once explore_done
+
+  bool refused = false;
+  serve::Done refusal;
+
+  [[nodiscard]] bool is_explore() const {
+    return is_shard && kind == serve::ShardKind::kExplore;
+  }
+
+  // True once the work retired (results or error ready).
+  [[nodiscard]] bool finished() {
+    if (refused) return true;
+    if (is_explore()) return explore_done.load(std::memory_order_acquire);
+    return job.poll();
+  }
+
+  void cancel() {
+    explore_cancel.store(true, std::memory_order_relaxed);
+    if (job.valid()) job.cancel();
+  }
+
+  ~ServedWork() {
+    cancel();
+    if (job.valid()) job.wait();
+    if (explore_thread.joinable()) explore_thread.join();
+  }
+};
+
+void start_explore(ServedWork* work, std::string text) {
+  work->explore_thread = std::thread([work, text = std::move(text)] {
+    serve::Done& done = work->explore_outcome;
+    try {
+      work->explore_result = run_explore_stanza(
+          text, &work->explore_cancel, [work](const explore::Progress& p) {
+            work->explore_combos_total.store(p.pending,
+                                             std::memory_order_relaxed);
+            work->explore_combos_done.store(p.done, std::memory_order_relaxed);
+          });
+    } catch (const explore::ExploreCancelled&) {
+      done = {serve::JobOutcome::kCancelled, "exploration cancelled"};
+    } catch (const std::invalid_argument& e) {
+      done = {serve::JobOutcome::kBadRequest, e.what()};
+    } catch (const std::exception& e) {
+      done = {serve::JobOutcome::kFailed, e.what()};
+    } catch (...) {
+      done = {serve::JobOutcome::kFailed, "unknown exploration error"};
+    }
+    work->explore_done.store(true, std::memory_order_release);
+  });
+}
+
+bool progress_equal(const engine::JobProgress& a,
+                    const engine::JobProgress& b) {
+  return a.state == b.state && a.goldens_done == b.goldens_done &&
+         a.goldens_total == b.goldens_total &&
+         a.samples_done == b.samples_done &&
+         a.samples_total == b.samples_total;
+}
+
+// The progress snapshot for the front work item: the engine's for
+// campaign jobs, a synthesized combos-done/total one for explore shards.
+engine::JobProgress front_progress(ServedWork* front) {
+  if (!front->is_explore()) return front->job.progress();
+  engine::JobProgress p;
+  p.state = front->explore_done.load(std::memory_order_acquire)
+                ? engine::JobState::kDone
+                : engine::JobState::kRunning;
+  p.samples_done = front->explore_combos_done.load(std::memory_order_relaxed);
+  p.samples_total =
+      front->explore_combos_total.load(std::memory_order_relaxed);
+  return p;
+}
+
+// Resolves a campaign manifest and submits it to the engine; on any
+// refusal the work item carries the kBadRequest instead.
+void submit_campaigns(ServedWork* served, const std::string& manifest,
+                      engine::JobPriority priority) {
+  std::string error;
+  bool ok = false;
+  try {
+    ok = plan::resolve_manifest_text(manifest, "clear serve", &served->plans,
+                                     &error);
+  } catch (const std::exception& e) {
+    error = std::string("clear serve: ") + e.what();
+  }
+  if (ok) {
+    std::vector<inject::CampaignSpec> specs;
+    specs.reserve(served->plans.size());
+    for (const plan::RunPlan& plan : served->plans) specs.push_back(plan.spec);
+    try {
+      served->job = engine::Engine::instance().submit(std::move(specs),
+                                                      priority);
+      return;
+    } catch (const std::exception& e) {
+      // Engine backpressure (CLEAR_ENGINE_QUEUE_MAX): refuse THIS
+      // request; the daemon and its other work live on.
+      error = std::string("clear serve: ") + e.what();
+    }
+  }
+  served->refused = true;
+  served->refusal.outcome = serve::JobOutcome::kBadRequest;
+  served->refusal.message = error;
+}
+
+}  // namespace
+
+serve::Hello worker_hello(const std::string& name) {
+  serve::Hello h;
+  h.proto_version = serve::kProtoVersion;
+  h.wire_version = inject::kWireVersion;
+  h.ledger_version = explore::kLedgerVersion;
+  h.capacity = util::ThreadPool::instance().size();
+  h.name = name;
+  return h;
+}
+
+// Relaxed is enough for the stop flag: the poll loops only need eventual
+// visibility, the joins provide all other ordering.
+bool Worker::stopped() const {
+  return opts_.stop != nullptr &&
+         opts_.stop->load(std::memory_order_relaxed) != 0;
+}
+
+bool Worker::handle_connection(serve::FrameConn conn) {
+  if (!conn.send(serve::FrameType::kHello, serve::encode_hello(opts_.hello),
+                 serve::kSendTimeoutMs)) {
+    return false;
+  }
+
+  std::deque<std::unique_ptr<ServedWork>> queue;
+  bool peer_gone = false;
+  bool shutdown = false;
+  engine::JobProgress last_sent;
+  bool sent_any = false;
+  auto last_sent_at = std::chrono::steady_clock::now();
+  auto last_heartbeat_at = std::chrono::steady_clock::now();
+
+  // The peer left (why == nullptr) or sent what this daemon cannot
+  // decode: nobody will consume the results, so stop the work instead of
+  // burning the worker on it, and stop talking to the peer.
+  const auto drop = [&](const char* why) {
+    if (why != nullptr) std::fprintf(stderr, "clear serve: %s\n", why);
+    peer_gone = true;
+    for (auto& work : queue) work->cancel();
+  };
+  // A failed send means the peer is gone.
+  const auto send = [&](serve::FrameType type, const std::string& payload) {
+    if (conn.send(type, payload, serve::kSendTimeoutMs)) return true;
+    drop(nullptr);
+    return false;
+  };
+  // The liveness beacon doubles as the telemetry channel: each heartbeat
+  // carries this worker's metric snapshot so the fleet driver (and
+  // `clear status`) see cache/latency/engine state without a side
+  // channel.
+  const auto send_heartbeat = [&] {
+    send(serve::FrameType::kHeartbeat,
+         serve::encode_heartbeat(static_cast<std::uint32_t>(queue.size()),
+                                 obs::encode_snapshot(obs::snapshot())));
+  };
+
+  for (;;) {
+    // SIGTERM/SIGINT: cancel in-flight work and drain -- the daemon must
+    // exit promptly without persisting partial results, even mid-job.
+    if (stopped()) drop(nullptr);  // stop talking, drain cancelled work, exit
+    // ---- service the front work item ---------------------------------------
+    if (!queue.empty() && queue.front()->refused) {
+      if (!peer_gone) {
+        send(serve::FrameType::kDone,
+             serve::encode_done(queue.front()->refusal));
+      }
+      queue.pop_front();
+      continue;
+    }
+    if (!queue.empty()) {
+      ServedWork& front = *queue.front();
+      const engine::JobProgress p = front_progress(&front);
+      const auto now = std::chrono::steady_clock::now();
+      if (!peer_gone && !front.revoked &&
+          (!sent_any || !progress_equal(p, last_sent)) &&
+          now - last_sent_at >= std::chrono::milliseconds(opts_.progress_ms)) {
+        send(serve::FrameType::kProgress, serve::encode_progress(p));
+        last_sent = p;
+        sent_any = true;
+        last_sent_at = now;
+      }
+      if (front.finished()) {
+        if (front.revoked) {
+          // Stolen: the driver re-dispatched it elsewhere and was
+          // promised silence.  Retire without frames.
+          queue.pop_front();
+          sent_any = false;
+          continue;
+        }
+        if (!peer_gone) {
+          // Final snapshot, then the payload frames.
+          conn.send(serve::FrameType::kProgress,
+                    serve::encode_progress(front_progress(&front)),
+                    serve::kSendTimeoutMs);
+          serve::Done done;
+          if (front.is_explore()) {
+            done = front.explore_outcome;
+            if (done.outcome == serve::JobOutcome::kOk) {
+              conn.send(serve::FrameType::kResult,
+                        serve::encode_result(0, front.explore_result),
+                        serve::kSendTimeoutMs);
+            }
+          } else {
+            const engine::JobState state = front.job.state();
+            if (state == engine::JobState::kDone) {
+              const auto& results = front.job.results();
+              for (std::size_t i = 0; i < results.size(); ++i) {
+                const inject::ShardFile shard =
+                    plan::plan_shard_file(front.plans[i], results[i]);
+                conn.send(
+                    serve::FrameType::kResult,
+                    serve::encode_result(static_cast<std::uint32_t>(i),
+                                         inject::encode_shard(shard)),
+                    serve::kSendTimeoutMs);
+              }
+              done.outcome = serve::JobOutcome::kOk;
+            } else if (state == engine::JobState::kCancelled) {
+              done.outcome = serve::JobOutcome::kCancelled;
+              done.message = "job cancelled";
+            } else {
+              done.outcome = serve::JobOutcome::kFailed;
+              try {
+                front.job.results();  // rethrows the executor's error
+              } catch (const std::exception& e) {
+                done.message = e.what();
+              } catch (...) {
+                done.message = "unknown execution error";
+              }
+            }
+          }
+          send(serve::FrameType::kDone, serve::encode_done(done));
+          if (!opts_.quiet) {
+            std::printf("serve      %s finished: %s\n",
+                        front.is_shard ? "shard" : "job",
+                        serve::job_outcome_name(done.outcome));
+            std::fflush(stdout);
+          }
+        }
+        queue.pop_front();
+        sent_any = false;
+        continue;  // next work item may already be terminal
+      }
+    }
+
+    // ---- heartbeat ----------------------------------------------------------
+    if (!peer_gone && opts_.heartbeat_ms > 0) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now - last_heartbeat_at >=
+          std::chrono::milliseconds(opts_.heartbeat_ms)) {
+        send_heartbeat();
+        last_heartbeat_at = now;
+      }
+    }
+
+    // ---- exit conditions ----------------------------------------------------
+    if (queue.empty()) {
+      if (peer_gone) {
+        // A failed send (e.g. a heartbeat racing the driver's close)
+        // set peer_gone, but a shutdown frame may already sit in the
+        // kernel buffer or in ours: the driver sends kShutdown and
+        // closes in one motion.  Drain without blocking and honour it,
+        // otherwise the daemon outlives the fleet that owned it.
+        serve::Frame frame;
+        while (conn.recv(&frame, 0) == serve::FrameConn::Recv::kFrame) {
+          if (frame.type == serve::FrameType::kShutdown) {
+            shutdown_.store(true, std::memory_order_relaxed);
+          }
+        }
+        break;
+      }
+      if (shutdown && !conn.has_buffered()) {
+        // One last heartbeat before closing: the driver keeps each
+        // worker's latest snapshot, so work finished since the previous
+        // beat would otherwise be missing from its merged metrics.
+        if (opts_.heartbeat_ms > 0) send_heartbeat();
+        break;
+      }
+      // A sibling connection shut the daemon down: drain instead of
+      // keeping the accept loop's join waiting on an idle client.
+      if (shutdown_.load(std::memory_order_relaxed) && !conn.has_buffered()) {
+        break;
+      }
+    }
+
+    // ---- pump the socket ----------------------------------------------------
+    if (peer_gone) {
+      // Nothing to read; wait for the cancelled work to retire.
+      if (!queue.empty()) {
+        if (queue.front()->job.valid()) {
+          queue.front()->job.wait_for(std::chrono::milliseconds(50));
+        } else {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+      }
+      continue;
+    }
+    // Wait briefly for one frame, then take every frame that already
+    // arrived before servicing the queue again.
+    for (int wait_ms = 20; !peer_gone; wait_ms = 0) {
+      serve::Frame frame;
+      const serve::FrameConn::Recv got = conn.recv(&frame, wait_ms);
+      if (got == serve::FrameConn::Recv::kTimeout) break;
+      if (got != serve::FrameConn::Recv::kFrame) {
+        drop(got == serve::FrameConn::Recv::kBad
+                 ? "protocol error, dropping connection"
+                 : nullptr);
+        break;
+      }
+      switch (frame.type) {
+        case serve::FrameType::kJob: {
+          serve::JobRequest req;
+          auto served = std::make_unique<ServedWork>();
+          if (!serve::decode_job(frame.payload, &req)) {
+            served->refused = true;
+            served->refusal.outcome = serve::JobOutcome::kBadRequest;
+            served->refusal.message = "clear serve: malformed job frame";
+            queue.push_back(std::move(served));
+            break;
+          }
+          submit_campaigns(served.get(), req.manifest, req.priority);
+          if (!opts_.quiet && !served->refused) {
+            std::printf("serve      job #%llu accepted: %zu campaigns "
+                        "(%s lane)\n",
+                        static_cast<unsigned long long>(served->job.id()),
+                        served->plans.size(),
+                        req.priority == engine::JobPriority::kBulk
+                            ? "bulk"
+                            : "interactive");
+            std::fflush(stdout);
+          }
+          queue.push_back(std::move(served));
+          break;
+        }
+        case serve::FrameType::kShardAssign: {
+          serve::ShardAssign assign;
+          if (!serve::decode_shard_assign(frame.payload, &assign)) {
+            drop("malformed shard-assign frame");
+            break;
+          }
+          // Ack immediately: the driver's ack deadline measures whether
+          // this worker is responsive, not how long the shard takes.
+          serve::ShardAck ack;
+          ack.shard_id = assign.shard_id;
+          ack.status = serve::ShardAckStatus::kAccepted;
+          if (!send(serve::FrameType::kShardAck,
+                    serve::encode_shard_ack(ack))) {
+            break;
+          }
+          auto served = std::make_unique<ServedWork>();
+          served->is_shard = true;
+          served->shard_id = assign.shard_id;
+          served->kind = assign.kind;
+          if (assign.kind == serve::ShardKind::kExplore) {
+            start_explore(served.get(), assign.text);
+          } else {
+            submit_campaigns(served.get(), assign.text, assign.priority);
+          }
+          if (!opts_.quiet) {
+            std::printf("serve      shard #%llu accepted (%s)\n",
+                        static_cast<unsigned long long>(assign.shard_id),
+                        assign.kind == serve::ShardKind::kExplore
+                            ? "explore"
+                            : "campaign");
+            std::fflush(stdout);
+          }
+          queue.push_back(std::move(served));
+          break;
+        }
+        case serve::FrameType::kSteal: {
+          std::uint64_t shard_id = 0;
+          if (!serve::decode_steal(frame.payload, &shard_id)) {
+            drop("malformed steal frame");
+            break;
+          }
+          serve::ShardAck ack;
+          ack.shard_id = shard_id;
+          ack.status = serve::ShardAckStatus::kUnknown;
+          for (auto& work : queue) {
+            if (work->is_shard && work->shard_id == shard_id &&
+                !work->revoked) {
+              // Revoke: cancel the execution and promise the driver no
+              // kDone -- it is free to re-dispatch immediately.
+              work->revoked = true;
+              work->cancel();
+              ack.status = serve::ShardAckStatus::kRevoked;
+              break;
+            }
+          }
+          send(serve::FrameType::kShardAck, serve::encode_shard_ack(ack));
+          break;
+        }
+        case serve::FrameType::kCancel:
+          if (!queue.empty()) queue.front()->cancel();
+          break;
+        case serve::FrameType::kShutdown:
+          shutdown = true;
+          shutdown_.store(true, std::memory_order_relaxed);
+          break;
+        default:
+          // Server-direction frames from a confused client: ignore.
+          break;
+      }
+    }
+  }
+  return shutdown;
+}
+
+void Worker::serve(util::Socket* listener, bool once) {
+  // Thread-per-connection: concurrent drivers (two `clear submit`
+  // clients, a fleet driver plus an interactive submit) make progress
+  // simultaneously instead of queueing behind the accept loop.
+  struct ConnTask {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+  std::vector<std::unique_ptr<ConnTask>> conns;
+
+  while (!stopped() && !shutdown_.load(std::memory_order_relaxed)) {
+    util::Socket sock = listener->accept(200);
+    // Reap retired connection threads as we go.
+    for (auto it = conns.begin(); it != conns.end();) {
+      if ((*it)->finished.load(std::memory_order_acquire)) {
+        (*it)->thread.join();
+        it = conns.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    if (!sock.valid()) continue;  // timeout or transient accept error
+    serve::FrameConn conn(std::move(sock));
+    if (once) {
+      handle_connection(std::move(conn));
+      break;
+    }
+    auto task = std::make_unique<ConnTask>();
+    ConnTask* raw = task.get();
+    task->thread = std::thread([this, raw, c = std::move(conn)]() mutable {
+      handle_connection(std::move(c));
+      raw->finished.store(true, std::memory_order_release);
+    });
+    conns.push_back(std::move(task));
+  }
+  // Clean join: every connection observes the stop flag or the shutdown,
+  // cancels its in-flight work, drains and exits.
+  for (auto& task : conns) task->thread.join();
+}
+
+}  // namespace clear::fleet

@@ -1,12 +1,11 @@
 #include "inject/wire.h"
 
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
 #include "util/bytes.h"
+#include "util/fs.h"
+#include "util/sealed.h"
 
 namespace clear::inject {
 
@@ -17,23 +16,12 @@ constexpr unsigned char kMagic[4] = {'C', 'S', 'R', '1'};
 // Sanity bounds: a header that passes its checksum but declares sizes
 // beyond these is treated as corrupt rather than allocated for.
 constexpr std::uint64_t kMaxBodyLen = 1ULL << 30;
-constexpr std::uint32_t kMaxStringLen = 1u << 16;
 constexpr std::uint32_t kMaxFfCount = 1u << 24;
 constexpr std::uint32_t kMaxShardCount = 1u << 20;
 
 using util::put_str;
 using util::put_u32;
 using util::put_u64;
-
-// Bounded little-endian reader (util/bytes.h) with the wire string bound
-// applied: a damaged length field can never walk out of the buffer (the
-// checksum already failed closed, but decode stays safe even on crafted
-// bytes).
-class Reader : public util::ByteReader {
- public:
-  using util::ByteReader::ByteReader;
-  bool str(std::string* s) { return util::ByteReader::str(s, kMaxStringLen); }
-};
 
 // Doubles travel as their IEEE-754 bits (util::f64_bits): the confidence
 // target is an identity field, and a decimal round-trip could make two
@@ -108,44 +96,26 @@ std::string encode_shard(const ShardFile& shard) {
     put_u64(&body, f64_bits(due.hi));
   }
 
-  std::string out;
-  out.reserve(kWireHeaderSize + body.size());
-  util::append_magic(&out, kMagic);
-  put_u32(&out, version);
-  put_u64(&out, body.size());
-  put_u64(&out, fnv1a64(body.data(), body.size()));
-  put_u64(&out, fnv1a64(out.data(), 24));
-  out.append(body);
-  return out;
+  return util::seal(kMagic, version, body);
 }
 
 WireStatus decode_shard(const std::string& bytes, ShardFile* out) {
-  const unsigned char* p = util::byte_ptr(bytes);
-  if (bytes.size() < 4) return WireStatus::kTruncated;
-  if (std::memcmp(p, kMagic, 4) != 0) return WireStatus::kBadMagic;
-  if (bytes.size() < kWireHeaderSize) return WireStatus::kTruncated;
-  Reader header(p + 4, kWireHeaderSize - 4);
   std::uint32_t version = 0;
-  std::uint64_t body_len = 0, body_sum = 0, header_sum = 0;
-  header.u32(&version);
-  header.u64(&body_len);
-  header.u64(&body_sum);
-  header.u64(&header_sum);
-  if (header_sum != fnv1a64(p, 24)) return WireStatus::kCorrupt;
-  // The header checksum vouches for the version field: an unknown version
-  // is a genuinely newer writer, not bit rot.
-  if (version == 0 || version > kWireVersion) {
-    return WireStatus::kVersionUnsupported;
+  std::uint64_t body_len = 0;
+  const util::SealStatus sealed = util::unseal(bytes, kMagic, kWireVersion,
+                                               kMaxBodyLen, &version,
+                                               &body_len);
+  if (sealed != util::SealStatus::kOk) {
+    return util::status_as<WireStatus>(sealed);
   }
-  if (body_len > kMaxBodyLen) return WireStatus::kCorrupt;
-  if (bytes.size() < kWireHeaderSize + body_len) return WireStatus::kTruncated;
   if (bytes.size() > kWireHeaderSize + body_len) return WireStatus::kCorrupt;
-  if (fnv1a64(p + kWireHeaderSize, body_len) != body_sum) {
-    return WireStatus::kCorrupt;
-  }
+  const unsigned char* p = util::byte_ptr(bytes);
 
   ShardFile s;
-  Reader body(p + kWireHeaderSize, static_cast<std::size_t>(body_len));
+  // Bounded reads: a damaged length field can never walk out of the
+  // buffer, even on crafted bytes that pass the checksum.
+  util::ByteReader body(p + kWireHeaderSize,
+                        static_cast<std::size_t>(body_len));
   std::uint32_t covered_count = 0, ff_count = 0;
   if (!body.str(&s.core_name) || !body.str(&s.key) ||
       !body.u64(&s.program_hash) || !body.u64(&s.injections) ||
@@ -234,20 +204,8 @@ WireStatus decode_shard(const std::string& bytes, ShardFile* out) {
 }
 
 void write_shard_file(const std::string& path, const ShardFile& shard) {
-  const std::string bytes = encode_shard(shard);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out || !out.write(bytes.data(),
-                           static_cast<std::streamsize>(bytes.size()))) {
-      throw std::runtime_error("cannot write " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    throw std::runtime_error("cannot rename into place: " + path);
+  if (!util::write_file_atomic(path, encode_shard(shard))) {
+    throw std::runtime_error("cannot write " + path);
   }
 }
 

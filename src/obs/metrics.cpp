@@ -11,6 +11,7 @@
 
 #include "util/bytes.h"
 #include "util/env.h"
+#include "util/table.h"
 
 namespace clear::obs {
 
@@ -36,21 +37,6 @@ Registry& registry() {
 
 // Binary snapshot magic: "CMS1" little-endian (CLEAR metrics snapshot).
 constexpr std::uint32_t kSnapshotMagic = 0x31534d43u;
-
-void json_escape(std::string* out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
 
 }  // namespace
 
@@ -194,7 +180,7 @@ std::string to_json(const Snapshot& s) {
   for (std::size_t i = 0; i < s.counters.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += "    \"";
-    json_escape(&out, s.counters[i].name);
+    out += util::json_escape(s.counters[i].name);
     out += "\": " + std::to_string(s.counters[i].value);
   }
   out += s.counters.empty() ? "},\n" : "\n  },\n";
@@ -202,7 +188,7 @@ std::string to_json(const Snapshot& s) {
   for (std::size_t i = 0; i < s.gauges.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += "    \"";
-    json_escape(&out, s.gauges[i].name);
+    out += util::json_escape(s.gauges[i].name);
     out += "\": {\"last\": " + std::to_string(s.gauges[i].last) +
            ", \"max\": " + std::to_string(s.gauges[i].max) + "}";
   }
@@ -212,9 +198,9 @@ std::string to_json(const Snapshot& s) {
     const auto& h = s.histograms[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    \"";
-    json_escape(&out, h.name);
+    out += util::json_escape(h.name);
     out += "\": {\"unit\": \"";
-    json_escape(&out, h.unit);
+    out += util::json_escape(h.unit);
     out += "\", \"count\": " + std::to_string(h.count) +
            ", \"sum\": " + std::to_string(h.sum) + ", \"buckets\": [";
     bool first = true;

@@ -92,8 +92,8 @@ class ByteReader {
     return true;
   }
   // `max_len` bounds the decoded string so one flipped length byte cannot
-  // demand a giant allocation.
-  bool str(std::string* s, std::uint32_t max_len) {
+  // demand a giant allocation; the default is the CSR1/CXL1 field bound.
+  bool str(std::string* s, std::uint32_t max_len = 1u << 16) {
     std::uint32_t len = 0;
     if (!u32(&len) || len > max_len || pos_ + len > n_) return false;
     s->assign(reinterpret_cast<const char*>(p_ + pos_), len);

@@ -1,8 +1,10 @@
-// Small filesystem helpers shared by the campaign cache and benches.
+// Small filesystem helpers shared by the campaign cache, the result
+// writers and benches.
 #ifndef CLEAR_UTIL_FS_H
 #define CLEAR_UTIL_FS_H
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <system_error>
 
@@ -22,6 +24,28 @@ inline bool ensure_dir(const std::string& path) {
   // iff the directory is there now; re-stat rather than trusting ec.
   std::error_code ignored;
   return std::filesystem::is_directory(path, ignored);
+}
+
+// Writes `bytes` to `path` through `path.tmp` + rename, so a reader (or a
+// crash) sees the old file or the new one, never a torn mix.  Returns
+// false, leaving no tmp file behind, when either step fails.
+inline bool write_file_atomic(const std::string& path,
+                              const std::string& bytes) {
+  const std::string tmp = path + ".tmp";
+  bool written = false;
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    written = out && out.write(bytes.data(),
+                               static_cast<std::streamsize>(bytes.size())) &&
+              out.flush();
+  }
+  std::error_code ec;
+  if (written) std::filesystem::rename(tmp, path, ec);
+  if (!written || ec) {
+    std::filesystem::remove(tmp, ec);
+    return false;
+  }
+  return true;
 }
 
 }  // namespace clear::util

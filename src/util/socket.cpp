@@ -233,21 +233,6 @@ bool Socket::send_all(const void* data, std::size_t len, int timeout_ms) {
   return true;
 }
 
-bool Socket::recv_all(void* data, std::size_t len) {
-  char* p = static_cast<char*>(data);
-  while (len > 0) {
-    const ssize_t n = ::recv(fd_, p, len, 0);
-    if (n == 0) return false;  // EOF mid-object
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 long Socket::recv_some(void* data, std::size_t len) {
   for (;;) {
     const ssize_t n = ::recv(fd_, data, len, 0);

@@ -61,8 +61,6 @@ class Socket {
   // its socket buffer -- a server must bound its sends, or one stalled
   // client that stops reading wedges the daemon in ::send() forever.
   bool send_all(const void* data, std::size_t len, int timeout_ms = -1);
-  // Blocking read of exactly `len` bytes; false on EOF or error.
-  bool recv_all(void* data, std::size_t len);
   // One read of up to `len` bytes.  Returns bytes read, 0 on EOF, -1 on
   // error.
   long recv_some(void* data, std::size_t len);

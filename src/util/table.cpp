@@ -8,6 +8,23 @@
 
 namespace clear::util {
 
+std::string json_escape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers)) {}
 

@@ -1,5 +1,6 @@
 // Plain-text table rendering used by the bench binaries to print
-// paper-style tables (paper-reported reference values next to measured).
+// paper-style tables (paper-reported reference values next to measured),
+// plus the JSON string escaper behind the repo's JSON outputs.
 #ifndef CLEAR_UTIL_TABLE_H
 #define CLEAR_UTIL_TABLE_H
 
@@ -9,6 +10,11 @@
 #include <vector>
 
 namespace clear::util {
+
+// Escapes a string for embedding in a JSON string literal (backslash,
+// quote and control characters) -- the one escaper behind every JSON
+// document the CLI, the metrics registry and the fleet driver write.
+[[nodiscard]] std::string json_escape(const std::string& s);
 
 class TextTable {
  public:

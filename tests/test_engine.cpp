@@ -1,11 +1,13 @@
 // Execution-engine tests: submit/wait/poll semantics, progress
 // monotonicity, priority lanes, cooperative cancellation (including the
 // killed-job fuzz over the campaign cache pack), Session::prefetch_async,
-// the serve protocol codec, and the `clear serve` loopback e2e -- real
+// the serve protocol codec, serve::FrameConn over a socketpair, and the
+// `clear serve` loopback e2e -- real
 // daemon + client child processes whose returned .csr bytes must match
 // `clear run --out` exactly.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/wait.h>
 
 #include <chrono>
@@ -428,6 +430,89 @@ TEST(ServeProtocol, PayloadCodecsRoundTrip) {
   ASSERT_TRUE(serve::decode_done(serve::encode_done(d), &d2));
   EXPECT_EQ(d2.outcome, serve::JobOutcome::kBadRequest);
   EXPECT_EQ(d2.message, "no such bench");
+}
+
+// ---- serve::FrameConn over a socketpair ------------------------------------
+
+// The FrameConn under test, and the raw other end of its socketpair.
+struct ConnPair {
+  serve::FrameConn conn;
+  util::Socket peer;
+};
+
+ConnPair conn_pair() {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  return {serve::FrameConn(util::Socket(fds[0])), util::Socket(fds[1])};
+}
+
+using Recv = serve::FrameConn::Recv;
+
+TEST(ServeProtocol, FrameConnAssemblesAFrameSentOneByteAtATime) {
+  ConnPair p = conn_pair();
+  const std::string bytes =
+      serve::encode_frame(serve::FrameType::kJob, "one byte at a time");
+  serve::Frame frame;
+  for (std::size_t i = 0; i + 1 < bytes.size(); ++i) {
+    ASSERT_TRUE(p.peer.send_all(&bytes[i], 1));
+    ASSERT_EQ(p.conn.recv(&frame, 0), Recv::kTimeout) << "byte " << i;
+  }
+  ASSERT_TRUE(p.peer.send_all(&bytes.back(), 1));
+  ASSERT_EQ(p.conn.recv(&frame, 5000), Recv::kFrame);
+  EXPECT_EQ(frame.type, serve::FrameType::kJob);
+  EXPECT_EQ(frame.payload, "one byte at a time");
+  EXPECT_FALSE(p.conn.has_buffered());
+}
+
+TEST(ServeProtocol, FrameConnSplitsTwoFramesFromOneRead) {
+  ConnPair p = conn_pair();
+  const std::string both =
+      serve::encode_frame(serve::FrameType::kProgress, "first") +
+      serve::encode_frame(serve::FrameType::kDone, "second");
+  ASSERT_TRUE(p.peer.send_all(both.data(), both.size()));
+  serve::Frame frame;
+  ASSERT_EQ(p.conn.recv(&frame, 5000), Recv::kFrame);
+  EXPECT_EQ(frame.type, serve::FrameType::kProgress);
+  EXPECT_EQ(frame.payload, "first");
+  ASSERT_EQ(p.conn.recv(&frame, 0), Recv::kFrame);
+  EXPECT_EQ(frame.type, serve::FrameType::kDone);
+  EXPECT_EQ(frame.payload, "second");
+  EXPECT_EQ(p.conn.recv(&frame, 0), Recv::kTimeout);
+}
+
+TEST(ServeProtocol, FrameConnReportsAFlippedPayloadByteAsBad) {
+  ConnPair p = conn_pair();
+  std::string bytes = serve::encode_frame(serve::FrameType::kResult,
+                                          "payload under checksum");
+  bytes.back() = static_cast<char>(bytes.back() ^ 0x01);
+  ASSERT_TRUE(p.peer.send_all(bytes.data(), bytes.size()));
+  serve::Frame frame;
+  EXPECT_EQ(p.conn.recv(&frame, 5000), Recv::kBad);
+}
+
+TEST(ServeProtocol, FrameConnReportsEofMidFrameAsClosed) {
+  ConnPair p = conn_pair();
+  const std::string bytes =
+      serve::encode_frame(serve::FrameType::kJob, "cut short by EOF");
+  ASSERT_TRUE(p.peer.send_all(bytes.data(), bytes.size() / 2));
+  p.peer.close();
+  serve::Frame frame;
+  EXPECT_EQ(p.conn.recv(&frame, -1), Recv::kClosed);
+}
+
+TEST(ServeProtocol, FrameConnTimeoutKeepsPartialBytes) {
+  ConnPair p = conn_pair();
+  const std::string bytes =
+      serve::encode_frame(serve::FrameType::kJob, "arrives in two halves");
+  const std::size_t half = bytes.size() / 2;
+  serve::Frame frame;
+  EXPECT_EQ(p.conn.recv(&frame, 20), Recv::kTimeout);  // nothing sent yet
+  ASSERT_TRUE(p.peer.send_all(bytes.data(), half));
+  EXPECT_EQ(p.conn.recv(&frame, 20), Recv::kTimeout);
+  EXPECT_TRUE(p.conn.has_buffered());
+  ASSERT_TRUE(p.peer.send_all(bytes.data() + half, bytes.size() - half));
+  ASSERT_EQ(p.conn.recv(&frame, 5000), Recv::kFrame);
+  EXPECT_EQ(frame.payload, "arrives in two halves");
 }
 
 // ---- serve loopback e2e ----------------------------------------------------

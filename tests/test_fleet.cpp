@@ -2,7 +2,8 @@
 // assign/ack, steal, heartbeat) with bit-flip refusal, endpoint grammar
 // and @N fan-out expansion, shard builders (campaign manifest sharding,
 // explore stanza round-trip, forbidden-flag refusal, duplicate shard
-// ids), worker-side explore execution + cancellation, and the
+// ids), worker-side explore execution + cancellation, the worker's
+// connection handler driven in-process over a socketpair, and the
 // multi-process end-to-ends of the acceptance criteria: a worker
 // SIGKILLed mid-shard whose shards are redispatched and whose merged
 // bytes still equal the single-machine merge, `clear fleet run`'s running
@@ -33,6 +34,7 @@
 #include "explore/explore.h"
 #include "explore/ledger.h"
 #include "fleet/fleet.h"
+#include "fleet/worker.h"
 #include "inject/wire.h"
 
 namespace {
@@ -184,6 +186,60 @@ TEST(FleetProtocol, BitFlippedShardAssignNeverDecodes) {
     EXPECT_NE(serve::decode_frame(&buf, &frame), serve::FrameStatus::kOk)
         << "flip at byte " << i << " decoded as a valid frame";
   }
+}
+
+// ---- the worker, in-process ------------------------------------------------
+
+TEST(FleetWorker, ConnectionHandlerAnswersOverASocketpair) {
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  fleet::WorkerOptions opts;
+  opts.hello = fleet::worker_hello("in-process");
+  opts.quiet = true;
+  opts.heartbeat_ms = 0;  // only the frames this test asks for
+  fleet::Worker worker(opts);
+  bool shutdown = false;
+  std::thread handler([&worker, &shutdown, fd = fds[0]] {
+    shutdown = worker.handle_connection(serve::FrameConn(util::Socket(fd)));
+  });
+  serve::FrameConn client{util::Socket(fds[1])};
+  using Recv = serve::FrameConn::Recv;
+
+  const auto converse = [&] {
+    serve::Frame frame;
+    // The hello comes first, unasked.
+    ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
+    ASSERT_EQ(frame.type, serve::FrameType::kHello);
+    serve::Hello hello;
+    ASSERT_TRUE(serve::decode_hello(frame.payload, &hello));
+    EXPECT_EQ(hello.name, "in-process");
+    EXPECT_EQ(hello.wire_version, inject::kWireVersion);
+
+    // Stealing a shard this worker never held.
+    ASSERT_TRUE(client.send(serve::FrameType::kSteal, serve::encode_steal(42)));
+    ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
+    ASSERT_EQ(frame.type, serve::FrameType::kShardAck);
+    serve::ShardAck ack;
+    ASSERT_TRUE(serve::decode_shard_ack(frame.payload, &ack));
+    EXPECT_EQ(ack.shard_id, 42u);
+    EXPECT_EQ(ack.status, serve::ShardAckStatus::kUnknown);
+
+    // A job frame with no priority byte.
+    ASSERT_TRUE(client.send(serve::FrameType::kJob, ""));
+    ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
+    ASSERT_EQ(frame.type, serve::FrameType::kDone);
+    serve::Done done;
+    ASSERT_TRUE(serve::decode_done(frame.payload, &done));
+    EXPECT_EQ(done.outcome, serve::JobOutcome::kBadRequest);
+
+    // kShutdown ends the handler, which closes its end.
+    ASSERT_TRUE(client.send(serve::FrameType::kShutdown, ""));
+    EXPECT_EQ(client.recv(&frame, 5000), Recv::kClosed);
+  };
+  converse();
+  client.close();  // releases the handler if the conversation failed early
+  handler.join();
+  EXPECT_TRUE(shutdown);
 }
 
 // ---- endpoint grammar ------------------------------------------------------
