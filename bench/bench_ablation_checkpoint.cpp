@@ -68,23 +68,39 @@ double time_campaign(inject::CampaignSpec spec, bool legacy,
 }
 
 struct CampaignRow {
-  std::string benchname;
+  std::string core, config, benchname;
   std::uint64_t injections = 0;
   double t_legacy = 0, t_forked = 0, speedup = 0;
   bool identical = false;
 };
 
 std::vector<CampaignRow> run_campaign_ablation() {
-  bench::TextTable t({"Core", "Benchmark", "Injections", "Nominal cycles",
-                      "Legacy (s)", "Forked (s)", "Speedup", "Results"});
+  bench::TextTable t({"Core", "Config", "Benchmark", "Injections",
+                      "Nominal cycles", "Legacy (s)", "Forked (s)", "Speedup",
+                      "Results"});
   std::vector<CampaignRow> rows;
   double worst = 1e9;
-  for (const char* benchname : {"mcf", "gcc", "parser"}) {
+  // The OoO monitor + RoB row checks the liveness-masked convergence
+  // compare on the second core model, next to its shadow-checker compare.
+  arch::ResilienceConfig monitor_rob;
+  monitor_rob.monitor = true;
+  monitor_rob.recovery = arch::RecoveryKind::kRob;
+  const struct {
+    const char* core;
+    const char* config;
+    const char* benchname;
+    const arch::ResilienceConfig* cfg;
+  } cases[] = {{"InO", "base", "mcf", nullptr},
+               {"InO", "base", "gcc", nullptr},
+               {"InO", "base", "parser", nullptr},
+               {"OoO", "monitor+rob", "mcf", &monitor_rob}};
+  for (const auto& c : cases) {
     const auto prog =
-        core::build_variant_program(benchname, core::Variant::base());
+        core::build_variant_program(c.benchname, core::Variant::base());
     inject::CampaignSpec spec;
-    spec.core_name = "InO";
+    spec.core_name = c.core;
     spec.program = &prog;
+    spec.cfg = c.cfg;
     spec.injections = bench_injections();
     inject::CampaignResult legacy, forked;
     const double t_legacy = time_campaign(spec, true, &legacy);
@@ -102,12 +118,13 @@ std::vector<CampaignRow> run_campaign_ablation() {
     std::string legacy_s = buf;
     std::snprintf(buf, sizeof(buf), "%.3f", t_forked);
     std::string forked_s = buf;
-    t.add_row({"InO", benchname, std::to_string(legacy.totals.total()),
+    t.add_row({c.core, c.config, c.benchname,
+               std::to_string(legacy.totals.total()),
                std::to_string(legacy.nominal_cycles), legacy_s, forked_s,
                util::TextTable::factor(speedup),
                identical ? "identical" : "MISMATCH"});
-    rows.push_back({benchname, legacy.totals.total(), t_legacy, t_forked,
-                    speedup, identical});
+    rows.push_back({c.core, c.config, c.benchname, legacy.totals.total(),
+                    t_legacy, t_forked, speedup, identical});
   }
   t.print(std::cout);
   std::printf("worst-case campaign speedup: %.1fx (target: >= 3x)\n", worst);
@@ -378,7 +395,8 @@ void write_json(const std::vector<CampaignRow>& campaigns,
   out << "  \"campaigns\": [\n";
   for (std::size_t i = 0; i < campaigns.size(); ++i) {
     const auto& r = campaigns[i];
-    out << "    {\"core\": \"InO\", \"benchmark\": \"" << r.benchname
+    out << "    {\"core\": \"" << r.core << "\", \"config\": \"" << r.config
+        << "\", \"benchmark\": \"" << r.benchname
         << "\", \"injections\": " << r.injections
         << ", \"legacy_s\": " << r.t_legacy
         << ", \"forked_s\": " << r.t_forked << ", \"speedup\": " << r.speedup

@@ -154,6 +154,30 @@ bool ArenaSnapshot::matches_prefix(std::size_t span, const std::uint64_t* base,
   return true;
 }
 
+bool ArenaSnapshot::matches_live(std::size_t span, const std::uint64_t* base,
+                                 const std::uint64_t* live) const {
+  const Span& sp = spans_[span];
+  static_assert(kSegWords % 64 == 0, "a live word must not straddle segments");
+  for (std::size_t i = 0; i < sp.segs.size(); ++i) {
+    const std::size_t off = i * kSegWords;
+    const std::size_t len =
+        sp.words - off < kSegWords ? sp.words - off : kSegWords;
+    const std::uint64_t* snap = sp.segs[i].words();
+    for (std::size_t c = 0; c < len; c += 64) {
+      // Branch-free difference mask of up to 64 words, then one test
+      // against their live bits.
+      const std::size_t n = len - c < 64 ? len - c : 64;
+      std::uint64_t diff = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        diff |= static_cast<std::uint64_t>(snap[c + k] != base[off + c + k])
+                << k;
+      }
+      if ((diff & live[(off + c) / 64]) != 0) return false;
+    }
+  }
+  return true;
+}
+
 std::size_t ArenaSnapshot::size_bytes() const noexcept {
   std::size_t words = 0;
   for (const Span& sp : spans_) words += sp.words;

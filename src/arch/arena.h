@@ -13,6 +13,10 @@
 //     "forward" region -- state that can influence the remainder of the
 //     run; sections after it are bookkeeping (cycle counters, outcome
 //     latches) excluded from state_matches()/state_hash().
+//   * The convergence compare (matches_fwd) is word-exact on the forward
+//     region and, given a boundary's FF live set (arch/liveness.h), on
+//     the live FF-pool slots only: an FF slot golden writes before it
+//     next reads it cannot influence the rest of a quiescent run.
 //   * ArenaSnapshot captures the two flat spans of a core -- the FFRegistry
 //     pool and the arena buffer -- as refcounted fixed-size segments drawn
 //     from a process-wide pool.  Capture compares each segment against a
@@ -150,6 +154,10 @@ class ArenaSnapshot {
   // Rejects at the first divergent segment (memcmp word-wise underneath).
   [[nodiscard]] bool matches_prefix(std::size_t span, const std::uint64_t* base,
                                     std::size_t nwords) const;
+  // Liveness-masked form: word i of the span is compared only when bit i
+  // of `live` is set (live[i / 64] >> (i % 64)); the span must be whole.
+  [[nodiscard]] bool matches_live(std::size_t span, const std::uint64_t* base,
+                                  const std::uint64_t* live) const;
 
   [[nodiscard]] bool empty() const noexcept { return spans_.empty(); }
   void clear() noexcept { spans_.clear(); }
@@ -237,10 +245,15 @@ class StateArena {
                                   {buf_.data(), buf_.size()}};
     snap.restore_to(spans, 2);
   }
-  // Word-exact comparison of the forward region (FF pool + fwd sections).
-  [[nodiscard]] bool matches_fwd(const ArenaSnapshot& snap) const {
-    return snap.matches_prefix(0, ff_base_, ff_words_) &&
-           snap.matches_prefix(1, buf_.data(), fwd_words_);
+  // Comparison of the forward region: the fwd sections word-exact, the FF
+  // pool word-exact too unless `live_ff` (one bit per pool slot) narrows
+  // it to the slots set there.
+  [[nodiscard]] bool matches_fwd(const ArenaSnapshot& snap,
+                                 const std::uint64_t* live_ff) const {
+    const bool ff_ok = live_ff != nullptr
+                           ? snap.matches_live(0, ff_base_, live_ff)
+                           : snap.matches_prefix(0, ff_base_, ff_words_);
+    return ff_ok && snap.matches_prefix(1, buf_.data(), fwd_words_);
   }
   // Word-wise hash of the forward region.
   [[nodiscard]] std::uint64_t hash_fwd(std::uint64_t seed) const noexcept;

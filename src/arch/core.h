@@ -134,11 +134,33 @@ class Core {
   // checkpoint's.  Collision-free and cheap to reject (returns at the
   // first divergent word), so the injection engine uses this at boundary
   // checks instead of hashing ~all state of both runs.
-  [[nodiscard]] virtual bool state_matches(const CoreCheckpoint& cp) const = 0;
+  [[nodiscard]] bool state_matches(const CoreCheckpoint& cp) const {
+    return state_matches(cp, nullptr);
+  }
+  // Liveness-masked form.  `live_ff` (one bit per FF-pool slot, see
+  // arch/liveness.h) narrows the FF-pool compare to the slots golden
+  // still reads after the checkpoint: a slot whose next golden access is
+  // a write, or that golden never touches again, cannot influence the
+  // rest of a quiescent run (soundness argument in docs/ARCHITECTURE.md,
+  // "FF liveness").  Everything else -- the arena's forward region, the
+  // OUT spill, the monitor shadow -- stays word-exact.  nullptr compares
+  // every slot.
+  [[nodiscard]] virtual bool state_matches(
+      const CoreCheckpoint& cp, const std::uint64_t* live_ff) const = 0;
   // True when nothing besides the serialized state can perturb the future:
   // the run is live, every planned flip has been applied and no detection
-  // is pending.
+  // is pending.  Together with a state_matches() hit at a boundary this
+  // is the convergence rule: no flip is left to corrupt state and no
+  // detection can trigger a recovery that would read the rollback ring.
   [[nodiscard]] virtual bool quiescent() const noexcept = 0;
+
+  // Golden-pass liveness recording.  A traced core (make_traced_core())
+  // logs, per FF-pool slot, whether its first access since the previous
+  // drain was a read or a write; this moves that log into two
+  // caller-zeroed bitsets (FFRegistry::drain_access_log) and clears it.
+  // Untraced cores log nothing and leave both bitsets zero.
+  virtual void drain_access_log(std::uint64_t* read_first,
+                                std::uint64_t* written_first) noexcept = 0;
 
   // Direct mutable view of the serialized state image: the FF pool span,
   // the arena span, and the forward-region boundary within the arena.
@@ -193,6 +215,12 @@ class Core {
 [[nodiscard]] std::unique_ptr<Core> make_ino_core();
 [[nodiscard]] std::unique_ptr<Core> make_ooo_core();
 [[nodiscard]] std::unique_ptr<Core> make_core(const std::string& name);
+// The same core models built with traced FF handles (BasicReg<true>):
+// bit-identical execution, plus the access log drain_access_log() reads.
+// Slower; only golden recording uses it.
+[[nodiscard]] std::unique_ptr<Core> make_traced_ino_core();
+[[nodiscard]] std::unique_ptr<Core> make_traced_ooo_core();
+[[nodiscard]] std::unique_ptr<Core> make_traced_core(const std::string& name);
 
 }  // namespace clear::arch
 

@@ -5,7 +5,8 @@
 
 namespace clear::arch {
 
-Reg FFRegistry::add(std::string name, int width, FFFlags flags) {
+std::uint32_t FFRegistry::add_slot(std::string name, int width,
+                                   FFFlags flags) {
   if (width <= 0 || width > 64) {
     throw std::invalid_argument("FF width must be 1..64: " + name);
   }
@@ -21,9 +22,18 @@ Reg FFRegistry::add(std::string name, int width, FFFlags flags) {
   structures_.push_back(std::move(s));
   pool_.push_back(0);
   ff_count_ += static_cast<std::uint32_t>(width);
-  const std::uint64_t mask =
-      width == 64 ? ~0ULL : ((1ULL << width) - 1);
-  return Reg(&pool_.back(), mask);
+  return structures_.back().slot;
+}
+
+void FFRegistry::drain_access_log(std::uint64_t* read_first,
+                                  std::uint64_t* written_first) noexcept {
+  for (std::size_t s = 0; s < first_access_.size(); ++s) {
+    const auto a = static_cast<FirstAccess>(first_access_[s]);
+    if (a == FirstAccess::kNone) continue;
+    std::uint64_t* bits = a == FirstAccess::kRead ? read_first : written_first;
+    bits[s / 64] |= std::uint64_t{1} << (s % 64);
+    first_access_[s] = 0;
+  }
 }
 
 void FFRegistry::flip(std::uint32_t ff_index) noexcept {

@@ -19,6 +19,7 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace clear::arch {
@@ -35,31 +36,71 @@ struct FFFlags {
   bool recovery_hw = false;
 };
 
+// Golden-pass access tracing (docs/ARCHITECTURE.md, "FF liveness"): per
+// FF-pool slot, the kind of the first access since the registry's access
+// log was last drained.
+enum class FirstAccess : std::uint8_t { kNone = 0, kRead = 1, kWrite = 2 };
+
+namespace detail {
+// Untraced handles carry no log pointer: the empty base adds no bytes and
+// note() compiles away, so BasicReg<false> is exactly a (slot, mask) pair.
+template <bool kTraced>
+struct RegTrace {
+  void note(FirstAccess /*a*/) const noexcept {}
+};
+template <>
+struct RegTrace<true> {
+  std::uint8_t* first = nullptr;  // this slot's byte in the access log
+  void note(FirstAccess a) const noexcept {
+    if (*first == 0) *first = static_cast<std::uint8_t>(a);
+  }
+};
+}  // namespace detail
+
 // A handle to one registered multi-bit state field.  Behaves like an
 // unsigned integer; writes are masked to the declared width so that core
 // logic cannot smuggle state outside the declared flip-flop bits.
-class Reg {
+//
+// Every read and write of FF state in the core models goes through these
+// operators, which is what makes the traced form (kTraced = true, built
+// only for golden recording) a complete record of FF accesses: a
+// conversion or u32() is a read, assignment a full-width write, and a
+// read-modify-write (+=, ^=, ...) a read.  Each core model is one source
+// templated on this parameter; the untraced form is the production core.
+template <bool kTraced>
+class BasicReg : private detail::RegTrace<kTraced> {
  public:
-  Reg() = default;
-  Reg(std::uint64_t* slot, std::uint64_t mask) : slot_(slot), mask_(mask) {}
+  BasicReg() = default;
+  BasicReg(std::uint64_t* slot, std::uint64_t mask,
+           detail::RegTrace<kTraced> trace = {})
+      : detail::RegTrace<kTraced>(trace), slot_(slot), mask_(mask) {}
 
-  operator std::uint64_t() const noexcept { return *slot_; }
+  operator std::uint64_t() const noexcept {
+    this->note(FirstAccess::kRead);
+    return *slot_;
+  }
   [[nodiscard]] std::uint32_t u32() const noexcept {
+    this->note(FirstAccess::kRead);
     return static_cast<std::uint32_t>(*slot_);
   }
-  Reg& operator=(std::uint64_t v) noexcept {
+  BasicReg& operator=(std::uint64_t v) noexcept {
+    this->note(FirstAccess::kWrite);
     *slot_ = v & mask_;
     return *this;
   }
-  Reg& operator+=(std::uint64_t v) noexcept { return *this = *slot_ + v; }
-  Reg& operator^=(std::uint64_t v) noexcept { return *this = *slot_ ^ v; }
-  Reg& operator|=(std::uint64_t v) noexcept { return *this = *slot_ | v; }
-  Reg& operator&=(std::uint64_t v) noexcept { return *this = *slot_ & v; }
+  BasicReg& operator+=(std::uint64_t v) noexcept { return *this = get() + v; }
+  BasicReg& operator^=(std::uint64_t v) noexcept { return *this = get() ^ v; }
+  BasicReg& operator|=(std::uint64_t v) noexcept { return *this = get() | v; }
+  BasicReg& operator&=(std::uint64_t v) noexcept { return *this = get() & v; }
 
  private:
+  [[nodiscard]] std::uint64_t get() const noexcept {
+    return static_cast<std::uint64_t>(*this);
+  }
   std::uint64_t* slot_ = nullptr;
   std::uint64_t mask_ = 0;
 };
+using Reg = BasicReg<false>;
 
 struct FFStructure {
   std::string name;
@@ -74,8 +115,22 @@ class FFRegistry {
   FFRegistry() { pool_.reserve(kMaxSlots); }
 
   // Registers a `width`-bit field and returns its handle.  Must only be
-  // called during core construction (before snapshots are taken).
-  Reg add(std::string name, int width, FFFlags flags = {});
+  // called during core construction (before snapshots are taken).  A
+  // traced handle (kTraced = true) also logs its first access per
+  // interval into this registry's access log.
+  template <bool kTraced = false>
+  BasicReg<kTraced> add(std::string name, int width, FFFlags flags = {}) {
+    const std::uint32_t s = add_slot(std::move(name), width, flags);
+    const std::uint64_t mask = width == 64 ? ~0ULL : ((1ULL << width) - 1);
+    if constexpr (kTraced) {
+      // Fixed capacity, like the pool: handles keep raw byte pointers.
+      first_access_.reserve(kMaxSlots);
+      first_access_.resize(pool_.size());
+      return BasicReg<true>(&pool_[s], mask, {&first_access_[s]});
+    } else {
+      return BasicReg<false>(&pool_[s], mask);
+    }
+  }
 
   [[nodiscard]] std::uint32_t ff_count() const noexcept { return ff_count_; }
   [[nodiscard]] const std::vector<FFStructure>& structures() const noexcept {
@@ -113,11 +168,23 @@ class FFRegistry {
     for (auto& s : pool_) s = 0;
   }
 
+  // True when the handles were registered traced (add<true>).
+  [[nodiscard]] bool traced() const noexcept { return !first_access_.empty(); }
+  // Moves the access log into two caller-zeroed bitsets (bit s = pool
+  // slot s): slots whose first access since the previous drain was a read
+  // go to `read_first`, a write to `written_first`.  Then clears the log.
+  // Only traced handles log, so an untraced registry leaves both zero.
+  void drain_access_log(std::uint64_t* read_first,
+                        std::uint64_t* written_first) noexcept;
+
  private:
+  std::uint32_t add_slot(std::string name, int width, FFFlags flags);
+
   static constexpr std::size_t kMaxSlots = 1u << 15;
   std::vector<std::uint64_t> pool_;
   std::vector<FFStructure> structures_;
   std::uint32_t ff_count_ = 0;
+  std::vector<std::uint8_t> first_access_;  // FirstAccess per slot (traced)
 };
 
 }  // namespace clear::arch

@@ -82,19 +82,21 @@ constexpr std::uint32_t rotl5(std::uint32_t x) noexcept {
 }
 
 // Decoded-control pipeline latch shared by stages a/e/m/x/w.
+template <bool kTraced>
 struct StageCtl {
+  using Reg = BasicReg<kTraced>;
   Reg valid, op, rd, rs1, rs2, imm, pc, inst, trap;
 
   void attach(FFRegistry& r, const std::string& p, FFFlags fl) {
-    valid = r.add(p + ".valid", 1, fl);
-    op = r.add(p + ".ctrl.op", 6, fl);
-    rd = r.add(p + ".ctrl.rd", 5, fl);
-    rs1 = r.add(p + ".ctrl.rs1", 5, fl);
-    rs2 = r.add(p + ".ctrl.rs2", 5, fl);
-    imm = r.add(p + ".ctrl.imm", 32, fl);
-    pc = r.add(p + ".ctrl.pc", 32, fl);
-    inst = r.add(p + ".ctrl.inst", 32, fl);
-    trap = r.add(p + ".ctrl.tt", 4, fl);
+    valid = r.add<kTraced>(p + ".valid", 1, fl);
+    op = r.add<kTraced>(p + ".ctrl.op", 6, fl);
+    rd = r.add<kTraced>(p + ".ctrl.rd", 5, fl);
+    rs1 = r.add<kTraced>(p + ".ctrl.rs1", 5, fl);
+    rs2 = r.add<kTraced>(p + ".ctrl.rs2", 5, fl);
+    imm = r.add<kTraced>(p + ".ctrl.imm", 32, fl);
+    pc = r.add<kTraced>(p + ".ctrl.pc", 32, fl);
+    inst = r.add<kTraced>(p + ".ctrl.inst", 32, fl);
+    trap = r.add<kTraced>(p + ".ctrl.tt", 4, fl);
   }
 
   [[nodiscard]] bool live() const noexcept { return valid != 0; }
@@ -112,7 +114,13 @@ struct StageCtl {
   }
 };
 
+// One source, two builds: InOCore<false> is the production core,
+// InOCore<true> the traced twin golden recording uses (see BasicReg).
+template <bool kTraced>
 class InOCore final : public Core {
+  using Reg = BasicReg<kTraced>;
+  using Stage = StageCtl<kTraced>;
+
  public:
   InOCore() { build(); }
 
@@ -146,10 +154,15 @@ class InOCore final : public Core {
   void snapshot(CoreCheckpoint* out) const override;
   void restore(const CoreCheckpoint& cp, const InjectionPlan* plan) override;
   [[nodiscard]] std::uint64_t state_hash() const override;
-  [[nodiscard]] bool state_matches(const CoreCheckpoint& cp) const override;
+  [[nodiscard]] bool state_matches(const CoreCheckpoint& cp,
+                                   const std::uint64_t* live_ff) const override;
   [[nodiscard]] bool quiescent() const noexcept override {
     return status_ == isa::RunStatus::kRunning &&
            next_flip_ >= flips_.size() && dets_.empty();
+  }
+  void drain_access_log(std::uint64_t* read_first,
+                        std::uint64_t* written_first) noexcept override {
+    reg_.drain_access_log(read_first, written_first);
   }
   [[nodiscard]] StateView state_view() noexcept override {
     return {reg_.pool_data(), arena_.ff_words(), arena_.raw_buf(),
@@ -183,7 +196,7 @@ class InOCore final : public Core {
   // decode input latch
   Reg d_valid_, d_inst_, d_pc_, d_trap_, d_pv_;
   // stage control latches
-  StageCtl a_, e_, m_, x_, w_;
+  Stage a_, e_, m_, x_, w_;
   // register-access extras (window bookkeeping: unused by this ISA)
   Reg a_cwp_, a_rfe1_, a_rfe2_;
   // execute extras
@@ -261,90 +274,93 @@ class InOCore final : public Core {
   RollbackRing ring_;
 };
 
-void InOCore::build() {
+template <bool kTraced>
+void InOCore<kTraced>::build() {
   const FFFlags fl_front{/*flushable=*/true, false, false};
   const FFFlags fl_back{/*flushable=*/false, false, false};
 
-  f_pc_ = reg_.add("f.pc", 32, fl_front);
-  d_valid_ = reg_.add("d.valid", 1, fl_front);
-  d_inst_ = reg_.add("d.inst", 32, fl_front);
-  d_pc_ = reg_.add("d.pc", 32, fl_front);
-  d_trap_ = reg_.add("d.tt", 4, fl_front);
-  d_pv_ = reg_.add("d.pv", 1, fl_front);
+  f_pc_ = reg_.add<kTraced>("f.pc", 32, fl_front);
+  d_valid_ = reg_.add<kTraced>("d.valid", 1, fl_front);
+  d_inst_ = reg_.add<kTraced>("d.inst", 32, fl_front);
+  d_pc_ = reg_.add<kTraced>("d.pc", 32, fl_front);
+  d_trap_ = reg_.add<kTraced>("d.tt", 4, fl_front);
+  d_pv_ = reg_.add<kTraced>("d.pv", 1, fl_front);
 
   a_.attach(reg_, "a", fl_front);
-  a_cwp_ = reg_.add("a.cwp", 3, fl_front);
-  a_rfe1_ = reg_.add("a.rfe1", 1, fl_front);
-  a_rfe2_ = reg_.add("a.rfe2", 1, fl_front);
+  a_cwp_ = reg_.add<kTraced>("a.cwp", 3, fl_front);
+  a_rfe1_ = reg_.add<kTraced>("a.rfe1", 1, fl_front);
+  a_rfe2_ = reg_.add<kTraced>("a.rfe2", 1, fl_front);
 
   e_.attach(reg_, "e", fl_front);
-  e_op1_ = reg_.add("e.op1", 32, fl_front);
-  e_op2_ = reg_.add("e.op2", 32, fl_front);
-  e_cwp_ = reg_.add("e.cwp", 3, fl_front);
-  e_y_ = reg_.add("e.y", 32, fl_front);
-  e_ymsb_ = reg_.add("e.ymsb", 1, fl_front);
-  e_mulstep_ = reg_.add("e.mulstep", 3, fl_front);
-  e_mac_ = reg_.add("e.mac", 32, fl_front);
-  e_su_ = reg_.add("e.su", 1, fl_front);
-  e_et_ = reg_.add("e.et", 1, fl_front);
-  e_mul_busy_ = reg_.add("e.mul.busy", 1, fl_front);
-  e_mul_cnt_ = reg_.add("e.mul.cnt", 3, fl_front);
-  e_mul_lo_ = reg_.add("e.mul.lo", 32, fl_front);
-  e_mul_hi_ = reg_.add("e.mul.hi", 32, fl_front);
-  e_div_busy_ = reg_.add("e.div.busy", 1, fl_front);
-  e_div_cnt_ = reg_.add("e.div.cnt", 4, fl_front);
-  e_div_q_ = reg_.add("e.div.q", 32, fl_front);
-  e_div_r_ = reg_.add("e.div.r", 32, fl_front);
+  e_op1_ = reg_.add<kTraced>("e.op1", 32, fl_front);
+  e_op2_ = reg_.add<kTraced>("e.op2", 32, fl_front);
+  e_cwp_ = reg_.add<kTraced>("e.cwp", 3, fl_front);
+  e_y_ = reg_.add<kTraced>("e.y", 32, fl_front);
+  e_ymsb_ = reg_.add<kTraced>("e.ymsb", 1, fl_front);
+  e_mulstep_ = reg_.add<kTraced>("e.mulstep", 3, fl_front);
+  e_mac_ = reg_.add<kTraced>("e.mac", 32, fl_front);
+  e_su_ = reg_.add<kTraced>("e.su", 1, fl_front);
+  e_et_ = reg_.add<kTraced>("e.et", 1, fl_front);
+  e_mul_busy_ = reg_.add<kTraced>("e.mul.busy", 1, fl_front);
+  e_mul_cnt_ = reg_.add<kTraced>("e.mul.cnt", 3, fl_front);
+  e_mul_lo_ = reg_.add<kTraced>("e.mul.lo", 32, fl_front);
+  e_mul_hi_ = reg_.add<kTraced>("e.mul.hi", 32, fl_front);
+  e_div_busy_ = reg_.add<kTraced>("e.div.busy", 1, fl_front);
+  e_div_cnt_ = reg_.add<kTraced>("e.div.cnt", 4, fl_front);
+  e_div_q_ = reg_.add<kTraced>("e.div.q", 32, fl_front);
+  e_div_r_ = reg_.add<kTraced>("e.div.r", 32, fl_front);
 
   m_.attach(reg_, "m", fl_back);
-  m_result_ = reg_.add("m.result", 32, fl_back);
-  m_addr_ = reg_.add("m.addr", 32, fl_back);
-  m_wdata_ = reg_.add("m.wdata", 32, fl_back);
-  m_npcr_ = reg_.add("m.npc", 32, fl_back);
-  m_memcnt_ = reg_.add("m.memcnt", 1, fl_back);
-  m_y_ = reg_.add("m.y", 32, fl_back);
-  m_wicc_ = reg_.add("m.ctrl.wicc", 1, fl_back);
-  m_wy_ = reg_.add("m.ctrl.wy", 1, fl_back);
-  m_dci_asi_ = reg_.add("m.dci.asi", 8, fl_back);
-  m_dci_lock_ = reg_.add("m.dci.lock", 1, fl_back);
-  m_dci_signed_ = reg_.add("m.dci.signed", 1, fl_back);
-  m_irqen_ = reg_.add("m.irqen", 1, fl_back);
-  m_irqen2_ = reg_.add("m.irqen2", 1, fl_back);
+  m_result_ = reg_.add<kTraced>("m.result", 32, fl_back);
+  m_addr_ = reg_.add<kTraced>("m.addr", 32, fl_back);
+  m_wdata_ = reg_.add<kTraced>("m.wdata", 32, fl_back);
+  m_npcr_ = reg_.add<kTraced>("m.npc", 32, fl_back);
+  m_memcnt_ = reg_.add<kTraced>("m.memcnt", 1, fl_back);
+  m_y_ = reg_.add<kTraced>("m.y", 32, fl_back);
+  m_wicc_ = reg_.add<kTraced>("m.ctrl.wicc", 1, fl_back);
+  m_wy_ = reg_.add<kTraced>("m.ctrl.wy", 1, fl_back);
+  m_dci_asi_ = reg_.add<kTraced>("m.dci.asi", 8, fl_back);
+  m_dci_lock_ = reg_.add<kTraced>("m.dci.lock", 1, fl_back);
+  m_dci_signed_ = reg_.add<kTraced>("m.dci.signed", 1, fl_back);
+  m_irqen_ = reg_.add<kTraced>("m.irqen", 1, fl_back);
+  m_irqen2_ = reg_.add<kTraced>("m.irqen2", 1, fl_back);
 
   x_.attach(reg_, "x", fl_back);
-  x_result_ = reg_.add("x.result", 32, fl_back);
-  x_npcr_ = reg_.add("x.npc", 32, fl_back);
-  x_icc_ = reg_.add("x.icc", 4, fl_back);
-  x_y_ = reg_.add("x.y", 32, fl_back);
-  x_debug_ = reg_.add("x.debug", 48, fl_back);
-  x_ipend_ = reg_.add("x.ipend", 4, fl_back);
-  x_intack_ = reg_.add("x.intack", 1, fl_back);
-  x_rett_ = reg_.add("x.ctrl.rett", 1, fl_back);
-  x_pv_ = reg_.add("x.ctrl.pv", 1, fl_back);
-  x_wicc_ = reg_.add("x.ctrl.wicc", 1, fl_back);
-  x_wy_ = reg_.add("x.ctrl.wy", 1, fl_back);
+  x_result_ = reg_.add<kTraced>("x.result", 32, fl_back);
+  x_npcr_ = reg_.add<kTraced>("x.npc", 32, fl_back);
+  x_icc_ = reg_.add<kTraced>("x.icc", 4, fl_back);
+  x_y_ = reg_.add<kTraced>("x.y", 32, fl_back);
+  x_debug_ = reg_.add<kTraced>("x.debug", 48, fl_back);
+  x_ipend_ = reg_.add<kTraced>("x.ipend", 4, fl_back);
+  x_intack_ = reg_.add<kTraced>("x.intack", 1, fl_back);
+  x_rett_ = reg_.add<kTraced>("x.ctrl.rett", 1, fl_back);
+  x_pv_ = reg_.add<kTraced>("x.ctrl.pv", 1, fl_back);
+  x_wicc_ = reg_.add<kTraced>("x.ctrl.wicc", 1, fl_back);
+  x_wy_ = reg_.add<kTraced>("x.ctrl.wy", 1, fl_back);
 
   w_.attach(reg_, "w", fl_back);
-  w_result_ = reg_.add("w.result", 32, fl_back);
-  w_npcr_ = reg_.add("w.npc", 32, fl_back);
-  w_s_icc_ = reg_.add("w.s.icc", 4, fl_back);
-  w_s_tt_ = reg_.add("w.s.tt", 8, fl_back);
-  w_s_tba_ = reg_.add("w.s.tba", 20, fl_back);
-  w_s_pil_ = reg_.add("w.s.pil", 4, fl_back);
-  w_s_ps_ = reg_.add("w.s.ps", 1, fl_back);
-  w_s_ef_ = reg_.add("w.s.ef", 1, fl_back);
-  w_s_ec_ = reg_.add("w.s.ec", 1, fl_back);
-  w_s_et_ = reg_.add("w.s.et", 1, fl_back);
-  w_s_dwt_ = reg_.add("w.s.dwt", 1, fl_back);
-  w_s_y_ = reg_.add("w.s.y", 32, fl_back);
-  w_cwp_ = reg_.add("w.cwp", 3, fl_back);
-  arch_npc_ = reg_.add("w.s.npc", 32, fl_back);
+  w_result_ = reg_.add<kTraced>("w.result", 32, fl_back);
+  w_npcr_ = reg_.add<kTraced>("w.npc", 32, fl_back);
+  w_s_icc_ = reg_.add<kTraced>("w.s.icc", 4, fl_back);
+  w_s_tt_ = reg_.add<kTraced>("w.s.tt", 8, fl_back);
+  w_s_tba_ = reg_.add<kTraced>("w.s.tba", 20, fl_back);
+  w_s_pil_ = reg_.add<kTraced>("w.s.pil", 4, fl_back);
+  w_s_ps_ = reg_.add<kTraced>("w.s.ps", 1, fl_back);
+  w_s_ef_ = reg_.add<kTraced>("w.s.ef", 1, fl_back);
+  w_s_ec_ = reg_.add<kTraced>("w.s.ec", 1, fl_back);
+  w_s_et_ = reg_.add<kTraced>("w.s.et", 1, fl_back);
+  w_s_dwt_ = reg_.add<kTraced>("w.s.dwt", 1, fl_back);
+  w_s_y_ = reg_.add<kTraced>("w.s.y", 32, fl_back);
+  w_cwp_ = reg_.add<kTraced>("w.cwp", 3, fl_back);
+  arch_npc_ = reg_.add<kTraced>("w.s.npc", 32, fl_back);
 }
 
 // Lays the non-FF state out in the flat arena (fwd scalars | regs | mem |
 // OUT | bookkeeping) and binds the typed pointers.  finish_layout()
 // zero-fills the buffer, which is the reset of everything arena-resident.
-void InOCore::layout(const isa::Program& prog, const ResilienceConfig* cfg) {
+template <bool kTraced>
+void InOCore<kTraced>::layout(const isa::Program& prog,
+                              const ResilienceConfig* cfg) {
   arena_.begin_layout(reg_.pool_data(), reg_.pool().size());
   sec_fwd_ = arena_.add_u64(kFwdWords);
   sec_regs_ = arena_.add_u32(isa::kNumRegs);
@@ -363,7 +379,8 @@ void InOCore::layout(const isa::Program& prog, const ResilienceConfig* cfg) {
   last_snap_.clear();
 }
 
-void InOCore::flush_aux() const {
+template <bool kTraced>
+void InOCore<kTraced>::flush_aux() const {
   aux_[kAuxCycle] = cycle_;
   aux_[kAuxCommitted] = committed_;
   aux_[kAuxStatus] = static_cast<std::uint64_t>(status_);
@@ -378,7 +395,8 @@ void InOCore::flush_aux() const {
   aux_[kAuxLastFlipFf] = last_flip_ff_;
 }
 
-void InOCore::load_aux() {
+template <bool kTraced>
+void InOCore<kTraced>::load_aux() {
   cycle_ = aux_[kAuxCycle];
   committed_ = aux_[kAuxCommitted];
   status_ = static_cast<isa::RunStatus>(aux_[kAuxStatus]);
@@ -395,8 +413,10 @@ void InOCore::load_aux() {
   last_flip_ff_ = static_cast<std::uint32_t>(aux_[kAuxLastFlipFf]);
 }
 
-void InOCore::reset(const isa::Program& prog, const ResilienceConfig* cfg,
-                    const InjectionPlan* plan) {
+template <bool kTraced>
+void InOCore<kTraced>::reset(const isa::Program& prog,
+                             const ResilienceConfig* cfg,
+                             const InjectionPlan* plan) {
   prog_ = &prog;
   cfg_ = cfg;
   reg_.clear_state();
@@ -412,6 +432,7 @@ void InOCore::reset(const isa::Program& prog, const ResilienceConfig* cfg,
   detected_by_ = DetectionSource::kNone;
   recoveries_ = 0;
   redirect_ = false;
+  redirect_pc_ = 0;
   last_flip_cycle_ = 0;
   last_flip_ff_ = 0;
   flips_ = armed_flips(plan, 0);
@@ -422,7 +443,8 @@ void InOCore::reset(const isa::Program& prog, const ResilienceConfig* cfg,
   ring_.reset(ir ? kRingDepth : 0);
 }
 
-void InOCore::apply_injections() {
+template <bool kTraced>
+void InOCore<kTraced>::apply_injections() {
   if (next_flip_ >= flips_.size() || flips_[next_flip_].cycle != cycle_) return;
   // Collect this cycle's flips (>1 models a SEMU striking adjacent FFs).
   std::vector<std::uint32_t> struck;
@@ -469,7 +491,8 @@ void InOCore::apply_injections() {
   }
 }
 
-void InOCore::process_detections() {
+template <bool kTraced>
+void InOCore<kTraced>::process_detections() {
   for (std::size_t i = 0; i < dets_.size(); ++i) {
     if (dets_[i].due > cycle_) continue;
     const PendingDet d = dets_[i];
@@ -479,8 +502,10 @@ void InOCore::process_detections() {
   }
 }
 
-void InOCore::attempt_recovery(DetectionSource src, std::uint32_t ff,
-                               std::uint64_t flip_cycle) {
+template <bool kTraced>
+void InOCore<kTraced>::attempt_recovery(DetectionSource src,
+                                        std::uint32_t ff,
+                                        std::uint64_t flip_cycle) {
   const RecoveryKind rec =
       cfg_ != nullptr ? cfg_->recovery : RecoveryKind::kNone;
   auto fail_detected = [&] {
@@ -540,12 +565,13 @@ void InOCore::attempt_recovery(DetectionSource src, std::uint32_t ff,
   }
 }
 
-bool InOCore::ra_hazard() const {
+template <bool kTraced>
+bool InOCore<kTraced>::ra_hazard() const {
   if (!valid_op(a_.op)) return false;
   const Op op = static_cast<Op>(static_cast<std::uint64_t>(a_.op));
   const std::uint64_t s1 = uses_rs1(op) ? static_cast<std::uint64_t>(a_.rs1) : 0;
   const std::uint64_t s2 = uses_rs2(op) ? static_cast<std::uint64_t>(a_.rs2) : 0;
-  auto writes = [](const StageCtl& st) -> std::uint64_t {
+  auto writes = [](const Stage& st) -> std::uint64_t {
     if (!st.live() || st.trap != 0 || !valid_op(st.op)) return 0;
     const Op sop = static_cast<Op>(static_cast<std::uint64_t>(st.op));
     if (!isa::writes_rd(sop)) return 0;
@@ -553,14 +579,15 @@ bool InOCore::ra_hazard() const {
   };
   // w is included because its register write happens at the *next* cycle's
   // writeback, after register-access has already read the file this cycle.
-  for (const StageCtl* st : {&e_, &m_, &x_, &w_}) {
+  for (const Stage* st : {&e_, &m_, &x_, &w_}) {
     const std::uint64_t rd = writes(*st);
     if (rd != 0 && (rd == s1 || rd == s2)) return true;
   }
   return false;
 }
 
-void InOCore::do_wb() {
+template <bool kTraced>
+void InOCore<kTraced>::do_wb() {
   if (!w_.live()) return;
   if (w_.trap != 0) {
     status_ = isa::RunStatus::kTrapped;
@@ -625,7 +652,8 @@ void InOCore::do_wb() {
   w_.bubble();
 }
 
-void InOCore::stage_x_to_w() {
+template <bool kTraced>
+void InOCore<kTraced>::stage_x_to_w() {
   w_.bubble();
   if (!x_.live()) return;
   w_.copy_from(x_);
@@ -637,7 +665,8 @@ void InOCore::stage_x_to_w() {
   x_.bubble();
 }
 
-void InOCore::stage_m_to_x() {
+template <bool kTraced>
+void InOCore<kTraced>::stage_m_to_x() {
   if (!m_.live()) return;
   const bool has_trap = m_.trap != 0;
   const bool op_ok = valid_op(m_.op);
@@ -701,7 +730,8 @@ void InOCore::stage_m_to_x() {
   m_.bubble();
 }
 
-void InOCore::stage_e_to_m() {
+template <bool kTraced>
+void InOCore<kTraced>::stage_e_to_m() {
   if (m_.live() || !e_.live()) return;  // memory stage busy -> hold
   const bool op_ok = valid_op(e_.op);
   std::uint64_t trap = e_.trap;
@@ -819,7 +849,8 @@ void InOCore::stage_e_to_m() {
   e_.bubble();
 }
 
-void InOCore::stage_a_to_e() {
+template <bool kTraced>
+void InOCore<kTraced>::stage_a_to_e() {
   if (e_.live() || !a_.live() || redirect_) return;
   if (ra_hazard()) return;  // interlock: wait for writeback
   e_.copy_from(a_);
@@ -829,7 +860,8 @@ void InOCore::stage_a_to_e() {
   a_.bubble();
 }
 
-void InOCore::stage_d_to_a() {
+template <bool kTraced>
+void InOCore<kTraced>::stage_d_to_a() {
   if (a_.live() || d_valid_ == 0 || redirect_) return;
   const auto dec = isa::decode(d_inst_.u32());
   a_.valid = 1;
@@ -862,7 +894,8 @@ void InOCore::stage_d_to_a() {
   d_valid_ = 0;
 }
 
-void InOCore::fetch() {
+template <bool kTraced>
+void InOCore<kTraced>::fetch() {
   if (d_valid_ != 0 || redirect_ || flush_drain() > 0) return;
   const std::uint32_t pc = f_pc_.u32();
   d_valid_ = 1;
@@ -879,7 +912,8 @@ void InOCore::fetch() {
   f_pc_ = pc + 4;
 }
 
-void InOCore::do_cycle() {
+template <bool kTraced>
+void InOCore<kTraced>::do_cycle() {
   apply_injections();
   process_detections();
   if (status_ != isa::RunStatus::kRunning) return;
@@ -917,7 +951,8 @@ void InOCore::do_cycle() {
   ++cycle_;
 }
 
-CoreRunResult InOCore::current_result() const {
+template <bool kTraced>
+CoreRunResult InOCore<kTraced>::current_result() const {
   CoreRunResult r;
   r.status = status_ == isa::RunStatus::kRunning ? isa::RunStatus::kWatchdog
                                                  : status_;
@@ -932,7 +967,8 @@ CoreRunResult InOCore::current_result() const {
   return r;
 }
 
-void InOCore::snapshot(CoreCheckpoint* out) const {
+template <bool kTraced>
+void InOCore<kTraced>::snapshot(CoreCheckpoint* out) const {
   flush_aux();
   // COW capture against the last snapshot taken from / restored into this
   // core: unchanged 2 KiB segments are shared, not copied.
@@ -957,7 +993,9 @@ void InOCore::snapshot(CoreCheckpoint* out) const {
   sz.dets = out->dets.size() * sizeof(PendingDetection);
 }
 
-void InOCore::restore(const CoreCheckpoint& cp, const InjectionPlan* plan) {
+template <bool kTraced>
+void InOCore<kTraced>::restore(const CoreCheckpoint& cp,
+                               const InjectionPlan* plan) {
   if (cp.layout_fp != arena_.fingerprint()) {
     throw std::logic_error(
         "InOCore::restore: checkpoint layout fingerprint mismatch (snapshot "
@@ -973,7 +1011,8 @@ void InOCore::restore(const CoreCheckpoint& cp, const InjectionPlan* plan) {
   next_flip_ = 0;
 }
 
-std::uint64_t InOCore::state_hash() const {
+template <bool kTraced>
+std::uint64_t InOCore<kTraced>::state_hash() const {
   // Forward-relevant state only: cycle/instruction counters, recovery
   // tallies, the replay ring and injection bookkeeping are deliberately
   // excluded (they cannot influence the remainder of a quiescent run).
@@ -983,14 +1022,23 @@ std::uint64_t InOCore::state_hash() const {
   return h;
 }
 
-bool InOCore::state_matches(const CoreCheckpoint& cp) const {
-  // Word-exact compare of the forward region (FF pool, fwd scalars, regs,
-  // mem, OUT), rejecting at the first divergent segment.
-  return arena_.matches_fwd(cp.state) && out_spill_ == cp.output_spill;
+template <bool kTraced>
+bool InOCore<kTraced>::state_matches(const CoreCheckpoint& cp,
+                                     const std::uint64_t* live_ff) const {
+  // Compare of the forward region (FF pool -- live slots only when
+  // live_ff is given -- fwd scalars, regs, mem, OUT), rejecting at the
+  // first divergent segment.
+  return arena_.matches_fwd(cp.state, live_ff) &&
+         out_spill_ == cp.output_spill;
 }
 
 }  // namespace
 
-std::unique_ptr<Core> make_ino_core() { return std::make_unique<InOCore>(); }
+std::unique_ptr<Core> make_ino_core() {
+  return std::make_unique<InOCore<false>>();
+}
+std::unique_ptr<Core> make_traced_ino_core() {
+  return std::make_unique<InOCore<true>>();
+}
 
 }  // namespace clear::arch

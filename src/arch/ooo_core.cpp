@@ -106,7 +106,12 @@ bool rename_only(Op op) noexcept {
          op == Op::kDet || op == Op::kSigchk;
 }
 
+// One source, two builds: OoOCore<false> is the production core,
+// OoOCore<true> the traced twin golden recording uses (see BasicReg).
+template <bool kTraced>
 class OoOCore final : public Core {
+  using Reg = BasicReg<kTraced>;
+
  public:
   OoOCore() { build(); }
 
@@ -140,10 +145,15 @@ class OoOCore final : public Core {
   void snapshot(CoreCheckpoint* out) const override;
   void restore(const CoreCheckpoint& cp, const InjectionPlan* plan) override;
   [[nodiscard]] std::uint64_t state_hash() const override;
-  [[nodiscard]] bool state_matches(const CoreCheckpoint& cp) const override;
+  [[nodiscard]] bool state_matches(const CoreCheckpoint& cp,
+                                   const std::uint64_t* live_ff) const override;
   [[nodiscard]] bool quiescent() const noexcept override {
     return status_ == isa::RunStatus::kRunning &&
            next_flip_ >= flips_.size() && dets_.empty();
+  }
+  void drain_access_log(std::uint64_t* read_first,
+                        std::uint64_t* written_first) noexcept override {
+    reg_.drain_access_log(read_first, written_first);
   }
   [[nodiscard]] StateView state_view() noexcept override {
     return {reg_.pool_data(), arena_.ff_words(), arena_.raw_buf(),
@@ -285,31 +295,33 @@ class OoOCore final : public Core {
   RollbackRing ring_;
 };
 
-void OoOCore::build() {
+template <bool kTraced>
+void OoOCore<kTraced>::build() {
   const FFFlags spec{/*flushable=*/true, false, false};        // speculative
   const FFFlags post{/*flushable=*/false, /*post_commit=*/true, false};
 
   auto add_array = [this](auto& arr, const std::string& fmt_prefix,
                           const std::string& suffix, int width, FFFlags fl) {
     for (std::size_t i = 0; i < arr.size(); ++i) {
-      arr[i] = reg_.add(fmt_prefix + std::to_string(i) + suffix, width, fl);
+      arr[i] = reg_.add<kTraced>(fmt_prefix + std::to_string(i) + suffix,
+                                 width, fl);
     }
   };
 
-  f_pc_ = reg_.add("RF0.PCreg", 32, spec);
-  bhr_ = reg_.add("RF0.F1.lhist", 12, spec);
+  f_pc_ = reg_.add<kTraced>("RF0.PCreg", 32, spec);
+  bhr_ = reg_.add<kTraced>("RF0.F1.lhist", 12, spec);
   add_array(btb_valid_, "RF0.btb", ".valid", 1, spec);
   add_array(btb_tag_, "RF0.btb", ".tag", 20, spec);
   add_array(btb_target_, "RF0.btb", ".target", 32, spec);
   add_array(ras_, "RF0.F1.ras", ".reg", 32, spec);
-  ras_sp_ = reg_.add("RF0.F1.ras.sp", 3, spec);
+  ras_sp_ = reg_.add<kTraced>("RF0.F1.ras.sp", 3, spec);
   add_array(fb_valid_, "F1.fb", ".valid", 1, spec);
   add_array(fb_inst_, "F1.fb", ".inst", 32, spec);
   add_array(fb_pc_, "F1.fb", ".pc", 32, spec);
   add_array(fb_pred_, "F1.fb", ".pred", 32, spec);
-  fb_head_ = reg_.add("F1.fb.head", 3, spec);
-  fb_tail_ = reg_.add("F1.fb.tail", 3, spec);
-  fb_count_ = reg_.add("F1.fb.count", 4, spec);
+  fb_head_ = reg_.add<kTraced>("F1.fb.head", 3, spec);
+  fb_tail_ = reg_.add<kTraced>("F1.fb.tail", 3, spec);
+  fb_count_ = reg_.add<kTraced>("F1.fb.count", 4, spec);
   add_array(rf1_f2_inst_, "RF1.F2.inst", ".reg", 32, spec);
   add_array(rf2_d0_reg_, "RF2.D0.reg", ".reg", 32, spec);
 
@@ -341,9 +353,9 @@ void OoOCore::build() {
   add_array(rob_trap_, "rob.e", ".tt", 4, spec);
   add_array(rob_inst_, "rob.e", ".inst", 32, spec);
   add_array(rob_stq_, "rob.e", ".stq", 3, spec);
-  rob_head_ = reg_.add("rob.head", 5, spec);
-  rob_tail_ = reg_.add("rob.tail", 5, spec);
-  rob_count_ = reg_.add("rob.count", 6, spec);
+  rob_head_ = reg_.add<kTraced>("rob.head", 5, spec);
+  rob_tail_ = reg_.add<kTraced>("rob.tail", 5, spec);
+  rob_count_ = reg_.add<kTraced>("rob.count", 6, spec);
 
   add_array(stq_valid_, "mem.stq", ".valid", 1, spec);
   add_array(stq_addr_, "mem.stq", ".addr", 32, spec);
@@ -351,17 +363,17 @@ void OoOCore::build() {
   add_array(stq_ready_, "mem.stq", ".ready", 1, spec);
   add_array(stq_robid_, "mem.stq", ".robid", 5, spec);
   add_array(stq_byte_, "mem.stq", ".byte", 1, spec);
-  stq_head_ = reg_.add("mem.stq.head", 3, spec);
-  stq_tail_ = reg_.add("mem.stq.tail", 3, spec);
-  stq_count_ = reg_.add("mem.stq.count", 4, spec);
+  stq_head_ = reg_.add<kTraced>("mem.stq.head", 3, spec);
+  stq_tail_ = reg_.add<kTraced>("mem.stq.tail", 3, spec);
+  stq_count_ = reg_.add<kTraced>("mem.stq.count", 4, spec);
 
   add_array(sb_valid_, "mem.stb", ".valid", 1, post);
   add_array(sb_addr_, "mem.stb", ".addr", 32, post);
   add_array(sb_data_, "mem.stb", ".data", 32, post);
   add_array(sb_byte_, "mem.stb", ".byte", 1, post);
-  sb_head_ = reg_.add("mem.stb.head", 2, post);
-  sb_tail_ = reg_.add("mem.stb.tail", 2, post);
-  sb_count_ = reg_.add("mem.stb.count", 3, post);
+  sb_head_ = reg_.add<kTraced>("mem.stb.head", 2, post);
+  sb_tail_ = reg_.add<kTraced>("mem.stb.tail", 2, post);
+  sb_count_ = reg_.add<kTraced>("mem.stb.count", 3, post);
 
   add_array(ex_valid_, "exec.ca", ".valid", 1, spec);
   add_array(ex_op_, "exec.ca", ".op", 6, spec);
@@ -371,42 +383,42 @@ void OoOCore::build() {
   add_array(ex_imm_, "exec.ca", ".imm", 32, spec);
   add_array(ex_pc_, "exec.ca", ".pc", 32, spec);
   add_array(ex_stq_, "exec.ca", ".stq", 3, spec);
-  mul_busy_ = reg_.add("exec.mu0.busy", 1, spec);
-  mul_cnt_ = reg_.add("exec.mu0.cnt", 3, spec);
-  mul_robid_ = reg_.add("exec.mu0.robid", 5, spec);
-  mul_op_ = reg_.add("exec.mu0.op", 6, spec);
-  mul_lo_ = reg_.add("exec.mu0.a01", 32, spec);
-  mul_hi_ = reg_.add("exec.mu0.a12", 32, spec);
-  div_busy_ = reg_.add("exec.du0.busy", 1, spec);
-  div_cnt_ = reg_.add("exec.du0.cnt", 4, spec);
-  div_robid_ = reg_.add("exec.du0.robid", 5, spec);
-  div_op_ = reg_.add("exec.du0.op", 6, spec);
-  div_q_ = reg_.add("exec.du0.q", 32, spec);
-  div_r_ = reg_.add("exec.du0.r", 32, spec);
+  mul_busy_ = reg_.add<kTraced>("exec.mu0.busy", 1, spec);
+  mul_cnt_ = reg_.add<kTraced>("exec.mu0.cnt", 3, spec);
+  mul_robid_ = reg_.add<kTraced>("exec.mu0.robid", 5, spec);
+  mul_op_ = reg_.add<kTraced>("exec.mu0.op", 6, spec);
+  mul_lo_ = reg_.add<kTraced>("exec.mu0.a01", 32, spec);
+  mul_hi_ = reg_.add<kTraced>("exec.mu0.a12", 32, spec);
+  div_busy_ = reg_.add<kTraced>("exec.du0.busy", 1, spec);
+  div_cnt_ = reg_.add<kTraced>("exec.du0.cnt", 4, spec);
+  div_robid_ = reg_.add<kTraced>("exec.du0.robid", 5, spec);
+  div_op_ = reg_.add<kTraced>("exec.du0.op", 6, spec);
+  div_q_ = reg_.add<kTraced>("exec.du0.q", 32, spec);
+  div_r_ = reg_.add<kTraced>("exec.du0.r", 32, spec);
 
-  lu_valid_ = reg_.add("mem.ldq.valid", 1, spec);
-  lu_op_ = reg_.add("mem.ldq.op", 6, spec);
-  lu_robid_ = reg_.add("mem.ldq.robid", 5, spec);
-  lu_addr_ = reg_.add("mem.ldq.address.phys", 32, spec);
-  lu_cnt_ = reg_.add("mem.ldq.cnt", 4, spec);
-  lu_fwd_ = reg_.add("mem.ldq.forward", 1, spec);
-  lu_fwdval_ = reg_.add("mem.ldq.fwdval", 32, spec);
+  lu_valid_ = reg_.add<kTraced>("mem.ldq.valid", 1, spec);
+  lu_op_ = reg_.add<kTraced>("mem.ldq.op", 6, spec);
+  lu_robid_ = reg_.add<kTraced>("mem.ldq.robid", 5, spec);
+  lu_addr_ = reg_.add<kTraced>("mem.ldq.address.phys", 32, spec);
+  lu_cnt_ = reg_.add<kTraced>("mem.ldq.cnt", 4, spec);
+  lu_fwd_ = reg_.add<kTraced>("mem.ldq.forward", 1, spec);
+  lu_fwdval_ = reg_.add<kTraced>("mem.ldq.fwdval", 32, spec);
   add_array(l1d_addr_in_, "mem.l1dcache.addr.in", ".reg", 32, spec);
   add_array(l1d_data_in_, "mem.l1dcache.data.in", ".reg", 32, spec);
   add_array(l1d_write_in_, "mem.l1dcache.write.in", ".reg", 1, spec);
   add_array(l1d_accessaddr_, "mem.l1dcache.accessaddr", ".reg", 32, spec);
-  l1d_accesshit0_ = reg_.add("mem.l1dcache.accesshit0.reg", 1, spec);
-  l1d_addr1_out_ = reg_.add("mem.l1dcache.addr1.out.reg", 32, spec);
-  l1d_data2_out_ = reg_.add("mem.l1dcache.data2.out.reg", 32, spec);
-  l1d_mobid2_out_ = reg_.add("mem.l1dcache.mobid2.out.reg", 5, spec);
+  l1d_accesshit0_ = reg_.add<kTraced>("mem.l1dcache.accesshit0.reg", 1, spec);
+  l1d_addr1_out_ = reg_.add<kTraced>("mem.l1dcache.addr1.out.reg", 32, spec);
+  l1d_data2_out_ = reg_.add<kTraced>("mem.l1dcache.data2.out.reg", 32, spec);
+  l1d_mobid2_out_ = reg_.add<kTraced>("mem.l1dcache.mobid2.out.reg", 5, spec);
   add_array(mq_valid_, "mem.l1dcache.missqueue.q", ".valid", 1, spec);
   add_array(mq_addr_, "mem.l1dcache.missqueue.q", ".addr", 32, spec);
   add_array(mq_cnt_, "mem.l1dcache.missqueue.q", ".cnt", 4, spec);
 
-  commit_pc_ = reg_.add("regs.wb.wb.flushpc", 32,
+  commit_pc_ = reg_.add<kTraced>("regs.wb.wb.flushpc", 32,
                         FFFlags{false, false, false});
   for (std::size_t i = 0; i < perf_.size(); ++i) {
-    perf_[i] = reg_.add("perf.counter" + std::to_string(i), 32,
+    perf_[i] = reg_.add<kTraced>("perf.counter" + std::to_string(i), 32,
                         FFFlags{true, false, false});
   }
 }
@@ -414,7 +426,9 @@ void OoOCore::build() {
 // Lays the non-FF state out in the flat arena (fwd scalars | regs | mem |
 // SRAM | OUT | bookkeeping) and binds the typed pointers.  finish_layout()
 // zero-fills the buffer, which is the reset of everything arena-resident.
-void OoOCore::layout(const isa::Program& prog, const ResilienceConfig* cfg) {
+template <bool kTraced>
+void OoOCore<kTraced>::layout(const isa::Program& prog,
+                              const ResilienceConfig* cfg) {
   arena_.begin_layout(reg_.pool_data(), reg_.pool().size());
   sec_fwd_ = arena_.add_u64(kFwdWords);
   sec_regs_ = arena_.add_u32(isa::kNumRegs);
@@ -438,7 +452,8 @@ void OoOCore::layout(const isa::Program& prog, const ResilienceConfig* cfg) {
   last_snap_.clear();
 }
 
-void OoOCore::flush_aux() const {
+template <bool kTraced>
+void OoOCore<kTraced>::flush_aux() const {
   aux_[kAuxCycle] = cycle_;
   aux_[kAuxCommitted] = committed_;
   aux_[kAuxStatus] = static_cast<std::uint64_t>(status_);
@@ -454,7 +469,8 @@ void OoOCore::flush_aux() const {
   aux_[kAuxShadowStored] = shadow_stored_ ? 1 : 0;
 }
 
-void OoOCore::load_aux() {
+template <bool kTraced>
+void OoOCore<kTraced>::load_aux() {
   cycle_ = aux_[kAuxCycle];
   committed_ = aux_[kAuxCommitted];
   status_ = static_cast<isa::RunStatus>(aux_[kAuxStatus]);
@@ -472,8 +488,10 @@ void OoOCore::load_aux() {
   shadow_stored_ = aux_[kAuxShadowStored] != 0;
 }
 
-void OoOCore::reset(const isa::Program& prog, const ResilienceConfig* cfg,
-                    const InjectionPlan* plan) {
+template <bool kTraced>
+void OoOCore<kTraced>::reset(const isa::Program& prog,
+                             const ResilienceConfig* cfg,
+                             const InjectionPlan* plan) {
   prog_ = &prog;
   cfg_ = cfg;
   reg_.clear_state();
@@ -508,7 +526,8 @@ void OoOCore::reset(const isa::Program& prog, const ResilienceConfig* cfg,
   ring_.reset(ir ? kRingDepth : 0);
 }
 
-void OoOCore::bind_shadow_hook() {
+template <bool kTraced>
+void OoOCore<kTraced>::bind_shadow_hook() {
   shadow_->post_store_hook = [this](isa::Machine&, std::uint32_t addr,
                                     std::uint32_t word) {
     shadow_store_addr_ = addr;
@@ -517,7 +536,8 @@ void OoOCore::bind_shadow_hook() {
   };
 }
 
-void OoOCore::apply_injections() {
+template <bool kTraced>
+void OoOCore<kTraced>::apply_injections() {
   if (next_flip_ >= flips_.size() || flips_[next_flip_].cycle != cycle_) return;
   std::vector<std::uint32_t> struck;
   while (next_flip_ < flips_.size() && flips_[next_flip_].cycle == cycle_) {
@@ -555,7 +575,8 @@ void OoOCore::apply_injections() {
   }
 }
 
-void OoOCore::process_detections() {
+template <bool kTraced>
+void OoOCore<kTraced>::process_detections() {
   for (std::size_t i = 0; i < dets_.size(); ++i) {
     if (dets_[i].due > cycle_) continue;
     const PendingDet d = dets_[i];
@@ -565,8 +586,10 @@ void OoOCore::process_detections() {
   }
 }
 
-void OoOCore::attempt_recovery(DetectionSource src, std::uint32_t ff,
-                               std::uint64_t flip_cycle) {
+template <bool kTraced>
+void OoOCore<kTraced>::attempt_recovery(DetectionSource src,
+                                        std::uint32_t ff,
+                                        std::uint64_t flip_cycle) {
   const RecoveryKind rec =
       cfg_ != nullptr ? cfg_->recovery : RecoveryKind::kNone;
   auto fail_detected = [&] {
@@ -618,7 +641,8 @@ void OoOCore::attempt_recovery(DetectionSource src, std::uint32_t ff,
   }
 }
 
-void OoOCore::squash_all(std::uint32_t new_pc) {
+template <bool kTraced>
+void OoOCore<kTraced>::squash_all(std::uint32_t new_pc) {
   for (int i = 0; i < kFbSize; ++i) fb_valid_[i] = 0;
   fb_head_ = 0;
   fb_tail_ = 0;
@@ -645,7 +669,8 @@ void OoOCore::squash_all(std::uint32_t new_pc) {
   // The store buffer survives: its entries are committed (validated) state.
 }
 
-void OoOCore::broadcast(std::uint64_t robid, std::uint32_t value) {
+template <bool kTraced>
+void OoOCore<kTraced>::broadcast(std::uint64_t robid, std::uint32_t value) {
   rob_result_[robid & (kRobSize - 1)] = value;
   rob_done_[robid & (kRobSize - 1)] = 1;
   for (int i = 0; i < kIqSize; ++i) {
@@ -661,7 +686,9 @@ void OoOCore::broadcast(std::uint64_t robid, std::uint32_t value) {
   }
 }
 
-void OoOCore::mem_write(std::uint32_t addr, std::uint32_t data, bool byte) {
+template <bool kTraced>
+void OoOCore<kTraced>::mem_write(std::uint32_t addr, std::uint32_t data,
+                                 bool byte) {
   if (addr >= mem_bytes()) return;  // bounds were checked pre-commit
   const std::uint32_t old = mem_[addr / 4];
   std::uint32_t w = old;
@@ -675,7 +702,8 @@ void OoOCore::mem_write(std::uint32_t addr, std::uint32_t data, bool byte) {
   ring_.record_write(addr & ~3u, old);
 }
 
-void OoOCore::drain_store_buffer() {
+template <bool kTraced>
+void OoOCore<kTraced>::drain_store_buffer() {
   if (sb_count_ == 0) return;
   const std::uint64_t h = sb_head_;
   if (sb_valid_[h] != 0) {
@@ -686,7 +714,8 @@ void OoOCore::drain_store_buffer() {
   sb_count_ = static_cast<std::uint64_t>(sb_count_) - 1;
 }
 
-bool OoOCore::monitor_validate_and_apply(int robid) {
+template <bool kTraced>
+bool OoOCore<kTraced>::monitor_validate_and_apply(int robid) {
   // Returns true when the commit is valid (or no monitor); false when the
   // checker caught a mismatch and repaired the core from its own state.
   if (!shadow_) return true;
@@ -792,7 +821,8 @@ bool OoOCore::monitor_validate_and_apply(int robid) {
   return false;
 }
 
-void OoOCore::do_commit() {
+template <bool kTraced>
+void OoOCore<kTraced>::do_commit() {
   for (int slot = 0; slot < kCommitWidth; ++slot) {
     if (rob_count_ == 0) return;
     const std::uint64_t h = rob_head_;
@@ -922,7 +952,8 @@ void OoOCore::do_commit() {
   }
 }
 
-void OoOCore::do_execute() {
+template <bool kTraced>
+void OoOCore<kTraced>::do_execute() {
   // ALU pipes (filled by issue in the previous cycle).
   for (int p = 0; p < 2; ++p) {
     if (ex_valid_[p] == 0) continue;
@@ -1027,7 +1058,8 @@ void OoOCore::do_execute() {
   }
 }
 
-void OoOCore::do_load_unit() {
+template <bool kTraced>
+void OoOCore<kTraced>::do_load_unit() {
   if (lu_valid_ == 0) return;
   if (lu_cnt_ != 0) {
     lu_cnt_ = static_cast<std::uint64_t>(lu_cnt_) - 1;
@@ -1055,7 +1087,8 @@ void OoOCore::do_load_unit() {
   broadcast(lu_robid_, v);
 }
 
-void OoOCore::do_issue() {
+template <bool kTraced>
+void OoOCore<kTraced>::do_issue() {
   // Oldest-first (by ROB age) selection of up to 2 ready entries.
   std::array<int, kIqSize> cand{};
   int n = 0;
@@ -1217,7 +1250,8 @@ void OoOCore::do_issue() {
   }
 }
 
-void OoOCore::do_rename() {
+template <bool kTraced>
+void OoOCore<kTraced>::do_rename() {
   for (int slot = 0; slot < 2; ++slot) {
     if (fb_count_ == 0) return;
     if (rob_count_ >= kRobSize) return;
@@ -1362,7 +1396,8 @@ void OoOCore::do_rename() {
   }
 }
 
-void OoOCore::do_fetch() {
+template <bool kTraced>
+void OoOCore<kTraced>::do_fetch() {
   for (int slot = 0; slot < kFetchWidth; ++slot) {
     if (fb_count_ >= kFbSize) return;
     const std::uint32_t pc = f_pc_.u32();
@@ -1427,7 +1462,8 @@ void OoOCore::do_fetch() {
   }
 }
 
-void OoOCore::do_cycle() {
+template <bool kTraced>
+void OoOCore<kTraced>::do_cycle() {
   apply_injections();
   process_detections();
   if (status_ != isa::RunStatus::kRunning) return;
@@ -1449,7 +1485,8 @@ void OoOCore::do_cycle() {
   ++cycle_;
 }
 
-CoreRunResult OoOCore::current_result() const {
+template <bool kTraced>
+CoreRunResult OoOCore<kTraced>::current_result() const {
   CoreRunResult r;
   r.status = status_ == isa::RunStatus::kRunning ? isa::RunStatus::kWatchdog
                                                  : status_;
@@ -1464,7 +1501,8 @@ CoreRunResult OoOCore::current_result() const {
   return r;
 }
 
-void OoOCore::snapshot(CoreCheckpoint* out) const {
+template <bool kTraced>
+void OoOCore<kTraced>::snapshot(CoreCheckpoint* out) const {
   flush_aux();
   // COW capture against the last snapshot taken from / restored into this
   // core: unchanged 2 KiB segments are shared, not copied.
@@ -1499,7 +1537,9 @@ void OoOCore::snapshot(CoreCheckpoint* out) const {
   sz.dets = out->dets.size() * sizeof(PendingDetection);
 }
 
-void OoOCore::restore(const CoreCheckpoint& cp, const InjectionPlan* plan) {
+template <bool kTraced>
+void OoOCore<kTraced>::restore(const CoreCheckpoint& cp,
+                               const InjectionPlan* plan) {
   if (cp.layout_fp != arena_.fingerprint()) {
     throw std::logic_error(
         "OoOCore::restore: checkpoint layout fingerprint mismatch (snapshot "
@@ -1527,7 +1567,8 @@ void OoOCore::restore(const CoreCheckpoint& cp, const InjectionPlan* plan) {
   next_flip_ = 0;
 }
 
-std::uint64_t OoOCore::state_hash() const {
+template <bool kTraced>
+std::uint64_t OoOCore<kTraced>::state_hash() const {
   // Forward-relevant state only (see InOCore::state_hash): counters,
   // recovery tallies, the replay ring and injection bookkeeping are
   // excluded.  Timing-relevant SRAM (PHT, L1D tags) lives in the arena's
@@ -1553,12 +1594,16 @@ std::uint64_t OoOCore::state_hash() const {
   return h;
 }
 
-bool OoOCore::state_matches(const CoreCheckpoint& cp) const {
-  // Word-exact compare of the forward region (FF pool, DFC sig, regs, mem,
-  // SRAM, OUT), rejecting at the first divergent segment.  The checker is
-  // verified via its delta against the live mem_ -- valid because
-  // matches_fwd() has already established mem_ == checkpointed memory.
-  if (!arena_.matches_fwd(cp.state) || out_spill_ != cp.output_spill) {
+template <bool kTraced>
+bool OoOCore<kTraced>::state_matches(const CoreCheckpoint& cp,
+                                     const std::uint64_t* live_ff) const {
+  // Compare of the forward region (FF pool -- live slots only when
+  // live_ff is given -- DFC sig, regs, mem, SRAM, OUT), rejecting at the
+  // first divergent segment.  The checker is verified via its delta
+  // against the live mem_ -- valid because matches_fwd() has already
+  // established mem_ == checkpointed memory.
+  if (!arena_.matches_fwd(cp.state, live_ff) ||
+      out_spill_ != cp.output_spill) {
     return false;
   }
   if (static_cast<bool>(shadow_) != cp.shadow.present) return false;
@@ -1567,11 +1612,22 @@ bool OoOCore::state_matches(const CoreCheckpoint& cp) const {
 
 }  // namespace
 
-std::unique_ptr<Core> make_ooo_core() { return std::make_unique<OoOCore>(); }
+std::unique_ptr<Core> make_ooo_core() {
+  return std::make_unique<OoOCore<false>>();
+}
+std::unique_ptr<Core> make_traced_ooo_core() {
+  return std::make_unique<OoOCore<true>>();
+}
 
 std::unique_ptr<Core> make_core(const std::string& name) {
   if (name == "InO") return make_ino_core();
   if (name == "OoO") return make_ooo_core();
+  return nullptr;
+}
+
+std::unique_ptr<Core> make_traced_core(const std::string& name) {
+  if (name == "InO") return make_traced_ino_core();
+  if (name == "OoO") return make_traced_ooo_core();
   return nullptr;
 }
 

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "arch/core.h"
 #include "core/selection.h"
 #include "core/session.h"
 #include "util/env.h"
+#include "util/fs.h"
 #include "workloads/workloads.h"
 
 namespace clear::explore {
@@ -334,8 +335,9 @@ void write_profile_manifest(const ExploreSpec& spec, const std::string& path) {
     for (const core::Variant& v : core::combo_layer_variants(c)) add(v);
   }
 
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + path);
+  // Rendered in memory and published with one atomic rename: a failed
+  // or killed write never leaves a truncated manifest for `clear run`.
+  std::ostringstream out;
   out << "# clear explore profiling manifest\n"
       << "# core=" << spec.core << " per-ff=" << identity.per_ff_samples
       << " seed=" << identity.seed << " (" << variants.size()
@@ -376,7 +378,9 @@ void write_profile_manifest(const ExploreSpec& spec, const std::string& path) {
       out << "\n";
     }
   }
-  if (!out.flush()) throw std::runtime_error("cannot write " + path);
+  if (!util::write_file_atomic(path, out.str())) {
+    throw std::runtime_error("cannot write " + path);
+  }
 }
 
 }  // namespace clear::explore

@@ -14,6 +14,7 @@
 
 #include <cstring>
 
+#include "arch/liveness.h"
 #include "inject/adaptive.h"
 #include "inject/cachepack.h"
 #include "inject/exec.h"
@@ -206,6 +207,17 @@ struct CampaignMetrics {
   obs::Histogram& classify = obs::histogram("campaign.sample.classify");
   obs::Counter& samples = obs::counter("campaign.samples");
   obs::Counter& goldens = obs::counter("campaign.goldens");
+  // How each forked run ended, and the cycles it simulated: the prefix
+  // (fork checkpoint to injection) and the post-injection cycles per
+  // ending (cycle-counter distance, recovery penalties included).
+  obs::Counter& fork_converged = obs::counter("campaign.fork.converged");
+  obs::Counter& fork_benign = obs::counter("campaign.fork.ran_benign");
+  obs::Counter& fork_failing = obs::counter("campaign.fork.ran_failing");
+  obs::Counter& prefix_cycles = obs::counter("campaign.fork.prefix_cycles");
+  obs::Counter& converged_cycles =
+      obs::counter("campaign.fork.converged_cycles");
+  obs::Counter& benign_cycles = obs::counter("campaign.fork.benign_cycles");
+  obs::Counter& failing_cycles = obs::counter("campaign.fork.failing_cycles");
 };
 
 CampaignMetrics& metrics() {
@@ -216,10 +228,16 @@ CampaignMetrics& metrics() {
 // Golden trajectory: periodic full-state snapshots, shared read-only by
 // all workers.  Each snapshot doubles as the fork origin for injections in
 // its interval and as the reference for the convergence test at its
-// boundary.
+// boundary, which compares only the FF slots live there.
 struct GoldenTrajectory {
   std::uint64_t interval = 0;
   std::vector<arch::CoreCheckpoint> checkpoints;  // at cycles 0, I, 2I, ...
+  arch::FFLiveness live;  // one FF-pool live set per checkpoint
+
+  void release() {
+    std::vector<arch::CoreCheckpoint>().swap(checkpoints);
+    live = arch::FFLiveness{};
+  }
 };
 
 // Runs one faulty execution forked from the nearest golden checkpoint and
@@ -238,23 +256,41 @@ Outcome run_forked(arch::Core* core, const GoldenTrajectory& traj,
     const obs::Span restore_span(metrics().snap_restore);
     core->restore(traj.checkpoints[ci], &plan);
   }
+  metrics().prefix_cycles.add(inj_cycle - traj.checkpoints[ci].cycle);
   for (;;) {
     check_cancel(cancel);
     const std::uint64_t boundary = (core->cycle() / interval + 1) * interval;
     if (!core->step_to(boundary, watchdog)) {
-      return classify(core->current_result(), golden);
+      const Outcome out = classify(core->current_result(), golden);
+      const bool benign =
+          out == Outcome::kVanished || out == Outcome::kRecovered;
+      (benign ? metrics().fork_benign : metrics().fork_failing).add();
+      (benign ? metrics().benign_cycles : metrics().failing_cycles)
+          .add(core->cycle() - inj_cycle);
+      return out;
     }
     const std::uint64_t cyc = core->cycle();
     // Recovery latency charges can overshoot a boundary; convergence is
     // only checked when the faulty run lands exactly on one.
     if (cyc % interval != 0) continue;
     const std::size_t bi = static_cast<std::size_t>(cyc / interval);
+    // Convergence, by induction over the rest of the run.  Suppose the
+    // faulty run is quiescent (no flip left, no detection pending) and
+    // agrees with golden at this boundary on every FF slot golden will
+    // read before writing it (the live set) and on all other forward
+    // state.  Then, step by step, every value the faulty run reads equals
+    // golden's, so it takes golden's path and writes golden's values; a
+    // dead slot that differs is written before it is ever read.  State
+    // that bypasses the FF handles cannot break this: the rollback ring
+    // flows back only through a recovery, which needs a detection, which
+    // needs a new flip (none is left) or a read of a differing live value
+    // (excluded above); snapshot/flip/read_bit are engine-side, not part
+    // of the run.  So the remainder is golden's: it halts with golden's
+    // output, exactly what classify() would conclude after simulating it.
     if (bi < traj.checkpoints.size() && core->quiescent() &&
-        core->state_matches(traj.checkpoints[bi])) {
-      // Every forward-relevant state bit matches the golden trajectory:
-      // the remainder of the run is bit-identical to golden, so it halts
-      // with golden's output.  (Exactly what classify() would conclude
-      // after simulating the rest.)
+        core->state_matches(traj.checkpoints[bi], traj.live.at(bi))) {
+      metrics().fork_converged.add();
+      metrics().converged_cycles.add(cyc - inj_cycle);
       return core->recovery_count() > 0 ? Outcome::kRecovered
                                         : Outcome::kVanished;
     }
@@ -365,18 +401,24 @@ void record_golden(CampaignJob& job, const std::atomic<bool>* cancel) {
   const obs::Span golden_span(metrics().golden_record);
   metrics().goldens.add();
   const CampaignSpec& spec = *job.spec;
-  arch::Core* gcore = worker_core(spec.core_name);
   // The snapshot interval depends on the nominal run length, which is
   // unknown until the golden run finishes: run once to learn the length,
   // then re-run recording snapshots at the chosen interval.  The golden
   // run is paid twice per campaign versus `injections` faulty runs, so
   // the extra pass is noise.
-  job.golden = gcore->run(*spec.program, spec.cfg, nullptr, kGoldenBudget);
+  job.golden = worker_core(spec.core_name)
+                   ->run(*spec.program, spec.cfg, nullptr, kGoldenBudget);
   if (job.golden.status != isa::RunStatus::kHalted) {
     throw std::runtime_error("golden run did not halt for key " + spec.key);
   }
   job.traj.interval = pick_interval(job, job.golden.cycles);
+  // The recording pass runs the traced build of the core, which also
+  // yields the FF live sets of every boundary (arch/liveness.h).  It is
+  // built per recording and dropped after: faulty runs never trace.
+  const std::unique_ptr<arch::Core> gcore =
+      arch::make_traced_core(spec.core_name);
   gcore->begin(*spec.program, spec.cfg, nullptr);
+  job.traj.live.start(*gcore);
   job.traj.checkpoints.emplace_back();
   {
     const obs::Span snap_span(metrics().snap_capture);
@@ -384,9 +426,24 @@ void record_golden(CampaignJob& job, const std::atomic<bool>* cancel) {
   }
   while (gcore->step_to(gcore->cycle() + job.traj.interval, kGoldenBudget)) {
     check_cancel(cancel);
+    job.traj.live.end_interval(*gcore);
     job.traj.checkpoints.emplace_back();
     const obs::Span snap_span(metrics().snap_capture);
     gcore->snapshot(&job.traj.checkpoints.back());
+  }
+  job.traj.live.end_interval(*gcore);
+  if (gcore->cycle() != job.golden.cycles) {
+    throw std::logic_error("traced and untraced core builds diverged for key " +
+                           spec.key);
+  }
+  // Liveness follows golden's own accesses only; a golden run that
+  // recovered would also have read the rollback ring, which the access
+  // log does not see.  No fault-free run detects anything, but such a
+  // campaign would keep the word-exact compare (no live sets).
+  if (job.golden.recoveries == 0) {
+    job.traj.live.finish();
+  } else {
+    job.traj.live = arch::FFLiveness{};
   }
   job.watchdog = job.golden.cycles * 2 + 1024;
 }
@@ -757,7 +814,7 @@ std::vector<CampaignResult> execute_campaigns(
             }
             if (samples_left[j].fetch_sub(1, std::memory_order_acq_rel) ==
                 1) {
-              std::vector<arch::CoreCheckpoint>().swap(job.traj.checkpoints);
+              job.traj.release();
             }
             return;
           }
@@ -861,9 +918,7 @@ std::vector<CampaignResult> execute_campaigns(
   // carry an empty list here).
   run_pass(/*with_goldens=*/false);
   for (auto& job : jobs) {
-    if (job.pilot != 0) {
-      std::vector<arch::CoreCheckpoint>().swap(job.traj.checkpoints);
-    }
+    if (job.pilot != 0) job.traj.release();
   }
   if (hooks.samples_total && executed_sofar < published_total) {
     hooks.samples_total->store(executed_sofar);  // final exact count

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -11,6 +10,7 @@
 
 #include "util/bytes.h"
 #include "util/env.h"
+#include "util/fs.h"
 #include "util/table.h"
 
 namespace clear::obs {
@@ -225,10 +225,9 @@ bool write_json_file(const Snapshot& s, const std::string& path) {
     std::cout << json;
     return true;
   }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << json;
-  return static_cast<bool>(out.flush());
+  // tmp + rename: a failed or killed write never leaves a truncated
+  // document for a reader (check_metrics_schema.py, a fleet dashboard).
+  return util::write_file_atomic(path, json);
 }
 
 std::string encode_snapshot(const Snapshot& s) {

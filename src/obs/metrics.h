@@ -228,8 +228,9 @@ void merge(Snapshot* into, const Snapshot& from);
 // Histogram buckets are emitted sparsely as [bucket_lo, count] pairs.
 [[nodiscard]] std::string to_json(const Snapshot& s);
 
-// Writes to_json() to `path` ("" = no-op, "-" = stdout).  Returns false
-// when the file cannot be written.
+// Writes to_json() to `path` ("" = no-op, "-" = stdout) via tmp + rename
+// (util::write_file_atomic).  Returns false, leaving any previous file
+// untouched, when the file cannot be written.
 bool write_json_file(const Snapshot& s, const std::string& path);
 
 // Compact binary form ("CMS1") carried as the optional tail of a CSV1

@@ -28,18 +28,27 @@ inline bool ensure_dir(const std::string& path) {
 
 // Writes `bytes` to `path` through `path.tmp` + rename, so a reader (or a
 // crash) sees the old file or the new one, never a torn mix.  Returns
-// false, leaving no tmp file behind, when either step fails.
+// false, leaving no tmp file behind, when either step fails.  A path that
+// names an existing device or FIFO (/dev/null, /dev/stdout) is written in
+// place: a rename would replace the node itself.
 inline bool write_file_atomic(const std::string& path,
                               const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  bool written = false;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    written = out && out.write(bytes.data(),
-                               static_cast<std::streamsize>(bytes.size())) &&
-              out.flush();
-  }
+  const auto write_to = [&bytes](const std::string& p) {
+    std::ofstream out(p, std::ios::binary | std::ios::trunc);
+    return out &&
+           out.write(bytes.data(),
+                     static_cast<std::streamsize>(bytes.size())) &&
+           out.flush();
+  };
   std::error_code ec;
+  const auto st = std::filesystem::status(path, ec);
+  if (!ec && std::filesystem::exists(st) &&
+      !std::filesystem::is_regular_file(st) &&
+      !std::filesystem::is_directory(st)) {
+    return write_to(path);
+  }
+  const std::string tmp = path + ".tmp";
+  const bool written = write_to(tmp);
   if (written) std::filesystem::rename(tmp, path, ec);
   if (!written || ec) {
     std::filesystem::remove(tmp, ec);

@@ -6,10 +6,13 @@
 // acceptance test (CLEAR_CLI_BIN, injected by CMake).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -364,6 +367,43 @@ TEST(LedgerMerge, RefusesMismatchOverlapAndMisownedRecords) {
 }
 
 // ---- exploration determinism ----------------------------------------------
+
+TEST(Explore, FailedManifestWriteLeavesNoFile) {
+  // `clear explore run --emit-manifest` output is read back by `clear run
+  // --spec`; a write that dies part-way must not leave a truncated
+  // manifest at the path.  The child caps file size at 512 bytes (with
+  // SIGXFSZ ignored the write fails with EFBIG instead of killing it).
+  const std::string path = "failed_manifest_write.spec";
+  std::filesystem::remove(path);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit cap{512, 512};
+    int code = 2;  // returned without throwing
+    if (::setrlimit(RLIMIT_FSIZE, &cap) != 0) ::_exit(5);
+    try {
+      explore::write_profile_manifest(test_spec(), path);
+    } catch (const std::runtime_error&) {
+      code = std::filesystem::exists(path) ? 3
+             : std::filesystem::exists(path + ".tmp") ? 4
+                                                       : 0;
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "2: no throw, 3: file left at the path, 4: tmp file left";
+  std::error_code ec;
+  const auto left = std::filesystem::file_size(path, ec);
+  EXPECT_TRUE(ec) << "a " << left << "-byte partial manifest was left";
+  // Uncapped, the same manifest is written whole (and exceeds the cap).
+  explore::write_profile_manifest(test_spec(), path);
+  EXPECT_GT(std::filesystem::file_size(path), 512u);
+  std::filesystem::remove(path);
+}
 
 TEST(Explore, AnchorsExistOnBothCores) {
   for (const char* core : {"InO", "OoO"}) {

@@ -10,11 +10,14 @@
 #include <sstream>
 
 #include "arch/core.h"
+#include "core/variants.h"
 #include "engine/engine.h"
 #include "inject/cachepack.h"
 #include "inject/campaign.h"
 #include "inject/iss_inject.h"
 #include "isa/assembler.h"
+#include "obs/metrics.h"
+#include "plan/runplan.h"
 #include "util/fs.h"
 #include "util/threadpool.h"
 #include "workloads/workloads.h"
@@ -139,9 +142,27 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
   expect_identical(one, eight);
 }
 
+// Guards the oracle tests below against passing vacuously: the
+// liveness-masked convergence compare only matters when some faulty runs
+// actually stop early, so each test also requires converged runs.
+class ConvergedRuns {
+ public:
+  ConvergedRuns() : before_(counter().value()) { obs::set_enabled(true); }
+  [[nodiscard]] std::uint64_t count() const {
+    return counter().value() - before_;
+  }
+
+ private:
+  static obs::Counter& counter() {
+    return obs::counter("campaign.fork.converged");
+  }
+  std::uint64_t before_;
+};
+
 // The forked engine against the from-cycle-0 reference
 // (tests/reference_campaign.h): bit-identical per-FF counters.
 TEST(Campaign, ForkedMatchesReferenceOnInO) {
+  const ConvergedRuns converged;
   const auto prog = bench("mcf");
   inject::CampaignSpec spec;
   spec.core_name = "InO";
@@ -150,6 +171,7 @@ TEST(Campaign, ForkedMatchesReferenceOnInO) {
   spec.seed = 5;
   expect_identical(testref::reference_campaign(spec),
                    engine::run_campaign(spec));
+  EXPECT_GT(converged.count(), 0u);
 }
 
 TEST(Campaign, ForkedMatchesReferenceOnInOWithRecovery) {
@@ -173,6 +195,7 @@ TEST(Campaign, ForkedMatchesReferenceOnInOWithRecovery) {
 }
 
 TEST(Campaign, ForkedMatchesReferenceOnOoO) {
+  const ConvergedRuns converged;
   const auto prog = bench("mcf");
   inject::CampaignSpec spec;
   spec.core_name = "OoO";
@@ -181,9 +204,11 @@ TEST(Campaign, ForkedMatchesReferenceOnOoO) {
   spec.seed = 7;
   expect_identical(testref::reference_campaign(spec),
                    engine::run_campaign(spec));
+  EXPECT_GT(converged.count(), 0u);
 }
 
 TEST(Campaign, ForkedMatchesReferenceOnOoOWithMonitor) {
+  const ConvergedRuns converged;
   // The monitor's shadow machine is part of the serialized state; forked
   // runs must validate commits exactly like from-cycle-0 runs.
   const auto prog = bench("mcf");
@@ -198,6 +223,58 @@ TEST(Campaign, ForkedMatchesReferenceOnOoOWithMonitor) {
   spec.cfg = &cfg;
   expect_identical(testref::reference_campaign(spec),
                    engine::run_campaign(spec));
+  EXPECT_GT(converged.count(), 0u);
+}
+
+TEST(Campaign, ForkedMatchesReferenceOnInOWithParityFlush) {
+  // Parity + flush on the flushable FFs, the rest unprotected.  A
+  // recovered run lags golden by its recovery latency and so never lands
+  // on a matching boundary (the EDS + IR case above converges nowhere);
+  // one sample per FF also reaches the unprotected back-end latches,
+  // whose benign flips must converge.
+  const ConvergedRuns converged;
+  const auto prog = bench("gcc");
+  auto core = arch::make_ino_core();
+  const auto& reg = core->registry();
+  arch::ResilienceConfig cfg;
+  cfg.prot.assign(reg.ff_count(), arch::FFProt::kNone);
+  cfg.parity_group.assign(reg.ff_count(), -1);
+  std::int32_t group = 0;
+  for (const auto& s : reg.structures()) {
+    if (!s.flags.flushable) continue;
+    for (std::uint32_t b = 0; b < s.width; ++b) {
+      cfg.prot[s.first_ff + b] = arch::FFProt::kParity;
+      cfg.parity_group[s.first_ff + b] = group++ / 16;
+    }
+  }
+  cfg.recovery = arch::RecoveryKind::kFlush;
+  inject::CampaignSpec spec;
+  spec.core_name = "InO";
+  spec.program = &prog;
+  spec.injections = 0;  // one per FF
+  spec.seed = 29;
+  spec.cfg = &cfg;
+  const auto forked = engine::run_campaign(spec);
+  EXPECT_GT(forked.totals.recovered, 0u);
+  expect_identical(testref::reference_campaign(spec), forked);
+  EXPECT_GT(converged.count(), 0u);
+}
+
+TEST(Campaign, ForkedMatchesReferenceOnInOEddi) {
+  // EDDI-transformed code: duplicated registers and compare-and-det
+  // sequences, with much of the shadow state dead between checks.
+  const ConvergedRuns converged;
+  const auto prog =
+      core::build_variant_program("fft1d", plan::parse_variant("eddi"));
+  inject::CampaignSpec spec;
+  spec.core_name = "InO";
+  spec.program = &prog;
+  spec.injections = 600;
+  spec.seed = 31;
+  const auto forked = engine::run_campaign(spec);
+  EXPECT_GT(forked.totals.ed, 0u);
+  expect_identical(testref::reference_campaign(spec), forked);
+  EXPECT_GT(converged.count(), 0u);
 }
 
 TEST(Campaign, CorruptCacheFallsBackToRerun) {

@@ -1,0 +1,265 @@
+// FF liveness and the two builds of each core model (arch/liveness.h):
+//   * traced/untraced twins: BasicReg<true> and BasicReg<false> builds of
+//     one core, stepped in lockstep on the same program, config and
+//     injection plan, hold identical state images at every boundary (the
+//     traced build records liveness for the untraced one, so they must
+//     never drift apart),
+//   * dead-state scrambling: at every golden checkpoint, every FF slot
+//     that is not live there is set to a random value; the run restored
+//     from that state must still end exactly like golden.  This is the
+//     soundness claim the liveness-masked convergence compare rests on.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "arch/core.h"
+#include "arch/liveness.h"
+#include "core/variants.h"
+#include "plan/runplan.h"
+#include "util/rng.h"
+
+namespace {
+
+using namespace clear;
+
+constexpr std::uint64_t kBudget = 1u << 20;
+
+// Snapshots both cores (which flushes their bookkeeping into the arena)
+// and requires identical serialized state.
+void expect_same_image(arch::Core& a, arch::Core& b, std::uint64_t cycle) {
+  arch::CoreCheckpoint ca, cb;
+  a.snapshot(&ca);
+  b.snapshot(&cb);
+  const auto va = a.state_view();
+  const auto vb = b.state_view();
+  ASSERT_EQ(va.ff_words, vb.ff_words);
+  ASSERT_EQ(va.arena_words, vb.arena_words);
+  EXPECT_TRUE(std::equal(va.ff, va.ff + va.ff_words, vb.ff))
+      << "FF pool differs at cycle " << cycle;
+  EXPECT_TRUE(std::equal(va.arena, va.arena + va.arena_words, vb.arena))
+      << "arena differs at cycle " << cycle;
+  EXPECT_EQ(ca.layout_fp, cb.layout_fp);
+  EXPECT_EQ(ca.cycle, cb.cycle);
+  EXPECT_EQ(ca.output_spill, cb.output_spill);
+  ASSERT_EQ(ca.dets.size(), cb.dets.size()) << "at cycle " << cycle;
+  for (std::size_t i = 0; i < ca.dets.size(); ++i) {
+    EXPECT_EQ(ca.dets[i].due, cb.dets[i].due);
+    EXPECT_EQ(ca.dets[i].flip_cycle, cb.dets[i].flip_cycle);
+    EXPECT_EQ(ca.dets[i].src, cb.dets[i].src);
+    EXPECT_EQ(ca.dets[i].ff, cb.dets[i].ff);
+  }
+  EXPECT_EQ(ca.ring.size_bytes(), cb.ring.size_bytes());
+  EXPECT_EQ(ca.shadow.size_bytes(), cb.shadow.size_bytes());
+  // Checkpoints of the two builds are interchangeable: the monitor shadow
+  // is compared here too.
+  EXPECT_TRUE(b.state_matches(ca)) << "at cycle " << cycle;
+}
+
+enum class Config { kPlain, kEdsIr, kParityFlush, kMonitorRob };
+
+arch::ResilienceConfig make_config(Config c, const arch::FFRegistry& reg) {
+  arch::ResilienceConfig cfg;
+  switch (c) {
+    case Config::kPlain:
+      break;
+    case Config::kEdsIr:
+      cfg.prot.assign(reg.ff_count(), arch::FFProt::kEds);
+      cfg.recovery = arch::RecoveryKind::kIr;
+      break;
+    case Config::kParityFlush: {
+      cfg.prot.assign(reg.ff_count(), arch::FFProt::kParity);
+      cfg.parity_group.assign(reg.ff_count(), -1);
+      for (std::uint32_t ff = 0; ff < reg.ff_count(); ++ff) {
+        cfg.parity_group[ff] = static_cast<std::int32_t>(ff / 16);
+      }
+      cfg.recovery = arch::RecoveryKind::kFlush;
+      break;
+    }
+    case Config::kMonitorRob:
+      cfg.monitor = true;
+      cfg.recovery = arch::RecoveryKind::kRob;
+      break;
+  }
+  return cfg;
+}
+
+struct TwinCase {
+  const char* core;
+  Config config;
+};
+
+class TracedTwin : public ::testing::TestWithParam<TwinCase> {};
+
+TEST_P(TracedTwin, LockstepImagesAreIdentical) {
+  const TwinCase& c = GetParam();
+  const auto prog = core::build_variant_program("mcf", core::Variant::base());
+  auto plain = arch::make_core(c.core);
+  auto traced = arch::make_traced_core(c.core);
+  const arch::ResilienceConfig cfg = make_config(c.config, plain->registry());
+  const auto golden = plain->run(prog, &cfg, nullptr, kBudget);
+  ASSERT_EQ(golden.status, isa::RunStatus::kHalted);
+  const std::uint64_t interval = std::max<std::uint64_t>(1, golden.cycles / 40);
+  const std::uint32_t ffs = plain->registry().ff_count();
+  // No flip, then flips that reach detection/recovery paths under every
+  // config (spread over the FF index space and the run).
+  std::vector<arch::InjectionPlan> plans(1);
+  for (std::uint32_t k = 1; k <= 6; ++k) {
+    plans.push_back(arch::InjectionPlan::single(golden.cycles * k / 8,
+                                                (ffs / 7) * k + k));
+  }
+  std::uint32_t recoveries = 0;
+  for (std::size_t p = 0; p < plans.size(); ++p) {
+    SCOPED_TRACE("plan " + std::to_string(p));
+    plain->begin(prog, &cfg, &plans[p]);
+    traced->begin(prog, &cfg, &plans[p]);
+    expect_same_image(*plain, *traced, 0);
+    for (;;) {
+      const bool a = plain->step_to(plain->cycle() + interval, 2 * kBudget);
+      const bool b = traced->step_to(traced->cycle() + interval, 2 * kBudget);
+      ASSERT_EQ(a, b) << "builds stopped apart at cycle " << plain->cycle();
+      expect_same_image(*plain, *traced, plain->cycle());
+      if (!a) break;
+    }
+    const auto ra = plain->current_result();
+    const auto rb = traced->current_result();
+    EXPECT_EQ(ra.status, rb.status);
+    EXPECT_EQ(ra.cycles, rb.cycles);
+    EXPECT_EQ(ra.output, rb.output);
+    EXPECT_EQ(ra.recoveries, rb.recoveries);
+    recoveries += ra.recoveries;
+  }
+  // EDS flags every flip, so IR rollbacks ran in lockstep too.
+  if (c.config == Config::kEdsIr) {
+    EXPECT_GT(recoveries, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cores, TracedTwin,
+    ::testing::Values(TwinCase{"InO", Config::kPlain},
+                      TwinCase{"InO", Config::kEdsIr},
+                      TwinCase{"InO", Config::kParityFlush},
+                      TwinCase{"InO", Config::kMonitorRob},
+                      TwinCase{"OoO", Config::kPlain},
+                      TwinCase{"OoO", Config::kEdsIr},
+                      TwinCase{"OoO", Config::kParityFlush},
+                      TwinCase{"OoO", Config::kMonitorRob}));
+
+struct ScrambleCase {
+  const char* core;
+  const char* bench;
+  const char* variant;
+  bool monitor_rob;
+};
+
+class DeadStateScramble : public ::testing::TestWithParam<ScrambleCase> {};
+
+TEST_P(DeadStateScramble, RunEndsLikeGolden) {
+  const ScrambleCase& c = GetParam();
+  const auto prog =
+      core::build_variant_program(c.bench, plan::parse_variant(c.variant));
+  arch::ResilienceConfig monitor_rob;
+  monitor_rob.monitor = true;
+  monitor_rob.recovery = arch::RecoveryKind::kRob;
+  const arch::ResilienceConfig* cfg = c.monitor_rob ? &monitor_rob : nullptr;
+  auto core = arch::make_core(c.core);
+  const auto golden = core->run(prog, cfg, nullptr, kBudget);
+  ASSERT_EQ(golden.status, isa::RunStatus::kHalted);
+
+  // Golden recording, as the campaign engine does it.
+  const std::uint64_t interval = std::max<std::uint64_t>(1, golden.cycles / 97);
+  auto traced = arch::make_traced_core(c.core);
+  traced->begin(prog, cfg, nullptr);
+  arch::FFLiveness live;
+  live.start(*traced);
+  std::vector<arch::CoreCheckpoint> cps(1);
+  traced->snapshot(&cps.back());
+  while (traced->step_to(traced->cycle() + interval, kBudget)) {
+    live.end_interval(*traced);
+    cps.emplace_back();
+    traced->snapshot(&cps.back());
+  }
+  live.end_interval(*traced);
+  live.finish();
+  ASSERT_EQ(live.boundaries(), cps.size());
+
+  core->begin(prog, cfg, nullptr);
+  const auto& structures = core->registry().structures();
+  std::size_t changed = 0;
+  for (std::uint64_t seed : {1u, 2u}) {
+    util::Rng rng(seed);
+    for (std::size_t b = 0; b < cps.size(); ++b) {
+      core->restore(cps[b], nullptr);
+      const auto view = core->state_view();
+      for (const auto& s : structures) {
+        if (live.live(b, s.slot)) continue;
+        const std::uint64_t mask =
+            s.width == 64 ? ~0ULL : (std::uint64_t{1} << s.width) - 1;
+        const std::uint64_t v = rng.next() & mask;
+        changed += v != view.ff[s.slot] ? 1 : 0;
+        view.ff[s.slot] = v;
+      }
+      // The masked compare ignores exactly what was scrambled.
+      EXPECT_TRUE(core->state_matches(cps[b], live.at(b)));
+      core->step_to(kBudget, kBudget);
+      const auto r = core->current_result();
+      ASSERT_EQ(r.status, golden.status) << "boundary " << b;
+      ASSERT_EQ(r.output, golden.output) << "boundary " << b;
+      ASSERT_EQ(r.cycles, golden.cycles) << "boundary " << b;
+      ASSERT_EQ(r.recoveries, golden.recoveries) << "boundary " << b;
+      ASSERT_EQ(r.instrs, golden.instrs) << "boundary " << b;
+    }
+  }
+  // Not vacuous: dead state exists at (almost) every boundary.
+  EXPECT_GT(changed, 2 * cps.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, DeadStateScramble,
+    ::testing::Values(ScrambleCase{"InO", "gcc", "base", false},
+                      ScrambleCase{"InO", "fft1d", "eddi", false},
+                      ScrambleCase{"OoO", "mcf", "base", false},
+                      ScrambleCase{"OoO", "gcc", "base", true}));
+
+TEST(FFLiveness, BackwardPassFollowsFirstAccess) {
+  // Unrecorded boundaries compare every slot.
+  arch::FFLiveness none;
+  EXPECT_EQ(none.at(0), nullptr);
+  // A real recording: some slots are dead somewhere, and nothing is
+  // live past the last boundary.
+  const auto prog = core::build_variant_program("mcf", core::Variant::base());
+  auto traced = arch::make_traced_core("InO");
+  traced->begin(prog, nullptr, nullptr);
+  arch::FFLiveness live;
+  live.start(*traced);
+  std::size_t intervals = 1;
+  while (traced->step_to(traced->cycle() + 200, kBudget)) {
+    live.end_interval(*traced);
+    ++intervals;
+  }
+  live.end_interval(*traced);
+  live.finish();
+  ASSERT_EQ(live.boundaries(), intervals);
+  EXPECT_EQ(live.at(intervals), nullptr);
+  const std::size_t slots = traced->registry().pool().size();
+  std::size_t dead = 0, live0 = 0;
+  for (std::size_t s = 0; s < slots; ++s) {
+    dead += live.live(intervals / 2, s) ? 0 : 1;
+    live0 += live.live(0, s) ? 1 : 0;
+  }
+  EXPECT_GT(dead, 0u);
+  EXPECT_GT(live0, 0u);
+  EXPECT_LT(live0, slots);
+  // An untraced core logs nothing, so recording from one is refused
+  // (every slot would read as dead).
+  auto plain = arch::make_core("InO");
+  plain->begin(prog, nullptr, nullptr);
+  arch::FFLiveness blind;
+  EXPECT_THROW(blind.start(*plain), std::logic_error);
+}
+
+}  // namespace

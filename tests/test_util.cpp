@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 #include <stdexcept>
 
 #include "util/env.h"
@@ -69,6 +71,22 @@ TEST(Fs, EnsureDirSurvivesCreationRaceFromThePool) {
     EXPECT_TRUE(std::filesystem::is_directory(dir));
   }
   std::filesystem::remove_all(".fs_race_test");
+}
+
+TEST(Fs, AtomicWriteReplacesFilesButWritesDevicesInPlace) {
+  const std::string path = "atomic_write_test.txt";
+  ASSERT_TRUE(clear::util::write_file_atomic(path, "old"));
+  ASSERT_TRUE(clear::util::write_file_atomic(path, "new"));
+  std::ifstream in(path);
+  std::string got((std::istreambuf_iterator<char>(in)),
+                  std::istreambuf_iterator<char>());
+  EXPECT_EQ(got, "new");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
+  // `--out /dev/null`, `--metrics-out /dev/stdout`: the node must survive.
+  EXPECT_TRUE(clear::util::write_file_atomic("/dev/null", "bytes"));
+  EXPECT_TRUE(std::filesystem::is_character_file("/dev/null"));
+  EXPECT_FALSE(std::filesystem::exists("/dev/null.tmp"));
 }
 
 TEST(Rng, DeterministicFromSeed) {
