@@ -427,18 +427,44 @@ const char* worker_state_name(WorkerState s) noexcept {
 
 namespace {
 
+// Shards outstanding per worker: one running, one queued in the worker's
+// engine behind it.  The worker starts the queued shard the moment the
+// running one ends, instead of idling while it uploads results and the
+// driver folds them and assigns the next shard.
+constexpr std::size_t kPipelineDepth = 2;
+
+// One dispatched shard.
+struct Outstanding {
+  std::size_t pos = 0;  // index into the shards vector
+  bool acked = false;
+  bool stealing = false;  // kSteal sent; shard already requeued
+  Clock::time_point assigned_at;
+};
+
 struct WorkerConn {
   serve::FrameConn conn;
   WorkerStatus status;
-  bool has_shard = false;   // a shard is dispatched (possibly unacked)
-  std::size_t shard_pos = 0;  // index into the shards vector
-  bool acked = false;
-  bool stealing = false;  // kSteal sent; shard already requeued
+  // Dispatched shards in dispatch order.  The worker answers in request
+  // order, so kProgress/kResult/kDone belong to the front entry; acks
+  // match by shard id.
+  std::deque<Outstanding> outstanding;
   Clock::time_point last_seen;
-  Clock::time_point assigned_at;
   Clock::time_point last_heartbeat{};  // epoch value = none received yet
-  // kResult payloads for the current shard, keyed by result index.
+  // kResult payloads for the front shard, keyed by result index.
   std::map<std::uint32_t, std::string> payloads;
+
+  [[nodiscard]] bool stealing() const {
+    return std::any_of(outstanding.begin(), outstanding.end(),
+                       [](const Outstanding& o) { return o.stealing; });
+  }
+  // Drops the front shard (completed, failed or revoked).
+  void pop_front() {
+    outstanding.pop_front();
+    payloads.clear();
+    if (outstanding.empty() && status.state != WorkerState::kDead) {
+      status.state = WorkerState::kIdle;
+    }
+  }
 };
 
 class Driver {
@@ -469,7 +495,8 @@ class Driver {
 
   void register_workers();
   void declare_dead(std::size_t w, const char* why);
-  void requeue(std::size_t w);
+  void requeue(std::size_t w, std::size_t n);
+  bool requeue_pos(std::size_t w, std::size_t at, std::size_t pos);
   void assign_idle();
   void check_deadlines(Clock::time_point now);
   void pump(std::size_t w);
@@ -554,81 +581,82 @@ std::size_t Driver::live_count() const {
 void Driver::declare_dead(std::size_t w, const char* why) {
   WorkerConn& wc = workers_[w];
   if (wc.status.state == WorkerState::kDead) return;
-  // Capture the in-flight shard before requeue() clears it: the death
-  // event names exactly the shard this worker took down with it.
+  // Capture the front shard before requeue() drops it: the death event
+  // names the shard this worker was running when it went down.
   const std::uint64_t inflight_shard =
-      wc.has_shard ? shards_[wc.shard_pos].id : 0;
+      wc.outstanding.empty() ? 0 : shards_[wc.outstanding.front().pos].id;
   wc.status.state = WorkerState::kDead;
   wc.conn.close();
   ++workers_lost_;
   metrics().workers_dead.add();
-  if (wc.has_shard) requeue(w);
+  requeue(w, wc.outstanding.size());
   emit(FleetEvent::Kind::kWorkerDead, w, inflight_shard, nullptr, why);
 }
 
-// Returns worker w's in-flight shard to the queue (unless it already got
-// there via a steal, or someone else completed it meanwhile).
-void Driver::requeue(std::size_t w) {
-  WorkerConn& wc = workers_[w];
-  if (!wc.has_shard) return;
-  const std::size_t pos = wc.shard_pos;
-  wc.has_shard = false;
-  wc.acked = false;
-  wc.payloads.clear();
-  if (wc.status.state != WorkerState::kDead) {
-    wc.status.state = WorkerState::kIdle;
-  }
-  if (wc.stealing) {
-    wc.stealing = false;
-    return;  // the steal already requeued it
-  }
-  if (completed_[pos]) return;
-  // Front of the queue: a redispatched shard is the oldest outstanding
-  // work, so the next idle worker takes it first.
-  queue_.push_front(pos);
+// Puts shard `pos`, taken from worker w, at queue index `at` (unless
+// someone else completed it meanwhile).  Returns whether it was queued.
+bool Driver::requeue_pos(std::size_t w, std::size_t at, std::size_t pos) {
+  if (completed_[pos]) return false;
+  queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(at), pos);
   ++redispatched_;
   metrics().redispatch.add();
   emit(FleetEvent::Kind::kRequeue, w, shards_[pos].id);
+  return true;
 }
 
+// Returns worker w's first n outstanding shards to the front of the
+// queue, in dispatch order: they are the oldest outstanding work, so the
+// next idle workers take them first.  Shards a steal already requeued
+// are only dropped.
+void Driver::requeue(std::size_t w, std::size_t n) {
+  WorkerConn& wc = workers_[w];
+  std::size_t at = 0;
+  for (; n > 0 && !wc.outstanding.empty(); --n) {
+    const Outstanding o = wc.outstanding.front();
+    wc.pop_front();
+    if (!o.stealing && requeue_pos(w, at, o.pos)) ++at;
+  }
+}
+
+// Tops every live worker up to kPipelineDepth shards, level by level:
+// first one shard each, then a second, so a fleet with no more shards
+// than workers still puts one on every worker.
 void Driver::assign_idle() {
-  for (std::size_t w = 0; w < workers_.size() && !queue_.empty(); ++w) {
-    WorkerConn& wc = workers_[w];
-    if (wc.status.state != WorkerState::kIdle || wc.has_shard) continue;
-    // Pull the next uncompleted shard (completed entries are stale
-    // requeue copies -- their first execution won).
-    std::size_t pos = 0;
-    bool found = false;
-    while (!queue_.empty()) {
-      pos = queue_.front();
-      queue_.pop_front();
-      if (!completed_[pos]) {
-        found = true;
-        break;
+  for (std::size_t level = 1; level <= kPipelineDepth; ++level) {
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      WorkerConn& wc = workers_[w];
+      // A worker with a steal in limbo gets no new work until the steal
+      // resolves.
+      if (wc.status.state == WorkerState::kDead ||
+          wc.outstanding.size() >= level || wc.stealing()) {
+        continue;
       }
+      // Pull the next uncompleted shard (completed entries are stale
+      // requeue copies -- their first execution won).
+      while (!queue_.empty() && completed_[queue_.front()]) queue_.pop_front();
+      if (queue_.empty()) return;
+      const std::size_t pos = queue_.front();
+      queue_.pop_front();
+      serve::ShardAssign assign;
+      assign.shard_id = shards_[pos].id;
+      assign.kind = shards_[pos].kind;
+      assign.priority = opts_.priority;
+      assign.text = shards_[pos].text;
+      if (!wc.conn.send(serve::FrameType::kShardAssign,
+                        serve::encode_shard_assign(assign),
+                        serve::kSendTimeoutMs)) {
+        queue_.push_front(pos);
+        declare_dead(w, "send failed");
+        continue;
+      }
+      Outstanding o;
+      o.pos = pos;
+      o.assigned_at = Clock::now();
+      wc.outstanding.push_back(o);
+      wc.status.state = WorkerState::kBusy;
+      metrics().dispatch.add();
+      emit(FleetEvent::Kind::kAssign, w, shards_[pos].id);
     }
-    if (!found) break;
-    serve::ShardAssign assign;
-    assign.shard_id = shards_[pos].id;
-    assign.kind = shards_[pos].kind;
-    assign.priority = opts_.priority;
-    assign.text = shards_[pos].text;
-    if (!wc.conn.send(serve::FrameType::kShardAssign,
-                      serve::encode_shard_assign(assign),
-                      serve::kSendTimeoutMs)) {
-      queue_.push_front(pos);
-      declare_dead(w, "send failed");
-      continue;
-    }
-    wc.has_shard = true;
-    wc.shard_pos = pos;
-    wc.acked = false;
-    wc.stealing = false;
-    wc.payloads.clear();
-    wc.assigned_at = Clock::now();
-    wc.status.state = WorkerState::kBusy;
-    metrics().dispatch.add();
-    emit(FleetEvent::Kind::kAssign, w, shards_[pos].id);
   }
 }
 
@@ -640,33 +668,31 @@ void Driver::check_deadlines(Clock::time_point now) {
       declare_dead(w, "heartbeat deadline");
       continue;
     }
-    if (wc.has_shard && !wc.acked && !wc.stealing &&
-        ms_since(wc.assigned_at, now) > opts_.ack_timeout_ms) {
-      // Unacked for too long: revoke and hand the shard to someone else.
-      // The worker stays registered (frames still count against the dead
-      // deadline) but gets no new work until the steal resolves.
-      const std::size_t pos = wc.shard_pos;
-      if (!wc.conn.send(serve::FrameType::kSteal,
-                        serve::encode_steal(shards_[pos].id),
-                        serve::kSendTimeoutMs)) {
-        declare_dead(w, "send failed");
+    // Unacked for too long: revoke and hand the shard to someone else.
+    // The worker stays registered (frames still count against the dead
+    // deadline) but gets no new work until the steal resolves.
+    std::size_t at = 0;
+    for (Outstanding& o : wc.outstanding) {
+      if (o.acked || o.stealing ||
+          ms_since(o.assigned_at, now) <= opts_.ack_timeout_ms) {
         continue;
       }
-      wc.stealing = true;
-      metrics().steals.add();
-      if (!completed_[pos]) {
-        queue_.push_front(pos);
-        ++redispatched_;
-        metrics().redispatch.add();
-        emit(FleetEvent::Kind::kRequeue, w, shards_[pos].id);
+      if (!wc.conn.send(serve::FrameType::kSteal,
+                        serve::encode_steal(shards_[o.pos].id),
+                        serve::kSendTimeoutMs)) {
+        declare_dead(w, "send failed");
+        break;
       }
+      o.stealing = true;
+      metrics().steals.add();
+      if (requeue_pos(w, at, o.pos)) ++at;
     }
   }
 }
 
 void Driver::complete_shard(std::size_t w) {
   WorkerConn& wc = workers_[w];
-  const std::size_t pos = wc.shard_pos;
+  const std::size_t pos = wc.outstanding.front().pos;
   if (!completed_[pos]) {
     completed_[pos] = true;
     ++completed_count_;
@@ -686,11 +712,7 @@ void Driver::complete_shard(std::size_t w) {
   // Duplicate completion (the shard was stolen and re-dispatched, then
   // the original worker finished anyway): drop the payloads -- they are
   // bit-identical to the delivered ones by construction.
-  wc.has_shard = false;
-  wc.acked = false;
-  wc.stealing = false;
-  wc.payloads.clear();
-  wc.status.state = WorkerState::kIdle;
+  wc.pop_front();
 }
 
 void Driver::handle_frame(std::size_t w, const serve::Frame& frame) {
@@ -722,29 +744,35 @@ void Driver::handle_frame(std::size_t w, const serve::Frame& frame) {
         declare_dead(w, "bad ack");
         return;
       }
-      if (!wc.has_shard || ack.shard_id != shards_[wc.shard_pos].id) return;
+      const auto it = std::find_if(
+          wc.outstanding.begin(), wc.outstanding.end(),
+          [&](const Outstanding& o) {
+            return shards_[o.pos].id == ack.shard_id;
+          });
       switch (ack.status) {
         case serve::ShardAckStatus::kAccepted:
-          wc.acked = true;
+          if (it == wc.outstanding.end()) return;
+          it->acked = true;
           metrics().acks.add();
-          metrics().ack_rtt.record(ns_since(wc.assigned_at, Clock::now()));
+          metrics().ack_rtt.record(ns_since(it->assigned_at, Clock::now()));
           emit(FleetEvent::Kind::kAck, w, ack.shard_id);
           break;
         case serve::ShardAckStatus::kRevoked:
           // Steal honoured: the worker dropped the shard (no kDone will
           // come) and is ready for new work.  The shard is already back
-          // in the queue.
-          wc.has_shard = false;
-          wc.acked = false;
-          wc.stealing = false;
-          wc.payloads.clear();
-          wc.status.state = WorkerState::kIdle;
+          // in the queue.  The worker sends nothing for a revoked shard,
+          // so no frame of the shards behind it can precede this ack.
+          if (it == wc.outstanding.end()) return;
+          if (it == wc.outstanding.begin()) {
+            wc.pop_front();
+          } else {
+            wc.outstanding.erase(it);
+          }
           break;
         case serve::ShardAckStatus::kUnknown:
           // The worker finished the shard before the steal arrived; its
           // kDone is ahead of this ack in the stream and already ran
-          // complete_shard.  Nothing to do beyond clearing the limbo.
-          wc.stealing = false;
+          // complete_shard, which dropped the entry.
           break;
         default:
           // An ack status this driver doesn't know: the worker speaks a
@@ -756,8 +784,10 @@ void Driver::handle_frame(std::size_t w, const serve::Frame& frame) {
     }
     case serve::FrameType::kProgress: {
       engine::JobProgress p;
-      if (serve::decode_progress(frame.payload, &p) && wc.has_shard) {
-        emit(FleetEvent::Kind::kProgress, w, shards_[wc.shard_pos].id, &p);
+      if (serve::decode_progress(frame.payload, &p) &&
+          !wc.outstanding.empty()) {
+        emit(FleetEvent::Kind::kProgress, w,
+             shards_[wc.outstanding.front().pos].id, &p);
       }
       break;
     }
@@ -768,16 +798,17 @@ void Driver::handle_frame(std::size_t w, const serve::Frame& frame) {
         declare_dead(w, "bad result");
         return;
       }
-      if (wc.has_shard) wc.payloads[index] = std::move(bytes);
+      if (!wc.outstanding.empty()) wc.payloads[index] = std::move(bytes);
       break;
     }
     case serve::FrameType::kDone: {
       serve::Done done;
-      if (!serve::decode_done(frame.payload, &done) || !wc.has_shard) {
+      if (!serve::decode_done(frame.payload, &done) ||
+          wc.outstanding.empty()) {
         declare_dead(w, "bad done");
         return;
       }
-      const std::size_t pos = wc.shard_pos;
+      const std::size_t pos = wc.outstanding.front().pos;
       switch (done.outcome) {
         case serve::JobOutcome::kOk:
           complete_shard(w);
@@ -795,11 +826,11 @@ void Driver::handle_frame(std::size_t w, const serve::Frame& frame) {
                 " failed " + std::to_string(attempts_[pos]) +
                 " times, last on " + wc.status.name + ": " + done.message);
           }
-          requeue(w);
+          requeue(w, 1);
           break;
         case serve::JobOutcome::kCancelled:
           // The worker is shutting down; its dead deadline will follow.
-          requeue(w);
+          requeue(w, 1);
           break;
         default:
           // An outcome this driver doesn't know: the worker speaks a newer

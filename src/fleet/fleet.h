@@ -9,18 +9,20 @@
 // combo-space slices -- across the registry:
 //
 //   * pull dispatch / work-stealing: shards live in one shared queue;
-//     whenever a worker goes idle it pulls the next shard, so fast
+//     every worker holds up to two -- one running, one queued behind it
+//     in the worker's engine, so it starts the next shard the moment the
+//     previous one ends -- and pulls again as each completes, so fast
 //     workers naturally absorb more of the queue than slow ones;
 //   * ack deadlines: a dispatched shard the worker does not acknowledge
 //     in time is revoked with a kSteal frame and re-queued for the next
 //     idle worker;
 //   * dead-worker redispatch: a worker that stops sending frames
 //     (heartbeats included) past the deadline -- or whose connection
-//     drops -- is declared dead and its in-flight shard returns to the
-//     queue.  Re-execution is always safe: a shard's result derives from
-//     the global sample/combo index alone, so whichever worker completes
-//     it produces bit-identical bytes, and duplicate completions are
-//     de-duplicated by shard id;
+//     drops -- is declared dead and its outstanding shards return to the
+//     front of the queue.  Re-execution is always safe: a shard's result
+//     derives from the global sample/combo index alone, so whichever
+//     worker completes it produces bit-identical bytes, and duplicate
+//     completions are de-duplicated by shard id;
 //   * live re-merge: each completed shard's payloads are handed once to a
 //     callback and not kept, so `clear fleet` folds every arrival into
 //     one running merge_shard_files / merge_ledger_files output that is
@@ -162,16 +164,17 @@ struct FleetEvent {
   enum class Kind : std::uint8_t {
     kWorkerUp = 0,    // hello received, worker registered
     kWorkerDead = 1,  // heartbeat deadline passed or connection dropped
-    kAssign = 2,      // shard dispatched to the worker
+    kAssign = 2,      // shard dispatched to the worker (it may still be
+                      // running its previous shard)
     kAck = 3,         // worker acknowledged the shard
-    kProgress = 4,    // progress frame for the worker's current shard
+    kProgress = 4,    // progress frame for the worker's running shard
     kShardDone = 5,   // shard completed (first completion only)
     kRequeue = 6,     // shard returned to the queue (steal or death)
   };
   Kind kind = Kind::kWorkerUp;
   std::size_t worker = 0;
   std::string worker_name;
-  std::uint64_t shard_id = 0;  // kWorkerDead: the in-flight shard (0 = none)
+  std::uint64_t shard_id = 0;  // kWorkerDead: the running shard (0 = none)
   std::string detail;          // kWorkerDead: why the driver declared it
   engine::JobProgress progress;  // kProgress only
 };

@@ -339,45 +339,50 @@ struct CampaignJob {
 
 // ---- adaptive snapshot placement -------------------------------------------
 //
-// Approximate cost of taking one golden snapshot, in simulated-cycle
-// equivalents.  With the COW arena a snapshot is a few bounded memcpys plus
-// per-segment compares; this constant only steers the snapshot-count /
-// replay-prefix trade-off, it does not affect results.
-constexpr std::uint64_t kSnapEquivCycles = 3000;
+// Cost of taking one golden snapshot, in simulated-cycle equivalents.
+// Measured on a 4-CPU x86 host: a capture costs 6.9 us on InO gcc and
+// 10.8 us on OoO mcf (mean of campaign.snapshot.capture, 120,000-sample
+// campaigns, seed 1), and the cores step 16.3M InO / 2.6M OoO cycles per
+// second (perfbench probe) -- about 110 InO or 28 OoO cycles.  The InO
+// figure, rounded, is kept: it errs towards coarser placement.  This
+// constant only steers the snapshot-count / replay trade-off, it does
+// not affect results.
+constexpr std::uint64_t kSnapEquivCycles = 100;
 
 // Snapshot interval for one campaign.  Every faulty sample's injection
 // cycle derives from its global index alone (see simulate_sample), so the
 // shard's fork-origin distribution is known *before* any faulty run
-// starts: pick the interval minimizing snapshot cost + golden-prefix
-// replay cost over that distribution.  ~1/96 of the run is the first
-// candidate, and the answer when every strike is suppressed.  The choice
-// only moves work around -- per-sample injections and outcomes are
-// interval-independent, so results stay bit-identical at any placement.
+// starts.  A forked sample at cycle c replays c mod I golden cycles up to
+// the injection and, since most faulty runs converge at the first
+// boundary after it, another I - c mod I up to that compare: about I
+// cycles per sample whatever c is.  So the cost of interval I over the n
+// non-suppressed local samples is snapshots(I) * kSnapEquivCycles + n * I.
+// ~1/96 of the run is the first candidate, and the answer when every
+// strike is suppressed.  The choice only moves work around -- per-sample
+// injections and outcomes are interval-independent, so results stay
+// bit-identical at any placement.
 std::uint64_t pick_interval(const CampaignJob& job,
                             std::uint64_t nominal_cycles) {
   const CampaignSpec& spec = *job.spec;
   const std::uint64_t first = std::max<std::uint64_t>(64, nominal_cycles / 96);
   // Replay the per-sample RNG draws (identical order to run_faulty_sample)
-  // to collect the non-suppressed injection cycles this shard will fork at.
-  std::vector<std::uint64_t> cycles;
-  cycles.reserve(job.local_count);
+  // to count the non-suppressed strikes this shard will fork for.
+  std::uint64_t forks = 0;
   for (std::size_t l = 0; l < job.local_count; ++l) {
     const std::size_t g = l * spec.shard_count + spec.shard_index;
     util::Rng rng(util::hash_combine(spec.seed, g));
     const auto ff = static_cast<std::uint32_t>(g % job.ff_count);
-    const std::uint64_t cycle = 1 + rng.below(nominal_cycles - 1);
+    (void)rng.below(nominal_cycles - 1);  // the injection cycle draw
     const arch::FFProt p =
         spec.cfg != nullptr ? spec.cfg->prot_of(ff) : arch::FFProt::kNone;
-    if (rng.bernoulli(ser_ratio(p))) cycles.push_back(cycle);
+    if (rng.bernoulli(ser_ratio(p))) ++forks;
   }
-  if (cycles.empty()) return first;  // all strikes suppressed: no forks
-  // A sample at cycle c re-simulates c % I golden cycles after forking;
-  // the golden pass takes ~nominal/I snapshots.  Scan geometric candidate
-  // counts (the cost curve is smooth, halving resolution is plenty).
+  if (forks == 0) return first;  // all strikes suppressed: no forks
+  // The golden pass takes ~nominal/I + 1 snapshots.  Scan geometric
+  // candidate counts (the cost curve is smooth, halving resolution is
+  // plenty).
   const auto cost_of = [&](std::uint64_t iv) {
-    std::uint64_t c = (nominal_cycles / iv + 1) * kSnapEquivCycles;
-    for (const std::uint64_t cyc : cycles) c += cyc % iv;
-    return c;
+    return (nominal_cycles / iv + 1) * kSnapEquivCycles + forks * iv;
   };
   std::uint64_t best_interval = first;
   std::uint64_t best_cost = cost_of(first);

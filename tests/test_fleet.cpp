@@ -3,10 +3,12 @@
 // and @N fan-out expansion, shard builders (campaign manifest sharding,
 // explore stanza round-trip, forbidden-flag refusal, duplicate shard
 // ids), worker-side explore execution + cancellation, the worker's
-// connection handler driven in-process over a socketpair, and the
-// multi-process end-to-ends of the acceptance criteria: a worker
-// SIGKILLed mid-shard whose shards are redispatched and whose merged
-// bytes still equal the single-machine merge, `clear fleet run`'s running
+// connection handler driven in-process over a socketpair (including a
+// steal of the queued second shard), and the multi-process end-to-ends of
+// the acceptance criteria: a worker SIGKILLed mid-shard -- also while
+// holding two shards -- whose shards are redispatched and whose merged
+// bytes still equal the single-machine merge, the level-by-level
+// two-deep dispatch order, `clear fleet run`'s running
 // merge against `clear merge` of the same partition, `clear serve
 // --workers N` fan-out driven as a fleet, two concurrent submitters
 // against one daemon, the submit hello deadline against a silent server,
@@ -19,6 +21,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -242,6 +245,95 @@ TEST(FleetWorker, ConnectionHandlerAnswersOverASocketpair) {
   EXPECT_TRUE(shutdown);
 }
 
+// A pipelining driver keeps a second shard queued behind the running one.
+// Stealing the queued shard revokes it (no kDone will ever come for it)
+// while the front shard still delivers its kResult and kDone.
+TEST(FleetWorker, StealingTheQueuedShardLeavesTheFrontRunning) {
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  fleet::WorkerOptions opts;
+  opts.hello = fleet::worker_hello("in-process");
+  opts.quiet = true;
+  opts.heartbeat_ms = 0;  // only the frames this test asks for
+  fleet::Worker worker(opts);
+  std::thread handler([&worker, fd = fds[0]] {
+    (void)worker.handle_connection(serve::FrameConn(util::Socket(fd)));
+  });
+  serve::FrameConn client{util::Socket(fds[1])};
+  using Recv = serve::FrameConn::Recv;
+
+  const auto converse = [&] {
+    serve::Frame frame;
+    ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
+    ASSERT_EQ(frame.type, serve::FrameType::kHello);
+
+    // Two cache-cold shards back to back: the engine runs them in
+    // submission order, so shard 2 waits behind shard 1.
+    for (std::uint64_t id : {1u, 2u}) {
+      serve::ShardAssign assign;
+      assign.shard_id = id;
+      assign.text = "--core InO --bench mcf --injections 2000 --seed 43 "
+                    "--no-cache --shard " + std::to_string(id - 1) + "/2";
+      ASSERT_TRUE(client.send(serve::FrameType::kShardAssign,
+                              serve::encode_shard_assign(assign)));
+    }
+    for (std::uint64_t id : {1u, 2u}) {
+      ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
+      ASSERT_EQ(frame.type, serve::FrameType::kShardAck);
+      serve::ShardAck ack;
+      ASSERT_TRUE(serve::decode_shard_ack(frame.payload, &ack));
+      EXPECT_EQ(ack.shard_id, id);
+      EXPECT_EQ(ack.status, serve::ShardAckStatus::kAccepted);
+    }
+    ASSERT_TRUE(client.send(serve::FrameType::kSteal, serve::encode_steal(2)));
+
+    // Progress of the front may interleave; the revocation, the front's
+    // result and its done must all arrive.
+    bool revoked = false;
+    std::size_t results = 0;
+    std::size_t dones = 0;
+    while (dones == 0 || !revoked) {
+      ASSERT_EQ(client.recv(&frame, 30000), Recv::kFrame);
+      if (frame.type == serve::FrameType::kShardAck) {
+        serve::ShardAck ack;
+        ASSERT_TRUE(serve::decode_shard_ack(frame.payload, &ack));
+        EXPECT_EQ(ack.shard_id, 2u);
+        EXPECT_EQ(ack.status, serve::ShardAckStatus::kRevoked);
+        revoked = true;
+      } else if (frame.type == serve::FrameType::kResult) {
+        std::uint32_t index = 99;
+        std::string bytes;
+        ASSERT_TRUE(serve::decode_result(frame.payload, &index, &bytes));
+        EXPECT_EQ(index, 0u);
+        inject::ShardFile shard;
+        EXPECT_EQ(inject::decode_shard(bytes, &shard), inject::WireStatus::kOk);
+        ++results;
+      } else if (frame.type == serve::FrameType::kDone) {
+        serve::Done done;
+        ASSERT_TRUE(serve::decode_done(frame.payload, &done));
+        EXPECT_EQ(done.outcome, serve::JobOutcome::kOk);
+        ++dones;
+      } else {
+        ASSERT_EQ(frame.type, serve::FrameType::kProgress);
+      }
+    }
+    EXPECT_EQ(results, 1u);
+    EXPECT_EQ(dones, 1u);
+
+    // The revoked shard retires silently: nothing but progress of the
+    // front remains before the handler closes on kShutdown.
+    ASSERT_TRUE(client.send(serve::FrameType::kShutdown, ""));
+    Recv got;
+    while ((got = client.recv(&frame, 30000)) == Recv::kFrame) {
+      EXPECT_EQ(frame.type, serve::FrameType::kProgress);
+    }
+    EXPECT_EQ(got, Recv::kClosed);
+  };
+  converse();
+  client.close();  // releases the handler if the conversation failed early
+  handler.join();
+}
+
 // ---- endpoint grammar ------------------------------------------------------
 
 TEST(FleetEndpoints, ParseAndFanOutExpansion) {
@@ -394,46 +486,47 @@ TEST(FleetShards, DuplicateShardIdsAreRefusedBeforeConnecting) {
 
 // ---- fleet end-to-ends -----------------------------------------------------
 
-// The acceptance criterion: SIGKILL one of two workers while its shard is
-// in flight.  The driver must declare it dead, redispatch its shard to
-// the survivor, and the merged result must be byte-identical to the
-// single-machine merge of the same shard partition.
-TEST(FleetE2E, DeadWorkerRedispatchKeepsMergeBitIdentical) {
-  const pid_t pid0 = spawn_serve({"--socket", kDir + "/w0.sock", "--quiet"});
+// SIGKILLs worker 0 of two at its `kill_at_ack`-th shard acknowledgement.
+// The driver must declare it dead and redispatch at least
+// `min_redispatched` shards to the survivor, and the merged result must
+// be byte-identical to the single-machine merge of the same K=4 shard
+// partition.  `tag` keeps the sockets and files of each caller apart.
+void expect_merge_survives_worker_kill(const std::string& tag,
+                                       const std::string& stanza,
+                                       int kill_at_ack,
+                                       std::size_t min_redispatched) {
+  const std::string base = kDir + "/" + tag;
+  const pid_t pid0 = spawn_serve({"--socket", base + "0.sock", "--quiet"});
   ASSERT_GT(pid0, 0);
-  const pid_t pid1 = spawn_serve({"--socket", kDir + "/w1.sock", "--quiet"});
+  const pid_t pid1 = spawn_serve({"--socket", base + "1.sock", "--quiet"});
   ASSERT_GT(pid1, 0);
 
   std::vector<fleet::Endpoint> workers(2);
   std::string err;
-  ASSERT_TRUE(fleet::parse_endpoint(kDir + "/w0.sock", &workers[0], &err));
-  ASSERT_TRUE(fleet::parse_endpoint(kDir + "/w1.sock", &workers[1], &err));
+  ASSERT_TRUE(fleet::parse_endpoint(base + "0.sock", &workers[0], &err));
+  ASSERT_TRUE(fleet::parse_endpoint(base + "1.sock", &workers[1], &err));
 
-  // Seed 11 is unique to this test: the shards are cache-cold, so worker
-  // 0 is genuinely mid-simulation when the SIGKILL lands.
   std::vector<fleet::ShardWork> shards;
-  ASSERT_TRUE(fleet::build_campaign_shards(
-      "--core InO --bench mcf --injections 240 --seed 11\n", 4, &shards,
-      &err))
+  ASSERT_TRUE(fleet::build_campaign_shards(stanza + "\n", 4, &shards, &err))
       << err;
 
   fleet::FleetOptions opts;
   opts.shutdown_workers = true;
-  bool killed = false;
+  int worker0_acks = 0;
   std::vector<fleet::ShardResult> results;
   const auto report = fleet::run_fleet(
       workers, shards, opts,
       [&](const fleet::FleetEvent& e) {
         if (e.kind == fleet::FleetEvent::Kind::kAck && e.worker == 0 &&
-            !killed) {
+            ++worker0_acks == kill_at_ack) {
           ::kill(pid0, SIGKILL);
-          killed = true;
         }
       },
       [&](const fleet::ShardResult& res) { results.push_back(res); });
-  EXPECT_TRUE(killed);
+  // Acks already buffered when the kill lands are still read.
+  EXPECT_GE(worker0_acks, kill_at_ack);
   EXPECT_EQ(report.workers_lost, 1u);
-  EXPECT_GE(report.redispatched, 1u);
+  EXPECT_GE(report.redispatched, min_redispatched);
   EXPECT_EQ(report.workers[0].state, fleet::WorkerState::kDead);
   // Exactly one delivery per shard, however often it was dispatched.
   ASSERT_EQ(results.size(), 4u);
@@ -448,25 +541,104 @@ TEST(FleetE2E, DeadWorkerRedispatchKeepsMergeBitIdentical) {
   }
   const inject::ShardFile merged = inject::merge_shard_files(got);
   EXPECT_TRUE(merged.complete());
-  inject::write_shard_file(kDir + "/fleet_merged.csr", merged);
+  inject::write_shard_file(base + "_fleet_merged.csr", merged);
 
   // Single-machine reference through the very same CLI resolution.
-  std::string merge_cmd = kBin + " merge --out " + kDir + "/ref_merged.csr";
+  std::string merge_cmd = kBin + " merge --out " + base + "_ref_merged.csr";
   for (int k = 0; k < 4; ++k) {
-    const std::string ref = kDir + "/ref" + std::to_string(k) + ".csr";
-    ASSERT_EQ(sh(kBin + " run --core InO --bench mcf --injections 240" +
-                 " --seed 11 --shard " + std::to_string(k) + "/4 --out " +
-                 ref),
+    const std::string ref = base + "_ref" + std::to_string(k) + ".csr";
+    ASSERT_EQ(sh(kBin + " run " + stanza + " --shard " + std::to_string(k) +
+                 "/4 --out " + ref),
               0);
     merge_cmd += " " + ref;
   }
   ASSERT_EQ(sh(merge_cmd), 0);
-  const std::string fleet_bytes = slurp(kDir + "/fleet_merged.csr");
+  const std::string fleet_bytes = slurp(base + "_fleet_merged.csr");
   ASSERT_FALSE(fleet_bytes.empty());
-  EXPECT_EQ(fleet_bytes, slurp(kDir + "/ref_merged.csr"));
+  EXPECT_EQ(fleet_bytes, slurp(base + "_ref_merged.csr"));
 
   reap(pid0);  // SIGKILLed above
   EXPECT_EQ(reap(pid1), 0);  // shutdown_workers drained it cleanly
+}
+
+// The acceptance criterion: SIGKILL one of two workers while its shard is
+// in flight.  Seed 11 is unique to this test: the shards are cache-cold
+// on a first run, so worker 0 is genuinely mid-simulation when the
+// SIGKILL lands.
+TEST(FleetE2E, DeadWorkerRedispatchKeepsMergeBitIdentical) {
+  expect_merge_survives_worker_kill(
+      "w", "--core InO --bench mcf --injections 240 --seed 11", 1, 1);
+}
+
+// The same with two shards outstanding per worker: worker 0 dies holding
+// both its running and its queued shard, and both go back to the
+// survivor.  --no-cache: every shard really simulates, whatever earlier
+// runs cached, and is big enough that worker 0's first one is still
+// running at its second ack.
+TEST(FleetE2E, DeadWorkerWithTwoOutstandingShardsRequeuesBoth) {
+  expect_merge_survives_worker_kill(
+      "q", "--core InO --bench mcf --injections 4000 --seed 37 --no-cache",
+      2, 2);
+}
+
+// Dispatch keeps two shards outstanding per worker, filled level by
+// level: every worker gets one before any gets a second, all before the
+// first completion; a single shard still goes out exactly once.
+TEST(FleetE2E, DispatchFillsTwoShardsPerWorkerLevelByLevel) {
+  const pid_t pid0 = spawn_serve({"--socket", kDir + "/p0.sock", "--quiet"});
+  ASSERT_GT(pid0, 0);
+  const pid_t pid1 = spawn_serve({"--socket", kDir + "/p1.sock", "--quiet"});
+  ASSERT_GT(pid1, 0);
+  std::vector<fleet::Endpoint> workers(2);
+  std::string err;
+  ASSERT_TRUE(fleet::parse_endpoint(kDir + "/p0.sock", &workers[0], &err));
+  ASSERT_TRUE(fleet::parse_endpoint(kDir + "/p1.sock", &workers[1], &err));
+
+  struct Seen {
+    fleet::FleetEvent::Kind kind;
+    std::size_t worker;
+  };
+  const auto run = [&](std::uint32_t k, bool shutdown) {
+    std::vector<fleet::ShardWork> shards;
+    EXPECT_TRUE(fleet::build_campaign_shards(
+        "--core InO --bench gcc --injections 400 --seed 47\n", k, &shards,
+        &err))
+        << err;
+    fleet::FleetOptions opts;
+    opts.shutdown_workers = shutdown;
+    std::vector<Seen> seen;
+    std::size_t done = 0;
+    const auto report = fleet::run_fleet(
+        workers, shards, opts,
+        [&](const fleet::FleetEvent& e) {
+          if (e.kind == fleet::FleetEvent::Kind::kAssign ||
+              e.kind == fleet::FleetEvent::Kind::kShardDone) {
+            seen.push_back({e.kind, e.worker});
+          }
+        },
+        [&](const fleet::ShardResult&) { ++done; });
+    EXPECT_EQ(done, k);
+    EXPECT_EQ(report.redispatched, 0u);
+    return seen;
+  };
+
+  const std::vector<Seen> eight = run(8, false);
+  ASSERT_GE(eight.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(eight[i].kind, fleet::FleetEvent::Kind::kAssign) << i;
+    EXPECT_EQ(eight[i].worker, i % 2) << i;
+  }
+  const auto assigns = [](const std::vector<Seen>& seen) {
+    return std::count_if(seen.begin(), seen.end(), [](const Seen& s) {
+      return s.kind == fleet::FleetEvent::Kind::kAssign;
+    });
+  };
+  EXPECT_EQ(assigns(eight), 8);
+
+  const std::vector<Seen> one = run(1, true);
+  EXPECT_EQ(assigns(one), 1);
+  EXPECT_EQ(reap(pid0), 0);
+  EXPECT_EQ(reap(pid1), 0);
 }
 
 // `clear fleet run --metrics-out` must account for every sample the

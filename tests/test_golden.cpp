@@ -1,10 +1,14 @@
 // Golden byte fixtures (tests/data/golden/): committed `.csr` v1/v2,
-// `.cxl` v1/v2 and CPK1 pack bytes.  Refactors of the campaign engine,
-// the wire codecs or the cache pack must reproduce them exactly:
+// `.cxl` v1/v2, CPK1 pack and CSV1 frame bytes.  Refactors of the
+// campaign engine, the wire codecs, the cache pack or the fleet protocol
+// must reproduce them exactly:
 //   * re-running each producer (the `clear` CLI) writes the fixture bytes,
 //   * decoding a fixture and re-encoding it is the identity,
 //   * a pack written with a fixed (fingerprint, key, payload) is the
-//     CPK1 fixture, and opening the fixture serves that payload back.
+//     CPK1 fixture, and opening the fixture serves that payload back,
+//   * the fleet frames (shard assign, shard ack, result, done and a v2
+//     heartbeat with its CMS1 tail) encoded from fixed values are the
+//     CSV1 fixture, and decoding the fixture gives those values back.
 //
 // The producers below are the exact commands the fixtures were made with;
 // CLEAR_CACHE_DIR is empty so every campaign really simulates.
@@ -18,9 +22,11 @@
 #include <iterator>
 #include <string>
 
+#include "engine/protocol.h"
 #include "explore/ledger.h"
 #include "inject/cachepack.h"
 #include "inject/wire.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -148,6 +154,108 @@ TEST(GoldenFixtures, CachePackRecordMatchesCpk1Fixture) {
   EXPECT_EQ(payload, kPackPayload);
   EXPECT_EQ(pack.stats().records, 1u);
   EXPECT_EQ(pack.stats().quarantined, 0u);
+}
+
+// ---- CSV1 fleet frames ------------------------------------------------------
+
+constexpr std::uint64_t kFrameShardId = 0x0123456789ABCDEFULL;
+const char* const kFrameShardText =
+    "--core InO --bench gcc --injections 120000 --seed 1 --shard 5/128";
+const char* const kFrameResult = "CSR1 stand-in payload bytes";
+const char* const kFrameDoneMessage = "shard failed on purpose";
+
+obs::Snapshot frame_snapshot() {
+  obs::Snapshot s;
+  s.counters.push_back({"campaign.samples", 1876});
+  s.gauges.push_back({"engine.queue.depth", 1, 2});
+  obs::HistogramRow h;
+  h.name = "fleet.ack.rtt";
+  h.unit = "ns";
+  h.count = 3;
+  h.sum = 3000;
+  h.buckets[10] = 3;
+  s.histograms.push_back(h);
+  return s;
+}
+
+// The five frames a fleet driver and worker exchange per shard, encoded
+// from the fixed values above, as one stream.
+std::string csv1_stream() {
+  serve::ShardAssign assign;
+  assign.shard_id = kFrameShardId;
+  assign.kind = serve::ShardKind::kCampaign;
+  assign.priority = engine::JobPriority::kBulk;
+  assign.text = kFrameShardText;
+  serve::ShardAck ack;
+  ack.shard_id = kFrameShardId;
+  ack.status = serve::ShardAckStatus::kAccepted;
+  serve::Done done;
+  done.outcome = serve::JobOutcome::kFailed;
+  done.message = kFrameDoneMessage;
+  return serve::encode_frame(serve::FrameType::kShardAssign,
+                             serve::encode_shard_assign(assign)) +
+         serve::encode_frame(serve::FrameType::kShardAck,
+                             serve::encode_shard_ack(ack)) +
+         serve::encode_frame(serve::FrameType::kResult,
+                             serve::encode_result(1, kFrameResult)) +
+         serve::encode_frame(serve::FrameType::kDone,
+                             serve::encode_done(done)) +
+         serve::encode_frame(
+             serve::FrameType::kHeartbeat,
+             serve::encode_heartbeat(
+                 2, obs::encode_snapshot(frame_snapshot())));
+}
+
+TEST(GoldenFixtures, Csv1FleetFramesMatchFixture) {
+  const std::string want = read_file(kGolden + "csv1_frames.bin");
+  ASSERT_FALSE(want.empty());
+  EXPECT_TRUE(csv1_stream() == want);
+
+  // The fixture decodes frame by frame back to the fixed values.
+  std::string buf = want;
+  serve::Frame f;
+  ASSERT_EQ(serve::decode_frame(&buf, &f), serve::FrameStatus::kOk);
+  ASSERT_EQ(f.type, serve::FrameType::kShardAssign);
+  serve::ShardAssign assign;
+  ASSERT_TRUE(serve::decode_shard_assign(f.payload, &assign));
+  EXPECT_EQ(assign.shard_id, kFrameShardId);
+  EXPECT_EQ(assign.kind, serve::ShardKind::kCampaign);
+  EXPECT_EQ(assign.priority, engine::JobPriority::kBulk);
+  EXPECT_EQ(assign.text, kFrameShardText);
+
+  ASSERT_EQ(serve::decode_frame(&buf, &f), serve::FrameStatus::kOk);
+  ASSERT_EQ(f.type, serve::FrameType::kShardAck);
+  serve::ShardAck ack;
+  ASSERT_TRUE(serve::decode_shard_ack(f.payload, &ack));
+  EXPECT_EQ(ack.shard_id, kFrameShardId);
+  EXPECT_EQ(ack.status, serve::ShardAckStatus::kAccepted);
+
+  ASSERT_EQ(serve::decode_frame(&buf, &f), serve::FrameStatus::kOk);
+  ASSERT_EQ(f.type, serve::FrameType::kResult);
+  std::uint32_t index = 0;
+  std::string bytes;
+  ASSERT_TRUE(serve::decode_result(f.payload, &index, &bytes));
+  EXPECT_EQ(index, 1u);
+  EXPECT_EQ(bytes, kFrameResult);
+
+  ASSERT_EQ(serve::decode_frame(&buf, &f), serve::FrameStatus::kOk);
+  ASSERT_EQ(f.type, serve::FrameType::kDone);
+  serve::Done done;
+  ASSERT_TRUE(serve::decode_done(f.payload, &done));
+  EXPECT_EQ(done.outcome, serve::JobOutcome::kFailed);
+  EXPECT_EQ(done.message, kFrameDoneMessage);
+
+  ASSERT_EQ(serve::decode_frame(&buf, &f), serve::FrameStatus::kOk);
+  ASSERT_EQ(f.type, serve::FrameType::kHeartbeat);
+  std::uint32_t inflight = 0;
+  std::string blob;
+  ASSERT_TRUE(serve::decode_heartbeat(f.payload, &inflight, &blob));
+  EXPECT_EQ(inflight, 2u);
+  obs::Snapshot snap;
+  ASSERT_TRUE(obs::decode_snapshot(blob, &snap));
+  EXPECT_EQ(obs::encode_snapshot(snap),
+            obs::encode_snapshot(frame_snapshot()));
+  EXPECT_TRUE(buf.empty());
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Injection-campaign engine tests: classification, determinism, caching,
-// sharding, batched submission, hardening suppression, detection/recovery
-// plumbing, and high-level injection models.
+// sharding, snapshot placement, batched submission, hardening suppression,
+// detection/recovery plumbing, and high-level injection models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -346,6 +348,93 @@ TEST(Campaign, FullHardeningSuppressesAlmostEverything) {
   // SER ratio 2e-4: expect ~0.4 effective upsets in 2000 strikes.
   EXPECT_LT(r.totals.sdc() + r.totals.due(), 5u);
   EXPECT_GT(r.totals.vanished, 1990u);
+}
+
+// ---- snapshot placement ---------------------------------------------------
+//
+// Placement never changes results, only how many golden snapshots a
+// campaign takes.  These tests read that count from the obs registry.
+class PlacementProbe {
+ public:
+  PlacementProbe()
+      : captures_(captures()), goldens_(goldens()), forks_(forks()) {
+    obs::set_enabled(true);
+  }
+  // Snapshots captured per golden recording since construction.
+  [[nodiscard]] std::uint64_t captures_per_golden() const {
+    const std::uint64_t g = goldens() - goldens_;
+    return g == 0 ? 0 : (captures() - captures_) / g;
+  }
+  [[nodiscard]] std::uint64_t forked_runs() const { return forks() - forks_; }
+
+ private:
+  static std::uint64_t captures() {
+    std::array<std::uint64_t, obs::kHistBuckets> buckets{};
+    std::uint64_t count = 0;
+    std::uint64_t sum = 0;
+    obs::histogram("campaign.snapshot.capture").read(&buckets, &count, &sum);
+    return count;
+  }
+  static std::uint64_t goldens() {
+    return obs::counter("campaign.goldens").value();
+  }
+  static std::uint64_t forks() {
+    return obs::counter("campaign.fork.converged").value() +
+           obs::counter("campaign.fork.ran_benign").value() +
+           obs::counter("campaign.fork.ran_failing").value();
+  }
+  std::uint64_t captures_;
+  std::uint64_t goldens_;
+  std::uint64_t forks_;
+};
+
+// A 1/128 shard forks for ~1/128 of the samples, but each of them still
+// replays about one interval of golden cycles (up to its injection, then
+// on to the convergence compare at the next boundary).  So a shard must
+// place snapshots as densely as the whole campaign does.
+TEST(Placement, ShardTakesTheUnshardedSnapshotCount) {
+  for (const char* core : {"InO", "OoO"}) {
+    const auto prog = bench(core == std::string("InO") ? "gcc" : "mcf");
+    inject::CampaignSpec spec;
+    spec.core_name = core;
+    spec.program = &prog;
+    spec.injections = 120000;
+    spec.seed = 1;
+    spec.key = "";  // no caching: every golden is really recorded
+    const PlacementProbe whole;
+    (void)engine::run_campaign(spec);
+    const std::uint64_t whole_captures = whole.captures_per_golden();
+    spec.shard_index = 5;
+    spec.shard_count = 128;
+    const PlacementProbe shard;
+    (void)engine::run_campaign(spec);
+    EXPECT_GT(whole_captures, 0u) << core;
+    EXPECT_EQ(shard.captures_per_golden(), whole_captures) << core;
+  }
+}
+
+// With every strike suppressed no sample forks, so the golden pass takes
+// the coarse fallback placement: one snapshot per ~1/96 of the run (at
+// least 64 cycles apart).
+TEST(Placement, AllSuppressedStrikesTakeTheCoarseFallback) {
+  const auto prog = bench("gcc");
+  auto core = arch::make_ino_core();
+  arch::ResilienceConfig cfg;
+  cfg.prot.assign(core->registry().ff_count(), arch::FFProt::kLeapDice);
+  inject::CampaignSpec spec;
+  spec.core_name = "InO";
+  spec.program = &prog;
+  spec.injections = 200;
+  spec.seed = 2;
+  spec.key = "";
+  spec.cfg = &cfg;
+  const PlacementProbe probe;
+  const auto r = engine::run_campaign(spec);
+  ASSERT_EQ(probe.forked_runs(), 0u) << "a strike got through at SER 2e-4";
+  const std::uint64_t interval =
+      std::max<std::uint64_t>(64, r.nominal_cycles / 96);
+  // One snapshot at cycle 0 and one per interval boundary the run passes.
+  EXPECT_EQ(probe.captures_per_golden(), 1 + (r.nominal_cycles - 1) / interval);
 }
 
 TEST(Campaign, ParityPlusFlushRecoversDetectedErrors) {
