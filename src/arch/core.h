@@ -68,9 +68,10 @@ struct CoreCheckpoint {
   // Fingerprint of (arena layout, core model, program, config); restore()
   // throws std::logic_error when it does not match the live core's.
   std::uint64_t layout_fp = 0;
-  // Mirror of the arena's bookkeeping cycle slot, for callers that index
-  // checkpoints by cycle without restoring them.
+  // Mirrors of the arena's bookkeeping cycle and committed-instruction
+  // slots, for callers that index checkpoints without restoring them.
   std::uint64_t cycle = 0;
+  std::uint64_t committed = 0;
   std::vector<std::uint32_t> output_spill;  // OUT beyond the arena region
   std::vector<PendingDetection> dets;  // latched, not-yet-acted detections
   RollbackRing ring;                   // IR/EIR replay window (shared entries)
@@ -104,13 +105,21 @@ class Core {
                      const InjectionPlan* plan) = 0;
   // Advances until cycle() >= target_cycle, the run ends, or cycle() >=
   // max_cycles (watchdog).  Returns true iff the run can still advance.
-  virtual bool step_to(std::uint64_t target_cycle,
-                       std::uint64_t max_cycles) = 0;
+  bool step_to(std::uint64_t target_cycle, std::uint64_t max_cycles) {
+    return step_until(target_cycle, max_cycles, ~std::uint64_t{0});
+  }
+  // step_to() that also stops at the first cycle boundary where
+  // committed() >= commit_target, so a caller can stop a run at an
+  // instruction count without stepping it cycle by cycle.
+  virtual bool step_until(std::uint64_t target_cycle, std::uint64_t max_cycles,
+                          std::uint64_t commit_target) = 0;
   // Outcome of the (possibly still segmented) run; a run that is still
   // within budget reports Watchdog, so call this only once step_to()
   // returned false or the caller has given up on the run.
   [[nodiscard]] virtual CoreRunResult current_result() const = 0;
   [[nodiscard]] virtual std::uint64_t cycle() const noexcept = 0;
+  // Instructions committed so far (rolled back by IR/EIR recovery).
+  [[nodiscard]] virtual std::uint64_t committed() const noexcept = 0;
   [[nodiscard]] virtual std::uint32_t recovery_count() const noexcept = 0;
 
   // ---- serializable state ----
@@ -140,11 +149,12 @@ class Core {
   // Liveness-masked form.  `live_ff` (one bit per FF-pool slot, see
   // arch/liveness.h) narrows the FF-pool compare to the slots golden
   // still reads after the checkpoint: a slot whose next golden access is
-  // a write, or that golden never touches again, cannot influence the
-  // rest of a quiescent run (soundness argument in docs/ARCHITECTURE.md,
-  // "FF liveness").  Everything else -- the arena's forward region, the
-  // OUT spill, the monitor shadow -- stays word-exact.  nullptr compares
-  // every slot.
+  // a write, that golden never touches again, or that is a sink
+  // (FFFlags::sink) cannot influence the rest of a quiescent run -- even
+  // one that reaches this state at another cycle (soundness argument in
+  // docs/ARCHITECTURE.md, "FF liveness").  Everything else -- the arena's
+  // forward region, the OUT spill, the monitor shadow -- stays
+  // word-exact.  nullptr compares every slot.
   [[nodiscard]] virtual bool state_matches(
       const CoreCheckpoint& cp, const std::uint64_t* live_ff) const = 0;
   // True when nothing besides the serialized state can perturb the future:

@@ -36,6 +36,14 @@ void FFRegistry::drain_access_log(std::uint64_t* read_first,
   }
 }
 
+std::vector<std::uint64_t> FFRegistry::sink_slots() const {
+  std::vector<std::uint64_t> bits((pool_.size() + 63) / 64, 0);
+  for (const FFStructure& s : structures_) {
+    if (s.flags.sink) bits[s.slot / 64] |= std::uint64_t{1} << (s.slot % 64);
+  }
+  return bits;
+}
+
 void FFRegistry::flip(std::uint32_t ff_index) noexcept {
   const FFStructure& s = structure_of(ff_index);
   pool_[s.slot] ^= 1ULL << (ff_index - s.first_ff);

@@ -34,6 +34,13 @@ struct FFFlags {
   // Belongs to added recovery/checker hardware (single point of failure;
   // the paper hardens these with LEAP-DICE by construction).
   bool recovery_hw = false;
+  // Sink: the value is read only to compute other sink fields (a
+  // performance counter, a diagnostic shadow register).  It never reaches
+  // a non-sink field, the arena, control flow, an outcome latch or the
+  // output, so the convergence compares ignore sink slots (docs/
+  // ARCHITECTURE.md, "FF liveness").  Flag a field only after checking
+  // every use of it in the core.
+  bool sink = false;
 };
 
 // Golden-pass access tracing (docs/ARCHITECTURE.md, "FF liveness"): per
@@ -140,6 +147,9 @@ class FFRegistry {
   // Flips a single bit.  This is the soft error.
   void flip(std::uint32_t ff_index) noexcept;
   [[nodiscard]] bool read_bit(std::uint32_t ff_index) const noexcept;
+
+  // Bitset over pool slots (bit s = slot s) of the fields flagged sink.
+  [[nodiscard]] std::vector<std::uint64_t> sink_slots() const;
 
   // Structure containing a global FF index (binary search).
   [[nodiscard]] const FFStructure& structure_of(std::uint32_t ff_index) const;

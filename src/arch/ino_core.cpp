@@ -135,9 +135,10 @@ class InOCore final : public Core {
     reset(prog, cfg, plan);
   }
 
-  bool step_to(std::uint64_t target_cycle, std::uint64_t max_cycles) override {
+  bool step_until(std::uint64_t target_cycle, std::uint64_t max_cycles,
+                  std::uint64_t commit_target) override {
     while (status_ == isa::RunStatus::kRunning && cycle_ < target_cycle &&
-           cycle_ < max_cycles) {
+           cycle_ < max_cycles && committed_ < commit_target) {
       do_cycle();
     }
     return status_ == isa::RunStatus::kRunning && cycle_ < max_cycles;
@@ -146,6 +147,9 @@ class InOCore final : public Core {
   [[nodiscard]] CoreRunResult current_result() const override;
   [[nodiscard]] std::uint64_t cycle() const noexcept override {
     return cycle_;
+  }
+  [[nodiscard]] std::uint64_t committed() const noexcept override {
+    return committed_;
   }
   [[nodiscard]] std::uint32_t recovery_count() const noexcept override {
     return recoveries_;
@@ -278,6 +282,15 @@ template <bool kTraced>
 void InOCore<kTraced>::build() {
   const FFFlags fl_front{/*flushable=*/true, false, false};
   const FFFlags fl_back{/*flushable=*/false, false, false};
+  // Sinks (FFFlags::sink): the window, Y and condition-code shadows and
+  // the debug trace.  Each is read only to feed the next one of its
+  // chain -- a.cwp -> e.cwp, a.rfe2 -> a.rfe1, e.y -> m.y -> x.y ->
+  // w.s.y, x.icc -> w.s.icc -- or itself (x.debug); every use is in
+  // stage_d_to_a/a_to_e/e_to_m/m_to_x/x_to_w below.
+  FFFlags sink_front = fl_front;
+  sink_front.sink = true;
+  FFFlags sink_back = fl_back;
+  sink_back.sink = true;
 
   f_pc_ = reg_.add<kTraced>("f.pc", 32, fl_front);
   d_valid_ = reg_.add<kTraced>("d.valid", 1, fl_front);
@@ -287,15 +300,15 @@ void InOCore<kTraced>::build() {
   d_pv_ = reg_.add<kTraced>("d.pv", 1, fl_front);
 
   a_.attach(reg_, "a", fl_front);
-  a_cwp_ = reg_.add<kTraced>("a.cwp", 3, fl_front);
-  a_rfe1_ = reg_.add<kTraced>("a.rfe1", 1, fl_front);
-  a_rfe2_ = reg_.add<kTraced>("a.rfe2", 1, fl_front);
+  a_cwp_ = reg_.add<kTraced>("a.cwp", 3, sink_front);
+  a_rfe1_ = reg_.add<kTraced>("a.rfe1", 1, sink_front);
+  a_rfe2_ = reg_.add<kTraced>("a.rfe2", 1, sink_front);
 
   e_.attach(reg_, "e", fl_front);
   e_op1_ = reg_.add<kTraced>("e.op1", 32, fl_front);
   e_op2_ = reg_.add<kTraced>("e.op2", 32, fl_front);
-  e_cwp_ = reg_.add<kTraced>("e.cwp", 3, fl_front);
-  e_y_ = reg_.add<kTraced>("e.y", 32, fl_front);
+  e_cwp_ = reg_.add<kTraced>("e.cwp", 3, sink_front);
+  e_y_ = reg_.add<kTraced>("e.y", 32, sink_front);
   e_ymsb_ = reg_.add<kTraced>("e.ymsb", 1, fl_front);
   e_mulstep_ = reg_.add<kTraced>("e.mulstep", 3, fl_front);
   e_mac_ = reg_.add<kTraced>("e.mac", 32, fl_front);
@@ -316,7 +329,7 @@ void InOCore<kTraced>::build() {
   m_wdata_ = reg_.add<kTraced>("m.wdata", 32, fl_back);
   m_npcr_ = reg_.add<kTraced>("m.npc", 32, fl_back);
   m_memcnt_ = reg_.add<kTraced>("m.memcnt", 1, fl_back);
-  m_y_ = reg_.add<kTraced>("m.y", 32, fl_back);
+  m_y_ = reg_.add<kTraced>("m.y", 32, sink_back);
   m_wicc_ = reg_.add<kTraced>("m.ctrl.wicc", 1, fl_back);
   m_wy_ = reg_.add<kTraced>("m.ctrl.wy", 1, fl_back);
   m_dci_asi_ = reg_.add<kTraced>("m.dci.asi", 8, fl_back);
@@ -328,9 +341,9 @@ void InOCore<kTraced>::build() {
   x_.attach(reg_, "x", fl_back);
   x_result_ = reg_.add<kTraced>("x.result", 32, fl_back);
   x_npcr_ = reg_.add<kTraced>("x.npc", 32, fl_back);
-  x_icc_ = reg_.add<kTraced>("x.icc", 4, fl_back);
-  x_y_ = reg_.add<kTraced>("x.y", 32, fl_back);
-  x_debug_ = reg_.add<kTraced>("x.debug", 48, fl_back);
+  x_icc_ = reg_.add<kTraced>("x.icc", 4, sink_back);
+  x_y_ = reg_.add<kTraced>("x.y", 32, sink_back);
+  x_debug_ = reg_.add<kTraced>("x.debug", 48, sink_back);
   x_ipend_ = reg_.add<kTraced>("x.ipend", 4, fl_back);
   x_intack_ = reg_.add<kTraced>("x.intack", 1, fl_back);
   x_rett_ = reg_.add<kTraced>("x.ctrl.rett", 1, fl_back);
@@ -341,7 +354,7 @@ void InOCore<kTraced>::build() {
   w_.attach(reg_, "w", fl_back);
   w_result_ = reg_.add<kTraced>("w.result", 32, fl_back);
   w_npcr_ = reg_.add<kTraced>("w.npc", 32, fl_back);
-  w_s_icc_ = reg_.add<kTraced>("w.s.icc", 4, fl_back);
+  w_s_icc_ = reg_.add<kTraced>("w.s.icc", 4, sink_back);
   w_s_tt_ = reg_.add<kTraced>("w.s.tt", 8, fl_back);
   w_s_tba_ = reg_.add<kTraced>("w.s.tba", 20, fl_back);
   w_s_pil_ = reg_.add<kTraced>("w.s.pil", 4, fl_back);
@@ -350,7 +363,7 @@ void InOCore<kTraced>::build() {
   w_s_ec_ = reg_.add<kTraced>("w.s.ec", 1, fl_back);
   w_s_et_ = reg_.add<kTraced>("w.s.et", 1, fl_back);
   w_s_dwt_ = reg_.add<kTraced>("w.s.dwt", 1, fl_back);
-  w_s_y_ = reg_.add<kTraced>("w.s.y", 32, fl_back);
+  w_s_y_ = reg_.add<kTraced>("w.s.y", 32, sink_back);
   w_cwp_ = reg_.add<kTraced>("w.cwp", 3, fl_back);
   arch_npc_ = reg_.add<kTraced>("w.s.npc", 32, fl_back);
 }
@@ -976,6 +989,7 @@ void InOCore<kTraced>::snapshot(CoreCheckpoint* out) const {
   last_snap_ = out->state;
   out->layout_fp = arena_.fingerprint();
   out->cycle = cycle_;
+  out->committed = committed_;
   out->output_spill = out_spill_;
   out->dets = dets_;
   out->ring =

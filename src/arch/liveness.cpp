@@ -12,6 +12,7 @@ void FFLiveness::start(Core& traced) {
     throw std::logic_error("FFLiveness: recording needs a traced core");
   }
   words_ = (traced.registry().pool().size() + 63) / 64;
+  sink_ = traced.registry().sink_slots();
   boundaries_ = 0;
   live_.clear();
   written_.clear();
@@ -34,6 +35,12 @@ void FFLiveness::finish() {
     std::uint64_t* cur = live_.data() + (b - 1) * words_;
     const std::uint64_t* wr = written_.data() + (b - 1) * words_;
     for (std::size_t w = 0; w < words_; ++w) cur[w] |= next[w] & ~wr[w];
+  }
+  // Per slot the recurrence is independent of every other slot, so
+  // clearing the sinks afterwards equals never tracking them.
+  for (std::size_t b = 0; b < boundaries_; ++b) {
+    std::uint64_t* cur = live_.data() + b * words_;
+    for (std::size_t w = 0; w < words_; ++w) cur[w] &= ~sink_[w];
   }
   std::vector<std::uint64_t>().swap(written_);
 }

@@ -15,7 +15,10 @@
 // every interval the recorder drains that log into two bitsets
 // (read-first, written-first); finish() walks the intervals backwards,
 //   live[b] = read_first[b] | (live[b+1] & ~written_first[b]),
-// and keeps only the live sets: 1 bit per slot per boundary.
+// and keeps only the live sets: 1 bit per slot per boundary.  Sink
+// slots (FFFlags::sink) are cleared from every live set: golden reads
+// them, but only to compute other sinks, so their values cannot steer
+// the rest of the run.
 #ifndef CLEAR_ARCH_LIVENESS_H
 #define CLEAR_ARCH_LIVENESS_H
 
@@ -37,7 +40,8 @@ class FFLiveness {
   // access log of `traced` (the core start() was given).
   void end_interval(Core& traced);
   // Backward pass over the recorded intervals; the last one is taken to
-  // end with the run (nothing is live after it).
+  // end with the run (nothing is live after it).  Sink slots end up
+  // dead everywhere.
   void finish();
 
   // Live set at boundary b (bit s = FF-pool slot s), or nullptr when
@@ -57,6 +61,7 @@ class FFLiveness {
   // turns them into live sets in place; written_ is dropped there.
   std::vector<std::uint64_t> live_;
   std::vector<std::uint64_t> written_;
+  std::vector<std::uint64_t> sink_;  // FFRegistry::sink_slots() of the core
 };
 
 }  // namespace clear::arch

@@ -126,9 +126,10 @@ class OoOCore final : public Core {
     reset(prog, cfg, plan);
   }
 
-  bool step_to(std::uint64_t target_cycle, std::uint64_t max_cycles) override {
+  bool step_until(std::uint64_t target_cycle, std::uint64_t max_cycles,
+                  std::uint64_t commit_target) override {
     while (status_ == isa::RunStatus::kRunning && cycle_ < target_cycle &&
-           cycle_ < max_cycles) {
+           cycle_ < max_cycles && committed_ < commit_target) {
       do_cycle();
     }
     return status_ == isa::RunStatus::kRunning && cycle_ < max_cycles;
@@ -137,6 +138,9 @@ class OoOCore final : public Core {
   [[nodiscard]] CoreRunResult current_result() const override;
   [[nodiscard]] std::uint64_t cycle() const noexcept override {
     return cycle_;
+  }
+  [[nodiscard]] std::uint64_t committed() const noexcept override {
+    return committed_;
   }
   [[nodiscard]] std::uint32_t recovery_count() const noexcept override {
     return recoveries_;
@@ -417,9 +421,13 @@ void OoOCore<kTraced>::build() {
 
   commit_pc_ = reg_.add<kTraced>("regs.wb.wb.flushpc", 32,
                         FFFlags{false, false, false});
+  // Sinks (FFFlags::sink): each counter is read only by its own
+  // increment (do_commit, do_cycle).
+  FFFlags counter{true, false, false};
+  counter.sink = true;
   for (std::size_t i = 0; i < perf_.size(); ++i) {
     perf_[i] = reg_.add<kTraced>("perf.counter" + std::to_string(i), 32,
-                        FFFlags{true, false, false});
+                                 counter);
   }
 }
 
@@ -1510,6 +1518,7 @@ void OoOCore<kTraced>::snapshot(CoreCheckpoint* out) const {
   last_snap_ = out->state;
   out->layout_fp = arena_.fingerprint();
   out->cycle = cycle_;
+  out->committed = committed_;
   out->output_spill = out_spill_;
   out->dets = dets_;
   out->ring =

@@ -260,14 +260,8 @@ void Session::install(const PrefetchTicket::Batch& batch,
       BenchProfile bp;
       bp.benchmark = p.bench;
       bp.campaign = std::move(campaigns[next++]);
-      if (job.vkey == "base") {
-        bp.base_cycles = bp.campaign.nominal_cycles;
-      } else {
-        const isa::Program base_prog =
-            build_variant_program(bp.benchmark, Variant::base(), 0);
-        auto proto = arch::make_core(core_);
-        bp.base_cycles = proto->run_clean(base_prog).cycles;
-      }
+      bp.base_cycles = job.vkey == "base" ? bp.campaign.nominal_cycles
+                                          : base_cycles(bp.benchmark);
       exec_sum += static_cast<double>(bp.campaign.nominal_cycles) /
                   static_cast<double>(bp.base_cycles);
       ++exec_n;
@@ -285,6 +279,18 @@ void Session::install(const PrefetchTicket::Batch& batch,
     if (set->exec_overhead < 0) set->exec_overhead = 0.0;
     cache_[job.vkey] = std::move(set);
   }
+}
+
+std::uint64_t Session::base_cycles(const std::string& bench) {
+  auto it = base_cycles_.find(bench);
+  if (it == base_cycles_.end()) {
+    const isa::Program base_prog =
+        build_variant_program(bench, Variant::base(), 0);
+    const std::uint64_t cycles =
+        arch::make_core(core_)->run_clean(base_prog).cycles;
+    it = base_cycles_.emplace(bench, cycles).first;
+  }
+  return it->second;
 }
 
 ProfileSet Session::subset(const ProfileSet& full,

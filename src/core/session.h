@@ -196,6 +196,10 @@ class Session {
   // install of a variant wins; recomputed duplicates are identical).
   void install(const PrefetchTicket::Batch& batch,
                std::vector<inject::CampaignResult> campaigns);
+  // Error-free cycles of a benchmark's base program on this core, run
+  // once per benchmark and memoized (every variant's overhead divides by
+  // it).
+  std::uint64_t base_cycles(const std::string& bench);
 
   std::string core_;
   std::vector<std::string> benchmarks_;
@@ -204,6 +208,7 @@ class Session {
   double confidence_ = 0.0;  // 0 = fixed budget
   util::IntervalMethod confidence_method_ = util::IntervalMethod::kWilson;
   std::map<std::string, std::unique_ptr<ProfileSet>> cache_;
+  std::map<std::string, std::uint64_t> base_cycles_;  // see base_cycles()
   std::size_t pending_prefetches_ = 0;  // uncommitted tickets outstanding
 };
 

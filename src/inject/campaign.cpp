@@ -211,11 +211,16 @@ struct CampaignMetrics {
   // (fork checkpoint to injection) and the post-injection cycles per
   // ending (cycle-counter distance, recovery penalties included).
   obs::Counter& fork_converged = obs::counter("campaign.fork.converged");
+  obs::Counter& fork_shifted = obs::counter("campaign.fork.converged_shifted");
+  obs::Counter& fork_hung = obs::counter("campaign.fork.hung");
   obs::Counter& fork_benign = obs::counter("campaign.fork.ran_benign");
   obs::Counter& fork_failing = obs::counter("campaign.fork.ran_failing");
   obs::Counter& prefix_cycles = obs::counter("campaign.fork.prefix_cycles");
   obs::Counter& converged_cycles =
       obs::counter("campaign.fork.converged_cycles");
+  obs::Counter& shifted_cycles =
+      obs::counter("campaign.fork.converged_shifted_cycles");
+  obs::Counter& hung_cycles = obs::counter("campaign.fork.hung_cycles");
   obs::Counter& benign_cycles = obs::counter("campaign.fork.benign_cycles");
   obs::Counter& failing_cycles = obs::counter("campaign.fork.failing_cycles");
 };
@@ -233,66 +238,207 @@ struct GoldenTrajectory {
   std::uint64_t interval = 0;
   std::vector<arch::CoreCheckpoint> checkpoints;  // at cycles 0, I, 2I, ...
   arch::FFLiveness live;  // one FF-pool live set per checkpoint
+  // Per checkpoint: cycles since golden's committed count last changed
+  // (0 when an instruction committed in the cycle before the boundary).
+  std::vector<std::uint64_t> since_commit;
+  // Every FF-pool slot except the sinks (FFFlags::sink).
+  std::vector<std::uint64_t> non_sink;
 
   void release() {
     std::vector<arch::CoreCheckpoint>().swap(checkpoints);
     live = arch::FFLiveness{};
+    std::vector<std::uint64_t>().swap(since_commit);
+    std::vector<std::uint64_t>().swap(non_sink);
   }
 };
 
+// A faulty run that is out of step with golden at a boundary looks for a
+// shifted match for this many intervals after its injection, and never
+// past golden's halt, where the hang probe takes over.  Later re-syncs
+// are rare, and a run that never commits again (a wedged pipeline) would
+// be stepped to the end of the window without a probe.
+constexpr std::uint64_t kShiftSearchIntervals = 32;
+
+enum class Seek { kMatched, kEnded, kGaveUp };
+
+// Looks for a cycle t < stop at which the (quiescent) faulty run matches
+// some golden checkpoint b, at whatever cycle B golden took it.  A run
+// that executes golden's instruction stream d cycles late (or early)
+// reaches golden's state at B only at B + d, where no same-cycle compare
+// looks.  Candidates come from the committed-instruction count: golden
+// committed cps[b].committed instructions by B, its last commit
+// since_commit[b] cycles before B, so a run shifted by d reaches that
+// count first at B - since_commit[b] + d and golden's state at B + d.
+// The commit-bounded step stops there directly, without per-cycle calls.
+// Candidates only steer where to compare: a match at any cycle proves
+// the shifted ending (see run_forked), and a missed one costs only time.
+Seek seek_shifted(arch::Core* core, const GoldenTrajectory& traj,
+                  std::uint64_t stop, std::uint64_t watchdog,
+                  std::uint64_t golden_cycles, std::size_t* matched) {
+  const auto& cps = traj.checkpoints;
+  // Golden never recovers, so its commit counts never decrease.  Start
+  // at the first checkpoint past the run's count, so the first stop below
+  // lands where that count begins.
+  const std::uint64_t n = core->committed();
+  std::size_t b = static_cast<std::size_t>(
+      std::partition_point(
+          cps.begin(), cps.end(),
+          [n](const arch::CoreCheckpoint& cp) { return cp.committed <= n; }) -
+      cps.begin());
+  std::uint64_t count_start = 0;  // first cycle of the run's current count
+  for (; b < cps.size(); ++b) {
+    const std::uint64_t want = cps[b].committed;
+    if (core->committed() < want) {
+      if (!core->step_until(stop, watchdog, want)) return Seek::kEnded;
+      if (core->committed() < want) return Seek::kGaveUp;  // reached stop
+      count_start = core->cycle();
+    }
+    if (core->committed() != want) continue;  // the run skipped this count
+    const std::uint64_t at = count_start + traj.since_commit[b];
+    if (at >= stop) return Seek::kGaveUp;
+    if (!core->step_until(at, watchdog, want + 1)) return Seek::kEnded;
+    if (core->committed() != want) {  // the count ended before `at`
+      count_start = core->cycle();
+      continue;
+    }
+    // The shifted remainder must halt before the watchdog:
+    // golden_cycles + (t - B) < watchdog.
+    if (golden_cycles + core->cycle() < watchdog + cps[b].cycle &&
+        core->quiescent() && core->state_matches(cps[b], traj.live.at(b))) {
+      *matched = b;
+      return Seek::kMatched;
+    }
+  }
+  return Seek::kGaveUp;
+}
+
+// Brent's cycle detection over a run's boundary states past golden's
+// halt: every probe compares the state with the saved one, which is
+// replaced after 1, 2, 4, 8, ... probes, so a period of p probes is found
+// within a few times p (docs/ARCHITECTURE.md, "FF liveness").
+class HangProbe {
+ public:
+  // True once the run is provably periodic.  Call at boundaries where the
+  // run is quiescent.
+  bool repeats(arch::Core* core, const std::uint64_t* non_sink) {
+    if (saved_any_ && recoveries_ == core->recovery_count() &&
+        core->state_matches(saved_, non_sink)) {
+      return true;
+    }
+    if (!saved_any_ || steps_ == power_) {
+      core->snapshot(&saved_);
+      saved_any_ = true;
+      recoveries_ = core->recovery_count();
+      power_ *= 2;
+      steps_ = 0;
+    }
+    ++steps_;
+    return false;
+  }
+
+ private:
+  arch::CoreCheckpoint saved_;
+  bool saved_any_ = false;
+  std::uint32_t recoveries_ = 0;
+  std::uint64_t power_ = 1;
+  std::uint64_t steps_ = 0;
+};
+
 // Runs one faulty execution forked from the nearest golden checkpoint and
-// classifies it.  Early-terminates as soon as the faulty state provably
-// re-converges to the golden trajectory at a checkpoint boundary.
+// classifies it.  Stops early once its ending is certain: it re-converged
+// to golden's state at the same cycle or at a shifted one, or it repeats
+// a state of its own after golden has halted.
 Outcome run_forked(arch::Core* core, const GoldenTrajectory& traj,
                    const arch::InjectionPlan& plan, std::uint64_t inj_cycle,
                    std::uint64_t watchdog, const arch::CoreRunResult& golden,
                    const std::atomic<bool>* cancel) {
   const obs::Span replay_span(metrics().fork_replay);
   const std::uint64_t interval = traj.interval;
-  const std::size_t ci =
-      std::min<std::size_t>(static_cast<std::size_t>(inj_cycle / interval),
-                            traj.checkpoints.size() - 1);
+  const auto& cps = traj.checkpoints;
+  const std::size_t ci = std::min<std::size_t>(
+      static_cast<std::size_t>(inj_cycle / interval), cps.size() - 1);
   {
     const obs::Span restore_span(metrics().snap_restore);
-    core->restore(traj.checkpoints[ci], &plan);
+    core->restore(cps[ci], &plan);
   }
-  metrics().prefix_cycles.add(inj_cycle - traj.checkpoints[ci].cycle);
+  metrics().prefix_cycles.add(inj_cycle - cps[ci].cycle);
+  const auto ran_to_end = [&] {
+    const Outcome out = classify(core->current_result(), golden);
+    const bool benign = out == Outcome::kVanished || out == Outcome::kRecovered;
+    (benign ? metrics().fork_benign : metrics().fork_failing).add();
+    (benign ? metrics().benign_cycles : metrics().failing_cycles)
+        .add(core->cycle() - inj_cycle);
+    return out;
+  };
+  // Convergence, by induction over the rest of the run.  Suppose the
+  // faulty run is quiescent (no flip left, no detection pending) at cycle
+  // t and agrees with golden's checkpoint b (cycle B) on every non-sink FF
+  // slot golden will read before writing it (the live set) and on all
+  // other forward state.  Then, step by step, every value the faulty run
+  // reads to compute non-sink state equals golden's, so it takes golden's
+  // path and writes golden's values; a dead slot that differs is written
+  // before it is ever read, and a sink only ever feeds other sinks.  The
+  // cycle counter is read only to apply flips, to time detections and by
+  // the rollback ring -- none of which a quiescent run reaches -- so this
+  // holds for t != B too: the run is golden's, t - B cycles late.  State
+  // that bypasses the FF handles cannot break this: the rollback ring
+  // flows back only through a recovery, which needs a detection, which
+  // needs a new flip (none is left) or a read of a differing live value
+  // (excluded above); snapshot/flip/read_bit are engine-side, not part of
+  // the run.  So the remainder halts with golden's output, exactly what
+  // classify() would conclude after simulating it, provided the shifted
+  // halt comes before the watchdog (seek_shifted checks that).
+  const auto converged = [&](std::size_t b) {
+    const std::uint64_t cyc = core->cycle();
+    if (cyc == cps[b].cycle) {
+      metrics().fork_converged.add();
+      metrics().converged_cycles.add(cyc - inj_cycle);
+    } else {
+      metrics().fork_shifted.add();
+      metrics().shifted_cycles.add(cyc - inj_cycle);
+    }
+    return core->recovery_count() > 0 ? Outcome::kRecovered
+                                      : Outcome::kVanished;
+  };
+  const std::uint64_t search_end = std::min(
+      inj_cycle + kShiftSearchIntervals * interval, golden.cycles);
+  HangProbe hang;
   for (;;) {
     check_cancel(cancel);
     const std::uint64_t boundary = (core->cycle() / interval + 1) * interval;
-    if (!core->step_to(boundary, watchdog)) {
-      const Outcome out = classify(core->current_result(), golden);
-      const bool benign =
-          out == Outcome::kVanished || out == Outcome::kRecovered;
-      (benign ? metrics().fork_benign : metrics().fork_failing).add();
-      (benign ? metrics().benign_cycles : metrics().failing_cycles)
-          .add(core->cycle() - inj_cycle);
-      return out;
-    }
+    if (!core->step_to(boundary, watchdog)) return ran_to_end();
     const std::uint64_t cyc = core->cycle();
-    // Recovery latency charges can overshoot a boundary; convergence is
-    // only checked when the faulty run lands exactly on one.
-    if (cyc % interval != 0) continue;
+    // Recovery latency charges can overshoot a boundary; the checks below
+    // run only when the faulty run lands exactly on one.
+    if (cyc % interval != 0 || !core->quiescent()) continue;
     const std::size_t bi = static_cast<std::size_t>(cyc / interval);
-    // Convergence, by induction over the rest of the run.  Suppose the
-    // faulty run is quiescent (no flip left, no detection pending) and
-    // agrees with golden at this boundary on every FF slot golden will
-    // read before writing it (the live set) and on all other forward
-    // state.  Then, step by step, every value the faulty run reads equals
-    // golden's, so it takes golden's path and writes golden's values; a
-    // dead slot that differs is written before it is ever read.  State
-    // that bypasses the FF handles cannot break this: the rollback ring
-    // flows back only through a recovery, which needs a detection, which
-    // needs a new flip (none is left) or a read of a differing live value
-    // (excluded above); snapshot/flip/read_bit are engine-side, not part
-    // of the run.  So the remainder is golden's: it halts with golden's
-    // output, exactly what classify() would conclude after simulating it.
-    if (bi < traj.checkpoints.size() && core->quiescent() &&
-        core->state_matches(traj.checkpoints[bi], traj.live.at(bi))) {
-      metrics().fork_converged.add();
-      metrics().converged_cycles.add(cyc - inj_cycle);
-      return core->recovery_count() > 0 ? Outcome::kRecovered
-                                        : Outcome::kVanished;
+    if (bi < cps.size()) {
+      if (core->state_matches(cps[bi], traj.live.at(bi))) return converged(bi);
+      // A different committed count means the run is out of step with
+      // golden's timing: look for golden's state at shifted cycles.
+      if (cyc < search_end && core->committed() != cps[bi].committed) {
+        std::size_t b = 0;
+        switch (seek_shifted(core, traj, search_end, watchdog, golden.cycles,
+                             &b)) {
+          case Seek::kMatched:
+            return converged(b);
+          case Seek::kEnded:
+            return ran_to_end();
+          case Seek::kGaveUp:
+            break;
+        }
+      }
+    } else if (cyc > golden.cycles &&
+               hang.repeats(core, traj.non_sink.data())) {
+      // Periodic: the state at this boundary (every non-sink FF slot and
+      // the whole forward region) equals the one saved at an earlier
+      // boundary, both quiescent, and no recovery ran in between.  The
+      // cycles between them were then a pure function of that state --
+      // no flip, no detection, no cycle-counter read -- so they repeat
+      // forever, and the run can only reach the watchdog: a Hang.
+      metrics().fork_hung.add();
+      metrics().hung_cycles.add(cyc - inj_cycle);
+      return Outcome::kHang;
     }
   }
 }
@@ -355,7 +501,9 @@ constexpr std::uint64_t kSnapEquivCycles = 100;
 // starts.  A forked sample at cycle c replays c mod I golden cycles up to
 // the injection and, since most faulty runs converge at the first
 // boundary after it, another I - c mod I up to that compare: about I
-// cycles per sample whatever c is.  So the cost of interval I over the n
+// cycles per sample whatever c is (shifted matches and hang probes touch
+// only the few percent of runs that are out of step or outlive golden).
+// So the cost of interval I over the n
 // non-suppressed local samples is snapshots(I) * kSnapEquivCycles + n * I.
 // ~1/96 of the run is the first candidate, and the answer when every
 // strike is suppressed.  The choice only moves work around -- per-sample
@@ -424,19 +572,35 @@ void record_golden(CampaignJob& job, const std::atomic<bool>* cancel) {
       arch::make_traced_core(spec.core_name);
   gcore->begin(*spec.program, spec.cfg, nullptr);
   job.traj.live.start(*gcore);
-  job.traj.checkpoints.emplace_back();
-  {
-    const obs::Span snap_span(metrics().snap_capture);
-    gcore->snapshot(&job.traj.checkpoints.back());
-  }
-  while (gcore->step_to(gcore->cycle() + job.traj.interval, kGoldenBudget)) {
-    check_cancel(cancel);
-    job.traj.live.end_interval(*gcore);
+  // The first cycle of golden's current committed count: the recording
+  // steps from commit to commit to find it (one stop per instruction).
+  std::uint64_t count_start = 0;
+  const auto capture = [&] {
+    job.traj.since_commit.push_back(gcore->cycle() - count_start);
     job.traj.checkpoints.emplace_back();
     const obs::Span snap_span(metrics().snap_capture);
     gcore->snapshot(&job.traj.checkpoints.back());
+  };
+  const auto step_interval = [&] {
+    const std::uint64_t boundary = gcore->cycle() + job.traj.interval;
+    while (gcore->cycle() < boundary) {
+      const std::uint64_t have = gcore->committed();
+      const bool running =
+          gcore->step_until(boundary, kGoldenBudget, have + 1);
+      if (gcore->committed() != have) count_start = gcore->cycle();
+      if (!running) return false;
+    }
+    return true;
+  };
+  capture();
+  while (step_interval()) {
+    check_cancel(cancel);
+    job.traj.live.end_interval(*gcore);
+    capture();
   }
   job.traj.live.end_interval(*gcore);
+  job.traj.non_sink = gcore->registry().sink_slots();
+  for (std::uint64_t& w : job.traj.non_sink) w = ~w;
   if (gcore->cycle() != job.golden.cycles) {
     throw std::logic_error("traced and untraced core builds diverged for key " +
                            spec.key);

@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 
+#include "arch/core.h"
 #include "core/benchdep.h"
 #include "core/combos.h"
 #include "core/selection.h"
@@ -373,6 +374,30 @@ TEST(SessionSubset, EqualsFreshSessionOnSameNames) {
     EXPECT_EQ(sub.totals.recovered, direct.totals.recovered);
     EXPECT_DOUBLE_EQ(sub.exec_overhead, direct.exec_overhead);
     ASSERT_EQ(sub.benches.size(), names.size());
+  }
+}
+
+// Every variant's execution overhead divides by its benchmark's base
+// cycles, which the Session runs once per benchmark and memoizes: each
+// profile must still carry exactly the base program's clean-run cycles.
+TEST(SessionBaseCycles, EveryVariantDividesByTheBaseProgramsCleanRun) {
+  Variant cfcss;
+  cfcss.cfcss = true;
+  Variant eddi;
+  eddi.eddi = true;
+  const ProfileSet& base = test_session().profiles(Variant::base());
+  for (const Variant& v : {cfcss, eddi}) {
+    const ProfileSet& set = test_session().profiles(v);
+    ASSERT_EQ(set.benches.size(), base.benches.size());
+    for (std::size_t i = 0; i < set.benches.size(); ++i) {
+      const BenchProfile& bp = set.benches[i];
+      ASSERT_EQ(bp.benchmark, base.benches[i].benchmark);
+      const auto clean = arch::make_core("InO")->run_clean(
+          build_variant_program(bp.benchmark, Variant::base(), 0));
+      EXPECT_EQ(bp.base_cycles, clean.cycles) << bp.benchmark;
+      EXPECT_EQ(bp.base_cycles, base.benches[i].campaign.nominal_cycles)
+          << bp.benchmark;
+    }
   }
 }
 

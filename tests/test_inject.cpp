@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 
 #include "arch/core.h"
@@ -279,6 +280,189 @@ TEST(Campaign, ForkedMatchesReferenceOnInOEddi) {
   EXPECT_GT(converged.count(), 0u);
 }
 
+// Every campaign.fork.* counter (docs/OBSERVABILITY.md): the five ways a
+// forked run ends, then the cycles of each.
+constexpr std::size_t kForkEndings = 5;
+constexpr std::array<const char*, 11> kForkCounters = {
+    "campaign.fork.converged",        "campaign.fork.converged_shifted",
+    "campaign.fork.hung",             "campaign.fork.ran_benign",
+    "campaign.fork.ran_failing",      "campaign.fork.prefix_cycles",
+    "campaign.fork.converged_cycles", "campaign.fork.converged_shifted_cycles",
+    "campaign.fork.hung_cycles",      "campaign.fork.benign_cycles",
+    "campaign.fork.failing_cycles"};
+
+std::array<std::uint64_t, kForkCounters.size()> fork_counters() {
+  std::array<std::uint64_t, kForkCounters.size()> v{};
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = obs::counter(kForkCounters[i]).value();
+  }
+  return v;
+}
+
+// How the forked runs of a campaign ended since construction.
+class ForkEndings {
+ public:
+  enum Ending { kConverged, kShifted, kHung, kRanBenign, kRanFailing };
+  ForkEndings() {
+    obs::set_enabled(true);
+    before_ = fork_counters();
+  }
+  [[nodiscard]] std::uint64_t operator[](Ending e) const {
+    return fork_counters()[e] - before_[e];
+  }
+  [[nodiscard]] std::uint64_t forks() const {
+    const auto now = fork_counters();
+    std::uint64_t n = 0;
+    for (std::size_t e = 0; e < kForkEndings; ++e) n += now[e] - before_[e];
+    return n;
+  }
+
+ private:
+  std::array<std::uint64_t, kForkCounters.size()> before_{};
+};
+
+// Config that hardens every flip-flop of a structure `exposed` rejects
+// with LEAP-DICE, whose SER ratio (2e-4) suppresses almost every strike
+// there, so nearly all forks hit the exposed structures.  LEAP-DICE does
+// nothing inside the simulation: golden and every faulty run are the
+// unprotected ones.
+template <class Pred>
+arch::ResilienceConfig expose_only(const arch::FFRegistry& reg, Pred exposed) {
+  arch::ResilienceConfig cfg;
+  cfg.prot.assign(reg.ff_count(), arch::FFProt::kLeapDice);
+  for (const auto& s : reg.structures()) {
+    if (!exposed(s)) continue;
+    for (std::uint32_t b = 0; b < s.width; ++b) {
+      cfg.prot[s.first_ff + b] = arch::FFProt::kNone;
+    }
+  }
+  return cfg;
+}
+
+// Sink flip-flops (FFFlags::sink) drop out of every live set, so a flip
+// in one -- the InO Y chain, window pointers, condition-code shadow, debug
+// trace -- converges at the first boundary after it, in the same cycle.
+TEST(Campaign, ForkedMatchesReferenceOnInOEddiSinkFlips) {
+  const auto prog =
+      core::build_variant_program("fft1d", plan::parse_variant("eddi"));
+  auto core = arch::make_ino_core();
+  const arch::ResilienceConfig cfg = expose_only(
+      core->registry(),
+      [](const arch::FFStructure& s) { return s.flags.sink; });
+  inject::CampaignSpec spec;
+  spec.core_name = "InO";
+  spec.program = &prog;
+  spec.injections = 0;  // one per FF
+  spec.seed = 31;
+  spec.cfg = &cfg;
+  const ForkEndings endings;
+  const auto forked = engine::run_campaign(spec);
+  expect_identical(testref::reference_campaign(spec), forked);
+  EXPECT_GT(endings[ForkEndings::kConverged], 150u);
+  EXPECT_EQ(endings[ForkEndings::kConverged], endings.forks());
+}
+
+// OoO structures whose flips leave runs out of step or wedged: flips in
+// the fetch PC and fetch buffer leave runs that execute golden's stream a
+// few cycles off, and flips in the reorder buffer's valid/done bits and
+// pointers leave runs that wedge and repeat one state until the watchdog.
+bool shifts_or_wedges_ooo(const arch::FFStructure& s) {
+  const std::string& n = s.name;
+  const bool rob_control =
+      n.rfind("rob.", 0) == 0 &&
+      (n.rfind("rob.e", 0) != 0 || n.find(".valid") != std::string::npos ||
+       n.find(".done") != std::string::npos);
+  return rob_control || n == "RF0.PCreg" || n.rfind("F1.fb", 0) == 0;
+}
+
+TEST(Campaign, ForkedMatchesReferenceOnOoOShiftedAndHung) {
+  const auto prog = bench("mcf");
+  auto core = arch::make_ooo_core();
+  const arch::ResilienceConfig cfg =
+      expose_only(core->registry(), shifts_or_wedges_ooo);
+  inject::CampaignSpec spec;
+  spec.core_name = "OoO";
+  spec.program = &prog;
+  spec.injections = 0;  // one per FF
+  spec.seed = 3;
+  spec.cfg = &cfg;
+  const ForkEndings endings;
+  const auto forked = engine::run_campaign(spec);
+  expect_identical(testref::reference_campaign(spec), forked);
+  EXPECT_GT(endings[ForkEndings::kShifted], 0u);
+  EXPECT_GT(endings[ForkEndings::kHung], 0u);
+  EXPECT_LE(endings[ForkEndings::kHung], forked.totals.hang);
+}
+
+// Monitor core + RoB recovery: a flipped reorder-buffer result reaches
+// the monitor at commit, which repairs the core from its own state and
+// charges the 64-cycle RoB penalty.  The run then executes golden's stream
+// that much later, so it can only stop early at a shifted match.  More
+// recovered samples than benign runs simulated to the end means some
+// recovered runs stopped early.
+TEST(Campaign, ForkedMatchesReferenceOnOoOMonitorRecoversShifted) {
+  const auto prog =
+      core::build_variant_program("gcc", plan::parse_variant("monitor"));
+  auto core = arch::make_ooo_core();
+  arch::ResilienceConfig cfg =
+      expose_only(core->registry(), [](const arch::FFStructure& s) {
+        return s.name.rfind("rob.e", 0) == 0 &&
+               s.name.find(".result") != std::string::npos;
+      });
+  cfg.monitor = true;
+  cfg.recovery = arch::RecoveryKind::kRob;
+  inject::CampaignSpec spec;
+  spec.core_name = "OoO";
+  spec.program = &prog;
+  spec.injections = 0;  // one per FF
+  spec.seed = 17;
+  spec.cfg = &cfg;
+  const ForkEndings endings;
+  const auto forked = engine::run_campaign(spec);
+  expect_identical(testref::reference_campaign(spec), forked);
+  EXPECT_GT(forked.totals.recovered, endings[ForkEndings::kRanBenign]);
+  EXPECT_GT(endings[ForkEndings::kShifted], 0u);
+}
+
+// InO recoveries: flush refetches from the committed PC, IR rolls back to
+// the cycle before the flip and charges 47 cycles.  Either way the run
+// re-joins golden's stream late, which only a shifted compare sees (and,
+// as above, recovered samples must outnumber benign runs to the end).
+TEST(Campaign, ForkedMatchesReferenceOnInORecoveriesConvergeShifted) {
+  const auto prog = bench("gcc");
+  auto core = arch::make_ino_core();
+  const auto& reg = core->registry();
+  // Parity + flush on the flushable FFs, the rest suppressed.
+  arch::ResilienceConfig flush = expose_only(
+      reg, [](const arch::FFStructure& s) { return s.flags.flushable; });
+  flush.parity_group.assign(reg.ff_count(), -1);
+  std::int32_t group = 0;
+  for (std::uint32_t ff = 0; ff < reg.ff_count(); ++ff) {
+    if (flush.prot[ff] != arch::FFProt::kNone) continue;
+    flush.prot[ff] = arch::FFProt::kParity;
+    flush.parity_group[ff] = group++ / 16;
+  }
+  flush.recovery = arch::RecoveryKind::kFlush;
+  // EDS + IR on every FF.
+  arch::ResilienceConfig ir;
+  ir.prot.assign(reg.ff_count(), arch::FFProt::kEds);
+  ir.recovery = arch::RecoveryKind::kIr;
+  for (const arch::ResilienceConfig* cfg : {&flush, &ir}) {
+    SCOPED_TRACE(cfg == &flush ? "parity+flush" : "EDS+IR");
+    inject::CampaignSpec spec;
+    spec.core_name = "InO";
+    spec.program = &prog;
+    spec.injections = 600;
+    spec.seed = 23;
+    spec.cfg = cfg;
+    const ForkEndings endings;
+    const auto forked = engine::run_campaign(spec);
+    expect_identical(testref::reference_campaign(spec), forked);
+    EXPECT_GT(forked.totals.recovered, endings[ForkEndings::kRanBenign]);
+    EXPECT_GT(endings[ForkEndings::kShifted], 0u);
+  }
+}
+
 TEST(Campaign, CorruptCacheFallsBackToRerun) {
   const auto prog = bench("parser");
   inject::CampaignSpec spec;
@@ -379,9 +563,9 @@ class PlacementProbe {
     return obs::counter("campaign.goldens").value();
   }
   static std::uint64_t forks() {
-    return obs::counter("campaign.fork.converged").value() +
-           obs::counter("campaign.fork.ran_benign").value() +
-           obs::counter("campaign.fork.ran_failing").value();
+    const auto v = fork_counters();
+    return std::accumulate(v.begin(), v.begin() + kForkEndings,
+                           std::uint64_t{0});
   }
   std::uint64_t captures_;
   std::uint64_t goldens_;
@@ -411,6 +595,41 @@ TEST(Placement, ShardTakesTheUnshardedSnapshotCount) {
     EXPECT_GT(whole_captures, 0u) << core;
     EXPECT_EQ(shard.captures_per_golden(), whole_captures) << core;
   }
+}
+
+// Once a shard places snapshots like the unsharded run, each sample forks
+// from the same checkpoint and ends the same way wherever it runs, so the
+// shards' fork counters add up to the unsharded run's -- the shifted
+// matches and periodic hangs included.
+TEST(Placement, ShardForkCountersAddUpToTheUnshardedRun) {
+  const auto prog = bench("mcf");
+  auto core = arch::make_ooo_core();
+  const arch::ResilienceConfig cfg =
+      expose_only(core->registry(), shifts_or_wedges_ooo);
+  inject::CampaignSpec spec;
+  spec.core_name = "OoO";
+  spec.program = &prog;
+  spec.injections = 2 * core->registry().ff_count();
+  spec.seed = 5;
+  spec.key = "";
+  spec.cfg = &cfg;
+  const auto before = fork_counters();
+  const PlacementProbe whole;
+  (void)engine::run_campaign(spec);
+  const std::uint64_t whole_captures = whole.captures_per_golden();
+  const auto mid = fork_counters();
+  spec.shard_count = 2;
+  for (spec.shard_index = 0; spec.shard_index < 2; ++spec.shard_index) {
+    const PlacementProbe shard;
+    (void)engine::run_campaign(spec);
+    EXPECT_EQ(shard.captures_per_golden(), whole_captures);
+  }
+  const auto after = fork_counters();
+  for (std::size_t i = 0; i < kForkCounters.size(); ++i) {
+    EXPECT_EQ(after[i] - mid[i], mid[i] - before[i]) << kForkCounters[i];
+  }
+  EXPECT_GT(mid[1] - before[1], 0u) << "no shifted re-convergence";
+  EXPECT_GT(mid[2] - before[2], 0u) << "no periodic hang";
 }
 
 // With every strike suppressed no sample forks, so the golden pass takes
