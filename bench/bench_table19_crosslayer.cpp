@@ -10,6 +10,7 @@ void combo_sweep(const std::string& cn, const char* label, const char* paper,
   std::printf("\n%s | %s  (paper E@50x: %s)\n", cn.c_str(), label, paper);
   bench::TextTable t({"Target", "Area", "Power", "Energy", "Exec", "SDC imp",
                       "DUE imp", "met"});
+  bench::session(cn).prefetch(core::combo_variants(combo));
   for (const double target : {2.0, 5.0, 50.0, 500.0, -1.0}) {
     const auto p = core::evaluate_combo(bench::session(cn),
                                         bench::selector(cn), combo,
@@ -81,6 +82,7 @@ void BM_ComboEvaluation(benchmark::State& state) {
   c.dice = true;
   c.parity = true;
   c.recovery = arch::RecoveryKind::kFlush;
+  bench::session("InO").prefetch(core::combo_variants(c));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::evaluate_combo(bench::session("InO"), bench::selector("InO"), c,

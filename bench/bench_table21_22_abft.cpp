@@ -11,6 +11,7 @@ void abft_sweep(const std::string& cn, const char* label, core::Combo combo,
   std::printf("\n%s | %s\n", cn.c_str(), label);
   bench::TextTable t({"Target", "Area", "Power", "Energy", "Exec",
                       "SDC imp", "DUE imp"});
+  bench::session(cn).prefetch(core::combo_variants(combo));
   for (const double target : {2.0, 5.0, 50.0, 500.0, -1.0}) {
     auto& session = bench::session(cn);
     auto& selector = bench::selector(cn);
@@ -113,6 +114,7 @@ void BM_AbftComboEval(benchmark::State& state) {
   c.parity = true;
   c.abft = workloads::AbftKind::kCorrection;
   c.recovery = arch::RecoveryKind::kFlush;
+  bench::session("InO").prefetch(core::combo_variants(c));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::evaluate_combo(bench::session("InO"), bench::selector("InO"), c,

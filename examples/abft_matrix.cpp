@@ -63,6 +63,7 @@ int main() {
        {std::pair<const char*, core::Combo>{"DICE+parity+flush", general},
         {"ABFTcorr + DICE+parity+flush", with_abft},
         {"ABFTdet + DICE+parity (no rec)", with_det}}) {
+    session.prefetch(core::combo_variants(combo));
     const auto p = core::evaluate_combo(session, selector, combo, 50.0);
     std::printf("%-34s energy %6.2f%%  SDC %8.1fx  DUE %6.1fx\n", name,
                 p.energy * 100, p.imp.sdc, p.imp.due);

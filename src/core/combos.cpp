@@ -167,14 +167,22 @@ std::vector<Variant> combo_layer_variants(const Combo& combo) {
   return layers;
 }
 
-double combo_cost_lower_bound(Session& session, const phys::PhysModel& model,
+std::vector<Variant> combo_variants(const Combo& combo) {
+  std::vector<Variant> out{Variant::base()};
+  const std::vector<Variant> layers = combo_layer_variants(combo);
+  out.insert(out.end(), layers.begin(), layers.end());
+  return out;
+}
+
+double combo_cost_lower_bound(const Session& session,
+                              const phys::PhysModel& model,
                               const Combo& combo) {
   // Execution term: identical to what combo_profile() will report (direct
   // measurement for <= 1 layer, independence product otherwise), so the
   // bound is tight on the software axis.
   double exec = 1.0;
   for (const Variant& lv : combo_layer_variants(combo)) {
-    exec *= 1.0 + std::max(0.0, session.profiles(lv).exec_overhead);
+    exec *= 1.0 + std::max(0.0, session.resident(lv).exec_overhead);
   }
   // Power term: only the fixed hardware blocks; the selective tunable
   // protection adds a non-negative amount on top.  The SP&R artifact
@@ -189,21 +197,27 @@ double combo_cost_lower_bound(Session& session, const phys::PhysModel& model,
   return std::max(0.0, (1.0 + power_lb) * exec - 1.0);
 }
 
-ProfileSet combo_profile(Session& session, const Combo& combo) {
-  const Variant full = combo.variant();
-  if (combo.software_layers() <= 1) {
-    return session.profiles(full);
-  }
-  // Independence composition from single-layer profiles.
-  const ProfileSet& base = session.profiles(Variant::base());
+namespace {
+
+// Independence composition of a multi-layer combo's profile from its
+// single-layer profiles (combo_profile() documents the model).
+ProfileSet compose_profile(const Session& session, const Combo& combo) {
+  const ProfileSet& base = session.resident(Variant::base());
   const std::vector<Variant> layers = combo_layer_variants(combo);
 
   ProfileSet out;
   out.core = base.core;
-  out.variant_key = full.key() + "#composed";
+  out.variant_key = combo.variant().key() + "#composed";
   out.ff_count = base.ff_count;
   out.ff_total = base.ff_total;
-  out.benches = base.benches;
+  // Names only: nothing downstream reads a composed set's campaigns.
+  out.benches.reserve(base.benches.size());
+  for (const BenchProfile& b : base.benches) {
+    BenchProfile named;
+    named.benchmark = b.benchmark;
+    named.base_cycles = b.base_cycles;
+    out.benches.push_back(std::move(named));
+  }
   std::vector<double> sdc(base.ff_count);
   std::vector<double> due(base.ff_count);
   for (std::uint32_t f = 0; f < base.ff_count; ++f) {
@@ -212,7 +226,7 @@ ProfileSet combo_profile(Session& session, const Combo& combo) {
   }
   double exec = 1.0;
   for (const Variant& lv : layers) {
-    const ProfileSet& lp = session.profiles(lv);
+    const ProfileSet& lp = session.resident(lv);
     exec *= 1.0 + std::max(0.0, lp.exec_overhead);
     for (std::uint32_t f = 0; f < base.ff_count; ++f) {
       const double bt = static_cast<double>(base.ff_total[f]);
@@ -254,10 +268,26 @@ ProfileSet combo_profile(Session& session, const Combo& combo) {
   return out;
 }
 
-ComboPoint evaluate_combo(Session& session, Selector& selector,
+}  // namespace
+
+ProfileSet combo_profile(const Session& session, const Combo& combo) {
+  if (combo.software_layers() <= 1) return session.resident(combo.variant());
+  return compose_profile(session, combo);
+}
+
+ComboPoint evaluate_combo(const Session& session, const Selector& selector,
                           const Combo& combo, double target, Metric metric) {
-  const ProfileSet prof = combo_profile(session, combo);
-  const ProfileSet& base_full = session.profiles(Variant::base());
+  // A measured single-layer profile is read in place; only a composed
+  // one is built.
+  ProfileSet composed;
+  const ProfileSet* measured = nullptr;
+  if (combo.software_layers() <= 1) {
+    measured = &session.resident(combo.variant());
+  } else {
+    composed = compose_profile(session, combo);
+  }
+  const ProfileSet& prof = measured != nullptr ? *measured : composed;
+  const ProfileSet& base_full = session.resident(Variant::base());
   ProfileSet base_sub;
   const ProfileSet* base = &base_full;
   if (prof.benches.size() != base_full.benches.size()) {

@@ -73,16 +73,22 @@ struct Combo {
 // variant share its campaigns through the cache pack.
 [[nodiscard]] std::vector<Variant> combo_layer_variants(const Combo& combo);
 
+// Every profiled variant the read-only evaluation below consults for
+// this combo: the base variant plus combo_layer_variants().  Collect
+// them with Session::prefetch before calling combo_cost_lower_bound,
+// combo_profile or evaluate_combo, which read the session through
+// Session::resident() and throw std::logic_error on a missing profile.
+[[nodiscard]] std::vector<Variant> combo_variants(const Combo& combo);
+
 // Analytic lower bound on evaluate_combo(...).energy for any target:
 // the combo's fixed technique overheads (DFC / monitor / recovery
 // hardware, with a safety margin for the SP&R noise band) times its
 // software layers' measured execution overheads; the selective-hardening
 // contribution is bounded below by zero.  Pure function of the combo and
-// the (memoized) single-layer profiles -- bit-identical across shards --
-// and never triggers campaigns beyond combo_layer_variants().  The
-// exploration engine prunes a combo when this bound already exceeds a
-// Pareto-dominating evaluated point.
-[[nodiscard]] double combo_cost_lower_bound(Session& session,
+// the resident single-layer profiles -- bit-identical across shards --
+// and never triggers campaigns.  The exploration engine prunes a combo
+// when this bound already exceeds a Pareto-dominating evaluated point.
+[[nodiscard]] double combo_cost_lower_bound(const Session& session,
                                             const phys::PhysModel& model,
                                             const Combo& combo);
 
@@ -90,8 +96,11 @@ struct Combo {
 // at most one profiled layer is involved; multi-layer stacks compose
 // per-FF survival ratios from the single-layer profiles under an
 // independence assumption (used only for the Fig. 1d design-space cloud;
-// every table row uses measured profiles).
-[[nodiscard]] ProfileSet combo_profile(Session& session, const Combo& combo);
+// every table row uses measured profiles).  A composed set has no
+// measured campaigns of its own: its benches carry only the benchmark
+// names and base cycles, with empty campaigns.
+[[nodiscard]] ProfileSet combo_profile(const Session& session,
+                                       const Combo& combo);
 
 struct ComboPoint {
   std::string combo;
@@ -108,7 +117,10 @@ struct ComboPoint {
 // Evaluates one combination at one SDC-improvement target.  Full
 // design-space exploration (Fig. 1d) lives in explore::run_exploration,
 // which drives this per combination with sharding, resume and pruning.
-[[nodiscard]] ComboPoint evaluate_combo(Session& session, Selector& selector,
+// Read-only (the profiles of combo_variants() must be resident): threads
+// may evaluate combos concurrently against one Session and one Selector.
+[[nodiscard]] ComboPoint evaluate_combo(const Session& session,
+                                        const Selector& selector,
                                         const Combo& combo, double target,
                                         Metric metric = Metric::kSdc);
 

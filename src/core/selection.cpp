@@ -22,6 +22,14 @@ bool bounded_recovery(arch::RecoveryKind k) {
 Selector::Selector(Session& session) : session_(&session) {
   proto_ = arch::make_core(session.core());
   model_ = std::make_unique<phys::PhysModel>(*proto_);
+  const auto& reg = proto_->registry();
+  const double tree32 = phys::PhysModel::xor_tree_delay_ps(32);
+  flushable_.resize(reg.ff_count());
+  parity_fits32_.resize(reg.ff_count());
+  for (std::uint32_t f = 0; f < reg.ff_count(); ++f) {
+    flushable_[f] = reg.structure_of(f).flags.flushable;
+    parity_fits32_[f] = model_->slack_ps(f) >= tree32;
+  }
 }
 
 Selector::~Selector() = default;
@@ -41,7 +49,7 @@ CostReport Selector::evaluate(const SelectionSpec& spec) {
 CostReport Selector::evaluate_with_profiles(const SelectionSpec& spec,
                                             const ProfileSet& base,
                                             const ProfileSet& train,
-                                            const ProfileSet& validate) {
+                                            const ProfileSet& validate) const {
   return run_selection(spec, base, base, train, validate, false);
 }
 
@@ -56,20 +64,17 @@ CostReport Selector::run_selection(const SelectionSpec& spec,
                                    const ProfileSet& base_validate,
                                    const ProfileSet& train,
                                    const ProfileSet& validate,
-                                   bool cost_greedy) {
+                                   bool cost_greedy) const {
   const std::uint32_t n = train.ff_count;
-  const auto& reg = proto_->registry();
   const bool max_point = spec.target <= 0.0;
 
   // Heuristic 1: pick the technique for each flip-flop.
-  const double tree32 = phys::PhysModel::xor_tree_delay_ps(32);
   const bool squash_rec = spec.recovery == arch::RecoveryKind::kFlush ||
                           spec.recovery == arch::RecoveryKind::kRob;
   auto choose_tech = [&](std::uint32_t f) -> arch::FFProt {
     const Palette& p = spec.palette;
     if (!p.any()) return arch::FFProt::kNone;
-    const bool flushable = reg.structure_of(f).flags.flushable;
-    if (squash_rec && !flushable) {
+    if (squash_rec && !flushable_[f]) {
       // Flush/RoB recovery cannot repair post-commit state: harden it if
       // the combo has LEAP-DICE; otherwise detection-only applies (such
       // errors end as unrecoverable EDs).
@@ -77,7 +82,7 @@ CostReport Selector::run_selection(const SelectionSpec& spec,
       if (p.parity) return arch::FFProt::kParity;
       return arch::FFProt::kEds;
     }
-    if (p.parity && model_->slack_ps(f) >= tree32) return arch::FFProt::kParity;
+    if (p.parity && parity_fits32_[f]) return arch::FFProt::kParity;
     if (p.eds) return arch::FFProt::kEds;
     if (p.dice) return arch::FFProt::kLeapDice;
     return arch::FFProt::kParity;  // pipelined parity as the last resort
@@ -95,8 +100,7 @@ CostReport Selector::run_selection(const SelectionSpec& spec,
       case arch::FFProt::kParity:
       case arch::FFProt::kEds: {
         if (bounded_recovery(spec.recovery)) {
-          const bool recoverable =
-              !squash_rec || reg.structure_of(f).flags.flushable;
+          const bool recoverable = !squash_rec || flushable_[f];
           if (recoverable) return {0.0, 0.0};
           return {0.0, total};  // detected, but beyond the squash window
         }

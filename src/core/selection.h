@@ -76,6 +76,8 @@ struct CostReport {
   phys::ParityPlan parity_plan;
 };
 
+// evaluate() and evaluate_cost_greedy() collect missing profiles through
+// the session; everything else is const and safe to share across threads.
 class Selector {
  public:
   explicit Selector(Session& session);
@@ -90,11 +92,11 @@ class Selector {
 
   // Evaluation against an explicit profile pair (Sec. 4 train/validate:
   // select on `train`, then measure the same protection choice on
-  // `validate`).  base gives the unprotected reference masses.
-  CostReport evaluate_with_profiles(const SelectionSpec& spec,
-                                    const ProfileSet& base,
-                                    const ProfileSet& train,
-                                    const ProfileSet& validate);
+  // `validate`).  base gives the unprotected reference masses.  Read-only:
+  // one Selector may serve any number of threads at once.
+  [[nodiscard]] CostReport evaluate_with_profiles(
+      const SelectionSpec& spec, const ProfileSet& base,
+      const ProfileSet& train, const ProfileSet& validate) const;
 
   // Ablation: replace the vulnerability-ordered greedy of Fig. 7 with a
   // cost-effectiveness-ordered greedy (error mass removed per unit energy).
@@ -112,11 +114,15 @@ class Selector {
                            const ProfileSet& base_train,
                            const ProfileSet& base_validate,
                            const ProfileSet& train,
-                           const ProfileSet& validate, bool cost_greedy);
+                           const ProfileSet& validate, bool cost_greedy) const;
 
   Session* session_;
   std::unique_ptr<arch::Core> proto_;
   std::unique_ptr<phys::PhysModel> model_;
+  // Per-FF facts every selection reads, tabulated once: the FF sits in a
+  // flush/RoB-recoverable stage, and its slack fits a 32-bit XOR tree.
+  std::vector<bool> flushable_;
+  std::vector<bool> parity_fits32_;
 };
 
 }  // namespace clear::core

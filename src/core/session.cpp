@@ -158,6 +158,16 @@ const ProfileSet& Session::profiles(const Variant& v) {
   return *cache_.at(v.key());
 }
 
+const ProfileSet& Session::resident(const Variant& v) const {
+  const auto it = cache_.find(v.key());
+  if (it == cache_.end()) {
+    throw std::logic_error("Session::resident: profiles for variant " +
+                           v.key() + " on core " + core_ +
+                           " were not collected");
+  }
+  return *it->second;
+}
+
 void Session::prefetch(const std::vector<Variant>& variants) {
   // The blocking path is the async path committed immediately, on the
   // interactive lane so it overtakes any queued bulk backfill.

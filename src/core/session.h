@@ -104,8 +104,10 @@ struct ProfileSet {
   [[nodiscard]] double frac_ffs_always_vanish() const;
 };
 
-// Not thread-safe: use one Session per thread (the campaigns it submits
-// share the process-wide worker pool and on-disk cache regardless).
+// Not thread-safe, except for concurrent const reads of resident profiles
+// (resident() below): collect on one thread, then read from many.  The
+// campaigns a Session submits share the process-wide worker pool and
+// on-disk cache regardless.
 // Profiles are deterministic for (core, benchmarks, per_ff_samples, seed)
 // -- bit-identical across runs, hosts and thread counts.
 class Session {
@@ -157,6 +159,16 @@ class Session {
   // std::runtime_error when no benchmark supports the variant on this
   // core.
   const ProfileSet& profiles(const Variant& v);
+
+  // Read-only lookup of an already-collected profile: never submits
+  // campaigns, and throws std::logic_error when `v` is not resident.
+  // This is the one Session call that is safe from many threads at once:
+  // once a batch's profiles are resident, any number of threads may call
+  // resident() (and the other const accessors) concurrently, provided no
+  // thread mutates the session meanwhile -- profiles(), prefetch(),
+  // PrefetchTicket::commit() and the setters are single-threaded.  The
+  // exploration engine evaluates a batch's combos in parallel this way.
+  [[nodiscard]] const ProfileSet& resident(const Variant& v) const;
 
   // Batch collection: profiles every not-yet-memoized variant of the list
   // with ONE engine::run_campaigns submission, so golden-run recording

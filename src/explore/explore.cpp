@@ -5,12 +5,14 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "arch/core.h"
 #include "core/selection.h"
 #include "core/session.h"
 #include "util/env.h"
 #include "util/fs.h"
+#include "util/threadpool.h"
 #include "workloads/workloads.h"
 
 namespace clear::explore {
@@ -45,6 +47,21 @@ bool suite_supports(const std::vector<std::string>& suite,
   return false;
 }
 
+// A record that carries no evaluated point: kSkipped, or kPruned with its
+// cost lower bound as the energy.
+LedgerRecord unevaluated_record(RecordKind kind, std::uint32_t index,
+                                const core::Combo& combo, double target,
+                                double energy) {
+  LedgerRecord rec;
+  rec.kind = kind;
+  rec.combo_index = index;
+  rec.combo = combo.name();
+  rec.target = target;
+  rec.target_met = false;
+  rec.energy = energy;
+  return rec;
+}
+
 LedgerRecord point_record(RecordKind kind, std::uint32_t index,
                           const core::ComboPoint& p) {
   LedgerRecord rec;
@@ -69,9 +86,13 @@ std::size_t resolve_batch(std::size_t batch) {
   return env > 0 ? static_cast<std::size_t>(env) : 64;
 }
 
-bool resolve_pipeline(int pipeline) {
-  if (pipeline >= 0) return pipeline != 0;
-  return util::env_long("CLEAR_EXPLORE_PIPELINE", 1) != 0;
+// Combo-evaluation workers, sized the way campaigns size theirs:
+// CLEAR_THREADS, else the hardware concurrency.
+unsigned resolve_eval_threads() {
+  const long env = util::env_long("CLEAR_THREADS", 0);
+  if (env > 0) return static_cast<unsigned>(std::min(env, 256L));
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw != 0 ? hw : 1;
 }
 
 void validate_spec(const ExploreSpec& spec) {
@@ -172,14 +193,82 @@ Ledger run_exploration(const ExploreSpec& spec, const std::string& ledger_path,
   }
   core::Selector selector(session);
 
+  // Cancellation seam: dropping out here, between records or inside an
+  // evaluation is always clean -- records already appended are complete,
+  // a batch's records are appended only after all its evaluations
+  // returned, and the in-flight prefetch ticket cancels its engine job on
+  // destruction.
+  const auto check_cancel = [&spec] {
+    if (spec.cancel != nullptr &&
+        spec.cancel->load(std::memory_order_relaxed)) {
+      throw ExploreCancelled();
+    }
+  };
+
+  // Combos are evaluated on a pool of this run's own: ThreadPool::instance()
+  // serializes its jobs, so evaluation there would queue behind the
+  // campaigns of the batch being prefetched.
+  const unsigned eval_threads = resolve_eval_threads();
+  util::ThreadPool eval_pool(eval_threads);
+
   // Anchors: the fixed flagship designs, evaluated at their "max" point.
   // Every shard computes them (the campaign cache makes repeats cheap)
   // because the pruning bar derives from them; only shard 0 records them,
   // exactly once, so merged coverage stays disjoint.
+  const std::vector<std::uint32_t> anchors = anchor_indices(spec.core);
+  {
+    std::vector<core::Variant> anchor_variants;
+    for (const std::uint32_t ai : anchors) {
+      const auto vars = core::combo_variants(combos[ai]);
+      anchor_variants.insert(anchor_variants.end(), vars.begin(), vars.end());
+    }
+    session.prefetch(anchor_variants);
+  }
+
+  // Work list: owned combos with no record yet (resume skips the rest;
+  // anchor records never cover a combo).
+  const std::vector<std::uint32_t> pending = state().missing_indices();
+  Progress prog;
+  prog.pending = pending.size();
+
+  const std::size_t batch = resolve_batch(spec.batch);
+
+  // The layer variants one batch of combos profiles on.
+  const auto batch_variants = [&](std::size_t start, std::size_t end) {
+    std::vector<core::Variant> vars{core::Variant::base()};
+    for (std::size_t i = start; i < end; ++i) {
+      const core::Combo& c = combos[pending[i]];
+      if (!suite_supports(session.benchmarks(), c)) continue;
+      const auto layers = core::combo_layer_variants(c);
+      vars.insert(vars.end(), layers.begin(), layers.end());
+    }
+    return vars;
+  };
+
+  // Batch N+1's profiling campaigns simulate on the engine's bulk lane
+  // while batch N's combos (the anchors, for the first batch) are
+  // evaluated: the double-buffer ticket commits (and the next one is
+  // submitted) at each batch seam.  Each batch's campaigns run as ONE
+  // engine submission: golden recording overlaps faulty runs across
+  // combos, and combos sharing a variant share its campaigns via the
+  // cache pack.
+  check_cancel();
+  core::PrefetchTicket next_batch;
+  if (!pending.empty()) {
+    next_batch = session.prefetch_async(
+        batch_variants(0, std::min(pending.size(), batch)));
+  }
+
+  std::vector<core::ComboPoint> anchor_points(anchors.size());
+  eval_pool.run(anchors.size(), eval_threads, [&](std::size_t k, unsigned) {
+    anchor_points[k] = core::evaluate_combo(session, selector,
+                                            combos[anchors[k]], -1.0,
+                                            spec.metric);
+  });
   double prune_bar = std::numeric_limits<double>::infinity();
-  for (const std::uint32_t ai : anchor_indices(spec.core)) {
-    const core::ComboPoint p =
-        core::evaluate_combo(session, selector, combos[ai], -1.0, spec.metric);
+  for (std::size_t k = 0; k < anchors.size(); ++k) {
+    const std::uint32_t ai = anchors[k];
+    const core::ComboPoint& p = anchor_points[k];
     if (p.sdc_protected_pct >= kAnchorProtectionPct) {
       prune_bar = std::min(prune_bar, p.energy);
     }
@@ -208,100 +297,70 @@ Ledger run_exploration(const ExploreSpec& spec, const std::string& ledger_path,
   };
   for (const LedgerRecord& rec : state().records) fold_bar(rec);
 
-  // Work list: owned combos with no record yet (resume skips the rest).
-  const std::vector<std::uint32_t> pending = state().missing_indices();
-  Progress prog;
-  prog.pending = pending.size();
-
-  const std::size_t batch = resolve_batch(spec.batch);
-  const bool pipeline = resolve_pipeline(spec.pipeline);
-
-  // The layer variants one batch of combos profiles on.
-  const auto batch_variants = [&](std::size_t start, std::size_t end) {
-    std::vector<core::Variant> vars{core::Variant::base()};
-    for (std::size_t i = start; i < end; ++i) {
-      const core::Combo& c = combos[pending[i]];
-      if (!suite_supports(session.benchmarks(), c)) continue;
-      const auto layers = core::combo_layer_variants(c);
-      vars.insert(vars.end(), layers.begin(), layers.end());
-    }
-    return vars;
-  };
-
-  // Pipelining: batch N+1's profiling campaigns simulate on the engine's
-  // bulk lane while this thread evaluates batch N's combos -- the
-  // double-buffer ticket commits (and the next one is submitted) at each
-  // batch seam.  Records are bit-identical with pipelining off: the
-  // campaigns are deterministic and the memo install order per batch is
-  // unchanged.
-  // Cancellation seam: dropping out here (or between combos below) is
-  // always clean -- records already appended are complete, and the
-  // in-flight prefetch ticket cancels its engine job on destruction.
-  const auto check_cancel = [&spec] {
-    if (spec.cancel != nullptr &&
-        spec.cancel->load(std::memory_order_relaxed)) {
-      throw ExploreCancelled();
-    }
-  };
-  check_cancel();
-
-  core::PrefetchTicket next_batch;
-  if (pipeline && !pending.empty()) {
-    next_batch = session.prefetch_async(
-        batch_variants(0, std::min(pending.size(), batch)));
-  }
   for (std::size_t start = 0; start < pending.size(); start += batch) {
     const std::size_t end = std::min(pending.size(), start + batch);
     check_cancel();
-    // Make this batch's profiles resident: commit the in-flight prefetch
-    // (pipelined) or collect them blocking.  Either way the batch's
-    // campaigns ran as ONE engine submission: golden recording overlaps
-    // faulty runs across combos, and combos sharing a variant share its
-    // campaigns via the cache pack.
-    if (pipeline) {
-      next_batch.commit();
-      if (end < pending.size()) {
-        next_batch = session.prefetch_async(
-            batch_variants(end, std::min(pending.size(), end + batch)));
-      }
-    } else {
-      session.prefetch(batch_variants(start, end));
+    next_batch.commit();
+    if (end < pending.size()) {
+      next_batch = session.prefetch_async(
+          batch_variants(end, std::min(pending.size(), end + batch)));
     }
 
-    for (std::size_t i = start; i < end; ++i) {
-      check_cancel();
-      const std::uint32_t index = pending[i];
+    // Serial pass: skips, and cost lower bounds against the bar at batch
+    // start.  The bar only falls, so a combo pruned here is pruned by the
+    // live bar too; every other combo is evaluated speculatively.
+    std::vector<LedgerRecord> recs(end - start);
+    std::vector<double> bounds(end - start, 0.0);
+    std::vector<std::size_t> speculative;
+    for (std::size_t j = 0; j < recs.size(); ++j) {
+      const std::uint32_t index = pending[start + j];
       const core::Combo& c = combos[index];
-      LedgerRecord rec;
       if (!suite_supports(session.benchmarks(), c)) {
-        rec.kind = RecordKind::kSkipped;
-        rec.combo_index = index;
-        rec.combo = c.name();
-        rec.target = spec.target;
-        rec.target_met = false;
-        ++prog.skipped;
+        recs[j] = unevaluated_record(RecordKind::kSkipped, index, c,
+                                     spec.target, 0.0);
+        continue;
+      }
+      if (spec.prune) {
+        bounds[j] = core::combo_cost_lower_bound(session, selector.model(), c);
+      }
+      if (spec.prune && bounds[j] > prune_bar) {
+        recs[j] = unevaluated_record(RecordKind::kPruned, index, c,
+                                     spec.target, bounds[j]);
       } else {
-        const double lb =
-            spec.prune
-                ? core::combo_cost_lower_bound(session, selector.model(), c)
-                : 0.0;
-        if (spec.prune && lb > prune_bar) {
-          // Dominance-pruned: the cost lower bound already exceeds a
-          // recorded (near-)full-protection point, so this combo cannot
-          // reach the low-cost frontier.
-          rec.kind = RecordKind::kPruned;
-          rec.combo_index = index;
-          rec.combo = c.name();
-          rec.target = spec.target;
-          rec.target_met = false;
-          rec.energy = lb;
-          ++prog.pruned;
-        } else {
-          const core::ComboPoint p = core::evaluate_combo(
-              session, selector, c, spec.target, spec.metric);
-          rec = point_record(RecordKind::kPoint, index, p);
-          ++prog.evaluated;
-        }
+        speculative.push_back(j);
+      }
+    }
+
+    // Parallel pass: the batch's profiles are resident and the session is
+    // not mutated until the next commit, so workers share the Session and
+    // the Selector read-only.
+    eval_pool.run(speculative.size(), eval_threads,
+                  [&](std::size_t k, unsigned) {
+                    check_cancel();
+                    const std::size_t j = speculative[k];
+                    const std::uint32_t index = pending[start + j];
+                    recs[j] = point_record(
+                        RecordKind::kPoint, index,
+                        core::evaluate_combo(session, selector, combos[index],
+                                             spec.target, spec.metric));
+                  });
+
+    // In-order fold: applies the live bar exactly as a serial run would,
+    // dropping the speculative points a tighter bar from an earlier
+    // record of this batch prunes.
+    for (std::size_t j = 0; j < recs.size(); ++j) {
+      check_cancel();
+      LedgerRecord& rec = recs[j];
+      if (rec.kind == RecordKind::kPoint && spec.prune &&
+          bounds[j] > prune_bar) {
+        rec = unevaluated_record(RecordKind::kPruned, rec.combo_index,
+                                 combos[rec.combo_index], spec.target,
+                                 bounds[j]);
+      }
+      switch (rec.kind) {
+        case RecordKind::kSkipped: ++prog.skipped; break;
+        case RecordKind::kPruned: ++prog.pruned; break;
+        default: ++prog.evaluated; break;
       }
       append(rec);
       fold_bar(rec);

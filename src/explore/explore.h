@@ -11,17 +11,25 @@
 //     folds their ledgers back bit-identically to the unsharded run
 //     (every record is a pure function of the experiment identity);
 //   * batching -- each batch of combos prefetches ALL its profiling
-//     campaigns as one engine::run_campaigns submission
-//     (core::Session::prefetch): golden-run recording overlaps faulty
-//     runs across combos, and combos sharing a program variant share its
-//     campaigns through the on-disk cache pack;
+//     campaigns as one engine submission (core::Session::prefetch_async):
+//     golden-run recording overlaps faulty runs across combos, combos
+//     sharing a program variant share its campaigns through the on-disk
+//     cache pack, and batch N+1 simulates on the engine's bulk lane while
+//     batch N is evaluated;
+//   * parallel evaluation -- once a batch's profiles are resident, its
+//     combos are evaluated on a run-local thread pool (CLEAR_THREADS,
+//     else the hardware concurrency) against one read-only Session and
+//     Selector, and an in-order fold appends the records in index order;
 //   * dominance pruning -- fixed per-core anchor combinations (the
 //     paper's flagship LEAP-DICE + parity + recovery designs) are
 //     evaluated first at their "max" point; a combo whose analytic cost
 //     lower bound (core::combo_cost_lower_bound) already exceeds the
 //     cheapest full-protection anchor is recorded as pruned instead of
 //     evaluated.  Anchors are fixed, so the decision is bit-identical
-//     across shards, resumes and thread counts;
+//     across shards, resumes and thread counts.  When the bar tightens
+//     during a run (ExploreSpec::confidence), combos are evaluated
+//     speculatively against the bar at batch start and the fold applies
+//     the live bar, so the records match a serial run exactly;
 //   * persistence -- every outcome is appended to the `.cxl` exploration
 //     ledger (explore/ledger.h); a killed exploration resumes from the
 //     records on disk without re-running completed combos.
@@ -78,21 +86,16 @@ struct ExploreSpec {
   // disable it to evaluate every combination (the full Fig. 1d cloud).
   bool prune = true;
   // Combos per scheduling batch (each batch prefetches its profiling
-  // campaigns as one engine::run_campaigns submission).
+  // campaigns as one engine submission and is evaluated in parallel).
   // 0 = CLEAR_EXPLORE_BATCH env or 64.
   std::size_t batch = 0;
-  // Batch pipelining: profile batch N+1 on the engine's bulk lane while
-  // batch N's combos are evaluated on the calling thread
-  // (core::Session::prefetch_async double-buffering).  Pure scheduling:
-  // ledger records and bytes are bit-identical either way.
-  //   -1 = CLEAR_EXPLORE_PIPELINE env (default on), 0 = off, 1 = on.
-  int pipeline = -1;
   // Cooperative cancellation (optional).  When non-null, run_exploration
-  // polls the flag at every combo seam and throws ExploreCancelled once
-  // it reads true.  A persistent ledger keeps every record appended so
-  // far (each is complete and exact -- a resumed run skips them); nothing
-  // partial is ever written.  The `clear serve` worker uses this to stop
-  // an explore shard whose driver vanished.
+  // polls the flag before every evaluation and every record append, and
+  // throws ExploreCancelled once it reads true.  A persistent ledger
+  // keeps every record appended so far (each is complete and exact -- a
+  // resumed run skips them); nothing partial is ever written.  The
+  // `clear serve` worker uses this to stop an explore shard whose driver
+  // vanished.
   const std::atomic<bool>* cancel = nullptr;
 };
 
@@ -125,8 +128,10 @@ using ProgressFn = std::function<void(const Progress&)>;
 // in-memory only (examples/benches).  Returns the complete ledger state
 // for this shard (resumed + new records).  Deterministic: the record for
 // a combo is bit-identical across runs, hosts, thread counts, shardings
-// and resume points.  Throws std::invalid_argument on a bad spec and
-// std::runtime_error on ledger identity mismatch or I/O failure.
+// and resume points, and records are appended in combo-index order
+// whatever the evaluation thread count.  Throws std::invalid_argument on
+// a bad spec and std::runtime_error on ledger identity mismatch or I/O
+// failure.
 Ledger run_exploration(const ExploreSpec& spec, const std::string& ledger_path,
                        const ProgressFn& progress = {});
 

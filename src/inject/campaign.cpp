@@ -4,12 +4,14 @@
 #include <atomic>
 #include <condition_variable>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include <cstring>
@@ -97,71 +99,6 @@ std::string cache_label(const CampaignSpec& spec) {
              std::to_string(spec.shard_count);
   }
   return label;
-}
-
-// Campaign payload <-> text (the CPK1 record payload, docs/FORMATS.md).
-// Parsing tolerates truncated or corrupted payloads: any parse failure,
-// fingerprint mismatch or implausible header leaves *out untouched and
-// returns false, so the caller falls back to re-running the campaign (and
-// rewrites the cache entry).
-bool parse_result(const std::string& payload, std::uint64_t fp,
-                  std::uint32_t expected_ffs, CampaignResult* out) {
-  std::istringstream in(payload);
-  std::uint64_t file_fp = 0;
-  std::uint32_t ffs = 0;
-  CampaignResult r;
-  if (!(in >> file_fp >> ffs >> r.nominal_cycles >> r.nominal_instrs)) {
-    return false;
-  }
-  if (file_fp != fp || ffs != expected_ffs || r.nominal_cycles == 0) {
-    return false;
-  }
-  r.ff_count = ffs;
-  r.per_ff.assign(ffs, {});
-  for (std::uint32_t i = 0; i < ffs; ++i) {
-    OutcomeCounts& c = r.per_ff[i];
-    if (!(in >> c.vanished >> c.omm >> c.ut >> c.hang >> c.ed >> c.recovered)) {
-      return false;
-    }
-    r.totals.merge(c);
-  }
-  // Optional adaptive block (fingerprints keep adaptive and fixed entries
-  // from ever aliasing, so its presence is self-consistent with the probe).
-  std::string tag;
-  if (in >> tag) {
-    if (tag != "adaptive") return false;
-    std::uint32_t method = 0;
-    std::uint64_t target_bits = 0;
-    if (!(in >> method >> target_bits >> r.pilot)) return false;
-    if (method > 1) return false;
-    r.confidence_method = static_cast<util::IntervalMethod>(method);
-    r.confidence_target = bits_f64(target_bits);
-    if (!(r.confidence_target > 0.0) || r.confidence_target > 0.5) {
-      return false;
-    }
-    r.planned.assign(ffs, 0);
-    for (std::uint32_t i = 0; i < ffs; ++i) {
-      if (!(in >> r.planned[i])) return false;
-    }
-  }
-  *out = std::move(r);
-  return true;
-}
-
-std::string serialize_result(std::uint64_t fp, const CampaignResult& r) {
-  std::ostringstream out;
-  out << fp << ' ' << r.ff_count << ' ' << r.nominal_cycles << ' '
-      << r.nominal_instrs << '\n';
-  for (const auto& c : r.per_ff) {
-    out << c.vanished << ' ' << c.omm << ' ' << c.ut << ' ' << c.hang << ' '
-        << c.ed << ' ' << c.recovered << '\n';
-  }
-  if (r.adaptive()) {
-    out << "adaptive " << static_cast<std::uint32_t>(r.confidence_method)
-        << ' ' << f64_bits(r.confidence_target) << ' ' << r.pilot << '\n';
-    for (const std::uint64_t n : r.planned) out << n << '\n';
-  }
-  return out.str();
 }
 
 // ---- persistent per-worker simulators --------------------------------------
@@ -783,6 +720,120 @@ CampaignResult merge_campaign_results(
 
 namespace detail {
 
+namespace {
+
+bool is_payload_space(char c) {
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r';
+}
+
+// Strict reader over a cached payload: unsigned decimal fields and words,
+// each followed by at least one whitespace byte (every line the writer
+// emits ends in '\n').  A sign, an out-of-range value or a field cut off
+// at the end of the payload fails the read.
+class PayloadReader {
+ public:
+  explicit PayloadReader(std::string_view text)
+      : p_(text.data()), end_(text.data() + text.size()) {}
+
+  template <typename T>
+  bool number(T* out) {
+    skip_space();
+    const auto [next, ec] = std::from_chars(p_, end_, *out);
+    if (ec != std::errc() || next == end_ || !is_payload_space(*next)) {
+      return false;
+    }
+    p_ = next;
+    return true;
+  }
+  // Consumes `word` when it is the next token.
+  bool word(std::string_view word) {
+    skip_space();
+    const std::size_t left = static_cast<std::size_t>(end_ - p_);
+    if (left <= word.size() || std::string_view(p_, word.size()) != word ||
+        !is_payload_space(p_[word.size()])) {
+      return false;
+    }
+    p_ += word.size();
+    return true;
+  }
+  bool at_end() {
+    skip_space();
+    return p_ == end_;
+  }
+
+ private:
+  void skip_space() {
+    while (p_ != end_ && is_payload_space(*p_)) ++p_;
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
+}  // namespace
+
+bool parse_result(std::string_view payload, std::uint64_t fp,
+                  std::uint32_t expected_ffs, bool adaptive,
+                  CampaignResult* out) {
+  PayloadReader in(payload);
+  std::uint64_t file_fp = 0;
+  std::uint32_t ffs = 0;
+  CampaignResult r;
+  if (!in.number(&file_fp) || !in.number(&ffs) ||
+      !in.number(&r.nominal_cycles) || !in.number(&r.nominal_instrs)) {
+    return false;
+  }
+  if (file_fp != fp || ffs != expected_ffs || r.nominal_cycles == 0) {
+    return false;
+  }
+  r.ff_count = ffs;
+  r.per_ff.assign(ffs, {});
+  for (OutcomeCounts& c : r.per_ff) {
+    if (!in.number(&c.vanished) || !in.number(&c.omm) || !in.number(&c.ut) ||
+        !in.number(&c.hang) || !in.number(&c.ed) ||
+        !in.number(&c.recovered)) {
+      return false;
+    }
+    r.totals.merge(c);
+  }
+  if (adaptive) {
+    std::uint32_t method = 0;
+    std::uint64_t target_bits = 0;
+    if (!in.word("adaptive") || !in.number(&method) ||
+        !in.number(&target_bits) || !in.number(&r.pilot) || method > 1) {
+      return false;
+    }
+    r.confidence_method = static_cast<util::IntervalMethod>(method);
+    r.confidence_target = bits_f64(target_bits);
+    if (!(r.confidence_target > 0.0) || r.confidence_target > 0.5) {
+      return false;
+    }
+    r.planned.assign(ffs, 0);
+    for (std::uint64_t& n : r.planned) {
+      if (!in.number(&n)) return false;
+    }
+  }
+  if (!in.at_end()) return false;
+  *out = std::move(r);
+  return true;
+}
+
+std::string serialize_result(std::uint64_t fp, const CampaignResult& r) {
+  std::ostringstream out;
+  out << fp << ' ' << r.ff_count << ' ' << r.nominal_cycles << ' '
+      << r.nominal_instrs << '\n';
+  for (const auto& c : r.per_ff) {
+    out << c.vanished << ' ' << c.omm << ' ' << c.ut << ' ' << c.hang << ' '
+        << c.ed << ' ' << c.recovered << '\n';
+  }
+  if (r.adaptive()) {
+    out << "adaptive " << static_cast<std::uint32_t>(r.confidence_method)
+        << ' ' << f64_bits(r.confidence_target) << ' ' << r.pilot << '\n';
+    for (const std::uint64_t n : r.planned) out << n << '\n';
+  }
+  return out.str();
+}
+
 std::vector<CampaignResult> execute_campaigns(
     const std::vector<CampaignSpec>& specs, const BatchHooks& hooks) {
   std::vector<CampaignResult> results(specs.size());
@@ -838,7 +889,8 @@ std::vector<CampaignResult> execute_campaigns(
       job.fp = spec_fingerprint(spec, job.injections);
       std::string payload;
       if (CachePack::instance(cache_dir).get(job.fp, &payload) &&
-          parse_result(payload, job.fp, job.ff_count, &results[si])) {
+          parse_result(payload, job.fp, job.ff_count, spec.adaptive(),
+                       &results[si])) {
         continue;  // served from the pack
       }
     }

@@ -35,6 +35,8 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "inject/campaign.h"
@@ -72,6 +74,18 @@ struct BatchHooks {
 // on a bad spec, and std::runtime_error when a golden run does not halt.
 [[nodiscard]] std::vector<CampaignResult> execute_campaigns(
     const std::vector<CampaignSpec>& specs, const BatchHooks& hooks);
+
+// The campaign-cache payload codec (the text stored in each CPK1 record,
+// docs/FORMATS.md).  parse_result() fails closed: unless the payload
+// decodes field for field as serialize_result() output for a result with
+// fingerprint `fp`, `expected_ffs` flip-flops and the given adaptivity, it
+// leaves *out untouched and returns false, and the executor re-runs the
+// campaign (rewriting the entry).
+[[nodiscard]] bool parse_result(std::string_view payload, std::uint64_t fp,
+                                std::uint32_t expected_ffs, bool adaptive,
+                                CampaignResult* out);
+[[nodiscard]] std::string serialize_result(std::uint64_t fp,
+                                           const CampaignResult& r);
 
 }  // namespace clear::inject::detail
 

@@ -1,18 +1,34 @@
 #include "resilience/parity.h"
 
 #include <algorithm>
-#include <map>
+#include <string_view>
+#include <utility>
 
 namespace clear::resilience {
 
 namespace {
 
 // Functional unit of a flip-flop: the first dotted component of its
-// structure name ("e.ctrl.inst" -> "e", "rob.e3.result" -> "rob").
-std::string unit_of(const arch::FFRegistry& reg, std::uint32_t ff) {
-  const std::string& name = reg.structure_of(ff).name;
-  const auto dot = name.find('.');
-  return dot == std::string::npos ? name : name.substr(0, dot);
+// structure name ("e.ctrl.inst" -> "e", "rob.e3.result" -> "rob").  The
+// view aliases the registry's structure name.
+std::string_view unit_of(const arch::FFRegistry& reg, std::uint32_t ff) {
+  const std::string_view name = reg.structure_of(ff).name;
+  return name.substr(0, name.find('.'));
+}
+
+// Stable sort by functional unit.  Each FF's unit is looked up once, not
+// once per comparison; the order equals a stable sort comparing
+// unit_of() strings.
+void sort_by_unit(const arch::FFRegistry& reg,
+                  std::vector<std::uint32_t>& ffs) {
+  std::vector<std::pair<std::string_view, std::uint32_t>> keyed;
+  keyed.reserve(ffs.size());
+  for (const std::uint32_t f : ffs) keyed.emplace_back(unit_of(reg, f), f);
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  for (std::size_t i = 0; i < ffs.size(); ++i) ffs[i] = keyed[i].second;
 }
 
 phys::ParityPlan chunk_into_groups(const phys::PhysModel& model,
@@ -55,10 +71,7 @@ phys::ParityPlan build_parity_plan(const arch::Core& core,
                        });
       break;
     case ParityHeuristic::kLocality:
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return unit_of(reg, a) < unit_of(reg, b);
-                       });
+      sort_by_unit(reg, order);
       break;
     case ParityHeuristic::kTiming:
       std::stable_sort(order.begin(), order.end(),
@@ -76,14 +89,8 @@ phys::ParityPlan build_parity_plan(const arch::Core& core,
       for (const std::uint32_t f : order) {
         (model.slack_ps(f) >= need32 ? fast : slow).push_back(f);
       }
-      auto by_unit = [&](std::vector<std::uint32_t>& v) {
-        std::stable_sort(v.begin(), v.end(),
-                         [&](std::uint32_t a, std::uint32_t b) {
-                           return unit_of(reg, a) < unit_of(reg, b);
-                         });
-      };
-      by_unit(fast);
-      by_unit(slow);
+      sort_by_unit(reg, fast);
+      sort_by_unit(reg, slow);
       phys::ParityPlan plan;
       for (std::size_t i = 0; i < fast.size(); i += 32) {
         phys::ParityGroup g;

@@ -2,16 +2,15 @@
 //
 //   CLEAR_INJECTIONS          - injections per (core, benchmark, variant)
 //                               campaign
-//   CLEAR_THREADS             - worker threads for campaigns (0 = hardware)
+//   CLEAR_THREADS             - worker threads for campaigns and for
+//                               exploration combo evaluation
+//                               (0 = hardware)
 //   CLEAR_CACHE_DIR           - campaign cache directory ("" disables)
 //   CLEAR_CACHE_MAX_BYTES     - campaign cache pack byte budget; exceeding
 //                               it evicts least-recently-used entries
 //                               (0 = unlimited; accepts K/M/G suffixes)
 //   CLEAR_EXPLORE_BATCH       - combos per design-space-exploration
 //                               scheduling batch (default 64)
-//   CLEAR_EXPLORE_PIPELINE    - 0 disables exploration batch pipelining
-//                               (profile batch N+1 while evaluating batch
-//                               N; default 1, bit-identical either way)
 //   CLEAR_ENGINE_QUEUE_MAX    - refuse engine submissions while this many
 //                               jobs are queued (0 = unlimited)
 //   CLEAR_CONFIDENCE          - confidence-driven adaptive campaigns in

@@ -315,6 +315,7 @@ TEST(ComboEvaluation, FlagshipBeatsMostOfTheSpace) {
   flagship.dice = true;
   flagship.parity = true;
   flagship.recovery = arch::RecoveryKind::kFlush;
+  s.prefetch(combo_variants(flagship));
   const ComboPoint p = evaluate_combo(s, sel, flagship, 50.0);
   EXPECT_TRUE(p.target_met);
   EXPECT_LT(p.energy, 0.12);
@@ -323,6 +324,7 @@ TEST(ComboEvaluation, FlagshipBeatsMostOfTheSpace) {
   // An expensive software combo: EDDI's duplicated execution dominates.
   Combo eddi;
   eddi.eddi = true;
+  s.prefetch(combo_variants(eddi));
   const ComboPoint pe = evaluate_combo(s, sel, eddi, 50.0);
   EXPECT_GT(pe.energy, 0.3);
   EXPECT_GT(pe.energy, p.energy * 4);
@@ -333,6 +335,7 @@ TEST(ComboEvaluation, ComposedProfileForMultiLayerCombos) {
   Combo multi;
   multi.cfcss = true;
   multi.assertions = true;
+  s.prefetch(combo_variants(multi));
   const ProfileSet prof = combo_profile(s, multi);
   const ProfileSet& base = s.profiles(Variant::base());
   // Composition keeps totals sane and stacks exec overheads.

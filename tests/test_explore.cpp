@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
@@ -522,6 +523,143 @@ TEST(Explore, ResumeFromRecordBoundaryIsByteIdentical) {
   EXPECT_EQ(read_file(cut_path), full_bytes);
 }
 
+// Sets an environment variable for one scope, restoring the old value.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_ = old != nullptr;
+    if (had_) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_) ::setenv(name_, old_.c_str(), 1);
+    else ::unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  bool had_ = false;
+  std::string old_;
+};
+
+// The ledger bytes of a fresh run of `spec` under CLEAR_THREADS=threads.
+std::string ledger_bytes(const explore::ExploreSpec& spec,
+                         const std::string& path, const char* threads) {
+  const ScopedEnv env("CLEAR_THREADS", threads);
+  std::filesystem::remove(path);
+  (void)explore::run_exploration(spec, path);
+  return read_file(path);
+}
+
+// Byte length of the ledger file holding only the first n records.
+std::size_t prefix_bytes(const std::string& bytes, const Ledger& ledger,
+                         std::size_t n) {
+  std::size_t cut = bytes.size();
+  for (const auto& r : ledger.records) cut -= explore::encode_record(r).size();
+  for (std::size_t i = 0; i < n; ++i) {
+    cut += explore::encode_record(ledger.records[i]).size();
+  }
+  return cut;
+}
+
+// Parallel evaluation is pure scheduling: one worker or four, the ledger
+// bytes are the same, in every pruning mode and across a mid-batch resume.
+TEST(Explore, RecordsIdenticalAcrossThreadCounts) {
+  const std::string path = "explore_e2e/threads.cxl";
+
+  // Pruned, fixed budget; 16-combo batches, so the space spans many.
+  explore::ExploreSpec pruned = test_spec();
+  pruned.batch = 16;
+  const std::string pruned_bytes = ledger_bytes(pruned, path, "1");
+  EXPECT_EQ(ledger_bytes(pruned, path, "4"), pruned_bytes);
+
+  // Every combo evaluated.
+  explore::ExploreSpec full = test_spec();
+  full.prune = false;
+  full.batch = 16;
+  EXPECT_EQ(ledger_bytes(full, path, "4"), ledger_bytes(full, path, "1"));
+
+  // Adaptive, unsharded, pruning: the bar tightens as points land.  With
+  // one batch for the whole space, every combo the tightened bar prunes
+  // was evaluated speculatively against the anchor bar and dropped by the
+  // fold; batch = 1 is the serial schedule, where the bar at each combo
+  // is already the live one.  At a 500x target some evaluated points are
+  // (near-)full-protection designs cheaper than the anchors.
+  explore::ExploreSpec adaptive = test_spec();
+  adaptive.target = 500.0;
+  adaptive.confidence = 0.3;
+  adaptive.batch = 1;
+  const std::string serial = ledger_bytes(adaptive, path, "1");
+  adaptive.batch = 1024;
+  EXPECT_EQ(ledger_bytes(adaptive, path, "4"), serial);
+  EXPECT_EQ(ledger_bytes(adaptive, path, "1"), serial);
+  {
+    Ledger l;
+    ASSERT_EQ(explore::decode_ledger(serial, &l), LedgerStatus::kOk);
+    double anchor_bar = std::numeric_limits<double>::infinity();
+    for (const auto& r : l.records) {
+      if (r.kind == RecordKind::kAnchor && r.sdc_protected_pct >= 99.5) {
+        anchor_bar = std::min(anchor_bar, r.energy);
+      }
+    }
+    std::size_t dropped = 0;
+    for (const auto& r : l.records) {
+      dropped += r.kind == RecordKind::kPruned && r.energy <= anchor_bar;
+    }
+    EXPECT_GT(dropped, 0u) << "no speculative point was discarded";
+  }
+
+  // Resume from a record boundary in the middle of a batch: a serial
+  // run's prefix, finished by four workers, is the serial file.
+  Ledger parsed;
+  ASSERT_EQ(explore::decode_ledger(pruned_bytes, &parsed), LedgerStatus::kOk);
+  ASSERT_GT(parsed.records.size(), 40u);
+  write_file(path, pruned_bytes.substr(0, prefix_bytes(pruned_bytes, parsed,
+                                                       2 + 16 + 5)));
+  {
+    const ScopedEnv env("CLEAR_THREADS", "4");
+    (void)explore::run_exploration(pruned, path);
+  }
+  EXPECT_EQ(read_file(path), pruned_bytes);
+}
+
+// A cancel that lands mid-batch stops the run with only whole records on
+// disk: the file is the uninterrupted ledger's prefix at a record
+// boundary, and it resumes to the complete file.
+TEST(Explore, CancelMidBatchLeavesOnlyCompleteRecords) {
+  const std::string path = "explore_e2e/cancel.cxl";
+  explore::ExploreSpec spec = test_spec();
+  spec.batch = 16;
+  const std::string full_bytes = ledger_bytes(spec, path, "4");
+
+  std::filesystem::remove(path);
+  std::atomic<bool> cancel{false};
+  spec.cancel = &cancel;
+  const std::size_t stop_after = 20;  // inside the second batch
+  {
+    const ScopedEnv env("CLEAR_THREADS", "4");
+    EXPECT_THROW(explore::run_exploration(
+                     spec, path,
+                     [&](const explore::Progress& p) {
+                       if (p.done == stop_after) cancel.store(true);
+                     }),
+                 explore::ExploreCancelled);
+  }
+  const std::string cut = read_file(path);
+  Ledger partial;
+  ASSERT_EQ(explore::decode_ledger(cut, &partial), LedgerStatus::kOk);
+  const std::size_t anchors = explore::anchor_indices(spec.core).size();
+  EXPECT_EQ(partial.records.size(), anchors + stop_after);
+  EXPECT_EQ(full_bytes.substr(0, cut.size()), cut);
+
+  cancel.store(false);
+  (void)explore::run_exploration(spec, path);
+  EXPECT_EQ(read_file(path), full_bytes);
+}
+
 TEST(Explore, ResumeFromTornTailRecoversAndCompletes) {
   const std::string full_path = "explore_e2e/resume_full.cxl";  // from above
   const std::string torn_path = "explore_e2e/resume_torn.cxl";
@@ -558,6 +696,7 @@ TEST(Explore, CostLowerBoundIsSound) {
   const auto combos = core::enumerate_combos(spec.core);
   std::size_t checked = 0;
   for (std::size_t i = 0; i < combos.size(); i += 7) {
+    session.prefetch(core::combo_variants(combos[i]));
     const double lb =
         core::combo_cost_lower_bound(session, selector.model(), combos[i]);
     const core::ComboPoint p =

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -17,10 +18,12 @@
 #include "engine/engine.h"
 #include "inject/cachepack.h"
 #include "inject/campaign.h"
+#include "inject/exec.h"
 #include "inject/iss_inject.h"
 #include "isa/assembler.h"
 #include "obs/metrics.h"
 #include "plan/runplan.h"
+#include "util/bytes.h"
 #include "util/fs.h"
 #include "util/threadpool.h"
 #include "workloads/workloads.h"
@@ -497,6 +500,157 @@ TEST(Campaign, CorruptCacheFallsBackToRerun) {
   // pack): the store reopens and the campaign re-runs.
   std::filesystem::remove_all(inject::campaign_cache_dir());
   expect_identical(fresh, engine::run_campaign(spec));
+}
+
+// ---- cache payload decoder -------------------------------------------------
+
+inject::CampaignResult synth_result(bool adaptive) {
+  inject::CampaignResult r;
+  r.ff_count = 3;
+  r.nominal_cycles = 123456789012ULL;
+  r.nominal_instrs = 98765;
+  r.per_ff = {{0, 1, 2, 3, 4, 5}, {4294967295u, 0, 7, 0, 9, 0}, {}};
+  for (const auto& c : r.per_ff) r.totals.merge(c);
+  if (adaptive) {
+    r.confidence_target = 0.1;  // not a short decimal: the bits must survive
+    r.confidence_method = util::IntervalMethod::kClopperPearson;
+    r.pilot = 7;
+    r.planned = {12, 0, 18446744073709551615ULL};
+  }
+  return r;
+}
+
+void expect_same_payload_result(const inject::CampaignResult& a,
+                                const inject::CampaignResult& b) {
+  expect_identical(a, b);
+  EXPECT_EQ(a.ff_count, b.ff_count);
+  EXPECT_EQ(util::f64_bits(a.confidence_target),
+            util::f64_bits(b.confidence_target));
+  EXPECT_EQ(a.confidence_method, b.confidence_method);
+  EXPECT_EQ(a.pilot, b.pilot);
+  EXPECT_EQ(a.planned, b.planned);
+}
+
+TEST(CacheDecoder, FixedAndAdaptiveResultsRoundTripExactly) {
+  for (const bool adaptive : {false, true}) {
+    const inject::CampaignResult r = synth_result(adaptive);
+    const std::string text = inject::detail::serialize_result(42, r);
+    inject::CampaignResult back;
+    ASSERT_TRUE(inject::detail::parse_result(text, 42, 3, adaptive, &back))
+        << text;
+    expect_same_payload_result(r, back);
+    EXPECT_EQ(inject::detail::serialize_result(42, back), text);
+  }
+}
+
+TEST(CacheDecoder, MalformedPayloadsAreRefusedAndLeaveTheOutputUntouched) {
+  const std::string fixed = inject::detail::serialize_result(
+      42, synth_result(false));
+  const std::string adaptive = inject::detail::serialize_result(
+      42, synth_result(true));
+  ASSERT_EQ(fixed.substr(fixed.find('\n') + 1, 12), "0 1 2 3 4 5\n");
+  ASSERT_EQ(adaptive.substr(adaptive.size() - 21), "18446744073709551615\n");
+  const auto replace_first_count = [&](const std::string& with) {
+    std::string s = fixed;
+    s.replace(fixed.find('\n') + 1, 1, with);
+    return s;
+  };
+  const struct {
+    const char* what;
+    std::string payload;
+    bool adaptive;
+  } cases[] = {
+      {"negative field", replace_first_count("-1"), false},
+      {"uint32 overflow", replace_first_count("4294967296"), false},
+      {"non-numeric token", replace_first_count("x"), false},
+      {"digits run into a letter", replace_first_count("0a"), false},
+      {"hex field", replace_first_count("0x1"), false},
+      {"number cut off mid-digit", adaptive.substr(0, adaptive.size() - 3),
+       true},
+      {"last field unterminated", fixed.substr(0, fixed.size() - 1), false},
+      {"unknown trailing tag", fixed + "extra 1\n", false},
+      {"trailing token after the adaptive block", adaptive + "7\n", true},
+      {"missing planned entries",
+       adaptive.substr(0, adaptive.rfind('\n', adaptive.size() - 2) + 1),
+       true},
+      {"adaptive block where none is expected", adaptive, false},
+      {"adaptive block missing", fixed, true},
+      {"wrong fingerprint", "41" + fixed.substr(2), false},
+      {"empty payload", "", false},
+  };
+  for (const auto& c : cases) {
+    inject::CampaignResult out = synth_result(true);
+    out.pilot = 99;
+    EXPECT_FALSE(
+        inject::detail::parse_result(c.payload, 42, 3, c.adaptive, &out))
+        << c.what;
+    EXPECT_EQ(out.pilot, 99u) << c.what << ": output was modified";
+  }
+  // The wrong flip-flop count is refused as well.
+  inject::CampaignResult out;
+  EXPECT_FALSE(inject::detail::parse_result(fixed, 42, 4, false, &out));
+}
+
+// The decoder's refusals reach the executor: each malformed payload,
+// planted under the campaign's real fingerprint, makes the campaign
+// re-simulate and rewrite the entry with the good payload.
+TEST(Campaign, MalformedCachePayloadsReSimulate) {
+  const auto prog = bench("parser");
+  inject::CampaignSpec spec;
+  spec.core_name = "InO";
+  spec.program = &prog;
+  spec.injections = 200;
+  spec.confidence_half_width = 0.3;
+  spec.key = "test/parser/malformed_payload";
+  std::filesystem::remove_all(inject::campaign_cache_dir());
+  const auto fresh = engine::run_campaign(spec);
+  ASSERT_TRUE(fresh.adaptive());
+
+  // The pack holds exactly this campaign's record (docs/FORMATS.md).
+  std::string pack;
+  {
+    std::ifstream in(std::filesystem::path(inject::campaign_cache_dir()) /
+                         inject::CachePack::kPackName,
+                     std::ios::binary);
+    pack.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(pack.size(), 36u);
+  std::uint32_t key_len = 0;
+  std::uint32_t payload_len = 0;
+  std::uint64_t fp = 0;
+  std::memcpy(&key_len, pack.data() + 4, 4);
+  std::memcpy(&payload_len, pack.data() + 8, 4);
+  std::memcpy(&fp, pack.data() + 12, 8);
+  ASSERT_EQ(pack.size(), 36u + key_len + payload_len);
+  const std::string good = pack.substr(36 + key_len, payload_len);
+  const std::size_t first_count = good.find('\n') + 1;
+
+  std::string negative = good;
+  negative.insert(first_count, "-");
+  std::string overflow = good;
+  overflow.replace(first_count, good.find(' ', first_count) - first_count,
+                   "4294967296");
+  std::string token = good;
+  token.insert(first_count, "x");
+  const std::string bad[] = {
+      negative,
+      overflow,
+      token,
+      good.substr(0, good.size() - 1),  // last number loses its terminator
+      good + "extra 1\n",
+      good.substr(0, good.rfind('\n', good.size() - 2) + 1),  // planned short
+  };
+  inject::CachePack& store =
+      inject::CachePack::instance(inject::campaign_cache_dir());
+  for (const std::string& payload : bad) {
+    store.put(fp, "planted", payload);
+    const auto again = engine::run_campaign(spec);
+    expect_same_payload_result(fresh, again);
+    std::string now;
+    ASSERT_TRUE(store.get(fp, &now));
+    EXPECT_EQ(now, good) << "the re-run must rewrite the entry";
+  }
 }
 
 TEST(Campaign, CacheRoundTrips) {

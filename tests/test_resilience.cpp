@@ -2,7 +2,10 @@
 // in-simulator validation of grouped parity protection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <set>
+#include <string>
 
 #include "arch/core.h"
 #include "isa/assembler.h"
@@ -101,6 +104,97 @@ TEST(ParityPlan, TimingHeuristicReducesPipelining) {
   };
   // Sorting by slack clusters slack-rich FFs into unpipelined groups.
   EXPECT_LE(piped(timing), piped(naive));
+}
+
+// The plan build_parity_plan had when it compared freshly built unit
+// strings inside the sort: the identity oracle for the locality orders.
+std::string oracle_unit(const arch::FFRegistry& reg, std::uint32_t ff) {
+  const std::string& name = reg.structure_of(ff).name;
+  const auto dot = name.find('.');
+  return dot == std::string::npos ? name : name.substr(0, dot);
+}
+
+void oracle_sort_by_unit(const arch::FFRegistry& reg,
+                         std::vector<std::uint32_t>& v) {
+  std::stable_sort(v.begin(), v.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return oracle_unit(reg, a) < oracle_unit(reg, b);
+  });
+}
+
+void oracle_chunk(const phys::PhysModel& model,
+                  const std::vector<std::uint32_t>& order, std::size_t bits,
+                  int pipelined, phys::ParityPlan* plan) {
+  for (std::size_t i = 0; i < order.size(); i += bits) {
+    phys::ParityGroup g;
+    g.ffs.assign(order.begin() + static_cast<std::ptrdiff_t>(i),
+                 order.begin() + static_cast<std::ptrdiff_t>(
+                                     std::min(order.size(), i + bits)));
+    g.pipelined = pipelined < 0 ? !model.group_fits_unpipelined(g.ffs)
+                                : pipelined != 0;
+    plan->groups.push_back(std::move(g));
+  }
+}
+
+phys::ParityPlan oracle_plan(const arch::Core& core,
+                             const phys::PhysModel& model,
+                             std::vector<std::uint32_t> ffs,
+                             ParityHeuristic h) {
+  const auto& reg = core.registry();
+  phys::ParityPlan plan;
+  if (h == ParityHeuristic::kLocality) {
+    oracle_sort_by_unit(reg, ffs);
+    oracle_chunk(model, ffs, 16, -1, &plan);
+    return plan;
+  }
+  const double need32 = phys::PhysModel::xor_tree_delay_ps(32);
+  std::vector<std::uint32_t> fast;
+  std::vector<std::uint32_t> slow;
+  for (const std::uint32_t f : ffs) {
+    (model.slack_ps(f) >= need32 ? fast : slow).push_back(f);
+  }
+  oracle_sort_by_unit(reg, fast);
+  oracle_sort_by_unit(reg, slow);
+  oracle_chunk(model, fast, 32, 0, &plan);
+  oracle_chunk(model, slow, 16, 1, &plan);
+  return plan;
+}
+
+void expect_same_plan(const phys::ParityPlan& got,
+                      const phys::ParityPlan& want) {
+  ASSERT_EQ(got.groups.size(), want.groups.size());
+  for (std::size_t g = 0; g < got.groups.size(); ++g) {
+    EXPECT_EQ(got.groups[g].ffs, want.groups[g].ffs) << "group " << g;
+    EXPECT_EQ(got.groups[g].pipelined, want.groups[g].pipelined)
+        << "group " << g;
+  }
+}
+
+TEST(ParityPlan, LocalityOrdersMatchStringComparatorOracle) {
+  for (const char* name : {"InO", "OoO"}) {
+    const auto core = arch::make_core(name);
+    phys::PhysModel model(*core);
+    const auto ffs = all_ffs(*core);
+    std::mt19937_64 rng(0xC1EA2u);
+    for (const ParityHeuristic h :
+         {ParityHeuristic::kOptimized, ParityHeuristic::kLocality}) {
+      SCOPED_TRACE(std::string(name) + " " +
+                   resilience::parity_heuristic_name(h));
+      expect_same_plan(resilience::build_parity_plan(*core, model, ffs, h),
+                       oracle_plan(*core, model, ffs, h));
+      // Seeded random subsets, shuffled so the stable sort sees ties out
+      // of registration order.
+      for (int trial = 0; trial < 8; ++trial) {
+        std::vector<std::uint32_t> subset;
+        for (const std::uint32_t f : ffs) {
+          if (rng() % 3 == 0) subset.push_back(f);
+        }
+        std::shuffle(subset.begin(), subset.end(), rng);
+        expect_same_plan(
+            resilience::build_parity_plan(*core, model, subset, h),
+            oracle_plan(*core, model, subset, h));
+      }
+    }
+  }
 }
 
 TEST(ParityPlan, VulnerabilityHeuristicFrontloadsHotFFs) {
