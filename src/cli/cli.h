@@ -34,6 +34,8 @@
 #include <cstdint>
 #include <string>
 
+#include "fleet/status.h"
+#include "obs/metrics.h"
 #include "util/table.h"
 
 namespace clear::cli {
@@ -71,23 +73,22 @@ int cmd_status(int argc, const char* const* argv);
 // `clear version [--json]`.
 int cmd_version(int argc, const char* const* argv);
 
-// Writes the process-wide obs metric snapshot (clear-metrics-v1 JSON) at
-// the end of a CLI verb.  `flag_value` is the verb's --metrics-out value;
-// when empty, CLEAR_METRICS_OUT supplies the destination ("-" = stdout,
-// "" = off).  A write failure prints a warning under `ctx` but never
-// fails the verb: telemetry must not fail the work it observes.
-void write_metrics_out(const std::string& flag_value, const char* ctx);
+// Writes a metric snapshot (clear-metrics-v1 JSON; by default the
+// process-wide one) at the end of a CLI verb.  `flag_value` is the verb's
+// --metrics-out value; when empty, CLEAR_METRICS_OUT supplies the
+// destination ("-" = stdout, "" = off).  A write failure prints a warning
+// under `ctx` but never fails the verb: telemetry must not fail the work
+// it observes.
+void write_metrics_out(const std::string& flag_value, const char* ctx,
+                       const obs::Snapshot& snap = obs::snapshot());
 
-// Renders a clear-fleet-status-v1 JSON document (the file a fleet driver
-// maintains via --status-out) as the `clear status` tables.  Shared with
-// `clear explore watch --status`.  Returns false and fills *error when
-// the document does not parse as that schema.
-bool render_fleet_status(const std::string& json, std::string* out,
-                         std::string* error);
+// Draws the `clear status` tables from a clear-fleet-status-v1 document
+// (fleet/status.h); `clear explore watch --status` shares them.
+// `show_shards_done` adds the per-worker shard column a fleet driver
+// tallies.
+[[nodiscard]] std::string render_status(const fleet::FleetStatus& status,
+                                        bool show_shards_done);
 
-// Variant/shard flag parsing lives in plan/runplan.h (plan::parse_variant,
-// plan::parse_shard): the fleet driver resolves the same grammar without
-// reaching up into the CLI layer.
 // Parses a byte count with optional K/M/G suffix (powers of 1024), the
 // same grammar as the CLEAR_CACHE_MAX_BYTES env knob.  Returns false on
 // malformed input.

@@ -13,8 +13,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -27,37 +25,15 @@
 #include "explore/ledger.h"
 #include "plan/runplan.h"
 #include "util/args.h"
+#include "util/fs.h"
 #include "util/table.h"
 
 namespace clear::cli {
 
 namespace {
 
-bool parse_metric(const std::string& text, core::Metric* out) {
-  if (text == "sdc") *out = core::Metric::kSdc;
-  else if (text == "due") *out = core::Metric::kDue;
-  else if (text == "joint") *out = core::Metric::kJoint;
-  else return false;
-  return true;
-}
-
 const char* metric_name(std::uint32_t m) {
-  switch (m) {
-    case 0: return "sdc";
-    case 1: return "due";
-    case 2: return "joint";
-  }
-  return "?";
-}
-
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream in(text);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
+  return m <= 2 ? core::metric_token(static_cast<core::Metric>(m)) : "?";
 }
 
 void add_point_row(util::TextTable* t, const explore::LedgerRecord& r) {
@@ -92,7 +68,8 @@ void emit_identity_json(std::ostringstream* out, const explore::Ledger& l) {
        << "\", \"seed\": " << l.seed << ", \"per_ff_samples\": "
        << l.per_ff_samples << ", \"confidence\": " << l.confidence
        << ", \"confidence_method\": \""
-       << (l.confidence_method == 1 ? "clopper-pearson" : "wilson")
+       << util::interval_method_name(
+              static_cast<util::IntervalMethod>(l.confidence_method))
        << "\", \"combo_count\": " << l.combo_count
        << ", \"pruning\": " << (l.pruning ? "true" : "false")
        << ", \"shard_count\": " << l.shard_count << ", \"covered\": [";
@@ -135,34 +112,10 @@ int explore_run(int argc, const char* const* argv) {
       "and appended to the ledger.  Killed runs resume from the ledger\n"
       "without re-running completed combos; K shard ledgers fold with\n"
       "'clear explore merge' bit-identically to the unsharded run.");
-  args.add_option("core", "InO|OoO", "processor model", "InO");
-  args.add_option("target", "X", "SDC/DUE improvement target", "50");
-  args.add_option("metric", "sdc|due|joint", "improvement metric", "sdc");
-  args.add_option("seed", "N", "campaign RNG seed", "1");
-  args.add_option("per-ff", "N",
-                  "injections per flip-flop per benchmark (0 = "
-                  "CLEAR_INJECTIONS or the per-core default)",
-                  "0");
-  args.add_option("benches", "a,b,c",
-                  "benchmark suite to profile on (default: full core suite)");
-  args.add_option("confidence", "W",
-                  "confidence-driven adaptive profiling: stop sampling a "
-                  "flip-flop once the 95% interval half-width on its SDC "
-                  "and DUE rates is <= W; --per-ff becomes a budget "
-                  "ceiling (0 = off)",
-                  "0");
-  args.add_option("confidence-method", "wilson|cp",
-                  "interval method for --confidence (cp = Clopper-Pearson)",
-                  "wilson");
+  explore::add_spec_flags(&args);
   args.add_option("shard", "k/K", "own combo indices i with i mod K == k",
                   "0/1");
-  args.add_option("batch", "N",
-                  "combos per scheduling batch (0 = CLEAR_EXPLORE_BATCH or "
-                  "64)",
-                  "0");
   args.add_option("ledger", "file.cxl", "exploration ledger to append to");
-  args.add_flag("no-prune",
-                "evaluate every combination (skip dominance pruning)");
   args.add_option("emit-manifest", "file",
                   "write the profiling campaigns as a multi-campaign spec "
                   "for 'clear run --spec' and exit");
@@ -185,56 +138,15 @@ int explore_run(int argc, const char* const* argv) {
   }
 
   explore::ExploreSpec spec;
-  spec.core = args.get("core");
-  if (!parse_metric(args.get("metric"), &spec.metric)) {
-    std::fprintf(stderr, "clear explore run: bad --metric '%s'\n",
-                 args.get("metric").c_str());
+  if (!explore::read_spec_flags(args, &spec, &error)) {
+    std::fprintf(stderr, "clear explore run: %s\n", error.c_str());
     return 2;
   }
-  if (!plan::parse_shard(args.get("shard"), &spec.shard_index, &spec.shard_count)) {
+  if (!plan::parse_shard(args.get("shard"), &spec.shard_index,
+                         &spec.shard_count)) {
     std::fprintf(stderr,
                  "clear explore run: bad --shard '%s' (want k/K with k < K)\n",
                  args.get("shard").c_str());
-    return 2;
-  }
-  const std::string target_text = args.get("target");
-  char* end = nullptr;
-  spec.target = std::strtod(target_text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || !(spec.target > 0)) {
-    std::fprintf(stderr, "clear explore run: bad --target '%s'\n",
-                 target_text.c_str());
-    return 2;
-  }
-  std::uint64_t seed = 1, per_ff = 0, batch = 0;
-  if (!args.get_u64("seed", 1, &seed) || !args.get_u64("per-ff", 0, &per_ff) ||
-      !args.get_u64("batch", 0, &batch)) {
-    std::fprintf(stderr, "clear explore run: bad numeric flag value\n");
-    return 2;
-  }
-  spec.seed = seed;
-  spec.per_ff_samples = static_cast<std::size_t>(per_ff);
-  spec.batch = static_cast<std::size_t>(batch);
-  if (args.has("benches")) spec.benchmarks = split_csv(args.get("benches"));
-  spec.prune = !args.has("no-prune");
-  const std::string conf_text = args.get("confidence");
-  end = nullptr;
-  spec.confidence = std::strtod(conf_text.c_str(), &end);
-  if (end == conf_text.c_str() || *end != '\0' || !(spec.confidence >= 0) ||
-      spec.confidence > 0.5) {
-    std::fprintf(stderr,
-                 "clear explore run: bad --confidence '%s' (want a half-"
-                 "width in (0, 0.5], or 0 = off)\n",
-                 conf_text.c_str());
-    return 2;
-  }
-  const std::string conf_method = args.get("confidence-method");
-  if (conf_method == "cp") {
-    spec.confidence_method = util::IntervalMethod::kClopperPearson;
-  } else if (conf_method != "wilson") {
-    std::fprintf(stderr,
-                 "clear explore run: bad --confidence-method '%s' (wilson "
-                 "or cp)\n",
-                 conf_method.c_str());
     return 2;
   }
 
@@ -264,8 +176,8 @@ int explore_run(int argc, const char* const* argv) {
   if (identity.confidence > 0.0) {
     std::printf("confidence +/-%g (%s), per-FF budget ceiling %" PRIu64 "\n",
                 identity.confidence,
-                identity.confidence_method == 1 ? "clopper-pearson"
-                                                : "wilson",
+                util::interval_method_name(static_cast<util::IntervalMethod>(
+                    identity.confidence_method)),
                 identity.per_ff_samples);
   }
 
@@ -648,18 +560,16 @@ int explore_watch(int argc, const char* const* argv) {
   // last poll.  A missing or torn document is not an error: the driver
   // writes tmp + rename, so the next poll sees a whole one.
   const auto poll_status = [&] {
-    if (status_path.empty()) return;
-    std::ifstream in(status_path);
-    if (!in) return;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string doc = buf.str();
-    if (doc.empty() || doc == last_status_doc) return;
-    std::string rendered, status_error;
-    if (!render_fleet_status(doc, &rendered, &status_error)) return;
+    std::string doc, status_error;
+    fleet::FleetStatus status;
+    if (status_path.empty() || !util::read_file(status_path, &doc) ||
+        doc.empty() || doc == last_status_doc ||
+        !fleet::status_from_json(doc, &status, &status_error)) {
+      return;
+    }
     last_status_doc = std::move(doc);
     std::printf("\n--- fleet status (%s) ---\n%s\n", status_path.c_str(),
-                rendered.c_str());
+                render_status(status, /*show_shards_done=*/true).c_str());
     std::fflush(stdout);
   };
 

@@ -18,8 +18,7 @@
 // the global sample/combo index alone.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,7 +30,6 @@
 #include "inject/wire.h"
 #include "obs/metrics.h"
 #include "util/args.h"
-#include "util/env.h"
 #include "util/fs.h"
 
 namespace clear::cli {
@@ -104,21 +102,14 @@ bool parse_driver_flags(const util::ArgParser& args, const char* ctx,
 
 // Final metric dump for a fleet verb: the driver's own snapshot merged
 // with every worker's last heartbeat snapshot (counters add, gauges keep
-// the fleet-wide high-water mark).  `flag` is --metrics-out;
-// CLEAR_METRICS_OUT is the fallback, "" disables.
+// the fleet-wide high-water mark).
 void write_fleet_metrics(const std::string& flag, const char* ctx,
                          const fleet::FleetReport& report) {
-  const std::string path =
-      flag.empty() ? util::env_string("CLEAR_METRICS_OUT", "") : flag;
-  if (path.empty()) return;
   obs::Snapshot merged = obs::snapshot();
   for (const fleet::WorkerStatus& w : report.workers) {
     if (w.has_metrics) obs::merge(&merged, w.metrics);
   }
-  if (!obs::write_json_file(merged, path)) {
-    std::fprintf(stderr, "%s: warning: cannot write metrics to %s\n", ctx,
-                 path.c_str());
-  }
+  write_metrics_out(flag, ctx, merged);
 }
 
 fleet::EventFn make_event_logger(bool quiet) {
@@ -236,17 +227,15 @@ int fleet_run(int argc, const char* const* argv) {
   }
   if (shard_count == 0) shard_count = workers.size();
 
-  std::ifstream spec_in(args.get("spec"), std::ios::binary);
-  if (!spec_in) {
+  std::string manifest;
+  if (!util::read_file(args.get("spec"), &manifest)) {
     std::fprintf(stderr, "clear fleet run: cannot read spec file '%s'\n",
                  args.get("spec").c_str());
     return 1;
   }
-  std::ostringstream manifest;
-  manifest << spec_in.rdbuf();
 
   std::vector<fleet::ShardWork> shards;
-  if (!fleet::build_campaign_shards(manifest.str(),
+  if (!fleet::build_campaign_shards(manifest,
                                     static_cast<std::uint32_t>(shard_count),
                                     &shards, &error)) {
     std::fprintf(stderr, "clear fleet run: %s\n", error.c_str());
@@ -319,29 +308,7 @@ int fleet_explore(int argc, const char* const* argv) {
       "frontier/report read it any time.  Bit-identical to 'clear\n"
       "explore run' on one machine.");
   args.add_option("ledger", "file", "merged output ledger (required)");
-  args.add_option("core", "C", "core model: InO or OoO", "InO");
-  args.add_option("target", "X", "SDC/DUE improvement target", "50");
-  args.add_option("metric", "M", "optimization metric: sdc|due|joint",
-                  "sdc");
-  args.add_option("seed", "N", "campaign seed", "1");
-  args.add_option("per-ff", "N",
-                  "injections per FF per benchmark (0 = default scale)",
-                  "0");
-  args.add_option("benches", "CSV", "benchmark subset (default: full suite)",
-                  "");
-  args.add_option("batch", "N", "combos per scheduling batch (0 = default)",
-                  "0");
-  args.add_flag("no-prune", "evaluate every combination (no dominance "
-                "pruning)");
-  args.add_option("confidence", "W",
-                  "95% interval half-width target per FF, in (0, 0.5] "
-                  "(0 = off, fixed budget; changes the result: --per-ff "
-                  "becomes a ceiling)",
-                  "0");
-  args.add_option("confidence-method", "wilson|cp",
-                  "interval construction (identity field: every shard "
-                  "must agree)",
-                  "wilson");
+  explore::add_spec_flags(&args);
   add_driver_flags(&args);
   args.allow_positionals("worker",
                          "endpoints: socket path | tcp:PORT (append @N for "
@@ -374,24 +341,9 @@ int fleet_explore(int argc, const char* const* argv) {
   }
   if (shard_count == 0) shard_count = workers.size();
 
-  // Assemble the spec through the same stanza grammar the workers parse:
-  // one grammar, one validation path.
-  std::string stanza = "--core " + args.get("core") + " --target " +
-                       args.get("target") + " --metric " +
-                       args.get("metric") + " --seed " + args.get("seed");
-  if (args.get("per-ff") != "0") stanza += " --per-ff " + args.get("per-ff");
-  if (!args.get("benches").empty()) {
-    stanza += " --benches " + args.get("benches");
-  }
-  if (args.get("batch") != "0") stanza += " --batch " + args.get("batch");
-  if (args.has("no-prune")) stanza += " --no-prune";
-  if (args.get("confidence") != "0") {
-    stanza += " --confidence " + args.get("confidence") +
-              " --confidence-method " + args.get("confidence-method");
-  }
-
+  // The grammar the workers parse their shard stanzas with.
   explore::ExploreSpec spec;
-  if (!fleet::parse_explore_stanza(stanza, &spec, &error)) {
+  if (!explore::read_spec_flags(args, &spec, &error)) {
     std::fprintf(stderr, "clear fleet explore: %s\n", error.c_str());
     return 2;
   }

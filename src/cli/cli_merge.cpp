@@ -102,10 +102,7 @@ int cmd_merge(int argc, const char* const* argv) {
                 "achieved SDC [%.6g, %.6g] +/-%.4g, DUE [%.6g, %.6g] "
                 "+/-%.4g\n",
                 merged.result.confidence_target,
-                merged.result.confidence_method ==
-                        util::IntervalMethod::kClopperPearson
-                    ? "clopper-pearson"
-                    : "wilson",
+                util::interval_method_name(merged.result.confidence_method),
                 static_cast<unsigned long long>(
                     merged.result.samples_executed()),
                 static_cast<unsigned long long>(merged.injections), sdc.lo,

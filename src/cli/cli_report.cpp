@@ -59,10 +59,7 @@ void emit_json(const std::vector<std::pair<std::string, inject::ShardFile>>&
       const util::Interval sdc = s.result.sdc_interval();
       const util::Interval due = s.result.due_interval();
       out << ",\n   \"adaptive\": {\"method\": \""
-          << (s.result.confidence_method ==
-                      util::IntervalMethod::kClopperPearson
-                  ? "clopper-pearson"
-                  : "wilson")
+          << util::interval_method_name(s.result.confidence_method)
           << "\", \"target_half_width\": " << s.result.confidence_target
           << ", \"pilot\": " << s.result.pilot
           << ", \"samples_executed\": " << s.result.samples_executed()

@@ -51,10 +51,7 @@ void print_plan(const plan::RunPlan& plan) {
   if (plan.spec.adaptive()) {
     std::printf("confidence +/-%g (%s), %llu-sample budget ceiling\n",
                 plan.spec.confidence_half_width,
-                plan.spec.confidence_method ==
-                        util::IntervalMethod::kClopperPearson
-                    ? "clopper-pearson"
-                    : "wilson",
+                util::interval_method_name(plan.spec.confidence_method),
                 static_cast<unsigned long long>(plan.global));
   }
   std::printf("program    %u flip-flops, hash %016llx\n", plan.ff_count,
@@ -87,9 +84,7 @@ int finish_campaign(const plan::RunPlan& plan, const inject::CampaignResult& res
         "confidence target +/-%g (%s): executed %llu of %llu budget "
         "(%llu planned)\n",
         result.confidence_target,
-        result.confidence_method == util::IntervalMethod::kClopperPearson
-            ? "clopper-pearson"
-            : "wilson",
+        util::interval_method_name(result.confidence_method),
         static_cast<unsigned long long>(result.samples_executed()),
         static_cast<unsigned long long>(plan.global),
         static_cast<unsigned long long>(result.planned_total()));
@@ -154,14 +149,9 @@ int cmd_run(int argc, const char* const* argv) {
     }
   }
   if (stanzas.size() == 1) {
-    std::vector<const char*> spec_argv;
-    spec_argv.reserve(stanzas[0].size());
-    for (const auto& t : stanzas[0]) spec_argv.push_back(t.c_str());
     // Spec first, then the command line again so explicit flags override
     // the file (parsing is cumulative: later values win).
-    if (!args.parse(static_cast<int>(spec_argv.size()), spec_argv.data(),
-                    &error) ||
-        !args.parse(argc, argv, &error)) {
+    if (!args.parse(stanzas[0], &error) || !args.parse(argc, argv, &error)) {
       std::fprintf(stderr, "clear run: in spec '%s': %s\n%s",
                    args.get("spec").c_str(), error.c_str(),
                    args.help().c_str());
@@ -218,13 +208,9 @@ int cmd_run(int argc, const char* const* argv) {
   std::vector<plan::RunPlan> plans(stanzas.size());
   for (std::size_t i = 0; i < stanzas.size(); ++i) {
     util::ArgParser stanza_args = plan::make_run_parser();
-    std::vector<const char*> stanza_argv;
-    stanza_argv.reserve(stanzas[i].size());
-    for (const auto& t : stanzas[i]) stanza_argv.push_back(t.c_str());
     const std::string ctx = "clear run: in spec '" + args.get("spec") +
                             "' campaign #" + std::to_string(i + 1);
-    if (!stanza_args.parse(static_cast<int>(stanza_argv.size()),
-                           stanza_argv.data(), &error) ||
+    if (!stanza_args.parse(stanzas[i], &error) ||
         !stanza_args.parse(argc, argv, &error)) {
       std::fprintf(stderr, "%s: %s\n", ctx.c_str(), error.c_str());
       return 2;

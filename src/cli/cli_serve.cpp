@@ -20,8 +20,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -328,14 +326,12 @@ int cmd_submit(int argc, const char* const* argv) {
   }
   const bool quiet = args.has("quiet");
 
-  std::ifstream spec_in(args.get("spec"), std::ios::binary);
-  if (!spec_in) {
+  std::string manifest;
+  if (!util::read_file(args.get("spec"), &manifest)) {
     std::fprintf(stderr, "clear submit: cannot read spec file '%s'\n",
                  args.get("spec").c_str());
     return 1;
   }
-  std::ostringstream manifest;
-  manifest << spec_in.rdbuf();
 
   fleet::Endpoint endpoint;
   if (have_socket) endpoint.socket_path = args.get("socket");
@@ -381,7 +377,7 @@ int cmd_submit(int argc, const char* const* argv) {
 
   serve::JobRequest req;
   req.priority = priority;
-  req.manifest = manifest.str();
+  req.manifest = std::move(manifest);
   if (!conn.send(serve::FrameType::kJob, serve::encode_job(req))) {
     std::fprintf(stderr, "clear submit: send failed\n");
     return 1;

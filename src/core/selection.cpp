@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "resilience/parity.h"
 #include "util/stats.h"
@@ -17,7 +18,24 @@ bool bounded_recovery(arch::RecoveryKind k) {
   return k != arch::RecoveryKind::kNone;
 }
 
+constexpr const char* kMetricTokens[] = {"sdc", "due", "joint"};
+
 }  // namespace
+
+const char* metric_token(Metric m) noexcept {
+  const auto i = static_cast<std::size_t>(m);
+  return i < std::size(kMetricTokens) ? kMetricTokens[i] : "?";
+}
+
+bool parse_metric(const std::string& text, Metric* out) {
+  for (std::size_t i = 0; i < std::size(kMetricTokens); ++i) {
+    if (text == kMetricTokens[i]) {
+      *out = static_cast<Metric>(i);
+      return true;
+    }
+  }
+  return false;
+}
 
 Selector::Selector(Session& session) : session_(&session) {
   proto_ = arch::make_core(session.core());

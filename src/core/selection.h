@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "arch/types.h"
@@ -44,6 +45,12 @@ struct Palette {
 };
 
 enum class Metric : std::uint8_t { kSdc, kDue, kJoint };
+
+// The metric's flag and report token: "sdc", "due" or "joint" ("?" for a
+// value outside the enum, e.g. a ledger field written by a newer tool).
+[[nodiscard]] const char* metric_token(Metric m) noexcept;
+// Inverse of metric_token; false on any other text.
+[[nodiscard]] bool parse_metric(const std::string& text, Metric* out);
 
 struct SelectionSpec {
   Palette palette = Palette::dice_parity();

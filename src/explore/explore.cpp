@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -10,6 +11,7 @@
 #include "arch/core.h"
 #include "core/selection.h"
 #include "core/session.h"
+#include "util/args.h"
 #include "util/env.h"
 #include "util/fs.h"
 #include "util/threadpool.h"
@@ -95,6 +97,33 @@ unsigned resolve_eval_threads() {
   return hw != 0 ? hw : 1;
 }
 
+// A whole-string double ("" and trailing bytes refused).
+bool parse_double(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return !text.empty() && *end == '\0';
+}
+
+// Shortest text that reads back as exactly `v`: %.15g when it re-parses
+// exactly, %.17g (always exact for IEEE doubles) otherwise.
+std::string format_double(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.15g", v);
+  if (std::strtod(buf, nullptr) != v) {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return buf;
+}
+
+std::vector<std::string> split_csv(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string item; std::getline(in, item, ',');) {
+    if (!item.empty()) out.push_back(item);
+  }
+  return out;
+}
+
 void validate_spec(const ExploreSpec& spec) {
   if (spec.core != "InO" && spec.core != "OoO") {
     throw std::invalid_argument("explore: unknown core '" + spec.core +
@@ -121,6 +150,90 @@ void validate_spec(const ExploreSpec& spec) {
 }
 
 }  // namespace
+
+void add_spec_flags(util::ArgParser* args) {
+  args->add_option("core", "InO|OoO", "processor model", "InO");
+  args->add_option("target", "X", "SDC/DUE improvement target", "50");
+  args->add_option("metric", "sdc|due|joint", "improvement metric", "sdc");
+  args->add_option("seed", "N", "campaign RNG seed", "1");
+  args->add_option("per-ff", "N",
+                   "injections per flip-flop per benchmark (0 = "
+                   "CLEAR_INJECTIONS or the per-core default)",
+                   "0");
+  args->add_option("benches", "a,b,c",
+                   "benchmark suite to profile on (default: full core "
+                   "suite)");
+  args->add_option("batch", "N",
+                   "combos per scheduling batch (0 = CLEAR_EXPLORE_BATCH or "
+                   "64)",
+                   "0");
+  args->add_flag("no-prune",
+                 "evaluate every combination (skip dominance pruning)");
+  args->add_option("confidence", "W",
+                   "confidence-driven adaptive profiling: stop sampling a "
+                   "flip-flop once the 95% interval half-width on its SDC "
+                   "and DUE rates is <= W, in (0, 0.5]; --per-ff becomes a "
+                   "budget ceiling (0 = off)",
+                   "0");
+  args->add_option("confidence-method", "wilson|cp",
+                   "interval method for --confidence (cp = "
+                   "Clopper-Pearson)",
+                   "wilson");
+}
+
+bool read_spec_flags(const util::ArgParser& args, ExploreSpec* spec,
+                     std::string* error) {
+  const auto bad = [&](const char* flag, const char* want) {
+    *error = std::string("bad --") + flag + " '" + args.get(flag) + "'" + want;
+    return false;
+  };
+  ExploreSpec s = *spec;
+  s.core = args.get("core");
+  if (!parse_double(args.get("target"), &s.target)) return bad("target", "");
+  if (!core::parse_metric(args.get("metric"), &s.metric)) {
+    return bad("metric", " (sdc, due or joint)");
+  }
+  std::uint64_t u = 0;
+  if (!args.get_u64("seed", 1, &u)) return bad("seed", "");
+  s.seed = u;
+  if (!args.get_u64("per-ff", 0, &u)) return bad("per-ff", "");
+  s.per_ff_samples = static_cast<std::size_t>(u);
+  if (!args.get_u64("batch", 0, &u)) return bad("batch", "");
+  s.batch = static_cast<std::size_t>(u);
+  s.benchmarks = split_csv(args.get("benches"));
+  s.prune = !args.has("no-prune");
+  if (!parse_double(args.get("confidence"), &s.confidence)) {
+    return bad("confidence", " (want a half-width in (0, 0.5], or 0 = off)");
+  }
+  if (!util::parse_interval_method(args.get("confidence-method"),
+                                   &s.confidence_method)) {
+    return bad("confidence-method", " (wilson or cp)");
+  }
+  *spec = std::move(s);
+  return true;
+}
+
+std::string spec_flags(const ExploreSpec& spec) {
+  std::string out = "--core " + spec.core + " --target " +
+                    format_double(spec.target) + " --metric " +
+                    core::metric_token(spec.metric) + " --seed " +
+                    std::to_string(spec.seed);
+  if (spec.per_ff_samples != 0) {
+    out += " --per-ff " + std::to_string(spec.per_ff_samples);
+  }
+  for (std::size_t i = 0; i < spec.benchmarks.size(); ++i) {
+    out += (i == 0 ? " --benches " : ",") + spec.benchmarks[i];
+  }
+  if (spec.batch != 0) out += " --batch " + std::to_string(spec.batch);
+  if (!spec.prune) out += " --no-prune";
+  if (spec.confidence > 0.0) {
+    out += " --confidence " + format_double(spec.confidence);
+    if (spec.confidence_method == util::IntervalMethod::kClopperPearson) {
+      out += " --confidence-method cp";
+    }
+  }
+  return out;
+}
 
 std::vector<std::uint32_t> anchor_indices(const std::string& core) {
   core::Combo dice_only;
@@ -156,8 +269,12 @@ Ledger resolve_identity(const ExploreSpec& spec) {
   identity.seed = spec.seed;
   identity.per_ff_samples = session.per_ff_samples();
   identity.confidence = spec.confidence;
+  // The method is identity only when sampling is adaptive: a fixed-budget
+  // ledger (format v1) does not store it, so it reads back as the default.
   identity.confidence_method =
-      static_cast<std::uint32_t>(spec.confidence_method);
+      spec.confidence > 0.0
+          ? static_cast<std::uint32_t>(spec.confidence_method)
+          : static_cast<std::uint32_t>(util::IntervalMethod::kWilson);
   identity.benchmarks = session.benchmarks();
   identity.combo_count =
       static_cast<std::uint32_t>(core::enumerate_combos(spec.core).size());

@@ -51,6 +51,10 @@
 #include "explore/ledger.h"
 #include "util/stats.h"
 
+namespace clear::util {
+class ArgParser;
+}  // namespace clear::util
+
 namespace clear::explore {
 
 struct ExploreSpec {
@@ -98,6 +102,28 @@ struct ExploreSpec {
   // vanished.
   const std::atomic<bool>* cancel = nullptr;
 };
+
+// ---- the explore flag grammar ----------------------------------------------
+//
+// The identity flags of an exploration -- --core, --target, --metric,
+// --seed, --per-ff, --benches, --batch, --no-prune, --confidence and
+// --confidence-method -- are one grammar for `clear explore run`, `clear
+// fleet explore` and the explore shard stanzas a fleet dispatches to its
+// workers.  Shard selection is not part of it: each caller owns that.
+
+// Registers the identity flags on `args`.
+void add_spec_flags(util::ArgParser* args);
+
+// Reads the identity flags of a parsed `args` into *spec, leaving its
+// other fields alone.  Checks only that each value parses; ranges are
+// resolve_identity's.  Returns false and fills *error ("bad --flag
+// 'value'") otherwise.
+bool read_spec_flags(const util::ArgParser& args, ExploreSpec* spec,
+                     std::string* error);
+
+// The inverse: `spec`'s identity as flag tokens, defaults omitted, doubles
+// in a form read_spec_flags reads back bit-exactly.
+[[nodiscard]] std::string spec_flags(const ExploreSpec& spec);
 
 // Thrown by run_exploration when ExploreSpec::cancel flipped true.
 class ExploreCancelled : public std::runtime_error {

@@ -270,10 +270,8 @@ void write_ledger_file(const std::string& path, const Ledger& ledger) {
 
 LedgerStatus load_ledger_file(const std::string& path, Ledger* out,
                               LedgerLoadInfo* info) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return LedgerStatus::kTruncated;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  std::string bytes;
+  if (!util::read_file(path, &bytes)) return LedgerStatus::kTruncated;
   return decode_ledger(bytes, out, info);
 }
 

@@ -2,21 +2,20 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
-#include "plan/runplan.h"
 #include "explore/ledger.h"
+#include "fleet/status.h"
 #include "inject/wire.h"
 #include "obs/metrics.h"
+#include "plan/runplan.h"
+#include "util/args.h"
 #include "util/fs.h"
 #include "util/socket.h"
-#include "util/table.h"
 
 namespace clear::fleet {
 
@@ -50,49 +49,6 @@ struct FleetMetrics {
 FleetMetrics& metrics() {
   static FleetMetrics m;
   return m;
-}
-
-std::string format_double(double v) {
-  // Shortest representation that round-trips: %.15g when it re-parses
-  // exactly, %.17g (always exact for IEEE doubles) otherwise.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  if (std::strtod(buf, nullptr) != v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
-}
-
-const char* metric_token(core::Metric m) {
-  switch (m) {
-    case core::Metric::kSdc: return "sdc";
-    case core::Metric::kDue: return "due";
-    case core::Metric::kJoint: return "joint";
-  }
-  return "sdc";
-}
-
-bool parse_metric_token(const std::string& text, core::Metric* out) {
-  if (text == "sdc") *out = core::Metric::kSdc;
-  else if (text == "due") *out = core::Metric::kDue;
-  else if (text == "joint") *out = core::Metric::kJoint;
-  else return false;
-  return true;
-}
-
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char c : text) {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) out.push_back(cur);
-  return out;
 }
 
 // Flags a fleet refuses inside a campaign stanza: sharding belongs to the
@@ -206,9 +162,8 @@ bool build_campaign_shards(const std::string& manifest,
     if (error != nullptr) *error = "shard count must be >= 1";
     return false;
   }
-  std::istringstream in(manifest);
   std::vector<std::vector<std::string>> stanzas;
-  plan::split_spec_stanzas(in, &stanzas);
+  plan::split_spec_stanzas(manifest, &stanzas);
   // split_spec_stanzas yields one empty stanza for empty input; an empty
   // stanza anywhere would dispatch a bare `--shard k/K` manifest every
   // worker refuses, so fail at the driver instead.
@@ -257,31 +212,7 @@ std::vector<ShardWork> build_explore_shards(const explore::ExploreSpec& spec,
   if (shard_count == 0) {
     throw std::invalid_argument("fleet: shard count must be >= 1");
   }
-  std::string base = "--core " + spec.core +
-                     " --target " + format_double(spec.target) +
-                     " --metric " + metric_token(spec.metric) +
-                     " --seed " + std::to_string(spec.seed);
-  if (spec.per_ff_samples != 0) {
-    base += " --per-ff " + std::to_string(spec.per_ff_samples);
-  }
-  if (!spec.benchmarks.empty()) {
-    base += " --benches ";
-    for (std::size_t i = 0; i < spec.benchmarks.size(); ++i) {
-      if (i != 0) base += ',';
-      base += spec.benchmarks[i];
-    }
-  }
-  if (spec.batch != 0) base += " --batch " + std::to_string(spec.batch);
-  if (!spec.prune) base += " --no-prune";
-  if (spec.confidence > 0.0) {
-    // Identity fields of the adaptive sampler: every shard must carry
-    // exactly the target the driver resolved (format_double round-trips
-    // the double bit-exactly) or the per-shard ledgers would not merge.
-    base += " --confidence " + format_double(spec.confidence);
-    if (spec.confidence_method == util::IntervalMethod::kClopperPearson) {
-      base += " --confidence-method cp";
-    }
-  }
+  const std::string base = explore::spec_flags(spec);
   std::vector<ShardWork> out;
   out.reserve(shard_count);
   for (std::uint32_t k = 0; k < shard_count; ++k) {
@@ -299,9 +230,8 @@ std::vector<ShardWork> build_explore_shards(const explore::ExploreSpec& spec,
 
 bool parse_explore_stanza(const std::string& text,
                           explore::ExploreSpec* spec, std::string* error) {
-  std::istringstream in(text);
   std::vector<std::vector<std::string>> stanzas;
-  plan::split_spec_stanzas(in, &stanzas);
+  plan::split_spec_stanzas(text, &stanzas);
   if (stanzas.size() != 1) {
     if (error != nullptr) {
       *error = "explore shard wants exactly one stanza, got " +
@@ -311,88 +241,23 @@ bool parse_explore_stanza(const std::string& text,
   }
   util::ArgParser args("explore shard stanza",
                        "fleet-dispatched explore combo-space slice");
-  args.add_option("core", "C", "core model", "InO");
-  args.add_option("target", "X", "improvement target", "50");
-  args.add_option("metric", "M", "sdc|due|joint", "sdc");
-  args.add_option("seed", "N", "campaign seed", "1");
-  args.add_option("per-ff", "N", "injections per FF per benchmark", "0");
-  args.add_option("benches", "CSV", "benchmark subset", "");
+  explore::add_spec_flags(&args);
   args.add_option("shard", "k/K", "combo-space shard", "0/1");
-  args.add_option("batch", "N", "combos per batch", "0");
-  args.add_flag("no-prune", "evaluate every combination");
-  args.add_option("confidence", "W", "adaptive profiling half-width target",
-                  "0");
-  args.add_option("confidence-method", "wilson|cp",
-                  "interval method for --confidence", "wilson");
-  std::vector<const char*> argv;
-  argv.reserve(stanzas[0].size());
-  for (const std::string& tok : stanzas[0]) argv.push_back(tok.c_str());
   std::string perror;
-  if (!args.parse(static_cast<int>(argv.size()), argv.data(), &perror)) {
+  if (!args.parse(stanzas[0], &perror)) {
     if (error != nullptr) *error = "explore shard stanza: " + perror;
     return false;
   }
   explore::ExploreSpec s;
-  s.core = args.get("core");
-  {
-    const std::string t = args.get("target");
-    char* end = nullptr;
-    s.target = std::strtod(t.c_str(), &end);
-    if (t.empty() || end == nullptr || *end != '\0') {
-      if (error != nullptr) *error = "bad --target '" + t + "'";
-      return false;
-    }
-  }
-  if (!parse_metric_token(args.get("metric"), &s.metric)) {
-    if (error != nullptr) *error = "bad --metric '" + args.get("metric") + "'";
+  if (!explore::read_spec_flags(args, &s, &perror)) {
+    if (error != nullptr) *error = perror;
     return false;
   }
-  std::uint64_t u = 0;
-  if (!args.get_u64("seed", 1, &u)) {
-    if (error != nullptr) *error = "bad --seed '" + args.get("seed") + "'";
-    return false;
-  }
-  s.seed = u;
-  if (!args.get_u64("per-ff", 0, &u)) {
-    if (error != nullptr) *error = "bad --per-ff '" + args.get("per-ff") + "'";
-    return false;
-  }
-  s.per_ff_samples = static_cast<std::size_t>(u);
-  s.benchmarks = split_csv(args.get("benches"));
   if (!plan::parse_shard(args.get("shard"), &s.shard_index, &s.shard_count)) {
     if (error != nullptr) {
       *error = "bad --shard '" + args.get("shard") + "' (want k/K with k < K)";
     }
     return false;
-  }
-  if (!args.get_u64("batch", 0, &u)) {
-    if (error != nullptr) *error = "bad --batch '" + args.get("batch") + "'";
-    return false;
-  }
-  s.batch = static_cast<std::size_t>(u);
-  s.prune = !args.has("no-prune");
-  {
-    const std::string t = args.get("confidence");
-    char* end = nullptr;
-    s.confidence = std::strtod(t.c_str(), &end);
-    if (t.empty() || end == t.c_str() || *end != '\0' ||
-        !(s.confidence >= 0) || s.confidence > 0.5) {
-      if (error != nullptr) {
-        *error = "bad --confidence '" + t + "' (want (0, 0.5], or 0 = off)";
-      }
-      return false;
-    }
-  }
-  {
-    const std::string m = args.get("confidence-method");
-    if (m == "cp") {
-      s.confidence_method = util::IntervalMethod::kClopperPearson;
-    } else if (m != "wilson") {
-      if (error != nullptr) {
-        *error = "bad --confidence-method '" + m + "' (wilson or cp)";
-      }
-      return false;
-    }
   }
   *spec = s;
   return true;
@@ -521,17 +386,18 @@ class Driver {
   Clock::time_point last_status_{};  // epoch value = never written
 };
 
-// obs::to_json output, re-indented for embedding inside the status
-// document (drops the trailing newline, indents continuation lines).
-std::string embed_json(const std::string& json, const std::string& indent) {
-  std::string out;
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    const char c = json[i];
-    if (c == '\n' && i + 1 == json.size()) break;
-    out.push_back(c);
-    if (c == '\n') out += indent;
-  }
-  return out;
+// A registry entry as a row of the status document.
+StatusRow status_row(const WorkerStatus& w) {
+  StatusRow r;
+  r.index = w.index;
+  r.endpoint = w.endpoint;
+  r.name = w.name;
+  r.capacity = w.capacity;
+  r.state = worker_state_name(w.state);
+  r.shards_done = w.shards_done;
+  r.inflight = w.inflight;
+  if (w.has_metrics) r.metrics = w.metrics;
+  return r;
 }
 
 void Driver::register_workers() {
@@ -861,32 +727,15 @@ void Driver::maybe_write_status(Clock::time_point now, bool force) {
     return;
   }
   last_status_ = now;
-  std::string out = "{\n  \"schema\": \"clear-fleet-status-v1\",\n";
-  out += "  \"shards\": {\"total\": " + std::to_string(shards_.size()) +
-         ", \"completed\": " + std::to_string(completed_count_) +
-         ", \"queued\": " + std::to_string(queue_.size()) +
-         ", \"redispatched\": " + std::to_string(redispatched_) + "},\n";
-  out += "  \"workers\": [";
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    const WorkerStatus& st = workers_[w].status;
-    out += w == 0 ? "\n" : ",\n";
-    out += "    {\"index\": " + std::to_string(st.index) + ", \"endpoint\": \"";
-    out += util::json_escape(st.endpoint);
-    out += "\", \"name\": \"";
-    out += util::json_escape(st.name);
-    out += "\", \"capacity\": " + std::to_string(st.capacity) +
-           ", \"state\": \"" + worker_state_name(st.state) +
-           "\", \"shards_done\": " + std::to_string(st.shards_done) +
-           ", \"inflight\": " + std::to_string(st.inflight) + ", \"metrics\": ";
-    out += st.has_metrics
-               ? embed_json(obs::to_json(st.metrics), "    ")
-               : std::string("null");
-    out += "}";
+  FleetStatus status;
+  status.shards = ShardTally{shards_.size(), completed_count_, queue_.size(),
+                             redispatched_};
+  for (const WorkerConn& wc : workers_) {
+    status.workers.push_back(status_row(wc.status));
   }
-  out += workers_.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"driver\": " + embed_json(obs::to_json(obs::snapshot()), "  ");
-  out += "\n}\n";
-  (void)util::write_file_atomic(opts_.status_out, out);  // best effort
+  status.driver = obs::snapshot();
+  // Best effort: a status file must not fail the fleet it reports on.
+  (void)util::write_file_atomic(opts_.status_out, status_to_json(status));
 }
 
 // Handles every frame worker w has ready (wait_any saw it readable).

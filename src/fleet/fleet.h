@@ -90,15 +90,15 @@ bool build_campaign_shards(const std::string& manifest,
                            std::vector<ShardWork>* out, std::string* error);
 
 // Builds the K combo-space shards of an exploration: shard k's stanza is
-// `spec` serialized to `clear explore run` flag tokens with --shard k/K.
+// explore::spec_flags(spec) with --shard k/K appended.
 [[nodiscard]] std::vector<ShardWork> build_explore_shards(
     const explore::ExploreSpec& spec, std::uint32_t shard_count);
 
-// Parses one explore flag stanza (the `clear explore run` grammar subset
-// a fleet dispatches: --core/--target/--metric/--seed/--per-ff/--benches/
-// --batch/--no-prune/--shard) into a spec.  Returns false + *error on an
-// unknown flag or bad value.  Shared by build_explore_shards' inverse --
-// the `clear serve` worker executing a kExplore shard.
+// Parses one explore shard stanza -- the explore identity flags
+// (explore::add_spec_flags) plus --shard -- into a spec: the inverse of
+// build_explore_shards, run by the worker executing a kExplore shard.
+// Returns false + *error on an unknown flag or a value that does not
+// parse.
 bool parse_explore_stanza(const std::string& text,
                           explore::ExploreSpec* spec, std::string* error);
 
@@ -124,9 +124,9 @@ struct FleetOptions {
   engine::JobPriority priority = engine::JobPriority::kBulk;
   bool shutdown_workers = false;  // send kShutdown to live workers at the end
   // Live fleet status file ("" = off): the driver rewrites this JSON
-  // (schema clear-fleet-status-v1, tmp + atomic rename) every
-  // status_interval_ms with the shard tally, the worker registry and each
-  // worker's latest heartbeat metric snapshot.  `clear explore watch
+  // (schema clear-fleet-status-v1, fleet/status.h; tmp + atomic rename)
+  // every status_interval_ms with the shard tally, the worker registry and
+  // each worker's latest heartbeat metric snapshot.  `clear explore watch
   // --status FILE` and `clear status --file FILE` render it.
   std::string status_out;
   int status_interval_ms = 1000;

@@ -1,6 +1,5 @@
 #include "inject/wire.h"
 
-#include <fstream>
 #include <stdexcept>
 
 #include "util/bytes.h"
@@ -210,10 +209,8 @@ void write_shard_file(const std::string& path, const ShardFile& shard) {
 }
 
 WireStatus load_shard_file(const std::string& path, ShardFile* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return WireStatus::kTruncated;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  std::string bytes;
+  if (!util::read_file(path, &bytes)) return WireStatus::kTruncated;
   return decode_shard(bytes, out);
 }
 

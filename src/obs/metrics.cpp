@@ -11,6 +11,7 @@
 #include "util/bytes.h"
 #include "util/env.h"
 #include "util/fs.h"
+#include "util/json.h"
 #include "util/table.h"
 
 namespace clear::obs {
@@ -216,6 +217,41 @@ std::string to_json(const Snapshot& s) {
   out += s.histograms.empty() ? "}\n" : "\n  }\n";
   out += "}\n";
   return out;
+}
+
+// Bucket pairs carry the bucket's lower bound; bucket_of() inverts it
+// (every lower bound is exactly 2^(i-1), whose bit width is i).
+bool snapshot_from_json(const util::Json& doc, Snapshot* out) {
+  if (doc.str_at("schema") != "clear-metrics-v1") return false;
+  *out = Snapshot();
+  if (const util::Json* counters = doc.find("counters")) {
+    for (const auto& [name, v] : counters->obj) {
+      out->counters.push_back({name, v.as_u64()});
+    }
+  }
+  if (const util::Json* gauges = doc.find("gauges")) {
+    for (const auto& [name, v] : gauges->obj) {
+      out->gauges.push_back({name, v.u64_at("last"), v.u64_at("max")});
+    }
+  }
+  if (const util::Json* hists = doc.find("histograms")) {
+    for (const auto& [name, v] : hists->obj) {
+      HistogramRow row;
+      row.name = name;
+      row.unit = v.str_at("unit");
+      row.sum = v.u64_at("sum");
+      if (const util::Json* buckets = v.find("buckets")) {
+        for (const util::Json& pair : buckets->arr) {
+          if (pair.arr.size() != 2) return false;
+          const std::uint64_t n = pair.arr[1].as_u64();
+          row.buckets[Histogram::bucket_of(pair.arr[0].as_u64())] += n;
+          row.count += n;
+        }
+      }
+      out->histograms.push_back(std::move(row));
+    }
+  }
+  return true;
 }
 
 bool write_json_file(const Snapshot& s, const std::string& path) {

@@ -44,6 +44,10 @@
 #include <string>
 #include <vector>
 
+namespace clear::util {
+struct Json;
+}  // namespace clear::util
+
 namespace clear::obs {
 
 // ---- collection gate -------------------------------------------------------
@@ -227,6 +231,11 @@ void merge(Snapshot* into, const Snapshot& from);
 // docs/OBSERVABILITY.md, validated by tools/check_metrics_schema.py).
 // Histogram buckets are emitted sparsely as [bucket_lo, count] pairs.
 [[nodiscard]] std::string to_json(const Snapshot& s);
+
+// Reads a clear-metrics-v1 object back (the inverse of to_json, up to a
+// histogram's count, which is re-derived from its buckets).  Returns false
+// when `doc` is not an object of that schema or a bucket is not a pair.
+[[nodiscard]] bool snapshot_from_json(const util::Json& doc, Snapshot* out);
 
 // Writes to_json() to `path` ("" = no-op, "-" = stdout) via tmp + rename
 // (util::write_file_atomic).  Returns false, leaving any previous file

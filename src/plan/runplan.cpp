@@ -3,11 +3,11 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <stdexcept>
 #include <sstream>
 
 #include "util/env.h"
+#include "util/fs.h"
 #include "workloads/workloads.h"
 
 namespace clear::plan {
@@ -109,8 +109,9 @@ util::ArgParser make_run_parser() {
   return args;
 }
 
-void split_spec_stanzas(std::istream& in,
+void split_spec_stanzas(const std::string& text,
                         std::vector<std::vector<std::string>>* stanzas) {
+  std::istringstream in(text);
   stanzas->emplace_back();
   std::string line;
   while (std::getline(in, line)) {
@@ -133,9 +134,9 @@ void split_spec_stanzas(std::istream& in,
 
 bool read_spec_stanzas(const std::string& path,
                        std::vector<std::vector<std::string>>* stanzas) {
-  std::ifstream in(path);
-  if (!in) return false;
-  split_spec_stanzas(in, stanzas);
+  std::string text;
+  if (!util::read_file(path, &text)) return false;
+  split_spec_stanzas(text, stanzas);
   return true;
 }
 
@@ -216,11 +217,7 @@ bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
   if (method.empty()) {
     method = util::env_string("CLEAR_CONFIDENCE_METHOD", "wilson");
   }
-  if (method == "wilson") {
-    plan->spec.confidence_method = util::IntervalMethod::kWilson;
-  } else if (method == "cp") {
-    plan->spec.confidence_method = util::IntervalMethod::kClopperPearson;
-  } else {
+  if (!util::parse_interval_method(method, &plan->spec.confidence_method)) {
     return fail("bad --confidence-method '" + method + "' (wilson or cp)");
   }
 
@@ -293,9 +290,8 @@ inject::ShardFile plan_shard_file(const RunPlan& plan,
 
 bool resolve_manifest_text(const std::string& text, const std::string& ctx,
                            std::vector<RunPlan>* plans, std::string* error) {
-  std::istringstream in(text);
   std::vector<std::vector<std::string>> stanzas;
-  split_spec_stanzas(in, &stanzas);
+  split_spec_stanzas(text, &stanzas);
   if (stanzas.size() == 1 && stanzas[0].empty()) {
     *error = ctx + ": empty manifest";
     return false;
@@ -303,8 +299,6 @@ bool resolve_manifest_text(const std::string& text, const std::string& ctx,
   plans->assign(stanzas.size(), RunPlan());
   for (std::size_t i = 0; i < stanzas.size(); ++i) {
     const std::string sctx = ctx + ": campaign #" + std::to_string(i + 1);
-    std::vector<const char*> argv;
-    argv.reserve(stanzas[i].size());
     for (const auto& t : stanzas[i]) {
       // Flags that direct a local CLI have no meaning on a worker; refuse
       // them so a driver templating manifests finds out immediately.
@@ -318,12 +312,10 @@ bool resolve_manifest_text(const std::string& text, const std::string& ctx,
                  " has no meaning on a serve worker";
         return false;
       }
-      argv.push_back(t.c_str());
     }
     util::ArgParser args = make_run_parser();
     std::string parse_error;
-    if (!args.parse(static_cast<int>(argv.size()), argv.data(),
-                    &parse_error)) {
+    if (!args.parse(stanzas[i], &parse_error)) {
       *error = sctx + ": " + parse_error;
       return false;
     }

@@ -11,7 +11,6 @@
 #ifndef CLEAR_PLAN_RUNPLAN_H
 #define CLEAR_PLAN_RUNPLAN_H
 
-#include <istream>
 #include <string>
 #include <vector>
 
@@ -71,7 +70,7 @@ struct RunPlan {
 // whose first token is `---` starts the next campaign stanza, turning
 // the input into a multi-campaign manifest (`clear explore run
 // --emit-manifest` writes these).
-void split_spec_stanzas(std::istream& in,
+void split_spec_stanzas(const std::string& text,
                         std::vector<std::vector<std::string>>* stanzas);
 
 // File wrapper around split_spec_stanzas; false when `path` is

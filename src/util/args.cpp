@@ -48,6 +48,14 @@ const ArgParser::Spec* ArgParser::find(const std::string& name) const {
   return nullptr;
 }
 
+bool ArgParser::parse(const std::vector<std::string>& tokens,
+                      std::string* error) {
+  std::vector<const char*> argv;
+  argv.reserve(tokens.size());
+  for (const std::string& t : tokens) argv.push_back(t.c_str());
+  return parse(static_cast<int>(argv.size()), argv.data(), error);
+}
+
 bool ArgParser::parse(int argc, const char* const* argv, std::string* error) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -33,6 +33,8 @@ class ArgParser {
   // flag, a missing value, or an unexpected positional.  `--help` is
   // recognized implicitly (sets help_requested()).
   bool parse(int argc, const char* const* argv, std::string* error);
+  // The same over tokens already split (a spec stanza).
+  bool parse(const std::vector<std::string>& tokens, std::string* error);
 
   [[nodiscard]] bool help_requested() const noexcept { return help_; }
   // True when the flag/option appeared on the command line.

@@ -1,10 +1,11 @@
 // Small filesystem helpers shared by the campaign cache, the result
-// writers and benches.
+// readers and writers and benches.
 #ifndef CLEAR_UTIL_FS_H
 #define CLEAR_UTIL_FS_H
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <system_error>
 
@@ -54,6 +55,16 @@ inline bool write_file_atomic(const std::string& path,
     std::filesystem::remove(tmp, ec);
     return false;
   }
+  return true;
+}
+
+// Reads the whole of `path` into *out.  Returns false, leaving *out
+// untouched, when the file cannot be opened.
+inline bool read_file(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  out->assign(std::istreambuf_iterator<char>(in),
+              std::istreambuf_iterator<char>());
   return true;
 }
 

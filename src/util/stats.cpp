@@ -81,6 +81,17 @@ Interval clopper_pearson_interval_95(std::size_t successes,
   return iv;
 }
 
+const char* interval_method_name(IntervalMethod m) noexcept {
+  return m == IntervalMethod::kClopperPearson ? "clopper-pearson" : "wilson";
+}
+
+bool parse_interval_method(const std::string& text, IntervalMethod* out) {
+  if (text != "wilson" && text != "cp") return false;
+  *out = text == "cp" ? IntervalMethod::kClopperPearson
+                      : IntervalMethod::kWilson;
+  return true;
+}
+
 Interval binomial_interval_95(IntervalMethod method, std::size_t successes,
                               std::size_t trials) noexcept {
   return method == IntervalMethod::kClopperPearson

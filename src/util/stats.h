@@ -7,6 +7,7 @@
 #define CLEAR_UTIL_STATS_H
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 namespace clear::util {
@@ -56,6 +57,11 @@ enum class IntervalMethod : unsigned char {
 [[nodiscard]] Interval binomial_interval_95(IntervalMethod method,
                                             std::size_t successes,
                                             std::size_t trials) noexcept;
+// The method's name in reports: "wilson" or "clopper-pearson".
+[[nodiscard]] const char* interval_method_name(IntervalMethod m) noexcept;
+// Reads the flag token "wilson" or "cp"; false on any other text.
+[[nodiscard]] bool parse_interval_method(const std::string& text,
+                                         IntervalMethod* out);
 
 // Half-width of an interval: (hi - lo) / 2.
 [[nodiscard]] double interval_half_width(const Interval& iv) noexcept;

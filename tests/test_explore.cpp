@@ -810,11 +810,24 @@ TEST(ExploreCliE2E, ShardedProcessesMergeBitIdenticalToUnsharded) {
 TEST(ExploreCliE2E, UsageAndMismatchErrors) {
   EXPECT_EQ(sh(kBin + " explore 2>/dev/null"), 2);
   EXPECT_EQ(sh(kBin + " explore frobnicate 2>/dev/null"), 2);
-  EXPECT_EQ(sh(kBin + " explore run --core Bogus --dry-run 2>/dev/null"), 2);
-  EXPECT_EQ(sh(kBin + " explore run --target -3 --dry-run 2>/dev/null"), 2);
-  EXPECT_EQ(sh(kBin + " explore run --metric fancy --dry-run 2>/dev/null"), 2);
+  // Both verbs read the identity flags through one grammar and refuse a
+  // bad value as a usage error -- the fleet before it connects anywhere
+  // (a connect attempt to the missing socket would exit 1).
+  for (const char* bad :
+       {"--core Bogus", "--target -3", "--target 5x", "--metric fancy",
+        "--seed 1x", "--per-ff lots", "--batch 1.5", "--benches nope",
+        "--confidence 0.7", "--confidence nan", "--confidence-method bogus",
+        "--confidence 0.1 --confidence-method bogus"}) {
+    EXPECT_EQ(sh(kBin + " explore run " + bad + " --dry-run 2>/dev/null"), 2)
+        << bad;
+    EXPECT_EQ(sh(kBin + " fleet explore --ledger explore_e2e/never.cxl " +
+                 bad + " --connect-retry-ms 1 explore_e2e/none.sock "
+                       "2>/dev/null"),
+              2)
+        << bad;
+  }
+  EXPECT_FALSE(std::filesystem::exists("explore_e2e/never.cxl"));
   EXPECT_EQ(sh(kBin + " explore run --shard 3/3 --dry-run 2>/dev/null"), 2);
-  EXPECT_EQ(sh(kBin + " explore run --benches nope --dry-run 2>/dev/null"), 2);
   EXPECT_EQ(sh(kBin + " explore run 2>/dev/null"), 2);  // missing --ledger
   EXPECT_EQ(sh(kBin + " explore merge explore_e2e/merged.cxl 2>/dev/null"),
             2);  // missing --out
@@ -845,6 +858,29 @@ TEST(ExploreCliE2E, UsageAndMismatchErrors) {
   EXPECT_EQ(sh(kBin + " explore merge --out explore_e2e/x.cxl "
                       "explore_e2e/corrupt.cxl 2>/dev/null"),
             1);
+}
+
+// A fixed-budget ledger does not store the interval method, so a method
+// flag without --confidence must not make the same command's ledger look
+// like a different exploration.
+TEST(ExploreCliE2E, MethodWithoutConfidenceResumes) {
+  const std::string cmd = kBin +
+                          " explore run --core InO --benches mcf --per-ff 1"
+                          " --confidence-method cp --quiet"
+                          " --ledger explore_e2e/method.cxl";
+  ASSERT_EQ(sh(cmd), 0);
+  const std::string first = read_file("explore_e2e/method.cxl");
+  ASSERT_EQ(sh("(" + cmd + " --dry-run > explore_e2e/method.out)"), 0);
+  EXPECT_NE(read_file("explore_e2e/method.out").find("0 combos pending"),
+            std::string::npos)
+      << read_file("explore_e2e/method.out");
+  ASSERT_EQ(sh(cmd), 0);
+  EXPECT_EQ(read_file("explore_e2e/method.cxl"), first);
+  // The ledger is the one a run without the flag writes.
+  ASSERT_EQ(sh(kBin + " explore run --core InO --benches mcf --per-ff 1"
+                      " --quiet --ledger explore_e2e/nomethod.cxl"),
+            0);
+  EXPECT_EQ(read_file("explore_e2e/nomethod.cxl"), first);
 }
 
 }  // namespace

@@ -37,6 +37,7 @@
 #include "explore/explore.h"
 #include "explore/ledger.h"
 #include "fleet/fleet.h"
+#include "fleet/status.h"
 #include "fleet/worker.h"
 #include "inject/wire.h"
 
@@ -459,6 +460,38 @@ TEST(FleetShards, ExploreStanzaRoundTripsThroughBuilder) {
                                            &bad, &err));
 }
 
+TEST(FleetShards, ExploreStanzaCarriesTheAdaptiveIdentityBitExactly) {
+  explore::ExploreSpec spec;
+  spec.core = "OoO";
+  spec.target = 0.1 + 0.2;  // needs all 17 digits to read back
+  spec.metric = core::Metric::kJoint;
+  spec.batch = 7;
+  spec.confidence = 1.0 / 3.0;
+  spec.confidence_method = util::IntervalMethod::kClopperPearson;
+  const auto shards = fleet::build_explore_shards(spec, 2);
+  EXPECT_EQ(shards[1].text,
+            "--core OoO --target 0.30000000000000004 --metric joint --seed 1 "
+            "--batch 7 --confidence 0.33333333333333331 --confidence-method "
+            "cp --shard 1/2\n");
+  explore::ExploreSpec back;
+  std::string err;
+  ASSERT_TRUE(fleet::parse_explore_stanza(shards[1].text, &back, &err)) << err;
+  EXPECT_EQ(back.target, spec.target);
+  EXPECT_EQ(back.metric, core::Metric::kJoint);
+  EXPECT_EQ(back.batch, 7u);
+  EXPECT_EQ(back.confidence, spec.confidence);
+  EXPECT_EQ(back.confidence_method, util::IntervalMethod::kClopperPearson);
+  EXPECT_EQ(explore::spec_flags(back), explore::spec_flags(spec));
+
+  // A value that does not parse is refused at the stanza; a range is
+  // resolve_identity's (the worker answers both with kBadRequest).
+  EXPECT_FALSE(fleet::parse_explore_stanza("--confidence-method bogus", &back,
+                                           &err));
+  EXPECT_NE(err.find("--confidence-method"), std::string::npos) << err;
+  ASSERT_TRUE(fleet::parse_explore_stanza("--confidence 0.9", &back, &err));
+  EXPECT_THROW((void)explore::resolve_identity(back), std::invalid_argument);
+}
+
 TEST(FleetShards, ExploreStanzaHonoursPreSetCancel) {
   std::atomic<bool> cancel{true};
   EXPECT_THROW(
@@ -467,6 +500,213 @@ TEST(FleetShards, ExploreStanzaHonoursPreSetCancel) {
       explore::ExploreCancelled);
   EXPECT_THROW((void)fleet::run_explore_stanza("--bogus", nullptr),
                std::invalid_argument);
+}
+
+// ---- the clear-fleet-status-v1 document -----------------------------------
+
+obs::Snapshot status_worker_snapshot() {
+  obs::Snapshot s;
+  s.counters = {{"cache.hit", 12},
+                {"campaign.samples", 18446744073709551615ull}};
+  s.gauges = {{"cache.pack.bytes", 4096, 1u << 20}};
+  obs::HistogramRow h;
+  h.name = "campaign.fork.replay";
+  h.unit = "ns";
+  h.buckets[0] = 1;
+  h.buckets[5] = 2;
+  h.buckets[20] = 7;
+  h.buckets[63] = 1;
+  h.count = 11;
+  h.sum = 123456789;
+  s.histograms.push_back(h);
+  obs::HistogramRow empty;
+  empty.name = "engine.queue.wait";
+  empty.unit = "ns";
+  s.histograms.push_back(empty);
+  return s;
+}
+
+void expect_same_snapshot(const obs::Snapshot& got, const obs::Snapshot& want) {
+  ASSERT_EQ(got.counters.size(), want.counters.size());
+  for (std::size_t i = 0; i < want.counters.size(); ++i) {
+    EXPECT_EQ(got.counters[i].name, want.counters[i].name);
+    EXPECT_EQ(got.counters[i].value, want.counters[i].value);
+  }
+  ASSERT_EQ(got.gauges.size(), want.gauges.size());
+  for (std::size_t i = 0; i < want.gauges.size(); ++i) {
+    EXPECT_EQ(got.gauges[i].name, want.gauges[i].name);
+    EXPECT_EQ(got.gauges[i].last, want.gauges[i].last);
+    EXPECT_EQ(got.gauges[i].max, want.gauges[i].max);
+  }
+  ASSERT_EQ(got.histograms.size(), want.histograms.size());
+  for (std::size_t i = 0; i < want.histograms.size(); ++i) {
+    EXPECT_EQ(got.histograms[i].name, want.histograms[i].name);
+    EXPECT_EQ(got.histograms[i].unit, want.histograms[i].unit);
+    EXPECT_EQ(got.histograms[i].count, want.histograms[i].count);
+    EXPECT_EQ(got.histograms[i].sum, want.histograms[i].sum);
+    EXPECT_EQ(got.histograms[i].buckets, want.histograms[i].buckets);
+  }
+}
+
+TEST(FleetStatus, DriverDocumentRoundTripsEveryValue) {
+  fleet::FleetStatus st;
+  st.shards = fleet::ShardTally{128, 100, 25, 3};
+  fleet::StatusRow a;
+  a.index = 0;
+  a.endpoint = "w0.sock";
+  a.name = "host \"a\" \\ b\n\x01";  // needs escaping
+  a.capacity = 8;
+  a.state = "busy";
+  a.shards_done = 61;
+  a.inflight = 2;
+  a.metrics = status_worker_snapshot();
+  fleet::StatusRow b;
+  b.index = 1;
+  b.endpoint = "tcp:7001";
+  b.name = "hostb";
+  b.capacity = 4;
+  b.state = "dead";
+  b.shards_done = 39;
+  st.workers = {a, b};
+  obs::Snapshot driver;
+  driver.counters = {{"fleet.dispatch", 131}, {"fleet.steal", 3}};
+  obs::HistogramRow rtt;
+  rtt.name = "fleet.ack.rtt";
+  rtt.unit = "ns";
+  rtt.buckets[11] = 100;
+  rtt.buckets[12] = 31;
+  rtt.count = 131;
+  rtt.sum = 400000;
+  driver.histograms.push_back(rtt);
+  st.driver = driver;
+
+  const std::string json = fleet::status_to_json(st);
+  fleet::FleetStatus back;
+  std::string err;
+  ASSERT_TRUE(fleet::status_from_json(json, &back, &err)) << err;
+  ASSERT_TRUE(back.shards.has_value());
+  EXPECT_EQ(back.shards->total, 128u);
+  EXPECT_EQ(back.shards->completed, 100u);
+  EXPECT_EQ(back.shards->queued, 25u);
+  EXPECT_EQ(back.shards->redispatched, 3u);
+  ASSERT_EQ(back.workers.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const fleet::StatusRow& got = back.workers[i];
+    const fleet::StatusRow& want = st.workers[i];
+    EXPECT_EQ(got.index, want.index);
+    EXPECT_EQ(got.endpoint, want.endpoint);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.capacity, want.capacity);
+    EXPECT_EQ(got.state, want.state);
+    EXPECT_EQ(got.shards_done, want.shards_done);
+    EXPECT_EQ(got.inflight, want.inflight);
+    EXPECT_EQ(got.metrics.has_value(), want.metrics.has_value());
+  }
+  ASSERT_TRUE(back.workers[0].metrics.has_value());
+  expect_same_snapshot(*back.workers[0].metrics, *a.metrics);
+  ASSERT_TRUE(back.driver.has_value());
+  expect_same_snapshot(*back.driver, driver);
+  // Writing what was read gives the same bytes.
+  EXPECT_EQ(fleet::status_to_json(back), json);
+}
+
+TEST(FleetStatus, ProbeDocumentHasNullShardsAndNoDriver) {
+  // The exact layout: `"shards": null`, no "driver" key.
+  EXPECT_EQ(fleet::status_to_json(fleet::FleetStatus{}),
+            "{\n  \"schema\": \"clear-fleet-status-v1\",\n  \"shards\": null,\n"
+            "  \"workers\": []\n}\n");
+  fleet::FleetStatus st;
+  st.workers.resize(2);
+  st.workers[0].endpoint = "tcp:7001";
+  st.workers[0].state = "unreachable";
+  st.workers[1].index = 1;
+  st.workers[1].endpoint = "w1.sock";
+  st.workers[1].name = "host:42";
+  st.workers[1].capacity = 4;
+  st.workers[1].state = "up";
+  st.workers[1].metrics = status_worker_snapshot();
+  const std::string json = fleet::status_to_json(st);
+  EXPECT_NE(json.find("\"shards\": null,\n"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"driver\""), std::string::npos) << json;
+
+  fleet::FleetStatus back;
+  std::string err;
+  ASSERT_TRUE(fleet::status_from_json(json, &back, &err)) << err;
+  EXPECT_FALSE(back.shards.has_value());
+  EXPECT_FALSE(back.driver.has_value());
+  ASSERT_EQ(back.workers.size(), 2u);
+  EXPECT_EQ(back.workers[0].state, "unreachable");
+  EXPECT_FALSE(back.workers[0].metrics.has_value());
+  EXPECT_EQ(back.workers[1].index, 1u);
+  EXPECT_EQ(back.workers[1].name, "host:42");
+  EXPECT_EQ(back.workers[1].state, "up");
+  ASSERT_TRUE(back.workers[1].metrics.has_value());
+  expect_same_snapshot(*back.workers[1].metrics, status_worker_snapshot());
+  EXPECT_EQ(fleet::status_to_json(back), json);
+}
+
+TEST(FleetStatus, DriverLayoutIsPinned) {
+  fleet::FleetStatus st;
+  st.shards = fleet::ShardTally{2, 1, 0, 0};
+  st.workers.resize(1);
+  st.workers[0].endpoint = "w.sock";
+  st.workers[0].name = "w";
+  st.workers[0].capacity = 4;
+  st.workers[0].state = "idle";
+  st.workers[0].shards_done = 1;
+  st.driver = obs::Snapshot{};
+  EXPECT_EQ(fleet::status_to_json(st),
+            "{\n"
+            "  \"schema\": \"clear-fleet-status-v1\",\n"
+            "  \"shards\": {\"total\": 2, \"completed\": 1, \"queued\": 0, "
+            "\"redispatched\": 0},\n"
+            "  \"workers\": [\n"
+            "    {\"index\": 0, \"endpoint\": \"w.sock\", \"name\": \"w\", "
+            "\"capacity\": 4, \"state\": \"idle\", \"shards_done\": 1, "
+            "\"inflight\": 0, \"metrics\": null}\n"
+            "  ],\n"
+            "  \"driver\": {\n"
+            "    \"schema\": \"clear-metrics-v1\",\n"
+            "    \"counters\": {},\n"
+            "    \"gauges\": {},\n"
+            "    \"histograms\": {}\n"
+            "  }\n"
+            "}\n");
+}
+
+TEST(FleetStatus, ReaderRefusesWhatItDidNotWrite) {
+  fleet::FleetStatus st;
+  st.shards = fleet::ShardTally{4, 4, 0, 0};
+  st.workers.resize(1);
+  st.workers[0].name = "w";
+  st.workers[0].metrics = status_worker_snapshot();
+  const std::string json = fleet::status_to_json(st);
+  fleet::FleetStatus back;
+  std::string err;
+  ASSERT_TRUE(fleet::status_from_json(json, &back, &err)) << err;
+
+  EXPECT_FALSE(fleet::status_from_json(json.substr(0, json.size() / 2), &back,
+                                       &err));
+  EXPECT_FALSE(fleet::status_from_json(json + "{}", &back, &err));
+  std::string bad_escape = json;
+  bad_escape.replace(bad_escape.find("\"w\""), 3, "\"\\u00zz\"");
+  EXPECT_FALSE(fleet::status_from_json(bad_escape, &back, &err));
+  const std::string deep = "{\"schema\": \"clear-fleet-status-v1\", \"x\": " +
+                           std::string(40, '[') + std::string(40, ']') + "}";
+  EXPECT_FALSE(fleet::status_from_json(deep, &back, &err));
+  // Another schema -- a bare metrics document, or a misnamed one.
+  EXPECT_FALSE(fleet::status_from_json(obs::to_json(status_worker_snapshot()),
+                                       &back, &err));
+  EXPECT_NE(err.find("clear-fleet-status-v1"), std::string::npos) << err;
+  std::string renamed = json;
+  renamed.replace(renamed.find("status-v1"), 9, "status-v2");
+  EXPECT_FALSE(fleet::status_from_json(renamed, &back, &err));
+  // A worker snapshot of the wrong schema reads as "no metrics".
+  std::string bad_metrics = json;
+  bad_metrics.replace(bad_metrics.find("clear-metrics-v1"), 16,
+                      "clear-metrics-v9");
+  ASSERT_TRUE(fleet::status_from_json(bad_metrics, &back, &err)) << err;
+  EXPECT_FALSE(back.workers[0].metrics.has_value());
 }
 
 TEST(FleetShards, DuplicateShardIdsAreRefusedBeforeConnecting) {

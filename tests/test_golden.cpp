@@ -1,14 +1,16 @@
 // Golden byte fixtures (tests/data/golden/): committed `.csr` v1/v2,
-// `.cxl` v1/v2, CPK1 pack and CSV1 frame bytes.  Refactors of the
-// campaign engine, the wire codecs, the cache pack or the fleet protocol
-// must reproduce them exactly:
+// `.cxl` v1/v2, CPK1 pack, CSV1 frame and CMS1 snapshot bytes.  Refactors
+// of the campaign engine, the wire codecs, the cache pack, the fleet
+// protocol or the metric codecs must reproduce them exactly:
 //   * re-running each producer (the `clear` CLI) writes the fixture bytes,
 //   * decoding a fixture and re-encoding it is the identity,
 //   * a pack written with a fixed (fingerprint, key, payload) is the
 //     CPK1 fixture, and opening the fixture serves that payload back,
 //   * the fleet frames (shard assign, shard ack, result, done and a v2
 //     heartbeat with its CMS1 tail) encoded from fixed values are the
-//     CSV1 fixture, and decoding the fixture gives those values back.
+//     CSV1 fixture, and decoding the fixture gives those values back,
+//   * a realistic CMS1 metric snapshot (the heartbeat tail behind every
+//     fleet status row) encodes to the CMS1 fixture and decodes back.
 //
 // The producers below are the exact commands the fixtures were made with;
 // CLEAR_CACHE_DIR is empty so every campaign really simulates.
@@ -19,8 +21,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <string>
+#include <utility>
 
 #include "engine/protocol.h"
 #include "explore/ledger.h"
@@ -256,6 +260,85 @@ TEST(GoldenFixtures, Csv1FleetFramesMatchFixture) {
   EXPECT_EQ(obs::encode_snapshot(snap),
             obs::encode_snapshot(frame_snapshot()));
   EXPECT_TRUE(buf.empty());
+}
+
+// ---- CMS1 metric snapshots --------------------------------------------------
+
+// A worker's heartbeat snapshot after one OoO campaign shard: counters,
+// both gauges, and histograms with several non-empty buckets (one of
+// them the top bucket, which also absorbs the top half of the u64 range).
+obs::Snapshot cms1_snapshot() {
+  obs::Snapshot s;
+  s.counters = {{"cache.hit", 11},
+                {"cache.miss", 3},
+                {"cache.put", 3},
+                {"campaign.fork.converged", 70213},
+                {"campaign.fork.prefix_cycles", 1802331},
+                {"campaign.goldens", 2},
+                {"campaign.samples", 84000},
+                {"engine.lane.bulk", 5}};
+  s.gauges = {{"cache.pack.bytes", 2097152, 2101248},
+              {"engine.queue.depth", 0, 4}};
+  const auto hist = [](const char* name, const char* unit, std::uint64_t sum,
+                       std::initializer_list<std::pair<int, std::uint64_t>>
+                           buckets) {
+    obs::HistogramRow h;
+    h.name = name;
+    h.unit = unit;
+    h.sum = sum;
+    for (const auto& [i, n] : buckets) {
+      h.buckets[static_cast<std::size_t>(i)] = n;
+      h.count += n;
+    }
+    return h;
+  };
+  s.histograms = {
+      hist("campaign.fork.replay", "ns", 8220000000ull,
+           {{14, 2113}, {15, 30112}, {16, 41005}, {17, 9870}, {20, 900}}),
+      hist("campaign.sample.classify", "ns", 33600000,
+           {{8, 120}, {9, 61000}, {10, 22880}}),
+      hist("campaign.snapshot.restore", "ns", 907200000,
+           {{13, 5}, {14, 83990}, {15, 5}}),
+      hist("engine.queue.wait", "ns", 18446744073709551615ull,
+           {{0, 3}, {1, 1}, {63, 1}})};
+  return s;
+}
+
+TEST(GoldenFixtures, Cms1SnapshotMatchesFixture) {
+  const std::string want = read_file(kGolden + "cms1_snapshot.bin");
+  ASSERT_FALSE(want.empty());
+  const obs::Snapshot fixed = cms1_snapshot();
+  EXPECT_TRUE(obs::encode_snapshot(fixed) == want);
+
+  // The fixture decodes back to the same snapshot, field by field.
+  obs::Snapshot got;
+  ASSERT_TRUE(obs::decode_snapshot(want, &got));
+  ASSERT_EQ(got.counters.size(), fixed.counters.size());
+  for (std::size_t i = 0; i < fixed.counters.size(); ++i) {
+    EXPECT_EQ(got.counters[i].name, fixed.counters[i].name);
+    EXPECT_EQ(got.counters[i].value, fixed.counters[i].value);
+  }
+  ASSERT_EQ(got.gauges.size(), fixed.gauges.size());
+  for (std::size_t i = 0; i < fixed.gauges.size(); ++i) {
+    EXPECT_EQ(got.gauges[i].name, fixed.gauges[i].name);
+    EXPECT_EQ(got.gauges[i].last, fixed.gauges[i].last);
+    EXPECT_EQ(got.gauges[i].max, fixed.gauges[i].max);
+  }
+  ASSERT_EQ(got.histograms.size(), fixed.histograms.size());
+  for (std::size_t i = 0; i < fixed.histograms.size(); ++i) {
+    EXPECT_EQ(got.histograms[i].name, fixed.histograms[i].name);
+    EXPECT_EQ(got.histograms[i].unit, fixed.histograms[i].unit);
+    EXPECT_EQ(got.histograms[i].sum, fixed.histograms[i].sum);
+    EXPECT_EQ(got.histograms[i].count, fixed.histograms[i].count);
+    EXPECT_EQ(got.histograms[i].buckets, fixed.histograms[i].buckets);
+  }
+  EXPECT_EQ(got.counter_value("campaign.samples"), 84000u);
+  EXPECT_EQ(got.find_histogram("campaign.fork.replay")->count, 84000u);
+  EXPECT_TRUE(obs::encode_snapshot(got) == want);
+  // A cut anywhere is refused.
+  for (std::size_t n = 0; n < want.size(); n += 7) {
+    EXPECT_FALSE(obs::decode_snapshot(want.substr(0, n), &got)) << n;
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "engine/protocol.h"
+#include "fleet/status.h"
 #include "obs/metrics.h"
 #include "util/socket.h"
 
@@ -435,6 +436,21 @@ TEST(ObsServe, FleetStatusFileAggregatesWorkerTelemetry) {
   EXPECT_NE(merged.find("\"schema\": \"clear-metrics-v1\""),
             std::string::npos);
   EXPECT_NE(merged.find("fleet.ack"), std::string::npos);
+
+  // The document reads back through the one reader: the tally, the
+  // registry and the driver's counters.
+  fleet::FleetStatus st;
+  std::string err;
+  ASSERT_TRUE(fleet::status_from_json(doc, &st, &err)) << err;
+  ASSERT_TRUE(st.shards.has_value());
+  EXPECT_EQ(st.shards->total, 2u);
+  EXPECT_EQ(st.shards->completed, 2u);
+  EXPECT_EQ(st.shards->queued, 0u);
+  ASSERT_EQ(st.workers.size(), 1u);
+  EXPECT_EQ(st.workers[0].endpoint, sock);
+  EXPECT_EQ(st.workers[0].shards_done, 2u);
+  ASSERT_TRUE(st.driver.has_value());
+  EXPECT_GE(st.driver->counter_value("fleet.dispatch"), 2u);
 
   // `clear status --file` renders the document without error.
   EXPECT_EQ(sh(kBin + " status --file " + status), 0);

@@ -5,13 +5,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <set>
 #include <string>
 #include <stdexcept>
 
 #include "util/env.h"
 #include "util/fs.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -77,9 +77,8 @@ TEST(Fs, AtomicWriteReplacesFilesButWritesDevicesInPlace) {
   const std::string path = "atomic_write_test.txt";
   ASSERT_TRUE(clear::util::write_file_atomic(path, "old"));
   ASSERT_TRUE(clear::util::write_file_atomic(path, "new"));
-  std::ifstream in(path);
-  std::string got((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
+  std::string got = "untouched";
+  ASSERT_TRUE(clear::util::read_file(path, &got));
   EXPECT_EQ(got, "new");
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::filesystem::remove(path);
@@ -87,6 +86,78 @@ TEST(Fs, AtomicWriteReplacesFilesButWritesDevicesInPlace) {
   EXPECT_TRUE(clear::util::write_file_atomic("/dev/null", "bytes"));
   EXPECT_TRUE(std::filesystem::is_character_file("/dev/null"));
   EXPECT_FALSE(std::filesystem::exists("/dev/null.tmp"));
+}
+
+TEST(Fs, ReadFileReadsBinaryBytesAndRefusesMissingFiles) {
+  const std::string path = "read_file_test.bin";
+  const std::string bytes("a\0b\r\n\xff", 6);
+  ASSERT_TRUE(clear::util::write_file_atomic(path, bytes));
+  std::string got;
+  ASSERT_TRUE(clear::util::read_file(path, &got));
+  EXPECT_EQ(got, bytes);
+  std::filesystem::remove(path);
+  got = "untouched";
+  EXPECT_FALSE(clear::util::read_file(path, &got));
+  EXPECT_EQ(got, "untouched");
+}
+
+TEST(Json, ReadsEveryValueKindInDocumentOrder) {
+  using clear::util::Json;
+  Json doc;
+  ASSERT_TRUE(clear::util::parse_json(
+      " {\"n\": 18446744073709551615, \"f\": 2.5e1, \"neg\": -3,\n"
+      "  \"s\": \"q\\\"\\\\\\/\\b\\f\\n\\r\\t\\u0041\\u00e9\",\n"
+      "  \"a\": [true, false, null, []], \"o\": {}, \"n\": 7} ",
+      &doc));
+  ASSERT_EQ(doc.kind, Json::Kind::kObj);
+  ASSERT_EQ(doc.obj.size(), 7u);
+  EXPECT_EQ(doc.obj[0].first, "n");
+  EXPECT_EQ(doc.u64_at("n"), 18446744073709551615ull);  // first "n" wins
+  EXPECT_EQ(doc.obj[6].second.as_u64(), 7u);
+  EXPECT_DOUBLE_EQ(doc.find("f")->num, 25.0);
+  EXPECT_EQ(doc.u64_at("f"), 25u);
+  EXPECT_EQ(doc.u64_at("neg"), 0u);  // no unsigned reading of a negative
+  EXPECT_DOUBLE_EQ(doc.find("neg")->num, -3.0);
+  EXPECT_EQ(doc.str_at("s"), "q\"\\/\b\f\n\r\tA?");
+  const Json* a = doc.find("a");
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->arr.size(), 4u);
+  EXPECT_EQ(a->arr[0].kind, Json::Kind::kBool);
+  EXPECT_TRUE(a->arr[0].b);
+  EXPECT_FALSE(a->arr[1].b);
+  EXPECT_EQ(a->arr[2].kind, Json::Kind::kNull);
+  EXPECT_EQ(a->arr[3].kind, Json::Kind::kArr);
+  EXPECT_EQ(doc.find("o")->kind, Json::Kind::kObj);
+  EXPECT_EQ(doc.find("missing"), nullptr);
+  EXPECT_EQ(doc.u64_at("s"), 0u);     // wrong kind reads as 0 / ""
+  EXPECT_EQ(doc.str_at("n"), "");
+}
+
+TEST(Json, RefusesMalformedInput) {
+  clear::util::Json doc;
+  const std::string good = "{\"schema\": \"x\", \"v\": [1, 2]}";
+  ASSERT_TRUE(clear::util::parse_json(good, &doc));
+  // Every proper prefix is a truncated document.
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    EXPECT_FALSE(clear::util::parse_json(good.substr(0, n), &doc)) << n;
+  }
+  for (const char* bad :
+       {"{} {}", "{}x", "[1,]", "[1 2]", "{\"a\" 1}", "{\"a\": }", "{a: 1}",
+        "\"\\u12g4\"", "\"\\u12\"", "\"\\q\"", "1.2.3", "-", "tru",
+        "nul", "\"open"}) {
+    EXPECT_FALSE(clear::util::parse_json(bad, &doc)) << bad;
+  }
+  // Bytes after the value, NUL included, are refused.
+  EXPECT_FALSE(clear::util::parse_json(std::string("{}\0", 3), &doc));
+  EXPECT_FALSE(clear::util::parse_json(std::string("1\0", 2), &doc));
+  // Nesting: 33 levels (depth 0..32) read, one more is refused.
+  const auto nested = [](int levels) {
+    return std::string(static_cast<std::size_t>(levels), '[') +
+           std::string(static_cast<std::size_t>(levels), ']');
+  };
+  EXPECT_TRUE(clear::util::parse_json(nested(33), &doc));
+  EXPECT_FALSE(clear::util::parse_json(nested(34), &doc));
+  EXPECT_FALSE(clear::util::parse_json(nested(100000), &doc));
 }
 
 TEST(Rng, DeterministicFromSeed) {
