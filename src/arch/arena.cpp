@@ -60,7 +60,8 @@ void SegRef::reset() noexcept {
 }  // namespace detail
 
 void ArenaSnapshot::capture(const SpanView* spans, std::size_t n,
-                            const ArenaSnapshot* prev) {
+                            const ArenaSnapshot* prev,
+                            const std::uint64_t* const* dirty) {
   // Sharing requires an identical span shape; anything else (first snapshot
   // of a run, layout change) falls back to a full copy.
   if (prev != nullptr) {
@@ -85,6 +86,7 @@ void ArenaSnapshot::capture(const SpanView* spans, std::size_t n,
     if (sp.segs.size() != nsegs) sp.segs.clear();
     const bool fill = sp.segs.empty();
     if (fill) sp.segs.reserve(nsegs);
+    const std::uint64_t* d = dirty[s];
     for (std::size_t i = 0; i < nsegs; ++i) {
       const std::size_t off = i * kSegWords;
       const std::size_t len =
@@ -92,7 +94,9 @@ void ArenaSnapshot::capture(const SpanView* spans, std::size_t n,
       const std::uint64_t* src = spans[s].base + off;
       if (prev != nullptr) {
         const detail::SegRef& p = prev->spans_[s].segs[i];
-        if (std::memcmp(p.words(), src, len * 8) == 0) {
+        // A clean segment equals prev's by the dirty-bit invariant.
+        const bool clean = d != nullptr && ((d[i / 64] >> (i % 64)) & 1u) == 0;
+        if (clean || std::memcmp(p.words(), src, len * 8) == 0) {
           // Unchanged: share, no copy.  (SegRef self-assignment is safe,
           // so prev may alias this snapshot.)
           if (fill) {
@@ -114,29 +118,27 @@ void ArenaSnapshot::capture(const SpanView* spans, std::size_t n,
   }
 }
 
-void ArenaSnapshot::restore_to(const SpanViewMut* spans,
-                               std::size_t n) const {
+void ArenaSnapshot::restore_to(const SpanViewMut* spans, std::size_t n,
+                               const ArenaSnapshot* ref,
+                               const std::uint64_t* const* dirty) const {
   assert(spans_.size() == n);
   for (std::size_t s = 0; s < n; ++s) {
     const Span& sp = spans_[s];
     assert(sp.words == spans[s].words);
     for (std::size_t i = 0; i < sp.segs.size(); ++i) {
+      if (known_equal(s, i, ref, dirty[s])) continue;
       const std::size_t off = i * kSegWords;
       const std::size_t len =
           sp.words - off < kSegWords ? sp.words - off : kSegWords;
-      std::uint64_t* dst = spans[s].base + off;
-      const std::uint64_t* src = sp.segs[i].words();
-      // Copy only dirtied segments: a forked run touches a handful of
-      // cache lines of a 32 KiB memory image between boundaries.
-      if (std::memcmp(dst, src, len * 8) != 0) {
-        std::memcpy(dst, src, len * 8);
-      }
+      std::memcpy(spans[s].base + off, sp.segs[i].words(), len * 8);
     }
   }
 }
 
 bool ArenaSnapshot::matches_prefix(std::size_t span, const std::uint64_t* base,
-                                   std::size_t nwords) const {
+                                   std::size_t nwords,
+                                   const ArenaSnapshot* ref,
+                                   const std::uint64_t* dirty) const {
   const Span& sp = spans_[span];
   assert(nwords <= sp.words);
   std::size_t done = 0;
@@ -146,7 +148,8 @@ bool ArenaSnapshot::matches_prefix(std::size_t span, const std::uint64_t* base,
         sp.words - off < kSegWords ? sp.words - off : kSegWords;
     const std::size_t len =
         nwords - done < seg_len ? nwords - done : seg_len;
-    if (std::memcmp(sp.segs[i].words(), base + off, len * 8) != 0) {
+    if (!known_equal(span, i, ref, dirty) &&
+        std::memcmp(sp.segs[i].words(), base + off, len * 8) != 0) {
       return false;
     }
     done += len;
@@ -218,6 +221,8 @@ void StateArena::finish_layout(std::uint64_t identity) {
   // assign() both sizes and zero-fills: this IS the reset of every
   // arena-resident field.  Capacity is retained across begins.
   buf_.assign(off, 0);
+  const std::size_t nsegs = (off + kSegWords - 1) / kSegWords;
+  dirty_.assign((nsegs + 63) / 64, 0);
   laid_out_ = true;
   std::uint64_t h = util::hash_combine(kArenaLayoutVersion, ff_words_);
   for (const Section& s : secs_) {
@@ -226,17 +231,6 @@ void StateArena::finish_layout(std::uint64_t identity) {
   }
   h = util::hash_combine(h, fwd_words_);
   fp_ = util::hash_combine(h, identity);
-}
-
-std::uint64_t StateArena::hash_fwd(std::uint64_t seed) const noexcept {
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < ff_words_; ++i) {
-    h = util::hash_combine(h, ff_base_[i]);
-  }
-  for (std::size_t i = 0; i < fwd_words_; ++i) {
-    h = util::hash_combine(h, buf_[i]);
-  }
-  return h;
 }
 
 std::uint64_t layout_identity(const char* core_name, const isa::Program& prog,

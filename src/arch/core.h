@@ -18,7 +18,7 @@
 // (snapshot()/restore()), which is what the checkpoint/fork injection
 // engine builds on: the golden run is snapshotted at intervals, each
 // faulty run forks from the snapshot nearest its injection cycle, and
-// state_hash()/quiescent() let a faulty run terminate early once it has
+// state_matches()/quiescent() let a faulty run terminate early once it has
 // provably re-converged to the golden trajectory.
 #ifndef CLEAR_ARCH_CORE_H
 #define CLEAR_ARCH_CORE_H
@@ -132,17 +132,15 @@ class Core {
   // std::logic_error when the checkpoint's layout fingerprint does not
   // match the live core's (different model, program or config).
   virtual void restore(const CoreCheckpoint& cp, const InjectionPlan* plan) = 0;
-  // Hash of all state that can influence the remainder of the run (the
-  // flip-flop pool, memory, registers, output, detector accumulators and
-  // timing-relevant SRAM).  Two runs of the same (program, config) whose
-  // hashes match at the same cycle boundary -- and which are quiescent() --
-  // evolve identically from that point on.
-  [[nodiscard]] virtual std::uint64_t state_hash() const = 0;
-  // Exact-comparison form of the state_hash() convergence test: true iff
-  // every state bit that can influence the remainder of the run equals the
-  // checkpoint's.  Collision-free and cheap to reject (returns at the
-  // first divergent word), so the injection engine uses this at boundary
-  // checks instead of hashing ~all state of both runs.
+  // True iff every state bit that can influence the remainder of the run
+  // (the flip-flop pool, memory, registers, output, detector accumulators,
+  // timing-relevant SRAM and the monitor checker) equals the checkpoint's.
+  // Two runs of the same (program, config) that both match one checkpoint
+  // at the same cycle boundary -- and are quiescent() -- evolve identically
+  // from that point on.  Cheap to reject (returns at the first divergent
+  // word) and cheap to accept: the arena compares only the segments
+  // written since the last snapshot()/restore() and those that differ
+  // between that snapshot and `cp` (arch/arena.h).
   [[nodiscard]] bool state_matches(const CoreCheckpoint& cp) const {
     return state_matches(cp, nullptr);
   }
@@ -176,6 +174,9 @@ class Core {
   // the arena span, and the forward-region boundary within the arena.
   // Exposed so state-corruption fuzz tests can flip arbitrary state bytes
   // (beyond single-FF flips) and assert the convergence compare sees them.
+  // Raw writes bypass the arena's dirty bits, so once a core has handed
+  // out this view it treats every arena segment as dirty -- restores copy
+  // and compares read the whole arena -- until the next begin().
   struct StateView {
     std::uint64_t* ff = nullptr;
     std::size_t ff_words = 0;
@@ -184,6 +185,10 @@ class Core {
     std::size_t arena_words = 0;  // whole buffer incl. bookkeeping
   };
   [[nodiscard]] virtual StateView state_view() noexcept = 0;
+  // Read-only access to the state arena (and through it the FF pool):
+  // leaves the dirty tracking alone, so tests can check the tracked
+  // restore and compare against a full memcmp.
+  [[nodiscard]] virtual const StateArena& arena() const noexcept = 0;
 
   // Runs `prog` to completion (or to max_cycles -> watchdog/Hang).
   CoreRunResult run(const isa::Program& prog, const ResilienceConfig* cfg,

@@ -157,7 +157,6 @@ class InOCore final : public Core {
 
   void snapshot(CoreCheckpoint* out) const override;
   void restore(const CoreCheckpoint& cp, const InjectionPlan* plan) override;
-  [[nodiscard]] std::uint64_t state_hash() const override;
   [[nodiscard]] bool state_matches(const CoreCheckpoint& cp,
                                    const std::uint64_t* live_ff) const override;
   [[nodiscard]] bool quiescent() const noexcept override {
@@ -171,6 +170,9 @@ class InOCore final : public Core {
   [[nodiscard]] StateView state_view() noexcept override {
     return {reg_.pool_data(), arena_.ff_words(), arena_.raw_buf(),
             arena_.fwd_words(), arena_.total_words()};
+  }
+  [[nodiscard]] const StateArena& arena() const noexcept override {
+    return arena_;
   }
 
  private:
@@ -191,7 +193,7 @@ class InOCore final : public Core {
   void fetch();
   [[nodiscard]] bool ra_hazard() const;
   void mem_undo(std::uint32_t addr, std::uint32_t old) {
-    mem_[addr / 4] = old;
+    mem_.set(addr / 4, old);
   }
 
   FFRegistry reg_;
@@ -221,7 +223,7 @@ class InOCore final : public Core {
   // ---- non-FF state: flat arena layout ----
   // Forward scalar slots (influence the remainder of the run).
   enum FwdSlot : std::size_t { kFwdDfcSig, kFwdFlushDrain, kFwdWords };
-  // Bookkeeping slots (excluded from state_matches/state_hash; redirect_*
+  // Bookkeeping slots (excluded from state_matches; redirect_*
   // is dead at cycle boundaries -- do_cycle() clears it before any read).
   enum AuxSlot : std::size_t {
     kAuxCycle, kAuxCommitted, kAuxStatus, kAuxTrap, kAuxExit, kAuxDetId,
@@ -237,27 +239,26 @@ class InOCore final : public Core {
   [[nodiscard]] std::uint32_t dfc_sig() const noexcept {
     return static_cast<std::uint32_t>(fwd_[kFwdDfcSig]);
   }
-  void set_dfc_sig(std::uint32_t v) noexcept { fwd_[kFwdDfcSig] = v; }
+  void set_dfc_sig(std::uint32_t v) noexcept { fwd_.set(kFwdDfcSig, v); }
   [[nodiscard]] std::int64_t flush_drain() const noexcept {
     return static_cast<std::int64_t>(fwd_[kFwdFlushDrain]);
   }
   void set_flush_drain(std::int64_t v) noexcept {
-    fwd_[kFwdFlushDrain] = static_cast<std::uint64_t>(v);
+    fwd_.set(kFwdFlushDrain, static_cast<std::uint64_t>(v));
   }
 
   const isa::Program* prog_ = nullptr;
   const ResilienceConfig* cfg_ = nullptr;
   StateArena arena_;
   int sec_fwd_ = 0, sec_regs_ = 0, sec_mem_ = 0, sec_out_ = 0, sec_aux_ = 0;
-  std::uint64_t* fwd_ = nullptr;
-  std::uint32_t* regs_ = nullptr;
-  std::uint32_t* mem_ = nullptr;
+  // Arena handles: every write marks its segment dirty (ArenaPtr).
+  ArenaPtr<std::uint64_t> fwd_;
+  ArenaPtr<std::uint32_t> regs_;
+  ArenaPtr<std::uint32_t> mem_;
   std::size_t mem_words_ = 0;
-  std::uint64_t* aux_ = nullptr;
+  ArenaPtr<std::uint64_t> aux_;
   OutputBuf out_;
   std::vector<std::uint32_t> out_spill_;
-  // Last snapshot of/into this core: the COW sharing reference.
-  mutable ArenaSnapshot last_snap_;
   std::uint64_t cycle_ = 0;
   std::uint64_t committed_ = 0;
   isa::RunStatus status_ = isa::RunStatus::kRunning;
@@ -382,30 +383,30 @@ void InOCore<kTraced>::layout(const isa::Program& prog,
   arena_.mark_aux();
   sec_aux_ = arena_.add_u64(kAuxWords);
   arena_.finish_layout(layout_identity(name(), prog, cfg));
-  fwd_ = arena_.u64(sec_fwd_);
-  regs_ = arena_.u32(sec_regs_);
-  mem_ = arena_.u32(sec_mem_);
+  fwd_ = arena_.section<std::uint64_t>(sec_fwd_);
+  regs_ = arena_.section<std::uint32_t>(sec_regs_);
+  mem_ = arena_.section<std::uint32_t>(sec_mem_);
   mem_words_ = prog.mem_bytes / 4;
-  out_.bind(arena_.u32(sec_out_), kOutCapacity, &out_spill_);
-  aux_ = arena_.u64(sec_aux_);
+  out_.bind(arena_.section<std::uint32_t>(sec_out_), kOutCapacity,
+            &out_spill_);
+  aux_ = arena_.section<std::uint64_t>(sec_aux_);
   out_spill_.clear();
-  last_snap_.clear();
 }
 
 template <bool kTraced>
 void InOCore<kTraced>::flush_aux() const {
-  aux_[kAuxCycle] = cycle_;
-  aux_[kAuxCommitted] = committed_;
-  aux_[kAuxStatus] = static_cast<std::uint64_t>(status_);
-  aux_[kAuxTrap] = static_cast<std::uint64_t>(trap_code_);
-  aux_[kAuxExit] = static_cast<std::uint32_t>(exit_code_);
-  aux_[kAuxDetId] = static_cast<std::uint32_t>(det_id_);
-  aux_[kAuxDetBy] = static_cast<std::uint64_t>(detected_by_);
-  aux_[kAuxRecoveries] = recoveries_;
-  aux_[kAuxRedirect] = redirect_ ? 1 : 0;
-  aux_[kAuxRedirectPc] = redirect_pc_;
-  aux_[kAuxLastFlipCycle] = last_flip_cycle_;
-  aux_[kAuxLastFlipFf] = last_flip_ff_;
+  aux_.set(kAuxCycle, cycle_);
+  aux_.set(kAuxCommitted, committed_);
+  aux_.set(kAuxStatus, static_cast<std::uint64_t>(status_));
+  aux_.set(kAuxTrap, static_cast<std::uint64_t>(trap_code_));
+  aux_.set(kAuxExit, static_cast<std::uint32_t>(exit_code_));
+  aux_.set(kAuxDetId, static_cast<std::uint32_t>(det_id_));
+  aux_.set(kAuxDetBy, static_cast<std::uint64_t>(detected_by_));
+  aux_.set(kAuxRecoveries, recoveries_);
+  aux_.set(kAuxRedirect, redirect_ ? 1 : 0);
+  aux_.set(kAuxRedirectPc, redirect_pc_);
+  aux_.set(kAuxLastFlipCycle, last_flip_cycle_);
+  aux_.set(kAuxLastFlipFf, last_flip_ff_);
 }
 
 template <bool kTraced>
@@ -435,7 +436,9 @@ void InOCore<kTraced>::reset(const isa::Program& prog,
   reg_.clear_state();
   layout(prog, cfg);  // zero-fills mem/regs/OUT/scalars
   const std::uint32_t base = prog.data_base / 4;
-  for (std::size_t i = 0; i < prog.data.size(); ++i) mem_[base + i] = prog.data[i];
+  for (std::size_t i = 0; i < prog.data.size(); ++i) {
+    mem_.set(base + i, prog.data[i]);
+  }
   cycle_ = 0;
   committed_ = 0;
   status_ = isa::RunStatus::kRunning;
@@ -561,7 +564,7 @@ void InOCore<kTraced>::attempt_recovery(DetectionSource src,
         fail_detected();
         return;
       }
-      std::copy(rs.regs.begin(), rs.regs.end(), regs_);
+      for (std::size_t r = 0; r < rs.regs.size(); ++r) regs_.set(r, rs.regs[r]);
       committed_ = rs.committed;
       out_.resize(rs.out_len);
       set_dfc_sig(static_cast<std::uint32_t>(rs.extra));
@@ -655,7 +658,7 @@ void InOCore<kTraced>::do_wb() {
       break;
     default:
       if (isa::writes_rd(op) && w_.rd != 0) {
-        regs_[w_.rd] = w_result_.u32();
+        regs_.set(w_.rd, w_result_.u32());
       }
       break;
   }
@@ -727,7 +730,7 @@ void InOCore<kTraced>::stage_m_to_x() {
           const std::uint32_t shift = (addr & 3u) * 8;
           w = (w & ~(0xffu << shift)) | ((m_wdata_.u32() & 0xffu) << shift);
         }
-        mem_[addr / 4] = w;
+        mem_.set(addr / 4, w);
         ring_.record_write(addr & ~3u, old);
       }
     }
@@ -958,7 +961,7 @@ void InOCore<kTraced>::do_cycle() {
     }
   }
   if (ring_.enabled()) {
-    ring_.push(cycle_, reg_, regs_, isa::kNumRegs, committed_, out_.size(),
+    ring_.push(cycle_, reg_, regs_.get(), isa::kNumRegs, committed_, out_.size(),
                dfc_sig());
   }
   ++cycle_;
@@ -984,9 +987,8 @@ template <bool kTraced>
 void InOCore<kTraced>::snapshot(CoreCheckpoint* out) const {
   flush_aux();
   // COW capture against the last snapshot taken from / restored into this
-  // core: unchanged 2 KiB segments are shared, not copied.
-  arena_.snapshot_to(&out->state, last_snap_.empty() ? nullptr : &last_snap_);
-  last_snap_ = out->state;
+  // core: segments it did not write since are shared, not copied.
+  arena_.snapshot_to(&out->state);
   out->layout_fp = arena_.fingerprint();
   out->cycle = cycle_;
   out->committed = committed_;
@@ -1015,25 +1017,13 @@ void InOCore<kTraced>::restore(const CoreCheckpoint& cp,
         "InOCore::restore: checkpoint layout fingerprint mismatch (snapshot "
         "taken under a different core model, program or config)");
   }
-  arena_.restore_from(cp.state);  // copies only dirtied segments
-  last_snap_ = cp.state;
+  arena_.restore_from(cp.state);  // copies only written / differing segments
   load_aux();
   out_spill_ = cp.output_spill;
   dets_ = cp.dets;
   ring_ = cp.ring;
   flips_ = armed_flips(plan, cycle_);
   next_flip_ = 0;
-}
-
-template <bool kTraced>
-std::uint64_t InOCore<kTraced>::state_hash() const {
-  // Forward-relevant state only: cycle/instruction counters, recovery
-  // tallies, the replay ring and injection bookkeeping are deliberately
-  // excluded (they cannot influence the remainder of a quiescent run).
-  std::uint64_t h = arena_.hash_fwd(0x1A0C0DEULL);
-  h = util::hash_combine(h, out_spill_.size());
-  for (const std::uint32_t w : out_spill_) h = util::hash_combine(h, w);
-  return h;
 }
 
 template <bool kTraced>

@@ -148,7 +148,6 @@ class OoOCore final : public Core {
 
   void snapshot(CoreCheckpoint* out) const override;
   void restore(const CoreCheckpoint& cp, const InjectionPlan* plan) override;
-  [[nodiscard]] std::uint64_t state_hash() const override;
   [[nodiscard]] bool state_matches(const CoreCheckpoint& cp,
                                    const std::uint64_t* live_ff) const override;
   [[nodiscard]] bool quiescent() const noexcept override {
@@ -162,6 +161,9 @@ class OoOCore final : public Core {
   [[nodiscard]] StateView state_view() noexcept override {
     return {reg_.pool_data(), arena_.ff_words(), arena_.raw_buf(),
             arena_.fwd_words(), arena_.total_words()};
+  }
+  [[nodiscard]] const StateArena& arena() const noexcept override {
+    return arena_;
   }
 
  private:
@@ -241,7 +243,7 @@ class OoOCore final : public Core {
   // ---- non-FF state: flat arena layout ----
   // Forward scalar slots (influence the remainder of the run).
   enum FwdSlot : std::size_t { kFwdDfcSig, kFwdWords };
-  // Bookkeeping slots (excluded from state_matches/state_hash; the
+  // Bookkeeping slots (excluded from state_matches; the
   // shadow-store latch is dead at cycle boundaries -- the monitor clears it
   // before any read within a commit).
   enum AuxSlot : std::size_t {
@@ -258,25 +260,24 @@ class OoOCore final : public Core {
   [[nodiscard]] std::uint32_t dfc_sig() const noexcept {
     return static_cast<std::uint32_t>(fwd_[kFwdDfcSig]);
   }
-  void set_dfc_sig(std::uint32_t v) noexcept { fwd_[kFwdDfcSig] = v; }
+  void set_dfc_sig(std::uint32_t v) noexcept { fwd_.set(kFwdDfcSig, v); }
 
   const isa::Program* prog_ = nullptr;
   const ResilienceConfig* cfg_ = nullptr;
   StateArena arena_;
   int sec_fwd_ = 0, sec_regs_ = 0, sec_mem_ = 0, sec_sram8_ = 0,
       sec_sram32_ = 0, sec_out_ = 0, sec_aux_ = 0;
-  std::uint64_t* fwd_ = nullptr;
-  std::uint32_t* regs_ = nullptr;
-  std::uint32_t* mem_ = nullptr;
+  // Arena handles: every write marks its segment dirty (ArenaPtr).
+  ArenaPtr<std::uint64_t> fwd_;
+  ArenaPtr<std::uint32_t> regs_;
+  ArenaPtr<std::uint32_t> mem_;
   std::size_t mem_words_ = 0;
-  std::uint8_t* pht_ = nullptr;        // gshare counters (SRAM: not FFs)
-  std::uint8_t* l1d_valid_ = nullptr;
-  std::uint32_t* l1d_tag_ = nullptr;   // L1D tags (SRAM, timing only)
-  std::uint64_t* aux_ = nullptr;
+  ArenaPtr<std::uint8_t> pht_;        // gshare counters (SRAM: not FFs)
+  ArenaPtr<std::uint8_t> l1d_valid_;
+  ArenaPtr<std::uint32_t> l1d_tag_;   // L1D tags (SRAM, timing only)
+  ArenaPtr<std::uint64_t> aux_;
   OutputBuf out_;
   std::vector<std::uint32_t> out_spill_;
-  // Last snapshot of/into this core: the COW sharing reference.
-  mutable ArenaSnapshot last_snap_;
   std::uint64_t cycle_ = 0;
   std::uint64_t committed_ = 0;
   isa::RunStatus status_ = isa::RunStatus::kRunning;
@@ -447,34 +448,34 @@ void OoOCore<kTraced>::layout(const isa::Program& prog,
   arena_.mark_aux();
   sec_aux_ = arena_.add_u64(kAuxWords);
   arena_.finish_layout(layout_identity(name(), prog, cfg));
-  fwd_ = arena_.u64(sec_fwd_);
-  regs_ = arena_.u32(sec_regs_);
-  mem_ = arena_.u32(sec_mem_);
+  fwd_ = arena_.section<std::uint64_t>(sec_fwd_);
+  regs_ = arena_.section<std::uint32_t>(sec_regs_);
+  mem_ = arena_.section<std::uint32_t>(sec_mem_);
   mem_words_ = prog.mem_bytes / 4;
-  pht_ = arena_.u8(sec_sram8_);
+  pht_ = arena_.section<std::uint8_t>(sec_sram8_);
   l1d_valid_ = pht_ + (1u << kPhtBits);
-  l1d_tag_ = arena_.u32(sec_sram32_);
-  out_.bind(arena_.u32(sec_out_), kOutCapacity, &out_spill_);
-  aux_ = arena_.u64(sec_aux_);
+  l1d_tag_ = arena_.section<std::uint32_t>(sec_sram32_);
+  out_.bind(arena_.section<std::uint32_t>(sec_out_), kOutCapacity,
+            &out_spill_);
+  aux_ = arena_.section<std::uint64_t>(sec_aux_);
   out_spill_.clear();
-  last_snap_.clear();
 }
 
 template <bool kTraced>
 void OoOCore<kTraced>::flush_aux() const {
-  aux_[kAuxCycle] = cycle_;
-  aux_[kAuxCommitted] = committed_;
-  aux_[kAuxStatus] = static_cast<std::uint64_t>(status_);
-  aux_[kAuxTrap] = static_cast<std::uint64_t>(trap_code_);
-  aux_[kAuxExit] = static_cast<std::uint32_t>(exit_code_);
-  aux_[kAuxDetId] = static_cast<std::uint32_t>(det_id_);
-  aux_[kAuxDetBy] = static_cast<std::uint64_t>(detected_by_);
-  aux_[kAuxRecoveries] = recoveries_;
-  aux_[kAuxLastFlipCycle] = last_flip_cycle_;
-  aux_[kAuxLastFlipFf] = last_flip_ff_;
-  aux_[kAuxShadowStoreAddr] = shadow_store_addr_;
-  aux_[kAuxShadowStoreWord] = shadow_store_word_;
-  aux_[kAuxShadowStored] = shadow_stored_ ? 1 : 0;
+  aux_.set(kAuxCycle, cycle_);
+  aux_.set(kAuxCommitted, committed_);
+  aux_.set(kAuxStatus, static_cast<std::uint64_t>(status_));
+  aux_.set(kAuxTrap, static_cast<std::uint64_t>(trap_code_));
+  aux_.set(kAuxExit, static_cast<std::uint32_t>(exit_code_));
+  aux_.set(kAuxDetId, static_cast<std::uint32_t>(det_id_));
+  aux_.set(kAuxDetBy, static_cast<std::uint64_t>(detected_by_));
+  aux_.set(kAuxRecoveries, recoveries_);
+  aux_.set(kAuxLastFlipCycle, last_flip_cycle_);
+  aux_.set(kAuxLastFlipFf, last_flip_ff_);
+  aux_.set(kAuxShadowStoreAddr, shadow_store_addr_);
+  aux_.set(kAuxShadowStoreWord, shadow_store_word_);
+  aux_.set(kAuxShadowStored, shadow_stored_ ? 1 : 0);
 }
 
 template <bool kTraced>
@@ -505,8 +506,10 @@ void OoOCore<kTraced>::reset(const isa::Program& prog,
   reg_.clear_state();
   layout(prog, cfg);  // zero-fills mem/regs/SRAM/OUT/scalars
   const std::uint32_t base = prog.data_base / 4;
-  for (std::size_t i = 0; i < prog.data.size(); ++i) mem_[base + i] = prog.data[i];
-  std::fill(pht_, pht_ + (1u << kPhtBits), std::uint8_t{1});
+  for (std::size_t i = 0; i < prog.data.size(); ++i) {
+    mem_.set(base + i, prog.data[i]);
+  }
+  for (std::size_t i = 0; i < (1u << kPhtBits); ++i) pht_.set(i, 1);
   cycle_ = 0;
   committed_ = 0;
   status_ = isa::RunStatus::kRunning;
@@ -631,13 +634,13 @@ void OoOCore<kTraced>::attempt_recovery(DetectionSource src,
       const std::uint64_t target = flip_cycle == 0 ? 0 : flip_cycle - 1;
       const bool ok = ring_.restore(
           target, reg_, &rs, [this](std::uint32_t addr, std::uint32_t old) {
-            mem_[addr / 4] = old;
+            mem_.set(addr / 4, old);
           });
       if (!ok) {
         fail_detected();
         return;
       }
-      std::copy(rs.regs.begin(), rs.regs.end(), regs_);
+      for (std::size_t r = 0; r < rs.regs.size(); ++r) regs_.set(r, rs.regs[r]);
       committed_ = rs.committed;
       out_.resize(rs.out_len);
       set_dfc_sig(static_cast<std::uint32_t>(rs.extra));
@@ -706,7 +709,7 @@ void OoOCore<kTraced>::mem_write(std::uint32_t addr, std::uint32_t data,
   } else {
     w = data;
   }
-  mem_[addr / 4] = w;
+  mem_.set(addr / 4, w);
   ring_.record_write(addr & ~3u, old);
 }
 
@@ -797,12 +800,14 @@ bool OoOCore<kTraced>::monitor_validate_and_apply(int robid) {
     trap_code_ = shadow_->trap();
     return false;
   }
-  for (int r = 0; r < isa::kNumRegs; ++r) regs_[r] = shadow_->reg(r);
+  for (int r = 0; r < isa::kNumRegs; ++r) {
+    regs_.set(static_cast<std::size_t>(r), shadow_->reg(r));
+  }
   if (shadow_stored_) {
     // Replay the checker-approved store into main memory.
     if (shadow_store_addr_ < mem_bytes()) {
       const std::uint32_t old = mem_[shadow_store_addr_ / 4];
-      mem_[shadow_store_addr_ / 4] = shadow_store_word_;
+      mem_.set(shadow_store_addr_ / 4, shadow_store_word_);
       ring_.record_write(shadow_store_addr_ & ~3u, old);
     }
   }
@@ -919,7 +924,7 @@ void OoOCore<kTraced>::do_commit() {
             stq_count_ = static_cast<std::uint64_t>(stq_count_) - 1;
           }
         } else if (isa::writes_rd(op) && rob_rd_[h] != 0) {
-          regs_[rob_rd_[h]] = rob_result_[h].u32();
+          regs_.set(rob_rd_[h], rob_result_[h].u32());
           if (rat_busy_[rob_rd_[h]] != 0 && rat_tag_[rob_rd_[h]] == h) {
             rat_busy_[rob_rd_[h]] = 0;
           }
@@ -931,9 +936,9 @@ void OoOCore<kTraced>::do_commit() {
       const bool taken = rob_npc_[h].u32() != rob_pc_[h].u32() + 4;
       const std::uint32_t idx =
           ((rob_pc_[h].u32() >> 2) ^ bhr_.u32()) & ((1u << kPhtBits) - 1);
-      std::uint8_t& ctr = pht_[idx];
-      if (taken && ctr < 3) ++ctr;
-      if (!taken && ctr > 0) --ctr;
+      const std::uint8_t ctr = pht_[idx];
+      if (taken && ctr < 3) pht_.set(idx, static_cast<std::uint8_t>(ctr + 1));
+      if (!taken && ctr > 0) pht_.set(idx, static_cast<std::uint8_t>(ctr - 1));
       bhr_ = (static_cast<std::uint64_t>(bhr_) << 1) | (taken ? 1 : 0);
     }
     if (op == Op::kJalr) {
@@ -1209,8 +1214,8 @@ void OoOCore<kTraced>::do_issue() {
       const std::uint32_t tag = addr >> 10;
       const bool hit = l1d_valid_[set] != 0 && l1d_tag_[set] == tag;
       if (!hit) {
-        l1d_valid_[set] = 1;
-        l1d_tag_[set] = tag;
+        l1d_valid_.set(set, 1);
+        l1d_tag_.set(set, tag);
         for (int q = 0; q < kMqSize; ++q) {
           if (mq_valid_[q] == 0) {
             mq_valid_[q] = 1;
@@ -1487,7 +1492,7 @@ void OoOCore<kTraced>::do_cycle() {
 
   perf_[1] = static_cast<std::uint64_t>(perf_[1]) + 1;
   if (ring_.enabled()) {
-    ring_.push(cycle_, reg_, regs_, isa::kNumRegs, committed_, out_.size(),
+    ring_.push(cycle_, reg_, regs_.get(), isa::kNumRegs, committed_, out_.size(),
                dfc_sig());
   }
   ++cycle_;
@@ -1513,9 +1518,8 @@ template <bool kTraced>
 void OoOCore<kTraced>::snapshot(CoreCheckpoint* out) const {
   flush_aux();
   // COW capture against the last snapshot taken from / restored into this
-  // core: unchanged 2 KiB segments are shared, not copied.
-  arena_.snapshot_to(&out->state, last_snap_.empty() ? nullptr : &last_snap_);
-  last_snap_ = out->state;
+  // core: segments it did not write since are shared, not copied.
+  arena_.snapshot_to(&out->state);
   out->layout_fp = arena_.fingerprint();
   out->cycle = cycle_;
   out->committed = committed_;
@@ -1527,7 +1531,7 @@ void OoOCore<kTraced>::snapshot(CoreCheckpoint* out) const {
     // The monitor checker is delta-encoded against the checkpointed data
     // memory image (== mem_ at this instant): its memory is the main
     // core's image except where the checker ran ahead of the store buffer.
-    shadow_->capture_delta(mem_, mem_words_, &out->shadow);
+    shadow_->capture_delta(mem_.get(), mem_words_, &out->shadow);
   } else {
     out->shadow = isa::MachineDelta{};
   }
@@ -1554,8 +1558,7 @@ void OoOCore<kTraced>::restore(const CoreCheckpoint& cp,
         "OoOCore::restore: checkpoint layout fingerprint mismatch (snapshot "
         "taken under a different core model, program or config)");
   }
-  arena_.restore_from(cp.state);  // copies only dirtied segments
-  last_snap_ = cp.state;
+  arena_.restore_from(cp.state);  // copies only written / differing segments
   load_aux();
   out_spill_ = cp.output_spill;
   dets_ = cp.dets;
@@ -1568,39 +1571,12 @@ void OoOCore<kTraced>::restore(const CoreCheckpoint& cp,
       bind_shadow_hook();
     }
     // Apply after the arena restore: mem_ is the delta's reference image.
-    shadow_->restore_delta(cp.shadow, mem_, mem_words_);
+    shadow_->restore_delta(cp.shadow, mem_.get(), mem_words_);
   } else {
     shadow_.reset();
   }
   flips_ = armed_flips(plan, cycle_);
   next_flip_ = 0;
-}
-
-template <bool kTraced>
-std::uint64_t OoOCore<kTraced>::state_hash() const {
-  // Forward-relevant state only (see InOCore::state_hash): counters,
-  // recovery tallies, the replay ring and injection bookkeeping are
-  // excluded.  Timing-relevant SRAM (PHT, L1D tags) lives in the arena's
-  // forward region; the monitor checker's architectural state is hashed on
-  // top -- it steers the future cycle-by-cycle trajectory.
-  std::uint64_t h = arena_.hash_fwd(0x000C0DEULL);
-  h = util::hash_combine(h, out_spill_.size());
-  for (const std::uint32_t w : out_spill_) h = util::hash_combine(h, w);
-  if (shadow_) {
-    h = util::hash_combine(h, shadow_->pc());
-    h = util::hash_combine(h, static_cast<std::uint64_t>(shadow_->status()));
-    for (int r = 0; r < isa::kNumRegs; ++r) {
-      h = util::hash_combine(h, shadow_->reg(r));
-    }
-    for (const std::uint32_t w : shadow_->memory()) {
-      h = util::hash_combine(h, w);
-    }
-    h = util::hash_combine(h, shadow_->output().size());
-    for (const std::uint32_t w : shadow_->output()) {
-      h = util::hash_combine(h, w);
-    }
-  }
-  return h;
 }
 
 template <bool kTraced>
@@ -1616,7 +1592,7 @@ bool OoOCore<kTraced>::state_matches(const CoreCheckpoint& cp,
     return false;
   }
   if (static_cast<bool>(shadow_) != cp.shadow.present) return false;
-  return !shadow_ || shadow_->matches_delta(cp.shadow, mem_, mem_words_);
+  return !shadow_ || shadow_->matches_delta(cp.shadow, mem_.get(), mem_words_);
 }
 
 }  // namespace

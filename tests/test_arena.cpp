@@ -5,15 +5,20 @@
 //   * layout-fingerprint refusal of checkpoints taken under a different
 //     core model, program or config (previously documented UB),
 //   * COW segment aliasing hammered from the worker thread pool,
+//   * dirty tracking: every tracked restore, capture and boundary compare
+//     of forked runs checked against a full memcmp,
 //   * per-component checkpoint size accounting,
 //   * adaptive checkpoint density: campaign results are bit-identical at
 //     any density, fixed interval, and against the legacy engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "arch/arena.h"
@@ -45,14 +50,24 @@ TEST_P(ArenaFuzzTest, RoundTripCatchesForwardCorruption) {
   arch::CoreCheckpoint cp;
   core->snapshot(&cp);
   EXPECT_TRUE(core->state_matches(cp));
-  const std::uint64_t h0 = core->state_hash();
+  // Reference snapshot of the same state taken by an independent core: it
+  // shares no segment with this core's, so comparing against it reads
+  // every byte.
+  auto twin = arch::make_core(GetParam());
+  twin->begin(prog, nullptr, nullptr);
+  ASSERT_TRUE(twin->step_to(1024, kBudget));
+  arch::CoreCheckpoint ref;
+  twin->snapshot(&ref);
+  ASSERT_EQ(ref.state.segments_shared_with(cp.state), 0u);
+  EXPECT_TRUE(core->state_matches(ref));
 
   // Diverge, then restore: bit-exact round trip.
   ASSERT_TRUE(core->step_to(1500, kBudget));
   EXPECT_FALSE(core->state_matches(cp));
+  EXPECT_FALSE(core->state_matches(ref));
   core->restore(cp, nullptr);
   EXPECT_TRUE(core->state_matches(cp));
-  EXPECT_EQ(core->state_hash(), h0);
+  EXPECT_TRUE(core->state_matches(ref));
   EXPECT_EQ(core->cycle(), cp.cycle);
 
   const arch::Core::StateView v = core->state_view();
@@ -71,10 +86,10 @@ TEST_P(ArenaFuzzTest, RoundTripCatchesForwardCorruption) {
                             (b - v.ff_words * 8);
     *bytes ^= 0xFF;
     EXPECT_FALSE(core->state_matches(cp)) << "flip at byte " << b;
-    EXPECT_NE(core->state_hash(), h0);
+    EXPECT_FALSE(core->state_matches(ref)) << "flip at byte " << b;
     core->restore(cp, nullptr);
     EXPECT_TRUE(core->state_matches(cp));
-    EXPECT_EQ(core->state_hash(), h0);
+    EXPECT_TRUE(core->state_matches(ref));
   }
 
   // Bookkeeping tail (cycle counters, outcome latches) is excluded from
@@ -140,14 +155,18 @@ TEST(ArenaCow, AliasingUnderThreadPool) {
   }
   ASSERT_GT(chks.size(), 4u);
 
-  // Reference continuation hash per checkpoint, computed single-threaded.
-  std::vector<std::uint64_t> expect(chks.size());
+  // Reference continuation per checkpoint: a snapshot 64 cycles past it,
+  // taken single-threaded by a run from cycle 0.  It shares no segment
+  // with the trajectory, so comparing against it reads every byte.  The
+  // restores and self-compares in between rest on "same segment pointer
+  // => same bytes", now across threads.
+  std::vector<arch::CoreCheckpoint> expect(chks.size());
   for (std::size_t i = 0; i < chks.size(); ++i) {
     auto c = arch::make_core("InO");
     c->begin(prog, nullptr, nullptr);
-    c->restore(chks[i], nullptr);
-    c->step_to(c->cycle() + 64, kBudget);
-    expect[i] = c->state_hash();
+    c->step_to(chks[i].cycle + 64, kBudget);
+    c->snapshot(&expect[i]);
+    ASSERT_EQ(expect[i].state.segments_shared_with(chks[i].state), 0u);
   }
 
   // gtest assertions are not thread-safe; count mismatches instead.
@@ -160,24 +179,25 @@ TEST(ArenaCow, AliasingUnderThreadPool) {
     c->restore(chks[k], nullptr);
     if (!c->state_matches(chks[k])) failures.fetch_add(1);
     c->step_to(c->cycle() + 64, kBudget);
-    if (c->state_hash() != expect[k]) failures.fetch_add(1);
+    if (!c->state_matches(expect[k])) failures.fetch_add(1);
     // Fork-local snapshot shares segments with the golden checkpoint and
     // dies with this task; the golden trajectory must stay intact.
     arch::CoreCheckpoint mine;
     c->snapshot(&mine);
     if (!c->state_matches(mine)) failures.fetch_add(1);
     c->restore(mine, nullptr);
-    if (c->state_hash() != expect[k]) failures.fetch_add(1);
+    if (!c->state_matches(expect[k])) failures.fetch_add(1);
   });
   EXPECT_EQ(failures.load(), 0);
 
-  // Trajectory unharmed: restoring each still reproduces its hash.
+  // Trajectory unharmed: restoring each still reproduces its
+  // continuation.
   for (std::size_t i = 0; i < chks.size(); ++i) {
     auto c = arch::make_core("InO");
     c->begin(prog, nullptr, nullptr);
     c->restore(chks[i], nullptr);
     c->step_to(c->cycle() + 64, kBudget);
-    EXPECT_EQ(c->state_hash(), expect[i]);
+    EXPECT_TRUE(c->state_matches(expect[i]));
   }
 }
 
@@ -243,6 +263,245 @@ TEST(ArenaSizes, BreakdownMatchesConfiguration) {
   EXPECT_EQ(mcp.sizes.shadow, 0u);
   EXPECT_FALSE(mcp.shadow.present);
 }
+
+// ---- tracked restore and compare against the full memcmp -----------------
+//
+// The arena restores and compares only the segments a run wrote since its
+// last snapshot/restore, plus those its reference snapshot does not share
+// with the target (arch/arena.h).  A write that skipped its dirty mark
+// would go unseen by both.  These cases drive forked runs the way the
+// campaign does -- restore a golden checkpoint under an injection plan,
+// step boundary to boundary, compare against the same-cycle and the
+// neighbouring (shifted) checkpoints, snapshot mid-run as the hang probe
+// does, then fork the next run -- and check every tracked result against
+// a full memcmp read through Core::arena(), which leaves the dirty bits
+// alone.
+
+struct TrackedCase {
+  const char* name;
+  const char* core;
+  const char* bench;
+  bool eddi;
+  bool monitor;
+  bool dfc;
+  arch::RecoveryKind recovery;
+  arch::FFProt prot;  // applied to every FF unless kNone
+  // Half the samples strike the FF structures named `strike_prefix`*
+  // `strike_suffix` (nullptr: all samples draw from every FF).
+  const char* strike_prefix;
+  const char* strike_suffix;
+};
+
+void PrintTo(const TrackedCase& tc, std::ostream* os) { *os << tc.name; }
+
+constexpr auto kNoRec = arch::RecoveryKind::kNone;
+constexpr auto kNoProt = arch::FFProt::kNone;
+
+// The five perfbench `campaign` stanzas, then the write sites they rarely
+// reach:
+//   * the InO flush-drain counter, which only flush recovery sets;
+//   * the monitor's shadow store, when its checker repairs a store whose
+//     data a flip corrupted in the store queue (2,000 gcc samples striking
+//     the store queue never reached it; mcf's do);
+//   * the rollback ring's memory undo across a capture.  EDS and parity
+//     detect in the flip's cycle; DFC only at the block's signature check,
+//     so an EIR rollback after a flip of a committed instruction word can
+//     undo stores made before a capture.
+const TrackedCase kTrackedCases[] = {
+    {"InO_gcc", "InO", "gcc", false, false, false, kNoRec, kNoProt, nullptr,
+     nullptr},
+    {"InO_fft1d_eddi", "InO", "fft1d", true, false, false, kNoRec, kNoProt,
+     nullptr, nullptr},
+    {"InO_mcf", "InO", "mcf", false, false, false, kNoRec, kNoProt, nullptr,
+     nullptr},
+    {"OoO_mcf", "OoO", "mcf", false, false, false, kNoRec, kNoProt, nullptr,
+     nullptr},
+    {"OoO_gcc_monitor_rob", "OoO", "gcc", false, true, false,
+     arch::RecoveryKind::kRob, kNoProt, nullptr, nullptr},
+    {"OoO_mcf_monitor_rob", "OoO", "mcf", false, true, false,
+     arch::RecoveryKind::kRob, kNoProt, "mem.stq", ".data"},
+    {"InO_mcf_eds_flush", "InO", "mcf", false, false, false,
+     arch::RecoveryKind::kFlush, arch::FFProt::kEds, nullptr, nullptr},
+    {"InO_mcf_dfc_eir", "InO", "mcf", false, false, true,
+     arch::RecoveryKind::kEir, kNoProt, "", ".ctrl.inst"},
+    {"OoO_mcf_dfc_eir", "OoO", "mcf", false, false, true,
+     arch::RecoveryKind::kEir, kNoProt, "rob.e", ".inst"},
+};
+
+bool named(const std::string& s, const char* prefix, const char* suffix) {
+  const std::string p(prefix), x(suffix);
+  return s.size() >= p.size() + x.size() && s.compare(0, p.size(), p) == 0 &&
+         s.compare(s.size() - x.size(), x.size(), x) == 0;
+}
+
+class TrackedArenaTest : public ::testing::TestWithParam<TrackedCase> {
+ protected:
+  // Full memcmp of the live FF pool and the first `arena_words` arena
+  // words against `cp`.
+  static bool full_equal(const arch::Core& c, const arch::CoreCheckpoint& cp,
+                         std::size_t arena_words) {
+    const arch::StateArena& a = c.arena();
+    return cp.state.matches_prefix(0, a.ff_base(), a.ff_words()) &&
+           cp.state.matches_prefix(1, a.data(), arena_words);
+  }
+  // A restore or capture left the whole image equal to `cp`.
+  void expect_image(const arch::Core& c, const arch::CoreCheckpoint& cp,
+                    const char* what) {
+    ++images_;
+    EXPECT_TRUE(full_equal(c, cp, c.arena().total_words()))
+        << what << " at cycle " << c.cycle();
+  }
+  // Snapshots the live state and checks the capture.
+  void capture(arch::Core& c, arch::CoreCheckpoint* cp, const char* what) {
+    c.snapshot(cp);
+    expect_image(c, *cp, what);
+  }
+  // The tracked boundary compare agrees with the full one.
+  void expect_compare(const arch::Core& c, const arch::CoreCheckpoint& cp) {
+    const bool tracked = c.arena().matches_fwd(cp.state, nullptr);
+    const bool full = full_equal(c, cp, c.arena().fwd_words());
+    ++compares_;
+    hits_ += full ? 1 : 0;
+    EXPECT_EQ(tracked, full) << "compare at cycle " << c.cycle()
+                             << " against checkpoint at " << cp.cycle;
+    if (c.state_matches(cp)) {
+      EXPECT_TRUE(full) << "state_matches at cycle " << c.cycle();
+    }
+  }
+
+  std::uint64_t images_ = 0;
+  std::uint64_t compares_ = 0;
+  std::uint64_t hits_ = 0;
+};
+
+TEST_P(TrackedArenaTest, RestoreAndCompareMatchFullMemcmp) {
+  const TrackedCase& tc = GetParam();
+  core::Variant variant = core::Variant::base();
+  variant.eddi = tc.eddi;
+  variant.monitor = tc.monitor;
+  variant.dfc = tc.dfc;
+  const auto prog = core::build_variant_program(tc.bench, variant);
+  auto core = arch::make_core(tc.core);
+  arch::ResilienceConfig cfg;
+  cfg.monitor = tc.monitor;
+  cfg.dfc = tc.dfc;
+  cfg.recovery = tc.recovery;
+  if (tc.prot != kNoProt) {
+    cfg.prot.assign(core->registry().ff_count(), tc.prot);
+  }
+  const bool any_cfg = tc.monitor || tc.dfc || tc.recovery != kNoRec;
+  const arch::ResilienceConfig* cfgp = any_cfg ? &cfg : nullptr;
+  const arch::CoreRunResult golden = core->run(prog, cfgp, nullptr, kBudget);
+  ASSERT_EQ(golden.status, isa::RunStatus::kHalted);
+
+  // Golden trajectory at the campaign's densest interval.
+  constexpr std::uint64_t kInterval = 16;
+  std::vector<arch::CoreCheckpoint> cps(1);
+  core->begin(prog, cfgp, nullptr);
+  core->snapshot(&cps.back());
+  while (core->step_to(core->cycle() + kInterval, kBudget)) {
+    cps.emplace_back();
+    capture(*core, &cps.back(), "golden capture");
+  }
+  const std::size_t n = cps.size();
+  ASSERT_GT(n, 8u);
+
+  // Restore ladder: every golden checkpoint, in a seeded shuffled order,
+  // into one core.
+  util::Rng rng(0x7AC3ED);
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  for (std::size_t i = n - 1; i > 0; --i) {
+    std::swap(order[i], order[static_cast<std::size_t>(rng.below(i + 1))]);
+  }
+  for (const std::size_t k : order) {
+    core->restore(cps[k], nullptr);
+    expect_image(*core, cps[k], "ladder restore");
+    expect_compare(*core, cps[k]);
+    expect_compare(*core, cps[(k + 1) % n]);
+  }
+
+  // Forked faulty runs, one after another in the same core.
+  std::vector<std::uint32_t> strike;
+  for (const arch::FFStructure& st : core->registry().structures()) {
+    if (tc.strike_prefix == nullptr ||
+        !named(st.name, tc.strike_prefix, tc.strike_suffix)) {
+      continue;
+    }
+    for (std::uint32_t k = 0; k < st.width; ++k) {
+      strike.push_back(st.first_ff + k);
+    }
+  }
+  ASSERT_EQ(strike.empty(), tc.strike_prefix == nullptr);
+  const std::uint32_t ffs = core->registry().ff_count();
+  const std::uint64_t watchdog = golden.cycles * 2 + 1024;
+  constexpr int kSamples = 2000;
+  constexpr int kMaxBoundaries = 12;
+  for (int s = 0; s < kSamples; ++s) {
+    const auto ff = !strike.empty() && s % 2 == 0
+                        ? strike[static_cast<std::size_t>(
+                              rng.below(strike.size()))]
+                        : static_cast<std::uint32_t>(rng.below(ffs));
+    const std::uint64_t inj = 1 + rng.below(golden.cycles - 1);
+    const auto plan = arch::InjectionPlan::single(inj, ff);
+    const std::size_t ci = std::min<std::size_t>(inj / kInterval, n - 1);
+    core->restore(cps[ci], &plan);
+    expect_image(*core, cps[ci], "fork restore");
+    arch::CoreCheckpoint probe;
+    bool probed = false;
+    // Cycle by cycle through the first interval after the flip, capturing
+    // every cycle: detections, recoveries and drain counters act there,
+    // and a DFC recovery may roll back stores made before a capture.
+    while (core->cycle() <= inj + kInterval &&
+           core->step_to(core->cycle() + 1, watchdog)) {
+      if (core->cycle() > inj) {
+        capture(*core, &probe, "capture after the flip");
+        probed = true;
+      }
+    }
+    for (int b = 0; b < kMaxBoundaries; ++b) {
+      const std::uint64_t boundary =
+          (core->cycle() / kInterval + 1) * kInterval;
+      if (!core->step_to(boundary, watchdog)) break;
+      if (core->cycle() % kInterval != 0) continue;
+      const auto bi = static_cast<std::size_t>(core->cycle() / kInterval);
+      if (probed) expect_compare(*core, probe);
+      if (bi < n) {
+        expect_compare(*core, cps[bi]);
+        if (bi > 0) expect_compare(*core, cps[bi - 1]);
+        if (bi + 1 < n) expect_compare(*core, cps[bi + 1]);
+        if (core->quiescent() && core->state_matches(cps[bi])) break;
+      }
+      if (rng.below(2) == 0) {
+        // Mid-run capture, as the hang probe takes them: it re-bases the
+        // tracking on a snapshot of a faulty state.
+        capture(*core, &probe, "boundary capture");
+        probed = true;
+      }
+    }
+    // The run's last state, captured against whatever it last re-based
+    // on, then back to the last capture and to the fork origin.
+    arch::CoreCheckpoint last;
+    capture(*core, &last, "final capture");
+    if (probed) {
+      expect_compare(*core, probe);
+      core->restore(probe, nullptr);
+      expect_image(*core, probe, "probe restore");
+    }
+    core->restore(cps[ci], nullptr);
+    expect_image(*core, cps[ci], "return restore");
+  }
+  // The compares exercised both answers.
+  EXPECT_GT(hits_, 0u);
+  EXPECT_LT(hits_, compares_);
+  EXPECT_GT(images_, static_cast<std::uint64_t>(3 * kSamples));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, TrackedArenaTest, ::testing::ValuesIn(kTrackedCases),
+    [](const ::testing::TestParamInfo<TrackedCase>& p) {
+      return std::string(p.param.name);
+    });
 
 // The derived snapshot placement moves work around but never changes what
 // is simulated: the forked engine matches the from-cycle-0 reference.  EDS
