@@ -6,7 +6,8 @@
 //                 listening socket -- or, with `--workers N`, fans out N
 //                 child daemons re-exec'd from this binary for
 //                 whole-machine fleets.
-//   clear submit  connect to a daemon, ship one manifest, stream its
+//   clear submit  run a one-worker, one-shard fleet (fleet/fleet.h): ship
+//                 the manifest verbatim to one daemon, stream its
 //                 progress, and write the returned .csr files -- ready
 //                 for `clear merge` exactly as if `clear run` had
 //                 written them locally (byte-identical, enforced by the
@@ -20,6 +21,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,26 +145,14 @@ int serve_fanout(int workers, bool have_socket, const std::string& base_path,
   return 0;
 }
 
-// Why a client recv produced no frame ("" when it did).
-std::string recv_error(serve::FrameConn::Recv got, std::uint64_t timeout_ms) {
-  switch (got) {
-    case serve::FrameConn::Recv::kFrame: return "";
-    case serve::FrameConn::Recv::kTimeout:
-      return "timed out after " + std::to_string(timeout_ms) + " ms";
-    case serve::FrameConn::Recv::kClosed: return "connection closed by server";
-    case serve::FrameConn::Recv::kBad: return "protocol error (bad frame)";
-  }
-  return "?";
-}
-
 }  // namespace
 
 int cmd_serve(int argc, const char* const* argv) {
   util::ArgParser args(
       "clear serve (--socket <path> | --port <N>) [options]",
-      "Runs a shard-worker daemon: accepts multi-campaign manifests (the\n"
-      "'clear run --spec' grammar) and fleet shard assignments over a\n"
-      "local stream socket, executes them on the process-wide job engine,\n"
+      "Runs a shard-worker daemon: accepts shard assignments (manifests in\n"
+      "the 'clear run --spec' grammar, or explore stanzas) over a local\n"
+      "stream socket, executes them on the process-wide job engine,\n"
       "streams progress events and heartbeats, and returns each\n"
       "campaign's .csr wire bytes (or a .cxl ledger for explore shards).\n"
       "Each connection is serviced on its own thread; 'clear submit' and\n"
@@ -265,7 +255,8 @@ int cmd_submit(int argc, const char* const* argv) {
       "Submits a campaign manifest (the 'clear run --spec' grammar) to a\n"
       "'clear serve' worker, streams its progress, and writes the\n"
       "returned shard results as .csr files -- byte-identical to what\n"
-      "'clear run --out' would have written locally.");
+      "'clear run --out' would have written locally.  A worker silent for\n"
+      "5 s is declared dead and the submit fails.");
   args.add_option("socket", "path", "connect to a UNIX stream socket");
   args.add_option("port", "N", "connect to 127.0.0.1:N instead");
   args.add_option("spec", "file", "manifest to submit (required)");
@@ -279,8 +270,6 @@ int cmd_submit(int argc, const char* const* argv) {
   args.add_option("hello-timeout-ms", "N",
                   "give up when the server's hello takes longer than this",
                   "10000");
-  args.add_option("cancel-after", "N",
-                  "send a cancel after N progress frames (0 = never)", "0");
   args.add_flag("shutdown", "ask the daemon to exit after this connection");
   args.add_flag("quiet", "suppress progress lines");
 
@@ -308,165 +297,95 @@ int cmd_submit(int argc, const char* const* argv) {
                  args.help().c_str());
     return 2;
   }
+  fleet::FleetOptions opts;
   const std::string priority_text = args.get("priority");
-  engine::JobPriority priority = engine::JobPriority::kInteractive;
-  if (priority_text == "bulk") priority = engine::JobPriority::kBulk;
-  else if (priority_text != "interactive") {
+  if (priority_text == "bulk") {
+    opts.priority = engine::JobPriority::kBulk;
+  } else if (priority_text == "interactive") {
+    opts.priority = engine::JobPriority::kInteractive;
+  } else {
     std::fprintf(stderr, "clear submit: bad --priority '%s'\n",
                  priority_text.c_str());
     return 2;
   }
-  std::uint64_t port = 0, retry_ms = 5000, hello_ms = 10000, cancel_after = 0;
+  std::uint64_t port = 0, retry_ms = 5000, hello_ms = 10000;
   if (!args.get_u64("port", 0, &port) || port > 65535 ||
       !args.get_u64("connect-retry-ms", 5000, &retry_ms) ||
-      !args.get_u64("hello-timeout-ms", 10000, &hello_ms) || hello_ms == 0 ||
-      !args.get_u64("cancel-after", 0, &cancel_after)) {
+      !args.get_u64("hello-timeout-ms", 10000, &hello_ms) || hello_ms == 0) {
     std::fprintf(stderr, "clear submit: bad numeric flag value\n");
     return 2;
   }
+  opts.connect_retry_ms = static_cast<int>(retry_ms);
+  opts.hello_timeout_ms = static_cast<int>(hello_ms);
+  opts.max_attempts = 1;  // a failed job fails the submit; no retry
+  opts.shutdown_workers = args.has("shutdown");
   const bool quiet = args.has("quiet");
 
-  std::string manifest;
-  if (!util::read_file(args.get("spec"), &manifest)) {
+  // One shard holding the manifest verbatim: no --shard is appended, so
+  // the worker resolves exactly what `clear run --spec` would.
+  fleet::ShardWork shard;
+  shard.kind = serve::ShardKind::kCampaign;
+  if (!util::read_file(args.get("spec"), &shard.text)) {
     std::fprintf(stderr, "clear submit: cannot read spec file '%s'\n",
                  args.get("spec").c_str());
     return 1;
   }
-
+  if (shard.text.empty()) {  // a shard-assign cannot carry an empty spec
+    std::fprintf(stderr, "clear submit: spec file '%s' is empty\n",
+                 args.get("spec").c_str());
+    return 1;
+  }
   fleet::Endpoint endpoint;
   if (have_socket) endpoint.socket_path = args.get("socket");
   endpoint.port = static_cast<std::uint16_t>(port);
-  serve::FrameConn conn;
+
+  const auto on_event = [quiet](const fleet::FleetEvent& e) {
+    if (e.kind == fleet::FleetEvent::Kind::kWorkerDead) {
+      std::fprintf(stderr, "clear submit: worker %s: %s\n",
+                   e.worker_name.c_str(), e.detail.c_str());
+    } else if (e.kind == fleet::FleetEvent::Kind::kProgress && !quiet) {
+      const engine::JobProgress& p = e.progress;
+      std::printf("progress   %s: goldens %llu/%llu, samples %llu/%llu\n",
+                  engine::job_state_name(p.state),
+                  static_cast<unsigned long long>(p.goldens_done),
+                  static_cast<unsigned long long>(p.goldens_total),
+                  static_cast<unsigned long long>(p.samples_done),
+                  static_cast<unsigned long long>(p.samples_total));
+      std::fflush(stdout);
+    }
+  };
+  const std::string out_dir = args.get("out-dir");
+  const auto on_shard = [&](const fleet::ShardResult& res) {
+    if (!util::ensure_dir(out_dir)) {
+      throw std::runtime_error("cannot create out dir '" + out_dir + "'");
+    }
+    for (std::size_t i = 0; i < res.payloads.size(); ++i) {
+      // Validate before writing: a checksum-clean decode proves the bytes
+      // survived the stream intact.
+      inject::ShardFile file;
+      if (inject::decode_shard(res.payloads[i], &file) !=
+          inject::WireStatus::kOk) {
+        throw std::runtime_error("result #" + std::to_string(i) +
+                                 " failed .csr decode");
+      }
+      const std::string path =
+          out_dir + "/campaign" + std::to_string(i) + ".csr";
+      if (!util::write_file_atomic(path, res.payloads[i])) {
+        throw std::runtime_error("cannot write " + path);
+      }
+      if (!quiet) {
+        std::printf("wrote %s (%llu samples, key=%s)\n", path.c_str(),
+                    static_cast<unsigned long long>(file.result.totals.total()),
+                    file.key.c_str());
+      }
+    }
+  };
+
   try {
-    // connect retries ECONNREFUSED/ENOENT with exponential backoff up to
-    // the budget: a daemon still binding its socket is a race, not an
-    // error.
-    conn = endpoint.connect(static_cast<int>(retry_ms));
+    (void)fleet::run_fleet({endpoint}, {shard}, opts, on_event, on_shard);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "clear submit: %s\n", e.what());
     return 1;
-  }
-
-  // Hello deadline: a server that accepted the connection but never
-  // speaks (wedged daemon, wrong service on the port) must not hang the
-  // client forever.
-  serve::Frame frame;
-  const serve::FrameConn::Recv got =
-      conn.recv(&frame, static_cast<int>(hello_ms));
-  if (got != serve::FrameConn::Recv::kFrame ||
-      frame.type != serve::FrameType::kHello) {
-    std::fprintf(stderr, "clear submit: no hello from server (%s)\n",
-                 recv_error(got, hello_ms).c_str());
-    return 1;
-  }
-  serve::Hello hello;
-  if (!serve::decode_hello(frame.payload, &hello) ||
-      hello.proto_version != serve::kProtoVersion) {
-    std::fprintf(stderr,
-                 "clear submit: unsupported server protocol (want v%u)\n",
-                 serve::kProtoVersion);
-    return 1;
-  }
-  if (hello.wire_version != inject::kWireVersion) {
-    std::fprintf(stderr,
-                 "clear submit: server speaks .csr v%u, this binary v%u -- "
-                 "results would not merge; upgrade one side\n",
-                 hello.wire_version, inject::kWireVersion);
-    return 1;
-  }
-
-  serve::JobRequest req;
-  req.priority = priority;
-  req.manifest = std::move(manifest);
-  if (!conn.send(serve::FrameType::kJob, serve::encode_job(req))) {
-    std::fprintf(stderr, "clear submit: send failed\n");
-    return 1;
-  }
-  if (args.has("shutdown")) {
-    conn.send(serve::FrameType::kShutdown, "");
-  }
-
-  std::vector<std::pair<std::uint32_t, std::string>> results;
-  serve::Done done;
-  std::uint64_t progress_frames = 0;
-  bool cancel_sent = false;
-  for (;;) {
-    const serve::FrameConn::Recv next = conn.recv(&frame, -1);
-    if (next != serve::FrameConn::Recv::kFrame) {
-      std::fprintf(stderr, "clear submit: %s\n", recv_error(next, 0).c_str());
-      return 1;
-    }
-    if (frame.type == serve::FrameType::kProgress) {
-      engine::JobProgress p;
-      if (serve::decode_progress(frame.payload, &p) && !quiet) {
-        std::printf("progress   %s: goldens %llu/%llu, samples %llu/%llu\n",
-                    engine::job_state_name(p.state),
-                    static_cast<unsigned long long>(p.goldens_done),
-                    static_cast<unsigned long long>(p.goldens_total),
-                    static_cast<unsigned long long>(p.samples_done),
-                    static_cast<unsigned long long>(p.samples_total));
-        std::fflush(stdout);
-      }
-      ++progress_frames;
-      if (cancel_after != 0 && !cancel_sent &&
-          progress_frames >= cancel_after) {
-        conn.send(serve::FrameType::kCancel, "");
-        cancel_sent = true;
-      }
-    } else if (frame.type == serve::FrameType::kResult) {
-      std::uint32_t index = 0;
-      std::string csr;
-      if (!serve::decode_result(frame.payload, &index, &csr)) {
-        std::fprintf(stderr, "clear submit: malformed result frame\n");
-        return 1;
-      }
-      results.emplace_back(index, std::move(csr));
-    } else if (frame.type == serve::FrameType::kDone) {
-      if (!serve::decode_done(frame.payload, &done)) {
-        std::fprintf(stderr, "clear submit: malformed done frame\n");
-        return 1;
-      }
-      break;
-    }  // other frame types (heartbeats included): ignore
-  }
-
-  if (done.outcome == serve::JobOutcome::kCancelled && cancel_sent) {
-    std::printf("job cancelled on request (%llu progress frames seen)\n",
-                static_cast<unsigned long long>(progress_frames));
-    return 0;
-  }
-  if (done.outcome != serve::JobOutcome::kOk) {
-    std::fprintf(stderr, "clear submit: job %s: %s\n",
-                 serve::job_outcome_name(done.outcome), done.message.c_str());
-    return 1;
-  }
-
-  const std::string out_dir = args.get("out-dir");
-  if (!util::ensure_dir(out_dir)) {
-    std::fprintf(stderr, "clear submit: cannot create out dir '%s'\n",
-                 out_dir.c_str());
-    return 1;
-  }
-  for (const auto& [index, csr] : results) {
-    // Validate before writing: a checksum-clean decode proves the bytes
-    // survived the stream intact.
-    inject::ShardFile shard;
-    if (inject::decode_shard(csr, &shard) != inject::WireStatus::kOk) {
-      std::fprintf(stderr, "clear submit: result #%u failed .csr decode\n",
-                   index);
-      return 1;
-    }
-    const std::string path =
-        out_dir + "/campaign" + std::to_string(index) + ".csr";
-    if (!util::write_file_atomic(path, csr)) {
-      std::fprintf(stderr, "clear submit: cannot write %s\n", path.c_str());
-      return 1;
-    }
-    if (!quiet) {
-      std::printf("wrote %s (%llu samples, key=%s)\n", path.c_str(),
-                  static_cast<unsigned long long>(shard.result.totals.total()),
-                  shard.key.c_str());
-    }
   }
   return 0;
 }

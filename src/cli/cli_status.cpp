@@ -192,9 +192,18 @@ void probe(const fleet::Endpoint& ep, int connect_retry_ms, int timeout_ms,
   } catch (const std::runtime_error&) {
     return;
   }
-  row->state = "no-hello";
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  bool got_hello = false;
+  serve::Hello hello;
+  std::string why;
+  const fleet::HelloFault fault =
+      fleet::read_hello(&conn, timeout_ms, &hello, &why);
+  if (fault != fleet::HelloFault::kNone) {
+    row->state = fleet::hello_fault_name(fault);
+    return;
+  }
+  row->name = hello.name.empty() ? row->endpoint : hello.name;
+  row->capacity = hello.capacity;
+  row->state = "no-heartbeat";  // until one lands
   for (;;) {
     const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - Clock::now());
@@ -208,32 +217,17 @@ void probe(const fleet::Endpoint& ep, int connect_retry_ms, int timeout_ms,
     }
     // Timeout or peer closed: keep whatever state we reached.
     if (got != serve::FrameConn::Recv::kFrame) return;
-    if (frame.type == serve::FrameType::kHello) {
-      serve::Hello hello;
-      if (!serve::decode_hello(frame.payload, &hello)) {
-        row->state = "bad-hello";
-        return;
+    std::uint32_t inflight = 0;
+    std::string metrics;
+    if (frame.type == serve::FrameType::kHeartbeat &&
+        serve::decode_heartbeat(frame.payload, &inflight, &metrics)) {
+      row->inflight = inflight;
+      row->state = "up";
+      obs::Snapshot snap;
+      if (!metrics.empty() && obs::decode_snapshot(metrics, &snap)) {
+        row->metrics = std::move(snap);
       }
-      if (hello.proto_version != serve::kProtoVersion) {
-        row->state = "version-skew";
-        return;
-      }
-      row->name = hello.name.empty() ? row->endpoint : hello.name;
-      row->capacity = hello.capacity;
-      row->state = "no-heartbeat";  // until one lands
-      got_hello = true;
-    } else if (frame.type == serve::FrameType::kHeartbeat && got_hello) {
-      std::uint32_t inflight = 0;
-      std::string metrics;
-      if (serve::decode_heartbeat(frame.payload, &inflight, &metrics)) {
-        row->inflight = inflight;
-        row->state = "up";
-        obs::Snapshot snap;
-        if (!metrics.empty() && obs::decode_snapshot(metrics, &snap)) {
-          row->metrics = std::move(snap);
-        }
-        return;
-      }
+      return;
     }
     // Progress/result frames meant for another driver: skip.
   }

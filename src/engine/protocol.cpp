@@ -10,9 +10,11 @@ namespace clear::serve {
 
 namespace {
 
+// Types 2 and 3 (v2's job/cancel) are retired: refused like any unknown.
 bool known_type(std::uint32_t t) {
-  return t >= static_cast<std::uint32_t>(FrameType::kHello) &&
-         t <= static_cast<std::uint32_t>(FrameType::kSteal);
+  return t == static_cast<std::uint32_t>(FrameType::kHello) ||
+         (t >= static_cast<std::uint32_t>(FrameType::kShutdown) &&
+          t <= static_cast<std::uint32_t>(FrameType::kSteal));
 }
 
 }  // namespace
@@ -20,8 +22,6 @@ bool known_type(std::uint32_t t) {
 const char* frame_type_name(FrameType t) noexcept {
   switch (t) {
     case FrameType::kHello: return "hello";
-    case FrameType::kJob: return "job";
-    case FrameType::kCancel: return "cancel";
     case FrameType::kShutdown: return "shutdown";
     case FrameType::kProgress: return "progress";
     case FrameType::kResult: return "result";
@@ -205,34 +205,11 @@ std::string encode_heartbeat(std::uint32_t inflight,
   return out;
 }
 
-bool decode_heartbeat(const std::string& payload, std::uint32_t* inflight) {
-  if (payload.size() < 4) return false;
-  util::ByteReader r(payload.data(), payload.size());
-  return r.u32(inflight);
-}
-
 bool decode_heartbeat(const std::string& payload, std::uint32_t* inflight,
                       std::string* metrics) {
-  if (!decode_heartbeat(payload, inflight)) return false;
+  util::ByteReader r(payload.data(), payload.size());
+  if (!r.u32(inflight)) return false;
   metrics->assign(payload, 4, payload.size() - 4);
-  return true;
-}
-
-std::string encode_job(const JobRequest& j) {
-  std::string out;
-  out.push_back(static_cast<char>(j.priority));
-  out.append(j.manifest);
-  return out;
-}
-
-bool decode_job(const std::string& payload, JobRequest* out) {
-  if (payload.empty()) return false;
-  const auto prio = static_cast<std::uint8_t>(payload[0]);
-  if (prio > static_cast<std::uint8_t>(engine::JobPriority::kBulk)) {
-    return false;
-  }
-  out->priority = static_cast<engine::JobPriority>(prio);
-  out->manifest = payload.substr(1);
   return true;
 }
 

@@ -1,16 +1,17 @@
-// `clear serve` wire protocol (version 2): the frame layer a shard-worker
-// daemon and its drivers (`clear submit`, the `clear fleet` orchestrator)
-// speak over a local stream socket.
+// `clear serve` wire protocol (version 3): the frame layer a shard-worker
+// daemon and its drivers (the fleet driver in fleet/fleet.h, which `clear
+// fleet` and `clear submit` both run) speak over a local stream socket.
 //
 // Every peer reads and writes through one FrameConn (below); the daemon
 // itself is fleet/worker.h.
 //
 // The daemon turns the run -> scp -> merge workflow into a live worker: a
-// driver connects, ships job requests (multi-campaign manifests in the
-// `clear run --spec` grammar), watches progress events stream back, and
-// receives each campaign's result as `.csr` wire bytes (inject/wire.h) it
-// can hand straight to `clear merge`.  docs/FORMATS.md specifies the
-// byte-level framing; docs/ARCHITECTURE.md the data flow.
+// driver connects, assigns shards (multi-campaign manifests in the `clear
+// run --spec` grammar, or explore combo slices), watches progress events
+// stream back, and receives each campaign's result as `.csr` wire bytes
+// (inject/wire.h) it can hand straight to `clear merge`.
+// docs/FORMATS.md specifies the byte-level framing; docs/ARCHITECTURE.md
+// the data flow.
 //
 // Design rules (shared with the on-disk formats):
 //   * little-endian fixed-width integers,
@@ -35,17 +36,15 @@
 //   server -> client   kHello                        (once, on accept; carries
 //                                                     worker identity/capacity)
 //   server -> client   kHeartbeat                    (periodic liveness beacon;
-//                                                     a fleet driver declares a
+//                                                     a driver declares a
 //                                                     silent worker dead)
-//   client -> server   kJob(priority, manifest)      (any number, pipelined)
-//   client -> server   kShardAssign(id, kind, ...)   (fleet shard dispatch; the
-//                                                     server answers kShardAck)
+//   client -> server   kShardAssign(id, kind, ...)   (any number, pipelined;
+//                                                     answered kShardAck)
 //   server -> client     kShardAck(id, status)       (shard accepted/revoked)
-//   server -> client     kProgress*                  (for the front work item)
+//   server -> client     kProgress*                  (for the front shard)
 //   server -> client     kResult(index, payload)*    (.csr per campaign, or one
 //                                                     .cxl for explore shards)
-//   server -> client     kDone(status, message)      (work item finished)
-//   client -> server   kCancel                       (cancels the front item)
+//   server -> client     kDone(status, message)      (shard finished)
 //   client -> server   kSteal(id)                    (revoke an undone shard so
 //                                                     the driver can re-dispatch
 //                                                     it; answered kShardAck)
@@ -66,9 +65,11 @@ namespace clear::serve {
 
 // Current (and newest understood) serve protocol version.  v2 added the
 // fleet frames (heartbeat, shard-assign, shard-ack, steal) and the worker
-// identity/capacity fields in the hello; v1 peers are refused at the
-// hello, never misparsed.
-constexpr std::uint32_t kProtoVersion = 2;
+// identity/capacity fields in the hello.  v3 retired the job/cancel frames
+// (types 2 and 3): every driver assigns shards, so a v2 client that would
+// still send a job frame is refused at the hello, and a stray type-2/3
+// frame decodes as kBad, never as anything else.
+constexpr std::uint32_t kProtoVersion = 3;
 
 // "CSV1" little-endian, carried in the hello payload: identifies a clear
 // serve stream (CSR/CXL/CPK are files; CSV is the socket).
@@ -80,8 +81,7 @@ constexpr std::size_t kFrameHeaderSize = 16;
 // The bound the daemon and the fleet driver put on every send: a peer
 // that leaves its socket buffer full this long is treated as gone (its
 // work cancelled or re-dispatched) instead of wedging the sender in an
-// uninterruptible ::send().  `clear submit` sends unbounded -- its frames
-// are small and the daemon always reads.
+// uninterruptible ::send().
 constexpr int kSendTimeoutMs = 30'000;
 
 // Frames carry manifests and whole .csr payloads; 256 MiB bounds the
@@ -90,8 +90,7 @@ constexpr std::uint32_t kMaxFrameLen = 256u << 20;
 
 enum class FrameType : std::uint32_t {
   kHello = 1,        // server -> client, once per connection
-  kJob = 2,          // client -> server: u8 priority, then manifest text
-  kCancel = 3,       // client -> server: cancel the front job (empty payload)
+                     // (2 and 3 were v2's job/cancel frames: retired)
   kShutdown = 4,     // client -> server: stop accepting (empty payload)
   kProgress = 5,     // server -> client: JobProgress snapshot
   kResult = 6,       // server -> client: u32 campaign index, then .csr bytes
@@ -110,7 +109,7 @@ enum class FrameType : std::uint32_t {
 enum class JobOutcome : std::uint8_t {
   kOk = 0,          // all kResult frames delivered
   kFailed = 1,      // executor error; message carries what()
-  kCancelled = 2,   // kCancel (or connection loss) stopped the job
+  kCancelled = 2,   // a stop signal (or connection loss) cancelled it
   kBadRequest = 3,  // manifest did not resolve; nothing simulated
 };
 
@@ -138,8 +137,8 @@ enum class FrameStatus : std::uint8_t {
 [[nodiscard]] FrameStatus decode_frame(std::string* buffer, Frame* out);
 
 // One CSV1 peer connection: the socket, its receive buffer and the one
-// frame loop every peer reads with -- the daemon, `clear submit`, the
-// fleet driver and `clear status`.
+// frame loop every peer reads with -- the daemon, the fleet driver and
+// `clear status`.
 class FrameConn {
  public:
   enum class Recv : std::uint8_t {
@@ -241,21 +240,11 @@ struct ShardAck {
 // leading u32 -- so the extension does not bump kProtoVersion.
 [[nodiscard]] std::string encode_heartbeat(std::uint32_t inflight,
                                            const std::string& metrics = "");
-[[nodiscard]] bool decode_heartbeat(const std::string& payload,
-                                    std::uint32_t* inflight);
-// Tail-aware decode: *metrics receives the raw CMS1 bytes ("" when the
-// heartbeat carries none); obs::decode_snapshot validates them.
+// *metrics receives the raw CMS1 bytes ("" when the heartbeat carries
+// none); obs::decode_snapshot validates them.
 [[nodiscard]] bool decode_heartbeat(const std::string& payload,
                                     std::uint32_t* inflight,
                                     std::string* metrics);
-
-struct JobRequest {
-  engine::JobPriority priority = engine::JobPriority::kInteractive;
-  std::string manifest;  // `clear run --spec` grammar, '---' stanzas
-};
-
-[[nodiscard]] std::string encode_job(const JobRequest& j);
-[[nodiscard]] bool decode_job(const std::string& payload, JobRequest* out);
 
 [[nodiscard]] std::string encode_progress(const engine::JobProgress& p);
 [[nodiscard]] bool decode_progress(const std::string& payload,

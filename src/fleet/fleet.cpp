@@ -83,6 +83,60 @@ serve::FrameConn Endpoint::connect(int retry_ms) const {
           : util::Socket::connect_unix(socket_path, retry_ms));
 }
 
+const char* hello_fault_name(HelloFault f) noexcept {
+  switch (f) {
+    case HelloFault::kNone: return "ok";
+    case HelloFault::kNoHello: return "no-hello";
+    case HelloFault::kBadStream: return "bad-stream";
+    case HelloFault::kBadHello: return "bad-hello";
+    case HelloFault::kVersionSkew: return "version-skew";
+  }
+  return "?";
+}
+
+HelloFault read_hello(serve::FrameConn* conn, int timeout_ms,
+                      serve::Hello* out, std::string* why) {
+  // The deadline bounds a server that accepts but never speaks (a wedged
+  // daemon, another service on the port).
+  serve::Frame frame;
+  switch (conn->recv(&frame, timeout_ms)) {
+    case serve::FrameConn::Recv::kFrame: break;
+    case serve::FrameConn::Recv::kTimeout:
+      *why = "no hello within " + std::to_string(timeout_ms) + " ms";
+      return HelloFault::kNoHello;
+    case serve::FrameConn::Recv::kClosed:
+      *why = "no hello: connection closed by server";
+      return HelloFault::kNoHello;
+    case serve::FrameConn::Recv::kBad:
+      *why = "bad stream: not a CSV1 frame";
+      return HelloFault::kBadStream;
+  }
+  if (frame.type != serve::FrameType::kHello) {
+    *why = std::string("bad hello: first frame is a ") +
+           serve::frame_type_name(frame.type) + " frame";
+    return HelloFault::kBadHello;
+  }
+  if (!serve::decode_hello(frame.payload, out)) {
+    *why = "bad hello: malformed payload";
+    return HelloFault::kBadHello;
+  }
+  // A worker of another version cannot serve this driver: its frames or
+  // its .csr/.cxl bytes would not decode or merge here.
+  if (out->proto_version != serve::kProtoVersion ||
+      out->wire_version != inject::kWireVersion ||
+      out->ledger_version != explore::kLedgerVersion) {
+    *why = "version skew: worker speaks CSV1 v" +
+           std::to_string(out->proto_version) + ", .csr v" +
+           std::to_string(out->wire_version) + ", .cxl v" +
+           std::to_string(out->ledger_version) + "; this binary v" +
+           std::to_string(serve::kProtoVersion) + ", v" +
+           std::to_string(inject::kWireVersion) + ", v" +
+           std::to_string(explore::kLedgerVersion);
+    return HelloFault::kVersionSkew;
+  }
+  return HelloFault::kNone;
+}
+
 bool parse_endpoint(const std::string& text, Endpoint* out,
                     std::string* error) {
   Endpoint e;
@@ -359,6 +413,8 @@ class Driver {
   }
 
   void register_workers();
+  void dispatch();
+  void shut_down_workers(bool failed);
   void declare_dead(std::size_t w, const char* why);
   void requeue(std::size_t w, std::size_t n);
   bool requeue_pos(std::size_t w, std::size_t at, std::size_t pos);
@@ -405,30 +461,25 @@ void Driver::register_workers() {
     WorkerConn& wc = workers_[w];
     wc.status.index = w;
     wc.status.endpoint = endpoints_[w].display();
+    wc.status.name = wc.status.endpoint;  // until a hello names it
     wc.status.state = WorkerState::kDead;  // until the hello lands
+    // An endpoint that cannot serve this fleet is reported and skipped;
+    // the rest proceed.
     try {
       wc.conn = endpoints_[w].connect(opts_.connect_retry_ms);
-    } catch (const std::runtime_error&) {
-      continue;  // unreachable endpoint: proceed with the rest
-    }
-    // Hello deadline: a server that accepts but never speaks must not
-    // hang the whole fleet.  Version skew refuses the worker too: it
-    // cannot serve this fleet.
-    serve::Frame frame;
-    serve::Hello hello;
-    const bool registered =
-        wc.conn.recv(&frame, opts_.hello_timeout_ms) ==
-            serve::FrameConn::Recv::kFrame &&
-        frame.type == serve::FrameType::kHello &&
-        serve::decode_hello(frame.payload, &hello) &&
-        hello.proto_version == serve::kProtoVersion &&
-        hello.wire_version == inject::kWireVersion &&
-        hello.ledger_version == explore::kLedgerVersion;
-    if (!registered) {
-      wc.conn.close();
+    } catch (const std::runtime_error& e) {
+      emit(FleetEvent::Kind::kWorkerDead, w, 0, nullptr, e.what());
       continue;
     }
-    wc.status.name = hello.name.empty() ? wc.status.endpoint : hello.name;
+    serve::Hello hello;
+    std::string why;
+    if (read_hello(&wc.conn, opts_.hello_timeout_ms, &hello, &why) !=
+        HelloFault::kNone) {
+      wc.conn.close();
+      emit(FleetEvent::Kind::kWorkerDead, w, 0, nullptr, why.c_str());
+      continue;
+    }
+    if (!hello.name.empty()) wc.status.name = hello.name;
     wc.status.capacity = hello.capacity;
     wc.status.state = WorkerState::kIdle;
     wc.last_seen = Clock::now();
@@ -759,11 +810,8 @@ void Driver::pump(std::size_t w) {
   }
 }
 
-FleetReport Driver::run() {
-  for (std::size_t pos = 0; pos < shards_.size(); ++pos) {
-    queue_.push_back(pos);
-  }
-  register_workers();
+// Dispatches until every shard has completed.
+void Driver::dispatch() {
   if (live_count() == 0 && !shards_.empty()) {
     throw std::runtime_error("fleet: no workers registered");
   }
@@ -787,32 +835,47 @@ FleetReport Driver::run() {
     check_deadlines(now);
     maybe_write_status(now);
   }
-  maybe_write_status(Clock::now(), /*force=*/true);
-  if (opts_.shutdown_workers) {
-    for (WorkerConn& wc : workers_) {
-      if (wc.status.state == WorkerState::kDead) continue;
-      (void)wc.conn.send(serve::FrameType::kShutdown, "",
-                         serve::kSendTimeoutMs);
-    }
-    // Linger until each worker closes its end.  The worker keeps
-    // heartbeating until it decodes the shutdown frame; if we close
-    // first, a heartbeat send can fail and make the worker drop the
-    // connection without draining its receive buffer -- the shutdown
-    // frame would be lost and the daemon would stay up.  Frames read
-    // meanwhile go through the normal handler: the worker's final
-    // heartbeat carries the metric snapshot that covers its last shard.
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      WorkerConn& wc = workers_[w];
-      const auto deadline = Clock::now() + std::chrono::milliseconds(2000);
-      while (wc.status.state != WorkerState::kDead && Clock::now() < deadline) {
-        serve::Frame frame;
-        const serve::FrameConn::Recv got = wc.conn.recv(&frame, 100);
-        if (got == serve::FrameConn::Recv::kTimeout) continue;
-        if (got != serve::FrameConn::Recv::kFrame) break;
-        handle_frame(w, frame);
-      }
+}
+
+// Sends kShutdown to every live worker, then lingers up to 2 s until each
+// closes its end.  The worker keeps heartbeating until it decodes the
+// shutdown frame; if we close first, a heartbeat send can fail and make
+// the worker drop the connection without draining its receive buffer --
+// the shutdown frame would be lost and the daemon would stay up.  After a
+// completed run the frames read meanwhile go through the normal handler:
+// the worker's final heartbeat carries the metric snapshot that covers
+// its last shard.  After a failed one they are only drained.
+void Driver::shut_down_workers(bool failed) {
+  for (WorkerConn& wc : workers_) {
+    if (wc.status.state == WorkerState::kDead) continue;
+    (void)wc.conn.send(serve::FrameType::kShutdown, "", serve::kSendTimeoutMs);
+  }
+  const auto deadline = Clock::now() + std::chrono::milliseconds(2000);
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    WorkerConn& wc = workers_[w];
+    while (wc.status.state != WorkerState::kDead && Clock::now() < deadline) {
+      serve::Frame frame;
+      const serve::FrameConn::Recv got = wc.conn.recv(&frame, 100);
+      if (got == serve::FrameConn::Recv::kTimeout) continue;
+      if (got != serve::FrameConn::Recv::kFrame) break;
+      if (!failed) handle_frame(w, frame);
     }
   }
+}
+
+FleetReport Driver::run() {
+  for (std::size_t pos = 0; pos < shards_.size(); ++pos) {
+    queue_.push_back(pos);
+  }
+  register_workers();
+  try {
+    dispatch();
+  } catch (...) {
+    if (opts_.shutdown_workers) shut_down_workers(/*failed=*/true);
+    throw;
+  }
+  maybe_write_status(Clock::now(), /*force=*/true);
+  if (opts_.shutdown_workers) shut_down_workers(/*failed=*/false);
   FleetReport report;
   report.workers.reserve(workers_.size());
   for (const WorkerConn& wc : workers_) report.workers.push_back(wc.status);

@@ -60,6 +60,26 @@ struct Endpoint {
   [[nodiscard]] serve::FrameConn connect(int retry_ms) const;
 };
 
+// Why a worker's hello did not register it.
+enum class HelloFault : std::uint8_t {
+  kNone = 0,     // hello read, every version matches this binary's
+  kNoHello,      // no frame before the deadline, or the peer closed
+  kBadStream,    // the first bytes are not a CSV1 frame
+  kBadHello,     // a frame arrived, but not a decodable hello
+  kVersionSkew,  // protocol, .csr or .cxl version differs from ours
+};
+
+// "no-hello", "bad-stream", "bad-hello", "version-skew" ("ok" for kNone):
+// the states `clear status` reports for a worker that failed its hello.
+[[nodiscard]] const char* hello_fault_name(HelloFault f) noexcept;
+
+// Reads the hello a worker opens every connection with, waiting up to
+// timeout_ms, and checks its protocol, .csr and .cxl versions against
+// this binary's.  *out receives the decoded hello (also on kVersionSkew);
+// on a fault, *why says what was wrong in words a log line can carry.
+HelloFault read_hello(serve::FrameConn* conn, int timeout_ms,
+                      serve::Hello* out, std::string* why);
+
 // Parses one endpoint operand: "tcp:PORT" -> loopback TCP, anything else
 // is a UNIX socket path.  Returns false (and fills *error) on a bad port.
 bool parse_endpoint(const std::string& text, Endpoint* out,
@@ -122,7 +142,9 @@ struct FleetOptions {
   int ack_timeout_ms = 3000;  // unacked shard-assign -> steal + requeue
   int max_attempts = 3;       // kFailed executions per shard before giving up
   engine::JobPriority priority = engine::JobPriority::kBulk;
-  bool shutdown_workers = false;  // send kShutdown to live workers at the end
+  // Send kShutdown to live workers when the run ends -- completed or
+  // failed alike, so a refused shard does not leave the daemons up.
+  bool shutdown_workers = false;
   // Live fleet status file ("" = off): the driver rewrites this JSON
   // (schema clear-fleet-status-v1, fleet/status.h; tmp + atomic rename)
   // every status_interval_ms with the shard tally, the worker registry and
@@ -163,7 +185,9 @@ struct WorkerStatus {
 struct FleetEvent {
   enum class Kind : std::uint8_t {
     kWorkerUp = 0,    // hello received, worker registered
-    kWorkerDead = 1,  // heartbeat deadline passed or connection dropped
+    kWorkerDead = 1,  // heartbeat deadline passed, connection dropped, or
+                      // the worker never registered (unreachable, or its
+                      // hello failed read_hello)
     kAssign = 2,      // shard dispatched to the worker (it may still be
                       // running its previous shard)
     kAck = 3,         // worker acknowledged the shard
@@ -205,7 +229,8 @@ struct FleetReport {
 // Throws std::runtime_error on a duplicate shard id, when no registered
 // worker remains alive with work pending, when a shard fails more than
 // max_attempts times, or immediately on a kBadRequest refusal (a
-// malformed shard is deterministic: every worker would refuse it).
+// malformed shard is deterministic: every worker would refuse it) --
+// after shutting the live workers down when opts.shutdown_workers asks.
 FleetReport run_fleet(const std::vector<Endpoint>& workers,
                       const std::vector<ShardWork>& shards,
                       const FleetOptions& opts, const EventFn& event = {},

@@ -20,28 +20,26 @@ namespace clear::fleet {
 
 namespace {
 
-// One submitted work item: a kJob manifest or a kShardAssign shard.  The
+// One assigned shard: a campaign manifest or an explore stanza.  The
 // resolved plans are the stable storage the engine job's spec pointers
 // alias; explore shards run on a dedicated thread because
 // run_exploration blocks (the connection loop must keep pumping
 // heartbeats and steal frames meanwhile).  Destruction cancels and joins
-// unfinished work before the plans go away.  A request refused before
+// unfinished work before the plans go away.  A shard refused before
 // submission (bad manifest, engine backpressure) still occupies a queue
-// slot so its kDone is delivered in request order -- a pipelining driver
-// matches done frames to requests by position.
+// slot so its kDone is delivered in assignment order -- a pipelining
+// driver matches done frames to shards by position.
 struct ServedWork {
-  // Shard bookkeeping (kShardAssign only).
-  bool is_shard = false;
   std::uint64_t shard_id = 0;
   serve::ShardKind kind = serve::ShardKind::kCampaign;
   // kSteal honoured: retire silently -- the driver was promised no kDone.
   bool revoked = false;
 
-  // Campaign path (kJob, or kShardAssign/kCampaign).
+  // Campaign path (kCampaign).
   std::vector<plan::RunPlan> plans;
   engine::Job job;
 
-  // Explore path (kShardAssign/kExplore).
+  // Explore path (kExplore).
   std::thread explore_thread;
   std::atomic<bool> explore_done{false};
   std::atomic<bool> explore_cancel{false};
@@ -54,7 +52,7 @@ struct ServedWork {
   serve::Done refusal;
 
   [[nodiscard]] bool is_explore() const {
-    return is_shard && kind == serve::ShardKind::kExplore;
+    return kind == serve::ShardKind::kExplore;
   }
 
   // True once the work retired (results or error ready).
@@ -285,8 +283,8 @@ bool Worker::handle_connection(serve::FrameConn conn) {
           }
           send(serve::FrameType::kDone, serve::encode_done(done));
           if (!opts_.quiet) {
-            std::printf("serve      %s finished: %s\n",
-                        front.is_shard ? "shard" : "job",
+            std::printf("serve      shard #%llu finished: %s\n",
+                        static_cast<unsigned long long>(front.shard_id),
                         serve::job_outcome_name(done.outcome));
             std::fflush(stdout);
           }
@@ -362,30 +360,6 @@ bool Worker::handle_connection(serve::FrameConn conn) {
         break;
       }
       switch (frame.type) {
-        case serve::FrameType::kJob: {
-          serve::JobRequest req;
-          auto served = std::make_unique<ServedWork>();
-          if (!serve::decode_job(frame.payload, &req)) {
-            served->refused = true;
-            served->refusal.outcome = serve::JobOutcome::kBadRequest;
-            served->refusal.message = "clear serve: malformed job frame";
-            queue.push_back(std::move(served));
-            break;
-          }
-          submit_campaigns(served.get(), req.manifest, req.priority);
-          if (!opts_.quiet && !served->refused) {
-            std::printf("serve      job #%llu accepted: %zu campaigns "
-                        "(%s lane)\n",
-                        static_cast<unsigned long long>(served->job.id()),
-                        served->plans.size(),
-                        req.priority == engine::JobPriority::kBulk
-                            ? "bulk"
-                            : "interactive");
-            std::fflush(stdout);
-          }
-          queue.push_back(std::move(served));
-          break;
-        }
         case serve::FrameType::kShardAssign: {
           serve::ShardAssign assign;
           if (!serve::decode_shard_assign(frame.payload, &assign)) {
@@ -402,7 +376,6 @@ bool Worker::handle_connection(serve::FrameConn conn) {
             break;
           }
           auto served = std::make_unique<ServedWork>();
-          served->is_shard = true;
           served->shard_id = assign.shard_id;
           served->kind = assign.kind;
           if (assign.kind == serve::ShardKind::kExplore) {
@@ -431,8 +404,7 @@ bool Worker::handle_connection(serve::FrameConn conn) {
           ack.shard_id = shard_id;
           ack.status = serve::ShardAckStatus::kUnknown;
           for (auto& work : queue) {
-            if (work->is_shard && work->shard_id == shard_id &&
-                !work->revoked) {
+            if (work->shard_id == shard_id && !work->revoked) {
               // Revoke: cancel the execution and promise the driver no
               // kDone -- it is free to re-dispatch immediately.
               work->revoked = true;
@@ -444,9 +416,6 @@ bool Worker::handle_connection(serve::FrameConn conn) {
           send(serve::FrameType::kShardAck, serve::encode_shard_ack(ack));
           break;
         }
-        case serve::FrameType::kCancel:
-          if (!queue.empty()) queue.front()->cancel();
-          break;
         case serve::FrameType::kShutdown:
           shutdown = true;
           shutdown_.store(true, std::memory_order_relaxed);

@@ -1,13 +1,13 @@
 // The worker end of CSV1 (engine/protocol.h): the `clear serve` daemon.
 //
-// A Worker accepts job requests (multi-campaign manifests in the `clear
-// run --spec` grammar) and fleet shard assignments, runs them on the
+// A Worker accepts shard assignments (multi-campaign manifests in the
+// `clear run --spec` grammar, or explore stanzas), runs them on the
 // process-wide execution engine (explore shards through
 // run_explore_stanza), streams progress events and heartbeats, and
 // returns each campaign's result as `.csr` wire bytes (or one `.cxl`
 // ledger for an explore shard).  Each connection is serviced on its own
-// thread, so concurrent drivers -- `clear submit` clients and fleet
-// drivers (fleet.h) -- make progress simultaneously.  src/cli/cli_serve.cpp
+// thread, so concurrent fleet drivers (fleet.h; `clear fleet` and `clear
+// submit` both run one) make progress simultaneously.  src/cli/cli_serve.cpp
 // only parses flags, installs the signal handler and fans out children.
 #ifndef CLEAR_FLEET_WORKER_H
 #define CLEAR_FLEET_WORKER_H
@@ -27,7 +27,7 @@ namespace clear::fleet {
 
 struct WorkerOptions {
   serve::Hello hello;     // the first frame on every connection
-  bool quiet = false;     // no per-job log lines on stdout
+  bool quiet = false;     // no per-shard log lines on stdout
   int progress_ms = 100;  // min gap between progress frames
   int heartbeat_ms = 1000;  // gap between heartbeats (0 = off)
   // Raised asynchronously (the CLI's SIGTERM/SIGINT handler): every

@@ -339,8 +339,8 @@ TEST(SessionContract, SetBenchmarksThrowsOnceProfilesCollected) {
 
 TEST(ServeProtocol, FrameRoundTripAndIncrementalDecode) {
   const std::string payload = "hello frame payload";
-  const std::string bytes = serve::encode_frame(serve::FrameType::kJob,
-                                                payload);
+  const std::string bytes =
+      serve::encode_frame(serve::FrameType::kShardAssign, payload);
   ASSERT_EQ(bytes.size(), serve::kFrameHeaderSize + payload.size());
 
   // Feed byte by byte: kNeedMore until the last byte, then one clean
@@ -354,7 +354,7 @@ TEST(ServeProtocol, FrameRoundTripAndIncrementalDecode) {
   }
   buf.push_back(bytes.back());
   ASSERT_EQ(serve::decode_frame(&buf, &frame), serve::FrameStatus::kOk);
-  EXPECT_EQ(frame.type, serve::FrameType::kJob);
+  EXPECT_EQ(frame.type, serve::FrameType::kShardAssign);
   EXPECT_EQ(frame.payload, payload);
   EXPECT_TRUE(buf.empty());
 }
@@ -379,11 +379,15 @@ TEST(ServeProtocol, CorruptFramesAreRefusedNotMisparsed) {
       ADD_FAILURE() << "flip at byte " << i << " decoded as a valid frame";
     }
   }
-  // Unknown type word.
-  std::string bytes = good;
-  bytes[0] = 99;
-  std::string buf = bytes;
-  EXPECT_EQ(serve::decode_frame(&buf, &frame), serve::FrameStatus::kBad);
+  // Unknown type word, and the retired v2 job (2) and cancel (3) types:
+  // a well-formed frame of either is refused, never read as another type.
+  for (const char type : {char{99}, char{2}, char{3}}) {
+    std::string bytes = good;
+    bytes[0] = type;
+    std::string buf = bytes;
+    EXPECT_EQ(serve::decode_frame(&buf, &frame), serve::FrameStatus::kBad)
+        << "type " << static_cast<int>(type);
+  }
 }
 
 TEST(ServeProtocol, PayloadCodecsRoundTrip) {
@@ -395,14 +399,6 @@ TEST(ServeProtocol, PayloadCodecsRoundTrip) {
   EXPECT_EQ(h2.proto_version, serve::kProtoVersion);
   EXPECT_EQ(h2.wire_version, 1u);
   EXPECT_FALSE(serve::decode_hello("not a hello", &h2));
-
-  serve::JobRequest j;
-  j.priority = engine::JobPriority::kBulk;
-  j.manifest = "--core InO --bench mcf\n---\n--core InO --bench gcc\n";
-  serve::JobRequest j2;
-  ASSERT_TRUE(serve::decode_job(serve::encode_job(j), &j2));
-  EXPECT_EQ(j2.priority, engine::JobPriority::kBulk);
-  EXPECT_EQ(j2.manifest, j.manifest);
 
   engine::JobProgress p;
   p.state = engine::JobState::kRunning;
@@ -451,7 +447,7 @@ using Recv = serve::FrameConn::Recv;
 TEST(ServeProtocol, FrameConnAssemblesAFrameSentOneByteAtATime) {
   ConnPair p = conn_pair();
   const std::string bytes =
-      serve::encode_frame(serve::FrameType::kJob, "one byte at a time");
+      serve::encode_frame(serve::FrameType::kShardAssign, "one byte at a time");
   serve::Frame frame;
   for (std::size_t i = 0; i + 1 < bytes.size(); ++i) {
     ASSERT_TRUE(p.peer.send_all(&bytes[i], 1));
@@ -459,7 +455,7 @@ TEST(ServeProtocol, FrameConnAssemblesAFrameSentOneByteAtATime) {
   }
   ASSERT_TRUE(p.peer.send_all(&bytes.back(), 1));
   ASSERT_EQ(p.conn.recv(&frame, 5000), Recv::kFrame);
-  EXPECT_EQ(frame.type, serve::FrameType::kJob);
+  EXPECT_EQ(frame.type, serve::FrameType::kShardAssign);
   EXPECT_EQ(frame.payload, "one byte at a time");
   EXPECT_FALSE(p.conn.has_buffered());
 }
@@ -493,7 +489,7 @@ TEST(ServeProtocol, FrameConnReportsAFlippedPayloadByteAsBad) {
 TEST(ServeProtocol, FrameConnReportsEofMidFrameAsClosed) {
   ConnPair p = conn_pair();
   const std::string bytes =
-      serve::encode_frame(serve::FrameType::kJob, "cut short by EOF");
+      serve::encode_frame(serve::FrameType::kShardAssign, "cut short by EOF");
   ASSERT_TRUE(p.peer.send_all(bytes.data(), bytes.size() / 2));
   p.peer.close();
   serve::Frame frame;
@@ -503,7 +499,8 @@ TEST(ServeProtocol, FrameConnReportsEofMidFrameAsClosed) {
 TEST(ServeProtocol, FrameConnTimeoutKeepsPartialBytes) {
   ConnPair p = conn_pair();
   const std::string bytes =
-      serve::encode_frame(serve::FrameType::kJob, "arrives in two halves");
+      serve::encode_frame(serve::FrameType::kShardAssign,
+                          "arrives in two halves");
   const std::size_t half = bytes.size() / 2;
   serve::Frame frame;
   EXPECT_EQ(p.conn.recv(&frame, 20), Recv::kTimeout);  // nothing sent yet

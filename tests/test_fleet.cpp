@@ -1,5 +1,6 @@
 // Fleet orchestrator tests: protocol v2 codecs (hello identity, shard
-// assign/ack, steal, heartbeat) with bit-flip refusal, endpoint grammar
+// assign/ack, steal, heartbeat) with bit-flip refusal, the hello handshake
+// (every fault named, a skewed worker reported dead), endpoint grammar
 // and @N fan-out expansion, shard builders (campaign manifest sharding,
 // explore stanza round-trip, forbidden-flag refusal, duplicate shard
 // ids), worker-side explore execution + cancellation, the worker's
@@ -12,7 +13,9 @@
 // merge against `clear merge` of the same partition, `clear serve
 // --workers N` fan-out driven as a fleet, two concurrent submitters
 // against one daemon, the submit hello deadline against a silent server,
-// and SIGTERM draining an in-flight daemon.
+// submit --shutdown stopping a daemon that refused the manifest, submit
+// giving up on a SIGSTOPped daemon, and SIGTERM draining an in-flight
+// daemon.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -40,6 +43,7 @@
 #include "fleet/status.h"
 #include "fleet/worker.h"
 #include "inject/wire.h"
+#include "util/socket.h"
 
 namespace {
 
@@ -164,15 +168,19 @@ TEST(FleetProtocol, FleetFrameCodecsRoundTrip) {
   ASSERT_TRUE(serve::decode_steal(serve::encode_steal(99), &stolen));
   EXPECT_EQ(stolen, 99u);
 
+  // A bare 4-byte heartbeat (no metrics tail) is valid.
   std::uint32_t inflight = 0;
-  ASSERT_TRUE(serve::decode_heartbeat(serve::encode_heartbeat(5), &inflight));
+  std::string tail = "stale";
+  ASSERT_TRUE(serve::decode_heartbeat(serve::encode_heartbeat(5), &inflight,
+                                      &tail));
   EXPECT_EQ(inflight, 5u);
+  EXPECT_EQ(tail, "");
 
   // Truncated payloads are refused, never misparsed.
   EXPECT_FALSE(serve::decode_shard_assign("short", &a2));
   EXPECT_FALSE(serve::decode_shard_ack("1234", &k2));
   EXPECT_FALSE(serve::decode_steal("1234", &stolen));
-  EXPECT_FALSE(serve::decode_heartbeat("12", &inflight));
+  EXPECT_FALSE(serve::decode_heartbeat("12", &inflight, &tail));
 }
 
 TEST(FleetProtocol, BitFlippedShardAssignNeverDecodes) {
@@ -190,6 +198,106 @@ TEST(FleetProtocol, BitFlippedShardAssignNeverDecodes) {
     EXPECT_NE(serve::decode_frame(&buf, &frame), serve::FrameStatus::kOk)
         << "flip at byte " << i << " decoded as a valid frame";
   }
+}
+
+// ---- the hello handshake ---------------------------------------------------
+
+// Runs read_hello on one end of a socketpair after `peer_bytes` were
+// written to the other (then closed when `close_peer`).
+fleet::HelloFault hello_fault_of(const std::string& peer_bytes,
+                                 bool close_peer, std::string* why) {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  serve::FrameConn conn{util::Socket(fds[0])};
+  util::Socket peer(fds[1]);
+  EXPECT_TRUE(peer_bytes.empty() ||
+              peer.send_all(peer_bytes.data(), peer_bytes.size()));
+  if (close_peer) peer.close();
+  serve::Hello hello;
+  return fleet::read_hello(&conn, 100, &hello, why);
+}
+
+TEST(FleetHello, EveryFaultIsNamedAndExplained) {
+  std::string why;
+  const auto hello_frame = [](const serve::Hello& h) {
+    return serve::encode_frame(serve::FrameType::kHello,
+                               serve::encode_hello(h));
+  };
+  EXPECT_EQ(hello_fault_of(hello_frame(fleet::worker_hello("w")), false, &why),
+            fleet::HelloFault::kNone);
+
+  EXPECT_EQ(hello_fault_of("", false, &why), fleet::HelloFault::kNoHello);
+  EXPECT_EQ(why, "no hello within 100 ms");
+  EXPECT_EQ(hello_fault_of("", true, &why), fleet::HelloFault::kNoHello);
+
+  std::string retired = serve::encode_frame(serve::FrameType::kShutdown, "");
+  retired[0] = 2;  // v2's job frame type
+  EXPECT_EQ(hello_fault_of(retired, false, &why),
+            fleet::HelloFault::kBadStream);
+
+  EXPECT_EQ(hello_fault_of(serve::encode_frame(serve::FrameType::kShardAck,
+                                               serve::encode_shard_ack({})),
+                           false, &why),
+            fleet::HelloFault::kBadHello);
+  EXPECT_EQ(why, "bad hello: first frame is a shard-ack frame");
+  EXPECT_EQ(hello_fault_of(serve::encode_frame(serve::FrameType::kHello, "x"),
+                           false, &why),
+            fleet::HelloFault::kBadHello);
+
+  // A v2 daemon, and a current one with another .csr or .cxl version.
+  for (int field = 0; field < 3; ++field) {
+    serve::Hello skewed = fleet::worker_hello("old");
+    if (field == 0) skewed.proto_version = 2;
+    if (field == 1) skewed.wire_version += 1;
+    if (field == 2) skewed.ledger_version += 1;
+    EXPECT_EQ(hello_fault_of(hello_frame(skewed), false, &why),
+              fleet::HelloFault::kVersionSkew)
+        << "field " << field;
+    EXPECT_EQ(why.rfind("version skew: ", 0), 0u) << why;
+  }
+  EXPECT_STREQ(fleet::hello_fault_name(fleet::HelloFault::kVersionSkew),
+               "version-skew");
+  EXPECT_STREQ(fleet::hello_fault_name(fleet::HelloFault::kNoHello),
+               "no-hello");
+}
+
+// A worker that fails its hello is reported dead with the reason, so a
+// driver says why no worker registered.
+TEST(FleetHello, SkewedWorkerIsReportedDeadWithTheReason) {
+  const std::string path = kDir + "/skewed.sock";
+  util::Socket listener = util::Socket::listen_unix(path);
+  std::thread server([&listener] {
+    util::Socket sock = listener.accept(10000);
+    serve::FrameConn conn(std::move(sock));
+    serve::Hello old = fleet::worker_hello("v2-daemon");
+    old.proto_version = 2;
+    (void)conn.send(serve::FrameType::kHello, serve::encode_hello(old));
+    serve::Frame frame;
+    (void)conn.recv(&frame, 10000);  // until the driver hangs up
+  });
+  std::vector<fleet::Endpoint> workers(1);
+  workers[0].socket_path = path;
+  std::vector<fleet::ShardWork> shards(1);
+  shards[0].text = "--core InO --bench mcf --injections 60 --seed 3\n";
+  std::vector<fleet::FleetEvent> dead;
+  try {
+    (void)fleet::run_fleet(workers, shards, fleet::FleetOptions{},
+                           [&](const fleet::FleetEvent& e) {
+                             if (e.kind == fleet::FleetEvent::Kind::kWorkerDead) {
+                               dead.push_back(e);
+                             }
+                           });
+    ADD_FAILURE() << "a skewed worker registered";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "fleet: no workers registered");
+  }
+  server.join();
+  ASSERT_EQ(dead.size(), 1u);
+  EXPECT_EQ(dead[0].worker_name, path);
+  EXPECT_EQ(dead[0].shard_id, 0u);
+  EXPECT_EQ(dead[0].detail.rfind("version skew: worker speaks CSV1 v2", 0),
+            0u)
+      << dead[0].detail;
 }
 
 // ---- the worker, in-process ------------------------------------------------
@@ -228,8 +336,18 @@ TEST(FleetWorker, ConnectionHandlerAnswersOverASocketpair) {
     EXPECT_EQ(ack.shard_id, 42u);
     EXPECT_EQ(ack.status, serve::ShardAckStatus::kUnknown);
 
-    // A job frame with no priority byte.
-    ASSERT_TRUE(client.send(serve::FrameType::kJob, ""));
+    // A campaign shard whose manifest does not resolve: accepted, then
+    // refused without simulating.
+    serve::ShardAssign assign;
+    assign.shard_id = 7;
+    assign.text = "--core InO --bench no_such_bench_xyz\n";
+    ASSERT_TRUE(client.send(serve::FrameType::kShardAssign,
+                            serve::encode_shard_assign(assign)));
+    ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
+    ASSERT_EQ(frame.type, serve::FrameType::kShardAck);
+    ASSERT_TRUE(serve::decode_shard_ack(frame.payload, &ack));
+    EXPECT_EQ(ack.shard_id, 7u);
+    EXPECT_EQ(ack.status, serve::ShardAckStatus::kAccepted);
     ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
     ASSERT_EQ(frame.type, serve::FrameType::kDone);
     serve::Done done;
@@ -1085,6 +1203,50 @@ TEST(ServeRobustness, SubmitHelloDeadlineBoundsASilentServer) {
   // The deadline fired: no multi-second hang, no indefinite block.
   EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
   ::close(fd);
+}
+
+// --shutdown holds when the submit fails: a daemon serving many
+// connections (no --once) still exits after refusing the manifest.
+TEST(ServeRobustness, SubmitShutdownStopsTheDaemonEvenWhenRefused) {
+  const pid_t daemon = spawn_serve({"--socket", kDir + "/r.sock", "--quiet"});
+  ASSERT_GT(daemon, 0);
+  {
+    std::ofstream spec(kDir + "/unresolvable.spec");
+    spec << "--core InO --bench no_such_bench_xyz\n";
+  }
+  EXPECT_EQ(sh(kBin + " submit --socket " + kDir + "/r.sock --spec " + kDir +
+               "/unresolvable.spec --out-dir " + kDir +
+               "/refused_out --shutdown --quiet 2>&1"),
+            1);
+  EXPECT_EQ(reap(daemon), 0);
+}
+
+// A daemon frozen mid-job sends no heartbeats: submit declares it dead
+// after the driver's 5 s dead deadline instead of blocking forever.
+TEST(ServeRobustness, SubmitGivesUpOnAStoppedDaemon) {
+  const pid_t daemon = spawn_serve({"--socket", kDir + "/z.sock", "--quiet"});
+  ASSERT_GT(daemon, 0);
+  wait_for_file(kDir + "/z.sock");
+  {
+    std::ofstream spec(kDir + "/frozen.spec");
+    // Cache-cold and seconds long: still mid-simulation at the stop.
+    spec << "--core InO --bench gcc --injections 8000000 --seed 23 "
+            "--no-cache\n";
+  }
+  int rc = -2;
+  std::thread submit([&rc] {
+    rc = sh(kBin + " submit --socket " + kDir + "/z.sock --spec " + kDir +
+            "/frozen.spec --out-dir " + kDir + "/frozen_out --quiet 2>&1");
+  });
+  std::this_thread::sleep_for(700ms);
+  EXPECT_EQ(::kill(daemon, SIGSTOP), 0);
+  const auto stopped_at = std::chrono::steady_clock::now();
+  submit.join();
+  EXPECT_EQ(rc, 1);
+  EXPECT_LT(std::chrono::steady_clock::now() - stopped_at, 5s + 5s);
+  ::kill(daemon, SIGCONT);
+  ::kill(daemon, SIGTERM);
+  EXPECT_EQ(reap(daemon), 0);
 }
 
 TEST(ServeRobustness, SigtermCancelsInflightJobAndExitsPromptly) {
