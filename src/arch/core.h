@@ -12,6 +12,14 @@
 // Both execute the same CRISC ISA; outcomes of corrupted runs are compared
 // against the ISS golden model by the injection engine.
 //
+// Each model is only its pipeline: its FFs, its stage functions and its
+// own recovery mechanism (InO flush, OoO RoB squash and the monitor
+// shadow).  Everything else -- the FF registry, the state arena, run
+// control, flip injection, EDS/parity/DFC detection, IR/EIR rollback and
+// the checkpoint API below -- lives once in CoreShell (arch/core_shell.h),
+// which the pipelines derive from through CRTP; the header comment there
+// lists the hooks a pipeline provides.
+//
 // Execution is segmented: begin() arms a run, step_to() advances it in
 // cycle-bounded increments, and current_result() reads the outcome.  The
 // complete execution state is serializable at any cycle boundary
@@ -205,27 +213,6 @@ class Core {
                max_cycles == 0 ? 20'000'000 : max_cycles);
   }
 };
-
-// Earliest cycle an IR/EIR rollback can still target given a core's
-// serialized state: a restore always aims at the cycle before a
-// detection's causing flip, and the flips reachable from a snapshot are
-// the pending detections, the last recorded flip, and plan flips re-armed
-// by restore() (which drops flips older than the snapshot cycle).  Ring
-// entries older than this are unreachable and are pruned from snapshots --
-// both cores must share this rule or forked/from-cycle-0 bit-identity
-// silently breaks on one of them.
-[[nodiscard]] inline std::uint64_t earliest_rollback_target(
-    std::uint64_t cycle, const std::vector<PendingDetection>& dets,
-    std::uint64_t last_flip_cycle) noexcept {
-  std::uint64_t t = cycle == 0 ? 0 : cycle - 1;
-  for (const auto& d : dets) {
-    t = std::min<std::uint64_t>(t, d.flip_cycle == 0 ? 0 : d.flip_cycle - 1);
-  }
-  if (last_flip_cycle > 0) {
-    t = std::min<std::uint64_t>(t, last_flip_cycle - 1);
-  }
-  return t;
-}
 
 [[nodiscard]] std::unique_ptr<Core> make_ino_core();
 [[nodiscard]] std::unique_ptr<Core> make_ooo_core();

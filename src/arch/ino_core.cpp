@@ -15,24 +15,15 @@
 //   * register hazards resolved by interlock (no forwarding), like the
 //     throughput-bound configuration of the original design
 //
-// Resilience hooks implemented in-simulator:
-//   * EDS (same-cycle) and parity (next-cycle) detection of injected flips,
-//     with SEMU cancellation inside one parity group
-//   * flush recovery: annul f..e, drain m/x/w, refetch from the committed
-//     next-PC (errors in m/x/w latches are not flushable -- paper Sec. 2.4)
-//   * IR/EIR recovery: checkpoint rollback via RollbackRing (47-cycle
-//     replay penalty, Table 15)
-//   * DFC: commit-stream signature accumulation checked at sigchk
-//     boundaries against the compiler-embedded static signature table
-#include <algorithm>
-#include <stdexcept>
+// Resilience: the core shell (arch/core_shell.h) applies flips, runs EDS,
+// parity and the DFC checker, and rolls back for IR/EIR (47-cycle replay
+// penalty, Table 15).  This pipeline adds flush recovery: annul f..e,
+// drain m/x/w, refetch from the committed next-PC (errors in m/x/w latches
+// are not flushable -- paper Sec. 2.4).
+#include <memory>
 #include <string>
-#include <vector>
 
-#include "arch/arena.h"
-#include "arch/core.h"
-#include "arch/rollback.h"
-#include "util/rng.h"
+#include "arch/core_shell.h"
 
 namespace clear::arch {
 
@@ -45,41 +36,6 @@ constexpr int kMulCycles = 3;
 constexpr int kDivCycles = 12;
 constexpr int kMemWaitCycles = 1;   // extra cycles per memory access
 constexpr int kFlushDrain = 3;      // m/x/w drain cycles during flush
-constexpr std::uint64_t kIrPenalty = 47;  // Table 15 (InO IR/EIR latency)
-constexpr std::size_t kRingDepth = 320;   // covers DFC detection latency
-
-constexpr bool valid_op(std::uint64_t v) noexcept {
-  return v < static_cast<std::uint64_t>(isa::kOpCount);
-}
-
-bool uses_rs1(Op op) noexcept {
-  switch (isa::format_of(op)) {
-    case isa::Format::kR:
-    case isa::Format::kI:
-    case isa::Format::kS:
-    case isa::Format::kB:
-      return true;
-    case isa::Format::kX:
-      return op == Op::kOut;
-    default:
-      return false;
-  }
-}
-
-bool uses_rs2(Op op) noexcept {
-  switch (isa::format_of(op)) {
-    case isa::Format::kR:
-    case isa::Format::kS:
-    case isa::Format::kB:
-      return true;
-    default:
-      return false;
-  }
-}
-
-constexpr std::uint32_t rotl5(std::uint32_t x) noexcept {
-  return (x << 5) | (x >> 27);
-}
 
 // Decoded-control pipeline latch shared by stages a/e/m/x/w.
 template <bool kTraced>
@@ -117,73 +73,47 @@ struct StageCtl {
 // One source, two builds: InOCore<false> is the production core,
 // InOCore<true> the traced twin golden recording uses (see BasicReg).
 template <bool kTraced>
-class InOCore final : public Core {
-  using Reg = BasicReg<kTraced>;
+class InOCore final : public CoreShell<InOCore<kTraced>, kTraced> {
+  using Shell = CoreShell<InOCore<kTraced>, kTraced>;
+  friend Shell;
+  using typename Shell::Reg;
   using Stage = StageCtl<kTraced>;
+  using Shell::reg_, Shell::prog_, Shell::cfg_, Shell::fwd_, Shell::regs_,
+      Shell::mem_, Shell::out_, Shell::committed_, Shell::status_,
+      Shell::trap_code_, Shell::exit_code_, Shell::det_id_,
+      Shell::detected_by_, Shell::ring_, Shell::dfc_sign, Shell::dfc_check,
+      Shell::mem_bytes;
 
  public:
   InOCore() { build(); }
 
   [[nodiscard]] const char* name() const noexcept override { return "InO"; }
   [[nodiscard]] double clock_ghz() const noexcept override { return 2.0; }
-  [[nodiscard]] const FFRegistry& registry() const noexcept override {
-    return reg_;
-  }
-
-  void begin(const isa::Program& prog, const ResilienceConfig* cfg,
-             const InjectionPlan* plan) override {
-    reset(prog, cfg, plan);
-  }
-
-  bool step_until(std::uint64_t target_cycle, std::uint64_t max_cycles,
-                  std::uint64_t commit_target) override {
-    while (status_ == isa::RunStatus::kRunning && cycle_ < target_cycle &&
-           cycle_ < max_cycles && committed_ < commit_target) {
-      do_cycle();
-    }
-    return status_ == isa::RunStatus::kRunning && cycle_ < max_cycles;
-  }
-
-  [[nodiscard]] CoreRunResult current_result() const override;
-  [[nodiscard]] std::uint64_t cycle() const noexcept override {
-    return cycle_;
-  }
-  [[nodiscard]] std::uint64_t committed() const noexcept override {
-    return committed_;
-  }
-  [[nodiscard]] std::uint32_t recovery_count() const noexcept override {
-    return recoveries_;
-  }
-
-  void snapshot(CoreCheckpoint* out) const override;
-  void restore(const CoreCheckpoint& cp, const InjectionPlan* plan) override;
-  [[nodiscard]] bool state_matches(const CoreCheckpoint& cp,
-                                   const std::uint64_t* live_ff) const override;
-  [[nodiscard]] bool quiescent() const noexcept override {
-    return status_ == isa::RunStatus::kRunning &&
-           next_flip_ >= flips_.size() && dets_.empty();
-  }
-  void drain_access_log(std::uint64_t* read_first,
-                        std::uint64_t* written_first) noexcept override {
-    reg_.drain_access_log(read_first, written_first);
-  }
-  [[nodiscard]] StateView state_view() noexcept override {
-    return {reg_.pool_data(), arena_.ff_words(), arena_.raw_buf(),
-            arena_.fwd_words(), arena_.total_words()};
-  }
-  [[nodiscard]] const StateArena& arena() const noexcept override {
-    return arena_;
-  }
 
  private:
+  static constexpr RecoveryKind kOwnRecovery = RecoveryKind::kFlush;
+  static constexpr std::uint64_t kIrPenalty = 47;  // Table 15 (InO IR/EIR)
+  static constexpr std::size_t kRingDepth = 320;   // covers DFC latency
+  // Forward scalar slots after the shell's DFC signature.
+  enum FwdSlot : std::size_t {
+    kFwdFlushDrain = Shell::kFwdDfcSig + 1,
+    kFwdWords
+  };
+
   void build();
-  void reset(const isa::Program& prog, const ResilienceConfig* cfg,
-             const InjectionPlan* plan);
-  void do_cycle();
-  void apply_injections();
-  void process_detections();
-  void attempt_recovery(DetectionSource src, std::uint32_t ff,
-                        std::uint64_t flip_cycle);
+  void step_pipeline();
+  // Flush: annul f..e and drain m/x/w, then refetch from the committed
+  // next-PC (see step_pipeline).
+  void recover_pipeline() {
+    d_valid_ = 0;
+    a_.bubble();
+    e_.bubble();
+    e_mul_busy_ = 0;
+    e_div_busy_ = 0;
+    set_flush_drain(kFlushDrain);
+  }
+  // A rollback lands before any flush that was draining.
+  void after_rollback() { set_flush_drain(0); }
   void do_wb();
   void stage_x_to_w();
   void stage_m_to_x();
@@ -192,11 +122,7 @@ class InOCore final : public Core {
   void stage_d_to_a();
   void fetch();
   [[nodiscard]] bool ra_hazard() const;
-  void mem_undo(std::uint32_t addr, std::uint32_t old) {
-    mem_.set(addr / 4, old);
-  }
 
-  FFRegistry reg_;
   // fetch
   Reg f_pc_;
   // decode input latch
@@ -220,26 +146,6 @@ class InOCore final : public Core {
   Reg w_s_ef_, w_s_ec_, w_s_et_, w_s_dwt_, w_s_y_, w_cwp_;
   Reg arch_npc_;  // committed next-PC: the flush-recovery refetch anchor
 
-  // ---- non-FF state: flat arena layout ----
-  // Forward scalar slots (influence the remainder of the run).
-  enum FwdSlot : std::size_t { kFwdDfcSig, kFwdFlushDrain, kFwdWords };
-  // Bookkeeping slots (excluded from state_matches; redirect_*
-  // is dead at cycle boundaries -- do_cycle() clears it before any read).
-  enum AuxSlot : std::size_t {
-    kAuxCycle, kAuxCommitted, kAuxStatus, kAuxTrap, kAuxExit, kAuxDetId,
-    kAuxDetBy, kAuxRecoveries, kAuxRedirect, kAuxRedirectPc,
-    kAuxLastFlipCycle, kAuxLastFlipFf, kAuxWords
-  };
-  static constexpr std::size_t kOutCapacity = 2048;  // OUT words in-arena
-
-  void layout(const isa::Program& prog, const ResilienceConfig* cfg);
-  void flush_aux() const;
-  void load_aux();
-
-  [[nodiscard]] std::uint32_t dfc_sig() const noexcept {
-    return static_cast<std::uint32_t>(fwd_[kFwdDfcSig]);
-  }
-  void set_dfc_sig(std::uint32_t v) noexcept { fwd_.set(kFwdDfcSig, v); }
   [[nodiscard]] std::int64_t flush_drain() const noexcept {
     return static_cast<std::int64_t>(fwd_[kFwdFlushDrain]);
   }
@@ -247,40 +153,16 @@ class InOCore final : public Core {
     fwd_.set(kFwdFlushDrain, static_cast<std::uint64_t>(v));
   }
 
-  const isa::Program* prog_ = nullptr;
-  const ResilienceConfig* cfg_ = nullptr;
-  StateArena arena_;
-  int sec_fwd_ = 0, sec_regs_ = 0, sec_mem_ = 0, sec_out_ = 0, sec_aux_ = 0;
-  // Arena handles: every write marks its segment dirty (ArenaPtr).
-  ArenaPtr<std::uint64_t> fwd_;
-  ArenaPtr<std::uint32_t> regs_;
-  ArenaPtr<std::uint32_t> mem_;
-  std::size_t mem_words_ = 0;
-  ArenaPtr<std::uint64_t> aux_;
-  OutputBuf out_;
-  std::vector<std::uint32_t> out_spill_;
-  std::uint64_t cycle_ = 0;
-  std::uint64_t committed_ = 0;
-  isa::RunStatus status_ = isa::RunStatus::kRunning;
-  Trap trap_code_ = Trap::kNone;
-  std::int32_t exit_code_ = 0;
-  std::int32_t det_id_ = 0;
-  DetectionSource detected_by_ = DetectionSource::kNone;
-  std::uint32_t recoveries_ = 0;
+  // Taken-branch redirect resolved in execute this cycle.  Not serialized:
+  // step_pipeline() clears it before any read, and nothing between a
+  // restore() and that point (injection, detection, recovery) reads it.
   bool redirect_ = false;
   std::uint32_t redirect_pc_ = 0;
-
-  using PendingDet = PendingDetection;
-  std::vector<InjectionPlan::Flip> flips_;
-  std::size_t next_flip_ = 0;
-  std::uint64_t last_flip_cycle_ = 0;
-  std::uint32_t last_flip_ff_ = 0;
-  std::vector<PendingDet> dets_;
-  RollbackRing ring_;
 };
 
 template <bool kTraced>
 void InOCore<kTraced>::build() {
+  FFRegistry& ffs = reg_;  // non-dependent: add<>() needs no `template`
   const FFFlags fl_front{/*flushable=*/true, false, false};
   const FFFlags fl_back{/*flushable=*/false, false, false};
   // Sinks (FFFlags::sink): the window, Y and condition-code shadows and
@@ -293,292 +175,80 @@ void InOCore<kTraced>::build() {
   FFFlags sink_back = fl_back;
   sink_back.sink = true;
 
-  f_pc_ = reg_.add<kTraced>("f.pc", 32, fl_front);
-  d_valid_ = reg_.add<kTraced>("d.valid", 1, fl_front);
-  d_inst_ = reg_.add<kTraced>("d.inst", 32, fl_front);
-  d_pc_ = reg_.add<kTraced>("d.pc", 32, fl_front);
-  d_trap_ = reg_.add<kTraced>("d.tt", 4, fl_front);
-  d_pv_ = reg_.add<kTraced>("d.pv", 1, fl_front);
+  f_pc_ = ffs.add<kTraced>("f.pc", 32, fl_front);
+  d_valid_ = ffs.add<kTraced>("d.valid", 1, fl_front);
+  d_inst_ = ffs.add<kTraced>("d.inst", 32, fl_front);
+  d_pc_ = ffs.add<kTraced>("d.pc", 32, fl_front);
+  d_trap_ = ffs.add<kTraced>("d.tt", 4, fl_front);
+  d_pv_ = ffs.add<kTraced>("d.pv", 1, fl_front);
 
-  a_.attach(reg_, "a", fl_front);
-  a_cwp_ = reg_.add<kTraced>("a.cwp", 3, sink_front);
-  a_rfe1_ = reg_.add<kTraced>("a.rfe1", 1, sink_front);
-  a_rfe2_ = reg_.add<kTraced>("a.rfe2", 1, sink_front);
+  a_.attach(ffs, "a", fl_front);
+  a_cwp_ = ffs.add<kTraced>("a.cwp", 3, sink_front);
+  a_rfe1_ = ffs.add<kTraced>("a.rfe1", 1, sink_front);
+  a_rfe2_ = ffs.add<kTraced>("a.rfe2", 1, sink_front);
 
-  e_.attach(reg_, "e", fl_front);
-  e_op1_ = reg_.add<kTraced>("e.op1", 32, fl_front);
-  e_op2_ = reg_.add<kTraced>("e.op2", 32, fl_front);
-  e_cwp_ = reg_.add<kTraced>("e.cwp", 3, sink_front);
-  e_y_ = reg_.add<kTraced>("e.y", 32, sink_front);
-  e_ymsb_ = reg_.add<kTraced>("e.ymsb", 1, fl_front);
-  e_mulstep_ = reg_.add<kTraced>("e.mulstep", 3, fl_front);
-  e_mac_ = reg_.add<kTraced>("e.mac", 32, fl_front);
-  e_su_ = reg_.add<kTraced>("e.su", 1, fl_front);
-  e_et_ = reg_.add<kTraced>("e.et", 1, fl_front);
-  e_mul_busy_ = reg_.add<kTraced>("e.mul.busy", 1, fl_front);
-  e_mul_cnt_ = reg_.add<kTraced>("e.mul.cnt", 3, fl_front);
-  e_mul_lo_ = reg_.add<kTraced>("e.mul.lo", 32, fl_front);
-  e_mul_hi_ = reg_.add<kTraced>("e.mul.hi", 32, fl_front);
-  e_div_busy_ = reg_.add<kTraced>("e.div.busy", 1, fl_front);
-  e_div_cnt_ = reg_.add<kTraced>("e.div.cnt", 4, fl_front);
-  e_div_q_ = reg_.add<kTraced>("e.div.q", 32, fl_front);
-  e_div_r_ = reg_.add<kTraced>("e.div.r", 32, fl_front);
+  e_.attach(ffs, "e", fl_front);
+  e_op1_ = ffs.add<kTraced>("e.op1", 32, fl_front);
+  e_op2_ = ffs.add<kTraced>("e.op2", 32, fl_front);
+  e_cwp_ = ffs.add<kTraced>("e.cwp", 3, sink_front);
+  e_y_ = ffs.add<kTraced>("e.y", 32, sink_front);
+  e_ymsb_ = ffs.add<kTraced>("e.ymsb", 1, fl_front);
+  e_mulstep_ = ffs.add<kTraced>("e.mulstep", 3, fl_front);
+  e_mac_ = ffs.add<kTraced>("e.mac", 32, fl_front);
+  e_su_ = ffs.add<kTraced>("e.su", 1, fl_front);
+  e_et_ = ffs.add<kTraced>("e.et", 1, fl_front);
+  e_mul_busy_ = ffs.add<kTraced>("e.mul.busy", 1, fl_front);
+  e_mul_cnt_ = ffs.add<kTraced>("e.mul.cnt", 3, fl_front);
+  e_mul_lo_ = ffs.add<kTraced>("e.mul.lo", 32, fl_front);
+  e_mul_hi_ = ffs.add<kTraced>("e.mul.hi", 32, fl_front);
+  e_div_busy_ = ffs.add<kTraced>("e.div.busy", 1, fl_front);
+  e_div_cnt_ = ffs.add<kTraced>("e.div.cnt", 4, fl_front);
+  e_div_q_ = ffs.add<kTraced>("e.div.q", 32, fl_front);
+  e_div_r_ = ffs.add<kTraced>("e.div.r", 32, fl_front);
 
-  m_.attach(reg_, "m", fl_back);
-  m_result_ = reg_.add<kTraced>("m.result", 32, fl_back);
-  m_addr_ = reg_.add<kTraced>("m.addr", 32, fl_back);
-  m_wdata_ = reg_.add<kTraced>("m.wdata", 32, fl_back);
-  m_npcr_ = reg_.add<kTraced>("m.npc", 32, fl_back);
-  m_memcnt_ = reg_.add<kTraced>("m.memcnt", 1, fl_back);
-  m_y_ = reg_.add<kTraced>("m.y", 32, sink_back);
-  m_wicc_ = reg_.add<kTraced>("m.ctrl.wicc", 1, fl_back);
-  m_wy_ = reg_.add<kTraced>("m.ctrl.wy", 1, fl_back);
-  m_dci_asi_ = reg_.add<kTraced>("m.dci.asi", 8, fl_back);
-  m_dci_lock_ = reg_.add<kTraced>("m.dci.lock", 1, fl_back);
-  m_dci_signed_ = reg_.add<kTraced>("m.dci.signed", 1, fl_back);
-  m_irqen_ = reg_.add<kTraced>("m.irqen", 1, fl_back);
-  m_irqen2_ = reg_.add<kTraced>("m.irqen2", 1, fl_back);
+  m_.attach(ffs, "m", fl_back);
+  m_result_ = ffs.add<kTraced>("m.result", 32, fl_back);
+  m_addr_ = ffs.add<kTraced>("m.addr", 32, fl_back);
+  m_wdata_ = ffs.add<kTraced>("m.wdata", 32, fl_back);
+  m_npcr_ = ffs.add<kTraced>("m.npc", 32, fl_back);
+  m_memcnt_ = ffs.add<kTraced>("m.memcnt", 1, fl_back);
+  m_y_ = ffs.add<kTraced>("m.y", 32, sink_back);
+  m_wicc_ = ffs.add<kTraced>("m.ctrl.wicc", 1, fl_back);
+  m_wy_ = ffs.add<kTraced>("m.ctrl.wy", 1, fl_back);
+  m_dci_asi_ = ffs.add<kTraced>("m.dci.asi", 8, fl_back);
+  m_dci_lock_ = ffs.add<kTraced>("m.dci.lock", 1, fl_back);
+  m_dci_signed_ = ffs.add<kTraced>("m.dci.signed", 1, fl_back);
+  m_irqen_ = ffs.add<kTraced>("m.irqen", 1, fl_back);
+  m_irqen2_ = ffs.add<kTraced>("m.irqen2", 1, fl_back);
 
-  x_.attach(reg_, "x", fl_back);
-  x_result_ = reg_.add<kTraced>("x.result", 32, fl_back);
-  x_npcr_ = reg_.add<kTraced>("x.npc", 32, fl_back);
-  x_icc_ = reg_.add<kTraced>("x.icc", 4, sink_back);
-  x_y_ = reg_.add<kTraced>("x.y", 32, sink_back);
-  x_debug_ = reg_.add<kTraced>("x.debug", 48, sink_back);
-  x_ipend_ = reg_.add<kTraced>("x.ipend", 4, fl_back);
-  x_intack_ = reg_.add<kTraced>("x.intack", 1, fl_back);
-  x_rett_ = reg_.add<kTraced>("x.ctrl.rett", 1, fl_back);
-  x_pv_ = reg_.add<kTraced>("x.ctrl.pv", 1, fl_back);
-  x_wicc_ = reg_.add<kTraced>("x.ctrl.wicc", 1, fl_back);
-  x_wy_ = reg_.add<kTraced>("x.ctrl.wy", 1, fl_back);
+  x_.attach(ffs, "x", fl_back);
+  x_result_ = ffs.add<kTraced>("x.result", 32, fl_back);
+  x_npcr_ = ffs.add<kTraced>("x.npc", 32, fl_back);
+  x_icc_ = ffs.add<kTraced>("x.icc", 4, sink_back);
+  x_y_ = ffs.add<kTraced>("x.y", 32, sink_back);
+  x_debug_ = ffs.add<kTraced>("x.debug", 48, sink_back);
+  x_ipend_ = ffs.add<kTraced>("x.ipend", 4, fl_back);
+  x_intack_ = ffs.add<kTraced>("x.intack", 1, fl_back);
+  x_rett_ = ffs.add<kTraced>("x.ctrl.rett", 1, fl_back);
+  x_pv_ = ffs.add<kTraced>("x.ctrl.pv", 1, fl_back);
+  x_wicc_ = ffs.add<kTraced>("x.ctrl.wicc", 1, fl_back);
+  x_wy_ = ffs.add<kTraced>("x.ctrl.wy", 1, fl_back);
 
-  w_.attach(reg_, "w", fl_back);
-  w_result_ = reg_.add<kTraced>("w.result", 32, fl_back);
-  w_npcr_ = reg_.add<kTraced>("w.npc", 32, fl_back);
-  w_s_icc_ = reg_.add<kTraced>("w.s.icc", 4, sink_back);
-  w_s_tt_ = reg_.add<kTraced>("w.s.tt", 8, fl_back);
-  w_s_tba_ = reg_.add<kTraced>("w.s.tba", 20, fl_back);
-  w_s_pil_ = reg_.add<kTraced>("w.s.pil", 4, fl_back);
-  w_s_ps_ = reg_.add<kTraced>("w.s.ps", 1, fl_back);
-  w_s_ef_ = reg_.add<kTraced>("w.s.ef", 1, fl_back);
-  w_s_ec_ = reg_.add<kTraced>("w.s.ec", 1, fl_back);
-  w_s_et_ = reg_.add<kTraced>("w.s.et", 1, fl_back);
-  w_s_dwt_ = reg_.add<kTraced>("w.s.dwt", 1, fl_back);
-  w_s_y_ = reg_.add<kTraced>("w.s.y", 32, sink_back);
-  w_cwp_ = reg_.add<kTraced>("w.cwp", 3, fl_back);
-  arch_npc_ = reg_.add<kTraced>("w.s.npc", 32, fl_back);
-}
-
-// Lays the non-FF state out in the flat arena (fwd scalars | regs | mem |
-// OUT | bookkeeping) and binds the typed pointers.  finish_layout()
-// zero-fills the buffer, which is the reset of everything arena-resident.
-template <bool kTraced>
-void InOCore<kTraced>::layout(const isa::Program& prog,
-                              const ResilienceConfig* cfg) {
-  arena_.begin_layout(reg_.pool_data(), reg_.pool().size());
-  sec_fwd_ = arena_.add_u64(kFwdWords);
-  sec_regs_ = arena_.add_u32(isa::kNumRegs);
-  sec_mem_ = arena_.add_u32(prog.mem_bytes / 4);
-  sec_out_ = arena_.add_u32(1 + kOutCapacity);
-  arena_.mark_aux();
-  sec_aux_ = arena_.add_u64(kAuxWords);
-  arena_.finish_layout(layout_identity(name(), prog, cfg));
-  fwd_ = arena_.section<std::uint64_t>(sec_fwd_);
-  regs_ = arena_.section<std::uint32_t>(sec_regs_);
-  mem_ = arena_.section<std::uint32_t>(sec_mem_);
-  mem_words_ = prog.mem_bytes / 4;
-  out_.bind(arena_.section<std::uint32_t>(sec_out_), kOutCapacity,
-            &out_spill_);
-  aux_ = arena_.section<std::uint64_t>(sec_aux_);
-  out_spill_.clear();
-}
-
-template <bool kTraced>
-void InOCore<kTraced>::flush_aux() const {
-  aux_.set(kAuxCycle, cycle_);
-  aux_.set(kAuxCommitted, committed_);
-  aux_.set(kAuxStatus, static_cast<std::uint64_t>(status_));
-  aux_.set(kAuxTrap, static_cast<std::uint64_t>(trap_code_));
-  aux_.set(kAuxExit, static_cast<std::uint32_t>(exit_code_));
-  aux_.set(kAuxDetId, static_cast<std::uint32_t>(det_id_));
-  aux_.set(kAuxDetBy, static_cast<std::uint64_t>(detected_by_));
-  aux_.set(kAuxRecoveries, recoveries_);
-  aux_.set(kAuxRedirect, redirect_ ? 1 : 0);
-  aux_.set(kAuxRedirectPc, redirect_pc_);
-  aux_.set(kAuxLastFlipCycle, last_flip_cycle_);
-  aux_.set(kAuxLastFlipFf, last_flip_ff_);
-}
-
-template <bool kTraced>
-void InOCore<kTraced>::load_aux() {
-  cycle_ = aux_[kAuxCycle];
-  committed_ = aux_[kAuxCommitted];
-  status_ = static_cast<isa::RunStatus>(aux_[kAuxStatus]);
-  trap_code_ = static_cast<Trap>(aux_[kAuxTrap]);
-  exit_code_ = static_cast<std::int32_t>(
-      static_cast<std::uint32_t>(aux_[kAuxExit]));
-  det_id_ = static_cast<std::int32_t>(
-      static_cast<std::uint32_t>(aux_[kAuxDetId]));
-  detected_by_ = static_cast<DetectionSource>(aux_[kAuxDetBy]);
-  recoveries_ = static_cast<std::uint32_t>(aux_[kAuxRecoveries]);
-  redirect_ = aux_[kAuxRedirect] != 0;
-  redirect_pc_ = static_cast<std::uint32_t>(aux_[kAuxRedirectPc]);
-  last_flip_cycle_ = aux_[kAuxLastFlipCycle];
-  last_flip_ff_ = static_cast<std::uint32_t>(aux_[kAuxLastFlipFf]);
-}
-
-template <bool kTraced>
-void InOCore<kTraced>::reset(const isa::Program& prog,
-                             const ResilienceConfig* cfg,
-                             const InjectionPlan* plan) {
-  prog_ = &prog;
-  cfg_ = cfg;
-  reg_.clear_state();
-  layout(prog, cfg);  // zero-fills mem/regs/OUT/scalars
-  const std::uint32_t base = prog.data_base / 4;
-  for (std::size_t i = 0; i < prog.data.size(); ++i) {
-    mem_.set(base + i, prog.data[i]);
-  }
-  cycle_ = 0;
-  committed_ = 0;
-  status_ = isa::RunStatus::kRunning;
-  trap_code_ = Trap::kNone;
-  exit_code_ = 0;
-  det_id_ = 0;
-  detected_by_ = DetectionSource::kNone;
-  recoveries_ = 0;
-  redirect_ = false;
-  redirect_pc_ = 0;
-  last_flip_cycle_ = 0;
-  last_flip_ff_ = 0;
-  flips_ = armed_flips(plan, 0);
-  next_flip_ = 0;
-  dets_.clear();
-  const bool ir = cfg != nullptr && (cfg->recovery == RecoveryKind::kIr ||
-                                     cfg->recovery == RecoveryKind::kEir);
-  ring_.reset(ir ? kRingDepth : 0);
-}
-
-template <bool kTraced>
-void InOCore<kTraced>::apply_injections() {
-  if (next_flip_ >= flips_.size() || flips_[next_flip_].cycle != cycle_) return;
-  // Collect this cycle's flips (>1 models a SEMU striking adjacent FFs).
-  std::vector<std::uint32_t> struck;
-  while (next_flip_ < flips_.size() && flips_[next_flip_].cycle == cycle_) {
-    const std::uint32_t ff = flips_[next_flip_].ff;
-    reg_.flip(ff);
-    struck.push_back(ff);
-    last_flip_cycle_ = cycle_;
-    last_flip_ff_ = ff;
-    ++next_flip_;
-  }
-  if (cfg_ == nullptr) return;
-  // EDS detects the upset within the same cycle; parity compares the stored
-  // predicted parity against the group's outputs and fires one cycle later.
-  // Two upsets in the same parity group cancel (this is why the layout
-  // enforces minimum spacing between same-group flip-flops, Table 6).
-  std::vector<std::pair<std::int32_t, std::uint32_t>> group_hits;
-  for (const std::uint32_t ff : struck) {
-    const FFProt p = cfg_->prot_of(ff);
-    if (p == FFProt::kEds) {
-      dets_.push_back({cycle_, cycle_, DetectionSource::kEds, ff});
-    } else if (p == FFProt::kParity) {
-      const std::int32_t g = cfg_->group_of(ff);
-      if (g >= 0) group_hits.emplace_back(g, ff);
-    }
-  }
-  std::sort(group_hits.begin(), group_hits.end());
-  for (std::size_t i = 0; i < group_hits.size();) {
-    std::size_t j = i;
-    while (j < group_hits.size() && group_hits[j].first == group_hits[i].first) {
-      ++j;
-    }
-    if ((j - i) % 2 == 1) {  // odd number of flips in the group: detected
-      // The checker compares the group's outputs against the stored
-      // predicted parity combinationally, within the same cycle the
-      // corrupted flip-flop first drives logic -- so recovery engages
-      // before the corruption is captured by a downstream latch.  (The
-      // 1-cycle detection latency of Table 3 is recovery timing, charged
-      // by the recovery mechanism.)
-      dets_.push_back(
-          {cycle_, cycle_, DetectionSource::kParity, group_hits[i].second});
-    }
-    i = j;
-  }
-}
-
-template <bool kTraced>
-void InOCore<kTraced>::process_detections() {
-  for (std::size_t i = 0; i < dets_.size(); ++i) {
-    if (dets_[i].due > cycle_) continue;
-    const PendingDet d = dets_[i];
-    dets_.erase(dets_.begin() + static_cast<std::ptrdiff_t>(i));
-    attempt_recovery(d.src, d.ff, d.flip_cycle);
-    return;  // one recovery/ED per cycle; ED stops the run anyway
-  }
-}
-
-template <bool kTraced>
-void InOCore<kTraced>::attempt_recovery(DetectionSource src,
-                                        std::uint32_t ff,
-                                        std::uint64_t flip_cycle) {
-  const RecoveryKind rec =
-      cfg_ != nullptr ? cfg_->recovery : RecoveryKind::kNone;
-  auto fail_detected = [&] {
-    status_ = isa::RunStatus::kDetected;
-    detected_by_ = src;
-  };
-  switch (rec) {
-    case RecoveryKind::kNone:
-      fail_detected();
-      return;
-    case RecoveryKind::kFlush: {
-      // Errors at or past the memory stage have escaped to architectural
-      // state; flush cannot help (Heuristic 1 hardens those FFs instead).
-      if (!reg_.structure_of(ff).flags.flushable) {
-        fail_detected();
-        return;
-      }
-      d_valid_ = 0;
-      a_.bubble();
-      e_.bubble();
-      e_mul_busy_ = 0;
-      e_div_busy_ = 0;
-      set_flush_drain(kFlushDrain);
-      ++recoveries_;
-      return;
-    }
-    case RecoveryKind::kIr:
-    case RecoveryKind::kEir: {
-      // DFC recovery requires the extended replay buffers of EIR.
-      if (src == DetectionSource::kDfc && rec != RecoveryKind::kEir) {
-        fail_detected();
-        return;
-      }
-      RollbackRing::Restored rs;
-      const std::uint64_t target = flip_cycle == 0 ? 0 : flip_cycle - 1;
-      const bool ok = ring_.restore(
-          target, reg_, &rs,
-          [this](std::uint32_t addr, std::uint32_t old) { mem_undo(addr, old); });
-      if (!ok) {
-        fail_detected();
-        return;
-      }
-      for (std::size_t r = 0; r < rs.regs.size(); ++r) regs_.set(r, rs.regs[r]);
-      committed_ = rs.committed;
-      out_.resize(rs.out_len);
-      set_dfc_sig(static_cast<std::uint32_t>(rs.extra));
-      set_flush_drain(0);
-      dets_.clear();
-      cycle_ += kIrPenalty;
-      ++recoveries_;
-      return;
-    }
-    case RecoveryKind::kRob:
-      // RoB recovery is an OoO mechanism; on InO treat as unrecoverable.
-      fail_detected();
-      return;
-  }
+  w_.attach(ffs, "w", fl_back);
+  w_result_ = ffs.add<kTraced>("w.result", 32, fl_back);
+  w_npcr_ = ffs.add<kTraced>("w.npc", 32, fl_back);
+  w_s_icc_ = ffs.add<kTraced>("w.s.icc", 4, sink_back);
+  w_s_tt_ = ffs.add<kTraced>("w.s.tt", 8, fl_back);
+  w_s_tba_ = ffs.add<kTraced>("w.s.tba", 20, fl_back);
+  w_s_pil_ = ffs.add<kTraced>("w.s.pil", 4, fl_back);
+  w_s_ps_ = ffs.add<kTraced>("w.s.ps", 1, fl_back);
+  w_s_ef_ = ffs.add<kTraced>("w.s.ef", 1, fl_back);
+  w_s_ec_ = ffs.add<kTraced>("w.s.ec", 1, fl_back);
+  w_s_et_ = ffs.add<kTraced>("w.s.et", 1, fl_back);
+  w_s_dwt_ = ffs.add<kTraced>("w.s.dwt", 1, fl_back);
+  w_s_y_ = ffs.add<kTraced>("w.s.y", 32, sink_back);
+  w_cwp_ = ffs.add<kTraced>("w.cwp", 3, fl_back);
+  arch_npc_ = ffs.add<kTraced>("w.s.npc", 32, fl_back);
 }
 
 template <bool kTraced>
@@ -617,15 +287,7 @@ void InOCore<kTraced>::do_wb() {
     return;
   }
   const Op op = static_cast<Op>(static_cast<std::uint64_t>(w_.op));
-  const bool dfc = cfg_ != nullptr && cfg_->dfc;
-  // Block terminators (control flow, halt, det) commit between a block's
-  // sigchk and the next block's body; excluding them keeps each static
-  // signature window equal to exactly one basic block regardless of the
-  // path taken into it.
-  if (dfc && op != Op::kSigchk && op != Op::kHalt && op != Op::kDet &&
-      !isa::is_branch(op) && !isa::is_jump(op)) {
-    set_dfc_sig(rotl5(dfc_sig()) ^ w_.inst.u32());
-  }
+  dfc_sign(op, w_.inst);
   switch (op) {
     case Op::kOut:
       out_.push(w_result_.u32());
@@ -643,18 +305,7 @@ void InOCore<kTraced>::do_wb() {
       ++committed_;
       return;
     case Op::kSigchk:
-      if (dfc) {
-        const auto id = static_cast<std::uint16_t>(w_.imm.u32() & 0xffff);
-        const auto it = prog_->dfc_signatures.find(id);
-        const bool match = it != prog_->dfc_signatures.end() &&
-                           it->second == dfc_sig();
-        set_dfc_sig(0);
-        if (!match) {
-          dets_.push_back(
-              {cycle_ + 1, last_flip_cycle_, DetectionSource::kDfc,
-               last_flip_ff_});
-        }
-      }
+      dfc_check(w_.imm);
       break;
     default:
       if (isa::writes_rd(op) && w_.rd != 0) {
@@ -700,7 +351,7 @@ void InOCore<kTraced>::stage_m_to_x() {
   if (memop) {
     m_memcnt_ = 0;
     const std::uint32_t addr = m_addr_.u32();
-    const std::uint32_t bytes = static_cast<std::uint32_t>(mem_words_) * 4;
+    const std::uint32_t bytes = mem_bytes();
     if (isa::is_load(op)) {
       if (op == Op::kLw && (addr & 3u) != 0) {
         trap = static_cast<std::uint64_t>(Trap::kMisalignedLoad);
@@ -929,11 +580,7 @@ void InOCore<kTraced>::fetch() {
 }
 
 template <bool kTraced>
-void InOCore<kTraced>::do_cycle() {
-  apply_injections();
-  process_detections();
-  if (status_ != isa::RunStatus::kRunning) return;
-
+void InOCore<kTraced>::step_pipeline() {
   redirect_ = false;
   do_wb();
   if (status_ != isa::RunStatus::kRunning) return;
@@ -960,80 +607,6 @@ void InOCore<kTraced>::do_cycle() {
       e_.bubble();
     }
   }
-  if (ring_.enabled()) {
-    ring_.push(cycle_, reg_, regs_.get(), isa::kNumRegs, committed_, out_.size(),
-               dfc_sig());
-  }
-  ++cycle_;
-}
-
-template <bool kTraced>
-CoreRunResult InOCore<kTraced>::current_result() const {
-  CoreRunResult r;
-  r.status = status_ == isa::RunStatus::kRunning ? isa::RunStatus::kWatchdog
-                                                 : status_;
-  r.trap = trap_code_;
-  r.exit_code = exit_code_;
-  r.det_id = det_id_;
-  r.cycles = cycle_;
-  r.instrs = committed_;
-  r.output = out_.to_vector();
-  r.detected_by = detected_by_;
-  r.recoveries = recoveries_;
-  return r;
-}
-
-template <bool kTraced>
-void InOCore<kTraced>::snapshot(CoreCheckpoint* out) const {
-  flush_aux();
-  // COW capture against the last snapshot taken from / restored into this
-  // core: segments it did not write since are shared, not copied.
-  arena_.snapshot_to(&out->state);
-  out->layout_fp = arena_.fingerprint();
-  out->cycle = cycle_;
-  out->committed = committed_;
-  out->output_spill = out_spill_;
-  out->dets = dets_;
-  out->ring =
-      ring_.pruned(earliest_rollback_target(cycle_, dets_, last_flip_cycle_));
-  out->shadow = isa::MachineDelta{};
-  CheckpointSizes& sz = out->sizes;
-  sz = CheckpointSizes{};
-  sz.ff = arena_.ff_words() * 8;
-  sz.scalars = arena_.section_bytes(sec_fwd_);
-  sz.regs = arena_.section_bytes(sec_regs_);
-  sz.mem = arena_.section_bytes(sec_mem_);
-  sz.output = arena_.section_bytes(sec_out_) + out_spill_.size() * 4;
-  sz.aux = arena_.section_bytes(sec_aux_);
-  sz.ring = out->ring.size_bytes();
-  sz.dets = out->dets.size() * sizeof(PendingDetection);
-}
-
-template <bool kTraced>
-void InOCore<kTraced>::restore(const CoreCheckpoint& cp,
-                               const InjectionPlan* plan) {
-  if (cp.layout_fp != arena_.fingerprint()) {
-    throw std::logic_error(
-        "InOCore::restore: checkpoint layout fingerprint mismatch (snapshot "
-        "taken under a different core model, program or config)");
-  }
-  arena_.restore_from(cp.state);  // copies only written / differing segments
-  load_aux();
-  out_spill_ = cp.output_spill;
-  dets_ = cp.dets;
-  ring_ = cp.ring;
-  flips_ = armed_flips(plan, cycle_);
-  next_flip_ = 0;
-}
-
-template <bool kTraced>
-bool InOCore<kTraced>::state_matches(const CoreCheckpoint& cp,
-                                     const std::uint64_t* live_ff) const {
-  // Compare of the forward region (FF pool -- live slots only when
-  // live_ff is given -- fwd scalars, regs, mem, OUT), rejecting at the
-  // first divergent segment.
-  return arena_.matches_fwd(cp.state, live_ff) &&
-         out_spill_ == cp.output_spill;
 }
 
 }  // namespace

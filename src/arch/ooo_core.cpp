@@ -16,12 +16,11 @@
 // (simple, precise, and exactly the redirect machinery reused by RoB
 // recovery and the monitor core).
 //
-// Resilience hooks:
-//   * EDS/parity detection with SEMU cancellation (as on the InO core)
+// Resilience: the core shell (arch/core_shell.h) applies flips, runs EDS,
+// parity and the DFC checker, and rolls back for IR/EIR (104-cycle replay
+// penalty, Table 15).  This pipeline adds:
 //   * RoB recovery: squash speculative state, refetch from the commit PC --
 //     errors in post-commit structures (store buffer) are unrecoverable
-//   * IR/EIR: checkpoint rollback (104-cycle replay penalty, Table 15)
-//   * DFC commit-stream signature checking (sigchk boundaries)
 //   * monitor core: a DIVA-style checker validating every commit against a
 //     shadow golden machine; the checker's architectural state repairs the
 //     main core on mismatch.  Flips that land in post-commit structures
@@ -30,15 +29,10 @@
 #include <algorithm>
 #include <array>
 #include <memory>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "arch/arena.h"
-#include "arch/core.h"
-#include "arch/rollback.h"
+#include "arch/core_shell.h"
 #include "isa/iss.h"
-#include "util/rng.h"
 
 namespace clear::arch {
 
@@ -63,42 +57,7 @@ constexpr int kDivCycles = 10;
 constexpr int kHitCycles = 1;    // extra cycles for an L1D hit
 constexpr int kMissCycles = 9;   // extra cycles for an L1D miss
 constexpr int kPhtBits = 10;
-constexpr std::uint64_t kIrPenalty = 104;  // Table 15 (OoO IR/EIR)
 constexpr std::uint64_t kRobPenalty = 64;  // Table 15 (RoB recovery)
-constexpr std::size_t kRingDepth = 640;    // covers DFC detection latency
-
-constexpr bool valid_op(std::uint64_t v) noexcept {
-  return v < static_cast<std::uint64_t>(isa::kOpCount);
-}
-
-constexpr std::uint32_t rotl5(std::uint32_t x) noexcept {
-  return (x << 5) | (x >> 27);
-}
-
-bool uses_rs1(Op op) noexcept {
-  switch (isa::format_of(op)) {
-    case isa::Format::kR:
-    case isa::Format::kI:
-    case isa::Format::kS:
-    case isa::Format::kB:
-      return true;
-    case isa::Format::kX:
-      return op == Op::kOut;
-    default:
-      return false;
-  }
-}
-
-bool uses_rs2(Op op) noexcept {
-  switch (isa::format_of(op)) {
-    case isa::Format::kR:
-    case isa::Format::kS:
-    case isa::Format::kB:
-      return true;
-    default:
-      return false;
-  }
-}
 
 // Ops handled entirely at rename (no issue-queue entry).
 bool rename_only(Op op) noexcept {
@@ -109,73 +68,41 @@ bool rename_only(Op op) noexcept {
 // One source, two builds: OoOCore<false> is the production core,
 // OoOCore<true> the traced twin golden recording uses (see BasicReg).
 template <bool kTraced>
-class OoOCore final : public Core {
-  using Reg = BasicReg<kTraced>;
+class OoOCore final : public CoreShell<OoOCore<kTraced>, kTraced> {
+  using Shell = CoreShell<OoOCore<kTraced>, kTraced>;
+  friend Shell;
+  using typename Shell::Reg;
+  using Shell::reg_, Shell::prog_, Shell::cfg_, Shell::regs_, Shell::mem_,
+      Shell::mem_words_, Shell::arena_, Shell::out_, Shell::cycle_,
+      Shell::committed_, Shell::status_, Shell::trap_code_, Shell::exit_code_,
+      Shell::det_id_, Shell::detected_by_, Shell::recoveries_, Shell::ring_,
+      Shell::dfc_sign, Shell::dfc_check, Shell::mem_bytes;
 
  public:
   OoOCore() { build(); }
 
   [[nodiscard]] const char* name() const noexcept override { return "OoO"; }
   [[nodiscard]] double clock_ghz() const noexcept override { return 0.6; }
-  [[nodiscard]] const FFRegistry& registry() const noexcept override {
-    return reg_;
-  }
-
-  void begin(const isa::Program& prog, const ResilienceConfig* cfg,
-             const InjectionPlan* plan) override {
-    reset(prog, cfg, plan);
-  }
-
-  bool step_until(std::uint64_t target_cycle, std::uint64_t max_cycles,
-                  std::uint64_t commit_target) override {
-    while (status_ == isa::RunStatus::kRunning && cycle_ < target_cycle &&
-           cycle_ < max_cycles && committed_ < commit_target) {
-      do_cycle();
-    }
-    return status_ == isa::RunStatus::kRunning && cycle_ < max_cycles;
-  }
-
-  [[nodiscard]] CoreRunResult current_result() const override;
-  [[nodiscard]] std::uint64_t cycle() const noexcept override {
-    return cycle_;
-  }
-  [[nodiscard]] std::uint64_t committed() const noexcept override {
-    return committed_;
-  }
-  [[nodiscard]] std::uint32_t recovery_count() const noexcept override {
-    return recoveries_;
-  }
-
-  void snapshot(CoreCheckpoint* out) const override;
-  void restore(const CoreCheckpoint& cp, const InjectionPlan* plan) override;
-  [[nodiscard]] bool state_matches(const CoreCheckpoint& cp,
-                                   const std::uint64_t* live_ff) const override;
-  [[nodiscard]] bool quiescent() const noexcept override {
-    return status_ == isa::RunStatus::kRunning &&
-           next_flip_ >= flips_.size() && dets_.empty();
-  }
-  void drain_access_log(std::uint64_t* read_first,
-                        std::uint64_t* written_first) noexcept override {
-    reg_.drain_access_log(read_first, written_first);
-  }
-  [[nodiscard]] StateView state_view() noexcept override {
-    return {reg_.pool_data(), arena_.ff_words(), arena_.raw_buf(),
-            arena_.fwd_words(), arena_.total_words()};
-  }
-  [[nodiscard]] const StateArena& arena() const noexcept override {
-    return arena_;
-  }
 
  private:
-  void bind_shadow_hook();
+  static constexpr RecoveryKind kOwnRecovery = RecoveryKind::kRob;
+  static constexpr std::uint64_t kIrPenalty = 104;  // Table 15 (OoO IR/EIR)
+  static constexpr std::size_t kRingDepth = 640;    // covers DFC latency
+  static constexpr std::size_t kFwdWords = 1;       // the DFC signature
+
   void build();
-  void reset(const isa::Program& prog, const ResilienceConfig* cfg,
-             const InjectionPlan* plan);
-  void do_cycle();
-  void apply_injections();
-  void process_detections();
-  void attempt_recovery(DetectionSource src, std::uint32_t ff,
-                        std::uint64_t flip_cycle);
+  void add_sections();
+  void begin_pipeline();
+  void step_pipeline();
+  // RoB recovery: squash and refetch from the commit anchor.
+  void recover_pipeline() {
+    squash_all(commit_pc_.u32());
+    cycle_ += kRobPenalty;
+  }
+  void snapshot_extra(CoreCheckpoint* out) const;
+  void restore_extra(const CoreCheckpoint& cp);
+  [[nodiscard]] bool extra_matches(const CoreCheckpoint& cp) const;
+  void bind_shadow_hook();
   void squash_all(std::uint32_t new_pc);
   void do_commit();
   bool monitor_validate_and_apply(int robid);
@@ -191,11 +118,6 @@ class OoOCore final : public Core {
                                       (kRobSize - 1));
   }
   void mem_write(std::uint32_t addr, std::uint32_t data, bool byte);
-  [[nodiscard]] std::uint32_t mem_bytes() const noexcept {
-    return static_cast<std::uint32_t>(mem_words_) * 4;
-  }
-
-  FFRegistry reg_;
   // ---- front end ----
   Reg f_pc_;
   Reg bhr_;
@@ -240,93 +162,50 @@ class OoOCore final : public Core {
   Reg commit_pc_;  // next PC to commit: the RoB-recovery refetch anchor
   std::array<Reg, 2> perf_;  // performance counters (never consumed)
 
-  // ---- non-FF state: flat arena layout ----
-  // Forward scalar slots (influence the remainder of the run).
-  enum FwdSlot : std::size_t { kFwdDfcSig, kFwdWords };
-  // Bookkeeping slots (excluded from state_matches; the
-  // shadow-store latch is dead at cycle boundaries -- the monitor clears it
-  // before any read within a commit).
-  enum AuxSlot : std::size_t {
-    kAuxCycle, kAuxCommitted, kAuxStatus, kAuxTrap, kAuxExit, kAuxDetId,
-    kAuxDetBy, kAuxRecoveries, kAuxLastFlipCycle, kAuxLastFlipFf,
-    kAuxShadowStoreAddr, kAuxShadowStoreWord, kAuxShadowStored, kAuxWords
-  };
-  static constexpr std::size_t kOutCapacity = 2048;  // OUT words in-arena
-
-  void layout(const isa::Program& prog, const ResilienceConfig* cfg);
-  void flush_aux() const;
-  void load_aux();
-
-  [[nodiscard]] std::uint32_t dfc_sig() const noexcept {
-    return static_cast<std::uint32_t>(fwd_[kFwdDfcSig]);
-  }
-  void set_dfc_sig(std::uint32_t v) noexcept { fwd_.set(kFwdDfcSig, v); }
-
-  const isa::Program* prog_ = nullptr;
-  const ResilienceConfig* cfg_ = nullptr;
-  StateArena arena_;
-  int sec_fwd_ = 0, sec_regs_ = 0, sec_mem_ = 0, sec_sram8_ = 0,
-      sec_sram32_ = 0, sec_out_ = 0, sec_aux_ = 0;
-  // Arena handles: every write marks its segment dirty (ArenaPtr).
-  ArenaPtr<std::uint64_t> fwd_;
-  ArenaPtr<std::uint32_t> regs_;
-  ArenaPtr<std::uint32_t> mem_;
-  std::size_t mem_words_ = 0;
-  ArenaPtr<std::uint8_t> pht_;        // gshare counters (SRAM: not FFs)
+  // ---- SRAM arrays (arena sections: timing state, not FFs) ----
+  int sec_sram8_ = 0, sec_sram32_ = 0;
+  ArenaPtr<std::uint8_t> pht_;        // gshare counters
   ArenaPtr<std::uint8_t> l1d_valid_;
-  ArenaPtr<std::uint32_t> l1d_tag_;   // L1D tags (SRAM, timing only)
-  ArenaPtr<std::uint64_t> aux_;
-  OutputBuf out_;
-  std::vector<std::uint32_t> out_spill_;
-  std::uint64_t cycle_ = 0;
-  std::uint64_t committed_ = 0;
-  isa::RunStatus status_ = isa::RunStatus::kRunning;
-  Trap trap_code_ = Trap::kNone;
-  std::int32_t exit_code_ = 0;
-  std::int32_t det_id_ = 0;
-  DetectionSource detected_by_ = DetectionSource::kNone;
-  std::uint32_t recoveries_ = 0;
+  ArenaPtr<std::uint32_t> l1d_tag_;   // L1D tags (timing only)
+
   std::unique_ptr<isa::Machine> shadow_;  // monitor core golden model
+  // The checker's store latch.  Not serialized: it is written only by the
+  // shadow's post-store hook, which runs inside monitor_validate_and_apply
+  // after shadow_stored_ is cleared there, and read only later in that
+  // same call -- so it is dead at every cycle boundary.
   std::uint32_t shadow_store_addr_ = 0;
   std::uint32_t shadow_store_word_ = 0;
   bool shadow_stored_ = false;
-
-  using PendingDet = PendingDetection;
-  std::vector<InjectionPlan::Flip> flips_;
-  std::size_t next_flip_ = 0;
-  std::uint64_t last_flip_cycle_ = 0;
-  std::uint32_t last_flip_ff_ = 0;
-  std::vector<PendingDet> dets_;
-  RollbackRing ring_;
 };
 
 template <bool kTraced>
 void OoOCore<kTraced>::build() {
+  FFRegistry& ffs = reg_;  // non-dependent: add<>() needs no `template`
   const FFFlags spec{/*flushable=*/true, false, false};        // speculative
   const FFFlags post{/*flushable=*/false, /*post_commit=*/true, false};
 
-  auto add_array = [this](auto& arr, const std::string& fmt_prefix,
+  auto add_array = [&ffs](auto& arr, const std::string& fmt_prefix,
                           const std::string& suffix, int width, FFFlags fl) {
     for (std::size_t i = 0; i < arr.size(); ++i) {
-      arr[i] = reg_.add<kTraced>(fmt_prefix + std::to_string(i) + suffix,
+      arr[i] = ffs.add<kTraced>(fmt_prefix + std::to_string(i) + suffix,
                                  width, fl);
     }
   };
 
-  f_pc_ = reg_.add<kTraced>("RF0.PCreg", 32, spec);
-  bhr_ = reg_.add<kTraced>("RF0.F1.lhist", 12, spec);
+  f_pc_ = ffs.add<kTraced>("RF0.PCreg", 32, spec);
+  bhr_ = ffs.add<kTraced>("RF0.F1.lhist", 12, spec);
   add_array(btb_valid_, "RF0.btb", ".valid", 1, spec);
   add_array(btb_tag_, "RF0.btb", ".tag", 20, spec);
   add_array(btb_target_, "RF0.btb", ".target", 32, spec);
   add_array(ras_, "RF0.F1.ras", ".reg", 32, spec);
-  ras_sp_ = reg_.add<kTraced>("RF0.F1.ras.sp", 3, spec);
+  ras_sp_ = ffs.add<kTraced>("RF0.F1.ras.sp", 3, spec);
   add_array(fb_valid_, "F1.fb", ".valid", 1, spec);
   add_array(fb_inst_, "F1.fb", ".inst", 32, spec);
   add_array(fb_pc_, "F1.fb", ".pc", 32, spec);
   add_array(fb_pred_, "F1.fb", ".pred", 32, spec);
-  fb_head_ = reg_.add<kTraced>("F1.fb.head", 3, spec);
-  fb_tail_ = reg_.add<kTraced>("F1.fb.tail", 3, spec);
-  fb_count_ = reg_.add<kTraced>("F1.fb.count", 4, spec);
+  fb_head_ = ffs.add<kTraced>("F1.fb.head", 3, spec);
+  fb_tail_ = ffs.add<kTraced>("F1.fb.tail", 3, spec);
+  fb_count_ = ffs.add<kTraced>("F1.fb.count", 4, spec);
   add_array(rf1_f2_inst_, "RF1.F2.inst", ".reg", 32, spec);
   add_array(rf2_d0_reg_, "RF2.D0.reg", ".reg", 32, spec);
 
@@ -358,9 +237,9 @@ void OoOCore<kTraced>::build() {
   add_array(rob_trap_, "rob.e", ".tt", 4, spec);
   add_array(rob_inst_, "rob.e", ".inst", 32, spec);
   add_array(rob_stq_, "rob.e", ".stq", 3, spec);
-  rob_head_ = reg_.add<kTraced>("rob.head", 5, spec);
-  rob_tail_ = reg_.add<kTraced>("rob.tail", 5, spec);
-  rob_count_ = reg_.add<kTraced>("rob.count", 6, spec);
+  rob_head_ = ffs.add<kTraced>("rob.head", 5, spec);
+  rob_tail_ = ffs.add<kTraced>("rob.tail", 5, spec);
+  rob_count_ = ffs.add<kTraced>("rob.count", 6, spec);
 
   add_array(stq_valid_, "mem.stq", ".valid", 1, spec);
   add_array(stq_addr_, "mem.stq", ".addr", 32, spec);
@@ -368,17 +247,17 @@ void OoOCore<kTraced>::build() {
   add_array(stq_ready_, "mem.stq", ".ready", 1, spec);
   add_array(stq_robid_, "mem.stq", ".robid", 5, spec);
   add_array(stq_byte_, "mem.stq", ".byte", 1, spec);
-  stq_head_ = reg_.add<kTraced>("mem.stq.head", 3, spec);
-  stq_tail_ = reg_.add<kTraced>("mem.stq.tail", 3, spec);
-  stq_count_ = reg_.add<kTraced>("mem.stq.count", 4, spec);
+  stq_head_ = ffs.add<kTraced>("mem.stq.head", 3, spec);
+  stq_tail_ = ffs.add<kTraced>("mem.stq.tail", 3, spec);
+  stq_count_ = ffs.add<kTraced>("mem.stq.count", 4, spec);
 
   add_array(sb_valid_, "mem.stb", ".valid", 1, post);
   add_array(sb_addr_, "mem.stb", ".addr", 32, post);
   add_array(sb_data_, "mem.stb", ".data", 32, post);
   add_array(sb_byte_, "mem.stb", ".byte", 1, post);
-  sb_head_ = reg_.add<kTraced>("mem.stb.head", 2, post);
-  sb_tail_ = reg_.add<kTraced>("mem.stb.tail", 2, post);
-  sb_count_ = reg_.add<kTraced>("mem.stb.count", 3, post);
+  sb_head_ = ffs.add<kTraced>("mem.stb.head", 2, post);
+  sb_tail_ = ffs.add<kTraced>("mem.stb.tail", 2, post);
+  sb_count_ = ffs.add<kTraced>("mem.stb.count", 3, post);
 
   add_array(ex_valid_, "exec.ca", ".valid", 1, spec);
   add_array(ex_op_, "exec.ca", ".op", 6, spec);
@@ -388,153 +267,68 @@ void OoOCore<kTraced>::build() {
   add_array(ex_imm_, "exec.ca", ".imm", 32, spec);
   add_array(ex_pc_, "exec.ca", ".pc", 32, spec);
   add_array(ex_stq_, "exec.ca", ".stq", 3, spec);
-  mul_busy_ = reg_.add<kTraced>("exec.mu0.busy", 1, spec);
-  mul_cnt_ = reg_.add<kTraced>("exec.mu0.cnt", 3, spec);
-  mul_robid_ = reg_.add<kTraced>("exec.mu0.robid", 5, spec);
-  mul_op_ = reg_.add<kTraced>("exec.mu0.op", 6, spec);
-  mul_lo_ = reg_.add<kTraced>("exec.mu0.a01", 32, spec);
-  mul_hi_ = reg_.add<kTraced>("exec.mu0.a12", 32, spec);
-  div_busy_ = reg_.add<kTraced>("exec.du0.busy", 1, spec);
-  div_cnt_ = reg_.add<kTraced>("exec.du0.cnt", 4, spec);
-  div_robid_ = reg_.add<kTraced>("exec.du0.robid", 5, spec);
-  div_op_ = reg_.add<kTraced>("exec.du0.op", 6, spec);
-  div_q_ = reg_.add<kTraced>("exec.du0.q", 32, spec);
-  div_r_ = reg_.add<kTraced>("exec.du0.r", 32, spec);
+  mul_busy_ = ffs.add<kTraced>("exec.mu0.busy", 1, spec);
+  mul_cnt_ = ffs.add<kTraced>("exec.mu0.cnt", 3, spec);
+  mul_robid_ = ffs.add<kTraced>("exec.mu0.robid", 5, spec);
+  mul_op_ = ffs.add<kTraced>("exec.mu0.op", 6, spec);
+  mul_lo_ = ffs.add<kTraced>("exec.mu0.a01", 32, spec);
+  mul_hi_ = ffs.add<kTraced>("exec.mu0.a12", 32, spec);
+  div_busy_ = ffs.add<kTraced>("exec.du0.busy", 1, spec);
+  div_cnt_ = ffs.add<kTraced>("exec.du0.cnt", 4, spec);
+  div_robid_ = ffs.add<kTraced>("exec.du0.robid", 5, spec);
+  div_op_ = ffs.add<kTraced>("exec.du0.op", 6, spec);
+  div_q_ = ffs.add<kTraced>("exec.du0.q", 32, spec);
+  div_r_ = ffs.add<kTraced>("exec.du0.r", 32, spec);
 
-  lu_valid_ = reg_.add<kTraced>("mem.ldq.valid", 1, spec);
-  lu_op_ = reg_.add<kTraced>("mem.ldq.op", 6, spec);
-  lu_robid_ = reg_.add<kTraced>("mem.ldq.robid", 5, spec);
-  lu_addr_ = reg_.add<kTraced>("mem.ldq.address.phys", 32, spec);
-  lu_cnt_ = reg_.add<kTraced>("mem.ldq.cnt", 4, spec);
-  lu_fwd_ = reg_.add<kTraced>("mem.ldq.forward", 1, spec);
-  lu_fwdval_ = reg_.add<kTraced>("mem.ldq.fwdval", 32, spec);
+  lu_valid_ = ffs.add<kTraced>("mem.ldq.valid", 1, spec);
+  lu_op_ = ffs.add<kTraced>("mem.ldq.op", 6, spec);
+  lu_robid_ = ffs.add<kTraced>("mem.ldq.robid", 5, spec);
+  lu_addr_ = ffs.add<kTraced>("mem.ldq.address.phys", 32, spec);
+  lu_cnt_ = ffs.add<kTraced>("mem.ldq.cnt", 4, spec);
+  lu_fwd_ = ffs.add<kTraced>("mem.ldq.forward", 1, spec);
+  lu_fwdval_ = ffs.add<kTraced>("mem.ldq.fwdval", 32, spec);
   add_array(l1d_addr_in_, "mem.l1dcache.addr.in", ".reg", 32, spec);
   add_array(l1d_data_in_, "mem.l1dcache.data.in", ".reg", 32, spec);
   add_array(l1d_write_in_, "mem.l1dcache.write.in", ".reg", 1, spec);
   add_array(l1d_accessaddr_, "mem.l1dcache.accessaddr", ".reg", 32, spec);
-  l1d_accesshit0_ = reg_.add<kTraced>("mem.l1dcache.accesshit0.reg", 1, spec);
-  l1d_addr1_out_ = reg_.add<kTraced>("mem.l1dcache.addr1.out.reg", 32, spec);
-  l1d_data2_out_ = reg_.add<kTraced>("mem.l1dcache.data2.out.reg", 32, spec);
-  l1d_mobid2_out_ = reg_.add<kTraced>("mem.l1dcache.mobid2.out.reg", 5, spec);
+  l1d_accesshit0_ = ffs.add<kTraced>("mem.l1dcache.accesshit0.reg", 1, spec);
+  l1d_addr1_out_ = ffs.add<kTraced>("mem.l1dcache.addr1.out.reg", 32, spec);
+  l1d_data2_out_ = ffs.add<kTraced>("mem.l1dcache.data2.out.reg", 32, spec);
+  l1d_mobid2_out_ = ffs.add<kTraced>("mem.l1dcache.mobid2.out.reg", 5, spec);
   add_array(mq_valid_, "mem.l1dcache.missqueue.q", ".valid", 1, spec);
   add_array(mq_addr_, "mem.l1dcache.missqueue.q", ".addr", 32, spec);
   add_array(mq_cnt_, "mem.l1dcache.missqueue.q", ".cnt", 4, spec);
 
-  commit_pc_ = reg_.add<kTraced>("regs.wb.wb.flushpc", 32,
+  commit_pc_ = ffs.add<kTraced>("regs.wb.wb.flushpc", 32,
                         FFFlags{false, false, false});
   // Sinks (FFFlags::sink): each counter is read only by its own
-  // increment (do_commit, do_cycle).
+  // increment (do_commit, step_pipeline).
   FFFlags counter{true, false, false};
   counter.sink = true;
   for (std::size_t i = 0; i < perf_.size(); ++i) {
-    perf_[i] = reg_.add<kTraced>("perf.counter" + std::to_string(i), 32,
+    perf_[i] = ffs.add<kTraced>("perf.counter" + std::to_string(i), 32,
                                  counter);
   }
 }
 
-// Lays the non-FF state out in the flat arena (fwd scalars | regs | mem |
-// SRAM | OUT | bookkeeping) and binds the typed pointers.  finish_layout()
-// zero-fills the buffer, which is the reset of everything arena-resident.
+// SRAM sections of the forward arena region: PHT ++ l1d_valid, l1d_tag.
 template <bool kTraced>
-void OoOCore<kTraced>::layout(const isa::Program& prog,
-                              const ResilienceConfig* cfg) {
-  arena_.begin_layout(reg_.pool_data(), reg_.pool().size());
-  sec_fwd_ = arena_.add_u64(kFwdWords);
-  sec_regs_ = arena_.add_u32(isa::kNumRegs);
-  sec_mem_ = arena_.add_u32(prog.mem_bytes / 4);
-  sec_sram8_ = arena_.add_u8((1u << kPhtBits) + kL1dSets);  // PHT ++ l1d_valid
-  sec_sram32_ = arena_.add_u32(kL1dSets);                   // l1d_tag
-  sec_out_ = arena_.add_u32(1 + kOutCapacity);
-  arena_.mark_aux();
-  sec_aux_ = arena_.add_u64(kAuxWords);
-  arena_.finish_layout(layout_identity(name(), prog, cfg));
-  fwd_ = arena_.section<std::uint64_t>(sec_fwd_);
-  regs_ = arena_.section<std::uint32_t>(sec_regs_);
-  mem_ = arena_.section<std::uint32_t>(sec_mem_);
-  mem_words_ = prog.mem_bytes / 4;
-  pht_ = arena_.section<std::uint8_t>(sec_sram8_);
+void OoOCore<kTraced>::add_sections() {
+  sec_sram8_ = arena_.add_u8((1u << kPhtBits) + kL1dSets);
+  sec_sram32_ = arena_.add_u32(kL1dSets);
+}
+
+template <bool kTraced>
+void OoOCore<kTraced>::begin_pipeline() {
+  pht_ = arena_.template section<std::uint8_t>(sec_sram8_);
   l1d_valid_ = pht_ + (1u << kPhtBits);
-  l1d_tag_ = arena_.section<std::uint32_t>(sec_sram32_);
-  out_.bind(arena_.section<std::uint32_t>(sec_out_), kOutCapacity,
-            &out_spill_);
-  aux_ = arena_.section<std::uint64_t>(sec_aux_);
-  out_spill_.clear();
-}
-
-template <bool kTraced>
-void OoOCore<kTraced>::flush_aux() const {
-  aux_.set(kAuxCycle, cycle_);
-  aux_.set(kAuxCommitted, committed_);
-  aux_.set(kAuxStatus, static_cast<std::uint64_t>(status_));
-  aux_.set(kAuxTrap, static_cast<std::uint64_t>(trap_code_));
-  aux_.set(kAuxExit, static_cast<std::uint32_t>(exit_code_));
-  aux_.set(kAuxDetId, static_cast<std::uint32_t>(det_id_));
-  aux_.set(kAuxDetBy, static_cast<std::uint64_t>(detected_by_));
-  aux_.set(kAuxRecoveries, recoveries_);
-  aux_.set(kAuxLastFlipCycle, last_flip_cycle_);
-  aux_.set(kAuxLastFlipFf, last_flip_ff_);
-  aux_.set(kAuxShadowStoreAddr, shadow_store_addr_);
-  aux_.set(kAuxShadowStoreWord, shadow_store_word_);
-  aux_.set(kAuxShadowStored, shadow_stored_ ? 1 : 0);
-}
-
-template <bool kTraced>
-void OoOCore<kTraced>::load_aux() {
-  cycle_ = aux_[kAuxCycle];
-  committed_ = aux_[kAuxCommitted];
-  status_ = static_cast<isa::RunStatus>(aux_[kAuxStatus]);
-  trap_code_ = static_cast<Trap>(aux_[kAuxTrap]);
-  exit_code_ = static_cast<std::int32_t>(
-      static_cast<std::uint32_t>(aux_[kAuxExit]));
-  det_id_ = static_cast<std::int32_t>(
-      static_cast<std::uint32_t>(aux_[kAuxDetId]));
-  detected_by_ = static_cast<DetectionSource>(aux_[kAuxDetBy]);
-  recoveries_ = static_cast<std::uint32_t>(aux_[kAuxRecoveries]);
-  last_flip_cycle_ = aux_[kAuxLastFlipCycle];
-  last_flip_ff_ = static_cast<std::uint32_t>(aux_[kAuxLastFlipFf]);
-  shadow_store_addr_ = static_cast<std::uint32_t>(aux_[kAuxShadowStoreAddr]);
-  shadow_store_word_ = static_cast<std::uint32_t>(aux_[kAuxShadowStoreWord]);
-  shadow_stored_ = aux_[kAuxShadowStored] != 0;
-}
-
-template <bool kTraced>
-void OoOCore<kTraced>::reset(const isa::Program& prog,
-                             const ResilienceConfig* cfg,
-                             const InjectionPlan* plan) {
-  prog_ = &prog;
-  cfg_ = cfg;
-  reg_.clear_state();
-  layout(prog, cfg);  // zero-fills mem/regs/SRAM/OUT/scalars
-  const std::uint32_t base = prog.data_base / 4;
-  for (std::size_t i = 0; i < prog.data.size(); ++i) {
-    mem_.set(base + i, prog.data[i]);
-  }
+  l1d_tag_ = arena_.template section<std::uint32_t>(sec_sram32_);
   for (std::size_t i = 0; i < (1u << kPhtBits); ++i) pht_.set(i, 1);
-  cycle_ = 0;
-  committed_ = 0;
-  status_ = isa::RunStatus::kRunning;
-  trap_code_ = Trap::kNone;
-  exit_code_ = 0;
-  det_id_ = 0;
-  detected_by_ = DetectionSource::kNone;
-  recoveries_ = 0;
-  last_flip_cycle_ = 0;
-  last_flip_ff_ = 0;
-  shadow_store_addr_ = 0;
-  shadow_store_word_ = 0;
-  shadow_stored_ = false;
-  flips_.clear();
-  next_flip_ = 0;
-  dets_.clear();
   shadow_.reset();
-  if (cfg != nullptr && cfg->monitor) {
-    shadow_ = std::make_unique<isa::Machine>(prog);
+  if (cfg_ != nullptr && cfg_->monitor) {
+    shadow_ = std::make_unique<isa::Machine>(*prog_);
     bind_shadow_hook();
   }
-  flips_ = armed_flips(plan, 0);
-  const bool ir = cfg != nullptr && (cfg->recovery == RecoveryKind::kIr ||
-                                     cfg->recovery == RecoveryKind::kEir);
-  ring_.reset(ir ? kRingDepth : 0);
 }
 
 template <bool kTraced>
@@ -545,111 +339,6 @@ void OoOCore<kTraced>::bind_shadow_hook() {
     shadow_store_word_ = word;
     shadow_stored_ = true;
   };
-}
-
-template <bool kTraced>
-void OoOCore<kTraced>::apply_injections() {
-  if (next_flip_ >= flips_.size() || flips_[next_flip_].cycle != cycle_) return;
-  std::vector<std::uint32_t> struck;
-  while (next_flip_ < flips_.size() && flips_[next_flip_].cycle == cycle_) {
-    const std::uint32_t ff = flips_[next_flip_].ff;
-    reg_.flip(ff);
-    struck.push_back(ff);
-    last_flip_cycle_ = cycle_;
-    last_flip_ff_ = ff;
-    ++next_flip_;
-  }
-  if (cfg_ == nullptr) return;
-  std::vector<std::pair<std::int32_t, std::uint32_t>> group_hits;
-  for (const std::uint32_t ff : struck) {
-    const FFProt p = cfg_->prot_of(ff);
-    if (p == FFProt::kEds) {
-      dets_.push_back({cycle_, cycle_, DetectionSource::kEds, ff});
-    } else if (p == FFProt::kParity) {
-      const std::int32_t g = cfg_->group_of(ff);
-      if (g >= 0) group_hits.emplace_back(g, ff);
-    }
-  }
-  std::sort(group_hits.begin(), group_hits.end());
-  for (std::size_t i = 0; i < group_hits.size();) {
-    std::size_t j = i;
-    while (j < group_hits.size() && group_hits[j].first == group_hits[i].first) {
-      ++j;
-    }
-    if ((j - i) % 2 == 1) {
-      // Combinational parity check: detection lands before the corrupted
-      // value can be captured downstream (see the InO core for rationale).
-      dets_.push_back(
-          {cycle_, cycle_, DetectionSource::kParity, group_hits[i].second});
-    }
-    i = j;
-  }
-}
-
-template <bool kTraced>
-void OoOCore<kTraced>::process_detections() {
-  for (std::size_t i = 0; i < dets_.size(); ++i) {
-    if (dets_[i].due > cycle_) continue;
-    const PendingDet d = dets_[i];
-    dets_.erase(dets_.begin() + static_cast<std::ptrdiff_t>(i));
-    attempt_recovery(d.src, d.ff, d.flip_cycle);
-    return;
-  }
-}
-
-template <bool kTraced>
-void OoOCore<kTraced>::attempt_recovery(DetectionSource src,
-                                        std::uint32_t ff,
-                                        std::uint64_t flip_cycle) {
-  const RecoveryKind rec =
-      cfg_ != nullptr ? cfg_->recovery : RecoveryKind::kNone;
-  auto fail_detected = [&] {
-    status_ = isa::RunStatus::kDetected;
-    detected_by_ = src;
-  };
-  switch (rec) {
-    case RecoveryKind::kNone:
-    case RecoveryKind::kFlush:  // flush is the InO mechanism
-      fail_detected();
-      return;
-    case RecoveryKind::kRob: {
-      // Post-commit state (store buffer) and the commit anchor itself have
-      // escaped the reorder buffer; squashing cannot repair them.
-      if (!reg_.structure_of(ff).flags.flushable) {
-        fail_detected();
-        return;
-      }
-      squash_all(commit_pc_.u32());
-      cycle_ += kRobPenalty;
-      ++recoveries_;
-      return;
-    }
-    case RecoveryKind::kIr:
-    case RecoveryKind::kEir: {
-      if (src == DetectionSource::kDfc && rec != RecoveryKind::kEir) {
-        fail_detected();
-        return;
-      }
-      RollbackRing::Restored rs;
-      const std::uint64_t target = flip_cycle == 0 ? 0 : flip_cycle - 1;
-      const bool ok = ring_.restore(
-          target, reg_, &rs, [this](std::uint32_t addr, std::uint32_t old) {
-            mem_.set(addr / 4, old);
-          });
-      if (!ok) {
-        fail_detected();
-        return;
-      }
-      for (std::size_t r = 0; r < rs.regs.size(); ++r) regs_.set(r, rs.regs[r]);
-      committed_ = rs.committed;
-      out_.resize(rs.out_len);
-      set_dfc_sig(static_cast<std::uint32_t>(rs.extra));
-      dets_.clear();
-      cycle_ += kIrPenalty;
-      ++recoveries_;
-      return;
-    }
-  }
 }
 
 template <bool kTraced>
@@ -868,13 +557,7 @@ void OoOCore<kTraced>::do_commit() {
       trap_code_ = Trap::kInvalidOpcode;
       return;
     }
-    const bool dfc = cfg_ != nullptr && cfg_->dfc;
-    // Block terminators are excluded from the signature window (see the
-    // InO core's writeback stage for rationale).
-    if (dfc && op != Op::kSigchk && op != Op::kHalt && op != Op::kDet &&
-        !isa::is_branch(op) && !isa::is_jump(op)) {
-      set_dfc_sig(rotl5(dfc_sig()) ^ rob_inst_[h].u32());
-    }
+    dfc_sign(op, rob_inst_[h]);
     bool squash_after = false;
     std::uint32_t redirect = 0;
     switch (op) {
@@ -894,18 +577,7 @@ void OoOCore<kTraced>::do_commit() {
         out_.push(rob_result_[h].u32());
         break;
       case Op::kSigchk:
-        if (dfc) {
-          const auto id =
-              static_cast<std::uint16_t>(rob_result_[h].u32() & 0xffff);
-          const auto it = prog_->dfc_signatures.find(id);
-          const bool match =
-              it != prog_->dfc_signatures.end() && it->second == dfc_sig();
-          set_dfc_sig(0);
-          if (!match) {
-            dets_.push_back({cycle_ + 1, last_flip_cycle_,
-                             DetectionSource::kDfc, last_flip_ff_});
-          }
-        }
+        dfc_check(rob_result_[h]);
         break;
       default:
         if (isa::is_store(op)) {
@@ -1476,11 +1148,7 @@ void OoOCore<kTraced>::do_fetch() {
 }
 
 template <bool kTraced>
-void OoOCore<kTraced>::do_cycle() {
-  apply_injections();
-  process_detections();
-  if (status_ != isa::RunStatus::kRunning) return;
-
+void OoOCore<kTraced>::step_pipeline() {
   do_commit();
   if (status_ != isa::RunStatus::kRunning) return;
   drain_store_buffer();
@@ -1491,78 +1159,25 @@ void OoOCore<kTraced>::do_cycle() {
   do_fetch();
 
   perf_[1] = static_cast<std::uint64_t>(perf_[1]) + 1;
-  if (ring_.enabled()) {
-    ring_.push(cycle_, reg_, regs_.get(), isa::kNumRegs, committed_, out_.size(),
-               dfc_sig());
-  }
-  ++cycle_;
 }
 
+// The monitor checker is delta-encoded against the checkpointed data
+// memory image (== mem_ at this instant): its memory is the main core's
+// image except where the checker ran ahead of the store buffer.
 template <bool kTraced>
-CoreRunResult OoOCore<kTraced>::current_result() const {
-  CoreRunResult r;
-  r.status = status_ == isa::RunStatus::kRunning ? isa::RunStatus::kWatchdog
-                                                 : status_;
-  r.trap = trap_code_;
-  r.exit_code = exit_code_;
-  r.det_id = det_id_;
-  r.cycles = cycle_;
-  r.instrs = committed_;
-  r.output = out_.to_vector();
-  r.detected_by = detected_by_;
-  r.recoveries = recoveries_;
-  return r;
-}
-
-template <bool kTraced>
-void OoOCore<kTraced>::snapshot(CoreCheckpoint* out) const {
-  flush_aux();
-  // COW capture against the last snapshot taken from / restored into this
-  // core: segments it did not write since are shared, not copied.
-  arena_.snapshot_to(&out->state);
-  out->layout_fp = arena_.fingerprint();
-  out->cycle = cycle_;
-  out->committed = committed_;
-  out->output_spill = out_spill_;
-  out->dets = dets_;
-  out->ring =
-      ring_.pruned(earliest_rollback_target(cycle_, dets_, last_flip_cycle_));
+void OoOCore<kTraced>::snapshot_extra(CoreCheckpoint* out) const {
   if (shadow_) {
-    // The monitor checker is delta-encoded against the checkpointed data
-    // memory image (== mem_ at this instant): its memory is the main
-    // core's image except where the checker ran ahead of the store buffer.
     shadow_->capture_delta(mem_.get(), mem_words_, &out->shadow);
   } else {
     out->shadow = isa::MachineDelta{};
   }
-  CheckpointSizes& sz = out->sizes;
-  sz = CheckpointSizes{};
-  sz.ff = arena_.ff_words() * 8;
-  sz.scalars = arena_.section_bytes(sec_fwd_);
-  sz.regs = arena_.section_bytes(sec_regs_);
-  sz.mem = arena_.section_bytes(sec_mem_);
-  sz.sram =
+  out->sizes.sram =
       arena_.section_bytes(sec_sram8_) + arena_.section_bytes(sec_sram32_);
-  sz.output = arena_.section_bytes(sec_out_) + out_spill_.size() * 4;
-  sz.aux = arena_.section_bytes(sec_aux_);
-  sz.ring = out->ring.size_bytes();
-  sz.shadow = out->shadow.size_bytes();
-  sz.dets = out->dets.size() * sizeof(PendingDetection);
+  out->sizes.shadow = out->shadow.size_bytes();
 }
 
 template <bool kTraced>
-void OoOCore<kTraced>::restore(const CoreCheckpoint& cp,
-                               const InjectionPlan* plan) {
-  if (cp.layout_fp != arena_.fingerprint()) {
-    throw std::logic_error(
-        "OoOCore::restore: checkpoint layout fingerprint mismatch (snapshot "
-        "taken under a different core model, program or config)");
-  }
-  arena_.restore_from(cp.state);  // copies only written / differing segments
-  load_aux();
-  out_spill_ = cp.output_spill;
-  dets_ = cp.dets;
-  ring_ = cp.ring;
+void OoOCore<kTraced>::restore_extra(const CoreCheckpoint& cp) {
   if (cp.shadow.present) {
     if (!shadow_) {
       // The live checker is reused when present (hooks stay bound); a core
@@ -1570,27 +1185,17 @@ void OoOCore<kTraced>::restore(const CoreCheckpoint& cp,
       shadow_ = std::make_unique<isa::Machine>(*prog_);
       bind_shadow_hook();
     }
-    // Apply after the arena restore: mem_ is the delta's reference image.
+    // The shell restored the arena first: mem_ is the delta's reference.
     shadow_->restore_delta(cp.shadow, mem_.get(), mem_words_);
   } else {
     shadow_.reset();
   }
-  flips_ = armed_flips(plan, cycle_);
-  next_flip_ = 0;
 }
 
+// Called once the arena matched, so mem_ equals the checkpointed memory
+// the delta is encoded against.
 template <bool kTraced>
-bool OoOCore<kTraced>::state_matches(const CoreCheckpoint& cp,
-                                     const std::uint64_t* live_ff) const {
-  // Compare of the forward region (FF pool -- live slots only when
-  // live_ff is given -- DFC sig, regs, mem, SRAM, OUT), rejecting at the
-  // first divergent segment.  The checker is verified via its delta
-  // against the live mem_ -- valid because matches_fwd() has already
-  // established mem_ == checkpointed memory.
-  if (!arena_.matches_fwd(cp.state, live_ff) ||
-      out_spill_ != cp.output_spill) {
-    return false;
-  }
+bool OoOCore<kTraced>::extra_matches(const CoreCheckpoint& cp) const {
   if (static_cast<bool>(shadow_) != cp.shadow.present) return false;
   return !shadow_ || shadow_->matches_delta(cp.shadow, mem_.get(), mem_words_);
 }

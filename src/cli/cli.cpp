@@ -41,6 +41,23 @@ constexpr const char* kTopHelp =
 
 }  // namespace
 
+bool parse_verb(util::ArgParser& args, int argc, const char* const* argv,
+                const char* verb, int* exit_code) {
+  std::string error;
+  if (!args.parse(argc, argv, &error)) {
+    std::fprintf(stderr, "%s: %s\n%s", verb, error.c_str(),
+                 args.help().c_str());
+    *exit_code = 2;
+    return false;
+  }
+  if (args.help_requested()) {
+    std::fputs(args.help().c_str(), stdout);
+    *exit_code = 0;
+    return false;
+  }
+  return true;
+}
+
 bool parse_bytes(const std::string& text, std::uint64_t* bytes) {
   // One grammar with the CLEAR_CACHE_MAX_BYTES env knob, by construction.
   return util::parse_bytes(text.c_str(), bytes);

@@ -42,16 +42,8 @@ int cmd_cache(int argc, const char* const* argv) {
                   "CLEAR_CACHE_MAX_BYTES)");
   args.allow_positionals("action", "stats, compact or evict");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear cache: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear cache", &rc)) return rc;
   if (args.positionals().size() != 1) {
     std::fprintf(stderr, "clear cache: exactly one action expected\n%s",
                  args.help().c_str());

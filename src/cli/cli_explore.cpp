@@ -126,17 +126,10 @@ int explore_run(int argc, const char* const* argv) {
                   "(clear-metrics-v1 JSON; '-' = stdout; default: "
                   "CLEAR_METRICS_OUT)");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear explore run: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear explore run", &rc)) return rc;
 
+  std::string error;
   explore::ExploreSpec spec;
   if (!explore::read_spec_flags(args, &spec, &error)) {
     std::fprintf(stderr, "clear explore run: %s\n", error.c_str());
@@ -274,16 +267,8 @@ int explore_merge(int argc, const char* const* argv) {
                 "succeed even when some shards or combos are missing");
   args.allow_positionals("shard.cxl...", "shard ledgers to fold");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear explore merge: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear explore merge", &rc)) return rc;
   if (args.positionals().empty()) {
     std::fprintf(stderr, "clear explore merge: no ledgers given\n%s",
                  args.help().c_str());
@@ -337,16 +322,8 @@ int explore_frontier(int argc, const char* const* argv) {
                   "10");
   args.allow_positionals("ledger.cxl", "exploration ledger to render");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear explore frontier: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear explore frontier", &rc)) return rc;
   const std::string format = args.get("format");
   if (format != "human" && format != "csv" && format != "json") {
     std::fprintf(stderr, "clear explore frontier: bad --format '%s'\n",
@@ -423,16 +400,8 @@ int explore_report(int argc, const char* const* argv) {
   args.add_flag("all", "dump every record, not just the summary");
   args.allow_positionals("ledger.cxl...", "exploration ledgers");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear explore report: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear explore report", &rc)) return rc;
   const std::string format = args.get("format");
   if (format != "human" && format != "csv" && format != "json") {
     std::fprintf(stderr, "clear explore report: bad --format '%s'\n",
@@ -529,16 +498,8 @@ int explore_watch(int argc, const char* const* argv) {
                   "driver's --status-out) and render its worker/cache/"
                   "latency tables whenever it changes");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear explore watch: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear explore watch", &rc)) return rc;
   if (!args.has("ledger")) {
     std::fprintf(stderr, "clear explore watch: --ledger is required\n%s",
                  args.help().c_str());

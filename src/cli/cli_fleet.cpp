@@ -200,16 +200,8 @@ int fleet_run(int argc, const char* const* argv) {
                          "endpoints: socket path | tcp:PORT (append @N for "
                          "--workers children)");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear fleet run: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear fleet run", &rc)) return rc;
   if (!args.has("spec")) {
     std::fprintf(stderr, "clear fleet run: --spec is required\n%s",
                  args.help().c_str());
@@ -220,6 +212,7 @@ int fleet_run(int argc, const char* const* argv) {
   if (!parse_driver_flags(args, "clear fleet run", &opts, &shard_count)) {
     return 2;
   }
+  std::string error;
   std::vector<fleet::Endpoint> workers;
   if (!fleet::expand_endpoints(args.positionals(), &workers, &error)) {
     std::fprintf(stderr, "clear fleet run: %s\n", error.c_str());
@@ -314,16 +307,8 @@ int fleet_explore(int argc, const char* const* argv) {
                          "endpoints: socket path | tcp:PORT (append @N for "
                          "--workers children)");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear fleet explore: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear fleet explore", &rc)) return rc;
   if (!args.has("ledger")) {
     std::fprintf(stderr, "clear fleet explore: --ledger is required\n%s",
                  args.help().c_str());
@@ -334,6 +319,7 @@ int fleet_explore(int argc, const char* const* argv) {
   if (!parse_driver_flags(args, "clear fleet explore", &opts, &shard_count)) {
     return 2;
   }
+  std::string error;
   std::vector<fleet::Endpoint> workers;
   if (!fleet::expand_endpoints(args.positionals(), &workers, &error)) {
     std::fprintf(stderr, "clear fleet explore: %s\n", error.c_str());

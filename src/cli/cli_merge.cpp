@@ -33,16 +33,8 @@ int cmd_merge(int argc, const char* const* argv) {
                   "CLEAR_METRICS_OUT)");
   args.allow_positionals("shard.csr...", "shard result files to fold");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear merge: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear merge", &rc)) return rc;
   if (args.positionals().empty()) {
     std::fprintf(stderr, "clear merge: no shard files given\n%s",
                  args.help().c_str());

@@ -95,16 +95,8 @@ int cmd_report(int argc, const char* const* argv) {
   args.add_flag("per-ff", "include per-flip-flop outcome counters");
   args.allow_positionals("result.csr...", "result files to render");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear report: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear report", &rc)) return rc;
   const std::string format = args.get("format");
   if (format != "human" && format != "csv" && format != "json") {
     std::fprintf(stderr, "clear report: bad --format '%s'\n", format.c_str());

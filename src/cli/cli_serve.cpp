@@ -171,16 +171,8 @@ int cmd_serve(int argc, const char* const* argv) {
                   "port..port+N-1) and reap them", "0");
   args.add_flag("quiet", "suppress per-job log lines");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear serve: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear serve", &rc)) return rc;
   const bool have_socket = args.has("socket");
   const bool have_port = args.has("port");
   if (have_socket == have_port) {
@@ -273,16 +265,8 @@ int cmd_submit(int argc, const char* const* argv) {
   args.add_flag("shutdown", "ask the daemon to exit after this connection");
   args.add_flag("quiet", "suppress progress lines");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear submit: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear submit", &rc)) return rc;
   const bool have_socket = args.has("socket");
   const bool have_port = args.has("port");
   if (have_socket == have_port) {

@@ -278,16 +278,8 @@ int cmd_status(int argc, const char* const* argv) {
                         "clear-fleet-status-v1; --file: the file verbatim)");
   args.allow_positionals(
       "endpoints", "worker sockets (PATH, tcp:PORT, PATH@N, tcp:PORT@N)");
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear status: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear status", &rc)) return rc;
   const std::string file = args.get("file");
   if (file.empty() == args.positionals().empty()) {
     std::fprintf(stderr,
@@ -304,6 +296,7 @@ int cmd_status(int argc, const char* const* argv) {
     return 2;
   }
 
+  std::string error;
   if (!file.empty()) {
     std::string doc;
     if (!util::read_file(file, &doc)) {

@@ -34,16 +34,8 @@ int cmd_version(int argc, const char* const* argv) {
       "version-unsupported rather than misparsed.");
   args.add_flag("json", "machine-readable output");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear version: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear version", &rc)) return rc;
 
   if (args.has("json")) {
     std::printf("{\"version\": \"%s\", \"formats\": {"

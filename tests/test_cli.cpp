@@ -173,6 +173,21 @@ TEST(CliSmoke, UsageErrorsExitTwo) {
   EXPECT_EQ(sh(kBin + " merge shard.csr 2>/dev/null"), 2);  // missing --out
   EXPECT_EQ(sh(kBin + " report --format yaml x.csr 2>/dev/null"), 2);
   EXPECT_EQ(sh(kBin + " cache frobnicate 2>/dev/null"), 2);
+  // Every verb shares one parse preamble: --help exits 0, an unknown flag
+  // exits 2 with "clear <verb>: " leading its stderr.
+  const std::string err_path = "cli_e2e/usage_stderr.txt";
+  for (const std::string verb :
+       {"explore run", "explore merge", "explore frontier", "explore report",
+        "explore watch", "fleet run", "fleet explore", "serve", "submit",
+        "status", "version", "cache", "merge", "report"}) {
+    EXPECT_EQ(sh(kBin + " " + verb + " --help"), 0) << verb;
+    EXPECT_EQ(sh(kBin + " " + verb + " --no-such-flag 2>" + err_path), 2)
+        << verb;
+    std::ifstream in(err_path);
+    const std::string err((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_EQ(err.rfind("clear " + verb + ": ", 0), 0u) << err;
+  }
 }
 
 // ---- the acceptance test: multi-process shard -> merge ---------------------

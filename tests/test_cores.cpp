@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "arch/core.h"
 #include "isa/assembler.h"
 #include "isa/iss.h"
+#include "soft/transforms.h"
 
 namespace {
 
@@ -335,6 +337,87 @@ TEST(Cores, RestoredFaultyRunMatchesFromCycleZero) {
       EXPECT_EQ(fast.cycles, slow.cycles) << core->name() << " ff " << ff;
       EXPECT_EQ(fast.output, slow.output) << core->name() << " ff " << ff;
       EXPECT_EQ(fast.instrs, slow.instrs) << core->name() << " ff " << ff;
+    }
+  }
+}
+
+TEST(Cores, RecoveryEndingsPerCore) {
+  // How each core ends a detected upset under each recovery kind.  Every
+  // FF is EDS-protected, so the flip is detected in the cycle it lands.
+  // A core's own pipeline mechanism (InO flush, OoO RoB) repairs only
+  // flushable FFs and refuses the other core's; IR/EIR roll back on both.
+  // The last rows put the same fetch-PC flip under DFC instead of EDS:
+  // only EIR's replay buffers recover a DFC detection.
+  using arch::DetectionSource;
+  using arch::RecoveryKind;
+  using isa::RunStatus;
+  const auto prog = soft::apply_dfc(isa::parse_asm(kMemProgram));
+  struct Case {
+    const char* core;
+    const char* ff;  // structure name; bit 3 flips at cycle 5
+    RecoveryKind rec;
+    bool dfc;  // DFC checker instead of EDS on every FF
+    RunStatus status;
+    DetectionSource by;
+    std::uint32_t recoveries;
+  };
+  constexpr auto kOk = RunStatus::kHalted;
+  constexpr auto kDet = RunStatus::kDetected;
+  constexpr auto kEds = DetectionSource::kEds;
+  constexpr auto kDfc = DetectionSource::kDfc;
+  constexpr auto kNoDet = DetectionSource::kNone;
+  const Case cases[] = {
+      // InO: f.pc is flushable, w.s.npc (the committed next-PC) is not.
+      {"InO", "f.pc", RecoveryKind::kNone, false, kDet, kEds, 0},
+      {"InO", "f.pc", RecoveryKind::kFlush, false, kOk, kNoDet, 1},
+      {"InO", "f.pc", RecoveryKind::kRob, false, kDet, kEds, 0},
+      {"InO", "f.pc", RecoveryKind::kIr, false, kOk, kNoDet, 1},
+      {"InO", "f.pc", RecoveryKind::kEir, false, kOk, kNoDet, 1},
+      {"InO", "w.s.npc", RecoveryKind::kNone, false, kDet, kEds, 0},
+      {"InO", "w.s.npc", RecoveryKind::kFlush, false, kDet, kEds, 0},
+      {"InO", "w.s.npc", RecoveryKind::kRob, false, kDet, kEds, 0},
+      {"InO", "w.s.npc", RecoveryKind::kIr, false, kOk, kNoDet, 1},
+      {"InO", "w.s.npc", RecoveryKind::kEir, false, kOk, kNoDet, 1},
+      {"InO", "f.pc", RecoveryKind::kIr, true, kDet, kDfc, 0},
+      {"InO", "f.pc", RecoveryKind::kEir, true, kOk, kNoDet, 1},
+      // OoO: RF0.PCreg is flushable, the commit anchor is not.
+      {"OoO", "RF0.PCreg", RecoveryKind::kNone, false, kDet, kEds, 0},
+      {"OoO", "RF0.PCreg", RecoveryKind::kFlush, false, kDet, kEds, 0},
+      {"OoO", "RF0.PCreg", RecoveryKind::kRob, false, kOk, kNoDet, 1},
+      {"OoO", "RF0.PCreg", RecoveryKind::kIr, false, kOk, kNoDet, 1},
+      {"OoO", "RF0.PCreg", RecoveryKind::kEir, false, kOk, kNoDet, 1},
+      {"OoO", "regs.wb.wb.flushpc", RecoveryKind::kNone, false, kDet, kEds, 0},
+      {"OoO", "regs.wb.wb.flushpc", RecoveryKind::kFlush, false, kDet, kEds, 0},
+      {"OoO", "regs.wb.wb.flushpc", RecoveryKind::kRob, false, kDet, kEds, 0},
+      {"OoO", "regs.wb.wb.flushpc", RecoveryKind::kIr, false, kOk, kNoDet, 1},
+      {"OoO", "regs.wb.wb.flushpc", RecoveryKind::kEir, false, kOk, kNoDet, 1},
+      {"OoO", "RF0.PCreg", RecoveryKind::kIr, true, kDet, kDfc, 0},
+      {"OoO", "RF0.PCreg", RecoveryKind::kEir, true, kOk, kNoDet, 1},
+  };
+  for (const Case& tc : cases) {
+    auto core = arch::make_core(tc.core);
+    const auto clean = core->run_clean(prog);
+    const arch::FFStructure* target = nullptr;
+    for (const auto& s : core->registry().structures()) {
+      if (s.name == tc.ff) target = &s;
+    }
+    ASSERT_NE(target, nullptr) << tc.ff;
+    arch::ResilienceConfig cfg;
+    cfg.recovery = tc.rec;
+    cfg.dfc = tc.dfc;
+    if (!tc.dfc) {
+      cfg.prot.assign(core->registry().ff_count(), arch::FFProt::kEds);
+    }
+    const auto plan = arch::InjectionPlan::single(5, target->first_ff + 3);
+    const auto r = core->run(prog, &cfg, &plan, clean.cycles * 4);
+    const std::string what = std::string(tc.core) + " " + tc.ff + " " +
+                             arch::recovery_name(tc.rec) +
+                             (tc.dfc ? " dfc" : " eds");
+    EXPECT_EQ(r.status, tc.status) << what;
+    EXPECT_EQ(r.detected_by, tc.by) << what;
+    EXPECT_EQ(r.recoveries, tc.recoveries) << what;
+    if (tc.status == kOk) {
+      EXPECT_EQ(r.output, clean.output) << what;
     }
   }
 }
