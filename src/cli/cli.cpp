@@ -63,11 +63,8 @@ bool parse_bytes(const std::string& text, std::uint64_t* bytes) {
   return util::parse_bytes(text.c_str(), bytes);
 }
 
-void write_metrics_out(const std::string& flag_value, const char* ctx,
+void write_metrics_out(const std::string& path, const char* ctx,
                        const obs::Snapshot& snap) {
-  const std::string path =
-      flag_value.empty() ? util::env_string("CLEAR_METRICS_OUT", "")
-                         : flag_value;
   if (path.empty()) return;
   if (!obs::write_json_file(snap, path)) {
     std::fprintf(stderr, "%s: warning: cannot write metrics to %s\n", ctx,

@@ -83,12 +83,11 @@ bool parse_verb(util::ArgParser& args, int argc, const char* const* argv,
                 const char* verb, int* exit_code);
 
 // Writes a metric snapshot (clear-metrics-v1 JSON; by default the
-// process-wide one) at the end of a CLI verb.  `flag_value` is the verb's
-// --metrics-out value; when empty, CLEAR_METRICS_OUT supplies the
-// destination ("-" = stdout, "" = off).  A write failure prints a warning
-// under `ctx` but never fails the verb: telemetry must not fail the work
-// it observes.
-void write_metrics_out(const std::string& flag_value, const char* ctx,
+// process-wide one) at the end of a CLI verb.  `path` is the verb's
+// --metrics-out value ("-" = stdout, "" = off).  A write failure prints a
+// warning under `ctx` but never fails the verb: telemetry must not fail
+// the work it observes.
+void write_metrics_out(const std::string& path, const char* ctx,
                        const obs::Snapshot& snap = obs::snapshot());
 
 // Draws the `clear status` tables from a clear-fleet-status-v1 document

@@ -123,8 +123,7 @@ int explore_run(int argc, const char* const* argv) {
   args.add_flag("quiet", "suppress per-batch progress lines");
   args.add_option("metrics-out", "file",
                   "write the process metric snapshot after the run "
-                  "(clear-metrics-v1 JSON; '-' = stdout; default: "
-                  "CLEAR_METRICS_OUT)");
+                  "(clear-metrics-v1 JSON; '-' = stdout)");
 
   int rc = 0;
   if (!parse_verb(args, argc, argv, "clear explore run", &rc)) return rc;

@@ -38,8 +38,6 @@ namespace {
 
 void add_driver_flags(util::ArgParser* args) {
   args->add_option("shards", "K", "shard count (default: worker count)", "0");
-  args->add_option("priority", "interactive|bulk", "worker scheduling lane",
-                   "bulk");
   args->add_option("connect-retry-ms", "N",
                    "per-worker connect retry budget", "5000");
   args->add_option("hello-timeout-ms", "N",
@@ -49,54 +47,34 @@ void add_driver_flags(util::ArgParser* args) {
                    "5000");
   args->add_option("ack-timeout-ms", "N",
                    "steal an unacknowledged shard after N ms", "3000");
-  args->add_option("max-attempts", "N",
-                   "give up after a shard fails N times", "3");
   args->add_flag("shutdown", "ask workers to exit when the fleet completes");
   args->add_flag("quiet", "suppress scheduling log lines");
   args->add_option("status-out", "FILE",
                    "maintain a live clear-fleet-status-v1 JSON file (read "
                    "by 'clear status --file' / 'clear explore watch "
                    "--status')");
-  args->add_option("status-interval-ms", "N",
-                   "rewrite --status-out at most every N ms", "1000");
   args->add_option("metrics-out", "FILE",
                    "write the final metric snapshot (driver + workers "
-                   "merged, clear-metrics-v1 JSON; '-' = stdout; default: "
-                   "CLEAR_METRICS_OUT)");
+                   "merged, clear-metrics-v1 JSON; '-' = stdout)");
 }
 
 bool parse_driver_flags(const util::ArgParser& args, const char* ctx,
                         fleet::FleetOptions* opts, std::uint64_t* shards) {
-  std::uint64_t connect_ms = 0, hello_ms = 0, dead_ms = 0, ack_ms = 0,
-                attempts = 0, status_ms = 0;
+  std::uint64_t connect_ms = 0, hello_ms = 0, dead_ms = 0, ack_ms = 0;
   if (!args.get_u64("shards", 0, shards) || *shards > 65536 ||
       !args.get_u64("connect-retry-ms", 5000, &connect_ms) ||
       !args.get_u64("hello-timeout-ms", 10000, &hello_ms) || hello_ms == 0 ||
       !args.get_u64("dead-after-ms", 5000, &dead_ms) || dead_ms == 0 ||
-      !args.get_u64("ack-timeout-ms", 3000, &ack_ms) || ack_ms == 0 ||
-      !args.get_u64("max-attempts", 3, &attempts) || attempts == 0 ||
-      !args.get_u64("status-interval-ms", 1000, &status_ms) ||
-      status_ms == 0) {
+      !args.get_u64("ack-timeout-ms", 3000, &ack_ms) || ack_ms == 0) {
     std::fprintf(stderr, "%s: bad numeric flag value\n", ctx);
-    return false;
-  }
-  const std::string priority = args.get("priority");
-  if (priority == "bulk") {
-    opts->priority = engine::JobPriority::kBulk;
-  } else if (priority == "interactive") {
-    opts->priority = engine::JobPriority::kInteractive;
-  } else {
-    std::fprintf(stderr, "%s: bad --priority '%s'\n", ctx, priority.c_str());
     return false;
   }
   opts->connect_retry_ms = static_cast<int>(connect_ms);
   opts->hello_timeout_ms = static_cast<int>(hello_ms);
   opts->dead_after_ms = static_cast<int>(dead_ms);
   opts->ack_timeout_ms = static_cast<int>(ack_ms);
-  opts->max_attempts = static_cast<int>(attempts);
   opts->shutdown_workers = args.has("shutdown");
   opts->status_out = args.get("status-out");
-  opts->status_interval_ms = static_cast<int>(status_ms);
   return true;
 }
 

@@ -29,8 +29,7 @@ int cmd_merge(int argc, const char* const* argv) {
                 "succeed even when some shards of the partition are missing");
   args.add_option("metrics-out", "file",
                   "write the process metric snapshot after the merge "
-                  "(clear-metrics-v1 JSON; '-' = stdout; default: "
-                  "CLEAR_METRICS_OUT)");
+                  "(clear-metrics-v1 JSON; '-' = stdout)");
   args.allow_positionals("shard.csr...", "shard result files to fold");
 
   int rc = 0;

@@ -70,9 +70,8 @@ std::string default_worker_name() {
 // can SIGKILL one without touching its siblings, and each child's argv
 // names its socket (pkill-able).
 int serve_fanout(int workers, bool have_socket, const std::string& base_path,
-                 std::uint16_t base_port, std::uint64_t progress_ms,
-                 std::uint64_t heartbeat_ms, const std::string& base_name,
-                 bool quiet) {
+                 std::uint16_t base_port, std::uint64_t heartbeat_ms,
+                 const std::string& base_name, bool quiet) {
   char exe[4096];
   const ssize_t exe_len = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
   if (exe_len <= 0) {
@@ -91,8 +90,6 @@ int serve_fanout(int workers, bool have_socket, const std::string& base_path,
       argv_store.push_back("--port");
       argv_store.push_back(std::to_string(base_port + i));
     }
-    argv_store.push_back("--progress-ms");
-    argv_store.push_back(std::to_string(progress_ms));
     argv_store.push_back("--heartbeat-ms");
     argv_store.push_back(std::to_string(heartbeat_ms));
     argv_store.push_back("--name");
@@ -160,8 +157,6 @@ int cmd_serve(int argc, const char* const* argv) {
   args.add_option("socket", "path", "listen on a UNIX stream socket");
   args.add_option("port", "N", "listen on 127.0.0.1:N instead");
   args.add_flag("once", "serve exactly one connection, then exit");
-  args.add_option("progress-ms", "N",
-                  "min milliseconds between progress frames", "100");
   args.add_option("heartbeat-ms", "N",
                   "milliseconds between heartbeat frames (0 = off)", "1000");
   args.add_option("name", "id",
@@ -181,9 +176,8 @@ int cmd_serve(int argc, const char* const* argv) {
                  args.help().c_str());
     return 2;
   }
-  std::uint64_t port = 0, progress_ms = 100, heartbeat_ms = 1000, workers = 0;
+  std::uint64_t port = 0, heartbeat_ms = 1000, workers = 0;
   if (!args.get_u64("port", 0, &port) || port > 65535 ||
-      !args.get_u64("progress-ms", 100, &progress_ms) ||
       !args.get_u64("heartbeat-ms", 1000, &heartbeat_ms) ||
       !args.get_u64("workers", 0, &workers) || workers > 1024) {
     std::fprintf(stderr, "clear serve: bad numeric flag value\n");
@@ -203,8 +197,8 @@ int cmd_serve(int argc, const char* const* argv) {
     }
     return serve_fanout(static_cast<int>(workers), have_socket,
                         args.get("socket"),
-                        static_cast<std::uint16_t>(port), progress_ms,
-                        heartbeat_ms, name, quiet);
+                        static_cast<std::uint16_t>(port), heartbeat_ms, name,
+                        quiet);
   }
 
   util::Socket listener;
@@ -230,7 +224,6 @@ int cmd_serve(int argc, const char* const* argv) {
   fleet::WorkerOptions opts;
   opts.hello = fleet::worker_hello(name);
   opts.quiet = quiet;
-  opts.progress_ms = static_cast<int>(progress_ms);
   opts.heartbeat_ms = static_cast<int>(heartbeat_ms);
   opts.stop = &g_stop;
   fleet::Worker worker(std::move(opts));
@@ -254,8 +247,6 @@ int cmd_submit(int argc, const char* const* argv) {
   args.add_option("spec", "file", "manifest to submit (required)");
   args.add_option("out-dir", "dir",
                   "write campaign<i>.csr results here", ".");
-  args.add_option("priority", "interactive|bulk", "engine scheduling lane",
-                  "interactive");
   args.add_option("connect-retry-ms", "N",
                   "retry a refused connection this long (daemon startup)",
                   "5000");
@@ -281,17 +272,6 @@ int cmd_submit(int argc, const char* const* argv) {
                  args.help().c_str());
     return 2;
   }
-  fleet::FleetOptions opts;
-  const std::string priority_text = args.get("priority");
-  if (priority_text == "bulk") {
-    opts.priority = engine::JobPriority::kBulk;
-  } else if (priority_text == "interactive") {
-    opts.priority = engine::JobPriority::kInteractive;
-  } else {
-    std::fprintf(stderr, "clear submit: bad --priority '%s'\n",
-                 priority_text.c_str());
-    return 2;
-  }
   std::uint64_t port = 0, retry_ms = 5000, hello_ms = 10000;
   if (!args.get_u64("port", 0, &port) || port > 65535 ||
       !args.get_u64("connect-retry-ms", 5000, &retry_ms) ||
@@ -299,6 +279,8 @@ int cmd_submit(int argc, const char* const* argv) {
     std::fprintf(stderr, "clear submit: bad numeric flag value\n");
     return 2;
   }
+  fleet::FleetOptions opts;
+  opts.priority = engine::JobPriority::kInteractive;
   opts.connect_retry_ms = static_cast<int>(retry_ms);
   opts.hello_timeout_ms = static_cast<int>(hello_ms);
   opts.max_attempts = 1;  // a failed job fails the submit; no retry

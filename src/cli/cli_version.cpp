@@ -17,7 +17,7 @@ namespace {
 // Version of the static-analysis checker set (tools/lint/clear_lint.py)
 // that vets this tree.  The lint selftest asserts the two stay in sync,
 // so CI artifacts record which invariant set approved the build.
-constexpr unsigned kLintCheckerSetVersion = 2;
+constexpr unsigned kLintCheckerSetVersion = 3;
 
 }  // namespace
 

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "arch/core.h"
-#include "util/env.h"
 
 namespace clear::core {
 
@@ -44,13 +43,8 @@ Session::Session(std::string core, std::size_t per_ff_samples,
                  std::uint64_t seed)
     : core_(std::move(core)), seed_(seed) {
   benchmarks_ = workloads::benchmarks_for_core(core_);
-  if (per_ff_samples != 0) {
-    per_ff_samples_ = per_ff_samples;
-  } else {
-    const long def = core_ == "OoO" ? 1 : 2;
-    per_ff_samples_ = static_cast<std::size_t>(
-        std::max(1L, util::env_long("CLEAR_INJECTIONS", def)));
-  }
+  per_ff_samples_ =
+      per_ff_samples != 0 ? per_ff_samples : (core_ == "OoO" ? 1 : 2);
 }
 
 // One asynchronous batch: the per-variant jobs with their compiled

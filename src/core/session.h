@@ -113,7 +113,7 @@ struct ProfileSet {
 class Session {
  public:
   // core = "InO" or "OoO".  per_ff_samples = injections per flip-flop per
-  // benchmark (0: CLEAR_INJECTIONS env or the per-core default).
+  // benchmark (0 = the per-core default: 2 on InO, 1 on OoO).
   explicit Session(std::string core, std::size_t per_ff_samples = 0,
                    std::uint64_t seed = 1);
 

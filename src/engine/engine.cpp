@@ -6,7 +6,6 @@
 
 #include "inject/exec.h"
 #include "obs/metrics.h"
-#include "util/env.h"
 #include "util/threadpool.h"
 
 namespace clear::engine {
@@ -48,15 +47,10 @@ namespace {
 
 using detail::JobImpl;
 
-// Terminal-transition stamp and lifetime counters.  File-level atomics
-// (not Engine members) so Job::cancel() -- which has no engine pointer --
-// can retire a queued job without reaching into the singleton.
+// Terminal-transition stamp.  A file-level atomic (not an Engine member)
+// so Job::cancel() -- which has no engine pointer -- can retire a queued
+// job without reaching into the singleton.
 std::atomic<std::uint64_t> g_finish_seq{0};
-std::atomic<std::uint64_t> g_done{0};
-std::atomic<std::uint64_t> g_cancelled{0};
-std::atomic<std::uint64_t> g_failed{0};
-std::atomic<std::uint64_t> g_submitted{0};
-std::atomic<std::uint64_t> g_busy_ns{0};
 
 // Engine telemetry (docs/OBSERVABILITY.md): how long jobs sit queued,
 // how deep the queue gets, and which priority lane the work runs in.
@@ -90,12 +84,6 @@ bool retire(const std::shared_ptr<JobImpl>& job, JobState final,
     if (only_queued && job->state != JobState::kQueued) return false;
     job->state = final;
     job->finish_seq = g_finish_seq.fetch_add(1) + 1;
-  }
-  switch (final) {
-    case JobState::kDone: g_done.fetch_add(1); break;
-    case JobState::kCancelled: g_cancelled.fetch_add(1); break;
-    case JobState::kFailed: g_failed.fetch_add(1); break;
-    default: break;
   }
   job->cv.notify_all();
   return true;
@@ -242,13 +230,6 @@ Job Engine::submit(std::vector<inject::CampaignSpec> specs,
     on_dispatcher =
         started_ && dispatcher_.get_id() == std::this_thread::get_id();
     if (!on_dispatcher) {
-      const long queue_max = util::env_long("CLEAR_ENGINE_QUEUE_MAX", 0);
-      if (queue_max > 0 &&
-          queue_.size() >= static_cast<std::size_t>(queue_max)) {
-        throw std::runtime_error(
-            "engine queue full (" + std::to_string(queue_.size()) +
-            " jobs; raise CLEAR_ENGINE_QUEUE_MAX)");
-      }
       queue_.push_back(impl);
       metrics().queue_depth.set(queue_.size());
       if (!started_) {
@@ -257,10 +238,6 @@ Job Engine::submit(std::vector<inject::CampaignSpec> specs,
       }
     }
   }
-  // Counted only once the submission was accepted: a queue-full refusal
-  // above never became a job, and stats() arithmetic (submitted minus
-  // terminal states = in flight) must not see phantoms.
-  g_submitted.fetch_add(1);
   if (on_dispatcher) {
     // A submission from the dispatcher thread itself runs inline: it must
     // never wait on a queue only it drains.
@@ -269,21 +246,6 @@ Job Engine::submit(std::vector<inject::CampaignSpec> specs,
     cv_.notify_all();
   }
   return Job(impl);
-}
-
-std::size_t Engine::queued() const {
-  std::lock_guard<std::mutex> g(m_);
-  return queue_.size();
-}
-
-Engine::Stats Engine::stats() const {
-  Stats s;
-  s.submitted = g_submitted.load();
-  s.done = g_done.load();
-  s.cancelled = g_cancelled.load();
-  s.failed = g_failed.load();
-  s.busy_ns = g_busy_ns.load();
-  return s;
 }
 
 void Engine::dispatch_loop() {
@@ -334,7 +296,6 @@ void Engine::run_job(const std::shared_ptr<detail::JobImpl>& job) {
   hooks.samples_done = &job->samples_done;
   hooks.samples_total = &job->samples_total;
 
-  const auto t0 = std::chrono::steady_clock::now();
   JobState final = JobState::kDone;
   try {
     auto results = inject::detail::execute_campaigns(job->specs, hooks);
@@ -347,10 +308,6 @@ void Engine::run_job(const std::shared_ptr<detail::JobImpl>& job) {
     job->error = std::current_exception();
     final = JobState::kFailed;
   }
-  g_busy_ns.fetch_add(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count()));
   retire(job, final);
 }
 

@@ -38,10 +38,6 @@
 // and resilience config; for an asynchronous submission those must stay
 // valid until the job reaches a terminal state (poll() true), not merely
 // until submit() returns.
-//
-// Env knob (docs/CONFIG.md):
-//   CLEAR_ENGINE_QUEUE_MAX=N  refuse submissions while N jobs are queued
-//                             (0 = unlimited; backpressure for daemons)
 #ifndef CLEAR_ENGINE_ENGINE_H
 #define CLEAR_ENGINE_ENGINE_H
 
@@ -90,13 +86,6 @@ struct JobProgress {
   std::uint64_t goldens_total = 0;  // campaigns not served from cache
   std::uint64_t samples_done = 0;   // faulty-run phase
   std::uint64_t samples_total = 0;  // samples owned by this batch
-
-  // Phase summary: golden recording runs first (recordings of different
-  // campaigns overlap faulty runs, so the phases blur at the seam).
-  [[nodiscard]] bool in_faulty_phase() const noexcept {
-    return state == JobState::kRunning && goldens_total > 0 &&
-           goldens_done == goldens_total;
-  }
 };
 
 // Thrown by results()/take_results() on a job that ended kCancelled.
@@ -162,30 +151,13 @@ class Engine {
   static Engine& instance();
 
   // Enqueues a batch and returns its handle immediately (the dispatcher
-  // thread starts lazily on first use).  Throws std::runtime_error on
-  // an over-long queue (CLEAR_ENGINE_QUEUE_MAX) -- the batch itself is
-  // validated by the executor when it runs, surfacing through
-  // wait()/results() like any executor error.  Submissions from the
-  // dispatcher thread itself execute inline (a job must never deadlock
-  // waiting for the thread it runs on).
+  // thread starts lazily on first use).  The batch is validated by the
+  // executor when it runs, surfacing through wait()/results() like any
+  // executor error.  Submissions from the dispatcher thread itself
+  // execute inline (a job must never deadlock waiting for the thread it
+  // runs on).
   Job submit(std::vector<inject::CampaignSpec> specs,
              JobPriority priority = JobPriority::kInteractive);
-
-  // Jobs waiting in the queue (excludes the one running).
-  [[nodiscard]] std::size_t queued() const;
-
-  // Cumulative counters since process start (telemetry for benches, the
-  // serve daemon and tests).  busy_ns is dispatcher time spent inside the
-  // executor -- wall-clock minus busy time approximates worker idleness
-  // for a single-tenant engine.
-  struct Stats {
-    std::uint64_t submitted = 0;
-    std::uint64_t done = 0;
-    std::uint64_t cancelled = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t busy_ns = 0;
-  };
-  [[nodiscard]] Stats stats() const;
 
   ~Engine();
   Engine(const Engine&) = delete;
@@ -197,15 +169,13 @@ class Engine {
   void run_job(const std::shared_ptr<detail::JobImpl>& job);
   void finish(const std::shared_ptr<detail::JobImpl>& job, JobState final);
 
-  mutable std::mutex m_;
+  std::mutex m_;
   std::condition_variable cv_;  // dispatcher wakeup
   std::deque<std::shared_ptr<detail::JobImpl>> queue_;
   std::thread dispatcher_;
   bool started_ = false;
   bool stop_ = false;
   std::uint64_t next_id_ = 1;
-  std::uint64_t finish_seq_ = 0;
-  Stats stats_;
 };
 
 // Runs (or loads from cache) a batch of campaigns as one interactive-lane

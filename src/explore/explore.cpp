@@ -82,15 +82,10 @@ LedgerRecord point_record(RecordKind kind, std::uint32_t index,
   return rec;
 }
 
-std::size_t resolve_batch(std::size_t batch) {
-  if (batch != 0) return batch;
-  const long env = util::env_long("CLEAR_EXPLORE_BATCH", 64);
-  return env > 0 ? static_cast<std::size_t>(env) : 64;
-}
-
 // Combo-evaluation workers, sized the way campaigns size theirs:
 // CLEAR_THREADS, else the hardware concurrency.
 unsigned resolve_eval_threads() {
+  // lint: allow(determinism): a thread count only schedules; the records are the same for any value
   const long env = util::env_long("CLEAR_THREADS", 0);
   if (env > 0) return static_cast<unsigned>(std::min(env, 256L));
   const unsigned hw = std::thread::hardware_concurrency();
@@ -157,15 +152,14 @@ void add_spec_flags(util::ArgParser* args) {
   args->add_option("metric", "sdc|due|joint", "improvement metric", "sdc");
   args->add_option("seed", "N", "campaign RNG seed", "1");
   args->add_option("per-ff", "N",
-                   "injections per flip-flop per benchmark (0 = "
-                   "CLEAR_INJECTIONS or the per-core default)",
+                   "injections per flip-flop per benchmark (0 = per-core "
+                   "default (2 InO, 1 OoO))",
                    "0");
   args->add_option("benches", "a,b,c",
                    "benchmark suite to profile on (default: full core "
                    "suite)");
   args->add_option("batch", "N",
-                   "combos per scheduling batch (0 = CLEAR_EXPLORE_BATCH or "
-                   "64)",
+                   "combos per scheduling batch (0 = 64)",
                    "0");
   args->add_flag("no-prune",
                  "evaluate every combination (skip dominance pruning)");
@@ -348,7 +342,7 @@ Ledger run_exploration(const ExploreSpec& spec, const std::string& ledger_path,
   Progress prog;
   prog.pending = pending.size();
 
-  const std::size_t batch = resolve_batch(spec.batch);
+  const std::size_t batch = spec.batch != 0 ? spec.batch : 64;
 
   // The layer variants one batch of combos profiles on.
   const auto batch_variants = [&](std::size_t start, std::size_t end) {

@@ -63,8 +63,8 @@ struct ExploreSpec {
   double target = 50.0;
   core::Metric metric = core::Metric::kSdc;
   std::uint64_t seed = 1;
-  // Injections per flip-flop per benchmark (0 = CLEAR_INJECTIONS env or
-  // the per-core default, like core::Session).
+  // Injections per flip-flop per benchmark (0 = the per-core default,
+  // like core::Session: 2 on InO, 1 on OoO).
   std::size_t per_ff_samples = 0;
   // Confidence-driven adaptive profiling (core::Session::set_confidence):
   // stop sampling each flip-flop once the 95% interval half-width on its
@@ -91,7 +91,7 @@ struct ExploreSpec {
   bool prune = true;
   // Combos per scheduling batch (each batch prefetches its profiling
   // campaigns as one engine submission and is evaluated in parallel).
-  // 0 = CLEAR_EXPLORE_BATCH env or 64.
+  // 0 = 64.
   std::size_t batch = 0;
   // Cooperative cancellation (optional).  When non-null, run_exploration
   // polls the flag before every evaluation and every record append, and

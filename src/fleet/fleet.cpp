@@ -352,6 +352,9 @@ namespace {
 // driver folds them and assigns the next shard.
 constexpr std::size_t kPipelineDepth = 2;
 
+// Minimum gap between two rewrites of FleetOptions::status_out.
+constexpr int kStatusIntervalMs = 1000;
+
 // One dispatched shard.
 struct Outstanding {
   std::size_t pos = 0;  // index into the shards vector
@@ -767,14 +770,14 @@ void Driver::handle_frame(std::size_t w, const serve::Frame& frame) {
 }
 
 // Rewrites opts_.status_out (schema clear-fleet-status-v1) at most every
-// status_interval_ms: the shard tally, the worker registry with each
+// kStatusIntervalMs: the shard tally, the worker registry with each
 // worker's latest heartbeat snapshot, and the driver's own scheduling
 // metrics.  tmp + atomic rename so a concurrent reader (`clear explore
 // watch --status`, `clear status --file`) never sees a torn document.
 void Driver::maybe_write_status(Clock::time_point now, bool force) {
   if (opts_.status_out.empty()) return;
   if (!force && last_status_ != Clock::time_point{} &&
-      ms_since(last_status_, now) < opts_.status_interval_ms) {
+      ms_since(last_status_, now) < kStatusIntervalMs) {
     return;
   }
   last_status_ = now;

@@ -141,17 +141,18 @@ struct FleetOptions {
   int dead_after_ms = 5000;  // no frame for this long -> worker is dead
   int ack_timeout_ms = 3000;  // unacked shard-assign -> steal + requeue
   int max_attempts = 3;       // kFailed executions per shard before giving up
+  // The workers' engine lane: bulk for `clear fleet`, interactive for
+  // `clear submit`.
   engine::JobPriority priority = engine::JobPriority::kBulk;
   // Send kShutdown to live workers when the run ends -- completed or
   // failed alike, so a refused shard does not leave the daemons up.
   bool shutdown_workers = false;
   // Live fleet status file ("" = off): the driver rewrites this JSON
   // (schema clear-fleet-status-v1, fleet/status.h; tmp + atomic rename)
-  // every status_interval_ms with the shard tally, the worker registry and
+  // at most once a second with the shard tally, the worker registry and
   // each worker's latest heartbeat metric snapshot.  `clear explore watch
   // --status FILE` and `clear status --file FILE` render it.
   std::string status_out;
-  int status_interval_ms = 1000;
 };
 
 enum class WorkerState : std::uint8_t {

@@ -20,13 +20,16 @@ namespace clear::fleet {
 
 namespace {
 
+// Minimum gap between two progress frames for the same work item.
+constexpr std::chrono::milliseconds kProgressInterval{100};
+
 // One assigned shard: a campaign manifest or an explore stanza.  The
 // resolved plans are the stable storage the engine job's spec pointers
 // alias; explore shards run on a dedicated thread because
 // run_exploration blocks (the connection loop must keep pumping
 // heartbeats and steal frames meanwhile).  Destruction cancels and joins
 // unfinished work before the plans go away.  A shard refused before
-// submission (bad manifest, engine backpressure) still occupies a queue
+// submission (bad manifest, engine refusal) still occupies a queue
 // slot so its kDone is delivered in assignment order -- a pipelining
 // driver matches done frames to shards by position.
 struct ServedWork {
@@ -140,8 +143,9 @@ void submit_campaigns(ServedWork* served, const std::string& manifest,
                                                       priority);
       return;
     } catch (const std::exception& e) {
-      // Engine backpressure (CLEAR_ENGINE_QUEUE_MAX): refuse THIS
-      // request; the daemon and its other work live on.
+      // submit throws only when it cannot allocate the job or start the
+      // dispatcher thread: refuse THIS request; the daemon and its other
+      // work live on.
       error = std::string("clear serve: ") + e.what();
     }
   }
@@ -226,7 +230,7 @@ bool Worker::handle_connection(serve::FrameConn conn) {
       const auto now = std::chrono::steady_clock::now();
       if (!peer_gone && !front.revoked &&
           (!sent_any || !progress_equal(p, last_sent)) &&
-          now - last_sent_at >= std::chrono::milliseconds(opts_.progress_ms)) {
+          now - last_sent_at >= kProgressInterval) {
         send(serve::FrameType::kProgress, serve::encode_progress(p));
         last_sent = p;
         sent_any = true;

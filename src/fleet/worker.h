@@ -28,7 +28,6 @@ namespace clear::fleet {
 struct WorkerOptions {
   serve::Hello hello;     // the first frame on every connection
   bool quiet = false;     // no per-shard log lines on stdout
-  int progress_ms = 100;  // min gap between progress frames
   int heartbeat_ms = 1000;  // gap between heartbeats (0 = off)
   // Raised asynchronously (the CLI's SIGTERM/SIGINT handler): every
   // connection cancels its in-flight work and drains.  Must be lock-free

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "util/bytes.h"
 #include "util/env.h"
 #include "util/fs.h"
 #include "util/hash.h"
@@ -46,23 +47,6 @@ constexpr std::size_t kHeaderSize = 36;   // 28 checksummed bytes + 8
 constexpr std::uint32_t kMaxKeyLen = 1u << 16;
 constexpr std::uint32_t kMaxPayloadLen = 1u << 30;
 
-void put_u32(unsigned char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-void put_u64(unsigned char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
 struct Header {
   std::uint32_t key_len = 0;
   std::uint32_t payload_len = 0;
@@ -70,26 +54,32 @@ struct Header {
   std::uint64_t payload_sum = 0;
 };
 
-// Serializes a header into its 36-byte on-disk form (checksum included).
-void encode_header(const Header& h, unsigned char* out) {
-  // lint: allow(wire-safety): encode side, fixed 4-byte magic into a caller-sized header buffer
-  std::memcpy(out, kMagic, 4);
-  put_u32(out + 4, h.key_len);
-  put_u32(out + 8, h.payload_len);
-  put_u64(out + 12, h.fp);
-  put_u64(out + 20, h.payload_sum);
-  put_u64(out + 28, fnv1a64(out, 28));
+// Serializes one record: the 36-byte header (checksum included), then
+// the first h.key_len bytes of `key`, then the payload.
+std::string encode_record(const Header& h, const std::string& key,
+                          const std::string& payload) {
+  std::string rec;
+  rec.reserve(kHeaderSize + h.key_len + h.payload_len);
+  util::append_magic(&rec, kMagic);
+  util::put_u32(&rec, h.key_len);
+  util::put_u32(&rec, h.payload_len);
+  util::put_u64(&rec, h.fp);
+  util::put_u64(&rec, h.payload_sum);
+  util::put_u64(&rec, fnv1a64(rec.data(), 28));
+  rec.append(key, 0, h.key_len);
+  rec.append(payload);
+  return rec;
 }
 
-// Validates magic + header checksum + length sanity; false on any damage.
+// Validates magic + header checksum + length sanity over the kHeaderSize
+// bytes at `in`; false on any damage.
 bool decode_header(const unsigned char* in, Header* h) {
   if (std::memcmp(in, kMagic, 4) != 0) return false;
-  if (get_u64(in + 28) != fnv1a64(in, 28)) return false;
-  h->key_len = get_u32(in + 4);
-  h->payload_len = get_u32(in + 8);
-  h->fp = get_u64(in + 12);
-  h->payload_sum = get_u64(in + 20);
-  return h->key_len <= kMaxKeyLen && h->payload_len <= kMaxPayloadLen;
+  util::ByteReader r(in + 4, kHeaderSize - 4);
+  std::uint64_t sum = 0;
+  return r.u32(&h->key_len) && r.u32(&h->payload_len) && r.u64(&h->fp) &&
+         r.u64(&h->payload_sum) && r.u64(&sum) && sum == fnv1a64(in, 28) &&
+         h->key_len <= kMaxKeyLen && h->payload_len <= kMaxPayloadLen;
 }
 
 std::uint64_t record_size(const Header& h) {
@@ -146,7 +136,10 @@ CachePack::CachePack(std::string dir, std::uint64_t max_bytes)
   pack_path_ = dir_ + "/" + kPackName;
   index_path_ = dir_ + "/" + kIndexName;
   max_bytes_ =
-      max_bytes != 0 ? max_bytes : util::env_bytes("CLEAR_CACHE_MAX_BYTES", 0);
+      max_bytes != 0
+          ? max_bytes
+          // lint: allow(determinism): the budget only picks which entries stay cached, never their bytes
+          : util::env_bytes("CLEAR_CACHE_MAX_BYTES", 0);
   std::lock_guard<std::mutex> g(m_);
   open_locked(/*dir_lock_held=*/false);
 }
@@ -404,13 +397,7 @@ void CachePack::append_record_locked(std::uint64_t fp, const std::string& key,
   h.payload_len = static_cast<std::uint32_t>(payload.size());
   h.fp = fp;
   h.payload_sum = fnv1a64(payload.data(), payload.size());
-  std::vector<unsigned char> rec(record_size(h));
-  encode_header(h, rec.data());
-  // lint: allow(wire-safety): encode side; rec is sized record_size(h) and key_len is clamped to kMaxKeyLen above
-  std::memcpy(rec.data() + kHeaderSize, key.data(), h.key_len);
-  // lint: allow(wire-safety): encode side; payload_len is payload.size(), copied into the record_size(h) buffer
-  std::memcpy(rec.data() + kHeaderSize + h.key_len, payload.data(),
-              h.payload_len);
+  const std::string rec = encode_record(h, key, payload);
 
   const off_t end = ::lseek(fd_, 0, SEEK_END);
   if (end < 0) return;

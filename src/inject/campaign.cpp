@@ -676,6 +676,7 @@ double ser_ratio(arch::FFProt p) noexcept {
 }
 
 std::string campaign_cache_dir() {
+  // lint: allow(determinism): the cache only memoizes results, a hit returns the bytes a run would compute
   return util::env_string("CLEAR_CACHE_DIR", ".clear_cache");
 }
 
@@ -911,6 +912,7 @@ std::vector<CampaignResult> execute_campaigns(
     const unsigned want =
         job.spec->threads != 0
             ? job.spec->threads
+            // lint: allow(determinism): a thread count only schedules; samples derive from global indices
             : static_cast<unsigned>(util::env_long(
                   "CLEAR_THREADS", std::thread::hardware_concurrency()));
     threads = std::max(threads, want);

@@ -32,8 +32,8 @@
 //
 // CLEAR_METRICS=0 disables collection at process start; set_enabled()
 // overrides at runtime (the overhead bench measures both modes in one
-// process).  CLEAR_METRICS_OUT names a JSON dump file written by the CLI
-// verbs that accept --metrics-out.
+// process).  The CLI verbs that accept --metrics-out write a JSON dump
+// there.
 #ifndef CLEAR_OBS_METRICS_H
 #define CLEAR_OBS_METRICS_H
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <sstream>
 
-#include "util/env.h"
 #include "util/fs.h"
 #include "workloads/workloads.h"
 
@@ -83,10 +82,10 @@ util::ArgParser make_run_parser() {
                   "confidence-driven early stop: per flip-flop, stop "
                   "sampling once the 95% interval half-width on both the "
                   "SDC and DUE rates is <= W; --injections becomes a "
-                  "budget ceiling (0 = off; default CLEAR_CONFIDENCE)");
+                  "budget ceiling (0 = off)");
   args.add_option("confidence-method", "wilson|cp",
                   "interval method for --confidence: wilson or cp "
-                  "(Clopper-Pearson; default CLEAR_CONFIDENCE_METHOD)");
+                  "(Clopper-Pearson; default wilson)");
   args.add_option("shard", "k/K", "own samples i with i mod K == k", "0/1");
   args.add_option("threads", "N",
                   "worker threads (0 = CLEAR_THREADS or hardware)", "0");
@@ -104,8 +103,7 @@ util::ArgParser make_run_parser() {
   args.add_flag("list-benches", "list benchmarks for --core and exit");
   args.add_option("metrics-out", "file",
                   "write the process metric snapshot after the run "
-                  "(clear-metrics-v1 JSON; '-' = stdout; default: "
-                  "CLEAR_METRICS_OUT)");
+                  "(clear-metrics-v1 JSON; '-' = stdout)");
   return args;
 }
 
@@ -201,7 +199,7 @@ bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
   // Adaptive confidence target.  Strict like the numerics above: a typo'd
   // half-width must never silently fall back to a fixed-budget campaign.
   std::string conf = args.get("confidence");
-  if (conf.empty()) conf = util::env_string("CLEAR_CONFIDENCE", "0");
+  if (conf.empty()) conf = "0";
   {
     errno = 0;
     char* end = nullptr;
@@ -214,9 +212,7 @@ bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
     plan->spec.confidence_half_width = w;
   }
   std::string method = args.get("confidence-method");
-  if (method.empty()) {
-    method = util::env_string("CLEAR_CONFIDENCE_METHOD", "wilson");
-  }
+  if (method.empty()) method = "wilson";
   if (!util::parse_interval_method(method, &plan->spec.confidence_method)) {
     return fail("bad --confidence-method '" + method + "' (wilson or cp)");
   }

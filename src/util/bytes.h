@@ -1,6 +1,6 @@
 // Little-endian byte encoding shared by the on-disk binary formats (the
-// CSR1 shard-result wire format and the CXL1 exploration ledger; the CPK1
-// cache pack predates this header and keeps its own local copy).
+// CSR1 shard-result wire format, the CXL1 exploration ledger and the CPK1
+// cache pack).
 //
 // Writers append fixed-width little-endian integers to a std::string;
 // ByteReader is the bounded decoder: every read checks the remaining

@@ -1,7 +1,6 @@
-// Environment-variable knobs shared by tests, benches and examples.
+// Environment-variable knobs.  None of them changes a result: .csr/.cxl
+// bytes are a function of the campaign or explore stanza alone.
 //
-//   CLEAR_INJECTIONS          - injections per (core, benchmark, variant)
-//                               campaign
 //   CLEAR_THREADS             - worker threads for campaigns and for
 //                               exploration combo evaluation
 //                               (0 = hardware)
@@ -9,32 +8,8 @@
 //   CLEAR_CACHE_MAX_BYTES     - campaign cache pack byte budget; exceeding
 //                               it evicts least-recently-used entries
 //                               (0 = unlimited; accepts K/M/G suffixes)
-//   CLEAR_EXPLORE_BATCH       - combos per design-space-exploration
-//                               scheduling batch (default 64)
-//   CLEAR_ENGINE_QUEUE_MAX    - refuse engine submissions while this many
-//                               jobs are queued (0 = unlimited)
-//   CLEAR_CONFIDENCE          - confidence-driven adaptive campaigns in
-//                               `clear run`: the 95% interval half-width
-//                               target each flip-flop's SDC and DUE rates
-//                               must meet before it stops sampling, in
-//                               (0, 0.5] (0 = off, fixed budget; the
-//                               --confidence flag wins per invocation).
-//                               UNLIKE the knobs above, this changes the
-//                               result: --injections becomes a budget
-//                               ceiling, not an exact count
-//   CLEAR_CONFIDENCE_METHOD   - interval construction for the above:
-//                               "wilson" (default) or "cp"
-//                               (Clopper-Pearson); identity field, all
-//                               shards of a campaign must agree
 //   CLEAR_METRICS             - 0 disables the obs/ metrics registry at
-//                               process start (default 1; collection is
-//                               result-neutral either way -- .csr/.cxl
-//                               bytes never change)
-//   CLEAR_METRICS_OUT         - default --metrics-out destination: CLI
-//                               verbs that accept the flag write their
-//                               final clear-metrics-v1 JSON snapshot
-//                               here when the flag is absent ("-" =
-//                               stdout, "" = off)
+//                               process start (default 1)
 #ifndef CLEAR_UTIL_ENV_H
 #define CLEAR_UTIL_ENV_H
 

@@ -545,6 +545,18 @@ class ScopedEnv {
   std::string old_;
 };
 
+// The sample scale of an exploration that does not set one is the
+// per-core constant, whatever the environment of the process resolving
+// it: fleet workers must agree on it without the stanza spelling it out.
+TEST(Explore, DefaultPerFfIgnoresTheEnvironment) {
+  const ScopedEnv env("CLEAR_INJECTIONS", "5");
+  explore::ExploreSpec spec;
+  ASSERT_EQ(spec.per_ff_samples, 0u);
+  EXPECT_EQ(explore::resolve_identity(spec).per_ff_samples, 2u);
+  spec.core = "OoO";
+  EXPECT_EQ(explore::resolve_identity(spec).per_ff_samples, 1u);
+}
+
 // The ledger bytes of a fresh run of `spec` under CLEAR_THREADS=threads.
 std::string ledger_bytes(const explore::ExploreSpec& spec,
                          const std::string& path, const char* threads) {

@@ -80,9 +80,18 @@ std::string slurp(const std::string& path) {
 }
 
 // Forks + execs one `clear serve` daemon (stdio -> /dev/null) and returns
-// its pid, so a test can SIGKILL exactly one worker of a fleet.
-pid_t spawn_serve(const std::vector<std::string>& extra_args) {
-  std::vector<std::string> store = {kBin, "serve"};
+// its pid, so a test can SIGKILL exactly one worker of a fleet.  `env`
+// entries ("NAME=value") are added to the daemon's environment through
+// env(1), which execs in place: the pid stays the daemon's.
+pid_t spawn_serve(const std::vector<std::string>& extra_args,
+                  const std::vector<std::string>& env = {}) {
+  std::vector<std::string> store;
+  if (!env.empty()) {
+    store.push_back("/usr/bin/env");
+    store.insert(store.end(), env.begin(), env.end());
+  }
+  store.push_back(kBin);
+  store.push_back("serve");
   store.insert(store.end(), extra_args.begin(), extra_args.end());
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
@@ -96,7 +105,7 @@ pid_t spawn_serve(const std::vector<std::string>& extra_args) {
   std::vector<char*> argv;
   for (std::string& s : store) argv.push_back(s.data());
   argv.push_back(nullptr);
-  ::execv(kBin.c_str(), argv.data());
+  ::execv(store.front().c_str(), argv.data());
   ::_exit(127);
 }
 
@@ -1176,6 +1185,35 @@ TEST(ServeRobustness, TwoConcurrentSubmittersBothGetExactBytes) {
   EXPECT_EQ(got_b, slurp(kDir + "/ref_b.csr"));
 
   ::kill(daemon, SIGTERM);
+  EXPECT_EQ(reap(daemon), 0);
+}
+
+// What a worker computes depends on the stanza alone: a daemon whose
+// environment names a confidence target, an interval method and a sample
+// scale returns the bytes `clear run` writes for the same manifest
+// without them.
+TEST(ServeRobustness, WorkerEnvironmentDoesNotChangeResultBytes) {
+  const pid_t daemon = spawn_serve(
+      {"--socket", kDir + "/env.sock", "--once", "--quiet"},
+      {"CLEAR_CONFIDENCE=0.1", "CLEAR_CONFIDENCE_METHOD=cp",
+       "CLEAR_INJECTIONS=5"});
+  ASSERT_GT(daemon, 0);
+  {
+    std::ofstream spec(kDir + "/env.spec");
+    spec << "--core InO --bench gcc --injections 60 --seed 29\n";
+  }
+  EXPECT_EQ(sh(kBin + " submit --socket " + kDir + "/env.sock --spec " +
+               kDir + "/env.spec --out-dir " + kDir + "/env_out --quiet"),
+            0);
+  ASSERT_EQ(sh("env -u CLEAR_CONFIDENCE -u CLEAR_CONFIDENCE_METHOD "
+               "-u CLEAR_INJECTIONS " +
+               kBin + " run --spec " + kDir + "/env.spec --out " + kDir +
+               "/env_ref.csr"),
+            0);
+  const std::string got = slurp(kDir + "/env_out/campaign0.csr");
+  ASSERT_FALSE(got.empty());
+  EXPECT_TRUE(got == slurp(kDir + "/env_ref.csr"))
+      << "the worker's .csr differs from clear run's";
   EXPECT_EQ(reap(daemon), 0);
 }
 

@@ -5,11 +5,11 @@ Machine-checks the cross-cutting invariants the runtime determinism
 matrices can only catch after the fact, and only on exercised paths:
 
   determinism   result-affecting layers (src/inject, src/explore,
-                src/arch, src/core) must be pure functions of the
-                campaign spec and global sample indices: no wall clock,
-                no ambient RNG, no unordered-container iteration feeding
-                results, no pointer-value ordering, no locale-dependent
-                formatting.
+                src/arch, src/core, src/plan) must be pure functions of
+                the campaign spec and global sample indices: no wall
+                clock, no ambient RNG, no environment reads, no
+                unordered-container iteration feeding results, no
+                pointer-value ordering, no locale-dependent formatting.
   wire-safety   bytes that crossed a socket or a disk boundary are only
                 decoded through the bounds-checked util/bytes.h helpers;
                 raw reinterpret_cast / memcpy decodes in wire-handling
@@ -64,7 +64,7 @@ import sys
 # changes.  `clear version --json` reports the same number (kept in sync
 # by the lint self-test), so CI artifacts record which invariant set
 # vetted a build.
-CHECKER_SET_VERSION = 2
+CHECKER_SET_VERSION = 3
 
 try:  # pragma: no cover - environment dependent
     import clang.cindex  # type: ignore
@@ -240,7 +240,7 @@ def _libclang_blank(text):  # pragma: no cover - environment dependent
 # --------------------------------------------------------------------------
 # determinism: result-affecting layers must not consult ambient state.
 
-DETERMINISM_LAYERS = ("inject", "explore", "arch", "core")
+DETERMINISM_LAYERS = ("inject", "explore", "arch", "core", "plan")
 
 _DET_PATTERNS = [
     (re.compile(r"\b(?:std::)?(?:system_clock|steady_clock|"
@@ -263,6 +263,11 @@ _DET_PATTERNS = [
     (re.compile(r"\b(?:std::)?(?:map|set)\s*<[^<>;=]*\*\s*[,>]"),
      "ordered container keyed on pointer values: iteration order depends "
      "on allocation addresses, not on the spec"),
+    (re.compile(r"\b(?:std::)?(?:secure_)?getenv\s*\(|"
+                r"\benv_(?:long|string|bytes)\s*\("),
+     "environment read in a result-affecting layer: results must be a "
+     "function of the stanza alone (take the value as a flag, or annotate "
+     "why it cannot change results)"),
 ]
 
 _UNORD_DECL_RE = re.compile(
