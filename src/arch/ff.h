@@ -50,7 +50,7 @@ enum class FirstAccess : std::uint8_t { kNone = 0, kRead = 1, kWrite = 2 };
 
 namespace detail {
 // Untraced handles carry no log pointer: the empty base adds no bytes and
-// note() compiles away, so BasicReg<false> is exactly a (slot, mask) pair.
+// note() compiles away, so BasicReg<false> holds just a (slot, mask) pair.
 template <bool kTraced>
 struct RegTrace {
   void note(FirstAccess /*a*/) const noexcept {}
@@ -72,7 +72,8 @@ struct RegTrace<true> {
 // operators, which is what makes the traced form (kTraced = true, built
 // only for golden recording) a complete record of FF accesses: a
 // conversion or u32() is a read, assignment a full-width write, and a
-// read-modify-write (+=, ^=, ...) a read.  Each core model is one source
+// read-modify-write (+=, ^=, ...) a read; read_if() is a read where the
+// short-circuit form would have made one.  Each core model is one source
 // templated on this parameter; the untraced form is the production core.
 template <bool kTraced>
 class BasicReg : private detail::RegTrace<kTraced> {
@@ -89,6 +90,17 @@ class BasicReg : private detail::RegTrace<kTraced> {
   [[nodiscard]] std::uint32_t u32() const noexcept {
     this->note(FirstAccess::kRead);
     return static_cast<std::uint32_t>(*slot_);
+  }
+  // A read for branch-free scans: always reads the slot, but logs the
+  // read only when `reached`, the condition under which the short-circuit
+  // form (`a != 0 && b != 0`, `if (a) use(b)`) would have read it.  The
+  // untraced build thus may read more slots than the traced build logs,
+  // and the traced build logs exactly what the short-circuit form read.
+  // Reading an FF slot has no side effect, so the extra reads change no
+  // result.
+  [[nodiscard]] std::uint64_t read_if(bool reached) const noexcept {
+    if (reached) this->note(FirstAccess::kRead);
+    return *slot_;
   }
   BasicReg& operator=(std::uint64_t v) noexcept {
     this->note(FirstAccess::kWrite);

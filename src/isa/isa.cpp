@@ -8,43 +8,25 @@ namespace clear::isa {
 
 namespace {
 
-struct OpInfo {
-  const char* name;
-  Format format;
+constexpr std::array<const char*, kOpCount> kOpNames = {
+    "add",  "sub",  "and",  "or",   "xor",  "sll",  "srl",  "sra",
+    "slt",  "sltu", "mul",  "mulh", "div",  "rem",  "addi", "andi",
+    "ori",  "xori", "slti", "slli", "srli", "srai", "lui",  "lw",
+    "lb",   "lbu",  "sw",   "sb",   "beq",  "bne",  "blt",  "bge",
+    "bltu", "bgeu", "jal",  "jalr", "out",  "halt", "det",  "sigchk",
 };
-
-constexpr std::array<OpInfo, kOpCount> kOpTable = {{
-    {"add", Format::kR},   {"sub", Format::kR},   {"and", Format::kR},
-    {"or", Format::kR},    {"xor", Format::kR},   {"sll", Format::kR},
-    {"srl", Format::kR},   {"sra", Format::kR},   {"slt", Format::kR},
-    {"sltu", Format::kR},  {"mul", Format::kR},   {"mulh", Format::kR},
-    {"div", Format::kR},   {"rem", Format::kR},   {"addi", Format::kI},
-    {"andi", Format::kI},  {"ori", Format::kI},   {"xori", Format::kI},
-    {"slti", Format::kI},  {"slli", Format::kI},  {"srli", Format::kI},
-    {"srai", Format::kI},  {"lui", Format::kU},   {"lw", Format::kI},
-    {"lb", Format::kI},    {"lbu", Format::kI},   {"sw", Format::kS},
-    {"sb", Format::kS},    {"beq", Format::kB},   {"bne", Format::kB},
-    {"blt", Format::kB},   {"bge", Format::kB},   {"bltu", Format::kB},
-    {"bgeu", Format::kB},  {"jal", Format::kJ},   {"jalr", Format::kI},
-    {"out", Format::kX},   {"halt", Format::kX},  {"det", Format::kX},
-    {"sigchk", Format::kX},
-}};
 
 }  // namespace
 
-Format format_of(Op op) noexcept {
-  return kOpTable[static_cast<int>(op)].format;
-}
-
 const char* mnemonic(Op op) noexcept {
-  return kOpTable[static_cast<int>(op)].name;
+  return kOpNames[static_cast<int>(op)];
 }
 
 std::optional<Op> op_from_mnemonic(const std::string& s) noexcept {
   static const std::unordered_map<std::string, Op> kMap = [] {
     std::unordered_map<std::string, Op> m;
     for (int i = 0; i < kOpCount; ++i) {
-      m.emplace(kOpTable[i].name, static_cast<Op>(i));
+      m.emplace(kOpNames[i], static_cast<Op>(i));
     }
     return m;
   }();
@@ -77,71 +59,6 @@ std::uint32_t encode(const Instr& ins) noexcept {
       return (op << 26) | (rs1 << 16) | imm16;
   }
   return 0;
-}
-
-namespace {
-
-constexpr std::int32_t sext16(std::uint32_t v) noexcept {
-  return static_cast<std::int32_t>(static_cast<std::int16_t>(v & 0xffff));
-}
-
-constexpr std::int32_t sext21(std::uint32_t v) noexcept {
-  const std::uint32_t x = v & 0x1fffff;
-  return (x & 0x100000) ? static_cast<std::int32_t>(x | 0xffe00000)
-                        : static_cast<std::int32_t>(x);
-}
-
-}  // namespace
-
-std::optional<Instr> decode(std::uint32_t word) noexcept {
-  const std::uint32_t opf = word >> 26;
-  if (opf >= static_cast<std::uint32_t>(kOpCount)) return std::nullopt;
-  Instr ins;
-  ins.op = static_cast<Op>(opf);
-  const std::uint32_t f25_21 = (word >> 21) & 0x1f;
-  const std::uint32_t f20_16 = (word >> 16) & 0x1f;
-  const std::uint32_t f15_11 = (word >> 11) & 0x1f;
-  switch (format_of(ins.op)) {
-    case Format::kR:
-      ins.rd = static_cast<std::uint8_t>(f25_21);
-      ins.rs1 = static_cast<std::uint8_t>(f20_16);
-      ins.rs2 = static_cast<std::uint8_t>(f15_11);
-      break;
-    case Format::kI:
-      ins.rd = static_cast<std::uint8_t>(f25_21);
-      ins.rs1 = static_cast<std::uint8_t>(f20_16);
-      // Logical immediates are zero-extended (so li/la lui+ori expansions
-      // compose); arithmetic/load immediates are sign-extended.
-      if (ins.op == Op::kAndi || ins.op == Op::kOri || ins.op == Op::kXori) {
-        ins.imm = static_cast<std::int32_t>(word & 0xffff);
-      } else {
-        ins.imm = sext16(word);
-      }
-      break;
-    case Format::kS:
-      ins.rs2 = static_cast<std::uint8_t>(f25_21);
-      ins.rs1 = static_cast<std::uint8_t>(f20_16);
-      ins.imm = sext16(word);
-      break;
-    case Format::kB:
-      ins.rs1 = static_cast<std::uint8_t>(f25_21);
-      ins.rs2 = static_cast<std::uint8_t>(f20_16);
-      ins.imm = sext16(word);
-      break;
-    case Format::kJ:
-      ins.rd = static_cast<std::uint8_t>(f25_21);
-      ins.imm = sext21(word);
-      break;
-    case Format::kU:
-      ins.rd = static_cast<std::uint8_t>(f25_21);
-      ins.imm = static_cast<std::int32_t>(word & 0xffff);
-      break;
-    case Format::kX:
-      ins.rs1 = static_cast<std::uint8_t>(f20_16);
-      ins.imm = sext16(word);
-      break;
-  }
-  return ins;
 }
 
 std::string disassemble(const Instr& ins) {
@@ -192,76 +109,5 @@ const char* trap_name(Trap t) noexcept {
   }
   return "?";
 }
-
-std::uint32_t alu_eval(Op op, std::uint32_t a, std::uint32_t b) noexcept {
-  const auto sa = static_cast<std::int32_t>(a);
-  const auto sb = static_cast<std::int32_t>(b);
-  switch (op) {
-    case Op::kAdd: case Op::kAddi: return a + b;
-    case Op::kSub: return a - b;
-    case Op::kAnd: case Op::kAndi: return a & b;
-    case Op::kOr: case Op::kOri: return a | b;
-    case Op::kXor: case Op::kXori: return a ^ b;
-    case Op::kSll: case Op::kSlli: return a << (b & 31u);
-    case Op::kSrl: case Op::kSrli: return a >> (b & 31u);
-    case Op::kSra: case Op::kSrai:
-      return static_cast<std::uint32_t>(sa >> (b & 31u));
-    case Op::kSlt: case Op::kSlti: return sa < sb ? 1u : 0u;
-    case Op::kSltu: return a < b ? 1u : 0u;
-    case Op::kMul:
-      return static_cast<std::uint32_t>(
-          static_cast<std::int64_t>(sa) * static_cast<std::int64_t>(sb));
-    case Op::kMulh:
-      return static_cast<std::uint32_t>(
-          (static_cast<std::int64_t>(sa) * static_cast<std::int64_t>(sb)) >> 32);
-    case Op::kDiv:
-      // b == 0 traps before evaluation; INT_MIN / -1 saturates.
-      if (sa == INT32_MIN && sb == -1) return static_cast<std::uint32_t>(INT32_MIN);
-      return static_cast<std::uint32_t>(sa / sb);
-    case Op::kRem:
-      if (sa == INT32_MIN && sb == -1) return 0;
-      return static_cast<std::uint32_t>(sa % sb);
-    case Op::kLui: return b << 16;
-    default: return 0;
-  }
-}
-
-bool branch_taken(Op op, std::uint32_t a, std::uint32_t b) noexcept {
-  const auto sa = static_cast<std::int32_t>(a);
-  const auto sb = static_cast<std::int32_t>(b);
-  switch (op) {
-    case Op::kBeq: return a == b;
-    case Op::kBne: return a != b;
-    case Op::kBlt: return sa < sb;
-    case Op::kBge: return sa >= sb;
-    case Op::kBltu: return a < b;
-    case Op::kBgeu: return a >= b;
-    default: return false;
-  }
-}
-
-bool is_load(Op op) noexcept {
-  return op == Op::kLw || op == Op::kLb || op == Op::kLbu;
-}
-
-bool is_store(Op op) noexcept { return op == Op::kSw || op == Op::kSb; }
-
-bool is_branch(Op op) noexcept {
-  return op >= Op::kBeq && op <= Op::kBgeu;
-}
-
-bool is_jump(Op op) noexcept { return op == Op::kJal || op == Op::kJalr; }
-
-bool writes_rd(Op op) noexcept {
-  switch (format_of(op)) {
-    case Format::kR: case Format::kU: case Format::kJ: return true;
-    case Format::kI: return true;  // ALU-imm, loads, jalr all write rd
-    default: return false;
-  }
-}
-
-bool is_mul(Op op) noexcept { return op == Op::kMul || op == Op::kMulh; }
-
-bool is_div(Op op) noexcept { return op == Op::kDiv || op == Op::kRem; }
 
 }  // namespace clear::isa

@@ -10,7 +10,8 @@
 //     heartbeat with its CMS1 tail) encoded from fixed values are the
 //     CSV1 fixture, and decoding the fixture gives those values back,
 //   * a realistic CMS1 metric snapshot (the heartbeat tail behind every
-//     fleet status row) encodes to the CMS1 fixture and decodes back.
+//     fleet status row) encodes to the CMS1 fixture and decodes back,
+//   * two OoO campaigns write `.csr` bytes with a pinned FNV-1a hash.
 //
 // The producers below are the exact commands the fixtures were made with;
 // CLEAR_CACHE_DIR is empty so every campaign really simulates.
@@ -31,6 +32,7 @@
 #include "inject/cachepack.h"
 #include "inject/wire.h"
 #include "obs/metrics.h"
+#include "util/hash.h"
 
 namespace {
 
@@ -108,6 +110,26 @@ TEST(GoldenFixtures, CxlV2AdaptiveExplorationProducerReproduces) {
       "explore_v2.cxl",
       "explore run --core InO --per-ff 4 --benches gcc --seed 3 "
       "--confidence 0.4 --quiet --ledger " + kWork + "explore_v2.cxl");
+}
+
+// The OoO core's `.csr` output, pinned as an FNV-1a hash (each file is
+// ~300 KB): a speed-up of its pipeline must not change a byte.
+TEST(GoldenFixtures, OoOCsrBytesMatchPinnedHash) {
+  const std::pair<const char*, std::uint64_t> runs[] = {
+      {"--core OoO --bench gcc --variant monitor --recovery rob "
+       "--injections 3000 --seed 7",
+       0x02D4F5CE379F4F3EULL},
+      {"--core OoO --bench mcf --injections 3000 --seed 7",
+       0xEF93176BC1F8E8CDULL},
+  };
+  for (const auto& [stanza, want] : runs) {
+    const std::string out = kWork + "ooo.csr";
+    ASSERT_EQ(clear_cli(std::string("run ") + stanza + " --out " + out), 0)
+        << stanza;
+    const std::string bytes = read_file(out);
+    ASSERT_FALSE(bytes.empty()) << stanza;
+    EXPECT_EQ(util::fnv1a64(bytes.data(), bytes.size()), want) << stanza;
+  }
 }
 
 TEST(GoldenFixtures, CsrDecodeEncodeIsIdentity) {

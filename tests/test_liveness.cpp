@@ -11,6 +11,9 @@
 //   * sink scrambling: every sink slot (FFFlags::sink) is set to a random
 //     value at every cycle of a golden run, which must still end exactly
 //     like golden: sinks feed nothing but other sinks.
+//   * live-set pins: three golden recordings reproduce a pinned live-slot
+//     count and hash, so a core change cannot widen or narrow what the
+//     traced build logs unnoticed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +26,7 @@
 #include "arch/liveness.h"
 #include "core/variants.h"
 #include "plan/runplan.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
 
@@ -286,6 +290,60 @@ std::vector<ScrambleCase> sink_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Workloads, SinkScramble,
                          ::testing::ValuesIn(sink_cases()));
+
+// The twin test compares state images, not access logs, so it cannot see
+// a core that reads more or fewer FF slots.  These pins can: each is the
+// total live-slot count and an FNV-1a hash over every boundary's live
+// set of one golden recording, as the campaign engine makes it.
+struct LiveSetCase {
+  ScrambleCase run;
+  std::uint64_t interval;
+  std::size_t live_slots;
+  std::uint64_t hash;
+};
+
+class LiveSetPin : public ::testing::TestWithParam<LiveSetCase> {};
+
+TEST_P(LiveSetPin, RecordingMatchesPinnedLiveSets) {
+  const LiveSetCase& c = GetParam();
+  const auto prog = core::build_variant_program(
+      c.run.bench, plan::parse_variant(c.run.variant));
+  arch::ResilienceConfig monitor_rob;
+  monitor_rob.monitor = true;
+  monitor_rob.recovery = arch::RecoveryKind::kRob;
+  auto traced = arch::make_traced_core(c.run.core);
+  traced->begin(prog, c.run.monitor_rob ? &monitor_rob : nullptr, nullptr);
+  arch::FFLiveness live;
+  live.start(*traced);
+  while (traced->step_to(traced->cycle() + c.interval, kBudget)) {
+    live.end_interval(*traced);
+  }
+  live.end_interval(*traced);
+  live.finish();
+  ASSERT_EQ(traced->current_result().status, isa::RunStatus::kHalted);
+  const std::size_t words = (traced->registry().pool().size() + 63) / 64;
+  std::size_t live_slots = 0;
+  std::uint64_t hash = util::fnv1a64(nullptr, 0);
+  for (std::size_t b = 0; b < live.boundaries(); ++b) {
+    const std::uint64_t* set = live.at(b);
+    for (std::size_t w = 0; w < words; ++w) {
+      live_slots += static_cast<std::size_t>(__builtin_popcountll(set[w]));
+    }
+    hash = util::fnv1a64(set, words * sizeof(std::uint64_t), hash);
+  }
+  EXPECT_EQ(live_slots, c.live_slots);
+  EXPECT_EQ(hash, c.hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, LiveSetPin,
+    ::testing::Values(
+        LiveSetCase{{"OoO", "mcf", "base", false}, 16, 25863,
+                    0x1DADD5EE53F63717ULL},
+        LiveSetCase{{"OoO", "gcc", "monitor", true}, 16, 5075,
+                    0xC7B036685D067182ULL},
+        LiveSetCase{{"InO", "gcc", "base", false}, 16, 2072,
+                    0x8B88740467CF1B9CULL}));
 
 TEST(FFLiveness, BackwardPassFollowsFirstAccess) {
   // Unrecorded boundaries compare every slot.
