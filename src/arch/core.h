@@ -177,6 +177,9 @@ class Core {
   // Untraced cores log nothing and leave both bitsets zero.
   virtual void drain_access_log(std::uint64_t* read_first,
                                 std::uint64_t* written_first) noexcept = 0;
+  // Moves one slot's entry out of that log: its first access since the
+  // previous drain or take (kNone for an untraced core).
+  virtual FirstAccess take_access(std::size_t slot) noexcept = 0;
 
   // Direct mutable view of the serialized state image: the FF pool span,
   // the arena span, and the forward-region boundary within the arena.

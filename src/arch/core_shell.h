@@ -117,6 +117,9 @@ class CoreShell : public Core {
                         std::uint64_t* written_first) noexcept override {
     reg_.drain_access_log(read_first, written_first);
   }
+  FirstAccess take_access(std::size_t slot) noexcept override {
+    return reg_.take_access(slot);
+  }
   [[nodiscard]] StateView state_view() noexcept override {
     return {reg_.pool_data(), arena_.ff_words(), arena_.raw_buf(),
             arena_.fwd_words(), arena_.total_words()};

@@ -131,6 +131,10 @@ struct FFStructure {
 
 class FFRegistry {
  public:
+  // Pool capacity: handles keep raw pointers, so the pool never grows
+  // past it.
+  static constexpr std::size_t kMaxSlots = 1u << 15;
+
   FFRegistry() { pool_.reserve(kMaxSlots); }
 
   // Registers a `width`-bit field and returns its handle.  Must only be
@@ -198,11 +202,18 @@ class FFRegistry {
   // Only traced handles log, so an untraced registry leaves both zero.
   void drain_access_log(std::uint64_t* read_first,
                         std::uint64_t* written_first) noexcept;
+  // Moves slot `slot`'s entry out of the access log (kNone when it was
+  // not accessed since the previous drain or take, or is untraced).
+  FirstAccess take_access(std::size_t slot) noexcept {
+    if (slot >= first_access_.size()) return FirstAccess::kNone;
+    const auto a = static_cast<FirstAccess>(first_access_[slot]);
+    first_access_[slot] = 0;
+    return a;
+  }
 
  private:
   std::uint32_t add_slot(std::string name, int width, FFFlags flags);
 
-  static constexpr std::size_t kMaxSlots = 1u << 15;
   std::vector<std::uint64_t> pool_;
   std::vector<FFStructure> structures_;
   std::uint32_t ff_count_ = 0;

@@ -28,6 +28,7 @@ struct JobImpl {
   std::exception_ptr error;
   std::uint64_t finish_seq = 0;  // stamped at the terminal transition
   bool taken = false;            // take_results() called
+  std::function<void()> on_finish;  // Engine::submit's, run by retire()
 
   std::atomic<bool> cancel{false};
   std::atomic<std::uint64_t> goldens_done{0};
@@ -86,6 +87,7 @@ bool retire(const std::shared_ptr<JobImpl>& job, JobState final,
     job->finish_seq = g_finish_seq.fetch_add(1) + 1;
   }
   job->cv.notify_all();
+  if (job->on_finish) job->on_finish();
   return true;
 }
 
@@ -218,9 +220,10 @@ Engine::~Engine() {
 }
 
 Job Engine::submit(std::vector<inject::CampaignSpec> specs,
-                   JobPriority priority) {
+                   JobPriority priority, std::function<void()> on_finish) {
   auto impl = std::make_shared<JobImpl>();
   impl->priority = priority;
+  impl->on_finish = std::move(on_finish);
   impl->specs = std::move(specs);
 
   bool on_dispatcher = false;

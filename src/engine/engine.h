@@ -45,6 +45,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -155,9 +156,14 @@ class Engine {
   // executor when it runs, surfacing through wait()/results() like any
   // executor error.  Submissions from the dispatcher thread itself
   // execute inline (a job must never deadlock waiting for the thread it
-  // runs on).
+  // runs on).  `on_finish`, when given, is called once the job reaches
+  // a terminal state, on whichever thread retired it (the dispatcher, or
+  // the caller of cancel()), after waiters were woken: it must be cheap,
+  // must not block, and must own whatever it touches.  A caller that
+  // multiplexes the job with other events uses it to wake its wait.
   Job submit(std::vector<inject::CampaignSpec> specs,
-             JobPriority priority = JobPriority::kInteractive);
+             JobPriority priority = JobPriority::kInteractive,
+             std::function<void()> on_finish = {});
 
   ~Engine();
   Engine(const Engine&) = delete;

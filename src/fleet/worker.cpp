@@ -3,9 +3,11 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
@@ -14,6 +16,7 @@
 #include "inject/wire.h"
 #include "obs/metrics.h"
 #include "plan/runplan.h"
+#include "util/socket.h"
 #include "util/threadpool.h"
 
 namespace clear::fleet {
@@ -77,8 +80,10 @@ struct ServedWork {
   }
 };
 
-void start_explore(ServedWork* work, std::string text) {
-  work->explore_thread = std::thread([work, text = std::move(text)] {
+void start_explore(ServedWork* work, std::string text,
+                   std::function<void()> on_finish) {
+  work->explore_thread = std::thread([work, text = std::move(text),
+                                      on_finish = std::move(on_finish)] {
     serve::Done& done = work->explore_outcome;
     try {
       work->explore_result = run_explore_stanza(
@@ -97,6 +102,7 @@ void start_explore(ServedWork* work, std::string text) {
       done = {serve::JobOutcome::kFailed, "unknown exploration error"};
     }
     work->explore_done.store(true, std::memory_order_release);
+    on_finish();
   });
 }
 
@@ -123,9 +129,11 @@ engine::JobProgress front_progress(ServedWork* front) {
 }
 
 // Resolves a campaign manifest and submits it to the engine; on any
-// refusal the work item carries the kBadRequest instead.
+// refusal the work item carries the kBadRequest instead.  `on_finish`
+// runs when the job retires.
 void submit_campaigns(ServedWork* served, const std::string& manifest,
-                      engine::JobPriority priority) {
+                      engine::JobPriority priority,
+                      std::function<void()> on_finish) {
   std::string error;
   bool ok = false;
   try {
@@ -139,8 +147,8 @@ void submit_campaigns(ServedWork* served, const std::string& manifest,
     specs.reserve(served->plans.size());
     for (const plan::RunPlan& plan : served->plans) specs.push_back(plan.spec);
     try {
-      served->job = engine::Engine::instance().submit(std::move(specs),
-                                                      priority);
+      served->job = engine::Engine::instance().submit(
+          std::move(specs), priority, std::move(on_finish));
       return;
     } catch (const std::exception& e) {
       // submit throws only when it cannot allocate the job or start the
@@ -174,6 +182,27 @@ bool Worker::stopped() const {
 }
 
 bool Worker::handle_connection(serve::FrameConn conn) {
+  // Work that retires sends a byte on this pair, which ends the wait for
+  // frames below at once: the driver hands out the next shard only when
+  // it hears this one is done, so waiting out a poll period here would
+  // leave the engine idle.  The notifiers share the sending end, since
+  // one may still run after this function returns.
+  std::pair<util::Socket, util::Socket> wake_pair;
+  try {
+    wake_pair = util::Socket::pair();
+  } catch (const std::runtime_error& e) {
+    // Out of descriptors: drop the connection, as a failed accept would.
+    std::fprintf(stderr, "clear serve: %s\n", e.what());
+    return false;
+  }
+  util::Socket& wake_rx = wake_pair.first;
+  const auto wake_tx =
+      std::make_shared<util::Socket>(std::move(wake_pair.second));
+  const std::function<void()> wake = [wake_tx] {
+    const char b = 1;
+    (void)wake_tx->send_all(&b, 1, 0);  // a full buffer wakes already
+  };
+
   if (!conn.send(serve::FrameType::kHello, serve::encode_hello(opts_.hello),
                  serve::kSendTimeoutMs)) {
     return false;
@@ -351,11 +380,16 @@ bool Worker::handle_connection(serve::FrameConn conn) {
       }
       continue;
     }
-    // Wait briefly for one frame, then take every frame that already
-    // arrived before servicing the queue again.
-    for (int wait_ms = 20; !peer_gone; wait_ms = 0) {
+    // Wait briefly for a frame or for work to retire, then take every
+    // frame that already arrived before servicing the queue again.
+    const util::Socket* waits[] = {&conn.socket(), &wake_rx};
+    if (util::Socket::wait_any(waits, 2, 20) == 1) {
+      char wakes[64];
+      (void)wake_rx.recv_some(wakes, sizeof(wakes));
+    }
+    while (!peer_gone) {
       serve::Frame frame;
-      const serve::FrameConn::Recv got = conn.recv(&frame, wait_ms);
+      const serve::FrameConn::Recv got = conn.recv(&frame, 0);
       if (got == serve::FrameConn::Recv::kTimeout) break;
       if (got != serve::FrameConn::Recv::kFrame) {
         drop(got == serve::FrameConn::Recv::kBad
@@ -383,9 +417,9 @@ bool Worker::handle_connection(serve::FrameConn conn) {
           served->shard_id = assign.shard_id;
           served->kind = assign.kind;
           if (assign.kind == serve::ShardKind::kExplore) {
-            start_explore(served.get(), assign.text);
+            start_explore(served.get(), assign.text, wake);
           } else {
-            submit_campaigns(served.get(), assign.text, assign.priority);
+            submit_campaigns(served.get(), assign.text, assign.priority, wake);
           }
           if (!opts_.quiet) {
             std::printf("serve      shard #%llu accepted (%s)\n",

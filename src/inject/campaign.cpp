@@ -144,6 +144,11 @@ struct CampaignMetrics {
   obs::Histogram& classify = obs::histogram("campaign.sample.classify");
   obs::Counter& samples = obs::counter("campaign.samples");
   obs::Counter& goldens = obs::counter("campaign.goldens");
+  // Samples that end as golden without a fork: the strike was suppressed
+  // by a hardened flip-flop, or it hit an FF slot golden never reads
+  // again (dead at flip).
+  obs::Counter& masked_suppressed = obs::counter("campaign.masked.suppressed");
+  obs::Counter& masked_dead = obs::counter("campaign.masked.dead_at_flip");
   // How each forked run ended, and the cycles it simulated: the prefix
   // (fork checkpoint to injection) and the post-injection cycles per
   // ending (cycle-counter distance, recovery penalties included).
@@ -170,11 +175,15 @@ CampaignMetrics& metrics() {
 // Golden trajectory: periodic full-state snapshots, shared read-only by
 // all workers.  Each snapshot doubles as the fork origin for injections in
 // its interval and as the reference for the convergence test at its
-// boundary, which compares only the FF slots live there.
+// boundary, which compares only the FF slots live there.  The same
+// recording answers, per sample, whether its strike lands in a slot that
+// is dead at the injection cycle; such a sample never forks.
 struct GoldenTrajectory {
   std::uint64_t interval = 0;
   std::vector<arch::CoreCheckpoint> checkpoints;  // at cycles 0, I, 2I, ...
-  arch::FFLiveness live;  // one FF-pool live set per checkpoint
+  // One FF-pool live set per checkpoint, and the dead-at-flip answers.
+  arch::FFLiveness live;
+  std::vector<std::uint16_t> slot_of;  // FF-pool slot of every FF
   // Per checkpoint: cycles since golden's committed count last changed
   // (0 when an instruction committed in the cycle before the boundary).
   std::vector<std::uint64_t> since_commit;
@@ -184,6 +193,7 @@ struct GoldenTrajectory {
   void release() {
     std::vector<arch::CoreCheckpoint>().swap(checkpoints);
     live = arch::FFLiveness{};
+    std::vector<std::uint16_t>().swap(slot_of);
     std::vector<std::uint64_t>().swap(since_commit);
     std::vector<std::uint64_t>().swap(non_sink);
   }
@@ -418,6 +428,189 @@ struct CampaignJob {
   // Global sample indices this job simulates in the CURRENT pass (empty
   // for fixed jobs, which map their pass-1 work arithmetically).
   std::vector<std::uint64_t> pass_indices;
+  // pilot * ff_count: the pilot indices [0, pilot_span) every shard
+  // simulates (0 for fixed schedules).
+  std::uint64_t pilot_span = 0;
+};
+
+// ---- the samples a job may simulate ----------------------------------------
+//
+// The draws of one sample, in the order every sample makes them: the
+// target FF is g mod ff_count, then the injection cycle, then the SER
+// Bernoulli by which a hardened flip-flop suppresses the strike
+// (Table 4).  They derive from the global index alone.
+struct Strike {
+  std::uint32_t ff = 0;
+  std::uint64_t cycle = 0;
+  bool upset = false;  // false: the strike was suppressed
+};
+
+Strike draw_strike(const CampaignJob& job, std::uint64_t g) {
+  const CampaignSpec& spec = *job.spec;
+  util::Rng rng(util::hash_combine(spec.seed, g));
+  Strike st;
+  st.ff = static_cast<std::uint32_t>(g % job.ff_count);
+  st.cycle = 1 + rng.below(job.golden.cycles - 1);
+  const arch::FFProt p =
+      spec.cfg != nullptr ? spec.cfg->prot_of(st.ff) : arch::FFProt::kNone;
+  st.upset = rng.bernoulli(ser_ratio(p));
+  return st;
+}
+
+bool owns(const CampaignJob& job, std::uint64_t g) {
+  return g % job.spec->shard_count == job.spec->shard_index;
+}
+
+// The samples the recording pass asks about: those the job may simulate
+// before its adaptive plan exists, namely the pilot indices and then the
+// owned indices below the budget.  This is every sample of a fixed
+// schedule; an adaptive tail may reach past the budget, and those
+// samples fork.
+bool is_candidate(const CampaignJob& job, std::uint64_t g) {
+  return g < job.pilot_span || (g < job.injections && owns(job, g));
+}
+
+// The first owned index at or past the pilot.
+std::uint64_t first_owned_tail(const CampaignJob& job) {
+  const std::uint64_t shards = job.spec->shard_count;
+  const std::uint64_t g = job.pilot_span;
+  return g + (job.spec->shard_index + shards - g % shards) % shards;
+}
+
+// Calls fn(g) for every candidate, ascending.
+template <class Fn>
+void for_each_candidate(const CampaignJob& job, Fn&& fn) {
+  for (std::uint64_t g = 0; g < job.pilot_span; ++g) fn(g);
+  for (std::uint64_t g = first_owned_tail(job); g < job.injections;
+       g += job.spec->shard_count) {
+    fn(g);
+  }
+}
+
+// An EDS or parity flip-flop can detect the upset in the cycle it is
+// struck (CoreShell::apply_injections), whatever golden does with the
+// slot afterwards, so neither the dead-slot nor the sink argument holds
+// for it.
+bool detected_when_struck(const CampaignSpec& spec, std::uint32_t ff) {
+  if (spec.cfg == nullptr) return false;
+  const arch::FFProt p = spec.cfg->prot_of(ff);
+  return p == arch::FFProt::kEds || p == arch::FFProt::kParity;
+}
+
+// Whether the recording pass asks about sample g, whose draws are `st`.
+// A golden run that recovered reads the rollback ring behind the access
+// log's back (see record_golden), so its campaign asks nothing.
+bool asks_about(const CampaignJob& job, std::uint64_t g, const Strike& st) {
+  return st.upset && job.golden.recoveries == 0 &&
+         !detected_when_struck(*job.spec, st.ff) && is_candidate(job, g);
+}
+
+// A strike the recording pass asks about: is FF-pool slot `slot` dead at
+// cycle `cycle`?
+struct FlipQuery {
+  std::uint32_t cycle = 0;
+  std::uint32_t slot = 0;
+};
+static_assert(kGoldenBudget <= 0xFFFFFFFFu, "query cycles are 32-bit");
+
+// Orders the queries of cycles [first, first + span) by cycle: a
+// counting sort over buckets of 2^shift cycles, the fewest that keep the
+// bucket count at most the query count, then a sort within each bucket.
+// A bucket is one cycle wide while the span is no longer than the query
+// count.
+void sort_by_cycle(std::vector<FlipQuery>* queries, std::uint64_t first,
+                   std::uint64_t span) {
+  const std::size_t n = queries->size();
+  if (n < 2) return;
+  unsigned shift = 0;
+  while ((span >> shift) > n) ++shift;
+  const auto bucket = [&](const FlipQuery& q) {
+    return static_cast<std::size_t>((q.cycle - first) >> shift);
+  };
+  std::vector<std::size_t> end(static_cast<std::size_t>(span >> shift) + 2,
+                               0);
+  for (const FlipQuery& q : *queries) ++end[bucket(q) + 1];
+  for (std::size_t b = 1; b < end.size(); ++b) end[b] += end[b - 1];
+  std::vector<FlipQuery> out(n);
+  for (const FlipQuery& q : *queries) out[end[bucket(q)]++] = q;
+  if (shift > 0) {
+    std::size_t begin = 0;
+    for (const std::size_t stop : end) {
+      std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin),
+                out.begin() + static_cast<std::ptrdiff_t>(stop),
+                [](const FlipQuery& a, const FlipQuery& b) {
+                  return a.cycle < b.cycle;
+                });
+      begin = stop;
+    }
+  }
+  queries->swap(out);
+}
+
+// The strikes the recording pass asks about, handed out in cycle order.
+// Holding every query at once would cost 8 bytes per sample, so the
+// schedule keeps one byte per candidate naming the window of cycles its
+// strike falls in (0: nothing asked), and redraws one window's queries
+// at a time as the recording reaches it.
+class QuerySchedule {
+ public:
+  // Replays every candidate's draws; also counts the non-suppressed
+  // strikes among the owned samples, which placement prices.
+  explicit QuerySchedule(const CampaignJob& job)
+      : job_(job), span_(job.golden.cycles / kWindows + 1) {
+    window_of_.reserve(job.pilot_span + job.local_count);
+    for_each_candidate(job, [&](std::uint64_t g) {
+      const Strike st = draw_strike(job, g);
+      if (st.upset && owns(job, g)) ++forks_;
+      window_of_.push_back(
+          asks_about(job, g, st)
+              ? static_cast<std::uint8_t>(1 + st.cycle / span_)
+              : 0);
+    });
+  }
+  [[nodiscard]] std::uint64_t forks() const noexcept { return forks_; }
+  // The cycle of the next query, kGoldenBudget when none is left.
+  std::uint64_t next_cycle() {
+    while (next_ == due_.size() && loaded_ < kWindows) load(++loaded_);
+    return next_ < due_.size() ? std::uint64_t{due_[next_].cycle}
+                               : kGoldenBudget;
+  }
+  // Calls watch(slot) for every query at `cycle`, the next query cycle.
+  template <class Fn>
+  void pop(std::uint64_t cycle, Fn&& watch) {
+    for (; next_cycle() == cycle; ++next_) watch(due_[next_].slot);
+  }
+
+ private:
+  static constexpr std::uint8_t kWindows = 16;
+
+  void load(std::uint8_t window) {
+    due_.clear();
+    next_ = 0;
+    // Candidate i is sample i in the pilot, then every shard_count-th
+    // sample from the first owned one past it.
+    const std::uint8_t* w = window_of_.data();
+    const std::size_t n = window_of_.size();
+    const std::uint64_t pilot = job_.pilot_span;
+    const std::uint64_t tail = first_owned_tail(job_) - pilot;
+    const std::uint64_t shards = job_.spec->shard_count;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (w[i] != window) continue;
+      const Strike st = draw_strike(
+          job_, i < pilot ? i : pilot + tail + (i - pilot) * shards);
+      due_.push_back(
+          {static_cast<std::uint32_t>(st.cycle), job_.traj.slot_of[st.ff]});
+    }
+    sort_by_cycle(&due_, (window - 1) * span_, span_);
+  }
+
+  const CampaignJob& job_;
+  const std::uint64_t span_;  // cycles per window
+  std::vector<std::uint8_t> window_of_;  // per candidate: 1 + window, or 0
+  std::uint64_t forks_ = 0;
+  std::vector<FlipQuery> due_;  // the loaded window's queries, by cycle
+  std::size_t next_ = 0;        // due_[next_] is the next query
+  std::uint8_t loaded_ = 0;     // 1 + the window in due_
 };
 
 // ---- adaptive snapshot placement -------------------------------------------
@@ -446,22 +639,15 @@ constexpr std::uint64_t kSnapEquivCycles = 100;
 // strike is suppressed.  The choice only moves work around -- per-sample
 // injections and outcomes are interval-independent, so results stay
 // bit-identical at any placement.
-std::uint64_t pick_interval(const CampaignJob& job,
-                            std::uint64_t nominal_cycles) {
-  const CampaignSpec& spec = *job.spec;
+//
+// `forks` counts every non-suppressed strike among the samples this
+// shard owns, dead at flip or not: placement is chosen before the
+// recording pass that finds out which of them are dead, since that pass
+// needs the interval.  Pricing the dead ones too errs towards denser
+// placement.
+std::uint64_t pick_interval(std::uint64_t nominal_cycles,
+                            std::uint64_t forks) {
   const std::uint64_t first = std::max<std::uint64_t>(64, nominal_cycles / 96);
-  // Replay the per-sample RNG draws (identical order to run_faulty_sample)
-  // to count the non-suppressed strikes this shard will fork for.
-  std::uint64_t forks = 0;
-  for (std::size_t l = 0; l < job.local_count; ++l) {
-    const std::size_t g = l * spec.shard_count + spec.shard_index;
-    util::Rng rng(util::hash_combine(spec.seed, g));
-    const auto ff = static_cast<std::uint32_t>(g % job.ff_count);
-    (void)rng.below(nominal_cycles - 1);  // the injection cycle draw
-    const arch::FFProt p =
-        spec.cfg != nullptr ? spec.cfg->prot_of(ff) : arch::FFProt::kNone;
-    if (rng.bernoulli(ser_ratio(p))) ++forks;
-  }
   if (forks == 0) return first;  // all strikes suppressed: no forks
   // The golden pass takes ~nominal/I + 1 snapshots.  Scan geometric
   // candidate counts (the cost curve is smooth, halving resolution is
@@ -484,9 +670,10 @@ std::uint64_t pick_interval(const CampaignJob& job,
 }
 
 // Records the golden (error-free) reference run, which doubles as the
-// recording pass for the fork snapshots and convergence hashes.  Runs on a
-// pool worker so recordings of different campaigns overlap each other and
-// the faulty runs of already-recorded campaigns.
+// recording pass for the fork snapshots, the live sets of the
+// convergence compare and the dead-at-flip answers.  Runs on a pool
+// worker so recordings of different campaigns overlap each other and the
+// faulty runs of already-recorded campaigns.
 void record_golden(CampaignJob& job, const std::atomic<bool>* cancel) {
   const obs::Span golden_span(metrics().golden_record);
   metrics().goldens.add();
@@ -501,17 +688,33 @@ void record_golden(CampaignJob& job, const std::atomic<bool>* cancel) {
   if (job.golden.status != isa::RunStatus::kHalted) {
     throw std::runtime_error("golden run did not halt for key " + spec.key);
   }
-  job.traj.interval = pick_interval(job, job.golden.cycles);
   // The recording pass runs the traced build of the core, which also
   // yields the FF live sets of every boundary (arch/liveness.h).  It is
   // built per recording and dropped after: faulty runs never trace.
   const std::unique_ptr<arch::Core> gcore =
       arch::make_traced_core(spec.core_name);
+  static_assert(arch::FFRegistry::kMaxSlots <= 0x10000,
+                "slot_of holds 16-bit slot indices");
+  job.traj.slot_of.resize(job.ff_count);
+  for (const arch::FFStructure& st : gcore->registry().structures()) {
+    std::fill_n(job.traj.slot_of.begin() + st.first_ff, st.width,
+                static_cast<std::uint16_t>(st.slot));
+  }
+  QuerySchedule queries(job);
+  job.traj.interval = pick_interval(job.golden.cycles, queries.forks());
   gcore->begin(*spec.program, spec.cfg, nullptr);
   job.traj.live.start(*gcore);
   // The first cycle of golden's current committed count: the recording
   // steps from commit to commit to find it (one stop per instruction).
   std::uint64_t count_start = 0;
+  // The recording also stops at every query cycle c, before the cycle
+  // runs, to watch the queried slots there: a flip lands at the start of
+  // cycle c, before any access of that cycle.
+  const auto watch_due = [&] {
+    queries.pop(gcore->cycle(), [&](std::uint32_t slot) {
+      job.traj.live.watch(*gcore, slot);
+    });
+  };
   const auto capture = [&] {
     job.traj.since_commit.push_back(gcore->cycle() - count_start);
     job.traj.checkpoints.emplace_back();
@@ -521,11 +724,14 @@ void record_golden(CampaignJob& job, const std::atomic<bool>* cancel) {
   const auto step_interval = [&] {
     const std::uint64_t boundary = gcore->cycle() + job.traj.interval;
     while (gcore->cycle() < boundary) {
+      // Only a recovery moves the cycle count by more than one, and a
+      // golden run that recovered asks nothing, so no query is skipped.
+      const std::uint64_t stop = std::min(boundary, queries.next_cycle());
       const std::uint64_t have = gcore->committed();
-      const bool running =
-          gcore->step_until(boundary, kGoldenBudget, have + 1);
+      const bool running = gcore->step_until(stop, kGoldenBudget, have + 1);
       if (gcore->committed() != have) count_start = gcore->cycle();
       if (!running) return false;
+      if (gcore->cycle() == stop && stop < boundary) watch_due();
     }
     return true;
   };
@@ -533,6 +739,7 @@ void record_golden(CampaignJob& job, const std::atomic<bool>* cancel) {
   while (step_interval()) {
     check_cancel(cancel);
     job.traj.live.end_interval(*gcore);
+    watch_due();
     capture();
   }
   job.traj.live.end_interval(*gcore);
@@ -545,13 +752,21 @@ void record_golden(CampaignJob& job, const std::atomic<bool>* cancel) {
   // Liveness follows golden's own accesses only; a golden run that
   // recovered would also have read the rollback ring, which the access
   // log does not see.  No fault-free run detects anything, but such a
-  // campaign would keep the word-exact compare (no live sets).
+  // campaign would keep the word-exact compare (no live sets) and fork
+  // every sample.
   if (job.golden.recoveries == 0) {
     job.traj.live.finish();
   } else {
     job.traj.live = arch::FFLiveness{};
   }
   job.watchdog = job.golden.cycles * 2 + 1024;
+}
+
+// Whether sample g, whose draws are `st`, strikes a slot that is dead at
+// its cycle, as the recording pass found.
+bool dead_at_flip(const CampaignJob& job, std::uint64_t g, const Strike& st) {
+  return asks_about(job, g, st) &&
+         job.traj.live.dead(job.traj.slot_of[st.ff], st.cycle);
 }
 
 // One faulty sample.  `g` is the global sample index: the RNG, target
@@ -562,22 +777,25 @@ Outcome simulate_sample(CampaignJob& job, std::size_t g,
                         const std::atomic<bool>* cancel) {
   const obs::Span classify_span(metrics().classify);
   metrics().samples.add();
-  const CampaignSpec& spec = *job.spec;
   // Stratified-by-FF sampling with an index-derived RNG: results are
   // independent of thread scheduling and thread count.
-  util::Rng rng(util::hash_combine(spec.seed, g));
-  const std::uint32_t ff = static_cast<std::uint32_t>(g % job.ff_count);
-  const std::uint64_t cycle = 1 + rng.below(job.golden.cycles - 1);
+  const Strike st = draw_strike(job, g);
   // Circuit-hardened flip-flops suppress the upset with probability
   // 1 - SER ratio (Table 4); a suppressed strike vanishes by definition.
-  const arch::FFProt p =
-      spec.cfg != nullptr ? spec.cfg->prot_of(ff) : arch::FFProt::kNone;
-  if (!rng.bernoulli(ser_ratio(p))) {
+  if (!st.upset) {
+    metrics().masked_suppressed.add();
     return Outcome::kVanished;
   }
-  const auto plan = arch::InjectionPlan::single(cycle, ff);
-  return run_forked(bound_worker_core(spec, job.token), job.traj, plan, cycle,
-                    job.watchdog, job.golden, cancel);
+  // A strike into a slot golden next writes (or never reads again) ends
+  // as golden, which never recovers when it answers this
+  // (docs/ARCHITECTURE.md, "FF liveness").
+  if (dead_at_flip(job, g, st)) {
+    metrics().masked_dead.add();
+    return Outcome::kVanished;
+  }
+  const auto plan = arch::InjectionPlan::single(st.cycle, st.ff);
+  return run_forked(bound_worker_core(*job.spec, job.token), job.traj, plan,
+                    st.cycle, job.watchdog, job.golden, cancel);
 }
 
 // Owned sample: simulate and account into this shard's result strips.
@@ -835,6 +1053,66 @@ std::string serialize_result(std::uint64_t fp, const CampaignResult& r) {
   return out.str();
 }
 
+namespace {
+
+// A validated job for `spec` with its sample schedule laid out; nothing
+// is simulated yet.
+CampaignJob plan_job(const CampaignSpec& spec) {
+  arch::Core* proto = worker_core(spec.core_name);
+  if (proto == nullptr) {
+    throw std::invalid_argument("unknown core " + spec.core_name);
+  }
+  if (spec.shard_count == 0 || spec.shard_index >= spec.shard_count) {
+    throw std::invalid_argument("invalid shard " +
+                                std::to_string(spec.shard_index) + "/" +
+                                std::to_string(spec.shard_count) +
+                                " for key " + spec.key);
+  }
+  if (spec.adaptive() &&
+      (!(spec.confidence_half_width > 0.0) ||
+       !(spec.confidence_half_width <= 0.5))) {
+    throw std::invalid_argument("confidence half-width must be in (0, 0.5]"
+                                " for key " + spec.key);
+  }
+  CampaignJob job;
+  job.spec = &spec;
+  job.ff_count = proto->registry().ff_count();
+  job.injections = spec.injections != 0 ? spec.injections : job.ff_count;
+  job.local_count =
+      job.injections > spec.shard_index
+          ? (job.injections - spec.shard_index + spec.shard_count - 1) /
+                spec.shard_count
+          : 0;
+  if (spec.adaptive()) {
+    job.base = adaptive::fixed_budget(job.injections, job.ff_count);
+    std::uint64_t min_base = job.base.empty() ? 0 : job.base.front();
+    for (const std::uint64_t b : job.base) min_base = std::min(min_base, b);
+    job.pilot = adaptive::pilot_ordinals(min_base);
+    job.milestones = adaptive::milestone_ladder(job.pilot);
+    job.pilot_span = job.pilot * job.ff_count;
+    if (job.pilot != 0) {
+      job.decide.assign(job.ff_count, {});
+    } else {
+      // Budget too small for a pilot: run the fixed schedule, but keep
+      // the adaptive identity (planned == base on every shard).
+      job.planned = job.base;
+    }
+  }
+  return job;
+}
+
+}  // namespace
+
+std::vector<std::uint64_t> dead_at_flip_samples(const CampaignSpec& spec) {
+  CampaignJob job = plan_job(spec);
+  record_golden(job, nullptr);
+  std::vector<std::uint64_t> dead;
+  for_each_candidate(job, [&](std::uint64_t g) {
+    if (dead_at_flip(job, g, draw_strike(job, g))) dead.push_back(g);
+  });
+  return dead;
+}
+
 std::vector<CampaignResult> execute_campaigns(
     const std::vector<CampaignSpec>& specs, const BatchHooks& hooks) {
   std::vector<CampaignResult> results(specs.size());
@@ -846,46 +1124,8 @@ std::vector<CampaignResult> execute_campaigns(
   jobs.reserve(specs.size());
   for (std::size_t si = 0; si < specs.size(); ++si) {
     const CampaignSpec& spec = specs[si];
-    arch::Core* proto = worker_core(spec.core_name);
-    if (proto == nullptr) {
-      throw std::invalid_argument("unknown core " + spec.core_name);
-    }
-    if (spec.shard_count == 0 || spec.shard_index >= spec.shard_count) {
-      throw std::invalid_argument("invalid shard " +
-                                  std::to_string(spec.shard_index) + "/" +
-                                  std::to_string(spec.shard_count) +
-                                  " for key " + spec.key);
-    }
-    if (spec.adaptive() &&
-        (!(spec.confidence_half_width > 0.0) ||
-         !(spec.confidence_half_width <= 0.5))) {
-      throw std::invalid_argument("confidence half-width must be in (0, 0.5]"
-                                  " for key " + spec.key);
-    }
-    CampaignJob job;
-    job.spec = &spec;
+    CampaignJob job = plan_job(spec);
     job.spec_index = si;
-    job.ff_count = proto->registry().ff_count();
-    job.injections = spec.injections != 0 ? spec.injections : job.ff_count;
-    job.local_count =
-        job.injections > spec.shard_index
-            ? (job.injections - spec.shard_index + spec.shard_count - 1) /
-                  spec.shard_count
-            : 0;
-    if (spec.adaptive()) {
-      job.base = adaptive::fixed_budget(job.injections, job.ff_count);
-      std::uint64_t min_base = job.base.empty() ? 0 : job.base.front();
-      for (const std::uint64_t b : job.base) min_base = std::min(min_base, b);
-      job.pilot = adaptive::pilot_ordinals(min_base);
-      job.milestones = adaptive::milestone_ladder(job.pilot);
-      if (job.pilot != 0) {
-        job.decide.assign(job.ff_count, {});
-      } else {
-        // Budget too small for a pilot: run the fixed schedule, but keep
-        // the adaptive identity (planned == base on every shard).
-        job.planned = job.base;
-      }
-    }
     if (!spec.key.empty() && !cache_dir.empty()) {
       job.fp = spec_fingerprint(spec, job.injections);
       std::string payload;

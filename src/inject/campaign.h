@@ -18,7 +18,10 @@
 // run forks from the snapshot nearest below its injection cycle instead of
 // re-simulating the identical prefix from cycle 0, and terminates early --
 // as Vanished/Recovered -- at the first checkpoint boundary where its full
-// state hash re-converges to the golden trajectory.  Results are
+// state hash re-converges to the golden trajectory.  A strike into state
+// golden next overwrites or never reads again does not fork at all: the
+// recording pass finds such samples, which end as Vanished (docs/
+// ARCHITECTURE.md, "FF liveness", dead at flip).  Results are
 // bit-identical to simulating every faulty run from cycle 0 (the test-side
 // reference engine, tests/reference_campaign.h, checks this) and
 // independent of the worker-thread count: every injection derives its RNG

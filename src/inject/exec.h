@@ -75,6 +75,14 @@ struct BatchHooks {
 [[nodiscard]] std::vector<CampaignResult> execute_campaigns(
     const std::vector<CampaignSpec>& specs, const BatchHooks& hooks);
 
+// Test seam: the global indices of `spec`'s samples that the executor
+// ends as golden's Vanished without forking, because the strike lands in
+// an FF slot that is dead at its cycle (docs/ARCHITECTURE.md, "FF
+// liveness"), ascending.  Records the golden run exactly as
+// execute_campaigns() does; the cache is not consulted.
+[[nodiscard]] std::vector<std::uint64_t> dead_at_flip_samples(
+    const CampaignSpec& spec);
+
 // The campaign-cache payload codec (the text stored in each CPK1 record,
 // docs/FORMATS.md).  parse_result() fails closed: unless the payload
 // decodes field for field as serialize_result() output for a result with

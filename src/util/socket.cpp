@@ -166,6 +166,14 @@ Socket Socket::accept(int timeout_ms) {
   return fd >= 0 ? Socket(fd) : Socket();
 }
 
+std::pair<Socket, Socket> Socket::pair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    fail("socketpair");
+  }
+  return {Socket(fds[0]), Socket(fds[1])};
+}
+
 int Socket::wait_any(const Socket* const* socks, std::size_t count,
                      int timeout_ms) {
   std::vector<pollfd> fds(count);

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace clear::util {
 
@@ -55,6 +56,10 @@ class Socket {
   // worker registry, dead connections included, with one call.
   static int wait_any(const Socket* const* socks, std::size_t count,
                       int timeout_ms);
+  // A connected pair of local sockets: a byte sent on one end wakes a
+  // wait_any() that includes the other.  Throws std::runtime_error on
+  // failure.
+  static std::pair<Socket, Socket> pair();
 
   // Writes the whole buffer; false on any error.  With timeout_ms >= 0
   // the call fails once that much time passes without the peer draining

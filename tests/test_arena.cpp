@@ -29,6 +29,7 @@
 #include "inject/campaign.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
+#include "dead_at_flip_oracle.h"
 #include "reference_campaign.h"
 
 namespace {
@@ -499,6 +500,53 @@ TEST_P(TrackedArenaTest, RestoreAndCompareMatchFullMemcmp) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, TrackedArenaTest, ::testing::ValuesIn(kTrackedCases),
+    [](const ::testing::TestParamInfo<TrackedCase>& p) {
+      return std::string(p.param.name);
+    });
+
+// Dead at flip on the same configurations (tests/dead_at_flip_oracle.h):
+// the samples the executor ends without forking are exactly those a
+// per-cycle recording finds dead, and each ends as golden when run from
+// cycle 0.  One sample per FF; the OoO takes shard 3/8 of them.
+class DeadAtFlipTest : public ::testing::TestWithParam<TrackedCase> {};
+
+TEST_P(DeadAtFlipTest, MatchesPerCycleLivenessAndEndsAsGolden) {
+  const TrackedCase& tc = GetParam();
+  core::Variant variant = core::Variant::base();
+  variant.eddi = tc.eddi;
+  variant.monitor = tc.monitor;
+  variant.dfc = tc.dfc;
+  const auto prog = core::build_variant_program(tc.bench, variant);
+  arch::ResilienceConfig cfg;
+  cfg.monitor = tc.monitor;
+  cfg.dfc = tc.dfc;
+  cfg.recovery = tc.recovery;
+  if (tc.prot != kNoProt) {
+    cfg.prot.assign(arch::make_core(tc.core)->registry().ff_count(), tc.prot);
+  }
+  const bool any_cfg = tc.monitor || tc.dfc || tc.recovery != kNoRec;
+  inject::CampaignSpec spec;
+  spec.core_name = tc.core;
+  spec.program = &prog;
+  spec.cfg = any_cfg ? &cfg : nullptr;
+  spec.injections = 0;  // one per FF
+  spec.seed = 1;
+  if (std::string(tc.core) == "OoO") {
+    spec.shard_index = 3;
+    spec.shard_count = 8;
+  }
+  const testref::DeadAtFlipCounts n = testref::check_dead_at_flip(spec);
+  if (tc.prot == arch::FFProt::kEds) {
+    // Every FF detects its upset: nothing is dead at flip.
+    EXPECT_EQ(n.dead, 0u);
+    EXPECT_GT(n.protected_strikes, 0u);
+  } else {
+    EXPECT_GT(n.dead, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, DeadAtFlipTest, ::testing::ValuesIn(kTrackedCases),
     [](const ::testing::TestParamInfo<TrackedCase>& p) {
       return std::string(p.param.name);
     });

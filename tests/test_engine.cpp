@@ -7,13 +7,14 @@
 // `clear run --out` exactly.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
 #include <sys/wait.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -163,6 +164,22 @@ TEST(Engine, FullyCachedJobCompletesWithZeroTotals) {
   expect_identical(results[0], first);
 }
 
+TEST(Engine, OnFinishRunsOnceTheJobIsTerminal) {
+  const auto prog = bench("mcf");
+  std::promise<void> finished;
+  std::atomic<int> calls{0};
+  engine::Job job = engine::Engine::instance().submit(
+      {small_spec(&prog, "")}, engine::JobPriority::kInteractive, [&] {
+        if (calls.fetch_add(1) == 0) finished.set_value();
+      });
+  ASSERT_EQ(finished.get_future().wait_for(60s), std::future_status::ready);
+  EXPECT_TRUE(job.poll());  // the state turned terminal first
+  EXPECT_EQ(job.state(), engine::JobState::kDone);
+  job.cancel();  // a terminal job does not retire again
+  EXPECT_EQ(calls.load(), 1);
+  (void)job.take_results();
+}
+
 // ---- priority lanes --------------------------------------------------------
 
 TEST(Engine, InteractiveOvertakesQueuedBulk) {
@@ -198,11 +215,14 @@ TEST(EngineCancel, QueuedJobCancelsImmediately) {
   const auto prog = bench("gcc");
   engine::Job head = engine::Engine::instance().submit(
       {small_spec(&prog, "", 1500)});
+  std::atomic<int> queued_notified{0};
   engine::Job queued = engine::Engine::instance().submit(
-      {small_spec(&prog, "", 1500)});
+      {small_spec(&prog, "", 1500)}, engine::JobPriority::kInteractive,
+      [&] { ++queued_notified; });
   queued.cancel();
   queued.wait();  // must not wait for head to finish first
   EXPECT_EQ(queued.state(), engine::JobState::kCancelled);
+  EXPECT_EQ(queued_notified, 1);  // on the thread that cancelled it
   EXPECT_THROW((void)queued.results(), engine::JobCancelled);
   head.wait();
   EXPECT_EQ(head.state(), engine::JobState::kDone);
@@ -437,9 +457,8 @@ struct ConnPair {
 };
 
 ConnPair conn_pair() {
-  int fds[2] = {-1, -1};
-  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  return {serve::FrameConn(util::Socket(fds[0])), util::Socket(fds[1])};
+  auto [ours, peer] = util::Socket::pair();
+  return {serve::FrameConn(std::move(ours)), std::move(peer)};
 }
 
 using Recv = serve::FrameConn::Recv;

@@ -27,6 +27,7 @@
 #include "util/fs.h"
 #include "util/threadpool.h"
 #include "workloads/workloads.h"
+#include "dead_at_flip_oracle.h"
 #include "reference_campaign.h"
 
 namespace {
@@ -302,6 +303,20 @@ std::array<std::uint64_t, kForkCounters.size()> fork_counters() {
   return v;
 }
 
+// The samples that end without a fork, then every sample: together with
+// the five fork endings they add up to campaign.samples.
+constexpr std::array<const char*, 3> kMaskedCounters = {
+    "campaign.masked.dead_at_flip", "campaign.masked.suppressed",
+    "campaign.samples"};
+
+std::array<std::uint64_t, kMaskedCounters.size()> masked_counters() {
+  std::array<std::uint64_t, kMaskedCounters.size()> v{};
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = obs::counter(kMaskedCounters[i]).value();
+  }
+  return v;
+}
+
 // How the forked runs of a campaign ended since construction.
 class ForkEndings {
  public:
@@ -345,13 +360,21 @@ arch::ResilienceConfig expose_only(const arch::FFRegistry& reg, Pred exposed) {
 // Sink flip-flops (FFFlags::sink) drop out of every live set, so a flip
 // in one -- the InO Y chain, window pointers, condition-code shadow, debug
 // trace -- converges at the first boundary after it, in the same cycle.
+// An unprotected sink is dead at flip and never forks, so the sinks here
+// carry parity without a parity group: nothing detects their upsets, but
+// a parity FF is never classified dead at flip, so every strike forks
+// and must converge through the sink-masked compare.
 TEST(Campaign, ForkedMatchesReferenceOnInOEddiSinkFlips) {
   const auto prog =
       core::build_variant_program("fft1d", plan::parse_variant("eddi"));
   auto core = arch::make_ino_core();
-  const arch::ResilienceConfig cfg = expose_only(
+  arch::ResilienceConfig cfg = expose_only(
       core->registry(),
       [](const arch::FFStructure& s) { return s.flags.sink; });
+  cfg.parity_group.assign(core->registry().ff_count(), -1);
+  for (arch::FFProt& p : cfg.prot) {
+    if (p == arch::FFProt::kNone) p = arch::FFProt::kParity;
+  }
   inject::CampaignSpec spec;
   spec.core_name = "InO";
   spec.program = &prog;
@@ -464,6 +487,65 @@ TEST(Campaign, ForkedMatchesReferenceOnInORecoveriesConvergeShifted) {
     EXPECT_GT(forked.totals.recovered, endings[ForkEndings::kRanBenign]);
     EXPECT_GT(endings[ForkEndings::kShifted], 0u);
   }
+}
+
+// Dead at flip (tests/dead_at_flip_oracle.h) with parity + flush on the
+// flushable FFs and the rest unprotected: no parity FF is classified
+// dead, and a campaign ends exactly the classified samples without a
+// fork.
+TEST(Campaign, DeadAtFlipSparesParityFFsOnInOParityFlush) {
+  const auto prog = bench("gcc");
+  auto core = arch::make_ino_core();
+  const auto& reg = core->registry();
+  arch::ResilienceConfig cfg;
+  cfg.prot.assign(reg.ff_count(), arch::FFProt::kNone);
+  cfg.parity_group.assign(reg.ff_count(), -1);
+  std::int32_t group = 0;
+  for (const auto& s : reg.structures()) {
+    if (!s.flags.flushable) continue;
+    for (std::uint32_t b = 0; b < s.width; ++b) {
+      cfg.prot[s.first_ff + b] = arch::FFProt::kParity;
+      cfg.parity_group[s.first_ff + b] = group++ / 16;
+    }
+  }
+  cfg.recovery = arch::RecoveryKind::kFlush;
+  inject::CampaignSpec spec;
+  spec.core_name = "InO";
+  spec.program = &prog;
+  spec.injections = 2 * reg.ff_count();
+  spec.seed = 29;
+  spec.cfg = &cfg;
+  const testref::DeadAtFlipCounts n = testref::check_dead_at_flip(spec);
+  EXPECT_GT(n.dead, 0u);
+  EXPECT_GT(n.protected_strikes, 0u);
+  obs::set_enabled(true);
+  const auto before = masked_counters();
+  (void)engine::run_campaign(spec);
+  const auto after = masked_counters();
+  EXPECT_EQ(after[0] - before[0], n.dead);
+}
+
+// An adaptive shard classifies its pilot, which every shard simulates,
+// and its owned samples below the budget.
+TEST(Campaign, DeadAtFlipCoversTheAdaptivePilotAndTail) {
+  const auto prog = bench("gcc");
+  inject::CampaignSpec spec;
+  spec.core_name = "InO";
+  spec.program = &prog;
+  // 34 samples per FF: a pilot of 32 (inject/adaptive.h), then a tail.
+  const std::uint32_t ffs = arch::make_ino_core()->registry().ff_count();
+  spec.injections = 34 * ffs;
+  spec.seed = 9;
+  spec.confidence_half_width = 0.3;
+  spec.shard_index = 1;
+  spec.shard_count = 2;
+  const std::vector<std::uint64_t> dead =
+      inject::detail::dead_at_flip_samples(spec);
+  const std::uint64_t pilot_span = 32 * ffs;
+  ASSERT_FALSE(dead.empty());
+  EXPECT_LT(dead.front(), pilot_span);
+  EXPECT_GE(dead.back(), pilot_span);
+  EXPECT_GT(testref::check_dead_at_flip(spec).dead, 0u);
 }
 
 TEST(Campaign, CorruptCacheFallsBackToRerun) {
@@ -768,10 +850,12 @@ TEST(Placement, ShardForkCountersAddUpToTheUnshardedRun) {
   spec.key = "";
   spec.cfg = &cfg;
   const auto before = fork_counters();
+  const auto masked_before = masked_counters();
   const PlacementProbe whole;
   (void)engine::run_campaign(spec);
   const std::uint64_t whole_captures = whole.captures_per_golden();
   const auto mid = fork_counters();
+  const auto masked_mid = masked_counters();
   spec.shard_count = 2;
   for (spec.shard_index = 0; spec.shard_index < 2; ++spec.shard_index) {
     const PlacementProbe shard;
@@ -779,11 +863,24 @@ TEST(Placement, ShardForkCountersAddUpToTheUnshardedRun) {
     EXPECT_EQ(shard.captures_per_golden(), whole_captures);
   }
   const auto after = fork_counters();
+  const auto masked_after = masked_counters();
   for (std::size_t i = 0; i < kForkCounters.size(); ++i) {
     EXPECT_EQ(after[i] - mid[i], mid[i] - before[i]) << kForkCounters[i];
   }
+  for (std::size_t i = 0; i < kMaskedCounters.size(); ++i) {
+    EXPECT_EQ(masked_after[i] - masked_mid[i], masked_mid[i] - masked_before[i])
+        << kMaskedCounters[i];
+  }
+  // Every sample ends masked or in one of the five fork endings.
+  std::uint64_t ended = masked_mid[0] - masked_before[0] + masked_mid[1] -
+                        masked_before[1];
+  for (std::size_t e = 0; e < kForkEndings; ++e) ended += mid[e] - before[e];
+  EXPECT_EQ(ended, masked_mid[2] - masked_before[2]);
+  EXPECT_EQ(masked_mid[2] - masked_before[2], spec.injections);
   EXPECT_GT(mid[1] - before[1], 0u) << "no shifted re-convergence";
   EXPECT_GT(mid[2] - before[2], 0u) << "no periodic hang";
+  EXPECT_GT(masked_mid[0] - masked_before[0], 0u) << "nothing dead at flip";
+  EXPECT_GT(masked_mid[1] - masked_before[1], 0u) << "nothing suppressed";
 }
 
 // With every strike suppressed no sample forks, so the golden pass takes

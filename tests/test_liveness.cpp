@@ -345,6 +345,61 @@ INSTANTIATE_TEST_SUITE_P(
         LiveSetCase{{"InO", "gcc", "base", false}, 16, 2072,
                     0x8B88740467CF1B9CULL}));
 
+// Dead-at-flip queries watch slots mid-interval (FFLiveness::watch),
+// taking their entries out of the access log.  The live sets must come
+// out exactly as an unwatched recording's, and every answer must be the
+// per-cycle liveness of a recording that drains after every cycle.
+TEST(FFLiveness, WatchesKeepTheLiveSetsAndAnswerLikeAPerCycleRecording) {
+  for (const char* core_name : {"InO", "OoO"}) {
+    SCOPED_TRACE(core_name);
+    const auto prog = core::build_variant_program(
+        std::string(core_name) == "InO" ? "gcc" : "mcf",
+        core::Variant::base());
+    auto traced = arch::make_traced_core(core_name);
+    const std::size_t slots = traced->registry().pool().size();
+    std::vector<std::pair<std::size_t, std::uint64_t>> asked;
+    // Steps one cycle at a time, closing an interval every `interval`
+    // cycles and, when `watch`, watching four slots at every cycle.
+    const auto record = [&](std::uint64_t interval, bool watch) {
+      traced->begin(prog, nullptr, nullptr);
+      arch::FFLiveness live;
+      live.start(*traced);
+      for (;;) {
+        const std::uint64_t c = traced->cycle();
+        for (int k = 0; watch && k < 4; ++k) {
+          const std::size_t slot =
+              (c * 37 + static_cast<std::uint64_t>(k) * 101) % slots;
+          live.watch(*traced, slot);
+          asked.emplace_back(slot, c);
+        }
+        if (!traced->step_to(c + 1, kBudget)) break;
+        if (traced->cycle() % interval == 0) live.end_interval(*traced);
+      }
+      live.end_interval(*traced);
+      live.finish();
+      return live;
+    };
+    const arch::FFLiveness plain = record(16, false);
+    const arch::FFLiveness per_cycle = record(1, false);
+    const arch::FFLiveness watched = record(16, true);
+    ASSERT_EQ(watched.boundaries(), plain.boundaries());
+    const std::size_t words = (slots + 63) / 64;
+    for (std::size_t b = 0; b < plain.boundaries(); ++b) {
+      EXPECT_TRUE(std::equal(plain.at(b), plain.at(b) + words, watched.at(b)))
+          << "live set " << b;
+    }
+    std::size_t dead = 0;
+    for (const auto& [slot, cycle] : asked) {
+      const bool want = !per_cycle.live(static_cast<std::size_t>(cycle), slot);
+      EXPECT_EQ(watched.dead(slot, cycle), want)
+          << "slot " << slot << " at cycle " << cycle;
+      dead += want ? 1 : 0;
+    }
+    EXPECT_GT(dead, 0u);
+    EXPECT_LT(dead, asked.size());
+  }
+}
+
 TEST(FFLiveness, BackwardPassFollowsFirstAccess) {
   // Unrecorded boundaries compare every slot.
   arch::FFLiveness none;
