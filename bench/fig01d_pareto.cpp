@@ -1,34 +1,25 @@
 // Fig. 1d: the full design-space cloud -- energy cost vs % of SDC-causing
 // errors protected, for every valid cross-layer combination -- produced
 // by the exploration engine (src/explore).  Emits the full dataset to
-// fig01d_<core>.csv and prints the Pareto frontier.  The google-benchmark
-// section measures the engine with dominance pruning on vs off (the
-// pruned run skips the combos whose cost lower bound cannot reach the
-// low-cost frontier).
+// fig01d_<core>.csv and prints the Pareto frontier.
 #include "bench/common.h"
 
 #include <fstream>
 
 #include "explore/explore.h"
 
+namespace clear::bench {
 namespace {
-
-using namespace clear;
-
-explore::ExploreSpec fig_spec(const std::string& cn, bool prune) {
-  explore::ExploreSpec spec;
-  spec.core = cn;
-  spec.target = 50.0;
-  spec.prune = prune;
-  return spec;
-}
 
 void explore_core(const std::string& cn) {
   // The figure wants the whole cloud: pruning off, every combination
-  // evaluated (the engine shares its campaigns with the pruned runs
-  // through the cache pack either way).
-  const explore::Ledger ledger =
-      explore::run_exploration(fig_spec(cn, /*prune=*/false), "");
+  // evaluated (the engine shares its campaigns with pruned runs through
+  // the cache pack either way).
+  explore::ExploreSpec spec;
+  spec.core = cn;
+  spec.target = 50.0;
+  spec.prune = false;
+  const explore::Ledger ledger = explore::run_exploration(spec, "");
   const std::string path = "fig01d_" + cn + ".csv";
   {
     std::ofstream out(path);
@@ -56,7 +47,9 @@ void explore_core(const std::string& cn) {
   t.print(std::cout);
 }
 
-void print_tables() {
+}  // namespace
+
+void fig01d_pareto() {
   bench::header("Fig. 1d", "Design-space exploration: 586 combinations");
   explore_core("InO");
   explore_core("OoO");
@@ -66,22 +59,4 @@ void print_tables() {
               " skips exactly those)");
 }
 
-void BM_DesignSpaceInOPruned(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        explore::run_exploration(fig_spec("InO", true), "").records.size());
-  }
-}
-BENCHMARK(BM_DesignSpaceInOPruned)->Unit(benchmark::kMillisecond);
-
-void BM_DesignSpaceInOFullCloud(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        explore::run_exploration(fig_spec("InO", false), "").records.size());
-  }
-}
-BENCHMARK(BM_DesignSpaceInOFullCloud)->Unit(benchmark::kMillisecond);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

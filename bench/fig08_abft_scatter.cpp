@@ -2,11 +2,9 @@
 // improvement scatter (detection cannot improve DUE).
 #include "bench/common.h"
 
-namespace {
+namespace clear::bench {
 
-using namespace clear;
-
-void print_tables() {
+void fig08_abft_scatter() {
   bench::header("Fig. 8", "ABFT correction vs detection (per benchmark)");
   bench::TextTable t(
       {"Benchmark", "Kind", "SDC improvement", "DUE improvement"});
@@ -40,14 +38,4 @@ void print_tables() {
               " points at DUE < 1 -- every detected error becomes a DUE)");
 }
 
-void BM_AbftVariantBuild(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        workloads::build_abft_variant("inner_product").text.size());
-  }
-}
-BENCHMARK(BM_AbftVariantBuild);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

@@ -5,9 +5,8 @@
 
 #include <fstream>
 
+namespace clear::bench {
 namespace {
-
-using namespace clear;
 
 void frontier(const char* fig, const char* title, core::Palette pal,
               bool with_recovery) {
@@ -43,24 +42,13 @@ void frontier(const char* fig, const char* title, core::Palette pal,
               " competitive; series also written to CSV)");
 }
 
-void print_tables() {
+}  // namespace
+
+void fig09_10_bounds() {
   frontier("fig09", "Bound: LEAP-DICE + parity + micro-arch recovery",
            core::Palette::dice_parity(), true);
   frontier("fig10", "Bound: best standalone technique (LEAP-DICE)",
            core::Palette::dice_only(), false);
 }
 
-void BM_FrontierPoint(benchmark::State& state) {
-  core::SelectionSpec spec;
-  spec.palette = core::Palette::dice_parity();
-  spec.target = 500.0;
-  spec.recovery = arch::RecoveryKind::kFlush;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bench::selector("InO").evaluate(spec).energy);
-  }
-}
-BENCHMARK(BM_FrontierPoint);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

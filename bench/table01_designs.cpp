@@ -3,11 +3,9 @@
 
 #include "arch/core.h"
 
-namespace {
+namespace clear::bench {
 
-using namespace clear;
-
-void print_tables() {
+void table01_designs() {
   bench::header("Table 1", "Processor designs studied");
   bench::TextTable t({"Core", "Description", "Clk", "FFs (paper)", "FFs (ours)",
                       "Injections", "IPC (paper)", "IPC (ours)"});
@@ -38,24 +36,4 @@ void print_tables() {
               " campaigns here, margins reported per bench)");
 }
 
-void BM_CleanRunInO(benchmark::State& state) {
-  const auto prog = isa::assemble(workloads::build_benchmark("mcf"));
-  auto core = arch::make_ino_core();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core->run_clean(prog).cycles);
-  }
-}
-BENCHMARK(BM_CleanRunInO);
-
-void BM_CleanRunOoO(benchmark::State& state) {
-  const auto prog = isa::assemble(workloads::build_benchmark("mcf"));
-  auto core = arch::make_ooo_core();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core->run_clean(prog).cycles);
-  }
-}
-BENCHMARK(BM_CleanRunOoO);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

@@ -4,9 +4,9 @@
 
 #include "phys/phys.h"
 
+namespace clear::bench {
 namespace {
 
-using namespace clear;
 using core::Improvement;
 using core::Variant;
 
@@ -48,7 +48,9 @@ Row measured_variant_row(const std::string& core_name, const char* layer,
   return r;
 }
 
-void print_tables() {
+}  // namespace
+
+void table03_standalone() {
   bench::header("Table 3", "Standalone techniques: improvement / cost / gamma");
   for (const char* cn : {"InO", "OoO"}) {
     const std::string core_name = cn;
@@ -161,17 +163,4 @@ void print_tables() {
   }
 }
 
-void BM_SelectionMaxPoint(benchmark::State& state) {
-  core::SelectionSpec spec;
-  spec.palette = core::Palette::dice_only();
-  spec.target = -1;
-  spec.recovery = arch::RecoveryKind::kNone;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bench::selector("InO").evaluate(spec).energy);
-  }
-}
-BENCHMARK(BM_SelectionMaxPoint);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

@@ -4,11 +4,9 @@
 
 #include "phys/phys.h"
 
-namespace {
+namespace clear::bench {
 
-using namespace clear;
-
-void print_tables() {
+void table04_cell_library() {
   bench::header("Table 4", "Resilient flip-flops (cell library)");
   bench::TextTable t({"Type", "SER", "Area", "Power", "Delay"});
   auto row = [&](const char* name, arch::FFProt p) {
@@ -31,13 +29,4 @@ void print_tables() {
               " Table 17 bench)");
 }
 
-void BM_CellLookup(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(phys::ff_cell(arch::FFProt::kLeapDice).power);
-  }
-}
-BENCHMARK(BM_CellLookup);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

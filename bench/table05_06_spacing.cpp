@@ -5,11 +5,9 @@
 #include "phys/phys.h"
 #include "resilience/parity.h"
 
-namespace {
+namespace clear::bench {
 
-using namespace clear;
-
-void print_tables() {
+void table05_06_spacing() {
   bench::header("Tables 5+6", "FF spacing: baseline vs parity-group layout");
   static const char* kBins[5] = {"< 1 FF length (SEMU-vulnerable)",
                                  "1 - 2 lengths", "2 - 3 lengths",
@@ -50,21 +48,4 @@ void print_tables() {
   }
 }
 
-void BM_ParityPlacement(benchmark::State& state) {
-  auto proto = arch::make_core("InO");
-  phys::PhysModel model(*proto);
-  std::vector<std::uint32_t> all;
-  for (std::uint32_t f = 0; f < proto->registry().ff_count(); ++f) {
-    all.push_back(f);
-  }
-  for (auto _ : state) {
-    const auto plan = resilience::build_parity_plan(
-        *proto, model, all, resilience::ParityHeuristic::kOptimized);
-    benchmark::DoNotOptimize(plan.groups.size());
-  }
-}
-BENCHMARK(BM_ParityPlacement);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

@@ -4,11 +4,9 @@
 #include "phys/phys.h"
 #include "resilience/parity.h"
 
-namespace {
+namespace clear::bench {
 
-using namespace clear;
-
-void print_tables() {
+void table07_parity_heuristics() {
   bench::header("Table 7", "Parity heuristics (all InO FFs protected)");
   auto proto = arch::make_core("InO");
   phys::PhysModel model(*proto);
@@ -51,21 +49,4 @@ void print_tables() {
   t.print(std::cout);
 }
 
-void BM_GroupingHeuristics(benchmark::State& state) {
-  auto proto = arch::make_core("InO");
-  phys::PhysModel model(*proto);
-  std::vector<std::uint32_t> all(proto->registry().ff_count());
-  for (std::uint32_t f = 0; f < all.size(); ++f) all[f] = f;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        resilience::build_parity_plan(*proto, model, all,
-                                      resilience::ParityHeuristic::kTiming,
-                                      16)
-            .groups.size());
-  }
-}
-BENCHMARK(BM_GroupingHeuristics);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

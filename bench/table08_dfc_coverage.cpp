@@ -1,9 +1,8 @@
 // Table 8: DFC error coverage -- why dataflow checking caps out near 30%.
 #include "bench/common.h"
 
+namespace clear::bench {
 namespace {
-
-using namespace clear;
 
 void coverage_rows(const std::string& cn, bench::TextTable* t) {
   auto& s = bench::session(cn);
@@ -46,7 +45,9 @@ void coverage_rows(const std::string& cn, bench::TextTable* t) {
               bench::TextTable::factor(imp)});
 }
 
-void print_tables() {
+}  // namespace
+
+void table08_dfc_coverage() {
   bench::header("Table 8", "DFC error coverage (SDC)");
   bench::TextTable t({"Core", "% SDC-FFs covered (paper 57/65%)",
                       "% errors detected per covered FF (paper ~30%)",
@@ -59,16 +60,4 @@ void print_tables() {
               " corruptions escape, bounding coverage)");
 }
 
-void BM_DfcProfileLookup(benchmark::State& state) {
-  core::Variant v;
-  v.dfc = true;
-  auto& s = bench::session("InO");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(s.profiles(v).totals.ed);
-  }
-}
-BENCHMARK(BM_DfcProfileLookup);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

@@ -1,11 +1,9 @@
 // Table 9: the monitor (checker) core keeps up with the main OoO core.
 #include "bench/common.h"
 
-namespace {
+namespace clear::bench {
 
-using namespace clear;
-
-void print_tables() {
+void table09_monitor_ipc() {
   bench::header("Table 9", "Monitor core vs main core throughput");
   auto& s = bench::session("OoO");
   const auto& base = s.profiles(core::Variant::base());
@@ -33,19 +31,4 @@ void print_tables() {
   std::printf("main-core commit rate: %.2f instr/cycle\n", ipc);
 }
 
-void BM_MonitorValidatedRun(benchmark::State& state) {
-  const auto prog = isa::assemble(workloads::build_benchmark("gcc"));
-  auto core = arch::make_ooo_core();
-  arch::ResilienceConfig cfg;
-  cfg.monitor = true;
-  cfg.recovery = arch::RecoveryKind::kRob;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core->run(prog, &cfg, nullptr, 20'000'000).cycles);
-  }
-}
-BENCHMARK(BM_MonitorValidatedRun);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

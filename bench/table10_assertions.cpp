@@ -6,9 +6,8 @@
 #include "isa/iss.h"
 #include "soft/transforms.h"
 
+namespace clear::bench {
 namespace {
-
-using namespace clear;
 
 core::Variant assert_variant(bool data, bool control) {
   core::Variant v;
@@ -50,7 +49,9 @@ double false_positive_rate() {
   return static_cast<double>(fp) / static_cast<double>(total);
 }
 
-void print_tables() {
+}  // namespace
+
+void table10_assertions() {
   bench::header("Table 10", "Assertions: data vs control variable checks");
   bench::TextTable t({"Check class", "Paper (exec/SDC/DUE)", "Exec impact",
                       "SDC improve", "DUE improve"});
@@ -67,17 +68,4 @@ void print_tables() {
       false_positive_rate() * 100.0);
 }
 
-void BM_AssertionTraining(benchmark::State& state) {
-  for (auto _ : state) {
-    auto plan =
-        soft::insert_assertion_sites(workloads::build_benchmark("mcf"));
-    std::vector<soft::ValueBounds> bounds;
-    soft::train_assertions(isa::assemble(plan.unit), plan, &bounds);
-    benchmark::DoNotOptimize(bounds.size());
-  }
-}
-BENCHMARK(BM_AssertionTraining);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

@@ -6,9 +6,8 @@
 
 #include "inject/iss_inject.h"
 
+namespace clear::bench {
 namespace {
-
-using namespace clear;
 
 struct LevelRow {
   double ff = 0, regu = 0, regw = 0, varu = 0, varw = 0;
@@ -77,7 +76,9 @@ void print_level_table(const char* id, const char* title,
   t.print(std::cout);
 }
 
-void print_tables() {
+}  // namespace
+
+void table11_14_injection_levels() {
   core::Variant assertions;
   assertions.assertions = true;
   // The SPEC applications the paper evaluates in Table 11.
@@ -99,16 +100,4 @@ void print_tables() {
               " techniques; only flip-flop injection is ground truth)");
 }
 
-void BM_IssLevelCampaign(benchmark::State& state) {
-  const auto prog = core::build_variant_program("mcf", core::Variant::base());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        inject::run_iss_campaign(prog, inject::InjectLevel::kRegUniform, 50, 3)
-            .omm);
-  }
-}
-BENCHMARK(BM_IssLevelCampaign);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

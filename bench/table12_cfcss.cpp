@@ -2,11 +2,9 @@
 // SDCs uncovered.
 #include "bench/common.h"
 
-namespace {
+namespace clear::bench {
 
-using namespace clear;
-
-void print_tables() {
+void table12_cfcss() {
   bench::header("Table 12", "CFCSS error coverage (InO)");
   auto& s = bench::session("InO");
   const auto& base = s.profiles(core::Variant::base());
@@ -48,20 +46,4 @@ void print_tables() {
               " chain; crash-type DUEs abort before the check runs)");
 }
 
-void BM_CfcssTransform(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::build_variant_program("gcc",
-                                    [] {
-                                      core::Variant v;
-                                      v.cfcss = true;
-                                      return v;
-                                    }())
-            .code.size());
-  }
-}
-BENCHMARK(BM_CfcssTransform);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

@@ -2,11 +2,9 @@
 // escape raises SDC improvement by an order of magnitude.
 #include "bench/common.h"
 
-namespace {
+namespace clear::bench {
 
-using namespace clear;
-
-void print_tables() {
+void table13_eddi_readback() {
   bench::header("Table 13", "EDDI: importance of store-readback (InO)");
   auto& s = bench::session("InO");
   const auto& base = s.profiles(core::Variant::base());
@@ -35,20 +33,4 @@ void print_tables() {
               " store datapath is caught before it becomes silent output)");
 }
 
-void BM_EddiTransform(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::build_variant_program("mcf",
-                                    [] {
-                                      core::Variant v;
-                                      v.eddi = true;
-                                      return v;
-                                    }())
-            .code.size());
-  }
-}
-BENCHMARK(BM_EddiTransform);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

@@ -6,11 +6,9 @@
 #include "inject/campaign.h"
 #include "phys/phys.h"
 
-namespace {
+namespace clear::bench {
 
-using namespace clear;
-
-void print_tables() {
+void table15_recovery() {
   bench::header("Table 15", "Hardware error recovery");
   for (const char* cn : {"InO", "OoO"}) {
     auto proto = arch::make_core(cn);
@@ -81,30 +79,4 @@ void print_tables() {
   d.print(std::cout);
 }
 
-void BM_FlushRecoveryRun(benchmark::State& state) {
-  const auto prog = isa::assemble(workloads::build_benchmark("gcc"));
-  auto core = arch::make_ino_core();
-  arch::ResilienceConfig cfg;
-  cfg.prot.assign(core->registry().ff_count(), arch::FFProt::kEds);
-  for (const auto& st : core->registry().structures()) {
-    if (!st.flags.flushable) {
-      for (std::uint32_t b = 0; b < st.width; ++b) {
-        cfg.prot[st.first_ff + b] = arch::FFProt::kLeapDice;
-      }
-    }
-  }
-  cfg.recovery = arch::RecoveryKind::kFlush;
-  const auto clean = core->run_clean(prog);
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    const auto plan = arch::InjectionPlan::single(
-        1 + (i++ * 37) % clean.cycles, (i * 131) % core->registry().ff_count());
-    benchmark::DoNotOptimize(
-        core->run(prog, &cfg, &plan, clean.cycles * 2 + 64).recoveries);
-  }
-}
-BENCHMARK(BM_FlushRecoveryRun);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

@@ -4,11 +4,9 @@
 // shows to be unreliable); our EDDI row is measured.
 #include "bench/common.h"
 
-namespace {
+namespace clear::bench {
 
-using namespace clear;
-
-void print_tables() {
+void table16_selective_eddi() {
   bench::header("Table 16", "Selective-EDDI literature comparison");
   auto& s = bench::session("InO");
   const auto& base = s.profiles(core::Variant::base());
@@ -34,19 +32,4 @@ void print_tables() {
               " injection; Table 11/14 benches quantify that model's bias)");
 }
 
-void BM_EddiImprovementEval(benchmark::State& state) {
-  auto& s = bench::session("InO");
-  const auto& base = s.profiles(core::Variant::base());
-  core::Variant v;
-  v.eddi = true;
-  const auto& p = s.profiles(v);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::improvement(base.mass(), p.mass(), 2.0).sdc);
-  }
-}
-BENCHMARK(BM_EddiImprovementEval);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

@@ -2,9 +2,8 @@
 // (LEAP-DICE only / parity only / EDS only), bounded vs unconstrained.
 #include "bench/common.h"
 
+namespace clear::bench {
 namespace {
-
-using namespace clear;
 
 void sweep(const std::string& cn, const char* name, core::Palette pal,
            arch::RecoveryKind bounded_rec) {
@@ -38,7 +37,9 @@ void sweep(const std::string& cn, const char* name, core::Palette pal,
   t.print(std::cout);
 }
 
-void print_tables() {
+}  // namespace
+
+void table17_tunable() {
   bench::header("Table 17", "Tunable techniques: cost vs improvement");
   bench::note("paper reference (InO, energy %): DICE 2/4.3/7.3/8.2/22.4;"
               " parity+IR 23.4/26/29.4/30.5/44.1; EDS+IR 23.1/25.4/28.5/"
@@ -53,17 +54,4 @@ void print_tables() {
   }
 }
 
-void BM_TunableSweep(benchmark::State& state) {
-  core::SelectionSpec spec;
-  spec.palette = core::Palette::dice_only();
-  spec.target = 50.0;
-  spec.recovery = arch::RecoveryKind::kNone;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bench::selector("InO").evaluate(spec).energy);
-  }
-}
-BENCHMARK(BM_TunableSweep);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

@@ -1,9 +1,8 @@
 // Table 18: the 586 cross-layer combinations.
 #include "bench/common.h"
 
+namespace clear::bench {
 namespace {
-
-using namespace clear;
 
 void count_rows(const std::string& cn, bench::TextTable* t) {
   const auto combos = core::enumerate_combos(cn);
@@ -31,7 +30,9 @@ void count_rows(const std::string& cn, bench::TextTable* t) {
               std::to_string(combos.size())});
 }
 
-void print_tables() {
+}  // namespace
+
+void table18_combinations() {
   bench::header("Table 18", "Creating the 586 cross-layer combinations");
   bench::TextTable t({"Core", "No rec.", "Flush/RoB", "IR/EIR", "ABFT alone",
                       "+ABFT corr.", "+ABFT det.", "Total"});
@@ -43,13 +44,4 @@ void print_tables() {
   std::printf("combined total: %zu (paper: 586 = 417 InO + 169 OoO)\n", total);
 }
 
-void BM_Enumeration(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::enumerate_combos("InO").size());
-  }
-}
-BENCHMARK(BM_Enumeration);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

@@ -1,9 +1,8 @@
 // Table 19: cross-layer combinations for general-purpose processors.
 #include "bench/common.h"
 
+namespace clear::bench {
 namespace {
-
-using namespace clear;
 
 void combo_sweep(const std::string& cn, const char* label, const char* paper,
                  core::Combo combo) {
@@ -26,7 +25,9 @@ void combo_sweep(const std::string& cn, const char* label, const char* paper,
   t.print(std::cout);
 }
 
-void print_tables() {
+}  // namespace
+
+void table19_crosslayer() {
   bench::header("Table 19", "Cross-layer combinations (general purpose)");
   {
     core::Combo c;
@@ -77,21 +78,4 @@ void print_tables() {
   }
 }
 
-void BM_ComboEvaluation(benchmark::State& state) {
-  core::Combo c;
-  c.dice = true;
-  c.parity = true;
-  c.recovery = arch::RecoveryKind::kFlush;
-  bench::session("InO").prefetch(core::combo_variants(c));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::evaluate_combo(bench::session("InO"), bench::selector("InO"), c,
-                             50.0)
-            .energy);
-  }
-}
-BENCHMARK(BM_ComboEvaluation);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

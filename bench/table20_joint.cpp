@@ -2,11 +2,9 @@
 // flush/RoB recovery.
 #include "bench/common.h"
 
-namespace {
+namespace clear::bench {
 
-using namespace clear;
-
-void print_tables() {
+void table20_joint() {
   bench::header("Table 20", "Joint SDC/DUE targets (DICE+parity+flush/RoB)");
   bench::note("paper (InO energy): 2x 2%, 5x 4.2%, 50x 9%, 500x 10.8%,"
               " max 17.9%; (OoO): 0.1/0.4/2.2/2.8/7%");
@@ -33,18 +31,4 @@ void print_tables() {
   }
 }
 
-void BM_JointSelection(benchmark::State& state) {
-  core::SelectionSpec spec;
-  spec.palette = core::Palette::dice_parity();
-  spec.metric = core::Metric::kJoint;
-  spec.target = 50.0;
-  spec.recovery = arch::RecoveryKind::kFlush;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bench::selector("InO").evaluate(spec).energy);
-  }
-}
-BENCHMARK(BM_JointSelection);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

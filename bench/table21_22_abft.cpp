@@ -2,9 +2,8 @@
 // of ABFT correction.
 #include "bench/common.h"
 
+namespace clear::bench {
 namespace {
-
-using namespace clear;
 
 void abft_sweep(const std::string& cn, const char* label, core::Combo combo,
                 bool leap_ctrl) {
@@ -50,7 +49,9 @@ void abft_sweep(const std::string& cn, const char* label, core::Combo combo,
   t.print(std::cout);
 }
 
-void print_tables() {
+}  // namespace
+
+void table21_22_abft() {
   bench::header("Table 21", "ABFT cross-layer combinations");
   bench::note("paper E@50x: InO ABFTc+DICE+parity+flush 3.1%, OoO 1.9%;"
               " ABFTd+DICE+parity 30%/25.5%");
@@ -108,22 +109,4 @@ void print_tables() {
   t.print(std::cout);
 }
 
-void BM_AbftComboEval(benchmark::State& state) {
-  core::Combo c;
-  c.dice = true;
-  c.parity = true;
-  c.abft = workloads::AbftKind::kCorrection;
-  c.recovery = arch::RecoveryKind::kFlush;
-  bench::session("InO").prefetch(core::combo_variants(c));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::evaluate_combo(bench::session("InO"), bench::selector("InO"), c,
-                             50.0)
-            .energy);
-  }
-}
-BENCHMARK(BM_AbftComboEval);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

@@ -2,9 +2,8 @@
 // techniques) and Tables 25/26 (LHL backfill for tunable selections).
 #include "bench/common.h"
 
+namespace clear::bench {
 namespace {
-
-using namespace clear;
 
 void tv_row(bench::TextTable* t, const std::string& cn, const char* name,
             const char* paper, const core::Variant& v, core::Metric m) {
@@ -17,7 +16,9 @@ void tv_row(bench::TextTable* t, const std::string& cn, const char* name,
               bench::TextTable::pct(tv.underestimate_pct), p});
 }
 
-void print_tables() {
+}  // namespace
+
+void table23_26_benchdep() {
   for (const core::Metric m : {core::Metric::kSdc, core::Metric::kDue}) {
     const bool sdc = m == core::Metric::kSdc;
     bench::header(sdc ? "Table 23" : "Table 24",
@@ -88,18 +89,4 @@ void print_tables() {
   }
 }
 
-void BM_TrainValidateSplit(benchmark::State& state) {
-  core::Variant v;
-  v.cfcss = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::standalone_train_validate(bench::session("InO"), v,
-                                        core::Metric::kSdc, 10, 7)
-            .trained);
-  }
-}
-BENCHMARK(BM_TrainValidateSplit);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

@@ -1,11 +1,9 @@
 // Table 27: vulnerability-decile similarity across benchmarks (Eq. 2).
 #include "bench/common.h"
 
-namespace {
+namespace clear::bench {
 
-using namespace clear;
-
-void print_tables() {
+void table27_similarity() {
   bench::header("Table 27", "Vulnerability subset similarity (InO, Eq. 2)");
   const auto sim = core::subset_similarity(bench::session("InO"));
   static const double paper[10] = {0.83, 0.05, 0, 0, 0, 0, 0, 0, 0.71, 1.0};
@@ -22,14 +20,4 @@ void print_tables() {
               " weakens the top-decile agreement relative to the paper)");
 }
 
-void BM_SubsetSimilarity(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::subset_similarity(bench::session("InO"))[0]);
-  }
-}
-BENCHMARK(BM_SubsetSimilarity);
-
-}  // namespace
-
-CLEAR_BENCH_MAIN(print_tables)
+}  // namespace clear::bench

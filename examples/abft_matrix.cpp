@@ -71,6 +71,6 @@ int main() {
   std::printf(
       "\n(Sec. 3.2.1 caveat: general-purpose processors would need LEAP-ctrl"
       " dual-mode\n cells to exploit ABFT, which is impractical -- see"
-      " bench_table21_22_abft)\n");
+      " Table 21 in paper_tables)\n");
   return 0;
 }

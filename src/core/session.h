@@ -6,7 +6,7 @@
 // selective-hardening decision, every improvement estimate and every table
 // of the evaluation.  Collection is the expensive step (thousands of
 // microarchitectural simulations); results are memoized in memory and in
-// the on-disk campaign cache pack shared by all bench binaries.  The
+// the on-disk campaign cache pack shared by every process.  The
 // underlying campaigns are submitted per variant batch as one job to the
 // process-wide execution engine (engine/engine.h): golden-run recordings
 // of later benchmarks overlap the faulty runs of earlier ones, every

@@ -6,7 +6,7 @@
 // a processor model run, classifies every outcome against the error-free
 // ("golden") run, and aggregates per-flip-flop vulnerability profiles.
 // Campaign results are memoized on disk (CLEAR_CACHE_DIR) because every
-// bench binary shares the same underlying campaigns.
+// paper table shares the same underlying campaigns.
 //
 // Sampling is stratified by flip-flop: injection i targets
 // ff = i mod ff_count at an independently drawn uniform cycle, which is an

@@ -21,8 +21,8 @@
 //     streams or wire payloads -- `.csr`/`.cxl` bytes are bit-identical
 //     with collection on or off (pinned by test_obs).
 //   * Cheap: every mutation is gated on one relaxed atomic load
-//     (enabled()); the perf-smoke bench enforces <2% campaign wall-clock
-//     overhead with collection on.
+//     (enabled()); test_obs enforces <2% campaign wall-clock overhead
+//     with collection on.
 //   * Snapshot-consistent: snapshot() reads each histogram's buckets once
 //     and derives the count from their sum, so a reader always sees a
 //     count that equals the bucket total even while workers mutate it.
@@ -31,8 +31,8 @@
 //     registry is leaked deliberately, like CachePack::instance).
 //
 // CLEAR_METRICS=0 disables collection at process start; set_enabled()
-// overrides at runtime (the overhead bench measures both modes in one
-// process).  The CLI verbs that accept --metrics-out write a JSON dump
+// overrides at runtime (test_obs's overhead check measures both modes in
+// one process).  The CLI verbs that accept --metrics-out write a JSON dump
 // there.
 #ifndef CLEAR_OBS_METRICS_H
 #define CLEAR_OBS_METRICS_H

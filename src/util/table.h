@@ -1,4 +1,4 @@
-// Plain-text table rendering used by the bench binaries to print
+// Plain-text table rendering used by the paper_tables printer to print
 // paper-style tables (paper-reported reference values next to measured),
 // plus the JSON string escaper behind the repo's JSON outputs.
 #ifndef CLEAR_UTIL_TABLE_H

@@ -3,7 +3,7 @@
 // The production executor (inject/campaign.cpp) forks each faulty run off
 // a golden checkpoint and stops early once the state re-converges.  This
 // header keeps the straightforward procedure it must agree with bit for
-// bit, for tests and the checkpoint ablation bench:
+// bit, for the tests that compare the two:
 //   * the same index-derived draws: Rng(hash_combine(seed, g)),
 //     ff = g % ff_count, the injection cycle, then the SER Bernoulli that
 //     suppresses strikes on hardened flip-flops;

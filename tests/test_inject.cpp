@@ -170,14 +170,27 @@ class ConvergedRuns {
 // (tests/reference_campaign.h): bit-identical per-FF counters.
 TEST(Campaign, ForkedMatchesReferenceOnInO) {
   const ConvergedRuns converged;
-  const auto prog = bench("mcf");
-  inject::CampaignSpec spec;
-  spec.core_name = "InO";
-  spec.program = &prog;
-  spec.injections = 900;
-  spec.seed = 5;
-  expect_identical(testref::reference_campaign(spec),
-                   engine::run_campaign(spec));
+  // mcf at 900 samples, then mcf, gcc and parser at 120 samples and the
+  // default seed.
+  const struct {
+    const char* name;
+    std::size_t injections;
+    std::uint64_t seed;
+  } inputs[] = {{"mcf", 900, 5},
+                {"mcf", 120, 1},
+                {"gcc", 120, 1},
+                {"parser", 120, 1}};
+  for (const auto& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const auto prog = bench(in.name);
+    inject::CampaignSpec spec;
+    spec.core_name = "InO";
+    spec.program = &prog;
+    spec.injections = in.injections;
+    spec.seed = in.seed;
+    expect_identical(testref::reference_campaign(spec),
+                     engine::run_campaign(spec));
+  }
   EXPECT_GT(converged.count(), 0u);
 }
 
@@ -226,10 +239,13 @@ TEST(Campaign, ForkedMatchesReferenceOnOoOWithMonitor) {
   spec.core_name = "OoO";
   spec.program = &prog;
   spec.injections = 120;
-  spec.seed = 13;
   spec.cfg = &cfg;
-  expect_identical(testref::reference_campaign(spec),
-                   engine::run_campaign(spec));
+  for (const std::uint64_t seed : {13, 1}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    spec.seed = seed;
+    expect_identical(testref::reference_campaign(spec),
+                     engine::run_campaign(spec));
+  }
   EXPECT_GT(converged.count(), 0u);
 }
 
@@ -1124,6 +1140,7 @@ TEST(Campaign, BatchedSubmissionMatchesSequential) {
 }
 
 TEST(Campaign, BatchedSubmissionUsesTheCache) {
+  std::filesystem::remove_all(inject::campaign_cache_dir());
   const auto p1 = bench("mcf");
   const auto p2 = bench("gcc");
   std::vector<inject::CampaignSpec> specs(2);
@@ -1140,6 +1157,16 @@ TEST(Campaign, BatchedSubmissionUsesTheCache) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     expect_identical(first[i], second[i]);
   }
+  // However many campaigns it holds, a cache directory is one pack and
+  // one index.
+  std::vector<std::string> files;
+  for (const auto& e :
+       std::filesystem::directory_iterator(inject::campaign_cache_dir())) {
+    files.push_back(e.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{inject::CachePack::kIndexName,
+                                             inject::CachePack::kPackName}));
 }
 
 TEST(Campaign, BatchGoldenFailurePropagatesWithoutDeadlock) {

@@ -1,11 +1,14 @@
 // Physical-design model tests: cell library, calibration anchors, spacing
-// distributions, timing, cost monotonicity, SP&R noise band.
+// distributions, SEMU detection under parity layouts, timing, cost
+// monotonicity, SP&R noise band.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "arch/core.h"
+#include "core/variants.h"
 #include "phys/phys.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -91,6 +94,62 @@ TEST(PhysModel, ParityPlacementEliminatesSemuAdjacency) {
   const auto h = m.parity_spacing_histogram(plan, &avg);
   EXPECT_DOUBLE_EQ(h[0], 0.0);  // Table 6: 0% within one FF length
   EXPECT_GT(avg, 1.5);
+}
+
+// A SEMU: one particle flips a flip-flop and its physical neighbour in the
+// same cycle.  Every InO FF is in a 16-bit parity group, with no recovery,
+// and 600 strikes land on mcf.  With the minimum-spacing layout the two
+// flips sit in different groups and every strike is detected; naive
+// layout-order grouping puts both in one group, where they cancel.
+struct SemuCounts {
+  int detected = 0, escaped = 0, vanished = 0;
+};
+
+SemuCounts semu_strikes(bool min_spacing) {
+  const auto prog = core::build_variant_program("mcf", core::Variant::base());
+  auto ino = arch::make_ino_core();
+  phys::PhysModel model(*ino);
+  const auto n = ino->registry().ff_count();
+  arch::ResilienceConfig cfg;
+  cfg.prot.assign(n, arch::FFProt::kParity);
+  cfg.parity_group.assign(n, -1);
+  for (std::uint32_t f = 0; f < n; ++f) {
+    cfg.parity_group[f] = static_cast<std::int32_t>(min_spacing ? f % 16
+                                                                : f / 16);
+  }
+  cfg.recovery = arch::RecoveryKind::kNone;
+  const auto clean = ino->run_clean(prog);
+  SemuCounts counts;
+  util::Rng rng(0x5E3Dull);
+  for (int t = 0; t < 600; ++t) {
+    const auto f = static_cast<std::uint32_t>(rng.below(n));
+    const std::uint32_t g = model.adjacent_ff(f);
+    const std::uint64_t cycle = 1 + rng.below(clean.cycles - 1);
+    arch::InjectionPlan plan;
+    plan.flips.push_back({cycle, f});
+    if (g != f) plan.flips.push_back({cycle, g});
+    const auto r = ino->run(prog, &cfg, &plan, clean.cycles * 2 + 64);
+    if (r.status == isa::RunStatus::kDetected) {
+      ++counts.detected;
+    } else if (r.status == isa::RunStatus::kHalted &&
+               r.output == clean.output) {
+      ++counts.vanished;
+    } else {
+      ++counts.escaped;
+    }
+  }
+  return counts;
+}
+
+TEST(PhysModel, MinSpacingParityDetectsEverySemu) {
+  const auto spaced = semu_strikes(true);
+  EXPECT_EQ(spaced.detected, 600);
+  EXPECT_EQ(spaced.escaped, 0);
+  EXPECT_EQ(spaced.vanished, 0);
+  const auto naive = semu_strikes(false);
+  EXPECT_EQ(naive.detected, 233);
+  EXPECT_EQ(naive.escaped, 31);
+  EXPECT_EQ(naive.vanished, 336);
 }
 
 TEST(PhysModel, TimingSlackDeterministicAndBounded) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Line counts of src/ and of each module under it, as a Markdown table.
+"""Line counts of src/, its modules, bench/ and tests/, as a Markdown table.
 
 A directory's count is what
 
@@ -38,6 +38,9 @@ def main(argv):
     for module in sorted(os.listdir(src)):
         if os.path.isdir(os.path.join(src, module)):
             rows.append(("src/%s/" % module,) + count(os.path.join(src, module)))
+    for other in ("bench", "tests"):
+        if os.path.isdir(os.path.join(args.root, other)):
+            rows.append(("%s/" % other,) + count(os.path.join(args.root, other)))
     print("| directory | files | lines |")
     print("|---|---:|---:|")
     for name, files, lines in rows:
