@@ -31,8 +31,8 @@ constexpr const char* kTopHelp =
     "  serve    shard-worker daemon: manifests in over a local socket,\n"
     "           progress events and .csr payloads streamed back\n"
     "  submit   send a manifest to a serve daemon, collect its .csr files\n"
-    "  fleet    orchestrate many serve workers: work-stealing shard\n"
-    "           dispatch, dead-worker redispatch, live result merge\n"
+    "  fleet    orchestrate many serve workers: pull shard dispatch,\n"
+    "           dead-worker redispatch, live result merge\n"
     "  status   live fleet/worker/cache telemetry tables from serve\n"
     "           workers' heartbeats or a fleet --status-out file\n"
     "  version  binary + wire/ledger/pack format versions (--json)\n"

@@ -64,8 +64,8 @@ int cmd_explore(int argc, const char* const* argv);
 int cmd_serve(int argc, const char* const* argv);
 int cmd_submit(int argc, const char* const* argv);
 // `clear fleet <run|explore>`: multi-worker orchestration over serve
-// daemons (fleet/fleet.h): work-stealing shard dispatch, dead-worker
-// redispatch, live re-merge of arriving results.
+// daemons (fleet/fleet.h): pull shard dispatch, dead-worker redispatch,
+// live re-merge of arriving results.
 int cmd_fleet(int argc, const char* const* argv);
 // `clear status [--file FILE | ENDPOINT...]`: renders worker telemetry
 // (inflight work, cache hit rates, latency quantiles) from live serve

@@ -12,8 +12,8 @@
 // Worker endpoints are positional operands: a UNIX socket path,
 // `tcp:PORT` for 127.0.0.1 TCP, and either form with `@N` appended to
 // address the N children of `clear serve --workers N` (path.0..path.N-1 /
-// PORT..PORT+N-1).  Scheduling (work-stealing dispatch, ack deadlines,
-// dead-worker redispatch) lives in fleet/fleet.h; every redispatch is
+// PORT..PORT+N-1).  Scheduling (pull dispatch, dead-worker redispatch)
+// lives in fleet/fleet.h; every redispatch is
 // bit-identical to a single-worker run because shard results derive from
 // the global sample/combo index alone.
 #include <algorithm>
@@ -45,8 +45,6 @@ void add_driver_flags(util::ArgParser* args) {
   args->add_option("dead-after-ms", "N",
                    "declare a worker dead after N ms without a frame",
                    "5000");
-  args->add_option("ack-timeout-ms", "N",
-                   "steal an unacknowledged shard after N ms", "3000");
   args->add_flag("shutdown", "ask workers to exit when the fleet completes");
   args->add_flag("quiet", "suppress scheduling log lines");
   args->add_option("status-out", "FILE",
@@ -60,19 +58,17 @@ void add_driver_flags(util::ArgParser* args) {
 
 bool parse_driver_flags(const util::ArgParser& args, const char* ctx,
                         fleet::FleetOptions* opts, std::uint64_t* shards) {
-  std::uint64_t connect_ms = 0, hello_ms = 0, dead_ms = 0, ack_ms = 0;
+  std::uint64_t connect_ms = 0, hello_ms = 0, dead_ms = 0;
   if (!args.get_u64("shards", 0, shards) || *shards > 65536 ||
       !args.get_u64("connect-retry-ms", 5000, &connect_ms) ||
       !args.get_u64("hello-timeout-ms", 10000, &hello_ms) || hello_ms == 0 ||
-      !args.get_u64("dead-after-ms", 5000, &dead_ms) || dead_ms == 0 ||
-      !args.get_u64("ack-timeout-ms", 3000, &ack_ms) || ack_ms == 0) {
+      !args.get_u64("dead-after-ms", 5000, &dead_ms) || dead_ms == 0) {
     std::fprintf(stderr, "%s: bad numeric flag value\n", ctx);
     return false;
   }
   opts->connect_retry_ms = static_cast<int>(connect_ms);
   opts->hello_timeout_ms = static_cast<int>(hello_ms);
   opts->dead_after_ms = static_cast<int>(dead_ms);
-  opts->ack_timeout_ms = static_cast<int>(ack_ms);
   opts->shutdown_workers = args.has("shutdown");
   opts->status_out = args.get("status-out");
   return true;
@@ -364,9 +360,9 @@ constexpr const char* kFleetHelp =
     "usage: clear fleet <command> [options] <worker>...\n"
     "\n"
     "Multi-worker orchestration over 'clear serve' daemons: a worker\n"
-    "registry fed by hello/heartbeat frames, work-stealing shard\n"
-    "dispatch, dead-worker redispatch, and live re-merge of arriving\n"
-    "results (docs/ARCHITECTURE.md shows the data flow).\n"
+    "registry fed by hello/heartbeat frames, pull shard dispatch,\n"
+    "dead-worker redispatch, and live re-merge of arriving results\n"
+    "(docs/ARCHITECTURE.md shows the data flow).\n"
     "\n"
     "commands:\n"
     "  run       shard a campaign manifest, live-merge .csr results\n"

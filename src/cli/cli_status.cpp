@@ -247,8 +247,7 @@ std::string render_status(const fleet::FleetStatus& status,
   out += render_tables(status.workers, show_shards_done);
   if (const auto& d = status.driver) {
     out += "\ndriver: dispatch " + counter_cell(*d, "fleet.dispatch") +
-           "  ack " + counter_cell(*d, "fleet.ack") + "  steal " +
-           counter_cell(*d, "fleet.steal") + "  redispatch " +
+           "  ack " + counter_cell(*d, "fleet.ack") + "  redispatch " +
            counter_cell(*d, "fleet.redispatch") + "  dead " +
            counter_cell(*d, "fleet.worker.dead") + "  ack-rtt p50 " +
            quantile_cell(*d, "fleet.ack.rtt", 0.5) + " p95 " +

@@ -4,17 +4,17 @@
 #include <chrono>
 
 #include "util/bytes.h"
-#include "util/hash.h"
 
 namespace clear::serve {
 
 namespace {
 
-// Types 2 and 3 (v2's job/cancel) are retired: refused like any unknown.
+// Types 2 and 3 (v2's job/cancel) and 11 (v3's steal) are retired:
+// refused like any unknown.
 bool known_type(std::uint32_t t) {
   return t == static_cast<std::uint32_t>(FrameType::kHello) ||
          (t >= static_cast<std::uint32_t>(FrameType::kShutdown) &&
-          t <= static_cast<std::uint32_t>(FrameType::kSteal));
+          t <= static_cast<std::uint32_t>(FrameType::kShardAck));
 }
 
 }  // namespace
@@ -29,7 +29,6 @@ const char* frame_type_name(FrameType t) noexcept {
     case FrameType::kHeartbeat: return "heartbeat";
     case FrameType::kShardAssign: return "shard-assign";
     case FrameType::kShardAck: return "shard-ack";
-    case FrameType::kSteal: return "steal";
   }
   return "?";
 }
@@ -48,9 +47,7 @@ std::string encode_frame(FrameType type, const std::string& payload) {
   std::string out;
   out.reserve(kFrameHeaderSize + payload.size());
   util::put_u32(&out, static_cast<std::uint32_t>(type));
-  util::put_u32(&out, static_cast<std::uint32_t>(payload.size()));
-  util::put_u64(&out, util::fnv1a64(payload.data(), payload.size()));
-  out.append(payload);
+  util::put_frame(&out, payload);
   return out;
 }
 
@@ -58,16 +55,12 @@ FrameStatus decode_frame(std::string* buffer, Frame* out) {
   if (buffer->size() < kFrameHeaderSize) return FrameStatus::kNeedMore;
   util::ByteReader r(buffer->data(), buffer->size());
   std::uint32_t type = 0, len = 0;
-  std::uint64_t checksum = 0;
-  if (!r.u32(&type) || !r.u32(&len) || !r.u64(&checksum)) {
-    return FrameStatus::kNeedMore;  // unreachable given the size check
-  }
-  if (!known_type(type) || len > kMaxFrameLen) return FrameStatus::kBad;
-  if (buffer->size() < kFrameHeaderSize + len) return FrameStatus::kNeedMore;
-  const char* payload = buffer->data() + kFrameHeaderSize;
-  if (util::fnv1a64(payload, len) != checksum) return FrameStatus::kBad;
+  if (!r.u32(&type) || !known_type(type)) return FrameStatus::kBad;
+  const FrameStatus st = util::read_frame(
+      buffer->data() + 4, buffer->size() - 4, kMaxFrameLen, &len);
+  if (st != FrameStatus::kOk) return st;
   out->type = static_cast<FrameType>(type);
-  out->payload.assign(payload, len);
+  out->payload.assign(buffer->data() + kFrameHeaderSize, len);
   buffer->erase(0, kFrameHeaderSize + len);
   return FrameStatus::kOk;
 }
@@ -175,26 +168,10 @@ bool decode_shard_ack(const std::string& payload, ShardAck* out) {
   if (payload.size() != 8 + 1) return false;
   util::ByteReader r(payload.data(), payload.size());
   ShardAck a;
-  if (!r.u64(&a.shard_id)) return false;
-  const auto status = static_cast<std::uint8_t>(payload[8]);
-  if (status > static_cast<std::uint8_t>(ShardAckStatus::kUnknown)) {
-    return false;
-  }
-  a.status = static_cast<ShardAckStatus>(status);
+  // kAccepted (0) is the only status since v4.
+  if (!r.u64(&a.shard_id) || payload[8] != 0) return false;
   *out = a;
   return true;
-}
-
-std::string encode_steal(std::uint64_t shard_id) {
-  std::string out;
-  util::put_u64(&out, shard_id);
-  return out;
-}
-
-bool decode_steal(const std::string& payload, std::uint64_t* shard_id) {
-  if (payload.size() != 8) return false;
-  util::ByteReader r(payload.data(), payload.size());
-  return r.u64(shard_id);
 }
 
 std::string encode_heartbeat(std::uint32_t inflight,

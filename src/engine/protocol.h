@@ -1,4 +1,4 @@
-// `clear serve` wire protocol (version 3): the frame layer a shard-worker
+// `clear serve` wire protocol (version 4): the frame layer a shard-worker
 // daemon and its drivers (the fleet driver in fleet/fleet.h, which `clear
 // fleet` and `clear submit` both run) speak over a local stream socket.
 //
@@ -24,7 +24,8 @@
 //     received payload, and frame lengths are capped (kMaxFrameLen) so a
 //     hostile length field cannot demand an absurd allocation.
 //
-// Frame layout (all integers little-endian):
+// Frame layout (all integers little-endian): a u32 FrameType, then one
+// util/sealed.h frame --
 //
 //   type      u32   FrameType
 //   len       u32   payload byte length (<= kMaxFrameLen)
@@ -40,14 +41,11 @@
 //                                                     silent worker dead)
 //   client -> server   kShardAssign(id, kind, ...)   (any number, pipelined;
 //                                                     answered kShardAck)
-//   server -> client     kShardAck(id, status)       (shard accepted/revoked)
+//   server -> client     kShardAck(id, 0)            (shard accepted)
 //   server -> client     kProgress*                  (for the front shard)
 //   server -> client     kResult(index, payload)*    (.csr per campaign, or one
 //                                                     .cxl for explore shards)
 //   server -> client     kDone(status, message)      (shard finished)
-//   client -> server   kSteal(id)                    (revoke an undone shard so
-//                                                     the driver can re-dispatch
-//                                                     it; answered kShardAck)
 //   client -> server   kShutdown                     (server stops accepting
 //                                                     after this connection)
 #ifndef CLEAR_ENGINE_PROTOCOL_H
@@ -59,6 +57,7 @@
 #include <utility>
 
 #include "engine/engine.h"
+#include "util/sealed.h"
 #include "util/socket.h"
 
 namespace clear::serve {
@@ -68,15 +67,18 @@ namespace clear::serve {
 // identity/capacity fields in the hello.  v3 retired the job/cancel frames
 // (types 2 and 3): every driver assigns shards, so a v2 client that would
 // still send a job frame is refused at the hello, and a stray type-2/3
-// frame decodes as kBad, never as anything else.
-constexpr std::uint32_t kProtoVersion = 3;
+// frame decodes as kBad, never as anything else.  v4 retired the steal
+// frame (type 11) and ack statuses 1 and 2 the same way: a driver
+// declares a worker dead only when it falls silent, so a shard is never
+// taken from a live worker.
+constexpr std::uint32_t kProtoVersion = 4;
 
 // "CSV1" little-endian, carried in the hello payload: identifies a clear
 // serve stream (CSR/CXL/CPK are files; CSV is the socket).
 constexpr std::uint32_t kHelloMagic = 0x31565343u;
 
 // Fixed frame header size (type + len + checksum).
-constexpr std::size_t kFrameHeaderSize = 16;
+constexpr std::size_t kFrameHeaderSize = 4 + util::kFrameHeaderSize;
 
 // The bound the daemon and the fleet driver put on every send: a peer
 // that leaves its socket buffer full this long is treated as gone (its
@@ -100,7 +102,7 @@ enum class FrameType : std::uint32_t {
   kShardAssign = 9,  // client -> server: u64 shard id, u8 kind, u8 priority,
                      // then the shard's spec text
   kShardAck = 10,    // server -> client: u64 shard id, u8 ShardAckStatus
-  kSteal = 11,       // client -> server: u64 shard id to revoke
+                     // (11 was v3's steal frame: retired)
 };
 
 [[nodiscard]] const char* frame_type_name(FrameType t) noexcept;
@@ -120,13 +122,9 @@ struct Frame {
   std::string payload;
 };
 
-// Incremental frame decode over a receive buffer.
-enum class FrameStatus : std::uint8_t {
-  kOk,        // one frame consumed from the front of the buffer
-  kNeedMore,  // buffer holds a prefix of a valid frame; read more bytes
-  kBad,       // unknown type, over-long length or checksum mismatch --
-              // the stream is unrecoverable, close the connection
-};
+// Incremental frame decode: kBad (unknown type too) means the stream is
+// unrecoverable -- close the connection.
+using FrameStatus = util::FrameStatus;
 
 // Serializes one frame (header + payload).
 [[nodiscard]] std::string encode_frame(FrameType type,
@@ -211,12 +209,9 @@ struct ShardAssign {
 [[nodiscard]] bool decode_shard_assign(const std::string& payload,
                                        ShardAssign* out);
 
-// kShardAck statuses.
+// kShardAck statuses: v4 has one (1 and 2 were v3's steal answers).
 enum class ShardAckStatus : std::uint8_t {
   kAccepted = 0,  // shard queued; kProgress/kResult/kDone will follow
-  kRevoked = 1,   // kSteal honoured: the shard was cancelled/unqueued and
-                  // will produce no kDone -- safe to re-dispatch
-  kUnknown = 2,   // kSteal named a shard this worker does not hold
 };
 
 struct ShardAck {
@@ -226,11 +221,6 @@ struct ShardAck {
 
 [[nodiscard]] std::string encode_shard_ack(const ShardAck& a);
 [[nodiscard]] bool decode_shard_ack(const std::string& payload, ShardAck* out);
-
-// kSteal payload: just the shard id.
-[[nodiscard]] std::string encode_steal(std::uint64_t shard_id);
-[[nodiscard]] bool decode_steal(const std::string& payload,
-                                std::uint64_t* shard_id);
 
 // kHeartbeat payload: u32 work items currently held (queued + running),
 // optionally followed by a CMS1 metrics snapshot (obs::encode_snapshot)

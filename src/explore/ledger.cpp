@@ -22,8 +22,6 @@ constexpr std::uint32_t kMaxBenchCount = 1u << 10;
 constexpr std::uint32_t kMaxComboCount = 1u << 20;
 constexpr std::uint32_t kMaxShardCount = 1u << 20;
 constexpr std::uint32_t kMaxRecordLen = 1u << 16;
-// Record frame: rec_len (u32) + rec_checksum (u64).
-constexpr std::size_t kRecordFrame = 12;
 
 using util::put_f64;
 using util::put_str;
@@ -205,10 +203,7 @@ std::string encode_record(const LedgerRecord& rec) {
   put_f64(&payload, rec.imp_due);
 
   std::string out;
-  out.reserve(kRecordFrame + payload.size());
-  put_u32(&out, static_cast<std::uint32_t>(payload.size()));
-  put_u64(&out, util::fnv1a64(payload.data(), payload.size()));
-  out.append(payload);
+  util::put_frame(&out, payload);
   return out;
 }
 
@@ -240,20 +235,18 @@ LedgerStatus decode_ledger(const std::string& bytes, Ledger* out,
   std::size_t pos = kLedgerHeaderSize + static_cast<std::size_t>(ident_len);
   LedgerLoadInfo li;
   while (pos < bytes.size()) {
-    util::ByteReader frame(bytes.data() + pos, bytes.size() - pos);
     std::uint32_t rec_len = 0;
-    std::uint64_t rec_sum = 0;
-    if (!frame.u32(&rec_len) || rec_len > kMaxRecordLen ||
-        !frame.u64(&rec_sum) || frame.remaining() < rec_len) {
+    if (util::read_frame(bytes.data() + pos, bytes.size() - pos,
+                         kMaxRecordLen, &rec_len) != util::FrameStatus::kOk) {
       break;  // torn append / tail rot
     }
-    const std::string payload = bytes.substr(pos + kRecordFrame, rec_len);
-    if (util::fnv1a64(payload.data(), payload.size()) != rec_sum) break;
+    const std::string payload =
+        bytes.substr(pos + util::kFrameHeaderSize, rec_len);
     LedgerRecord rec;
     if (!decode_record_payload(payload, l.combo_count, &rec)) break;
     l.records.push_back(std::move(rec));
     ++li.records_loaded;
-    pos += kRecordFrame + rec_len;
+    pos += util::kFrameHeaderSize + rec_len;
   }
   li.tail_dropped_bytes = bytes.size() - pos;
 

@@ -39,7 +39,6 @@ std::uint64_t ns_since(Clock::time_point then, Clock::time_point now) {
 struct FleetMetrics {
   obs::Counter& dispatch = obs::counter("fleet.dispatch");
   obs::Counter& acks = obs::counter("fleet.ack");
-  obs::Counter& steals = obs::counter("fleet.steal");
   obs::Counter& redispatch = obs::counter("fleet.redispatch");
   obs::Counter& workers_dead = obs::counter("fleet.worker.dead");
   obs::Histogram& ack_rtt = obs::histogram("fleet.ack.rtt");
@@ -358,8 +357,6 @@ constexpr int kStatusIntervalMs = 1000;
 // One dispatched shard.
 struct Outstanding {
   std::size_t pos = 0;  // index into the shards vector
-  bool acked = false;
-  bool stealing = false;  // kSteal sent; shard already requeued
   Clock::time_point assigned_at;
 };
 
@@ -375,11 +372,7 @@ struct WorkerConn {
   // kResult payloads for the front shard, keyed by result index.
   std::map<std::uint32_t, std::string> payloads;
 
-  [[nodiscard]] bool stealing() const {
-    return std::any_of(outstanding.begin(), outstanding.end(),
-                       [](const Outstanding& o) { return o.stealing; });
-  }
-  // Drops the front shard (completed, failed or revoked).
+  // Drops the front shard (completed, failed or cancelled).
   void pop_front() {
     outstanding.pop_front();
     payloads.clear();
@@ -396,7 +389,7 @@ class Driver {
          const EventFn& event, const ShardDoneFn& on_shard)
       : endpoints_(endpoints), shards_(shards), opts_(opts), event_(event),
         on_shard_(on_shard), workers_(endpoints.size()),
-        completed_(shards.size(), false), attempts_(shards.size(), 0) {}
+        attempts_(shards.size(), 0) {}
 
   FleetReport run();
 
@@ -420,7 +413,6 @@ class Driver {
   void shut_down_workers(bool failed);
   void declare_dead(std::size_t w, const char* why);
   void requeue(std::size_t w, std::size_t n);
-  bool requeue_pos(std::size_t w, std::size_t at, std::size_t pos);
   void assign_idle();
   void check_deadlines(Clock::time_point now);
   void pump(std::size_t w);
@@ -436,8 +428,9 @@ class Driver {
   const ShardDoneFn& on_shard_;
 
   std::vector<WorkerConn> workers_;
-  std::deque<std::size_t> queue_;  // shard positions awaiting dispatch
-  std::vector<bool> completed_;
+  // Shard positions awaiting dispatch.  Every uncompleted shard is in
+  // exactly one place: here, or in one worker's outstanding list.
+  std::deque<std::size_t> queue_;
   std::vector<int> attempts_;
   std::size_t completed_count_ = 0;
   std::size_t redispatched_ = 0;
@@ -513,28 +506,18 @@ void Driver::declare_dead(std::size_t w, const char* why) {
   emit(FleetEvent::Kind::kWorkerDead, w, inflight_shard, nullptr, why);
 }
 
-// Puts shard `pos`, taken from worker w, at queue index `at` (unless
-// someone else completed it meanwhile).  Returns whether it was queued.
-bool Driver::requeue_pos(std::size_t w, std::size_t at, std::size_t pos) {
-  if (completed_[pos]) return false;
-  queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(at), pos);
-  ++redispatched_;
-  metrics().redispatch.add();
-  emit(FleetEvent::Kind::kRequeue, w, shards_[pos].id);
-  return true;
-}
-
 // Returns worker w's first n outstanding shards to the front of the
 // queue, in dispatch order: they are the oldest outstanding work, so the
-// next idle workers take them first.  Shards a steal already requeued
-// are only dropped.
+// next idle workers take them first.
 void Driver::requeue(std::size_t w, std::size_t n) {
   WorkerConn& wc = workers_[w];
-  std::size_t at = 0;
-  for (; n > 0 && !wc.outstanding.empty(); --n) {
-    const Outstanding o = wc.outstanding.front();
+  for (std::size_t at = 0; at < n && !wc.outstanding.empty(); ++at) {
+    const std::size_t pos = wc.outstanding.front().pos;
     wc.pop_front();
-    if (!o.stealing && requeue_pos(w, at, o.pos)) ++at;
+    queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(at), pos);
+    ++redispatched_;
+    metrics().redispatch.add();
+    emit(FleetEvent::Kind::kRequeue, w, shards_[pos].id);
   }
 }
 
@@ -545,15 +528,10 @@ void Driver::assign_idle() {
   for (std::size_t level = 1; level <= kPipelineDepth; ++level) {
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       WorkerConn& wc = workers_[w];
-      // A worker with a steal in limbo gets no new work until the steal
-      // resolves.
       if (wc.status.state == WorkerState::kDead ||
-          wc.outstanding.size() >= level || wc.stealing()) {
+          wc.outstanding.size() >= level) {
         continue;
       }
-      // Pull the next uncompleted shard (completed entries are stale
-      // requeue copies -- their first execution won).
-      while (!queue_.empty() && completed_[queue_.front()]) queue_.pop_front();
       if (queue_.empty()) return;
       const std::size_t pos = queue_.front();
       queue_.pop_front();
@@ -580,32 +558,14 @@ void Driver::assign_idle() {
   }
 }
 
+// The one liveness rule: a worker that sends no frame for
+// opts_.dead_after_ms is dead.  Its shards are taken from it only then,
+// so no shard ever runs on two workers at once.
 void Driver::check_deadlines(Clock::time_point now) {
   for (std::size_t w = 0; w < workers_.size(); ++w) {
-    WorkerConn& wc = workers_[w];
-    if (wc.status.state == WorkerState::kDead) continue;
-    if (ms_since(wc.last_seen, now) > opts_.dead_after_ms) {
+    if (workers_[w].status.state != WorkerState::kDead &&
+        ms_since(workers_[w].last_seen, now) > opts_.dead_after_ms) {
       declare_dead(w, "heartbeat deadline");
-      continue;
-    }
-    // Unacked for too long: revoke and hand the shard to someone else.
-    // The worker stays registered (frames still count against the dead
-    // deadline) but gets no new work until the steal resolves.
-    std::size_t at = 0;
-    for (Outstanding& o : wc.outstanding) {
-      if (o.acked || o.stealing ||
-          ms_since(o.assigned_at, now) <= opts_.ack_timeout_ms) {
-        continue;
-      }
-      if (!wc.conn.send(serve::FrameType::kSteal,
-                        serve::encode_steal(shards_[o.pos].id),
-                        serve::kSendTimeoutMs)) {
-        declare_dead(w, "send failed");
-        break;
-      }
-      o.stealing = true;
-      metrics().steals.add();
-      if (requeue_pos(w, at, o.pos)) ++at;
     }
   }
 }
@@ -613,25 +573,19 @@ void Driver::check_deadlines(Clock::time_point now) {
 void Driver::complete_shard(std::size_t w) {
   WorkerConn& wc = workers_[w];
   const std::size_t pos = wc.outstanding.front().pos;
-  if (!completed_[pos]) {
-    completed_[pos] = true;
-    ++completed_count_;
-    ShardResult res;
-    res.shard_id = shards_[pos].id;
-    res.kind = shards_[pos].kind;
-    res.worker = w;
-    res.payloads.reserve(wc.payloads.size());
-    for (auto& [index, bytes] : wc.payloads) {
-      (void)index;
-      res.payloads.push_back(std::move(bytes));
-    }
-    emit(FleetEvent::Kind::kShardDone, w, res.shard_id);
-    if (on_shard_) on_shard_(res);  // handed over once, never kept
-    ++wc.status.shards_done;
+  ++completed_count_;
+  ShardResult res;
+  res.shard_id = shards_[pos].id;
+  res.kind = shards_[pos].kind;
+  res.worker = w;
+  res.payloads.reserve(wc.payloads.size());
+  for (auto& [index, bytes] : wc.payloads) {
+    (void)index;
+    res.payloads.push_back(std::move(bytes));
   }
-  // Duplicate completion (the shard was stolen and re-dispatched, then
-  // the original worker finished anyway): drop the payloads -- they are
-  // bit-identical to the delivered ones by construction.
+  emit(FleetEvent::Kind::kShardDone, w, res.shard_id);
+  if (on_shard_) on_shard_(res);  // handed over once, never kept
+  ++wc.status.shards_done;
   wc.pop_front();
 }
 
@@ -664,42 +618,17 @@ void Driver::handle_frame(std::size_t w, const serve::Frame& frame) {
         declare_dead(w, "bad ack");
         return;
       }
+      // The ack only measures the dispatch round trip: a worker that
+      // falls silent is dead whether or not it acked.
       const auto it = std::find_if(
           wc.outstanding.begin(), wc.outstanding.end(),
           [&](const Outstanding& o) {
             return shards_[o.pos].id == ack.shard_id;
           });
-      switch (ack.status) {
-        case serve::ShardAckStatus::kAccepted:
-          if (it == wc.outstanding.end()) return;
-          it->acked = true;
-          metrics().acks.add();
-          metrics().ack_rtt.record(ns_since(it->assigned_at, Clock::now()));
-          emit(FleetEvent::Kind::kAck, w, ack.shard_id);
-          break;
-        case serve::ShardAckStatus::kRevoked:
-          // Steal honoured: the worker dropped the shard (no kDone will
-          // come) and is ready for new work.  The shard is already back
-          // in the queue.  The worker sends nothing for a revoked shard,
-          // so no frame of the shards behind it can precede this ack.
-          if (it == wc.outstanding.end()) return;
-          if (it == wc.outstanding.begin()) {
-            wc.pop_front();
-          } else {
-            wc.outstanding.erase(it);
-          }
-          break;
-        case serve::ShardAckStatus::kUnknown:
-          // The worker finished the shard before the steal arrived; its
-          // kDone is ahead of this ack in the stream and already ran
-          // complete_shard, which dropped the entry.
-          break;
-        default:
-          // An ack status this driver doesn't know: the worker speaks a
-          // newer protocol; refuse rather than guess its shard state.
-          declare_dead(w, "unknown ack status");
-          return;
-      }
+      if (it == wc.outstanding.end()) return;
+      metrics().acks.add();
+      metrics().ack_rtt.record(ns_since(it->assigned_at, Clock::now()));
+      emit(FleetEvent::Kind::kAck, w, ack.shard_id);
       break;
     }
     case serve::FrameType::kProgress: {
@@ -740,7 +669,7 @@ void Driver::handle_frame(std::size_t w, const serve::Frame& frame) {
               "fleet: worker " + wc.status.name + " refused shard " +
               std::to_string(shards_[pos].id) + ": " + done.message);
         case serve::JobOutcome::kFailed:
-          if (++attempts_[pos] >= opts_.max_attempts && !completed_[pos]) {
+          if (++attempts_[pos] >= opts_.max_attempts) {
             throw std::runtime_error(
                 "fleet: shard " + std::to_string(shards_[pos].id) +
                 " failed " + std::to_string(attempts_[pos]) +

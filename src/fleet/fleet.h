@@ -8,21 +8,19 @@
 // shards -- campaign shards (`clear run --shard k/K` manifests) or explore
 // combo-space slices -- across the registry:
 //
-//   * pull dispatch / work-stealing: shards live in one shared queue;
-//     every worker holds up to two -- one running, one queued behind it
-//     in the worker's engine, so it starts the next shard the moment the
-//     previous one ends -- and pulls again as each completes, so fast
-//     workers naturally absorb more of the queue than slow ones;
-//   * ack deadlines: a dispatched shard the worker does not acknowledge
-//     in time is revoked with a kSteal frame and re-queued for the next
-//     idle worker;
-//   * dead-worker redispatch: a worker that stops sending frames
-//     (heartbeats included) past the deadline -- or whose connection
-//     drops -- is declared dead and its outstanding shards return to the
-//     front of the queue.  Re-execution is always safe: a shard's result
-//     derives from the global sample/combo index alone, so whichever
-//     worker completes it produces bit-identical bytes, and duplicate
-//     completions are de-duplicated by shard id;
+//   * pull dispatch: shards live in one shared queue; every worker holds
+//     up to two -- one running, one queued behind it in the worker's
+//     engine, so it starts the next shard the moment the previous one
+//     ends -- and pulls again as each completes, so fast workers
+//     naturally absorb more of the queue than slow ones;
+//   * dead-worker redispatch: the one liveness rule.  A worker that stops
+//     sending frames (heartbeats included) past the deadline -- or whose
+//     connection drops -- is declared dead and its outstanding shards
+//     return to the front of the queue.  A live worker keeps its shards,
+//     so each shard is in exactly one place, and completes exactly once.
+//     Re-execution is always safe: a shard's result derives from the
+//     global sample/combo index alone, so whichever worker completes it
+//     produces bit-identical bytes;
 //   * live re-merge: each completed shard's payloads are handed once to a
 //     callback and not kept, so `clear fleet` folds every arrival into
 //     one running merge_shard_files / merge_ledger_files output that is
@@ -139,7 +137,6 @@ struct FleetOptions {
   int connect_retry_ms = 5000;  // per-worker connect retry budget
   int hello_timeout_ms = 10000;  // silent-after-accept hello deadline
   int dead_after_ms = 5000;  // no frame for this long -> worker is dead
-  int ack_timeout_ms = 3000;  // unacked shard-assign -> steal + requeue
   int max_attempts = 3;       // kFailed executions per shard before giving up
   // The workers' engine lane: bulk for `clear fleet`, interactive for
   // `clear submit`.
@@ -193,8 +190,9 @@ struct FleetEvent {
                       // running its previous shard)
     kAck = 3,         // worker acknowledged the shard
     kProgress = 4,    // progress frame for the worker's running shard
-    kShardDone = 5,   // shard completed (first completion only)
-    kRequeue = 6,     // shard returned to the queue (steal or death)
+    kShardDone = 5,   // shard completed
+    kRequeue = 6,     // shard returned to the queue (worker death, or a
+                      // failed or cancelled execution)
   };
   Kind kind = Kind::kWorkerUp;
   std::size_t worker = 0;
@@ -219,7 +217,7 @@ using ShardDoneFn = std::function<void(const ShardResult&)>;
 // Registry + tallies only: payloads reach the caller through on_shard.
 struct FleetReport {
   std::vector<WorkerStatus> workers;
-  std::size_t redispatched = 0;  // requeues (ack steals + dead workers)
+  std::size_t redispatched = 0;  // requeues (dead workers, failed shards)
   std::size_t workers_lost = 0;  // workers declared dead during the run
 };
 

@@ -30,7 +30,7 @@ constexpr std::chrono::milliseconds kProgressInterval{100};
 // resolved plans are the stable storage the engine job's spec pointers
 // alias; explore shards run on a dedicated thread because
 // run_exploration blocks (the connection loop must keep pumping
-// heartbeats and steal frames meanwhile).  Destruction cancels and joins
+// heartbeats meanwhile).  Destruction cancels and joins
 // unfinished work before the plans go away.  A shard refused before
 // submission (bad manifest, engine refusal) still occupies a queue
 // slot so its kDone is delivered in assignment order -- a pipelining
@@ -38,8 +38,6 @@ constexpr std::chrono::milliseconds kProgressInterval{100};
 struct ServedWork {
   std::uint64_t shard_id = 0;
   serve::ShardKind kind = serve::ShardKind::kCampaign;
-  // kSteal honoured: retire silently -- the driver was promised no kDone.
-  bool revoked = false;
 
   // Campaign path (kCampaign).
   std::vector<plan::RunPlan> plans;
@@ -257,8 +255,7 @@ bool Worker::handle_connection(serve::FrameConn conn) {
       ServedWork& front = *queue.front();
       const engine::JobProgress p = front_progress(&front);
       const auto now = std::chrono::steady_clock::now();
-      if (!peer_gone && !front.revoked &&
-          (!sent_any || !progress_equal(p, last_sent)) &&
+      if (!peer_gone && (!sent_any || !progress_equal(p, last_sent)) &&
           now - last_sent_at >= kProgressInterval) {
         send(serve::FrameType::kProgress, serve::encode_progress(p));
         last_sent = p;
@@ -266,13 +263,6 @@ bool Worker::handle_connection(serve::FrameConn conn) {
         last_sent_at = now;
       }
       if (front.finished()) {
-        if (front.revoked) {
-          // Stolen: the driver re-dispatched it elsewhere and was
-          // promised silence.  Retire without frames.
-          queue.pop_front();
-          sent_any = false;
-          continue;
-        }
         if (!peer_gone) {
           // Final snapshot, then the payload frames.
           conn.send(serve::FrameType::kProgress,
@@ -404,13 +394,10 @@ bool Worker::handle_connection(serve::FrameConn conn) {
             drop("malformed shard-assign frame");
             break;
           }
-          // Ack immediately: the driver's ack deadline measures whether
-          // this worker is responsive, not how long the shard takes.
-          serve::ShardAck ack;
-          ack.shard_id = assign.shard_id;
-          ack.status = serve::ShardAckStatus::kAccepted;
+          // Ack on receipt: the driver times its dispatch round trip by
+          // it, not how long the shard takes.
           if (!send(serve::FrameType::kShardAck,
-                    serve::encode_shard_ack(ack))) {
+                    serve::encode_shard_ack({assign.shard_id}))) {
             break;
           }
           auto served = std::make_unique<ServedWork>();
@@ -430,28 +417,6 @@ bool Worker::handle_connection(serve::FrameConn conn) {
             std::fflush(stdout);
           }
           queue.push_back(std::move(served));
-          break;
-        }
-        case serve::FrameType::kSteal: {
-          std::uint64_t shard_id = 0;
-          if (!serve::decode_steal(frame.payload, &shard_id)) {
-            drop("malformed steal frame");
-            break;
-          }
-          serve::ShardAck ack;
-          ack.shard_id = shard_id;
-          ack.status = serve::ShardAckStatus::kUnknown;
-          for (auto& work : queue) {
-            if (work->shard_id == shard_id && !work->revoked) {
-              // Revoke: cancel the execution and promise the driver no
-              // kDone -- it is free to re-dispatch immediately.
-              work->revoked = true;
-              work->cancel();
-              ack.status = serve::ShardAckStatus::kRevoked;
-              break;
-            }
-          }
-          send(serve::FrameType::kShardAck, serve::encode_shard_ack(ack));
           break;
         }
         case serve::FrameType::kShutdown:

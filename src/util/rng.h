@@ -56,13 +56,14 @@ class Rng {
   static constexpr std::uint64_t min() noexcept { return 0; }
   static constexpr std::uint64_t max() noexcept { return ~0ULL; }
 
-  // Uniform integer in [0, bound) without modulo bias (Lemire's method).
+  // Uniform integer in [0, bound) without modulo bias: threshold
+  // rejection, then modulo.  Draws below 2^64 mod bound are rejected; that
+  // threshold is below bound, so it is computed only for such draws.
   std::uint64_t below(std::uint64_t bound) noexcept {
     if (bound <= 1) return 0;
-    const std::uint64_t threshold = (0 - bound) % bound;
     for (;;) {
       const std::uint64_t r = next();
-      if (r >= threshold) return r % bound;
+      if (r >= bound || r >= (0 - bound) % bound) return r % bound;
     }
   }
 

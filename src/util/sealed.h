@@ -3,6 +3,8 @@
 // u64 FNV-1a of the 24 header bytes before it (layouts in inject/wire.h,
 // explore/ledger.h and docs/FORMATS.md).  A .csr is exactly header +
 // body; a .cxl appends its record region after the sealed identity body.
+// Below it, the checksummed frame CXL1 records and CSV1 socket frames
+// share (engine/protocol.h puts a u32 type in front).
 #ifndef CLEAR_UTIL_SEALED_H
 #define CLEAR_UTIL_SEALED_H
 
@@ -85,6 +87,31 @@ Status status_as(SealStatus s) {
     case SealStatus::kCorrupt: return Status::kCorrupt;
   }
   return Status::kCorrupt;
+}
+
+// A frame: u32 payload length, u64 FNV-1a of the payload, the payload.
+constexpr std::size_t kFrameHeaderSize = 12;
+
+// kBad: a length over the cap or a checksum mismatch, never a frame.
+enum class FrameStatus : std::uint8_t { kOk, kNeedMore, kBad };
+
+inline void put_frame(std::string* out, const std::string& payload) {
+  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  put_u64(out, fnv1a64(payload.data(), payload.size()));
+  out->append(payload);
+}
+
+// Reads the frame at the front of [p, p + n), never past it.  On kOk the
+// payload is the *len bytes kFrameHeaderSize in.
+inline FrameStatus read_frame(const char* p, std::size_t n,
+                              std::uint32_t max_len, std::uint32_t* len) {
+  ByteReader r(p, n);
+  std::uint64_t sum = 0;
+  if (!r.u32(len)) return FrameStatus::kNeedMore;
+  if (*len > max_len) return FrameStatus::kBad;
+  if (!r.u64(&sum) || r.remaining() < *len) return FrameStatus::kNeedMore;
+  return fnv1a64(p + kFrameHeaderSize, *len) == sum ? FrameStatus::kOk
+                                                    : FrameStatus::kBad;
 }
 
 }  // namespace clear::util

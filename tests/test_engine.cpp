@@ -399,9 +399,10 @@ TEST(ServeProtocol, CorruptFramesAreRefusedNotMisparsed) {
       ADD_FAILURE() << "flip at byte " << i << " decoded as a valid frame";
     }
   }
-  // Unknown type word, and the retired v2 job (2) and cancel (3) types:
-  // a well-formed frame of either is refused, never read as another type.
-  for (const char type : {char{99}, char{2}, char{3}}) {
+  // Unknown type word, the retired v2 job (2) and cancel (3) types and
+  // the retired v3 steal (11): a well-formed frame of any is refused,
+  // never read as another type.
+  for (const char type : {char{99}, char{2}, char{3}, char{11}}) {
     std::string bytes = good;
     bytes[0] = type;
     std::string buf = bytes;

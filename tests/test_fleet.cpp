@@ -1,11 +1,12 @@
-// Fleet orchestrator tests: protocol v2 codecs (hello identity, shard
-// assign/ack, steal, heartbeat) with bit-flip refusal, the hello handshake
+// Fleet orchestrator tests: protocol codecs (hello identity, shard
+// assign/ack, heartbeat) with bit-flip refusal, the hello handshake
 // (every fault named, a skewed worker reported dead), endpoint grammar
 // and @N fan-out expansion, shard builders (campaign manifest sharding,
 // explore stanza round-trip, forbidden-flag refusal, duplicate shard
 // ids), worker-side explore execution + cancellation, the worker's
-// connection handler driven in-process over a socketpair (including a
-// steal of the queued second shard), and the multi-process end-to-ends of
+// connection handler driven in-process over a socketpair (including the
+// retired steal frame dropping the connection), a live worker keeping a
+// shard it acks late, and the multi-process end-to-ends of
 // the acceptance criteria: a worker SIGKILLed mid-shard -- also while
 // holding two shards -- whose shards are redispatched and whose merged
 // bytes still equal the single-machine merge, the level-by-level
@@ -167,15 +168,18 @@ TEST(FleetProtocol, FleetFrameCodecsRoundTrip) {
 
   serve::ShardAck k;
   k.shard_id = 77;
-  k.status = serve::ShardAckStatus::kRevoked;
   serve::ShardAck k2;
-  ASSERT_TRUE(serve::decode_shard_ack(serve::encode_shard_ack(k), &k2));
+  const std::string ack = serve::encode_shard_ack(k);
+  ASSERT_TRUE(serve::decode_shard_ack(ack, &k2));
   EXPECT_EQ(k2.shard_id, 77u);
-  EXPECT_EQ(k2.status, serve::ShardAckStatus::kRevoked);
-
-  std::uint64_t stolen = 0;
-  ASSERT_TRUE(serve::decode_steal(serve::encode_steal(99), &stolen));
-  EXPECT_EQ(stolen, 99u);
+  EXPECT_EQ(k2.status, serve::ShardAckStatus::kAccepted);
+  // Statuses 1 and 2 were v3's steal answers: refused since v4.
+  for (const char status : {char{1}, char{2}}) {
+    std::string retired = ack;
+    retired[8] = status;
+    EXPECT_FALSE(serve::decode_shard_ack(retired, &k2))
+        << "status " << static_cast<int>(status);
+  }
 
   // A bare 4-byte heartbeat (no metrics tail) is valid.
   std::uint32_t inflight = 0;
@@ -188,7 +192,6 @@ TEST(FleetProtocol, FleetFrameCodecsRoundTrip) {
   // Truncated payloads are refused, never misparsed.
   EXPECT_FALSE(serve::decode_shard_assign("short", &a2));
   EXPECT_FALSE(serve::decode_shard_ack("1234", &k2));
-  EXPECT_FALSE(serve::decode_steal("1234", &stolen));
   EXPECT_FALSE(serve::decode_heartbeat("12", &inflight, &tail));
 }
 
@@ -253,10 +256,11 @@ TEST(FleetHello, EveryFaultIsNamedAndExplained) {
                            false, &why),
             fleet::HelloFault::kBadHello);
 
-  // A v2 daemon, and a current one with another .csr or .cxl version.
+  // A v3 daemon (the last that answered steal frames), and a current one
+  // with another .csr or .cxl version.
   for (int field = 0; field < 3; ++field) {
     serve::Hello skewed = fleet::worker_hello("old");
-    if (field == 0) skewed.proto_version = 2;
+    if (field == 0) skewed.proto_version = 3;
     if (field == 1) skewed.wire_version += 1;
     if (field == 2) skewed.ledger_version += 1;
     EXPECT_EQ(hello_fault_of(hello_frame(skewed), false, &why),
@@ -311,19 +315,31 @@ TEST(FleetHello, SkewedWorkerIsReportedDeadWithTheReason) {
 
 // ---- the worker, in-process ------------------------------------------------
 
-TEST(FleetWorker, ConnectionHandlerAnswersOverASocketpair) {
+// Runs one worker connection handler on one end of a socketpair and
+// returns the other end; `handler` joins once the conversation ends.
+util::Socket start_handler(fleet::Worker* worker, std::thread* handler,
+                           bool* shutdown) {
   int fds[2] = {-1, -1};
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  *handler = std::thread([worker, shutdown, fd = fds[0]] {
+    *shutdown = worker->handle_connection(serve::FrameConn(util::Socket(fd)));
+  });
+  return util::Socket(fds[1]);
+}
+
+fleet::WorkerOptions in_process_options() {
   fleet::WorkerOptions opts;
   opts.hello = fleet::worker_hello("in-process");
   opts.quiet = true;
-  opts.heartbeat_ms = 0;  // only the frames this test asks for
-  fleet::Worker worker(opts);
+  opts.heartbeat_ms = 0;  // only the frames the test asks for
+  return opts;
+}
+
+TEST(FleetWorker, ConnectionHandlerAnswersOverASocketpair) {
+  fleet::Worker worker(in_process_options());
+  std::thread handler;
   bool shutdown = false;
-  std::thread handler([&worker, &shutdown, fd = fds[0]] {
-    shutdown = worker.handle_connection(serve::FrameConn(util::Socket(fd)));
-  });
-  serve::FrameConn client{util::Socket(fds[1])};
+  serve::FrameConn client{start_handler(&worker, &handler, &shutdown)};
   using Recv = serve::FrameConn::Recv;
 
   const auto converse = [&] {
@@ -336,15 +352,6 @@ TEST(FleetWorker, ConnectionHandlerAnswersOverASocketpair) {
     EXPECT_EQ(hello.name, "in-process");
     EXPECT_EQ(hello.wire_version, inject::kWireVersion);
 
-    // Stealing a shard this worker never held.
-    ASSERT_TRUE(client.send(serve::FrameType::kSteal, serve::encode_steal(42)));
-    ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
-    ASSERT_EQ(frame.type, serve::FrameType::kShardAck);
-    serve::ShardAck ack;
-    ASSERT_TRUE(serve::decode_shard_ack(frame.payload, &ack));
-    EXPECT_EQ(ack.shard_id, 42u);
-    EXPECT_EQ(ack.status, serve::ShardAckStatus::kUnknown);
-
     // A campaign shard whose manifest does not resolve: accepted, then
     // refused without simulating.
     serve::ShardAssign assign;
@@ -354,6 +361,7 @@ TEST(FleetWorker, ConnectionHandlerAnswersOverASocketpair) {
                             serve::encode_shard_assign(assign)));
     ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
     ASSERT_EQ(frame.type, serve::FrameType::kShardAck);
+    serve::ShardAck ack;
     ASSERT_TRUE(serve::decode_shard_ack(frame.payload, &ack));
     EXPECT_EQ(ack.shard_id, 7u);
     EXPECT_EQ(ack.status, serve::ShardAckStatus::kAccepted);
@@ -371,95 +379,97 @@ TEST(FleetWorker, ConnectionHandlerAnswersOverASocketpair) {
   client.close();  // releases the handler if the conversation failed early
   handler.join();
   EXPECT_TRUE(shutdown);
+
+  // A well-formed frame of the retired steal type (11) is a protocol
+  // error: a fresh worker drops the connection instead of guessing.
+  fleet::Worker fresh(in_process_options());
+  shutdown = true;
+  util::Socket raw = start_handler(&fresh, &handler, &shutdown);
+  std::string steal =
+      serve::encode_frame(serve::FrameType::kShutdown, std::string(8, '\0'));
+  steal[0] = 11;
+  EXPECT_TRUE(raw.send_all(steal.data(), steal.size()));
+  serve::FrameConn dropped{std::move(raw)};
+  serve::Frame frame;
+  EXPECT_EQ(dropped.recv(&frame, 5000), Recv::kFrame);
+  EXPECT_EQ(frame.type, serve::FrameType::kHello);
+  EXPECT_EQ(dropped.recv(&frame, 5000), Recv::kClosed);
+  dropped.close();
+  handler.join();
+  EXPECT_FALSE(shutdown);
 }
 
-// A pipelining driver keeps a second shard queued behind the running one.
-// Stealing the queued shard revokes it (no kDone will ever come for it)
-// while the front shard still delivers its kResult and kDone.
-TEST(FleetWorker, StealingTheQueuedShardLeavesTheFrontRunning) {
-  int fds[2] = {-1, -1};
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  fleet::WorkerOptions opts;
-  opts.hello = fleet::worker_hello("in-process");
-  opts.quiet = true;
-  opts.heartbeat_ms = 0;  // only the frames this test asks for
-  fleet::Worker worker(opts);
-  std::thread handler([&worker, fd = fds[0]] {
-    (void)worker.handle_connection(serve::FrameConn(util::Socket(fd)));
-  });
-  serve::FrameConn client{util::Socket(fds[1])};
-  using Recv = serve::FrameConn::Recv;
+// ---- the driver against a scripted worker ----------------------------------
 
-  const auto converse = [&] {
-    serve::Frame frame;
-    ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
-    ASSERT_EQ(frame.type, serve::FrameType::kHello);
-
-    // Two cache-cold shards back to back: the engine runs them in
-    // submission order, so shard 2 waits behind shard 1.
-    for (std::uint64_t id : {1u, 2u}) {
-      serve::ShardAssign assign;
-      assign.shard_id = id;
-      assign.text = "--core InO --bench mcf --injections 2000 --seed 43 "
-                    "--no-cache --shard " + std::to_string(id - 1) + "/2";
-      ASSERT_TRUE(client.send(serve::FrameType::kShardAssign,
-                              serve::encode_shard_assign(assign)));
+// A worker that acks a shard late but keeps heartbeating is alive, so it
+// keeps the shard: no redispatch, one completion.  The scripted worker
+// acks 3.2 s after the assign -- past the 3 s ack deadline at which a
+// CSV1 v3 driver took the shard back and queued it again.
+TEST(FleetDriver, LiveWorkerKeepsAShardItAcksLate) {
+  const std::string path = kDir + "/late_ack.sock";
+  util::Socket listener = util::Socket::listen_unix(path);
+  std::thread scripted([&listener] {
+    using Recv = serve::FrameConn::Recv;
+    serve::FrameConn conn(listener.accept(10000));
+    if (!conn.send(serve::FrameType::kHello,
+                   serve::encode_hello(fleet::worker_hello("late-acker")))) {
+      return;
     }
-    for (std::uint64_t id : {1u, 2u}) {
-      ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
-      ASSERT_EQ(frame.type, serve::FrameType::kShardAck);
-      serve::ShardAck ack;
-      ASSERT_TRUE(serve::decode_shard_ack(frame.payload, &ack));
-      EXPECT_EQ(ack.shard_id, id);
-      EXPECT_EQ(ack.status, serve::ShardAckStatus::kAccepted);
-    }
-    ASSERT_TRUE(client.send(serve::FrameType::kSteal, serve::encode_steal(2)));
-
-    // Progress of the front may interleave; the revocation, the front's
-    // result and its done must all arrive.
-    bool revoked = false;
-    std::size_t results = 0;
-    std::size_t dones = 0;
-    while (dones == 0 || !revoked) {
-      ASSERT_EQ(client.recv(&frame, 30000), Recv::kFrame);
-      if (frame.type == serve::FrameType::kShardAck) {
-        serve::ShardAck ack;
-        ASSERT_TRUE(serve::decode_shard_ack(frame.payload, &ack));
-        EXPECT_EQ(ack.shard_id, 2u);
-        EXPECT_EQ(ack.status, serve::ShardAckStatus::kRevoked);
-        revoked = true;
-      } else if (frame.type == serve::FrameType::kResult) {
-        std::uint32_t index = 99;
-        std::string bytes;
-        ASSERT_TRUE(serve::decode_result(frame.payload, &index, &bytes));
-        EXPECT_EQ(index, 0u);
-        inject::ShardFile shard;
-        EXPECT_EQ(inject::decode_shard(bytes, &shard), inject::WireStatus::kOk);
-        ++results;
-      } else if (frame.type == serve::FrameType::kDone) {
-        serve::Done done;
-        ASSERT_TRUE(serve::decode_done(frame.payload, &done));
-        EXPECT_EQ(done.outcome, serve::JobOutcome::kOk);
-        ++dones;
-      } else {
-        ASSERT_EQ(frame.type, serve::FrameType::kProgress);
+    serve::ShardAssign assign;
+    std::chrono::steady_clock::time_point assigned_at{};
+    bool assigned = false;
+    bool answered = false;
+    for (;;) {
+      serve::Frame frame;
+      const Recv got = conn.recv(&frame, 200);
+      if (got == Recv::kClosed || got == Recv::kBad) return;
+      if (got == Recv::kFrame) {
+        if (frame.type == serve::FrameType::kShutdown) return;
+        if (frame.type == serve::FrameType::kShardAssign && !assigned) {
+          ASSERT_TRUE(serve::decode_shard_assign(frame.payload, &assign));
+          assigned_at = std::chrono::steady_clock::now();
+          assigned = true;
+        }
+      }
+      if (!conn.send(serve::FrameType::kHeartbeat,
+                     serve::encode_heartbeat(assigned ? 1 : 0))) {
+        return;
+      }
+      if (assigned && !answered &&
+          std::chrono::steady_clock::now() - assigned_at >= 3200ms) {
+        answered = true;
+        if (!conn.send(serve::FrameType::kShardAck,
+                       serve::encode_shard_ack({assign.shard_id})) ||
+            !conn.send(serve::FrameType::kDone,
+                       serve::encode_done({serve::JobOutcome::kOk, ""}))) {
+          return;
+        }
       }
     }
-    EXPECT_EQ(results, 1u);
-    EXPECT_EQ(dones, 1u);
-
-    // The revoked shard retires silently: nothing but progress of the
-    // front remains before the handler closes on kShutdown.
-    ASSERT_TRUE(client.send(serve::FrameType::kShutdown, ""));
-    Recv got;
-    while ((got = client.recv(&frame, 30000)) == Recv::kFrame) {
-      EXPECT_EQ(frame.type, serve::FrameType::kProgress);
-    }
-    EXPECT_EQ(got, Recv::kClosed);
-  };
-  converse();
-  client.close();  // releases the handler if the conversation failed early
-  handler.join();
+  });
+  std::vector<fleet::Endpoint> workers(1);
+  workers[0].socket_path = path;
+  std::vector<fleet::ShardWork> shards(1);
+  shards[0].id = 5;
+  shards[0].text = "--core InO --bench mcf --injections 60 --seed 3\n";
+  fleet::FleetOptions opts;
+  opts.shutdown_workers = true;
+  std::size_t done_events = 0;
+  std::size_t delivered = 0;
+  const auto report = fleet::run_fleet(
+      workers, shards, opts,
+      [&](const fleet::FleetEvent& e) {
+        if (e.kind == fleet::FleetEvent::Kind::kShardDone) ++done_events;
+      },
+      [&](const fleet::ShardResult& res) {
+        EXPECT_EQ(res.shard_id, 5u);
+        ++delivered;
+      });
+  scripted.join();
+  EXPECT_EQ(report.redispatched, 0u);
+  EXPECT_EQ(report.workers_lost, 0u);
+  EXPECT_EQ(done_events, 1u);
+  EXPECT_EQ(delivered, 1u);
 }
 
 // ---- endpoint grammar ------------------------------------------------------
@@ -696,7 +706,7 @@ TEST(FleetStatus, DriverDocumentRoundTripsEveryValue) {
   b.shards_done = 39;
   st.workers = {a, b};
   obs::Snapshot driver;
-  driver.counters = {{"fleet.dispatch", 131}, {"fleet.steal", 3}};
+  driver.counters = {{"fleet.dispatch", 131}, {"fleet.redispatch", 3}};
   obs::HistogramRow rtt;
   rtt.name = "fleet.ack.rtt";
   rtt.unit = "ns";

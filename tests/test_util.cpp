@@ -13,6 +13,7 @@
 #include "util/fs.h"
 #include "util/json.h"
 #include "util/rng.h"
+#include "util/sealed.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/threadpool.h"
@@ -191,6 +192,42 @@ TEST(Rng, BelowCoversRange) {
   EXPECT_EQ(seen.size(), 8u);
 }
 
+// below() as it was before it computed its rejection threshold lazily:
+// every draw is checked against the threshold.  Counts the rejections.
+std::uint64_t below_eager(Rng* rng, std::uint64_t bound,
+                          std::uint64_t* rejected) {
+  if (bound <= 1) return 0;
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t r = rng->next();
+    if (r >= threshold) return r % bound;
+    ++*rejected;
+  }
+}
+
+TEST(Rng, BelowMatchesThresholdRejection) {
+  constexpr std::uint64_t k63 = std::uint64_t{1} << 63;
+  const std::uint64_t seeds[] = {1, 42, 0xC1EA5C1EA5};
+  const std::uint64_t bounds[] = {2,       7,   (std::uint64_t{1} << 32) + 1,
+                                  k63 - 1, k63, k63 + 1,
+                                  ~std::uint64_t{0}};
+  std::uint64_t rejected = 0;
+  for (const std::uint64_t seed : seeds) {
+    for (const std::uint64_t bound : bounds) {
+      Rng lazy(seed);
+      Rng eager(seed);
+      for (int i = 0; i < 10000; ++i) {
+        ASSERT_EQ(lazy.below(bound), below_eager(&eager, bound, &rejected))
+            << "seed " << seed << " bound " << bound << " draw " << i;
+      }
+      // Both consumed the same number of raw draws.
+      EXPECT_EQ(lazy.next(), eager.next()) << "bound " << bound;
+    }
+  }
+  // 2^63 + 1 rejects about half its draws, so the sweep took that path.
+  EXPECT_GT(rejected, 10000u);
+}
+
 TEST(Rng, UniformInUnitInterval) {
   Rng r(11);
   double sum = 0.0;
@@ -201,6 +238,39 @@ TEST(Rng, UniformInUnitInterval) {
     sum += u;
   }
   EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
+}
+
+// The frame CSV1 socket frames and CXL1 ledger records share: every
+// truncation is a prefix to read more of, and no single-bit flip anywhere
+// in the frame yields a frame.
+TEST(Frame, TruncationsNeedMoreAndNoBitFlipDecodes) {
+  using clear::util::FrameStatus;
+  using clear::util::read_frame;
+  const std::string payload = "checksummed frame payload";
+  std::string frame;
+  clear::util::put_frame(&frame, payload);
+  ASSERT_EQ(frame.size(), clear::util::kFrameHeaderSize + payload.size());
+  std::uint32_t len = 0;
+  // Bytes after the frame belong to the next one.
+  const std::string two = frame + frame;
+  ASSERT_EQ(read_frame(two.data(), two.size(), 1024, &len), FrameStatus::kOk);
+  EXPECT_EQ(len, payload.size());
+  EXPECT_EQ(two.substr(clear::util::kFrameHeaderSize, len), payload);
+
+  for (std::size_t n = 0; n < frame.size(); ++n) {
+    EXPECT_EQ(read_frame(frame.data(), n, 1024, &len), FrameStatus::kNeedMore)
+        << "truncated to " << n << " bytes";
+  }
+  for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+    std::string bytes = frame;
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_NE(read_frame(bytes.data(), bytes.size(), 1024, &len),
+              FrameStatus::kOk)
+        << "flip of bit " << bit;
+  }
+  // A length over the cap is damage, not a prefix to wait on.
+  EXPECT_EQ(read_frame(frame.data(), 4, payload.size() - 1, &len),
+            FrameStatus::kBad);
 }
 
 TEST(Hash, SplitmixIsStable) {
