@@ -220,6 +220,10 @@ class Core {
 [[nodiscard]] std::unique_ptr<Core> make_ino_core();
 [[nodiscard]] std::unique_ptr<Core> make_ooo_core();
 [[nodiscard]] std::unique_ptr<Core> make_core(const std::string& name);
+// FF count of the core model make_core(name) builds (0 for an unknown
+// name).  Each model is built once per process to count its registry;
+// later calls only read the count.
+[[nodiscard]] std::uint32_t core_ff_count(const std::string& name);
 // The same core models built with traced FF handles (BasicReg<true>):
 // bit-identical execution, plus the access log drain_access_log() reads.
 // Slower; only golden recording uses it.

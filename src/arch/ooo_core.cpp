@@ -1239,6 +1239,18 @@ std::unique_ptr<Core> make_core(const std::string& name) {
   return nullptr;
 }
 
+std::uint32_t core_ff_count(const std::string& name) {
+  if (name == "InO") {
+    static const std::uint32_t ino = make_ino_core()->registry().ff_count();
+    return ino;
+  }
+  if (name == "OoO") {
+    static const std::uint32_t ooo = make_ooo_core()->registry().ff_count();
+    return ooo;
+  }
+  return 0;
+}
+
 std::unique_ptr<Core> make_traced_core(const std::string& name) {
   if (name == "InO") return make_traced_ino_core();
   if (name == "OoO") return make_traced_ooo_core();

@@ -356,7 +356,7 @@ bool CachePack::get(std::uint64_t fp, std::string* payload) {
   e.clock = ++clock_;
   {
     FileLock lock(dir_lock_fd_locked());
-    append_index_line_locked(fp, e.clock);
+    append_index_lines_locked({{fp, e.clock}});
     // The index is append-only outside eviction; once it dwarfs the live
     // entry set (warm suites touch it on every hit), rewrite it in place.
     if (index_lines_ > 1024 &&
@@ -370,6 +370,11 @@ bool CachePack::get(std::uint64_t fp, std::string* payload) {
 
 void CachePack::put(std::uint64_t fp, const std::string& key,
                     const std::string& payload) {
+  put({{fp, key, payload}});
+}
+
+void CachePack::put(const std::vector<CacheRecord>& records) {
+  if (records.empty()) return;
   std::lock_guard<std::mutex> g(m_);
   // One cross-process critical section for the whole write: re-sync with
   // whatever other processes appended or compacted, append, then maybe
@@ -377,59 +382,73 @@ void CachePack::put(std::uint64_t fp, const std::string& key,
   FileLock lock(dir_lock_fd_locked());
   resync_locked();
   if (fd_ < 0) return;
-  append_record_locked(fp, key, payload);
+  append_records_locked(records);
   maybe_evict_locked();
   stats_.records = entries_.size();
   stats_.pack_bytes = pack_size_;
-  metrics().puts.add();
+  metrics().puts.add(records.size());
   metrics().pack_bytes.set(pack_size_);
 }
 
-// Appends one record (caller holds the directory flock): record bytes +
-// fsync first, index line last, so a crash can only lose the
-// not-yet-indexed tail (which the next open's scan recovers anyway).
-void CachePack::append_record_locked(std::uint64_t fp, const std::string& key,
-                                     const std::string& payload) {
+// Appends the records (caller holds the directory flock): all record
+// bytes in one write and one fsync first, index lines last, so a crash
+// can only lose the not-yet-indexed tail (which the next open's scan
+// recovers anyway) and tear at most the last record.
+void CachePack::append_records_locked(const std::vector<CacheRecord>& records) {
   if (fd_ < 0) return;
-  Header h;
-  h.key_len = static_cast<std::uint32_t>(
-      std::min<std::size_t>(key.size(), kMaxKeyLen));
-  h.payload_len = static_cast<std::uint32_t>(payload.size());
-  h.fp = fp;
-  h.payload_sum = fnv1a64(payload.data(), payload.size());
-  const std::string rec = encode_record(h, key, payload);
-
   const off_t end = ::lseek(fd_, 0, SEEK_END);
   if (end < 0) return;
-  if (!write_all(fd_, rec.data(), rec.size())) {
+  std::string bytes;
+  std::vector<std::pair<std::uint64_t, Entry>> added;
+  added.reserve(records.size());
+  for (const CacheRecord& r : records) {
+    Header h;
+    h.key_len = static_cast<std::uint32_t>(
+        std::min<std::size_t>(r.key.size(), kMaxKeyLen));
+    h.payload_len = static_cast<std::uint32_t>(r.payload.size());
+    h.fp = r.fp;
+    h.payload_sum = fnv1a64(r.payload.data(), r.payload.size());
+    Entry e;
+    e.offset = static_cast<std::uint64_t>(end) + bytes.size();
+    e.key_len = h.key_len;
+    e.payload_len = h.payload_len;
+    e.payload_sum = h.payload_sum;
+    added.emplace_back(r.fp, e);
+    bytes += encode_record(h, r.key, r.payload);
+  }
+  if (!write_all(fd_, bytes.data(), bytes.size())) {
     // Torn append (e.g. disk full): trim it so the pack tail stays clean.
     if (::ftruncate(fd_, end) != 0) { /* scan quarantines the tail */ }
     return;
   }
   ::fsync(fd_);
 
-  Entry e;
-  e.offset = static_cast<std::uint64_t>(end);
-  e.key_len = h.key_len;
-  e.payload_len = h.payload_len;
-  e.payload_sum = h.payload_sum;
-  e.clock = ++clock_;
-  entries_[fp] = e;
-  pack_size_ = static_cast<std::uint64_t>(end) + rec.size();
-  append_index_line_locked(fp, e.clock);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> stamps;
+  stamps.reserve(added.size());
+  for (auto& [fp, e] : added) {
+    e.clock = ++clock_;
+    entries_[fp] = e;
+    stamps.emplace_back(fp, e.clock);
+  }
+  pack_size_ = static_cast<std::uint64_t>(end) + bytes.size();
+  append_index_lines_locked(stamps);
 }
 
-void CachePack::append_index_line_locked(std::uint64_t fp,
-                                         std::uint64_t clock) {
+void CachePack::append_index_lines_locked(
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& stamps) {
   const int ifd = ::open(index_path_.c_str(),
                          O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (ifd < 0) return;
-  char line[64];
-  const int n = std::snprintf(line, sizeof(line), "%016llx %llu\n",
-                              static_cast<unsigned long long>(fp),
-                              static_cast<unsigned long long>(clock));
-  if (n > 0 && write_all(ifd, line, static_cast<std::size_t>(n))) {
-    ++index_lines_;
+  std::string lines;
+  for (const auto& [fp, clock] : stamps) {
+    char line[64];
+    const int n = std::snprintf(line, sizeof(line), "%016llx %llu\n",
+                                static_cast<unsigned long long>(fp),
+                                static_cast<unsigned long long>(clock));
+    if (n > 0) lines.append(line, static_cast<std::size_t>(n));
+  }
+  if (write_all(ifd, lines.data(), lines.size())) {
+    index_lines_ += stamps.size();
   }
   ::close(ifd);
 }

@@ -16,9 +16,10 @@
 //   header_checksum  u64   FNV-1a over the 28 header bytes above
 //   key bytes, payload bytes
 //
-// Durability and corruption tolerance: an append writes the full record,
-// fsyncs the pack, and only then appends the index line -- a crash at any
-// point leaves a prefix of intact records plus at most one torn tail.
+// Durability and corruption tolerance: an append writes the full records
+// of one put (one record, or a batch), fsyncs the pack once, and only then
+// appends their index lines -- a crash at any point leaves a prefix of
+// intact records plus at most one torn tail.
 // open() never trusts the index for locations: it scans the pack, accepts
 // only records whose header and payload checksums verify, quarantines the
 // rest (skipping by the self-described length when the header is intact,
@@ -43,6 +44,8 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace clear::inject {
 
@@ -52,6 +55,13 @@ namespace clear::inject {
 // here, next to the layout; `clear version` reports it alongside the
 // CSR/CXL versions so operators can diagnose skew in one place.
 constexpr std::uint32_t kCachePackVersion = 1;
+
+// One record of a batch put.
+struct CacheRecord {
+  std::uint64_t fp = 0;
+  std::string key;
+  std::string payload;
+};
 
 struct CachePackStats {
   std::size_t records = 0;      // live (verified) records
@@ -88,6 +98,10 @@ class CachePack {
   // pack exceeds the byte budget.
   void put(std::uint64_t fp, const std::string& key,
            const std::string& payload);
+  // Appends (or replaces) several records with one write and one fsync,
+  // then their index lines: a crash leaves every record before the torn
+  // one intact.  Later records win over earlier ones with the same `fp`.
+  void put(const std::vector<CacheRecord>& records);
 
   // Rewrites the pack immediately (tmp file + atomic rename), reclaiming
   // bytes of superseded re-puts and quarantined regions.  max_bytes > 0
@@ -125,9 +139,9 @@ class CachePack {
   void scan_pack_range_locked(std::uint64_t from);
   void load_index_clocks_locked();
   // The append/evict/index writers all require the directory flock.
-  void append_record_locked(std::uint64_t fp, const std::string& key,
-                            const std::string& payload);
-  void append_index_line_locked(std::uint64_t fp, std::uint64_t clock);
+  void append_records_locked(const std::vector<CacheRecord>& records);
+  void append_index_lines_locked(
+      const std::vector<std::pair<std::uint64_t, std::uint64_t>>& stamps);
   void rewrite_index_locked();
   void maybe_evict_locked();
   void compact_locked(std::uint64_t budget);  // budget 0 = keep all live

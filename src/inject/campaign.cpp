@@ -5,7 +5,9 @@
 #include <condition_variable>
 #include <cctype>
 #include <charconv>
+#include <chrono>
 #include <cstdio>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -144,6 +146,9 @@ struct CampaignMetrics {
   obs::Histogram& classify = obs::histogram("campaign.sample.classify");
   obs::Counter& samples = obs::counter("campaign.samples");
   obs::Counter& goldens = obs::counter("campaign.goldens");
+  // Shards that forked from a recording another shard of their campaign
+  // made in this process (TrajectoryMemo).
+  obs::Counter& golden_reused = obs::counter("campaign.golden.reused");
   // Samples that end as golden without a fork: the strike was suppressed
   // by a hardened flip-flop, or it hit an FF slot golden never reads
   // again (dead at flip).
@@ -177,8 +182,11 @@ CampaignMetrics& metrics() {
 // its interval and as the reference for the convergence test at its
 // boundary, which compares only the FF slots live there.  The same
 // recording answers, per sample, whether its strike lands in a slot that
-// is dead at the injection cycle; such a sample never forks.
+// is dead at the injection cycle; such a sample never forks.  Immutable
+// once recorded, so shards of one campaign can share it (TrajectoryMemo).
 struct GoldenTrajectory {
+  arch::CoreRunResult golden;   // the error-free run
+  std::uint64_t watchdog = 0;   // faulty runs stop here: a Hang
   std::uint64_t interval = 0;
   std::vector<arch::CoreCheckpoint> checkpoints;  // at cycles 0, I, 2I, ...
   // One FF-pool live set per checkpoint, and the dead-at-flip answers.
@@ -189,14 +197,6 @@ struct GoldenTrajectory {
   std::vector<std::uint64_t> since_commit;
   // Every FF-pool slot except the sinks (FFFlags::sink).
   std::vector<std::uint64_t> non_sink;
-
-  void release() {
-    std::vector<arch::CoreCheckpoint>().swap(checkpoints);
-    live = arch::FFLiveness{};
-    std::vector<std::uint16_t>().swap(slot_of);
-    std::vector<std::uint64_t>().swap(since_commit);
-    std::vector<std::uint64_t>().swap(non_sink);
-  }
 };
 
 // A faulty run that is out of step with golden at a boundary looks for a
@@ -392,8 +392,8 @@ Outcome run_forked(arch::Core* core, const GoldenTrajectory& traj,
 
 // ---- batched campaign execution --------------------------------------------
 //
-// One campaign of a batch.  The golden-recording task fills traj/golden/
-// watchdog and flips `ready`; faulty tasks of the campaign wait on that.
+// One campaign of a batch.  The golden task sets traj and the nominal run
+// length and flips `ready`; faulty tasks of the campaign wait on that.
 struct CampaignJob {
   const CampaignSpec* spec = nullptr;
   std::size_t spec_index = 0;     // slot in the execute_campaigns() result
@@ -402,10 +402,12 @@ struct CampaignJob {
   std::size_t local_count = 0;    // samples owned by this shard
   std::uint64_t fp = 0;           // cache fingerprint; 0 = no caching
   std::uint64_t token = 0;
-  // Written by the golden task, read by faulty tasks after `ready`.
-  GoldenTrajectory traj;
-  arch::CoreRunResult golden;
-  std::uint64_t watchdog = 0;
+  // Written by the golden task, read by faulty tasks after `ready`.  The
+  // trajectory is dropped once the job's last sample ran; the nominal
+  // run outlives it for the result.
+  std::shared_ptr<const GoldenTrajectory> traj;
+  std::uint64_t nominal_cycles = 0;
+  std::uint64_t nominal_instrs = 0;
   // One OutcomeCounts strip per pool worker plus one for the inline
   // caller slot, merged afterwards: counter addition is commutative, so
   // totals are independent of scheduling.
@@ -445,46 +447,61 @@ struct Strike {
   bool upset = false;  // false: the strike was suppressed
 };
 
-Strike draw_strike(const CampaignJob& job, std::uint64_t g) {
+Strike draw_strike(const CampaignJob& job, const GoldenTrajectory& traj,
+                   std::uint64_t g) {
   const CampaignSpec& spec = *job.spec;
   util::Rng rng(util::hash_combine(spec.seed, g));
   Strike st;
   st.ff = static_cast<std::uint32_t>(g % job.ff_count);
-  st.cycle = 1 + rng.below(job.golden.cycles - 1);
+  st.cycle = 1 + rng.below(traj.golden.cycles - 1);
   const arch::FFProt p =
       spec.cfg != nullptr ? spec.cfg->prot_of(st.ff) : arch::FFProt::kNone;
   st.upset = rng.bernoulli(ser_ratio(p));
   return st;
 }
 
-bool owns(const CampaignJob& job, std::uint64_t g) {
-  return g % job.spec->shard_count == job.spec->shard_index;
-}
-
-// The samples the recording pass asks about: those the job may simulate
-// before its adaptive plan exists, namely the pilot indices and then the
-// owned indices below the budget.  This is every sample of a fixed
+// The samples a recording asks about: those a shard may simulate before
+// its adaptive plan exists, namely the pilot indices [0, pilot_span),
+// which every shard simulates, and then the indices below `end` that
+// shard `index` of `count` owns.  This is every sample of a fixed
 // schedule; an adaptive tail may reach past the budget, and those
 // samples fork.
-bool is_candidate(const CampaignJob& job, std::uint64_t g) {
-  return g < job.pilot_span || (g < job.injections && owns(job, g));
-}
+struct QuerySet {
+  std::uint64_t pilot_span = 0;
+  std::uint64_t end = 0;
+  std::uint64_t index = 0;
+  std::uint64_t count = 1;
 
-// The first owned index at or past the pilot.
-std::uint64_t first_owned_tail(const CampaignJob& job) {
-  const std::uint64_t shards = job.spec->shard_count;
-  const std::uint64_t g = job.pilot_span;
-  return g + (job.spec->shard_index + shards - g % shards) % shards;
-}
-
-// Calls fn(g) for every candidate, ascending.
-template <class Fn>
-void for_each_candidate(const CampaignJob& job, Fn&& fn) {
-  for (std::uint64_t g = 0; g < job.pilot_span; ++g) fn(g);
-  for (std::uint64_t g = first_owned_tail(job); g < job.injections;
-       g += job.spec->shard_count) {
-    fn(g);
+  [[nodiscard]] bool owns(std::uint64_t g) const { return g % count == index; }
+  [[nodiscard]] bool has(std::uint64_t g) const {
+    return g < pilot_span || (g < end && owns(g));
   }
+  // The first owned index at or past the pilot.
+  [[nodiscard]] std::uint64_t first_tail() const {
+    return pilot_span + (index + count - pilot_span % count) % count;
+  }
+  // The i-th sample asked about, ascending.
+  [[nodiscard]] std::uint64_t at(std::uint64_t i) const {
+    return i < pilot_span ? i : first_tail() + (i - pilot_span) * count;
+  }
+  // Calls fn(g) for every sample asked about, ascending.
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (std::uint64_t g = 0; g < pilot_span; ++g) fn(g);
+    for (std::uint64_t g = first_tail(); g < end; g += count) fn(g);
+  }
+};
+
+// The samples `job`'s own shard may simulate.
+QuerySet shard_queries(const CampaignJob& job) {
+  return {job.pilot_span, job.injections, job.spec->shard_index,
+          job.spec->shard_count};
+}
+
+// Every shard's samples at once: what the unsharded campaign asks about.
+// A recording that asks these answers any shard of the campaign exactly.
+QuerySet campaign_queries(const CampaignJob& job) {
+  return {job.pilot_span, job.injections, 0, 1};
 }
 
 // An EDS or parity flip-flop can detect the upset in the cycle it is
@@ -497,12 +514,14 @@ bool detected_when_struck(const CampaignSpec& spec, std::uint32_t ff) {
   return p == arch::FFProt::kEds || p == arch::FFProt::kParity;
 }
 
-// Whether the recording pass asks about sample g, whose draws are `st`.
-// A golden run that recovered reads the rollback ring behind the access
-// log's back (see record_golden), so its campaign asks nothing.
-bool asks_about(const CampaignJob& job, std::uint64_t g, const Strike& st) {
-  return st.upset && job.golden.recoveries == 0 &&
-         !detected_when_struck(*job.spec, st.ff) && is_candidate(job, g);
+// Whether a recording of `traj` that asks about `asked` asks about sample
+// g, whose draws are `st`.  A golden run that recovered reads the
+// rollback ring behind the access log's back (see record_golden), so its
+// campaign asks nothing.
+bool asks_about(const CampaignJob& job, const GoldenTrajectory& traj,
+                const QuerySet& asked, std::uint64_t g, const Strike& st) {
+  return st.upset && traj.golden.recoveries == 0 &&
+         !detected_when_struck(*job.spec, st.ff) && asked.has(g);
 }
 
 // A strike the recording pass asks about: is FF-pool slot `slot` dead at
@@ -549,21 +568,25 @@ void sort_by_cycle(std::vector<FlipQuery>* queries, std::uint64_t first,
 
 // The strikes the recording pass asks about, handed out in cycle order.
 // Holding every query at once would cost 8 bytes per sample, so the
-// schedule keeps one byte per candidate naming the window of cycles its
-// strike falls in (0: nothing asked), and redraws one window's queries
-// at a time as the recording reaches it.
+// schedule keeps one byte per sample asked about naming the window of
+// cycles its strike falls in (0: nothing asked), and redraws one window's
+// queries at a time as the recording reaches it.
 class QuerySchedule {
  public:
-  // Replays every candidate's draws; also counts the non-suppressed
-  // strikes among the owned samples, which placement prices.
-  explicit QuerySchedule(const CampaignJob& job)
-      : job_(job), span_(job.golden.cycles / kWindows + 1) {
-    window_of_.reserve(job.pilot_span + job.local_count);
-    for_each_candidate(job, [&](std::uint64_t g) {
-      const Strike st = draw_strike(job, g);
-      if (st.upset && owns(job, g)) ++forks_;
+  // Replays the draws of every sample in `asked`; also counts the
+  // non-suppressed strikes among the samples `asked` owns, which
+  // placement prices.  `traj` holds the golden run and the slot map.
+  QuerySchedule(const CampaignJob& job, const GoldenTrajectory& traj,
+                const QuerySet& asked)
+      : job_(job),
+        traj_(traj),
+        asked_(asked),
+        span_(traj.golden.cycles / kWindows + 1) {
+    asked.for_each([&](std::uint64_t g) {
+      const Strike st = draw_strike(job, traj, g);
+      if (st.upset && asked.owns(g)) ++forks_;
       window_of_.push_back(
-          asks_about(job, g, st)
+          asks_about(job, traj, asked, g, st)
               ? static_cast<std::uint8_t>(1 + st.cycle / span_)
               : 0);
     });
@@ -587,26 +610,22 @@ class QuerySchedule {
   void load(std::uint8_t window) {
     due_.clear();
     next_ = 0;
-    // Candidate i is sample i in the pilot, then every shard_count-th
-    // sample from the first owned one past it.
     const std::uint8_t* w = window_of_.data();
     const std::size_t n = window_of_.size();
-    const std::uint64_t pilot = job_.pilot_span;
-    const std::uint64_t tail = first_owned_tail(job_) - pilot;
-    const std::uint64_t shards = job_.spec->shard_count;
     for (std::size_t i = 0; i < n; ++i) {
       if (w[i] != window) continue;
-      const Strike st = draw_strike(
-          job_, i < pilot ? i : pilot + tail + (i - pilot) * shards);
+      const Strike st = draw_strike(job_, traj_, asked_.at(i));
       due_.push_back(
-          {static_cast<std::uint32_t>(st.cycle), job_.traj.slot_of[st.ff]});
+          {static_cast<std::uint32_t>(st.cycle), traj_.slot_of[st.ff]});
     }
     sort_by_cycle(&due_, (window - 1) * span_, span_);
   }
 
   const CampaignJob& job_;
+  const GoldenTrajectory& traj_;
+  const QuerySet asked_;
   const std::uint64_t span_;  // cycles per window
-  std::vector<std::uint8_t> window_of_;  // per candidate: 1 + window, or 0
+  std::vector<std::uint8_t> window_of_;  // per sample asked: 1 + window, or 0
   std::uint64_t forks_ = 0;
   std::vector<FlipQuery> due_;  // the loaded window's queries, by cycle
   std::size_t next_ = 0;        // due_[next_] is the next query
@@ -640,11 +659,12 @@ constexpr std::uint64_t kSnapEquivCycles = 100;
 // injections and outcomes are interval-independent, so results stay
 // bit-identical at any placement.
 //
-// `forks` counts every non-suppressed strike among the samples this
-// shard owns, dead at flip or not: placement is chosen before the
-// recording pass that finds out which of them are dead, since that pass
-// needs the interval.  Pricing the dead ones too errs towards denser
-// placement.
+// `forks` counts every non-suppressed strike among the samples one shard
+// owns, dead at flip or not: placement is chosen before the recording
+// pass that finds out which of them are dead, since that pass needs the
+// interval.  Pricing the dead ones too errs towards denser placement.  A
+// recording shared by every shard of a campaign prices the campaign's
+// strikes divided by the shard count.
 std::uint64_t pick_interval(std::uint64_t nominal_cycles,
                             std::uint64_t forks) {
   const std::uint64_t first = std::max<std::uint64_t>(64, nominal_cycles / 96);
@@ -671,21 +691,26 @@ std::uint64_t pick_interval(std::uint64_t nominal_cycles,
 
 // Records the golden (error-free) reference run, which doubles as the
 // recording pass for the fork snapshots, the live sets of the
-// convergence compare and the dead-at-flip answers.  Runs on a pool
+// convergence compare and the dead-at-flip answers for the samples in
+// `asked`.  `sharers` is the number of shards the recording serves:
+// placement prices one shard's share of the forks.  Runs on a pool
 // worker so recordings of different campaigns overlap each other and the
 // faulty runs of already-recorded campaigns.
-void record_golden(CampaignJob& job, const std::atomic<bool>* cancel) {
+std::shared_ptr<const GoldenTrajectory> record_golden(
+    const CampaignJob& job, const QuerySet& asked, std::uint64_t sharers,
+    const std::atomic<bool>* cancel) {
   const obs::Span golden_span(metrics().golden_record);
   metrics().goldens.add();
   const CampaignSpec& spec = *job.spec;
+  const auto traj = std::make_shared<GoldenTrajectory>();
   // The snapshot interval depends on the nominal run length, which is
   // unknown until the golden run finishes: run once to learn the length,
   // then re-run recording snapshots at the chosen interval.  The golden
   // run is paid twice per campaign versus `injections` faulty runs, so
   // the extra pass is noise.
-  job.golden = worker_core(spec.core_name)
-                   ->run(*spec.program, spec.cfg, nullptr, kGoldenBudget);
-  if (job.golden.status != isa::RunStatus::kHalted) {
+  traj->golden = worker_core(spec.core_name)
+                     ->run(*spec.program, spec.cfg, nullptr, kGoldenBudget);
+  if (traj->golden.status != isa::RunStatus::kHalted) {
     throw std::runtime_error("golden run did not halt for key " + spec.key);
   }
   // The recording pass runs the traced build of the core, which also
@@ -695,15 +720,16 @@ void record_golden(CampaignJob& job, const std::atomic<bool>* cancel) {
       arch::make_traced_core(spec.core_name);
   static_assert(arch::FFRegistry::kMaxSlots <= 0x10000,
                 "slot_of holds 16-bit slot indices");
-  job.traj.slot_of.resize(job.ff_count);
+  traj->slot_of.resize(job.ff_count);
   for (const arch::FFStructure& st : gcore->registry().structures()) {
-    std::fill_n(job.traj.slot_of.begin() + st.first_ff, st.width,
+    std::fill_n(traj->slot_of.begin() + st.first_ff, st.width,
                 static_cast<std::uint16_t>(st.slot));
   }
-  QuerySchedule queries(job);
-  job.traj.interval = pick_interval(job.golden.cycles, queries.forks());
+  QuerySchedule queries(job, *traj, asked);
+  traj->interval =
+      pick_interval(traj->golden.cycles, queries.forks() / sharers);
   gcore->begin(*spec.program, spec.cfg, nullptr);
-  job.traj.live.start(*gcore);
+  traj->live.start(*gcore);
   // The first cycle of golden's current committed count: the recording
   // steps from commit to commit to find it (one stop per instruction).
   std::uint64_t count_start = 0;
@@ -712,17 +738,17 @@ void record_golden(CampaignJob& job, const std::atomic<bool>* cancel) {
   // cycle c, before any access of that cycle.
   const auto watch_due = [&] {
     queries.pop(gcore->cycle(), [&](std::uint32_t slot) {
-      job.traj.live.watch(*gcore, slot);
+      traj->live.watch(*gcore, slot);
     });
   };
   const auto capture = [&] {
-    job.traj.since_commit.push_back(gcore->cycle() - count_start);
-    job.traj.checkpoints.emplace_back();
+    traj->since_commit.push_back(gcore->cycle() - count_start);
+    traj->checkpoints.emplace_back();
     const obs::Span snap_span(metrics().snap_capture);
-    gcore->snapshot(&job.traj.checkpoints.back());
+    gcore->snapshot(&traj->checkpoints.back());
   };
   const auto step_interval = [&] {
-    const std::uint64_t boundary = gcore->cycle() + job.traj.interval;
+    const std::uint64_t boundary = gcore->cycle() + traj->interval;
     while (gcore->cycle() < boundary) {
       // Only a recovery moves the cycle count by more than one, and a
       // golden run that recovered asks nothing, so no query is skipped.
@@ -738,14 +764,14 @@ void record_golden(CampaignJob& job, const std::atomic<bool>* cancel) {
   capture();
   while (step_interval()) {
     check_cancel(cancel);
-    job.traj.live.end_interval(*gcore);
+    traj->live.end_interval(*gcore);
     watch_due();
     capture();
   }
-  job.traj.live.end_interval(*gcore);
-  job.traj.non_sink = gcore->registry().sink_slots();
-  for (std::uint64_t& w : job.traj.non_sink) w = ~w;
-  if (gcore->cycle() != job.golden.cycles) {
+  traj->live.end_interval(*gcore);
+  traj->non_sink = gcore->registry().sink_slots();
+  for (std::uint64_t& w : traj->non_sink) w = ~w;
+  if (gcore->cycle() != traj->golden.cycles) {
     throw std::logic_error("traced and untraced core builds diverged for key " +
                            spec.key);
   }
@@ -754,19 +780,202 @@ void record_golden(CampaignJob& job, const std::atomic<bool>* cancel) {
   // log does not see.  No fault-free run detects anything, but such a
   // campaign would keep the word-exact compare (no live sets) and fork
   // every sample.
-  if (job.golden.recoveries == 0) {
-    job.traj.live.finish();
+  if (traj->golden.recoveries == 0) {
+    traj->live.finish();
   } else {
-    job.traj.live = arch::FFLiveness{};
+    traj->live = arch::FFLiveness{};
   }
-  job.watchdog = job.golden.cycles * 2 + 1024;
+  traj->watchdog = traj->golden.cycles * 2 + 1024;
+  return traj;
+}
+
+// ---- golden trajectories shared by the shards of a campaign ----------------
+//
+// A process that runs several shards of one campaign (a `clear serve`
+// worker in a fleet) records the golden trajectory at most twice.  The
+// first shard a process sees records only its own samples' queries,
+// exactly as a one-shard process must: at 120,000 samples a recording
+// that asks about every sample took ~14 ms on InO gcc and ~19 ms on OoO
+// mcf, one for a 1/128 shard ~1.5 and ~5 ms (4-CPU x86 host, one
+// thread).  The second records the campaign's queries
+// (campaign_queries) and keeps the recording; later shards reuse it.
+// Dead-at-flip answers are keyed by (slot, cycle), so a recording that
+// watched every shard's strikes answers each shard exactly, and results
+// never depend on which shard recorded.  Unsharded campaigns never come
+// here: their recording is dropped with the batch.
+class TrajectoryMemo {
+ public:
+  // Campaigns remembered, recorded or only seen; the least recently used
+  // one goes first.  A kept recording holds ~0.4 MB of checkpoint
+  // segments on InO gcc and ~1.5 MB on OoO mcf (120,000 samples).
+  static constexpr std::size_t kEntries = 8;
+
+  static TrajectoryMemo& instance() {
+    static TrajectoryMemo memo;
+    return memo;
+  }
+
+  enum class Verdict { kReuse, kRecordOwn, kRecordForAll };
+  struct Lease {
+    Verdict verdict = Verdict::kRecordOwn;
+    std::shared_ptr<const GoldenTrajectory> traj;  // kReuse only
+  };
+
+  // What a shard of the campaign `id` does.  kRecordForAll obliges the
+  // caller to publish() or abandon().  Waits while another shard records
+  // for all, polling `cancel`.
+  Lease acquire(const std::string& id, const std::atomic<bool>* cancel) {
+    std::unique_lock<std::mutex> lock(m_);
+    for (;;) {
+      const auto it = find(id);
+      if (it == lru_.end()) {
+        lru_.push_front(Entry{id, nullptr, false});
+        trim();
+        return {Verdict::kRecordOwn, nullptr};
+      }
+      lru_.splice(lru_.begin(), lru_, it);
+      if (it->traj != nullptr) return {Verdict::kReuse, it->traj};
+      if (!it->recording) {
+        it->recording = true;
+        return {Verdict::kRecordForAll, nullptr};
+      }
+      cv_.wait_for(lock, std::chrono::milliseconds(10));
+      check_cancel(cancel);
+    }
+  }
+
+  void publish(const std::string& id,
+               std::shared_ptr<const GoldenTrajectory> traj) {
+    {
+      const std::lock_guard<std::mutex> lock(m_);
+      auto it = find(id);
+      if (it == lru_.end()) {  // trimmed while recording
+        lru_.push_front(Entry{id, nullptr, false});
+        it = lru_.begin();
+        trim();
+      }
+      it->traj = std::move(traj);
+      it->recording = false;
+    }
+    cv_.notify_all();
+  }
+
+  // The recording for all failed: a waiting shard takes it over.
+  void abandon(const std::string& id) {
+    {
+      const std::lock_guard<std::mutex> lock(m_);
+      const auto it = find(id);
+      if (it != lru_.end()) it->recording = false;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  struct Entry {
+    std::string id;
+    std::shared_ptr<const GoldenTrajectory> traj;  // null: seen, not kept
+    bool recording = false;  // a shard is recording for all
+  };
+
+  std::list<Entry>::iterator find(const std::string& id) {
+    return std::find_if(lru_.begin(), lru_.end(),
+                        [&](const Entry& e) { return e.id == id; });
+  }
+  void trim() {
+    while (lru_.size() > kEntries) lru_.pop_back();
+  }
+
+  std::mutex m_;
+  std::condition_variable cv_;
+  std::list<Entry> lru_;  // most recently used first
+};
+
+// The memo key: everything the golden trajectory is a function of.  The
+// cache key is not part of it (it only names the campaign), so campaigns
+// run without caching share recordings too.  The shard count is, since
+// placement prices one shard's share of the forks.
+std::string memo_identity(const CampaignJob& job) {
+  const CampaignSpec& spec = *job.spec;
+  const isa::Program& prog = *spec.program;
+  std::string id;
+  util::put_str(&id, spec.core_name);
+  util::put_u64(&id, prog.code.size());
+  for (const std::uint32_t w : prog.code) util::put_u32(&id, w);
+  util::put_u64(&id, prog.data.size());
+  for (const std::uint32_t w : prog.data) util::put_u32(&id, w);
+  util::put_u32(&id, prog.data_base);
+  util::put_u32(&id, prog.mem_bytes);
+  std::vector<std::pair<std::uint16_t, std::uint32_t>> sigs(
+      prog.dfc_signatures.begin(), prog.dfc_signatures.end());
+  std::sort(sigs.begin(), sigs.end());
+  util::put_u64(&id, sigs.size());
+  for (const auto& [block, sig] : sigs) {
+    util::put_u32(&id, block);
+    util::put_u32(&id, sig);
+  }
+  id += spec.cfg != nullptr ? '\1' : '\0';
+  if (spec.cfg != nullptr) {
+    const arch::ResilienceConfig& cfg = *spec.cfg;
+    util::put_u64(&id, cfg.prot.size());
+    for (const arch::FFProt p : cfg.prot) id += static_cast<char>(p);
+    util::put_u64(&id, cfg.parity_group.size());
+    for (const std::int32_t g : cfg.parity_group) {
+      util::put_u32(&id, static_cast<std::uint32_t>(g));
+    }
+    id += cfg.dfc ? '\1' : '\0';
+    id += cfg.monitor ? '\1' : '\0';
+    id += static_cast<char>(cfg.recovery);
+  }
+  util::put_u64(&id, spec.seed);
+  util::put_u64(&id, job.injections);
+  id += spec.adaptive() ? '\1' : '\0';
+  if (spec.adaptive()) {
+    util::put_f64(&id, spec.confidence_half_width);
+    id += static_cast<char>(spec.confidence_method);
+  }
+  util::put_u32(&id, spec.shard_count);
+  return id;
+}
+
+// The golden trajectory `job` forks from: recorded for its own samples,
+// or, for the second and later shards of a campaign this process sees,
+// shared through the TrajectoryMemo.
+std::shared_ptr<const GoldenTrajectory> golden_for(
+    const CampaignJob& job, const std::atomic<bool>* cancel) {
+  const CampaignSpec& spec = *job.spec;
+  if (spec.shard_count == 1) {
+    return record_golden(job, shard_queries(job), 1, cancel);
+  }
+  const std::string id = memo_identity(job);
+  TrajectoryMemo& memo = TrajectoryMemo::instance();
+  TrajectoryMemo::Lease lease = memo.acquire(id, cancel);
+  switch (lease.verdict) {
+    case TrajectoryMemo::Verdict::kReuse:
+      metrics().golden_reused.add();
+      return std::move(lease.traj);
+    case TrajectoryMemo::Verdict::kRecordOwn:
+      return record_golden(job, shard_queries(job), 1, cancel);
+    case TrajectoryMemo::Verdict::kRecordForAll:
+      break;
+  }
+  std::shared_ptr<const GoldenTrajectory> traj;
+  try {
+    traj = record_golden(job, campaign_queries(job), spec.shard_count, cancel);
+  } catch (...) {
+    memo.abandon(id);
+    throw;
+  }
+  memo.publish(id, traj);
+  return traj;
 }
 
 // Whether sample g, whose draws are `st`, strikes a slot that is dead at
-// its cycle, as the recording pass found.
+// its cycle, as the recording pass found.  The job's own samples are
+// asked about by any recording it may fork from.
 bool dead_at_flip(const CampaignJob& job, std::uint64_t g, const Strike& st) {
-  return asks_about(job, g, st) &&
-         job.traj.live.dead(job.traj.slot_of[st.ff], st.cycle);
+  const GoldenTrajectory& traj = *job.traj;
+  return asks_about(job, traj, shard_queries(job), g, st) &&
+         traj.live.dead(traj.slot_of[st.ff], st.cycle);
 }
 
 // One faulty sample.  `g` is the global sample index: the RNG, target
@@ -777,9 +986,10 @@ Outcome simulate_sample(CampaignJob& job, std::size_t g,
                         const std::atomic<bool>* cancel) {
   const obs::Span classify_span(metrics().classify);
   metrics().samples.add();
+  const GoldenTrajectory& traj = *job.traj;
   // Stratified-by-FF sampling with an index-derived RNG: results are
   // independent of thread scheduling and thread count.
-  const Strike st = draw_strike(job, g);
+  const Strike st = draw_strike(job, traj, g);
   // Circuit-hardened flip-flops suppress the upset with probability
   // 1 - SER ratio (Table 4); a suppressed strike vanishes by definition.
   if (!st.upset) {
@@ -794,8 +1004,8 @@ Outcome simulate_sample(CampaignJob& job, std::size_t g,
     return Outcome::kVanished;
   }
   const auto plan = arch::InjectionPlan::single(st.cycle, st.ff);
-  return run_forked(bound_worker_core(*job.spec, job.token), job.traj, plan,
-                    st.cycle, job.watchdog, job.golden, cancel);
+  return run_forked(bound_worker_core(*job.spec, job.token), traj, plan,
+                    st.cycle, traj.watchdog, traj.golden, cancel);
 }
 
 // Owned sample: simulate and account into this shard's result strips.
@@ -1105,10 +1315,12 @@ CampaignJob plan_job(const CampaignSpec& spec) {
 
 std::vector<std::uint64_t> dead_at_flip_samples(const CampaignSpec& spec) {
   CampaignJob job = plan_job(spec);
-  record_golden(job, nullptr);
+  job.traj = golden_for(job, nullptr);
   std::vector<std::uint64_t> dead;
-  for_each_candidate(job, [&](std::uint64_t g) {
-    if (dead_at_flip(job, g, draw_strike(job, g))) dead.push_back(g);
+  shard_queries(job).for_each([&](std::uint64_t g) {
+    if (dead_at_flip(job, g, draw_strike(job, *job.traj, g))) {
+      dead.push_back(g);
+    }
   });
   return dead;
 }
@@ -1199,7 +1411,8 @@ std::vector<CampaignResult> execute_campaigns(
   // image, ~96 per campaign): drop a fixed campaign's trajectory as soon
   // as its last faulty sample finishes instead of holding every
   // trajectory until the whole batch drains.  Adaptive campaigns keep
-  // theirs across milestone rounds and free them after the tail pass.
+  // theirs across milestone rounds and free them after the tail pass.  A
+  // recording the TrajectoryMemo keeps outlives the job's reference.
   std::vector<std::atomic<std::size_t>> samples_left(njobs);
   for (std::size_t j = 0; j < njobs; ++j) {
     samples_left[j].store(jobs[j].local_count, std::memory_order_relaxed);
@@ -1234,7 +1447,10 @@ std::vector<CampaignResult> execute_campaigns(
           if (with_goldens && i < njobs) {
             try {
               check_cancel(cancel);
-              record_golden(jobs[i], cancel);
+              CampaignJob& job = jobs[i];
+              job.traj = golden_for(job, cancel);
+              job.nominal_cycles = job.traj->golden.cycles;
+              job.nominal_instrs = job.traj->golden.instrs;
             } catch (...) {
               {
                 std::lock_guard<std::mutex> g(batch_m);
@@ -1277,7 +1493,7 @@ std::vector<CampaignResult> execute_campaigns(
             }
             if (samples_left[j].fetch_sub(1, std::memory_order_acq_rel) ==
                 1) {
-              job.traj.release();
+              job.traj.reset();
             }
             return;
           }
@@ -1381,7 +1597,7 @@ std::vector<CampaignResult> execute_campaigns(
   // carry an empty list here).
   run_pass(/*with_goldens=*/false);
   for (auto& job : jobs) {
-    if (job.pilot != 0) job.traj.release();
+    if (job.pilot != 0) job.traj.reset();
   }
   if (hooks.samples_total && executed_sofar < published_total) {
     hooks.samples_total->store(executed_sofar);  // final exact count
@@ -1390,11 +1606,12 @@ std::vector<CampaignResult> execute_campaigns(
   // A cancel that raced the last sample still aborts here, before any
   // cache write: a cancelled batch never persists anything.
   check_cancel(cancel);
+  std::vector<CacheRecord> records;
   for (auto& job : jobs) {
     CampaignResult& result = results[job.spec_index];
     result.ff_count = job.ff_count;
-    result.nominal_cycles = job.golden.cycles;
-    result.nominal_instrs = job.golden.instrs;
+    result.nominal_cycles = job.nominal_cycles;
+    result.nominal_instrs = job.nominal_instrs;
     result.per_ff.assign(job.ff_count, {});
     for (const auto& strip : job.partials) {
       for (std::uint32_t f = 0; f < job.ff_count; ++f) {
@@ -1409,11 +1626,11 @@ std::vector<CampaignResult> execute_campaigns(
       result.planned = job.planned;
     }
     if (job.fp != 0) {
-      CachePack::instance(cache_dir)
-          .put(job.fp, cache_label(*job.spec),
-               serialize_result(job.fp, result));
+      records.push_back({job.fp, cache_label(*job.spec),
+                         serialize_result(job.fp, result)});
     }
   }
+  if (!records.empty()) CachePack::instance(cache_dir).put(records);
   return results;
 }
 

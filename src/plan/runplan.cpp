@@ -222,7 +222,7 @@ bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
   // behaviour of `clear run`.
   plan->prog = core::build_variant_program(plan->bench, plan->variant,
                                            plan->input_seed);
-  plan->ff_count = arch::make_core(plan->core_name)->registry().ff_count();
+  plan->ff_count = arch::core_ff_count(plan->core_name);
 
   plan->spec.core_name = plan->core_name;
   plan->spec.injections = static_cast<std::size_t>(injections);

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -186,6 +187,60 @@ TEST(CachePack, TruncationAtEveryRecordBoundary) {
         } else {
           EXPECT_FALSE(hit) << "record " << i << " resurrected, cut " << cut;
         }
+      }
+    }
+  }
+}
+
+// A batch put writes its records with one write and one fsync, so a crash
+// can cut that write at any byte.  Every record before the cut must be
+// served byte-exact, the torn one quarantined and never served.
+TEST(CachePack, BatchPutTruncatedAtEveryByte) {
+  constexpr std::size_t kRecords = 5;
+  // The same records, one put each: their boundaries are the batch's.
+  const auto single = fresh_dir("batch_single");
+  const auto boundaries = build_pack(single, kRecords);
+  const auto src = fresh_dir("batch_src");
+  {
+    inject::CachePack pack(src);
+    pack.put(1000, "key0", payload_for(0));  // a record before the batch
+    std::vector<inject::CacheRecord> batch;
+    for (std::size_t i = 1; i < kRecords; ++i) {
+      batch.push_back({1000 + i, "key" + std::to_string(i), payload_for(i)});
+    }
+    pack.put(batch);
+    EXPECT_EQ(pack.stats().records, kRecords);
+  }
+  const auto slurp = [](const fs::path& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  ASSERT_EQ(slurp(pack_path(src)), slurp(pack_path(single)))
+      << "a batch writes the bytes of one put per record";
+  const std::uint64_t header =
+      boundaries[1] - std::string("key0").size() - payload_for(0).size();
+
+  for (std::uint64_t cut = boundaries[1]; cut <= boundaries[kRecords]; ++cut) {
+    const auto dir = fresh_dir("batch_case");
+    fs::create_directories(dir);
+    fs::copy_file(pack_path(src), pack_path(dir));
+    fs::copy_file(index_path(src), index_path(dir));  // stale: lists all
+    fs::resize_file(pack_path(dir), cut);
+
+    std::size_t intact = 0;
+    while (intact < kRecords && boundaries[intact + 1] <= cut) ++intact;
+    const std::uint64_t torn = cut - boundaries[intact];
+    inject::CachePack pack(dir);
+    EXPECT_EQ(pack.stats().records, intact) << "cut at " << cut;
+    // A torn piece shorter than a header is only a short tail.
+    EXPECT_EQ(pack.stats().quarantined, torn >= header ? 1u : 0u)
+        << "cut at " << cut;
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      std::string got;
+      const bool hit = pack.get(1000 + i, &got);
+      EXPECT_EQ(hit, i < intact) << "record " << i << ", cut " << cut;
+      if (hit) {
+        EXPECT_EQ(got, payload_for(i)) << "cut " << cut;
       }
     }
   }

@@ -131,6 +131,16 @@ TEST(OoOCore, RegistryIsIvmClass) {
   EXPECT_LT(n, 20000u);
 }
 
+// Plan resolution reads the FF count without building a core per call.
+TEST(Cores, FfCountMatchesTheRegistry) {
+  for (const char* name : {"InO", "OoO"}) {
+    EXPECT_EQ(arch::core_ff_count(name),
+              arch::make_core(name)->registry().ff_count())
+        << name;
+  }
+  EXPECT_EQ(arch::core_ff_count("Leon3"), 0u);
+}
+
 TEST(InOCore, IpcIsLow) {
   const auto prog = isa::assemble_text(kMemProgram);
   auto core = arch::make_ino_core();

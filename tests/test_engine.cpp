@@ -23,8 +23,10 @@
 #include "engine/engine.h"
 #include "engine/protocol.h"
 #include "inject/campaign.h"
+#include "inject/exec.h"
 #include "inject/wire.h"
 #include "isa/assembler.h"
+#include "obs/metrics.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -207,6 +209,70 @@ TEST(Engine, InteractiveOvertakesQueuedBulk) {
     max_bulk_seq = std::max(max_bulk_seq, j.finish_sequence());
   }
   EXPECT_LT(interactive.finish_sequence(), max_bulk_seq);
+}
+
+// ---- golden recordings shared across batches --------------------------------
+
+// Shards of one campaign split over two batches share its golden through
+// the process-wide memo, whether the engine queues the batches or two
+// threads execute them at once: one recording for the first shard, one
+// for every shard, reused by the rest.  The merge stays the unsharded
+// campaign's bytes.
+TEST(EngineMemo, ConcurrentBatchesOfOneCampaignShareItsGolden) {
+  const auto prog = bench("gcc");
+  obs::set_enabled(true);
+  constexpr std::uint32_t kShards = 6;
+  const auto batch_of = [](inject::CampaignSpec spec, std::uint32_t first) {
+    std::vector<inject::CampaignSpec> out;
+    spec.shard_count = kShards;
+    for (spec.shard_index = first; spec.shard_index < kShards;
+         spec.shard_index += 2) {
+      out.push_back(spec);
+    }
+    return out;
+  };
+  const auto merged_bytes = [](std::vector<inject::CampaignResult> a,
+                               const std::vector<inject::CampaignResult>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return inject::detail::serialize_result(
+        0, inject::merge_campaign_results(a));
+  };
+  const auto goldens = [] { return obs::counter("campaign.goldens").value(); };
+  const auto reused = [] {
+    return obs::counter("campaign.golden.reused").value();
+  };
+  for (const unsigned threads : {2u, 1u}) {
+    auto spec = small_spec(&prog, "", 6000);
+    spec.seed = 2100 + threads;  // a campaign no other test records
+    spec.threads = threads;
+    const std::string whole =
+        inject::detail::serialize_result(0, engine::run_campaign(spec));
+    const std::uint64_t goldens_before = goldens();
+    const std::uint64_t reused_before = reused();
+    std::vector<inject::CampaignResult> a, b;
+    if (threads == 2) {
+      // Two engine batches submitted together.
+      engine::Job ja = engine::Engine::instance().submit(
+          batch_of(spec, 0), engine::JobPriority::kBulk);
+      engine::Job jb = engine::Engine::instance().submit(
+          batch_of(spec, 1), engine::JobPriority::kBulk);
+      a = ja.take_results();
+      b = jb.take_results();
+    } else {
+      // One batch per thread, each executing inline on its thread.
+      std::thread ta([&] {
+        a = inject::detail::execute_campaigns(batch_of(spec, 0), {});
+      });
+      std::thread tb([&] {
+        b = inject::detail::execute_campaigns(batch_of(spec, 1), {});
+      });
+      ta.join();
+      tb.join();
+    }
+    EXPECT_EQ(goldens() - goldens_before, 2u) << threads;
+    EXPECT_EQ(reused() - reused_before, kShards - 2) << threads;
+    EXPECT_EQ(merged_bytes(a, b), whole) << threads;
+  }
 }
 
 // ---- cancellation ----------------------------------------------------------

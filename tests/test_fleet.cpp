@@ -1036,17 +1036,29 @@ TEST(FleetE2E, MetricsOutCountsEverySampleAfterShutdown) {
     spec << "--core InO --bench mcf --injections 240 --seed 5 --no-cache\n";
   }
   const std::string metrics = kDir + "/m.json";
-  ASSERT_EQ(sh(kBin + " fleet run --spec " + kDir + "/m.spec --shards 4" +
-               " --out-dir " + kDir + "/m_out --shutdown --quiet" +
-               " --metrics-out " + metrics + " " + kDir + "/m0.sock " + kDir +
-               "/m1.sock"),
+  constexpr std::uint64_t kShards = 8, kWorkers = 2, kStanzas = 1;
+  ASSERT_EQ(sh(kBin + " fleet run --spec " + kDir + "/m.spec --shards " +
+               std::to_string(kShards) + " --out-dir " + kDir +
+               "/m_out --shutdown --quiet --metrics-out " + metrics + " " +
+               kDir + "/m0.sock " + kDir + "/m1.sock"),
             0);
   const std::string json = slurp(metrics);
-  const std::string key = "\"campaign.samples\": ";
-  const std::size_t at = json.find(key);
-  ASSERT_NE(at, std::string::npos) << json;
-  EXPECT_EQ(std::strtoull(json.c_str() + at + key.size(), nullptr, 10), 240u)
+  const auto counter = [&](const std::string& name) {
+    const std::string key = "\"" + name + "\": ";
+    const std::size_t at = json.find(key);
+    EXPECT_NE(at, std::string::npos) << name << " in " << json;
+    return at == std::string::npos
+               ? 0
+               : std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
+  };
+  EXPECT_EQ(counter("campaign.samples"), 240u) << json;
+  // Every shard forks from a golden: recorded at most twice per worker
+  // and stanza (its first shard's own, then one for every shard), reused
+  // by the rest.
+  const std::uint64_t goldens = counter("campaign.goldens");
+  EXPECT_EQ(goldens + counter("campaign.golden.reused"), kShards * kStanzas)
       << json;
+  EXPECT_LE(goldens, 2 * kWorkers * kStanzas) << json;
 
   EXPECT_EQ(reap(pid0), 0);
   EXPECT_EQ(reap(pid1), 0);

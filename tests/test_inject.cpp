@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <random>
 #include <sstream>
 
 #include "arch/core.h"
@@ -1085,6 +1086,164 @@ TEST(Sharding, CommutesWithHardeningSuppression) {
   const auto whole = engine::run_campaign(spec);
   EXPECT_GT(whole.totals.vanished, 0u);  // ~75% suppressed at LHL SER
   expect_identical(whole, run_sharded(spec, 3));
+}
+
+// Golden recordings made and reused since construction.
+class GoldenProbe {
+ public:
+  GoldenProbe() {
+    obs::set_enabled(true);
+    goldens_ = goldens();
+    reused_ = reused();
+  }
+  [[nodiscard]] std::uint64_t recorded() const { return goldens() - goldens_; }
+  [[nodiscard]] std::uint64_t reused_count() const {
+    return reused() - reused_;
+  }
+
+ private:
+  static std::uint64_t goldens() {
+    return obs::counter("campaign.goldens").value();
+  }
+  static std::uint64_t reused() {
+    return obs::counter("campaign.golden.reused").value();
+  }
+  std::uint64_t goldens_;
+  std::uint64_t reused_;
+};
+
+// A process that runs every shard of a campaign (a fleet worker) records
+// its golden twice: the first shard for its own samples, the second for
+// every shard's, which later shards reuse.  In any order, one at a time
+// or batched, the shards merge to the unsharded campaign's bytes.
+TEST(Sharding, ShardsOfOneProcessRecordTheGoldenTwice) {
+  struct Case {
+    const char* core;
+    const char* bench;
+    std::uint32_t per_ff;  // injections per FF
+    double confidence;
+  };
+  // InO adaptive: a 32-ordinal pilot, then a tail.  OoO adaptive: the
+  // whole budget is the pilot.
+  const Case cases[] = {{"InO", "gcc", 2, 0.0},
+                        {"InO", "gcc", 34, 0.3},
+                        {"OoO", "mcf", 1, 0.0},
+                        {"OoO", "mcf", 1, 0.3}};
+  std::uint64_t seed = 1701;
+  for (const Case& c : cases) {
+    const auto prog = bench(c.bench);
+    inject::CampaignSpec spec;
+    spec.core_name = c.core;
+    spec.program = &prog;
+    spec.injections = c.per_ff * arch::core_ff_count(c.core);
+    spec.seed = seed++;  // a campaign no other test records
+    spec.confidence_half_width = c.confidence;
+    const std::string what = std::string(c.core) + " conf " +
+                             std::to_string(c.confidence);
+    const auto whole = engine::run_campaign(spec);
+
+    constexpr std::uint32_t kShards = 5;
+    std::vector<std::uint32_t> order(kShards);
+    std::iota(order.begin(), order.end(), 0u);
+    std::shuffle(order.begin(), order.end(), std::mt19937(spec.seed));
+    std::vector<inject::CampaignSpec> shards(kShards, spec);
+    for (std::uint32_t k = 0; k < kShards; ++k) {
+      shards[k].shard_index = k;
+      shards[k].shard_count = kShards;
+    }
+    std::vector<inject::CampaignResult> parts(kShards);
+    const GoldenProbe probe;
+    // Two shards alone, then the rest as one batch.
+    for (std::size_t i = 0; i < 2; ++i) {
+      parts[order[i]] = engine::run_campaign(shards[order[i]]);
+    }
+    std::vector<inject::CampaignSpec> rest;
+    for (std::size_t i = 2; i < kShards; ++i) rest.push_back(shards[order[i]]);
+    const auto batch = engine::run_campaigns(rest);
+    for (std::size_t i = 2; i < kShards; ++i) parts[order[i]] = batch[i - 2];
+    EXPECT_EQ(probe.recorded(), 2u) << what;
+    EXPECT_EQ(probe.reused_count(), kShards - 2) << what;
+    const auto merged = inject::merge_campaign_results(parts);
+    EXPECT_EQ(inject::detail::serialize_result(0, merged),
+              inject::detail::serialize_result(0, whole))
+        << what;
+  }
+}
+
+// The reused recording is keyed by everything the golden trajectory
+// depends on: a campaign differing in any one of them records afresh.
+TEST(Sharding, AnyIdentityChangeRecordsAFreshGolden) {
+  const auto prog = bench("gcc");
+  const auto eddi = core::build_variant_program(
+      "gcc", plan::parse_variant("eddi"), 0);
+  const std::uint32_t ffs = arch::core_ff_count("InO");
+  arch::ResilienceConfig cfg;
+  cfg.prot.assign(ffs, arch::FFProt::kNone);
+  cfg.prot[0] = arch::FFProt::kLeapDice;
+  inject::CampaignSpec base;
+  base.core_name = "InO";
+  base.program = &prog;
+  base.injections = 0;  // one per FF of the core
+  base.seed = 1801;
+  base.shard_count = 4;
+  const auto run_shard = [](inject::CampaignSpec spec, std::uint32_t k) {
+    spec.shard_index = k;
+    (void)engine::run_campaign(spec);
+  };
+  run_shard(base, 0);  // records its own samples' queries
+  run_shard(base, 1);  // records every shard's, and keeps it
+  {
+    const GoldenProbe probe;
+    run_shard(base, 2);
+    EXPECT_EQ(probe.recorded(), 0u);
+    EXPECT_EQ(probe.reused_count(), 1u);
+  }
+  std::vector<std::pair<std::string, inject::CampaignSpec>> changed;
+  changed.emplace_back("seed", base);
+  changed.back().second.seed += 1;
+  changed.emplace_back("injections", base);
+  changed.back().second.injections = ffs + 1;
+  changed.emplace_back("cfg", base);
+  changed.back().second.cfg = &cfg;
+  changed.emplace_back("variant", base);
+  changed.back().second.program = &eddi;
+  changed.emplace_back("confidence", base);
+  changed.back().second.confidence_half_width = 0.3;
+  changed.emplace_back("core", base);
+  changed.back().second.core_name = "OoO";
+  for (const auto& [field, spec] : changed) {
+    const GoldenProbe probe;
+    run_shard(spec, 2);
+    EXPECT_EQ(probe.recorded(), 1u) << field;
+    EXPECT_EQ(probe.reused_count(), 0u) << field;
+  }
+  // The campaign-wide recording is still kept.
+  const GoldenProbe probe;
+  run_shard(base, 3);
+  EXPECT_EQ(probe.reused_count(), 1u);
+}
+
+// Whichever recording a shard forks from -- its own, the one it makes for
+// every shard, or one it reuses -- dead_at_flip_samples() names exactly
+// the shard's own dead candidates.
+TEST(Sharding, DeadAtFlipSamplesStayTheShardsOwnWhenTheGoldenIsShared) {
+  const auto prog = bench("gcc");
+  for (const double confidence : {0.0, 0.3}) {
+    inject::CampaignSpec spec;
+    spec.core_name = "InO";
+    spec.program = &prog;
+    spec.injections = (confidence > 0 ? 34 : 3) * arch::core_ff_count("InO");
+    spec.seed = 1901;
+    spec.confidence_half_width = confidence;
+    spec.shard_count = 3;
+    const GoldenProbe probe;
+    for (spec.shard_index = 0; spec.shard_index < 3; ++spec.shard_index) {
+      EXPECT_GT(testref::check_dead_at_flip(spec).dead, 0u)
+          << "shard " << spec.shard_index << ", conf " << confidence;
+    }
+    EXPECT_EQ(probe.recorded(), 2u) << "conf " << confidence;
+    EXPECT_EQ(probe.reused_count(), 1u) << "conf " << confidence;
+  }
 }
 
 TEST(Sharding, RejectsInvalidShardAndMismatchedMerges) {
