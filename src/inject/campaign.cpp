@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cctype>
 #include <charconv>
-#include <chrono>
 #include <cstdio>
 #include <list>
 #include <map>
@@ -18,6 +17,7 @@
 
 #include <cstring>
 
+#include "arch/arena.h"
 #include "arch/liveness.h"
 #include "inject/adaptive.h"
 #include "inject/cachepack.h"
@@ -498,10 +498,11 @@ QuerySet shard_queries(const CampaignJob& job) {
           job.spec->shard_count};
 }
 
-// Every shard's samples at once: what the unsharded campaign asks about.
-// A recording that asks these answers any shard of the campaign exactly.
+// Every shard's samples at once: what the unsharded campaign asks about,
+// every sample below the budget (the pilot never reaches past it).  A
+// recording that asks these answers any shard of the campaign exactly.
 QuerySet campaign_queries(const CampaignJob& job) {
-  return {job.pilot_span, job.injections, 0, 1};
+  return {0, job.injections, 0, 1};
 }
 
 // An EDS or parity flip-flop can detect the upset in the cycle it is
@@ -792,22 +793,27 @@ std::shared_ptr<const GoldenTrajectory> record_golden(
 // ---- golden trajectories shared by the shards of a campaign ----------------
 //
 // A process that runs several shards of one campaign (a `clear serve`
-// worker in a fleet) records the golden trajectory at most twice.  The
-// first shard a process sees records only its own samples' queries,
+// worker in a fleet) records the golden trajectory at most twice when
+// those shards run one after another, as a worker's engine runs them.
+// The first shard a process sees records only its own samples' queries,
 // exactly as a one-shard process must: at 120,000 samples a recording
 // that asks about every sample took ~14 ms on InO gcc and ~19 ms on OoO
 // mcf, one for a 1/128 shard ~1.5 and ~5 ms (4-CPU x86 host, one
 // thread).  The second records the campaign's queries
-// (campaign_queries) and keeps the recording; later shards reuse it.
-// Dead-at-flip answers are keyed by (slot, cycle), so a recording that
-// watched every shard's strikes answers each shard exactly, and results
-// never depend on which shard recorded.  Unsharded campaigns never come
-// here: their recording is dropped with the batch.
+// (campaign_queries) and keeps the recording; later shards reuse it.  A
+// shard that arrives while that recording is still running records its
+// own queries instead of waiting.  Dead-at-flip answers are keyed by
+// (slot, cycle), so a recording that watched every shard's strikes
+// answers each shard exactly, and results never depend on which shard
+// recorded.  Unsharded campaigns never come here: their recording is
+// dropped with the batch.
 class TrajectoryMemo {
  public:
   // Campaigns remembered, recorded or only seen; the least recently used
-  // one goes first.  A kept recording holds ~0.4 MB of checkpoint
-  // segments on InO gcc and ~1.5 MB on OoO mcf (120,000 samples).
+  // one goes first, so a process that cycles through more campaigns than
+  // this between two shards of one of them reuses nothing.  A kept
+  // recording holds ~0.4 MB of checkpoint segments on InO gcc and
+  // ~1.5 MB on OoO mcf (120,000 samples).
   static constexpr std::size_t kEntries = 8;
 
   static TrajectoryMemo& instance() {
@@ -822,62 +828,44 @@ class TrajectoryMemo {
   };
 
   // What a shard of the campaign `id` does.  kRecordForAll obliges the
-  // caller to publish() or abandon().  Waits while another shard records
-  // for all, polling `cancel`.
-  Lease acquire(const std::string& id, const std::atomic<bool>* cancel) {
-    std::unique_lock<std::mutex> lock(m_);
-    for (;;) {
-      const auto it = find(id);
-      if (it == lru_.end()) {
-        lru_.push_front(Entry{id, nullptr, false});
-        trim();
-        return {Verdict::kRecordOwn, nullptr};
-      }
-      lru_.splice(lru_.begin(), lru_, it);
-      if (it->traj != nullptr) return {Verdict::kReuse, it->traj};
-      if (!it->recording) {
-        it->recording = true;
-        return {Verdict::kRecordForAll, nullptr};
-      }
-      cv_.wait_for(lock, std::chrono::milliseconds(10));
-      check_cancel(cancel);
+  // caller to publish(), with nullptr if the recording failed.
+  Lease acquire(std::uint64_t id) {
+    const std::lock_guard<std::mutex> lock(m_);
+    const auto it = find(id);
+    if (it == lru_.end()) {
+      lru_.push_front(Entry{id, nullptr, false});
+      trim();
+      return {Verdict::kRecordOwn, nullptr};
     }
+    lru_.splice(lru_.begin(), lru_, it);
+    if (it->traj != nullptr) return {Verdict::kReuse, it->traj};
+    if (it->recording) return {Verdict::kRecordOwn, nullptr};
+    it->recording = true;
+    return {Verdict::kRecordForAll, nullptr};
   }
 
-  void publish(const std::string& id,
+  void publish(std::uint64_t id,
                std::shared_ptr<const GoldenTrajectory> traj) {
-    {
-      const std::lock_guard<std::mutex> lock(m_);
-      auto it = find(id);
-      if (it == lru_.end()) {  // trimmed while recording
-        lru_.push_front(Entry{id, nullptr, false});
-        it = lru_.begin();
-        trim();
-      }
-      it->traj = std::move(traj);
-      it->recording = false;
+    const std::lock_guard<std::mutex> lock(m_);
+    auto it = find(id);
+    if (it == lru_.end()) {  // trimmed while recording
+      if (traj == nullptr) return;
+      lru_.push_front(Entry{id, nullptr, false});
+      it = lru_.begin();
+      trim();
     }
-    cv_.notify_all();
-  }
-
-  // The recording for all failed: a waiting shard takes it over.
-  void abandon(const std::string& id) {
-    {
-      const std::lock_guard<std::mutex> lock(m_);
-      const auto it = find(id);
-      if (it != lru_.end()) it->recording = false;
-    }
-    cv_.notify_all();
+    it->traj = std::move(traj);
+    it->recording = false;
   }
 
  private:
   struct Entry {
-    std::string id;
+    std::uint64_t id;
     std::shared_ptr<const GoldenTrajectory> traj;  // null: seen, not kept
     bool recording = false;  // a shard is recording for all
   };
 
-  std::list<Entry>::iterator find(const std::string& id) {
+  std::list<Entry>::iterator find(std::uint64_t id) {
     return std::find_if(lru_.begin(), lru_.end(),
                         [&](const Entry& e) { return e.id == id; });
   }
@@ -886,55 +874,32 @@ class TrajectoryMemo {
   }
 
   std::mutex m_;
-  std::condition_variable cv_;
   std::list<Entry> lru_;  // most recently used first
 };
 
-// The memo key: everything the golden trajectory is a function of.  The
-// cache key is not part of it (it only names the campaign), so campaigns
-// run without caching share recordings too.  The shard count is, since
-// placement prices one shard's share of the forks.
-std::string memo_identity(const CampaignJob& job) {
+// The memo key: everything the golden trajectory is a function of -- the
+// core's layout identity (core, program, every ResilienceConfig field),
+// the DFC signatures, seed, budget, and the shard count, since placement
+// prices one shard's share of the forks.  The cache key is not part of
+// it (it only names the campaign), so campaigns run without caching
+// share recordings too.  Adaptive parameters are not either: the
+// campaign-wide queries stop at the budget either way.
+std::uint64_t memo_identity(const CampaignJob& job) {
   const CampaignSpec& spec = *job.spec;
   const isa::Program& prog = *spec.program;
-  std::string id;
-  util::put_str(&id, spec.core_name);
-  util::put_u64(&id, prog.code.size());
-  for (const std::uint32_t w : prog.code) util::put_u32(&id, w);
-  util::put_u64(&id, prog.data.size());
-  for (const std::uint32_t w : prog.data) util::put_u32(&id, w);
-  util::put_u32(&id, prog.data_base);
-  util::put_u32(&id, prog.mem_bytes);
+  std::uint64_t h =
+      arch::layout_identity(spec.core_name.c_str(), prog, spec.cfg);
   std::vector<std::pair<std::uint16_t, std::uint32_t>> sigs(
       prog.dfc_signatures.begin(), prog.dfc_signatures.end());
   std::sort(sigs.begin(), sigs.end());
-  util::put_u64(&id, sigs.size());
+  h = util::hash_combine(h, sigs.size());
   for (const auto& [block, sig] : sigs) {
-    util::put_u32(&id, block);
-    util::put_u32(&id, sig);
+    h = util::hash_combine(h, block);
+    h = util::hash_combine(h, sig);
   }
-  id += spec.cfg != nullptr ? '\1' : '\0';
-  if (spec.cfg != nullptr) {
-    const arch::ResilienceConfig& cfg = *spec.cfg;
-    util::put_u64(&id, cfg.prot.size());
-    for (const arch::FFProt p : cfg.prot) id += static_cast<char>(p);
-    util::put_u64(&id, cfg.parity_group.size());
-    for (const std::int32_t g : cfg.parity_group) {
-      util::put_u32(&id, static_cast<std::uint32_t>(g));
-    }
-    id += cfg.dfc ? '\1' : '\0';
-    id += cfg.monitor ? '\1' : '\0';
-    id += static_cast<char>(cfg.recovery);
-  }
-  util::put_u64(&id, spec.seed);
-  util::put_u64(&id, job.injections);
-  id += spec.adaptive() ? '\1' : '\0';
-  if (spec.adaptive()) {
-    util::put_f64(&id, spec.confidence_half_width);
-    id += static_cast<char>(spec.confidence_method);
-  }
-  util::put_u32(&id, spec.shard_count);
-  return id;
+  h = util::hash_combine(h, spec.seed);
+  h = util::hash_combine(h, job.injections);
+  return util::hash_combine(h, spec.shard_count);
 }
 
 // The golden trajectory `job` forks from: recorded for its own samples,
@@ -946,9 +911,9 @@ std::shared_ptr<const GoldenTrajectory> golden_for(
   if (spec.shard_count == 1) {
     return record_golden(job, shard_queries(job), 1, cancel);
   }
-  const std::string id = memo_identity(job);
+  const std::uint64_t id = memo_identity(job);
   TrajectoryMemo& memo = TrajectoryMemo::instance();
-  TrajectoryMemo::Lease lease = memo.acquire(id, cancel);
+  TrajectoryMemo::Lease lease = memo.acquire(id);
   switch (lease.verdict) {
     case TrajectoryMemo::Verdict::kReuse:
       metrics().golden_reused.add();
@@ -962,7 +927,7 @@ std::shared_ptr<const GoldenTrajectory> golden_for(
   try {
     traj = record_golden(job, campaign_queries(job), spec.shard_count, cancel);
   } catch (...) {
-    memo.abandon(id);
+    memo.publish(id, nullptr);
     throw;
   }
   memo.publish(id, traj);

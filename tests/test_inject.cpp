@@ -1207,8 +1207,6 @@ TEST(Sharding, AnyIdentityChangeRecordsAFreshGolden) {
   changed.back().second.cfg = &cfg;
   changed.emplace_back("variant", base);
   changed.back().second.program = &eddi;
-  changed.emplace_back("confidence", base);
-  changed.back().second.confidence_half_width = 0.3;
   changed.emplace_back("core", base);
   changed.back().second.core_name = "OoO";
   for (const auto& [field, spec] : changed) {
@@ -1218,9 +1216,41 @@ TEST(Sharding, AnyIdentityChangeRecordsAFreshGolden) {
     EXPECT_EQ(probe.reused_count(), 0u) << field;
   }
   // The campaign-wide recording is still kept.
+  {
+    const GoldenProbe probe;
+    run_shard(base, 3);
+    EXPECT_EQ(probe.reused_count(), 1u);
+  }
+  // An adaptive plan with the same budget asks the same campaign-wide
+  // queries, so its shards reuse the recording and still merge to the
+  // unsharded adaptive campaign.
+  {
+    inject::CampaignSpec adaptive = base;
+    adaptive.confidence_half_width = 0.3;
+    const GoldenProbe probe;
+    std::vector<inject::CampaignResult> parts;
+    for (std::uint32_t k = 0; k < adaptive.shard_count; ++k) {
+      adaptive.shard_index = k;
+      parts.push_back(engine::run_campaign(adaptive));
+    }
+    EXPECT_EQ(probe.recorded(), 0u);
+    EXPECT_EQ(probe.reused_count(), adaptive.shard_count);
+    adaptive.shard_index = 0;
+    adaptive.shard_count = 1;
+    expect_identical(engine::run_campaign(adaptive),
+                     inject::merge_campaign_results(parts));
+  }
+  // Past the memo's bound of 8 campaigns the least recently used one is
+  // forgotten: its next shard records its own queries again.
+  for (std::uint64_t s = 1; s <= 8; ++s) {
+    inject::CampaignSpec other = base;
+    other.seed = base.seed + 100 + s;
+    run_shard(other, 0);
+  }
   const GoldenProbe probe;
-  run_shard(base, 3);
-  EXPECT_EQ(probe.reused_count(), 1u);
+  run_shard(base, 0);
+  EXPECT_EQ(probe.recorded(), 1u);
+  EXPECT_EQ(probe.reused_count(), 0u);
 }
 
 // Whichever recording a shard forks from -- its own, the one it makes for
