@@ -226,9 +226,12 @@ int fleet_run(int argc, const char* const* argv) {
   }
 
   // Live re-merge: per campaign stanza, fold each arriving shard's .csr
-  // into one running merge (empty coverage = nothing arrived yet) and
-  // rewrite out_dir/campaign<i>.csr from it atomically -- watchable while
-  // the fleet runs, complete when it returns, O(flip-flops) per arrival.
+  // into one running merge in place (inject::fold_shard; empty coverage =
+  // nothing arrived yet, and the first arrival goes through a one-input
+  // merge) and rewrite out_dir/campaign<i>.csr from it atomically --
+  // watchable while the fleet runs, complete when it returns.  An arrival
+  // costs one decode, one in-place counter fold and one encode: a few
+  // passes over its bytes, no copy of the running merge.
   std::vector<inject::ShardFile> running;
   const bool quiet = args.has("quiet");
   const auto on_shard = [&](const fleet::ShardResult& res) {
@@ -241,9 +244,11 @@ int fleet_run(int argc, const char* const* argv) {
             "fleet: shard " + std::to_string(res.shard_id) + " campaign #" +
             std::to_string(i) + " failed .csr decode");
       }
-      running[i] = running[i].covered.empty()
-                       ? inject::merge_shard_files({shard})
-                       : inject::merge_shard_files({running[i], shard});
+      if (running[i].covered.empty()) {
+        running[i] = inject::merge_shard_files({shard});
+      } else {
+        inject::fold_shard(&running[i], shard);
+      }
       inject::write_shard_file(
           out_dir + "/campaign" + std::to_string(i) + ".csr", running[i]);
     }

@@ -23,7 +23,7 @@
 //     produces bit-identical bytes;
 //   * live re-merge: each completed shard's payloads are handed once to a
 //     callback and not kept, so `clear fleet` folds every arrival into
-//     one running merge_shard_files / merge_ledger_files output that is
+//     one running fold_shard / merge_ledger_files output that is
 //     watchable while the campaign is still running.
 //
 // The worker end of the same protocol is fleet/worker.h; both ends read

@@ -10,7 +10,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -408,10 +407,12 @@ struct CampaignJob {
   std::shared_ptr<const GoldenTrajectory> traj;
   std::uint64_t nominal_cycles = 0;
   std::uint64_t nominal_instrs = 0;
-  // One OutcomeCounts strip per pool worker plus one for the inline
-  // caller slot, merged afterwards: counter addition is commutative, so
-  // totals are independent of scheduling.
-  std::vector<std::vector<OutcomeCounts>> partials;
+  // One outcome per index of the current pass, written only by the pool
+  // task that runs that index.  After the pass they fold, in index
+  // order, into the result's counters (the samples this shard owns) and
+  // into `decide` (pilot samples), so the tally costs O(samples), not
+  // O(threads x flip-flops), and never depends on scheduling.
+  std::vector<Outcome> outcomes;
 
   // ---- confidence-driven adaptive sampling (inject/adaptive.h) ----
   // pilot == 0 <=> fixed schedule (including adaptive specs whose budget
@@ -422,11 +423,6 @@ struct CampaignJob {
   std::vector<adaptive::FfDecision> decide;  // GLOBAL pilot decision state
   std::vector<std::uint64_t> planned;        // final N_f, set after the pilot
   bool in_tail = false;                      // pilot done, tail built
-  // Decision strips for the current milestone round, one per worker slot;
-  // folded into `decide` and cleared at every round barrier.  Kept apart
-  // from `partials`: decisions see every shard's pilot samples, result
-  // accounting only this shard's owned ones.
-  std::vector<std::vector<OutcomeCounts>> decide_partials;
   // Global sample indices this job simulates in the CURRENT pass (empty
   // for fixed jobs, which map their pass-1 work arithmetically).
   std::vector<std::uint64_t> pass_indices;
@@ -973,25 +969,34 @@ Outcome simulate_sample(CampaignJob& job, std::size_t g,
                     st.cycle, traj.watchdog, traj.golden, cancel);
 }
 
-// Owned sample: simulate and account into this shard's result strips.
-void run_faulty_sample(CampaignJob& job, std::size_t g, unsigned slot,
-                       const std::atomic<bool>* cancel) {
-  const std::uint32_t ff = static_cast<std::uint32_t>(g % job.ff_count);
-  job.partials[slot][ff].add(simulate_sample(job, g, cancel));
-}
-
-// Pilot sample of an adaptive campaign: EVERY shard simulates it so the
-// stop decision sees global counts, but only the owning shard accounts it
-// in the result (merge stays an exact sum).
-void run_pilot_sample(CampaignJob& job, std::uint64_t g, unsigned slot,
-                      const std::atomic<bool>* cancel) {
+// Folds the outcomes of the pass that just ran, in index order.  A
+// pilot sample feeds the stop decision on every shard, since decisions
+// need global counts, but only the owning shard's result (merge stays an
+// exact sum); an owned or tail sample feeds the result only.
+void fold_pass(CampaignJob& job, CampaignResult* result) {
   const CampaignSpec& spec = *job.spec;
-  const std::uint32_t ff = static_cast<std::uint32_t>(g % job.ff_count);
-  const Outcome out = simulate_sample(job, static_cast<std::size_t>(g), cancel);
-  if (g % spec.shard_count == spec.shard_index) {
-    job.partials[slot][ff].add(out);
+  std::vector<OutcomeCounts>& per_ff = result->per_ff;
+  if (job.pilot == 0) {
+    // Local index l is global sample l * K + k, whose FF is that mod
+    // ff_count: step it instead of dividing per sample.
+    const std::uint64_t step = spec.shard_count % job.ff_count;
+    std::uint64_t ff = spec.shard_index % job.ff_count;
+    for (const Outcome out : job.outcomes) {
+      per_ff[ff].add(out);
+      ff += step;
+      if (ff >= job.ff_count) ff -= job.ff_count;
+    }
+    return;
   }
-  job.decide_partials[slot][ff].add(out);
+  for (std::size_t l = 0; l < job.outcomes.size(); ++l) {
+    const std::uint64_t g = job.pass_indices[l];
+    const std::uint64_t ff = g % job.ff_count;
+    const Outcome out = job.outcomes[l];
+    if (job.in_tail || g % spec.shard_count == spec.shard_index) {
+      per_ff[ff].add(out);
+    }
+    if (!job.in_tail) job.decide[ff].pilot.add(out);
+  }
 }
 
 // Upper bound on the samples THIS SHARD will simulate for an adaptive
@@ -1073,42 +1078,49 @@ std::string campaign_cache_dir() {
   return util::env_string("CLEAR_CACHE_DIR", ".clear_cache");
 }
 
+CampaignResult empty_result_like(const CampaignResult& r) {
+  CampaignResult out;
+  out.ff_count = r.ff_count;
+  out.nominal_cycles = r.nominal_cycles;
+  out.nominal_instrs = r.nominal_instrs;
+  out.confidence_target = r.confidence_target;
+  out.confidence_method = r.confidence_method;
+  out.pilot = r.pilot;
+  out.planned = r.planned;
+  out.per_ff.assign(out.ff_count, {});
+  return out;
+}
+
+void fold_campaign_result(CampaignResult* into, const CampaignResult& r) {
+  if (r.ff_count != into->ff_count || r.per_ff.size() != into->per_ff.size() ||
+      r.nominal_cycles != into->nominal_cycles ||
+      r.nominal_instrs != into->nominal_instrs) {
+    throw std::invalid_argument(
+        "merge_campaign_results: shards disagree on campaign identity");
+  }
+  // The adaptive plan is part of the identity: every shard derives the
+  // same per-FF N_f from the same global pilot, so any disagreement
+  // means the shards came from different campaigns (or a fixed-budget
+  // shard is being mixed into an adaptive merge).
+  if (f64_bits(r.confidence_target) != f64_bits(into->confidence_target) ||
+      r.confidence_method != into->confidence_method ||
+      r.pilot != into->pilot || r.planned != into->planned) {
+    throw std::invalid_argument(
+        "merge_campaign_results: shards disagree on the adaptive plan");
+  }
+  for (std::size_t f = 0; f < r.per_ff.size(); ++f) {
+    into->per_ff[f].merge(r.per_ff[f]);
+    into->totals.merge(r.per_ff[f]);
+  }
+}
+
 CampaignResult merge_campaign_results(
     const std::vector<CampaignResult>& shards) {
   if (shards.empty()) {
     throw std::invalid_argument("merge_campaign_results: no shards");
   }
-  CampaignResult out;
-  out.ff_count = shards.front().ff_count;
-  out.nominal_cycles = shards.front().nominal_cycles;
-  out.nominal_instrs = shards.front().nominal_instrs;
-  out.confidence_target = shards.front().confidence_target;
-  out.confidence_method = shards.front().confidence_method;
-  out.pilot = shards.front().pilot;
-  out.planned = shards.front().planned;
-  out.per_ff.assign(out.ff_count, {});
-  for (const auto& s : shards) {
-    if (s.ff_count != out.ff_count || s.per_ff.size() != out.per_ff.size() ||
-        s.nominal_cycles != out.nominal_cycles ||
-        s.nominal_instrs != out.nominal_instrs) {
-      throw std::invalid_argument(
-          "merge_campaign_results: shards disagree on campaign identity");
-    }
-    // The adaptive plan is part of the identity: every shard derives the
-    // same per-FF N_f from the same global pilot, so any disagreement
-    // means the shards came from different campaigns (or a fixed-budget
-    // shard is being mixed into an adaptive merge).
-    if (f64_bits(s.confidence_target) != f64_bits(out.confidence_target) ||
-        s.confidence_method != out.confidence_method || s.pilot != out.pilot ||
-        s.planned != out.planned) {
-      throw std::invalid_argument(
-          "merge_campaign_results: shards disagree on the adaptive plan");
-    }
-    for (std::uint32_t f = 0; f < out.ff_count; ++f) {
-      out.per_ff[f].merge(s.per_ff[f]);
-    }
-  }
-  for (const auto& c : out.per_ff) out.totals.merge(c);
+  CampaignResult out = empty_result_like(shards.front());
+  for (const auto& s : shards) fold_campaign_result(&out, s);
   return out;
 }
 
@@ -1212,20 +1224,44 @@ bool parse_result(std::string_view payload, std::uint64_t fp,
   return true;
 }
 
+namespace {
+
+// Appends the decimal form of each value, space-separated, then '\n'.
+template <class... T>
+void put_line(std::string* out, T... values) {
+  // 20 digits (a u64) plus a separator per value; the digits never get
+  // the last byte, so the separator after them always fits.
+  char buf[21 * sizeof...(T)];
+  char* const digits_end = buf + sizeof(buf) - 1;
+  char* p = buf;
+  ((p = std::to_chars(p, digits_end, values).ptr, *p++ = ' '), ...);
+  p[-1] = '\n';
+  out->append(buf, static_cast<std::size_t>(p - buf));
+}
+
+}  // namespace
+
 std::string serialize_result(std::uint64_t fp, const CampaignResult& r) {
-  std::ostringstream out;
-  out << fp << ' ' << r.ff_count << ' ' << r.nominal_cycles << ' '
-      << r.nominal_instrs << '\n';
-  for (const auto& c : r.per_ff) {
-    out << c.vanished << ' ' << c.omm << ' ' << c.ut << ' ' << c.hang << ' '
-        << c.ed << ' ' << c.recovered << '\n';
+  // Most rows of a shard's result are all zero (a shard owns about
+  // samples / ff_count samples per FF); size for that and let the rare
+  // long row grow the string.
+  std::string out;
+  out.reserve(96 + 12 * r.per_ff.size() + 21 * r.planned.size());
+  put_line(&out, fp, r.ff_count, r.nominal_cycles, r.nominal_instrs);
+  for (const OutcomeCounts& c : r.per_ff) {
+    if ((c.vanished | c.omm | c.ut | c.hang | c.ed | c.recovered) == 0) {
+      out.append("0 0 0 0 0 0\n");
+    } else {
+      put_line(&out, c.vanished, c.omm, c.ut, c.hang, c.ed, c.recovered);
+    }
   }
   if (r.adaptive()) {
-    out << "adaptive " << static_cast<std::uint32_t>(r.confidence_method)
-        << ' ' << f64_bits(r.confidence_target) << ' ' << r.pilot << '\n';
-    for (const std::uint64_t n : r.planned) out << n << '\n';
+    out.append("adaptive ");
+    put_line(&out, static_cast<std::uint32_t>(r.confidence_method),
+             f64_bits(r.confidence_target), r.pilot);
+    for (const std::uint64_t n : r.planned) put_line(&out, n);
   }
-  return out.str();
+  return out;
 }
 
 namespace {
@@ -1342,11 +1378,8 @@ std::vector<CampaignResult> execute_campaigns(
   threads = static_cast<unsigned>(std::min<std::size_t>(
       threads, std::max<std::size_t>(1, upper_total / 64)));
   for (auto& job : jobs) {
-    job.partials.assign(threads + 1,
-                        std::vector<OutcomeCounts>(job.ff_count));
+    results[job.spec_index].per_ff.assign(job.ff_count, {});
     if (job.pilot != 0) {
-      job.decide_partials.assign(threads + 1,
-                                 std::vector<OutcomeCounts>(job.ff_count));
       // Milestone round 0: per-FF ordinals [0, milestones[0]) of every FF,
       // on every shard (decisions need global counts).
       job.pass_indices.reserve(static_cast<std::size_t>(job.milestones[0]) *
@@ -1405,10 +1438,11 @@ std::vector<CampaignResult> execute_campaigns(
     const std::size_t total = prefix[njobs];
     const std::size_t lead = with_goldens ? njobs : 0;
     if (lead + total == 0) return;
+    for (std::size_t j = 0; j < njobs; ++j) {
+      jobs[j].outcomes.assign(prefix[j + 1] - prefix[j], Outcome::kVanished);
+    }
     util::ThreadPool::instance().run(
-        lead + total, threads, [&](std::size_t i, unsigned worker_id) {
-          const unsigned slot =
-              worker_id == util::ThreadPool::kCallerSlot ? threads : worker_id;
+        lead + total, threads, [&](std::size_t i, unsigned /*worker_id*/) {
           if (with_goldens && i < njobs) {
             try {
               check_cancel(cancel);
@@ -1452,7 +1486,7 @@ std::vector<CampaignResult> execute_campaigns(
           if (job.pilot == 0) {
             const std::size_t global =
                 local * job.spec->shard_count + job.spec->shard_index;
-            run_faulty_sample(job, global, slot, cancel);
+            job.outcomes[local] = simulate_sample(job, global, cancel);
             if (hooks.samples_done) {
               hooks.samples_done->fetch_add(1, std::memory_order_relaxed);
             }
@@ -1462,16 +1496,13 @@ std::vector<CampaignResult> execute_campaigns(
             }
             return;
           }
-          const std::uint64_t g = job.pass_indices[local];
-          if (job.in_tail) {
-            run_faulty_sample(job, static_cast<std::size_t>(g), slot, cancel);
-          } else {
-            run_pilot_sample(job, g, slot, cancel);
-          }
+          job.outcomes[local] = simulate_sample(
+              job, static_cast<std::size_t>(job.pass_indices[local]), cancel);
           if (hooks.samples_done) {
             hooks.samples_done->fetch_add(1, std::memory_order_relaxed);
           }
         });
+    for (auto& job : jobs) fold_pass(job, &results[job.spec_index]);
     executed_sofar += total;
   };
 
@@ -1495,12 +1526,6 @@ std::vector<CampaignResult> execute_campaigns(
         continue;
       }
       const CampaignSpec& spec = *job.spec;
-      for (auto& strip : job.decide_partials) {
-        for (std::uint32_t f = 0; f < job.ff_count; ++f) {
-          job.decide[f].pilot.merge(strip[f]);
-          strip[f] = OutcomeCounts{};
-        }
-      }
       adaptive::apply_milestone(job.milestones[r], spec.confidence_half_width,
                                 spec.confidence_method, &job.decide);
       job.pass_indices.clear();
@@ -1577,12 +1602,6 @@ std::vector<CampaignResult> execute_campaigns(
     result.ff_count = job.ff_count;
     result.nominal_cycles = job.nominal_cycles;
     result.nominal_instrs = job.nominal_instrs;
-    result.per_ff.assign(job.ff_count, {});
-    for (const auto& strip : job.partials) {
-      for (std::uint32_t f = 0; f < job.ff_count; ++f) {
-        result.per_ff[f].merge(strip[f]);
-      }
-    }
     for (const auto& c : result.per_ff) result.totals.merge(c);
     if (job.spec->adaptive()) {
       result.confidence_target = job.spec->confidence_half_width;

@@ -202,6 +202,16 @@ struct CampaignResult {
 [[nodiscard]] CampaignResult merge_campaign_results(
     const std::vector<CampaignResult>& shards);
 
+// The one counter fold merge_campaign_results is made of: adds r's
+// counters into *into in place.  Throws std::invalid_argument, leaving
+// *into unchanged, unless both agree on ff_count, the nominal golden run
+// and the adaptive plan.
+void fold_campaign_result(CampaignResult* into, const CampaignResult& r);
+
+// r's campaign identity (ff_count, nominal run, adaptive plan) with every
+// counter zero: the start of a fold.
+[[nodiscard]] CampaignResult empty_result_like(const CampaignResult& r);
+
 // The campaign cache directory ($CLEAR_CACHE_DIR, default ".clear_cache";
 // empty = caching disabled).  Reads the env on every call.
 [[nodiscard]] std::string campaign_cache_dir();

@@ -56,7 +56,15 @@ std::uint64_t wire_program_hash(const isa::Program& prog) noexcept {
 }
 
 std::string encode_shard(const ShardFile& shard) {
+  const CampaignResult& r = shard.result;
+  constexpr std::size_t kCountsBytes = 6 * 4;  // one OutcomeCounts row
+  constexpr std::size_t kAdaptiveFixedBytes = 4 + 8 + 8 + 8 + 4 * 8;
   std::string body;
+  body.reserve(4 + shard.core_name.size() + 4 + shard.key.size() + 3 * 8 +
+               2 * 4 + 4 * shard.covered.size() + 4 + 2 * 8 +
+               kCountsBytes * r.per_ff.size() +
+               (r.adaptive() ? kAdaptiveFixedBytes + 8 * r.planned.size()
+                             : 0));
   put_str(&body, shard.core_name);
   put_str(&body, shard.key);
   put_u64(&body, shard.program_hash);
@@ -65,17 +73,19 @@ std::string encode_shard(const ShardFile& shard) {
   put_u32(&body, shard.shard_count);
   put_u32(&body, static_cast<std::uint32_t>(shard.covered.size()));
   for (const std::uint32_t s : shard.covered) put_u32(&body, s);
-  const CampaignResult& r = shard.result;
   put_u32(&body, r.ff_count);
   put_u64(&body, r.nominal_cycles);
   put_u64(&body, r.nominal_instrs);
-  for (const OutcomeCounts& c : r.per_ff) {
-    put_u32(&body, c.vanished);
-    put_u32(&body, c.omm);
-    put_u32(&body, c.ut);
-    put_u32(&body, c.hang);
-    put_u32(&body, c.ed);
-    put_u32(&body, c.recovered);
+  {
+    util::BlockWriter counts(&body, kCountsBytes * r.per_ff.size());
+    for (const OutcomeCounts& c : r.per_ff) {
+      counts.u32(c.vanished);
+      counts.u32(c.omm);
+      counts.u32(c.ut);
+      counts.u32(c.hang);
+      counts.u32(c.ed);
+      counts.u32(c.recovered);
+    }
   }
   const std::uint32_t version = r.adaptive() ? 2 : 1;
   if (r.adaptive()) {
@@ -85,7 +95,10 @@ std::string encode_shard(const ShardFile& shard) {
     put_u32(&body, static_cast<std::uint32_t>(r.confidence_method));
     put_u64(&body, f64_bits(r.confidence_target));
     put_u64(&body, r.pilot);
-    for (const std::uint64_t n : r.planned) put_u64(&body, n);
+    {
+      util::BlockWriter planned(&body, 8 * r.planned.size());
+      for (const std::uint64_t n : r.planned) planned.u64(n);
+    }
     put_u64(&body, r.samples_executed());
     const util::Interval sdc = r.sdc_interval();
     const util::Interval due = r.due_interval();
@@ -141,14 +154,19 @@ WireStatus decode_shard(const std::string& bytes, ShardFile* out) {
       !body.u64(&s.result.nominal_instrs)) {
     return WireStatus::kCorrupt;
   }
+  util::ByteBlock counts;
+  if (!body.block(std::size_t{6} * 4 * ff_count, &counts)) {
+    return WireStatus::kCorrupt;
+  }
   s.result.ff_count = ff_count;
-  s.result.per_ff.assign(ff_count, {});
-  for (std::uint32_t f = 0; f < ff_count; ++f) {
-    OutcomeCounts& c = s.result.per_ff[f];
-    if (!body.u32(&c.vanished) || !body.u32(&c.omm) || !body.u32(&c.ut) ||
-        !body.u32(&c.hang) || !body.u32(&c.ed) || !body.u32(&c.recovered)) {
-      return WireStatus::kCorrupt;
-    }
+  s.result.per_ff.resize(ff_count);
+  for (OutcomeCounts& c : s.result.per_ff) {
+    c.vanished = counts.u32();
+    c.omm = counts.u32();
+    c.ut = counts.u32();
+    c.hang = counts.u32();
+    c.ed = counts.u32();
+    c.recovered = counts.u32();
     s.result.totals.merge(c);
   }
   if (version >= 2) {
@@ -169,17 +187,23 @@ WireStatus decode_shard(const std::string& bytes, ShardFile* out) {
       return WireStatus::kCorrupt;
     }
     if (s.result.pilot > s.injections) return WireStatus::kCorrupt;
-    s.result.planned.assign(ff_count, 0);
+    util::ByteBlock planned;
+    if (!body.block(std::size_t{8} * ff_count, &planned)) {
+      return WireStatus::kCorrupt;
+    }
+    s.result.planned.resize(ff_count);
     std::uint64_t planned_sum = 0;
     for (std::uint32_t f = 0; f < ff_count; ++f) {
-      if (!body.u64(&s.result.planned[f])) return WireStatus::kCorrupt;
+      s.result.planned[f] = planned.u64();
       // A shard can only own samples the plan executes: counters beyond
       // the per-FF plan mean the plan and the counters disagree.
       if (s.result.per_ff[f].total() > s.result.planned[f]) {
         return WireStatus::kCorrupt;
       }
+      if (s.result.planned[f] > s.injections - planned_sum) {
+        return WireStatus::kCorrupt;
+      }
       planned_sum += s.result.planned[f];
-      if (planned_sum > s.injections) return WireStatus::kCorrupt;
     }
     if (!body.u64(&executed) || executed != s.result.totals.total()) {
       return WireStatus::kCorrupt;
@@ -214,44 +238,51 @@ WireStatus load_shard_file(const std::string& path, ShardFile* out) {
   return decode_shard(bytes, out);
 }
 
-ShardFile merge_shard_files(const std::vector<ShardFile>& shards) {
-  if (shards.empty()) {
-    throw std::invalid_argument("merge_shard_files: no shards");
-  }
-  const ShardFile& ref = shards.front();
+void fold_shard(ShardFile* into, const ShardFile& shard) {
   const auto mismatch = [](const std::string& field) {
     throw std::invalid_argument(
         "merge_shard_files: shards disagree on " + field +
         " (refusing to fold results of different campaigns)");
   };
-  std::vector<char> seen(ref.shard_count, 0);
-  std::vector<CampaignResult> results;
-  results.reserve(shards.size());
-  for (const ShardFile& s : shards) {
-    if (s.core_name != ref.core_name) mismatch("core_name");
-    if (s.key != ref.key) mismatch("key");
-    if (s.program_hash != ref.program_hash) mismatch("program_hash");
-    if (s.injections != ref.injections) mismatch("injections");
-    if (s.seed != ref.seed) mismatch("seed");
-    if (s.shard_count != ref.shard_count) mismatch("shard_count");
-    // A fixed-budget (v1) file and an adaptive (v2) file can never be
-    // shards of the same campaign; refuse before the counter fold so the
-    // error names the actual disagreement (merge_campaign_results would
-    // otherwise report it as a confidence-target mismatch).
-    if (s.result.adaptive() != ref.result.adaptive()) {
-      mismatch("adaptivity (fixed-budget vs confidence-driven)");
-    }
-    for (const std::uint32_t idx : s.covered) {
-      if (idx >= ref.shard_count || seen[idx]) {
-        throw std::invalid_argument(
-            "merge_shard_files: shard index " + std::to_string(idx) +
-            " covered twice (same shard file merged more than once?)");
-      }
-      seen[idx] = 1;
-    }
-    results.push_back(s.result);
+  if (shard.core_name != into->core_name) mismatch("core_name");
+  if (shard.key != into->key) mismatch("key");
+  if (shard.program_hash != into->program_hash) mismatch("program_hash");
+  if (shard.injections != into->injections) mismatch("injections");
+  if (shard.seed != into->seed) mismatch("seed");
+  if (shard.shard_count != into->shard_count) mismatch("shard_count");
+  // A fixed-budget (v1) file and an adaptive (v2) file can never be
+  // shards of the same campaign; refuse before the counter fold so the
+  // error names the actual disagreement (fold_campaign_result would
+  // otherwise report it as a confidence-target mismatch).
+  if (shard.result.adaptive() != into->result.adaptive()) {
+    mismatch("adaptivity (fixed-budget vs confidence-driven)");
   }
+  std::vector<char> seen(into->shard_count, 0);
+  for (const std::uint32_t idx : into->covered) {
+    if (idx < into->shard_count) seen[idx] = 1;
+  }
+  for (const std::uint32_t idx : shard.covered) {
+    if (idx >= into->shard_count || seen[idx]) {
+      throw std::invalid_argument(
+          "merge_shard_files: shard index " + std::to_string(idx) +
+          " covered twice (same shard file merged more than once?)");
+    }
+    seen[idx] = 1;
+  }
+  // ff_count / nominal-run agreement is checked (and thrown on) here,
+  // before anything in *into changes.
+  fold_campaign_result(&into->result, shard.result);
+  into->covered.clear();
+  for (std::uint32_t i = 0; i < into->shard_count; ++i) {
+    if (seen[i]) into->covered.push_back(i);
+  }
+}
 
+ShardFile merge_shard_files(const std::vector<ShardFile>& shards) {
+  if (shards.empty()) {
+    throw std::invalid_argument("merge_shard_files: no shards");
+  }
+  const ShardFile& ref = shards.front();
   ShardFile merged;
   merged.core_name = ref.core_name;
   merged.key = ref.key;
@@ -259,11 +290,8 @@ ShardFile merge_shard_files(const std::vector<ShardFile>& shards) {
   merged.injections = ref.injections;
   merged.seed = ref.seed;
   merged.shard_count = ref.shard_count;
-  for (std::uint32_t i = 0; i < ref.shard_count; ++i) {
-    if (seen[i]) merged.covered.push_back(i);
-  }
-  // ff_count / nominal-run agreement is checked (and thrown on) here.
-  merged.result = merge_campaign_results(results);
+  merged.result = empty_result_like(ref.result);
+  for (const ShardFile& s : shards) fold_shard(&merged, s);
   return merged;
 }
 

@@ -140,10 +140,17 @@ void write_shard_file(const std::string& path, const ShardFile& shard);
 // disjoint coverage) into one ShardFile whose covered set is the union.
 // Throws std::invalid_argument naming the first mismatched identity field
 // or the first doubly-covered shard index; the counter fold itself is
-// merge_campaign_results(), so a complete merge is bit-identical to the
-// unsharded campaign.
+// fold_campaign_result(), the fold merge_campaign_results() is made of,
+// so a complete merge is bit-identical to the unsharded campaign.
 [[nodiscard]] ShardFile merge_shard_files(
     const std::vector<ShardFile>& shards);
+
+// The one shard fold merge_shard_files is made of: folds `shard` into the
+// running merge *into in place, with the same identity and coverage
+// checks, so a live re-merge pays O(flip-flops) per arrival and copies
+// nothing.  Throws std::invalid_argument, leaving *into unchanged, on the
+// first mismatch or doubly-covered index.
+void fold_shard(ShardFile* into, const ShardFile& shard);
 
 }  // namespace clear::inject
 

@@ -9,9 +9,14 @@
 // crafted bytes).  Doubles travel as their IEEE-754 bit patterns --
 // byte-identical across hosts, which the bit-identical merge guarantees
 // rely on.
+//
+// Large fixed-width runs (a shard's per-FF counters) go through
+// BlockWriter and ByteReader::block: the length is checked once for the
+// whole run instead of once per field.
 #ifndef CLEAR_UTIL_BYTES_H
 #define CLEAR_UTIL_BYTES_H
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -19,17 +24,76 @@
 
 namespace clear::util {
 
+// Fixed-width little-endian stores and loads over raw bytes.  Written
+// as shifts so the byte order never depends on the host; compilers fold
+// each into a single move on little-endian targets.
+inline void store_u32(unsigned char* p, std::uint32_t v) {
+  p[0] = static_cast<unsigned char>(v);
+  p[1] = static_cast<unsigned char>(v >> 8);
+  p[2] = static_cast<unsigned char>(v >> 16);
+  p[3] = static_cast<unsigned char>(v >> 24);
+}
+
+inline void store_u64(unsigned char* p, std::uint64_t v) {
+  store_u32(p, static_cast<std::uint32_t>(v));
+  store_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
+inline std::uint32_t load_u32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+inline std::uint64_t load_u64(const unsigned char* p) {
+  return static_cast<std::uint64_t>(load_u32(p)) |
+         static_cast<std::uint64_t>(load_u32(p + 4)) << 32;
+}
+
 inline void put_u32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>(static_cast<unsigned char>(v >> (8 * i))));
-  }
+  unsigned char b[4];
+  store_u32(b, v);
+  out->append(reinterpret_cast<const char*>(b), sizeof(b));
 }
 
 inline void put_u64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>(static_cast<unsigned char>(v >> (8 * i))));
-  }
+  unsigned char b[8];
+  store_u64(b, v);
+  out->append(reinterpret_cast<const char*>(b), sizeof(b));
 }
+
+// Appends an `n`-byte block to `out` and fills it with fixed-width
+// stores: one growth of the string for the whole block instead of one
+// per field.  The caller writes exactly `n` bytes and leaves `out` alone
+// until then (the writer points into its buffer).
+class BlockWriter {
+ public:
+  BlockWriter(std::string* out, std::size_t n) {
+    const std::size_t at = out->size();
+    out->resize(at + n);
+    p_ = reinterpret_cast<unsigned char*>(&(*out)[0]) + at;
+    end_ = p_ + n;
+  }
+  BlockWriter(const BlockWriter&) = delete;
+  BlockWriter& operator=(const BlockWriter&) = delete;
+  ~BlockWriter() { assert(p_ == end_); }
+
+  void u32(std::uint32_t v) {
+    assert(end_ - p_ >= 4);
+    store_u32(p_, v);
+    p_ += 4;
+  }
+  void u64(std::uint64_t v) {
+    assert(end_ - p_ >= 8);
+    store_u64(p_, v);
+    p_ += 8;
+  }
+
+ private:
+  unsigned char* p_;
+  unsigned char* end_;
+};
 
 // Length-prefixed (u32) string.
 inline void put_str(std::string* out, const std::string& s) {
@@ -67,6 +131,34 @@ inline void append_magic(std::string* out, const unsigned char (&magic)[4]) {
   out->append(reinterpret_cast<const char*>(magic), 4);
 }
 
+// A run of bytes a ByteReader has already bounds-checked as a whole
+// (ByteReader::block): fixed-width reads inside it check nothing more.
+// The caller reads at most the bytes it claimed.
+class ByteBlock {
+ public:
+  ByteBlock() = default;
+
+  std::uint32_t u32() {
+    assert(end_ - p_ >= 4);
+    const std::uint32_t v = load_u32(p_);
+    p_ += 4;
+    return v;
+  }
+  std::uint64_t u64() {
+    assert(end_ - p_ >= 8);
+    const std::uint64_t v = load_u64(p_);
+    p_ += 8;
+    return v;
+  }
+
+ private:
+  friend class ByteReader;
+  ByteBlock(const unsigned char* p, std::size_t n) : p_(p), end_(p + n) {}
+
+  const unsigned char* p_ = nullptr;
+  const unsigned char* end_ = nullptr;
+};
+
 class ByteReader {
  public:
   ByteReader(const unsigned char* p, std::size_t n) : p_(p), n_(n) {}
@@ -74,20 +166,14 @@ class ByteReader {
       : p_(reinterpret_cast<const unsigned char*>(p)), n_(n) {}
 
   bool u32(std::uint32_t* v) {
-    if (pos_ + 4 > n_) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(p_[pos_ + i]) << (8 * i);
-    }
+    if (remaining() < 4) return false;
+    *v = load_u32(p_ + pos_);
     pos_ += 4;
     return true;
   }
   bool u64(std::uint64_t* v) {
-    if (pos_ + 8 > n_) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(p_[pos_ + i]) << (8 * i);
-    }
+    if (remaining() < 8) return false;
+    *v = load_u64(p_ + pos_);
     pos_ += 8;
     return true;
   }
@@ -104,6 +190,14 @@ class ByteReader {
     std::uint64_t bits = 0;
     if (!u64(&bits)) return false;
     std::memcpy(d, &bits, sizeof(*d));
+    return true;
+  }
+  // Claims the next `n` bytes as one block; false, consuming nothing,
+  // when fewer remain.
+  bool block(std::size_t n, ByteBlock* out) {
+    if (remaining() < n) return false;
+    *out = ByteBlock(p_ + pos_, n);
+    pos_ += n;
     return true;
   }
   [[nodiscard]] bool exhausted() const { return pos_ == n_; }

@@ -27,6 +27,7 @@
 #include "inject/wire.h"
 #include "isa/assembler.h"
 #include "obs/metrics.h"
+#include "util/fs.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -281,6 +282,63 @@ TEST(EngineMemo, ConcurrentBatchesOfOneCampaignShareItsGolden) {
     again.shard_count = kShards;
     (void)engine::run_campaign(again);
     EXPECT_EQ(reused() - reused_after, 1u) << threads;
+  }
+}
+
+// ---- the per-index outcome tally ---------------------------------------------
+
+// Every pool task writes only the outcome byte of its own pass index, and
+// the pass folds those bytes in index order, so a shard's .csr bytes and
+// its cache payload do not depend on the worker-thread count.  Under TSan
+// this also checks that the tasks' writes and the fold never race.  The
+// adaptive campaign is sharded too: its pilot samples feed the stop
+// decisions on every shard but the result only on the owning one.
+TEST(EngineTally, ShardBytesAndCachePayloadsMatchAtAnyThreadCount) {
+  const auto prog = bench("gcc");
+  const std::uint32_t ino_ffs = arch::core_ff_count("InO");
+  for (const bool adaptive : {false, true}) {
+    std::string csr_at_1, pack_at_1;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      auto spec = small_spec(&prog, "tally", 6000);
+      spec.seed = 2300;
+      spec.threads = threads;
+      spec.shard_count = 3;
+      spec.shard_index = 1;
+      if (adaptive) {
+        spec.injections = static_cast<std::size_t>(ino_ffs) * 8;
+        spec.confidence_half_width = 0.30;
+      }
+      // A fresh cache directory per run: each run simulates and writes
+      // exactly one pack record, so equal packs mean equal payloads.
+      const std::string cache = "engine_e2e/tally_" +
+                                std::to_string(adaptive) + "_" +
+                                std::to_string(threads);
+      ::setenv("CLEAR_CACHE_DIR", cache.c_str(), 1);
+      inject::ShardFile shard;
+      shard.core_name = spec.core_name;
+      shard.key = spec.key;
+      shard.program_hash = inject::wire_program_hash(prog);
+      shard.injections = spec.injections;
+      shard.seed = spec.seed;
+      shard.shard_count = spec.shard_count;
+      shard.covered = {spec.shard_index};
+      shard.result = engine::run_campaign(spec);
+      ::setenv("CLEAR_CACHE_DIR", ".clear_cache_test_engine", 1);
+      ASSERT_EQ(shard.result.adaptive(), adaptive);
+      ASSERT_GT(shard.result.samples_executed(), 0u);
+      const std::string csr = inject::encode_shard(shard);
+      std::string pack;
+      ASSERT_TRUE(util::read_file(cache + "/campaigns.pack", &pack));
+      if (threads == 1) {
+        csr_at_1 = csr;
+        pack_at_1 = pack;
+        continue;
+      }
+      EXPECT_EQ(csr, csr_at_1) << "adaptive " << adaptive << ", threads "
+                               << threads;
+      EXPECT_EQ(pack, pack_at_1) << "adaptive " << adaptive << ", threads "
+                                 << threads;
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <array>
 #include <cstring>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -688,6 +689,90 @@ TEST(CacheDecoder, MalformedPayloadsAreRefusedAndLeaveTheOutputUntouched) {
   // The wrong flip-flop count is refused as well.
   inject::CampaignResult out;
   EXPECT_FALSE(inject::detail::parse_result(fixed, 42, 4, false, &out));
+}
+
+// The cache payload writer as it was first written, one ostream insertion
+// per field: the oracle the one-pass writer must match byte for byte.
+std::string oracle_serialize_result(std::uint64_t fp,
+                                    const inject::CampaignResult& r) {
+  std::ostringstream out;
+  out << fp << ' ' << r.ff_count << ' ' << r.nominal_cycles << ' '
+      << r.nominal_instrs << '\n';
+  for (const auto& c : r.per_ff) {
+    out << c.vanished << ' ' << c.omm << ' ' << c.ut << ' ' << c.hang << ' '
+        << c.ed << ' ' << c.recovered << '\n';
+  }
+  if (r.adaptive()) {
+    out << "adaptive " << static_cast<std::uint32_t>(r.confidence_method)
+        << ' ' << util::f64_bits(r.confidence_target) << ' ' << r.pilot
+        << '\n';
+    for (const std::uint64_t n : r.planned) out << n << '\n';
+  }
+  return out.str();
+}
+
+// A random counter: mostly zero, as in a shard's result, sometimes small,
+// sometimes the extremes of the field.
+std::uint32_t random_count(std::mt19937_64& rng) {
+  switch (rng() % 8) {
+    case 0: return 4294967295u;
+    case 1: return static_cast<std::uint32_t>(rng());
+    case 2:
+    case 3: return static_cast<std::uint32_t>(rng() % 1000);
+    default: return 0;
+  }
+}
+
+std::uint64_t random_u64(std::mt19937_64& rng) {
+  switch (rng() % 4) {
+    case 0: return 18446744073709551615ULL;
+    case 1: return rng() % 100;
+    case 2: return 0;
+    default: return rng();
+  }
+}
+
+TEST(CacheDecoder, OnePassWriterMatchesTheStreamOracleOnRandomResults) {
+  std::mt19937_64 rng(20261018);
+  for (int trial = 0; trial < 300; ++trial) {
+    const bool adaptive = trial % 2 == 1;
+    inject::CampaignResult r;
+    r.ff_count = 1 + static_cast<std::uint32_t>(rng() % 200);
+    r.nominal_cycles = random_u64(rng);
+    r.nominal_instrs = random_u64(rng);
+    r.per_ff.resize(r.ff_count);
+    const int shape = trial % 6;  // 0: all rows zero, 1: all rows at max
+    for (auto& c : r.per_ff) {
+      if (shape == 0) continue;
+      if (shape == 1) {
+        c = {4294967295u, 4294967295u, 4294967295u, 4294967295u,
+             4294967295u, 4294967295u};
+        continue;
+      }
+      c = {random_count(rng), random_count(rng), random_count(rng),
+           random_count(rng), random_count(rng), random_count(rng)};
+    }
+    for (const auto& c : r.per_ff) r.totals.merge(c);
+    if (adaptive) {
+      r.confidence_target = std::ldexp(static_cast<double>(rng() % 1000 + 1),
+                                       -11);  // (0, 0.5]
+      r.confidence_method = rng() % 2 ? util::IntervalMethod::kWilson
+                                      : util::IntervalMethod::kClopperPearson;
+      r.pilot = random_u64(rng);
+      r.planned.resize(r.ff_count);
+      for (std::uint64_t& n : r.planned) {
+        n = shape == 1 ? 18446744073709551615ULL : random_u64(rng);
+      }
+    }
+    const std::uint64_t fp = trial == 0 ? 18446744073709551615ULL : rng();
+    const std::string text = inject::detail::serialize_result(fp, r);
+    ASSERT_EQ(text, oracle_serialize_result(fp, r)) << "trial " << trial;
+    inject::CampaignResult back;
+    ASSERT_EQ(inject::detail::parse_result(text, fp, r.ff_count, adaptive,
+                                           &back),
+              r.nominal_cycles != 0)  // a zero-length golden never caches
+        << "trial " << trial;
+  }
 }
 
 // The decoder's refusals reach the executor: each malformed payload,

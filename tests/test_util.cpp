@@ -8,7 +8,9 @@
 #include <set>
 #include <string>
 #include <stdexcept>
+#include <vector>
 
+#include "util/bytes.h"
 #include "util/env.h"
 #include "util/fs.h"
 #include "util/json.h"
@@ -271,6 +273,120 @@ TEST(Frame, TruncationsNeedMoreAndNoBitFlipDecodes) {
   // A length over the cap is damage, not a prefix to wait on.
   EXPECT_EQ(read_frame(frame.data(), 4, payload.size() - 1, &len),
             FrameStatus::kBad);
+}
+
+// ---- bulk little-endian helpers (util/bytes.h) -------------------------------
+
+// The byte-loop definitions of the little-endian encoding: byte i holds
+// bits [8i, 8i + 8) of the value.
+std::string le_bytes(std::uint64_t v, int width) {
+  std::string out;
+  for (int i = 0; i < width; ++i) {
+    out.push_back(static_cast<char>(static_cast<unsigned char>(v >> (8 * i))));
+  }
+  return out;
+}
+
+std::uint64_t le_value(const std::string& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(
+             static_cast<unsigned char>(bytes[at + static_cast<std::size_t>(i)]))
+         << (8 * i);
+  }
+  return v;
+}
+
+// Every bit position alone, every all-ones prefix, the extremes and a
+// random sweep.
+std::vector<std::uint64_t> sweep_values() {
+  std::vector<std::uint64_t> vs = {0, 1, 0xFFu, 0x100u, 0xFFFFFFFFu,
+                                   0x100000000ULL, 0xFFFFFFFFFFFFFFFFULL,
+                                   0x0123456789ABCDEFULL};
+  for (int b = 0; b < 64; ++b) {
+    vs.push_back(std::uint64_t{1} << b);
+    vs.push_back((std::uint64_t{1} << b) - 1);
+  }
+  Rng rng(3);
+  for (int i = 0; i < 2000; ++i) vs.push_back(rng.next());
+  return vs;
+}
+
+TEST(Bytes, PutHelpersMatchTheByteLoopDefinition) {
+  for (const std::uint64_t v : sweep_values()) {
+    const auto v32 = static_cast<std::uint32_t>(v);
+    std::string out = "prefix";
+    clear::util::put_u32(&out, v32);
+    clear::util::put_u64(&out, v);
+    EXPECT_EQ(out, "prefix" + le_bytes(v32, 4) + le_bytes(v, 8)) << v;
+    unsigned char raw[12];
+    clear::util::store_u32(raw, v32);
+    clear::util::store_u64(raw + 4, v);
+    const std::string raw_s(reinterpret_cast<const char*>(raw), sizeof(raw));
+    EXPECT_EQ(raw_s, le_bytes(v32, 4) + le_bytes(v, 8)) << v;
+    EXPECT_EQ(clear::util::load_u32(raw), v32) << v;
+    EXPECT_EQ(clear::util::load_u64(raw + 4), v) << v;
+  }
+}
+
+TEST(Bytes, BlockWriterMatchesFieldByFieldAppends) {
+  const std::vector<std::uint64_t> vs = sweep_values();
+  std::string by_field = "head", by_block = "head";
+  for (const std::uint64_t v : vs) {
+    clear::util::put_u32(&by_field, static_cast<std::uint32_t>(v));
+    clear::util::put_u64(&by_field, v);
+  }
+  {
+    clear::util::BlockWriter block(&by_block, vs.size() * 12);
+    for (const std::uint64_t v : vs) {
+      block.u32(static_cast<std::uint32_t>(v));
+      block.u64(v);
+    }
+  }
+  EXPECT_EQ(by_block, by_field);
+  // An empty block appends nothing.
+  { clear::util::BlockWriter none(&by_block, 0); }
+  EXPECT_EQ(by_block, by_field);
+}
+
+TEST(Bytes, BlockReaderMatchesTheByteLoopAndRefusesShortBlocks) {
+  const std::vector<std::uint64_t> vs = sweep_values();
+  std::string bytes;
+  for (const std::uint64_t v : vs) bytes += le_bytes(v, 4) + le_bytes(v, 8);
+  clear::util::ByteReader reader(bytes.data(), bytes.size());
+  clear::util::ByteBlock block;
+  // One byte too many is refused and consumes nothing.
+  EXPECT_FALSE(reader.block(bytes.size() + 1, &block));
+  EXPECT_EQ(reader.pos(), 0u);
+  ASSERT_TRUE(reader.block(bytes.size(), &block));
+  EXPECT_TRUE(reader.exhausted());
+  for (std::size_t i = 0; i < vs.size(); ++i) {
+    EXPECT_EQ(block.u32(), le_value(bytes, 12 * i, 4)) << i;
+    EXPECT_EQ(block.u64(), le_value(bytes, 12 * i + 4, 8)) << i;
+  }
+  // Every split: a block claimed after k bytes holds the rest, and a
+  // claim one byte longer than what is left fails.
+  for (std::size_t k = 0; k <= 24; ++k) {
+    clear::util::ByteReader r(bytes.data(), 24);
+    std::uint32_t skip = 0;
+    for (std::size_t i = 0; i + 4 <= k; i += 4) ASSERT_TRUE(r.u32(&skip));
+    const std::size_t left = r.remaining();
+    EXPECT_FALSE(r.block(left + 1, &block)) << k;
+    EXPECT_TRUE(r.block(left, &block)) << k;
+    EXPECT_TRUE(r.exhausted()) << k;
+  }
+  // The field readers agree with the block readers.
+  clear::util::ByteReader fields(bytes.data(), bytes.size());
+  for (std::size_t i = 0; i < vs.size(); ++i) {
+    std::uint32_t a = 0;
+    std::uint64_t b = 0;
+    ASSERT_TRUE(fields.u32(&a));
+    ASSERT_TRUE(fields.u64(&b));
+    EXPECT_EQ(a, le_value(bytes, 12 * i, 4)) << i;
+    EXPECT_EQ(b, le_value(bytes, 12 * i + 4, 8)) << i;
+  }
+  std::uint32_t past = 0;
+  EXPECT_FALSE(fields.u32(&past));
 }
 
 TEST(Hash, SplitmixIsStable) {

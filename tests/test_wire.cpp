@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -333,6 +334,10 @@ TEST(WireAdaptive, ImplausibleAdaptiveFieldsAreCorrupt) {
   expect_corrupt("plan below observed counters", planned_off + 8, 10);
   // planned[2] large enough that the plan exceeds the global budget.
   expect_corrupt("plan above the budget", planned_off + 2 * 8, 2000);
+  // planned[1] so large that the running plan sum wraps past 2^64 back
+  // under the budget (40 + (2^64 - 40) == 0 mod 2^64).
+  expect_corrupt("plan sum wrapping past 2^64", planned_off + 8,
+                 0 - std::uint64_t{40});
   // Executed count disagreeing with the recomputed counter total (121).
   expect_corrupt("executed-count mismatch", executed_off, 122);
   // Achieved intervals outside [0, 1] or inverted.
@@ -472,20 +477,24 @@ std::vector<inject::ShardFile> five_shard_partition(bool adaptive) {
   return parts;
 }
 
-bool covered_twice(const inject::ShardFile& running,
+// Whether folding `again` into `running` is refused as double coverage,
+// leaving `running` as it was.
+bool covered_twice(inject::ShardFile* running,
                    const inject::ShardFile& again) {
+  const std::string before = inject::encode_shard(*running);
   try {
-    (void)inject::merge_shard_files({running, again});
+    inject::fold_shard(running, again);
   } catch (const std::invalid_argument& e) {
-    return std::string(e.what()).find("covered twice") != std::string::npos;
+    return std::string(e.what()).find("covered twice") != std::string::npos &&
+           inject::encode_shard(*running) == before;
   }
   return false;
 }
 
-// The fleet driver folds each arriving shard into one running merge; in
-// every arrival order that must encode to exactly the bytes of one n-ary
-// merge, and re-folding a shard the running merge already covers must be
-// refused.
+// The fleet driver folds each arriving shard into one running merge in
+// place; in every arrival order that must encode to exactly the bytes of
+// one n-ary merge, and re-folding a shard the running merge already
+// covers must be refused without touching it.
 TEST(WireMerge, RunningFoldMatchesOneMergeInEveryArrivalOrder) {
   for (const bool adaptive : {false, true}) {
     const auto parts = five_shard_partition(adaptive);
@@ -496,8 +505,8 @@ TEST(WireMerge, RunningFoldMatchesOneMergeInEveryArrivalOrder) {
     do {
       auto running = inject::merge_shard_files({parts[order[0]]});
       for (std::size_t j = 1; j < order.size(); ++j) {
-        running = inject::merge_shard_files({running, parts[order[j]]});
-        EXPECT_TRUE(covered_twice(running, parts[order[j - 1]]));
+        inject::fold_shard(&running, parts[order[j]]);
+        EXPECT_TRUE(covered_twice(&running, parts[order[j - 1]]));
       }
       EXPECT_TRUE(running.complete());
       EXPECT_EQ(inject::encode_shard(running), expected)
@@ -505,6 +514,170 @@ TEST(WireMerge, RunningFoldMatchesOneMergeInEveryArrivalOrder) {
           << order[2] << order[3] << order[4];
     } while (std::next_permutation(order.begin(), order.end()));
   }
+}
+
+// A refused fold leaves the running merge exactly as it was, whichever
+// check refuses it: identity, adaptivity, coverage or the counter fold's
+// own ff_count / nominal-run checks.
+TEST(WireMerge, RefusedFoldLeavesTheRunningMergeUntouched) {
+  const auto parts = five_shard_partition(false);
+  auto running = inject::merge_shard_files({parts[0], parts[1]});
+  const std::string before = inject::encode_shard(running);
+  std::vector<inject::ShardFile> bad(6, parts[2]);
+  bad[0].seed += 1;
+  bad[1].key += "x";
+  bad[2] = five_shard_partition(true)[2];
+  bad[3].covered = {1, 2};
+  bad[4].result.nominal_cycles += 1;
+  bad[5].result.ff_count = 4;
+  bad[5].result.per_ff.resize(4);
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW(inject::fold_shard(&running, bad[i]), std::invalid_argument)
+        << i;
+    EXPECT_EQ(inject::encode_shard(running), before) << i;
+  }
+  inject::fold_shard(&running, parts[2]);
+  EXPECT_EQ(running.covered, (std::vector<std::uint32_t>{0, 1, 2}));
+}
+
+// ---- the one-pass encoder against the per-field writer ----------------------
+
+// Little-endian appends written byte by byte, independent of util/bytes.h.
+void oracle_u32(std::string* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out->push_back(static_cast<char>(static_cast<unsigned char>(v >> (8 * i))));
+  }
+}
+
+void oracle_u64(std::string* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out->push_back(static_cast<char>(static_cast<unsigned char>(v >> (8 * i))));
+  }
+}
+
+// encode_shard as it was first written: one append per field, then the
+// sealed header in front (docs/FORMATS.md).
+std::string oracle_encode_shard(const inject::ShardFile& shard) {
+  std::string body;
+  oracle_u32(&body, static_cast<std::uint32_t>(shard.core_name.size()));
+  body += shard.core_name;
+  oracle_u32(&body, static_cast<std::uint32_t>(shard.key.size()));
+  body += shard.key;
+  oracle_u64(&body, shard.program_hash);
+  oracle_u64(&body, shard.injections);
+  oracle_u64(&body, shard.seed);
+  oracle_u32(&body, shard.shard_count);
+  oracle_u32(&body, static_cast<std::uint32_t>(shard.covered.size()));
+  for (const std::uint32_t s : shard.covered) oracle_u32(&body, s);
+  const inject::CampaignResult& r = shard.result;
+  oracle_u32(&body, r.ff_count);
+  oracle_u64(&body, r.nominal_cycles);
+  oracle_u64(&body, r.nominal_instrs);
+  for (const inject::OutcomeCounts& c : r.per_ff) {
+    oracle_u32(&body, c.vanished);
+    oracle_u32(&body, c.omm);
+    oracle_u32(&body, c.ut);
+    oracle_u32(&body, c.hang);
+    oracle_u32(&body, c.ed);
+    oracle_u32(&body, c.recovered);
+  }
+  if (r.adaptive()) {
+    oracle_u32(&body, static_cast<std::uint32_t>(r.confidence_method));
+    oracle_u64(&body, bits_of(r.confidence_target));
+    oracle_u64(&body, r.pilot);
+    for (const std::uint64_t n : r.planned) oracle_u64(&body, n);
+    oracle_u64(&body, r.samples_executed());
+    const util::Interval sdc = r.sdc_interval();
+    const util::Interval due = r.due_interval();
+    oracle_u64(&body, bits_of(sdc.lo));
+    oracle_u64(&body, bits_of(sdc.hi));
+    oracle_u64(&body, bits_of(due.lo));
+    oracle_u64(&body, bits_of(due.hi));
+  }
+  std::string out = "CSR1";
+  oracle_u32(&out, r.adaptive() ? 2 : 1);
+  oracle_u64(&out, body.size());
+  oracle_u64(&out, inject::fnv1a64(body.data(), body.size()));
+  oracle_u64(&out, inject::fnv1a64(out.data(), 24));
+  return out + body;
+}
+
+// Randomized shards, fixed and adaptive: all-zero rows, rows at
+// UINT32_MAX, planned counts at UINT64_MAX.  The encoder must match the
+// per-field writer byte for byte, and whatever decodes must re-encode to
+// the same bytes.
+TEST(Wire, OnePassEncoderMatchesThePerFieldOracleOnRandomShards) {
+  util::Rng rng(20261018);
+  const auto pick_u64 = [&rng] {
+    switch (rng.below(4)) {
+      case 0: return std::uint64_t{18446744073709551615ULL};
+      case 1: return rng.below(100);
+      case 2: return std::uint64_t{0};
+      default: return rng.next();
+    }
+  };
+  const auto pick_count = [&rng] {
+    switch (rng.below(8)) {
+      case 0: return std::uint32_t{4294967295u};
+      case 1: return static_cast<std::uint32_t>(rng.next());
+      case 2:
+      case 3: return static_cast<std::uint32_t>(rng.below(1000));
+      default: return std::uint32_t{0};
+    }
+  };
+  int decoded = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const bool adaptive = trial % 2 == 1;
+    const int shape = trial % 6;  // 0: all rows zero, 1: all rows at max
+    inject::ShardFile s;
+    s.core_name = rng.below(2) ? "InO" : "OoO";
+    s.key = std::string(rng.below(40), static_cast<char>('a' + rng.below(26)));
+    s.program_hash = rng.next();
+    s.injections = shape == 1 ? 18446744073709551615ULL : pick_u64();
+    s.seed = pick_u64();
+    s.shard_count = 1 + static_cast<std::uint32_t>(rng.below(64));
+    for (std::uint32_t k = 0; k < s.shard_count; ++k) {
+      if (rng.below(3) == 0 || (k + 1 == s.shard_count && s.covered.empty())) {
+        s.covered.push_back(k);
+      }
+    }
+    inject::CampaignResult& r = s.result;
+    r.ff_count = 1 + static_cast<std::uint32_t>(rng.below(300));
+    r.nominal_cycles = pick_u64();
+    r.nominal_instrs = pick_u64();
+    r.per_ff.resize(r.ff_count);
+    for (auto& c : r.per_ff) {
+      if (shape == 0) continue;
+      if (shape == 1) {
+        c = {4294967295u, 4294967295u, 4294967295u, 4294967295u,
+             4294967295u, 4294967295u};
+        continue;
+      }
+      c = {pick_count(), pick_count(), pick_count(),
+           pick_count(), pick_count(), pick_count()};
+    }
+    for (const auto& c : r.per_ff) r.totals.merge(c);
+    if (adaptive) {
+      r.confidence_target = std::ldexp(static_cast<double>(1 + rng.below(1000)),
+                                       -11);  // (0, 0.5]
+      r.confidence_method = rng.below(2)
+                                ? util::IntervalMethod::kWilson
+                                : util::IntervalMethod::kClopperPearson;
+      r.pilot = pick_u64();
+      r.planned.resize(r.ff_count);
+      for (std::uint64_t& n : r.planned) {
+        n = shape == 1 ? 18446744073709551615ULL : pick_u64();
+      }
+    }
+    const std::string bytes = inject::encode_shard(s);
+    ASSERT_EQ(bytes, oracle_encode_shard(s)) << "trial " << trial;
+    inject::ShardFile back;
+    if (inject::decode_shard(bytes, &back) == inject::WireStatus::kOk) {
+      ++decoded;
+      EXPECT_EQ(inject::encode_shard(back), bytes) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(decoded, 50);  // the fixed shards always decode
 }
 
 TEST(WireMerge, RefusesIdentityMismatches) {

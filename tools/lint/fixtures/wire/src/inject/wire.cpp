@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 namespace fixture {
 
@@ -21,6 +22,22 @@ bool decode_header(const std::string& payload, Header* out) {
   // VIOLATION raw memmove decode
   std::memmove(out, payload.data(), sizeof(Header));
   return h->version == 1;
+}
+
+struct Counts {
+  std::uint32_t vanished, omm, ut, hang, ed, recovered;
+};
+
+// Bulk encode of a counter block by punning the struct array: the bytes
+// would follow the host's byte order and padding, not the format.
+void encode_block(std::string* body, const std::vector<Counts>& per_ff) {
+  // VIOLATION bulk reinterpret_cast append of a struct array
+  body->append(reinterpret_cast<const char*>(per_ff.data()),
+               per_ff.size() * sizeof(Counts));
+  const std::size_t at = body->size();
+  body->resize(at + per_ff.size() * sizeof(Counts));
+  // VIOLATION bulk memcpy into the body
+  std::memcpy(&(*body)[at], per_ff.data(), per_ff.size() * sizeof(Counts));
 }
 
 bool annotated_decode(const std::string& payload, std::uint64_t* out) {
