@@ -6,13 +6,11 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "arch/core.h"
 #include "core/selection.h"
 #include "core/session.h"
 #include "util/args.h"
-#include "util/env.h"
 #include "util/fs.h"
 #include "util/threadpool.h"
 #include "workloads/workloads.h"
@@ -80,16 +78,6 @@ LedgerRecord point_record(RecordKind kind, std::uint32_t index,
   rec.imp_sdc = p.imp.sdc;
   rec.imp_due = p.imp.due;
   return rec;
-}
-
-// Combo-evaluation workers, sized the way campaigns size theirs:
-// CLEAR_THREADS, else the hardware concurrency.
-unsigned resolve_eval_threads() {
-  // lint: allow(determinism): a thread count only schedules; the records are the same for any value
-  const long env = util::env_long("CLEAR_THREADS", 0);
-  if (env > 0) return static_cast<unsigned>(std::min(env, 256L));
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw != 0 ? hw : 1;
 }
 
 // A whole-string double ("" and trailing bytes refused).
@@ -318,8 +306,10 @@ Ledger run_exploration(const ExploreSpec& spec, const std::string& ledger_path,
 
   // Combos are evaluated on a pool of this run's own: ThreadPool::instance()
   // serializes its jobs, so evaluation there would queue behind the
-  // campaigns of the batch being prefetched.
-  const unsigned eval_threads = resolve_eval_threads();
+  // campaigns of the batch being prefetched.  It is sized the way
+  // campaigns size theirs (CLEAR_THREADS); a thread count only schedules,
+  // so the records are the same for any value.
+  const unsigned eval_threads = util::env_threads();
   util::ThreadPool eval_pool(eval_threads);
 
   // Anchors: the fixed flagship designs, evaluated at their "max" point.

@@ -12,7 +12,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string_view>
-#include <thread>
 
 #include <cstring>
 
@@ -426,9 +425,6 @@ struct CampaignJob {
   // Global sample indices this job simulates in the CURRENT pass (empty
   // for fixed jobs, which map their pass-1 work arithmetically).
   std::vector<std::uint64_t> pass_indices;
-  // pilot * ff_count: the pilot indices [0, pilot_span) every shard
-  // simulates (0 for fixed schedules).
-  std::uint64_t pilot_span = 0;
 };
 
 // ---- the samples a job may simulate ----------------------------------------
@@ -456,51 +452,6 @@ Strike draw_strike(const CampaignJob& job, const GoldenTrajectory& traj,
   return st;
 }
 
-// The samples a recording asks about: those a shard may simulate before
-// its adaptive plan exists, namely the pilot indices [0, pilot_span),
-// which every shard simulates, and then the indices below `end` that
-// shard `index` of `count` owns.  This is every sample of a fixed
-// schedule; an adaptive tail may reach past the budget, and those
-// samples fork.
-struct QuerySet {
-  std::uint64_t pilot_span = 0;
-  std::uint64_t end = 0;
-  std::uint64_t index = 0;
-  std::uint64_t count = 1;
-
-  [[nodiscard]] bool owns(std::uint64_t g) const { return g % count == index; }
-  [[nodiscard]] bool has(std::uint64_t g) const {
-    return g < pilot_span || (g < end && owns(g));
-  }
-  // The first owned index at or past the pilot.
-  [[nodiscard]] std::uint64_t first_tail() const {
-    return pilot_span + (index + count - pilot_span % count) % count;
-  }
-  // The i-th sample asked about, ascending.
-  [[nodiscard]] std::uint64_t at(std::uint64_t i) const {
-    return i < pilot_span ? i : first_tail() + (i - pilot_span) * count;
-  }
-  // Calls fn(g) for every sample asked about, ascending.
-  template <class Fn>
-  void for_each(Fn&& fn) const {
-    for (std::uint64_t g = 0; g < pilot_span; ++g) fn(g);
-    for (std::uint64_t g = first_tail(); g < end; g += count) fn(g);
-  }
-};
-
-// The samples `job`'s own shard may simulate.
-QuerySet shard_queries(const CampaignJob& job) {
-  return {job.pilot_span, job.injections, job.spec->shard_index,
-          job.spec->shard_count};
-}
-
-// Every shard's samples at once: what the unsharded campaign asks about,
-// every sample below the budget (the pilot never reaches past it).  A
-// recording that asks these answers any shard of the campaign exactly.
-QuerySet campaign_queries(const CampaignJob& job) {
-  return {0, job.injections, 0, 1};
-}
-
 // An EDS or parity flip-flop can detect the upset in the cycle it is
 // struck (CoreShell::apply_injections), whatever golden does with the
 // slot afterwards, so neither the dead-slot nor the sink argument holds
@@ -511,14 +462,17 @@ bool detected_when_struck(const CampaignSpec& spec, std::uint32_t ff) {
   return p == arch::FFProt::kEds || p == arch::FFProt::kParity;
 }
 
-// Whether a recording of `traj` that asks about `asked` asks about sample
-// g, whose draws are `st`.  A golden run that recovered reads the
-// rollback ring behind the access log's back (see record_golden), so its
-// campaign asks nothing.
+// Whether the recording of `traj` asks about sample g, whose draws are
+// `st`.  It asks about every sample below the budget, so one recording
+// answers every shard of the campaign: those are all the samples a shard
+// may simulate before its adaptive plan exists (the pilot never reaches
+// past the budget), and an adaptive tail sample past it forks.  A golden
+// run that recovered reads the rollback ring behind the access log's back
+// (see record_golden), so its campaign asks nothing.
 bool asks_about(const CampaignJob& job, const GoldenTrajectory& traj,
-                const QuerySet& asked, std::uint64_t g, const Strike& st) {
+                std::uint64_t g, const Strike& st) {
   return st.upset && traj.golden.recoveries == 0 &&
-         !detected_when_struck(*job.spec, st.ff) && asked.has(g);
+         !detected_when_struck(*job.spec, st.ff) && g < job.injections;
 }
 
 // A strike the recording pass asks about: is FF-pool slot `slot` dead at
@@ -570,23 +524,20 @@ void sort_by_cycle(std::vector<FlipQuery>* queries, std::uint64_t first,
 // queries at a time as the recording reaches it.
 class QuerySchedule {
  public:
-  // Replays the draws of every sample in `asked`; also counts the
-  // non-suppressed strikes among the samples `asked` owns, which
-  // placement prices.  `traj` holds the golden run and the slot map.
-  QuerySchedule(const CampaignJob& job, const GoldenTrajectory& traj,
-                const QuerySet& asked)
-      : job_(job),
-        traj_(traj),
-        asked_(asked),
-        span_(traj.golden.cycles / kWindows + 1) {
-    asked.for_each([&](std::uint64_t g) {
+  // Replays the draws of every sample below the budget; also counts
+  // the non-suppressed strikes among them, which placement prices.
+  // `traj` holds the golden run and the slot map.
+  QuerySchedule(const CampaignJob& job, const GoldenTrajectory& traj)
+      : job_(job), traj_(traj), span_(traj.golden.cycles / kWindows + 1) {
+    window_of_.reserve(job.injections);
+    for (std::uint64_t g = 0; g < job.injections; ++g) {
       const Strike st = draw_strike(job, traj, g);
-      if (st.upset && asked.owns(g)) ++forks_;
+      if (st.upset) ++forks_;
       window_of_.push_back(
-          asks_about(job, traj, asked, g, st)
+          asks_about(job, traj, g, st)
               ? static_cast<std::uint8_t>(1 + st.cycle / span_)
               : 0);
-    });
+    }
   }
   [[nodiscard]] std::uint64_t forks() const noexcept { return forks_; }
   // The cycle of the next query, kGoldenBudget when none is left.
@@ -611,7 +562,7 @@ class QuerySchedule {
     const std::size_t n = window_of_.size();
     for (std::size_t i = 0; i < n; ++i) {
       if (w[i] != window) continue;
-      const Strike st = draw_strike(job_, traj_, asked_.at(i));
+      const Strike st = draw_strike(job_, traj_, i);
       due_.push_back(
           {static_cast<std::uint32_t>(st.cycle), traj_.slot_of[st.ff]});
     }
@@ -620,9 +571,8 @@ class QuerySchedule {
 
   const CampaignJob& job_;
   const GoldenTrajectory& traj_;
-  const QuerySet asked_;
   const std::uint64_t span_;  // cycles per window
-  std::vector<std::uint8_t> window_of_;  // per sample asked: 1 + window, or 0
+  std::vector<std::uint8_t> window_of_;  // per sample: 1 + window, or 0
   std::uint64_t forks_ = 0;
   std::vector<FlipQuery> due_;  // the loaded window's queries, by cycle
   std::size_t next_ = 0;        // due_[next_] is the next query
@@ -656,12 +606,11 @@ constexpr std::uint64_t kSnapEquivCycles = 100;
 // injections and outcomes are interval-independent, so results stay
 // bit-identical at any placement.
 //
-// `forks` counts every non-suppressed strike among the samples one shard
-// owns, dead at flip or not: placement is chosen before the recording
-// pass that finds out which of them are dead, since that pass needs the
-// interval.  Pricing the dead ones too errs towards denser placement.  A
-// recording shared by every shard of a campaign prices the campaign's
-// strikes divided by the shard count.
+// `forks` counts one shard's share of the campaign's non-suppressed
+// strikes (all of them divided by the shard count), dead at flip or not:
+// placement is chosen before the recording pass that finds out which of
+// them are dead, since that pass needs the interval.  Pricing the dead
+// ones too errs towards denser placement.
 std::uint64_t pick_interval(std::uint64_t nominal_cycles,
                             std::uint64_t forks) {
   const std::uint64_t first = std::max<std::uint64_t>(64, nominal_cycles / 96);
@@ -688,14 +637,12 @@ std::uint64_t pick_interval(std::uint64_t nominal_cycles,
 
 // Records the golden (error-free) reference run, which doubles as the
 // recording pass for the fork snapshots, the live sets of the
-// convergence compare and the dead-at-flip answers for the samples in
-// `asked`.  `sharers` is the number of shards the recording serves:
-// placement prices one shard's share of the forks.  Runs on a pool
-// worker so recordings of different campaigns overlap each other and the
-// faulty runs of already-recorded campaigns.
+// convergence compare and the dead-at-flip answers for every sample
+// below the budget, so it serves any shard of the campaign.  Runs on a
+// pool worker so recordings of different campaigns overlap each other
+// and the faulty runs of already-recorded campaigns.
 std::shared_ptr<const GoldenTrajectory> record_golden(
-    const CampaignJob& job, const QuerySet& asked, std::uint64_t sharers,
-    const std::atomic<bool>* cancel) {
+    const CampaignJob& job, const std::atomic<bool>* cancel) {
   const obs::Span golden_span(metrics().golden_record);
   metrics().goldens.add();
   const CampaignSpec& spec = *job.spec;
@@ -722,9 +669,9 @@ std::shared_ptr<const GoldenTrajectory> record_golden(
     std::fill_n(traj->slot_of.begin() + st.first_ff, st.width,
                 static_cast<std::uint16_t>(st.slot));
   }
-  QuerySchedule queries(job, *traj, asked);
+  QuerySchedule queries(job, *traj);
   traj->interval =
-      pick_interval(traj->golden.cycles, queries.forks() / sharers);
+      pick_interval(traj->golden.cycles, queries.forks() / spec.shard_count);
   gcore->begin(*spec.program, spec.cfg, nullptr);
   traj->live.start(*gcore);
   // The first cycle of golden's current committed count: the recording
@@ -789,27 +736,20 @@ std::shared_ptr<const GoldenTrajectory> record_golden(
 // ---- golden trajectories shared by the shards of a campaign ----------------
 //
 // A process that runs several shards of one campaign (a `clear serve`
-// worker in a fleet) records the golden trajectory at most twice when
-// those shards run one after another, as a worker's engine runs them.
-// The first shard a process sees records only its own samples' queries,
-// exactly as a one-shard process must: at 120,000 samples a recording
-// that asks about every sample took ~14 ms on InO gcc and ~19 ms on OoO
-// mcf, one for a 1/128 shard ~1.5 and ~5 ms (4-CPU x86 host, one
-// thread).  The second records the campaign's queries
-// (campaign_queries) and keeps the recording; later shards reuse it.  A
-// shard that arrives while that recording is still running records its
-// own queries instead of waiting.  Dead-at-flip answers are keyed by
-// (slot, cycle), so a recording that watched every shard's strikes
-// answers each shard exactly, and results never depend on which shard
-// recorded.  Unsharded campaigns never come here: their recording is
-// dropped with the batch.
+// worker in a fleet) records the golden trajectory once and keeps it;
+// later shards reuse it.  Dead-at-flip answers are keyed by (slot,
+// cycle), and every recording asks about every shard's samples, so
+// results never depend on which shard recorded.  Shards that miss the
+// memo at the same moment each record, and the first to finish is kept.
+// Unsharded campaigns never come here: their recording is dropped with
+// the batch.
 class TrajectoryMemo {
  public:
-  // Campaigns remembered, recorded or only seen; the least recently used
-  // one goes first, so a process that cycles through more campaigns than
-  // this between two shards of one of them reuses nothing.  A kept
-  // recording holds ~0.4 MB of checkpoint segments on InO gcc and
-  // ~1.5 MB on OoO mcf (120,000 samples).
+  // Recordings kept; the least recently used one goes first, so a process
+  // that cycles through more campaigns than this between two shards of
+  // one of them records again.  A kept recording holds ~0.4 MB of
+  // checkpoint segments on InO gcc and ~1.5 MB on OoO mcf (120,000
+  // samples).
   static constexpr std::size_t kEntries = 8;
 
   static TrajectoryMemo& instance() {
@@ -817,56 +757,32 @@ class TrajectoryMemo {
     return memo;
   }
 
-  enum class Verdict { kReuse, kRecordOwn, kRecordForAll };
-  struct Lease {
-    Verdict verdict = Verdict::kRecordOwn;
-    std::shared_ptr<const GoldenTrajectory> traj;  // kReuse only
-  };
-
-  // What a shard of the campaign `id` does.  kRecordForAll obliges the
-  // caller to publish(), with nullptr if the recording failed.
-  Lease acquire(std::uint64_t id) {
+  // The recording kept for campaign `id`, or null.
+  std::shared_ptr<const GoldenTrajectory> find(std::uint64_t id) {
     const std::lock_guard<std::mutex> lock(m_);
-    const auto it = find(id);
-    if (it == lru_.end()) {
-      lru_.push_front(Entry{id, nullptr, false});
-      trim();
-      return {Verdict::kRecordOwn, nullptr};
-    }
+    const auto it = entry(id);
+    if (it == lru_.end()) return nullptr;
     lru_.splice(lru_.begin(), lru_, it);
-    if (it->traj != nullptr) return {Verdict::kReuse, it->traj};
-    if (it->recording) return {Verdict::kRecordOwn, nullptr};
-    it->recording = true;
-    return {Verdict::kRecordForAll, nullptr};
+    return it->traj;
   }
 
-  void publish(std::uint64_t id,
-               std::shared_ptr<const GoldenTrajectory> traj) {
+  // Keeps `traj` for campaign `id` unless a recording is already kept.
+  void keep(std::uint64_t id, std::shared_ptr<const GoldenTrajectory> traj) {
     const std::lock_guard<std::mutex> lock(m_);
-    auto it = find(id);
-    if (it == lru_.end()) {  // trimmed while recording
-      if (traj == nullptr) return;
-      lru_.push_front(Entry{id, nullptr, false});
-      it = lru_.begin();
-      trim();
-    }
-    it->traj = std::move(traj);
-    it->recording = false;
+    if (entry(id) != lru_.end()) return;
+    lru_.push_front(Entry{id, std::move(traj)});
+    if (lru_.size() > kEntries) lru_.pop_back();
   }
 
  private:
   struct Entry {
     std::uint64_t id;
-    std::shared_ptr<const GoldenTrajectory> traj;  // null: seen, not kept
-    bool recording = false;  // a shard is recording for all
+    std::shared_ptr<const GoldenTrajectory> traj;
   };
 
-  std::list<Entry>::iterator find(std::uint64_t id) {
+  std::list<Entry>::iterator entry(std::uint64_t id) {
     return std::find_if(lru_.begin(), lru_.end(),
                         [&](const Entry& e) { return e.id == id; });
-  }
-  void trim() {
-    while (lru_.size() > kEntries) lru_.pop_back();
   }
 
   std::mutex m_;
@@ -879,7 +795,7 @@ class TrajectoryMemo {
 // prices one shard's share of the forks.  The cache key is not part of
 // it (it only names the campaign), so campaigns run without caching
 // share recordings too.  Adaptive parameters are not either: the
-// campaign-wide queries stop at the budget either way.
+// queries stop at the budget either way.
 std::uint64_t memo_identity(const CampaignJob& job) {
   const CampaignSpec& spec = *job.spec;
   const isa::Program& prog = *spec.program;
@@ -898,44 +814,28 @@ std::uint64_t memo_identity(const CampaignJob& job) {
   return util::hash_combine(h, spec.shard_count);
 }
 
-// The golden trajectory `job` forks from: recorded for its own samples,
-// or, for the second and later shards of a campaign this process sees,
-// shared through the TrajectoryMemo.
+// The golden trajectory `job` forks from: recorded for it, or, for a
+// shard of a campaign this process has recorded, shared through the
+// TrajectoryMemo.
 std::shared_ptr<const GoldenTrajectory> golden_for(
     const CampaignJob& job, const std::atomic<bool>* cancel) {
-  const CampaignSpec& spec = *job.spec;
-  if (spec.shard_count == 1) {
-    return record_golden(job, shard_queries(job), 1, cancel);
-  }
+  if (job.spec->shard_count == 1) return record_golden(job, cancel);
   const std::uint64_t id = memo_identity(job);
   TrajectoryMemo& memo = TrajectoryMemo::instance();
-  TrajectoryMemo::Lease lease = memo.acquire(id);
-  switch (lease.verdict) {
-    case TrajectoryMemo::Verdict::kReuse:
-      metrics().golden_reused.add();
-      return std::move(lease.traj);
-    case TrajectoryMemo::Verdict::kRecordOwn:
-      return record_golden(job, shard_queries(job), 1, cancel);
-    case TrajectoryMemo::Verdict::kRecordForAll:
-      break;
+  if (auto traj = memo.find(id)) {
+    metrics().golden_reused.add();
+    return traj;
   }
-  std::shared_ptr<const GoldenTrajectory> traj;
-  try {
-    traj = record_golden(job, campaign_queries(job), spec.shard_count, cancel);
-  } catch (...) {
-    memo.publish(id, nullptr);
-    throw;
-  }
-  memo.publish(id, traj);
+  auto traj = record_golden(job, cancel);
+  memo.keep(id, traj);
   return traj;
 }
 
 // Whether sample g, whose draws are `st`, strikes a slot that is dead at
-// its cycle, as the recording pass found.  The job's own samples are
-// asked about by any recording it may fork from.
+// its cycle, as the recording pass found.
 bool dead_at_flip(const CampaignJob& job, std::uint64_t g, const Strike& st) {
   const GoldenTrajectory& traj = *job.traj;
-  return asks_about(job, traj, shard_queries(job), g, st) &&
+  return asks_about(job, traj, g, st) &&
          traj.live.dead(traj.slot_of[st.ff], st.cycle);
 }
 
@@ -1300,7 +1200,6 @@ CampaignJob plan_job(const CampaignSpec& spec) {
     for (const std::uint64_t b : job.base) min_base = std::min(min_base, b);
     job.pilot = adaptive::pilot_ordinals(min_base);
     job.milestones = adaptive::milestone_ladder(job.pilot);
-    job.pilot_span = job.pilot * job.ff_count;
     if (job.pilot != 0) {
       job.decide.assign(job.ff_count, {});
     } else {
@@ -1317,12 +1216,16 @@ CampaignJob plan_job(const CampaignSpec& spec) {
 std::vector<std::uint64_t> dead_at_flip_samples(const CampaignSpec& spec) {
   CampaignJob job = plan_job(spec);
   job.traj = golden_for(job, nullptr);
+  // The shard's own samples below the budget: the pilot, which every
+  // shard simulates, and the indices it owns past it.
+  const std::uint64_t pilot_span = job.pilot * job.ff_count;
   std::vector<std::uint64_t> dead;
-  shard_queries(job).for_each([&](std::uint64_t g) {
+  for (std::uint64_t g = 0; g < job.injections; ++g) {
+    if (g >= pilot_span && g % spec.shard_count != spec.shard_index) continue;
     if (dead_at_flip(job, g, draw_strike(job, *job.traj, g))) {
       dead.push_back(g);
     }
-  });
+  }
   return dead;
 }
 
@@ -1362,19 +1265,16 @@ std::vector<CampaignResult> execute_campaigns(
   unsigned threads = 0;
   std::size_t upper_total = 0;  // worst-case sims this shard performs
   for (auto& job : jobs) {
-    const unsigned want =
-        job.spec->threads != 0
-            ? job.spec->threads
-            // lint: allow(determinism): a thread count only schedules; samples derive from global indices
-            : static_cast<unsigned>(util::env_long(
-                  "CLEAR_THREADS", std::thread::hardware_concurrency()));
+    // A thread count only schedules: samples derive from global indices.
+    const unsigned want = job.spec->threads != 0
+                              ? util::resolve_threads(job.spec->threads)
+                              : util::env_threads();
     threads = std::max(threads, want);
     upper_total += job.pilot != 0
                        ? static_cast<std::size_t>(adaptive_upper_bound(job))
                        : job.local_count;
     job.token = g_campaign_tokens.fetch_add(1, std::memory_order_relaxed);
   }
-  if (threads == 0) threads = 1;
   threads = static_cast<unsigned>(std::min<std::size_t>(
       threads, std::max<std::size_t>(1, upper_total / 64)));
   for (auto& job : jobs) {

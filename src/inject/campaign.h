@@ -34,28 +34,25 @@
 // A shard (shard_index, shard_count) simulates exactly the samples i with
 // i % shard_count == shard_index; folding the K shard results with
 // merge_campaign_results() is bit-identical to the unsharded campaign.
-// A process that runs several shards of one campaign one after another
-// (a `clear serve` worker) records the golden trajectory at most twice.
-// Its first shard records for its own samples, exactly as a one-shard
-// process does.  Its second records for every shard -- the dead-at-flip
-// queries of every sample below the budget, the unsharded rule, with
-// placement priced at the campaign's forks divided by shard_count -- and
-// a process-wide memo keeps that recording for the later shards.  The
-// memo key is a 64-bit content identity: the core's layout identity
-// (core, program, every ResilienceConfig field), the DFC signatures,
-// seed, injections and the shard count, never the cache key.  It holds
-// at most 8 campaigns, least recently used first out, so the bound holds
-// only while a process cycles through at most 8 campaigns (a fleet spec
-// of at most 8 stanzas); past that each shard records its own.
-// Unsharded campaigns never enter it.  A shard's results do not depend
-// on which recording it forks from.
+// Every golden recording asks the dead-at-flip queries of every sample
+// below the budget, with placement priced at the campaign's forks divided
+// by shard_count, so one recording serves any shard.  A process that runs
+// several shards of one campaign one after another (a `clear serve`
+// worker) records it once, and a process-wide memo keeps it for the later
+// shards.  The memo key is a 64-bit content identity: the core's layout
+// identity (core, program, every ResilienceConfig field), the DFC
+// signatures, seed, injections and the shard count, never the cache key.
+// It keeps at most 8 recordings, least recently used first out, so a
+// process that cycles through more campaigns (a fleet spec of more than
+// 8 stanzas) records again.  Unsharded campaigns never enter it.  A
+// shard's results do not depend on which recording it forks from.
 //
 // Batching: a batch of campaigns runs as one pool job, so golden-run
 // recordings of later campaigns overlap the faulty runs of earlier ones
 // instead of serializing on the caller thread.  Shards of one campaign
-// that record at the same moment (in one batch, or in batches running
-// at once) do not wait for each other: a shard that finds the recording
-// for every shard still running records its own samples' queries.
+// that miss the memo at the same moment (in one batch, or in batches
+// running at once) do not wait for each other: each records, and the
+// first recording to finish is kept.
 //
 // Execution layering: this header owns the campaign vocabulary (spec,
 // result, classification, merge); the blocking simulation core lives

@@ -2,8 +2,9 @@
 // bytes are a function of the campaign or explore stanza alone.
 //
 //   CLEAR_THREADS             - worker threads for campaigns and for
-//                               exploration combo evaluation
-//                               (0 = hardware)
+//                               exploration combo evaluation (<= 0 =
+//                               hardware, at most 256; read by
+//                               util::env_threads in util/threadpool.h)
 //   CLEAR_CACHE_DIR           - campaign cache directory ("" disables)
 //   CLEAR_CACHE_MAX_BYTES     - campaign cache pack byte budget; exceeding
 //                               it evicts least-recently-used entries

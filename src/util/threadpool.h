@@ -21,7 +21,29 @@
 #include <thread>
 #include <vector>
 
+#include "util/env.h"
+
 namespace clear::util {
+
+// Backstop against runaway thread-count requests.
+constexpr unsigned kMaxThreads = 256;
+
+// Worker threads for a requested count: a positive count is used, capped
+// at kMaxThreads; zero or a negative count means the hardware
+// concurrency, at least 1.
+inline unsigned resolve_threads(long requested) {
+  if (requested > 0) {
+    return static_cast<unsigned>(std::min<long>(requested, kMaxThreads));
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw != 0 ? hw : 1;
+}
+
+// The CLEAR_THREADS knob (util/env.h), resolved as above; unset or
+// malformed means the hardware concurrency.
+inline unsigned env_threads() {
+  return resolve_threads(env_long("CLEAR_THREADS", 0));
+}
 
 class ThreadPool {
  public:
@@ -29,9 +51,7 @@ class ThreadPool {
   // on the submitting thread (n == 1 or parallelism <= 1).
   static constexpr unsigned kCallerSlot = ~0u;
 
-  explicit ThreadPool(unsigned threads = 0) {
-    grow(threads != 0 ? threads : default_threads());
-  }
+  explicit ThreadPool(unsigned threads = 0) { grow(resolve_threads(threads)); }
 
   ~ThreadPool() {
     {
@@ -56,18 +76,18 @@ class ThreadPool {
   }
 
   // Runs fn(index, worker_id) for index in [0, n) on up to `parallelism`
-  // workers (0 = hardware concurrency).  Indices are handed out through a
-  // shared counter, so any worker may execute any index; callers must make
-  // per-index work order-independent (campaigns derive per-index RNGs).
-  // The first exception thrown by any worker is rethrown here after all
-  // workers finished the job.  Worker ids are stable across calls and lie
-  // in [0, size()); the inline path reports kCallerSlot.
+  // workers, resolved by resolve_threads (0 = hardware concurrency).
+  // Indices are handed out through a shared counter, so any worker may
+  // execute any index; callers must make per-index work order-independent
+  // (campaigns derive per-index RNGs).  The first exception thrown by any
+  // worker is rethrown here after all workers finished the job.  Worker
+  // ids are stable across calls and lie in [0, size()); the inline path
+  // reports kCallerSlot.
   void run(std::size_t n,
            unsigned parallelism,
            const std::function<void(std::size_t, unsigned)>& fn) {
     if (n == 0) return;
-    if (parallelism == 0) parallelism = default_threads();
-    parallelism = std::min(parallelism, 256u);  // runaway-request backstop
+    parallelism = resolve_threads(parallelism);
     // Nested submissions from inside a pool worker run inline: the pool's
     // job slot is busy with the enclosing job.
     if (n == 1 || parallelism <= 1 || in_worker()) {
@@ -99,11 +119,6 @@ class ThreadPool {
   }
 
  private:
-  static unsigned default_threads() {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
-  }
-
   static bool& in_worker() {
     thread_local bool flag = false;
     return flag;

@@ -216,11 +216,10 @@ TEST(Engine, InteractiveOvertakesQueuedBulk) {
 
 // Shards of one campaign split over two batches share its golden through
 // the process-wide memo, whether the engine queues the batches or two
-// threads execute them at once.  Shards that record at the same moment
-// each record (one of them for every shard) instead of waiting, so the
-// count of recordings depends on timing; every shard either records or
-// reuses, the recording for every shard is kept, and the merge stays the
-// unsharded campaign's bytes.
+// threads execute them at once.  Shards that miss the memo at the same
+// moment each record instead of waiting, so the count of recordings
+// depends on timing; every shard either records or reuses, one recording
+// is kept, and the merge stays the unsharded campaign's bytes.
 TEST(EngineMemo, ConcurrentBatchesOfOneCampaignShareItsGolden) {
   const auto prog = bench("gcc");
   obs::set_enabled(true);
@@ -273,7 +272,7 @@ TEST(EngineMemo, ConcurrentBatchesOfOneCampaignShareItsGolden) {
       tb.join();
     }
     const std::uint64_t recorded = goldens() - goldens_before;
-    EXPECT_GE(recorded, 2u) << threads;
+    EXPECT_GE(recorded, 1u) << threads;
     EXPECT_EQ(recorded + reused() - reused_before, kShards) << threads;
     EXPECT_EQ(merged_bytes(a, b), whole) << threads;
     // A later shard forks from the kept recording.

@@ -1052,13 +1052,12 @@ TEST(FleetE2E, MetricsOutCountsEverySampleAfterShutdown) {
                : std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
   };
   EXPECT_EQ(counter("campaign.samples"), 240u) << json;
-  // Every shard forks from a golden: recorded at most twice per worker
-  // and stanza (its first shard's own, then one for every shard), reused
-  // by the rest.
+  // Every shard forks from a golden: recorded at most once per worker
+  // and stanza, reused by the rest.
   const std::uint64_t goldens = counter("campaign.goldens");
   EXPECT_EQ(goldens + counter("campaign.golden.reused"), kShards * kStanzas)
       << json;
-  EXPECT_LE(goldens, 2 * kWorkers * kStanzas) << json;
+  EXPECT_LE(goldens, kWorkers * kStanzas) << json;
 
   EXPECT_EQ(reap(pid0), 0);
   EXPECT_EQ(reap(pid1), 0);

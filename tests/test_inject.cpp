@@ -958,12 +958,14 @@ TEST(Placement, ShardForkCountersAddUpToTheUnshardedRun) {
   const std::uint64_t whole_captures = whole.captures_per_golden();
   const auto mid = fork_counters();
   const auto masked_mid = masked_counters();
+  // Shard 0 records the golden for both shards and shard 1 reuses it, so
+  // one probe spans both.
   spec.shard_count = 2;
+  const PlacementProbe shards;
   for (spec.shard_index = 0; spec.shard_index < 2; ++spec.shard_index) {
-    const PlacementProbe shard;
     (void)engine::run_campaign(spec);
-    EXPECT_EQ(shard.captures_per_golden(), whole_captures);
   }
+  EXPECT_EQ(shards.captures_per_golden(), whole_captures);
   const auto after = fork_counters();
   const auto masked_after = masked_counters();
   for (std::size_t i = 0; i < kForkCounters.size(); ++i) {
@@ -1198,10 +1200,10 @@ class GoldenProbe {
 };
 
 // A process that runs every shard of a campaign (a fleet worker) records
-// its golden twice: the first shard for its own samples, the second for
-// every shard's, which later shards reuse.  In any order, one at a time
-// or batched, the shards merge to the unsharded campaign's bytes.
-TEST(Sharding, ShardsOfOneProcessRecordTheGoldenTwice) {
+// its golden once, for every shard's samples, and later shards reuse it.
+// In any order, one at a time or batched, the shards merge to the
+// unsharded campaign's bytes.
+TEST(Sharding, ShardsOfOneProcessRecordTheGoldenOnce) {
   struct Case {
     const char* core;
     const char* bench;
@@ -1246,8 +1248,8 @@ TEST(Sharding, ShardsOfOneProcessRecordTheGoldenTwice) {
     for (std::size_t i = 2; i < kShards; ++i) rest.push_back(shards[order[i]]);
     const auto batch = engine::run_campaigns(rest);
     for (std::size_t i = 2; i < kShards; ++i) parts[order[i]] = batch[i - 2];
-    EXPECT_EQ(probe.recorded(), 2u) << what;
-    EXPECT_EQ(probe.reused_count(), kShards - 2) << what;
+    EXPECT_EQ(probe.recorded(), 1u) << what;
+    EXPECT_EQ(probe.reused_count(), kShards - 1) << what;
     const auto merged = inject::merge_campaign_results(parts);
     EXPECT_EQ(inject::detail::serialize_result(0, merged),
               inject::detail::serialize_result(0, whole))
@@ -1275,8 +1277,8 @@ TEST(Sharding, AnyIdentityChangeRecordsAFreshGolden) {
     spec.shard_index = k;
     (void)engine::run_campaign(spec);
   };
-  run_shard(base, 0);  // records its own samples' queries
-  run_shard(base, 1);  // records every shard's, and keeps it
+  run_shard(base, 0);  // records every shard's queries, and keeps it
+  run_shard(base, 1);  // reuses it
   {
     const GoldenProbe probe;
     run_shard(base, 2);
@@ -1326,7 +1328,7 @@ TEST(Sharding, AnyIdentityChangeRecordsAFreshGolden) {
                      inject::merge_campaign_results(parts));
   }
   // Past the memo's bound of 8 campaigns the least recently used one is
-  // forgotten: its next shard records its own queries again.
+  // forgotten: its next shard records again.
   for (std::uint64_t s = 1; s <= 8; ++s) {
     inject::CampaignSpec other = base;
     other.seed = base.seed + 100 + s;
@@ -1338,9 +1340,8 @@ TEST(Sharding, AnyIdentityChangeRecordsAFreshGolden) {
   EXPECT_EQ(probe.reused_count(), 0u);
 }
 
-// Whichever recording a shard forks from -- its own, the one it makes for
-// every shard, or one it reuses -- dead_at_flip_samples() names exactly
-// the shard's own dead candidates.
+// Whether a shard makes the recording for every shard or reuses it,
+// dead_at_flip_samples() names exactly the shard's own dead candidates.
 TEST(Sharding, DeadAtFlipSamplesStayTheShardsOwnWhenTheGoldenIsShared) {
   const auto prog = bench("gcc");
   for (const double confidence : {0.0, 0.3}) {
@@ -1356,8 +1357,8 @@ TEST(Sharding, DeadAtFlipSamplesStayTheShardsOwnWhenTheGoldenIsShared) {
       EXPECT_GT(testref::check_dead_at_flip(spec).dead, 0u)
           << "shard " << spec.shard_index << ", conf " << confidence;
     }
-    EXPECT_EQ(probe.recorded(), 2u) << "conf " << confidence;
-    EXPECT_EQ(probe.reused_count(), 1u) << "conf " << confidence;
+    EXPECT_EQ(probe.recorded(), 1u) << "conf " << confidence;
+    EXPECT_EQ(probe.reused_count(), 2u) << "conf " << confidence;
   }
 }
 

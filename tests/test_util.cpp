@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -8,6 +9,7 @@
 #include <set>
 #include <string>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/bytes.h"
@@ -39,6 +41,26 @@ TEST(Env, BytesParsesPlainAndSuffixedValues) {
   EXPECT_EQ(clear::util::env_bytes("CLEAR_TEST_BYTES", 7), 7u);
   ::unsetenv("CLEAR_TEST_BYTES");
   EXPECT_EQ(clear::util::env_bytes("CLEAR_TEST_BYTES", 7), 7u);
+}
+
+// CLEAR_THREADS has one reading rule for campaigns, exploration and the
+// pool: a positive count is used, capped at 256; 0 or a negative count
+// means the hardware concurrency, at least 1.
+TEST(Env, ThreadsKnobMapsNonPositiveToHardwareAndCapsRunaways) {
+  const char* saved = std::getenv("CLEAR_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  ::setenv("CLEAR_THREADS", "0", 1);
+  EXPECT_EQ(clear::util::env_threads(), hw);
+  ::setenv("CLEAR_THREADS", "-3", 1);
+  EXPECT_EQ(clear::util::env_threads(), hw);
+  ::setenv("CLEAR_THREADS", "7", 1);
+  EXPECT_EQ(clear::util::env_threads(), 7u);
+  ::setenv("CLEAR_THREADS", "100000", 1);
+  EXPECT_EQ(clear::util::env_threads(), 256u);
+  ::unsetenv("CLEAR_THREADS");
+  EXPECT_EQ(clear::util::env_threads(), hw);
+  if (saved != nullptr) ::setenv("CLEAR_THREADS", restore.c_str(), 1);
 }
 
 TEST(Fs, EnsureDirCreatesIsIdempotentAndRejectsFiles) {
