@@ -199,25 +199,16 @@ double combo_cost_lower_bound(const Session& session,
 
 namespace {
 
-// Independence composition of a multi-layer combo's profile from its
+// Independence composition of a multi-layer combo's per-FF counts from its
 // single-layer profiles (combo_profile() documents the model).
-ProfileSet compose_profile(const Session& session, const Combo& combo) {
-  const ProfileSet& base = session.resident(Variant::base());
-  const std::vector<Variant> layers = combo_layer_variants(combo);
+struct Composed {
+  std::vector<std::uint64_t> sdc;
+  std::vector<std::uint64_t> due;
+  double exec_overhead = 0.0;
+};
 
-  ProfileSet out;
-  out.core = base.core;
-  out.variant_key = combo.variant().key() + "#composed";
-  out.ff_count = base.ff_count;
-  out.ff_total = base.ff_total;
-  // Names only: nothing downstream reads a composed set's campaigns.
-  out.benches.reserve(base.benches.size());
-  for (const BenchProfile& b : base.benches) {
-    BenchProfile named;
-    named.benchmark = b.benchmark;
-    named.base_cycles = b.base_cycles;
-    out.benches.push_back(std::move(named));
-  }
+Composed compose_counts(const Session& session, const Combo& combo) {
+  const ProfileSet& base = session.resident(Variant::base());
   std::vector<double> sdc(base.ff_count);
   std::vector<double> due(base.ff_count);
   for (std::uint32_t f = 0; f < base.ff_count; ++f) {
@@ -225,7 +216,7 @@ ProfileSet compose_profile(const Session& session, const Combo& combo) {
     due[f] = static_cast<double>(base.ff_due[f]);
   }
   double exec = 1.0;
-  for (const Variant& lv : layers) {
+  for (const Variant& lv : combo_layer_variants(combo)) {
     const ProfileSet& lp = session.resident(lv);
     exec *= 1.0 + std::max(0.0, lp.exec_overhead);
     for (std::uint32_t f = 0; f < base.ff_count; ++f) {
@@ -250,19 +241,12 @@ ProfileSet compose_profile(const Session& session, const Combo& combo) {
       }
     }
   }
-  out.ff_sdc.assign(base.ff_count, 0);
-  out.ff_due.assign(base.ff_count, 0);
-  out.totals = {};
+  Composed out;
+  out.sdc.resize(base.ff_count);
+  out.due.resize(base.ff_count);
   for (std::uint32_t f = 0; f < base.ff_count; ++f) {
-    out.ff_sdc[f] = static_cast<std::uint64_t>(sdc[f] + 0.5);
-    out.ff_due[f] = static_cast<std::uint64_t>(due[f] + 0.5);
-    out.totals.omm += static_cast<std::uint32_t>(out.ff_sdc[f]);
-    out.totals.ut += static_cast<std::uint32_t>(out.ff_due[f]);
-    const std::uint64_t rest =
-        base.ff_total[f] >= out.ff_sdc[f] + out.ff_due[f]
-            ? base.ff_total[f] - out.ff_sdc[f] - out.ff_due[f]
-            : 0;
-    out.totals.vanished += static_cast<std::uint32_t>(rest);
+    out.sdc[f] = static_cast<std::uint64_t>(sdc[f] + 0.5);
+    out.due[f] = static_cast<std::uint64_t>(due[f] + 0.5);
   }
   out.exec_overhead = exec - 1.0;
   return out;
@@ -272,41 +256,79 @@ ProfileSet compose_profile(const Session& session, const Combo& combo) {
 
 ProfileSet combo_profile(const Session& session, const Combo& combo) {
   if (combo.software_layers() <= 1) return session.resident(combo.variant());
-  return compose_profile(session, combo);
+  const ProfileSet& base = session.resident(Variant::base());
+  Composed c = compose_counts(session, combo);
+
+  ProfileSet out;
+  out.core = base.core;
+  out.variant_key = combo.variant().key() + "#composed";
+  out.ff_count = base.ff_count;
+  out.ff_total = base.ff_total;
+  // Names only: nothing downstream reads a composed set's campaigns.
+  out.benches.reserve(base.benches.size());
+  for (const BenchProfile& b : base.benches) {
+    BenchProfile named;
+    named.benchmark = b.benchmark;
+    named.base_cycles = b.base_cycles;
+    out.benches.push_back(std::move(named));
+  }
+  for (std::uint32_t f = 0; f < base.ff_count; ++f) {
+    out.totals.omm += static_cast<std::uint32_t>(c.sdc[f]);
+    out.totals.ut += static_cast<std::uint32_t>(c.due[f]);
+    const std::uint64_t rest =
+        base.ff_total[f] >= c.sdc[f] + c.due[f]
+            ? base.ff_total[f] - c.sdc[f] - c.due[f]
+            : 0;
+    out.totals.vanished += static_cast<std::uint32_t>(rest);
+  }
+  out.ff_sdc = std::move(c.sdc);
+  out.ff_due = std::move(c.due);
+  out.exec_overhead = c.exec_overhead;
+  return out;
 }
 
-ComboPoint evaluate_combo(const Session& session, const Selector& selector,
-                          const Combo& combo, double target, Metric metric) {
-  // A measured single-layer profile is read in place; only a composed
-  // one is built.
-  ProfileSet composed;
-  const ProfileSet* measured = nullptr;
+ComboStack::ComboStack(const Session& session, const Combo& combo,
+                       Metric metric) {
+  const ProfileSet& base = session.resident(Variant::base());
   if (combo.software_layers() <= 1) {
-    measured = &session.resident(combo.variant());
+    profile_ = ProfileView(session.resident(combo.variant()));
   } else {
-    composed = compose_profile(session, combo);
+    // A composed stack keeps the base's FF totals and benchmark names.
+    Composed c = compose_counts(session, combo);
+    sdc_ = std::move(c.sdc);
+    due_ = std::move(c.due);
+    profile_ = ProfileView(base);
+    profile_.sdc = sdc_.data();
+    profile_.due = due_.data();
+    profile_.exec_overhead = c.exec_overhead;
   }
-  const ProfileSet& prof = measured != nullptr ? *measured : composed;
-  const ProfileSet& base_full = session.resident(Variant::base());
-  ProfileSet base_sub;
-  const ProfileSet* base = &base_full;
-  if (prof.benches.size() != base_full.benches.size()) {
-    std::vector<std::string> names;
-    for (const auto& b : prof.benches) names.push_back(b.benchmark);
-    base_sub = session.subset(base_full, names);
-    base = &base_sub;
+  // The unprotected reference covers the profile's benchmarks: all of
+  // them, or the ABFT-capable subset a measured ABFT profile ran on.
+  ErrorMass orig = base.mass();
+  if (profile_.benches->size() != base.benches.size()) {
+    inject::OutcomeCounts kept;
+    for (const BenchProfile& bp : base.benches) {
+      for (const BenchProfile& p : *profile_.benches) {
+        if (p.benchmark == bp.benchmark) kept.merge(bp.campaign.totals);
+      }
+    }
+    orig = mass_of(kept);
   }
+  basis_ = selection_basis(metric, orig, profile_, profile_);
+}
 
+ComboPoint evaluate_combo(const Selector& selector, const ComboStack& stack,
+                          const Combo& combo, double target) {
   SelectionSpec spec;
   spec.palette = combo.has_tunable() ? combo.palette() : Palette::none();
-  spec.metric = metric;
-  spec.target = combo.has_tunable() ? target : 0.0;  // fixed point otherwise
+  spec.metric = stack.basis().metric;
+  // Without a tunable technique there is only the fixed point.
+  spec.target = combo.has_tunable() ? target : -1.0;
   spec.recovery = combo.recovery;
   spec.variant = combo.variant();
-  if (!combo.has_tunable()) spec.target = -1.0;
 
-  const CostReport rep =
-      selector.evaluate_with_profiles(spec, *base, prof, prof);
+  const CostReport rep = selector.evaluate_prepared(
+      spec, stack.basis(), stack.profile(), stack.profile());
   ComboPoint p;
   p.combo = combo.name();
   p.target = combo.has_tunable() ? target : 0.0;
@@ -318,6 +340,12 @@ ComboPoint evaluate_combo(const Session& session, const Selector& selector,
   p.sdc_protected_pct = rep.sdc_protected_frac * 100.0;
   p.imp = rep.imp;
   return p;
+}
+
+ComboPoint evaluate_combo(const Session& session, const Selector& selector,
+                          const Combo& combo, double target, Metric metric) {
+  const ComboStack stack(session, combo, metric);
+  return evaluate_combo(selector, stack, combo, target);
 }
 
 }  // namespace clear::core

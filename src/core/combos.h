@@ -114,11 +114,49 @@ struct ComboPoint {
   Improvement imp;
 };
 
-// Evaluates one combination at one SDC-improvement target.  Full
-// design-space exploration (Fig. 1d) lives in explore::run_exploration,
-// which drives this per combination with sharding, resume and pruning.
-// Read-only (the profiles of combo_variants() must be resident): threads
-// may evaluate combos concurrently against one Session and one Selector.
+// A combo's software stack prepared for selective hardening under one
+// metric: the profile it is evaluated on (the measured one by reference,
+// or its composed per-FF counts), the base reference mass over the same
+// benchmarks, and the selection basis (starting masses and vulnerability
+// order).  None of it depends on the combo's hardware palette, target or
+// recovery, so a stack is a function of (session, combo.variant(),
+// metric): an exploration builds one per stack and evaluates every combo
+// on that stack through it.  Reads the resident profiles of
+// combo_variants(combo), which the Session keeps alive; not copyable,
+// because the view may point into the stack's own counts.
+class ComboStack {
+ public:
+  ComboStack(const Session& session, const Combo& combo, Metric metric);
+  ComboStack(const ComboStack&) = delete;
+  ComboStack& operator=(const ComboStack&) = delete;
+
+  [[nodiscard]] const ProfileView& profile() const noexcept {
+    return profile_;
+  }
+  [[nodiscard]] const SelectionBasis& basis() const noexcept {
+    return basis_;
+  }
+
+ private:
+  std::vector<std::uint64_t> sdc_;  // composed stacks only
+  std::vector<std::uint64_t> due_;
+  ProfileView profile_;
+  SelectionBasis basis_;
+};
+
+// Evaluates one combination at one SDC-improvement target on its prepared
+// stack (`stack` built for a combo with the same variant()).  Read-only:
+// threads may evaluate combos concurrently through shared stacks and one
+// Selector.  Full design-space exploration (Fig. 1d) lives in
+// explore::run_exploration, which keeps one stack per software stack and
+// drives this per combination with sharding, resume and pruning.
+[[nodiscard]] ComboPoint evaluate_combo(const Selector& selector,
+                                        const ComboStack& stack,
+                                        const Combo& combo, double target);
+
+// The same for one combo on its own: builds the combo's stack, then
+// evaluates through it.  Read-only (the profiles of combo_variants() must
+// be resident).
 [[nodiscard]] ComboPoint evaluate_combo(const Session& session,
                                         const Selector& selector,
                                         const Combo& combo, double target,

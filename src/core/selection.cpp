@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <stdexcept>
 
 #include "resilience/parity.h"
 #include "util/stats.h"
@@ -52,36 +53,101 @@ Selector::Selector(Session& session) : session_(&session) {
 
 Selector::~Selector() = default;
 
+ProfileView::ProfileView(const ProfileSet& p)
+    : ff_count(p.ff_count),
+      sdc(p.ff_sdc.data()),
+      due(p.ff_due.data()),
+      total(p.ff_total.data()),
+      exec_overhead(p.exec_overhead),
+      benches(&p.benches) {}
+
+namespace {
+
+// The count a metric ranks and stops on.
+double metric_count(Metric metric, const ProfileView& p, std::uint32_t f) {
+  switch (metric) {
+    case Metric::kSdc: return static_cast<double>(p.sdc[f]);
+    case Metric::kDue: return static_cast<double>(p.due[f]);
+    case Metric::kJoint: return static_cast<double>(p.sdc[f] + p.due[f]);
+  }
+  return 0.0;
+}
+
+ErrorMass summed_mass(const ProfileView& p) {
+  ErrorMass m;
+  for (std::uint32_t f = 0; f < p.ff_count; ++f) {
+    m.sdc += static_cast<double>(p.sdc[f]);
+    m.due += static_cast<double>(p.due[f]);
+  }
+  return m;
+}
+
+}  // namespace
+
+SelectionBasis selection_basis(Metric metric, const ErrorMass& orig,
+                               const ProfileView& train,
+                               const ProfileView& validate) {
+  SelectionBasis b;
+  b.metric = metric;
+  b.orig = orig;
+  b.train = summed_mass(train);
+  b.validate = summed_mass(validate);
+  for (std::uint32_t f = 0; f < train.ff_count; ++f) {
+    if (metric_count(metric, train, f) > 0) b.ranked.push_back(f);
+  }
+  std::stable_sort(b.ranked.begin(), b.ranked.end(),
+                   [&](std::uint32_t x, std::uint32_t y) {
+                     return metric_count(metric, train, x) >
+                            metric_count(metric, train, y);
+                   });
+  return b;
+}
+
 CostReport Selector::evaluate(const SelectionSpec& spec) {
   const ProfileSet& prot = session_->profiles(spec.variant);
   const ProfileSet& base_full = session_->profiles(Variant::base());
   if (prot.benches.size() == base_full.benches.size()) {
-    return run_selection(spec, base_full, base_full, prot, prot, false);
+    return evaluate_with_profiles(spec, base_full, prot, prot);
   }
   std::vector<std::string> names;
   for (const auto& b : prot.benches) names.push_back(b.benchmark);
   const ProfileSet base_sub = session_->subset(base_full, names);
-  return run_selection(spec, base_sub, base_sub, prot, prot, false);
+  return evaluate_with_profiles(spec, base_sub, prot, prot);
 }
 
 CostReport Selector::evaluate_with_profiles(const SelectionSpec& spec,
                                             const ProfileSet& base,
                                             const ProfileSet& train,
                                             const ProfileSet& validate) const {
-  return run_selection(spec, base, base, train, validate, false);
+  const ProfileView t(train);
+  const ProfileView v(validate);
+  return run_selection(spec, selection_basis(spec.metric, base.mass(), t, v),
+                       t, v, false);
+}
+
+CostReport Selector::evaluate_prepared(const SelectionSpec& spec,
+                                       const SelectionBasis& basis,
+                                       const ProfileView& train,
+                                       const ProfileView& validate) const {
+  if (spec.metric != basis.metric) {
+    throw std::invalid_argument(
+        "Selector::evaluate_prepared: the basis ranks another metric");
+  }
+  return run_selection(spec, basis, train, validate, false);
 }
 
 CostReport Selector::evaluate_cost_greedy(const SelectionSpec& spec) {
   const ProfileSet& prot = session_->profiles(spec.variant);
   const ProfileSet& base = session_->profiles(Variant::base());
-  return run_selection(spec, base, base, prot, prot, true);
+  const ProfileView p(prot);
+  return run_selection(spec, selection_basis(spec.metric, base.mass(), p, p),
+                       p, p, true);
 }
 
 CostReport Selector::run_selection(const SelectionSpec& spec,
-                                   const ProfileSet& base_train,
-                                   const ProfileSet& base_validate,
-                                   const ProfileSet& train,
-                                   const ProfileSet& validate,
+                                   const SelectionBasis& basis,
+                                   const ProfileView& train,
+                                   const ProfileView& validate,
                                    bool cost_greedy) const {
   const std::uint32_t n = train.ff_count;
   const bool max_point = spec.target <= 0.0;
@@ -130,51 +196,41 @@ CostReport Selector::run_selection(const SelectionSpec& spec,
     }
   };
 
-  // Candidate metric for ordering / stopping.
-  auto metric_count = [&](std::uint32_t f) -> double {
-    switch (spec.metric) {
-      case Metric::kSdc: return static_cast<double>(train.ff_sdc[f]);
-      case Metric::kDue: return static_cast<double>(train.ff_due[f]);
-      case Metric::kJoint:
-        return static_cast<double>(train.ff_sdc[f] + train.ff_due[f]);
-    }
-    return 0.0;
+  auto count = [&](std::uint32_t f) {
+    return metric_count(spec.metric, train, f);
   };
 
-  // Rough per-FF energy proxy for the cost-greedy ablation ordering.
-  const double dice_cost = (phys::ff_cell(arch::FFProt::kLeapDice).power - 1) /
-                           model_->total_power();
-  phys::ParityPlan unit_plan;
-  unit_plan.groups.push_back({std::vector<std::uint32_t>(16, 0), true});
-  const double parity_cost = model_->parity_overhead(unit_plan).power / 16.0;
-  const double eds_cost = model_->eds_overhead(16).power / 16.0;
-  auto tech_cost = [&](arch::FFProt t) {
-    switch (t) {
-      case arch::FFProt::kParity: return parity_cost;
-      case arch::FFProt::kEds: return eds_cost;
-      default: return dice_cost;
+  // The cost-greedy ablation's order: every candidate FF, stable-sorted
+  // by error mass removed per unit of a rough per-FF energy proxy.
+  std::vector<std::uint32_t> cost_order;
+  if (cost_greedy) {
+    const double dice_cost =
+        (phys::ff_cell(arch::FFProt::kLeapDice).power - 1) /
+        model_->total_power();
+    phys::ParityPlan unit_plan;
+    unit_plan.groups.push_back({std::vector<std::uint32_t>(16, 0), true});
+    const double parity_cost =
+        model_->parity_overhead(unit_plan).power / 16.0;
+    const double eds_cost = model_->eds_overhead(16).power / 16.0;
+    auto tech_cost = [&](arch::FFProt t) {
+      switch (t) {
+        case arch::FFProt::kParity: return parity_cost;
+        case arch::FFProt::kEds: return eds_cost;
+        default: return dice_cost;
+      }
+    };
+    for (std::uint32_t f = 0; f < n; ++f) {
+      if (max_point || count(f) > 0) cost_order.push_back(f);
     }
-  };
-
-  std::vector<std::uint32_t> order;
-  order.reserve(n);
-  for (std::uint32_t f = 0; f < n; ++f) {
-    if (max_point || metric_count(f) > 0 ||
-        (spec.metric == Metric::kJoint &&
-         train.ff_sdc[f] + train.ff_due[f] > 0)) {
-      order.push_back(f);
-    }
+    std::stable_sort(cost_order.begin(), cost_order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       const double ka =
+                           count(a) / std::max(1e-12, tech_cost(choose_tech(a)));
+                       const double kb =
+                           count(b) / std::max(1e-12, tech_cost(choose_tech(b)));
+                       return ka > kb;
+                     });
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     double ka = metric_count(a);
-                     double kb = metric_count(b);
-                     if (cost_greedy) {
-                       ka /= std::max(1e-12, tech_cost(choose_tech(a)));
-                       kb /= std::max(1e-12, tech_cost(choose_tech(b)));
-                     }
-                     return ka > kb;
-                   });
 
   // Fixed contributions from the variant's non-tunable techniques.
   double fixed_ff_delta = model_->recovery_ff_delta(spec.recovery);
@@ -183,18 +239,14 @@ CostReport Selector::run_selection(const SelectionSpec& spec,
   const double exec = std::max(0.0, train.exec_overhead);
 
   // Running masses.
-  double t_sdc = 0, t_due = 0, v_sdc = 0, v_due = 0;
-  for (std::uint32_t f = 0; f < n; ++f) {
-    t_sdc += static_cast<double>(train.ff_sdc[f]);
-    t_due += static_cast<double>(train.ff_due[f]);
-    v_sdc += static_cast<double>(validate.ff_sdc[f]);
-    v_due += static_cast<double>(validate.ff_due[f]);
-  }
-  const ErrorMass orig_t = base_train.mass();
-  const ErrorMass orig_v = base_validate.mass();
+  double t_sdc = basis.train.sdc, t_due = basis.train.due;
+  double v_sdc = basis.validate.sdc, v_due = basis.validate.due;
+  const ErrorMass orig = basis.orig;
 
   std::vector<arch::FFProt> prot(n, arch::FFProt::kNone);
-  std::size_t selected = 0;
+  // The FFs given a technique; sorted ascending below, so every sum over
+  // them adds the terms a whole-design pass would add, in its order.
+  std::vector<std::uint32_t> hardened;
   std::size_t n_parity = 0;
 
   auto parity_delta_estimate = [&]() {
@@ -206,10 +258,10 @@ CostReport Selector::run_selection(const SelectionSpec& spec,
     return gamma_correction(fixed_ff_delta + parity_delta_estimate(), exec);
   };
   auto met = [&]() {
-    if (max_point) return selected >= order.size();
+    if (max_point) return false;  // the max point walks every candidate
     const double g = gamma_now();
-    const double si = ratio_capped(orig_t.sdc, t_sdc) / g;
-    const double di = ratio_capped(orig_t.due, t_due) / g;
+    const double si = ratio_capped(orig.sdc, t_sdc) / g;
+    const double di = ratio_capped(orig.due, t_due) / g;
     switch (spec.metric) {
       case Metric::kSdc: return si >= spec.target;
       case Metric::kDue: return di >= spec.target;
@@ -218,61 +270,85 @@ CostReport Selector::run_selection(const SelectionSpec& spec,
     return true;
   };
 
-  while (selected < order.size() && !met()) {
-    const std::uint32_t f = order[selected++];
+  auto protect = [&](std::uint32_t f) {
     arch::FFProt tech = choose_tech(f);
     if (spec.use_leap_ctrl && tech == arch::FFProt::kLeapDice &&
         spec.variant.abft == workloads::AbftKind::kCorrection) {
       tech = arch::FFProt::kLeapCtrlRes;
     }
     prot[f] = tech;
+    hardened.push_back(f);
     if (tech == arch::FFProt::kParity) ++n_parity;
     const auto [ts, td] =
-        residual(f, tech, static_cast<double>(train.ff_sdc[f]),
-                 static_cast<double>(train.ff_due[f]),
-                 static_cast<double>(train.ff_total[f]));
-    t_sdc += ts - static_cast<double>(train.ff_sdc[f]);
-    t_due += td - static_cast<double>(train.ff_due[f]);
+        residual(f, tech, static_cast<double>(train.sdc[f]),
+                 static_cast<double>(train.due[f]),
+                 static_cast<double>(train.total[f]));
+    t_sdc += ts - static_cast<double>(train.sdc[f]);
+    t_due += td - static_cast<double>(train.due[f]);
     const auto [vs, vd] =
-        residual(f, tech, static_cast<double>(validate.ff_sdc[f]),
-                 static_cast<double>(validate.ff_due[f]),
-                 static_cast<double>(validate.ff_total[f]));
-    v_sdc += vs - static_cast<double>(validate.ff_sdc[f]);
-    v_due += vd - static_cast<double>(validate.ff_due[f]);
+        residual(f, tech, static_cast<double>(validate.sdc[f]),
+                 static_cast<double>(validate.due[f]),
+                 static_cast<double>(validate.total[f]));
+    v_sdc += vs - static_cast<double>(validate.sdc[f]);
+    v_due += vd - static_cast<double>(validate.due[f]);
+  };
+
+  // The greedy walk.  With an empty palette every step would leave its FF
+  // unprotected and add exactly zero to each mass, so there is none.
+  if (spec.palette.any()) {
+    for (const std::uint32_t f : cost_greedy ? cost_order : basis.ranked) {
+      if (met()) break;
+      protect(f);
+    }
+    if (max_point && !cost_greedy) {
+      for (std::uint32_t f = 0; f < n; ++f) {
+        if (!(count(f) > 0)) protect(f);
+      }
+    }
   }
 
   CostReport rep;
   rep.exec = exec;
   // LHL backfill (Sec. 4): protect everything the benchmarks didn't flag.
   if (spec.lhl_backfill) {
+    hardened.clear();
     for (std::uint32_t f = 0; f < n; ++f) {
+      hardened.push_back(f);
       if (prot[f] != arch::FFProt::kNone) continue;
       prot[f] = arch::FFProt::kLhl;
       ++rep.n_lhl;
-      t_sdc -= static_cast<double>(train.ff_sdc[f]) * (1 - kLhlResidual);
-      t_due -= static_cast<double>(train.ff_due[f]) * (1 - kLhlResidual);
-      v_sdc -= static_cast<double>(validate.ff_sdc[f]) * (1 - kLhlResidual);
-      v_due -= static_cast<double>(validate.ff_due[f]) * (1 - kLhlResidual);
+      t_sdc -= static_cast<double>(train.sdc[f]) * (1 - kLhlResidual);
+      t_due -= static_cast<double>(train.due[f]) * (1 - kLhlResidual);
+      v_sdc -= static_cast<double>(validate.sdc[f]) * (1 - kLhlResidual);
+      v_due -= static_cast<double>(validate.due[f]) * (1 - kLhlResidual);
     }
   }
+  std::sort(hardened.begin(), hardened.end());
 
   // Materialize the parity plan (optimized heuristic, Fig. 3).
   std::vector<std::uint32_t> parity_ffs;
-  for (std::uint32_t f = 0; f < n; ++f) {
-    if (prot[f] == arch::FFProt::kParity) parity_ffs.push_back(f);
+  std::size_t n_eds = 0;
+  for (const std::uint32_t f : hardened) {
+    switch (prot[f]) {
+      case arch::FFProt::kLeapDice: ++rep.n_dice; break;
+      case arch::FFProt::kLeapCtrlRes: ++rep.n_ctrl; break;
+      case arch::FFProt::kParity: parity_ffs.push_back(f); break;
+      case arch::FFProt::kEds: ++n_eds; break;
+      default: break;
+    }
   }
   rep.parity_plan = resilience::build_parity_plan(
       *proto_, *model_, parity_ffs, resilience::ParityHeuristic::kOptimized);
 
   rep.ff_delta = fixed_ff_delta + model_->parity_ff_delta(rep.parity_plan);
   rep.gamma = gamma_correction(rep.ff_delta, exec);
-  rep.imp = improvement(orig_v, {v_sdc, v_due}, rep.gamma);
+  rep.imp = improvement(orig, {v_sdc, v_due}, rep.gamma);
   rep.sdc_protected_frac =
-      orig_v.sdc > 0 ? std::clamp(1.0 - v_sdc / orig_v.sdc, 0.0, 1.0) : 1.0;
+      orig.sdc > 0 ? std::clamp(1.0 - v_sdc / orig.sdc, 0.0, 1.0) : 1.0;
   {
     const double g = rep.gamma;
-    const double si = ratio_capped(orig_t.sdc, t_sdc) / g;
-    const double di = ratio_capped(orig_t.due, t_due) / g;
+    const double si = ratio_capped(orig.sdc, t_sdc) / g;
+    const double di = ratio_capped(orig.due, t_due) / g;
     switch (spec.metric) {
       case Metric::kSdc: rep.target_met = max_point || si >= spec.target; break;
       case Metric::kDue: rep.target_met = max_point || di >= spec.target; break;
@@ -283,19 +359,9 @@ CostReport Selector::run_selection(const SelectionSpec& spec,
   }
 
   // Costs.
-  std::size_t n_eds = 0;
-  for (std::uint32_t f = 0; f < n; ++f) {
-    switch (prot[f]) {
-      case arch::FFProt::kLeapDice: ++rep.n_dice; break;
-      case arch::FFProt::kLeapCtrlRes: ++rep.n_ctrl; break;
-      case arch::FFProt::kParity: break;
-      case arch::FFProt::kEds: ++n_eds; break;
-      default: break;
-    }
-  }
   rep.n_parity = parity_ffs.size();
   rep.n_eds = n_eds;
-  phys::Overhead oh = model_->hardening_overhead(prot);
+  phys::Overhead oh = model_->hardening_overhead(prot, hardened);
   oh += model_->parity_overhead(rep.parity_plan);
   oh += model_->eds_overhead(n_eds);
   if (spec.variant.dfc) oh += model_->dfc_overhead();
@@ -308,7 +374,7 @@ CostReport Selector::run_selection(const SelectionSpec& spec,
   const std::string design_key = session_->core() + "/" +
                                  spec.variant.key() + "/t" +
                                  std::to_string(spec.target);
-  for (const auto& b : validate.benches) {
+  for (const auto& b : *validate.benches) {
     noise.add(model_->spnr_noise(design_key, b.benchmark));
   }
   const double mean_noise = noise.count() ? noise.mean() : 1.0;

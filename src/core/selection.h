@@ -83,6 +83,44 @@ struct CostReport {
   phys::ParityPlan parity_plan;
 };
 
+// One profile as a selection reads it: per-FF counts (ff_count each), the
+// error-free execution overhead and the benchmark names (the SP&R noise
+// reads only those).  Views a measured ProfileSet, or the composed counts
+// of a multi-layer software stack (core::ComboStack), which has no
+// campaigns of its own.  The viewed storage must outlive the view.
+struct ProfileView {
+  std::uint32_t ff_count = 0;
+  const std::uint64_t* sdc = nullptr;
+  const std::uint64_t* due = nullptr;
+  const std::uint64_t* total = nullptr;
+  double exec_overhead = 0.0;
+  const std::vector<BenchProfile>* benches = nullptr;
+
+  ProfileView() = default;
+  explicit ProfileView(const ProfileSet& p);
+};
+
+// What a selection needs of its profile pair under one metric, whatever
+// the palette, target and recovery: the reference and starting masses and
+// the vulnerability order.  An exploration computes it once per software
+// stack (core::ComboStack) instead of once per combo.
+struct SelectionBasis {
+  Metric metric = Metric::kSdc;
+  ErrorMass orig;      // the unprotected base design (the reference)
+  ErrorMass train;     // the train profile's per-FF counts, summed in FF
+  ErrorMass validate;  // index order (likewise for validate)
+  // The FFs with a nonzero metric count in train, stable-sorted by
+  // descending count.  The stable sort of every FF puts the zero-count
+  // FFs after these, in index order, so every target walks a prefix of
+  // that one order and the max point walks all of it.
+  std::vector<std::uint32_t> ranked;
+};
+
+[[nodiscard]] SelectionBasis selection_basis(Metric metric,
+                                             const ErrorMass& orig,
+                                             const ProfileView& train,
+                                             const ProfileView& validate);
+
 // evaluate() and evaluate_cost_greedy() collect missing profiles through
 // the session; everything else is const and safe to share across threads.
 class Selector {
@@ -105,6 +143,14 @@ class Selector {
       const SelectionSpec& spec, const ProfileSet& base,
       const ProfileSet& train, const ProfileSet& validate) const;
 
+  // The same evaluation on a basis prepared beforehand from `train` and
+  // `validate` (selection_basis); spec.metric must be basis.metric.
+  // Read-only, like evaluate_with_profiles.
+  [[nodiscard]] CostReport evaluate_prepared(const SelectionSpec& spec,
+                                             const SelectionBasis& basis,
+                                             const ProfileView& train,
+                                             const ProfileView& validate) const;
+
   // Ablation: replace the vulnerability-ordered greedy of Fig. 7 with a
   // cost-effectiveness-ordered greedy (error mass removed per unit energy).
   CostReport evaluate_cost_greedy(const SelectionSpec& spec);
@@ -115,13 +161,13 @@ class Selector {
       const CostReport& report, arch::RecoveryKind recovery) const;
 
  private:
-  // base_train / base_validate: unprotected reference masses matching the
-  // benchmark coverage of `train` / `validate` respectively.
+  // The cost-greedy ablation orders FFs by its own palette-dependent key
+  // instead of basis.ranked.
   CostReport run_selection(const SelectionSpec& spec,
-                           const ProfileSet& base_train,
-                           const ProfileSet& base_validate,
-                           const ProfileSet& train,
-                           const ProfileSet& validate, bool cost_greedy) const;
+                           const SelectionBasis& basis,
+                           const ProfileView& train,
+                           const ProfileView& validate,
+                           bool cost_greedy) const;
 
   Session* session_;
   std::unique_ptr<arch::Core> proto_;

@@ -208,9 +208,11 @@ class Session {
   // install of a variant wins; recomputed duplicates are identical).
   void install(const PrefetchTicket::Batch& batch,
                std::vector<inject::CampaignResult> campaigns);
-  // Error-free cycles of a benchmark's base program on this core, run
-  // once per benchmark and memoized (every variant's overhead divides by
-  // it).
+  // Error-free cycles of a benchmark's base program on this core (every
+  // variant's overhead divides by it): the golden cycles of the base
+  // profile's campaign when base is resident, or installed earlier in the
+  // same batch (exploration lists base first).  Otherwise the base
+  // program runs once per benchmark and is memoized.
   std::uint64_t base_cycles(const std::string& bench);
 
   std::string core_;

@@ -4,12 +4,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "arch/core.h"
 #include "core/selection.h"
 #include "core/session.h"
+#include "obs/metrics.h"
 #include "util/args.h"
 #include "util/fs.h"
 #include "util/threadpool.h"
@@ -312,6 +315,34 @@ Ledger run_exploration(const ExploreSpec& spec, const std::string& ledger_path,
   const unsigned eval_threads = util::env_threads();
   util::ThreadPool eval_pool(eval_threads);
 
+  // Stack table: one prepared core::ComboStack per software stack
+  // (Combo::variant().key()), shared by every combo on it.  fill_stacks
+  // builds the stacks a list of combos needs that are not built yet, in
+  // parallel across stacks (each into its own map node), and points
+  // stack_of at them before the list is evaluated; evaluation then only
+  // reads the table, so it takes no lock.
+  std::map<std::string, std::unique_ptr<core::ComboStack>> stacks;
+  std::vector<const core::ComboStack*> stack_of(combos.size(), nullptr);
+  static obs::Counter& stacks_built = obs::counter("explore.stacks");
+  const auto fill_stacks = [&](const std::vector<std::uint32_t>& indices) {
+    using Slot = std::unique_ptr<core::ComboStack>;
+    std::vector<std::pair<std::uint32_t, Slot*>> build;
+    std::vector<Slot*> slots;
+    for (const std::uint32_t i : indices) {
+      const auto [it, fresh] = stacks.try_emplace(combos[i].variant().key());
+      if (fresh) build.emplace_back(i, &it->second);
+      slots.push_back(&it->second);
+    }
+    eval_pool.run(build.size(), eval_threads, [&](std::size_t k, unsigned) {
+      *build[k].second = std::make_unique<core::ComboStack>(
+          session, combos[build[k].first], spec.metric);
+    });
+    stacks_built.add(build.size());
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      stack_of[indices[k]] = slots[k]->get();
+    }
+  };
+
   // Anchors: the fixed flagship designs, evaluated at their "max" point.
   // Every shard computes them (the campaign cache makes repeats cheap)
   // because the pruning bar derives from them; only shard 0 records them,
@@ -360,11 +391,12 @@ Ledger run_exploration(const ExploreSpec& spec, const std::string& ledger_path,
         batch_variants(0, std::min(pending.size(), batch)));
   }
 
+  fill_stacks(anchors);
   std::vector<core::ComboPoint> anchor_points(anchors.size());
   eval_pool.run(anchors.size(), eval_threads, [&](std::size_t k, unsigned) {
-    anchor_points[k] = core::evaluate_combo(session, selector,
-                                            combos[anchors[k]], -1.0,
-                                            spec.metric);
+    const std::uint32_t ai = anchors[k];
+    anchor_points[k] =
+        core::evaluate_combo(selector, *stack_of[ai], combos[ai], -1.0);
   });
   double prune_bar = std::numeric_limits<double>::infinity();
   for (std::size_t k = 0; k < anchors.size(); ++k) {
@@ -433,8 +465,13 @@ Ledger run_exploration(const ExploreSpec& spec, const std::string& ledger_path,
     }
 
     // Parallel pass: the batch's profiles are resident and the session is
-    // not mutated until the next commit, so workers share the Session and
-    // the Selector read-only.
+    // not mutated until the next commit, and the stack table is filled
+    // beforehand, so workers share the stacks and the Selector read-only.
+    std::vector<std::uint32_t> speculative_combos;
+    for (const std::size_t j : speculative) {
+      speculative_combos.push_back(pending[start + j]);
+    }
+    fill_stacks(speculative_combos);
     eval_pool.run(speculative.size(), eval_threads,
                   [&](std::size_t k, unsigned) {
                     check_cancel();
@@ -442,8 +479,8 @@ Ledger run_exploration(const ExploreSpec& spec, const std::string& ledger_path,
                     const std::uint32_t index = pending[start + j];
                     recs[j] = point_record(
                         RecordKind::kPoint, index,
-                        core::evaluate_combo(session, selector, combos[index],
-                                             spec.target, spec.metric));
+                        core::evaluate_combo(selector, *stack_of[index],
+                                             combos[index], spec.target));
                   });
 
     // In-order fold: applies the live bar exactly as a serial run would,

@@ -1301,6 +1301,29 @@ std::vector<CampaignResult> execute_campaigns(
   std::uint64_t executed_sofar = 0;
 
   const std::size_t njobs = jobs.size();
+  // Shards of one campaign in this batch fork from one recording: the
+  // first of them (the leader) records it, or takes it from the
+  // TrajectoryMemo, and hands it to the others (its followers) before
+  // they become ready.
+  std::vector<std::size_t> leaders;
+  std::vector<std::vector<std::size_t>> followers(njobs);
+  {
+    std::vector<std::pair<std::uint64_t, std::size_t>> sharded;  // id, leader
+    for (std::size_t j = 0; j < njobs; ++j) {
+      if (jobs[j].spec->shard_count > 1) {
+        const std::uint64_t id = memo_identity(jobs[j]);
+        const auto same = std::find_if(
+            sharded.begin(), sharded.end(),
+            [&](const auto& e) { return e.first == id; });
+        if (same != sharded.end()) {
+          followers[same->second].push_back(j);
+          continue;
+        }
+        sharded.emplace_back(id, j);
+      }
+      leaders.push_back(j);
+    }
+  }
   std::mutex batch_m;
   std::condition_variable batch_cv;
   std::vector<char> ready(njobs, 0);  // golden attempted (set even on throw)
@@ -1336,36 +1359,46 @@ std::vector<CampaignResult> execute_campaigns(
       prefix[j + 1] = prefix[j] + count;
     }
     const std::size_t total = prefix[njobs];
-    const std::size_t lead = with_goldens ? njobs : 0;
+    const std::size_t lead = with_goldens ? leaders.size() : 0;
     if (lead + total == 0) return;
     for (std::size_t j = 0; j < njobs; ++j) {
       jobs[j].outcomes.assign(prefix[j + 1] - prefix[j], Outcome::kVanished);
     }
     util::ThreadPool::instance().run(
         lead + total, threads, [&](std::size_t i, unsigned /*worker_id*/) {
-          if (with_goldens && i < njobs) {
+          if (i < lead) {
+            const std::size_t l = leaders[i];
+            const std::vector<std::size_t>& shares = followers[l];
+            std::shared_ptr<const GoldenTrajectory> traj;
             try {
               check_cancel(cancel);
-              CampaignJob& job = jobs[i];
-              job.traj = golden_for(job, cancel);
-              job.nominal_cycles = job.traj->golden.cycles;
-              job.nominal_instrs = job.traj->golden.instrs;
+              traj = golden_for(jobs[l], cancel);
             } catch (...) {
               {
                 std::lock_guard<std::mutex> g(batch_m);
-                ready[i] = 1;  // wake waiters; golden_ok stays 0
+                // Wake waiters; golden_ok stays 0.
+                ready[l] = 1;
+                for (const std::size_t k : shares) ready[k] = 1;
               }
               batch_cv.notify_all();
               throw;  // first exception is rethrown by the pool
             }
+            metrics().golden_reused.add(shares.size());
             {
               std::lock_guard<std::mutex> g(batch_m);
-              ready[i] = 1;
-              golden_ok[i] = 1;
+              const auto take = [&](std::size_t k) {
+                jobs[k].traj = traj;
+                jobs[k].nominal_cycles = traj->golden.cycles;
+                jobs[k].nominal_instrs = traj->golden.instrs;
+                ready[k] = golden_ok[k] = 1;
+              };
+              take(l);
+              for (const std::size_t k : shares) take(k);
             }
             batch_cv.notify_all();
             if (hooks.goldens_done) {
-              hooks.goldens_done->fetch_add(1, std::memory_order_relaxed);
+              hooks.goldens_done->fetch_add(1 + shares.size(),
+                                            std::memory_order_relaxed);
             }
             return;
           }

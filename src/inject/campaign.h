@@ -50,9 +50,10 @@
 // Batching: a batch of campaigns runs as one pool job, so golden-run
 // recordings of later campaigns overlap the faulty runs of earlier ones
 // instead of serializing on the caller thread.  Shards of one campaign
-// that miss the memo at the same moment (in one batch, or in batches
-// running at once) do not wait for each other: each records, and the
-// first recording to finish is kept.
+// in one batch fork from one recording: the first of them records it (or
+// finds it in the memo) and hands it to the others.  Shards in batches
+// running at once that miss the memo at the same moment do not wait for
+// each other: each records, and the first recording to finish is kept.
 //
 // Execution layering: this header owns the campaign vocabulary (spec,
 // result, classification, merge); the blocking simulation core lives

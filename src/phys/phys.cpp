@@ -155,9 +155,14 @@ PhysModel::PhysModel(const arch::Core& core) {
     x += gap;
     positions_[f] = x;
   }
+  // Every parity plan reads slack for each of its members: tabulate it.
+  std::vector<double> slack(ff_count_);
+  for (std::uint32_t f = 0; f < ff_count_; ++f) slack[f] = slack_ps(f);
+  slack_ = std::move(slack);
 }
 
 double PhysModel::slack_ps(std::uint32_t ff) const {
+  if (ff < slack_.size()) return slack_[ff];
   const double period = period_ps();
   const double z = hash_gauss(util::hash_combine(salt_ ^ 0x51ACull, ff));
   double path = period * (path_mean_frac_ + path_sd_frac_ * z);
@@ -254,8 +259,17 @@ std::uint32_t PhysModel::adjacent_ff(std::uint32_t ff) const {
 
 Overhead PhysModel::hardening_overhead(
     const std::vector<arch::FFProt>& prot) const {
+  std::vector<std::uint32_t> all(prot.size());
+  for (std::uint32_t f = 0; f < all.size(); ++f) all[f] = f;
+  return hardening_overhead(prot, all);
+}
+
+Overhead PhysModel::hardening_overhead(
+    const std::vector<arch::FFProt>& prot,
+    const std::vector<std::uint32_t>& ffs) const {
   Overhead o;
-  for (const arch::FFProt p : prot) {
+  for (const std::uint32_t f : ffs) {
+    const arch::FFProt p = prot[f];
     if (p == arch::FFProt::kParity || p == arch::FFProt::kEds) continue;
     const CellCosts c = ff_cell(p);
     o.area += c.area - 1.0;

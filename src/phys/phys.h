@@ -112,6 +112,12 @@ class PhysModel {
   // -- cost evaluation -------------------------------------------------
   [[nodiscard]] Overhead hardening_overhead(
       const std::vector<arch::FFProt>& prot) const;
+  // The same sum over the listed FFs only.  An unprotected FF adds
+  // exactly zero, so listing every protected FF in ascending index order
+  // gives the bit-identical result of the whole-vector overload.
+  [[nodiscard]] Overhead hardening_overhead(
+      const std::vector<arch::FFProt>& prot,
+      const std::vector<std::uint32_t>& ffs) const;
   [[nodiscard]] Overhead parity_overhead(const ParityPlan& plan) const;
   // EDS flip-flops additionally need delay buffers, detection-signal
   // aggregation and routing (the hidden costs of Sec. 3.1 / Table 17).
@@ -146,6 +152,7 @@ class PhysModel {
   double path_sd_frac_ = 0.0;
   std::vector<double> positions_;  // cumulative placement coordinates
   std::vector<double> nn_;         // per-FF nearest-neighbour distance
+  std::vector<double> slack_;      // per-FF slack_ps(), tabulated
   std::uint64_t salt_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "util/args.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -53,10 +54,17 @@ bool ArgParser::parse(const std::vector<std::string>& tokens,
   std::vector<const char*> argv;
   argv.reserve(tokens.size());
   for (const std::string& t : tokens) argv.push_back(t.c_str());
-  return parse(static_cast<int>(argv.size()), argv.data(), error);
+  return parse_tokens(static_cast<int>(argv.size()), argv.data(), true,
+                      error);
 }
 
 bool ArgParser::parse(int argc, const char* const* argv, std::string* error) {
+  return parse_tokens(argc, argv, false, error);
+}
+
+bool ArgParser::parse_tokens(int argc, const char* const* argv, bool once,
+                             std::string* error) {
+  std::vector<const Spec*> valued;  // options this call has set
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -93,6 +101,13 @@ bool ArgParser::parse(int argc, const char* const* argv, std::string* error) {
       }
       continue;
     }
+    if (once && std::find(valued.begin(), valued.end(), spec) != valued.end()) {
+      *error = "flag '--" + name +
+               "' given twice in one stanza (separate campaigns with a "
+               "'---' line)";
+      return false;
+    }
+    valued.push_back(spec);
     if (has_inline) {
       spec->value = inline_value;
     } else if (i + 1 < argc) {

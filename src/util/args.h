@@ -33,7 +33,10 @@ class ArgParser {
   // flag, a missing value, or an unexpected positional.  `--help` is
   // recognized implicitly (sets help_requested()).
   bool parse(int argc, const char* const* argv, std::string* error);
-  // The same over tokens already split (a spec stanza).
+  // The same over tokens already split (a spec stanza), which also
+  // refuses a valued option given twice: within one stanza a repeat is a
+  // missing `---` separator, not an override.  Across calls later values
+  // still win (the command line overrides a one-stanza spec).
   bool parse(const std::vector<std::string>& tokens, std::string* error);
 
   [[nodiscard]] bool help_requested() const noexcept { return help_; }
@@ -65,6 +68,8 @@ class ArgParser {
     bool present = false;
     std::string value;
   };
+  bool parse_tokens(int argc, const char* const* argv, bool once,
+                    std::string* error);
   Spec* find(const std::string& name);
   [[nodiscard]] const Spec* find(const std::string& name) const;
 

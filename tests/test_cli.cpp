@@ -414,6 +414,23 @@ TEST(CliE2E, SpecFileDrivesRunAndCommandLineWins) {
             1);
 }
 
+// Two campaigns without the `---` line between them are one stanza that
+// sets --core and --bench twice: refused by name, not run as the second.
+TEST(CliE2E, SpecStanzaRepeatingAFlagIsRefused) {
+  {
+    std::ofstream spec("cli_e2e/two.spec");
+    spec << "--core InO --bench gcc --injections 60\n"
+         << "--core OoO --bench mcf --injections 60\n";
+  }
+  EXPECT_EQ(sh(kBin + " run --spec cli_e2e/two.spec --dry-run"
+                      " 2> cli_e2e/two.err"),
+            2);
+  std::ifstream in("cli_e2e/two.err");
+  const std::string err((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_NE(err.find("'--core'"), std::string::npos) << err;
+}
+
 TEST(CliE2E, MultiCampaignManifestMatchesSingleRunsBitExactly) {
   // A manifest: several campaigns in one spec file, '---'-separated,
   // batched through ONE run_campaigns submission in one process.

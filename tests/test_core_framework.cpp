@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "arch/core.h"
 #include "core/benchdep.h"
@@ -11,6 +13,7 @@
 #include "core/selection.h"
 #include "engine/engine.h"
 #include "inject/campaign.h"
+#include "workloads/workloads.h"
 
 namespace {
 
@@ -400,6 +403,34 @@ TEST(SessionBaseCycles, EveryVariantDividesByTheBaseProgramsCleanRun) {
       EXPECT_EQ(bp.base_cycles, clean.cycles) << bp.benchmark;
       EXPECT_EQ(bp.base_cycles, base.benches[i].campaign.nominal_cycles)
           << bp.benchmark;
+    }
+  }
+}
+
+// A Session takes a variant's base cycles from the resident base
+// profile's golden run instead of running the base program again: on
+// every workload and both cores the two are the same cycle count.
+TEST(SessionBaseCycles, BaseGoldenRunIsTheCleanRunOnEveryWorkload) {
+  for (const std::string core : {"InO", "OoO"}) {
+    std::vector<isa::Program> progs;
+    for (const auto& info : workloads::benchmark_list()) {
+      progs.push_back(build_variant_program(info.name, Variant::base(), 0));
+    }
+    std::vector<inject::CampaignSpec> specs;
+    for (const isa::Program& prog : progs) {
+      inject::CampaignSpec spec;
+      spec.core_name = core;
+      spec.program = &prog;
+      spec.injections = 1;  // the golden run is the point, not the samples
+      specs.push_back(spec);
+    }
+    const auto results = engine::run_campaigns(specs);
+    ASSERT_EQ(results.size(), progs.size());
+    const auto clean_core = arch::make_core(core);
+    for (std::size_t i = 0; i < progs.size(); ++i) {
+      EXPECT_EQ(results[i].nominal_cycles,
+                clean_core->run_clean(progs[i]).cycles)
+          << core << " " << workloads::benchmark_list()[i].name;
     }
   }
 }

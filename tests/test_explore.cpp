@@ -15,6 +15,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -27,6 +28,7 @@
 #include "core/selection.h"
 #include "explore/explore.h"
 #include "explore/ledger.h"
+#include "combo_eval_oracle.h"
 
 namespace {
 
@@ -758,6 +760,106 @@ TEST(Explore, PruningKeepsTheCheapFrontierAndCheapestMeetingPoint) {
     if (r->energy <= bar) below_f.push_back(explore::encode_record(*r));
   }
   EXPECT_EQ(below_p, below_f);
+}
+
+// ---- combo evaluation against the per-combo oracle --------------------------
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// Every field of `got` equals the oracle's, doubles bit for bit.
+void expect_point_eq(const core::ComboPoint& got,
+                     const core::ComboPoint& want, const std::string& where) {
+  EXPECT_EQ(got.combo, want.combo) << where;
+  EXPECT_EQ(bits_of(got.target), bits_of(want.target)) << where;
+  EXPECT_EQ(got.target_met, want.target_met) << where;
+  EXPECT_EQ(bits_of(got.energy), bits_of(want.energy)) << where;
+  EXPECT_EQ(bits_of(got.area), bits_of(want.area)) << where;
+  EXPECT_EQ(bits_of(got.power), bits_of(want.power)) << where;
+  EXPECT_EQ(bits_of(got.exec), bits_of(want.exec)) << where;
+  EXPECT_EQ(bits_of(got.sdc_protected_pct), bits_of(want.sdc_protected_pct))
+      << where;
+  EXPECT_EQ(bits_of(got.imp.sdc), bits_of(want.imp.sdc)) << where;
+  EXPECT_EQ(bits_of(got.imp.due), bits_of(want.imp.due)) << where;
+}
+
+// The point a ledger record stores.
+core::ComboPoint point_of(const LedgerRecord& r) {
+  core::ComboPoint p;
+  p.combo = r.combo;
+  p.target = r.target;
+  p.target_met = r.target_met;
+  p.energy = r.energy;
+  p.area = r.area;
+  p.power = r.power;
+  p.exec = r.exec;
+  p.sdc_protected_pct = r.sdc_protected_pct;
+  p.imp.sdc = r.imp_sdc;
+  p.imp.due = r.imp_due;
+  return p;
+}
+
+// Evaluating through a prepared software stack is a pure saving: on the
+// perfbench suite, every combo of both cores, under every metric, at
+// targets 5/50/500 and the max point, gives the per-combo oracle's
+// ComboPoint.  Both the one-combo entry point and an exploration's shared
+// stack table (four evaluation threads) are checked.
+TEST(Explore, StackEvaluationMatchesPerComboOracle) {
+  const std::vector<std::string> suite = {"gcc", "fft1d", "inner_product"};
+  const core::Metric metrics[] = {core::Metric::kSdc, core::Metric::kDue,
+                                  core::Metric::kJoint};
+  for (const std::string core_name : {"InO", "OoO"}) {
+    core::Session session(core_name, 0, 1);
+    session.set_benchmarks(suite);
+    const auto combos = core::enumerate_combos(core_name);
+    std::vector<core::Variant> variants;
+    for (const core::Combo& c : combos) {
+      const auto v = core::combo_variants(c);
+      variants.insert(variants.end(), v.begin(), v.end());
+    }
+    session.prefetch(variants);
+    core::Selector selector(session);
+    const testref::ComboEvalOracle oracle(session, selector);
+
+    for (const core::Metric metric : metrics) {
+      for (const double target : {5.0, 50.0, 500.0, -1.0}) {
+        for (const core::Combo& c : combos) {
+          expect_point_eq(
+              core::evaluate_combo(session, selector, c, target, metric),
+              oracle.evaluate(c, target, metric),
+              core_name + " " + core::metric_token(metric) + " target " +
+                  std::to_string(target) + " " + c.name());
+        }
+      }
+      for (const double target : {5.0, 50.0, 500.0}) {
+        explore::ExploreSpec spec;
+        spec.core = core_name;
+        spec.target = target;
+        spec.metric = metric;
+        spec.seed = 1;
+        spec.benchmarks = suite;
+        spec.prune = false;
+        const ScopedEnv env("CLEAR_THREADS", "4");
+        const Ledger l = explore::run_exploration(spec, "");
+        std::size_t points = 0;
+        for (const LedgerRecord& r : l.records) {
+          ASSERT_NE(r.kind, RecordKind::kSkipped) << r.combo;
+          const bool anchor = r.kind == RecordKind::kAnchor;
+          points += !anchor;
+          expect_point_eq(
+              point_of(r),
+              oracle.evaluate(combos[r.combo_index], anchor ? -1.0 : target,
+                              metric),
+              core_name + " exploration " + core::metric_token(metric) +
+                  " target " + std::to_string(target) + " " + r.combo);
+        }
+        EXPECT_EQ(points, combos.size());
+      }
+    }
+  }
 }
 
 // ---- the acceptance test: multi-process shard -> merge ---------------------

@@ -1257,6 +1257,38 @@ TEST(Sharding, ShardsOfOneProcessRecordTheGoldenOnce) {
   }
 }
 
+// Shards of one campaign that share a batch, with no recording kept yet,
+// fork from one recording: the first records it and the others take it,
+// on one thread or several, and the shards still merge to the unsharded
+// campaign's bytes.
+TEST(Sharding, ShardsSharingABatchRecordTheGoldenOnce) {
+  const auto prog = bench("gcc");
+  for (const unsigned threads : {4u, 1u}) {
+    inject::CampaignSpec spec;
+    spec.core_name = "InO";
+    spec.program = &prog;
+    spec.injections = 4 * arch::core_ff_count("InO");
+    spec.seed = 1801 + threads;  // a campaign no other test records
+    spec.threads = threads;
+    const auto whole = engine::run_campaign(spec);
+
+    constexpr std::uint32_t kShards = 4;
+    std::vector<inject::CampaignSpec> shards(kShards, spec);
+    for (std::uint32_t k = 0; k < kShards; ++k) {
+      shards[k].shard_index = k;
+      shards[k].shard_count = kShards;
+    }
+    const GoldenProbe probe;
+    const auto parts = engine::run_campaigns(shards);
+    EXPECT_EQ(probe.recorded(), 1u) << threads;
+    EXPECT_EQ(probe.reused_count(), kShards - 1) << threads;
+    EXPECT_EQ(inject::detail::serialize_result(
+                  0, inject::merge_campaign_results(parts)),
+              inject::detail::serialize_result(0, whole))
+        << threads;
+  }
+}
+
 // The reused recording is keyed by everything the golden trajectory
 // depends on: a campaign differing in any one of them records afresh.
 TEST(Sharding, AnyIdentityChangeRecordsAFreshGolden) {

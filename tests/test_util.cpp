@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/args.h"
 #include "util/bytes.h"
 #include "util/env.h"
 #include "util/fs.h"
@@ -124,6 +125,45 @@ TEST(Fs, ReadFileReadsBinaryBytesAndRefusesMissingFiles) {
   got = "untouched";
   EXPECT_FALSE(clear::util::read_file(path, &got));
   EXPECT_EQ(got, "untouched");
+}
+
+// A spec stanza sets each valued option at most once: a repeat means the
+// `---` line between two campaigns is missing.  The command line, parsed
+// afterwards, still overrides the stanza.
+TEST(Args, StanzaRefusesARepeatedValuedOption) {
+  const auto parser = [] {
+    clear::util::ArgParser args("prog [options]", "test parser");
+    args.add_option("core", "C", "core", "InO");
+    args.add_option("bench", "B", "benchmark");
+    args.add_flag("no-cache", "no cache");
+    return args;
+  };
+  std::string error;
+  clear::util::ArgParser two = parser();
+  EXPECT_FALSE(two.parse({"--core", "InO", "--bench", "gcc", "--core", "OoO",
+                          "--bench", "mcf"},
+                         &error));
+  EXPECT_NE(error.find("'--core'"), std::string::npos) << error;
+
+  clear::util::ArgParser inline_form = parser();
+  EXPECT_FALSE(inline_form.parse({"--bench=gcc", "--bench", "mcf"}, &error));
+  EXPECT_NE(error.find("'--bench'"), std::string::npos) << error;
+
+  // A repeated boolean flag sets nothing twice.
+  clear::util::ArgParser flags = parser();
+  EXPECT_TRUE(flags.parse({"--no-cache", "--bench", "gcc", "--no-cache"},
+                          &error))
+      << error;
+
+  clear::util::ArgParser cli = parser();
+  ASSERT_TRUE(cli.parse({"--core", "InO", "--bench", "gcc"}, &error))
+      << error;
+  const char* argv[] = {"--bench", "mcf"};
+  ASSERT_TRUE(cli.parse(2, argv, &error)) << error;
+  EXPECT_EQ(cli.get("bench"), "mcf");
+  const char* twice[] = {"--bench", "mcf", "--bench", "gzip"};
+  ASSERT_TRUE(cli.parse(4, twice, &error)) << error;
+  EXPECT_EQ(cli.get("bench"), "gzip");
 }
 
 TEST(Json, ReadsEveryValueKindInDocumentOrder) {
