@@ -25,15 +25,8 @@ Row measured_variant_row(const std::string& core_name, const char* layer,
                          double ff_delta, bool recover_ed) {
   auto& s = bench::session(core_name);
   const auto& prot = s.profiles(v);
-  const auto& base_full = s.profiles(Variant::base());
-  core::ProfileSet base_sub;
-  const core::ProfileSet* base = &base_full;
-  if (prot.benches.size() != base_full.benches.size()) {
-    std::vector<std::string> names;
-    for (const auto& b : prot.benches) names.push_back(b.benchmark);
-    base_sub = s.subset(base_full, names);
-    base = &base_sub;
-  }
+  const core::ErrorMass orig = core::mass_over(
+      s.profiles(Variant::base()), core::bench_names(prot.benches));
   const double g = core::gamma_correction(ff_delta, prot.exec_overhead);
   core::ErrorMass now = prot.mass();
   if (recover_ed) now.due -= static_cast<double>(prot.totals.ed);
@@ -43,7 +36,7 @@ Row measured_variant_row(const std::string& core_name, const char* layer,
   r.paper = paper;
   r.energy = prot.exec_overhead;  // software: energy ~ exec overhead
   r.exec = prot.exec_overhead;
-  r.imp = core::improvement(base->mass(), now, g);
+  r.imp = core::improvement(orig, now, g);
   r.gamma = g;
   return r;
 }

@@ -10,28 +10,24 @@ void abft_sweep(const std::string& cn, const char* label, core::Combo combo,
   std::printf("\n%s | %s\n", cn.c_str(), label);
   bench::TextTable t({"Target", "Area", "Power", "Energy", "Exec",
                       "SDC imp", "DUE imp"});
-  bench::session(cn).prefetch(core::combo_variants(combo));
+  auto& session = bench::session(cn);
+  auto& selector = bench::selector(cn);
+  session.prefetch(core::combo_variants(combo));
+  const core::ComboStack stack(session, combo, core::Metric::kSdc);
   for (const double target : {2.0, 5.0, 50.0, 500.0, -1.0}) {
-    auto& session = bench::session(cn);
-    auto& selector = bench::selector(cn);
     core::ComboPoint p;
     if (!leap_ctrl) {
-      p = core::evaluate_combo(session, selector, combo, target);
+      p = core::evaluate_combo(selector, stack, combo, target);
     } else {
       // LEAP-ctrl variant (Sec. 3.2.1): selected hardened FFs use the
       // dual-mode cell so the protection can idle when ABFT runs.
-      const auto prof = core::combo_profile(session, combo);
-      const auto& base_full = session.profiles(core::Variant::base());
-      std::vector<std::string> names;
-      for (const auto& b : prof.benches) names.push_back(b.benchmark);
-      const auto base = session.subset(base_full, names);
       core::SelectionSpec spec;
       spec.palette = combo.palette();
       spec.target = target;
       spec.recovery = combo.recovery;
       spec.variant = combo.variant();
       spec.use_leap_ctrl = true;
-      const auto rep = selector.evaluate_with_profiles(spec, base, prof, prof);
+      const auto rep = selector.evaluate(spec, stack);
       p.energy = rep.energy;
       p.area = rep.area;
       p.power = rep.power;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
+#include "core/combos.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -19,6 +21,11 @@ make_splits(const Session& session, int n_splits, std::size_t train_size,
     for (const auto& b : session.benchmarks()) {
       if (b == info.name) spec_benches.push_back(b);
     }
+  }
+  if (spec_benches.size() < 2) {
+    throw std::invalid_argument(
+        "make_splits: the suite has " + std::to_string(spec_benches.size()) +
+        " SPEC benchmark(s); a train/validate split needs at least 2");
   }
   std::vector<std::pair<std::vector<std::string>, std::vector<std::string>>>
       splits;
@@ -54,9 +61,8 @@ TrainValidate standalone_train_validate(Session& session,
   const double g = gamma_correction(ff_delta, prot.exec_overhead);
 
   auto imp_on = [&](const std::vector<std::string>& names) {
-    const ProfileSet b = session.subset(base, names);
-    const ProfileSet p = session.subset(prot, names);
-    const Improvement imp = improvement(b.mass(), p.mass(), g);
+    const Improvement imp =
+        improvement(mass_over(base, names), mass_over(prot, names), g);
     return metric == Metric::kDue ? imp.due : imp.sdc;
   };
 
@@ -85,10 +91,12 @@ LhlRow lhl_backfill_row(Session& session, Selector& selector, double target,
   int n = 0;
   for (const auto& [train, validate] :
        make_splits(session, n_splits, 4, seed)) {
-    const ProfileSet bt = session.subset(base, train);
-    const ProfileSet bv = session.subset(base, validate);
+    // The base profile on each side of the split: the selection trains
+    // on one and is measured on the other.
     const ProfileSet pt = session.subset(base, train);
     const ProfileSet pv = session.subset(base, validate);
+    const ComboStack trained_stack(session, pt, pt, metric);
+    const ComboStack held_out(session, pt, pv, metric);
 
     SelectionSpec spec;
     spec.palette = Palette::dice_parity();
@@ -97,17 +105,14 @@ LhlRow lhl_backfill_row(Session& session, Selector& selector, double target,
     spec.recovery = session.core() == "OoO" ? arch::RecoveryKind::kRob
                                             : arch::RecoveryKind::kFlush;
     // Trained improvement: select and measure on the training set.
-    const CostReport trained_rep =
-        selector.evaluate_with_profiles(spec, bt, pt, pt);
+    const CostReport trained_rep = selector.evaluate(spec, trained_stack);
     // Validated: same selection criteria trained on `train`, improvement
     // measured against the held-out benchmarks.
-    const CostReport val_rep =
-        selector.evaluate_with_profiles(spec, bv, pt, pv);
+    const CostReport val_rep = selector.evaluate(spec, held_out);
     // LHL backfill restores (exceeds) the target on unseen applications.
     SelectionSpec lhl = spec;
     lhl.lhl_backfill = true;
-    const CostReport lhl_rep =
-        selector.evaluate_with_profiles(lhl, bv, pt, pv);
+    const CostReport lhl_rep = selector.evaluate(lhl, held_out);
 
     const auto pick = [&](const Improvement& i) {
       return metric == Metric::kDue ? i.due : i.sdc;

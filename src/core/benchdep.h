@@ -26,7 +26,9 @@ struct TrainValidate {
   double p_value = 1.0;
 };
 
-// Random (train_size, rest) splits over the SPEC benchmarks of the core.
+// Random (train_size, rest) splits over the session suite's SPEC
+// benchmarks; the training side keeps at most all but one of them.
+// Throws std::invalid_argument when the suite has fewer than 2.
 [[nodiscard]] std::vector<std::pair<std::vector<std::string>,
                                     std::vector<std::string>>>
 make_splits(const Session& session, int n_splits, std::size_t train_size,

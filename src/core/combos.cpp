@@ -177,9 +177,9 @@ std::vector<Variant> combo_variants(const Combo& combo) {
 double combo_cost_lower_bound(const Session& session,
                               const phys::PhysModel& model,
                               const Combo& combo) {
-  // Execution term: identical to what combo_profile() will report (direct
-  // measurement for <= 1 layer, independence product otherwise), so the
-  // bound is tight on the software axis.
+  // Execution term: identical to what the combo's ComboStack will report
+  // (direct measurement for <= 1 layer, independence product otherwise),
+  // so the bound is tight on the software axis.
   double exec = 1.0;
   for (const Variant& lv : combo_layer_variants(combo)) {
     exec *= 1.0 + std::max(0.0, session.resident(lv).exec_overhead);
@@ -200,7 +200,7 @@ double combo_cost_lower_bound(const Session& session,
 namespace {
 
 // Independence composition of a multi-layer combo's per-FF counts from its
-// single-layer profiles (combo_profile() documents the model).
+// single-layer profiles (ComboStack documents the model).
 struct Composed {
   std::vector<std::uint64_t> sdc;
   std::vector<std::uint64_t> due;
@@ -254,67 +254,42 @@ Composed compose_counts(const Session& session, const Combo& combo) {
 
 }  // namespace
 
-ProfileSet combo_profile(const Session& session, const Combo& combo) {
-  if (combo.software_layers() <= 1) return session.resident(combo.variant());
-  const ProfileSet& base = session.resident(Variant::base());
-  Composed c = compose_counts(session, combo);
-
-  ProfileSet out;
-  out.core = base.core;
-  out.variant_key = combo.variant().key() + "#composed";
-  out.ff_count = base.ff_count;
-  out.ff_total = base.ff_total;
-  // Names only: nothing downstream reads a composed set's campaigns.
-  out.benches.reserve(base.benches.size());
-  for (const BenchProfile& b : base.benches) {
-    BenchProfile named;
-    named.benchmark = b.benchmark;
-    named.base_cycles = b.base_cycles;
-    out.benches.push_back(std::move(named));
-  }
-  for (std::uint32_t f = 0; f < base.ff_count; ++f) {
-    out.totals.omm += static_cast<std::uint32_t>(c.sdc[f]);
-    out.totals.ut += static_cast<std::uint32_t>(c.due[f]);
-    const std::uint64_t rest =
-        base.ff_total[f] >= c.sdc[f] + c.due[f]
-            ? base.ff_total[f] - c.sdc[f] - c.due[f]
-            : 0;
-    out.totals.vanished += static_cast<std::uint32_t>(rest);
-  }
-  out.ff_sdc = std::move(c.sdc);
-  out.ff_due = std::move(c.due);
-  out.exec_overhead = c.exec_overhead;
-  return out;
-}
-
 ComboStack::ComboStack(const Session& session, const Combo& combo,
                        Metric metric) {
-  const ProfileSet& base = session.resident(Variant::base());
   if (combo.software_layers() <= 1) {
-    profile_ = ProfileView(session.resident(combo.variant()));
+    train_ = ProfileView(session.resident(combo.variant()));
   } else {
-    // A composed stack keeps the base's FF totals and benchmark names.
     Composed c = compose_counts(session, combo);
     sdc_ = std::move(c.sdc);
     due_ = std::move(c.due);
-    profile_ = ProfileView(base);
-    profile_.sdc = sdc_.data();
-    profile_.due = due_.data();
-    profile_.exec_overhead = c.exec_overhead;
+    train_ = ProfileView(session.resident(Variant::base()));
+    train_.sdc = sdc_.data();
+    train_.due = due_.data();
+    train_.exec_overhead = c.exec_overhead;
   }
-  // The unprotected reference covers the profile's benchmarks: all of
-  // them, or the ABFT-capable subset a measured ABFT profile ran on.
-  ErrorMass orig = base.mass();
-  if (profile_.benches->size() != base.benches.size()) {
-    inject::OutcomeCounts kept;
-    for (const BenchProfile& bp : base.benches) {
-      for (const BenchProfile& p : *profile_.benches) {
-        if (p.benchmark == bp.benchmark) kept.merge(bp.campaign.totals);
-      }
-    }
-    orig = mass_of(kept);
-  }
-  basis_ = selection_basis(metric, orig, profile_, profile_);
+  validate_ = train_;
+  prepare(session, metric);
+}
+
+ComboStack::ComboStack(const Session& session, const Variant& variant,
+                       Metric metric)
+    : train_(session.resident(variant)), validate_(train_) {
+  prepare(session, metric);
+}
+
+ComboStack::ComboStack(const Session& session, const ProfileSet& train,
+                       const ProfileSet& validate, Metric metric)
+    : train_(train), validate_(validate) {
+  prepare(session, metric);
+}
+
+void ComboStack::prepare(const Session& session, Metric metric) {
+  // The unprotected reference covers the validate profile's benchmarks:
+  // all of them, the ABFT-capable subset a measured ABFT profile ran on,
+  // or one side of a split.
+  const ErrorMass orig = mass_over(session.resident(Variant::base()),
+                                   bench_names(*validate_.benches));
+  basis_ = selection_basis(metric, orig, train_, validate_);
 }
 
 ComboPoint evaluate_combo(const Selector& selector, const ComboStack& stack,
@@ -327,8 +302,7 @@ ComboPoint evaluate_combo(const Selector& selector, const ComboStack& stack,
   spec.recovery = combo.recovery;
   spec.variant = combo.variant();
 
-  const CostReport rep = selector.evaluate_prepared(
-      spec, stack.basis(), stack.profile(), stack.profile());
+  const CostReport rep = selector.evaluate(spec, stack);
   ComboPoint p;
   p.combo = combo.name();
   p.target = combo.has_tunable() ? target : 0.0;

@@ -16,7 +16,10 @@
 //
 // evaluate_combo() applies the paper's top-down methodology: profile the
 // software/algorithm-transformed program, then run selective hardening on
-// top of it toward the requested target.
+// top of it toward the requested target.  ComboStack is the prepared input
+// of every selective-hardening pass -- a combo's stack, a measured
+// variant's or a train/validate split's -- and Selector::evaluate the one
+// pass over it.
 #ifndef CLEAR_CORE_COMBOS_H
 #define CLEAR_CORE_COMBOS_H
 
@@ -64,19 +67,19 @@ struct Combo {
 // fails loudly when a validity-rule change reshapes the space.
 [[nodiscard]] std::uint64_t enumeration_fingerprint(const std::string& core);
 
-// The profiled program variants combo_profile() consumes for this combo:
-// the full variant when at most one profiled layer is involved, otherwise
-// the per-layer single-technique variants (plus the base profile it
-// composes on).  Exploration prefetches the union of these across a batch
-// of combos as ONE engine::run_campaigns submission, so golden-run
-// recording overlaps faulty runs across combos and combos sharing a
-// variant share its campaigns through the cache pack.
+// The profiled program variants a combo's stack (ComboStack below)
+// consumes: the full variant when at most one profiled layer is involved,
+// otherwise the per-layer single-technique variants (plus the base
+// profile it composes on).  Exploration prefetches the union of these
+// across a batch of combos as ONE engine::run_campaigns submission, so
+// golden-run recording overlaps faulty runs across combos and combos
+// sharing a variant share its campaigns through the cache pack.
 [[nodiscard]] std::vector<Variant> combo_layer_variants(const Combo& combo);
 
 // Every profiled variant the read-only evaluation below consults for
 // this combo: the base variant plus combo_layer_variants().  Collect
 // them with Session::prefetch before calling combo_cost_lower_bound,
-// combo_profile or evaluate_combo, which read the session through
+// building a ComboStack or evaluate_combo, which read the session through
 // Session::resident() and throw std::logic_error on a missing profile.
 [[nodiscard]] std::vector<Variant> combo_variants(const Combo& combo);
 
@@ -92,16 +95,6 @@ struct Combo {
                                             const phys::PhysModel& model,
                                             const Combo& combo);
 
-// Profile for a combo's software/algorithm stack.  Exact (measured) when
-// at most one profiled layer is involved; multi-layer stacks compose
-// per-FF survival ratios from the single-layer profiles under an
-// independence assumption (used only for the Fig. 1d design-space cloud;
-// every table row uses measured profiles).  A composed set has no
-// measured campaigns of its own: its benches carry only the benchmark
-// names and base cycles, with empty campaigns.
-[[nodiscard]] ProfileSet combo_profile(const Session& session,
-                                       const Combo& combo);
-
 struct ComboPoint {
   std::string combo;
   double target = 0.0;  // <= 0: fixed/maximum point
@@ -114,33 +107,51 @@ struct ComboPoint {
   Improvement imp;
 };
 
-// A combo's software stack prepared for selective hardening under one
-// metric: the profile it is evaluated on (the measured one by reference,
-// or its composed per-FF counts), the base reference mass over the same
-// benchmarks, and the selection basis (starting masses and vulnerability
-// order).  None of it depends on the combo's hardware palette, target or
-// recovery, so a stack is a function of (session, combo.variant(),
-// metric): an exploration builds one per stack and evaluates every combo
-// on that stack through it.  Reads the resident profiles of
-// combo_variants(combo), which the Session keeps alive; not copyable,
-// because the view may point into the stack's own counts.
+// The one prepared input of a selective-hardening pass
+// (Selector::evaluate): the train view the selection ranks and walks, the
+// validate view it is measured on, the unprotected reference mass -- the
+// base profile's mass over the validate view's benchmarks (mass_over) --
+// and the selection basis (starting masses and vulnerability order) under
+// one metric.  None of it depends on a combo's hardware palette, target
+// or recovery, so an exploration builds one stack per software stack and
+// evaluates every combo on it.  Reads resident profiles (the base one
+// always), which the Session keeps alive; not copyable, because a view
+// may point into the stack's own counts.
 class ComboStack {
  public:
+  // A combo's software stack: the measured profile of combo.variant()
+  // when at most one profiled layer is involved; otherwise per-FF counts
+  // composed from the single-layer profiles of combo_layer_variants()
+  // under an independence assumption (used only for the Fig. 1d
+  // design-space cloud; every table row uses measured profiles).  A
+  // composed stack keeps the base profile's FF totals and benchmarks.
   ComboStack(const Session& session, const Combo& combo, Metric metric);
+  // A measured variant's profile, trained and validated on itself.
+  ComboStack(const Session& session, const Variant& variant, Metric metric);
+  // A Sec. 4 split: select on `train`, measure on `validate` against the
+  // base mass over validate's benchmarks.  Both sets must outlive the
+  // stack.
+  ComboStack(const Session& session, const ProfileSet& train,
+             const ProfileSet& validate, Metric metric);
   ComboStack(const ComboStack&) = delete;
   ComboStack& operator=(const ComboStack&) = delete;
 
-  [[nodiscard]] const ProfileView& profile() const noexcept {
-    return profile_;
+  [[nodiscard]] const ProfileView& train() const noexcept { return train_; }
+  [[nodiscard]] const ProfileView& validate() const noexcept {
+    return validate_;
   }
   [[nodiscard]] const SelectionBasis& basis() const noexcept {
     return basis_;
   }
 
  private:
+  // Fills basis_ from the views.
+  void prepare(const Session& session, Metric metric);
+
   std::vector<std::uint64_t> sdc_;  // composed stacks only
   std::vector<std::uint64_t> due_;
-  ProfileView profile_;
+  ProfileView train_;
+  ProfileView validate_;
   SelectionBasis basis_;
 };
 

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <stdexcept>
 
+#include "core/combos.h"
 #include "resilience/parity.h"
 #include "util/stats.h"
 
@@ -104,51 +105,20 @@ SelectionBasis selection_basis(Metric metric, const ErrorMass& orig,
 }
 
 CostReport Selector::evaluate(const SelectionSpec& spec) {
-  const ProfileSet& prot = session_->profiles(spec.variant);
-  const ProfileSet& base_full = session_->profiles(Variant::base());
-  if (prot.benches.size() == base_full.benches.size()) {
-    return evaluate_with_profiles(spec, base_full, prot, prot);
-  }
-  std::vector<std::string> names;
-  for (const auto& b : prot.benches) names.push_back(b.benchmark);
-  const ProfileSet base_sub = session_->subset(base_full, names);
-  return evaluate_with_profiles(spec, base_sub, prot, prot);
+  session_->profiles(spec.variant);
+  session_->profiles(Variant::base());
+  return evaluate(spec, ComboStack(*session_, spec.variant, spec.metric));
 }
 
-CostReport Selector::evaluate_with_profiles(const SelectionSpec& spec,
-                                            const ProfileSet& base,
-                                            const ProfileSet& train,
-                                            const ProfileSet& validate) const {
-  const ProfileView t(train);
-  const ProfileView v(validate);
-  return run_selection(spec, selection_basis(spec.metric, base.mass(), t, v),
-                       t, v, false);
-}
-
-CostReport Selector::evaluate_prepared(const SelectionSpec& spec,
-                                       const SelectionBasis& basis,
-                                       const ProfileView& train,
-                                       const ProfileView& validate) const {
+CostReport Selector::evaluate(const SelectionSpec& spec,
+                              const ComboStack& stack) const {
+  const SelectionBasis& basis = stack.basis();
   if (spec.metric != basis.metric) {
     throw std::invalid_argument(
-        "Selector::evaluate_prepared: the basis ranks another metric");
+        "Selector::evaluate: the stack ranks another metric");
   }
-  return run_selection(spec, basis, train, validate, false);
-}
-
-CostReport Selector::evaluate_cost_greedy(const SelectionSpec& spec) {
-  const ProfileSet& prot = session_->profiles(spec.variant);
-  const ProfileSet& base = session_->profiles(Variant::base());
-  const ProfileView p(prot);
-  return run_selection(spec, selection_basis(spec.metric, base.mass(), p, p),
-                       p, p, true);
-}
-
-CostReport Selector::run_selection(const SelectionSpec& spec,
-                                   const SelectionBasis& basis,
-                                   const ProfileView& train,
-                                   const ProfileView& validate,
-                                   bool cost_greedy) const {
+  const ProfileView& train = stack.train();
+  const ProfileView& validate = stack.validate();
   const std::uint32_t n = train.ff_count;
   const bool max_point = spec.target <= 0.0;
 
@@ -195,42 +165,6 @@ CostReport Selector::run_selection(const SelectionSpec& spec,
         return {sdc, due};
     }
   };
-
-  auto count = [&](std::uint32_t f) {
-    return metric_count(spec.metric, train, f);
-  };
-
-  // The cost-greedy ablation's order: every candidate FF, stable-sorted
-  // by error mass removed per unit of a rough per-FF energy proxy.
-  std::vector<std::uint32_t> cost_order;
-  if (cost_greedy) {
-    const double dice_cost =
-        (phys::ff_cell(arch::FFProt::kLeapDice).power - 1) /
-        model_->total_power();
-    phys::ParityPlan unit_plan;
-    unit_plan.groups.push_back({std::vector<std::uint32_t>(16, 0), true});
-    const double parity_cost =
-        model_->parity_overhead(unit_plan).power / 16.0;
-    const double eds_cost = model_->eds_overhead(16).power / 16.0;
-    auto tech_cost = [&](arch::FFProt t) {
-      switch (t) {
-        case arch::FFProt::kParity: return parity_cost;
-        case arch::FFProt::kEds: return eds_cost;
-        default: return dice_cost;
-      }
-    };
-    for (std::uint32_t f = 0; f < n; ++f) {
-      if (max_point || count(f) > 0) cost_order.push_back(f);
-    }
-    std::stable_sort(cost_order.begin(), cost_order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       const double ka =
-                           count(a) / std::max(1e-12, tech_cost(choose_tech(a)));
-                       const double kb =
-                           count(b) / std::max(1e-12, tech_cost(choose_tech(b)));
-                       return ka > kb;
-                     });
-  }
 
   // Fixed contributions from the variant's non-tunable techniques.
   double fixed_ff_delta = model_->recovery_ff_delta(spec.recovery);
@@ -296,13 +230,13 @@ CostReport Selector::run_selection(const SelectionSpec& spec,
   // The greedy walk.  With an empty palette every step would leave its FF
   // unprotected and add exactly zero to each mass, so there is none.
   if (spec.palette.any()) {
-    for (const std::uint32_t f : cost_greedy ? cost_order : basis.ranked) {
+    for (const std::uint32_t f : basis.ranked) {
       if (met()) break;
       protect(f);
     }
-    if (max_point && !cost_greedy) {
+    if (max_point) {
       for (std::uint32_t f = 0; f < n; ++f) {
-        if (!(count(f) > 0)) protect(f);
+        if (!(metric_count(spec.metric, train, f) > 0)) protect(f);
       }
     }
   }

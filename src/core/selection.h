@@ -1,11 +1,14 @@
 // Selective protection of flip-flops: the paper's Fig. 7 flow with
 // Heuristic 1, plus cost evaluation against the physical-design model.
 //
-// The selector consumes a vulnerability profile (per-FF error counts from
-// injection campaigns, possibly of a software/algorithm-transformed
-// program), ranks flip-flops by measured vulnerability, and protects them
-// one at a time -- choosing LEAP-DICE vs parity vs EDS per Heuristic 1 --
-// until the gamma-corrected SDC/DUE improvement target is met.  Residual
+// The selector consumes a prepared stack (core::ComboStack, combos.h):
+// per-FF error counts from injection campaigns, possibly of a
+// software/algorithm-transformed program, with the unprotected reference
+// mass and the vulnerability order.  It protects flip-flops one at a time
+// in that order -- choosing LEAP-DICE vs parity vs EDS per Heuristic 1 --
+// until the gamma-corrected SDC/DUE improvement target is met.  Every
+// cost the tables, the exploration and the Sec. 4 study report comes from
+// that one pass, Selector::evaluate(spec, stack).  Residual
 // error masses compose analytically:
 //   LEAP-DICE            : counts x 2e-4 (Table 4 SER ratio)
 //   parity/EDS + recovery: 0 (detected in-cycle, repaired)
@@ -86,8 +89,8 @@ struct CostReport {
 // One profile as a selection reads it: per-FF counts (ff_count each), the
 // error-free execution overhead and the benchmark names (the SP&R noise
 // reads only those).  Views a measured ProfileSet, or the composed counts
-// of a multi-layer software stack (core::ComboStack), which has no
-// campaigns of its own.  The viewed storage must outlive the view.
+// of a multi-layer software stack, which has no campaigns of its own.
+// The viewed storage must outlive the view.
 struct ProfileView {
   std::uint32_t ff_count = 0;
   const std::uint64_t* sdc = nullptr;
@@ -102,8 +105,9 @@ struct ProfileView {
 
 // What a selection needs of its profile pair under one metric, whatever
 // the palette, target and recovery: the reference and starting masses and
-// the vulnerability order.  An exploration computes it once per software
-// stack (core::ComboStack) instead of once per combo.
+// the vulnerability order.  Part of every core::ComboStack, so an
+// exploration computes it once per software stack instead of once per
+// combo.
 struct SelectionBasis {
   Metric metric = Metric::kSdc;
   ErrorMass orig;      // the unprotected base design (the reference)
@@ -121,8 +125,10 @@ struct SelectionBasis {
                                              const ProfileView& train,
                                              const ProfileView& validate);
 
-// evaluate() and evaluate_cost_greedy() collect missing profiles through
-// the session; everything else is const and safe to share across threads.
+class ComboStack;  // core/combos.h: the prepared input of every evaluation
+
+// evaluate(spec) collects missing profiles through the session;
+// everything else is const and safe to share across threads.
 class Selector {
  public:
   explicit Selector(Session& session);
@@ -132,28 +138,18 @@ class Selector {
     return *model_;
   }
 
-  // Full Fig. 7 evaluation: select, cost, gamma-corrected improvements.
+  // Full Fig. 7 evaluation on a prepared stack: select on its train
+  // view, then measure the same protection choice on its validate view
+  // against its reference mass (gamma-corrected improvements and costs).
+  // Throws std::invalid_argument when spec.metric is not the metric the
+  // stack was prepared for.  Read-only: one Selector may serve any
+  // number of threads at once.
+  [[nodiscard]] CostReport evaluate(const SelectionSpec& spec,
+                                    const ComboStack& stack) const;
+
+  // The same on spec.variant's measured profile: collects it (and the
+  // base profile), builds its stack and evaluates.
   CostReport evaluate(const SelectionSpec& spec);
-
-  // Evaluation against an explicit profile pair (Sec. 4 train/validate:
-  // select on `train`, then measure the same protection choice on
-  // `validate`).  base gives the unprotected reference masses.  Read-only:
-  // one Selector may serve any number of threads at once.
-  [[nodiscard]] CostReport evaluate_with_profiles(
-      const SelectionSpec& spec, const ProfileSet& base,
-      const ProfileSet& train, const ProfileSet& validate) const;
-
-  // The same evaluation on a basis prepared beforehand from `train` and
-  // `validate` (selection_basis); spec.metric must be basis.metric.
-  // Read-only, like evaluate_with_profiles.
-  [[nodiscard]] CostReport evaluate_prepared(const SelectionSpec& spec,
-                                             const SelectionBasis& basis,
-                                             const ProfileView& train,
-                                             const ProfileView& validate) const;
-
-  // Ablation: replace the vulnerability-ordered greedy of Fig. 7 with a
-  // cost-effectiveness-ordered greedy (error mass removed per unit energy).
-  CostReport evaluate_cost_greedy(const SelectionSpec& spec);
 
   // In-simulator configuration realizing a report's protection choice
   // (used by integration tests to cross-validate the analytic model).
@@ -161,14 +157,6 @@ class Selector {
       const CostReport& report, arch::RecoveryKind recovery) const;
 
  private:
-  // The cost-greedy ablation orders FFs by its own palette-dependent key
-  // instead of basis.ranked.
-  CostReport run_selection(const SelectionSpec& spec,
-                           const SelectionBasis& basis,
-                           const ProfileView& train,
-                           const ProfileView& validate,
-                           bool cost_greedy) const;
-
   Session* session_;
   std::unique_ptr<arch::Core> proto_;
   std::unique_ptr<phys::PhysModel> model_;

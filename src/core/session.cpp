@@ -1,5 +1,6 @@
 #include "core/session.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "arch/core.h"
@@ -14,6 +15,33 @@ double frac_with(const std::vector<std::uint64_t>& counts,
   std::size_t n = 0;
   for (const auto c : counts) n += (c > 0);
   return static_cast<double>(n) / static_cast<double>(ff_count);
+}
+
+// Fills a set's aggregates from its benches: the per-FF sums, the
+// totals and the error-free execution overhead (the mean of the
+// per-benchmark cycle ratios minus one, clamped at zero).  Every profile
+// -- installed or a subset -- is aggregated here, so a subset equals a
+// fresh Session profiled on its names alone.
+void aggregate(ProfileSet& set) {
+  set.ff_sdc.assign(set.ff_count, 0);
+  set.ff_due.assign(set.ff_count, 0);
+  set.ff_total.assign(set.ff_count, 0);
+  set.totals = {};
+  double exec_sum = 0.0;
+  for (const BenchProfile& bp : set.benches) {
+    exec_sum += static_cast<double>(bp.campaign.nominal_cycles) /
+                static_cast<double>(bp.base_cycles);
+    for (std::uint32_t f = 0; f < set.ff_count; ++f) {
+      const auto& c = bp.campaign.per_ff[f];
+      set.ff_sdc[f] += c.sdc();
+      set.ff_due[f] += c.due();
+      set.ff_total[f] += c.total();
+    }
+    set.totals.merge(bp.campaign.totals);
+  }
+  const std::size_t n = set.benches.size();
+  set.exec_overhead = n ? exec_sum / static_cast<double>(n) - 1.0 : 0.0;
+  if (set.exec_overhead < 0) set.exec_overhead = 0.0;
 }
 
 }  // namespace
@@ -196,14 +224,8 @@ PrefetchTicket Session::prefetch_async(const std::vector<Variant>& variants,
         v.monitor ? arch::RecoveryKind::kRob : arch::RecoveryKind::kNone;
     job.needs_cfg = v.dfc || v.monitor;
     for (const auto& bench : benchmarks_) {
-      if (v.abft != workloads::AbftKind::kNone) {
-        // Only benchmarks amenable to the requested ABFT kind (Sec. 3.2).
-        bool ok = false;
-        for (const auto& info : workloads::benchmark_list()) {
-          if (info.name == bench && info.abft == v.abft) ok = true;
-        }
-        if (!ok) continue;
-      }
+      // Only benchmarks amenable to the requested ABFT kind (Sec. 3.2).
+      if (!workloads::supports_abft(bench, v.abft)) continue;
       job.pending.push_back({bench, build_variant_program(bench, v, 0)});
     }
     if (job.pending.empty()) {
@@ -241,7 +263,6 @@ PrefetchTicket Session::prefetch_async(const std::vector<Variant>& variants,
 
 void Session::install(const PrefetchTicket::Batch& batch,
                       std::vector<inject::CampaignResult> campaigns) {
-  const std::uint32_t ff_count = batch.ff_count;
   std::size_t next = 0;
   for (const auto& job : batch.jobs) {
     if (cache_.count(job.vkey)) {
@@ -253,34 +274,16 @@ void Session::install(const PrefetchTicket::Batch& batch,
     auto set = std::make_unique<ProfileSet>();
     set->core = core_;
     set->variant_key = job.vkey;
-    set->ff_count = ff_count;
-    set->ff_sdc.assign(ff_count, 0);
-    set->ff_due.assign(ff_count, 0);
-    set->ff_total.assign(ff_count, 0);
-
-    double exec_sum = 0.0;
-    std::size_t exec_n = 0;
+    set->ff_count = batch.ff_count;
     for (const auto& p : job.pending) {
       BenchProfile bp;
       bp.benchmark = p.bench;
       bp.campaign = std::move(campaigns[next++]);
       bp.base_cycles = job.vkey == "base" ? bp.campaign.nominal_cycles
                                           : base_cycles(bp.benchmark);
-      exec_sum += static_cast<double>(bp.campaign.nominal_cycles) /
-                  static_cast<double>(bp.base_cycles);
-      ++exec_n;
-      for (std::uint32_t f = 0; f < ff_count; ++f) {
-        const auto& c = bp.campaign.per_ff[f];
-        set->ff_sdc[f] += c.sdc();
-        set->ff_due[f] += c.due();
-        set->ff_total[f] += c.total();
-      }
-      set->totals.merge(bp.campaign.totals);
       set->benches.push_back(std::move(bp));
     }
-    set->exec_overhead =
-        exec_n ? exec_sum / static_cast<double>(exec_n) - 1.0 : 0.0;
-    if (set->exec_overhead < 0) set->exec_overhead = 0.0;
+    aggregate(*set);
     cache_[job.vkey] = std::move(set);
   }
 }
@@ -319,33 +322,36 @@ ProfileSet Session::subset(const ProfileSet& full,
   out.core = full.core;
   out.variant_key = full.variant_key + "#subset";
   out.ff_count = full.ff_count;
-  out.ff_sdc.assign(out.ff_count, 0);
-  out.ff_due.assign(out.ff_count, 0);
-  out.ff_total.assign(out.ff_count, 0);
-  double exec_sum = 0.0;
-  std::size_t exec_n = 0;
   for (const auto& bp : full.benches) {
     bool keep = false;
     for (const auto& n : names) keep |= (n == bp.benchmark);
-    if (!keep) continue;
-    for (std::uint32_t f = 0; f < out.ff_count; ++f) {
-      const auto& c = bp.campaign.per_ff[f];
-      out.ff_sdc[f] += c.sdc();
-      out.ff_due[f] += c.due();
-      out.ff_total[f] += c.total();
-    }
-    out.totals.merge(bp.campaign.totals);
-    // Recompute the execution overhead over the kept benchmarks (the
-    // same mean-of-ratios a fresh Session on `names` would produce).
-    exec_sum += static_cast<double>(bp.campaign.nominal_cycles) /
-                static_cast<double>(bp.base_cycles);
-    ++exec_n;
-    out.benches.push_back(bp);
+    if (keep) out.benches.push_back(bp);
   }
-  out.exec_overhead =
-      exec_n ? exec_sum / static_cast<double>(exec_n) - 1.0 : 0.0;
-  if (out.exec_overhead < 0) out.exec_overhead = 0.0;
+  aggregate(out);
   return out;
+}
+
+ErrorMass mass_over(const ProfileSet& set,
+                    const std::vector<std::string>& names) {
+  inject::OutcomeCounts totals;
+  for (const auto& n : names) {
+    const auto it =
+        std::find_if(set.benches.begin(), set.benches.end(),
+                     [&n](const BenchProfile& bp) { return bp.benchmark == n; });
+    if (it == set.benches.end()) {
+      throw std::invalid_argument("mass_over: benchmark '" + n +
+                                  "' is not profiled in this ProfileSet");
+    }
+    totals.merge(it->campaign.totals);
+  }
+  return mass_of(totals);
+}
+
+std::vector<std::string> bench_names(const std::vector<BenchProfile>& benches) {
+  std::vector<std::string> names;
+  names.reserve(benches.size());
+  for (const BenchProfile& bp : benches) names.push_back(bp.benchmark);
+  return names;
 }
 
 }  // namespace clear::core

@@ -104,6 +104,19 @@ struct ProfileSet {
   [[nodiscard]] double frac_ffs_always_vanish() const;
 };
 
+// The error mass of `set`'s campaigns on the named benchmarks: their
+// campaign totals summed in `names` order, reading no per-FF count and
+// copying no campaign.  The unprotected reference of any profile is the
+// base profile's mass over that profile's benchmarks
+// (core::ComboStack).  Throws std::invalid_argument when a name has no
+// profiled benchmark in `set`.
+[[nodiscard]] ErrorMass mass_over(const ProfileSet& set,
+                                  const std::vector<std::string>& names);
+
+// The benchmark names of a profile's benches, in profile order.
+[[nodiscard]] std::vector<std::string> bench_names(
+    const std::vector<BenchProfile>& benches);
+
 // Not thread-safe, except for concurrent const reads of resident profiles
 // (resident() below): collect on one thread, then read from many.  The
 // campaigns a Session submits share the process-wide worker pool and
@@ -194,10 +207,12 @@ class Session {
 
   // Profile restricted to a benchmark subset (used by the Sec. 4
   // train/validate study); aggregates -- totals, the per-FF vectors AND
-  // the error-free execution overhead -- are recomputed from the
-  // memoized per-benchmark campaigns, exactly equal to a fresh Session
-  // profiled on `names` alone.  Throws std::invalid_argument when a name
-  // has no profiled benchmark in `full`.
+  // the error-free execution overhead -- are folded from the memoized
+  // per-benchmark campaigns by the same code install uses, exactly equal
+  // to a fresh Session profiled on `names` alone.  Throws
+  // std::invalid_argument when a name has no profiled benchmark in
+  // `full`.  Copies the kept campaigns; a caller after masses alone uses
+  // mass_over.
   [[nodiscard]] ProfileSet subset(const ProfileSet& full,
                                   const std::vector<std::string>& names) const;
 

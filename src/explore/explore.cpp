@@ -35,19 +35,14 @@ bool combo_equals(const core::Combo& a, const core::Combo& b) {
 }
 
 // True when the suite has a benchmark amenable to the combo's ABFT kind
-// (non-ABFT combos run on any suite).  Suites without one get the combo
-// recorded as kSkipped -- deterministically, since the suite is part of
-// the ledger identity.
+// (non-ABFT combos run on any non-empty suite).  Suites without one get
+// the combo recorded as kSkipped -- deterministically, since the suite is
+// part of the ledger identity.
 bool suite_supports(const std::vector<std::string>& suite,
                     const core::Combo& combo) {
-  if (combo.abft == workloads::AbftKind::kNone) return true;
-  for (const auto& info : workloads::benchmark_list()) {
-    if (info.abft != combo.abft) continue;
-    for (const auto& name : suite) {
-      if (name == info.name) return true;
-    }
-  }
-  return false;
+  return std::any_of(suite.begin(), suite.end(), [&](const std::string& b) {
+    return workloads::supports_abft(b, combo.abft);
+  });
 }
 
 // A record that carries no evaluated point: kSkipped, or kPruned with its
@@ -545,13 +540,7 @@ void write_profile_manifest(const ExploreSpec& spec, const std::string& path) {
   bool first = true;
   for (const core::Variant& v : variants) {
     for (const std::string& bench : identity.benchmarks) {
-      if (v.abft != workloads::AbftKind::kNone) {
-        bool ok = false;
-        for (const auto& info : workloads::benchmark_list()) {
-          if (info.name == bench && info.abft == v.abft) ok = true;
-        }
-        if (!ok) continue;
-      }
+      if (!workloads::supports_abft(bench, v.abft)) continue;
       if (!first) out << "---\n";
       first = false;
       // The cache key matches core::Session's, so `clear explore run`

@@ -133,6 +133,27 @@ bool point_order(const LedgerRecord* a, const LedgerRecord* b) {
   return a->combo_index < b->combo_index;
 }
 
+// The first identity field (everything above `covered`) on which two
+// ledgers differ, by the name merge errors give it; nullptr when they
+// share one identity.  The one list of identity fields.
+const char* identity_mismatch(const Ledger& a, const Ledger& b) {
+  if (a.core != b.core) return "core";
+  if (a.target != b.target) return "target";
+  if (a.metric != b.metric) return "metric";
+  if (a.seed != b.seed) return "seed";
+  if (a.per_ff_samples != b.per_ff_samples) return "per_ff_samples";
+  if (a.confidence != b.confidence ||
+      a.confidence_method != b.confidence_method) {
+    return "confidence target";
+  }
+  if (a.benchmarks != b.benchmarks) return "benchmarks";
+  if (a.combo_count != b.combo_count) return "combo_count";
+  if (a.combo_fingerprint != b.combo_fingerprint) return "combo_fingerprint";
+  if (a.pruning != b.pruning) return "pruning";
+  if (a.shard_count != b.shard_count) return "shard_count";
+  return nullptr;
+}
+
 }  // namespace
 
 const char* ledger_status_name(LedgerStatus s) noexcept {
@@ -178,13 +199,7 @@ std::vector<std::uint32_t> Ledger::missing_indices() const {
 }
 
 bool Ledger::same_identity(const Ledger& o) const {
-  return core == o.core && target == o.target && metric == o.metric &&
-         seed == o.seed && per_ff_samples == o.per_ff_samples &&
-         confidence == o.confidence &&
-         confidence_method == o.confidence_method &&
-         benchmarks == o.benchmarks && combo_count == o.combo_count &&
-         combo_fingerprint == o.combo_fingerprint && pruning == o.pruning &&
-         shard_count == o.shard_count;
+  return identity_mismatch(*this, o) == nullptr;
 }
 
 std::string encode_record(const LedgerRecord& rec) {
@@ -311,46 +326,21 @@ Ledger merge_ledger_files(const std::vector<Ledger>& ledgers) {
     throw std::invalid_argument("merge_ledger_files: no ledgers");
   }
   const Ledger& ref = ledgers.front();
-  const auto mismatch = [](const std::string& field) {
-    throw std::invalid_argument(
-        "merge_ledger_files: ledgers disagree on " + field +
-        " (refusing to fold results of different explorations)");
-  };
   std::vector<char> shard_seen(ref.shard_count, 0);
   std::set<std::uint32_t> combo_seen;
   std::set<std::uint32_t> anchor_seen;
 
-  Ledger merged;
-  merged.core = ref.core;
-  merged.target = ref.target;
-  merged.metric = ref.metric;
-  merged.seed = ref.seed;
-  merged.per_ff_samples = ref.per_ff_samples;
-  merged.confidence = ref.confidence;
-  merged.confidence_method = ref.confidence_method;
-  merged.benchmarks = ref.benchmarks;
-  merged.combo_count = ref.combo_count;
-  merged.combo_fingerprint = ref.combo_fingerprint;
-  merged.pruning = ref.pruning;
-  merged.shard_count = ref.shard_count;
+  // The identity as a whole; coverage and records are folded below.
+  Ledger merged = ref;
+  merged.covered.clear();
+  merged.records.clear();
 
   for (const Ledger& l : ledgers) {
-    if (l.core != ref.core) mismatch("core");
-    if (l.target != ref.target) mismatch("target");
-    if (l.metric != ref.metric) mismatch("metric");
-    if (l.seed != ref.seed) mismatch("seed");
-    if (l.per_ff_samples != ref.per_ff_samples) mismatch("per_ff_samples");
-    if (l.confidence != ref.confidence ||
-        l.confidence_method != ref.confidence_method) {
-      mismatch("confidence target");
+    if (const char* field = identity_mismatch(l, ref)) {
+      throw std::invalid_argument(
+          std::string("merge_ledger_files: ledgers disagree on ") + field +
+          " (refusing to fold results of different explorations)");
     }
-    if (l.benchmarks != ref.benchmarks) mismatch("benchmarks");
-    if (l.combo_count != ref.combo_count) mismatch("combo_count");
-    if (l.combo_fingerprint != ref.combo_fingerprint) {
-      mismatch("combo_fingerprint");
-    }
-    if (l.pruning != ref.pruning) mismatch("pruning");
-    if (l.shard_count != ref.shard_count) mismatch("shard_count");
     for (const std::uint32_t idx : l.covered) {
       if (idx >= ref.shard_count || shard_seen[idx]) {
         throw std::invalid_argument(

@@ -102,6 +102,14 @@ std::vector<std::string> benchmarks_for_core(const std::string& core) {
   return names;
 }
 
+bool supports_abft(const std::string& name, AbftKind kind) {
+  if (kind == AbftKind::kNone) return true;
+  for (const auto& e : table()) {
+    if (e.info.name == name) return e.info.abft == kind;
+  }
+  return false;
+}
+
 isa::AsmUnit build_benchmark(const std::string& name, std::uint32_t seed) {
   return find(name).base(seed);
 }

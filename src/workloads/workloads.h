@@ -47,6 +47,12 @@ struct BenchmarkInfo {
 [[nodiscard]] std::vector<std::string> benchmarks_for_core(
     const std::string& core);
 
+// True when the named benchmark runs a program variant of ABFT kind
+// `kind`: always for kNone, otherwise when the benchmark's own ABFT kind
+// is `kind` (false for an unknown name).  The one rule for which
+// benchmarks an ABFT variant is profiled on.
+[[nodiscard]] bool supports_abft(const std::string& name, AbftKind kind);
+
 // Builds a benchmark program (symbolic IR, pre-assembly).  input_seed
 // selects the input data set; 0 is the canonical evaluation input.
 // Throws std::out_of_range for unknown names.

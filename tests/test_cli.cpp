@@ -529,6 +529,28 @@ TEST(CliE2E, ExploreEmitManifestRoundTripsThroughClearRun) {
   EXPECT_EQ(keyed, stanzas);     // every campaign cache-keyed
   EXPECT_EQ(sh(kBin + " run --spec cli_e2e/prof.spec --dry-run"), 0);
   EXPECT_EQ(sh(kBin + " run --spec cli_e2e/prof.spec"), 0);
+
+  // The same exploration then finds every campaign it profiles in the
+  // pack: no lookup misses and no sample is simulated.
+  ASSERT_EQ(sh(kBin + " explore run --core InO --benches mcf,inner_product "
+                      "--per-ff 1 --seed 5 --ledger cli_e2e/prof.cxl "
+                      "--quiet --metrics-out cli_e2e/prof_metrics.json"),
+            0);
+  std::ifstream metrics("cli_e2e/prof_metrics.json");
+  const std::string json((std::istreambuf_iterator<char>(metrics)),
+                         std::istreambuf_iterator<char>());
+  // A counter the run never touched is absent from the snapshot: 0.
+  const auto counter = [&json](const std::string& name) {
+    const std::string key = "\"" + name + "\": ";
+    const std::size_t at = json.find(key);
+    return at == std::string::npos
+               ? 0
+               : std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
+  };
+  ASSERT_NE(json.find("\"cache.miss\": "), std::string::npos) << json;
+  EXPECT_GT(counter("cache.hit"), 0u) << json;
+  EXPECT_EQ(counter("cache.miss"), 0u) << json;
+  EXPECT_EQ(counter("campaign.samples"), 0u) << json;
 }
 
 TEST(CliE2E, RecoveryIsPartOfTheDerivedCacheKey) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -264,18 +265,6 @@ TEST(Selection, LhlBackfillProtectsRemainder) {
   EXPECT_LT(lhl.energy - plain.energy, 0.06);
 }
 
-TEST(Selection, CostGreedyAblationIsNoWorse) {
-  SelectionSpec spec;
-  spec.palette = Palette::dice_parity();
-  spec.target = 50.0;
-  spec.recovery = arch::RecoveryKind::kFlush;
-  const CostReport fig7 = test_selector().evaluate(spec);
-  const CostReport greedy = test_selector().evaluate_cost_greedy(spec);
-  EXPECT_TRUE(greedy.target_met);
-  // The cost-aware order can only help (or tie) on energy.
-  EXPECT_LT(greedy.energy, fig7.energy * 1.10);
-}
-
 TEST(Selection, AnalyticMatchesSimulation) {
   // The honesty check: realize the selected protection in the simulator
   // and re-measure the improvement with real injections.
@@ -339,15 +328,24 @@ TEST(ComboEvaluation, ComposedProfileForMultiLayerCombos) {
   multi.cfcss = true;
   multi.assertions = true;
   s.prefetch(combo_variants(multi));
-  const ProfileSet prof = combo_profile(s, multi);
+  const ComboStack stack(s, multi, Metric::kSdc);
   const ProfileSet& base = s.profiles(Variant::base());
+  // A composed stack trains and validates on its own counts, over the
+  // base's FFs and benchmarks, against the whole suite's base mass.
+  const ProfileView& view = stack.train();
+  EXPECT_EQ(view.sdc, stack.validate().sdc);
+  EXPECT_NE(view.sdc, base.ff_sdc.data());
+  EXPECT_EQ(view.total, base.ff_total.data());
+  EXPECT_EQ(view.benches, &base.benches);
+  EXPECT_EQ(stack.basis().orig.sdc, base.mass().sdc);
+  EXPECT_EQ(stack.basis().orig.due, base.mass().due);
   // Composition keeps totals sane and stacks exec overheads.
-  EXPECT_LE(prof.totals.sdc(), base.totals.sdc());
-  EXPECT_GT(prof.exec_overhead, s.profiles([] {
-                                   Variant v;
-                                   v.cfcss = true;
-                                   return v;
-                                 }())
+  EXPECT_LE(stack.basis().train.sdc, base.mass().sdc);
+  EXPECT_GT(view.exec_overhead, s.profiles([] {
+                                  Variant v;
+                                  v.cfcss = true;
+                                  return v;
+                                }())
                                     .exec_overhead);
 }
 
@@ -455,6 +453,40 @@ TEST(BenchDep, SplitsAreDisjointAndCoverSpec) {
       for (const auto& v : val) EXPECT_NE(t, v);
     }
   }
+}
+
+// A split needs a benchmark on each side: with fewer than 2 SPEC
+// benchmarks in the suite there is no split to make, and make_splits says
+// so instead of shuffling an empty pool.
+TEST(BenchDep, SplitsRefuseSuitesWithFewerThanTwoSpecBenchmarks) {
+  for (const std::vector<std::string>& suite :
+       {std::vector<std::string>{"fft1d", "inner_product"},
+        std::vector<std::string>{"gcc", "fft1d"}}) {
+    Session s("InO", /*per_ff_samples=*/1, /*seed=*/5);
+    s.set_benchmarks(suite);
+    const std::size_t n_spec = suite.front() == "gcc" ? 1 : 0;
+    try {
+      (void)make_splits(s, 2, 4, 99);
+      ADD_FAILURE() << "no throw on " << n_spec << " SPEC benchmark(s)";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(n_spec) + " SPEC"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// The metric a stack was prepared for is the one its selection ranks.
+TEST(Selection, EvaluateRefusesAStackOfAnotherMetric) {
+  Session& s = test_session();
+  s.prefetch({Variant::base()});
+  const ComboStack stack(s, Variant::base(), Metric::kDue);
+  SelectionSpec spec;
+  spec.metric = Metric::kSdc;
+  EXPECT_THROW((void)test_selector().evaluate(spec, stack),
+               std::invalid_argument);
+  spec.metric = Metric::kDue;
+  EXPECT_NO_THROW((void)test_selector().evaluate(spec, stack));
 }
 
 TEST(BenchDep, SubsetSimilarityShape) {

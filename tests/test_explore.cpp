@@ -357,11 +357,47 @@ TEST(LedgerMerge, RefusesMismatchOverlapAndMisownedRecords) {
   // Same ledger twice: coverage overlap.
   EXPECT_THROW((void)explore::merge_ledger_files({a, a}),
                std::invalid_argument);
-  // Identity mismatch.
-  Ledger c = b;
-  c.target = 51.0;
-  EXPECT_THROW((void)explore::merge_ledger_files({a, c}),
-               std::invalid_argument);
+  // Every identity field, changed alone, makes a different exploration:
+  // the merge refuses and names the field, same_identity is false, and a
+  // writer refuses to append to the other's file.
+  const std::string path = "explore_e2e/identity_sweep.cxl";
+  std::filesystem::remove(path);
+  Ledger on_disk = a;
+  on_disk.records.clear();
+  explore::LedgerWriter w;
+  w.open(path, on_disk);
+  using Mutation = void (*)(Ledger&);
+  const std::vector<std::pair<std::string, Mutation>> fields = {
+      {"core", [](Ledger& l) { l.core = "OoO"; }},
+      {"target", [](Ledger& l) { l.target = 51.0; }},
+      {"metric", [](Ledger& l) { l.metric = 1; }},
+      {"seed", [](Ledger& l) { l.seed ^= 1; }},
+      {"per_ff_samples", [](Ledger& l) { l.per_ff_samples = 2; }},
+      {"confidence target", [](Ledger& l) { l.confidence = 0.1; }},
+      {"confidence target", [](Ledger& l) { l.confidence_method = 1; }},
+      {"benchmarks", [](Ledger& l) { l.benchmarks.push_back("gzip"); }},
+      {"combo_count", [](Ledger& l) { l.combo_count = 169; }},
+      {"combo_fingerprint", [](Ledger& l) { l.combo_fingerprint ^= 1; }},
+      {"pruning", [](Ledger& l) { l.pruning = false; }},
+      {"shard_count", [](Ledger& l) { l.shard_count = 4; }},
+  };
+  for (const auto& [name, mutate] : fields) {
+    Ledger c = b;
+    mutate(c);
+    EXPECT_FALSE(c.same_identity(a)) << name;
+    try {
+      (void)explore::merge_ledger_files({a, c});
+      ADD_FAILURE() << "merge accepted a different " << name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("disagree on " + name + " ("),
+                std::string::npos)
+          << e.what();
+    }
+    Ledger other = on_disk;
+    mutate(other);
+    explore::LedgerWriter refuse;
+    EXPECT_THROW(refuse.open(path, other), std::runtime_error) << name;
+  }
   // A record owned by a shard the ledger does not cover.
   Ledger d = b;
   d.records.front().combo_index = 3;  // shard 0's combo in shard 2's ledger
