@@ -74,11 +74,10 @@ int cmd_status(int argc, const char* const* argv);
 // `clear version [--json]`.
 int cmd_version(int argc, const char* const* argv);
 
-// The parse preamble of every verb but `clear run` (whose spec stanzas
-// parse first).  A parse failure prints "<verb>: <error>" and the help on
-// stderr (exit 2); --help prints the help on stdout (exit 0).  Returns
-// true when the verb goes on, else false with its exit code in
-// *exit_code.
+// The parse preamble of every verb.  A parse failure prints "<verb>:
+// <error>" and the help on stderr (exit 2); --help prints the help on
+// stdout (exit 0).  Returns true when the verb goes on, else false with
+// its exit code in *exit_code.
 bool parse_verb(util::ArgParser& args, int argc, const char* const* argv,
                 const char* verb, int* exit_code);
 

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "cli/cli.h"
-#include "plan/runplan.h"
 #include "explore/explore.h"
 #include "explore/ledger.h"
 #include "fleet/fleet.h"
@@ -207,16 +206,6 @@ int fleet_run(int argc, const char* const* argv) {
                                     &shards, &error)) {
     std::fprintf(stderr, "clear fleet run: %s\n", error.c_str());
     return 2;
-  }
-  // Fail fast on a manifest no worker could resolve: the drive-side
-  // resolution is the same code every worker runs (runplan.h).
-  {
-    std::vector<plan::RunPlan> probe;
-    if (!plan::resolve_manifest_text(shards[0].text, "clear fleet run", &probe,
-                               &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 2;
-    }
   }
   const std::string out_dir = args.get("out-dir");
   if (!util::ensure_dir(out_dir)) {

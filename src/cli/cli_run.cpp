@@ -1,9 +1,12 @@
 // `clear run`: simulate one shard of an injection campaign and write the
 // result as a .csr wire file for `clear merge` / `clear report`.
 //
-// Flag resolution, the manifest grammar and the .csr identity stamp live
-// in plan/runplan.{h,cpp}, shared with the `clear serve` daemon so a
-// remote worker's bytes match a local run's exactly.
+// Flag resolution, the manifest grammar, the stanza refusals and the .csr
+// identity stamp live in plan/runplan.{h,cpp}, shared with the `clear
+// serve` daemon and the fleet driver so a remote worker's bytes match a
+// local run's exactly.  A flag-only run is a manifest of one empty
+// stanza: one path runs 1..N campaigns.
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -14,6 +17,7 @@
 #include "plan/runplan.h"
 #include "inject/campaign.h"
 #include "inject/wire.h"
+#include "util/fs.h"
 #include "util/table.h"
 #include "workloads/workloads.h"
 
@@ -65,7 +69,8 @@ void print_plan(const plan::RunPlan& plan) {
 }
 
 // Prints a campaign's outcome table and writes its .csr when requested.
-int finish_campaign(const plan::RunPlan& plan, const inject::CampaignResult& result) {
+void finish_campaign(const plan::RunPlan& plan,
+                     const inject::CampaignResult& result) {
   util::TextTable table({"samples", "vanished", "SDC", "DUE", "recovered",
                          "SDC frac", "+/-95%"});
   table.add_row({std::to_string(result.totals.total()),
@@ -100,161 +105,79 @@ int finish_campaign(const plan::RunPlan& plan, const inject::CampaignResult& res
     std::printf("wrote %s (%s)\n", plan.out.c_str(),
                 shard.complete() ? "complete campaign" : "1 shard");
   }
-  return 0;
-}
-
-// resolve_plan + usage-error reporting (help text on a missing --bench,
-// the mistake a bare `clear run` makes).
-int resolve_or_complain(const util::ArgParser& args, const std::string& ctx,
-                        plan::RunPlan* plan) {
-  std::string error;
-  bool show_usage = false;
-  if (plan::resolve_plan(args, ctx, plan, &error, &show_usage)) return 0;
-  std::fprintf(stderr, "%s\n", error.c_str());
-  if (show_usage) std::fputs(args.help().c_str(), stderr);
-  return 2;
 }
 
 }  // namespace
 
 int cmd_run(int argc, const char* const* argv) {
   util::ArgParser args = plan::make_run_parser();
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear run: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, "clear run", &rc)) return rc;
 
-  std::vector<std::vector<std::string>> stanzas;
+  std::string text, ctx = "clear run";
   if (args.has("spec")) {
-    if (!plan::read_spec_stanzas(args.get("spec"), &stanzas)) {
+    if (!util::read_file(args.get("spec"), &text)) {
       std::fprintf(stderr, "clear run: cannot read spec file '%s'\n",
                    args.get("spec").c_str());
       return 1;
     }
-    // A spec file must not name another spec file: the command-line
-    // re-parse would silently overwrite it in the one-stanza case, so
-    // refuse it loudly everywhere.
-    for (std::size_t i = 0; i < stanzas.size(); ++i) {
-      for (const auto& t : stanzas[i]) {
-        if (t == "--spec" || t.rfind("--spec=", 0) == 0) {
-          std::fprintf(stderr,
-                       "clear run: in spec '%s' campaign #%zu: nested --spec "
-                       "is not allowed\n",
-                       args.get("spec").c_str(), i + 1);
-          return 2;
-        }
-      }
+    ctx += ": in spec '" + args.get("spec") + "'";
+  }
+  std::vector<plan::RunPlan> plans;
+  std::string error;
+  if (!plan::resolve_manifest_text(text, ctx, &plans, &error,
+                                   plan::Site::kLocal, &args)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    // The mistake a bare `clear run` makes: show the flag table.
+    if (!args.has("spec") && !args.has("bench")) {
+      std::fputs(args.help().c_str(), stderr);
     }
+    return 2;
   }
-  if (stanzas.size() == 1) {
-    // Spec first, then the command line again so explicit flags override
-    // the file (parsing is cumulative: later values win).
-    if (!args.parse(stanzas[0], &error) || !args.parse(argc, argv, &error)) {
-      std::fprintf(stderr, "clear run: in spec '%s': %s\n%s",
-                   args.get("spec").c_str(), error.c_str(),
-                   args.help().c_str());
-      return 2;
-    }
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
-  if (args.has("list-benches")) {
-    const std::string core_name = args.get("core");
-    if (core_name != "InO" && core_name != "OoO") {
-      std::fprintf(stderr, "clear run: unknown core '%s' (InO or OoO)\n",
-                   core_name.c_str());
-      return 2;
-    }
-    return list_benches(core_name);
-  }
-
-  // ---- single campaign (no spec, or a one-stanza spec file) ----------------
-  if (stanzas.size() <= 1) {
-    plan::RunPlan plan;
-    const int rc = resolve_or_complain(args, "clear run", &plan);
-    if (rc != 0) return rc;
-    plan.patch_spec_pointers();
-    print_plan(plan);
-    if (args.has("dry-run")) {
-      std::printf("dry run: nothing simulated\n");
-      return 0;
-    }
-    const int done = finish_campaign(plan, engine::run_campaign(plan.spec));
-    if (done == 0) write_metrics_out(args.get("metrics-out"), "clear run");
-    return done;
-  }
-
-  // ---- multi-campaign manifest ----------------------------------------------
-  // Every stanza resolves independently (stanza flags, then the command
-  // line again, which wins -- the cluster job passes --shard/--threads
-  // once for the whole manifest); all campaigns are submitted as ONE
-  // engine::run_campaigns batch so golden-run recording overlaps faulty runs
-  // across campaigns.
-  // In the manifest path `args` holds the command-line parse alone (the
-  // spec-token merge above only ran for one-stanza files).
-  if (args.has("out")) {
+  // Campaigns resolved together run as ONE engine::run_campaigns batch,
+  // so golden-run recording overlaps faulty runs across campaigns.
+  const bool manifest = plans.size() > 1;
+  if (manifest && args.has("out")) {
     std::fprintf(stderr,
                  "clear run: --out on the command line would make all %zu "
                  "manifest campaigns overwrite one file; put --out in the "
                  "stanzas instead\n",
-                 stanzas.size());
+                 plans.size());
     return 2;
   }
-  bool dry_run = args.has("dry-run");
-  std::vector<plan::RunPlan> plans(stanzas.size());
-  for (std::size_t i = 0; i < stanzas.size(); ++i) {
-    util::ArgParser stanza_args = plan::make_run_parser();
-    const std::string ctx = "clear run: in spec '" + args.get("spec") +
-                            "' campaign #" + std::to_string(i + 1);
-    if (!stanza_args.parse(stanzas[i], &error) ||
-        !stanza_args.parse(argc, argv, &error)) {
-      std::fprintf(stderr, "%s: %s\n", ctx.c_str(), error.c_str());
-      return 2;
-    }
-    // Honor the flags a one-stanza spec would have honored: a --dry-run
-    // anywhere in the manifest dry-runs the whole batch (a silently
-    // ignored one could cost hours of unintended cluster compute).
-    dry_run |= stanza_args.has("dry-run");
-    if (stanza_args.has("list-benches")) {
-      const std::string core_name = stanza_args.get("core");
-      if (core_name != "InO" && core_name != "OoO") {
-        std::fprintf(stderr, "%s: unknown core '%s' (InO or OoO)\n",
-                     ctx.c_str(), core_name.c_str());
-        return 2;
-      }
-      return list_benches(core_name);
-    }
-    const int rc = resolve_or_complain(stanza_args, ctx, &plans[i]);
-    if (rc != 0) return rc;
+  for (const plan::RunPlan& plan : plans) {
+    if (plan.list_benches) return list_benches(plan.core_name);
   }
 
-  // `plans` is final: spec pointers into it stay valid through the batch.
-  std::vector<inject::CampaignSpec> specs(plans.size());
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    plans[i].patch_spec_pointers();
-    specs[i] = plans[i].spec;
+  if (manifest) {
+    std::printf("manifest   %s: %zu campaigns, one run_campaigns batch\n",
+                args.get("spec").c_str(), plans.size());
   }
-  std::printf("manifest   %s: %zu campaigns, one run_campaigns batch\n",
-              args.get("spec").c_str(), plans.size());
   for (const plan::RunPlan& plan : plans) print_plan(plan);
-  if (dry_run) {
+  // A --dry-run anywhere in the manifest dry-runs the whole batch (a
+  // silently ignored one could cost hours of unintended cluster compute).
+  if (std::any_of(plans.begin(), plans.end(),
+                  [](const plan::RunPlan& p) { return p.dry_run; })) {
     std::printf("dry run: nothing simulated\n");
     return 0;
   }
 
+  std::vector<inject::CampaignSpec> specs;
+  specs.reserve(plans.size());
+  for (const plan::RunPlan& plan : plans) specs.push_back(plan.spec);
   const std::vector<inject::CampaignResult> results =
       engine::run_campaigns(specs);
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    std::printf("\ncampaign   %s/%s variant=%s\n", plans[i].core_name.c_str(),
-                plans[i].bench.c_str(), plans[i].variant.key().c_str());
-    const int rc = finish_campaign(plans[i], results[i]);
-    if (rc != 0) return rc;
+    if (manifest) {
+      std::printf("\ncampaign   %s/%s variant=%s\n",
+                  plans[i].core_name.c_str(), plans[i].bench.c_str(),
+                  plans[i].variant.key().c_str());
+    }
+    finish_campaign(plans[i], results[i]);
   }
-  write_metrics_out(args.get("metrics-out"), "clear run");
+  // A stanza's --metrics-out is refused in a manifest of several, so
+  // every plan carries the same (command-line) value.
+  write_metrics_out(plans[0].metrics_out, "clear run");
   return 0;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <stdexcept>
@@ -48,22 +47,6 @@ struct FleetMetrics {
 FleetMetrics& metrics() {
   static FleetMetrics m;
   return m;
-}
-
-// Flags a fleet refuses inside a campaign stanza: sharding belongs to the
-// driver, and output/nesting/introspection flags direct a local CLI.
-bool forbidden_campaign_token(const std::string& tok, std::string* which) {
-  static constexpr const char* kForbidden[] = {
-      "--shard", "--out", "--spec", "--dry-run", "--list-benches",
-      "--metrics-out"};
-  for (const char* f : kForbidden) {
-    if (tok == f || (tok.rfind(f, 0) == 0 && tok.size() > std::strlen(f) &&
-                     tok[std::strlen(f)] == '=')) {
-      *which = f;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -215,28 +198,14 @@ bool build_campaign_shards(const std::string& manifest,
     if (error != nullptr) *error = "shard count must be >= 1";
     return false;
   }
-  std::vector<std::vector<std::string>> stanzas;
-  plan::split_spec_stanzas(manifest, &stanzas);
-  // split_spec_stanzas yields one empty stanza for empty input; an empty
-  // stanza anywhere would dispatch a bare `--shard k/K` manifest every
-  // worker refuses, so fail at the driver instead.
-  for (const auto& stanza : stanzas) {
-    if (stanza.empty()) {
-      if (error != nullptr) *error = "manifest holds no campaign stanzas";
-      return false;
-    }
-  }
-  for (std::size_t s = 0; s < stanzas.size(); ++s) {
-    for (const std::string& tok : stanzas[s]) {
-      std::string which;
-      if (forbidden_campaign_token(tok, &which)) {
-        if (error != nullptr) {
-          *error = "campaign #" + std::to_string(s + 1) + " carries " + which +
-                   ": sharding and output belong to the fleet driver";
-        }
-        return false;
-      }
-    }
+  // Resolving every stanza here fails fast on a manifest no worker
+  // could resolve: the same code each worker runs (plan/runplan.h).
+  std::vector<plan::RunPlan> plans;
+  std::string why;
+  if (!plan::resolve_manifest_text(manifest, "manifest", &plans, &why,
+                                   plan::Site::kFleet)) {
+    if (error != nullptr) *error = why;
+    return false;
   }
   out->reserve(shard_count);
   for (std::uint32_t k = 0; k < shard_count; ++k) {
@@ -244,9 +213,9 @@ bool build_campaign_shards(const std::string& manifest,
     w.id = k;
     w.kind = serve::ShardKind::kCampaign;
     std::string text;
-    for (std::size_t s = 0; s < stanzas.size(); ++s) {
+    for (std::size_t s = 0; s < plans.size(); ++s) {
       if (s != 0) text += "\n---\n";
-      for (const std::string& tok : stanzas[s]) {
+      for (const std::string& tok : plans[s].tokens) {
         if (!text.empty() && text.back() != '\n') text += ' ';
         text += tok;
       }

@@ -100,9 +100,11 @@ struct ShardWork {
 
 // Builds the K campaign shards of a multi-campaign manifest: each shard's
 // manifest carries every stanza of `manifest` with `--shard k/K`
-// appended.  Stanzas that already pick a shard, an output file or a
-// nested spec are refused (those direct a local CLI, not a fleet).
-// Returns false and fills *error on a malformed manifest.
+// appended.  Every stanza is resolved once first, at plan::Site::kFleet:
+// flags that pick a shard, an output file or a nested spec are refused
+// (see the refusal table in plan/runplan.cpp).  Returns false and fills
+// *error on a manifest no worker could resolve; an unknown benchmark
+// throws, as at the worker.
 bool build_campaign_shards(const std::string& manifest,
                            std::uint32_t shard_count,
                            std::vector<ShardWork>* out, std::string* error);

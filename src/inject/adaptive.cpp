@@ -114,33 +114,4 @@ std::vector<std::uint64_t> plan_final_counts(
   return planned;
 }
 
-Plan plan_with_oracle(std::uint64_t injections, std::uint32_t ff_count,
-                      double target, util::IntervalMethod method,
-                      const std::function<Outcome(std::uint64_t)>& oracle) {
-  Plan plan;
-  const std::vector<std::uint64_t> base = fixed_budget(injections, ff_count);
-  std::uint64_t min_base = base.empty() ? 0 : base[0];
-  for (const std::uint64_t b : base) min_base = std::min(min_base, b);
-  plan.pilot = pilot_ordinals(min_base);
-  plan.milestones = milestone_ladder(plan.pilot);
-  if (plan.pilot == 0) {
-    plan.planned = base;
-    return plan;
-  }
-  std::vector<FfDecision> states(ff_count);
-  std::uint64_t prev = 0;
-  for (const std::uint64_t m : plan.milestones) {
-    for (std::uint64_t ord = prev; ord < m; ++ord) {
-      for (std::uint32_t f = 0; f < ff_count; ++f) {
-        if (states[f].stopped_at != 0) continue;
-        states[f].pilot.add(oracle(ord * ff_count + f));
-      }
-    }
-    apply_milestone(m, target, method, &states);
-    prev = m;
-  }
-  plan.planned = plan_final_counts(states, plan.pilot, base, target, method);
-  return plan;
-}
-
 }  // namespace clear::inject::adaptive

@@ -31,12 +31,12 @@
 //
 // The executed index set is therefore {g : g / ff_count < N[g % ff_count]}
 // on every shard, and Σ N_f never exceeds the fixed budget (the property
-// tests in tests/test_adaptive.cpp pin both invariants).
+// tests in tests/test_adaptive.cpp pin both invariants, running the whole
+// procedure through tests/adaptive_oracle.h).
 #ifndef CLEAR_INJECT_ADAPTIVE_H
 #define CLEAR_INJECT_ADAPTIVE_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "inject/outcome.h"
@@ -88,22 +88,6 @@ void apply_milestone(std::uint64_t m, double target,
     const std::vector<FfDecision>& states, std::uint64_t pilot,
     const std::vector<std::uint64_t>& base, double target,
     util::IntervalMethod method);
-
-// A complete adaptive plan (for tests, benches and result reporting).
-struct Plan {
-  std::uint64_t pilot = 0;
-  std::vector<std::uint64_t> milestones;
-  std::vector<std::uint64_t> planned;  // N_f per FF; Σ <= injections
-};
-
-// Runs the whole decision procedure against an outcome oracle (a pure
-// function of the global sample index -- the executor's simulator, or a
-// synthetic Bernoulli source in the property tests).  The oracle is only
-// consulted for pilot indices of still-open FFs, in milestone order.
-[[nodiscard]] Plan plan_with_oracle(
-    std::uint64_t injections, std::uint32_t ff_count, double target,
-    util::IntervalMethod method,
-    const std::function<Outcome(std::uint64_t)>& oracle);
 
 }  // namespace clear::inject::adaptive
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <sstream>
 
-#include "util/fs.h"
 #include "workloads/workloads.h"
 
 namespace clear::plan {
@@ -130,16 +129,13 @@ void split_spec_stanzas(const std::string& text,
   if (stanzas->size() > 1 && stanzas->back().empty()) stanzas->pop_back();
 }
 
-bool read_spec_stanzas(const std::string& path,
-                       std::vector<std::vector<std::string>>* stanzas) {
-  std::string text;
-  if (!util::read_file(path, &text)) return false;
-  split_spec_stanzas(text, stanzas);
-  return true;
-}
+namespace {
 
+// Resolves one stanza's parsed flags into a plan (spec pointers NOT yet
+// patched).  On failure fills *error, prefixed with `ctx`, and returns
+// false.
 bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
-                  RunPlan* plan, std::string* error, bool* show_usage) {
+                  RunPlan* plan, std::string* error) {
   const auto fail = [&](const std::string& msg) {
     *error = ctx + ": " + msg;
     return false;
@@ -148,11 +144,10 @@ bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
   if (plan->core_name != "InO" && plan->core_name != "OoO") {
     return fail("unknown core '" + plan->core_name + "' (InO or OoO)");
   }
+  plan->list_benches = args.has("list-benches");
+  if (plan->list_benches) return true;
   plan->bench = args.get("bench");
-  if (plan->bench.empty()) {
-    if (show_usage != nullptr) *show_usage = true;
-    return fail("--bench is required");
-  }
+  if (plan->bench.empty()) return fail("--bench is required");
   if (!parse_shard(args.get("shard"), &plan->shard_index,
                    &plan->shard_count)) {
     return fail("bad --shard '" + args.get("shard") +
@@ -267,8 +262,55 @@ bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
   plan->global =
       plan->spec.injections != 0 ? plan->spec.injections : plan->ff_count;
   plan->out = args.get("out");
+  plan->metrics_out = args.get("metrics-out");
+  plan->dry_run = args.has("dry-run");
   return true;
 }
+
+// Every stanza flag some site refuses, and the sites that refuse it.  A
+// local run of one stanza extends its command line, so it refuses only
+// what kAtLocalOne marks; a manifest of several stanzas also refuses
+// what would name one file for the whole process.
+enum : unsigned {
+  kAtLocalOne = 1,
+  kAtLocalMany = 2,
+  kAtWorker = 4,
+  kAtFleet = 8,
+};
+struct StanzaRefusal {
+  const char* flag;
+  unsigned sites;
+  const char* why;
+};
+constexpr StanzaRefusal kStanzaRefusals[] = {
+    {"spec", kAtLocalOne | kAtLocalMany | kAtWorker | kAtFleet,
+     "a stanza cannot name another manifest"},
+    {"metrics-out", kAtLocalMany | kAtWorker | kAtFleet,
+     "the metric snapshot is one file per process"},
+    {"out", kAtWorker | kAtFleet, "the driver writes each campaign's .csr"},
+    {"shard", kAtFleet, "the fleet driver assigns every shard"},
+    {"dry-run", kAtWorker | kAtFleet, "it directs a local clear run"},
+    {"list-benches", kAtWorker | kAtFleet, "it directs a local clear run"},
+};
+
+// The refusal-table column of a manifest of `stanzas` resolved at `site`,
+// and the words that name it in an error.
+unsigned site_column(Site site, std::size_t stanzas, const char** where) {
+  switch (site) {
+    case Site::kLocal:
+      if (stanzas > 1) {
+        *where = "in a multi-campaign manifest";
+        return kAtLocalMany;
+      }
+      *where = "in a spec stanza";
+      return kAtLocalOne;
+    case Site::kWorker: *where = "on a serve worker"; return kAtWorker;
+    case Site::kFleet: *where = "by the fleet driver"; return kAtFleet;
+  }
+  return 0;
+}
+
+}  // namespace
 
 inject::ShardFile plan_shard_file(const RunPlan& plan,
                                   const inject::CampaignResult& result) {
@@ -285,37 +327,38 @@ inject::ShardFile plan_shard_file(const RunPlan& plan,
 }
 
 bool resolve_manifest_text(const std::string& text, const std::string& ctx,
-                           std::vector<RunPlan>* plans, std::string* error) {
+                           std::vector<RunPlan>* plans, std::string* error,
+                           Site site, const util::ArgParser* command_line) {
   std::vector<std::vector<std::string>> stanzas;
   split_spec_stanzas(text, &stanzas);
-  if (stanzas.size() == 1 && stanzas[0].empty()) {
+  if (site != Site::kLocal && stanzas[0].empty()) {
     *error = ctx + ": empty manifest";
     return false;
   }
+  const char* where = "";
+  const unsigned column = site_column(site, stanzas.size(), &where);
   plans->assign(stanzas.size(), RunPlan());
   for (std::size_t i = 0; i < stanzas.size(); ++i) {
-    const std::string sctx = ctx + ": campaign #" + std::to_string(i + 1);
-    for (const auto& t : stanzas[i]) {
-      // Flags that direct a local CLI have no meaning on a worker; refuse
-      // them so a driver templating manifests finds out immediately.
-      if (t == "--spec" || t.rfind("--spec=", 0) == 0) {
-        *error = sctx + ": nested --spec is not allowed";
-        return false;
-      }
-      if (t == "--dry-run" || t == "--list-benches" || t == "--out" ||
-          t.rfind("--out=", 0) == 0) {
-        *error = sctx + ": " + t.substr(0, t.find('=')) +
-                 " has no meaning on a serve worker";
-        return false;
-      }
-    }
+    const std::string sctx =
+        stanzas.size() > 1 ? ctx + ": campaign #" + std::to_string(i + 1)
+                           : ctx;
     util::ArgParser args = make_run_parser();
     std::string parse_error;
     if (!args.parse(stanzas[i], &parse_error)) {
       *error = sctx + ": " + parse_error;
       return false;
     }
-    if (!resolve_plan(args, sctx, &(*plans)[i], error)) return false;
+    for (const StanzaRefusal& r : kStanzaRefusals) {
+      if ((r.sites & column) != 0 && args.has(r.flag)) {
+        *error = sctx + ": --" + r.flag + " is refused " + where + " (" +
+                 r.why + ")";
+        return false;
+      }
+    }
+    if (command_line != nullptr) args.overlay(*command_line);
+    RunPlan& plan = (*plans)[i];
+    plan.tokens = std::move(stanzas[i]);
+    if (!resolve_plan(args, sctx, &plan, error)) return false;
   }
   // `plans` is final: patch the spec pointers into their stable homes.
   for (auto& plan : *plans) plan.patch_spec_pointers();

@@ -1,5 +1,5 @@
-// Campaign run-plan resolution shared by `clear run` and the `clear
-// serve` daemon.
+// Campaign run-plan resolution shared by `clear run`, the `clear serve`
+// daemon and the `clear fleet run` driver.
 //
 // A "plan" is one fully-resolved campaign: flags (command line, a --spec
 // stanza, or a manifest frame received over a serve socket) resolved to
@@ -35,6 +35,14 @@ core::Variant parse_variant(const std::string& key);
 bool parse_shard(const std::string& text, std::uint32_t* index,
                  std::uint32_t* count);
 
+// Where a manifest is resolved.  Each site refuses the stanza flags the
+// refusal table (runplan.cpp, mirrored in docs/CONFIG.md) marks for it.
+enum class Site {
+  kLocal,   // `clear run`: the command line resolves on top of each stanza
+  kWorker,  // a `clear serve` worker (`clear submit`, fleet shards)
+  kFleet,   // `clear fleet run`, before it appends --shard k/K
+};
+
 // Everything one campaign needs, with stable storage for the pointers a
 // CampaignSpec holds.  After any reallocation of a container of plans,
 // re-patch spec.program/spec.cfg (see patch_spec_pointers).
@@ -50,7 +58,12 @@ struct RunPlan {
   arch::ResilienceConfig cfg;
   bool needs_cfg = false;
   isa::Program prog;
+  std::vector<std::string> tokens;  // the stanza's own flag tokens
+  // Local `clear run` directives (refused on a worker and by the fleet).
   std::string out;  // empty: print only (cache-warming manifests)
+  std::string metrics_out;
+  bool dry_run = false;
+  bool list_benches = false;  // only core_name is resolved
   inject::CampaignSpec spec;  // program/cfg pointers patched by the caller
 
   // Points spec.program/spec.cfg at this plan's own storage.  Call once
@@ -73,22 +86,6 @@ struct RunPlan {
 void split_spec_stanzas(const std::string& text,
                         std::vector<std::vector<std::string>>* stanzas);
 
-// File wrapper around split_spec_stanzas; false when `path` is
-// unreadable.
-bool read_spec_stanzas(const std::string& path,
-                       std::vector<std::vector<std::string>>* stanzas);
-
-// Resolves parsed flags into one campaign plan (spec pointers NOT yet
-// patched).  On failure fills *error -- prefixed with `ctx`, e.g.
-// "clear run" or "clear run: in spec 'x' campaign #2" -- and returns
-// false (a usage error, exit code 2 at the CLI).  `show_usage`, when
-// non-null, is set when the failure warrants printing the full flag
-// table (a bare invocation missing --bench) rather than the one-line
-// error alone.
-bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
-                  RunPlan* plan, std::string* error,
-                  bool* show_usage = nullptr);
-
 // The `.csr` shard file for one finished plan: identity stamped from the
 // plan (core, key, program hash, global samples, seed, shard selection),
 // payload from `result`.  Byte-identity contract: for equal flags this
@@ -97,14 +94,20 @@ bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
 [[nodiscard]] inject::ShardFile plan_shard_file(
     const RunPlan& plan, const inject::CampaignResult& result);
 
-// Resolves manifest text into a batch of plans, one per stanza, with no
-// command-line overrides -- the serve daemon's path.  Stanzas carrying
-// --spec (nested manifests), --dry-run, --list-benches or --out are
-// refused: they direct a local CLI, not a remote worker.  Spec pointers
-// ARE patched into the returned vector; do not reallocate it.  Returns
-// false and fills *error on any resolution failure (nothing simulated).
+// The one manifest resolver: splits `text` into stanzas, refuses any
+// stanza flag the refusal table forbids at `site`, and resolves each
+// stanza once into a plan.  At Site::kLocal the flags of `command_line`
+// apply on top of every stanza (they win); empty text is then one empty
+// stanza, so the command line alone is the campaign.  Errors are
+// prefixed with `ctx` (and "campaign #i" in a multi-stanza manifest)
+// and are usage errors (exit code 2 at the CLI, kBadRequest over serve).
+// An unknown benchmark throws, as core::build_variant_program does.
+// Spec pointers ARE patched into the returned vector; do not reallocate
+// it.  Returns false and fills *error on any failure (nothing simulated).
 bool resolve_manifest_text(const std::string& text, const std::string& ctx,
-                           std::vector<RunPlan>* plans, std::string* error);
+                           std::vector<RunPlan>* plans, std::string* error,
+                           Site site = Site::kWorker,
+                           const util::ArgParser* command_line = nullptr);
 
 }  // namespace clear::plan
 

@@ -120,6 +120,15 @@ bool ArgParser::parse_tokens(int argc, const char* const* argv, bool once,
   return true;
 }
 
+void ArgParser::overlay(const ArgParser& top) {
+  for (const Spec& t : top.specs_) {
+    Spec* s = find(t.name);
+    if (s == nullptr || !t.present) continue;
+    s->present = true;
+    s->value = t.value;
+  }
+}
+
 bool ArgParser::has(const std::string& name) const {
   const Spec* s = find(name);
   return s != nullptr && s->present;

@@ -39,6 +39,11 @@ class ArgParser {
   // still win (the command line overrides a one-stanza spec).
   bool parse(const std::vector<std::string>& tokens, std::string* error);
 
+  // Applies every flag and option present in `top` (a parser of the
+  // same flag set) as if its tokens were parsed after this parser's:
+  // its values win.
+  void overlay(const ArgParser& top);
+
   [[nodiscard]] bool help_requested() const noexcept { return help_; }
   // True when the flag/option appeared on the command line.
   [[nodiscard]] bool has(const std::string& name) const;

@@ -10,8 +10,9 @@
 //   * Core::run from cycle 0 with the same watchdog (2 x golden + 1024),
 //     classified by inject::classify against the golden run;
 //   * adaptive specs take their per-FF plan from
-//     adaptive::plan_with_oracle over that same sample function, and the
-//     result sums the executed indices this shard owns.
+//     adaptive::plan_with_oracle (adaptive_oracle.h) over that same
+//     sample function, and the result sums the executed indices this
+//     shard owns.
 // Caching is never consulted.  Samples run on the shared worker pool; the
 // per-index outcomes are folded in index order, so the result does not
 // depend on scheduling.
@@ -27,11 +28,12 @@
 #include <vector>
 
 #include "arch/core.h"
-#include "inject/adaptive.h"
 #include "inject/campaign.h"
 #include "util/hash.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
+
+#include "adaptive_oracle.h"
 
 namespace clear::testref {
 

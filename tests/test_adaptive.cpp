@@ -33,6 +33,7 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "workloads/workloads.h"
+#include "adaptive_oracle.h"
 #include "reference_campaign.h"
 
 namespace {

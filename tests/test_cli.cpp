@@ -7,6 +7,7 @@
 
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -19,11 +20,13 @@
 #include "cli/cli.h"
 #include "core/variants.h"
 #include "engine/engine.h"
+#include "explore/ledger.h"
 #include "inject/campaign.h"
 #include "inject/wire.h"
 #include "isa/assembler.h"
 #include "plan/runplan.h"
 #include "util/args.h"
+#include "util/json.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -507,6 +510,100 @@ TEST(CliE2E, MultiCampaignManifestMatchesSingleRunsBitExactly) {
   EXPECT_EQ(sh(kBin + " run --spec cli_e2e/drymanifest.spec"), 0);
   EXPECT_FALSE(std::filesystem::exists("cli_e2e/dry0.csr"));
   EXPECT_FALSE(std::filesystem::exists("cli_e2e/dry1.csr"));
+}
+
+// A stanza's --metrics-out names the process's one metric snapshot: a
+// one-stanza spec extends the command line and writes it, a manifest of
+// several refuses it by name (which stanza would own the process?), and
+// the command line's applies to the whole manifest.
+TEST(CliE2E, StanzaMetricsOutIsRefusedInAManifestAndHonouredAlone) {
+  {
+    std::ofstream spec("cli_e2e/metrics2.spec");
+    spec << "--bench gcc --injections 40 --no-cache"
+         << " --metrics-out cli_e2e/ma.json\n---\n"
+         << "--bench mcf --injections 40 --no-cache"
+         << " --metrics-out cli_e2e/mb.json\n";
+  }
+  EXPECT_EQ(sh(kBin + " run --spec cli_e2e/metrics2.spec"
+                      " 2> cli_e2e/metrics2.err"),
+            2);
+  std::ifstream in("cli_e2e/metrics2.err");
+  const std::string err((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_NE(err.find("--metrics-out"), std::string::npos) << err;
+  EXPECT_FALSE(std::filesystem::exists("cli_e2e/ma.json"));
+  EXPECT_FALSE(std::filesystem::exists("cli_e2e/mb.json"));
+
+  {
+    std::ofstream spec("cli_e2e/metrics1.spec");
+    spec << "--bench gcc --injections 40 --no-cache"
+         << " --metrics-out cli_e2e/m1.json\n";
+  }
+  ASSERT_EQ(sh(kBin + " run --spec cli_e2e/metrics1.spec"), 0);
+  EXPECT_TRUE(std::filesystem::exists("cli_e2e/m1.json"));
+
+  {
+    std::ofstream spec("cli_e2e/metrics_cl.spec");
+    spec << "--bench gcc --injections 40 --no-cache\n---\n"
+         << "--bench mcf --injections 40 --no-cache\n";
+  }
+  ASSERT_EQ(sh(kBin + " run --spec cli_e2e/metrics_cl.spec"
+                      " --metrics-out cli_e2e/mcl.json"),
+            0);
+  EXPECT_TRUE(std::filesystem::exists("cli_e2e/mcl.json"));
+}
+
+// The lines perfbench/run.py reads out of the CLI's stdout: the
+// flip-flop count of a dry run, the per-FF sample count and the record
+// summary of an exploration, and the sample totals of a JSON report.
+TEST(CliE2E, BenchmarkParsedOutputLinesArePinned) {
+  // The token before a marker, as run.py splits it.
+  const auto number_before = [](const std::string& text,
+                                const std::string& marker) {
+    const std::size_t at = text.find(marker);
+    if (at == std::string::npos) return 0ULL;
+    std::size_t begin = text.find_last_of(" \n", at - 1);
+    begin = begin == std::string::npos ? 0 : begin + 1;
+    return std::stoull(text.substr(begin, at - begin));
+  };
+  for (const std::string core : {"InO", "OoO"}) {
+    const std::string dry =
+        sh_capture(kBin + " run --core " + core + " --bench gcc --dry-run");
+    EXPECT_EQ(number_before(dry, " flip-flops"), arch::core_ff_count(core))
+        << dry;
+  }
+
+  const std::string explore = sh_capture(
+      kBin + " explore run --core InO --benches mcf,inner_product "
+             "--per-ff 1 --seed 5 --ledger cli_e2e/pinned.cxl --quiet");
+  EXPECT_EQ(number_before(explore, " per-FF samples"), 1u) << explore;
+  const std::size_t at = explore.find(" evaluated + ");
+  ASSERT_NE(at, std::string::npos) << explore;
+  unsigned long long evaluated = 0, anchors = 0, pruned = 0, skipped = 0;
+  ASSERT_EQ(std::sscanf(explore.c_str() + explore.rfind(' ', at - 1) + 1,
+                        "%llu evaluated + %llu anchors, %llu pruned, "
+                        "%llu skipped",
+                        &evaluated, &anchors, &pruned, &skipped),
+            4)
+      << explore;
+  explore::Ledger ledger;
+  ASSERT_EQ(explore::load_ledger_file("cli_e2e/pinned.cxl", &ledger),
+            explore::LedgerStatus::kOk);
+  EXPECT_GT(evaluated, 0u);
+  EXPECT_EQ(evaluated + anchors + pruned + skipped, ledger.records.size());
+
+  ASSERT_EQ(sh(kBin + " run --bench gcc --injections 70 --seed 2"
+                      " --out cli_e2e/pinned.csr"),
+            0);
+  const std::string report = sh_capture(
+      kBin + " report --format json cli_e2e/pinned.csr");
+  util::Json rows;
+  ASSERT_TRUE(util::parse_json(report, &rows)) << report;
+  ASSERT_EQ(rows.kind, util::Json::Kind::kArr) << report;
+  ASSERT_EQ(rows.arr.size(), 1u) << report;
+  const util::Json* totals = rows.arr[0].find("totals");
+  ASSERT_NE(totals, nullptr) << report;
+  EXPECT_EQ(totals->u64_at("samples"), 70u) << report;
 }
 
 TEST(CliE2E, ExploreEmitManifestRoundTripsThroughClearRun) {

@@ -1280,6 +1280,28 @@ TEST(ServeRobustness, SubmitShutdownStopsTheDaemonEvenWhenRefused) {
   EXPECT_EQ(reap(daemon), 0);
 }
 
+// A worker never writes a stanza's --metrics-out (its snapshot travels
+// in heartbeats), so it refuses the flag by name, as it refuses --out,
+// instead of running the campaign and dropping the file.
+TEST(ServeRobustness, SubmittedStanzaMetricsOutIsRefusedByName) {
+  const pid_t daemon = spawn_serve({"--socket", kDir + "/mo.sock", "--quiet"});
+  ASSERT_GT(daemon, 0);
+  {
+    std::ofstream spec(kDir + "/metrics_out.spec");
+    spec << "--core InO --bench gcc --injections 40 --metrics-out " << kDir
+         << "/sub.json\n";
+  }
+  EXPECT_EQ(sh(kBin + " submit --socket " + kDir + "/mo.sock --spec " + kDir +
+               "/metrics_out.spec --out-dir " + kDir +
+               "/mo_out --shutdown --quiet 2> " + kDir + "/mo.err"),
+            1);
+  EXPECT_NE(slurp(kDir + "/mo.err").find("--metrics-out"), std::string::npos)
+      << slurp(kDir + "/mo.err");
+  EXPECT_FALSE(std::filesystem::exists(kDir + "/sub.json"));
+  EXPECT_FALSE(std::filesystem::exists(kDir + "/mo_out/campaign0.csr"));
+  EXPECT_EQ(reap(daemon), 0);
+}
+
 // A daemon frozen mid-job sends no heartbeats: submit declares it dead
 // after the driver's 5 s dead deadline instead of blocking forever.
 TEST(ServeRobustness, SubmitGivesUpOnAStoppedDaemon) {
