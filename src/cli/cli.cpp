@@ -42,7 +42,7 @@ constexpr const char* kTopHelp =
 }  // namespace
 
 bool parse_verb(util::ArgParser& args, int argc, const char* const* argv,
-                const char* verb, int* exit_code) {
+                const char* verb, int* exit_code, const char* required) {
   std::string error;
   if (!args.parse(argc, argv, &error)) {
     std::fprintf(stderr, "%s: %s\n%s", verb, error.c_str(),
@@ -53,6 +53,12 @@ bool parse_verb(util::ArgParser& args, int argc, const char* const* argv,
   if (args.help_requested()) {
     std::fputs(args.help().c_str(), stdout);
     *exit_code = 0;
+    return false;
+  }
+  if (required != nullptr && !args.has(required)) {
+    std::fprintf(stderr, "%s: --%s is required\n%s", verb, required,
+                 args.help().c_str());
+    *exit_code = 2;
     return false;
   }
   return true;

@@ -58,14 +58,12 @@ int cmd_cache(int argc, const char* const* argv);
 // `clear explore <run|merge|frontier|report>`: argv[0] is the explore
 // subcommand word.
 int cmd_explore(int argc, const char* const* argv);
-// `clear serve` / `clear submit`: flag handling for the shard-worker
-// daemon (fleet/worker.h) and its driver client (engine/protocol.h speaks
-// the framing in docs/FORMATS.md).
+// `clear serve` / `clear submit`: the shard-worker daemon (fleet/worker.h)
+// and its one-worker, one-shard driver (fleet/fleet.h).
 int cmd_serve(int argc, const char* const* argv);
 int cmd_submit(int argc, const char* const* argv);
 // `clear fleet <run|explore>`: multi-worker orchestration over serve
-// daemons (fleet/fleet.h): pull shard dispatch, dead-worker redispatch,
-// live re-merge of arriving results.
+// daemons (fleet/fleet.h), folding arriving results into live merges.
 int cmd_fleet(int argc, const char* const* argv);
 // `clear status [--file FILE | ENDPOINT...]`: renders worker telemetry
 // (inflight work, cache hit rates, latency quantiles) from live serve
@@ -74,12 +72,13 @@ int cmd_status(int argc, const char* const* argv);
 // `clear version [--json]`.
 int cmd_version(int argc, const char* const* argv);
 
-// The parse preamble of every verb.  A parse failure prints "<verb>:
-// <error>" and the help on stderr (exit 2); --help prints the help on
-// stdout (exit 0).  Returns true when the verb goes on, else false with
-// its exit code in *exit_code.
+// The parse preamble of every verb.  A parse failure, or a missing
+// `required` option, prints "<verb>: <error>" and the help on stderr
+// (exit 2); --help prints the help on stdout (exit 0).  Returns true when
+// the verb goes on, else false with its exit code in *exit_code.
 bool parse_verb(util::ArgParser& args, int argc, const char* const* argv,
-                const char* verb, int* exit_code);
+                const char* verb, int* exit_code,
+                const char* required = nullptr);
 
 // Writes a metric snapshot (clear-metrics-v1 JSON; by default the
 // process-wide one) at the end of a CLI verb.  `path` is the verb's

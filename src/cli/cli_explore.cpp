@@ -267,32 +267,25 @@ int explore_merge(int argc, const char* const* argv) {
   args.allow_positionals("shard.cxl...", "shard ledgers to fold");
 
   int rc = 0;
-  if (!parse_verb(args, argc, argv, "clear explore merge", &rc)) return rc;
+  if (!parse_verb(args, argc, argv, "clear explore merge", &rc, "out")) {
+    return rc;
+  }
   if (args.positionals().empty()) {
     std::fprintf(stderr, "clear explore merge: no ledgers given\n%s",
                  args.help().c_str());
     return 2;
   }
-  if (!args.has("out")) {
-    std::fprintf(stderr, "clear explore merge: --out is required\n%s",
-                 args.help().c_str());
-    return 2;
-  }
 
-  std::vector<explore::Ledger> ledgers;
-  ledgers.reserve(args.positionals().size());
+  explore::Ledger merged;
   for (const std::string& path : args.positionals()) {
     explore::Ledger l;
     if (load_or_complain("merge", path, &l) != 0) return 1;
-    ledgers.push_back(std::move(l));
-  }
-
-  explore::Ledger merged;
-  try {
-    merged = explore::merge_ledger_files(ledgers);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "clear explore merge: %s\n", e.what());
-    return 1;
+    try {
+      explore::fold_ledger(&merged, l);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "clear explore merge: %s\n", e.what());
+      return 1;
+    }
   }
   if (!merged.complete() && !args.has("allow-partial")) {
     std::fprintf(stderr,
@@ -304,8 +297,9 @@ int explore_merge(int argc, const char* const* argv) {
   }
   explore::write_ledger_file(args.get("out"), merged);
   std::printf("merged %zu ledgers -> %s: %zu/%u shards, %zu records%s\n",
-              ledgers.size(), args.get("out").c_str(), merged.covered.size(),
-              merged.shard_count, merged.records.size(),
+              args.positionals().size(), args.get("out").c_str(),
+              merged.covered.size(), merged.shard_count,
+              merged.records.size(),
               merged.complete() ? " (complete exploration)" : " (partial)");
   return 0;
 }
@@ -498,11 +492,8 @@ int explore_watch(int argc, const char* const* argv) {
                   "latency tables whenever it changes");
 
   int rc = 0;
-  if (!parse_verb(args, argc, argv, "clear explore watch", &rc)) return rc;
-  if (!args.has("ledger")) {
-    std::fprintf(stderr, "clear explore watch: --ledger is required\n%s",
-                 args.help().c_str());
-    return 2;
+  if (!parse_verb(args, argc, argv, "clear explore watch", &rc, "ledger")) {
+    return rc;
   }
   std::uint64_t interval_ms = 500, timeout_ms = 0;
   if (!args.get_u64("interval-ms", 500, &interval_ms) || interval_ms == 0 ||

@@ -1,23 +1,21 @@
-// `clear fleet`: the multi-worker campaign/exploration orchestrator.
+// `clear fleet` and `clear submit`: the drivers of `clear serve` workers.
 //
-//   clear fleet run      shard a multi-campaign manifest across `clear
-//                        serve` workers and live-merge the returned .csr
-//                        payloads into watchable output files.
-//   clear fleet explore  shard an exploration's combination space across
-//                        workers and live-merge the returned .cxl shard
-//                        ledgers into one ledger file -- `clear explore
-//                        watch` (or frontier/report) reads it while the
-//                        fleet is still running.
+//   clear fleet run      shard a campaign manifest across workers, fold
+//                        the .csr results into out-dir/campaign<i>.csr.
+//   clear fleet explore  shard an exploration's combination space, fold
+//                        the .cxl shard ledgers into one watchable ledger.
+//   clear submit         a one-worker, one-shard fleet: a manifest sent
+//                        verbatim, its campaign<i>.csr files written
+//                        byte-identical to a local `clear run`.
 //
-// Worker endpoints are positional operands: a UNIX socket path,
-// `tcp:PORT` for 127.0.0.1 TCP, and either form with `@N` appended to
-// address the N children of `clear serve --workers N` (path.0..path.N-1 /
-// PORT..PORT+N-1).  Scheduling (pull dispatch, dead-worker redispatch)
-// lives in fleet/fleet.h; every redispatch is
-// bit-identical to a single-worker run because shard results derive from
-// the global sample/combo index alone.
-#include <algorithm>
+// How an arriving result joins a merge is inject::fold_shard (.csr) and
+// explore::fold_ledger (.cxl); this file only parses flags and writes
+// the merges out: CampaignSink for `clear fleet run` and `clear submit`,
+// the ledger sink for `clear fleet explore`.  Worker endpoints are
+// positional operands (fleet::expand_endpoints); scheduling lives in
+// fleet/fleet.h.
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -28,6 +26,7 @@
 #include "fleet/fleet.h"
 #include "inject/wire.h"
 #include "obs/metrics.h"
+#include "plan/runplan.h"
 #include "util/args.h"
 #include "util/fs.h"
 
@@ -35,55 +34,97 @@ namespace clear::cli {
 
 namespace {
 
-void add_driver_flags(util::ArgParser* args) {
-  args->add_option("shards", "K", "shard count (default: worker count)", "0");
+// The flags every driver of serve workers shares: how to reach a worker
+// and whether to stop it afterwards (parsed into FleetOptions), and
+// --quiet.
+void add_connection_flags(util::ArgParser* args) {
   args->add_option("connect-retry-ms", "N",
-                   "per-worker connect retry budget", "5000");
+                   "retry a refused connection this long (daemon startup)",
+                   "5000");
   args->add_option("hello-timeout-ms", "N",
                    "give up on a silent worker's hello after N ms", "10000");
-  args->add_option("dead-after-ms", "N",
-                   "declare a worker dead after N ms without a frame",
-                   "5000");
-  args->add_flag("shutdown", "ask workers to exit when the fleet completes");
-  args->add_flag("quiet", "suppress scheduling log lines");
-  args->add_option("status-out", "FILE",
-                   "maintain a live clear-fleet-status-v1 JSON file (read "
-                   "by 'clear status --file' / 'clear explore watch "
-                   "--status')");
-  args->add_option("metrics-out", "FILE",
-                   "write the final metric snapshot (driver + workers "
-                   "merged, clear-metrics-v1 JSON; '-' = stdout)");
+  args->add_flag("shutdown", "ask the workers to exit when the run ends");
+  args->add_flag("quiet", "suppress progress and log lines");
 }
 
-bool parse_driver_flags(const util::ArgParser& args, const char* ctx,
-                        fleet::FleetOptions* opts, std::uint64_t* shards) {
-  std::uint64_t connect_ms = 0, hello_ms = 0, dead_ms = 0;
-  if (!args.get_u64("shards", 0, shards) || *shards > 65536 ||
-      !args.get_u64("connect-retry-ms", 5000, &connect_ms) ||
-      !args.get_u64("hello-timeout-ms", 10000, &hello_ms) || hello_ms == 0 ||
-      !args.get_u64("dead-after-ms", 5000, &dead_ms) || dead_ms == 0) {
-    std::fprintf(stderr, "%s: bad numeric flag value\n", ctx);
+// False on a bad numeric value; the caller names its verb.
+bool parse_connection_flags(const util::ArgParser& args,
+                            fleet::FleetOptions* opts) {
+  std::uint64_t connect_ms = 0, hello_ms = 0;
+  if (!args.get_u64("connect-retry-ms", 5000, &connect_ms) ||
+      !args.get_u64("hello-timeout-ms", 10000, &hello_ms) || hello_ms == 0) {
     return false;
   }
   opts->connect_retry_ms = static_cast<int>(connect_ms);
   opts->hello_timeout_ms = static_cast<int>(hello_ms);
-  opts->dead_after_ms = static_cast<int>(dead_ms);
   opts->shutdown_workers = args.has("shutdown");
-  opts->status_out = args.get("status-out");
   return true;
 }
 
-// Final metric dump for a fleet verb: the driver's own snapshot merged
-// with every worker's last heartbeat snapshot (counters add, gauges keep
-// the fleet-wide high-water mark).
-void write_fleet_metrics(const std::string& flag, const char* ctx,
-                         const fleet::FleetReport& report) {
-  obs::Snapshot merged = obs::snapshot();
-  for (const fleet::WorkerStatus& w : report.workers) {
-    if (w.has_metrics) obs::merge(&merged, w.metrics);
+// The one campaign sink, for `clear fleet run` and `clear submit`: one
+// running merge per manifest stanza.  Each arriving .csr is decoded,
+// folded into its stanza's merge in place (inject::fold_shard) and
+// out_dir/campaign<i>.csr is rewritten from it atomically -- watchable
+// while the fleet runs, complete when it returns.  An arrival costs one
+// decode, one in-place counter fold and one encode per stanza.
+class CampaignSink {
+ public:
+  // `announce` prints a "wrote" line for every rewritten file.
+  CampaignSink(std::string out_dir, const std::string& manifest,
+               bool announce)
+      : out_dir_(std::move(out_dir)), announce_(announce) {
+    std::vector<std::vector<std::string>> stanzas;
+    plan::split_spec_stanzas(manifest, &stanzas);
+    running_.resize(stanzas.size());
   }
-  write_metrics_out(flag, ctx, merged);
-}
+
+  void operator()(const fleet::ShardResult& res) {
+    const std::string shard = "shard " + std::to_string(res.shard_id);
+    if (res.payloads.size() > running_.size()) {
+      throw std::runtime_error(
+          shard + " returned " + std::to_string(res.payloads.size()) +
+          " results for " + std::to_string(running_.size()) + " stanzas");
+    }
+    if (!util::ensure_dir(out_dir_)) {
+      throw std::runtime_error("cannot create out dir '" + out_dir_ + "'");
+    }
+    for (std::size_t i = 0; i < res.payloads.size(); ++i) {
+      inject::ShardFile arrived;
+      if (inject::decode_shard(res.payloads[i], &arrived) !=
+          inject::WireStatus::kOk) {
+        throw std::runtime_error(shard + " campaign #" + std::to_string(i) +
+                                 " failed .csr decode");
+      }
+      inject::fold_shard(&running_[i], arrived);
+      inject::write_shard_file(path(i), running_[i]);
+      if (announce_) {
+        std::printf("wrote %s (%llu samples, key=%s)\n", path(i).c_str(),
+                    static_cast<unsigned long long>(
+                        running_[i].result.totals.total()),
+                    running_[i].key.c_str());
+      }
+    }
+  }
+
+  // "" when every stanza's merge is complete, else names the first one
+  // that is not.
+  [[nodiscard]] std::string first_incomplete() const {
+    for (std::size_t i = 0; i < running_.size(); ++i) {
+      if (!running_[i].complete()) return path(i) + " is absent or partial";
+    }
+    return "";
+  }
+  [[nodiscard]] std::size_t stanzas() const { return running_.size(); }
+
+ private:
+  [[nodiscard]] std::string path(std::size_t i) const {
+    return out_dir_ + "/campaign" + std::to_string(i) + ".csr";
+  }
+
+  std::string out_dir_;
+  bool announce_;
+  std::vector<inject::ShardFile> running_;
+};
 
 fleet::EventFn make_event_logger(bool quiet) {
   if (quiet) return {};
@@ -156,7 +197,86 @@ void print_registry(const fleet::FleetReport& report) {
   std::fflush(stdout);
 }
 
+// What a fleet verb has parsed when it builds its shards.
+struct FleetArgs {
+  fleet::FleetOptions opts;
+  std::vector<fleet::Endpoint> workers;
+  std::uint32_t shard_count = 0;  // --shards, else one per worker
+  bool quiet = false;
+};
+
+void add_fleet_flags(util::ArgParser* args) {
+  args->add_option("shards", "K", "shard count (default: worker count)", "0");
+  add_connection_flags(args);
+  args->add_option("dead-after-ms", "N",
+                   "declare a worker dead after N ms without a frame",
+                   "5000");
+  args->add_option("status-out", "FILE",
+                   "maintain a live clear-fleet-status-v1 JSON file (read "
+                   "by 'clear status --file' / 'clear explore watch "
+                   "--status')");
+  args->add_option("metrics-out", "FILE",
+                   "write the final metric snapshot (driver + workers "
+                   "merged, clear-metrics-v1 JSON; '-' = stdout)");
+  args->allow_positionals("worker",
+                          "endpoints: socket path | tcp:PORT (append @N for "
+                          "--workers children)");
+}
+
+// The parse preamble of both fleet verbs: argv, the verb's required
+// option, the driver flags and the worker endpoints.  Returns false with
+// the exit code in *exit_code when the verb stops here.
+bool parse_fleet_verb(util::ArgParser& args, int argc,
+                      const char* const* argv, const char* verb,
+                      const char* required, FleetArgs* out, int* exit_code) {
+  if (!parse_verb(args, argc, argv, verb, exit_code, required)) return false;
+  *exit_code = 2;
+  std::uint64_t shards = 0, dead_ms = 0;
+  if (!args.get_u64("shards", 0, &shards) || shards > 65536 ||
+      !args.get_u64("dead-after-ms", 5000, &dead_ms) || dead_ms == 0 ||
+      !parse_connection_flags(args, &out->opts)) {
+    std::fprintf(stderr, "%s: bad numeric flag value\n", verb);
+    return false;
+  }
+  out->opts.dead_after_ms = static_cast<int>(dead_ms);
+  out->opts.status_out = args.get("status-out");
+  out->quiet = args.has("quiet");
+  std::string error;
+  if (!fleet::expand_endpoints(args.positionals(), &out->workers, &error)) {
+    std::fprintf(stderr, "%s: %s\n", verb, error.c_str());
+    return false;
+  }
+  out->shard_count = static_cast<std::uint32_t>(
+      shards != 0 ? shards : out->workers.size());
+  return true;
+}
+
+// The run both fleet verbs end in: the shards through the workers into
+// `sink`, then the worker registry and the --metrics-out snapshot (the
+// driver's own merged with every worker's last heartbeat snapshot).
+// Returns the exit code.
+int drive_fleet(const util::ArgParser& args, const char* verb,
+                const FleetArgs& fa,
+                const std::vector<fleet::ShardWork>& shards,
+                const fleet::ShardDoneFn& sink) {
+  try {
+    const fleet::FleetReport report = fleet::run_fleet(
+        fa.workers, shards, fa.opts, make_event_logger(fa.quiet), sink);
+    if (!fa.quiet) print_registry(report);
+    obs::Snapshot merged = obs::snapshot();
+    for (const fleet::WorkerStatus& w : report.workers) {
+      if (w.has_metrics) obs::merge(&merged, w.metrics);
+    }
+    write_metrics_out(args.get("metrics-out"), verb, merged);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", verb, e.what());
+    return 1;
+  }
+  return 0;
+}
+
 int fleet_run(int argc, const char* const* argv) {
+  constexpr const char* kVerb = "clear fleet run";
   util::ArgParser args(
       "clear fleet run --spec <file> [options] <worker>...",
       "Shards a multi-campaign manifest (the 'clear run --spec' grammar)\n"
@@ -168,98 +288,51 @@ int fleet_run(int argc, const char* const* argv) {
   args.add_option("spec", "file", "manifest to shard (required)");
   args.add_option("out-dir", "dir", "write merged campaign<i>.csr here",
                   ".");
-  add_driver_flags(&args);
-  args.allow_positionals("worker",
-                         "endpoints: socket path | tcp:PORT (append @N for "
-                         "--workers children)");
-
+  add_fleet_flags(&args);
+  FleetArgs fa;
   int rc = 0;
-  if (!parse_verb(args, argc, argv, "clear fleet run", &rc)) return rc;
-  if (!args.has("spec")) {
-    std::fprintf(stderr, "clear fleet run: --spec is required\n%s",
-                 args.help().c_str());
-    return 2;
+  if (!parse_fleet_verb(args, argc, argv, kVerb, "spec", &fa, &rc)) {
+    return rc;
   }
-  fleet::FleetOptions opts;
-  std::uint64_t shard_count = 0;
-  if (!parse_driver_flags(args, "clear fleet run", &opts, &shard_count)) {
-    return 2;
-  }
-  std::string error;
-  std::vector<fleet::Endpoint> workers;
-  if (!fleet::expand_endpoints(args.positionals(), &workers, &error)) {
-    std::fprintf(stderr, "clear fleet run: %s\n", error.c_str());
-    return 2;
-  }
-  if (shard_count == 0) shard_count = workers.size();
-
   std::string manifest;
   if (!util::read_file(args.get("spec"), &manifest)) {
-    std::fprintf(stderr, "clear fleet run: cannot read spec file '%s'\n",
+    std::fprintf(stderr, "%s: cannot read spec file '%s'\n", kVerb,
                  args.get("spec").c_str());
     return 1;
   }
-
   std::vector<fleet::ShardWork> shards;
-  if (!fleet::build_campaign_shards(manifest,
-                                    static_cast<std::uint32_t>(shard_count),
-                                    &shards, &error)) {
-    std::fprintf(stderr, "clear fleet run: %s\n", error.c_str());
+  std::string error;
+  if (!fleet::build_campaign_shards(manifest, fa.shard_count, &shards,
+                                    &error)) {
+    std::fprintf(stderr, "%s: %s\n", kVerb, error.c_str());
     return 2;
   }
   const std::string out_dir = args.get("out-dir");
   if (!util::ensure_dir(out_dir)) {
-    std::fprintf(stderr, "clear fleet run: cannot create out dir '%s'\n",
+    std::fprintf(stderr, "%s: cannot create out dir '%s'\n", kVerb,
                  out_dir.c_str());
     return 1;
   }
-
-  // Live re-merge: per campaign stanza, fold each arriving shard's .csr
-  // into one running merge in place (inject::fold_shard; empty coverage =
-  // nothing arrived yet, and the first arrival goes through a one-input
-  // merge) and rewrite out_dir/campaign<i>.csr from it atomically --
-  // watchable while the fleet runs, complete when it returns.  An arrival
-  // costs one decode, one in-place counter fold and one encode: a few
-  // passes over its bytes, no copy of the running merge.
-  std::vector<inject::ShardFile> running;
-  const bool quiet = args.has("quiet");
-  const auto on_shard = [&](const fleet::ShardResult& res) {
-    running.resize(std::max(running.size(), res.payloads.size()));
-    for (std::size_t i = 0; i < res.payloads.size(); ++i) {
-      inject::ShardFile shard;
-      if (inject::decode_shard(res.payloads[i], &shard) !=
-          inject::WireStatus::kOk) {
-        throw std::runtime_error(
-            "fleet: shard " + std::to_string(res.shard_id) + " campaign #" +
-            std::to_string(i) + " failed .csr decode");
-      }
-      if (running[i].covered.empty()) {
-        running[i] = inject::merge_shard_files({shard});
-      } else {
-        inject::fold_shard(&running[i], shard);
-      }
-      inject::write_shard_file(
-          out_dir + "/campaign" + std::to_string(i) + ".csr", running[i]);
-    }
-  };
-
-  try {
-    const fleet::FleetReport report = fleet::run_fleet(
-        workers, shards, opts, make_event_logger(quiet), on_shard);
-    if (!quiet) print_registry(report);
-    write_fleet_metrics(args.get("metrics-out"), "clear fleet run", report);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "clear fleet run: %s\n", e.what());
+  CampaignSink sink(out_dir, manifest, false);
+  if ((rc = drive_fleet(args, kVerb, fa, shards, std::ref(sink))) != 0) {
+    return rc;
+  }
+  // Every shard said done, but a worker may have returned fewer results
+  // than the manifest has stanzas: a missing or partial merge fails.
+  const std::string incomplete = sink.first_incomplete();
+  if (!incomplete.empty()) {
+    std::fprintf(stderr, "%s: %s\n", kVerb, incomplete.c_str());
     return 1;
   }
-  if (!quiet) {
+  if (!fa.quiet) {
     std::printf("fleet      %zu campaign file(s) merged into %s\n",
-                running.size(), out_dir.c_str());
+                sink.stanzas(), out_dir.c_str());
   }
   return 0;
 }
 
 int fleet_explore(int argc, const char* const* argv) {
+  constexpr const char* kVerb = "clear fleet explore";
   util::ArgParser args(
       "clear fleet explore --ledger <file> [options] <worker>...",
       "Shards an exploration's combination space across 'clear serve'\n"
@@ -270,80 +343,47 @@ int fleet_explore(int argc, const char* const* argv) {
       "explore run' on one machine.");
   args.add_option("ledger", "file", "merged output ledger (required)");
   explore::add_spec_flags(&args);
-  add_driver_flags(&args);
-  args.allow_positionals("worker",
-                         "endpoints: socket path | tcp:PORT (append @N for "
-                         "--workers children)");
-
+  add_fleet_flags(&args);
+  FleetArgs fa;
   int rc = 0;
-  if (!parse_verb(args, argc, argv, "clear fleet explore", &rc)) return rc;
-  if (!args.has("ledger")) {
-    std::fprintf(stderr, "clear fleet explore: --ledger is required\n%s",
-                 args.help().c_str());
-    return 2;
+  if (!parse_fleet_verb(args, argc, argv, kVerb, "ledger", &fa, &rc)) {
+    return rc;
   }
-  fleet::FleetOptions opts;
-  std::uint64_t shard_count = 0;
-  if (!parse_driver_flags(args, "clear fleet explore", &opts, &shard_count)) {
-    return 2;
-  }
-  std::string error;
-  std::vector<fleet::Endpoint> workers;
-  if (!fleet::expand_endpoints(args.positionals(), &workers, &error)) {
-    std::fprintf(stderr, "clear fleet explore: %s\n", error.c_str());
-    return 2;
-  }
-  if (shard_count == 0) shard_count = workers.size();
-
   // The grammar the workers parse their shard stanzas with.
   explore::ExploreSpec spec;
+  std::string error;
   if (!explore::read_spec_flags(args, &spec, &error)) {
-    std::fprintf(stderr, "clear fleet explore: %s\n", error.c_str());
+    std::fprintf(stderr, "%s: %s\n", kVerb, error.c_str());
     return 2;
   }
   try {
     (void)explore::resolve_identity(spec);  // fail fast on bad names
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "clear fleet explore: %s\n", e.what());
+    std::fprintf(stderr, "%s: %s\n", kVerb, e.what());
     return 2;
   }
-  const std::vector<fleet::ShardWork> shards = fleet::build_explore_shards(
-      spec, static_cast<std::uint32_t>(shard_count));
+  const std::vector<fleet::ShardWork> shards =
+      fleet::build_explore_shards(spec, fa.shard_count);
 
-  // Live re-merge into one running ledger, as fleet_run does.
+  // The one ledger sink: each arriving .cxl is folded into the running
+  // ledger in place (explore::fold_ledger) and --ledger is rewritten from
+  // it atomically.
   const std::string ledger_path = args.get("ledger");
   explore::Ledger running;
-  const bool quiet = args.has("quiet");
-  const auto on_shard = [&](const fleet::ShardResult& res) {
-    if (res.payloads.size() != 1) {
-      throw std::runtime_error("fleet: explore shard " +
+  const auto sink = [&](const fleet::ShardResult& res) {
+    explore::Ledger arrived;
+    if (res.payloads.size() != 1 ||
+        explore::decode_ledger(res.payloads[0], &arrived) !=
+            explore::LedgerStatus::kOk) {
+      throw std::runtime_error("explore shard " +
                                std::to_string(res.shard_id) +
-                               " returned no ledger payload");
+                               " returned no decodable .cxl ledger");
     }
-    explore::Ledger ledger;
-    if (explore::decode_ledger(res.payloads[0], &ledger) !=
-        explore::LedgerStatus::kOk) {
-      throw std::runtime_error("fleet: explore shard " +
-                               std::to_string(res.shard_id) +
-                               " failed .cxl decode");
-    }
-    running = running.covered.empty()
-                  ? explore::merge_ledger_files({ledger})
-                  : explore::merge_ledger_files({running, ledger});
+    explore::fold_ledger(&running, arrived);
     explore::write_ledger_file(ledger_path, running);
   };
-
-  try {
-    const fleet::FleetReport report = fleet::run_fleet(
-        workers, shards, opts, make_event_logger(quiet), on_shard);
-    if (!quiet) print_registry(report);
-    write_fleet_metrics(args.get("metrics-out"), "clear fleet explore",
-                        report);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "clear fleet explore: %s\n", e.what());
-    return 1;
-  }
-  if (!quiet) {
+  if ((rc = drive_fleet(args, kVerb, fa, shards, sink)) != 0) return rc;
+  if (!fa.quiet) {
     std::printf("fleet      merged ledger written to %s\n",
                 ledger_path.c_str());
   }
@@ -384,6 +424,89 @@ int cmd_fleet(int argc, const char* const* argv) {
   std::fprintf(stderr, "clear fleet: unknown command '%s'\n\n", sub.c_str());
   std::fputs(kFleetHelp, stderr);
   return 2;
+}
+
+int cmd_submit(int argc, const char* const* argv) {
+  constexpr const char* kVerb = "clear submit";
+  util::ArgParser args(
+      "clear submit (--socket <path> | --port <N>) --spec <file> [options]",
+      "Submits a campaign manifest (the 'clear run --spec' grammar) to a\n"
+      "'clear serve' worker, streams its progress, and writes the\n"
+      "returned shard results as .csr files -- byte-identical to what\n"
+      "'clear run --out' would have written locally.  A worker silent for\n"
+      "5 s is declared dead and the submit fails.");
+  args.add_option("socket", "path", "connect to a UNIX stream socket");
+  args.add_option("port", "N", "connect to 127.0.0.1:N instead");
+  args.add_option("spec", "file", "manifest to submit (required)");
+  args.add_option("out-dir", "dir",
+                  "write campaign<i>.csr results here", ".");
+  add_connection_flags(&args);
+
+  int rc = 0;
+  if (!parse_verb(args, argc, argv, kVerb, &rc, "spec")) return rc;
+  const bool have_socket = args.has("socket");
+  if (have_socket == args.has("port")) {
+    std::fprintf(stderr,
+                 "%s: exactly one of --socket or --port required\n%s",
+                 kVerb, args.help().c_str());
+    return 2;
+  }
+  fleet::FleetOptions opts;
+  std::uint64_t port = 0;
+  if (!args.get_u64("port", 0, &port) || port > 65535 ||
+      !parse_connection_flags(args, &opts)) {
+    std::fprintf(stderr, "%s: bad numeric flag value\n", kVerb);
+    return 2;
+  }
+  opts.priority = engine::JobPriority::kInteractive;
+  opts.max_attempts = 1;  // a failed job fails the submit; no retry
+  const bool quiet = args.has("quiet");
+
+  // One shard holding the manifest verbatim: no --shard is appended, so
+  // the worker resolves exactly what `clear run --spec` would.
+  fleet::ShardWork shard;
+  shard.kind = serve::ShardKind::kCampaign;
+  if (!util::read_file(args.get("spec"), &shard.text)) {
+    std::fprintf(stderr, "%s: cannot read spec file '%s'\n", kVerb,
+                 args.get("spec").c_str());
+    return 1;
+  }
+  if (shard.text.empty()) {  // a shard-assign cannot carry an empty spec
+    std::fprintf(stderr, "%s: spec file '%s' is empty\n", kVerb,
+                 args.get("spec").c_str());
+    return 1;
+  }
+  fleet::Endpoint endpoint;
+  if (have_socket) endpoint.socket_path = args.get("socket");
+  endpoint.port = static_cast<std::uint16_t>(port);
+
+  const auto on_event = [quiet](const fleet::FleetEvent& e) {
+    if (e.kind == fleet::FleetEvent::Kind::kWorkerDead) {
+      std::fprintf(stderr, "clear submit: worker %s: %s\n",
+                   e.worker_name.c_str(), e.detail.c_str());
+    } else if (e.kind == fleet::FleetEvent::Kind::kProgress && !quiet) {
+      const engine::JobProgress& p = e.progress;
+      std::printf("progress   %s: goldens %llu/%llu, samples %llu/%llu\n",
+                  engine::job_state_name(p.state),
+                  static_cast<unsigned long long>(p.goldens_done),
+                  static_cast<unsigned long long>(p.goldens_total),
+                  static_cast<unsigned long long>(p.samples_done),
+                  static_cast<unsigned long long>(p.samples_total));
+      std::fflush(stdout);
+    }
+  };
+  // The daemon answers with one result per stanza; each goes through the
+  // campaign sink, whose fold of a lone arrival encodes to the bytes the
+  // worker sent.
+  CampaignSink sink(args.get("out-dir"), shard.text, !quiet);
+  try {
+    (void)fleet::run_fleet({endpoint}, {shard}, opts, on_event,
+                           std::ref(sink));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", kVerb, e.what());
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace clear::cli

@@ -7,7 +7,6 @@
 // bit-identical to the unsharded campaign (inject/wire.h).
 #include <cstdio>
 #include <stdexcept>
-#include <vector>
 
 #include "cli/cli.h"
 #include "inject/wire.h"
@@ -33,20 +32,14 @@ int cmd_merge(int argc, const char* const* argv) {
   args.allow_positionals("shard.csr...", "shard result files to fold");
 
   int rc = 0;
-  if (!parse_verb(args, argc, argv, "clear merge", &rc)) return rc;
+  if (!parse_verb(args, argc, argv, "clear merge", &rc, "out")) return rc;
   if (args.positionals().empty()) {
     std::fprintf(stderr, "clear merge: no shard files given\n%s",
                  args.help().c_str());
     return 2;
   }
-  if (!args.has("out")) {
-    std::fprintf(stderr, "clear merge: --out is required\n%s",
-                 args.help().c_str());
-    return 2;
-  }
 
-  std::vector<inject::ShardFile> shards;
-  shards.reserve(args.positionals().size());
+  inject::ShardFile merged;
   for (const std::string& path : args.positionals()) {
     inject::ShardFile s;
     const inject::WireStatus st = inject::load_shard_file(path, &s);
@@ -55,15 +48,12 @@ int cmd_merge(int argc, const char* const* argv) {
                    inject::wire_status_name(st));
       return 1;
     }
-    shards.push_back(std::move(s));
-  }
-
-  inject::ShardFile merged;
-  try {
-    merged = inject::merge_shard_files(shards);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "clear merge: %s\n", e.what());
-    return 1;
+    try {
+      inject::fold_shard(&merged, s);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "clear merge: %s\n", e.what());
+      return 1;
+    }
   }
 
   if (!merged.complete() && !args.has("allow-partial")) {
@@ -77,8 +67,8 @@ int cmd_merge(int argc, const char* const* argv) {
   inject::write_shard_file(args.get("out"), merged);
   std::printf("merged %zu files -> %s: %zu/%u shards, %llu samples, "
               "SDC %llu, DUE %llu%s\n",
-              shards.size(), args.get("out").c_str(), merged.covered.size(),
-              merged.shard_count,
+              args.positionals().size(), args.get("out").c_str(),
+              merged.covered.size(), merged.shard_count,
               static_cast<unsigned long long>(merged.result.totals.total()),
               static_cast<unsigned long long>(merged.result.totals.sdc()),
               static_cast<unsigned long long>(merged.result.totals.due()),

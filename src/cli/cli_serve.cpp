@@ -1,17 +1,9 @@
-// `clear serve` / `clear submit`: flag handling for the shard-worker
-// daemon and its driver client.
-//
-//   clear serve   parses flags, installs the SIGTERM/SIGINT handler and
-//                 runs a fleet::Worker (src/fleet/worker.h) on the
-//                 listening socket -- or, with `--workers N`, fans out N
-//                 child daemons re-exec'd from this binary for
-//                 whole-machine fleets.
-//   clear submit  run a one-worker, one-shard fleet (fleet/fleet.h): ship
-//                 the manifest verbatim to one daemon, stream its
-//                 progress, and write the returned .csr files -- ready
-//                 for `clear merge` exactly as if `clear run` had
-//                 written them locally (byte-identical, enforced by the
-//                 loopback e2e test).
+// `clear serve`: flag handling for the shard-worker daemon.  It parses
+// flags, installs the SIGTERM/SIGINT handler and runs a fleet::Worker
+// (src/fleet/worker.h) on the listening socket -- or, with `--workers N`,
+// fans out N child daemons re-exec'd from this binary for whole-machine
+// fleets.  Its drivers, `clear submit` and `clear fleet`, live in
+// cli_fleet.cpp.
 //
 // Protocol: engine/protocol.h; framing bytes in docs/FORMATS.md; flags
 // in docs/CONFIG.md.
@@ -30,12 +22,8 @@
 #include <unistd.h>
 
 #include "cli/cli.h"
-#include "engine/protocol.h"
-#include "fleet/fleet.h"
 #include "fleet/worker.h"
-#include "inject/wire.h"
 #include "util/args.h"
-#include "util/fs.h"
 #include "util/socket.h"
 
 namespace clear::cli {
@@ -231,128 +219,6 @@ int cmd_serve(int argc, const char* const* argv) {
   listener.close();
   if (have_socket) std::remove(args.get("socket").c_str());
   if (!quiet) std::printf("serve      exiting\n");
-  return 0;
-}
-
-int cmd_submit(int argc, const char* const* argv) {
-  util::ArgParser args(
-      "clear submit (--socket <path> | --port <N>) --spec <file> [options]",
-      "Submits a campaign manifest (the 'clear run --spec' grammar) to a\n"
-      "'clear serve' worker, streams its progress, and writes the\n"
-      "returned shard results as .csr files -- byte-identical to what\n"
-      "'clear run --out' would have written locally.  A worker silent for\n"
-      "5 s is declared dead and the submit fails.");
-  args.add_option("socket", "path", "connect to a UNIX stream socket");
-  args.add_option("port", "N", "connect to 127.0.0.1:N instead");
-  args.add_option("spec", "file", "manifest to submit (required)");
-  args.add_option("out-dir", "dir",
-                  "write campaign<i>.csr results here", ".");
-  args.add_option("connect-retry-ms", "N",
-                  "retry a refused connection this long (daemon startup)",
-                  "5000");
-  args.add_option("hello-timeout-ms", "N",
-                  "give up when the server's hello takes longer than this",
-                  "10000");
-  args.add_flag("shutdown", "ask the daemon to exit after this connection");
-  args.add_flag("quiet", "suppress progress lines");
-
-  int rc = 0;
-  if (!parse_verb(args, argc, argv, "clear submit", &rc)) return rc;
-  const bool have_socket = args.has("socket");
-  const bool have_port = args.has("port");
-  if (have_socket == have_port) {
-    std::fprintf(stderr,
-                 "clear submit: exactly one of --socket or --port "
-                 "required\n%s",
-                 args.help().c_str());
-    return 2;
-  }
-  if (!args.has("spec")) {
-    std::fprintf(stderr, "clear submit: --spec is required\n%s",
-                 args.help().c_str());
-    return 2;
-  }
-  std::uint64_t port = 0, retry_ms = 5000, hello_ms = 10000;
-  if (!args.get_u64("port", 0, &port) || port > 65535 ||
-      !args.get_u64("connect-retry-ms", 5000, &retry_ms) ||
-      !args.get_u64("hello-timeout-ms", 10000, &hello_ms) || hello_ms == 0) {
-    std::fprintf(stderr, "clear submit: bad numeric flag value\n");
-    return 2;
-  }
-  fleet::FleetOptions opts;
-  opts.priority = engine::JobPriority::kInteractive;
-  opts.connect_retry_ms = static_cast<int>(retry_ms);
-  opts.hello_timeout_ms = static_cast<int>(hello_ms);
-  opts.max_attempts = 1;  // a failed job fails the submit; no retry
-  opts.shutdown_workers = args.has("shutdown");
-  const bool quiet = args.has("quiet");
-
-  // One shard holding the manifest verbatim: no --shard is appended, so
-  // the worker resolves exactly what `clear run --spec` would.
-  fleet::ShardWork shard;
-  shard.kind = serve::ShardKind::kCampaign;
-  if (!util::read_file(args.get("spec"), &shard.text)) {
-    std::fprintf(stderr, "clear submit: cannot read spec file '%s'\n",
-                 args.get("spec").c_str());
-    return 1;
-  }
-  if (shard.text.empty()) {  // a shard-assign cannot carry an empty spec
-    std::fprintf(stderr, "clear submit: spec file '%s' is empty\n",
-                 args.get("spec").c_str());
-    return 1;
-  }
-  fleet::Endpoint endpoint;
-  if (have_socket) endpoint.socket_path = args.get("socket");
-  endpoint.port = static_cast<std::uint16_t>(port);
-
-  const auto on_event = [quiet](const fleet::FleetEvent& e) {
-    if (e.kind == fleet::FleetEvent::Kind::kWorkerDead) {
-      std::fprintf(stderr, "clear submit: worker %s: %s\n",
-                   e.worker_name.c_str(), e.detail.c_str());
-    } else if (e.kind == fleet::FleetEvent::Kind::kProgress && !quiet) {
-      const engine::JobProgress& p = e.progress;
-      std::printf("progress   %s: goldens %llu/%llu, samples %llu/%llu\n",
-                  engine::job_state_name(p.state),
-                  static_cast<unsigned long long>(p.goldens_done),
-                  static_cast<unsigned long long>(p.goldens_total),
-                  static_cast<unsigned long long>(p.samples_done),
-                  static_cast<unsigned long long>(p.samples_total));
-      std::fflush(stdout);
-    }
-  };
-  const std::string out_dir = args.get("out-dir");
-  const auto on_shard = [&](const fleet::ShardResult& res) {
-    if (!util::ensure_dir(out_dir)) {
-      throw std::runtime_error("cannot create out dir '" + out_dir + "'");
-    }
-    for (std::size_t i = 0; i < res.payloads.size(); ++i) {
-      // Validate before writing: a checksum-clean decode proves the bytes
-      // survived the stream intact.
-      inject::ShardFile file;
-      if (inject::decode_shard(res.payloads[i], &file) !=
-          inject::WireStatus::kOk) {
-        throw std::runtime_error("result #" + std::to_string(i) +
-                                 " failed .csr decode");
-      }
-      const std::string path =
-          out_dir + "/campaign" + std::to_string(i) + ".csr";
-      if (!util::write_file_atomic(path, res.payloads[i])) {
-        throw std::runtime_error("cannot write " + path);
-      }
-      if (!quiet) {
-        std::printf("wrote %s (%llu samples, key=%s)\n", path.c_str(),
-                    static_cast<unsigned long long>(file.result.totals.total()),
-                    file.key.c_str());
-      }
-    }
-  };
-
-  try {
-    (void)fleet::run_fleet({endpoint}, {shard}, opts, on_event, on_shard);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "clear submit: %s\n", e.what());
-    return 1;
-  }
   return 0;
 }
 

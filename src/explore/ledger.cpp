@@ -321,69 +321,74 @@ void LedgerWriter::append(const LedgerRecord& rec) {
   state_.records.push_back(rec);
 }
 
+void fold_ledger(Ledger* into, const Ledger& shard) {
+  // A target covering nothing (default-constructed; no decoded file
+  // does) is the empty merge: the checks then run against the arrival.
+  const bool first = into->covered.empty();
+  const Ledger& ref = first ? shard : *into;
+  if (const char* field = identity_mismatch(shard, ref)) {
+    throw std::invalid_argument(
+        std::string("merge_ledger_files: ledgers disagree on ") + field +
+        " (refusing to fold results of different explorations)");
+  }
+  // Per shard index: 1 covered by the running merge, 2 by the arrival.
+  std::vector<char> covered(ref.shard_count, 0);
+  for (const std::uint32_t idx : into->covered) {
+    if (idx < ref.shard_count) covered[idx] = 1;
+  }
+  for (const std::uint32_t idx : shard.covered) {
+    if (idx >= ref.shard_count || covered[idx]) {
+      throw std::invalid_argument(
+          "merge_ledger_files: shard index " + std::to_string(idx) +
+          " covered twice (same ledger merged more than once?)");
+    }
+    covered[idx] = 2;
+  }
+  // Records are owned by the arrival's shards, which the running merge
+  // does not cover: only the arrival itself can repeat a combo.
+  std::set<std::pair<std::uint32_t, bool>> recorded;  // (combo, anchor)
+  for (const LedgerRecord& r : shard.records) {
+    // Anchors are recorded by shard 0, every other record by the combo's
+    // owner; each exactly once.
+    const bool anchor = r.kind == RecordKind::kAnchor;
+    if (covered[anchor ? 0 : r.combo_index % ref.shard_count] == 2 &&
+        recorded.insert({r.combo_index, anchor}).second) {
+      continue;
+    }
+    const std::string combo = std::to_string(r.combo_index);
+    throw std::invalid_argument(
+        anchor ? "merge_ledger_files: anchor record for combo " + combo +
+                     " is misplaced or duplicated"
+               : "merge_ledger_files: combo " + combo +
+                     " recorded by a shard that does not own it, or twice");
+  }
+  if (first) {  // the empty merge takes the arrival's identity
+    *into = shard;
+    into->records.clear();
+  }
+  const auto arrived = into->records.insert(
+      into->records.end(), shard.records.begin(), shard.records.end());
+  into->covered.clear();
+  for (std::uint32_t i = 0; i < into->shard_count; ++i) {
+    if (covered[i]) into->covered.push_back(i);
+  }
+  // Canonical (combo_index, kind) order: merged ledgers compare (and
+  // render) identically regardless of which machine finished first.
+  const auto canonical = [](const LedgerRecord& a, const LedgerRecord& b) {
+    if (a.combo_index != b.combo_index) return a.combo_index < b.combo_index;
+    return static_cast<int>(a.kind) < static_cast<int>(b.kind);
+  };
+  std::sort(arrived, into->records.end(), canonical);
+  std::inplace_merge(into->records.begin(), arrived, into->records.end(),
+                     canonical);
+}
+
 Ledger merge_ledger_files(const std::vector<Ledger>& ledgers) {
   if (ledgers.empty()) {
     throw std::invalid_argument("merge_ledger_files: no ledgers");
   }
-  const Ledger& ref = ledgers.front();
-  std::vector<char> shard_seen(ref.shard_count, 0);
-  std::set<std::uint32_t> combo_seen;
-  std::set<std::uint32_t> anchor_seen;
-
-  // The identity as a whole; coverage and records are folded below.
-  Ledger merged = ref;
-  merged.covered.clear();
-  merged.records.clear();
-
-  for (const Ledger& l : ledgers) {
-    if (const char* field = identity_mismatch(l, ref)) {
-      throw std::invalid_argument(
-          std::string("merge_ledger_files: ledgers disagree on ") + field +
-          " (refusing to fold results of different explorations)");
-    }
-    for (const std::uint32_t idx : l.covered) {
-      if (idx >= ref.shard_count || shard_seen[idx]) {
-        throw std::invalid_argument(
-            "merge_ledger_files: shard index " + std::to_string(idx) +
-            " covered twice (same ledger merged more than once?)");
-      }
-      shard_seen[idx] = 1;
-    }
-    const auto covers = [&l](std::uint32_t shard) {
-      return std::find(l.covered.begin(), l.covered.end(), shard) !=
-             l.covered.end();
-    };
-    for (const LedgerRecord& r : l.records) {
-      if (r.kind == RecordKind::kAnchor) {
-        // Anchors are recorded by shard 0 exactly once.
-        if (!covers(0) || !anchor_seen.insert(r.combo_index).second) {
-          throw std::invalid_argument(
-              "merge_ledger_files: anchor record for combo " +
-              std::to_string(r.combo_index) + " is misplaced or duplicated");
-        }
-      } else {
-        if (!covers(r.combo_index % ref.shard_count) ||
-            !combo_seen.insert(r.combo_index).second) {
-          throw std::invalid_argument(
-              "merge_ledger_files: combo " + std::to_string(r.combo_index) +
-              " recorded by a shard that does not own it, or twice");
-        }
-      }
-      merged.records.push_back(r);
-    }
-  }
-  for (std::uint32_t i = 0; i < ref.shard_count; ++i) {
-    if (shard_seen[i]) merged.covered.push_back(i);
-  }
-  // Canonical order: merged ledgers compare (and render) identically
-  // regardless of which machine finished first.
-  std::stable_sort(merged.records.begin(), merged.records.end(),
-                   [](const LedgerRecord& a, const LedgerRecord& b) {
-                     if (a.combo_index != b.combo_index) {
-                       return a.combo_index < b.combo_index;
-                     }
-                     return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-                   });
+  Ledger merged;
+  for (const Ledger& l : ledgers) fold_ledger(&merged, l);
   return merged;
 }
 

@@ -8,7 +8,7 @@
 // combination is appended as one checksummed record, so a killed
 // exploration resumes from the records already on disk, and shards of the
 // combination space (combo index i owned by shard i % K) explored on
-// different machines fold back together with `merge_ledger_files` --
+// different machines fold back together with `fold_ledger` --
 // bit-identical to the unsharded exploration, because every record is a
 // pure function of the experiment identity.
 //
@@ -207,12 +207,17 @@ class LedgerWriter {
   Ledger state_;
 };
 
-// Folds any partition of mergeable ledgers (any order, any subset sizes,
-// disjoint shard coverage) into one ledger whose covered set is the union
-// and whose records are in canonical (combo_index, kind) order.  Throws
-// std::invalid_argument naming the first mismatched identity field, a
-// doubly-covered shard, a doubly-recorded combo, or a record owned by a
-// shard its file does not cover.
+// The one ledger fold: folds `shard` into the running merge *into in
+// place, records in canonical (combo_index, kind) order.  A target
+// covering nothing (default-constructed; decode_ledger refuses such a
+// file) is the empty merge and takes the arrival's identity.  Throws
+// std::invalid_argument, leaving *into unchanged, naming the first
+// mismatched identity field, a doubly-covered shard, a doubly-recorded
+// combo, or a record owned by a shard its file does not cover.
+void fold_ledger(Ledger* into, const Ledger& shard);
+
+// fold_ledger over any partition of mergeable ledgers (any order, any
+// subset sizes), from the empty merge; also throws on an empty list.
 [[nodiscard]] Ledger merge_ledger_files(const std::vector<Ledger>& ledgers);
 
 // The Pareto frontier of the evaluated points (kPoint + kAnchor): minimal

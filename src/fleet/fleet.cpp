@@ -548,9 +548,8 @@ void Driver::complete_shard(std::size_t w) {
   res.kind = shards_[pos].kind;
   res.worker = w;
   res.payloads.reserve(wc.payloads.size());
-  for (auto& [index, bytes] : wc.payloads) {
-    (void)index;
-    res.payloads.push_back(std::move(bytes));
+  for (auto& entry : wc.payloads) {
+    res.payloads.push_back(std::move(entry.second));
   }
   emit(FleetEvent::Kind::kShardDone, w, res.shard_id);
   if (on_shard_) on_shard_(res);  // handed over once, never kept
@@ -629,6 +628,12 @@ void Driver::handle_frame(std::size_t w, const serve::Frame& frame) {
       const std::size_t pos = wc.outstanding.front().pos;
       switch (done.outcome) {
         case serve::JobOutcome::kOk:
+          // A gap in the result indices 0..n-1 is a malformed done.
+          if (!wc.payloads.empty() &&
+              wc.payloads.rbegin()->first + 1 != wc.payloads.size()) {
+            declare_dead(w, "bad done");
+            return;
+          }
           complete_shard(w);
           break;
         case serve::JobOutcome::kBadRequest:

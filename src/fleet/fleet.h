@@ -22,9 +22,9 @@
 //     global sample/combo index alone, so whichever worker completes it
 //     produces bit-identical bytes;
 //   * live re-merge: each completed shard's payloads are handed once to a
-//     callback and not kept, so `clear fleet` folds every arrival into
-//     one running fold_shard / merge_ledger_files output that is
-//     watchable while the campaign is still running.
+//     callback and not kept; `clear fleet` folds every arrival in place
+//     (inject::fold_shard / explore::fold_ledger) into output files that
+//     are watchable while the campaign is still running.
 //
 // The worker end of the same protocol is fleet/worker.h; both ends read
 // and write through serve::FrameConn.  `clear fleet` (src/cli/cli_fleet.cpp)
@@ -205,9 +205,9 @@ struct FleetEvent {
 };
 using EventFn = std::function<void(const FleetEvent&)>;
 
-// One completed shard: the payload frames its worker returned, in result
-// order (campaign shards: one `.csr` per manifest stanza; explore shards:
-// exactly one `.cxl`).  Valid only during the ShardDoneFn call.
+// One completed shard: the payload frames its worker returned, results
+// 0..n-1 without a gap (campaign shards: one `.csr` per manifest stanza;
+// explore shards: exactly one `.cxl`).  Valid only during the call.
 struct ShardResult {
   std::uint64_t shard_id = 0;
   serve::ShardKind kind = serve::ShardKind::kCampaign;

@@ -239,58 +239,62 @@ WireStatus load_shard_file(const std::string& path, ShardFile* out) {
 }
 
 void fold_shard(ShardFile* into, const ShardFile& shard) {
+  // A target covering nothing (default-constructed; no decoded file
+  // does) is the empty merge: the checks then run against the arrival.
+  const bool first = into->covered.empty();
+  const ShardFile& ref = first ? shard : *into;
   const auto mismatch = [](const std::string& field) {
     throw std::invalid_argument(
         "merge_shard_files: shards disagree on " + field +
         " (refusing to fold results of different campaigns)");
   };
-  if (shard.core_name != into->core_name) mismatch("core_name");
-  if (shard.key != into->key) mismatch("key");
-  if (shard.program_hash != into->program_hash) mismatch("program_hash");
-  if (shard.injections != into->injections) mismatch("injections");
-  if (shard.seed != into->seed) mismatch("seed");
-  if (shard.shard_count != into->shard_count) mismatch("shard_count");
+  if (shard.core_name != ref.core_name) mismatch("core_name");
+  if (shard.key != ref.key) mismatch("key");
+  if (shard.program_hash != ref.program_hash) mismatch("program_hash");
+  if (shard.injections != ref.injections) mismatch("injections");
+  if (shard.seed != ref.seed) mismatch("seed");
+  if (shard.shard_count != ref.shard_count) mismatch("shard_count");
   // A fixed-budget (v1) file and an adaptive (v2) file can never be
   // shards of the same campaign; refuse before the counter fold so the
   // error names the actual disagreement (fold_campaign_result would
   // otherwise report it as a confidence-target mismatch).
-  if (shard.result.adaptive() != into->result.adaptive()) {
+  if (shard.result.adaptive() != ref.result.adaptive()) {
     mismatch("adaptivity (fixed-budget vs confidence-driven)");
   }
-  std::vector<char> seen(into->shard_count, 0);
+  std::vector<char> seen(ref.shard_count, 0);
   for (const std::uint32_t idx : into->covered) {
-    if (idx < into->shard_count) seen[idx] = 1;
+    if (idx < ref.shard_count) seen[idx] = 1;
   }
   for (const std::uint32_t idx : shard.covered) {
-    if (idx >= into->shard_count || seen[idx]) {
+    if (idx >= ref.shard_count || seen[idx]) {
       throw std::invalid_argument(
           "merge_shard_files: shard index " + std::to_string(idx) +
           " covered twice (same shard file merged more than once?)");
     }
     seen[idx] = 1;
   }
-  // ff_count / nominal-run agreement is checked (and thrown on) here,
-  // before anything in *into changes.
-  fold_campaign_result(&into->result, shard.result);
-  into->covered.clear();
-  for (std::uint32_t i = 0; i < into->shard_count; ++i) {
-    if (seen[i]) into->covered.push_back(i);
+  // The empty merge takes the arrival's identity and zero counters under
+  // its plan, built aside so that a refused fold leaves *into as it was.
+  ShardFile seeded;
+  if (first) {
+    seeded = shard;
+    seeded.result = empty_result_like(shard.result);
   }
+  ShardFile& merged = first ? seeded : *into;
+  // Checks ff_count and the nominal run before it changes anything.
+  fold_campaign_result(&merged.result, shard.result);
+  merged.covered.clear();
+  for (std::uint32_t i = 0; i < merged.shard_count; ++i) {
+    if (seen[i]) merged.covered.push_back(i);
+  }
+  if (first) *into = std::move(seeded);
 }
 
 ShardFile merge_shard_files(const std::vector<ShardFile>& shards) {
   if (shards.empty()) {
     throw std::invalid_argument("merge_shard_files: no shards");
   }
-  const ShardFile& ref = shards.front();
   ShardFile merged;
-  merged.core_name = ref.core_name;
-  merged.key = ref.key;
-  merged.program_hash = ref.program_hash;
-  merged.injections = ref.injections;
-  merged.seed = ref.seed;
-  merged.shard_count = ref.shard_count;
-  merged.result = empty_result_like(ref.result);
   for (const ShardFile& s : shards) fold_shard(&merged, s);
   return merged;
 }

@@ -136,21 +136,20 @@ void write_shard_file(const std::string& path, const ShardFile& shard);
 [[nodiscard]] WireStatus load_shard_file(const std::string& path,
                                          ShardFile* out);
 
-// Folds any partition of mergeable shards (any order, any subset sizes,
-// disjoint coverage) into one ShardFile whose covered set is the union.
-// Throws std::invalid_argument naming the first mismatched identity field
-// or the first doubly-covered shard index; the counter fold itself is
-// fold_campaign_result(), the fold merge_campaign_results() is made of,
-// so a complete merge is bit-identical to the unsharded campaign.
+// The one shard fold: folds `shard` into the running merge *into in
+// place, O(flip-flops) per arrival.  A target covering nothing
+// (default-constructed; decode_shard refuses such a file) is the empty
+// merge and takes the arrival's identity.  Throws std::invalid_argument,
+// leaving *into unchanged, naming the first mismatched identity field or
+// the first doubly-covered shard index.  The counter fold is
+// fold_campaign_result(), so a complete merge is bit-identical to the
+// unsharded campaign.
+void fold_shard(ShardFile* into, const ShardFile& shard);
+
+// fold_shard over any partition of mergeable shards (any order, any
+// subset sizes), from the empty merge; also throws on an empty list.
 [[nodiscard]] ShardFile merge_shard_files(
     const std::vector<ShardFile>& shards);
-
-// The one shard fold merge_shard_files is made of: folds `shard` into the
-// running merge *into in place, with the same identity and coverage
-// checks, so a live re-merge pays O(flip-flops) per arrival and copies
-// nothing.  Throws std::invalid_argument, leaving *into unchanged, on the
-// first mismatch or doubly-covered index.
-void fold_shard(ShardFile* into, const ShardFile& shard);
 
 }  // namespace clear::inject
 

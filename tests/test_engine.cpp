@@ -686,12 +686,17 @@ const std::string kBin = CLEAR_CLI_BIN;
 
 TEST(ServeE2E, LoopbackResultsMatchLocalRunByteForByte) {
   const std::string dir = "engine_e2e";
-  // A two-campaign manifest exercising the batch path.
+  // A three-campaign manifest exercising the batch path.  The client
+  // writes each result as its fold into an empty merge; the adaptive
+  // partial shard checks that this encodes to the worker's own bytes.
   {
     std::ofstream spec(dir + "/job.spec");
     spec << "--core InO --bench gcc --injections 60 --seed 3\n"
          << "---\n"
-         << "--core InO --bench mcf --injections 60 --seed 3\n";
+         << "--core InO --bench mcf --injections 60 --seed 3\n"
+         << "---\n"
+         << "--core InO --bench gcc --injections 60 --seed 3 "
+            "--confidence 0.1 --shard 1/3\n";
   }
   // Daemon (one connection, then exit) + client.  The client retries the
   // connect while the daemon starts; --shutdown is a belt-and-braces
@@ -709,13 +714,21 @@ TEST(ServeE2E, LoopbackResultsMatchLocalRunByteForByte) {
   ASSERT_EQ(sh(kBin + " run --bench mcf --injections 60 --seed 3 --out " +
                dir + "/ref1.csr"),
             0);
+  ASSERT_EQ(sh(kBin + " run --bench gcc --injections 60 --seed 3 "
+                      "--confidence 0.1 --shard 1/3 --out " +
+               dir + "/ref2.csr"),
+            0);
 
   const std::string got0 = slurp(dir + "/got/campaign0.csr");
   const std::string got1 = slurp(dir + "/got/campaign1.csr");
+  const std::string got2 = slurp(dir + "/got/campaign2.csr");
   ASSERT_FALSE(got0.empty());
   ASSERT_FALSE(got1.empty());
+  ASSERT_FALSE(got2.empty());
   EXPECT_EQ(got0, slurp(dir + "/ref0.csr"));
   EXPECT_EQ(got1, slurp(dir + "/ref1.csr"));
+  EXPECT_EQ(got2, slurp(dir + "/ref2.csr"));
+  EXPECT_EQ(static_cast<unsigned char>(got2[4]), 2u);  // adaptive: v2
 
   // And they decode as exact, complete shard files.
   inject::ShardFile shard;

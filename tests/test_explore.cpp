@@ -1,6 +1,7 @@
 // Exploration subsystem tests: the combos golden pin, the .cxl ledger
-// format (round trip + corruption fuzz mirroring test_wire.cpp), shard
-// merge determinism (K in {2,3} vs unsharded, bit-identical), kill-and-
+// format (round trip + corruption fuzz mirroring test_wire.cpp), the
+// running ledger fold (every arrival order, refusals leave it untouched),
+// shard merge determinism (K in {2,3} vs unsharded, bit-identical), kill-and-
 // resume, cost-lower-bound soundness, pruning honesty, and the
 // multi-process `clear explore run` x3 -> `clear explore merge` e2e
 // acceptance test (CLEAR_CLI_BIN, injected by CMake).
@@ -403,6 +404,131 @@ TEST(LedgerMerge, RefusesMismatchOverlapAndMisownedRecords) {
   d.records.front().combo_index = 3;  // shard 0's combo in shard 2's ledger
   EXPECT_THROW((void)explore::merge_ledger_files({a, d}),
                std::invalid_argument);
+}
+
+// A K-shard partition of a small synthetic exploration, fixed-budget or
+// adaptive (a confidence target: the version-2 identity).  Every combo
+// has one record from its owner, shard 0 also holds anchors that sort
+// between other shards' records, and each part lists its records in
+// descending combo order, out of canonical order as no fold may assume.
+std::vector<Ledger> synth_partition(std::uint32_t shards, bool adaptive) {
+  Ledger base = synth_ledger();
+  const LedgerRecord proto = base.records.front();
+  base.records.clear();
+  base.combo_count = 23;
+  base.shard_count = shards;
+  if (adaptive) {
+    base.confidence = 0.1;
+    base.confidence_method = 1;
+  }
+  std::vector<Ledger> parts(shards, base);
+  for (std::uint32_t k = 0; k < shards; ++k) parts[k].covered = {k};
+  const RecordKind kinds[] = {RecordKind::kPoint, RecordKind::kPruned,
+                              RecordKind::kSkipped};
+  for (std::uint32_t i = base.combo_count; i-- > 0;) {
+    LedgerRecord r = proto;
+    r.kind = kinds[i % 3];
+    r.combo_index = i;
+    r.combo = "combo#" + std::to_string(i);
+    r.energy = 0.1 + 0.01 * i;
+    parts[i % shards].records.push_back(r);
+    if (i % 4 == 1) {
+      r.kind = RecordKind::kAnchor;
+      r.target = 0.0;
+      parts[0].records.push_back(r);
+    }
+  }
+  return parts;
+}
+
+// A live re-merge folds each arriving shard ledger into one running
+// ledger in place.  From the empty merge (a default-constructed ledger)
+// and in every arrival order it must encode to exactly the bytes of one
+// merge_ledger_files call, whose records are every part's records in
+// canonical (combo_index, kind) order; re-folding a covered shard is
+// refused as "covered twice" without touching the running ledger.
+TEST(LedgerMerge, RunningFoldMatchesOneMergeInEveryArrivalOrder) {
+  for (const bool adaptive : {false, true}) {
+    const std::vector<Ledger> parts = synth_partition(5, adaptive);
+    const Ledger merged = explore::merge_ledger_files(parts);
+    EXPECT_TRUE(merged.complete());
+    Ledger all = parts[0];
+    for (std::size_t k = 1; k < parts.size(); ++k) {
+      all.records.insert(all.records.end(), parts[k].records.begin(),
+                         parts[k].records.end());
+    }
+    std::vector<std::string> in_order;
+    for (const auto& r : merged.records) {
+      in_order.push_back(explore::encode_record(r));
+    }
+    EXPECT_EQ(in_order, sorted_record_bytes(all));
+    const std::string expected = explore::encode_ledger(merged);
+    EXPECT_EQ(static_cast<unsigned char>(expected[4]), adaptive ? 2u : 1u);
+
+    std::vector<std::size_t> order = {0, 1, 2, 3, 4};
+    do {
+      Ledger running;
+      for (const std::size_t k : order) {
+        explore::fold_ledger(&running, parts[k]);
+        const std::string before = explore::encode_ledger(running);
+        try {
+          explore::fold_ledger(&running, parts[k]);
+          ADD_FAILURE() << "shard " << k << " folded twice";
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find("covered twice"),
+                    std::string::npos)
+              << e.what();
+        }
+        EXPECT_EQ(explore::encode_ledger(running), before);
+      }
+      EXPECT_EQ(explore::encode_ledger(running), expected)
+          << (adaptive ? "v2" : "v1") << " order " << order[0] << order[1]
+          << order[2] << order[3] << order[4];
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+}
+
+// A refused fold leaves the running ledger exactly as it was, whichever
+// check refuses it: identity, coverage, record ownership, or a record
+// (anchor or not) the arrival repeats.
+TEST(LedgerMerge, RefusedFoldLeavesTheRunningLedgerUntouched) {
+  const std::vector<Ledger> parts = synth_partition(4, false);
+  Ledger running;
+  explore::fold_ledger(&running, parts[1]);
+  explore::fold_ledger(&running, parts[2]);
+  const std::string before = explore::encode_ledger(running);
+  const auto anchor = std::find_if(
+      parts[0].records.begin(), parts[0].records.end(),
+      [](const LedgerRecord& r) { return r.kind == RecordKind::kAnchor; });
+  ASSERT_NE(anchor, parts[0].records.end());
+
+  std::vector<std::pair<std::string, Ledger>> bad = {
+      {"disagree on seed", parts[3]},
+      {"covered twice", parts[3]},
+      {"does not own it", parts[3]},
+      {"misplaced or duplicated", parts[0]},
+      {"misplaced or duplicated", parts[3]},
+      {"or twice", parts[3]},
+  };
+  bad[0].second.seed ^= 1;
+  bad[1].second.covered = {2, 3};
+  bad[2].second.records.back().combo_index = 0;  // shard 0's combo
+  bad[3].second.records.push_back(*anchor);      // the anchor twice
+  bad[4].second.records.push_back(*anchor);      // an anchor off shard 0
+  bad[5].second.records.push_back(bad[5].second.records.front());
+  for (const auto& [why, ledger] : bad) {
+    try {
+      explore::fold_ledger(&running, ledger);
+      ADD_FAILURE() << "accepted: " << why;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(explore::encode_ledger(running), before) << why;
+  }
+  explore::fold_ledger(&running, parts[0]);
+  explore::fold_ledger(&running, parts[3]);
+  EXPECT_TRUE(running.complete());
 }
 
 // ---- exploration determinism ----------------------------------------------

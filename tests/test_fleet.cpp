@@ -6,12 +6,14 @@
 // ids), worker-side explore execution + cancellation, the worker's
 // connection handler driven in-process over a socketpair (including the
 // retired steal frame dropping the connection), a live worker keeping a
-// shard it acks late, and the multi-process end-to-ends of
+// shard it acks late, `clear fleet run` failing on a shard that comes
+// back short, and the multi-process end-to-ends of
 // the acceptance criteria: a worker SIGKILLed mid-shard -- also while
 // holding two shards -- whose shards are redispatched and whose merged
 // bytes still equal the single-machine merge, the level-by-level
 // two-deep dispatch order, `clear fleet run`'s running
-// merge against `clear merge` of the same partition, `clear serve
+// merge against `clear merge` of the same partition, `clear fleet
+// explore`'s running ledger against `clear explore merge`, `clear serve
 // --workers N` fan-out driven as a fleet, two concurrent submitters
 // against one daemon, the submit hello deadline against a silent server,
 // submit --shutdown stopping a daemon that refused the manifest, submit
@@ -470,6 +472,79 @@ TEST(FleetDriver, LiveWorkerKeepsAShardItAcksLate) {
   EXPECT_EQ(report.workers_lost, 0u);
   EXPECT_EQ(done_events, 1u);
   EXPECT_EQ(delivered, 1u);
+}
+
+// Serves one `clear fleet run` connection as a scripted worker: every
+// shard it is assigned is acked and answered done(ok) after only the
+// results numbered in `indices`, each a decodable .csr of its own.
+// Returns when the driver shuts it down or hangs up.
+void serve_short_results(util::Socket* listener,
+                         const std::vector<std::uint32_t>& indices) {
+  using Recv = serve::FrameConn::Recv;
+  serve::FrameConn conn(listener->accept(10000));
+  if (!conn.send(serve::FrameType::kHello,
+                 serve::encode_hello(fleet::worker_hello("short")))) {
+    return;
+  }
+  inject::ShardFile csr;
+  csr.core_name = "InO";
+  csr.key = "scripted";
+  csr.covered = {0};
+  csr.result.ff_count = 1;
+  csr.result.per_ff.assign(1, {});
+  const std::string bytes = inject::encode_shard(csr);
+  for (;;) {
+    serve::Frame frame;
+    const Recv got = conn.recv(&frame, 200);
+    if (got == Recv::kClosed || got == Recv::kBad) return;
+    if (got != Recv::kFrame) {
+      if (!conn.send(serve::FrameType::kHeartbeat,
+                     serve::encode_heartbeat(0))) {
+        return;
+      }
+      continue;
+    }
+    if (frame.type == serve::FrameType::kShutdown) return;
+    serve::ShardAssign assign;
+    if (frame.type != serve::FrameType::kShardAssign ||
+        !serve::decode_shard_assign(frame.payload, &assign)) {
+      continue;
+    }
+    bool sent = conn.send(serve::FrameType::kShardAck,
+                          serve::encode_shard_ack({assign.shard_id}));
+    for (const std::uint32_t index : indices) {
+      sent = sent && conn.send(serve::FrameType::kResult,
+                               serve::encode_result(index, bytes));
+    }
+    if (!sent || !conn.send(serve::FrameType::kDone,
+                            serve::encode_done({serve::JobOutcome::kOk, ""}))) {
+      return;
+    }
+  }
+}
+
+// A campaign shard that comes back short -- done(ok) after no result, or
+// after results with a gap or without the last stanza's -- fails `clear
+// fleet run` with exit 1 instead of leaving a campaign<i>.csr missing or
+// holding another stanza's result.
+TEST(FleetDriver, CampaignShardThatComesBackShortFailsTheRun) {
+  const std::string one = "--core InO --bench mcf --injections 60 --seed 3\n";
+  const std::string three = one + "---\n" + one + "---\n" + one;
+  const std::vector<std::pair<std::string, std::vector<std::uint32_t>>>
+      cases = {{one, {}}, {three, {0, 2}}, {three, {0, 1}}};
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const std::string tag = kDir + "/short" + std::to_string(c);
+    std::ofstream(tag + ".spec") << cases[c].first;
+    util::Socket listener = util::Socket::listen_unix(tag + ".sock");
+    std::thread scripted(serve_short_results, &listener,
+                         std::cref(cases[c].second));
+    EXPECT_EQ(sh(kBin + " fleet run --spec " + tag + ".spec --shards 1" +
+                 " --out-dir " + tag + "_out --shutdown --quiet " + tag +
+                 ".sock 2> /dev/null"),
+              1)
+        << "case " << c;
+    scripted.join();
+  }
 }
 
 // ---- endpoint grammar ------------------------------------------------------
@@ -1163,6 +1238,33 @@ TEST(FleetE2E, ServeFanOutExploreMatchesLocalMerge) {
             explore::encode_ledger(explore::merge_ledger_files(local)));
 
   EXPECT_EQ(reap(parent), 0);
+}
+
+// `clear fleet explore` itself: the CLI's running ledger fold over
+// arrivals must write exactly the bytes `clear explore merge` makes of
+// the K single-machine shard ledgers.
+TEST(FleetE2E, CliFleetExploreMatchesExploreMerge) {
+  const pid_t parent = spawn_serve(
+      {"--workers", "2", "--socket", kDir + "/x.sock", "--quiet"});
+  ASSERT_GT(parent, 0);
+  const std::string spec = " --core InO --benches gcc --per-ff 1 --seed 3";
+  ASSERT_EQ(sh(kBin + " fleet explore" + spec + " --shards 3 --ledger " +
+               kDir + "/x.cxl --shutdown --quiet " + kDir + "/x.sock@2"),
+            0);
+  EXPECT_EQ(reap(parent), 0);
+
+  std::string merge_cmd = kBin + " explore merge --out " + kDir + "/x_ref.cxl";
+  for (int k = 0; k < 3; ++k) {
+    const std::string part = kDir + "/x_ref" + std::to_string(k) + ".cxl";
+    ASSERT_EQ(sh(kBin + " explore run" + spec + " --shard " +
+                 std::to_string(k) + "/3 --ledger " + part + " --quiet"),
+              0);
+    merge_cmd += " " + part;
+  }
+  ASSERT_EQ(sh(merge_cmd), 0);
+  const std::string got = slurp(kDir + "/x.cxl");
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got, slurp(kDir + "/x_ref.cxl"));
 }
 
 // ---- serve/submit robustness ----------------------------------------------

@@ -494,7 +494,10 @@ bool covered_twice(inject::ShardFile* running,
 // The fleet driver folds each arriving shard into one running merge in
 // place; in every arrival order that must encode to exactly the bytes of
 // one n-ary merge, and re-folding a shard the running merge already
-// covers must be refused without touching it.
+// covers must be refused without touching it.  Two starting points: a
+// one-shard merge, and the empty merge (a default-constructed target,
+// which takes the first arrival's identity and, folded once, encodes to
+// that arrival's own bytes).
 TEST(WireMerge, RunningFoldMatchesOneMergeInEveryArrivalOrder) {
   for (const bool adaptive : {false, true}) {
     const auto parts = five_shard_partition(adaptive);
@@ -503,15 +506,21 @@ TEST(WireMerge, RunningFoldMatchesOneMergeInEveryArrivalOrder) {
     EXPECT_EQ(static_cast<unsigned char>(expected[4]), adaptive ? 2u : 1u);
     std::vector<std::size_t> order = {0, 1, 2, 3, 4};
     do {
-      auto running = inject::merge_shard_files({parts[order[0]]});
-      for (std::size_t j = 1; j < order.size(); ++j) {
-        inject::fold_shard(&running, parts[order[j]]);
-        EXPECT_TRUE(covered_twice(&running, parts[order[j - 1]]));
+      inject::ShardFile from_empty;
+      inject::fold_shard(&from_empty, parts[order[0]]);
+      EXPECT_EQ(inject::encode_shard(from_empty),
+                inject::encode_shard(parts[order[0]]));
+      for (auto running :
+           {inject::merge_shard_files({parts[order[0]]}), from_empty}) {
+        for (std::size_t j = 1; j < order.size(); ++j) {
+          inject::fold_shard(&running, parts[order[j]]);
+          EXPECT_TRUE(covered_twice(&running, parts[order[j - 1]]));
+        }
+        EXPECT_TRUE(running.complete());
+        EXPECT_EQ(inject::encode_shard(running), expected)
+            << (adaptive ? "v2" : "v1") << " order " << order[0]
+            << order[1] << order[2] << order[3] << order[4];
       }
-      EXPECT_TRUE(running.complete());
-      EXPECT_EQ(inject::encode_shard(running), expected)
-          << (adaptive ? "v2" : "v1") << " order " << order[0] << order[1]
-          << order[2] << order[3] << order[4];
     } while (std::next_permutation(order.begin(), order.end()));
   }
 }
