@@ -27,7 +27,7 @@ void table05_06_spacing() {
       all.push_back(f);
     }
     const auto plan = resilience::build_parity_plan(
-        *proto, model, all, resilience::ParityHeuristic::kOptimized);
+        model, all, resilience::ParityHeuristic::kOptimized);
     double avg = 0;
     const auto par = model.parity_spacing_histogram(plan, &avg);
 

@@ -24,7 +24,7 @@ void table07_parity_heuristics() {
   auto row = [&](const char* name, const char* paper,
                  resilience::ParityHeuristic h, std::size_t bits) {
     const auto plan =
-        resilience::build_parity_plan(*proto, model, all, h, bits, vuln);
+        resilience::build_parity_plan(model, all, h, bits, vuln);
     const auto oh = model.parity_overhead(plan);
     std::size_t piped = 0;
     for (const auto& g : plan.groups) piped += g.pipelined;

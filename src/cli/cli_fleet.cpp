@@ -126,27 +126,32 @@ class CampaignSink {
   std::vector<inject::ShardFile> running_;
 };
 
+// Logs the fleet's scheduling to stdout.  A worker's death and its
+// reason go to stderr whatever `quiet` says, as in `clear submit`: they
+// explain a failed run.
 fleet::EventFn make_event_logger(bool quiet) {
-  if (quiet) return {};
-  return [](const fleet::FleetEvent& e) {
+  return [quiet](const fleet::FleetEvent& e) {
     using Kind = fleet::FleetEvent::Kind;
+    if (e.kind == Kind::kWorkerDead) {
+      if (e.shard_id != 0) {
+        std::fprintf(stderr,
+                     "fleet      worker #%zu (%s) DEAD (%s) -- "
+                     "redispatching shard #%llu\n",
+                     e.worker, e.worker_name.c_str(), e.detail.c_str(),
+                     static_cast<unsigned long long>(e.shard_id));
+      } else {
+        std::fprintf(stderr,
+                     "fleet      worker #%zu (%s) DEAD (%s), no shard in "
+                     "flight\n",
+                     e.worker, e.worker_name.c_str(), e.detail.c_str());
+      }
+      return;
+    }
+    if (quiet) return;
     switch (e.kind) {
       case Kind::kWorkerUp:
         std::printf("fleet      worker #%zu up: %s\n", e.worker,
                     e.worker_name.c_str());
-        break;
-      case Kind::kWorkerDead:
-        if (e.shard_id != 0) {
-          std::printf(
-              "fleet      worker #%zu (%s) DEAD (%s) -- "
-              "redispatching shard #%llu\n",
-              e.worker, e.worker_name.c_str(), e.detail.c_str(),
-              static_cast<unsigned long long>(e.shard_id));
-        } else {
-          std::printf("fleet      worker #%zu (%s) DEAD (%s), no shard in "
-                      "flight\n",
-                      e.worker, e.worker_name.c_str(), e.detail.c_str());
-        }
         break;
       case Kind::kAssign:
         std::printf("fleet      shard #%llu -> worker #%zu (%s)\n",
@@ -164,6 +169,7 @@ fleet::EventFn make_event_logger(bool quiet) {
                     static_cast<unsigned long long>(e.shard_id), e.worker,
                     e.worker_name.c_str());
         break;
+      case Kind::kWorkerDead:  // logged above
       case Kind::kAck:
       case Kind::kProgress:
         break;  // per-frame noise

@@ -272,7 +272,7 @@ CostReport Selector::evaluate(const SelectionSpec& spec,
     }
   }
   rep.parity_plan = resilience::build_parity_plan(
-      *proto_, *model_, parity_ffs, resilience::ParityHeuristic::kOptimized);
+      *model_, parity_ffs, resilience::ParityHeuristic::kOptimized);
 
   rep.ff_delta = fixed_ff_delta + model_->parity_ff_delta(rep.parity_plan);
   rep.gamma = gamma_correction(rep.ff_delta, exec);

@@ -19,6 +19,7 @@
 #include "util/env.h"
 #include "util/fs.h"
 #include "util/hash.h"
+#include "util/threadpool.h"
 
 namespace clear::inject {
 
@@ -84,6 +85,44 @@ bool decode_header(const unsigned char* in, Header* h) {
 
 std::uint64_t record_size(const Header& h) {
   return kHeaderSize + h.key_len + h.payload_len;
+}
+
+// A record whose header verified during a scan: its start in the scanned
+// buffer and its header.
+struct ScannedRecord {
+  std::uint64_t pos = 0;
+  Header h;
+};
+
+// Payload bytes that pay for one more scan thread: a thread's start and
+// join cost far less than checksumming this much.
+constexpr std::uint64_t kScanBytesPerThread = 256u << 10;
+
+// Whether each scanned record's payload matches its checksum.  FNV-1a is
+// serial within a record but records are independent, so a large scan
+// spreads them over up to CLEAR_THREADS run-local workers.  Run-local, not
+// ThreadPool::instance(): scans run under the pack mutex, and a job of the
+// shared pool started there could wait behind a job whose workers wait
+// for that mutex.
+std::vector<char> payloads_intact(const unsigned char* buf,
+                                  const std::vector<ScannedRecord>& recs) {
+  std::vector<char> intact(recs.size(), 0);
+  const auto check = [&](std::size_t k, unsigned) {
+    const Header& h = recs[k].h;
+    intact[k] = fnv1a64(buf + recs[k].pos + kHeaderSize + h.key_len,
+                        h.payload_len) == h.payload_sum;
+  };
+  std::uint64_t bytes = 0;
+  for (const ScannedRecord& r : recs) bytes += r.h.payload_len;
+  const auto threads = static_cast<unsigned>(
+      std::min<std::uint64_t>({util::env_threads(), recs.size(),
+                               bytes / kScanBytesPerThread}));
+  if (threads <= 1) {
+    for (std::size_t k = 0; k < recs.size(); ++k) check(k, 0);
+  } else {
+    util::ThreadPool(threads).run(recs.size(), threads, check);
+  }
+  return intact;
 }
 
 bool read_all(int fd, std::uint64_t offset, void* buf, std::size_t n) {
@@ -245,6 +284,11 @@ void CachePack::scan_pack_range_locked(std::uint64_t from) {
     pack_size_ = from;
     return;
   }
+  // Walk the headers.  A damaged payload is skipped by its header's
+  // length, so where the walk goes never depends on a payload checksum:
+  // those are checked afterwards, all at once.
+  std::vector<ScannedRecord> recs;
+  std::size_t bad_regions = 0;
   std::uint64_t pos = 0;
   bool in_bad_region = false;
   while (pos + kHeaderSize <= buf.size()) {
@@ -255,8 +299,7 @@ void CachePack::scan_pack_range_locked(std::uint64_t from) {
       // damaged region): quarantine the region once, then hunt for the
       // next record start.
       if (!in_bad_region) {
-        ++stats_.quarantined;
-        metrics().quarantined.add();
+        ++bad_regions;
         in_bad_region = true;
       }
       const auto* next = static_cast<const unsigned char*>(
@@ -266,21 +309,29 @@ void CachePack::scan_pack_range_locked(std::uint64_t from) {
       continue;
     }
     in_bad_region = false;
-    const std::uint64_t payload_off = pos + kHeaderSize + h.key_len;
-    if (fnv1a64(buf.data() + payload_off, h.payload_len) != h.payload_sum) {
-      ++stats_.quarantined;  // intact header, damaged payload: skip exactly
-      metrics().quarantined.add();
-    } else {
-      Entry e;
-      e.offset = from + pos;
-      e.key_len = h.key_len;
-      e.payload_len = h.payload_len;
-      e.payload_sum = h.payload_sum;
-      e.clock = ++clock_;  // file order seeds LRU; the index refines it
-      entries_[h.fp] = e;
-    }
+    recs.push_back({pos, h});
     pos += record_size(h);
   }
+  // Fold the verdicts in file order: the same entries, LRU seeds and
+  // quarantine count as checking each payload during the walk.
+  const std::vector<char> intact = payloads_intact(buf.data(), recs);
+  std::size_t quarantined = bad_regions;
+  for (std::size_t k = 0; k < recs.size(); ++k) {
+    const Header& h = recs[k].h;
+    if (!intact[k]) {
+      ++quarantined;  // intact header, damaged payload: skipped exactly
+      continue;
+    }
+    Entry e;
+    e.offset = from + recs[k].pos;
+    e.key_len = h.key_len;
+    e.payload_len = h.payload_len;
+    e.payload_sum = h.payload_sum;
+    e.clock = ++clock_;  // file order seeds LRU; the index refines it
+    entries_[h.fp] = e;
+  }
+  stats_.quarantined += quarantined;
+  metrics().quarantined.add(quarantined);
 }
 
 // Applies LRU clocks from the advisory index.  Any malformed line is
@@ -331,41 +382,69 @@ bool CachePack::reopen_if_stale_locked() {
 }
 
 bool CachePack::get(std::uint64_t fp, std::string* payload) {
-  std::lock_guard<std::mutex> g(m_);
-  if (!reopen_if_stale_locked()) {
-    metrics().misses.add();
-    return false;
+  if (!load(fp, payload)) return false;
+  stamp({fp});
+  return true;
+}
+
+bool CachePack::load(std::uint64_t fp, std::string* payload) {
+  Entry e;
+  std::string data;
+  {
+    // Read under the mutex: a concurrent reopen or compaction may close
+    // the fd it reads.
+    std::lock_guard<std::mutex> g(m_);
+    const auto it = reopen_if_stale_locked() ? entries_.find(fp)
+                                             : entries_.end();
+    if (it == entries_.end()) {
+      metrics().misses.add();
+      return false;
+    }
+    e = it->second;
+    data.resize(e.payload_len);
+    if (!read_all(fd_, e.offset + kHeaderSize + e.key_len, data.data(),
+                  data.size())) {
+      entries_.erase(it);
+      metrics().misses.add();
+      return false;
+    }
   }
-  const auto it = entries_.find(fp);
-  if (it == entries_.end()) {
-    metrics().misses.add();
-    return false;
-  }
-  Entry& e = it->second;
-  std::string data(e.payload_len, '\0');
-  if (!read_all(fd_, e.offset + kHeaderSize + e.key_len, data.data(),
-                data.size()) ||
-      fnv1a64(data.data(), data.size()) != e.payload_sum) {
+  if (fnv1a64(data.data(), data.size()) != e.payload_sum) {
     // The bytes under this entry no longer verify (external truncation or
-    // overwrite): drop it so the caller re-runs and re-appends.
-    entries_.erase(it);
+    // overwrite): drop it so the caller re-runs and re-appends, unless a
+    // re-put or reopen has replaced it meanwhile.
+    std::lock_guard<std::mutex> g(m_);
+    const auto it = entries_.find(fp);
+    if (it != entries_.end() && it->second.offset == e.offset &&
+        it->second.payload_sum == e.payload_sum) {
+      entries_.erase(it);
+    }
     metrics().misses.add();
     return false;
   }
   metrics().hits.add();
-  e.clock = ++clock_;
-  {
-    FileLock lock(dir_lock_fd_locked());
-    append_index_lines_locked({{fp, e.clock}});
-    // The index is append-only outside eviction; once it dwarfs the live
-    // entry set (warm suites touch it on every hit), rewrite it in place.
-    if (index_lines_ > 1024 &&
-        index_lines_ / 8 > entries_.size()) {
-      rewrite_index_locked();
-    }
-  }
   *payload = std::move(data);
   return true;
+}
+
+void CachePack::stamp(const std::vector<std::uint64_t>& fps) {
+  std::lock_guard<std::mutex> g(m_);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> stamps;
+  stamps.reserve(fps.size());
+  for (const std::uint64_t fp : fps) {
+    const auto it = entries_.find(fp);
+    if (it == entries_.end()) continue;
+    it->second.clock = ++clock_;
+    stamps.emplace_back(fp, it->second.clock);
+  }
+  if (stamps.empty()) return;
+  FileLock lock(dir_lock_fd_locked());
+  append_index_lines_locked(stamps);
+  // The index is append-only outside eviction; once it dwarfs the live
+  // entry set (warm suites touch it on every hit), rewrite it in place.
+  if (index_lines_ > 1024 && index_lines_ / 8 > entries_.size()) {
+    rewrite_index_locked();
+  }
 }
 
 void CachePack::put(std::uint64_t fp, const std::string& key,

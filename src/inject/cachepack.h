@@ -25,7 +25,10 @@
 // rest (skipping by the self-described length when the header is intact,
 // re-synchronizing on the next magic otherwise), and get() re-reads and
 // re-verifies the payload from disk so a post-open corruption can never be
-// served.  Concurrent processes serialize appends and compaction with an
+// served.  The scan walks the headers serially (where it goes never
+// depends on a payload checksum), checksums the payloads across threads
+// and folds the verdicts in file order, so the entry set and the
+// quarantine count are those of a serial scan.  Concurrent processes serialize appends and compaction with an
 // flock() on the cache directory itself (a stable inode that compaction's
 // rename cannot swap out from under a waiter); before writing, a process
 // re-synchronizes under the lock -- a replaced pack inode triggers a full
@@ -90,8 +93,17 @@ class CachePack {
 
   // Loads the payload stored under `fp`.  Returns false on a miss or when
   // the on-disk bytes no longer verify (never serves a wrong-checksum
-  // payload).  A hit refreshes the entry's LRU clock.
+  // payload).  A hit refreshes the entry's LRU clock: get() is load()
+  // followed by stamp({fp}).
   bool get(std::uint64_t fp, std::string* payload);
+  // get() without the LRU refresh.  Safe to call from many threads at
+  // once: the payload is read under the pack mutex but checksummed
+  // outside it.
+  bool load(std::uint64_t fp, std::string* payload);
+  // Refreshes the LRU clock of each listed fingerprint the pack still
+  // holds, in list order, with one index append.  A batch of load()s
+  // stamped this way leaves the index its serial get()s would.
+  void stamp(const std::vector<std::uint64_t>& fps);
 
   // Appends (or replaces) the record for `fp`.  `key` is stored alongside
   // the payload for debuggability only.  Triggers LRU eviction when the

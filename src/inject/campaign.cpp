@@ -1093,14 +1093,16 @@ bool parse_result(std::string_view payload, std::uint64_t fp,
     return false;
   }
   r.ff_count = ffs;
-  r.per_ff.assign(ffs, {});
-  for (OutcomeCounts& c : r.per_ff) {
+  r.per_ff.reserve(ffs);
+  for (std::uint32_t f = 0; f < ffs; ++f) {
+    OutcomeCounts c;
     if (!in.number(&c.vanished) || !in.number(&c.omm) || !in.number(&c.ut) ||
         !in.number(&c.hang) || !in.number(&c.ed) ||
         !in.number(&c.recovered)) {
       return false;
     }
     r.totals.merge(c);
+    r.per_ff.push_back(c);
   }
   if (adaptive) {
     std::uint32_t method = 0;
@@ -1114,9 +1116,11 @@ bool parse_result(std::string_view payload, std::uint64_t fp,
     if (!(r.confidence_target > 0.0) || r.confidence_target > 0.5) {
       return false;
     }
-    r.planned.assign(ffs, 0);
-    for (std::uint64_t& n : r.planned) {
+    r.planned.reserve(ffs);
+    for (std::uint32_t f = 0; f < ffs; ++f) {
+      std::uint64_t n = 0;
       if (!in.number(&n)) return false;
+      r.planned.push_back(n);
     }
   }
   if (!in.at_end()) return false;
@@ -1211,6 +1215,52 @@ CampaignJob plan_job(const CampaignSpec& spec) {
   return job;
 }
 
+// Worker threads a campaign asks for.  A thread count only schedules:
+// samples derive from global indices.
+unsigned spec_threads(const CampaignSpec& spec) {
+  return spec.threads != 0 ? util::resolve_threads(spec.threads)
+                           : util::env_threads();
+}
+
+// Serves a batch's keyed jobs from the cache pack in one parallel pass:
+// each hit is read, re-verified against its checksum and decoded into its
+// own result slot.  The loaded entries' LRU stamps are then applied in
+// job order with one index append, so campaigns.idx is the same at any
+// thread count.  Returns which jobs were served.
+std::vector<char> serve_from_pack(const std::string& cache_dir,
+                                  const std::vector<CampaignJob>& jobs,
+                                  std::vector<CampaignResult>* results) {
+  std::vector<char> served(jobs.size(), 0);
+  std::vector<std::size_t> keyed;
+  unsigned threads = 1;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (jobs[j].fp == 0) continue;
+    keyed.push_back(j);
+    threads = std::max(threads, spec_threads(*jobs[j].spec));
+  }
+  if (keyed.empty()) return served;
+  CachePack& pack = CachePack::instance(cache_dir);
+  std::vector<char> loaded(keyed.size(), 0);
+  util::ThreadPool::instance().run(
+      keyed.size(), static_cast<unsigned>(std::min<std::size_t>(
+                        threads, keyed.size())),
+      [&](std::size_t k, unsigned) {
+        const CampaignJob& job = jobs[keyed[k]];
+        std::string payload;
+        loaded[k] = pack.load(job.fp, &payload);
+        served[keyed[k]] =
+            loaded[k] &&
+            parse_result(payload, job.fp, job.ff_count,
+                         job.spec->adaptive(), &(*results)[job.spec_index]);
+      });
+  std::vector<std::uint64_t> hits;
+  for (std::size_t k = 0; k < keyed.size(); ++k) {
+    if (loaded[k]) hits.push_back(jobs[keyed[k]].fp);
+  }
+  pack.stamp(hits);
+  return served;
+}
+
 }  // namespace
 
 std::vector<std::uint64_t> dead_at_flip_samples(const CampaignSpec& spec) {
@@ -1236,22 +1286,23 @@ std::vector<CampaignResult> execute_campaigns(
   const std::atomic<bool>* cancel = hooks.cancel;
 
   const std::string cache_dir = campaign_cache_dir();
-  std::vector<CampaignJob> jobs;
-  jobs.reserve(specs.size());
+  std::vector<CampaignJob> planned;
+  planned.reserve(specs.size());
   for (std::size_t si = 0; si < specs.size(); ++si) {
     const CampaignSpec& spec = specs[si];
     CampaignJob job = plan_job(spec);
     job.spec_index = si;
     if (!spec.key.empty() && !cache_dir.empty()) {
       job.fp = spec_fingerprint(spec, job.injections);
-      std::string payload;
-      if (CachePack::instance(cache_dir).get(job.fp, &payload) &&
-          parse_result(payload, job.fp, job.ff_count, spec.adaptive(),
-                       &results[si])) {
-        continue;  // served from the pack
-      }
     }
-    jobs.push_back(std::move(job));
+    planned.push_back(std::move(job));
+  }
+  const std::vector<char> served =
+      serve_from_pack(cache_dir, planned, &results);
+  std::vector<CampaignJob> jobs;
+  jobs.reserve(planned.size());
+  for (std::size_t j = 0; j < planned.size(); ++j) {
+    if (!served[j]) jobs.push_back(std::move(planned[j]));
   }
   if (jobs.empty()) {
     // Whole batch served from the cache pack: publish empty totals so
@@ -1265,11 +1316,7 @@ std::vector<CampaignResult> execute_campaigns(
   unsigned threads = 0;
   std::size_t upper_total = 0;  // worst-case sims this shard performs
   for (auto& job : jobs) {
-    // A thread count only schedules: samples derive from global indices.
-    const unsigned want = job.spec->threads != 0
-                              ? util::resolve_threads(job.spec->threads)
-                              : util::env_threads();
-    threads = std::max(threads, want);
+    threads = std::max(threads, spec_threads(*job.spec));
     upper_total += job.pilot != 0
                        ? static_cast<std::size_t>(adaptive_upper_bound(job))
                        : job.local_count;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "util/rng.h"
 
@@ -159,6 +160,30 @@ PhysModel::PhysModel(const arch::Core& core) {
   std::vector<double> slack(ff_count_);
   for (std::uint32_t f = 0; f < ff_count_; ++f) slack[f] = slack_ps(f);
   slack_ = std::move(slack);
+  // Locality parity groups sort FFs by unit: tabulate each FF's unit rank.
+  // A structure's FFs run from its first_ff to the next structure's.
+  const auto& structures = core.registry().structures();
+  const auto unit_of = [](const std::string& name) {
+    return std::string_view(name).substr(0, name.find('.'));
+  };
+  std::vector<std::string_view> units;
+  for (const arch::FFStructure& s : structures) {
+    units.push_back(unit_of(s.name));
+  }
+  std::sort(units.begin(), units.end());
+  units.erase(std::unique(units.begin(), units.end()), units.end());
+  unit_rank_.resize(ff_count_);
+  for (std::size_t i = 0; i < structures.size(); ++i) {
+    const auto rank = static_cast<std::uint32_t>(
+        std::lower_bound(units.begin(), units.end(),
+                         unit_of(structures[i].name)) -
+        units.begin());
+    const std::uint32_t end = i + 1 < structures.size()
+                                  ? structures[i + 1].first_ff
+                                  : ff_count_;
+    std::fill(unit_rank_.begin() + structures[i].first_ff,
+              unit_rank_.begin() + end, rank);
+  }
 }
 
 double PhysModel::slack_ps(std::uint32_t ff) const {

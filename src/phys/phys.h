@@ -108,6 +108,12 @@ class PhysModel {
   // returns the ff index of a neighbour within one FF length, or the FF
   // itself if none exists.
   [[nodiscard]] std::uint32_t adjacent_ff(std::uint32_t ff) const;
+  // Rank of the FF's functional unit (the first dotted component of its
+  // structure name, "rob.e3.result" -> "rob") among the core's units in
+  // name order: comparing ranks orders FFs as comparing unit names does.
+  [[nodiscard]] std::uint32_t unit_rank(std::uint32_t ff) const {
+    return unit_rank_[ff];
+  }
 
   // -- cost evaluation -------------------------------------------------
   [[nodiscard]] Overhead hardening_overhead(
@@ -153,6 +159,7 @@ class PhysModel {
   std::vector<double> positions_;  // cumulative placement coordinates
   std::vector<double> nn_;         // per-FF nearest-neighbour distance
   std::vector<double> slack_;      // per-FF slack_ps(), tabulated
+  std::vector<std::uint32_t> unit_rank_;  // per-FF unit_rank(), tabulated
   std::uint64_t salt_ = 0;
 };
 

@@ -1,34 +1,20 @@
 #include "resilience/parity.h"
 
 #include <algorithm>
-#include <string_view>
 #include <utility>
 
 namespace clear::resilience {
 
 namespace {
 
-// Functional unit of a flip-flop: the first dotted component of its
-// structure name ("e.ctrl.inst" -> "e", "rob.e3.result" -> "rob").  The
-// view aliases the registry's structure name.
-std::string_view unit_of(const arch::FFRegistry& reg, std::uint32_t ff) {
-  const std::string_view name = reg.structure_of(ff).name;
-  return name.substr(0, name.find('.'));
-}
-
-// Stable sort by functional unit.  Each FF's unit is looked up once, not
-// once per comparison; the order equals a stable sort comparing
-// unit_of() strings.
-void sort_by_unit(const arch::FFRegistry& reg,
+// Stable sort by functional unit: PhysModel::unit_rank orders units as
+// comparing their names does.
+void sort_by_unit(const phys::PhysModel& model,
                   std::vector<std::uint32_t>& ffs) {
-  std::vector<std::pair<std::string_view, std::uint32_t>> keyed;
-  keyed.reserve(ffs.size());
-  for (const std::uint32_t f : ffs) keyed.emplace_back(unit_of(reg, f), f);
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
+  std::stable_sort(ffs.begin(), ffs.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return model.unit_rank(a) < model.unit_rank(b);
                    });
-  for (std::size_t i = 0; i < ffs.size(); ++i) ffs[i] = keyed[i].second;
 }
 
 phys::ParityPlan chunk_into_groups(const phys::PhysModel& model,
@@ -48,14 +34,12 @@ phys::ParityPlan chunk_into_groups(const phys::PhysModel& model,
 
 }  // namespace
 
-phys::ParityPlan build_parity_plan(const arch::Core& core,
-                                   const phys::PhysModel& model,
+phys::ParityPlan build_parity_plan(const phys::PhysModel& model,
                                    const std::vector<std::uint32_t>& ffs,
                                    ParityHeuristic heuristic,
                                    std::size_t group_bits,
                                    const std::vector<double>& vulnerability) {
   std::vector<std::uint32_t> order = ffs;
-  const auto& reg = core.registry();
   switch (heuristic) {
     case ParityHeuristic::kGroupSize:
       // registration order as-is
@@ -71,7 +55,7 @@ phys::ParityPlan build_parity_plan(const arch::Core& core,
                        });
       break;
     case ParityHeuristic::kLocality:
-      sort_by_unit(reg, order);
+      sort_by_unit(model, order);
       break;
     case ParityHeuristic::kTiming:
       std::stable_sort(order.begin(), order.end(),
@@ -89,8 +73,8 @@ phys::ParityPlan build_parity_plan(const arch::Core& core,
       for (const std::uint32_t f : order) {
         (model.slack_ps(f) >= need32 ? fast : slow).push_back(f);
       }
-      sort_by_unit(reg, fast);
-      sort_by_unit(reg, slow);
+      sort_by_unit(model, fast);
+      sort_by_unit(model, slow);
       phys::ParityPlan plan;
       for (std::size_t i = 0; i < fast.size(); i += 32) {
         phys::ParityGroup g;

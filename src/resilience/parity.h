@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "arch/core.h"
 #include "phys/phys.h"
 
 namespace clear::resilience {
@@ -44,15 +43,15 @@ enum class ParityHeuristic : std::uint8_t {
   return "?";
 }
 
-// Builds a parity plan for `ffs` (indices into the core's registry).
+// Builds a parity plan for `ffs` (indices into the registry of the core
+// `model` was built for).
 //   vulnerability - per-FF error counts (only used by kVulnerability;
 //                   may be empty otherwise)
 //   group_bits    - group size for the fixed-size heuristics (4..32);
 //                   kOptimized ignores it (Fig. 3 picks 32/16)
 [[nodiscard]] phys::ParityPlan build_parity_plan(
-    const arch::Core& core, const phys::PhysModel& model,
-    const std::vector<std::uint32_t>& ffs, ParityHeuristic heuristic,
-    std::size_t group_bits = 16,
+    const phys::PhysModel& model, const std::vector<std::uint32_t>& ffs,
+    ParityHeuristic heuristic, std::size_t group_bits = 16,
     const std::vector<double>& vulnerability = {});
 
 }  // namespace clear::resilience

@@ -254,7 +254,7 @@ class ComboEvalOracle {
       if (prot[f] == arch::FFProt::kParity) parity_ffs.push_back(f);
     }
     rep.parity_plan = resilience::build_parity_plan(
-        *proto_, *model_, parity_ffs,
+        *model_, parity_ffs,
         resilience::ParityHeuristic::kOptimized);
     rep.ff_delta = fixed_ff_delta + model_->parity_ff_delta(rep.parity_plan);
     rep.gamma = gamma_correction(rep.ff_delta, exec);

@@ -2,7 +2,9 @@
 // and the corruption fuzz tier -- truncation at every record boundary and
 // seeded random byte flips in both pack and index.  The loader must
 // recover every intact record, quarantine the rest, and never crash or
-// serve a wrong-checksum payload.
+// serve a wrong-checksum payload.  Packs large enough for the open to
+// checksum across threads must open exactly as they do on one thread, and
+// loads must stay exact while another instance rewrites the pack.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,11 +14,13 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "inject/cachepack.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
+#include "scoped_env.h"
 
 namespace {
 
@@ -47,16 +51,82 @@ std::string payload_for(std::size_t i) {
   return p;
 }
 
+// A payload big enough that a pack of a few of them is checksummed across
+// threads at open (256 KiB of payload per thread).
+std::string big_payload(std::size_t i) {
+  std::string p;
+  while (p.size() < (96u << 10)) p += payload_for(i + p.size() % 7);
+  return p;
+}
+
 // Builds a pack of `n` records in `dir` and returns the record boundaries
 // (byte offset where record i starts; back() is the total size).
-std::vector<std::uint64_t> build_pack(const std::string& dir, std::size_t n) {
+std::vector<std::uint64_t> build_pack(
+    const std::string& dir, std::size_t n,
+    std::string (*payload)(std::size_t) = payload_for) {
   std::vector<std::uint64_t> boundaries{0};
   inject::CachePack pack(dir);
   for (std::size_t i = 0; i < n; ++i) {
-    pack.put(1000 + i, "key" + std::to_string(i), payload_for(i));
+    pack.put(1000 + i, "key" + std::to_string(i), payload(i));
     boundaries.push_back(fs::file_size(pack_path(dir)));
   }
   return boundaries;
+}
+
+// XORs `x` into the byte at `off` of the file at `path`.
+void flip_byte(const fs::path& path, std::uint64_t off, unsigned char x) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(off));
+  char b = 0;
+  f.read(&b, 1);
+  b = static_cast<char>(static_cast<unsigned char>(b) ^ x);
+  f.seekp(static_cast<std::streamoff>(off));
+  f.write(&b, 1);
+}
+
+// What an open of a pack shows: its stats and the payload each listed
+// fingerprint serves ("" marks a miss; the test payloads are never empty).
+struct Opened {
+  inject::CachePackStats stats;
+  std::vector<std::string> served;
+};
+
+// Opens a fresh copy of the pack and index in `src` with CLEAR_THREADS at
+// `threads` and loads fingerprints 1000 to 1000 + n - 1.
+Opened open_copy(const std::string& src, const char* threads, std::size_t n) {
+  const auto dir = fresh_dir(std::string("open_copy_") + threads);
+  fs::create_directories(dir);
+  fs::copy_file(pack_path(src), pack_path(dir));
+  if (fs::exists(index_path(src))) {
+    fs::copy_file(index_path(src), index_path(dir));
+  }
+  const ScopedEnv env("CLEAR_THREADS", threads);
+  inject::CachePack pack(dir);
+  Opened out;
+  out.stats = pack.stats();
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string got;
+    out.served.push_back(pack.load(1000 + i, &got) ? got : "");
+  }
+  return out;
+}
+
+// The open at CLEAR_THREADS=4 must match the serial one exactly, and every
+// payload it serves must be the one put.
+void expect_same_open_at_1_and_4(const std::string& src, std::size_t n,
+                                 const std::string& what) {
+  const Opened one = open_copy(src, "1", n);
+  const Opened four = open_copy(src, "4", n);
+  EXPECT_EQ(four.stats.records, one.stats.records) << what;
+  EXPECT_EQ(four.stats.quarantined, one.stats.quarantined) << what;
+  EXPECT_EQ(four.stats.evictions, one.stats.evictions) << what;
+  EXPECT_EQ(four.stats.pack_bytes, one.stats.pack_bytes) << what;
+  EXPECT_EQ(four.served, one.served) << what;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!one.served[i].empty()) {
+      EXPECT_EQ(one.served[i], big_payload(i)) << what << ", record " << i;
+    }
+  }
 }
 
 TEST(CachePack, RoundTripsAndPersists) {
@@ -250,17 +320,8 @@ TEST(CachePack, FlippedPayloadByteIsQuarantinedNeverServed) {
   const auto dir = fresh_dir("flip_one");
   const auto boundaries = build_pack(dir, 3);
   // Flip one byte in the middle of record 1's payload.
-  const std::uint64_t off = boundaries[1] + (boundaries[2] - boundaries[1]) / 2;
-  {
-    std::fstream f(pack_path(dir),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(static_cast<std::streamoff>(off));
-    char b = 0;
-    f.read(&b, 1);
-    b = static_cast<char>(b ^ 0x40);
-    f.seekp(static_cast<std::streamoff>(off));
-    f.write(&b, 1);
-  }
+  flip_byte(pack_path(dir),
+            boundaries[1] + (boundaries[2] - boundaries[1]) / 2, 0x40);
   inject::CachePack pack(dir);
   EXPECT_GE(pack.stats().quarantined, 1u);
   std::string got;
@@ -269,6 +330,40 @@ TEST(CachePack, FlippedPayloadByteIsQuarantinedNeverServed) {
   EXPECT_FALSE(pack.get(1001, &got));  // damaged: never served
   EXPECT_TRUE(pack.get(1002, &got));   // intact neighbour recovered
   EXPECT_EQ(got, payload_for(2));
+}
+
+// Damage that arrives after the open is caught by the re-read: neither
+// get() nor a batch of load()s on the shared pool serves the damaged
+// payload, and the intact records around it are still served.
+TEST(CachePack, CorruptionAfterOpenIsNeverServed) {
+  constexpr std::size_t kRecords = 6;
+  const auto dir = fresh_dir("after_open");
+  const auto boundaries = build_pack(dir, kRecords);
+  for (const bool batched : {false, true}) {
+    inject::CachePack pack(dir);
+    ASSERT_EQ(pack.stats().records, kRecords);
+    // Flip (or flip back) a byte in the middle of record 2's payload; the
+    // pack file keeps its inode, so no reopen notices.
+    flip_byte(pack_path(dir), (boundaries[2] + boundaries[3]) / 2, 0x40);
+    std::vector<std::string> got(kRecords);
+    std::vector<char> hit(kRecords, 0);
+    const auto read = [&](std::size_t i, unsigned) {
+      hit[i] = batched ? pack.load(1000 + i, &got[i])
+                       : pack.get(1000 + i, &got[i]);
+    };
+    if (batched) {
+      util::ThreadPool::instance().run(kRecords, 4, read);
+    } else {
+      for (std::size_t i = 0; i < kRecords; ++i) read(i, 0);
+    }
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      EXPECT_EQ(hit[i] != 0, i != 2) << "record " << i << ", " << batched;
+      if (hit[i]) {
+        EXPECT_EQ(got[i], payload_for(i)) << i;
+      }
+    }
+    flip_byte(pack_path(dir), (boundaries[2] + boundaries[3]) / 2, 0x40);
+  }
 }
 
 TEST(CachePack, CorruptionFuzzNeverCrashesNorServesWrongBytes) {
@@ -297,13 +392,7 @@ TEST(CachePack, CorruptionFuzzNeverCrashesNorServesWrongBytes) {
       const std::uint64_t size = in_pack ? pack_size : index_size;
       const std::uint64_t off = rng.below(size);
       const auto x = static_cast<unsigned char>(1 + rng.below(255));
-      std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-      file.seekg(static_cast<std::streamoff>(off));
-      char b = 0;
-      file.read(&b, 1);
-      b = static_cast<char>(static_cast<unsigned char>(b) ^ x);
-      file.seekp(static_cast<std::streamoff>(off));
-      file.write(&b, 1);
+      flip_byte(path, off, x);
       if (in_pack) pack_xor[off] ^= x;
     }
 
@@ -413,6 +502,134 @@ TEST(CachePack, ConcurrentPutsAndGetsAreSafe) {
       8);
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(pack.stats().records, 8u);
+}
+
+// Later records win over earlier ones with the same fingerprint, but only
+// intact ones: a re-put whose payload was damaged leaves the earlier copy
+// served.  The pack is big enough that its open checksums across threads,
+// and the verdicts must still fold in file order.
+TEST(CachePack, DamagedLaterCopyLeavesTheEarlierIntactCopyServed) {
+  const auto dir = fresh_dir("later_copy");
+  const std::string earlier = big_payload(0);
+  std::uint64_t later_start = 0;
+  {
+    inject::CachePack pack(dir);
+    pack.put(1000, "key0", earlier);
+    for (std::size_t i = 1; i < 6; ++i) {
+      pack.put(1000 + i, "key" + std::to_string(i), big_payload(i));
+    }
+    later_start = fs::file_size(pack_path(dir));
+    pack.put(1000, "key0", big_payload(9));
+  }
+  flip_byte(pack_path(dir), (later_start + fs::file_size(pack_path(dir))) / 2,
+            0x40);
+  for (const char* threads : {"1", "4"}) {
+    const ScopedEnv env("CLEAR_THREADS", threads);
+    const auto copy = fresh_dir(std::string("later_copy_") + threads);
+    fs::create_directories(copy);
+    fs::copy_file(pack_path(dir), pack_path(copy));
+    inject::CachePack pack(copy);
+    EXPECT_EQ(pack.stats().records, 6u) << threads;
+    EXPECT_EQ(pack.stats().quarantined, 1u) << threads;
+    std::string got;
+    ASSERT_TRUE(pack.get(1000, &got)) << threads;
+    EXPECT_EQ(got, earlier) << threads;
+  }
+}
+
+// A scan of more records than threads, truncated at every record
+// boundary and damaged by seeded byte flips: the parallel open gives the
+// serial open's stats and serves the same payloads, byte-exact.
+TEST(CachePack, ParallelOpenMatchesSerialOpenUnderTruncationAndCorruption) {
+  constexpr std::size_t kRecords = 12;
+  const auto src = fresh_dir("par_src");
+  const auto boundaries = build_pack(src, kRecords, big_payload);
+  const auto damaged = fresh_dir("par_damaged");
+  const auto reset = [&] {
+    fs::remove_all(damaged);
+    fs::create_directories(damaged);
+    fs::copy_file(pack_path(src), pack_path(damaged));
+    fs::copy_file(index_path(src), index_path(damaged));
+  };
+  reset();
+  expect_same_open_at_1_and_4(damaged, kRecords, "intact");
+  for (std::size_t k = 0; k < kRecords; ++k) {
+    for (const std::uint64_t cut :
+         {boundaries[k], boundaries[k] + 1,
+          boundaries[k] + (boundaries[k + 1] - boundaries[k]) / 2}) {
+      reset();
+      fs::resize_file(pack_path(damaged), cut);
+      expect_same_open_at_1_and_4(damaged, kRecords,
+                                  "cut at " + std::to_string(cut));
+    }
+  }
+  util::Rng rng(0x5CA11E1u);
+  for (int trial = 0; trial < 40; ++trial) {
+    reset();
+    const int nflips = 1 + static_cast<int>(rng.below(8));
+    for (int f = 0; f < nflips; ++f) {
+      // Headers are where a flip changes the walk: aim half the flips
+      // at the first bytes of a record.
+      const std::size_t rec = rng.below(kRecords);
+      const std::uint64_t off =
+          rng.below(2) == 0 ? boundaries[rec] + rng.below(64)
+                            : rng.below(boundaries[kRecords]);
+      flip_byte(pack_path(damaged), off,
+                static_cast<unsigned char>(1 + rng.below(255)));
+    }
+    expect_same_open_at_1_and_4(damaged, kRecords,
+                                "trial " + std::to_string(trial));
+  }
+}
+
+// Batches of loads across the shared pool, stamped per batch, while
+// another instance (as another process would) re-puts and compacts: each
+// compaction replaces the pack, so the loading instance reopens with a
+// full multi-threaded scan under its mutex while pool workers wait for
+// it.  Every served payload must be byte-exact, and nothing may deadlock.
+TEST(CachePack, BatchedLoadsStayExactWhileAnotherInstancePutsAndCompacts) {
+  constexpr std::size_t kRecords = 8;
+  const auto dir = fresh_dir("batched_loads");
+  build_pack(dir, kRecords, big_payload);
+  std::vector<std::string> payloads;
+  std::vector<std::uint64_t> fps;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    payloads.push_back(big_payload(i));
+    fps.push_back(1000 + i);
+  }
+  const ScopedEnv env("CLEAR_THREADS", "4");
+  inject::CachePack reader(dir);
+  inject::CachePack writer(dir);
+  std::atomic<bool> stop{false};
+  std::atomic<int> served{0};
+  std::atomic<int> wrong{0};
+  std::thread batches([&] {
+    do {
+      // Long batches, so that compactions land inside them.
+      util::ThreadPool::instance().run(
+          8 * kRecords, 4, [&](std::size_t k, unsigned) {
+            std::string got;
+            if (reader.load(fps[k % kRecords], &got)) {
+              (got == payloads[k % kRecords] ? served : wrong).fetch_add(1);
+            }
+          });
+      reader.stamp(fps);
+    } while (!stop.load());
+  });
+  for (int round = 0; round < 48; ++round) {
+    const std::size_t i = static_cast<std::size_t>(round) % kRecords;
+    writer.put(fps[i], "key" + std::to_string(i), payloads[i]);
+    writer.compact(0);
+  }
+  stop.store(true);
+  batches.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(served.load(), 0);
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    std::string got;
+    ASSERT_TRUE(reader.get(fps[i], &got)) << i;
+    EXPECT_EQ(got, payloads[i]) << i;
+  }
 }
 
 }  // namespace

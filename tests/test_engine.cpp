@@ -341,6 +341,66 @@ TEST(EngineTally, ShardBytesAndCachePayloadsMatchAtAnyThreadCount) {
   }
 }
 
+// A warm batch serves its hits in one parallel pass, then stamps them in
+// spec order with one index append: the results, the untouched pack and
+// the index it leaves are the same at any thread count, and the index is
+// the one that serving the specs one batch at a time leaves.
+TEST(EngineTally, WarmBatchLeavesTheSameIndexAtAnyThreadCount) {
+  const auto mcf = bench("mcf");
+  const auto gcc = bench("gcc");
+  std::vector<inject::CampaignSpec> batch;
+  for (int i = 0; i < 6; ++i) {
+    auto spec = small_spec(i % 2 ? &gcc : &mcf,
+                           "warm/" + std::to_string(i), 90);
+    spec.seed = 2400 + static_cast<std::uint64_t>(i);
+    if (i == 5) spec.confidence_half_width = 0.3;
+    batch.push_back(spec);
+  }
+  const std::string cold = "engine_e2e/warm_cold";
+  ::setenv("CLEAR_CACHE_DIR", cold.c_str(), 1);
+  const auto reference = inject::detail::execute_campaigns(batch, {});
+  std::string pack, one_at_a_time_index;
+  ASSERT_TRUE(util::read_file(cold + "/campaigns.pack", &pack));
+  // threads 0: one single-spec batch per spec, the reference order.
+  for (const unsigned threads : {0u, 1u, 4u}) {
+    // A fresh copy per run: each opens the cold run's files.
+    const std::string warm = "engine_e2e/warm_" + std::to_string(threads);
+    std::filesystem::create_directories(warm);
+    for (const char* name : {"campaigns.pack", "campaigns.idx"}) {
+      std::filesystem::copy_file(cold + "/" + name, warm + "/" + name);
+    }
+    for (auto& spec : batch) spec.threads = threads;
+    ::setenv("CLEAR_CACHE_DIR", warm.c_str(), 1);
+    const std::uint64_t hits = obs::counter("cache.hit").value();
+    std::vector<inject::CampaignResult> served;
+    if (threads == 0) {
+      for (const auto& spec : batch) {
+        served.push_back(inject::detail::execute_campaigns({spec}, {})[0]);
+      }
+    } else {
+      served = inject::detail::execute_campaigns(batch, {});
+    }
+    ::setenv("CLEAR_CACHE_DIR", ".clear_cache_test_engine", 1);
+    EXPECT_EQ(obs::counter("cache.hit").value() - hits, batch.size())
+        << threads;
+    ASSERT_EQ(served.size(), reference.size());
+    for (std::size_t i = 0; i < served.size(); ++i) {
+      EXPECT_EQ(inject::detail::serialize_result(0, served[i]),
+                inject::detail::serialize_result(0, reference[i]))
+          << "threads " << threads << ", spec " << i;
+    }
+    std::string warm_pack, index;
+    ASSERT_TRUE(util::read_file(warm + "/campaigns.pack", &warm_pack));
+    ASSERT_TRUE(util::read_file(warm + "/campaigns.idx", &index));
+    EXPECT_EQ(warm_pack, pack) << threads;
+    if (threads == 0) {
+      one_at_a_time_index = index;
+    } else {
+      EXPECT_EQ(index, one_at_a_time_index) << threads;
+    }
+  }
+}
+
 // ---- cancellation ----------------------------------------------------------
 
 TEST(EngineCancel, QueuedJobCancelsImmediately) {

@@ -30,6 +30,7 @@
 #include "explore/explore.h"
 #include "explore/ledger.h"
 #include "combo_eval_oracle.h"
+#include "scoped_env.h"
 
 namespace {
 
@@ -686,28 +687,6 @@ TEST(Explore, ResumeFromRecordBoundaryIsByteIdentical) {
   // same records, same order.
   EXPECT_EQ(read_file(cut_path), full_bytes);
 }
-
-// Sets an environment variable for one scope, restoring the old value.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) ::setenv(name_, old_.c_str(), 1);
-    else ::unsetenv(name_);
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
 
 // The sample scale of an exploration that does not set one is the
 // per-core constant, whatever the environment of the process resolving

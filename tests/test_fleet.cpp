@@ -35,6 +35,7 @@
 #include <fcntl.h>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -526,24 +527,33 @@ void serve_short_results(util::Socket* listener,
 // A campaign shard that comes back short -- done(ok) after no result, or
 // after results with a gap or without the last stanza's -- fails `clear
 // fleet run` with exit 1 instead of leaving a campaign<i>.csr missing or
-// holding another stanza's result.
+// holding another stanza's result.  The gap gets the worker declared
+// dead, and the reason reaches stderr even under --quiet.
 TEST(FleetDriver, CampaignShardThatComesBackShortFailsTheRun) {
   const std::string one = "--core InO --bench mcf --injections 60 --seed 3\n";
   const std::string three = one + "---\n" + one + "---\n" + one;
-  const std::vector<std::pair<std::string, std::vector<std::uint32_t>>>
-      cases = {{one, {}}, {three, {0, 2}}, {three, {0, 1}}};
-  for (std::size_t c = 0; c < cases.size(); ++c) {
+  const struct {
+    std::string spec;
+    std::vector<std::uint32_t> results;
+    std::string death;  // the worker's death reason, "" if it lives
+  } cases[] = {{one, {}, ""}, {three, {0, 2}, "bad done"}, {three, {0, 1}, ""}};
+  for (std::size_t c = 0; c < std::size(cases); ++c) {
     const std::string tag = kDir + "/short" + std::to_string(c);
-    std::ofstream(tag + ".spec") << cases[c].first;
+    std::ofstream(tag + ".spec") << cases[c].spec;
     util::Socket listener = util::Socket::listen_unix(tag + ".sock");
     std::thread scripted(serve_short_results, &listener,
-                         std::cref(cases[c].second));
+                         std::cref(cases[c].results));
     EXPECT_EQ(sh(kBin + " fleet run --spec " + tag + ".spec --shards 1" +
                  " --out-dir " + tag + "_out --shutdown --quiet " + tag +
-                 ".sock 2> /dev/null"),
+                 ".sock 2> " + tag + ".err"),
               1)
         << "case " << c;
     scripted.join();
+    if (!cases[c].death.empty()) {
+      EXPECT_NE(slurp(tag + ".err").find("DEAD (" + cases[c].death + ")"),
+                std::string::npos)
+          << "case " << c << " stderr: " << slurp(tag + ".err");
+    }
   }
 }
 

@@ -691,6 +691,28 @@ TEST(CacheDecoder, MalformedPayloadsAreRefusedAndLeaveTheOutputUntouched) {
   EXPECT_FALSE(inject::detail::parse_result(fixed, 42, 4, false, &out));
 }
 
+// A payload cut anywhere -- at every row boundary and inside every row --
+// is refused and leaves the output untouched: the decoder appends rows as
+// it reads them, so a short payload must never surface as a short result.
+TEST(CacheDecoder, PayloadCutAtAnyByteIsRefused) {
+  for (const bool adaptive : {false, true}) {
+    const std::string text =
+        inject::detail::serialize_result(42, synth_result(adaptive));
+    std::size_t rows = 0;
+    for (std::size_t cut = 0; cut < text.size(); ++cut) {
+      rows += cut > 0 && text[cut - 1] == '\n';
+      inject::CampaignResult out = synth_result(true);
+      out.pilot = 99;
+      EXPECT_FALSE(inject::detail::parse_result(text.substr(0, cut), 42, 3,
+                                                adaptive, &out))
+          << "adaptive " << adaptive << ", cut at " << cut;
+      EXPECT_EQ(out.pilot, 99u) << "cut at " << cut << ": output modified";
+      EXPECT_EQ(out.per_ff.size(), 3u) << "cut at " << cut;
+    }
+    EXPECT_EQ(rows, adaptive ? 7u : 3u);  // every row boundary but the end
+  }
+}
+
 // The cache payload writer as it was first written, one ostream insertion
 // per field: the oracle the one-pass writer must match byte for byte.
 std::string oracle_serialize_result(std::uint64_t fp,

@@ -31,7 +31,7 @@ TEST_P(EveryHeuristic, CoversEveryFFExactlyOnce) {
   phys::PhysModel model(*core);
   const auto ffs = all_ffs(*core);
   const auto plan =
-      resilience::build_parity_plan(*core, model, ffs, GetParam(), 16);
+      resilience::build_parity_plan(model, ffs, GetParam(), 16);
   std::set<std::uint32_t> seen;
   for (const auto& g : plan.groups) {
     for (const auto f : g.ffs) {
@@ -44,9 +44,8 @@ TEST_P(EveryHeuristic, CoversEveryFFExactlyOnce) {
 TEST_P(EveryHeuristic, GroupSizesBounded) {
   auto core = arch::make_ino_core();
   phys::PhysModel model(*core);
-  const auto plan = resilience::build_parity_plan(*core, model,
-                                                  all_ffs(*core), GetParam(),
-                                                  16);
+  const auto plan =
+      resilience::build_parity_plan(model, all_ffs(*core), GetParam(), 16);
   for (const auto& g : plan.groups) {
     EXPECT_GE(g.ffs.size(), 1u);
     EXPECT_LE(g.ffs.size(), 32u);
@@ -65,7 +64,7 @@ TEST(ParityPlan, OptimizedRespectsSlack) {
   auto core = arch::make_ino_core();
   phys::PhysModel model(*core);
   const auto plan = resilience::build_parity_plan(
-      *core, model, all_ffs(*core), ParityHeuristic::kOptimized);
+      model, all_ffs(*core), ParityHeuristic::kOptimized);
   for (const auto& g : plan.groups) {
     if (g.pipelined) continue;
     const double need = phys::PhysModel::xor_tree_delay_ps(g.ffs.size());
@@ -79,7 +78,7 @@ TEST(ParityPlan, OptimizedUses32BitUnpipelinedAnd16BitPipelined) {
   auto core = arch::make_ino_core();
   phys::PhysModel model(*core);
   const auto plan = resilience::build_parity_plan(
-      *core, model, all_ffs(*core), ParityHeuristic::kOptimized);
+      model, all_ffs(*core), ParityHeuristic::kOptimized);
   std::size_t unpiped32 = 0;
   std::size_t piped16 = 0;
   for (const auto& g : plan.groups) {
@@ -94,9 +93,9 @@ TEST(ParityPlan, TimingHeuristicReducesPipelining) {
   auto core = arch::make_ino_core();
   phys::PhysModel model(*core);
   const auto timing = resilience::build_parity_plan(
-      *core, model, all_ffs(*core), ParityHeuristic::kTiming, 16);
+      model, all_ffs(*core), ParityHeuristic::kTiming, 16);
   const auto naive = resilience::build_parity_plan(
-      *core, model, all_ffs(*core), ParityHeuristic::kGroupSize, 16);
+      model, all_ffs(*core), ParityHeuristic::kGroupSize, 16);
   auto piped = [](const phys::ParityPlan& p) {
     std::size_t n = 0;
     for (const auto& g : p.groups) n += g.pipelined;
@@ -179,7 +178,7 @@ TEST(ParityPlan, LocalityOrdersMatchStringComparatorOracle) {
          {ParityHeuristic::kOptimized, ParityHeuristic::kLocality}) {
       SCOPED_TRACE(std::string(name) + " " +
                    resilience::parity_heuristic_name(h));
-      expect_same_plan(resilience::build_parity_plan(*core, model, ffs, h),
+      expect_same_plan(resilience::build_parity_plan(model, ffs, h),
                        oracle_plan(*core, model, ffs, h));
       // Seeded random subsets, shuffled so the stable sort sees ties out
       // of registration order.
@@ -190,9 +189,35 @@ TEST(ParityPlan, LocalityOrdersMatchStringComparatorOracle) {
         }
         std::shuffle(subset.begin(), subset.end(), rng);
         expect_same_plan(
-            resilience::build_parity_plan(*core, model, subset, h),
+            resilience::build_parity_plan(model, subset, h),
             oracle_plan(*core, model, subset, h));
       }
+    }
+  }
+}
+
+// The tabulated unit rank sorts FFs as the structure-name comparison does,
+// on seeded random FF subsets of both cores.
+TEST(ParityPlan, UnitRankSortEqualsUnitNameSort) {
+  for (const char* name : {"InO", "OoO"}) {
+    const auto core = arch::make_core(name);
+    const phys::PhysModel model(*core);
+    const auto& reg = core->registry();
+    const auto ffs = all_ffs(*core);
+    std::mt19937_64 rng(0x0A17u);
+    for (int trial = 0; trial < 16; ++trial) {
+      std::vector<std::uint32_t> subset;
+      for (const std::uint32_t f : ffs) {
+        if (rng() % 4 == 0) subset.push_back(f);
+      }
+      std::shuffle(subset.begin(), subset.end(), rng);
+      std::vector<std::uint32_t> by_rank = subset;
+      std::stable_sort(by_rank.begin(), by_rank.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return model.unit_rank(a) < model.unit_rank(b);
+                       });
+      oracle_sort_by_unit(reg, subset);
+      EXPECT_EQ(by_rank, subset) << name << " trial " << trial;
     }
   }
 }
@@ -205,7 +230,7 @@ TEST(ParityPlan, VulnerabilityHeuristicFrontloadsHotFFs) {
     vuln[f] = static_cast<double>(f % 97);
   }
   const auto plan = resilience::build_parity_plan(
-      *core, model, all_ffs(*core), ParityHeuristic::kVulnerability, 16,
+      model, all_ffs(*core), ParityHeuristic::kVulnerability, 16,
       vuln);
   // First group holds the highest-vulnerability FFs.
   double min_first = 1e18;
@@ -224,9 +249,9 @@ TEST(ParityPlan, SmallerGroupsCostMore) {
   auto core = arch::make_ino_core();
   phys::PhysModel model(*core);
   const auto p4 = resilience::build_parity_plan(
-      *core, model, all_ffs(*core), ParityHeuristic::kVulnerability, 4);
+      model, all_ffs(*core), ParityHeuristic::kVulnerability, 4);
   const auto p16 = resilience::build_parity_plan(
-      *core, model, all_ffs(*core), ParityHeuristic::kVulnerability, 16);
+      model, all_ffs(*core), ParityHeuristic::kVulnerability, 16);
   EXPECT_GT(model.parity_overhead(p4).power,
             model.parity_overhead(p16).power);
 }
@@ -238,7 +263,7 @@ TEST(ParityPlan, InSimGroupedParityDetectsFlips) {
   phys::PhysModel model(*core);
   const auto prog = isa::assemble(workloads::build_benchmark("gcc"));
   const auto plan = resilience::build_parity_plan(
-      *core, model, all_ffs(*core), ParityHeuristic::kOptimized);
+      model, all_ffs(*core), ParityHeuristic::kOptimized);
   arch::ResilienceConfig cfg;
   cfg.prot.assign(core->registry().ff_count(), arch::FFProt::kParity);
   cfg.parity_group.assign(core->registry().ff_count(), -1);
