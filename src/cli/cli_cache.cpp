@@ -13,7 +13,7 @@ namespace clear::cli {
 
 namespace {
 
-void print_stats(const inject::CachePack& pack) {
+void print_stats(inject::CachePack& pack) {
   const inject::CachePackStats st = pack.stats();
   util::TextTable table({"dir", "records", "pack bytes", "quarantined",
                          "evictions"});

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -19,7 +20,6 @@
 #include "util/env.h"
 #include "util/fs.h"
 #include "util/hash.h"
-#include "util/threadpool.h"
 
 namespace clear::inject {
 
@@ -85,44 +85,6 @@ bool decode_header(const unsigned char* in, Header* h) {
 
 std::uint64_t record_size(const Header& h) {
   return kHeaderSize + h.key_len + h.payload_len;
-}
-
-// A record whose header verified during a scan: its start in the scanned
-// buffer and its header.
-struct ScannedRecord {
-  std::uint64_t pos = 0;
-  Header h;
-};
-
-// Payload bytes that pay for one more scan thread: a thread's start and
-// join cost far less than checksumming this much.
-constexpr std::uint64_t kScanBytesPerThread = 256u << 10;
-
-// Whether each scanned record's payload matches its checksum.  FNV-1a is
-// serial within a record but records are independent, so a large scan
-// spreads them over up to CLEAR_THREADS run-local workers.  Run-local, not
-// ThreadPool::instance(): scans run under the pack mutex, and a job of the
-// shared pool started there could wait behind a job whose workers wait
-// for that mutex.
-std::vector<char> payloads_intact(const unsigned char* buf,
-                                  const std::vector<ScannedRecord>& recs) {
-  std::vector<char> intact(recs.size(), 0);
-  const auto check = [&](std::size_t k, unsigned) {
-    const Header& h = recs[k].h;
-    intact[k] = fnv1a64(buf + recs[k].pos + kHeaderSize + h.key_len,
-                        h.payload_len) == h.payload_sum;
-  };
-  std::uint64_t bytes = 0;
-  for (const ScannedRecord& r : recs) bytes += r.h.payload_len;
-  const auto threads = static_cast<unsigned>(
-      std::min<std::uint64_t>({util::env_threads(), recs.size(),
-                               bytes / kScanBytesPerThread}));
-  if (threads <= 1) {
-    for (std::size_t k = 0; k < recs.size(); ++k) check(k, 0);
-  } else {
-    util::ThreadPool(threads).run(recs.size(), threads, check);
-  }
-  return intact;
 }
 
 bool read_all(int fd, std::uint64_t offset, void* buf, std::size_t n) {
@@ -193,7 +155,9 @@ CachePack::~CachePack() {
 void CachePack::close_locked() noexcept {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
+  ++generation_;
   entries_.clear();
+  older_.clear();
   pack_size_ = 0;
   index_lines_ = 0;
 }
@@ -239,7 +203,6 @@ void CachePack::open_locked(bool dir_lock_held) {
   scan_pack_range_locked(0);
   load_index_clocks_locked();
   maybe_evict_locked();
-  stats_.records = entries_.size();
   stats_.pack_bytes = pack_size_;
 }
 
@@ -265,73 +228,129 @@ void CachePack::resync_locked() {
   }
 }
 
-// Recovers every intact record in pack bytes [from, end).  The index is
-// never trusted for locations: a sequential scan accepts records whose
-// header and payload checksums both verify, skips damaged records by
-// their self-described length when the header is intact, and
-// re-synchronizes on the next magic otherwise.  Later records win over
-// earlier ones with the same fingerprint (re-puts append).  `from = 0`
-// is the full open-time scan; a nonzero `from` folds in a tail another
-// process appended since our last look.
+// Finds every record in pack bytes [from, end) by its header alone: one
+// kHeaderSize read per record and no payload byte, since the index is
+// never trusted for locations.  Each record whose header verifies becomes
+// the unverified entry for its fingerprint (later records win; see
+// add_entry_locked), seeded in file order for LRU.  A damaged or torn
+// header quarantines its region; from there the walk reads the rest of
+// the range and hunts for the next magic byte by byte.  `from = 0` is the
+// open-time walk; a nonzero `from` folds in a tail another process
+// appended since our last look.
 void CachePack::scan_pack_range_locked(std::uint64_t from) {
   struct stat st;
   if (::fstat(fd_, &st) != 0) return;
   const auto end = static_cast<std::uint64_t>(st.st_size);
   pack_size_ = end;
-  if (end <= from) return;
-  std::vector<unsigned char> buf(end - from);
-  if (!read_all(fd_, from, buf.data(), buf.size())) {
-    pack_size_ = from;
-    return;
-  }
-  // Walk the headers.  A damaged payload is skipped by its header's
-  // length, so where the walk goes never depends on a payload checksum:
-  // those are checked afterwards, all at once.
-  std::vector<ScannedRecord> recs;
+  std::vector<unsigned char> rest;  // bytes [rest_from, end), once needed
+  std::uint64_t rest_from = end;
   std::size_t bad_regions = 0;
-  std::uint64_t pos = 0;
   bool in_bad_region = false;
-  while (pos + kHeaderSize <= buf.size()) {
+  std::uint64_t pos = from;
+  while (pos + kHeaderSize <= end) {
+    unsigned char raw[kHeaderSize];
+    const unsigned char* at = raw;
+    if (pos >= rest_from) {
+      at = rest.data() + (pos - rest_from);
+    } else if (!read_all(fd_, pos, raw, kHeaderSize)) {
+      pack_size_ = pos;  // the next resync walks on from here
+      break;
+    }
     Header h;
-    if (!decode_header(buf.data() + pos, &h) ||
-        pos + record_size(h) > buf.size()) {
-      // Damaged or torn header (or a false magic inside a payload of a
-      // damaged region): quarantine the region once, then hunt for the
-      // next record start.
-      if (!in_bad_region) {
-        ++bad_regions;
-        in_bad_region = true;
+    if (decode_header(at, &h) && pos + record_size(h) <= end) {
+      in_bad_region = false;
+      Entry e;
+      e.offset = pos;
+      e.key_len = h.key_len;
+      e.payload_len = h.payload_len;
+      e.payload_sum = h.payload_sum;
+      e.clock = ++clock_;  // file order seeds LRU; the index refines it
+      add_entry_locked(h.fp, e);
+      pos += record_size(h);
+      continue;
+    }
+    // Damaged or torn header (or a false magic inside a payload of a
+    // damaged region): quarantine the region once, then hunt for the
+    // next record start.
+    if (!in_bad_region) {
+      ++bad_regions;
+      in_bad_region = true;
+    }
+    if (pos < rest_from) {
+      rest.resize(end - pos);
+      if (!read_all(fd_, pos, rest.data(), rest.size())) {
+        pack_size_ = pos;
+        break;
       }
-      const auto* next = static_cast<const unsigned char*>(
-          std::memchr(buf.data() + pos + 1, kMagic[0], buf.size() - pos - 1));
-      if (next == nullptr) break;
-      pos = static_cast<std::uint64_t>(next - buf.data());
+      rest_from = pos;
+    }
+    const unsigned char* here = rest.data() + (pos - rest_from);
+    const auto* next = static_cast<const unsigned char*>(
+        std::memchr(here + 1, kMagic[0], end - pos - 1));
+    if (next == nullptr) break;
+    pos += static_cast<std::uint64_t>(next - here);
+  }
+  quarantine_locked(bad_regions);
+}
+
+// Makes `e` the entry for `fp`.  The record it replaces is kept in
+// older_ when it may still matter: as the fallback should an unverified
+// `e` turn out damaged, or to be counted if it is damaged itself.
+void CachePack::add_entry_locked(std::uint64_t fp, const Entry& e) {
+  const auto [it, fresh] = entries_.try_emplace(fp, e);
+  if (fresh) return;
+  if (!e.verified || !it->second.verified) {
+    older_[fp].push_back(it->second);
+  }
+  it->second = e;
+}
+
+// Re-reads the payload of `e` and checks it against its checksum.
+bool CachePack::payload_intact_locked(const Entry& e) const {
+  std::string data(e.payload_len, '\0');
+  return read_all(fd_, e.offset + kHeaderSize + e.key_len, data.data(),
+                  data.size()) &&
+         fnv1a64(data.data(), data.size()) == e.payload_sum;
+}
+
+// Replaces `*e`, the damaged entry for `fp`, by the newest record it
+// superseded, keeping the entry's LRU clock.  False when none is left.
+bool CachePack::fall_back_locked(std::uint64_t fp, Entry* e) {
+  const auto it = older_.find(fp);
+  if (it == older_.end()) return false;
+  const std::uint64_t clock = e->clock;
+  *e = it->second.back();
+  e->clock = clock;
+  it->second.pop_back();
+  if (it->second.empty()) older_.erase(it);
+  return true;
+}
+
+// Checksums every record not yet verified: each entry, falling back
+// exactly as its first serve would, then each superseded record still
+// kept, which is counted if damaged and then forgotten.
+void CachePack::verify_all_locked() {
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    Entry& e = it->second;
+    if (e.verified || payload_intact_locked(e)) {
+      e.verified = true;
+      ++it;
       continue;
     }
-    in_bad_region = false;
-    recs.push_back({pos, h});
-    pos += record_size(h);
+    quarantine_locked(1);
+    if (!fall_back_locked(it->first, &e)) it = entries_.erase(it);
   }
-  // Fold the verdicts in file order: the same entries, LRU seeds and
-  // quarantine count as checking each payload during the walk.
-  const std::vector<char> intact = payloads_intact(buf.data(), recs);
-  std::size_t quarantined = bad_regions;
-  for (std::size_t k = 0; k < recs.size(); ++k) {
-    const Header& h = recs[k].h;
-    if (!intact[k]) {
-      ++quarantined;  // intact header, damaged payload: skipped exactly
-      continue;
+  for (const auto& [fp, copies] : older_) {
+    for (const Entry& e : copies) {
+      if (!e.verified && !payload_intact_locked(e)) quarantine_locked(1);
     }
-    Entry e;
-    e.offset = from + recs[k].pos;
-    e.key_len = h.key_len;
-    e.payload_len = h.payload_len;
-    e.payload_sum = h.payload_sum;
-    e.clock = ++clock_;  // file order seeds LRU; the index refines it
-    entries_[h.fp] = e;
   }
-  stats_.quarantined += quarantined;
-  metrics().quarantined.add(quarantined);
+  older_.clear();
+}
+
+void CachePack::quarantine_locked(std::size_t n) {
+  stats_.quarantined += n;
+  metrics().quarantined.add(n);
 }
 
 // Applies LRU clocks from the advisory index.  Any malformed line is
@@ -387,44 +406,56 @@ bool CachePack::get(std::uint64_t fp, std::string* payload) {
   return true;
 }
 
+// Reads under the mutex (a concurrent reopen or compaction may close the
+// fd it reads) and checksums outside it, so a batch of loads runs in
+// parallel.  That checksum is also the record's first verification when
+// it has had none: an intact payload marks it verified, a damaged one is
+// quarantined and the fingerprint's next-older record tried in its place.
+// A verified record that no longer verifies (external truncation or
+// overwrite) is dropped, so the caller re-runs and re-appends.
 bool CachePack::load(std::uint64_t fp, std::string* payload) {
-  Entry e;
-  std::string data;
-  {
-    // Read under the mutex: a concurrent reopen or compaction may close
-    // the fd it reads.
-    std::lock_guard<std::mutex> g(m_);
-    const auto it = reopen_if_stale_locked() ? entries_.find(fp)
-                                             : entries_.end();
-    if (it == entries_.end()) {
-      metrics().misses.add();
-      return false;
-    }
-    e = it->second;
-    data.resize(e.payload_len);
-    if (!read_all(fd_, e.offset + kHeaderSize + e.key_len, data.data(),
-                  data.size())) {
-      entries_.erase(it);
-      metrics().misses.add();
-      return false;
+  std::unique_lock<std::mutex> g(m_);
+  if (reopen_if_stale_locked()) {
+    for (auto it = entries_.find(fp); it != entries_.end();
+         it = entries_.find(fp)) {
+      const Entry e = it->second;
+      const std::uint64_t generation = generation_;
+      std::string data(e.payload_len, '\0');
+      bool intact = read_all(fd_, e.offset + kHeaderSize + e.key_len,
+                             data.data(), data.size());
+      if (intact) {
+        g.unlock();
+        intact = fnv1a64(data.data(), data.size()) == e.payload_sum;
+        if (intact && e.verified) {
+          metrics().hits.add();
+          *payload = std::move(data);
+          return true;
+        }
+        g.lock();
+        it = entries_.find(fp);
+      }
+      // Whether `it` still holds the record read: a re-put, a fallback or
+      // a reopen may have replaced it meanwhile.
+      const bool same = it != entries_.end() && generation_ == generation &&
+                        it->second.offset == e.offset &&
+                        it->second.payload_sum == e.payload_sum;
+      if (intact) {
+        if (same) it->second.verified = true;
+        metrics().hits.add();
+        *payload = std::move(data);
+        return true;
+      }
+      if (!same) continue;
+      if (e.verified) {
+        entries_.erase(it);
+        break;
+      }
+      quarantine_locked(1);
+      if (!fall_back_locked(fp, &it->second)) entries_.erase(it);
     }
   }
-  if (fnv1a64(data.data(), data.size()) != e.payload_sum) {
-    // The bytes under this entry no longer verify (external truncation or
-    // overwrite): drop it so the caller re-runs and re-appends, unless a
-    // re-put or reopen has replaced it meanwhile.
-    std::lock_guard<std::mutex> g(m_);
-    const auto it = entries_.find(fp);
-    if (it != entries_.end() && it->second.offset == e.offset &&
-        it->second.payload_sum == e.payload_sum) {
-      entries_.erase(it);
-    }
-    metrics().misses.add();
-    return false;
-  }
-  metrics().hits.add();
-  *payload = std::move(data);
-  return true;
+  metrics().misses.add();
+  return false;
 }
 
 void CachePack::stamp(const std::vector<std::uint64_t>& fps) {
@@ -463,7 +494,6 @@ void CachePack::put(const std::vector<CacheRecord>& records) {
   if (fd_ < 0) return;
   append_records_locked(records);
   maybe_evict_locked();
-  stats_.records = entries_.size();
   stats_.pack_bytes = pack_size_;
   metrics().puts.add(records.size());
   metrics().pack_bytes.set(pack_size_);
@@ -492,6 +522,7 @@ void CachePack::append_records_locked(const std::vector<CacheRecord>& records) {
     e.key_len = h.key_len;
     e.payload_len = h.payload_len;
     e.payload_sum = h.payload_sum;
+    e.verified = true;  // checksummed from the bytes being written
     added.emplace_back(r.fp, e);
     bytes += encode_record(h, r.key, r.payload);
   }
@@ -506,7 +537,7 @@ void CachePack::append_records_locked(const std::vector<CacheRecord>& records) {
   stamps.reserve(added.size());
   for (auto& [fp, e] : added) {
     e.clock = ++clock_;
-    entries_[fp] = e;
+    add_entry_locked(fp, e);
     stamps.emplace_back(fp, e.clock);
   }
   pack_size_ = static_cast<std::uint64_t>(end) + bytes.size();
@@ -569,9 +600,12 @@ void CachePack::maybe_evict_locked() {
 // `budget` (0 = keep every live record; the rewrite still reclaims bytes
 // of superseded re-puts and quarantined regions).  Caller holds the
 // directory flock and has resync'd, so entries_ covers every process's
-// records and nothing another process appended can be dropped.
+// records and nothing another process appended can be dropped.  Every
+// record is verified first, and each copied record is checksummed again
+// as it is copied: damage that arrived since is quarantined, not carried.
 void CachePack::compact_locked(std::uint64_t budget) {
   if (fd_ < 0) return;
+  verify_all_locked();
 
   std::vector<std::pair<std::uint64_t, std::uint64_t>> by_use;  // clock, fp
   by_use.reserve(entries_.size());
@@ -586,6 +620,7 @@ void CachePack::compact_locked(std::uint64_t budget) {
   std::map<std::uint64_t, Entry> kept;
   std::uint64_t used = 0;
   std::size_t dropped = 0;
+  std::size_t damaged = 0;
   bool ok = true;
   for (std::size_t i = 0; i < by_use.size() && ok; ++i) {
     const std::uint64_t fp = by_use[i].second;
@@ -598,8 +633,10 @@ void CachePack::compact_locked(std::uint64_t budget) {
     std::vector<unsigned char> rec(rec_len);
     Header h;
     if (!read_all(fd_, e.offset, rec.data(), rec.size()) ||
-        !decode_header(rec.data(), &h) || h.fp != fp) {
-      ++dropped;  // damaged since open: evict rather than copy garbage
+        !decode_header(rec.data(), &h) || h.fp != fp ||
+        fnv1a64(rec.data() + kHeaderSize + h.key_len, h.payload_len) !=
+            e.payload_sum) {
+      ++damaged;  // damaged since verified: drop rather than copy garbage
       continue;
     }
     Entry ne = e;
@@ -632,10 +669,12 @@ void CachePack::compact_locked(std::uint64_t budget) {
   }
   ::close(fd_);
   fd_ = nfd;
+  ++generation_;
   entries_ = std::move(kept);
   pack_size_ = used;
   stats_.evictions += dropped;
   metrics().evictions.add(dropped);
+  quarantine_locked(damaged);
   metrics().pack_bytes.set(pack_size_);
   rewrite_index_locked();
 }
@@ -646,14 +685,16 @@ CachePackStats CachePack::compact(std::uint64_t max_bytes) {
   resync_locked();
   if (fd_ >= 0) {
     compact_locked(max_bytes);
-    stats_.records = entries_.size();
     stats_.pack_bytes = pack_size_;
   }
+  stats_.records = entries_.size();
   return stats_;
 }
 
-CachePackStats CachePack::stats() const {
+CachePackStats CachePack::stats() {
   std::lock_guard<std::mutex> g(m_);
+  verify_all_locked();
+  stats_.records = entries_.size();
   return stats_;
 }
 

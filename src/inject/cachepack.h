@@ -20,16 +20,18 @@
 // of one put (one record, or a batch), fsyncs the pack once, and only then
 // appends their index lines -- a crash at any point leaves a prefix of
 // intact records plus at most one torn tail.
-// open() never trusts the index for locations: it scans the pack, accepts
-// only records whose header and payload checksums verify, quarantines the
-// rest (skipping by the self-described length when the header is intact,
-// re-synchronizing on the next magic otherwise), and get() re-reads and
-// re-verifies the payload from disk so a post-open corruption can never be
-// served.  The scan walks the headers serially (where it goes never
-// depends on a payload checksum), checksums the payloads across threads
-// and folds the verdicts in file order, so the entry set and the
-// quarantine count are those of a serial scan.  Concurrent processes serialize appends and compaction with an
-// flock() on the cache directory itself (a stable inode that compaction's
+// open() never trusts the index for locations: it walks the record
+// headers (one 36-byte read each, no payload byte), takes every record
+// whose header verifies, and quarantines each region of damaged or torn
+// headers, re-synchronizing on the next magic with a byte scan.  Payloads
+// are checksummed when first served, by the re-read and re-verify every
+// load() does anyway, so no damaged payload is ever served, whether the
+// damage predates the open or not.  A later record of a fingerprint wins
+// only if its payload is intact; otherwise the next-older copy is served.
+// stats() and compaction first checksum every record not yet verified, so
+// they count what a scan that checked every payload at open would count.
+// Concurrent processes serialize appends and compaction with an flock()
+// on the cache directory itself (a stable inode that compaction's
 // rename cannot swap out from under a waiter); before writing, a process
 // re-synchronizes under the lock -- a replaced pack inode triggers a full
 // reopen, a grown pack gets its tail scanned -- so compaction never drops
@@ -68,15 +70,15 @@ struct CacheRecord {
 
 struct CachePackStats {
   std::size_t records = 0;      // live (verified) records
-  std::size_t quarantined = 0;  // corrupt records/regions dropped at open
+  std::size_t quarantined = 0;  // corrupt records/regions found and dropped
   std::size_t evictions = 0;    // records dropped by the byte budget
   std::uint64_t pack_bytes = 0; // pack file size after open/compaction
 };
 
 class CachePack {
  public:
-  // Opens (creating if needed) the pack inside `dir`, recovering every
-  // intact record.  max_bytes = 0 reads
+  // Opens (creating if needed) the pack inside `dir`, finding every record
+  // by its header.  max_bytes = 0 reads
   // CLEAR_CACHE_MAX_BYTES (0 = unlimited).
   explicit CachePack(std::string dir, std::uint64_t max_bytes = 0);
   ~CachePack();
@@ -93,8 +95,9 @@ class CachePack {
 
   // Loads the payload stored under `fp`.  Returns false on a miss or when
   // the on-disk bytes no longer verify (never serves a wrong-checksum
-  // payload).  A hit refreshes the entry's LRU clock: get() is load()
-  // followed by stamp({fp}).
+  // payload; a damaged record on its first serve falls back to the
+  // fingerprint's next-older intact record).  A hit refreshes the entry's
+  // LRU clock: get() is load() followed by stamp({fp}).
   bool get(std::uint64_t fp, std::string* payload);
   // get() without the LRU refresh.  Safe to call from many threads at
   // once: the payload is read under the pack mutex but checksummed
@@ -124,7 +127,9 @@ class CachePack {
   // Exposed to operators as `clear cache compact` / `clear cache evict`.
   CachePackStats compact(std::uint64_t max_bytes = 0);
 
-  [[nodiscard]] CachePackStats stats() const;
+  // Checksums every record not yet verified first, so the counts are
+  // those of an open that checked every payload.
+  [[nodiscard]] CachePackStats stats();
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
   // File names inside the cache directory.
@@ -138,6 +143,7 @@ class CachePack {
     std::uint32_t payload_len = 0;
     std::uint64_t payload_sum = 0;
     std::uint64_t clock = 0;     // LRU stamp (higher = more recent)
+    bool verified = false;       // payload checksummed since it was found
   };
 
   // `_locked` = caller holds m_.  Methods that write to disk additionally
@@ -149,6 +155,11 @@ class CachePack {
   int dir_lock_fd_locked();
   void resync_locked();  // requires the directory flock
   void scan_pack_range_locked(std::uint64_t from);
+  void add_entry_locked(std::uint64_t fp, const Entry& e);
+  bool payload_intact_locked(const Entry& e) const;
+  bool fall_back_locked(std::uint64_t fp, Entry* e);
+  void verify_all_locked();
+  void quarantine_locked(std::size_t n);
   void load_index_clocks_locked();
   // The append/evict/index writers all require the directory flock.
   void append_records_locked(const std::vector<CacheRecord>& records);
@@ -169,6 +180,11 @@ class CachePack {
   std::uint64_t clock_ = 0;     // logical LRU clock
   std::size_t index_lines_ = 0; // advisory-index length (compaction trigger)
   std::map<std::uint64_t, Entry> entries_;  // fingerprint -> record
+  // Superseded records of a fingerprint, oldest first: the fallback when
+  // an unverified later record turns out damaged, and still to be counted
+  // by stats() and compaction if damaged themselves.
+  std::map<std::uint64_t, std::vector<Entry>> older_;
+  std::uint64_t generation_ = 0;  // bumped whenever fd_ changes file
   CachePackStats stats_;
 };
 

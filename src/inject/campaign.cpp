@@ -1051,6 +1051,22 @@ class PayloadReader {
     p_ = next;
     return true;
   }
+  // Reads six single-digit numbers written in their one canonical form,
+  // "d d d d d d" and the whitespace byte after it, in one step: the
+  // values number() would read, and the same position after them.  False,
+  // having consumed only leading whitespace, for any other form; the
+  // caller then reads the row with number() and gets its verdict.
+  bool digit_row(std::uint32_t (&out)[6]) {
+    skip_space();
+    if (end_ - p_ < 12 || !is_payload_space(p_[11])) return false;
+    for (int k = 0; k < 6; ++k) {
+      const auto d = static_cast<unsigned char>(p_[2 * k] - '0');
+      if (d > 9 || (k < 5 && p_[2 * k + 1] != ' ')) return false;
+      out[k] = d;
+    }
+    p_ += 11;
+    return true;
+  }
   // Consumes `word` when it is the next token.
   bool word(std::string_view word) {
     skip_space();
@@ -1096,9 +1112,12 @@ bool parse_result(std::string_view payload, std::uint64_t fp,
   r.per_ff.reserve(ffs);
   for (std::uint32_t f = 0; f < ffs; ++f) {
     OutcomeCounts c;
-    if (!in.number(&c.vanished) || !in.number(&c.omm) || !in.number(&c.ut) ||
-        !in.number(&c.hang) || !in.number(&c.ed) ||
-        !in.number(&c.recovered)) {
+    std::uint32_t d[6] = {};
+    if (in.digit_row(d)) {
+      c = {d[0], d[1], d[2], d[3], d[4], d[5]};
+    } else if (!in.number(&c.vanished) || !in.number(&c.omm) ||
+               !in.number(&c.ut) || !in.number(&c.hang) ||
+               !in.number(&c.ed) || !in.number(&c.recovered)) {
       return false;
     }
     r.totals.merge(c);

@@ -2,9 +2,12 @@
 // and the corruption fuzz tier -- truncation at every record boundary and
 // seeded random byte flips in both pack and index.  The loader must
 // recover every intact record, quarantine the rest, and never crash or
-// serve a wrong-checksum payload.  Packs large enough for the open to
-// checksum across threads must open exactly as they do on one thread, and
-// loads must stay exact while another instance rewrites the pack.
+// serve a wrong-checksum payload.  The open reads headers only and each
+// payload is verified when first served (or by stats() and compaction):
+// in any order of serving and asking, the pack must show what an open
+// that checked every payload up front shows (tests/eager_open_oracle.h),
+// at any CLEAR_THREADS, and loads must stay exact while another instance
+// rewrites the pack.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +23,7 @@
 #include "inject/cachepack.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
+#include "eager_open_oracle.h"
 #include "scoped_env.h"
 
 namespace {
@@ -51,8 +55,7 @@ std::string payload_for(std::size_t i) {
   return p;
 }
 
-// A payload big enough that a pack of a few of them is checksummed across
-// threads at open (256 KiB of payload per thread).
+// A payload of about 96 KiB.
 std::string big_payload(std::size_t i) {
   std::string p;
   while (p.size() < (96u << 10)) p += payload_for(i + p.size() % 7);
@@ -111,7 +114,7 @@ Opened open_copy(const std::string& src, const char* threads, std::size_t n) {
   return out;
 }
 
-// The open at CLEAR_THREADS=4 must match the serial one exactly, and every
+// The open at CLEAR_THREADS=4 must match the one at 1 exactly, and every
 // payload it serves must be the one put.
 void expect_same_open_at_1_and_4(const std::string& src, std::size_t n,
                                  const std::string& what) {
@@ -506,8 +509,7 @@ TEST(CachePack, ConcurrentPutsAndGetsAreSafe) {
 
 // Later records win over earlier ones with the same fingerprint, but only
 // intact ones: a re-put whose payload was damaged leaves the earlier copy
-// served.  The pack is big enough that its open checksums across threads,
-// and the verdicts must still fold in file order.
+// served.
 TEST(CachePack, DamagedLaterCopyLeavesTheEarlierIntactCopyServed) {
   const auto dir = fresh_dir("later_copy");
   const std::string earlier = big_payload(0);
@@ -537,9 +539,10 @@ TEST(CachePack, DamagedLaterCopyLeavesTheEarlierIntactCopyServed) {
   }
 }
 
-// A scan of more records than threads, truncated at every record
-// boundary and damaged by seeded byte flips: the parallel open gives the
-// serial open's stats and serves the same payloads, byte-exact.
+// A pack of more records than threads, truncated at every record
+// boundary and damaged by seeded byte flips: the open at CLEAR_THREADS=4
+// gives the stats of the one at 1 and serves the same payloads,
+// byte-exact.
 TEST(CachePack, ParallelOpenMatchesSerialOpenUnderTruncationAndCorruption) {
   constexpr std::size_t kRecords = 12;
   const auto src = fresh_dir("par_src");
@@ -584,9 +587,10 @@ TEST(CachePack, ParallelOpenMatchesSerialOpenUnderTruncationAndCorruption) {
 
 // Batches of loads across the shared pool, stamped per batch, while
 // another instance (as another process would) re-puts and compacts: each
-// compaction replaces the pack, so the loading instance reopens with a
-// full multi-threaded scan under its mutex while pool workers wait for
-// it.  Every served payload must be byte-exact, and nothing may deadlock.
+// compaction replaces the pack, so the loading instance reopens under its
+// mutex while pool workers wait for it, and re-verifies each record on
+// its first serve.  Every served payload must be byte-exact, and nothing
+// may deadlock.
 TEST(CachePack, BatchedLoadsStayExactWhileAnotherInstancePutsAndCompacts) {
   constexpr std::size_t kRecords = 8;
   const auto dir = fresh_dir("batched_loads");
@@ -629,6 +633,213 @@ TEST(CachePack, BatchedLoadsStayExactWhileAnotherInstancePutsAndCompacts) {
     std::string got;
     ASSERT_TRUE(reader.get(fps[i], &got)) << i;
     EXPECT_EQ(got, payloads[i]) << i;
+  }
+}
+
+// ---- verification on first serve -----------------------------------------
+
+// Builds a pack of 12 records, fingerprints 1000 to 1011, then re-puts
+// three of them, so some fingerprints have an older copy to fall back to.
+// Returns the record boundaries, as build_pack does.
+std::vector<std::uint64_t> build_pack_with_reputs(const std::string& dir) {
+  std::vector<std::uint64_t> boundaries = build_pack(dir, 12);
+  inject::CachePack pack(dir);
+  for (const std::size_t i : {2, 5, 9}) {
+    pack.put(1000 + i, "key" + std::to_string(i), payload_for(20 + i));
+    boundaries.push_back(fs::file_size(pack_path(dir)));
+  }
+  return boundaries;
+}
+
+// Checks a lazily verifying open of the pack in `dir` against the eager
+// oracle, in both orders: stats() before any load, and every fingerprint
+// loaded (as one batch across the pool at CLEAR_THREADS=4) before stats().
+void expect_eager_oracle(const std::string& dir, const std::string& what) {
+  const testref::EagerOpen want =
+      testref::eager_open(pack_path(dir).string());
+  for (const bool stats_first : {true, false}) {
+    for (const char* threads : {"1", "4"}) {
+      const ScopedEnv env("CLEAR_THREADS", threads);
+      const auto copy = fresh_dir("oracle_copy");
+      fs::create_directories(copy);
+      fs::copy_file(pack_path(dir), pack_path(copy));
+      if (fs::exists(index_path(dir))) {
+        fs::copy_file(index_path(dir), index_path(copy));
+      }
+      const std::string how = what + (stats_first ? ", stats first" : "") +
+                              ", CLEAR_THREADS=" + threads;
+      inject::CachePack pack(copy);
+      inject::CachePackStats st;
+      if (stats_first) st = pack.stats();
+      constexpr std::size_t kFps = 12;
+      std::vector<std::string> got(kFps);
+      std::vector<char> hit(kFps, 0);
+      util::ThreadPool::instance().run(
+          kFps, std::string(threads) == "1" ? 1 : 4,
+          [&](std::size_t i, unsigned) {
+            hit[i] = pack.load(1000 + i, &got[i]);
+          });
+      if (!stats_first) st = pack.stats();
+      EXPECT_EQ(st.records, want.records) << how;
+      EXPECT_EQ(st.quarantined, want.quarantined) << how;
+      EXPECT_EQ(st.pack_bytes, fs::file_size(pack_path(dir))) << how;
+      for (std::size_t i = 0; i < kFps; ++i) {
+        const auto it = want.payloads.find(1000 + i);
+        EXPECT_EQ(hit[i] != 0, it != want.payloads.end()) << how << ", " << i;
+        if (hit[i] && it != want.payloads.end()) {
+          EXPECT_EQ(got[i], it->second) << how << ", " << i;
+        }
+      }
+    }
+  }
+}
+
+// The truncation sweep and the seeded flips of the tests above, over a
+// pack with re-puts: served bytes and stats are the eager open's, whether
+// stats() comes before the first serve or after every serve.
+TEST(CachePack, LazyVerificationMatchesTheEagerOpenOracle) {
+  const auto src = fresh_dir("lazy_src");
+  const auto boundaries = build_pack_with_reputs(src);
+  const std::size_t n = boundaries.size() - 1;
+  const auto damaged = fresh_dir("lazy_damaged");
+  const auto reset = [&] {
+    fs::remove_all(damaged);
+    fs::create_directories(damaged);
+    fs::copy_file(pack_path(src), pack_path(damaged));
+    fs::copy_file(index_path(src), index_path(damaged));
+  };
+  reset();
+  expect_eager_oracle(damaged, "intact");
+  for (std::size_t k = 0; k < n; ++k) {
+    for (const std::uint64_t cut :
+         {boundaries[k], boundaries[k] + 1,
+          boundaries[k] + (boundaries[k + 1] - boundaries[k]) / 2}) {
+      reset();
+      fs::resize_file(pack_path(damaged), cut);
+      expect_eager_oracle(damaged, "cut at " + std::to_string(cut));
+    }
+    // One flip in the middle of each record's payload.
+    reset();
+    flip_byte(pack_path(damaged), boundaries[k + 1] - 3, 0x40);
+    expect_eager_oracle(damaged, "payload of record " + std::to_string(k));
+  }
+  util::Rng rng(0x1A2Bu);
+  for (int trial = 0; trial < 40; ++trial) {
+    reset();
+    const int nflips = 1 + static_cast<int>(rng.below(8));
+    for (int f = 0; f < nflips; ++f) {
+      const std::size_t rec = rng.below(n);
+      const std::uint64_t off = rng.below(2) == 0
+                                    ? boundaries[rec] + rng.below(64)
+                                    : rng.below(boundaries[n]);
+      flip_byte(pack_path(damaged), off,
+                static_cast<unsigned char>(1 + rng.below(255)));
+    }
+    expect_eager_oracle(damaged, "trial " + std::to_string(trial));
+  }
+}
+
+// The first serve of a damaged later copy, with no stats() call before
+// it, serves the earlier copy and counts the damage once -- also when
+// several loads of the fingerprint race across the pool.
+TEST(CachePack, FirstServeOfADamagedLaterCopyServesTheEarlierOne) {
+  const auto dir = fresh_dir("first_serve");
+  {
+    inject::CachePack pack(dir);
+    pack.put(1000, "key0", payload_for(0));
+    pack.put(1001, "key1", payload_for(1));
+    pack.put(1000, "key0", payload_for(9));
+  }
+  // The last record's payload.
+  flip_byte(pack_path(dir), fs::file_size(pack_path(dir)) - 5, 0x40);
+  for (const char* threads : {"1", "4"}) {
+    const ScopedEnv env("CLEAR_THREADS", threads);
+    const auto copy = fresh_dir(std::string("first_serve_") + threads);
+    fs::create_directories(copy);
+    fs::copy_file(pack_path(dir), pack_path(copy));
+    inject::CachePack pack(copy);
+    const unsigned workers = std::string(threads) == "1" ? 1 : 4;
+    std::vector<std::string> got(16);
+    std::vector<char> hit(16, 0);
+    util::ThreadPool::instance().run(
+        16, workers,
+        [&](std::size_t i, unsigned) { hit[i] = pack.load(1000, &got[i]); });
+    for (std::size_t i = 0; i < 16; ++i) {
+      ASSERT_TRUE(hit[i]) << threads << ", load " << i;
+      EXPECT_EQ(got[i], payload_for(0)) << threads << ", load " << i;
+    }
+    std::string one;
+    ASSERT_TRUE(pack.get(1000, &one)) << threads;
+    EXPECT_EQ(one, payload_for(0)) << threads;
+    const inject::CachePackStats st = pack.stats();
+    EXPECT_EQ(st.quarantined, 1u) << threads;
+    EXPECT_EQ(st.records, 2u) << threads;
+    EXPECT_EQ(st.pack_bytes, fs::file_size(pack_path(dir))) << threads;
+  }
+}
+
+// A damaged record that is never served is still counted by stats(), and
+// compaction drops it (counting it) whether or not stats() came first.
+TEST(CachePack, UnservedDamagedRecordIsCountedAndCompactedAway) {
+  const auto src = fresh_dir("unserved_src");
+  const auto boundaries = build_pack(src, 3);
+  flip_byte(pack_path(src), boundaries[2] - 3, 0x40);  // record 1's payload
+  for (const bool stats_first : {true, false}) {
+    const auto dir = fresh_dir("unserved");
+    fs::create_directories(dir);
+    fs::copy_file(pack_path(src), pack_path(dir));
+    {
+      inject::CachePack pack(dir);
+      std::string got;
+      ASSERT_TRUE(pack.get(1000, &got));
+      if (stats_first) {
+        const inject::CachePackStats st = pack.stats();
+        EXPECT_EQ(st.records, 2u);
+        EXPECT_EQ(st.quarantined, 1u);
+      }
+      const inject::CachePackStats st = pack.compact(0);
+      EXPECT_EQ(st.records, 2u) << stats_first;
+      EXPECT_EQ(st.quarantined, 1u) << stats_first;
+      EXPECT_EQ(st.pack_bytes, boundaries[3] - (boundaries[2] - boundaries[1]))
+          << stats_first;
+    }
+    inject::CachePack again(dir);
+    const inject::CachePackStats st = again.stats();
+    EXPECT_EQ(st.records, 2u) << stats_first;
+    EXPECT_EQ(st.quarantined, 0u) << stats_first;
+    std::string got;
+    EXPECT_FALSE(again.get(1001, &got));
+    ASSERT_TRUE(again.get(1002, &got));
+    EXPECT_EQ(got, payload_for(2));
+  }
+}
+
+// A payload damaged after the open (with its record verified by stats()
+// or not yet) is checksummed as compaction copies it: dropped and counted
+// as quarantined, never carried into the compacted pack.
+TEST(CachePack, CompactionDropsAPayloadDamagedAfterOpen) {
+  for (const bool stats_first : {true, false}) {
+    const auto dir = fresh_dir("compact_damaged");
+    const auto boundaries = build_pack(dir, 2);
+    {
+      inject::CachePack pack(dir);
+      if (stats_first) {
+        ASSERT_EQ(pack.stats().records, 2u);
+      }
+      flip_byte(pack_path(dir), boundaries[2] - 3, 0x40);  // record 1
+      const inject::CachePackStats st = pack.compact(0);
+      EXPECT_EQ(st.records, 1u) << stats_first;
+      EXPECT_EQ(st.quarantined, 1u) << stats_first;
+      EXPECT_EQ(st.evictions, 0u) << stats_first;
+      EXPECT_EQ(st.pack_bytes, boundaries[1]) << stats_first;
+    }
+    inject::CachePack again(dir);
+    const inject::CachePackStats st = again.stats();
+    EXPECT_EQ(st.records, 1u) << stats_first;
+    EXPECT_EQ(st.quarantined, 0u) << stats_first;
+    std::string got;
+    ASSERT_TRUE(again.get(1000, &got)) << stats_first;
+    EXPECT_EQ(got, payload_for(0));
   }
 }
 

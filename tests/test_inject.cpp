@@ -30,6 +30,7 @@
 #include "util/threadpool.h"
 #include "workloads/workloads.h"
 #include "dead_at_flip_oracle.h"
+#include "payload_decode_oracle.h"
 #include "reference_campaign.h"
 
 namespace {
@@ -795,6 +796,128 @@ TEST(CacheDecoder, OnePassWriterMatchesTheStreamOracleOnRandomResults) {
               r.nominal_cycles != 0)  // a zero-length golden never caches
         << "trial " << trial;
   }
+}
+
+// A random result whose rows mix the forms the decoder reads in one step
+// (six single-digit counts) with rows that need the strict reader.
+inject::CampaignResult random_mixed_result(std::mt19937_64& rng,
+                                           std::uint32_t ffs, bool adaptive) {
+  inject::CampaignResult r;
+  r.ff_count = ffs;
+  r.nominal_cycles = 1 + rng() % 1000000;
+  r.nominal_instrs = random_u64(rng);
+  r.per_ff.resize(ffs);
+  for (auto& c : r.per_ff) {
+    const auto digit = [&] { return static_cast<std::uint32_t>(rng() % 10); };
+    switch (rng() % 4) {
+      case 0: break;  // all zero
+      case 1:
+      case 2: c = {digit(), digit(), digit(), digit(), digit(), digit()}; break;
+      default:
+        c = {random_count(rng), random_count(rng), random_count(rng),
+             random_count(rng), random_count(rng), random_count(rng)};
+    }
+    r.totals.merge(c);
+  }
+  if (adaptive) {
+    r.confidence_target = std::ldexp(static_cast<double>(rng() % 1000 + 1),
+                                     -11);  // (0, 0.5]
+    r.confidence_method = util::IntervalMethod::kWilson;
+    r.pilot = rng() % 10;
+    r.planned.resize(ffs);
+    for (std::uint64_t& n : r.planned) n = rng() % 3 ? rng() % 10 : rng();
+  }
+  return r;
+}
+
+// The one-step row decode against the strict per-number reader
+// (tests/payload_decode_oracle.h): random payloads, each mutated the ways
+// a row can leave the one-step form, and cut at every byte.  Every case
+// gets the oracle's verdict, and on acceptance its result.
+TEST(CacheDecoder, OneStepRowsDecodeAsTheStrictReaderDoes) {
+  std::mt19937_64 rng(20261019);
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  const auto check = [&](const std::string& payload, std::uint64_t fp,
+                         std::uint32_t ffs, bool adaptive,
+                         const std::string& what) {
+    inject::CampaignResult want;
+    const bool ok =
+        testref::strict_parse_result(payload, fp, ffs, adaptive, &want);
+    inject::CampaignResult got = synth_result(true);
+    got.pilot = 99;
+    ASSERT_EQ(inject::detail::parse_result(payload, fp, ffs, adaptive, &got),
+              ok)
+        << what << ":\n" << payload;
+    if (ok) {
+      expect_same_payload_result(got, want);
+      ++accepted;
+    } else {
+      EXPECT_EQ(got.pilot, 99u) << what << ": output was modified";
+      ++refused;
+    }
+  };
+  // Byte offsets of the per-FF rows' digits and separators: the rows run
+  // from the second line to the adaptive block (or the end).
+  const auto row_bytes = [](const std::string& text, bool adaptive) {
+    const std::size_t from = text.find('\n') + 1;
+    const std::size_t to = adaptive ? text.find("adaptive") : text.size();
+    return std::make_pair(from, to);
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    const bool adaptive = trial % 2 == 1;
+    const auto ffs = static_cast<std::uint32_t>(1 + rng() % 40);
+    const std::uint64_t fp = rng();
+    const std::string text = inject::detail::serialize_result(
+        fp, random_mixed_result(rng, ffs, adaptive));
+    const std::string what = "trial " + std::to_string(trial);
+    check(text, fp, ffs, adaptive, what + " as written");
+    const auto [from, to] = row_bytes(text, adaptive);
+    const auto pick = [&, from = from, to = to](auto pred) {
+      std::vector<std::size_t> at;
+      for (std::size_t i = from; i < to; ++i) {
+        if (pred(text[i])) at.push_back(i);
+      }
+      return at.empty() ? std::string::npos : at[rng() % at.size()];
+    };
+    const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+    for (int m = 0; m < 8; ++m) {
+      std::string t = text;
+      const std::size_t digit = pick(is_digit);
+      const std::size_t space = pick([](char c) { return c == ' '; });
+      std::string how;
+      switch (m) {
+        case 0: t.insert(digit, "+"); how = "plus sign"; break;
+        case 1: t.insert(digit, "-"); how = "minus sign"; break;
+        case 2:
+          if (space == std::string::npos) continue;
+          t[space] = '\t';
+          how = "tab separator";
+          break;
+        case 3:
+          if (space == std::string::npos) continue;
+          t[space] = '\r';
+          how = "CR separator";
+          break;
+        case 4: t[digit] = 'a'; how = "digit replaced by a letter"; break;
+        case 5: t.pop_back(); how = "no trailing newline"; break;
+        case 6: t.insert(digit, "7"); how = "an extra digit"; break;
+        default:
+          if (space == std::string::npos) continue;
+          t.erase(space, 1);
+          how = "a separator dropped";
+      }
+      check(t, fp, ffs, adaptive, what + ", " + how);
+    }
+    if (trial % 20 < 2) {  // cut at every byte, fixed and adaptive
+      for (std::size_t cut = 0; cut < text.size(); ++cut) {
+        check(text.substr(0, cut), fp, ffs, adaptive,
+              what + ", cut at " + std::to_string(cut));
+      }
+    }
+  }
+  EXPECT_GT(accepted, 400u);
+  EXPECT_GT(refused, 2000u);
 }
 
 // The decoder's refusals reach the executor: each malformed payload,
