@@ -10,8 +10,8 @@
 // each variant's campaigns as one batch (engine::run_campaigns),
 // overlapping golden-run recording with faulty runs on the shared worker
 // pool; campaigns too big for one machine shard across processes via
-// CampaignSpec::shard_index/shard_count and merge with
-// inject::merge_campaign_results (see example_shard_and_merge).
+// CampaignSpec::shard_index/shard_count and merge with `clear merge`
+// (see example_shard_and_merge).
 #ifndef CLEAR_BENCH_COMMON_H
 #define CLEAR_BENCH_COMMON_H
 

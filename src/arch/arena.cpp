@@ -181,34 +181,6 @@ bool ArenaSnapshot::matches_live(std::size_t span, const std::uint64_t* base,
   return true;
 }
 
-std::size_t ArenaSnapshot::size_bytes() const noexcept {
-  std::size_t words = 0;
-  for (const Span& sp : spans_) words += sp.words;
-  return words * 8;
-}
-
-std::size_t ArenaSnapshot::segment_count() const noexcept {
-  std::size_t n = 0;
-  for (const Span& sp : spans_) n += sp.segs.size();
-  return n;
-}
-
-std::size_t ArenaSnapshot::segments_shared_with(
-    const ArenaSnapshot& o) const noexcept {
-  std::size_t shared = 0;
-  const std::size_t ns =
-      spans_.size() < o.spans_.size() ? spans_.size() : o.spans_.size();
-  for (std::size_t s = 0; s < ns; ++s) {
-    const std::size_t n = spans_[s].segs.size() < o.spans_[s].segs.size()
-                              ? spans_[s].segs.size()
-                              : o.spans_[s].segs.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (spans_[s].segs[i].same(o.spans_[s].segs[i])) ++shared;
-    }
-  }
-  return shared;
-}
-
 void StateArena::finish_layout(std::uint64_t identity) {
   std::size_t off = 0;
   std::size_t fwd = 0;

@@ -194,14 +194,12 @@ class ArenaSnapshot {
   [[nodiscard]] std::size_t span_words(std::size_t span) const noexcept {
     return spans_[span].words;
   }
-  // Logical payload size (what a non-COW copy would have stored).
-  [[nodiscard]] std::size_t size_bytes() const noexcept;
-  [[nodiscard]] std::size_t segment_count() const noexcept;
-  // Segments physically shared with `o` (pointer-equal refs).
-  [[nodiscard]] std::size_t segments_shared_with(
-      const ArenaSnapshot& o) const noexcept;
 
  private:
+  // The COW tests count shared segments through this struct; it is
+  // defined test-side (tests/test_arena.cpp).
+  friend struct ArenaSnapshotAccess;
+
   struct Span {
     std::size_t words = 0;
     std::vector<detail::SegRef> segs;

@@ -49,11 +49,6 @@ void FFRegistry::flip(std::uint32_t ff_index) noexcept {
   pool_[s.slot] ^= 1ULL << (ff_index - s.first_ff);
 }
 
-bool FFRegistry::read_bit(std::uint32_t ff_index) const noexcept {
-  const FFStructure& s = structure_of(ff_index);
-  return (pool_[s.slot] >> (ff_index - s.first_ff)) & 1ULL;
-}
-
 const FFStructure& FFRegistry::structure_of(std::uint32_t ff_index) const {
   // Binary search over first_ff (structures are registered in order).
   auto it = std::upper_bound(

@@ -162,7 +162,6 @@ class FFRegistry {
 
   // Flips a single bit.  This is the soft error.
   void flip(std::uint32_t ff_index) noexcept;
-  [[nodiscard]] bool read_bit(std::uint32_t ff_index) const noexcept;
 
   // Bitset over pool slots (bit s = slot s) of the fields flagged sink.
   [[nodiscard]] std::vector<std::uint64_t> sink_slots() const;

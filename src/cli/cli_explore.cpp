@@ -495,9 +495,9 @@ int explore_watch(int argc, const char* const* argv) {
   if (!parse_verb(args, argc, argv, "clear explore watch", &rc, "ledger")) {
     return rc;
   }
-  std::uint64_t interval_ms = 500, timeout_ms = 0;
-  if (!args.get_u64("interval-ms", 500, &interval_ms) || interval_ms == 0 ||
-      !args.get_u64("timeout-ms", 0, &timeout_ms)) {
+  int interval_ms = 500, timeout_ms = 0;
+  if (!args.get_ms("interval-ms", 500, &interval_ms) || interval_ms == 0 ||
+      !args.get_ms("timeout-ms", 0, &timeout_ms)) {
     std::fprintf(stderr, "clear explore watch: bad numeric flag value\n");
     return 2;
   }
@@ -554,8 +554,8 @@ int explore_watch(int argc, const char* const* argv) {
     if (args.has("once")) return 0;
     if (timeout_ms != 0 && std::chrono::steady_clock::now() >= deadline) {
       std::fprintf(stderr,
-                   "clear explore watch: timed out after %llu ms\n",
-                   static_cast<unsigned long long>(timeout_ms));
+                   "clear explore watch: timed out after %d ms\n",
+                   timeout_ms);
       return 1;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));

@@ -50,13 +50,11 @@ void add_connection_flags(util::ArgParser* args) {
 // False on a bad numeric value; the caller names its verb.
 bool parse_connection_flags(const util::ArgParser& args,
                             fleet::FleetOptions* opts) {
-  std::uint64_t connect_ms = 0, hello_ms = 0;
-  if (!args.get_u64("connect-retry-ms", 5000, &connect_ms) ||
-      !args.get_u64("hello-timeout-ms", 10000, &hello_ms) || hello_ms == 0) {
+  if (!args.get_ms("connect-retry-ms", 5000, &opts->connect_retry_ms) ||
+      !args.get_ms("hello-timeout-ms", 10000, &opts->hello_timeout_ms) ||
+      opts->hello_timeout_ms == 0) {
     return false;
   }
-  opts->connect_retry_ms = static_cast<int>(connect_ms);
-  opts->hello_timeout_ms = static_cast<int>(hello_ms);
   opts->shutdown_workers = args.has("shutdown");
   return true;
 }
@@ -237,14 +235,14 @@ bool parse_fleet_verb(util::ArgParser& args, int argc,
                       const char* required, FleetArgs* out, int* exit_code) {
   if (!parse_verb(args, argc, argv, verb, exit_code, required)) return false;
   *exit_code = 2;
-  std::uint64_t shards = 0, dead_ms = 0;
+  std::uint64_t shards = 0;
   if (!args.get_u64("shards", 0, &shards) || shards > 65536 ||
-      !args.get_u64("dead-after-ms", 5000, &dead_ms) || dead_ms == 0 ||
+      !args.get_ms("dead-after-ms", 5000, &out->opts.dead_after_ms) ||
+      out->opts.dead_after_ms == 0 ||
       !parse_connection_flags(args, &out->opts)) {
     std::fprintf(stderr, "%s: bad numeric flag value\n", verb);
     return false;
   }
-  out->opts.dead_after_ms = static_cast<int>(dead_ms);
   out->opts.status_out = args.get("status-out");
   out->quiet = args.has("quiet");
   std::string error;

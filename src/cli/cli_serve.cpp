@@ -58,7 +58,7 @@ std::string default_worker_name() {
 // can SIGKILL one without touching its siblings, and each child's argv
 // names its socket (pkill-able).
 int serve_fanout(int workers, bool have_socket, const std::string& base_path,
-                 std::uint16_t base_port, std::uint64_t heartbeat_ms,
+                 std::uint16_t base_port, int heartbeat_ms,
                  const std::string& base_name, bool quiet) {
   char exe[4096];
   const ssize_t exe_len = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
@@ -164,9 +164,10 @@ int cmd_serve(int argc, const char* const* argv) {
                  args.help().c_str());
     return 2;
   }
-  std::uint64_t port = 0, heartbeat_ms = 1000, workers = 0;
+  std::uint64_t port = 0, workers = 0;
+  int heartbeat_ms = 1000;
   if (!args.get_u64("port", 0, &port) || port > 65535 ||
-      !args.get_u64("heartbeat-ms", 1000, &heartbeat_ms) ||
+      !args.get_ms("heartbeat-ms", 1000, &heartbeat_ms) ||
       !args.get_u64("workers", 0, &workers) || workers > 1024) {
     std::fprintf(stderr, "clear serve: bad numeric flag value\n");
     return 2;
@@ -212,7 +213,7 @@ int cmd_serve(int argc, const char* const* argv) {
   fleet::WorkerOptions opts;
   opts.hello = fleet::worker_hello(name);
   opts.quiet = quiet;
-  opts.heartbeat_ms = static_cast<int>(heartbeat_ms);
+  opts.heartbeat_ms = heartbeat_ms;
   opts.stop = &g_stop;
   fleet::Worker worker(std::move(opts));
   worker.serve(&listener, args.has("once"));

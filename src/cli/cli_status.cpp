@@ -287,9 +287,9 @@ int cmd_status(int argc, const char* const* argv) {
                  file.empty() ? "neither" : "both");
     return 2;
   }
-  std::uint64_t timeout_ms = 3000, connect_retry_ms = 1000;
-  if (!args.get_u64("timeout", 3000, &timeout_ms) ||
-      !args.get_u64("connect-retry", 1000, &connect_retry_ms)) {
+  int timeout_ms = 3000, connect_retry_ms = 1000;
+  if (!args.get_ms("timeout", 3000, &timeout_ms) ||
+      !args.get_ms("connect-retry", 1000, &connect_retry_ms)) {
     std::fprintf(stderr, "clear status: --timeout/--connect-retry take "
                          "millisecond counts\n");
     return 2;
@@ -328,8 +328,7 @@ int cmd_status(int argc, const char* const* argv) {
   for (std::size_t i = 0; i < endpoints.size(); ++i) {
     fleet::StatusRow& row = status.workers[i];
     row.index = i;
-    probe(endpoints[i], static_cast<int>(connect_retry_ms),
-          static_cast<int>(timeout_ms), &row);
+    probe(endpoints[i], connect_retry_ms, timeout_ms, &row);
     if (row.state != "unreachable") ++reachable;
   }
   // A probe knows no shard tally and ran no driver: those stay null/absent.

@@ -320,18 +320,4 @@ CostReport Selector::evaluate(const SelectionSpec& spec,
   return rep;
 }
 
-arch::ResilienceConfig Selector::build_config(
-    const CostReport& report, arch::RecoveryKind recovery) const {
-  arch::ResilienceConfig cfg;
-  cfg.prot = report.prot;
-  cfg.parity_group.assign(report.prot.size(), -1);
-  for (std::size_t g = 0; g < report.parity_plan.groups.size(); ++g) {
-    for (const std::uint32_t f : report.parity_plan.groups[g].ffs) {
-      cfg.parity_group[f] = static_cast<std::int32_t>(g);
-    }
-  }
-  cfg.recovery = recovery;
-  return cfg;
-}
-
 }  // namespace clear::core

@@ -151,11 +151,6 @@ class Selector {
   // base profile), builds its stack and evaluates.
   CostReport evaluate(const SelectionSpec& spec);
 
-  // In-simulator configuration realizing a report's protection choice
-  // (used by integration tests to cross-validate the analytic model).
-  [[nodiscard]] arch::ResilienceConfig build_config(
-      const CostReport& report, arch::RecoveryKind recovery) const;
-
  private:
   Session* session_;
   std::unique_ptr<arch::Core> proto_;

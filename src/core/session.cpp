@@ -127,12 +127,6 @@ PrefetchTicket::~PrefetchTicket() {
   if (batch_ && session_ != nullptr) --session_->pending_prefetches_;
 }
 
-bool PrefetchTicket::pending() const noexcept { return batch_ != nullptr; }
-
-engine::Job PrefetchTicket::job() const {
-  return batch_ ? batch_->engine_job : engine::Job();
-}
-
 void PrefetchTicket::commit() {
   if (!batch_) return;
   // Consume the ticket first: whatever happens below, this batch is no

@@ -54,16 +54,10 @@ class PrefetchTicket {
   PrefetchTicket& operator=(const PrefetchTicket&) = delete;
   ~PrefetchTicket();  // cancels + joins an uncommitted batch
 
-  // True while an uncommitted batch is outstanding.
-  [[nodiscard]] bool pending() const noexcept;
-  // The engine job handle (invalid for an empty ticket): progress and
-  // cancellation.  Do not take_results() through it; commit() does.
-  [[nodiscard]] engine::Job job() const;
   // Waits for the batch and installs the profiles into the issuing
   // session's memo (idempotent; empty tickets return immediately).  Must
   // be called on the session's thread (Session is not thread-safe).
-  // Rethrows the batch's error; throws engine::JobCancelled when the job
-  // was cancelled through the handle above.
+  // Rethrows the batch's error.
   void commit();
 
  private:

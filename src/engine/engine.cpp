@@ -17,7 +17,6 @@ namespace detail {
 // counters are bare atomics so the executor's workers can bump them
 // without taking the job mutex.
 struct JobImpl {
-  std::uint64_t id = 0;
   JobPriority priority = JobPriority::kInteractive;
   std::vector<inject::CampaignSpec> specs;
 
@@ -26,7 +25,6 @@ struct JobImpl {
   JobState state = JobState::kQueued;
   std::vector<inject::CampaignResult> results;
   std::exception_ptr error;
-  std::uint64_t finish_seq = 0;  // stamped at the terminal transition
   bool taken = false;            // take_results() called
   std::function<void()> on_finish;  // Engine::submit's, run by retire()
 
@@ -47,11 +45,6 @@ struct JobImpl {
 namespace {
 
 using detail::JobImpl;
-
-// Terminal-transition stamp.  A file-level atomic (not an Engine member)
-// so Job::cancel() -- which has no engine pointer -- can retire a queued
-// job without reaching into the singleton.
-std::atomic<std::uint64_t> g_finish_seq{0};
 
 // Engine telemetry (docs/OBSERVABILITY.md): how long jobs sit queued,
 // how deep the queue gets, and which priority lane the work runs in.
@@ -84,7 +77,6 @@ bool retire(const std::shared_ptr<JobImpl>& job, JobState final,
     if (is_terminal(job->state)) return false;
     if (only_queued && job->state != JobState::kQueued) return false;
     job->state = final;
-    job->finish_seq = g_finish_seq.fetch_add(1) + 1;
   }
   job->cv.notify_all();
   if (job->on_finish) job->on_finish();
@@ -105,8 +97,6 @@ const char* job_state_name(JobState s) noexcept {
 }
 
 // ---- Job handle ------------------------------------------------------------
-
-std::uint64_t Job::id() const noexcept { return impl_ ? impl_->id : 0; }
 
 JobState Job::state() const {
   if (!impl_) return JobState::kFailed;
@@ -182,12 +172,6 @@ void Job::cancel() const {
   retire(impl_, JobState::kCancelled, /*only_queued=*/true);
 }
 
-std::uint64_t Job::finish_sequence() const {
-  if (!impl_) return 0;
-  std::lock_guard<std::mutex> g(impl_->m);
-  return impl_->finish_seq;
-}
-
 // ---- Engine ----------------------------------------------------------------
 
 Engine& Engine::instance() {
@@ -229,7 +213,6 @@ Job Engine::submit(std::vector<inject::CampaignSpec> specs,
   bool on_dispatcher = false;
   {
     std::lock_guard<std::mutex> g(m_);
-    impl->id = next_id_++;
     on_dispatcher =
         started_ && dispatcher_.get_id() == std::this_thread::get_id();
     if (!on_dispatcher) {
@@ -258,14 +241,12 @@ void Engine::dispatch_loop() {
       std::unique_lock<std::mutex> g(m_);
       cv_.wait(g, [&] { return stop_ || !queue_.empty(); });
       if (stop_) return;
-      // Pop the best job: lowest priority value, then submission order.
+      // Pop the best job: lowest priority value, then submission order
+      // (the queue is in submission order, so the first of the lowest
+      // priority wins).
       auto best = queue_.begin();
       for (auto it = std::next(queue_.begin()); it != queue_.end(); ++it) {
-        if ((*it)->priority < (*best)->priority ||
-            ((*it)->priority == (*best)->priority &&
-             (*it)->id < (*best)->id)) {
-          best = it;
-        }
+        if ((*it)->priority < (*best)->priority) best = it;
       }
       job = *best;
       queue_.erase(best);

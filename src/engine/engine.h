@@ -106,8 +106,6 @@ class Job {
   Job() = default;
 
   [[nodiscard]] bool valid() const noexcept { return impl_ != nullptr; }
-  // Engine-wide monotonic id (1, 2, ...); 0 for an invalid handle.
-  [[nodiscard]] std::uint64_t id() const noexcept;
 
   [[nodiscard]] JobState state() const;
   [[nodiscard]] JobProgress progress() const;
@@ -132,11 +130,6 @@ class Job {
   // boundary and never writes cache entries.  Order with wait(): cancel
   // first, then wait for the terminal state.
   void cancel() const;
-
-  // Dispatcher completion stamp (1, 2, ... in order of termination; 0
-  // while not terminal).  Lets tests and the daemon observe scheduling
-  // order without racing on state transitions.
-  [[nodiscard]] std::uint64_t finish_sequence() const;
 
  private:
   friend class Engine;
@@ -181,7 +174,6 @@ class Engine {
   std::thread dispatcher_;
   bool started_ = false;
   bool stop_ = false;
-  std::uint64_t next_id_ = 1;
 };
 
 // Runs (or loads from cache) a batch of campaigns as one interactive-lane

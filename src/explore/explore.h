@@ -7,7 +7,7 @@
 //   * enumeration -- core::enumerate_combos gives the valid combination
 //     space (417 InO + 169 OoO) and a fingerprint that pins it;
 //   * sharding -- shard k of K owns the combo indices i with i % K == k,
-//     so K machines explore disjoint slices and `merge_ledger_files`
+//     so K machines explore disjoint slices and `fold_ledger`
 //     folds their ledgers back bit-identically to the unsharded run
 //     (every record is a pure function of the experiment identity);
 //   * batching -- each batch of combos prefetches ALL its profiling

@@ -383,15 +383,6 @@ void fold_ledger(Ledger* into, const Ledger& shard) {
                      canonical);
 }
 
-Ledger merge_ledger_files(const std::vector<Ledger>& ledgers) {
-  if (ledgers.empty()) {
-    throw std::invalid_argument("merge_ledger_files: no ledgers");
-  }
-  Ledger merged;
-  for (const Ledger& l : ledgers) fold_ledger(&merged, l);
-  return merged;
-}
-
 std::vector<const LedgerRecord*> pareto_frontier(const Ledger& ledger) {
   std::vector<const LedgerRecord*> pts;
   for (const LedgerRecord& r : ledger.records) {

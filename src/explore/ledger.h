@@ -216,10 +216,6 @@ class LedgerWriter {
 // combo, or a record owned by a shard its file does not cover.
 void fold_ledger(Ledger* into, const Ledger& shard);
 
-// fold_ledger over any partition of mergeable ledgers (any order, any
-// subset sizes), from the empty merge; also throws on an empty list.
-[[nodiscard]] Ledger merge_ledger_files(const std::vector<Ledger>& ledgers);
-
 // The Pareto frontier of the evaluated points (kPoint + kAnchor): minimal
 // energy for each strictly-higher %-of-SDC-protected level.  Deterministic
 // order (energy ascending, combo_index as the tie-break); returned

@@ -329,7 +329,7 @@ Outcome run_forked(arch::Core* core, const GoldenTrajectory& traj,
   // that bypasses the FF handles cannot break this: the rollback ring
   // flows back only through a recovery, which needs a detection, which
   // needs a new flip (none is left) or a read of a differing live value
-  // (excluded above); snapshot/flip/read_bit are engine-side, not part of
+  // (excluded above); snapshot and flip are engine-side, not part of
   // the run.  So the remainder halts with golden's output, exactly what
   // classify() would conclude after simulating it, provided the shifted
   // halt comes before the watchdog (seek_shifted checks that).
@@ -1012,16 +1012,6 @@ void fold_campaign_result(CampaignResult* into, const CampaignResult& r) {
     into->per_ff[f].merge(r.per_ff[f]);
     into->totals.merge(r.per_ff[f]);
   }
-}
-
-CampaignResult merge_campaign_results(
-    const std::vector<CampaignResult>& shards) {
-  if (shards.empty()) {
-    throw std::invalid_argument("merge_campaign_results: no shards");
-  }
-  CampaignResult out = empty_result_like(shards.front());
-  for (const auto& s : shards) fold_campaign_result(&out, s);
-  return out;
 }
 
 namespace detail {

@@ -33,7 +33,7 @@
 // index, a campaign partitions arbitrarily across processes or machines.
 // A shard (shard_index, shard_count) simulates exactly the samples i with
 // i % shard_count == shard_index; folding the K shard results with
-// merge_campaign_results() is bit-identical to the unsharded campaign.
+// fold_campaign_result() is bit-identical to the unsharded campaign.
 // Every golden recording asks the dead-at-flip queries of every sample
 // below the budget, with placement priced at the campaign's forks divided
 // by shard_count, so one recording serves any shard.  A process that runs
@@ -108,7 +108,7 @@ struct CampaignSpec {
   const arch::ResilienceConfig* cfg = nullptr;
   // Shard selection: this spec simulates only the global sample indices i
   // with i % shard_count == shard_index.  The defaults run the whole
-  // campaign; shard results fold with merge_campaign_results().  The cache
+  // campaign; shard results fold with fold_campaign_result().  The cache
   // fingerprint covers the shard selection, so shards and the unsharded
   // campaign memoize independently.
   std::uint32_t shard_index = 0;
@@ -160,7 +160,7 @@ struct CampaignResult {
   util::IntervalMethod confidence_method = util::IntervalMethod::kWilson;
   // Pilot length and the final per-FF plan N_f (inject/adaptive.h).  The
   // plan is part of the campaign identity: every shard computes the same
-  // plan, and merge_campaign_results refuses shards whose plans differ.
+  // plan, and fold_campaign_result refuses shards whose plans differ.
   std::uint64_t pilot = 0;
   std::vector<std::uint64_t> planned;  // per-FF; sum <= spec.injections
 
@@ -193,17 +193,12 @@ struct CampaignResult {
 // a particle strike on a hardened flip-flop still produces an upset.
 [[nodiscard]] double ser_ratio(arch::FFProt p) noexcept;
 
-// Folds shard results (any order, any partition sizes) into the result of
-// the corresponding unsharded campaign.  All shards must agree on
-// ff_count and the nominal golden run; throws std::invalid_argument
-// otherwise (merging shards of different campaigns is always a bug).
-[[nodiscard]] CampaignResult merge_campaign_results(
-    const std::vector<CampaignResult>& shards);
-
-// The one counter fold merge_campaign_results is made of: adds r's
-// counters into *into in place.  Throws std::invalid_argument, leaving
-// *into unchanged, unless both agree on ff_count, the nominal golden run
-// and the adaptive plan.
+// The one counter fold: adds r's counters into *into in place.  Folding
+// every shard result (any order, any partition sizes) into
+// empty_result_like() of one of them gives the result of the unsharded
+// campaign.  Throws std::invalid_argument, leaving *into unchanged,
+// unless both agree on ff_count, the nominal golden run and the adaptive
+// plan (merging shards of different campaigns is always a bug).
 void fold_campaign_result(CampaignResult* into, const CampaignResult& r);
 
 // r's campaign identity (ff_count, nominal run, adaptive plan) with every

@@ -457,8 +457,4 @@ Program assemble(const AsmUnit& unit) {
   return prog;
 }
 
-Program assemble_text(const std::string& source, const std::string& name) {
-  return assemble(parse_asm(source, name));
-}
-
 }  // namespace clear::isa

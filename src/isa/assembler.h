@@ -45,10 +45,6 @@ class AsmError : public std::runtime_error {
 // undefined labels or immediate-range violations.
 [[nodiscard]] Program assemble(const AsmUnit& unit);
 
-// Convenience: parse + assemble.
-[[nodiscard]] Program assemble_text(const std::string& source,
-                                    const std::string& name = "program");
-
 }  // namespace clear::isa
 
 #endif  // CLEAR_ISA_ASSEMBLER_H

@@ -1,7 +1,6 @@
 #include "isa/isa.h"
 
 #include <array>
-#include <cstdio>
 #include <unordered_map>
 
 namespace clear::isa {
@@ -59,55 +58,6 @@ std::uint32_t encode(const Instr& ins) noexcept {
       return (op << 26) | (rs1 << 16) | imm16;
   }
   return 0;
-}
-
-std::string disassemble(const Instr& ins) {
-  char buf[96];
-  switch (format_of(ins.op)) {
-    case Format::kR:
-      std::snprintf(buf, sizeof(buf), "%s r%d, r%d, r%d", mnemonic(ins.op),
-                    ins.rd, ins.rs1, ins.rs2);
-      break;
-    case Format::kI:
-      std::snprintf(buf, sizeof(buf), "%s r%d, r%d, %d", mnemonic(ins.op),
-                    ins.rd, ins.rs1, ins.imm);
-      break;
-    case Format::kS:
-      std::snprintf(buf, sizeof(buf), "%s r%d, %d(r%d)", mnemonic(ins.op),
-                    ins.rs2, ins.imm, ins.rs1);
-      break;
-    case Format::kB:
-      std::snprintf(buf, sizeof(buf), "%s r%d, r%d, %d", mnemonic(ins.op),
-                    ins.rs1, ins.rs2, ins.imm);
-      break;
-    case Format::kJ:
-      std::snprintf(buf, sizeof(buf), "%s r%d, %d", mnemonic(ins.op), ins.rd,
-                    ins.imm);
-      break;
-    case Format::kU:
-      std::snprintf(buf, sizeof(buf), "%s r%d, %d", mnemonic(ins.op), ins.rd,
-                    ins.imm);
-      break;
-    case Format::kX:
-      std::snprintf(buf, sizeof(buf), "%s r%d, %d", mnemonic(ins.op), ins.rs1,
-                    ins.imm);
-      break;
-  }
-  return buf;
-}
-
-const char* trap_name(Trap t) noexcept {
-  switch (t) {
-    case Trap::kNone: return "none";
-    case Trap::kInvalidOpcode: return "invalid-opcode";
-    case Trap::kMisalignedLoad: return "misaligned-load";
-    case Trap::kMisalignedStore: return "misaligned-store";
-    case Trap::kLoadOutOfBounds: return "load-out-of-bounds";
-    case Trap::kStoreOutOfBounds: return "store-out-of-bounds";
-    case Trap::kPcOutOfBounds: return "pc-out-of-bounds";
-    case Trap::kDivByZero: return "div-by-zero";
-  }
-  return "?";
 }
 
 }  // namespace clear::isa

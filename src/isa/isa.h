@@ -163,8 +163,6 @@ struct Instr {
   return ins;
 }
 
-[[nodiscard]] std::string disassemble(const Instr& ins);
-
 // Hardware trap causes.  Any trap terminates the program abnormally, which
 // the outcome classifier records as an Unexpected Termination (=> DUE).
 enum class Trap : std::uint8_t {
@@ -177,8 +175,6 @@ enum class Trap : std::uint8_t {
   kPcOutOfBounds,
   kDivByZero,
 };
-
-[[nodiscard]] const char* trap_name(Trap t) noexcept;
 
 // Shared execution semantics.  Both pipeline models and the ISS evaluate
 // ALU results and branch conditions through these helpers so that a single

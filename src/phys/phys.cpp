@@ -275,20 +275,6 @@ SpacingHistogram PhysModel::parity_spacing_histogram(const ParityPlan& plan,
   return h;
 }
 
-std::uint32_t PhysModel::adjacent_ff(std::uint32_t ff) const {
-  if (ff < nn_.size() && nn_[ff] < 1.0) {
-    return ff + 1 < nn_.size() ? ff + 1 : ff - 1;
-  }
-  return ff;
-}
-
-Overhead PhysModel::hardening_overhead(
-    const std::vector<arch::FFProt>& prot) const {
-  std::vector<std::uint32_t> all(prot.size());
-  for (std::uint32_t f = 0; f < all.size(); ++f) all[f] = f;
-  return hardening_overhead(prot, all);
-}
-
 Overhead PhysModel::hardening_overhead(
     const std::vector<arch::FFProt>& prot,
     const std::vector<std::uint32_t>& ffs) const {

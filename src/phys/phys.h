@@ -104,10 +104,6 @@ class PhysModel {
   // returns the average same-group spacing through *avg.
   [[nodiscard]] SpacingHistogram parity_spacing_histogram(
       const ParityPlan& plan, double* avg) const;
-  // Baseline physically-adjacent pair (for SEMU double-flip studies):
-  // returns the ff index of a neighbour within one FF length, or the FF
-  // itself if none exists.
-  [[nodiscard]] std::uint32_t adjacent_ff(std::uint32_t ff) const;
   // Rank of the FF's functional unit (the first dotted component of its
   // structure name, "rob.e3.result" -> "rob") among the core's units in
   // name order: comparing ranks orders FFs as comparing unit names does.
@@ -116,11 +112,9 @@ class PhysModel {
   }
 
   // -- cost evaluation -------------------------------------------------
-  [[nodiscard]] Overhead hardening_overhead(
-      const std::vector<arch::FFProt>& prot) const;
-  // The same sum over the listed FFs only.  An unprotected FF adds
-  // exactly zero, so listing every protected FF in ascending index order
-  // gives the bit-identical result of the whole-vector overload.
+  // Hardening cost summed over the listed FFs of `prot`.  An unprotected
+  // FF adds exactly zero, so listing every protected FF in ascending index
+  // order gives the bit-identical result of listing every FF.
   [[nodiscard]] Overhead hardening_overhead(
       const std::vector<arch::FFProt>& prot,
       const std::vector<std::uint32_t>& ffs) const;

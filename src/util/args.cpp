@@ -1,7 +1,8 @@
 #include "util/args.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <climits>
 #include <sstream>
 
 namespace clear::util {
@@ -145,12 +146,20 @@ bool ArgParser::get_u64(const std::string& name, std::uint64_t def,
   *out = def;
   const Spec* s = find(name);
   if (s == nullptr || !s->present) return true;
-  const std::string& v = s->value;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || end == v.c_str()) return false;
-  *out = static_cast<std::uint64_t>(parsed);
+  const char* const end = s->value.data() + s->value.size();
+  std::uint64_t parsed = 0;
+  const auto [next, ec] = std::from_chars(s->value.data(), end, parsed);
+  if (ec != std::errc() || next != end) return false;
+  *out = parsed;
   return true;
+}
+
+bool ArgParser::get_ms(const std::string& name, int def, int* out) const {
+  std::uint64_t v = 0;
+  const bool ok =
+      get_u64(name, static_cast<std::uint64_t>(def), &v) && v <= INT_MAX;
+  *out = ok ? static_cast<int>(v) : def;
+  return ok;
 }
 
 std::string ArgParser::help() const {

@@ -50,13 +50,18 @@ class ArgParser {
   // Option value (or its default).
   [[nodiscard]] std::string get(const std::string& name) const;
   // Strict numeric accessor: *out is `def` when the option is absent, its
-  // parsed value when present and a plain decimal number.  Returns false
-  // (leaving *out = def) when the option was supplied with a malformed
-  // value -- callers turn that into a usage error instead of silently
-  // running with the default (a mistyped --injections must never shrink
-  // a cluster campaign unnoticed).
+  // parsed value when present and nothing but decimal digits (no sign, no
+  // whitespace, at most 2^64 - 1).  Returns false (leaving *out = def)
+  // when the option was supplied with a malformed value -- callers turn
+  // that into a usage error instead of silently running with the default
+  // (a mistyped --injections must never shrink a cluster campaign
+  // unnoticed, and `-1` must never become 2^64 - 1 samples).
   [[nodiscard]] bool get_u64(const std::string& name, std::uint64_t def,
                              std::uint64_t* out) const;
+  // The same for a millisecond count that ends up in an int: a value
+  // above INT_MAX is malformed too, where a cast would wrap it (2^32 ms
+  // to 0 ms).
+  [[nodiscard]] bool get_ms(const std::string& name, int def, int* out) const;
   [[nodiscard]] const std::vector<std::string>& positionals() const noexcept {
     return positionals_;
   }

@@ -139,10 +139,6 @@ std::size_t trials_for_half_width_95(IntervalMethod method,
   return hi;
 }
 
-double normal_cdf(double z) noexcept {
-  return 0.5 * std::erfc(-z / std::sqrt(2.0));
-}
-
 namespace {
 
 double sample_mean(const std::vector<double>& xs) {

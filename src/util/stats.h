@@ -88,9 +88,6 @@ inline constexpr std::size_t kTrialsProjectionCap =
 [[nodiscard]] double welch_t_test_p_value(const std::vector<double>& a,
                                           const std::vector<double>& b) noexcept;
 
-// Standard normal CDF.
-[[nodiscard]] double normal_cdf(double z) noexcept;
-
 // Mean of a vector (0 for empty input).
 [[nodiscard]] double mean_of(const std::vector<double>& xs) noexcept;
 

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "isa/assembler.h"
-#include "util/rng.h"
 
 namespace clear::workloads {
 
@@ -120,88 +119,6 @@ isa::AsmUnit build_abft_variant(const std::string& name, std::uint32_t seed) {
     throw std::logic_error("benchmark has no ABFT variant: " + name);
   }
   return e.abft(seed);
-}
-
-// ---------------------------------------------------------------------------
-// Random always-halting program generator for differential testing.
-// Structure: a scratch data area, K sequential counted loops each containing
-// random ALU/memory operations on r3..r12, optional calls to a tiny leaf
-// routine, final output of live registers.
-isa::AsmUnit random_program(std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::string src = ".data\nscratch: .space 16\nconsts: .word ";
-  for (int i = 0; i < 8; ++i) {
-    if (i != 0) src += ", ";
-    src += std::to_string(static_cast<std::int64_t>(rng.below(2000)) - 1000);
-  }
-  src += "\n.text\n";
-  // Seed registers.
-  for (int r = 3; r <= 12; ++r) {
-    src += "  li r" + std::to_string(r) + ", " +
-           std::to_string(static_cast<std::int64_t>(rng.below(100000)) -
-                          50000) +
-           "\n";
-  }
-  const int blocks = 2 + static_cast<int>(rng.below(4));
-  const bool uses_call = rng.below(2) == 0;
-  for (int b = 0; b < blocks; ++b) {
-    const int trips = 2 + static_cast<int>(rng.below(4));
-    src += "  addi r14, r0, " + std::to_string(trips) + "\n";
-    src += "blk" + std::to_string(b) + ":\n";
-    const int ops = 3 + static_cast<int>(rng.below(9));
-    for (int i = 0; i < ops; ++i) {
-      const int rd = 3 + static_cast<int>(rng.below(10));
-      const int ra = 3 + static_cast<int>(rng.below(10));
-      const int rb = 3 + static_cast<int>(rng.below(10));
-      auto R = [](int r) { return "r" + std::to_string(r); };
-      switch (rng.below(12)) {
-        case 0: src += "  add " + R(rd) + ", " + R(ra) + ", " + R(rb) + "\n"; break;
-        case 1: src += "  sub " + R(rd) + ", " + R(ra) + ", " + R(rb) + "\n"; break;
-        case 2: src += "  xor " + R(rd) + ", " + R(ra) + ", " + R(rb) + "\n"; break;
-        case 3: src += "  and " + R(rd) + ", " + R(ra) + ", " + R(rb) + "\n"; break;
-        case 4: src += "  slli " + R(rd) + ", " + R(ra) + ", " +
-                       std::to_string(rng.below(31)) + "\n"; break;
-        case 5: src += "  srli " + R(rd) + ", " + R(ra) + ", " +
-                       std::to_string(rng.below(31)) + "\n"; break;
-        case 6: src += "  mul " + R(rd) + ", " + R(ra) + ", " + R(rb) + "\n"; break;
-        case 7:
-          // Guarded division: force a non-zero divisor.
-          src += "  ori r13, " + R(rb) + ", 1\n";
-          src += "  div " + R(rd) + ", " + R(ra) + ", r13\n";
-          break;
-        case 8:
-          // Masked store into the scratch area.
-          src += "  andi r13, " + R(ra) + ", 12\n";
-          src += "  la r15, scratch\n  add r13, r13, r15\n";
-          src += "  sw " + R(rb) + ", 0(r13)\n";
-          break;
-        case 9:
-          src += "  andi r13, " + R(ra) + ", 12\n";
-          src += "  la r15, scratch\n  add r13, r13, r15\n";
-          src += "  lw " + R(rd) + ", 0(r13)\n";
-          break;
-        case 10:
-          src += "  andi r13, " + R(ra) + ", 7\n";
-          src += "  la r15, consts\n  slli r13, r13, 2\n  add r13, r13, r15\n";
-          src += "  lw " + R(rd) + ", 0(r13)\n";
-          break;
-        default:
-          src += "  slt " + R(rd) + ", " + R(ra) + ", " + R(rb) + "\n";
-          break;
-      }
-    }
-    if (uses_call && rng.below(2) == 0) {
-      src += "  call leaf\n";
-    }
-    src += "  addi r14, r14, -1\n";
-    src += "  bne r14, r0, blk" + std::to_string(b) + "\n";
-  }
-  for (int r = 3; r <= 8; ++r) src += "  out r" + std::to_string(r) + "\n";
-  src += "  halt 0\n";
-  if (uses_call) {
-    src += "leaf:\n  add r4, r4, r5\n  xor r5, r5, r6\n  ret\n";
-  }
-  return isa::parse_asm(src, "random");
 }
 
 }  // namespace clear::workloads

@@ -65,10 +65,6 @@ struct BenchmarkInfo {
 [[nodiscard]] isa::AsmUnit build_abft_variant(const std::string& name,
                                               std::uint32_t input_seed = 0);
 
-// Deterministic random-but-always-halting program generator used by the
-// property-based differential tests (ISS vs InO vs OoO).
-[[nodiscard]] isa::AsmUnit random_program(std::uint64_t seed);
-
 }  // namespace clear::workloads
 
 #endif  // CLEAR_WORKLOADS_WORKLOADS_H

@@ -34,6 +34,7 @@
 #include "util/stats.h"
 #include "workloads/workloads.h"
 #include "adaptive_oracle.h"
+#include "merge_lists.h"
 #include "reference_campaign.h"
 
 namespace {

@@ -32,6 +32,33 @@
 #include "dead_at_flip_oracle.h"
 #include "reference_campaign.h"
 
+namespace clear::arch {
+
+// Test-side view of a snapshot's COW segments (a friend of ArenaSnapshot).
+struct ArenaSnapshotAccess {
+  static std::size_t segment_count(const ArenaSnapshot& a) {
+    std::size_t n = 0;
+    for (const ArenaSnapshot::Span& sp : a.spans_) n += sp.segs.size();
+    return n;
+  }
+  // Segments physically shared by `a` and `b` (pointer-equal refs).
+  static std::size_t segments_shared(const ArenaSnapshot& a,
+                                     const ArenaSnapshot& b) {
+    std::size_t shared = 0;
+    const std::size_t ns = std::min(a.spans_.size(), b.spans_.size());
+    for (std::size_t s = 0; s < ns; ++s) {
+      const std::size_t n =
+          std::min(a.spans_[s].segs.size(), b.spans_[s].segs.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        if (a.spans_[s].segs[i].same(b.spans_[s].segs[i])) ++shared;
+      }
+    }
+    return shared;
+  }
+};
+
+}  // namespace clear::arch
+
 namespace {
 
 using namespace clear;
@@ -59,7 +86,8 @@ TEST_P(ArenaFuzzTest, RoundTripCatchesForwardCorruption) {
   ASSERT_TRUE(twin->step_to(1024, kBudget));
   arch::CoreCheckpoint ref;
   twin->snapshot(&ref);
-  ASSERT_EQ(ref.state.segments_shared_with(cp.state), 0u);
+  ASSERT_EQ(arch::ArenaSnapshotAccess::segments_shared(ref.state, cp.state),
+            0u);
   EXPECT_TRUE(core->state_matches(ref));
 
   // Diverge, then restore: bit-exact round trip.
@@ -167,7 +195,9 @@ TEST(ArenaCow, AliasingUnderThreadPool) {
     c->begin(prog, nullptr, nullptr);
     c->step_to(chks[i].cycle + 64, kBudget);
     c->snapshot(&expect[i]);
-    ASSERT_EQ(expect[i].state.segments_shared_with(chks[i].state), 0u);
+    ASSERT_EQ(arch::ArenaSnapshotAccess::segments_shared(expect[i].state,
+                                                         chks[i].state),
+              0u);
   }
 
   // gtest assertions are not thread-safe; count mismatches instead.
@@ -214,12 +244,13 @@ TEST(ArenaCow, SegmentsReturnToPoolAndShare) {
     core->snapshot(&a);
     ASSERT_TRUE(core->step_to(768, kBudget));
     core->snapshot(&b);
-    EXPECT_EQ(a.state.segment_count(), b.state.segment_count());
+    using Access = arch::ArenaSnapshotAccess;
+    EXPECT_EQ(Access::segment_count(a.state), Access::segment_count(b.state));
     // Consecutive checkpoints of one run share unchanged segments...
-    EXPECT_GT(b.state.segments_shared_with(a.state), 0u);
+    EXPECT_GT(Access::segments_shared(b.state, a.state), 0u);
     // ...but not all of them: the run wrote registers and memory.
-    EXPECT_LT(b.state.segments_shared_with(a.state),
-              b.state.segment_count());
+    EXPECT_LT(Access::segments_shared(b.state, a.state),
+              Access::segment_count(b.state));
     EXPECT_GT(arch::detail::SegPool::instance().live(), live0);
   }
   // The snapshots are gone, but the core's internal COW reference still

@@ -173,6 +173,15 @@ TEST(CliSmoke, UsageErrorsExitTwo) {
             2);
   EXPECT_EQ(sh(kBin + " run --bench mcf --seed seven --dry-run 2>/dev/null"),
             2);
+  // A sign is not a digit: -1 must not wrap to 2^64 - 1 samples.
+  EXPECT_EQ(sh(kBin + " run --bench gcc --injections -1 --dry-run "
+                      "2>/dev/null"),
+            2);
+  // A millisecond count above INT_MAX is refused, not wrapped (2^32 ms
+  // would probe with a 0 ms timeout).
+  EXPECT_EQ(sh(kBin + " status --timeout 4294967296 --connect-retry 0 tcp:1 "
+                      "2>/dev/null"),
+            2);
   EXPECT_EQ(sh(kBin + " merge shard.csr 2>/dev/null"), 2);  // missing --out
   EXPECT_EQ(sh(kBin + " report --format yaml x.csr 2>/dev/null"), 2);
   EXPECT_EQ(sh(kBin + " cache frobnicate 2>/dev/null"), 2);

@@ -265,6 +265,21 @@ TEST(Selection, LhlBackfillProtectsRemainder) {
   EXPECT_LT(lhl.energy - plain.energy, 0.06);
 }
 
+// In-simulator configuration realizing a report's protection choice.
+arch::ResilienceConfig config_for(const CostReport& report,
+                                  arch::RecoveryKind recovery) {
+  arch::ResilienceConfig cfg;
+  cfg.prot = report.prot;
+  cfg.parity_group.assign(report.prot.size(), -1);
+  for (std::size_t g = 0; g < report.parity_plan.groups.size(); ++g) {
+    for (const std::uint32_t f : report.parity_plan.groups[g].ffs) {
+      cfg.parity_group[f] = static_cast<std::int32_t>(g);
+    }
+  }
+  cfg.recovery = recovery;
+  return cfg;
+}
+
 TEST(Selection, AnalyticMatchesSimulation) {
   // The honesty check: realize the selected protection in the simulator
   // and re-measure the improvement with real injections.
@@ -276,7 +291,7 @@ TEST(Selection, AnalyticMatchesSimulation) {
   ASSERT_TRUE(rep.target_met);
 
   const arch::ResilienceConfig cfg =
-      test_selector().build_config(rep, arch::RecoveryKind::kFlush);
+      config_for(rep, arch::RecoveryKind::kFlush);
   const auto prog = build_variant_program("mcf", Variant::base());
   inject::CampaignSpec cs;
   cs.core_name = "InO";

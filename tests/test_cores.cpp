@@ -9,6 +9,7 @@
 #include "isa/assembler.h"
 #include "isa/iss.h"
 #include "soft/transforms.h"
+#include "assemble_text.h"
 
 namespace {
 

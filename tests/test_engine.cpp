@@ -9,12 +9,16 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +33,7 @@
 #include "obs/metrics.h"
 #include "util/fs.h"
 #include "workloads/workloads.h"
+#include "merge_lists.h"
 
 namespace {
 
@@ -89,7 +94,7 @@ TEST(Engine, SubmitWaitMatchesRunCampaign) {
   const auto reference = engine::run_campaign(spec);
 
   engine::Job job = engine::Engine::instance().submit({spec});
-  EXPECT_GT(job.id(), 0u);
+  EXPECT_TRUE(job.valid());
   job.wait();
   EXPECT_TRUE(job.poll());
   EXPECT_EQ(job.state(), engine::JobState::kDone);
@@ -112,7 +117,6 @@ TEST(Engine, ResultsKeepsTakeMovesAndSecondTakeThrows) {
 TEST(Engine, InvalidHandleIsInertAndThrowsOnResults) {
   engine::Job job;
   EXPECT_FALSE(job.valid());
-  EXPECT_EQ(job.id(), 0u);
   EXPECT_TRUE(job.poll());
   job.wait();     // returns immediately
   job.cancel();   // no-op
@@ -187,29 +191,51 @@ TEST(Engine, OnFinishRunsOnceTheJobIsTerminal) {
 
 TEST(Engine, InteractiveOvertakesQueuedBulk) {
   const auto prog = bench("gcc");
+  // Completion order, recorded by each job's on_finish callback: 0 is
+  // the head job, 1-3 the bulk jobs, 4 the interactive one.
+  struct Finished {
+    std::mutex m;
+    std::condition_variable cv;
+    std::vector<int> order;
+  };
+  const auto finished = std::make_shared<Finished>();
+  const auto record = [finished](int label) {
+    return [finished, label] {
+      {
+        std::lock_guard<std::mutex> g(finished->m);
+        finished->order.push_back(label);
+      }
+      finished->cv.notify_all();
+    };
+  };
   // A long head job occupies the dispatcher while the queue fills.
   engine::Job head = engine::Engine::instance().submit(
-      {small_spec(&prog, "", 2000)}, engine::JobPriority::kInteractive);
+      {small_spec(&prog, "", 2000)}, engine::JobPriority::kInteractive,
+      record(0));
   std::vector<engine::Job> bulk;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 1; i <= 3; ++i) {
     bulk.push_back(engine::Engine::instance().submit(
-        {small_spec(&prog, "", 60)}, engine::JobPriority::kBulk));
+        {small_spec(&prog, "", 60)}, engine::JobPriority::kBulk, record(i)));
   }
   engine::Job interactive = engine::Engine::instance().submit(
-      {small_spec(&prog, "", 60)}, engine::JobPriority::kInteractive);
+      {small_spec(&prog, "", 60)}, engine::JobPriority::kInteractive,
+      record(4));
 
   interactive.wait();
   for (auto& j : bulk) j.wait();
   head.wait();
+  std::unique_lock<std::mutex> g(finished->m);
+  ASSERT_TRUE(finished->cv.wait_for(
+      g, 60s, [&] { return finished->order.size() == 5; }));
 
   // The interactive job finished before at least the LAST bulk job: it
   // overtook the queue (all three bulk jobs were queued before it was
   // submitted).
-  std::uint64_t max_bulk_seq = 0;
-  for (auto& j : bulk) {
-    max_bulk_seq = std::max(max_bulk_seq, j.finish_sequence());
-  }
-  EXPECT_LT(interactive.finish_sequence(), max_bulk_seq);
+  const auto pos = [&](int label) {
+    return std::find(finished->order.begin(), finished->order.end(), label) -
+           finished->order.begin();
+  };
+  EXPECT_LT(pos(4), std::max({pos(1), pos(2), pos(3)}));
 }
 
 // ---- golden recordings shared across batches --------------------------------
@@ -484,10 +510,7 @@ TEST(PrefetchAsync, CommitMatchesBlockingPrefetch) {
   blocking.prefetch(vars);
 
   core::PrefetchTicket ticket = async.prefetch_async(vars);
-  EXPECT_TRUE(ticket.pending());
-  EXPECT_TRUE(ticket.job().valid());
   ticket.commit();
-  EXPECT_FALSE(ticket.pending());
   ticket.commit();  // idempotent
 
   for (const auto& v : vars) {
@@ -508,10 +531,14 @@ TEST(PrefetchAsync, DroppedTicketCancelsSafely) {
   {
     core::PrefetchTicket ticket =
         session.prefetch_async({core::Variant::base()});
-    EXPECT_TRUE(ticket.pending());
+    // The batch is outstanding: the session refuses a new suite.
+    EXPECT_THROW(session.set_benchmarks({"mcf"}), std::logic_error);
     // Dropped uncommitted: must cancel + join before the batch storage
     // (the programs the engine job points into) is released.
   }
+  // The drop released the session's outstanding count, and nothing was
+  // installed: the suite may still change.
+  session.set_benchmarks({"mcf"});  // must not throw
   // The session is intact and can collect the same profiles fresh.
   const core::ProfileSet& p = session.profiles(core::Variant::base());
   EXPECT_GT(p.totals.total(), 0u);
@@ -523,11 +550,12 @@ TEST(PrefetchAsync, MoveAssignReleasesPendingBatch) {
   core::PrefetchTicket a = session.prefetch_async({core::Variant::base()});
   core::PrefetchTicket b;
   b = std::move(a);
-  EXPECT_TRUE(b.pending());
+  // The moved-to ticket still holds the outstanding batch.
+  EXPECT_THROW(session.set_benchmarks({"gcc"}), std::logic_error);
   // Overwriting a pending ticket cancels + joins its batch and releases
   // the session's outstanding count: set_benchmarks is legal again.
   b = core::PrefetchTicket();
-  EXPECT_FALSE(b.pending());
+  b.commit();  // an empty ticket commits nothing
   session.set_benchmarks({"gcc"});  // must not throw
 }
 

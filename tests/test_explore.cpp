@@ -30,6 +30,7 @@
 #include "explore/explore.h"
 #include "explore/ledger.h"
 #include "combo_eval_oracle.h"
+#include "merge_lists.h"
 #include "scoped_env.h"
 
 namespace {

@@ -48,6 +48,7 @@
 #include "fleet/worker.h"
 #include "inject/wire.h"
 #include "util/socket.h"
+#include "merge_lists.h"
 
 namespace {
 

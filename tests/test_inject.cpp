@@ -30,6 +30,7 @@
 #include "util/threadpool.h"
 #include "workloads/workloads.h"
 #include "dead_at_flip_oracle.h"
+#include "merge_lists.h"
 #include "payload_decode_oracle.h"
 #include "reference_campaign.h"
 

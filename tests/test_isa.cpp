@@ -2,6 +2,7 @@
 
 #include "isa/assembler.h"
 #include "isa/isa.h"
+#include "assemble_text.h"
 
 namespace {
 
@@ -187,15 +188,6 @@ TEST(Assembler, CommentsAndWhitespace) {
       "# whole line comment\n"
       "  halt 0\n");
   EXPECT_EQ(prog.code.size(), 2u);
-}
-
-TEST(Disassemble, ProducesReadableText) {
-  Instr ins;
-  ins.op = Op::kAddi;
-  ins.rd = 1;
-  ins.rs1 = 2;
-  ins.imm = -7;
-  EXPECT_EQ(disassemble(ins), "addi r1, r2, -7");
 }
 
 }  // namespace

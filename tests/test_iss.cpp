@@ -2,6 +2,7 @@
 
 #include "isa/assembler.h"
 #include "isa/iss.h"
+#include "assemble_text.h"
 
 namespace {
 

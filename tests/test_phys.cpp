@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "arch/core.h"
 #include "core/variants.h"
@@ -13,6 +14,14 @@
 namespace {
 
 using namespace clear;
+
+// Every FF index of `prot`, ascending: the list that prices the whole
+// vector.
+std::vector<std::uint32_t> every_ff(const std::vector<arch::FFProt>& prot) {
+  std::vector<std::uint32_t> all(prot.size());
+  std::iota(all.begin(), all.end(), 0u);
+  return all;
+}
 
 TEST(CellLibrary, MatchesTable4) {
   const auto dice = phys::ff_cell(arch::FFProt::kLeapDice);
@@ -36,7 +45,7 @@ TEST(PhysModel, HardenAllMatchesPaperMaxCosts) {
   phys::PhysModel m(*ino);
   std::vector<arch::FFProt> all(ino->registry().ff_count(),
                                 arch::FFProt::kLeapDice);
-  const auto o = m.hardening_overhead(all);
+  const auto o = m.hardening_overhead(all, every_ff(all));
   EXPECT_NEAR(o.area, 0.093, 1e-9);
   EXPECT_NEAR(o.power, 0.224, 1e-9);
 
@@ -44,7 +53,7 @@ TEST(PhysModel, HardenAllMatchesPaperMaxCosts) {
   phys::PhysModel mo(*ooo);
   std::vector<arch::FFProt> allo(ooo->registry().ff_count(),
                                  arch::FFProt::kLeapDice);
-  const auto oo = mo.hardening_overhead(allo);
+  const auto oo = mo.hardening_overhead(allo, every_ff(allo));
   EXPECT_NEAR(oo.area, 0.065, 1e-9);
   EXPECT_NEAR(oo.power, 0.094, 1e-9);
 }
@@ -56,8 +65,8 @@ TEST(PhysModel, HardeningCostScalesWithSelection) {
   std::vector<arch::FFProt> half(n, arch::FFProt::kNone);
   for (std::uint32_t i = 0; i < n / 2; ++i) half[i] = arch::FFProt::kLeapDice;
   std::vector<arch::FFProt> full(n, arch::FFProt::kLeapDice);
-  const auto oh = m.hardening_overhead(half);
-  const auto of = m.hardening_overhead(full);
+  const auto oh = m.hardening_overhead(half, every_ff(half));
+  const auto of = m.hardening_overhead(full, every_ff(full));
   EXPECT_NEAR(oh.area * 2, of.area, 0.01);
   EXPECT_LT(oh.power, of.power);
 }
@@ -123,7 +132,9 @@ SemuCounts semu_strikes(bool min_spacing) {
   util::Rng rng(0x5E3Dull);
   for (int t = 0; t < 600; ++t) {
     const auto f = static_cast<std::uint32_t>(rng.below(n));
-    const std::uint32_t g = model.adjacent_ff(f);
+    // The physical neighbour within one FF length, or none.
+    const std::uint32_t g =
+        model.nn_spacing(f) < 1.0 ? (f + 1 < n ? f + 1 : f - 1) : f;
     const std::uint64_t cycle = 1 + rng.below(clean.cycles - 1);
     arch::InjectionPlan plan;
     plan.flips.push_back({cycle, f});

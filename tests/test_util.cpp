@@ -502,12 +502,6 @@ TEST(Stats, WelchSameSampleHighP) {
   EXPECT_GT(clear::util::welch_t_test_p_value(a, b), 0.5);
 }
 
-TEST(Stats, NormalCdf) {
-  EXPECT_NEAR(clear::util::normal_cdf(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(clear::util::normal_cdf(1.96), 0.975, 1e-3);
-  EXPECT_NEAR(clear::util::normal_cdf(-1.96), 0.025, 1e-3);
-}
-
 TEST(Table, FormatsFactorsLikeThePaper) {
   using clear::util::TextTable;
   EXPECT_EQ(TextTable::factor(50.0), "50.0x");
