@@ -68,6 +68,10 @@ inline constexpr std::uint64_t kArenaLayoutVersion = 1;
 //        peak RSS 22.5 MB)
 inline constexpr std::size_t kSegWords = 256;
 
+// Test-side view of the pool, snapshot segments and arena buffer (a
+// friend of each; defined in tests/test_arena.cpp).
+struct ArenaAccess;
+
 namespace detail {
 
 struct Segment {
@@ -84,14 +88,12 @@ class SegPool {
   static SegPool& instance();
   [[nodiscard]] Segment* acquire();
   void release(Segment* s) noexcept;
-  // Diagnostics (tests/bench): segments currently live outside the pool.
-  [[nodiscard]] std::size_t live() const noexcept {
-    return live_.load(std::memory_order_relaxed);
-  }
 
  private:
+  friend struct arch::ArenaAccess;
+
   static constexpr std::size_t kMaxFree = 8192;  // 16 MiB of pooled segments
-  std::atomic<std::size_t> live_{0};
+  std::atomic<std::size_t> live_{0};  // segments live outside the pool
   // Mutex-free stack would need ABA care; a mutex is fine at snapshot rate.
   struct Impl;
   Impl* impl_;
@@ -131,9 +133,6 @@ class SegRef {
   [[nodiscard]] const std::uint64_t* words() const noexcept { return s_->w; }
   [[nodiscard]] bool same(const SegRef& o) const noexcept {
     return s_ == o.s_;
-  }
-  [[nodiscard]] explicit operator bool() const noexcept {
-    return s_ != nullptr;
   }
 
  private:
@@ -191,14 +190,8 @@ class ArenaSnapshot {
   [[nodiscard]] bool empty() const noexcept { return spans_.empty(); }
   void clear() noexcept { spans_.clear(); }
 
-  [[nodiscard]] std::size_t span_words(std::size_t span) const noexcept {
-    return spans_[span].words;
-  }
-
  private:
-  // The COW tests count shared segments through this struct; it is
-  // defined test-side (tests/test_arena.cpp).
-  friend struct ArenaSnapshotAccess;
+  friend struct ArenaAccess;
 
   struct Span {
     std::size_t words = 0;
@@ -279,13 +272,7 @@ class StateArena {
   }
 
   [[nodiscard]] std::uint64_t fingerprint() const noexcept { return fp_; }
-  [[nodiscard]] const std::uint64_t* ff_base() const noexcept {
-    return ff_base_;
-  }
   [[nodiscard]] std::size_t ff_words() const noexcept { return ff_words_; }
-  [[nodiscard]] const std::uint64_t* data() const noexcept {
-    return buf_.data();
-  }
   [[nodiscard]] std::size_t total_words() const noexcept {
     return buf_.size();
   }
@@ -337,6 +324,8 @@ class StateArena {
   }
 
  private:
+  friend struct ArenaAccess;
+
   struct Section {
     std::size_t elem_size = 0;  // 1, 4 or 8
     std::size_t count = 0;

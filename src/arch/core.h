@@ -57,10 +57,6 @@ struct CheckpointSizes {
   std::size_t ring = 0;     // IR/EIR replay window
   std::size_t shadow = 0;   // monitor shadow Machine delta
   std::size_t dets = 0;     // latched pending detections
-  [[nodiscard]] std::size_t total() const noexcept {
-    return ff + scalars + regs + mem + sram + output + aux + ring + shadow +
-           dets;
-  }
 };
 
 // Complete serialized execution state of a core at a cycle boundary.
@@ -87,10 +83,6 @@ struct CoreCheckpoint {
   // checkpointed data memory image inside `state`.
   isa::MachineDelta shadow;
   CheckpointSizes sizes;  // filled by snapshot()
-
-  [[nodiscard]] std::size_t size_bytes() const noexcept {
-    return sizes.total();
-  }
 };
 
 class Core {

@@ -75,10 +75,6 @@ class FFLiveness {
   [[nodiscard]] const std::uint64_t* at(std::size_t b) const noexcept {
     return b < boundaries_ ? live_.data() + b * words_ : nullptr;
   }
-  [[nodiscard]] bool live(std::size_t b, std::size_t slot) const noexcept {
-    return ((at(b)[slot / 64] >> (slot % 64)) & 1U) != 0;
-  }
-  [[nodiscard]] std::size_t boundaries() const noexcept { return boundaries_; }
 
  private:
   // The open interval's offset in live_ and written_ (opening it if

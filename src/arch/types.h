@@ -124,10 +124,6 @@ struct CoreRunResult {
   // Detection/recovery bookkeeping.
   DetectionSource detected_by = DetectionSource::kNone;
   std::uint32_t recoveries = 0;  // successful hardware recoveries
-  [[nodiscard]] double ipc() const noexcept {
-    return cycles ? static_cast<double>(instrs) / static_cast<double>(cycles)
-                  : 0.0;
-  }
 };
 
 }  // namespace clear::arch

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "util/env.h"
 
 namespace clear::cli {
 
@@ -62,11 +61,6 @@ bool parse_verb(util::ArgParser& args, int argc, const char* const* argv,
     return false;
   }
   return true;
-}
-
-bool parse_bytes(const std::string& text, std::uint64_t* bytes) {
-  // One grammar with the CLEAR_CACHE_MAX_BYTES env knob, by construction.
-  return util::parse_bytes(text.c_str(), bytes);
 }
 
 void write_metrics_out(const std::string& path, const char* ctx,

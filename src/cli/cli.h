@@ -95,11 +95,6 @@ void write_metrics_out(const std::string& path, const char* ctx,
 [[nodiscard]] std::string render_status(const fleet::FleetStatus& status,
                                         bool show_shards_done);
 
-// Parses a byte count with optional K/M/G suffix (powers of 1024), the
-// same grammar as the CLEAR_CACHE_MAX_BYTES env knob.  Returns false on
-// malformed input.
-bool parse_bytes(const std::string& text, std::uint64_t* bytes);
-
 // JSON string escaping for `clear report` / `clear explore` output.
 using util::json_escape;
 

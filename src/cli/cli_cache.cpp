@@ -7,6 +7,7 @@
 #include "inject/cachepack.h"
 #include "inject/campaign.h"
 #include "util/args.h"
+#include "util/env.h"
 #include "util/table.h"
 
 namespace clear::cli {
@@ -60,7 +61,7 @@ int cmd_cache(int argc, const char* const* argv) {
   }
   std::uint64_t max_bytes = 0;
   if (args.has("max-bytes") &&
-      !parse_bytes(args.get("max-bytes"), &max_bytes)) {
+      !util::parse_bytes(args.get("max-bytes"), &max_bytes)) {
     std::fprintf(stderr, "clear cache: bad --max-bytes '%s'\n",
                  args.get("max-bytes").c_str());
     return 2;

@@ -176,28 +176,17 @@ fleet::EventFn make_event_logger(bool quiet) {
   };
 }
 
-void print_registry(const fleet::FleetReport& report) {
-  std::printf("\nworker registry:\n");
-  std::printf("  %-4s %-20s %-24s %-9s %-6s %-7s %-9s %-10s %s\n", "#",
-              "endpoint", "name", "capacity", "state", "shards", "inflight",
-              "samples", "cache h/m");
+// The end-of-run registry: the `clear status` tables of the fleet's final
+// state (every shard completed), then the workers it lost on the way.
+void print_registry(const fleet::FleetReport& report, std::size_t shards) {
+  fleet::FleetStatus status;
+  status.shards = fleet::ShardTally{shards, shards, 0, report.redispatched};
   for (const fleet::WorkerStatus& w : report.workers) {
-    // Telemetry cells come from the worker's last heartbeat snapshot; a
-    // worker that never sent one (v2 bare heartbeats, or died before the
-    // first interval) shows "-".
-    std::string samples = "-", cache = "-";
-    if (w.has_metrics) {
-      samples = std::to_string(w.metrics.counter_value("campaign.samples"));
-      cache = std::to_string(w.metrics.counter_value("cache.hit")) + "/" +
-              std::to_string(w.metrics.counter_value("cache.miss"));
-    }
-    std::printf("  %-4zu %-20s %-24s %-9u %-6s %-7zu %-9u %-10s %s\n",
-                w.index, w.endpoint.c_str(), w.name.c_str(), w.capacity,
-                fleet::worker_state_name(w.state), w.shards_done, w.inflight,
-                samples.c_str(), cache.c_str());
+    status.workers.push_back(fleet::status_row(w));
   }
-  std::printf("  redispatched shards: %zu, workers lost: %zu\n",
-              report.redispatched, report.workers_lost);
+  std::printf("\nworker registry:\n%s\nworkers lost: %zu\n",
+              render_status(status, /*show_shards_done=*/true).c_str(),
+              report.workers_lost);
   std::fflush(stdout);
 }
 
@@ -266,7 +255,7 @@ int drive_fleet(const util::ArgParser& args, const char* verb,
   try {
     const fleet::FleetReport report = fleet::run_fleet(
         fa.workers, shards, fa.opts, make_event_logger(fa.quiet), sink);
-    if (!fa.quiet) print_registry(report);
+    if (!fa.quiet) print_registry(report, shards.size());
     obs::Snapshot merged = obs::snapshot();
     for (const fleet::WorkerStatus& w : report.workers) {
       if (w.has_metrics) obs::merge(&merged, w.metrics);

@@ -43,7 +43,6 @@ struct Palette {
   static constexpr Palette parity_only() { return {false, true, false}; }
   static constexpr Palette eds_only() { return {false, false, true}; }
   static constexpr Palette dice_parity() { return {true, true, false}; }
-  static constexpr Palette eds_dice_parity() { return {true, true, true}; }
   static constexpr Palette none() { return {false, false, false}; }
 };
 

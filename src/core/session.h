@@ -148,15 +148,10 @@ class Session {
   // budget (the default).
   void set_confidence(double half_width,
                       util::IntervalMethod method = util::IntervalMethod::kWilson);
-  [[nodiscard]] double confidence() const noexcept { return confidence_; }
-  [[nodiscard]] util::IntervalMethod confidence_method() const noexcept {
-    return confidence_method_;
-  }
 
   [[nodiscard]] std::size_t per_ff_samples() const noexcept {
     return per_ff_samples_;
   }
-  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
   // Collects (or returns memoized) profiles for a variant.  For ABFT
   // variants only the ABFT-capable benchmarks are profiled; benchmarks

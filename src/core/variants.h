@@ -30,9 +30,6 @@ struct Variant {
   bool monitor = false;  // hardware technique: no program change
   workloads::AbftKind abft = workloads::AbftKind::kNone;
 
-  [[nodiscard]] bool any_software() const noexcept {
-    return eddi || assertions || cfcss;
-  }
   // Stable cache-key component describing this variant.
   [[nodiscard]] std::string key() const;
 

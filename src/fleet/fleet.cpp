@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <stdexcept>
@@ -13,6 +12,7 @@
 #include "obs/metrics.h"
 #include "plan/runplan.h"
 #include "util/args.h"
+#include "util/env.h"
 #include "util/fs.h"
 #include "util/socket.h"
 
@@ -123,10 +123,8 @@ bool parse_endpoint(const std::string& text, Endpoint* out,
                     std::string* error) {
   Endpoint e;
   if (text.rfind("tcp:", 0) == 0) {
-    const std::string digits = text.substr(4);
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(digits.c_str(), &end, 10);
-    if (digits.empty() || end == nullptr || *end != '\0' || v == 0 ||
+    std::uint64_t v = 0;
+    if (!util::parse_u64(std::string_view(text).substr(4), &v) || v == 0 ||
         v > 65535) {
       if (error != nullptr) *error = "bad TCP endpoint '" + text + "'";
       return false;
@@ -147,15 +145,14 @@ bool expand_endpoints(const std::vector<std::string>& operands,
   out->clear();
   for (const std::string& op : operands) {
     std::string base = op;
-    unsigned long fan = 0;  // 0 = no @N suffix
+    std::uint64_t fan = 0;  // 0 = no @N suffix
     const std::size_t at = op.rfind('@');
-    if (at != std::string::npos && at + 1 < op.size()) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(op.c_str() + at + 1, &end, 10);
-      if (end != nullptr && *end == '\0' && v >= 1 && v <= 4096) {
-        base = op.substr(0, at);
-        fan = v;
-      }
+    std::uint64_t v = 0;
+    if (at != std::string::npos &&
+        util::parse_u64(std::string_view(op).substr(at + 1), &v) && v >= 1 &&
+        v <= 4096) {
+      base = op.substr(0, at);
+      fan = v;
     }
     Endpoint e;
     if (!parse_endpoint(base, &e, error)) return false;
@@ -163,13 +160,13 @@ bool expand_endpoints(const std::vector<std::string>& operands,
       out->push_back(e);
       continue;
     }
-    for (unsigned long i = 0; i < fan; ++i) {
+    for (std::uint64_t i = 0; i < fan; ++i) {
       Endpoint child = e;
       if (!child.socket_path.empty()) {
         // Matches the `clear serve --workers N` child socket names.
         child.socket_path = e.socket_path + "." + std::to_string(i);
       } else {
-        const unsigned long port = e.port + i;
+        const std::uint64_t port = e.port + i;
         if (port > 65535) {
           if (error != nullptr) {
             *error = "endpoint '" + op + "' runs past port 65535";
@@ -302,6 +299,8 @@ std::string run_explore_stanza(const std::string& text,
 
 // ---- the driver ------------------------------------------------------------
 
+namespace {
+
 const char* worker_state_name(WorkerState s) noexcept {
   switch (s) {
     case WorkerState::kConnecting: return "connecting";
@@ -310,6 +309,21 @@ const char* worker_state_name(WorkerState s) noexcept {
     case WorkerState::kDead: return "dead";
   }
   return "?";
+}
+
+}  // namespace
+
+StatusRow status_row(const WorkerStatus& w) {
+  StatusRow r;
+  r.index = w.index;
+  r.endpoint = w.endpoint;
+  r.name = w.name;
+  r.capacity = w.capacity;
+  r.state = worker_state_name(w.state);
+  r.shards_done = w.shards_done;
+  r.inflight = w.inflight;
+  if (w.has_metrics) r.metrics = w.metrics;
+  return r;
 }
 
 namespace {
@@ -406,20 +420,6 @@ class Driver {
   std::size_t workers_lost_ = 0;
   Clock::time_point last_status_{};  // epoch value = never written
 };
-
-// A registry entry as a row of the status document.
-StatusRow status_row(const WorkerStatus& w) {
-  StatusRow r;
-  r.index = w.index;
-  r.endpoint = w.endpoint;
-  r.name = w.name;
-  r.capacity = w.capacity;
-  r.state = worker_state_name(w.state);
-  r.shards_done = w.shards_done;
-  r.inflight = w.inflight;
-  if (w.has_metrics) r.metrics = w.metrics;
-  return r;
-}
 
 void Driver::register_workers() {
   for (std::size_t w = 0; w < endpoints_.size(); ++w) {

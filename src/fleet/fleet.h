@@ -42,6 +42,7 @@
 #include "engine/engine.h"
 #include "engine/protocol.h"
 #include "explore/explore.h"
+#include "fleet/status.h"
 #include "obs/metrics.h"
 
 namespace clear::fleet {
@@ -161,8 +162,6 @@ enum class WorkerState : std::uint8_t {
   kDead = 3,
 };
 
-[[nodiscard]] const char* worker_state_name(WorkerState s) noexcept;
-
 // Registry entry, as reported back to the CLI/tests.
 struct WorkerStatus {
   std::size_t index = 0;     // position in the endpoint list
@@ -178,6 +177,10 @@ struct WorkerStatus {
   bool has_metrics = false;
   obs::Snapshot metrics;
 };
+
+// A registry entry as a row of the status document (fleet/status.h): what
+// --status-out writes and the CLI's end-of-run registry draws.
+[[nodiscard]] StatusRow status_row(const WorkerStatus& w);
 
 // Scheduling events, delivered synchronously from run_fleet's loop.
 // Tests hook these (e.g. to SIGKILL a worker mid-shard); the CLI logs

@@ -24,9 +24,9 @@ struct ShardTally {
   std::size_t redispatched = 0;
 };
 
-// One worker row.  `state` is a driver registry state (worker_state_name)
-// or, from a probe, how far the probe got ("unreachable", "no-hello",
-// "no-heartbeat", "up", ...).
+// One worker row.  `state` is a driver registry state (as
+// fleet::status_row spells it) or, from a probe, how far the probe got
+// ("unreachable", "no-hello", "no-heartbeat", "up", ...).
 struct StatusRow {
   std::size_t index = 0;
   std::string endpoint;

@@ -1224,13 +1224,6 @@ CampaignJob plan_job(const CampaignSpec& spec) {
   return job;
 }
 
-// Worker threads a campaign asks for.  A thread count only schedules:
-// samples derive from global indices.
-unsigned spec_threads(const CampaignSpec& spec) {
-  return spec.threads != 0 ? util::resolve_threads(spec.threads)
-                           : util::env_threads();
-}
-
 // Serves a batch's keyed jobs from the cache pack in one parallel pass:
 // each hit is read, re-verified against its checksum and decoded into its
 // own result slot.  The loaded entries' LRU stamps are then applied in
@@ -1241,18 +1234,15 @@ std::vector<char> serve_from_pack(const std::string& cache_dir,
                                   std::vector<CampaignResult>* results) {
   std::vector<char> served(jobs.size(), 0);
   std::vector<std::size_t> keyed;
-  unsigned threads = 1;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (jobs[j].fp == 0) continue;
-    keyed.push_back(j);
-    threads = std::max(threads, spec_threads(*jobs[j].spec));
+    if (jobs[j].fp != 0) keyed.push_back(j);
   }
   if (keyed.empty()) return served;
   CachePack& pack = CachePack::instance(cache_dir);
   std::vector<char> loaded(keyed.size(), 0);
   util::ThreadPool::instance().run(
       keyed.size(), static_cast<unsigned>(std::min<std::size_t>(
-                        threads, keyed.size())),
+                        util::env_threads(), keyed.size())),
       [&](std::size_t k, unsigned) {
         const CampaignJob& job = jobs[keyed[k]];
         std::string payload;
@@ -1322,17 +1312,16 @@ std::vector<CampaignResult> execute_campaigns(
   }
   check_cancel(cancel);
 
-  unsigned threads = 0;
   std::size_t upper_total = 0;  // worst-case sims this shard performs
   for (auto& job : jobs) {
-    threads = std::max(threads, spec_threads(*job.spec));
     upper_total += job.pilot != 0
                        ? static_cast<std::size_t>(adaptive_upper_bound(job))
                        : job.local_count;
     job.token = g_campaign_tokens.fetch_add(1, std::memory_order_relaxed);
   }
-  threads = static_cast<unsigned>(std::min<std::size_t>(
-      threads, std::max<std::size_t>(1, upper_total / 64)));
+  // A thread count only schedules: samples derive from global indices.
+  const auto threads = static_cast<unsigned>(std::min<std::size_t>(
+      util::env_threads(), std::max<std::size_t>(1, upper_total / 64)));
   for (auto& job : jobs) {
     results[job.spec_index].per_ff.assign(job.ff_count, {});
     if (job.pilot != 0) {

@@ -98,9 +98,6 @@ struct CampaignSpec {
   // determines every injection (FF, cycle, suppression draw): results
   // are bit-identical across runs, hosts, thread counts and partitions.
   std::uint64_t seed = 1;
-  // Worker threads (0 = CLEAR_THREADS env, then hardware concurrency).
-  // Affects wall-clock only, never results.
-  unsigned threads = 0;
   // Optional in-simulator resilience configuration (DFC, monitor core,
   // detection + recovery).  Per-FF hardening suppression (LEAP-DICE & co.)
   // is applied by the campaign driver using the Table 4 SER ratios.

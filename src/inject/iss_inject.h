@@ -27,16 +27,6 @@ enum class InjectLevel : std::uint8_t {
   kVarWrite,
 };
 
-[[nodiscard]] constexpr const char* inject_level_name(InjectLevel l) noexcept {
-  switch (l) {
-    case InjectLevel::kRegUniform: return "regU";
-    case InjectLevel::kRegWrite: return "regW";
-    case InjectLevel::kVarUniform: return "varU";
-    case InjectLevel::kVarWrite: return "varW";
-  }
-  return "?";
-}
-
 // Runs an n-injection campaign at the given level; deterministic in seed.
 [[nodiscard]] OutcomeCounts run_iss_campaign(const isa::Program& prog,
                                              InjectLevel level, std::size_t n,

@@ -24,18 +24,6 @@ enum class Outcome : std::uint8_t {
   kRecovered,
 };
 
-[[nodiscard]] constexpr const char* outcome_name(Outcome o) noexcept {
-  switch (o) {
-    case Outcome::kVanished: return "Vanished";
-    case Outcome::kOmm: return "OMM";
-    case Outcome::kUt: return "UT";
-    case Outcome::kHang: return "Hang";
-    case Outcome::kEd: return "ED";
-    case Outcome::kRecovered: return "Recovered";
-  }
-  return "?";
-}
-
 struct OutcomeCounts {
   std::uint32_t vanished = 0;
   std::uint32_t omm = 0;

@@ -79,7 +79,6 @@ class Machine {
   [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
 
   [[nodiscard]] std::uint32_t pc() const noexcept { return pc_; }
-  void set_pc(std::uint32_t pc) noexcept { pc_ = pc; }
   [[nodiscard]] std::uint32_t reg(int i) const noexcept { return regs_[i]; }
   void set_reg(int i, std::uint32_t v) noexcept {
     if (i != 0) regs_[i] = v;
@@ -97,13 +96,6 @@ class Machine {
   [[nodiscard]] std::uint32_t mem_bytes() const noexcept {
     return static_cast<std::uint32_t>(mem_.size()) * 4;
   }
-  // Read-only view of data memory (state hashing / checkpointing).
-  [[nodiscard]] const std::vector<std::uint32_t>& memory() const noexcept {
-    return mem_;
-  }
-
-  const Program& program() const noexcept { return *prog_; }
-
   // ---- delta checkpointing against a reference memory image ----
   // `ref`/`ref_words` is the image the delta is relative to (the main
   // core's checkpointed data memory).  Hooks are untouched by all three.

@@ -32,7 +32,6 @@ struct Program {
   std::unordered_map<std::uint16_t, std::uint32_t> dfc_signatures;
 
   [[nodiscard]] std::uint32_t entry_pc() const noexcept { return 0; }
-  [[nodiscard]] std::size_t instr_count() const noexcept { return code.size(); }
 };
 
 // How a symbolic target is folded into the immediate field.

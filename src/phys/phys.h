@@ -76,13 +76,7 @@ class PhysModel {
  public:
   explicit PhysModel(const arch::Core& core);
 
-  [[nodiscard]] const std::string& core_name() const noexcept { return core_; }
-  [[nodiscard]] double clock_ghz() const noexcept { return clock_ghz_; }
   [[nodiscard]] double period_ps() const noexcept { return 1000.0 / clock_ghz_; }
-  [[nodiscard]] std::uint32_t ff_count() const noexcept { return ff_count_; }
-  // Total area/power in normalized cell units (baseline DFF area = 1).
-  [[nodiscard]] double total_area() const noexcept { return total_area_; }
-  [[nodiscard]] double total_power() const noexcept { return total_power_; }
 
   // -- timing ---------------------------------------------------------
   // Deterministic per-FF timing slack (ps).
@@ -143,6 +137,7 @@ class PhysModel {
   std::string core_;
   double clock_ghz_ = 1.0;
   std::uint32_t ff_count_ = 0;
+  // Total area/power in normalized cell units (baseline DFF area = 1).
   double total_area_ = 0.0;
   double total_power_ = 0.0;
   double ff_area_share_ = 0.0;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <sstream>
 
+#include "util/env.h"
 #include "workloads/workloads.h"
 
 namespace clear::plan {
@@ -46,9 +47,11 @@ core::Variant parse_variant(const std::string& key) {
 
 bool parse_shard(const std::string& text, std::uint32_t* index,
                  std::uint32_t* count) {
-  unsigned long long k = 0, n = 0;
-  char trailing = '\0';
-  if (std::sscanf(text.c_str(), "%llu/%llu%c", &k, &n, &trailing) != 2) {
+  const std::size_t slash = text.find('/');
+  std::uint64_t k = 0, n = 0;
+  if (slash == std::string::npos ||
+      !util::parse_u64(std::string_view(text).substr(0, slash), &k) ||
+      !util::parse_u64(std::string_view(text).substr(slash + 1), &n)) {
     return false;
   }
   if (n == 0 || k >= n || n > (1ULL << 20)) return false;
@@ -86,8 +89,6 @@ util::ArgParser make_run_parser() {
                   "interval method for --confidence: wilson or cp "
                   "(Clopper-Pearson; default wilson)");
   args.add_option("shard", "k/K", "own samples i with i mod K == k", "0/1");
-  args.add_option("threads", "N",
-                  "worker threads (0 = CLEAR_THREADS or hardware)", "0");
   args.add_option("recovery", "none|flush|rob|ir|eir",
                   "hardware recovery technique", "");
   args.add_option("key", "text",
@@ -176,7 +177,7 @@ bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
 
   // Numeric flags are strict: a mistyped --injections must fail loudly,
   // never silently shrink a cluster campaign to its default.
-  std::uint64_t input_seed64 = 0, injections = 0, seed = 1, threads = 0;
+  std::uint64_t input_seed64 = 0, injections = 0, seed = 1;
   const auto numeric = [&](const char* flag, std::uint64_t def,
                            std::uint64_t* out) {
     if (args.get_u64(flag, def, out)) return true;
@@ -185,8 +186,7 @@ bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
     return false;
   };
   if (!numeric("input-seed", 0, &input_seed64) ||
-      !numeric("injections", 0, &injections) || !numeric("seed", 1, &seed) ||
-      !numeric("threads", 0, &threads)) {
+      !numeric("injections", 0, &injections) || !numeric("seed", 1, &seed)) {
     return false;
   }
   plan->input_seed = static_cast<std::uint32_t>(input_seed64);
@@ -222,7 +222,6 @@ bool resolve_plan(const util::ArgParser& args, const std::string& ctx,
   plan->spec.core_name = plan->core_name;
   plan->spec.injections = static_cast<std::size_t>(injections);
   plan->spec.seed = seed;
-  plan->spec.threads = static_cast<unsigned>(threads);
   plan->spec.shard_index = plan->shard_index;
   plan->spec.shard_count = plan->shard_count;
   if (args.has("no-cache")) {

@@ -30,8 +30,9 @@ namespace clear::plan {
 // std::invalid_argument on an unknown token.
 core::Variant parse_variant(const std::string& key);
 
-// Parses "k/K" shard syntax (e.g. "2/8") into *index, *count.  Returns
-// false on malformed input or index >= count.
+// Parses "k/K" shard syntax (e.g. "2/8"; both numbers digits only, as
+// util::parse_u64) into *index, *count.  Returns false on malformed input
+// or index >= count.
 bool parse_shard(const std::string& text, std::uint32_t* index,
                  std::uint32_t* count);
 

@@ -31,18 +31,6 @@ enum class ParityHeuristic : std::uint8_t {
   kOptimized,
 };
 
-[[nodiscard]] constexpr const char* parity_heuristic_name(
-    ParityHeuristic h) noexcept {
-  switch (h) {
-    case ParityHeuristic::kGroupSize: return "group-size";
-    case ParityHeuristic::kVulnerability: return "vulnerability";
-    case ParityHeuristic::kLocality: return "locality";
-    case ParityHeuristic::kTiming: return "timing";
-    case ParityHeuristic::kOptimized: return "optimized";
-  }
-  return "?";
-}
-
 // Builds a parity plan for `ffs` (indices into the registry of the core
 // `model` was built for).
 //   vulnerability - per-FF error counts (only used by kVulnerability;

@@ -1,9 +1,10 @@
 #include "util/args.h"
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <sstream>
+
+#include "util/env.h"
 
 namespace clear::util {
 
@@ -145,13 +146,7 @@ bool ArgParser::get_u64(const std::string& name, std::uint64_t def,
                         std::uint64_t* out) const {
   *out = def;
   const Spec* s = find(name);
-  if (s == nullptr || !s->present) return true;
-  const char* const end = s->value.data() + s->value.size();
-  std::uint64_t parsed = 0;
-  const auto [next, ec] = std::from_chars(s->value.data(), end, parsed);
-  if (ec != std::errc() || next != end) return false;
-  *out = parsed;
-  return true;
+  return s == nullptr || !s->present || parse_u64(s->value, out);
 }
 
 bool ArgParser::get_ms(const std::string& name, int def, int* out) const {

@@ -201,7 +201,6 @@ class ByteReader {
     return true;
   }
   [[nodiscard]] bool exhausted() const { return pos_ == n_; }
-  [[nodiscard]] std::size_t pos() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const { return n_ - pos_; }
 
  private:

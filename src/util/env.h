@@ -14,9 +14,12 @@
 #ifndef CLEAR_UTIL_ENV_H
 #define CLEAR_UTIL_ENV_H
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 namespace clear::util {
 
@@ -28,23 +31,34 @@ inline long env_long(const char* name, long fallback) {
   return (end != nullptr && end != v) ? parsed : fallback;
 }
 
+// The one unsigned number grammar of flags, endpoints, shard specs and
+// byte counts: decimal digits only -- no sign, no whitespace, nothing
+// after the digits, at most 2^64 - 1.  Returns false on anything else.
+inline bool parse_u64(std::string_view text, std::uint64_t* out) {
+  const char* const end = text.data() + text.size();
+  std::uint64_t parsed = 0;
+  const auto [next, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec != std::errc() || next != end) return false;
+  *out = parsed;
+  return true;
+}
+
 // Byte-count grammar shared by the env knob and the CLI's --max-bytes:
-// a plain number, optionally suffixed with K/M/G (powers of 1024,
-// case-insensitive).  Returns false on malformed input.
-inline bool parse_bytes(const char* v, std::uint64_t* out) {
-  if (v == nullptr || *v == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == nullptr || end == v) return false;
-  std::uint64_t scale = 1;
-  switch (*end) {
-    case 'k': case 'K': scale = 1ULL << 10; ++end; break;
-    case 'm': case 'M': scale = 1ULL << 20; ++end; break;
-    case 'g': case 'G': scale = 1ULL << 30; ++end; break;
+// a parse_u64 number, optionally suffixed with K/M/G (powers of 1024,
+// case-insensitive), whose product fits in 64 bits.  Returns false on
+// malformed input.
+inline bool parse_bytes(std::string_view text, std::uint64_t* out) {
+  unsigned shift = 0;
+  switch (text.empty() ? '\0' : text.back()) {
+    case 'k': case 'K': shift = 10; break;
+    case 'm': case 'M': shift = 20; break;
+    case 'g': case 'G': shift = 30; break;
     default: break;
   }
-  if (*end != '\0') return false;
-  *out = static_cast<std::uint64_t>(parsed) * scale;
+  if (shift != 0) text.remove_suffix(1);
+  std::uint64_t n = 0;
+  if (!parse_u64(text, &n) || n > (~std::uint64_t{0} >> shift)) return false;
+  *out = n << shift;
   return true;
 }
 

@@ -27,8 +27,6 @@ constexpr std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept 
 
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
   explicit Rng(std::uint64_t seed = 0xC1EA5C1EA5ULL) noexcept { reseed(seed); }
 
   void reseed(std::uint64_t seed) noexcept {
@@ -50,11 +48,6 @@ class Rng {
     s_[3] = rotl(s_[3], 45);
     return result;
   }
-
-  std::uint64_t operator()() noexcept { return next(); }
-
-  static constexpr std::uint64_t min() noexcept { return 0; }
-  static constexpr std::uint64_t max() noexcept { return ~0ULL; }
 
   // Uniform integer in [0, bound) without modulo bias: threshold
   // rejection, then modulo.  Draws below 2^64 mod bound are rejected; that

@@ -65,7 +65,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Process-wide pool shared by campaigns and parallel_for.
+  // Process-wide pool the campaigns run on.
   static ThreadPool& instance() {
     static ThreadPool pool;
     return pool;
@@ -191,16 +191,6 @@ class ThreadPool {
   unsigned job_workers_left_ = 0;
   std::exception_ptr job_error_;
 };
-
-// Runs fn(i) for i in [0, n) across up to `threads` workers of the shared
-// pool.  The first worker exception is rethrown on the joining thread.
-// Determinism is preserved when each index computes an independent result.
-inline void parallel_for(std::size_t n,
-                         const std::function<void(std::size_t)>& fn,
-                         unsigned threads = 0) {
-  ThreadPool::instance().run(n, threads,
-                             [&fn](std::size_t i, unsigned) { fn(i); });
-}
 
 }  // namespace clear::util
 

@@ -279,17 +279,10 @@ class ComboEvalOracle {
 
     std::size_t n_eds = 0;
     for (std::uint32_t f = 0; f < n; ++f) n_eds += prot[f] == arch::FFProt::kEds;
-    phys::Overhead oh;
-    for (std::uint32_t f = 0; f < n; ++f) {
-      if (prot[f] == arch::FFProt::kParity || prot[f] == arch::FFProt::kEds) {
-        continue;
-      }
-      const phys::CellCosts c = phys::ff_cell(prot[f]);
-      oh.area += c.area - 1.0;
-      oh.power += c.power - 1.0;
-    }
-    oh.area /= model_->total_area();
-    oh.power /= model_->total_power();
+    // Every FF listed: the unprotected ones add exactly zero.
+    std::vector<std::uint32_t> every_ff(n);
+    for (std::uint32_t f = 0; f < n; ++f) every_ff[f] = f;
+    phys::Overhead oh = model_->hardening_overhead(prot, every_ff);
     oh += model_->parity_overhead(rep.parity_plan);
     oh += model_->eds_overhead(n_eds);
     if (spec.variant.dfc) oh += model_->dfc_overhead();

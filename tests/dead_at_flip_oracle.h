@@ -30,7 +30,7 @@
 #include "inject/exec.h"
 #include "util/hash.h"
 #include "util/rng.h"
-#include "util/threadpool.h"
+#include "parallel_for.h"
 #include "reference_campaign.h"
 
 namespace clear::testref {
@@ -49,7 +49,7 @@ inline DeadAtFlipCounts check_dead_at_flip(const inject::CampaignSpec& spec) {
   EXPECT_EQ(golden.status, isa::RunStatus::kHalted);
   EXPECT_EQ(golden.recoveries, 0u);
 
-  // Brute force: one interval per cycle, so live.live(c, s) is slot s's
+  // Brute force: one interval per cycle, so bit s of live.at(c) is slot s's
   // liveness at cycle c.
   const std::unique_ptr<arch::Core> traced =
       arch::make_traced_core(spec.core_name);
@@ -92,7 +92,8 @@ inline DeadAtFlipCounts check_dead_at_flip(const inject::CampaignSpec& spec) {
       continue;
     }
     const std::size_t slot = reg.structure_of(ff).slot;
-    if (!live.live(static_cast<std::size_t>(cycle), slot)) want.push_back(g);
+    const std::uint64_t* set = live.at(static_cast<std::size_t>(cycle));
+    if (((set[slot / 64] >> (slot % 64)) & 1U) == 0) want.push_back(g);
   }
 
   const std::vector<std::uint64_t> got =
@@ -135,7 +136,7 @@ inline DeadAtFlipCounts check_dead_at_flip(const inject::CampaignSpec& spec) {
                   r.cycles == golden.cycles &&
                   r.recoveries == golden.recoveries;
       },
-      spec.threads);
+      util::env_threads());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_TRUE(same[i]) << "sample " << got[i]
                          << " was classified dead but does not end as golden";

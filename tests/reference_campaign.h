@@ -31,9 +31,9 @@
 #include "inject/campaign.h"
 #include "util/hash.h"
 #include "util/rng.h"
-#include "util/threadpool.h"
 
 #include "adaptive_oracle.h"
+#include "parallel_for.h"
 
 namespace clear::testref {
 
@@ -78,7 +78,7 @@ inline inject::CampaignResult reference_campaign(
     std::vector<inject::Outcome> out(indices.size());
     util::parallel_for(
         indices.size(), [&](std::size_t i) { out[i] = sample(indices[i]); },
-        spec.threads);
+        util::env_threads());
     return out;
   };
 

@@ -36,6 +36,7 @@
 #include "adaptive_oracle.h"
 #include "merge_lists.h"
 #include "reference_campaign.h"
+#include "scoped_env.h"
 
 namespace {
 
@@ -479,13 +480,13 @@ inject::CampaignSpec mixed_stop_spec(const isa::Program* prog) {
   spec.program = prog;
   spec.injections = static_cast<std::size_t>(ff_count_of("InO")) * 40;
   spec.seed = 11;
-  spec.threads = 1;
   spec.confidence_half_width = 0.12;
   spec.confidence_method = IntervalMethod::kWilson;
   return spec;
 }
 
 TEST(AdaptiveCampaign, EarlyStopSavesSamplesAndFollowsThePlan) {
+  const ScopedEnv one_thread("CLEAR_THREADS", "1");
   // gcc at seed 11, then gcc and mcf at the default seed.
   const std::pair<const char*, std::uint64_t> inputs[] = {
       {"gcc", 11}, {"gcc", 1}, {"mcf", 1}};
@@ -521,15 +522,18 @@ TEST(AdaptiveCampaign, EarlyStopSavesSamplesAndFollowsThePlan) {
 
 TEST(AdaptiveCampaign, StopDecisionsIndependentOfThreadsAndEngine) {
   const auto prog = bench("gcc");
-  const auto spec1 = mixed_stop_spec(&prog);
-  const auto base = engine::run_campaign(spec1);
+  const auto spec = mixed_stop_spec(&prog);
+  inject::CampaignResult base;
+  {
+    const ScopedEnv one_thread("CLEAR_THREADS", "1");
+    base = engine::run_campaign(spec);
+  }
 
-  auto spec8 = spec1;
-  spec8.threads = 8;
-  expect_identical(base, engine::run_campaign(spec8));
+  const ScopedEnv eight_threads("CLEAR_THREADS", "8");
+  expect_identical(base, engine::run_campaign(spec));
 
   // The from-cycle-0 reference must take the identical decisions.
-  const auto ref = testref::reference_campaign(spec8);
+  const auto ref = testref::reference_campaign(spec);
   EXPECT_EQ(ref.pilot, base.pilot);
   EXPECT_EQ(ref.planned, base.planned);
   expect_identical(base, ref);
@@ -543,13 +547,14 @@ inject::CampaignResult run_sharded(inject::CampaignSpec spec, std::uint32_t k) {
     inject::CampaignSpec shard = spec;
     shard.shard_count = k;
     shard.shard_index = s;
-    shard.threads = (s % 2 == 0) ? 1 : 8;
+    const ScopedEnv threads("CLEAR_THREADS", (s % 2 == 0) ? "1" : "8");
     shards.push_back(engine::run_campaign(shard));
   }
   return inject::merge_campaign_results(shards);
 }
 
 TEST(AdaptiveCampaign, ShardMergeIsBitIdenticalToUnsharded) {
+  const ScopedEnv one_thread("CLEAR_THREADS", "1");
   const auto prog = bench("gcc");
   const auto spec = mixed_stop_spec(&prog);
   const auto whole = engine::run_campaign(spec);
@@ -561,6 +566,7 @@ TEST(AdaptiveCampaign, ShardMergeIsBitIdenticalToUnsharded) {
 }
 
 TEST(AdaptiveCampaign, ShardMergeAcrossPartitionsOnBudgetLimitedPilot) {
+  const ScopedEnv one_thread("CLEAR_THREADS", "1");
   // Budget below the first milestone: the pilot IS the whole budget, so
   // every shard simulates it redundantly and the decision state is
   // trivially global.  Cheap enough to sweep K in {2, 3, 7}.
@@ -570,7 +576,6 @@ TEST(AdaptiveCampaign, ShardMergeAcrossPartitionsOnBudgetLimitedPilot) {
   spec.program = &prog;
   spec.injections = static_cast<std::size_t>(ff_count_of("InO")) * 8;
   spec.seed = 5;
-  spec.threads = 1;
   spec.confidence_half_width = 0.30;
   spec.confidence_method = IntervalMethod::kClopperPearson;
   const auto whole = engine::run_campaign(spec);
@@ -624,8 +629,8 @@ TEST(AdaptiveCampaign, CacheRoundTripPreservesAdaptiveMetadata) {
 
 TEST(AdaptiveCampaign, EngineProgressTotalOnlyShrinks) {
   const auto prog = bench("gcc");
-  auto spec = mixed_stop_spec(&prog);
-  spec.threads = 2;
+  const auto spec = mixed_stop_spec(&prog);
+  const ScopedEnv two_threads("CLEAR_THREADS", "2");
   auto job = engine::Engine::instance().submit(
       {spec}, engine::JobPriority::kInteractive);
   std::uint64_t last_total = ~0ull;

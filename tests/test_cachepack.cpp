@@ -24,6 +24,7 @@
 #include "util/rng.h"
 #include "util/threadpool.h"
 #include "eager_open_oracle.h"
+#include "parallel_for.h"
 #include "scoped_env.h"
 
 namespace {

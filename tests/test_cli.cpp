@@ -26,6 +26,7 @@
 #include "isa/assembler.h"
 #include "plan/runplan.h"
 #include "util/args.h"
+#include "util/env.h"
 #include "util/json.h"
 #include "workloads/workloads.h"
 
@@ -72,21 +73,35 @@ TEST(CliParse, ShardSyntax) {
   EXPECT_FALSE(plan::parse_shard("1", &k, &n));
   EXPECT_FALSE(plan::parse_shard("1/2/3", &k, &n));
   EXPECT_FALSE(plan::parse_shard("a/b", &k, &n));
+  // Digits only on both sides: no sign, no blank, no negated count.
+  EXPECT_FALSE(plan::parse_shard("+0/2", &k, &n));
+  EXPECT_FALSE(plan::parse_shard("0/ +2", &k, &n));
+  EXPECT_FALSE(plan::parse_shard(" 0/2", &k, &n));
+  EXPECT_FALSE(plan::parse_shard("0/-18446744073709551614", &k, &n));
 }
 
 TEST(CliParse, ByteSuffixes) {
   std::uint64_t b = 0;
-  EXPECT_TRUE(cli::parse_bytes("1024", &b));
+  EXPECT_TRUE(util::parse_bytes("1024", &b));
   EXPECT_EQ(b, 1024u);
-  EXPECT_TRUE(cli::parse_bytes("4K", &b));
+  EXPECT_TRUE(util::parse_bytes("4K", &b));
   EXPECT_EQ(b, 4096u);
-  EXPECT_TRUE(cli::parse_bytes("2m", &b));
+  EXPECT_TRUE(util::parse_bytes("2m", &b));
   EXPECT_EQ(b, 2u << 20);
-  EXPECT_TRUE(cli::parse_bytes("1G", &b));
+  EXPECT_TRUE(util::parse_bytes("1G", &b));
   EXPECT_EQ(b, 1u << 30);
-  EXPECT_FALSE(cli::parse_bytes("", &b));
-  EXPECT_FALSE(cli::parse_bytes("12Q", &b));
-  EXPECT_FALSE(cli::parse_bytes("K", &b));
+  EXPECT_FALSE(util::parse_bytes("", &b));
+  EXPECT_FALSE(util::parse_bytes("12Q", &b));
+  EXPECT_FALSE(util::parse_bytes("K", &b));
+  // Digits only: a sign or a blank is refused, so -1 cannot wrap to
+  // 2^64 - 1, and neither may a value past 2^64 - 1 or a suffix multiply.
+  EXPECT_FALSE(util::parse_bytes("-1", &b));
+  EXPECT_FALSE(util::parse_bytes("+5", &b));
+  EXPECT_FALSE(util::parse_bytes(" 5", &b));
+  EXPECT_FALSE(util::parse_bytes("18446744073709551616", &b));
+  EXPECT_FALSE(util::parse_bytes("17179869184G", &b));  // 2^64: wraps to 0
+  EXPECT_TRUE(util::parse_bytes("17179869183G", &b));
+  EXPECT_EQ(b, 18446744072635809792u);  // 2^64 - 2^30
 }
 
 TEST(CliParse, VariantTokensRoundTripThroughKey) {
@@ -324,6 +339,19 @@ TEST(CliE2E, RemovedEngineFlagsAreRejectedByName) {
   }
   EXPECT_EQ(run("run --spec cli_e2e/removed_flag.spec", &err), 2);
   EXPECT_NE(err.find("unknown flag '--checkpoint-interval'"),
+            std::string::npos)
+      << err;
+  // So is the per-campaign thread count: CLEAR_THREADS is the one
+  // thread-count setting, on the command line and in a stanza alike.
+  EXPECT_EQ(run("run --bench mcf --threads 2", &err), 2);
+  EXPECT_NE(err.find("unknown flag '--threads'"), std::string::npos) << err;
+  {
+    std::ofstream spec("cli_e2e/removed_threads.spec");
+    spec << "--bench mcf --injections 10\n---\n"
+            "--bench gcc --injections 10 --threads 2\n";
+  }
+  EXPECT_EQ(run("run --spec cli_e2e/removed_threads.spec", &err), 2);
+  EXPECT_NE(err.find("campaign #2: unknown flag '--threads'"),
             std::string::npos)
       << err;
 }

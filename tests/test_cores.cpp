@@ -15,6 +15,13 @@ namespace {
 
 using namespace clear;
 
+// Committed instructions per cycle of a run (0 for a run of no cycles).
+double ipc(const arch::CoreRunResult& r) {
+  return r.cycles ? static_cast<double>(r.instrs) /
+                        static_cast<double>(r.cycles)
+                  : 0.0;
+}
+
 const char* kSumLoop = R"(
   .text
     addi r1, r0, 25
@@ -147,8 +154,8 @@ TEST(InOCore, IpcIsLow) {
   auto core = arch::make_ino_core();
   const auto r = core->run_clean(prog);
   // Paper Table 1: InO IPC ~0.4; the in-order model should be well below 1.
-  EXPECT_LT(r.ipc(), 0.8);
-  EXPECT_GT(r.ipc(), 0.15);
+  EXPECT_LT(ipc(r), 0.8);
+  EXPECT_GT(ipc(r), 0.15);
 }
 
 TEST(OoOCore, IpcBeatsInO) {
@@ -157,7 +164,7 @@ TEST(OoOCore, IpcBeatsInO) {
   auto ooo = arch::make_ooo_core();
   const auto ri = ino->run_clean(prog);
   const auto ro = ooo->run_clean(prog);
-  EXPECT_GT(ro.ipc(), ri.ipc());
+  EXPECT_GT(ipc(ro), ipc(ri));
 }
 
 TEST(Cores, WatchdogProducesHang) {

@@ -34,6 +34,7 @@
 #include "util/fs.h"
 #include "workloads/workloads.h"
 #include "merge_lists.h"
+#include "scoped_env.h"
 
 namespace {
 
@@ -272,7 +273,8 @@ TEST(EngineMemo, ConcurrentBatchesOfOneCampaignShareItsGolden) {
   for (const unsigned threads : {2u, 1u}) {
     auto spec = small_spec(&prog, "", 6000);
     spec.seed = 2100 + threads;  // a campaign no other test records
-    spec.threads = threads;
+    const ScopedEnv thread_count("CLEAR_THREADS",
+                                 std::to_string(threads).c_str());
     const std::string whole =
         inject::detail::serialize_result(0, engine::run_campaign(spec));
     const std::uint64_t goldens_before = goldens();
@@ -326,7 +328,8 @@ TEST(EngineTally, ShardBytesAndCachePayloadsMatchAtAnyThreadCount) {
     for (const unsigned threads : {1u, 2u, 4u}) {
       auto spec = small_spec(&prog, "tally", 6000);
       spec.seed = 2300;
-      spec.threads = threads;
+      const ScopedEnv thread_count("CLEAR_THREADS",
+                                   std::to_string(threads).c_str());
       spec.shard_count = 3;
       spec.shard_index = 1;
       if (adaptive) {
@@ -395,7 +398,8 @@ TEST(EngineTally, WarmBatchLeavesTheSameIndexAtAnyThreadCount) {
     for (const char* name : {"campaigns.pack", "campaigns.idx"}) {
       std::filesystem::copy_file(cold + "/" + name, warm + "/" + name);
     }
-    for (auto& spec : batch) spec.threads = threads;
+    const ScopedEnv thread_count("CLEAR_THREADS",
+                                 std::to_string(threads).c_str());
     ::setenv("CLEAR_CACHE_DIR", warm.c_str(), 1);
     const std::uint64_t hits = obs::counter("cache.hit").value();
     std::vector<inject::CampaignResult> served;

@@ -572,6 +572,11 @@ TEST(FleetEndpoints, ParseAndFanOutExpansion) {
   EXPECT_FALSE(fleet::parse_endpoint("tcp:0", &e, &err));
   EXPECT_FALSE(fleet::parse_endpoint("tcp:70000", &e, &err));
   EXPECT_FALSE(fleet::parse_endpoint("", &e, &err));
+  // The port is digits only: a sign or a blank is refused, and a negated
+  // 2^64 - 1 does not wrap round to port 1.
+  EXPECT_FALSE(fleet::parse_endpoint("tcp:-18446744073709551615", &e, &err));
+  EXPECT_FALSE(fleet::parse_endpoint("tcp:+9000", &e, &err));
+  EXPECT_FALSE(fleet::parse_endpoint("tcp: 9000", &e, &err));
 
   // "@N" expands to the `clear serve --workers N` child names.
   std::vector<fleet::Endpoint> out;
@@ -583,6 +588,17 @@ TEST(FleetEndpoints, ParseAndFanOutExpansion) {
   EXPECT_EQ(out[4].port, 9101);
   EXPECT_FALSE(fleet::expand_endpoints({"tcp:65535@2"}, &out, &err));
   EXPECT_FALSE(fleet::expand_endpoints({}, &out, &err));
+  // "@N" is digits only too.  A suffix that is not is part of the socket
+  // path, so a negated count does not wrap round to 4 workers...
+  ASSERT_TRUE(fleet::expand_endpoints({"x.sock@-18446744073709551612"}, &out,
+                                      &err));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].socket_path, "x.sock@-18446744073709551612");
+  ASSERT_TRUE(fleet::expand_endpoints({"x.sock@+2"}, &out, &err));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].socket_path, "x.sock@+2");
+  // ...and on a TCP endpoint it leaves a port that is not digits.
+  EXPECT_FALSE(fleet::expand_endpoints({"tcp:9100@ 2"}, &out, &err));
 }
 
 // ---- shard builders --------------------------------------------------------

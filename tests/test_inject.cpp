@@ -27,12 +27,13 @@
 #include "plan/runplan.h"
 #include "util/bytes.h"
 #include "util/fs.h"
-#include "util/threadpool.h"
 #include "workloads/workloads.h"
 #include "dead_at_flip_oracle.h"
 #include "merge_lists.h"
+#include "parallel_for.h"
 #include "payload_decode_oracle.h"
 #include "reference_campaign.h"
+#include "scoped_env.h"
 
 namespace {
 
@@ -146,9 +147,12 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
   spec.program = &prog;
   spec.injections = 600;
   spec.seed = 11;
-  spec.threads = 1;
-  const auto one = engine::run_campaign(spec);
-  spec.threads = 8;
+  inject::CampaignResult one;
+  {
+    const ScopedEnv one_thread("CLEAR_THREADS", "1");
+    one = engine::run_campaign(spec);
+  }
+  const ScopedEnv eight_threads("CLEAR_THREADS", "8");
   const auto eight = engine::run_campaign(spec);
   expect_identical(one, eight);
 }
@@ -1246,7 +1250,7 @@ inject::CampaignResult run_sharded(inject::CampaignSpec spec, std::uint32_t k) {
     inject::CampaignSpec shard = spec;
     shard.shard_count = k;
     shard.shard_index = s;
-    shard.threads = (s % 2 == 0) ? 1 : 8;
+    const ScopedEnv threads("CLEAR_THREADS", (s % 2 == 0) ? "1" : "8");
     shards.push_back(engine::run_campaign(shard));
   }
   return inject::merge_campaign_results(shards);
@@ -1259,7 +1263,7 @@ TEST(Sharding, MergeIsBitIdenticalToUnshardedOnInO) {
   spec.program = &prog;
   spec.injections = 630;
   spec.seed = 17;
-  spec.threads = 1;
+  const ScopedEnv one_thread("CLEAR_THREADS", "1");
   const auto whole = engine::run_campaign(spec);
   ASSERT_EQ(whole.totals.total(), 630u);
   for (const std::uint32_t k : {2u, 3u, 7u}) {
@@ -1276,7 +1280,7 @@ TEST(Sharding, MergeIsBitIdenticalToUnshardedOnOoO) {
   spec.program = &prog;
   spec.injections = 210;
   spec.seed = 3;
-  spec.threads = 1;
+  const ScopedEnv one_thread("CLEAR_THREADS", "1");
   const auto whole = engine::run_campaign(spec);
   for (const std::uint32_t k : {2u, 3u, 7u}) {
     expect_identical(whole, run_sharded(spec, k));
@@ -1292,7 +1296,7 @@ TEST(Sharding, MergeMatchesUnshardedReference) {
   spec.program = &prog;
   spec.injections = 450;
   spec.seed = 29;
-  spec.threads = 1;
+  const ScopedEnv one_thread("CLEAR_THREADS", "1");
   expect_identical(testref::reference_campaign(spec), run_sharded(spec, 3));
   inject::CampaignSpec shard = spec;
   shard.shard_index = 1;
@@ -1314,7 +1318,7 @@ TEST(Sharding, CommutesWithHardeningSuppression) {
   spec.program = &prog;
   spec.injections = 400;
   spec.seed = 41;
-  spec.threads = 1;
+  const ScopedEnv one_thread("CLEAR_THREADS", "1");
   spec.cfg = &cfg;
   const auto whole = engine::run_campaign(spec);
   EXPECT_GT(whole.totals.vanished, 0u);  // ~75% suppressed at LHL SER
@@ -1415,7 +1419,8 @@ TEST(Sharding, ShardsSharingABatchRecordTheGoldenOnce) {
     spec.program = &prog;
     spec.injections = 4 * arch::core_ff_count("InO");
     spec.seed = 1801 + threads;  // a campaign no other test records
-    spec.threads = threads;
+    const ScopedEnv thread_count("CLEAR_THREADS",
+                                 std::to_string(threads).c_str());
     const auto whole = engine::run_campaign(spec);
 
     constexpr std::uint32_t kShards = 4;
@@ -1661,6 +1666,18 @@ TEST(Classify, GoldenTableLocksOutcomeTaxonomy) {
     ADD_FAILURE() << "unknown status " << s;
     return isa::RunStatus::kRunning;
   };
+  // The table's outcome spellings.
+  const auto outcome_name = [](inject::Outcome o) {
+    switch (o) {
+      case inject::Outcome::kVanished: return "Vanished";
+      case inject::Outcome::kOmm: return "OMM";
+      case inject::Outcome::kUt: return "UT";
+      case inject::Outcome::kHang: return "Hang";
+      case inject::Outcome::kEd: return "ED";
+      case inject::Outcome::kRecovered: return "Recovered";
+    }
+    return "?";
+  };
 
   int cases = 0;
   std::string line;
@@ -1678,7 +1695,7 @@ TEST(Classify, GoldenTableLocksOutcomeTaxonomy) {
     faulty.status = parse_status(status);
     faulty.recoveries = recoveries;
     if (output_matches == 0) faulty.output = {0xDEAD};
-    EXPECT_STREQ(inject::outcome_name(inject::classify(faulty, golden)),
+    EXPECT_STREQ(outcome_name(inject::classify(faulty, golden)),
                  expected.c_str())
         << "case: " << line;
     ++cases;

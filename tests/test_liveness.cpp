@@ -34,6 +34,18 @@ namespace {
 
 using namespace clear;
 
+// Boundaries a finished recording holds: at(b) answers for b below it.
+std::size_t boundaries(const arch::FFLiveness& l) {
+  std::size_t b = 0;
+  while (l.at(b) != nullptr) ++b;
+  return b;
+}
+
+// Whether FF-pool slot `slot` is live at recorded boundary `b`.
+bool live_at(const arch::FFLiveness& l, std::size_t b, std::size_t slot) {
+  return ((l.at(b)[slot / 64] >> (slot % 64)) & 1U) != 0;
+}
+
 constexpr std::uint64_t kBudget = 1u << 20;
 
 // Snapshots both cores (which flushes their bookkeeping into the arena)
@@ -193,7 +205,7 @@ TEST_P(DeadStateScramble, RunEndsLikeGolden) {
   }
   live.end_interval(*traced);
   live.finish();
-  ASSERT_EQ(live.boundaries(), cps.size());
+  ASSERT_EQ(boundaries(live), cps.size());
 
   core->begin(prog, cfg, nullptr);
   const auto& structures = core->registry().structures();
@@ -204,7 +216,7 @@ TEST_P(DeadStateScramble, RunEndsLikeGolden) {
       core->restore(cps[b], nullptr);
       const auto view = core->state_view();
       for (const auto& s : structures) {
-        if (live.live(b, s.slot)) continue;
+        if (live_at(live, b, s.slot)) continue;
         const std::uint64_t mask =
             s.width == 64 ? ~0ULL : (std::uint64_t{1} << s.width) - 1;
         const std::uint64_t v = rng.next() & mask;
@@ -324,7 +336,7 @@ TEST_P(LiveSetPin, RecordingMatchesPinnedLiveSets) {
   const std::size_t words = (traced->registry().pool().size() + 63) / 64;
   std::size_t live_slots = 0;
   std::uint64_t hash = util::fnv1a64(nullptr, 0);
-  for (std::size_t b = 0; b < live.boundaries(); ++b) {
+  for (std::size_t b = 0; b < boundaries(live); ++b) {
     const std::uint64_t* set = live.at(b);
     for (std::size_t w = 0; w < words; ++w) {
       live_slots += static_cast<std::size_t>(__builtin_popcountll(set[w]));
@@ -382,15 +394,16 @@ TEST(FFLiveness, WatchesKeepTheLiveSetsAndAnswerLikeAPerCycleRecording) {
     const arch::FFLiveness plain = record(16, false);
     const arch::FFLiveness per_cycle = record(1, false);
     const arch::FFLiveness watched = record(16, true);
-    ASSERT_EQ(watched.boundaries(), plain.boundaries());
+    ASSERT_EQ(boundaries(watched), boundaries(plain));
     const std::size_t words = (slots + 63) / 64;
-    for (std::size_t b = 0; b < plain.boundaries(); ++b) {
+    for (std::size_t b = 0; b < boundaries(plain); ++b) {
       EXPECT_TRUE(std::equal(plain.at(b), plain.at(b) + words, watched.at(b)))
           << "live set " << b;
     }
     std::size_t dead = 0;
     for (const auto& [slot, cycle] : asked) {
-      const bool want = !per_cycle.live(static_cast<std::size_t>(cycle), slot);
+      const bool want =
+          !live_at(per_cycle, static_cast<std::size_t>(cycle), slot);
       EXPECT_EQ(watched.dead(slot, cycle), want)
           << "slot " << slot << " at cycle " << cycle;
       dead += want ? 1 : 0;
@@ -418,13 +431,13 @@ TEST(FFLiveness, BackwardPassFollowsFirstAccess) {
   }
   live.end_interval(*traced);
   live.finish();
-  ASSERT_EQ(live.boundaries(), intervals);
+  ASSERT_EQ(boundaries(live), intervals);
   EXPECT_EQ(live.at(intervals), nullptr);
   const std::size_t slots = traced->registry().pool().size();
   std::size_t dead = 0, live0 = 0;
   for (std::size_t s = 0; s < slots; ++s) {
-    dead += live.live(intervals / 2, s) ? 0 : 1;
-    live0 += live.live(0, s) ? 1 : 0;
+    dead += live_at(live, intervals / 2, s) ? 0 : 1;
+    live0 += live_at(live, 0, s) ? 1 : 0;
   }
   EXPECT_GT(dead, 0u);
   EXPECT_GT(live0, 0u);

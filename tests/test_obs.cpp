@@ -262,31 +262,28 @@ TEST(ObsJson, SchemaAndSparseBuckets) {
 
 // ---- result neutrality (the acceptance criterion) --------------------------
 
-// Runs the same campaign with CLEAR_METRICS=0 and =1; the .csr bytes
-// must be bit-identical -- collection must never feed simulation state.
-void expect_neutral_csr(const std::string& tag, const std::string& flags) {
+// Runs the same campaign on `threads` worker threads with CLEAR_METRICS=0
+// and =1; the .csr bytes must be bit-identical -- collection must never
+// feed simulation state.
+void expect_neutral_csr(const std::string& tag, const std::string& threads,
+                        const std::string& flags) {
   const std::string off = kDir + "/" + tag + "_off.csr";
   const std::string on = kDir + "/" + tag + "_on.csr";
-  ASSERT_EQ(sh("CLEAR_METRICS=0 " + kBin + " run " + flags + " --out " + off),
-            0);
-  ASSERT_EQ(sh("CLEAR_METRICS=1 " + kBin + " run " + flags + " --out " + on),
-            0);
+  const std::string env = "CLEAR_THREADS=" + threads + " CLEAR_METRICS=";
+  ASSERT_EQ(sh(env + "0 " + kBin + " run " + flags + " --out " + off), 0);
+  ASSERT_EQ(sh(env + "1 " + kBin + " run " + flags + " --out " + on), 0);
   const std::string a = slurp(off);
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, slurp(on)) << tag << ": metrics changed the .csr bytes";
 }
 
 TEST(ObsNeutrality, CsrBytesIdenticalAcrossGate) {
-  expect_neutral_csr("ino_t1",
-                     "--bench gzip --injections 90 --seed 11 --threads 1");
-  expect_neutral_csr("ino_t8",
-                     "--bench gzip --injections 90 --seed 11 --threads 8");
-  expect_neutral_csr("ino_shard",
-                     "--bench gzip --injections 90 --seed 11 --threads 8 "
-                     "--shard 1/3");
-  expect_neutral_csr("ooo_t2",
-                     "--core OoO --bench gzip --injections 60 --seed 7 "
-                     "--threads 2");
+  expect_neutral_csr("ino_t1", "1", "--bench gzip --injections 90 --seed 11");
+  expect_neutral_csr("ino_t8", "8", "--bench gzip --injections 90 --seed 11");
+  expect_neutral_csr("ino_shard", "8",
+                     "--bench gzip --injections 90 --seed 11 --shard 1/3");
+  expect_neutral_csr("ooo_t2", "2",
+                     "--core OoO --bench gzip --injections 60 --seed 7");
 }
 
 TEST(ObsNeutrality, CxlBytesIdenticalAcrossGate) {

@@ -176,8 +176,9 @@ TEST(ParityPlan, LocalityOrdersMatchStringComparatorOracle) {
     std::mt19937_64 rng(0xC1EA2u);
     for (const ParityHeuristic h :
          {ParityHeuristic::kOptimized, ParityHeuristic::kLocality}) {
-      SCOPED_TRACE(std::string(name) + " " +
-                   resilience::parity_heuristic_name(h));
+      SCOPED_TRACE(std::string(name) +
+                   (h == ParityHeuristic::kOptimized ? " optimized"
+                                                     : " locality"));
       expect_same_plan(resilience::build_parity_plan(model, ffs, h),
                        oracle_plan(*core, model, ffs, h));
       // Seeded random subsets, shuffled so the stable sort sees ties out

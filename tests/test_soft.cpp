@@ -163,9 +163,13 @@ TEST(Cfcss, DetectsControlFlowHijack) {
     bool hijacked = false;
     m.pre_exec_hook = [&](isa::Machine& mm, const isa::Instr&) {
       if (step++ == at && !hijacked) {
-        // Jump to an arbitrary earlier location (wrong basic block).
-        mm.set_pc((mm.pc() + 24 + 8 * (t % 5)) %
-                  (static_cast<std::uint32_t>(prog.code.size()) * 4) & ~3u);
+        // Jump to an arbitrary earlier location (wrong basic block): the
+        // delta round trip is the public way to rewrite a Machine's pc.
+        isa::MachineDelta d;
+        mm.capture_delta(nullptr, 0, &d);
+        d.pc = (mm.pc() + 24 + 8 * (t % 5)) %
+               (static_cast<std::uint32_t>(prog.code.size()) * 4) & ~3u;
+        mm.restore_delta(d, nullptr, 0);
         hijacked = true;
       }
     };

@@ -2,15 +2,24 @@
 """Link-closure check: every library function a production binary links.
 
 `libclear.a` should define only what `clear`, `paper_tables` and the
-examples use.  This check lists the external functions of the library
-(`T` symbols of `nm -C libclear.a`) that survive in none of those
-binaries after the linker dropped every unreferenced section, and fails
-unless each one is named in an allowlist with the reason it stays:
+examples use.  This check lists the functions of the library that
+survive in none of those binaries after the linker dropped every
+unreferenced section, and fails unless each one is named in an
+allowlist with the reason it stays:
 
     python3 tools/link_closure.py --build-dir build-linkclosure
 
-The build must keep one function per section and let the linker collect
-the unused ones (the `linkclosure` configure preset):
+It reads two kinds of library function (`nm -C libclear.a`): the
+external ones (`T`), and the inline ones defined in headers (`W`, which
+the build emits with -fkeep-inline-functions) that are user-written
+functions in `clear::`.  Not seen: constructors and destructors (most
+are compiler-made), lambdas and everything instantiated over one,
+instantiations of `std::` templates, and templates no translation unit
+instantiates.
+
+The build must keep one function per section, emit every inline
+function, and let the linker collect the unused ones (the `linkclosure`
+configure preset):
 
     cmake --preset linkclosure && cmake --build build-linkclosure -j
 
@@ -75,12 +84,56 @@ def defined(nm_text, types):
     return out
 
 
+def qualified_name(sym):
+    """The qualified name of a demangled function: the text before its
+    parameter list, without the return type a function template's
+    signature starts with."""
+    depth, last_space, i = 0, -1, 0
+    while i < len(sym):
+        if sym.startswith("operator", i):
+            # Skip the operator's own symbols: "()", "<<", "->", "[]", ...
+            i += len("operator")
+            if sym.startswith("()", i):
+                i += 2
+            while i < len(sym) and sym[i] in "<>=!+-*/%^&|~[],":
+                i += 1
+            continue
+        c = sym[i]
+        if c == "(" and depth == 0:
+            break
+        if c in "<(":
+            depth += 1
+        elif c in ">)":
+            depth -= 1
+        elif c == " " and depth == 0:
+            last_space = i
+        i += 1
+    name = sym[:i]
+    if name.endswith(">") and last_space >= 0:
+        name = name[last_space + 1:]
+    return name
+
+
+def checked_inline(sym):
+    """Whether a `W` library symbol is a user-written function in clear::
+    (not a constructor, destructor, lambda or std:: instantiation)."""
+    if "{lambda" in sym:
+        return False
+    name = qualified_name(sym)
+    if not name.startswith("clear::"):
+        return False
+    parts = [p.split("<")[0] for p in name.split("::")]
+    return parts[-1] != parts[-2] and not parts[-1].startswith("~")
+
+
 def unlinked(lib_nm, bin_nms):
     """Library functions that no binary defines after linking."""
     linked = set()
     for text in bin_nms:
-        linked |= defined(text, "Tt")
-    return sorted(defined(lib_nm, "T") - linked)
+        linked |= defined(text, "TtWw")
+    lib = defined(lib_nm, "T")
+    lib |= {w for w in defined(lib_nm, "W") if checked_inline(w)}
+    return sorted(lib - linked)
 
 
 def load_allowlist(path):

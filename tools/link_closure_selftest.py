@@ -8,9 +8,13 @@ Feeds the check synthetic `nm -C` listings, so it needs no build:
      binary defines is linked;
   3. an unlisted function, a stale entry, an entry without a reason and
      a repeated entry are findings; an allowlisted function is not;
-  4. the command line reads saved listings and exits 1 on findings, 0
+  4. inline (`W`) library functions count like `T` ones: an unlinked one
+     is a finding, an allowlisted one a binary links is stale, and
+     constructors, destructors, lambdas and std:: instantiations are
+     ignored;
+  5. the command line reads saved listings and exits 1 on findings, 0
      when clean;
-  5. the real allowlist parses, every entry with a reason.
+  6. the real allowlist parses, every entry with a reason.
 """
 
 import os
@@ -73,6 +77,60 @@ def check_unlinked():
                                 % LONG]) == [want[0]],
            "a function any one binary defines is linked")
     print("ok: unlinked (%d of 4 library functions)" % len(got))
+
+
+# Inline functions: what -fkeep-inline-functions emits into the library.
+INLINE_LIB_NM = """
+0000000000000000 W clear::Widget::size() const
+0000000000000010 W clear::Widget::unused() const
+0000000000000020 W clear::Widget::operator bool() const
+0000000000000030 W clear::Widget::Widget(clear::Widget&&)
+0000000000000040 W clear::Holder<int>::Holder()
+0000000000000050 W clear::Widget::~Widget()
+0000000000000060 W clear::run()::{lambda(int)#1}::operator()(int) const
+0000000000000070 W std::vector<clear::Widget, std::allocator<clear::Widget> >::size() const
+0000000000000080 W clear::Widget const& std::forward<clear::Widget const&>(clear::Widget const&)
+0000000000000090 W bool clear::util::as<bool>(int)
+00000000000000a0 W int clear::util::as<int>(int)
+"""
+
+INLINE_BIN_NM = """
+0000000000401000 W clear::Widget::size() const
+0000000000401100 W int clear::util::as<int>(int)
+"""
+
+
+def check_inline(tmp):
+    names = lc.unlinked(INLINE_LIB_NM, [INLINE_BIN_NM])
+    want = ["bool clear::util::as<bool>(int)",
+            "clear::Widget::operator bool() const",
+            "clear::Widget::unused() const"]
+    expect(names == want, "inline: got %r, want %r" % (names, want))
+    for sym, name in (("bool clear::util::as<bool>(int)",
+                       "clear::util::as<bool>"),
+                      ("clear::X::operator()(int) const",
+                       "clear::X::operator()"),
+                      ("clear::X::operator<(clear::X const&) const",
+                       "clear::X::operator<"),
+                      ("clear::W const& std::forward<clear::W const&>(int)",
+                       "std::forward<clear::W const&>")):
+        got = lc.qualified_name(sym)
+        expect(got == name, "qualified_name(%r) = %r" % (sym, got))
+
+    # An allowlisted inline function a binary links is stale, like a
+    # `T` one; the unlinked ones are findings until listed.
+    allowlist = write(tmp, "inline.txt",
+                      "clear::Widget::unused() const  # the widget test\n"
+                      "clear::Widget::size() const  # linked, so stale\n")
+    entries, errors = lc.load_allowlist(allowlist)
+    findings = lc.check(names, entries, errors, "al")
+    for needle in ("bool clear::util::as<bool>(int): no production binary",
+                   "clear::Widget::operator bool() const: no production",
+                   "al:2: stale entry 'clear::Widget::size() const'"):
+        expect(any(f.startswith(needle) for f in findings),
+               "missing finding %r in %r" % (needle, findings))
+    expect(len(findings) == 3, "want 3 inline findings, got %r" % findings)
+    print("ok: inline functions (unlinked, stale, ignored kinds)")
 
 
 def write(directory, name, text):
@@ -141,6 +199,7 @@ def main():
     check_unlinked()
     with tempfile.TemporaryDirectory() as tmp:
         clean, bad = check_findings(tmp)
+        check_inline(tmp)
         check_cli(tmp, clean, bad)
     check_real_allowlist()
     print("link_closure selftest: all checks passed")
