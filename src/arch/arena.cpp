@@ -1,20 +1,11 @@
 #include "arch/arena.h"
 
-#include <mutex>
-
 #include "arch/types.h"
 #include "isa/program.h"
 #include "util/rng.h"
 
 namespace clear::arch {
 namespace detail {
-
-struct SegPool::Impl {
-  std::mutex m;
-  std::vector<Segment*> free_list;
-};
-
-SegPool::SegPool() : impl_(new Impl) {}
 
 SegPool& SegPool::instance() {
   // Leaked intentionally: snapshots may be torn down during static
@@ -25,12 +16,11 @@ SegPool& SegPool::instance() {
 }
 
 Segment* SegPool::acquire() {
-  live_.fetch_add(1, std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> g(impl_->m);
-    if (!impl_->free_list.empty()) {
-      Segment* s = impl_->free_list.back();
-      impl_->free_list.pop_back();
+    std::lock_guard<std::mutex> g(m_);
+    if (!free_list_.empty()) {
+      Segment* s = free_list_.back();
+      free_list_.pop_back();
       return s;
     }
   }
@@ -38,11 +28,10 @@ Segment* SegPool::acquire() {
 }
 
 void SegPool::release(Segment* s) noexcept {
-  live_.fetch_sub(1, std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> g(impl_->m);
-    if (impl_->free_list.size() < kMaxFree) {
-      impl_->free_list.push_back(s);
+    std::lock_guard<std::mutex> g(m_);
+    if (free_list_.size() < kMaxFree) {
+      free_list_.push_back(s);
       return;
     }
   }

@@ -44,6 +44,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
 #include <vector>
 
 namespace clear::isa {
@@ -93,11 +94,10 @@ class SegPool {
   friend struct arch::ArenaAccess;
 
   static constexpr std::size_t kMaxFree = 8192;  // 16 MiB of pooled segments
-  std::atomic<std::size_t> live_{0};  // segments live outside the pool
   // Mutex-free stack would need ABA care; a mutex is fine at snapshot rate.
-  struct Impl;
-  Impl* impl_;
-  SegPool();
+  std::mutex m_;
+  std::vector<Segment*> free_list_;
+  SegPool() = default;
 };
 
 // Intrusive refcounted handle to one pooled segment.
@@ -277,12 +277,6 @@ class StateArena {
     return buf_.size();
   }
   [[nodiscard]] std::size_t fwd_words() const noexcept { return fwd_words_; }
-  // Declared payload bytes of one section (no padding).
-  [[nodiscard]] std::size_t section_bytes(int s) const noexcept {
-    const Section& sec = secs_[static_cast<std::size_t>(s)];
-    return sec.elem_size * sec.count;
-  }
-
   // ---- snapshot plumbing (the few bounded memcpys) ----
   // Both make the snapshot last_snap_ and clear every dirty bit.
   void snapshot_to(ArenaSnapshot* out) const {

@@ -43,22 +43,6 @@
 
 namespace clear::arch {
 
-// Per-component byte accounting of a checkpoint (logical sizes: shared COW
-// segments and shared ring entries are counted as if owned, so the numbers
-// track what a deep copy would have cost).
-struct CheckpointSizes {
-  std::size_t ff = 0;       // flip-flop registry pool
-  std::size_t scalars = 0;  // forward scalar fields (DFC sig, drain, ...)
-  std::size_t regs = 0;     // architectural register file
-  std::size_t mem = 0;      // data memory image
-  std::size_t sram = 0;     // SRAM arrays (gshare PHT, L1D tags/valid)
-  std::size_t output = 0;   // OUT stream (arena region + spill)
-  std::size_t aux = 0;      // bookkeeping (cycle, outcome latches, ...)
-  std::size_t ring = 0;     // IR/EIR replay window
-  std::size_t shadow = 0;   // monitor shadow Machine delta
-  std::size_t dets = 0;     // latched pending detections
-};
-
 // Complete serialized execution state of a core at a cycle boundary.
 // restore() into a core that has begun the same (program, config) resumes
 // execution bit-exactly; any other core refuses (layout fingerprint).
@@ -82,7 +66,6 @@ struct CoreCheckpoint {
   // Monitor-core checker state (OoO only), delta-encoded against the
   // checkpointed data memory image inside `state`.
   isa::MachineDelta shadow;
-  CheckpointSizes sizes;  // filled by snapshot()
 };
 
 class Core {

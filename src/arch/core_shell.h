@@ -488,16 +488,6 @@ void CoreShell<Pipeline, kTraced>::snapshot(CoreCheckpoint* out) const {
   out->output_spill = out_spill_;
   out->dets = dets_;
   out->ring = ring_.pruned(earliest_rollback_target());
-  CheckpointSizes& sz = out->sizes;
-  sz = CheckpointSizes{};
-  sz.ff = arena_.ff_words() * 8;
-  sz.scalars = arena_.section_bytes(sec_fwd_);
-  sz.regs = arena_.section_bytes(sec_regs_);
-  sz.mem = arena_.section_bytes(sec_mem_);
-  sz.output = arena_.section_bytes(sec_out_) + out_spill_.size() * 4;
-  sz.aux = arena_.section_bytes(sec_aux_);
-  sz.ring = out->ring.size_bytes();
-  sz.dets = out->dets.size() * sizeof(PendingDetection);
   self().snapshot_extra(out);
 }
 

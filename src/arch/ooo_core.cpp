@@ -1195,9 +1195,6 @@ void OoOCore<kTraced>::snapshot_extra(CoreCheckpoint* out) const {
   } else {
     out->shadow = isa::MachineDelta{};
   }
-  out->sizes.sram =
-      arena_.section_bytes(sec_sram8_) + arena_.section_bytes(sec_sram32_);
-  out->sizes.shadow = out->shadow.size_bytes();
 }
 
 template <bool kTraced>

@@ -27,6 +27,10 @@
 
 namespace clear::arch {
 
+// Test-side view of a ring's entries (a friend; defined in
+// tests/test_liveness.cpp).
+struct RingAccess;
+
 class RollbackRing {
  public:
   struct Restored {
@@ -118,18 +122,9 @@ class RollbackRing {
     return out;
   }
 
-  // Bytes this ring pins (entry payloads counted once per reference; use
-  // for checkpoint size accounting, where sharing is the point).
-  [[nodiscard]] std::size_t size_bytes() const noexcept {
-    std::size_t n = pending_writes_.size() * 8;
-    for (const auto& e : ring_) {
-      n += sizeof(Entry) + e->ff.size() * 8 + e->regs.size() * 4 +
-           e->writes.size() * 8;
-    }
-    return n;
-  }
-
  private:
+  friend struct RingAccess;
+
   struct Entry {
     std::uint64_t cycle = 0;
     std::vector<std::uint64_t> ff;

@@ -29,7 +29,6 @@ constexpr const char* kTopHelp =
     "           combinations (run/merge/frontier/report on .cxl ledgers)\n"
     "  serve    shard-worker daemon: manifests in over a local socket,\n"
     "           progress events and .csr payloads streamed back\n"
-    "  submit   send a manifest to a serve daemon, collect its .csr files\n"
     "  fleet    orchestrate many serve workers: pull shard dispatch,\n"
     "           dead-worker redispatch, live result merge\n"
     "  status   live fleet/worker/cache telemetry tables from serve\n"
@@ -87,7 +86,6 @@ int run(int argc, char** argv) {
     if (cmd == "cache") return cmd_cache(sub_argc, sub_argv);
     if (cmd == "explore") return cmd_explore(sub_argc, sub_argv);
     if (cmd == "serve") return cmd_serve(sub_argc, sub_argv);
-    if (cmd == "submit") return cmd_submit(sub_argc, sub_argv);
     if (cmd == "fleet") return cmd_fleet(sub_argc, sub_argv);
     if (cmd == "status") return cmd_status(sub_argc, sub_argv);
     if (cmd == "--help" || cmd == "-h" || cmd == "help") {

@@ -20,7 +20,8 @@
 //                  ledgers, render the Pareto frontier (explore/explore.h)
 //   clear serve    shard-worker daemon: accept campaign manifests over a
 //                  local socket, stream progress, return .csr payloads
-//   clear submit   driver client for a serve daemon
+//   clear fleet    driver of serve daemons: shard a manifest or an
+//                  exploration across them, live-merge the results
 //   clear status   live fleet/worker telemetry tables: per-worker cache,
 //                  latency and shard columns from serve heartbeats or a
 //                  fleet --status-out file (docs/OBSERVABILITY.md)
@@ -58,10 +59,8 @@ int cmd_cache(int argc, const char* const* argv);
 // `clear explore <run|merge|frontier|report>`: argv[0] is the explore
 // subcommand word.
 int cmd_explore(int argc, const char* const* argv);
-// `clear serve` / `clear submit`: the shard-worker daemon (fleet/worker.h)
-// and its one-worker, one-shard driver (fleet/fleet.h).
+// `clear serve`: the shard-worker daemon (fleet/worker.h).
 int cmd_serve(int argc, const char* const* argv);
-int cmd_submit(int argc, const char* const* argv);
 // `clear fleet <run|explore>`: multi-worker orchestration over serve
 // daemons (fleet/fleet.h), folding arriving results into live merges.
 int cmd_fleet(int argc, const char* const* argv);

@@ -1,19 +1,15 @@
-// `clear fleet` and `clear submit`: the drivers of `clear serve` workers.
+// `clear fleet`: the driver of `clear serve` workers.
 //
 //   clear fleet run      shard a campaign manifest across workers, fold
 //                        the .csr results into out-dir/campaign<i>.csr.
 //   clear fleet explore  shard an exploration's combination space, fold
 //                        the .cxl shard ledgers into one watchable ledger.
-//   clear submit         a one-worker, one-shard fleet: a manifest sent
-//                        verbatim, its campaign<i>.csr files written
-//                        byte-identical to a local `clear run`.
 //
 // How an arriving result joins a merge is inject::fold_shard (.csr) and
 // explore::fold_ledger (.cxl); this file only parses flags and writes
-// the merges out: CampaignSink for `clear fleet run` and `clear submit`,
-// the ledger sink for `clear fleet explore`.  Worker endpoints are
-// positional operands (fleet::expand_endpoints); scheduling lives in
-// fleet/fleet.h.
+// the merges out: CampaignSink for `clear fleet run`, the ledger sink for
+// `clear fleet explore`.  Worker endpoints are positional operands
+// (fleet::expand_endpoints); scheduling lives in fleet/fleet.h.
 #include <cstdio>
 #include <functional>
 #include <stdexcept>
@@ -34,9 +30,8 @@ namespace clear::cli {
 
 namespace {
 
-// The flags every driver of serve workers shares: how to reach a worker
-// and whether to stop it afterwards (parsed into FleetOptions), and
-// --quiet.
+// How to reach a worker and whether to stop it afterwards (parsed into
+// FleetOptions), and --quiet.
 void add_connection_flags(util::ArgParser* args) {
   args->add_option("connect-retry-ms", "N",
                    "retry a refused connection this long (daemon startup)",
@@ -59,18 +54,16 @@ bool parse_connection_flags(const util::ArgParser& args,
   return true;
 }
 
-// The one campaign sink, for `clear fleet run` and `clear submit`: one
-// running merge per manifest stanza.  Each arriving .csr is decoded,
-// folded into its stanza's merge in place (inject::fold_shard) and
-// out_dir/campaign<i>.csr is rewritten from it atomically -- watchable
-// while the fleet runs, complete when it returns.  An arrival costs one
+// The campaign sink of `clear fleet run`: one running merge per manifest
+// stanza.  Each arriving .csr is decoded, folded into its stanza's merge
+// in place (inject::fold_shard) and out_dir/campaign<i>.csr is rewritten
+// from it atomically -- watchable while the fleet runs, complete when it
+// returns.  An arrival costs one
 // decode, one in-place counter fold and one encode per stanza.
 class CampaignSink {
  public:
-  // `announce` prints a "wrote" line for every rewritten file.
-  CampaignSink(std::string out_dir, const std::string& manifest,
-               bool announce)
-      : out_dir_(std::move(out_dir)), announce_(announce) {
+  CampaignSink(std::string out_dir, const std::string& manifest)
+      : out_dir_(std::move(out_dir)) {
     std::vector<std::vector<std::string>> stanzas;
     plan::split_spec_stanzas(manifest, &stanzas);
     running_.resize(stanzas.size());
@@ -95,12 +88,6 @@ class CampaignSink {
       }
       inject::fold_shard(&running_[i], arrived);
       inject::write_shard_file(path(i), running_[i]);
-      if (announce_) {
-        std::printf("wrote %s (%llu samples, key=%s)\n", path(i).c_str(),
-                    static_cast<unsigned long long>(
-                        running_[i].result.totals.total()),
-                    running_[i].key.c_str());
-      }
     }
   }
 
@@ -120,13 +107,11 @@ class CampaignSink {
   }
 
   std::string out_dir_;
-  bool announce_;
   std::vector<inject::ShardFile> running_;
 };
 
 // Logs the fleet's scheduling to stdout.  A worker's death and its
-// reason go to stderr whatever `quiet` says, as in `clear submit`: they
-// explain a failed run.
+// reason go to stderr whatever `quiet` says: they explain a failed run.
 fleet::EventFn make_event_logger(bool quiet) {
   return [quiet](const fleet::FleetEvent& e) {
     using Kind = fleet::FleetEvent::Kind;
@@ -196,6 +181,32 @@ struct FleetArgs {
   std::vector<fleet::Endpoint> workers;
   std::uint32_t shard_count = 0;  // --shards, else one per worker
   bool quiet = false;
+};
+
+// Keeps --shutdown's promise when a fleet verb exits -- by a return or a
+// throw -- before fleet::run_fleet runs, as when the driver refuses the
+// manifest itself: the named workers are told to exit with an empty run.
+// Disarmed once the run starts, since run_fleet shuts them down itself.
+class ShutdownUnlessRun {
+ public:
+  explicit ShutdownUnlessRun(const FleetArgs& fa) : fa_(fa) {}
+  ShutdownUnlessRun(const ShutdownUnlessRun&) = delete;
+  ShutdownUnlessRun& operator=(const ShutdownUnlessRun&) = delete;
+  ~ShutdownUnlessRun() {
+    if (!armed_ || !fa_.opts.shutdown_workers) return;
+    fleet::FleetOptions opts = fa_.opts;
+    opts.status_out.clear();  // the refused run has no status to show
+    try {
+      (void)fleet::run_fleet(fa_.workers, {}, opts);
+    } catch (...) {
+      // Best effort: the refusal is what the caller reports.
+    }
+  }
+  void disarm() { armed_ = false; }
+
+ private:
+  const FleetArgs& fa_;
+  bool armed_ = true;
 };
 
 void add_fleet_flags(util::ArgParser* args) {
@@ -276,8 +287,9 @@ int fleet_run(int argc, const char* const* argv) {
       "across 'clear serve' workers -- every campaign stanza gains\n"
       "--shard k/K -- and live-merges the returned .csr payloads into\n"
       "out-dir/campaign<i>.csr, rewritten atomically as shards arrive.\n"
-      "The merged files are bit-identical to an unsharded local run,\n"
-      "whichever workers executed (or re-executed) each shard.");
+      "The merged files are bit-identical to 'clear merge' of the same K\n"
+      "shards run locally (to 'clear run' itself when K is 1), whichever\n"
+      "workers executed (or re-executed) each shard.");
   args.add_option("spec", "file", "manifest to shard (required)");
   args.add_option("out-dir", "dir", "write merged campaign<i>.csr here",
                   ".");
@@ -287,6 +299,7 @@ int fleet_run(int argc, const char* const* argv) {
   if (!parse_fleet_verb(args, argc, argv, kVerb, "spec", &fa, &rc)) {
     return rc;
   }
+  ShutdownUnlessRun guard(fa);
   std::string manifest;
   if (!util::read_file(args.get("spec"), &manifest)) {
     std::fprintf(stderr, "%s: cannot read spec file '%s'\n", kVerb,
@@ -306,7 +319,8 @@ int fleet_run(int argc, const char* const* argv) {
                  out_dir.c_str());
     return 1;
   }
-  CampaignSink sink(out_dir, manifest, false);
+  CampaignSink sink(out_dir, manifest);
+  guard.disarm();
   if ((rc = drive_fleet(args, kVerb, fa, shards, std::ref(sink))) != 0) {
     return rc;
   }
@@ -342,6 +356,7 @@ int fleet_explore(int argc, const char* const* argv) {
   if (!parse_fleet_verb(args, argc, argv, kVerb, "ledger", &fa, &rc)) {
     return rc;
   }
+  ShutdownUnlessRun guard(fa);
   // The grammar the workers parse their shard stanzas with.
   explore::ExploreSpec spec;
   std::string error;
@@ -375,6 +390,7 @@ int fleet_explore(int argc, const char* const* argv) {
     explore::fold_ledger(&running, arrived);
     explore::write_ledger_file(ledger_path, running);
   };
+  guard.disarm();
   if ((rc = drive_fleet(args, kVerb, fa, shards, sink)) != 0) return rc;
   if (!fa.quiet) {
     std::printf("fleet      merged ledger written to %s\n",
@@ -417,89 +433,6 @@ int cmd_fleet(int argc, const char* const* argv) {
   std::fprintf(stderr, "clear fleet: unknown command '%s'\n\n", sub.c_str());
   std::fputs(kFleetHelp, stderr);
   return 2;
-}
-
-int cmd_submit(int argc, const char* const* argv) {
-  constexpr const char* kVerb = "clear submit";
-  util::ArgParser args(
-      "clear submit (--socket <path> | --port <N>) --spec <file> [options]",
-      "Submits a campaign manifest (the 'clear run --spec' grammar) to a\n"
-      "'clear serve' worker, streams its progress, and writes the\n"
-      "returned shard results as .csr files -- byte-identical to what\n"
-      "'clear run --out' would have written locally.  A worker silent for\n"
-      "5 s is declared dead and the submit fails.");
-  args.add_option("socket", "path", "connect to a UNIX stream socket");
-  args.add_option("port", "N", "connect to 127.0.0.1:N instead");
-  args.add_option("spec", "file", "manifest to submit (required)");
-  args.add_option("out-dir", "dir",
-                  "write campaign<i>.csr results here", ".");
-  add_connection_flags(&args);
-
-  int rc = 0;
-  if (!parse_verb(args, argc, argv, kVerb, &rc, "spec")) return rc;
-  const bool have_socket = args.has("socket");
-  if (have_socket == args.has("port")) {
-    std::fprintf(stderr,
-                 "%s: exactly one of --socket or --port required\n%s",
-                 kVerb, args.help().c_str());
-    return 2;
-  }
-  fleet::FleetOptions opts;
-  std::uint64_t port = 0;
-  if (!args.get_u64("port", 0, &port) || port > 65535 ||
-      !parse_connection_flags(args, &opts)) {
-    std::fprintf(stderr, "%s: bad numeric flag value\n", kVerb);
-    return 2;
-  }
-  opts.priority = engine::JobPriority::kInteractive;
-  opts.max_attempts = 1;  // a failed job fails the submit; no retry
-  const bool quiet = args.has("quiet");
-
-  // One shard holding the manifest verbatim: no --shard is appended, so
-  // the worker resolves exactly what `clear run --spec` would.
-  fleet::ShardWork shard;
-  shard.kind = serve::ShardKind::kCampaign;
-  if (!util::read_file(args.get("spec"), &shard.text)) {
-    std::fprintf(stderr, "%s: cannot read spec file '%s'\n", kVerb,
-                 args.get("spec").c_str());
-    return 1;
-  }
-  if (shard.text.empty()) {  // a shard-assign cannot carry an empty spec
-    std::fprintf(stderr, "%s: spec file '%s' is empty\n", kVerb,
-                 args.get("spec").c_str());
-    return 1;
-  }
-  fleet::Endpoint endpoint;
-  if (have_socket) endpoint.socket_path = args.get("socket");
-  endpoint.port = static_cast<std::uint16_t>(port);
-
-  const auto on_event = [quiet](const fleet::FleetEvent& e) {
-    if (e.kind == fleet::FleetEvent::Kind::kWorkerDead) {
-      std::fprintf(stderr, "clear submit: worker %s: %s\n",
-                   e.worker_name.c_str(), e.detail.c_str());
-    } else if (e.kind == fleet::FleetEvent::Kind::kProgress && !quiet) {
-      const engine::JobProgress& p = e.progress;
-      std::printf("progress   %s: goldens %llu/%llu, samples %llu/%llu\n",
-                  engine::job_state_name(p.state),
-                  static_cast<unsigned long long>(p.goldens_done),
-                  static_cast<unsigned long long>(p.goldens_total),
-                  static_cast<unsigned long long>(p.samples_done),
-                  static_cast<unsigned long long>(p.samples_total));
-      std::fflush(stdout);
-    }
-  };
-  // The daemon answers with one result per stanza; each goes through the
-  // campaign sink, whose fold of a lone arrival encodes to the bytes the
-  // worker sent.
-  CampaignSink sink(args.get("out-dir"), shard.text, !quiet);
-  try {
-    (void)fleet::run_fleet({endpoint}, {shard}, opts, on_event,
-                           std::ref(sink));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", kVerb, e.what());
-    return 1;
-  }
-  return 0;
 }
 
 }  // namespace clear::cli

@@ -2,8 +2,7 @@
 // flags, installs the SIGTERM/SIGINT handler and runs a fleet::Worker
 // (src/fleet/worker.h) on the listening socket -- or, with `--workers N`,
 // fans out N child daemons re-exec'd from this binary for whole-machine
-// fleets.  Its drivers, `clear submit` and `clear fleet`, live in
-// cli_fleet.cpp.
+// fleets.  Its driver, `clear fleet`, lives in cli_fleet.cpp.
 //
 // Protocol: engine/protocol.h; framing bytes in docs/FORMATS.md; flags
 // in docs/CONFIG.md.
@@ -140,8 +139,8 @@ int cmd_serve(int argc, const char* const* argv) {
       "stream socket, executes them on the process-wide job engine,\n"
       "streams progress events and heartbeats, and returns each\n"
       "campaign's .csr wire bytes (or a .cxl ledger for explore shards).\n"
-      "Each connection is serviced on its own thread; 'clear submit' and\n"
-      "'clear fleet' are the matching drivers.");
+      "Each connection is serviced on its own thread; 'clear fleet run'\n"
+      "and 'clear fleet explore' are the matching drivers.");
   args.add_option("socket", "path", "listen on a UNIX stream socket");
   args.add_option("port", "N", "listen on 127.0.0.1:N instead");
   args.add_flag("once", "serve exactly one connection, then exit");

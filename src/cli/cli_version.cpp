@@ -28,7 +28,7 @@ int cmd_version(int argc, const char* const* argv) {
       "  CSR1  .csr campaign shard results (clear run/merge/report)\n"
       "  CPK1  campaign cache pack records (clear cache)\n"
       "  CXL1  .cxl exploration ledgers (clear explore)\n"
-      "  CSV1  the clear serve socket protocol (clear serve/submit)\n"
+      "  CSV1  the clear serve socket protocol (clear serve/fleet)\n"
       "Two binaries interoperate on a format iff they report the same\n"
       "version for it; mismatched .csr/.cxl files are refused as\n"
       "version-unsupported rather than misparsed.");

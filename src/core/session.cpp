@@ -185,13 +185,11 @@ const ProfileSet& Session::resident(const Variant& v) const {
 }
 
 void Session::prefetch(const std::vector<Variant>& variants) {
-  // The blocking path is the async path committed immediately, on the
-  // interactive lane so it overtakes any queued bulk backfill.
-  prefetch_async(variants, engine::JobPriority::kInteractive).commit();
+  // The blocking path is the async path committed immediately.
+  prefetch_async(variants).commit();
 }
 
-PrefetchTicket Session::prefetch_async(const std::vector<Variant>& variants,
-                                       engine::JobPriority priority) {
+PrefetchTicket Session::prefetch_async(const std::vector<Variant>& variants) {
   auto batch = std::make_shared<PrefetchTicket::Batch>();
   {
     auto proto = arch::make_core(core_);
@@ -246,7 +244,7 @@ PrefetchTicket Session::prefetch_async(const std::vector<Variant>& variants,
       batch->specs.push_back(spec);
     }
   }
-  batch->engine_job = engine::Engine::instance().submit(batch->specs, priority);
+  batch->engine_job = engine::Engine::instance().submit(batch->specs);
 
   PrefetchTicket ticket;
   ticket.batch_ = std::move(batch);

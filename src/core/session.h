@@ -35,10 +35,10 @@ namespace clear::core {
 class Session;
 
 // Handle to an in-flight batch prefetch (Session::prefetch_async): the
-// campaigns run on the job engine's bulk lane while the caller keeps
-// working; commit() blocks until they finish and installs the profiles
-// into the session's memo.  The design-space engine double-buffers these
-// to overlap batch N's evaluation with batch N+1's simulation.
+// campaigns run on the job engine while the caller keeps working;
+// commit() blocks until they finish and installs the profiles into the
+// session's memo.  The design-space engine double-buffers these to
+// overlap batch N's evaluation with batch N+1's simulation.
 //
 // Lifetime: the ticket owns the batch's programs (the engine job holds
 // raw pointers into them), so dropping an uncommitted ticket cancels the
@@ -183,16 +183,13 @@ class Session {
   void prefetch(const std::vector<Variant>& variants);
 
   // Non-blocking batch collection: submits the not-yet-memoized
-  // variants' campaigns to the job engine (engine/engine.h) on the given
-  // lane and returns immediately.  The ticket's commit() waits and
-  // installs the profiles exactly as prefetch() would have -- results
-  // are bit-identical to the blocking path, with the same cache
-  // semantics.  prefetch() is prefetch_async(...).commit() on the
-  // interactive lane; pipelined callers use the bulk lane so an
-  // interactive submission elsewhere can overtake the backfill.
+  // variants' campaigns to the job engine (engine/engine.h) and returns
+  // immediately.  The ticket's commit() waits and installs the profiles
+  // exactly as prefetch() would have -- results are bit-identical to the
+  // blocking path, with the same cache semantics.  prefetch() is
+  // prefetch_async(...).commit().
   [[nodiscard]] PrefetchTicket prefetch_async(
-      const std::vector<Variant>& variants,
-      engine::JobPriority priority = engine::JobPriority::kBulk);
+      const std::vector<Variant>& variants);
 
   // Profile restricted to a benchmark subset (used by the Sec. 4
   // train/validate study); aggregates -- totals, the per-FF vectors AND

@@ -1,7 +1,6 @@
 #include "engine/engine.h"
 
 #include <atomic>
-#include <iterator>
 #include <utility>
 
 #include "inject/exec.h"
@@ -17,7 +16,6 @@ namespace detail {
 // counters are bare atomics so the executor's workers can bump them
 // without taking the job mutex.
 struct JobImpl {
-  JobPriority priority = JobPriority::kInteractive;
   std::vector<inject::CampaignSpec> specs;
 
   mutable std::mutex m;
@@ -46,13 +44,11 @@ namespace {
 
 using detail::JobImpl;
 
-// Engine telemetry (docs/OBSERVABILITY.md): how long jobs sit queued,
-// how deep the queue gets, and which priority lane the work runs in.
+// Engine telemetry (docs/OBSERVABILITY.md): how long jobs sit queued and
+// how deep the queue gets.
 struct EngineMetrics {
   obs::Histogram& queue_wait = obs::histogram("engine.queue.wait");
   obs::Gauge& queue_depth = obs::gauge("engine.queue.depth");
-  obs::Counter& lane_interactive = obs::counter("engine.lane.interactive");
-  obs::Counter& lane_bulk = obs::counter("engine.lane.bulk");
 };
 
 EngineMetrics& metrics() {
@@ -84,17 +80,6 @@ bool retire(const std::shared_ptr<JobImpl>& job, JobState final,
 }
 
 }  // namespace
-
-const char* job_state_name(JobState s) noexcept {
-  switch (s) {
-    case JobState::kQueued: return "queued";
-    case JobState::kRunning: return "running";
-    case JobState::kDone: return "done";
-    case JobState::kCancelled: return "cancelled";
-    case JobState::kFailed: return "failed";
-  }
-  return "?";
-}
 
 // ---- Job handle ------------------------------------------------------------
 
@@ -204,9 +189,8 @@ Engine::~Engine() {
 }
 
 Job Engine::submit(std::vector<inject::CampaignSpec> specs,
-                   JobPriority priority, std::function<void()> on_finish) {
+                   std::function<void()> on_finish) {
   auto impl = std::make_shared<JobImpl>();
-  impl->priority = priority;
   impl->on_finish = std::move(on_finish);
   impl->specs = std::move(specs);
 
@@ -241,15 +225,8 @@ void Engine::dispatch_loop() {
       std::unique_lock<std::mutex> g(m_);
       cv_.wait(g, [&] { return stop_ || !queue_.empty(); });
       if (stop_) return;
-      // Pop the best job: lowest priority value, then submission order
-      // (the queue is in submission order, so the first of the lowest
-      // priority wins).
-      auto best = queue_.begin();
-      for (auto it = std::next(queue_.begin()); it != queue_.end(); ++it) {
-        if ((*it)->priority < (*best)->priority) best = it;
-      }
-      job = *best;
-      queue_.erase(best);
+      job = std::move(queue_.front());
+      queue_.pop_front();
     }
     run_job(job);
   }
@@ -268,9 +245,6 @@ void Engine::run_job(const std::shared_ptr<detail::JobImpl>& job) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - job->enqueued)
             .count()));
-    (job->priority == JobPriority::kInteractive ? metrics().lane_interactive
-                                                : metrics().lane_bulk)
-        .add();
   }
 
   inject::detail::BatchHooks hooks;
@@ -297,8 +271,7 @@ void Engine::run_job(const std::shared_ptr<detail::JobImpl>& job) {
 
 std::vector<inject::CampaignResult> run_campaigns(
     const std::vector<inject::CampaignSpec>& specs) {
-  return Engine::instance().submit(specs, JobPriority::kInteractive)
-      .take_results();
+  return Engine::instance().submit(specs).take_results();
 }
 
 inject::CampaignResult run_campaign(const inject::CampaignSpec& spec) {

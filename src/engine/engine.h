@@ -8,7 +8,7 @@
 // engine, the `clear serve` daemon) submits work HERE and holds a typed
 // future instead of blocking inside the campaign layer:
 //
-//   engine::Job job = engine::Engine::instance().submit(specs, priority);
+//   engine::Job job = engine::Engine::instance().submit(specs);
 //   ... overlap other work, stream job.progress(), maybe job.cancel() ...
 //   std::vector<inject::CampaignResult> r = job.take_results();
 //
@@ -17,9 +17,7 @@
 // Semantics:
 //   * one dispatcher thread executes jobs strictly one batch at a time
 //     (campaign batches already saturate the worker pool; running two at
-//     once would only interleave their pool jobs), in (priority,
-//     submission-order) order -- interactive CLI jobs overtake queued
-//     bulk exploration prefetches, never the batch already running;
+//     once would only interleave their pool jobs), in submission order;
 //   * results are a pure function of the specs: the engine runs the
 //     campaign executor (inject/exec.h) with its campaign-cache
 //     semantics, whoever submits and however jobs interleave;
@@ -65,15 +63,6 @@ enum class JobState : std::uint8_t {
   kDone = 2,       // results available
   kCancelled = 3,  // cancel() observed; no results, nothing cached
   kFailed = 4,     // executor threw; wait()/results() rethrow it
-};
-
-[[nodiscard]] const char* job_state_name(JobState s) noexcept;
-
-// Scheduling lanes.  Lower value = higher priority; within a lane, jobs
-// run in submission order.
-enum class JobPriority : std::uint8_t {
-  kInteractive = 0,  // CLI runs, Session::prefetch, profiles()
-  kBulk = 1,         // pipelined exploration prefetch, daemon bulk lane
 };
 
 // Snapshot of a job's execution state.  Totals are 0 until the batch
@@ -155,7 +144,6 @@ class Engine {
   // must not block, and must own whatever it touches.  A caller that
   // multiplexes the job with other events uses it to wake its wait.
   Job submit(std::vector<inject::CampaignSpec> specs,
-             JobPriority priority = JobPriority::kInteractive,
              std::function<void()> on_finish = {});
 
   ~Engine();
@@ -176,11 +164,11 @@ class Engine {
   bool stop_ = false;
 };
 
-// Runs (or loads from cache) a batch of campaigns as one interactive-lane
-// engine job and blocks until it completes.  Deterministic: bit-identical
-// for a given (program, cfg, injections, seed, shard) across runs, hosts,
-// thread counts and batch compositions; golden-run recording and faulty
-// runs of different campaigns overlap on the shared worker pool.
+// Runs (or loads from cache) a batch of campaigns as one engine job and
+// blocks until it completes.  Deterministic: bit-identical for a given
+// (program, cfg, injections, seed, shard) across runs, hosts, thread
+// counts and batch compositions; golden-run recording and faulty runs of
+// different campaigns overlap on the shared worker pool.
 // Thread-safe (concurrent callers queue on the engine).  The
 // spec-referenced programs/configs must outlive the call.  Throws
 // std::invalid_argument on a bad spec, std::runtime_error when a golden

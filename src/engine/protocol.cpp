@@ -133,25 +133,19 @@ std::string encode_shard_assign(const ShardAssign& a) {
   std::string out;
   util::put_u64(&out, a.shard_id);
   out.push_back(static_cast<char>(a.kind));
-  out.push_back(static_cast<char>(a.priority));
   out.append(a.text);
   return out;
 }
 
 bool decode_shard_assign(const std::string& payload, ShardAssign* out) {
-  if (payload.size() < 8 + 2) return false;
+  if (payload.size() < 8 + 1) return false;
   util::ByteReader r(payload.data(), payload.size());
   ShardAssign a;
   if (!r.u64(&a.shard_id)) return false;
   const auto kind = static_cast<std::uint8_t>(payload[8]);
-  const auto prio = static_cast<std::uint8_t>(payload[9]);
-  if (kind > static_cast<std::uint8_t>(ShardKind::kExplore) ||
-      prio > static_cast<std::uint8_t>(engine::JobPriority::kBulk)) {
-    return false;
-  }
+  if (kind > static_cast<std::uint8_t>(ShardKind::kExplore)) return false;
   a.kind = static_cast<ShardKind>(kind);
-  a.priority = static_cast<engine::JobPriority>(prio);
-  a.text = payload.substr(10);
+  a.text = payload.substr(9);
   if (a.text.empty()) return false;  // an empty spec cannot be work
   *out = a;
   return true;

@@ -1,6 +1,7 @@
-// `clear serve` wire protocol (version 4): the frame layer a shard-worker
-// daemon and its drivers (the fleet driver in fleet/fleet.h, which `clear
-// fleet` and `clear submit` both run) speak over a local stream socket.
+// `clear serve` wire protocol (version 5): the frame layer a shard-worker
+// daemon and its driver (the fleet driver in fleet/fleet.h, which `clear
+// fleet run` and `clear fleet explore` run) speak over a local stream
+// socket.
 //
 // Every peer reads and writes through one FrameConn (below); the daemon
 // itself is fleet/worker.h.
@@ -70,8 +71,10 @@ namespace clear::serve {
 // frame decodes as kBad, never as anything else.  v4 retired the steal
 // frame (type 11) and ack statuses 1 and 2 the same way: a driver
 // declares a worker dead only when it falls silent, so a shard is never
-// taken from a live worker.
-constexpr std::uint32_t kProtoVersion = 4;
+// taken from a live worker.  v5 dropped the shard-assign priority byte: a
+// worker runs its shards in arrival order, so a v4 peer, whose assign
+// frames carry that byte, is refused at the hello.
+constexpr std::uint32_t kProtoVersion = 5;
 
 // "CSV1" little-endian, carried in the hello payload: identifies a clear
 // serve stream (CSR/CXL/CPK are files; CSV is the socket).
@@ -99,8 +102,8 @@ enum class FrameType : std::uint32_t {
   kDone = 7,         // server -> client: u8 JobOutcome, then message text
   kHeartbeat = 8,    // server -> client: u32 in-flight work items, then an
                      // optional CMS1 metrics snapshot tail (periodic)
-  kShardAssign = 9,  // client -> server: u64 shard id, u8 kind, u8 priority,
-                     // then the shard's spec text
+  kShardAssign = 9,  // client -> server: u64 shard id, u8 kind, then the
+                     // shard's spec text
   kShardAck = 10,    // server -> client: u64 shard id, u8 ShardAckStatus
                      // (11 was v3's steal frame: retired)
 };
@@ -201,7 +204,6 @@ enum class ShardKind : std::uint8_t {
 struct ShardAssign {
   std::uint64_t shard_id = 0;  // driver-chosen, echoed in the ack
   ShardKind kind = ShardKind::kCampaign;
-  engine::JobPriority priority = engine::JobPriority::kBulk;
   std::string text;  // manifest / explore stanza (grammar owned by `kind`)
 };
 

@@ -372,10 +372,10 @@ Ledger run_exploration(const ExploreSpec& spec, const std::string& ledger_path,
     return vars;
   };
 
-  // Batch N+1's profiling campaigns simulate on the engine's bulk lane
-  // while batch N's combos (the anchors, for the first batch) are
-  // evaluated: the double-buffer ticket commits (and the next one is
-  // submitted) at each batch seam.  Each batch's campaigns run as ONE
+  // Batch N+1's profiling campaigns simulate on the engine while batch
+  // N's combos (the anchors, for the first batch) are evaluated: the
+  // double-buffer ticket commits (and the next one is submitted) at each
+  // batch seam.  Each batch's campaigns run as ONE
   // engine submission: golden recording overlaps faulty runs across
   // combos, and combos sharing a variant share its campaigns via the
   // cache pack.

@@ -14,8 +14,8 @@
 //     campaigns as one engine submission (core::Session::prefetch_async):
 //     golden-run recording overlaps faulty runs across combos, combos
 //     sharing a program variant share its campaigns through the on-disk
-//     cache pack, and batch N+1 simulates on the engine's bulk lane while
-//     batch N is evaluated;
+//     cache pack, and batch N+1 simulates on the engine while batch N is
+//     evaluated;
 //   * parallel evaluation -- once a batch's profiles are resident, its
 //     combos are evaluated on a run-local thread pool (CLEAR_THREADS,
 //     else the hardware concurrency) against one read-only Session and

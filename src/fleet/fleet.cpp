@@ -22,6 +22,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// kFailed executions of one shard before the run gives up on it.
+constexpr int kMaxAttempts = 3;
+
 int ms_since(Clock::time_point then, Clock::time_point now) {
   return static_cast<int>(
       std::chrono::duration_cast<std::chrono::milliseconds>(now - then)
@@ -507,7 +510,6 @@ void Driver::assign_idle() {
       serve::ShardAssign assign;
       assign.shard_id = shards_[pos].id;
       assign.kind = shards_[pos].kind;
-      assign.priority = opts_.priority;
       assign.text = shards_[pos].text;
       if (!wc.conn.send(serve::FrameType::kShardAssign,
                         serve::encode_shard_assign(assign),
@@ -643,7 +645,7 @@ void Driver::handle_frame(std::size_t w, const serve::Frame& frame) {
               "fleet: worker " + wc.status.name + " refused shard " +
               std::to_string(shards_[pos].id) + ": " + done.message);
         case serve::JobOutcome::kFailed:
-          if (++attempts_[pos] >= opts_.max_attempts) {
+          if (++attempts_[pos] >= kMaxAttempts) {
             throw std::runtime_error(
                 "fleet: shard " + std::to_string(shards_[pos].id) +
                 " failed " + std::to_string(attempts_[pos]) +

@@ -140,10 +140,6 @@ struct FleetOptions {
   int connect_retry_ms = 5000;  // per-worker connect retry budget
   int hello_timeout_ms = 10000;  // silent-after-accept hello deadline
   int dead_after_ms = 5000;  // no frame for this long -> worker is dead
-  int max_attempts = 3;       // kFailed executions per shard before giving up
-  // The workers' engine lane: bulk for `clear fleet`, interactive for
-  // `clear submit`.
-  engine::JobPriority priority = engine::JobPriority::kBulk;
   // Send kShutdown to live workers when the run ends -- completed or
   // failed alike, so a refused shard does not leave the daemons up.
   bool shutdown_workers = false;
@@ -231,8 +227,8 @@ struct FleetReport {
 // `on_shard` fires once per shard as it completes, inside the dispatch
 // loop (keep it O(payload)); a caller wanting every payload keeps them.
 // Throws std::runtime_error on a duplicate shard id, when no registered
-// worker remains alive with work pending, when a shard fails more than
-// max_attempts times, or immediately on a kBadRequest refusal (a
+// worker remains alive with work pending, when a shard fails
+// kMaxAttempts (fleet.cpp) times, or immediately on a kBadRequest refusal (a
 // malformed shard is deterministic: every worker would refuse it) --
 // after shutting the live workers down when opts.shutdown_workers asks.
 FleetReport run_fleet(const std::vector<Endpoint>& workers,

@@ -130,7 +130,6 @@ engine::JobProgress front_progress(ServedWork* front) {
 // refusal the work item carries the kBadRequest instead.  `on_finish`
 // runs when the job retires.
 void submit_campaigns(ServedWork* served, const std::string& manifest,
-                      engine::JobPriority priority,
                       std::function<void()> on_finish) {
   std::string error;
   bool ok = false;
@@ -146,7 +145,7 @@ void submit_campaigns(ServedWork* served, const std::string& manifest,
     for (const plan::RunPlan& plan : served->plans) specs.push_back(plan.spec);
     try {
       served->job = engine::Engine::instance().submit(
-          std::move(specs), priority, std::move(on_finish));
+          std::move(specs), std::move(on_finish));
       return;
     } catch (const std::exception& e) {
       // submit throws only when it cannot allocate the job or start the
@@ -406,7 +405,7 @@ bool Worker::handle_connection(serve::FrameConn conn) {
           if (assign.kind == serve::ShardKind::kExplore) {
             start_explore(served.get(), assign.text, wake);
           } else {
-            submit_campaigns(served.get(), assign.text, assign.priority, wake);
+            submit_campaigns(served.get(), assign.text, wake);
           }
           if (!opts_.quiet) {
             std::printf("serve      shard #%llu accepted (%s)\n",
@@ -433,9 +432,9 @@ bool Worker::handle_connection(serve::FrameConn conn) {
 }
 
 void Worker::serve(util::Socket* listener, bool once) {
-  // Thread-per-connection: concurrent drivers (two `clear submit`
-  // clients, a fleet driver plus an interactive submit) make progress
-  // simultaneously instead of queueing behind the accept loop.
+  // Thread-per-connection: concurrent drivers (two `clear fleet run`
+  // clients sharing a worker) make progress simultaneously instead of
+  // queueing behind the accept loop.
   struct ConnTask {
     std::thread thread;
     std::atomic<bool> finished{false};

@@ -6,9 +6,9 @@
 // run_explore_stanza), streams progress events and heartbeats, and
 // returns each campaign's result as `.csr` wire bytes (or one `.cxl`
 // ledger for an explore shard).  Each connection is serviced on its own
-// thread, so concurrent fleet drivers (fleet.h; `clear fleet` and `clear
-// submit` both run one) make progress simultaneously.  src/cli/cli_serve.cpp
-// only parses flags, installs the signal handler and fans out children.
+// thread, so concurrent fleet drivers (fleet.h; `clear fleet` runs one)
+// make progress simultaneously.  src/cli/cli_serve.cpp only parses flags,
+// installs the signal handler and fans out children.
 #ifndef CLEAR_FLEET_WORKER_H
 #define CLEAR_FLEET_WORKER_H
 

@@ -56,11 +56,6 @@ struct MachineDelta {
   // Words where shadow memory differs from the reference:
   // (word_index << 32) | value.
   std::vector<std::uint64_t> mem_delta;
-
-  [[nodiscard]] std::size_t size_bytes() const noexcept {
-    if (!present) return 0;
-    return sizeof(*this) + output.size() * 4 + mem_delta.size() * 8;
-  }
 };
 
 // Architectural machine state with single-instruction stepping.

@@ -40,7 +40,7 @@ bool parse_shard(const std::string& text, std::uint32_t* index,
 // refusal table (runplan.cpp, mirrored in docs/CONFIG.md) marks for it.
 enum class Site {
   kLocal,   // `clear run`: the command line resolves on top of each stanza
-  kWorker,  // a `clear serve` worker (`clear submit`, fleet shards)
+  kWorker,  // a `clear serve` worker executing a fleet shard
   kFleet,   // `clear fleet run`, before it appends --shard k/K
 };
 

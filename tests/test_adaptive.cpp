@@ -631,8 +631,7 @@ TEST(AdaptiveCampaign, EngineProgressTotalOnlyShrinks) {
   const auto prog = bench("gcc");
   const auto spec = mixed_stop_spec(&prog);
   const ScopedEnv two_threads("CLEAR_THREADS", "2");
-  auto job = engine::Engine::instance().submit(
-      {spec}, engine::JobPriority::kInteractive);
+  auto job = engine::Engine::instance().submit({spec});
   std::uint64_t last_total = ~0ull;
   bool saw_progress = false;
   while (!job.wait_for(std::chrono::milliseconds(1))) {

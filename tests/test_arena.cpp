@@ -7,7 +7,7 @@
 //   * COW segment aliasing hammered from the worker thread pool,
 //   * dirty tracking: every tracked restore, capture and boundary compare
 //     of forked runs checked against a full memcmp,
-//   * per-component checkpoint size accounting,
+//   * per-component checkpoint size accounting (computed test-side),
 //   * adaptive checkpoint density: campaign results are bit-identical at
 //     any density, fixed interval, and against the legacy engine.
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -38,9 +39,16 @@ namespace clear::arch {
 // Test-side view of the segment pool, a snapshot's COW segments and an
 // arena's buffers (a friend of SegPool, ArenaSnapshot and StateArena).
 struct ArenaAccess {
-  // Segments currently live outside the pool.
-  static std::size_t live_segments() {
-    return detail::SegPool::instance().live_.load(std::memory_order_relaxed);
+  // Segments waiting in the pool's free list.
+  static std::size_t free_segments() {
+    detail::SegPool& pool = detail::SegPool::instance();
+    std::lock_guard<std::mutex> g(pool.m_);
+    return pool.free_list_.size();
+  }
+  // Declared payload bytes of section `s` (no padding), in the order the
+  // core laid its sections out.
+  static std::size_t section_bytes(const StateArena& a, std::size_t s) {
+    return a.secs_[s].elem_size * a.secs_[s].count;
   }
   static std::size_t segment_count(const ArenaSnapshot& a) {
     std::size_t n = 0;
@@ -247,44 +255,60 @@ TEST(ArenaCow, AliasingUnderThreadPool) {
 TEST(ArenaCow, SegmentsReturnToPoolAndShare) {
   const auto prog = core::build_variant_program("mcf", core::Variant::base());
   auto core = arch::make_core("InO");
-  core->begin(prog, nullptr, nullptr);
-  ASSERT_TRUE(core->step_to(512, kBudget));
-
-  const std::size_t live0 = arch::ArenaAccess::live_segments();
-  {
-    arch::CoreCheckpoint a, b;
-    core->snapshot(&a);
-    ASSERT_TRUE(core->step_to(768, kBudget));
-    core->snapshot(&b);
-    using Access = arch::ArenaAccess;
-    EXPECT_EQ(Access::segment_count(a.state), Access::segment_count(b.state));
-    // Consecutive checkpoints of one run share unchanged segments...
-    EXPECT_GT(Access::segments_shared(b.state, a.state), 0u);
-    // ...but not all of them: the run wrote registers and memory.
-    EXPECT_LT(Access::segments_shared(b.state, a.state),
-              Access::segment_count(b.state));
-    EXPECT_GT(arch::ArenaAccess::live_segments(), live0);
+  using Access = arch::ArenaAccess;
+  // One round: two checkpoints of one run, then begin(), which drops the
+  // core's internal COW reference to the last capture.  A first round
+  // leaves the pool holding every segment a round takes; the second must
+  // take them from the free list and put every one of them back.
+  std::size_t free0 = 0;
+  for (int round = 0; round < 2; ++round) {
+    core->begin(prog, nullptr, nullptr);
+    ASSERT_TRUE(core->step_to(512, kBudget));
+    free0 = Access::free_segments();
+    {
+      arch::CoreCheckpoint a, b;
+      core->snapshot(&a);
+      ASSERT_TRUE(core->step_to(768, kBudget));
+      core->snapshot(&b);
+      EXPECT_EQ(Access::segment_count(a.state),
+                Access::segment_count(b.state));
+      // Consecutive checkpoints of one run share unchanged segments...
+      EXPECT_GT(Access::segments_shared(b.state, a.state), 0u);
+      // ...but not all of them: the run wrote registers and memory.
+      EXPECT_LT(Access::segments_shared(b.state, a.state),
+                Access::segment_count(b.state));
+      if (round == 1) {
+        EXPECT_LT(Access::free_segments(), free0);
+      }
+    }
+    core->begin(prog, nullptr, nullptr);
   }
-  // The snapshots are gone, but the core's internal COW reference still
-  // pins the last capture; begin() drops it.  After that every segment
-  // must be back in the pool.
-  core->begin(prog, nullptr, nullptr);
-  EXPECT_EQ(arch::ArenaAccess::live_segments(), live0);
+  EXPECT_EQ(Access::free_segments(), free0);
 }
 
+// What each part of a checkpoint costs, from public state and the arena's
+// section table: the sections in core_shell.h's layout order (fwd
+// scalars, regs, mem, then the OoO SRAM arrays, OUT, aux).
 TEST(ArenaSizes, BreakdownMatchesConfiguration) {
   const auto prog = core::build_variant_program("mcf", core::Variant::base());
+  using Access = arch::ArenaAccess;
+  // A MachineDelta's bytes: its fixed fields, OUT and the differing words.
+  const auto shadow_bytes = [](const isa::MachineDelta& d) -> std::size_t {
+    if (!d.present) return 0;
+    return sizeof(d) + d.output.size() * 4 + d.mem_delta.size() * 8;
+  };
 
   auto ino = arch::make_core("InO");
   ino->begin(prog, nullptr, nullptr);
   ASSERT_TRUE(ino->step_to(512, kBudget));
   arch::CoreCheckpoint cp;
   ino->snapshot(&cp);
-  EXPECT_GT(cp.sizes.ff, 0u);
-  EXPECT_EQ(cp.sizes.regs, 32u * 4u);
-  EXPECT_EQ(cp.sizes.mem, prog.mem_bytes);
-  EXPECT_GT(cp.sizes.output, 0u);
-  EXPECT_EQ(cp.sizes.shadow, 0u);
+  const arch::StateArena& ia = ino->arena();
+  EXPECT_GT(ia.ff_words() * 8, 0u);
+  EXPECT_EQ(Access::section_bytes(ia, 1), 32u * 4u);  // regs
+  EXPECT_EQ(Access::section_bytes(ia, 2), prog.mem_bytes);
+  EXPECT_GT(Access::section_bytes(ia, 3) + cp.output_spill.size() * 4, 0u);
+  EXPECT_EQ(shadow_bytes(cp.shadow), 0u);
 
   arch::ResilienceConfig mon;
   mon.monitor = true;
@@ -293,17 +317,19 @@ TEST(ArenaSizes, BreakdownMatchesConfiguration) {
   ASSERT_TRUE(ooo->step_to(512, kBudget));
   arch::CoreCheckpoint mcp;
   ooo->snapshot(&mcp);
-  EXPECT_GT(mcp.sizes.sram, 0u);     // gshare PHT + L1D tags
-  EXPECT_GT(mcp.sizes.shadow, 0u);   // delta-encoded monitor checker
+  const arch::StateArena& oa = ooo->arena();
+  // gshare PHT + L1D tags
+  EXPECT_GT(Access::section_bytes(oa, 3) + Access::section_bytes(oa, 4), 0u);
+  EXPECT_GT(shadow_bytes(mcp.shadow), 0u);  // delta-encoded monitor checker
   EXPECT_TRUE(mcp.shadow.present);
   // The delta is the point: orders of magnitude below a Machine deep copy
   // (32 KiB memory image + output stream).
-  EXPECT_LT(mcp.sizes.shadow, prog.mem_bytes / 4);
+  EXPECT_LT(shadow_bytes(mcp.shadow), prog.mem_bytes / 4);
 
   ooo->begin(prog, nullptr, nullptr);
   ASSERT_TRUE(ooo->step_to(512, kBudget));
   ooo->snapshot(&mcp);
-  EXPECT_EQ(mcp.sizes.shadow, 0u);
+  EXPECT_EQ(shadow_bytes(mcp.shadow), 0u);
   EXPECT_FALSE(mcp.shadow.present);
 }
 

@@ -205,8 +205,8 @@ TEST(CliSmoke, UsageErrorsExitTwo) {
   const std::string err_path = "cli_e2e/usage_stderr.txt";
   for (const std::string verb :
        {"explore run", "explore merge", "explore frontier", "explore report",
-        "explore watch", "fleet run", "fleet explore", "serve", "submit",
-        "status", "version", "cache", "merge", "report"}) {
+        "explore watch", "fleet run", "fleet explore", "serve", "status",
+        "version", "cache", "merge", "report"}) {
     EXPECT_EQ(sh(kBin + " " + verb + " --help"), 0) << verb;
     EXPECT_EQ(sh(kBin + " " + verb + " --no-such-flag 2>" + err_path), 2)
         << verb;
@@ -215,6 +215,13 @@ TEST(CliSmoke, UsageErrorsExitTwo) {
                           std::istreambuf_iterator<char>());
     EXPECT_EQ(err.rfind("clear " + verb + ": ", 0), 0u) << err;
   }
+  // `clear submit` is retired: `clear fleet run <endpoint>` sends a
+  // manifest to a worker, and the old verb is an unknown command.
+  EXPECT_EQ(sh(kBin + " submit --help 2>" + err_path), 2);
+  std::ifstream in(err_path);
+  const std::string err((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_EQ(err.rfind("clear: unknown command 'submit'", 0), 0u) << err;
 }
 
 // ---- the acceptance test: multi-process shard -> merge ---------------------

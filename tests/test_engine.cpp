@@ -1,15 +1,14 @@
 // Execution-engine tests: submit/wait/poll semantics, progress
-// monotonicity, priority lanes, cooperative cancellation (including the
+// monotonicity, FIFO queue order, cooperative cancellation (including the
 // killed-job fuzz over the campaign cache pack), Session::prefetch_async,
 // the serve protocol codec, serve::FrameConn over a socketpair, and the
-// `clear serve` loopback e2e -- real
-// daemon + client child processes whose returned .csr bytes must match
-// `clear run --out` exactly.
+// `clear serve` loopback e2e -- a real daemon driven by a `clear fleet
+// run` child, whose merged .csr bytes must match `clear run --out`
+// exactly, and by raw frames for a manifest only the worker sees.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -32,6 +31,7 @@
 #include "isa/assembler.h"
 #include "obs/metrics.h"
 #include "util/fs.h"
+#include "util/socket.h"
 #include "workloads/workloads.h"
 #include "merge_lists.h"
 #include "scoped_env.h"
@@ -177,7 +177,7 @@ TEST(Engine, OnFinishRunsOnceTheJobIsTerminal) {
   std::promise<void> finished;
   std::atomic<int> calls{0};
   engine::Job job = engine::Engine::instance().submit(
-      {small_spec(&prog, "")}, engine::JobPriority::kInteractive, [&] {
+      {small_spec(&prog, "")}, [&] {
         if (calls.fetch_add(1) == 0) finished.set_value();
       });
   ASSERT_EQ(finished.get_future().wait_for(60s), std::future_status::ready);
@@ -188,12 +188,12 @@ TEST(Engine, OnFinishRunsOnceTheJobIsTerminal) {
   (void)job.take_results();
 }
 
-// ---- priority lanes --------------------------------------------------------
+// ---- queue order -----------------------------------------------------------
 
-TEST(Engine, InteractiveOvertakesQueuedBulk) {
+TEST(Engine, QueuedJobsRunInSubmissionOrder) {
   const auto prog = bench("gcc");
   // Completion order, recorded by each job's on_finish callback: 0 is
-  // the head job, 1-3 the bulk jobs, 4 the interactive one.
+  // the head job, 1-4 the jobs queued behind it.
   struct Finished {
     std::mutex m;
     std::condition_variable cv;
@@ -211,32 +211,20 @@ TEST(Engine, InteractiveOvertakesQueuedBulk) {
   };
   // A long head job occupies the dispatcher while the queue fills.
   engine::Job head = engine::Engine::instance().submit(
-      {small_spec(&prog, "", 2000)}, engine::JobPriority::kInteractive,
-      record(0));
-  std::vector<engine::Job> bulk;
-  for (int i = 1; i <= 3; ++i) {
-    bulk.push_back(engine::Engine::instance().submit(
-        {small_spec(&prog, "", 60)}, engine::JobPriority::kBulk, record(i)));
+      {small_spec(&prog, "", 2000)}, record(0));
+  std::vector<engine::Job> queued;
+  for (int i = 1; i <= 4; ++i) {
+    queued.push_back(engine::Engine::instance().submit(
+        {small_spec(&prog, "", 60)}, record(i)));
   }
-  engine::Job interactive = engine::Engine::instance().submit(
-      {small_spec(&prog, "", 60)}, engine::JobPriority::kInteractive,
-      record(4));
 
-  interactive.wait();
-  for (auto& j : bulk) j.wait();
+  for (auto& j : queued) j.wait();
   head.wait();
   std::unique_lock<std::mutex> g(finished->m);
   ASSERT_TRUE(finished->cv.wait_for(
       g, 60s, [&] { return finished->order.size() == 5; }));
-
-  // The interactive job finished before at least the LAST bulk job: it
-  // overtook the queue (all three bulk jobs were queued before it was
-  // submitted).
-  const auto pos = [&](int label) {
-    return std::find(finished->order.begin(), finished->order.end(), label) -
-           finished->order.begin();
-  };
-  EXPECT_LT(pos(4), std::max({pos(1), pos(2), pos(3)}));
+  // One dispatcher runs one job at a time, first in, first out.
+  EXPECT_EQ(finished->order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 // ---- golden recordings shared across batches --------------------------------
@@ -282,10 +270,8 @@ TEST(EngineMemo, ConcurrentBatchesOfOneCampaignShareItsGolden) {
     std::vector<inject::CampaignResult> a, b;
     if (threads == 2) {
       // Two engine batches submitted together.
-      engine::Job ja = engine::Engine::instance().submit(
-          batch_of(spec, 0), engine::JobPriority::kBulk);
-      engine::Job jb = engine::Engine::instance().submit(
-          batch_of(spec, 1), engine::JobPriority::kBulk);
+      engine::Job ja = engine::Engine::instance().submit(batch_of(spec, 0));
+      engine::Job jb = engine::Engine::instance().submit(batch_of(spec, 1));
       a = ja.take_results();
       b = jb.take_results();
     } else {
@@ -439,8 +425,7 @@ TEST(EngineCancel, QueuedJobCancelsImmediately) {
       {small_spec(&prog, "", 1500)});
   std::atomic<int> queued_notified{0};
   engine::Job queued = engine::Engine::instance().submit(
-      {small_spec(&prog, "", 1500)}, engine::JobPriority::kInteractive,
-      [&] { ++queued_notified; });
+      {small_spec(&prog, "", 1500)}, [&] { ++queued_notified; });
   queued.cancel();
   queued.wait();  // must not wait for head to finish first
   EXPECT_EQ(queued.state(), engine::JobState::kCancelled);
@@ -487,7 +472,7 @@ TEST(EngineCancel, KilledJobFuzzNeverCorruptsCachePack) {
     const engine::JobState state = victim.state();
     EXPECT_TRUE(state == engine::JobState::kCancelled ||
                 state == engine::JobState::kDone)
-        << engine::job_state_name(state);
+        << "state " << static_cast<int>(state);
 
     // The pack must still serve exact bytes: a fresh run of the victim's
     // campaign (cache miss when the cancel won, hit when it lost) equals
@@ -778,9 +763,8 @@ const std::string kBin = CLEAR_CLI_BIN;
 
 TEST(ServeE2E, LoopbackResultsMatchLocalRunByteForByte) {
   const std::string dir = "engine_e2e";
-  // A three-campaign manifest exercising the batch path.  The client
-  // writes each result as its fold into an empty merge; the adaptive
-  // partial shard checks that this encodes to the worker's own bytes.
+  // A three-campaign manifest exercising the batch path, split into three
+  // shards per stanza by the driver; the third stanza is adaptive.
   {
     std::ofstream spec(dir + "/job.spec");
     spec << "--core InO --bench gcc --injections 60 --seed 3\n"
@@ -788,28 +772,35 @@ TEST(ServeE2E, LoopbackResultsMatchLocalRunByteForByte) {
          << "--core InO --bench mcf --injections 60 --seed 3\n"
          << "---\n"
          << "--core InO --bench gcc --injections 60 --seed 3 "
-            "--confidence 0.1 --shard 1/3\n";
+            "--confidence 0.1\n";
   }
-  // Daemon (one connection, then exit) + client.  The client retries the
+  // Daemon (one connection, then exit) + driver.  The driver retries the
   // connect while the daemon starts; --shutdown is a belt-and-braces
   // second exit path under the ctest timeout.
   ASSERT_EQ(sh(kBin + " serve --socket " + dir + "/w.sock --once --quiet &"),
             0);
-  ASSERT_EQ(sh(kBin + " submit --socket " + dir + "/w.sock --spec " + dir +
-               "/job.spec --out-dir " + dir + "/got --shutdown --quiet"),
+  ASSERT_EQ(sh(kBin + " fleet run --spec " + dir + "/job.spec --out-dir " +
+               dir + "/got --shards 3 --shutdown --quiet " + dir + "/w.sock"),
             0);
 
-  // Local references through the very same CLI resolution.
-  ASSERT_EQ(sh(kBin + " run --bench gcc --injections 60 --seed 3 --out " +
-               dir + "/ref0.csr"),
-            0);
-  ASSERT_EQ(sh(kBin + " run --bench mcf --injections 60 --seed 3 --out " +
-               dir + "/ref1.csr"),
-            0);
-  ASSERT_EQ(sh(kBin + " run --bench gcc --injections 60 --seed 3 "
-                      "--confidence 0.1 --shard 1/3 --out " +
-               dir + "/ref2.csr"),
-            0);
+  // Local references through the very same CLI resolution: each stanza
+  // run as the same three shards, then merged.
+  const char* const stanzas[] = {
+      "--bench gcc --injections 60 --seed 3",
+      "--bench mcf --injections 60 --seed 3",
+      "--bench gcc --injections 60 --seed 3 --confidence 0.1"};
+  for (int i = 0; i < 3; ++i) {
+    const std::string ref = dir + "/ref" + std::to_string(i);
+    std::string merge = kBin + " merge --out " + ref + ".csr";
+    for (int k = 0; k < 3; ++k) {
+      const std::string part = ref + "_" + std::to_string(k) + ".csr";
+      ASSERT_EQ(sh(kBin + " run " + stanzas[i] + " --shard " +
+                   std::to_string(k) + "/3 --out " + part),
+                0);
+      merge += " " + part;
+    }
+    ASSERT_EQ(sh(merge), 0);
+  }
 
   const std::string got0 = slurp(dir + "/got/campaign0.csr");
   const std::string got1 = slurp(dir + "/got/campaign1.csr");
@@ -829,18 +820,46 @@ TEST(ServeE2E, LoopbackResultsMatchLocalRunByteForByte) {
   EXPECT_TRUE(shard.complete());
 }
 
+// A real daemon answers a manifest it cannot resolve, sent as a raw
+// shard-assign (the fleet driver would refuse it before dispatching),
+// with kDone(bad-request) naming the benchmark, and simulates nothing:
+// no progress or result frame comes before the refusal.
 TEST(ServeE2E, BadManifestIsRefusedWithoutSimulating) {
   const std::string dir = "engine_e2e";
-  {
-    std::ofstream spec(dir + "/bad.spec");
-    spec << "--core InO --bench no_such_bench_xyz\n";
-  }
   ASSERT_EQ(sh(kBin + " serve --socket " + dir + "/w2.sock --once --quiet &"),
             0);
-  // Bad request: the daemon answers kDone(bad-request), the client exits 1.
-  EXPECT_EQ(sh(kBin + " submit --socket " + dir + "/w2.sock --spec " + dir +
-               "/bad.spec --out-dir " + dir + "/none --shutdown --quiet 2>&1"),
-            1);
+  serve::FrameConn conn(util::Socket::connect_unix(dir + "/w2.sock", 10000));
+  serve::Frame frame;
+  ASSERT_EQ(conn.recv(&frame, 10000), Recv::kFrame);
+  ASSERT_EQ(frame.type, serve::FrameType::kHello);
+  serve::ShardAssign assign;
+  assign.shard_id = 1;
+  assign.text = "--core InO --bench no_such_bench_xyz\n";
+  ASSERT_TRUE(conn.send(serve::FrameType::kShardAssign,
+                        serve::encode_shard_assign(assign)));
+  // Heartbeats may interleave; everything else before kDone is an ack.
+  serve::Done done;
+  bool acked = false;
+  for (;;) {
+    ASSERT_EQ(conn.recv(&frame, 10000), Recv::kFrame);
+    if (frame.type == serve::FrameType::kHeartbeat) continue;
+    if (frame.type == serve::FrameType::kShardAck) {
+      acked = true;
+      continue;
+    }
+    ASSERT_EQ(frame.type, serve::FrameType::kDone)
+        << serve::frame_type_name(frame.type);
+    ASSERT_TRUE(serve::decode_done(frame.payload, &done));
+    break;
+  }
+  EXPECT_TRUE(acked);
+  EXPECT_EQ(done.outcome, serve::JobOutcome::kBadRequest);
+  EXPECT_NE(done.message.find("no_such_bench_xyz"), std::string::npos)
+      << done.message;
+  ASSERT_TRUE(conn.send(serve::FrameType::kShutdown, ""));
+  Recv got = Recv::kFrame;
+  while (got == Recv::kFrame) got = conn.recv(&frame, 10000);  // heartbeats
+  EXPECT_EQ(got, Recv::kClosed);
 }
 
 }  // namespace

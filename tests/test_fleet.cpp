@@ -5,20 +5,20 @@
 // explore stanza round-trip, forbidden-flag refusal, duplicate shard
 // ids), worker-side explore execution + cancellation, the worker's
 // connection handler driven in-process over a socketpair (including the
-// retired steal frame dropping the connection), a live worker keeping a
-// shard it acks late, `clear fleet run` failing on a shard that comes
-// back short, and the multi-process end-to-ends of
-// the acceptance criteria: a worker SIGKILLed mid-shard -- also while
+// retired steal frame dropping the connection, and the stanzas only a
+// worker refuses answered by name without simulating), a live worker
+// keeping a shard it acks late, `clear fleet run` failing on a shard that
+// comes back short, and the multi-process end-to-ends of the acceptance
+// criteria: a worker SIGKILLed mid-shard -- also while
 // holding two shards -- whose shards are redispatched and whose merged
 // bytes still equal the single-machine merge, the level-by-level
 // two-deep dispatch order, `clear fleet run`'s running
 // merge against `clear merge` of the same partition, `clear fleet
 // explore`'s running ledger against `clear explore merge`, `clear serve
-// --workers N` fan-out driven as a fleet, two concurrent submitters
-// against one daemon, the submit hello deadline against a silent server,
-// submit --shutdown stopping a daemon that refused the manifest, submit
-// giving up on a SIGSTOPped daemon, and SIGTERM draining an in-flight
-// daemon.
+// --workers N` fan-out driven as a fleet, two concurrent drivers against
+// one daemon, the hello deadline against a silent server, --shutdown
+// stopping a daemon whose manifest the driver refused, the driver giving
+// up on a SIGSTOPped daemon, and SIGTERM draining an in-flight daemon.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -47,6 +47,7 @@
 #include "fleet/status.h"
 #include "fleet/worker.h"
 #include "inject/wire.h"
+#include "obs/metrics.h"
 #include "util/socket.h"
 #include "merge_lists.h"
 
@@ -161,13 +162,11 @@ TEST(FleetProtocol, FleetFrameCodecsRoundTrip) {
   serve::ShardAssign a;
   a.shard_id = 0x0123456789abcdefULL;
   a.kind = serve::ShardKind::kExplore;
-  a.priority = engine::JobPriority::kInteractive;
   a.text = "--core InO --per-ff 1 --shard 3/8";
   serve::ShardAssign a2;
   ASSERT_TRUE(serve::decode_shard_assign(serve::encode_shard_assign(a), &a2));
   EXPECT_EQ(a2.shard_id, a.shard_id);
   EXPECT_EQ(a2.kind, serve::ShardKind::kExplore);
-  EXPECT_EQ(a2.priority, engine::JobPriority::kInteractive);
   EXPECT_EQ(a2.text, a.text);
 
   serve::ShardAck k;
@@ -260,13 +259,15 @@ TEST(FleetHello, EveryFaultIsNamedAndExplained) {
                            false, &why),
             fleet::HelloFault::kBadHello);
 
-  // A v3 daemon (the last that answered steal frames), and a current one
+  // A v3 daemon (the last that answered steal frames), a v4 one (the last
+  // whose shard-assign frames carried a priority byte), and a current one
   // with another .csr or .cxl version.
-  for (int field = 0; field < 3; ++field) {
+  for (int field = 0; field < 4; ++field) {
     serve::Hello skewed = fleet::worker_hello("old");
     if (field == 0) skewed.proto_version = 3;
-    if (field == 1) skewed.wire_version += 1;
-    if (field == 2) skewed.ledger_version += 1;
+    if (field == 1) skewed.proto_version = 4;
+    if (field == 2) skewed.wire_version += 1;
+    if (field == 3) skewed.ledger_version += 1;
     EXPECT_EQ(hello_fault_of(hello_frame(skewed), false, &why),
               fleet::HelloFault::kVersionSkew)
         << "field " << field;
@@ -401,6 +402,69 @@ TEST(FleetWorker, ConnectionHandlerAnswersOverASocketpair) {
   dropped.close();
   handler.join();
   EXPECT_FALSE(shutdown);
+}
+
+// `clear fleet run` refuses these stanzas before it dispatches anything,
+// so only a raw shard-assign reaches the worker's own refusal.  Each is
+// answered kDone(kBadRequest) with a message that names what was
+// refused, no campaign is simulated, and no file the stanza names is
+// written: a worker's metric snapshot travels in its heartbeats, and the
+// driver writes every .csr.
+TEST(FleetWorker, RefusesDriverOnlyStanzasByNameWithoutSimulating) {
+  obs::set_enabled(true);
+  const std::string metrics_out = kDir + "/worker_refused.json";
+  const std::string csr_out = kDir + "/worker_refused.csr";
+  const struct {
+    std::string stanza;
+    std::string named;
+  } cases[] = {
+      {"--core InO --bench no_such_bench_xyz\n", "no_such_bench_xyz"},
+      {"--core InO --bench gcc --injections 40 --metrics-out " +
+           metrics_out + "\n",
+       "--metrics-out"},
+      {"--core InO --bench gcc --injections 40 --out " + csr_out + "\n",
+       "--out"},
+  };
+  const std::uint64_t samples0 = obs::counter("campaign.samples").value();
+  const std::uint64_t goldens0 = obs::counter("campaign.goldens").value();
+
+  fleet::Worker worker(in_process_options());
+  std::thread handler;
+  bool shutdown = false;
+  serve::FrameConn client{start_handler(&worker, &handler, &shutdown)};
+  using Recv = serve::FrameConn::Recv;
+  const auto converse = [&] {
+    serve::Frame frame;
+    ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
+    ASSERT_EQ(frame.type, serve::FrameType::kHello);
+    std::uint64_t id = 0;
+    for (const auto& c : cases) {
+      serve::ShardAssign assign;
+      assign.shard_id = ++id;
+      assign.text = c.stanza;
+      ASSERT_TRUE(client.send(serve::FrameType::kShardAssign,
+                              serve::encode_shard_assign(assign)));
+      ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
+      ASSERT_EQ(frame.type, serve::FrameType::kShardAck) << c.named;
+      // No progress and no result: the refusal comes next.
+      ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
+      ASSERT_EQ(frame.type, serve::FrameType::kDone) << c.named;
+      serve::Done done;
+      ASSERT_TRUE(serve::decode_done(frame.payload, &done));
+      EXPECT_EQ(done.outcome, serve::JobOutcome::kBadRequest) << c.named;
+      EXPECT_NE(done.message.find(c.named), std::string::npos)
+          << done.message;
+    }
+    ASSERT_TRUE(client.send(serve::FrameType::kShutdown, ""));
+    EXPECT_EQ(client.recv(&frame, 5000), Recv::kClosed);
+  };
+  converse();
+  client.close();
+  handler.join();
+  EXPECT_EQ(obs::counter("campaign.samples").value(), samples0);
+  EXPECT_EQ(obs::counter("campaign.goldens").value(), goldens0);
+  EXPECT_FALSE(std::filesystem::exists(metrics_out));
+  EXPECT_FALSE(std::filesystem::exists(csr_out));
 }
 
 // ---- the driver against a scripted worker ----------------------------------
@@ -1294,9 +1358,18 @@ TEST(FleetE2E, CliFleetExploreMatchesExploreMerge) {
   EXPECT_EQ(got, slurp(kDir + "/x_ref.cxl"));
 }
 
-// ---- serve/submit robustness ----------------------------------------------
+// ---- serve robustness ------------------------------------------------------
 
-TEST(ServeRobustness, TwoConcurrentSubmittersBothGetExactBytes) {
+// `clear fleet run` driving one worker: spec, output directory and any
+// extra flags, then the endpoint.
+std::string fleet_run(const std::string& endpoint, const std::string& spec,
+                      const std::string& out_dir,
+                      const std::string& extra = "--quiet") {
+  return kBin + " fleet run --spec " + kDir + "/" + spec + " --out-dir " +
+         kDir + "/" + out_dir + " " + extra + " " + endpoint;
+}
+
+TEST(ServeRobustness, TwoConcurrentDriversBothGetExactBytes) {
   const pid_t daemon = spawn_serve({"--socket", kDir + "/c.sock", "--quiet"});
   ASSERT_GT(daemon, 0);
   {
@@ -1306,16 +1379,12 @@ TEST(ServeRobustness, TwoConcurrentSubmittersBothGetExactBytes) {
     b << "--core InO --bench mcf --injections 60 --seed 3\n";
   }
   int rc_a = -1, rc_b = -1;
-  // Thread-per-connection: both clients make progress simultaneously
+  // Thread-per-connection: both drivers make progress simultaneously
   // instead of queueing behind the accept loop.
-  std::thread ta([&] {
-    rc_a = sh(kBin + " submit --socket " + kDir + "/c.sock --spec " + kDir +
-              "/a.spec --out-dir " + kDir + "/got_a --quiet");
-  });
-  std::thread tb([&] {
-    rc_b = sh(kBin + " submit --socket " + kDir + "/c.sock --spec " + kDir +
-              "/b.spec --out-dir " + kDir + "/got_b --quiet");
-  });
+  std::thread ta(
+      [&] { rc_a = sh(fleet_run(kDir + "/c.sock", "a.spec", "got_a")); });
+  std::thread tb(
+      [&] { rc_b = sh(fleet_run(kDir + "/c.sock", "b.spec", "got_b")); });
   ta.join();
   tb.join();
   EXPECT_EQ(rc_a, 0);
@@ -1352,8 +1421,8 @@ TEST(ServeRobustness, WorkerEnvironmentDoesNotChangeResultBytes) {
     std::ofstream spec(kDir + "/env.spec");
     spec << "--core InO --bench gcc --injections 60 --seed 29\n";
   }
-  EXPECT_EQ(sh(kBin + " submit --socket " + kDir + "/env.sock --spec " +
-               kDir + "/env.spec --out-dir " + kDir + "/env_out --quiet"),
+  EXPECT_EQ(sh(fleet_run(kDir + "/env.sock", "env.spec", "env_out",
+                         "--shutdown --quiet")),
             0);
   ASSERT_EQ(sh("env -u CLEAR_CONFIDENCE -u CLEAR_CONFIDENCE_METHOD "
                "-u CLEAR_INJECTIONS " +
@@ -1367,7 +1436,7 @@ TEST(ServeRobustness, WorkerEnvironmentDoesNotChangeResultBytes) {
   EXPECT_EQ(reap(daemon), 0);
 }
 
-TEST(ServeRobustness, SubmitHelloDeadlineBoundsASilentServer) {
+TEST(ServeRobustness, HelloDeadlineBoundsASilentServer) {
   // A listener that never speaks: connect succeeds (the kernel completes
   // it from the backlog), the CSV1 hello never arrives.
   const std::string path = kDir + "/silent.sock";
@@ -1384,56 +1453,43 @@ TEST(ServeRobustness, SubmitHelloDeadlineBoundsASilentServer) {
     spec << "--core InO --bench mcf --injections 60 --seed 3\n";
   }
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(sh(kBin + " submit --socket " + path + " --spec " + kDir +
-               "/silent.spec --out-dir " + kDir +
-               "/silent_out --hello-timeout-ms 300 --quiet 2>&1"),
+  EXPECT_EQ(sh(fleet_run(path, "silent.spec", "silent_out",
+                         "--hello-timeout-ms 300 --quiet 2>&1")),
             1);
   // The deadline fired: no multi-second hang, no indefinite block.
   EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
   ::close(fd);
 }
 
-// --shutdown holds when the submit fails: a daemon serving many
-// connections (no --once) still exits after refusing the manifest.
-TEST(ServeRobustness, SubmitShutdownStopsTheDaemonEvenWhenRefused) {
+// --shutdown holds when the driver refuses the manifest itself, before
+// anything is dispatched: a daemon serving many connections (no --once)
+// still exits, under both fleet verbs, and the exit code is the
+// refusal's.
+TEST(ServeRobustness, ShutdownStopsTheDaemonEvenWhenRefused) {
   const pid_t daemon = spawn_serve({"--socket", kDir + "/r.sock", "--quiet"});
   ASSERT_GT(daemon, 0);
   {
     std::ofstream spec(kDir + "/unresolvable.spec");
     spec << "--core InO --bench no_such_bench_xyz\n";
   }
-  EXPECT_EQ(sh(kBin + " submit --socket " + kDir + "/r.sock --spec " + kDir +
-               "/unresolvable.spec --out-dir " + kDir +
-               "/refused_out --shutdown --quiet 2>&1"),
+  EXPECT_EQ(sh(fleet_run(kDir + "/r.sock", "unresolvable.spec",
+                         "refused_out", "--shutdown --quiet 2>&1")),
             1);
   EXPECT_EQ(reap(daemon), 0);
+
+  const pid_t explorer =
+      spawn_serve({"--socket", kDir + "/rx.sock", "--quiet"});
+  ASSERT_GT(explorer, 0);
+  EXPECT_EQ(sh(kBin + " fleet explore --core NoSuchCore --ledger " + kDir +
+               "/refused.cxl --shutdown --quiet " + kDir + "/rx.sock 2>&1"),
+            2);
+  EXPECT_EQ(reap(explorer), 0);
+  EXPECT_FALSE(std::filesystem::exists(kDir + "/refused.cxl"));
 }
 
-// A worker never writes a stanza's --metrics-out (its snapshot travels
-// in heartbeats), so it refuses the flag by name, as it refuses --out,
-// instead of running the campaign and dropping the file.
-TEST(ServeRobustness, SubmittedStanzaMetricsOutIsRefusedByName) {
-  const pid_t daemon = spawn_serve({"--socket", kDir + "/mo.sock", "--quiet"});
-  ASSERT_GT(daemon, 0);
-  {
-    std::ofstream spec(kDir + "/metrics_out.spec");
-    spec << "--core InO --bench gcc --injections 40 --metrics-out " << kDir
-         << "/sub.json\n";
-  }
-  EXPECT_EQ(sh(kBin + " submit --socket " + kDir + "/mo.sock --spec " + kDir +
-               "/metrics_out.spec --out-dir " + kDir +
-               "/mo_out --shutdown --quiet 2> " + kDir + "/mo.err"),
-            1);
-  EXPECT_NE(slurp(kDir + "/mo.err").find("--metrics-out"), std::string::npos)
-      << slurp(kDir + "/mo.err");
-  EXPECT_FALSE(std::filesystem::exists(kDir + "/sub.json"));
-  EXPECT_FALSE(std::filesystem::exists(kDir + "/mo_out/campaign0.csr"));
-  EXPECT_EQ(reap(daemon), 0);
-}
-
-// A daemon frozen mid-job sends no heartbeats: submit declares it dead
-// after the driver's 5 s dead deadline instead of blocking forever.
-TEST(ServeRobustness, SubmitGivesUpOnAStoppedDaemon) {
+// A daemon frozen mid-job sends no heartbeats: the driver declares it
+// dead after its 5 s dead deadline instead of blocking forever.
+TEST(ServeRobustness, DriverGivesUpOnAStoppedDaemon) {
   const pid_t daemon = spawn_serve({"--socket", kDir + "/z.sock", "--quiet"});
   ASSERT_GT(daemon, 0);
   wait_for_file(kDir + "/z.sock");
@@ -1444,14 +1500,14 @@ TEST(ServeRobustness, SubmitGivesUpOnAStoppedDaemon) {
             "--no-cache\n";
   }
   int rc = -2;
-  std::thread submit([&rc] {
-    rc = sh(kBin + " submit --socket " + kDir + "/z.sock --spec " + kDir +
-            "/frozen.spec --out-dir " + kDir + "/frozen_out --quiet 2>&1");
+  std::thread driver([&rc] {
+    rc = sh(fleet_run(kDir + "/z.sock", "frozen.spec", "frozen_out",
+                      "--quiet 2>&1"));
   });
   std::this_thread::sleep_for(700ms);
   EXPECT_EQ(::kill(daemon, SIGSTOP), 0);
   const auto stopped_at = std::chrono::steady_clock::now();
-  submit.join();
+  driver.join();
   EXPECT_EQ(rc, 1);
   EXPECT_LT(std::chrono::steady_clock::now() - stopped_at, 5s + 5s);
   ::kill(daemon, SIGCONT);
@@ -1468,8 +1524,8 @@ TEST(ServeRobustness, SigtermCancelsInflightJobAndExitsPromptly) {
     // Cache-cold and big enough to still be mid-simulation at the signal.
     spec << "--core InO --bench gcc --injections 40000 --seed 19\n";
   }
-  ASSERT_EQ(sh(kBin + " submit --socket " + kDir + "/t.sock --spec " + kDir +
-               "/long.spec --out-dir " + kDir + "/long_out --quiet 2>&1 &"),
+  ASSERT_EQ(sh(fleet_run(kDir + "/t.sock", "long.spec", "long_out") +
+               " 2>&1 &"),
             0);
   std::this_thread::sleep_for(700ms);
   ASSERT_EQ(::kill(daemon, SIGTERM), 0);
