@@ -28,7 +28,7 @@ constexpr const char* kTopHelp =
     "  explore  distributed design-space exploration over the 586\n"
     "           combinations (run/merge/frontier/report on .cxl ledgers)\n"
     "  serve    shard-worker daemon: manifests in over a local socket,\n"
-    "           progress events and .csr payloads streamed back\n"
+    "           heartbeats and .csr payloads streamed back\n"
     "  fleet    orchestrate many serve workers: pull shard dispatch,\n"
     "           dead-worker redispatch, live result merge\n"
     "  status   live fleet/worker/cache telemetry tables from serve\n"

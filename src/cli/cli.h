@@ -19,7 +19,7 @@
 //                  combo-space shard into a .cxl ledger, merge shard
 //                  ledgers, render the Pareto frontier (explore/explore.h)
 //   clear serve    shard-worker daemon: accept campaign manifests over a
-//                  local socket, stream progress, return .csr payloads
+//                  local socket, send heartbeats, return .csr payloads
 //   clear fleet    driver of serve daemons: shard a manifest or an
 //                  exploration across them, live-merge the results
 //   clear status   live fleet/worker telemetry tables: per-worker cache,

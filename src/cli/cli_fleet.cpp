@@ -154,7 +154,6 @@ fleet::EventFn make_event_logger(bool quiet) {
         break;
       case Kind::kWorkerDead:  // logged above
       case Kind::kAck:
-      case Kind::kProgress:
         break;  // per-frame noise
     }
     std::fflush(stdout);

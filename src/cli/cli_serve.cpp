@@ -137,15 +137,17 @@ int cmd_serve(int argc, const char* const* argv) {
       "Runs a shard-worker daemon: accepts shard assignments (manifests in\n"
       "the 'clear run --spec' grammar, or explore stanzas) over a local\n"
       "stream socket, executes them on the process-wide job engine,\n"
-      "streams progress events and heartbeats, and returns each\n"
-      "campaign's .csr wire bytes (or a .cxl ledger for explore shards).\n"
+      "sends periodic heartbeats, and returns each campaign's .csr\n"
+      "wire bytes (or a .cxl ledger for explore shards).\n"
       "Each connection is serviced on its own thread; 'clear fleet run'\n"
       "and 'clear fleet explore' are the matching drivers.");
   args.add_option("socket", "path", "listen on a UNIX stream socket");
   args.add_option("port", "N", "listen on 127.0.0.1:N instead");
   args.add_flag("once", "serve exactly one connection, then exit");
   args.add_option("heartbeat-ms", "N",
-                  "milliseconds between heartbeat frames (0 = off)", "1000");
+                  "milliseconds between heartbeats, > 0 (keep it below the "
+                  "driver's --dead-after-ms)",
+                  "1000");
   args.add_option("name", "id",
                   "worker identity in the hello (default host:pid)");
   args.add_option("workers", "N",
@@ -169,6 +171,12 @@ int cmd_serve(int argc, const char* const* argv) {
       !args.get_ms("heartbeat-ms", 1000, &heartbeat_ms) ||
       !args.get_u64("workers", 0, &workers) || workers > 1024) {
     std::fprintf(stderr, "clear serve: bad numeric flag value\n");
+    return 2;
+  }
+  if (heartbeat_ms == 0) {
+    std::fprintf(stderr,
+                 "clear serve: --heartbeat-ms must be above 0: heartbeats "
+                 "are a worker's one liveness signal\n");
     return 2;
   }
   const bool quiet = args.has("quiet");

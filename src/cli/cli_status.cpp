@@ -229,7 +229,7 @@ void probe(const fleet::Endpoint& ep, int connect_retry_ms, int timeout_ms,
       }
       return;
     }
-    // Progress/result frames meant for another driver: skip.
+    // Any other frame: skip it and wait for a heartbeat.
   }
 }
 

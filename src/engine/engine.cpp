@@ -12,9 +12,9 @@ namespace clear::engine {
 namespace detail {
 
 // All handle operations go through this shared block; the dispatcher and
-// any number of handle copies synchronize on `m`/`cv`.  Progress
-// counters are bare atomics so the executor's workers can bump them
-// without taking the job mutex.
+// any number of handle copies synchronize on `m`/`cv`.  The cancel flag
+// is a bare atomic so the executor's workers can poll it without taking
+// the job mutex.
 struct JobImpl {
   std::vector<inject::CampaignSpec> specs;
 
@@ -27,10 +27,6 @@ struct JobImpl {
   std::function<void()> on_finish;  // Engine::submit's, run by retire()
 
   std::atomic<bool> cancel{false};
-  std::atomic<std::uint64_t> goldens_done{0};
-  std::atomic<std::uint64_t> goldens_total{0};
-  std::atomic<std::uint64_t> samples_done{0};
-  std::atomic<std::uint64_t> samples_total{0};
 
   // Construction time == submission time: run_job() turns the difference
   // into the engine.queue.wait histogram.
@@ -87,23 +83,6 @@ JobState Job::state() const {
   if (!impl_) return JobState::kFailed;
   std::lock_guard<std::mutex> g(impl_->m);
   return impl_->state;
-}
-
-JobProgress Job::progress() const {
-  JobProgress p;
-  if (!impl_) {
-    p.state = JobState::kFailed;
-    return p;
-  }
-  {
-    std::lock_guard<std::mutex> g(impl_->m);
-    p.state = impl_->state;
-  }
-  p.goldens_done = impl_->goldens_done.load(std::memory_order_relaxed);
-  p.goldens_total = impl_->goldens_total.load(std::memory_order_relaxed);
-  p.samples_done = impl_->samples_done.load(std::memory_order_relaxed);
-  p.samples_total = impl_->samples_total.load(std::memory_order_relaxed);
-  return p;
 }
 
 bool Job::poll() const { return is_terminal(state()); }
@@ -247,16 +226,9 @@ void Engine::run_job(const std::shared_ptr<detail::JobImpl>& job) {
             .count()));
   }
 
-  inject::detail::BatchHooks hooks;
-  hooks.cancel = &job->cancel;
-  hooks.goldens_done = &job->goldens_done;
-  hooks.goldens_total = &job->goldens_total;
-  hooks.samples_done = &job->samples_done;
-  hooks.samples_total = &job->samples_total;
-
   JobState final = JobState::kDone;
   try {
-    auto results = inject::detail::execute_campaigns(job->specs, hooks);
+    auto results = inject::detail::execute_campaigns(job->specs, &job->cancel);
     std::lock_guard<std::mutex> g(job->m);
     job->results = std::move(results);
   } catch (const inject::detail::CampaignCancelled&) {

@@ -9,7 +9,7 @@
 // future instead of blocking inside the campaign layer:
 //
 //   engine::Job job = engine::Engine::instance().submit(specs);
-//   ... overlap other work, stream job.progress(), maybe job.cancel() ...
+//   ... overlap other work, poll job.state(), maybe job.cancel() ...
 //   std::vector<inject::CampaignResult> r = job.take_results();
 //
 // or, for callers that simply block, engine::run_campaign(s) below.
@@ -24,13 +24,10 @@
 //   * cancellation is cooperative: cancel() flips a flag the simulation
 //     polls at checkpoint boundaries; a cancelled batch never writes a
 //     cache entry, so the pack is never left with partial results;
-//   * progress: done counters are monotonic -- golden recordings
-//     done/total, then faulty samples done/total (campaigns served from
-//     the cache count in neither; a fully cached job completes with 0/0
-//     totals).  For confidence-driven adaptive campaigns samples_total
-//     is an upper bound that monotonically SHRINKS as per-FF campaigns
-//     early-stop at milestone barriers (inject/adaptive.h); done <=
-//     total holds at every snapshot.
+//   * a job reports its state, not its progress: the samples and golden
+//     recordings it simulates are counted process-wide by the obs
+//     registry (`campaign.samples`, `campaign.goldens`;
+//     docs/OBSERVABILITY.md), which a worker's heartbeats carry.
 //
 // Lifetime contract: a CampaignSpec holds raw pointers to its program
 // and resilience config; for an asynchronous submission those must stay
@@ -65,19 +62,6 @@ enum class JobState : std::uint8_t {
   kFailed = 4,     // executor threw; wait()/results() rethrow it
 };
 
-// Snapshot of a job's execution state.  Totals are 0 until the batch
-// finished planning (its campaign-cache probe); a job whose whole batch
-// was served from the cache completes with totals 0.  Done counters are
-// monotonic; samples_total is monotonic too EXCEPT for adaptive
-// campaigns, where it is a shrinking upper bound (see inject/exec.h).
-struct JobProgress {
-  JobState state = JobState::kQueued;
-  std::uint64_t goldens_done = 0;   // golden-recording phase
-  std::uint64_t goldens_total = 0;  // campaigns not served from cache
-  std::uint64_t samples_done = 0;   // faulty-run phase
-  std::uint64_t samples_total = 0;  // samples owned by this batch
-};
-
 // Thrown by results()/take_results() on a job that ended kCancelled.
 class JobCancelled : public std::runtime_error {
  public:
@@ -97,7 +81,6 @@ class Job {
   [[nodiscard]] bool valid() const noexcept { return impl_ != nullptr; }
 
   [[nodiscard]] JobState state() const;
-  [[nodiscard]] JobProgress progress() const;
   // True once the job reached a terminal state.
   [[nodiscard]] bool poll() const;
   // Blocks up to `timeout`; true when the job is terminal on return.
@@ -172,8 +155,8 @@ class Engine {
 // Thread-safe (concurrent callers queue on the engine).  The
 // spec-referenced programs/configs must outlive the call.  Throws
 // std::invalid_argument on a bad spec, std::runtime_error when a golden
-// run does not halt.  For a non-blocking handle with progress and
-// cancellation, use Engine::submit directly.
+// run does not halt.  For a non-blocking handle with cancellation, use
+// Engine::submit directly.
 [[nodiscard]] std::vector<inject::CampaignResult> run_campaigns(
     const std::vector<inject::CampaignSpec>& specs);
 

@@ -9,11 +9,12 @@ namespace clear::serve {
 
 namespace {
 
-// Types 2 and 3 (v2's job/cancel) and 11 (v3's steal) are retired:
-// refused like any unknown.
+// Types 2 and 3 (v2's job/cancel), 11 (v3's steal) and 5 (v5's
+// progress) are retired: refused like any unknown.
 bool known_type(std::uint32_t t) {
   return t == static_cast<std::uint32_t>(FrameType::kHello) ||
-         (t >= static_cast<std::uint32_t>(FrameType::kShutdown) &&
+         t == static_cast<std::uint32_t>(FrameType::kShutdown) ||
+         (t >= static_cast<std::uint32_t>(FrameType::kResult) &&
           t <= static_cast<std::uint32_t>(FrameType::kShardAck));
 }
 
@@ -23,7 +24,6 @@ const char* frame_type_name(FrameType t) noexcept {
   switch (t) {
     case FrameType::kHello: return "hello";
     case FrameType::kShutdown: return "shutdown";
-    case FrameType::kProgress: return "progress";
     case FrameType::kResult: return "result";
     case FrameType::kDone: return "done";
     case FrameType::kHeartbeat: return "heartbeat";
@@ -151,21 +151,16 @@ bool decode_shard_assign(const std::string& payload, ShardAssign* out) {
   return true;
 }
 
-std::string encode_shard_ack(const ShardAck& a) {
+std::string encode_shard_ack(std::uint64_t shard_id) {
   std::string out;
-  util::put_u64(&out, a.shard_id);
-  out.push_back(static_cast<char>(a.status));
+  util::put_u64(&out, shard_id);
   return out;
 }
 
-bool decode_shard_ack(const std::string& payload, ShardAck* out) {
-  if (payload.size() != 8 + 1) return false;
+bool decode_shard_ack(const std::string& payload, std::uint64_t* shard_id) {
+  if (payload.size() != 8) return false;
   util::ByteReader r(payload.data(), payload.size());
-  ShardAck a;
-  // kAccepted (0) is the only status since v4.
-  if (!r.u64(&a.shard_id) || payload[8] != 0) return false;
-  *out = a;
-  return true;
+  return r.u64(shard_id);
 }
 
 std::string encode_heartbeat(std::uint32_t inflight,
@@ -181,33 +176,6 @@ bool decode_heartbeat(const std::string& payload, std::uint32_t* inflight,
   util::ByteReader r(payload.data(), payload.size());
   if (!r.u32(inflight)) return false;
   metrics->assign(payload, 4, payload.size() - 4);
-  return true;
-}
-
-std::string encode_progress(const engine::JobProgress& p) {
-  std::string out;
-  out.push_back(static_cast<char>(p.state));
-  util::put_u64(&out, p.goldens_done);
-  util::put_u64(&out, p.goldens_total);
-  util::put_u64(&out, p.samples_done);
-  util::put_u64(&out, p.samples_total);
-  return out;
-}
-
-bool decode_progress(const std::string& payload, engine::JobProgress* out) {
-  if (payload.size() != 1 + 4 * 8) return false;
-  const auto state = static_cast<std::uint8_t>(payload[0]);
-  if (state > static_cast<std::uint8_t>(engine::JobState::kFailed)) {
-    return false;
-  }
-  engine::JobProgress p;
-  p.state = static_cast<engine::JobState>(state);
-  util::ByteReader r(payload.data() + 1, payload.size() - 1);
-  if (!r.u64(&p.goldens_done) || !r.u64(&p.goldens_total) ||
-      !r.u64(&p.samples_done) || !r.u64(&p.samples_total)) {
-    return false;
-  }
-  *out = p;
   return true;
 }
 

@@ -1,4 +1,4 @@
-// `clear serve` wire protocol (version 5): the frame layer a shard-worker
+// `clear serve` wire protocol (version 6): the frame layer a shard-worker
 // daemon and its driver (the fleet driver in fleet/fleet.h, which `clear
 // fleet run` and `clear fleet explore` run) speak over a local stream
 // socket.
@@ -8,8 +8,8 @@
 //
 // The daemon turns the run -> scp -> merge workflow into a live worker: a
 // driver connects, assigns shards (multi-campaign manifests in the `clear
-// run --spec` grammar, or explore combo slices), watches progress events
-// stream back, and receives each campaign's result as `.csr` wire bytes
+// run --spec` grammar, or explore combo slices), hears the worker's
+// heartbeats, and receives each campaign's result as `.csr` wire bytes
 // (inject/wire.h) it can hand straight to `clear merge`.
 // docs/FORMATS.md specifies the byte-level framing; docs/ARCHITECTURE.md
 // the data flow.
@@ -37,13 +37,13 @@
 //
 //   server -> client   kHello                        (once, on accept; carries
 //                                                     worker identity/capacity)
-//   server -> client   kHeartbeat                    (periodic liveness beacon;
+//   server -> client   kHeartbeat                    (periodic liveness beacon
+//                                                     and metric snapshot;
 //                                                     a driver declares a
 //                                                     silent worker dead)
 //   client -> server   kShardAssign(id, kind, ...)   (any number, pipelined;
 //                                                     answered kShardAck)
-//   server -> client     kShardAck(id, 0)            (shard accepted)
-//   server -> client     kProgress*                  (for the front shard)
+//   server -> client     kShardAck(id)               (shard accepted)
 //   server -> client     kResult(index, payload)*    (.csr per campaign, or one
 //                                                     .cxl for explore shards)
 //   server -> client     kDone(status, message)      (shard finished)
@@ -57,7 +57,6 @@
 #include <string>
 #include <utility>
 
-#include "engine/engine.h"
 #include "util/sealed.h"
 #include "util/socket.h"
 
@@ -73,8 +72,12 @@ namespace clear::serve {
 // declares a worker dead only when it falls silent, so a shard is never
 // taken from a live worker.  v5 dropped the shard-assign priority byte: a
 // worker runs its shards in arrival order, so a v4 peer, whose assign
-// frames carry that byte, is refused at the hello.
-constexpr std::uint32_t kProtoVersion = 5;
+// frames carry that byte, is refused at the hello.  v6 retired the
+// progress frame (type 5), whose counts the heartbeat's metric snapshot
+// already carries, and the shard-ack status byte, which had one value:
+// a v5 peer is refused at the hello, and a stray type-5 frame decodes as
+// kBad.
+constexpr std::uint32_t kProtoVersion = 6;
 
 // "CSV1" little-endian, carried in the hello payload: identifies a clear
 // serve stream (CSR/CXL/CPK are files; CSV is the socket).
@@ -97,14 +100,14 @@ enum class FrameType : std::uint32_t {
   kHello = 1,        // server -> client, once per connection
                      // (2 and 3 were v2's job/cancel frames: retired)
   kShutdown = 4,     // client -> server: stop accepting (empty payload)
-  kProgress = 5,     // server -> client: JobProgress snapshot
+                     // (5 was v5's progress frame: retired)
   kResult = 6,       // server -> client: u32 campaign index, then .csr bytes
   kDone = 7,         // server -> client: u8 JobOutcome, then message text
   kHeartbeat = 8,    // server -> client: u32 in-flight work items, then an
                      // optional CMS1 metrics snapshot tail (periodic)
   kShardAssign = 9,  // client -> server: u64 shard id, u8 kind, then the
                      // shard's spec text
-  kShardAck = 10,    // server -> client: u64 shard id, u8 ShardAckStatus
+  kShardAck = 10,    // server -> client: u64 shard id
                      // (11 was v3's steal frame: retired)
 };
 
@@ -211,18 +214,11 @@ struct ShardAssign {
 [[nodiscard]] bool decode_shard_assign(const std::string& payload,
                                        ShardAssign* out);
 
-// kShardAck statuses: v4 has one (1 and 2 were v3's steal answers).
-enum class ShardAckStatus : std::uint8_t {
-  kAccepted = 0,  // shard queued; kProgress/kResult/kDone will follow
-};
-
-struct ShardAck {
-  std::uint64_t shard_id = 0;
-  ShardAckStatus status = ShardAckStatus::kAccepted;
-};
-
-[[nodiscard]] std::string encode_shard_ack(const ShardAck& a);
-[[nodiscard]] bool decode_shard_ack(const std::string& payload, ShardAck* out);
+// kShardAck payload: the accepted shard's id; its kResult frames and
+// kDone follow.
+[[nodiscard]] std::string encode_shard_ack(std::uint64_t shard_id);
+[[nodiscard]] bool decode_shard_ack(const std::string& payload,
+                                    std::uint64_t* shard_id);
 
 // kHeartbeat payload: u32 work items currently held (queued + running),
 // optionally followed by a CMS1 metrics snapshot (obs::encode_snapshot)
@@ -237,10 +233,6 @@ struct ShardAck {
 [[nodiscard]] bool decode_heartbeat(const std::string& payload,
                                     std::uint32_t* inflight,
                                     std::string* metrics);
-
-[[nodiscard]] std::string encode_progress(const engine::JobProgress& p);
-[[nodiscard]] bool decode_progress(const std::string& payload,
-                                   engine::JobProgress* out);
 
 [[nodiscard]] std::string encode_result(std::uint32_t index,
                                         const std::string& csr_bytes);

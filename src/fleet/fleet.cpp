@@ -286,8 +286,7 @@ bool parse_explore_stanza(const std::string& text,
 }
 
 std::string run_explore_stanza(const std::string& text,
-                               const std::atomic<bool>* cancel,
-                               const explore::ProgressFn& progress) {
+                               const std::atomic<bool>* cancel) {
   explore::ExploreSpec spec;
   std::string error;
   if (!parse_explore_stanza(text, &spec, &error)) {
@@ -296,7 +295,7 @@ std::string run_explore_stanza(const std::string& text,
   spec.cancel = cancel;
   // In-memory ledger: the shard's bytes travel back over the socket; the
   // driver owns persistence (and the merge).
-  const explore::Ledger ledger = explore::run_exploration(spec, "", progress);
+  const explore::Ledger ledger = explore::run_exploration(spec, "");
   return explore::encode_ledger(ledger);
 }
 
@@ -350,7 +349,7 @@ struct WorkerConn {
   serve::FrameConn conn;
   WorkerStatus status;
   // Dispatched shards in dispatch order.  The worker answers in request
-  // order, so kProgress/kResult/kDone belong to the front entry; acks
+  // order, so kResult/kDone belong to the front entry; acks
   // match by shard id.
   std::deque<Outstanding> outstanding;
   Clock::time_point last_seen;
@@ -381,7 +380,6 @@ class Driver {
 
  private:
   void emit(FleetEvent::Kind kind, std::size_t w, std::uint64_t shard_id,
-            const engine::JobProgress* progress = nullptr,
             const char* detail = nullptr) {
     if (!event_) return;
     FleetEvent e;
@@ -390,7 +388,6 @@ class Driver {
     e.worker_name = workers_[w].status.name;
     e.shard_id = shard_id;
     if (detail != nullptr) e.detail = detail;
-    if (progress != nullptr) e.progress = *progress;
     event_(e);
   }
 
@@ -436,7 +433,7 @@ void Driver::register_workers() {
     try {
       wc.conn = endpoints_[w].connect(opts_.connect_retry_ms);
     } catch (const std::runtime_error& e) {
-      emit(FleetEvent::Kind::kWorkerDead, w, 0, nullptr, e.what());
+      emit(FleetEvent::Kind::kWorkerDead, w, 0, e.what());
       continue;
     }
     serve::Hello hello;
@@ -444,7 +441,7 @@ void Driver::register_workers() {
     if (read_hello(&wc.conn, opts_.hello_timeout_ms, &hello, &why) !=
         HelloFault::kNone) {
       wc.conn.close();
-      emit(FleetEvent::Kind::kWorkerDead, w, 0, nullptr, why.c_str());
+      emit(FleetEvent::Kind::kWorkerDead, w, 0, why.c_str());
       continue;
     }
     if (!hello.name.empty()) wc.status.name = hello.name;
@@ -475,7 +472,7 @@ void Driver::declare_dead(std::size_t w, const char* why) {
   ++workers_lost_;
   metrics().workers_dead.add();
   requeue(w, wc.outstanding.size());
-  emit(FleetEvent::Kind::kWorkerDead, w, inflight_shard, nullptr, why);
+  emit(FleetEvent::Kind::kWorkerDead, w, inflight_shard, why);
 }
 
 // Returns worker w's first n outstanding shards to the front of the
@@ -583,8 +580,8 @@ void Driver::handle_frame(std::size_t w, const serve::Frame& frame) {
       break;
     }
     case serve::FrameType::kShardAck: {
-      serve::ShardAck ack;
-      if (!serve::decode_shard_ack(frame.payload, &ack)) {
+      std::uint64_t acked = 0;
+      if (!serve::decode_shard_ack(frame.payload, &acked)) {
         declare_dead(w, "bad ack");
         return;
       }
@@ -593,21 +590,12 @@ void Driver::handle_frame(std::size_t w, const serve::Frame& frame) {
       const auto it = std::find_if(
           wc.outstanding.begin(), wc.outstanding.end(),
           [&](const Outstanding& o) {
-            return shards_[o.pos].id == ack.shard_id;
+            return shards_[o.pos].id == acked;
           });
       if (it == wc.outstanding.end()) return;
       metrics().acks.add();
       metrics().ack_rtt.record(ns_since(it->assigned_at, Clock::now()));
-      emit(FleetEvent::Kind::kAck, w, ack.shard_id);
-      break;
-    }
-    case serve::FrameType::kProgress: {
-      engine::JobProgress p;
-      if (serve::decode_progress(frame.payload, &p) &&
-          !wc.outstanding.empty()) {
-        emit(FleetEvent::Kind::kProgress, w,
-             shards_[wc.outstanding.front().pos].id, &p);
-      }
+      emit(FleetEvent::Kind::kAck, w, acked);
       break;
     }
     case serve::FrameType::kResult: {

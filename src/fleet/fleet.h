@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/engine.h"
 #include "engine/protocol.h"
 #include "explore/explore.h"
 #include "fleet/status.h"
@@ -124,15 +123,14 @@ bool parse_explore_stanza(const std::string& text,
                           explore::ExploreSpec* spec, std::string* error);
 
 // Executes one explore shard stanza in memory and returns the encoded
-// `.cxl` ledger bytes.  `cancel` (optional) is polled at combo seams;
-// `progress` (optional) streams combo counters.  Throws
+// `.cxl` ledger bytes.  `cancel` (optional) is polled at combo seams.
+// Throws
 // explore::ExploreCancelled when the flag flips, std::invalid_argument on
 // a bad stanza (a kBadRequest at the daemon), std::runtime_error on
 // execution failure.  This is the worker-side entry point for
 // serve::ShardKind::kExplore.
-[[nodiscard]] std::string run_explore_stanza(
-    const std::string& text, const std::atomic<bool>* cancel,
-    const explore::ProgressFn& progress = {});
+[[nodiscard]] std::string run_explore_stanza(const std::string& text,
+                                             const std::atomic<bool>* cancel);
 
 // ---- the driver ------------------------------------------------------------
 
@@ -190,9 +188,8 @@ struct FleetEvent {
     kAssign = 2,      // shard dispatched to the worker (it may still be
                       // running its previous shard)
     kAck = 3,         // worker acknowledged the shard
-    kProgress = 4,    // progress frame for the worker's running shard
-    kShardDone = 5,   // shard completed
-    kRequeue = 6,     // shard returned to the queue (worker death, or a
+    kShardDone = 4,   // shard completed
+    kRequeue = 5,     // shard returned to the queue (worker death, or a
                       // failed or cancelled execution)
   };
   Kind kind = Kind::kWorkerUp;
@@ -200,7 +197,6 @@ struct FleetEvent {
   std::string worker_name;
   std::uint64_t shard_id = 0;  // kWorkerDead: the running shard (0 = none)
   std::string detail;          // kWorkerDead: why the driver declared it
-  engine::JobProgress progress;  // kProgress only
 };
 using EventFn = std::function<void(const FleetEvent&)>;
 

@@ -23,9 +23,6 @@ namespace clear::fleet {
 
 namespace {
 
-// Minimum gap between two progress frames for the same work item.
-constexpr std::chrono::milliseconds kProgressInterval{100};
-
 // One assigned shard: a campaign manifest or an explore stanza.  The
 // resolved plans are the stable storage the engine job's spec pointers
 // alias; explore shards run on a dedicated thread because
@@ -47,8 +44,6 @@ struct ServedWork {
   std::thread explore_thread;
   std::atomic<bool> explore_done{false};
   std::atomic<bool> explore_cancel{false};
-  std::atomic<std::uint64_t> explore_combos_total{0};
-  std::atomic<std::uint64_t> explore_combos_done{0};
   std::string explore_result;  // encoded .cxl on success
   serve::Done explore_outcome;  // the shard's kDone once explore_done
 
@@ -84,12 +79,7 @@ void start_explore(ServedWork* work, std::string text,
                                       on_finish = std::move(on_finish)] {
     serve::Done& done = work->explore_outcome;
     try {
-      work->explore_result = run_explore_stanza(
-          text, &work->explore_cancel, [work](const explore::Progress& p) {
-            work->explore_combos_total.store(p.pending,
-                                             std::memory_order_relaxed);
-            work->explore_combos_done.store(p.done, std::memory_order_relaxed);
-          });
+      work->explore_result = run_explore_stanza(text, &work->explore_cancel);
     } catch (const explore::ExploreCancelled&) {
       done = {serve::JobOutcome::kCancelled, "exploration cancelled"};
     } catch (const std::invalid_argument& e) {
@@ -102,28 +92,6 @@ void start_explore(ServedWork* work, std::string text,
     work->explore_done.store(true, std::memory_order_release);
     on_finish();
   });
-}
-
-bool progress_equal(const engine::JobProgress& a,
-                    const engine::JobProgress& b) {
-  return a.state == b.state && a.goldens_done == b.goldens_done &&
-         a.goldens_total == b.goldens_total &&
-         a.samples_done == b.samples_done &&
-         a.samples_total == b.samples_total;
-}
-
-// The progress snapshot for the front work item: the engine's for
-// campaign jobs, a synthesized combos-done/total one for explore shards.
-engine::JobProgress front_progress(ServedWork* front) {
-  if (!front->is_explore()) return front->job.progress();
-  engine::JobProgress p;
-  p.state = front->explore_done.load(std::memory_order_acquire)
-                ? engine::JobState::kDone
-                : engine::JobState::kRunning;
-  p.samples_done = front->explore_combos_done.load(std::memory_order_relaxed);
-  p.samples_total =
-      front->explore_combos_total.load(std::memory_order_relaxed);
-  return p;
 }
 
 // Resolves a campaign manifest and submits it to the engine; on any
@@ -208,9 +176,6 @@ bool Worker::handle_connection(serve::FrameConn conn) {
   std::deque<std::unique_ptr<ServedWork>> queue;
   bool peer_gone = false;
   bool shutdown = false;
-  engine::JobProgress last_sent;
-  bool sent_any = false;
-  auto last_sent_at = std::chrono::steady_clock::now();
   auto last_heartbeat_at = std::chrono::steady_clock::now();
 
   // The peer left (why == nullptr) or sent what this daemon cannot
@@ -250,75 +215,59 @@ bool Worker::handle_connection(serve::FrameConn conn) {
       queue.pop_front();
       continue;
     }
-    if (!queue.empty()) {
+    if (!queue.empty() && queue.front()->finished()) {
       ServedWork& front = *queue.front();
-      const engine::JobProgress p = front_progress(&front);
-      const auto now = std::chrono::steady_clock::now();
-      if (!peer_gone && (!sent_any || !progress_equal(p, last_sent)) &&
-          now - last_sent_at >= kProgressInterval) {
-        send(serve::FrameType::kProgress, serve::encode_progress(p));
-        last_sent = p;
-        sent_any = true;
-        last_sent_at = now;
-      }
-      if (front.finished()) {
-        if (!peer_gone) {
-          // Final snapshot, then the payload frames.
-          conn.send(serve::FrameType::kProgress,
-                    serve::encode_progress(front_progress(&front)),
-                    serve::kSendTimeoutMs);
-          serve::Done done;
-          if (front.is_explore()) {
-            done = front.explore_outcome;
-            if (done.outcome == serve::JobOutcome::kOk) {
+      if (!peer_gone) {
+        // The payload frames, then the outcome.
+        serve::Done done;
+        if (front.is_explore()) {
+          done = front.explore_outcome;
+          if (done.outcome == serve::JobOutcome::kOk) {
+            conn.send(serve::FrameType::kResult,
+                      serve::encode_result(0, front.explore_result),
+                      serve::kSendTimeoutMs);
+          }
+        } else {
+          const engine::JobState state = front.job.state();
+          if (state == engine::JobState::kDone) {
+            const auto& results = front.job.results();
+            for (std::size_t i = 0; i < results.size(); ++i) {
+              const inject::ShardFile shard =
+                  plan::plan_shard_file(front.plans[i], results[i]);
               conn.send(serve::FrameType::kResult,
-                        serve::encode_result(0, front.explore_result),
+                        serve::encode_result(static_cast<std::uint32_t>(i),
+                                             inject::encode_shard(shard)),
                         serve::kSendTimeoutMs);
             }
+            done.outcome = serve::JobOutcome::kOk;
+          } else if (state == engine::JobState::kCancelled) {
+            done.outcome = serve::JobOutcome::kCancelled;
+            done.message = "job cancelled";
           } else {
-            const engine::JobState state = front.job.state();
-            if (state == engine::JobState::kDone) {
-              const auto& results = front.job.results();
-              for (std::size_t i = 0; i < results.size(); ++i) {
-                const inject::ShardFile shard =
-                    plan::plan_shard_file(front.plans[i], results[i]);
-                conn.send(
-                    serve::FrameType::kResult,
-                    serve::encode_result(static_cast<std::uint32_t>(i),
-                                         inject::encode_shard(shard)),
-                    serve::kSendTimeoutMs);
-              }
-              done.outcome = serve::JobOutcome::kOk;
-            } else if (state == engine::JobState::kCancelled) {
-              done.outcome = serve::JobOutcome::kCancelled;
-              done.message = "job cancelled";
-            } else {
-              done.outcome = serve::JobOutcome::kFailed;
-              try {
-                front.job.results();  // rethrows the executor's error
-              } catch (const std::exception& e) {
-                done.message = e.what();
-              } catch (...) {
-                done.message = "unknown execution error";
-              }
+            done.outcome = serve::JobOutcome::kFailed;
+            try {
+              front.job.results();  // rethrows the executor's error
+            } catch (const std::exception& e) {
+              done.message = e.what();
+            } catch (...) {
+              done.message = "unknown execution error";
             }
           }
-          send(serve::FrameType::kDone, serve::encode_done(done));
-          if (!opts_.quiet) {
-            std::printf("serve      shard #%llu finished: %s\n",
-                        static_cast<unsigned long long>(front.shard_id),
-                        serve::job_outcome_name(done.outcome));
-            std::fflush(stdout);
-          }
         }
-        queue.pop_front();
-        sent_any = false;
-        continue;  // next work item may already be terminal
+        send(serve::FrameType::kDone, serve::encode_done(done));
+        if (!opts_.quiet) {
+          std::printf("serve      shard #%llu finished: %s\n",
+                      static_cast<unsigned long long>(front.shard_id),
+                      serve::job_outcome_name(done.outcome));
+          std::fflush(stdout);
+        }
       }
+      queue.pop_front();
+      continue;  // next work item may already be terminal
     }
 
     // ---- heartbeat ----------------------------------------------------------
-    if (!peer_gone && opts_.heartbeat_ms > 0) {
+    if (!peer_gone) {
       const auto now = std::chrono::steady_clock::now();
       if (now - last_heartbeat_at >=
           std::chrono::milliseconds(opts_.heartbeat_ms)) {
@@ -347,7 +296,7 @@ bool Worker::handle_connection(serve::FrameConn conn) {
         // One last heartbeat before closing: the driver keeps each
         // worker's latest snapshot, so work finished since the previous
         // beat would otherwise be missing from its merged metrics.
-        if (opts_.heartbeat_ms > 0) send_heartbeat();
+        send_heartbeat();
         break;
       }
       // A sibling connection shut the daemon down: drain instead of

@@ -3,9 +3,10 @@
 // A Worker accepts shard assignments (multi-campaign manifests in the
 // `clear run --spec` grammar, or explore stanzas), runs them on the
 // process-wide execution engine (explore shards through
-// run_explore_stanza), streams progress events and heartbeats, and
-// returns each campaign's result as `.csr` wire bytes (or one `.cxl`
-// ledger for an explore shard).  Each connection is serviced on its own
+// run_explore_stanza), beats a periodic heartbeat (the driver's one
+// liveness signal, carrying the worker's metric snapshot), and returns
+// each campaign's result as `.csr` wire bytes (or one `.cxl` ledger for
+// an explore shard).  Each connection is serviced on its own
 // thread, so concurrent fleet drivers (fleet.h; `clear fleet` runs one)
 // make progress simultaneously.  src/cli/cli_serve.cpp only parses flags,
 // installs the signal handler and fans out children.
@@ -28,7 +29,9 @@ namespace clear::fleet {
 struct WorkerOptions {
   serve::Hello hello;     // the first frame on every connection
   bool quiet = false;     // no per-shard log lines on stdout
-  int heartbeat_ms = 1000;  // gap between heartbeats (0 = off)
+  // Gap between heartbeats (> 0).  It must stay below the driver's
+  // --dead-after-ms, or a busy worker is declared dead.
+  int heartbeat_ms = 1000;
   // Raised asynchronously (the CLI's SIGTERM/SIGINT handler): every
   // connection cancels its in-flight work and drains.  Must be lock-free
   // and outlive the worker; null = never.

@@ -901,8 +901,7 @@ void fold_pass(CampaignJob& job, CampaignResult* result) {
 
 // Upper bound on the samples THIS SHARD will simulate for an adaptive
 // job: the full pilot (redundant on every shard) plus its owned share of
-// the worst-case tail.  Published as the initial progress total, then
-// shrunk at every milestone barrier as FFs stop early.
+// the worst-case tail.  Sizes the batch's worker count.
 std::uint64_t adaptive_upper_bound(const CampaignJob& job) {
   const CampaignSpec& spec = *job.spec;
   const std::uint64_t pilot_sims =
@@ -1279,10 +1278,9 @@ std::vector<std::uint64_t> dead_at_flip_samples(const CampaignSpec& spec) {
 }
 
 std::vector<CampaignResult> execute_campaigns(
-    const std::vector<CampaignSpec>& specs, const BatchHooks& hooks) {
+    const std::vector<CampaignSpec>& specs, const std::atomic<bool>* cancel) {
   std::vector<CampaignResult> results(specs.size());
   if (specs.empty()) return results;
-  const std::atomic<bool>* cancel = hooks.cancel;
 
   const std::string cache_dir = campaign_cache_dir();
   std::vector<CampaignJob> planned;
@@ -1303,13 +1301,7 @@ std::vector<CampaignResult> execute_campaigns(
   for (std::size_t j = 0; j < planned.size(); ++j) {
     if (!served[j]) jobs.push_back(std::move(planned[j]));
   }
-  if (jobs.empty()) {
-    // Whole batch served from the cache pack: publish empty totals so
-    // progress reads as complete, not as still-planning.
-    if (hooks.goldens_total) hooks.goldens_total->store(0);
-    if (hooks.samples_total) hooks.samples_total->store(0);
-    return results;
-  }
+  if (jobs.empty()) return results;  // whole batch served from the pack
   check_cancel(cancel);
 
   std::size_t upper_total = 0;  // worst-case sims this shard performs
@@ -1336,15 +1328,6 @@ std::vector<CampaignResult> execute_campaigns(
       }
     }
   }
-  // Planning is done: publish the work totals the progress counters count
-  // toward (cache-served campaigns are excluded from both phases).  For
-  // adaptive campaigns the sample total is an UPPER BOUND that shrinks at
-  // every milestone barrier as per-FF campaigns stop early.
-  if (hooks.goldens_total) hooks.goldens_total->store(jobs.size());
-  if (hooks.samples_total) hooks.samples_total->store(upper_total);
-  std::uint64_t published_total = upper_total;
-  std::uint64_t executed_sofar = 0;
-
   const std::size_t njobs = jobs.size();
   // Shards of one campaign in this batch fork from one recording: the
   // first of them (the leader) records it, or takes it from the
@@ -1441,10 +1424,6 @@ std::vector<CampaignResult> execute_campaigns(
               for (const std::size_t k : shares) take(k);
             }
             batch_cv.notify_all();
-            if (hooks.goldens_done) {
-              hooks.goldens_done->fetch_add(1 + shares.size(),
-                                            std::memory_order_relaxed);
-            }
             return;
           }
           const std::size_t fi = i - lead;
@@ -1465,9 +1444,6 @@ std::vector<CampaignResult> execute_campaigns(
             const std::size_t global =
                 local * job.spec->shard_count + job.spec->shard_index;
             job.outcomes[local] = simulate_sample(job, global, cancel);
-            if (hooks.samples_done) {
-              hooks.samples_done->fetch_add(1, std::memory_order_relaxed);
-            }
             if (samples_left[j].fetch_sub(1, std::memory_order_acq_rel) ==
                 1) {
               job.traj.reset();
@@ -1476,12 +1452,8 @@ std::vector<CampaignResult> execute_campaigns(
           }
           job.outcomes[local] = simulate_sample(
               job, static_cast<std::size_t>(job.pass_indices[local]), cancel);
-          if (hooks.samples_done) {
-            hooks.samples_done->fetch_add(1, std::memory_order_relaxed);
-          }
         });
     for (auto& job : jobs) fold_pass(job, &results[job.spec_index]);
-    executed_sofar += total;
   };
 
   run_pass(/*with_goldens=*/true);
@@ -1530,34 +1502,6 @@ std::vector<CampaignResult> execute_campaigns(
         }
       }
     }
-    // Shrink the published sample total: executed so far plus a fresh
-    // upper bound on what is left, clamped monotone.
-    if (hooks.samples_total) {
-      std::uint64_t remaining = 0;
-      for (const auto& job : jobs) {
-        if (job.pilot == 0) continue;
-        if (job.in_tail || r >= job.milestones.size()) {
-          remaining += job.pass_indices.size();
-          continue;
-        }
-        const CampaignSpec& spec = *job.spec;
-        std::uint64_t open = 0;
-        std::uint64_t committed = 0;
-        for (std::uint32_t f = 0; f < job.ff_count; ++f) {
-          const std::uint64_t stop = job.decide[f].stopped_at;
-          if (stop == 0) ++open;
-          committed += stop != 0 ? stop : job.milestones[r];
-        }
-        remaining += open * (job.pilot - job.milestones[r]);
-        if (job.injections > committed) {
-          remaining += (job.injections - committed + spec.shard_count - 1) /
-                           spec.shard_count +
-                       open;
-        }
-      }
-      published_total = std::min(published_total, executed_sofar + remaining);
-      hooks.samples_total->store(published_total);
-    }
     if (r + 1 < max_rounds) run_pass(/*with_goldens=*/false);
   }
   // Tail pass: every adaptive job's remaining owned samples (jobs whose
@@ -1566,9 +1510,6 @@ std::vector<CampaignResult> execute_campaigns(
   run_pass(/*with_goldens=*/false);
   for (auto& job : jobs) {
     if (job.pilot != 0) job.traj.reset();
-  }
-  if (hooks.samples_total && executed_sofar < published_total) {
-    hooks.samples_total->store(executed_sofar);  // final exact count
   }
 
   // A cancel that raced the last sample still aborts here, before any

@@ -7,25 +7,16 @@
 // in inject/campaign.cpp where the per-worker core instances live.  This
 // header is the seam between the two layers, and dependencies cross it
 // downward only: the engine calls execute_campaigns() on its dispatcher
-// thread and wires the hooks to the job handle it returned to the caller;
-// nothing in inject/ calls up into the engine.
+// thread and hands it the cancel flag of the job handle it returned to
+// the caller; nothing in inject/ calls up into the engine.
 //
-// Hooks contract:
-//   * cancel is polled cooperatively at every checkpoint boundary of
-//     every simulated run (golden snapshots and forked faulty runs) and
-//     before every sample; when it flips, workers stop at the next check
-//     and the executor throws CampaignCancelled.  A cancelled batch
-//     writes NOTHING to the campaign cache pack -- entries are appended
-//     only after the whole batch finished, so cancellation can never
-//     leave a partial result under a valid fingerprint.
-//   * the progress counters are monotonic and written with relaxed
-//     atomics; totals are published once planning (the cache probe)
-//     finished, so `*_total == 0` means "still planning" unless the
-//     whole batch was served from the cache.  For confidence-driven
-//     adaptive campaigns (CampaignSpec::confidence_half_width > 0) the
-//     published sample total is an UPPER BOUND that monotonically
-//     SHRINKS at every milestone barrier as per-FF campaigns stop early;
-//     `done` counters only ever grow, and done <= total holds throughout.
+// Cancellation contract: the job's cancel flag is polled cooperatively at every
+// checkpoint boundary of every simulated run (golden snapshots and forked
+// faulty runs) and before every sample; when it flips, workers stop at
+// the next check and the executor throws CampaignCancelled.  A cancelled
+// batch writes NOTHING to the campaign cache pack -- entries are appended
+// only after the whole batch finished, so cancellation can never leave a
+// partial result under a valid fingerprint.
 //
 // This header is internal to the library (the engine and tests); the
 // stable surface is inject/campaign.h + engine/engine.h.
@@ -43,7 +34,7 @@
 
 namespace clear::inject::detail {
 
-// Thrown by execute_campaigns() when BatchHooks::cancel was observed set.
+// Thrown by execute_campaigns() when its cancel flag was observed set.
 // Derives from std::runtime_error so a stray escape still surfaces as a
 // normal error; the engine catches it by type and marks the job
 // kCancelled instead of kFailed.
@@ -52,28 +43,16 @@ class CampaignCancelled : public std::runtime_error {
   CampaignCancelled() : std::runtime_error("campaign batch cancelled") {}
 };
 
-// Observation/control channels between one engine job and the executor.
-// All pointers are optional (null = feature unused) and must outlive the
-// execute_campaigns() call.
-struct BatchHooks {
-  // Cooperative cancellation flag, polled at checkpoint boundaries.
-  const std::atomic<bool>* cancel = nullptr;
-  // Golden-recording phase: one unit per campaign not served from cache.
-  std::atomic<std::uint64_t>* goldens_done = nullptr;
-  std::atomic<std::uint64_t>* goldens_total = nullptr;
-  // Faulty-run phase: one unit per simulated sample (cache hits excluded).
-  std::atomic<std::uint64_t>* samples_done = nullptr;
-  std::atomic<std::uint64_t>* samples_total = nullptr;
-};
-
 // Runs a batch of campaigns to completion on the process-wide worker
 // pool, blocking the calling thread.  Bit-identical results for a given
 // spec across runs, hosts, thread counts and batch compositions, and
 // bit-identical to simulating every faulty run from cycle 0.  Throws
-// CampaignCancelled when cancelled via the hooks, std::invalid_argument
-// on a bad spec, and std::runtime_error when a golden run does not halt.
+// CampaignCancelled once `cancel` (optional; it must outlive the call) is
+// seen set, std::invalid_argument on a bad spec, and std::runtime_error
+// when a golden run does not halt.
 [[nodiscard]] std::vector<CampaignResult> execute_campaigns(
-    const std::vector<CampaignSpec>& specs, const BatchHooks& hooks);
+    const std::vector<CampaignSpec>& specs,
+    const std::atomic<bool>* cancel);
 
 // Test seam: the global indices of `spec`'s samples that the executor
 // ends as golden's Vanished without forking, because the strike lands in

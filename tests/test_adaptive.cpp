@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -625,32 +624,6 @@ TEST(AdaptiveCampaign, CacheRoundTripPreservesAdaptiveMetadata) {
   const auto f = engine::run_campaign(fixed);
   EXPECT_FALSE(f.adaptive());
   EXPECT_EQ(f.totals.total(), spec.injections);
-}
-
-TEST(AdaptiveCampaign, EngineProgressTotalOnlyShrinks) {
-  const auto prog = bench("gcc");
-  const auto spec = mixed_stop_spec(&prog);
-  const ScopedEnv two_threads("CLEAR_THREADS", "2");
-  auto job = engine::Engine::instance().submit({spec});
-  std::uint64_t last_total = ~0ull;
-  bool saw_progress = false;
-  while (!job.wait_for(std::chrono::milliseconds(1))) {
-    const auto p = job.progress();
-    if (p.samples_total != 0) {
-      // The adaptive total is a monotonically SHRINKING upper bound...
-      EXPECT_LE(p.samples_total, last_total);
-      EXPECT_LE(p.samples_done, p.samples_total);
-      last_total = p.samples_total;
-      saw_progress = true;
-    }
-  }
-  const auto results = job.take_results();
-  ASSERT_EQ(results.size(), 1u);
-  const auto p = job.progress();
-  // ...that lands exactly on the executed sample count.
-  EXPECT_EQ(p.samples_total, results[0].samples_executed());
-  EXPECT_EQ(p.samples_done, p.samples_total);
-  EXPECT_TRUE(saw_progress);
 }
 
 }  // namespace

@@ -197,6 +197,13 @@ TEST(CliSmoke, UsageErrorsExitTwo) {
   EXPECT_EQ(sh(kBin + " status --timeout 4294967296 --connect-retry 0 tcp:1 "
                       "2>/dev/null"),
             2);
+  // Heartbeats are a worker's one liveness signal, so they cannot be off.
+  // `timeout` turns a daemon that starts anyway into a failure, not a hang.
+  EXPECT_EQ(sh("timeout 10 " + kBin +
+               " serve --socket cli_e2e/hb0.sock --heartbeat-ms 0 "
+               "2>/dev/null"),
+            2);
+  EXPECT_FALSE(std::filesystem::exists("cli_e2e/hb0.sock"));
   EXPECT_EQ(sh(kBin + " merge shard.csr 2>/dev/null"), 2);  // missing --out
   EXPECT_EQ(sh(kBin + " report --format yaml x.csr 2>/dev/null"), 2);
   EXPECT_EQ(sh(kBin + " cache frobnicate 2>/dev/null"), 2);

@@ -1,10 +1,11 @@
-// Execution-engine tests: submit/wait/poll semantics, progress
-// monotonicity, FIFO queue order, cooperative cancellation (including the
-// killed-job fuzz over the campaign cache pack), Session::prefetch_async,
-// the serve protocol codec, serve::FrameConn over a socketpair, and the
-// `clear serve` loopback e2e -- a real daemon driven by a `clear fleet
-// run` child, whose merged .csr bytes must match `clear run --out`
-// exactly, and by raw frames for a manifest only the worker sees.
+// Execution-engine tests: submit/wait/poll semantics, the work a job
+// does as the obs counters see it, FIFO queue order, cooperative
+// cancellation (including the killed-job fuzz over the campaign cache
+// pack), Session::prefetch_async, the serve protocol codec,
+// serve::FrameConn over a socketpair, and the `clear serve` loopback e2e
+// -- a real daemon driven by a `clear fleet run` child, whose merged .csr
+// bytes must match `clear run --out` exactly, and by raw frames for a
+// manifest only the worker sees.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -135,38 +136,37 @@ TEST(Engine, FailedJobRethrowsExecutorError) {
   EXPECT_THROW((void)job.take_results(), std::invalid_argument);
 }
 
-TEST(Engine, ProgressIsMonotonicAndCompletes) {
+// A job reports its state; the work it does is counted process-wide by
+// the obs registry, which a worker's heartbeats carry to the driver.
+TEST(Engine, UncachedJobCountsEverySampleAndOneGolden) {
+  obs::set_enabled(true);
   const auto prog = bench("gcc");
+  const std::uint64_t samples0 = obs::counter("campaign.samples").value();
+  const std::uint64_t goldens0 = obs::counter("campaign.goldens").value();
   engine::Job job = engine::Engine::instance().submit(
       {small_spec(&prog, "", 400)});
-  engine::JobProgress last = job.progress();
-  while (!job.poll()) {
-    const engine::JobProgress p = job.progress();
-    EXPECT_GE(p.goldens_done, last.goldens_done);
-    EXPECT_GE(p.samples_done, last.samples_done);
-    last = p;
-    std::this_thread::sleep_for(1ms);
-  }
-  const engine::JobProgress done = job.progress();
-  EXPECT_EQ(done.state, engine::JobState::kDone);
-  EXPECT_EQ(done.goldens_total, 1u);
-  EXPECT_EQ(done.goldens_done, 1u);
-  EXPECT_EQ(done.samples_total, 400u);
-  EXPECT_EQ(done.samples_done, 400u);
+  job.wait();
+  EXPECT_EQ(job.state(), engine::JobState::kDone);
+  EXPECT_EQ(obs::counter("campaign.samples").value() - samples0, 400u);
+  EXPECT_EQ(obs::counter("campaign.goldens").value() - goldens0, 1u);
   (void)job.take_results();
 }
 
-TEST(Engine, FullyCachedJobCompletesWithZeroTotals) {
+TEST(Engine, FullyCachedJobSimulatesNothing) {
+  obs::set_enabled(true);
   const auto prog = bench("mcf");
   const auto spec = small_spec(&prog, "engine/cached");
   const auto first = engine::run_campaign(spec);  // fills the pack
 
+  const std::uint64_t hits0 = obs::counter("cache.hit").value();
+  const std::uint64_t samples0 = obs::counter("campaign.samples").value();
+  const std::uint64_t goldens0 = obs::counter("campaign.goldens").value();
   engine::Job job = engine::Engine::instance().submit({spec});
   job.wait();
-  const engine::JobProgress p = job.progress();
-  EXPECT_EQ(p.state, engine::JobState::kDone);
-  EXPECT_EQ(p.goldens_total, 0u);
-  EXPECT_EQ(p.samples_total, 0u);
+  EXPECT_EQ(job.state(), engine::JobState::kDone);
+  EXPECT_EQ(obs::counter("cache.hit").value() - hits0, 1u);
+  EXPECT_EQ(obs::counter("campaign.samples").value(), samples0);
+  EXPECT_EQ(obs::counter("campaign.goldens").value(), goldens0);
   const auto results = job.take_results();
   ASSERT_EQ(results.size(), 1u);
   expect_identical(results[0], first);
@@ -589,7 +589,7 @@ TEST(ServeProtocol, FrameRoundTripAndIncrementalDecode) {
 }
 
 TEST(ServeProtocol, CorruptFramesAreRefusedNotMisparsed) {
-  const std::string good = serve::encode_frame(serve::FrameType::kProgress,
+  const std::string good = serve::encode_frame(serve::FrameType::kResult,
                                                std::string(41, 'x'));
   serve::Frame frame;
   // A flipped bit anywhere (type, length, checksum or payload) must
@@ -608,10 +608,10 @@ TEST(ServeProtocol, CorruptFramesAreRefusedNotMisparsed) {
       ADD_FAILURE() << "flip at byte " << i << " decoded as a valid frame";
     }
   }
-  // Unknown type word, the retired v2 job (2) and cancel (3) types and
-  // the retired v3 steal (11): a well-formed frame of any is refused,
-  // never read as another type.
-  for (const char type : {char{99}, char{2}, char{3}, char{11}}) {
+  // Unknown type word, the retired v2 job (2) and cancel (3) types, the
+  // retired v3 steal (11) and the retired v5 progress (5): a well-formed
+  // frame of any is refused, never read as another type.
+  for (const char type : {char{99}, char{2}, char{3}, char{11}, char{5}}) {
     std::string bytes = good;
     bytes[0] = type;
     std::string buf = bytes;
@@ -629,18 +629,6 @@ TEST(ServeProtocol, PayloadCodecsRoundTrip) {
   EXPECT_EQ(h2.proto_version, serve::kProtoVersion);
   EXPECT_EQ(h2.wire_version, 1u);
   EXPECT_FALSE(serve::decode_hello("not a hello", &h2));
-
-  engine::JobProgress p;
-  p.state = engine::JobState::kRunning;
-  p.goldens_done = 3;
-  p.goldens_total = 5;
-  p.samples_done = 123456789;
-  p.samples_total = 987654321;
-  engine::JobProgress p2;
-  ASSERT_TRUE(serve::decode_progress(serve::encode_progress(p), &p2));
-  EXPECT_EQ(p2.state, engine::JobState::kRunning);
-  EXPECT_EQ(p2.goldens_done, 3u);
-  EXPECT_EQ(p2.samples_total, 987654321u);
 
   std::uint32_t index = 0;
   std::string csr;
@@ -692,12 +680,12 @@ TEST(ServeProtocol, FrameConnAssemblesAFrameSentOneByteAtATime) {
 TEST(ServeProtocol, FrameConnSplitsTwoFramesFromOneRead) {
   ConnPair p = conn_pair();
   const std::string both =
-      serve::encode_frame(serve::FrameType::kProgress, "first") +
+      serve::encode_frame(serve::FrameType::kResult, "first") +
       serve::encode_frame(serve::FrameType::kDone, "second");
   ASSERT_TRUE(p.peer.send_all(both.data(), both.size()));
   serve::Frame frame;
   ASSERT_EQ(p.conn.recv(&frame, 5000), Recv::kFrame);
-  EXPECT_EQ(frame.type, serve::FrameType::kProgress);
+  EXPECT_EQ(frame.type, serve::FrameType::kResult);
   EXPECT_EQ(frame.payload, "first");
   ASSERT_EQ(p.conn.recv(&frame, 0), Recv::kFrame);
   EXPECT_EQ(frame.type, serve::FrameType::kDone);
@@ -823,7 +811,7 @@ TEST(ServeE2E, LoopbackResultsMatchLocalRunByteForByte) {
 // A real daemon answers a manifest it cannot resolve, sent as a raw
 // shard-assign (the fleet driver would refuse it before dispatching),
 // with kDone(bad-request) naming the benchmark, and simulates nothing:
-// no progress or result frame comes before the refusal.
+// no result frame comes before the refusal.
 TEST(ServeE2E, BadManifestIsRefusedWithoutSimulating) {
   const std::string dir = "engine_e2e";
   ASSERT_EQ(sh(kBin + " serve --socket " + dir + "/w2.sock --once --quiet &"),

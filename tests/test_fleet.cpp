@@ -169,20 +169,13 @@ TEST(FleetProtocol, FleetFrameCodecsRoundTrip) {
   EXPECT_EQ(a2.kind, serve::ShardKind::kExplore);
   EXPECT_EQ(a2.text, a.text);
 
-  serve::ShardAck k;
-  k.shard_id = 77;
-  serve::ShardAck k2;
-  const std::string ack = serve::encode_shard_ack(k);
-  ASSERT_TRUE(serve::decode_shard_ack(ack, &k2));
-  EXPECT_EQ(k2.shard_id, 77u);
-  EXPECT_EQ(k2.status, serve::ShardAckStatus::kAccepted);
-  // Statuses 1 and 2 were v3's steal answers: refused since v4.
-  for (const char status : {char{1}, char{2}}) {
-    std::string retired = ack;
-    retired[8] = status;
-    EXPECT_FALSE(serve::decode_shard_ack(retired, &k2))
-        << "status " << static_cast<int>(status);
-  }
+  std::uint64_t acked = 0;
+  const std::string ack = serve::encode_shard_ack(77);
+  EXPECT_EQ(ack.size(), 8u);
+  ASSERT_TRUE(serve::decode_shard_ack(ack, &acked));
+  EXPECT_EQ(acked, 77u);
+  // v5's ack carried a status byte after the id: refused since v6.
+  EXPECT_FALSE(serve::decode_shard_ack(ack + std::string(1, '\0'), &acked));
 
   // A bare 4-byte heartbeat (no metrics tail) is valid.
   std::uint32_t inflight = 0;
@@ -194,7 +187,7 @@ TEST(FleetProtocol, FleetFrameCodecsRoundTrip) {
 
   // Truncated payloads are refused, never misparsed.
   EXPECT_FALSE(serve::decode_shard_assign("short", &a2));
-  EXPECT_FALSE(serve::decode_shard_ack("1234", &k2));
+  EXPECT_FALSE(serve::decode_shard_ack("1234", &acked));
   EXPECT_FALSE(serve::decode_heartbeat("12", &inflight, &tail));
 }
 
@@ -260,14 +253,16 @@ TEST(FleetHello, EveryFaultIsNamedAndExplained) {
             fleet::HelloFault::kBadHello);
 
   // A v3 daemon (the last that answered steal frames), a v4 one (the last
-  // whose shard-assign frames carried a priority byte), and a current one
-  // with another .csr or .cxl version.
-  for (int field = 0; field < 4; ++field) {
+  // whose shard-assign frames carried a priority byte), a v5 one (the
+  // last that sent progress frames and an ack status byte), and a current
+  // one with another .csr or .cxl version.
+  for (int field = 0; field < 5; ++field) {
     serve::Hello skewed = fleet::worker_hello("old");
     if (field == 0) skewed.proto_version = 3;
     if (field == 1) skewed.proto_version = 4;
-    if (field == 2) skewed.wire_version += 1;
-    if (field == 3) skewed.ledger_version += 1;
+    if (field == 2) skewed.proto_version = 5;
+    if (field == 3) skewed.wire_version += 1;
+    if (field == 4) skewed.ledger_version += 1;
     EXPECT_EQ(hello_fault_of(hello_frame(skewed), false, &why),
               fleet::HelloFault::kVersionSkew)
         << "field " << field;
@@ -336,7 +331,9 @@ fleet::WorkerOptions in_process_options() {
   fleet::WorkerOptions opts;
   opts.hello = fleet::worker_hello("in-process");
   opts.quiet = true;
-  opts.heartbeat_ms = 0;  // only the frames the test asks for
+  // Far apart: the only heartbeat a conversation sees is the one a
+  // worker sends just before it closes on a kShutdown.
+  opts.heartbeat_ms = 600'000;
   return opts;
 }
 
@@ -366,18 +363,20 @@ TEST(FleetWorker, ConnectionHandlerAnswersOverASocketpair) {
                             serve::encode_shard_assign(assign)));
     ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
     ASSERT_EQ(frame.type, serve::FrameType::kShardAck);
-    serve::ShardAck ack;
-    ASSERT_TRUE(serve::decode_shard_ack(frame.payload, &ack));
-    EXPECT_EQ(ack.shard_id, 7u);
-    EXPECT_EQ(ack.status, serve::ShardAckStatus::kAccepted);
+    std::uint64_t acked = 0;
+    ASSERT_TRUE(serve::decode_shard_ack(frame.payload, &acked));
+    EXPECT_EQ(acked, 7u);
     ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
     ASSERT_EQ(frame.type, serve::FrameType::kDone);
     serve::Done done;
     ASSERT_TRUE(serve::decode_done(frame.payload, &done));
     EXPECT_EQ(done.outcome, serve::JobOutcome::kBadRequest);
 
-    // kShutdown ends the handler, which closes its end.
+    // kShutdown ends the handler: one last heartbeat, then it closes
+    // its end.
     ASSERT_TRUE(client.send(serve::FrameType::kShutdown, ""));
+    ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
+    EXPECT_EQ(frame.type, serve::FrameType::kHeartbeat);
     EXPECT_EQ(client.recv(&frame, 5000), Recv::kClosed);
   };
   converse();
@@ -446,7 +445,7 @@ TEST(FleetWorker, RefusesDriverOnlyStanzasByNameWithoutSimulating) {
                               serve::encode_shard_assign(assign)));
       ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
       ASSERT_EQ(frame.type, serve::FrameType::kShardAck) << c.named;
-      // No progress and no result: the refusal comes next.
+      // No result: the refusal comes next.
       ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
       ASSERT_EQ(frame.type, serve::FrameType::kDone) << c.named;
       serve::Done done;
@@ -456,6 +455,8 @@ TEST(FleetWorker, RefusesDriverOnlyStanzasByNameWithoutSimulating) {
           << done.message;
     }
     ASSERT_TRUE(client.send(serve::FrameType::kShutdown, ""));
+    ASSERT_EQ(client.recv(&frame, 5000), Recv::kFrame);
+    EXPECT_EQ(frame.type, serve::FrameType::kHeartbeat);
     EXPECT_EQ(client.recv(&frame, 5000), Recv::kClosed);
   };
   converse();

@@ -16,6 +16,7 @@
 #include "util/bytes.h"
 #include "util/env.h"
 #include "util/fs.h"
+#include "util/hash.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/sealed.h"
@@ -456,6 +457,15 @@ TEST(Hash, SplitmixIsStable) {
   // Regression pin: deterministic noise sources (SP&R artifacts, placement
   // jitter) depend on these exact values.
   EXPECT_EQ(clear::util::splitmix64(0), 0xe220a8397b1dcdafULL);
+}
+
+TEST(Hash, Fnv1aSeedIsTheFormatsSeedNotTheStandardBasis) {
+  // Every .csr/.cxl/CPK1/CSV1 checksum starts from this seed, which
+  // is 1469598103934665603, not the standard FNV-1a 64 offset basis
+  // 0xcbf29ce484222325 (docs/FORMATS.md): a change here breaks every
+  // stored file and every peer.
+  EXPECT_EQ(clear::util::fnv1a64("", 0), 0x14650fb0739d0383ULL);
+  EXPECT_EQ(clear::util::fnv1a64("a", 1), 0x44bd8ad473cd9906ULL);
 }
 
 TEST(Stats, RunningStatBasics) {
