@@ -143,7 +143,6 @@ int cmd_serve(int argc, const char* const* argv) {
       "and 'clear fleet explore' are the matching drivers.");
   args.add_option("socket", "path", "listen on a UNIX stream socket");
   args.add_option("port", "N", "listen on 127.0.0.1:N instead");
-  args.add_flag("once", "serve exactly one connection, then exit");
   args.add_option("heartbeat-ms", "N",
                   "milliseconds between heartbeats, > 0 (keep it below the "
                   "driver's --dead-after-ms)",
@@ -223,7 +222,7 @@ int cmd_serve(int argc, const char* const* argv) {
   opts.heartbeat_ms = heartbeat_ms;
   opts.stop = &g_stop;
   fleet::Worker worker(std::move(opts));
-  worker.serve(&listener, args.has("once"));
+  worker.serve(&listener);
   listener.close();
   if (have_socket) std::remove(args.get("socket").c_str());
   if (!quiet) std::printf("serve      exiting\n");

@@ -4,7 +4,7 @@
 //
 //   * live probe (`clear status ENDPOINT...`): connect to each `clear
 //     serve` worker, read its hello, and wait for one heartbeat -- the
-//     liveness beacon carries the worker's CMS1 metric snapshot
+//     liveness beacon carries the worker's clear-metrics-v1 snapshot
 //     (docs/FORMATS.md), so a probe needs no new protocol frame;
 //   * status file (`clear status --file FILE`): render the
 //     clear-fleet-status-v1 document a running fleet driver maintains
@@ -181,7 +181,7 @@ std::string render_tables(const std::vector<fleet::StatusRow>& rows,
 // ---- live probe ------------------------------------------------------------
 
 // Connects to one worker, reads the hello, and waits up to `timeout_ms`
-// for a heartbeat (whose optional tail is the CMS1 metric snapshot).
+// for a heartbeat (which carries the worker's clear-metrics-v1 snapshot).
 void probe(const fleet::Endpoint& ep, int connect_retry_ms, int timeout_ms,
            fleet::StatusRow* row) {
   row->endpoint = ep.display();
@@ -217,19 +217,18 @@ void probe(const fleet::Endpoint& ep, int connect_retry_ms, int timeout_ms,
     }
     // Timeout or peer closed: keep whatever state we reached.
     if (got != serve::FrameConn::Recv::kFrame) return;
+    // Any other frame: skip it and wait for a heartbeat.
+    if (frame.type != serve::FrameType::kHeartbeat) continue;
     std::uint32_t inflight = 0;
-    std::string metrics;
-    if (frame.type == serve::FrameType::kHeartbeat &&
-        serve::decode_heartbeat(frame.payload, &inflight, &metrics)) {
-      row->inflight = inflight;
-      row->state = "up";
-      obs::Snapshot snap;
-      if (!metrics.empty() && obs::decode_snapshot(metrics, &snap)) {
-        row->metrics = std::move(snap);
-      }
+    obs::Snapshot snap;
+    if (!serve::decode_heartbeat(frame.payload, &inflight, &snap)) {
+      row->state = "bad-stream";
       return;
     }
-    // Any other frame: skip it and wait for a heartbeat.
+    row->inflight = inflight;
+    row->state = "up";
+    row->metrics = std::move(snap);
+    return;
   }
 }
 
@@ -262,7 +261,7 @@ int cmd_status(int argc, const char* const* argv) {
       "clear status [--file FILE | ENDPOINT...]",
       "Renders fleet/worker telemetry tables: per-worker shard, cache and\n"
       "latency columns.  With endpoints, probes each `clear serve` worker\n"
-      "live (hello + one heartbeat, whose tail carries the worker's metric\n"
+      "live (hello + one heartbeat, which carries the worker's metric\n"
       "snapshot).  With --file, renders the clear-fleet-status-v1 document\n"
       "a fleet driver maintains via `clear fleet ... --status-out`.\n"
       "docs/OBSERVABILITY.md documents every metric.");

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 
+#include "obs/metrics.h"
 #include "util/bytes.h"
+#include "util/json.h"
 
 namespace clear::serve {
 
@@ -164,19 +166,19 @@ bool decode_shard_ack(const std::string& payload, std::uint64_t* shard_id) {
 }
 
 std::string encode_heartbeat(std::uint32_t inflight,
-                             const std::string& metrics) {
+                             const obs::Snapshot& metrics) {
   std::string out;
   util::put_u32(&out, inflight);
-  out.append(metrics);
+  out.append(obs::to_json(metrics));
   return out;
 }
 
 bool decode_heartbeat(const std::string& payload, std::uint32_t* inflight,
-                      std::string* metrics) {
+                      obs::Snapshot* metrics) {
   util::ByteReader r(payload.data(), payload.size());
-  if (!r.u32(inflight)) return false;
-  metrics->assign(payload, 4, payload.size() - 4);
-  return true;
+  util::Json doc;
+  return r.u32(inflight) && util::parse_json(payload.substr(4), &doc) &&
+         obs::snapshot_from_json(doc, metrics);
 }
 
 std::string encode_result(std::uint32_t index, const std::string& csr_bytes) {

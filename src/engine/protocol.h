@@ -1,4 +1,4 @@
-// `clear serve` wire protocol (version 6): the frame layer a shard-worker
+// `clear serve` wire protocol (version 7): the frame layer a shard-worker
 // daemon and its driver (the fleet driver in fleet/fleet.h, which `clear
 // fleet run` and `clear fleet explore` run) speak over a local stream
 // socket.
@@ -60,6 +60,10 @@
 #include "util/sealed.h"
 #include "util/socket.h"
 
+namespace clear::obs {
+struct Snapshot;
+}  // namespace clear::obs
+
 namespace clear::serve {
 
 // Current (and newest understood) serve protocol version.  v2 added the
@@ -76,8 +80,11 @@ namespace clear::serve {
 // progress frame (type 5), whose counts the heartbeat's metric snapshot
 // already carries, and the shard-ack status byte, which had one value:
 // a v5 peer is refused at the hello, and a stray type-5 frame decodes as
-// kBad.
-constexpr std::uint32_t kProtoVersion = 6;
+// kBad.  v7 made the heartbeat's metric snapshot a required
+// clear-metrics-v1 document (the encoding --metrics-out writes) in place
+// of v6's optional binary snapshot tail: a v6 peer is refused at the
+// hello.
+constexpr std::uint32_t kProtoVersion = 7;
 
 // "CSV1" little-endian, carried in the hello payload: identifies a clear
 // serve stream (CSR/CXL/CPK are files; CSV is the socket).
@@ -103,8 +110,8 @@ enum class FrameType : std::uint32_t {
                      // (5 was v5's progress frame: retired)
   kResult = 6,       // server -> client: u32 campaign index, then .csr bytes
   kDone = 7,         // server -> client: u8 JobOutcome, then message text
-  kHeartbeat = 8,    // server -> client: u32 in-flight work items, then an
-                     // optional CMS1 metrics snapshot tail (periodic)
+  kHeartbeat = 8,    // server -> client: u32 in-flight work items, then the
+                     // clear-metrics-v1 snapshot document (periodic)
   kShardAssign = 9,  // client -> server: u64 shard id, u8 kind, then the
                      // shard's spec text
   kShardAck = 10,    // server -> client: u64 shard id
@@ -221,18 +228,14 @@ struct ShardAssign {
                                     std::uint64_t* shard_id);
 
 // kHeartbeat payload: u32 work items currently held (queued + running),
-// optionally followed by a CMS1 metrics snapshot (obs::encode_snapshot)
-// carrying the worker's counters/gauges/histograms to the driver.  The
-// tail is optional in both directions -- a bare 4-byte heartbeat stays
-// valid, and receivers that do not understand the tail read only the
-// leading u32 -- so the extension does not bump kProtoVersion.
+// then the worker's metric snapshot as a clear-metrics-v1 document
+// (obs::to_json), which the driver and `clear status` read back.
 [[nodiscard]] std::string encode_heartbeat(std::uint32_t inflight,
-                                           const std::string& metrics = "");
-// *metrics receives the raw CMS1 bytes ("" when the heartbeat carries
-// none); obs::decode_snapshot validates them.
+                                           const obs::Snapshot& metrics);
+// Fails closed: false unless the tail is a clear-metrics-v1 document.
 [[nodiscard]] bool decode_heartbeat(const std::string& payload,
                                     std::uint32_t* inflight,
-                                    std::string* metrics);
+                                    obs::Snapshot* metrics);
 
 [[nodiscard]] std::string encode_result(std::uint32_t index,
                                         const std::string& csr_bytes);

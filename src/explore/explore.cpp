@@ -144,9 +144,6 @@ void add_spec_flags(util::ArgParser* args) {
   args->add_option("benches", "a,b,c",
                    "benchmark suite to profile on (default: full core "
                    "suite)");
-  args->add_option("batch", "N",
-                   "combos per scheduling batch (0 = 64)",
-                   "0");
   args->add_flag("no-prune",
                  "evaluate every combination (skip dominance pruning)");
   args->add_option("confidence", "W",
@@ -178,8 +175,6 @@ bool read_spec_flags(const util::ArgParser& args, ExploreSpec* spec,
   s.seed = u;
   if (!args.get_u64("per-ff", 0, &u)) return bad("per-ff", "");
   s.per_ff_samples = static_cast<std::size_t>(u);
-  if (!args.get_u64("batch", 0, &u)) return bad("batch", "");
-  s.batch = static_cast<std::size_t>(u);
   s.benchmarks = split_csv(args.get("benches"));
   s.prune = !args.has("no-prune");
   if (!parse_double(args.get("confidence"), &s.confidence)) {
@@ -204,7 +199,6 @@ std::string spec_flags(const ExploreSpec& spec) {
   for (std::size_t i = 0; i < spec.benchmarks.size(); ++i) {
     out += (i == 0 ? " --benches " : ",") + spec.benchmarks[i];
   }
-  if (spec.batch != 0) out += " --batch " + std::to_string(spec.batch);
   if (!spec.prune) out += " --no-prune";
   if (spec.confidence > 0.0) {
     out += " --confidence " + format_double(spec.confidence);

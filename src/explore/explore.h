@@ -91,7 +91,8 @@ struct ExploreSpec {
   bool prune = true;
   // Combos per scheduling batch (each batch prefetches its profiling
   // campaigns as one engine submission and is evaluated in parallel).
-  // 0 = 64.
+  // 0 = 64.  No flag sets it: tests vary it to check that records do not
+  // depend on the schedule.
   std::size_t batch = 0;
   // Cooperative cancellation (optional).  When non-null, run_exploration
   // polls the flag before every evaluation and every record append, and
@@ -106,7 +107,7 @@ struct ExploreSpec {
 // ---- the explore flag grammar ----------------------------------------------
 //
 // The identity flags of an exploration -- --core, --target, --metric,
-// --seed, --per-ff, --benches, --batch, --no-prune, --confidence and
+// --seed, --per-ff, --benches, --no-prune, --confidence and
 // --confidence-method -- are one grammar for `clear explore run`, `clear
 // fleet explore` and the explore shard stanzas a fleet dispatches to its
 // workers.  Shard selection is not part of it: each caller owns that.

@@ -561,17 +561,16 @@ void Driver::handle_frame(std::size_t w, const serve::Frame& frame) {
   switch (frame.type) {
     case serve::FrameType::kHeartbeat: {
       // last_seen is already refreshed by the caller; what the payload
-      // adds is the worker's load and (v2 tail) its metric snapshot.
+      // adds is the worker's load and its metric snapshot.
       std::uint32_t inflight = 0;
-      std::string blob;
-      if (serve::decode_heartbeat(frame.payload, &inflight, &blob)) {
-        wc.status.inflight = inflight;
-        obs::Snapshot snap;
-        if (!blob.empty() && obs::decode_snapshot(blob, &snap)) {
-          wc.status.metrics = std::move(snap);
-          wc.status.has_metrics = true;
-        }
+      obs::Snapshot snap;
+      if (!serve::decode_heartbeat(frame.payload, &inflight, &snap)) {
+        declare_dead(w, "bad heartbeat");
+        return;
       }
+      wc.status.inflight = inflight;
+      wc.status.metrics = std::move(snap);
+      wc.status.has_metrics = true;
       const auto now = Clock::now();
       if (wc.last_heartbeat != Clock::time_point{}) {
         metrics().heartbeat_gap.record(ns_since(wc.last_heartbeat, now));

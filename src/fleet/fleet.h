@@ -165,8 +165,8 @@ struct WorkerStatus {
   WorkerState state = WorkerState::kConnecting;
   std::size_t shards_done = 0;
   // Telemetry from the worker's latest heartbeat: its in-flight work item
-  // count and, when the heartbeat carried a CMS1 tail, its metric
-  // snapshot (has_metrics distinguishes "no tail yet" from "all zero").
+  // count and its metric snapshot (has_metrics distinguishes "no
+  // heartbeat yet" from "all zero").
   std::uint32_t inflight = 0;
   bool has_metrics = false;
   obs::Snapshot metrics;

@@ -199,7 +199,7 @@ bool Worker::handle_connection(serve::FrameConn conn) {
   const auto send_heartbeat = [&] {
     send(serve::FrameType::kHeartbeat,
          serve::encode_heartbeat(static_cast<std::uint32_t>(queue.size()),
-                                 obs::encode_snapshot(obs::snapshot())));
+                                 obs::snapshot()));
   };
 
   for (;;) {
@@ -380,7 +380,7 @@ bool Worker::handle_connection(serve::FrameConn conn) {
   return shutdown;
 }
 
-void Worker::serve(util::Socket* listener, bool once) {
+void Worker::serve(util::Socket* listener) {
   // Thread-per-connection: concurrent drivers (two `clear fleet run`
   // clients sharing a worker) make progress simultaneously instead of
   // queueing behind the accept loop.
@@ -403,10 +403,6 @@ void Worker::serve(util::Socket* listener, bool once) {
     }
     if (!sock.valid()) continue;  // timeout or transient accept error
     serve::FrameConn conn(std::move(sock));
-    if (once) {
-      handle_connection(std::move(conn));
-      break;
-    }
     auto task = std::make_unique<ConnTask>();
     ConnTask* raw = task.get();
     task->thread = std::thread([this, raw, c = std::move(conn)]() mutable {

@@ -48,9 +48,8 @@ class Worker {
   bool handle_connection(serve::FrameConn conn);
 
   // Accepts connections, one thread each, until a stop is raised or a
-  // client sends kShutdown, then joins them all.  `once` serves exactly
-  // one connection on the calling thread instead.
-  void serve(util::Socket* listener, bool once);
+  // client sends kShutdown, then joins them all.
+  void serve(util::Socket* listener);
 
  private:
   [[nodiscard]] bool stopped() const;

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <thread>
 
-#include "util/bytes.h"
 #include "util/env.h"
 #include "util/fs.h"
 #include "util/json.h"
@@ -35,9 +34,6 @@ Registry& registry() {
   static auto* r = new Registry;
   return *r;
 }
-
-// Binary snapshot magic: "CMS1" little-endian (CLEAR metrics snapshot).
-constexpr std::uint32_t kSnapshotMagic = 0x31534d43u;
 
 }  // namespace
 
@@ -219,32 +215,67 @@ std::string to_json(const Snapshot& s) {
   return out;
 }
 
+namespace {
+
+// A count is one non-negative integer: a string, a fraction, a negative
+// number or a missing member fails the read instead of reading as 0.
+bool count_of(const util::Json* v, std::uint64_t* out) {
+  if (v == nullptr || v->kind != util::Json::Kind::kNum ||
+      static_cast<double>(v->u) != v->num) {
+    return false;
+  }
+  *out = v->u;
+  return true;
+}
+
+}  // namespace
+
 // Bucket pairs carry the bucket's lower bound; bucket_of() inverts it
 // (every lower bound is exactly 2^(i-1), whose bit width is i).
 bool snapshot_from_json(const util::Json& doc, Snapshot* out) {
   if (doc.str_at("schema") != "clear-metrics-v1") return false;
+  const util::Json* counters = doc.find("counters");
+  const util::Json* gauges = doc.find("gauges");
+  const util::Json* hists = doc.find("histograms");
+  for (const util::Json* section : {counters, gauges, hists}) {
+    if (section != nullptr && section->kind != util::Json::Kind::kObj) {
+      return false;
+    }
+  }
   *out = Snapshot();
-  if (const util::Json* counters = doc.find("counters")) {
+  if (counters != nullptr) {
     for (const auto& [name, v] : counters->obj) {
-      out->counters.push_back({name, v.as_u64()});
+      CounterRow row{name, 0};
+      if (!count_of(&v, &row.value)) return false;
+      out->counters.push_back(std::move(row));
     }
   }
-  if (const util::Json* gauges = doc.find("gauges")) {
+  if (gauges != nullptr) {
     for (const auto& [name, v] : gauges->obj) {
-      out->gauges.push_back({name, v.u64_at("last"), v.u64_at("max")});
+      GaugeRow row{name, 0, 0};
+      if (!count_of(v.find("last"), &row.last) ||
+          !count_of(v.find("max"), &row.max)) {
+        return false;
+      }
+      out->gauges.push_back(std::move(row));
     }
   }
-  if (const util::Json* hists = doc.find("histograms")) {
+  if (hists != nullptr) {
     for (const auto& [name, v] : hists->obj) {
       HistogramRow row;
       row.name = name;
       row.unit = v.str_at("unit");
-      row.sum = v.u64_at("sum");
+      if (!count_of(v.find("sum"), &row.sum)) return false;
       if (const util::Json* buckets = v.find("buckets")) {
         for (const util::Json& pair : buckets->arr) {
-          if (pair.arr.size() != 2) return false;
-          const std::uint64_t n = pair.arr[1].as_u64();
-          row.buckets[Histogram::bucket_of(pair.arr[0].as_u64())] += n;
+          std::uint64_t lo = 0, n = 0;
+          if (pair.arr.size() != 2 || !count_of(&pair.arr[0], &lo) ||
+              !count_of(&pair.arr[1], &n)) {
+            return false;
+          }
+          const std::size_t b = Histogram::bucket_of(lo);
+          if (Histogram::bucket_lo(b) != lo) return false;
+          row.buckets[b] += n;
           row.count += n;
         }
       }
@@ -264,82 +295,6 @@ bool write_json_file(const Snapshot& s, const std::string& path) {
   // tmp + rename: a failed or killed write never leaves a truncated
   // document for a reader (check_metrics_schema.py, a fleet dashboard).
   return util::write_file_atomic(path, json);
-}
-
-std::string encode_snapshot(const Snapshot& s) {
-  std::string out;
-  util::put_u32(&out, kSnapshotMagic);
-  util::put_u32(&out, static_cast<std::uint32_t>(s.counters.size()));
-  for (const auto& c : s.counters) {
-    util::put_str(&out, c.name);
-    util::put_u64(&out, c.value);
-  }
-  util::put_u32(&out, static_cast<std::uint32_t>(s.gauges.size()));
-  for (const auto& g : s.gauges) {
-    util::put_str(&out, g.name);
-    util::put_u64(&out, g.last);
-    util::put_u64(&out, g.max);
-  }
-  util::put_u32(&out, static_cast<std::uint32_t>(s.histograms.size()));
-  for (const auto& h : s.histograms) {
-    util::put_str(&out, h.name);
-    util::put_str(&out, h.unit);
-    util::put_u64(&out, h.sum);
-    std::uint32_t nonzero = 0;
-    for (const auto b : h.buckets) nonzero += b != 0 ? 1 : 0;
-    util::put_u32(&out, nonzero);
-    for (std::size_t i = 0; i < kHistBuckets; ++i) {
-      if (h.buckets[i] == 0) continue;
-      util::put_u32(&out, static_cast<std::uint32_t>(i));
-      util::put_u64(&out, h.buckets[i]);
-    }
-  }
-  return out;
-}
-
-bool decode_snapshot(const std::string& bytes, Snapshot* out) {
-  // Metric names and units are short identifiers; 4 KiB bounds them with
-  // a wide margin against a corrupt length field.
-  constexpr std::uint32_t kMaxName = 4096;
-  util::ByteReader r(bytes.data(), bytes.size());
-  std::uint32_t magic = 0;
-  if (!r.u32(&magic) || magic != kSnapshotMagic) return false;
-  Snapshot s;
-  std::uint32_t n = 0;
-  if (!r.u32(&n)) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    CounterRow c;
-    if (!r.str(&c.name, kMaxName) || !r.u64(&c.value)) return false;
-    s.counters.push_back(std::move(c));
-  }
-  if (!r.u32(&n)) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    GaugeRow g;
-    if (!r.str(&g.name, kMaxName) || !r.u64(&g.last) || !r.u64(&g.max)) {
-      return false;
-    }
-    s.gauges.push_back(std::move(g));
-  }
-  if (!r.u32(&n)) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    HistogramRow h;
-    std::uint32_t nonzero = 0;
-    if (!r.str(&h.name, kMaxName) || !r.str(&h.unit, kMaxName) ||
-        !r.u64(&h.sum) || !r.u32(&nonzero) || nonzero > kHistBuckets) {
-      return false;
-    }
-    for (std::uint32_t b = 0; b < nonzero; ++b) {
-      std::uint32_t idx = 0;
-      std::uint64_t cnt = 0;
-      if (!r.u32(&idx) || idx >= kHistBuckets || !r.u64(&cnt)) return false;
-      h.buckets[idx] = cnt;
-      h.count += cnt;
-    }
-    s.histograms.push_back(std::move(h));
-  }
-  if (!r.exhausted()) return false;  // trailing garbage: fail closed
-  *out = std::move(s);
-  return true;
 }
 
 }  // namespace clear::obs

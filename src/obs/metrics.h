@@ -234,19 +234,15 @@ void merge(Snapshot* into, const Snapshot& from);
 
 // Reads a clear-metrics-v1 object back (the inverse of to_json, up to a
 // histogram's count, which is re-derived from its buckets).  Returns false
-// when `doc` is not an object of that schema or a bucket is not a pair.
+// when `doc` is not an object of that schema, a value is not a
+// non-negative integer, or a bucket is not a [bucket lower bound, count]
+// pair.
 [[nodiscard]] bool snapshot_from_json(const util::Json& doc, Snapshot* out);
 
 // Writes to_json() to `path` ("" = no-op, "-" = stdout) via tmp + rename
 // (util::write_file_atomic).  Returns false, leaving any previous file
 // untouched, when the file cannot be written.
 bool write_json_file(const Snapshot& s, const std::string& path);
-
-// Compact binary form ("CMS1") carried as the optional tail of a CSV1
-// heartbeat payload (docs/FORMATS.md).  decode_snapshot is bounded and
-// fail-closed: any truncation or bad magic returns false.
-[[nodiscard]] std::string encode_snapshot(const Snapshot& s);
-[[nodiscard]] bool decode_snapshot(const std::string& bytes, Snapshot* out);
 
 }  // namespace clear::obs
 

@@ -158,6 +158,8 @@ bool ArgParser::get_ms(const std::string& name, int def, int* out) const {
 }
 
 std::string ArgParser::help() const {
+  constexpr std::size_t kHelpColumn = 28;
+  const std::string indent(kHelpColumn, ' ');
   std::ostringstream out;
   out << "usage: " << usage_line_ << "\n\n" << description_ << "\n";
   if (!specs_.empty()) out << "\noptions:\n";
@@ -165,9 +167,16 @@ std::string ArgParser::help() const {
     std::string left = "  --" + s.name;
     if (!s.value_name.empty()) left += " <" + s.value_name + ">";
     out << left;
-    if (left.size() < 28) out << std::string(28 - left.size(), ' ');
-    else out << "\n" << std::string(28, ' ');
-    out << s.help;
+    if (left.size() < kHelpColumn) {
+      out << std::string(kHelpColumn - left.size(), ' ');
+    } else {
+      out << "\n" << indent;
+    }
+    // Continuation lines of a multi-line help text start under its first.
+    for (const char c : s.help) {
+      out << c;
+      if (c == '\n') out << indent;
+    }
     if (!s.def.empty()) out << " (default: " << s.def << ")";
     out << "\n";
   }

@@ -1,7 +1,7 @@
 // FNV-1a 64-bit: the repo-wide on-disk and on-wire checksum.  Every
-// format (.csr, .cxl, the CPK1 cache pack and the CSV1 frames, which also
-// carry CMS1 metric snapshots; see docs/FORMATS.md) checksums with this
-// one definition so the formats can never silently diverge.
+// format (.csr, .cxl, the CPK1 cache pack and the CSV1 frames; see
+// docs/FORMATS.md) checksums with this one definition so the formats can
+// never silently diverge.
 //
 // The default seed is 1469598103934665603 (0x14650fb0739d0383), NOT the
 // standard FNV-1a 64 offset basis 0xcbf29ce484222325 (14695981039346656037

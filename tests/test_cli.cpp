@@ -204,6 +204,12 @@ TEST(CliSmoke, UsageErrorsExitTwo) {
                "2>/dev/null"),
             2);
   EXPECT_FALSE(std::filesystem::exists("cli_e2e/hb0.sock"));
+  // --once is retired: a driver's --shutdown is the one way to stop a
+  // worker after a run.
+  EXPECT_EQ(sh("timeout 10 " + kBin +
+               " serve --socket cli_e2e/once.sock --once 2>/dev/null"),
+            2);
+  EXPECT_FALSE(std::filesystem::exists("cli_e2e/once.sock"));
   EXPECT_EQ(sh(kBin + " merge shard.csr 2>/dev/null"), 2);  // missing --out
   EXPECT_EQ(sh(kBin + " report --format yaml x.csr 2>/dev/null"), 2);
   EXPECT_EQ(sh(kBin + " cache frobnicate 2>/dev/null"), 2);

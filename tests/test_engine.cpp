@@ -749,6 +749,22 @@ std::string slurp(const std::string& path) {
 
 const std::string kBin = CLEAR_CLI_BIN;
 
+// Sends kShutdown to the daemon on `sock` when the test leaves, so one
+// that failed before its own shutdown does not outlive the test.  A
+// daemon that already exited has removed its socket file.
+struct ShutdownAtExit {
+  std::string sock;
+  ~ShutdownAtExit() {
+    if (!std::filesystem::exists(sock)) return;
+    try {
+      serve::FrameConn conn(util::Socket::connect_unix(sock, 1000));
+      (void)conn.send(serve::FrameType::kShutdown, "", 1000);
+    } catch (const std::exception&) {
+      // Gone between the check and the connect.
+    }
+  }
+};
+
 TEST(ServeE2E, LoopbackResultsMatchLocalRunByteForByte) {
   const std::string dir = "engine_e2e";
   // A three-campaign manifest exercising the batch path, split into three
@@ -762,11 +778,10 @@ TEST(ServeE2E, LoopbackResultsMatchLocalRunByteForByte) {
          << "--core InO --bench gcc --injections 60 --seed 3 "
             "--confidence 0.1\n";
   }
-  // Daemon (one connection, then exit) + driver.  The driver retries the
-  // connect while the daemon starts; --shutdown is a belt-and-braces
-  // second exit path under the ctest timeout.
-  ASSERT_EQ(sh(kBin + " serve --socket " + dir + "/w.sock --once --quiet &"),
-            0);
+  // Daemon + driver.  The driver retries the connect while the daemon
+  // starts, and its --shutdown stops the daemon after the run.
+  const ShutdownAtExit stop{dir + "/w.sock"};
+  ASSERT_EQ(sh(kBin + " serve --socket " + dir + "/w.sock --quiet &"), 0);
   ASSERT_EQ(sh(kBin + " fleet run --spec " + dir + "/job.spec --out-dir " +
                dir + "/got --shards 3 --shutdown --quiet " + dir + "/w.sock"),
             0);
@@ -814,8 +829,8 @@ TEST(ServeE2E, LoopbackResultsMatchLocalRunByteForByte) {
 // no result frame comes before the refusal.
 TEST(ServeE2E, BadManifestIsRefusedWithoutSimulating) {
   const std::string dir = "engine_e2e";
-  ASSERT_EQ(sh(kBin + " serve --socket " + dir + "/w2.sock --once --quiet &"),
-            0);
+  const ShutdownAtExit stop{dir + "/w2.sock"};
+  ASSERT_EQ(sh(kBin + " serve --socket " + dir + "/w2.sock --quiet &"), 0);
   serve::FrameConn conn(util::Socket::connect_unix(dir + "/w2.sock", 10000));
   serve::Frame frame;
   ASSERT_EQ(conn.recv(&frame, 10000), Recv::kFrame);

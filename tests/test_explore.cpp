@@ -1068,10 +1068,11 @@ TEST(ExploreCliE2E, UsageAndMismatchErrors) {
   EXPECT_EQ(sh(kBin + " explore frobnicate 2>/dev/null"), 2);
   // Both verbs read the identity flags through one grammar and refuse a
   // bad value as a usage error -- the fleet before it connects anywhere
-  // (a connect attempt to the missing socket would exit 1).
+  // (a connect attempt to the missing socket would exit 1).  --batch is
+  // retired: no value of it is accepted.
   for (const char* bad :
        {"--core Bogus", "--target -3", "--target 5x", "--metric fancy",
-        "--seed 1x", "--per-ff lots", "--batch 1.5", "--benches nope",
+        "--seed 1x", "--per-ff lots", "--batch 16", "--benches nope",
         "--confidence 0.7", "--confidence nan", "--confidence-method bogus",
         "--confidence 0.1 --confidence-method bogus"}) {
     EXPECT_EQ(sh(kBin + " explore run " + bad + " --dry-run 2>/dev/null"), 2)

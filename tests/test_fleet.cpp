@@ -177,18 +177,20 @@ TEST(FleetProtocol, FleetFrameCodecsRoundTrip) {
   // v5's ack carried a status byte after the id: refused since v6.
   EXPECT_FALSE(serve::decode_shard_ack(ack + std::string(1, '\0'), &acked));
 
-  // A bare 4-byte heartbeat (no metrics tail) is valid.
+  // A heartbeat carries its snapshot; v6's bare 4-byte heartbeat (no
+  // snapshot document) is refused since v7.
   std::uint32_t inflight = 0;
-  std::string tail = "stale";
-  ASSERT_TRUE(serve::decode_heartbeat(serve::encode_heartbeat(5), &inflight,
-                                      &tail));
+  obs::Snapshot snap;
+  const std::string beat = serve::encode_heartbeat(5, obs::Snapshot{});
+  ASSERT_TRUE(serve::decode_heartbeat(beat, &inflight, &snap));
   EXPECT_EQ(inflight, 5u);
-  EXPECT_EQ(tail, "");
+  EXPECT_TRUE(snap.counters.empty());
+  EXPECT_FALSE(serve::decode_heartbeat(beat.substr(0, 4), &inflight, &snap));
 
   // Truncated payloads are refused, never misparsed.
   EXPECT_FALSE(serve::decode_shard_assign("short", &a2));
   EXPECT_FALSE(serve::decode_shard_ack("1234", &acked));
-  EXPECT_FALSE(serve::decode_heartbeat("12", &inflight, &tail));
+  EXPECT_FALSE(serve::decode_heartbeat("12", &inflight, &snap));
 }
 
 TEST(FleetProtocol, BitFlippedShardAssignNeverDecodes) {
@@ -254,15 +256,17 @@ TEST(FleetHello, EveryFaultIsNamedAndExplained) {
 
   // A v3 daemon (the last that answered steal frames), a v4 one (the last
   // whose shard-assign frames carried a priority byte), a v5 one (the
-  // last that sent progress frames and an ack status byte), and a current
+  // last that sent progress frames and an ack status byte), a v6 one (the
+  // last whose heartbeats carried a binary snapshot tail), and a current
   // one with another .csr or .cxl version.
-  for (int field = 0; field < 5; ++field) {
+  for (int field = 0; field < 6; ++field) {
     serve::Hello skewed = fleet::worker_hello("old");
     if (field == 0) skewed.proto_version = 3;
     if (field == 1) skewed.proto_version = 4;
     if (field == 2) skewed.proto_version = 5;
-    if (field == 3) skewed.wire_version += 1;
-    if (field == 4) skewed.ledger_version += 1;
+    if (field == 3) skewed.proto_version = 6;
+    if (field == 4) skewed.wire_version += 1;
+    if (field == 5) skewed.ledger_version += 1;
     EXPECT_EQ(hello_fault_of(hello_frame(skewed), false, &why),
               fleet::HelloFault::kVersionSkew)
         << "field " << field;
@@ -501,7 +505,8 @@ TEST(FleetDriver, LiveWorkerKeepsAShardItAcksLate) {
         }
       }
       if (!conn.send(serve::FrameType::kHeartbeat,
-                     serve::encode_heartbeat(assigned ? 1 : 0))) {
+                     serve::encode_heartbeat(assigned ? 1 : 0,
+                                             obs::Snapshot{}))) {
         return;
       }
       if (assigned && !answered &&
@@ -566,7 +571,7 @@ void serve_short_results(util::Socket* listener,
     if (got == Recv::kClosed || got == Recv::kBad) return;
     if (got != Recv::kFrame) {
       if (!conn.send(serve::FrameType::kHeartbeat,
-                     serve::encode_heartbeat(0))) {
+                     serve::encode_heartbeat(0, obs::Snapshot{}))) {
         return;
       }
       continue;
@@ -621,6 +626,76 @@ TEST(FleetDriver, CampaignShardThatComesBackShortFailsTheRun) {
           << "case " << c << " stderr: " << slurp(tag + ".err");
     }
   }
+}
+
+// A worker whose heartbeat does not carry a clear-metrics-v1 document is
+// declared dead ("bad heartbeat"), like one that sends a bad ack or
+// result, and the shard it held runs on another worker.  The scripted
+// worker acks its shard and then beats with a document of another schema;
+// left alive, it answers done(ok) after 3 s itself.
+TEST(FleetDriver, BadHeartbeatKillsTheWorkerAndRedispatchesItsShard) {
+  const std::string bad_path = kDir + "/bad_beat.sock";
+  const std::string good_path = kDir + "/good_beat.sock";
+  util::Socket bad_listener = util::Socket::listen_unix(bad_path);
+  util::Socket good_listener = util::Socket::listen_unix(good_path);
+  std::thread bad([&bad_listener] {
+    using Recv = serve::FrameConn::Recv;
+    serve::FrameConn conn(bad_listener.accept(10000));
+    if (!conn.send(serve::FrameType::kHello,
+                   serve::encode_hello(fleet::worker_hello("bad-beat")))) {
+      return;
+    }
+    serve::Frame frame;
+    serve::ShardAssign assign;
+    if (conn.recv(&frame, 10000) != Recv::kFrame ||
+        !serve::decode_shard_assign(frame.payload, &assign) ||
+        !conn.send(serve::FrameType::kShardAck,
+                   serve::encode_shard_ack(assign.shard_id))) {
+      return;
+    }
+    const std::string beat =
+        std::string(4, '\0') + "{\"schema\": \"clear-metrics-v0\"}\n";
+    const auto give_up = std::chrono::steady_clock::now() + 3s;
+    while (std::chrono::steady_clock::now() < give_up) {
+      if (!conn.send(serve::FrameType::kHeartbeat, beat)) return;
+      const Recv got = conn.recv(&frame, 100);
+      if (got == Recv::kClosed || got == Recv::kBad) return;
+    }
+    (void)conn.send(serve::FrameType::kDone,
+                    serve::encode_done({serve::JobOutcome::kOk, ""}));
+    (void)conn.recv(&frame, 10000);  // until the driver hangs up
+  });
+  const std::vector<std::uint32_t> no_results;
+  std::thread good(serve_short_results, &good_listener,
+                   std::cref(no_results));
+  std::vector<fleet::Endpoint> workers(2);
+  workers[0].socket_path = bad_path;  // dispatched to first
+  workers[1].socket_path = good_path;
+  std::vector<fleet::ShardWork> shards(1);
+  shards[0].id = 9;
+  shards[0].text = "--core InO --bench mcf --injections 60 --seed 3\n";
+  fleet::FleetOptions opts;
+  opts.shutdown_workers = true;
+  std::vector<fleet::FleetEvent> dead;
+  std::vector<std::size_t> completed_by;
+  const auto report = fleet::run_fleet(
+      workers, shards, opts,
+      [&](const fleet::FleetEvent& e) {
+        if (e.kind == fleet::FleetEvent::Kind::kWorkerDead) dead.push_back(e);
+      },
+      [&](const fleet::ShardResult& res) {
+        EXPECT_EQ(res.shard_id, 9u);
+        completed_by.push_back(res.worker);
+      });
+  bad.join();
+  good.join();
+  ASSERT_EQ(dead.size(), 1u);
+  EXPECT_EQ(dead[0].worker, 0u);
+  EXPECT_EQ(dead[0].shard_id, 9u);
+  EXPECT_EQ(dead[0].detail, "bad heartbeat");
+  EXPECT_EQ(report.workers_lost, 1u);
+  EXPECT_EQ(report.redispatched, 1u);
+  EXPECT_EQ(completed_by, std::vector<std::size_t>{1});
 }
 
 // ---- endpoint grammar ------------------------------------------------------
@@ -769,20 +844,18 @@ TEST(FleetShards, ExploreStanzaCarriesTheAdaptiveIdentityBitExactly) {
   spec.core = "OoO";
   spec.target = 0.1 + 0.2;  // needs all 17 digits to read back
   spec.metric = core::Metric::kJoint;
-  spec.batch = 7;
   spec.confidence = 1.0 / 3.0;
   spec.confidence_method = util::IntervalMethod::kClopperPearson;
   const auto shards = fleet::build_explore_shards(spec, 2);
   EXPECT_EQ(shards[1].text,
             "--core OoO --target 0.30000000000000004 --metric joint --seed 1 "
-            "--batch 7 --confidence 0.33333333333333331 --confidence-method "
-            "cp --shard 1/2\n");
+            "--confidence 0.33333333333333331 --confidence-method cp "
+            "--shard 1/2\n");
   explore::ExploreSpec back;
   std::string err;
   ASSERT_TRUE(fleet::parse_explore_stanza(shards[1].text, &back, &err)) << err;
   EXPECT_EQ(back.target, spec.target);
   EXPECT_EQ(back.metric, core::Metric::kJoint);
-  EXPECT_EQ(back.batch, 7u);
   EXPECT_EQ(back.confidence, spec.confidence);
   EXPECT_EQ(back.confidence_method, util::IntervalMethod::kClopperPearson);
   EXPECT_EQ(explore::spec_flags(back), explore::spec_flags(spec));
@@ -794,6 +867,10 @@ TEST(FleetShards, ExploreStanzaCarriesTheAdaptiveIdentityBitExactly) {
   EXPECT_NE(err.find("--confidence-method"), std::string::npos) << err;
   ASSERT_TRUE(fleet::parse_explore_stanza("--confidence 0.9", &back, &err));
   EXPECT_THROW((void)explore::resolve_identity(back), std::invalid_argument);
+  // The schedule is not part of the grammar: --batch is an unknown flag.
+  EXPECT_FALSE(fleet::parse_explore_stanza("--core InO --batch 7", &back,
+                                           &err));
+  EXPECT_NE(err.find("--batch"), std::string::npos) << err;
 }
 
 TEST(FleetShards, ExploreStanzaHonoursPreSetCancel) {
@@ -976,6 +1053,33 @@ TEST(FleetStatus, DriverLayoutIsPinned) {
             "    \"histograms\": {}\n"
             "  }\n"
             "}\n");
+}
+
+// A live probe reads a heartbeat without a clear-metrics-v1 document (a
+// v6 worker's bare 4-byte heartbeat here) as a bad stream, not as a live
+// worker that has no metrics yet.
+TEST(FleetStatus, ProbeCallsAHeartbeatWithoutASnapshotABadStream) {
+  const std::string path = kDir + "/probe_bad.sock";
+  util::Socket listener = util::Socket::listen_unix(path);
+  std::thread scripted([&listener] {
+    serve::FrameConn conn(listener.accept(10000));
+    if (!conn.send(serve::FrameType::kHello,
+                   serve::encode_hello(fleet::worker_hello("bad-beat"))) ||
+        !conn.send(serve::FrameType::kHeartbeat, std::string(4, '\0'))) {
+      return;
+    }
+    serve::Frame frame;
+    (void)conn.recv(&frame, 10000);  // until the probe hangs up
+  });
+  const std::string out = kDir + "/probe_bad.json";
+  EXPECT_EQ(sh("(" + kBin + " status --json " + path + " > " + out + ")"), 0);
+  scripted.join();
+  fleet::FleetStatus status;
+  std::string err;
+  ASSERT_TRUE(fleet::status_from_json(slurp(out), &status, &err)) << err;
+  ASSERT_EQ(status.workers.size(), 1u);
+  EXPECT_EQ(status.workers[0].state, "bad-stream");
+  EXPECT_FALSE(status.workers[0].metrics.has_value());
 }
 
 TEST(FleetStatus, ReaderRefusesWhatItDidNotWrite) {
@@ -1414,7 +1518,7 @@ TEST(ServeRobustness, TwoConcurrentDriversBothGetExactBytes) {
 // without them.
 TEST(ServeRobustness, WorkerEnvironmentDoesNotChangeResultBytes) {
   const pid_t daemon = spawn_serve(
-      {"--socket", kDir + "/env.sock", "--once", "--quiet"},
+      {"--socket", kDir + "/env.sock", "--quiet"},
       {"CLEAR_CONFIDENCE=0.1", "CLEAR_CONFIDENCE_METHOD=cp",
        "CLEAR_INJECTIONS=5"});
   ASSERT_GT(daemon, 0);
@@ -1463,9 +1567,8 @@ TEST(ServeRobustness, HelloDeadlineBoundsASilentServer) {
 }
 
 // --shutdown holds when the driver refuses the manifest itself, before
-// anything is dispatched: a daemon serving many connections (no --once)
-// still exits, under both fleet verbs, and the exit code is the
-// refusal's.
+// anything is dispatched: the daemon still exits, under both fleet verbs,
+// and the exit code is the refusal's.
 TEST(ServeRobustness, ShutdownStopsTheDaemonEvenWhenRefused) {
   const pid_t daemon = spawn_serve({"--socket", kDir + "/r.sock", "--quiet"});
   ASSERT_GT(daemon, 0);

@@ -1,16 +1,18 @@
 // Golden byte fixtures (tests/data/golden/): committed `.csr` v1/v2,
-// `.cxl` v1/v2, CPK1 pack, CSV1 frame and CMS1 snapshot bytes.  Refactors
-// of the campaign engine, the wire codecs, the cache pack, the fleet
-// protocol or the metric codecs must reproduce them exactly:
+// `.cxl` v1/v2, CPK1 pack, CSV1 frame and clear-metrics-v1 snapshot
+// bytes.  Refactors of the campaign engine, the wire codecs, the cache
+// pack, the fleet protocol or the metric codec must reproduce them
+// exactly:
 //   * re-running each producer (the `clear` CLI) writes the fixture bytes,
 //   * decoding a fixture and re-encoding it is the identity,
 //   * a pack written with a fixed (fingerprint, key, payload) is the
 //     CPK1 fixture, and opening the fixture serves that payload back,
-//   * the fleet frames (shard assign, shard ack, result, done and a v2
-//     heartbeat with its CMS1 tail) encoded from fixed values are the
-//     CSV1 fixture, and decoding the fixture gives those values back,
-//   * a realistic CMS1 metric snapshot (the heartbeat tail behind every
-//     fleet status row) encodes to the CMS1 fixture and decodes back,
+//   * the fleet frames (shard assign, shard ack, result, done and a
+//     heartbeat with its metric snapshot) encoded from fixed values are
+//     the CSV1 fixture, and decoding the fixture gives those values back,
+//   * a realistic metric snapshot (what a heartbeat carries behind every
+//     fleet status row) encodes to the clear-metrics-v1 fixture and
+//     decodes back,
 //   * two OoO campaigns write `.csr` bytes with a pinned FNV-1a hash.
 //
 // The producers below are the exact commands the fixtures were made with;
@@ -33,6 +35,7 @@
 #include "inject/wire.h"
 #include "obs/metrics.h"
 #include "util/hash.h"
+#include "util/json.h"
 
 namespace {
 
@@ -224,8 +227,7 @@ std::string csv1_stream() {
                              serve::encode_done(done)) +
          serve::encode_frame(
              serve::FrameType::kHeartbeat,
-             serve::encode_heartbeat(
-                 2, obs::encode_snapshot(frame_snapshot())));
+             serve::encode_heartbeat(2, frame_snapshot()));
 }
 
 TEST(GoldenFixtures, Csv1FleetFramesMatchFixture) {
@@ -268,24 +270,20 @@ TEST(GoldenFixtures, Csv1FleetFramesMatchFixture) {
   ASSERT_EQ(serve::decode_frame(&buf, &f), serve::FrameStatus::kOk);
   ASSERT_EQ(f.type, serve::FrameType::kHeartbeat);
   std::uint32_t inflight = 0;
-  std::string blob;
-  ASSERT_TRUE(serve::decode_heartbeat(f.payload, &inflight, &blob));
-  EXPECT_EQ(inflight, 2u);
   obs::Snapshot snap;
-  ASSERT_TRUE(obs::decode_snapshot(blob, &snap));
-  EXPECT_EQ(obs::encode_snapshot(snap),
-            obs::encode_snapshot(frame_snapshot()));
+  ASSERT_TRUE(serve::decode_heartbeat(f.payload, &inflight, &snap));
+  EXPECT_EQ(inflight, 2u);
+  EXPECT_EQ(obs::to_json(snap), obs::to_json(frame_snapshot()));
   EXPECT_TRUE(buf.empty());
 }
 
-// ---- CMS1 metric snapshots --------------------------------------------------
+// ---- clear-metrics-v1 snapshots ---------------------------------------------
 
 // A worker's heartbeat snapshot after one OoO campaign shard: counters,
 // both gauges, and histograms with several non-empty buckets (one of
 // them the top bucket, which also absorbs the top half of the u64 range).
-// Names are data to the codec: `engine.lane.bulk` is a retired counter,
-// kept so the fixture's bytes stay fixed.
-obs::Snapshot cms1_snapshot() {
+// Names are data to the codec: `engine.lane.bulk` is a retired counter.
+obs::Snapshot metrics_snapshot() {
   obs::Snapshot s;
   s.counters = {{"cache.hit", 11},
                 {"cache.miss", 3},
@@ -322,15 +320,19 @@ obs::Snapshot cms1_snapshot() {
   return s;
 }
 
-TEST(GoldenFixtures, Cms1SnapshotMatchesFixture) {
-  const std::string want = read_file(kGolden + "cms1_snapshot.bin");
+TEST(GoldenFixtures, MetricsSnapshotMatchesFixture) {
+  const std::string want = read_file(kGolden + "metrics_snapshot.json");
   ASSERT_FALSE(want.empty());
-  const obs::Snapshot fixed = cms1_snapshot();
-  EXPECT_TRUE(obs::encode_snapshot(fixed) == want);
+  const obs::Snapshot fixed = metrics_snapshot();
+  EXPECT_EQ(obs::to_json(fixed), want);
 
   // The fixture decodes back to the same snapshot, field by field.
+  const auto decode = [](const std::string& text, obs::Snapshot* out) {
+    util::Json doc;
+    return util::parse_json(text, &doc) && obs::snapshot_from_json(doc, out);
+  };
   obs::Snapshot got;
-  ASSERT_TRUE(obs::decode_snapshot(want, &got));
+  ASSERT_TRUE(decode(want, &got));
   ASSERT_EQ(got.counters.size(), fixed.counters.size());
   for (std::size_t i = 0; i < fixed.counters.size(); ++i) {
     EXPECT_EQ(got.counters[i].name, fixed.counters[i].name);
@@ -352,10 +354,10 @@ TEST(GoldenFixtures, Cms1SnapshotMatchesFixture) {
   }
   EXPECT_EQ(got.counter_value("campaign.samples"), 84000u);
   EXPECT_EQ(got.find_histogram("campaign.fork.replay")->count, 84000u);
-  EXPECT_TRUE(obs::encode_snapshot(got) == want);
-  // A cut anywhere is refused.
-  for (std::size_t n = 0; n < want.size(); n += 7) {
-    EXPECT_FALSE(obs::decode_snapshot(want.substr(0, n), &got)) << n;
+  EXPECT_EQ(obs::to_json(got), want);
+  // A cut anywhere before the closing brace is refused.
+  for (std::size_t n = 0; n <= want.rfind('}'); n += 7) {
+    EXPECT_FALSE(decode(want.substr(0, n), &got)) << n;
   }
 }
 

@@ -1,6 +1,7 @@
 // Observability layer tests: histogram bucket boundaries, counter/gauge
-// primitives, snapshot coherence, quantile rendering, the CMS1 binary
-// codec (round-trip, fail-closed truncation) and fleet merge semantics;
+// primitives, snapshot coherence, quantile rendering, the heartbeat's
+// snapshot codec (exact round trip, fail-closed decode) and fleet merge
+// semantics;
 // then the acceptance criteria of the metrics layer as multi-process
 // e2es: `.csr` and `.cxl` bytes bit-identical with CLEAR_METRICS=0/1
 // across cores, thread counts and shard slices, --metrics-out emitting
@@ -15,6 +16,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <fcntl.h>
 #include <filesystem>
@@ -179,7 +181,7 @@ TEST(ObsRegistry, InternsByName) {
   EXPECT_GE(s.counter_value("test.obs.interned"), 3u);
 }
 
-// ---- CMS1 codec and merge --------------------------------------------------
+// ---- heartbeat codec and merge ----------------------------------------------
 
 obs::Snapshot sample_snapshot() {
   obs::Snapshot s;
@@ -197,39 +199,87 @@ obs::Snapshot sample_snapshot() {
   return s;
 }
 
-TEST(ObsCodec, Cms1RoundTrip) {
-  const obs::Snapshot s = sample_snapshot();
-  const std::string bytes = obs::encode_snapshot(s);
-  obs::Snapshot out;
-  ASSERT_TRUE(obs::decode_snapshot(bytes, &out));
-  ASSERT_EQ(out.counters.size(), 2u);
-  EXPECT_EQ(out.counter_value("cache.hit"), 10u);
-  EXPECT_EQ(out.counter_value("cache.miss"), 2u);
-  ASSERT_EQ(out.gauges.size(), 1u);
-  EXPECT_EQ(out.gauges[0].last, 3u);
-  EXPECT_EQ(out.gauges[0].max, 9u);
-  const obs::HistogramRow* h =
-      out.find_histogram("campaign.sample.classify");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->unit, "ns");
-  EXPECT_EQ(h->count, 6u);
-  EXPECT_EQ(h->sum, 123456u);
-  EXPECT_EQ(h->buckets[12], 5u);
-  EXPECT_EQ(h->buckets[20], 1u);
+// What a heartbeat must carry exactly: the top histogram bucket, u64
+// extremes and names that JSON has to escape.
+obs::Snapshot edge_snapshot() {
+  obs::Snapshot s = sample_snapshot();
+  s.counters.push_back({"max \"quoted\" \\ back\tslash\n\x01", UINT64_MAX});
+  s.gauges.push_back({"engine.queue.depth.peak", 0, UINT64_MAX});
+  obs::HistogramRow h;
+  h.name = "engine.queue.wait";
+  h.unit = "n\"s";
+  h.buckets[0] = 3;
+  h.buckets[1] = 1;
+  h.buckets[obs::kHistBuckets - 1] = UINT64_MAX - 4;
+  h.count = UINT64_MAX;
+  h.sum = UINT64_MAX;
+  s.histograms.push_back(h);
+  return s;
 }
 
-TEST(ObsCodec, Cms1FailsClosed) {
-  const std::string bytes = obs::encode_snapshot(sample_snapshot());
+TEST(ObsCodec, HeartbeatCarriesTheSnapshotExactly) {
+  const obs::Snapshot s = edge_snapshot();
+  const std::string payload = serve::encode_heartbeat(7, s);
+  EXPECT_EQ(payload.substr(4), obs::to_json(s));  // the --metrics-out bytes
+  std::uint32_t inflight = 0;
   obs::Snapshot out;
-  // Every truncation point must be rejected, never read out of bounds.
-  for (std::size_t n = 0; n < bytes.size(); ++n) {
-    EXPECT_FALSE(obs::decode_snapshot(bytes.substr(0, n), &out))
+  ASSERT_TRUE(serve::decode_heartbeat(payload, &inflight, &out));
+  EXPECT_EQ(inflight, 7u);
+  ASSERT_EQ(out.counters.size(), s.counters.size());
+  for (std::size_t i = 0; i < s.counters.size(); ++i) {
+    EXPECT_EQ(out.counters[i].name, s.counters[i].name);
+    EXPECT_EQ(out.counters[i].value, s.counters[i].value);
+  }
+  ASSERT_EQ(out.gauges.size(), s.gauges.size());
+  for (std::size_t i = 0; i < s.gauges.size(); ++i) {
+    EXPECT_EQ(out.gauges[i].name, s.gauges[i].name);
+    EXPECT_EQ(out.gauges[i].last, s.gauges[i].last);
+    EXPECT_EQ(out.gauges[i].max, s.gauges[i].max);
+  }
+  ASSERT_EQ(out.histograms.size(), s.histograms.size());
+  for (std::size_t i = 0; i < s.histograms.size(); ++i) {
+    EXPECT_EQ(out.histograms[i].name, s.histograms[i].name);
+    EXPECT_EQ(out.histograms[i].unit, s.histograms[i].unit);
+    EXPECT_EQ(out.histograms[i].count, s.histograms[i].count);
+    EXPECT_EQ(out.histograms[i].sum, s.histograms[i].sum);
+    EXPECT_EQ(out.histograms[i].buckets, s.histograms[i].buckets);
+  }
+}
+
+TEST(ObsCodec, HeartbeatWithoutASnapshotDocumentFailsClosed) {
+  const std::string payload = serve::encode_heartbeat(1, edge_snapshot());
+  std::uint32_t inflight = 0;
+  obs::Snapshot out;
+  // Every cut before the document's closing brace is refused, the bare
+  // 4-byte heartbeat of a v6 peer included.
+  const std::size_t close = payload.rfind('}');
+  for (std::size_t n = 0; n <= close; ++n) {
+    EXPECT_FALSE(serve::decode_heartbeat(payload.substr(0, n), &inflight,
+                                         &out))
         << "accepted a " << n << "-byte prefix";
   }
-  std::string corrupt = bytes;
-  corrupt[0] ^= 0xff;  // bad magic
-  EXPECT_FALSE(obs::decode_snapshot(corrupt, &out));
-  ASSERT_TRUE(obs::decode_snapshot(bytes, &out));
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string p = payload;
+    const std::size_t at = p.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return p.replace(at, from.size(), to);
+  };
+  for (const std::string& bad :
+       {with("clear-metrics-v1", "clear-metrics-v2"),          // other schema
+        with("\"schema\"", "\"format\""),                      // no schema
+        with("[2048, 5]", "[2048, 5, 1]"),                     // not a pair
+        with("[2048, 5]", "[2047, 5]"),                        // not a bound
+        with("[2048, 5]", "[2048, -5]"),                       // negative
+        with("\"cache.hit\": 10", "\"cache.hit\": \"10\""),    // a string
+        with("\"cache.hit\": 10", "\"cache.hit\": 1.5"),       // a fraction
+        with(", \"max\": 9}", "}"),                            // no max
+        with("\"sum\": 123456", "\"total\": 123456"),          // no sum
+        with("\"counters\": {", "\"counters\": 5, \"x\": {"),  // a number
+        payload + "x",                                         // trailing
+        std::string(4, '\0') + "\x01\x02"}) {                  // not JSON
+    EXPECT_FALSE(serve::decode_heartbeat(bad, &inflight, &out)) << bad;
+  }
+  ASSERT_TRUE(serve::decode_heartbeat(payload, &inflight, &out));
 }
 
 TEST(ObsMerge, CountersAddGaugesMax) {
@@ -424,12 +474,9 @@ TEST(ObsServe, HeartbeatsCarryDecodableSnapshots) {
         } else if (frame.type == serve::FrameType::kHeartbeat) {
           EXPECT_TRUE(got_hello) << "heartbeat before hello";
           std::uint32_t inflight = 0;
-          std::string blob;
-          ASSERT_TRUE(serve::decode_heartbeat(frame.payload, &inflight,
-                                              &blob));
-          ASSERT_FALSE(blob.empty()) << "v2 heartbeat lost its CMS1 tail";
           obs::Snapshot snap;
-          ASSERT_TRUE(obs::decode_snapshot(blob, &snap));
+          ASSERT_TRUE(serve::decode_heartbeat(frame.payload, &inflight,
+                                              &snap));
           snaps.push_back(std::move(snap));
           last_inflight = inflight;
         }

@@ -168,6 +168,20 @@ TEST(Args, StanzaRefusesARepeatedValuedOption) {
   EXPECT_EQ(cli.get("bench"), "gzip");
 }
 
+// Every line of an option's help starts at the help column (28), the
+// continuation lines of a help text with an embedded newline included.
+TEST(Args, HelpIndentsEveryContinuationLine) {
+  clear::util::ArgParser args("prog [options]", "test parser");
+  args.add_option("workers", "N", "first line (or\nsecond line) and more",
+                  "0");
+  const std::string help = args.help();
+  const std::string left = "  --workers <N>";
+  const std::string want = left + std::string(28 - left.size(), ' ') +
+                           "first line (or\n" + std::string(28, ' ') +
+                           "second line) and more (default: 0)\n";
+  EXPECT_NE(help.find(want), std::string::npos) << help;
+}
+
 TEST(Json, ReadsEveryValueKindInDocumentOrder) {
   using clear::util::Json;
   Json doc;
