@@ -11,9 +11,10 @@
 //   * sink scrambling: every sink slot (FFFlags::sink) is set to a random
 //     value at every cycle of a golden run, which must still end exactly
 //     like golden: sinks feed nothing but other sinks.
-//   * live-set pins: three golden recordings reproduce a pinned live-slot
-//     count and hash, so a core change cannot widen or narrow what the
-//     traced build logs unnoticed.
+//   * live-set pins: golden recordings (every OoO workload, both OoO
+//     monitor runs, InO gcc) reproduce a pinned live-slot count and hash,
+//     so a core change cannot widen or narrow what the traced build logs
+//     unnoticed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -129,6 +130,7 @@ arch::ResilienceConfig make_config(Config c, const arch::FFRegistry& reg) {
 
 struct TwinCase {
   const char* core;
+  const char* bench;
   Config config;
 };
 
@@ -136,7 +138,7 @@ class TracedTwin : public ::testing::TestWithParam<TwinCase> {};
 
 TEST_P(TracedTwin, LockstepImagesAreIdentical) {
   const TwinCase& c = GetParam();
-  const auto prog = core::build_variant_program("mcf", core::Variant::base());
+  const auto prog = core::build_variant_program(c.bench, core::Variant::base());
   auto plain = arch::make_core(c.core);
   auto traced = arch::make_traced_core(c.core);
   const arch::ResilienceConfig cfg = make_config(c.config, plain->registry());
@@ -178,16 +180,30 @@ TEST_P(TracedTwin, LockstepImagesAreIdentical) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cores, TracedTwin,
-    ::testing::Values(TwinCase{"InO", Config::kPlain},
-                      TwinCase{"InO", Config::kEdsIr},
-                      TwinCase{"InO", Config::kParityFlush},
-                      TwinCase{"InO", Config::kMonitorRob},
-                      TwinCase{"OoO", Config::kPlain},
-                      TwinCase{"OoO", Config::kEdsIr},
-                      TwinCase{"OoO", Config::kParityFlush},
-                      TwinCase{"OoO", Config::kMonitorRob}));
+// Every config on mcf for both cores, then every OoO workload plain and
+// under the monitor with RoB recovery: each OoO stage path (store
+// forwarding and partial-overlap stalls, the mul/div units, jalr with
+// the BTB and RAS, the monitor's repair) runs in lockstep somewhere.
+std::vector<TwinCase> twin_cases() {
+  std::vector<TwinCase> cases;
+  for (const char* core : {"InO", "OoO"}) {
+    for (Config c : {Config::kPlain, Config::kEdsIr, Config::kParityFlush,
+                     Config::kMonitorRob}) {
+      cases.push_back({core, "mcf", c});
+    }
+  }
+  static const std::vector<std::string> ooo =
+      workloads::benchmarks_for_core("OoO");
+  for (const std::string& b : ooo) {
+    if (b == "mcf") continue;
+    for (Config c : {Config::kPlain, Config::kMonitorRob}) {
+      cases.push_back({"OoO", b.c_str(), c});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Cores, TracedTwin, ::testing::ValuesIn(twin_cases()));
 
 struct ScrambleCase {
   const char* core;
@@ -375,7 +391,29 @@ INSTANTIATE_TEST_SUITE_P(
         LiveSetCase{{"OoO", "gcc", "monitor", true}, 16, 5075,
                     0xC7B036685D067182ULL},
         LiveSetCase{{"InO", "gcc", "base", false}, 16, 2072,
-                    0x8B88740467CF1B9CULL}));
+                    0x8B88740467CF1B9CULL},
+        LiveSetCase{{"OoO", "bzip2", "base", false}, 16, 7004,
+                    0xA4EF09C80683C4C9ULL},
+        LiveSetCase{{"OoO", "crafty", "base", false}, 16, 16224,
+                    0x40941789C5AAB0F5ULL},
+        LiveSetCase{{"OoO", "gzip", "base", false}, 16, 22257,
+                    0xD9AFF795AAF237F8ULL},
+        LiveSetCase{{"OoO", "parser", "base", false}, 16, 9623,
+                    0x28FE9EACC2E46C0AULL},
+        LiveSetCase{{"OoO", "gcc", "base", false}, 16, 4882,
+                    0x083D3B24CEF42508ULL},
+        LiveSetCase{{"OoO", "vortex", "base", false}, 16, 6010,
+                    0xCEC65CF4D3D9045DULL},
+        LiveSetCase{{"OoO", "gap", "base", false}, 16, 37667,
+                    0xAE87A8D587505049ULL},
+        LiveSetCase{{"OoO", "2d_convolution", "base", false}, 16, 73388,
+                    0x941F7C4B91A1E398ULL},
+        LiveSetCase{{"OoO", "inner_product", "base", false}, 16, 6293,
+                    0x2BB3C32613FA3721ULL},
+        LiveSetCase{{"OoO", "fft1d", "base", false}, 16, 6883,
+                    0x95321E8377721FC0ULL},
+        LiveSetCase{{"OoO", "mcf", "monitor", true}, 16, 27152,
+                    0x8E64515612EB0227ULL}));
 
 // Dead-at-flip queries watch slots mid-interval (FFLiveness::watch),
 // taking their entries out of the access log.  The live sets must come
