@@ -17,6 +17,7 @@
 #define CLEAR_ARCH_FF_H
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -60,6 +61,26 @@ struct RegTrace<true> {
   std::uint8_t* first = nullptr;  // this slot's byte in the access log
   void note(FirstAccess a) const noexcept {
     if (*first == 0) *first = static_cast<std::uint8_t>(a);
+  }
+};
+
+// The same for an array of consecutive slots: untraced, nothing; traced,
+// the access-log byte of the first slot.
+template <bool kTraced>
+struct ArrayTrace {
+  [[nodiscard]] RegTrace<false> at(std::size_t /*i*/) const noexcept {
+    return {};
+  }
+  void note(std::uint32_t /*slots*/, FirstAccess /*a*/) const noexcept {}
+};
+template <>
+struct ArrayTrace<true> {
+  std::uint8_t* first = nullptr;
+  [[nodiscard]] RegTrace<true> at(std::size_t i) const noexcept {
+    return {first + i};
+  }
+  void note(std::uint32_t slots, FirstAccess a) const noexcept {
+    for (; slots != 0; slots &= slots - 1) at(__builtin_ctz(slots)).note(a);
   }
 };
 }  // namespace detail
@@ -121,6 +142,71 @@ class BasicReg : private detail::RegTrace<kTraced> {
 };
 using Reg = BasicReg<false>;
 
+// A handle to N registered fields of one width in consecutive pool slots
+// (FFRegistry::add_array): one base pointer and one mask, plus the access
+// log's base pointer in the traced build.  operator[] yields the field's
+// BasicReg view; the scans read every slot at once and return a bitmask
+// (bit i = field i), logging a read only for the fields in `reached`,
+// where the branching form (`valid && !rdy && tag == t`) would have read
+// them.  A scan that stands in for reads the branching form made later
+// (a mask kept up to date through the cycle) leaves the log to note_read()
+// at each of those program points, so the traced build logs exactly the
+// branching form's first accesses.
+template <bool kTraced, std::size_t N>
+class BasicRegArray : private detail::ArrayTrace<kTraced> {
+  static_assert(N > 0 && N <= 32, "a scan's bitmask holds 32 fields");
+
+ public:
+  static constexpr std::uint32_t kAll =
+      N == 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << N) - 1;
+
+  BasicRegArray() = default;
+  BasicRegArray(std::uint64_t* base, std::uint64_t mask,
+                detail::ArrayTrace<kTraced> trace = {})
+      : detail::ArrayTrace<kTraced>(trace), base_(base), mask_(mask) {}
+
+  [[nodiscard]] static constexpr std::size_t size() noexcept { return N; }
+  BasicReg<kTraced> operator[](std::size_t i) const noexcept {
+    assert(i < N);
+    return BasicReg<kTraced>(base_ + i, mask_, this->at(i));
+  }
+
+  // Bit i set when pred(field i).  Logs a read of the fields in `reached`.
+  template <class Pred>
+  [[nodiscard]] std::uint32_t scan_if(std::uint32_t reached,
+                                      Pred pred) const noexcept {
+    note_read(reached);
+    std::uint32_t bits = 0;
+    for (std::size_t i = 0; i < N; ++i) {
+      bits |= static_cast<std::uint32_t>(pred(base_[i])) << i;
+    }
+    return bits;
+  }
+  // scan_if(reached, v != 0) for 1-bit fields, whose values are the bits.
+  [[nodiscard]] std::uint32_t bits_if(std::uint32_t reached) const noexcept {
+    assert(mask_ == 1);
+    note_read(reached);
+    std::uint32_t bits = 0;
+    for (std::size_t i = 0; i < N; ++i) {
+      bits |= static_cast<std::uint32_t>(base_[i]) << i;
+    }
+    return bits;
+  }
+  // Logs a read of the fields in `reached` without reading them.
+  void note_read(std::uint32_t reached) const noexcept {
+    this->note(reached, FirstAccess::kRead);
+  }
+  // Writes `v` to every field.
+  void fill(std::uint64_t v) noexcept {
+    this->note(kAll, FirstAccess::kWrite);
+    for (std::size_t i = 0; i < N; ++i) base_[i] = v & mask_;
+  }
+
+ private:
+  std::uint64_t* base_ = nullptr;
+  std::uint64_t mask_ = 0;
+};
+
 struct FFStructure {
   std::string name;
   std::uint32_t first_ff = 0;  // global index of this structure's bit 0
@@ -152,6 +238,29 @@ class FFRegistry {
       return BasicReg<true>(&pool_[s], mask, {&first_access_[s]});
     } else {
       return BasicReg<false>(&pool_[s], mask);
+    }
+  }
+
+  // Registers `N` fields named `prefix` + index + `suffix` in consecutive
+  // slots, in index order (the same names, order and FF indices as N
+  // add() calls), and returns one handle to them all.
+  template <bool kTraced, std::size_t N>
+  BasicRegArray<kTraced, N> add_array(const std::string& prefix,
+                                      const std::string& suffix, int width,
+                                      FFFlags flags = {}) {
+    std::uint32_t s0 = 0;
+    for (std::size_t i = 0; i < N; ++i) {
+      const std::uint32_t s =
+          add_slot(prefix + std::to_string(i) + suffix, width, flags);
+      if (i == 0) s0 = s;
+    }
+    const std::uint64_t mask = width == 64 ? ~0ULL : ((1ULL << width) - 1);
+    if constexpr (kTraced) {
+      first_access_.reserve(kMaxSlots);
+      first_access_.resize(pool_.size());
+      return BasicRegArray<true, N>(&pool_[s0], mask, {&first_access_[s0]});
+    } else {
+      return BasicRegArray<false, N>(&pool_[s0], mask);
     }
   }
 

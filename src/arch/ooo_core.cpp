@@ -29,7 +29,9 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "arch/core_shell.h"
 #include "isa/iss.h"
@@ -58,7 +60,14 @@ constexpr int kHitCycles = 1;    // extra cycles for an L1D hit
 constexpr int kMissCycles = 9;   // extra cycles for an L1D miss
 constexpr int kPhtBits = 10;
 constexpr std::uint64_t kRobPenalty = 64;  // Table 15 (RoB recovery)
-constexpr std::int16_t kNoKey = 0x7fff;    // do_issue: not a candidate
+constexpr std::uint32_t kAllIq = (1u << kIqSize) - 1;
+
+// Bits 0 up to and including the lowest set bit of `stop`; `all` when none
+// is set: the entries a scan that breaks at the first `stop` reaches.
+constexpr std::uint32_t up_to_first(std::uint32_t stop,
+                                    std::uint32_t all) noexcept {
+  return stop != 0 ? stop ^ (stop - 1) : all;
+}
 
 // Ops handled entirely at rename (no issue-queue entry).
 bool rename_only(Op op) noexcept {
@@ -73,6 +82,8 @@ class OoOCore final : public CoreShell<OoOCore<kTraced>, kTraced> {
   using Shell = CoreShell<OoOCore<kTraced>, kTraced>;
   friend Shell;
   using typename Shell::Reg;
+  template <std::size_t N>
+  using RegArray = BasicRegArray<kTraced, N>;
   using Shell::reg_, Shell::prog_, Shell::cfg_, Shell::regs_, Shell::mem_,
       Shell::mem_words_, Shell::arena_, Shell::out_, Shell::cycle_,
       Shell::committed_, Shell::status_, Shell::trap_code_, Shell::exit_code_,
@@ -114,6 +125,10 @@ class OoOCore final : public CoreShell<OoOCore<kTraced>, kTraced> {
   void do_rename();
   void do_fetch();
   void broadcast(std::uint64_t robid, std::uint32_t value);
+  void leave_iq(int i) {
+    iq_valid_[i] = 0;
+    iq_live_ &= ~(1u << i);
+  }
   [[nodiscard]] std::uint32_t rob_age(std::uint64_t robid) const {
     return static_cast<std::uint32_t>((robid - rob_head_) &
                                       (kRobSize - 1));
@@ -122,52 +137,70 @@ class OoOCore final : public CoreShell<OoOCore<kTraced>, kTraced> {
   // ---- front end ----
   Reg f_pc_;
   Reg bhr_;
-  std::array<Reg, kBtbSize> btb_valid_, btb_tag_, btb_target_;
-  std::array<Reg, kRasSize> ras_;
+  RegArray<kBtbSize> btb_valid_, btb_tag_, btb_target_;
+  RegArray<kRasSize> ras_;
   Reg ras_sp_;
-  std::array<Reg, kFbSize> fb_valid_, fb_inst_, fb_pc_, fb_pred_;
+  RegArray<kFbSize> fb_valid_, fb_inst_, fb_pc_, fb_pred_;
   Reg fb_head_, fb_tail_, fb_count_;
   // decorative fetch/decode staging arrays (IVM RF1.F2.* / RF2.D0.*)
-  std::array<Reg, 8> rf1_f2_inst_;
-  std::array<Reg, 4> rf2_d0_reg_;
+  RegArray<8> rf1_f2_inst_;
+  RegArray<4> rf2_d0_reg_;
   // ---- rename ----
-  std::array<Reg, isa::kNumRegs> rat_busy_, rat_tag_;
+  RegArray<isa::kNumRegs> rat_busy_, rat_tag_;
   // ---- issue queue ----
-  std::array<Reg, kIqSize> iq_valid_, iq_op_, iq_rd_, iq_robid_, iq_imm_,
-      iq_pc_, iq_s1rdy_, iq_s1tag_, iq_s1val_, iq_s2rdy_, iq_s2tag_,
-      iq_s2val_, iq_stq_;
+  RegArray<kIqSize> iq_valid_, iq_op_, iq_rd_, iq_robid_, iq_imm_, iq_pc_,
+      iq_s1rdy_, iq_s1tag_, iq_s1val_, iq_s2rdy_, iq_s2tag_, iq_s2val_,
+      iq_stq_;
   // ---- reorder buffer ----
-  std::array<Reg, kRobSize> rob_valid_, rob_done_, rob_op_, rob_rd_,
-      rob_result_, rob_pc_, rob_npc_, rob_pred_, rob_trap_, rob_inst_,
-      rob_stq_;
+  RegArray<kRobSize> rob_valid_, rob_done_, rob_op_, rob_rd_, rob_result_,
+      rob_pc_, rob_npc_, rob_pred_, rob_trap_, rob_inst_, rob_stq_;
   Reg rob_head_, rob_tail_, rob_count_;
   // ---- store queue (pre-commit) ----
-  std::array<Reg, kStqSize> stq_valid_, stq_addr_, stq_data_, stq_ready_,
+  RegArray<kStqSize> stq_valid_, stq_addr_, stq_data_, stq_ready_,
       stq_robid_, stq_byte_;
   Reg stq_head_, stq_tail_, stq_count_;
   // ---- store buffer (post-commit) ----
-  std::array<Reg, kSbSize> sb_valid_, sb_addr_, sb_data_, sb_byte_;
+  RegArray<kSbSize> sb_valid_, sb_addr_, sb_data_, sb_byte_;
   Reg sb_head_, sb_tail_, sb_count_;
   // ---- execute ----
-  std::array<Reg, 2> ex_valid_, ex_op_, ex_robid_, ex_a_, ex_b_, ex_imm_,
-      ex_pc_, ex_stq_;
+  RegArray<2> ex_valid_, ex_op_, ex_robid_, ex_a_, ex_b_, ex_imm_, ex_pc_,
+      ex_stq_;
   Reg mul_busy_, mul_cnt_, mul_robid_, mul_op_, mul_lo_, mul_hi_;
   Reg div_busy_, div_cnt_, div_robid_, div_op_, div_q_, div_r_;
   // ---- load unit + L1D staging ----
   Reg lu_valid_, lu_op_, lu_robid_, lu_addr_, lu_cnt_, lu_fwd_, lu_fwdval_;
-  std::array<Reg, 4> l1d_addr_in_, l1d_data_in_, l1d_write_in_;
-  std::array<Reg, 2> l1d_accessaddr_;
+  RegArray<4> l1d_addr_in_, l1d_data_in_, l1d_write_in_;
+  RegArray<2> l1d_accessaddr_;
   Reg l1d_accesshit0_, l1d_addr1_out_, l1d_data2_out_, l1d_mobid2_out_;
-  std::array<Reg, kMqSize> mq_valid_, mq_addr_, mq_cnt_;
+  RegArray<kMqSize> mq_valid_, mq_addr_, mq_cnt_;
   // ---- commit ----
   Reg commit_pc_;  // next PC to commit: the RoB-recovery refetch anchor
-  std::array<Reg, 2> perf_;  // performance counters (never consumed)
+  RegArray<2> perf_;  // performance counters (never consumed)
 
   // ---- SRAM arrays (arena sections: timing state, not FFs) ----
   int sec_sram8_ = 0, sec_sram32_ = 0;
   ArenaPtr<std::uint8_t> pht_;        // gshare counters
   ArenaPtr<std::uint8_t> l1d_valid_;
   ArenaPtr<std::uint32_t> l1d_tag_;   // L1D tags (timing only)
+
+  // The issue queue's valid entries and those waiting on source 1 / 2,
+  // read once per cycle before execute (the first stage that reads them)
+  // and kept up to date by every write to those fields until rename, which
+  // takes its free entries from them.  Scratch, like the checker's store
+  // latch below: dead at every cycle boundary.
+  std::uint32_t iq_live_ = 0, iq_wait1_ = 0, iq_wait2_ = 0;
+
+  // The program's words and their decodes, rebuilt by begin_pipeline()
+  // only when the program differs: fetch's predecode and the checker read
+  // program memory, and rename decodes a fetch-buffer word through them
+  // when it is the program's word (decode is a pure function of the word).
+  std::vector<std::uint32_t> code_;
+  std::vector<std::optional<isa::Instr>> decoded_;
+  [[nodiscard]] std::optional<isa::Instr> decode_at(
+      std::uint32_t k, std::uint32_t word) const {
+    return k < code_.size() && code_[k] == word ? decoded_[k]
+                                                : isa::decode(word);
+  }
 
   std::unique_ptr<isa::Machine> shadow_;  // monitor core golden model
   // The checker's store latch.  Not serialized: it is written only by the
@@ -185,12 +218,10 @@ void OoOCore<kTraced>::build() {
   const FFFlags spec{/*flushable=*/true, false, false};        // speculative
   const FFFlags post{/*flushable=*/false, /*post_commit=*/true, false};
 
-  auto add_array = [&ffs](auto& arr, const std::string& fmt_prefix,
+  auto add_array = [&ffs](auto& arr, const std::string& prefix,
                           const std::string& suffix, int width, FFFlags fl) {
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      arr[i] = ffs.add<kTraced>(fmt_prefix + std::to_string(i) + suffix,
-                                 width, fl);
-    }
+    constexpr std::size_t n = std::remove_reference_t<decltype(arr)>::size();
+    arr = ffs.add_array<kTraced, n>(prefix, suffix, width, fl);
   };
 
   f_pc_ = ffs.add<kTraced>("RF0.PCreg", 32, spec);
@@ -306,10 +337,7 @@ void OoOCore<kTraced>::build() {
   // increment (do_commit, step_pipeline).
   FFFlags counter{true, false, false};
   counter.sink = true;
-  for (std::size_t i = 0; i < perf_.size(); ++i) {
-    perf_[i] = ffs.add<kTraced>("perf.counter" + std::to_string(i), 32,
-                                 counter);
-  }
+  add_array(perf_, "perf.counter", "", 32, counter);
 }
 
 // SRAM sections of the forward arena region: PHT ++ l1d_valid, l1d_tag.
@@ -325,6 +353,11 @@ void OoOCore<kTraced>::begin_pipeline() {
   l1d_valid_ = pht_ + (1u << kPhtBits);
   l1d_tag_ = arena_.template section<std::uint32_t>(sec_sram32_);
   for (std::size_t i = 0; i < (1u << kPhtBits); ++i) pht_.set(i, 1);
+  if (code_ != prog_->code) {
+    code_ = prog_->code;
+    decoded_.clear();
+    for (const std::uint32_t w : code_) decoded_.push_back(isa::decode(w));
+  }
   shadow_.reset();
   if (cfg_ != nullptr && cfg_->monitor) {
     shadow_ = std::make_unique<isa::Machine>(*prog_);
@@ -344,28 +377,26 @@ void OoOCore<kTraced>::bind_shadow_hook() {
 
 template <bool kTraced>
 void OoOCore<kTraced>::squash_all(std::uint32_t new_pc) {
-  for (int i = 0; i < kFbSize; ++i) fb_valid_[i] = 0;
+  fb_valid_.fill(0);
   fb_head_ = 0;
   fb_tail_ = 0;
   fb_count_ = 0;
-  for (int i = 0; i < kIqSize; ++i) iq_valid_[i] = 0;
-  for (int i = 0; i < kRobSize; ++i) {
-    rob_valid_[i] = 0;
-    rob_done_[i] = 0;
-  }
+  iq_valid_.fill(0);
+  rob_valid_.fill(0);
+  rob_done_.fill(0);
   rob_head_ = 0;
   rob_tail_ = 0;
   rob_count_ = 0;
-  for (int i = 0; i < kStqSize; ++i) stq_valid_[i] = 0;
+  stq_valid_.fill(0);
   stq_head_ = 0;
   stq_tail_ = 0;
   stq_count_ = 0;
-  for (int i = 0; i < isa::kNumRegs; ++i) rat_busy_[i] = 0;
-  for (int i = 0; i < 2; ++i) ex_valid_[i] = 0;
+  rat_busy_.fill(0);
+  ex_valid_.fill(0);
   mul_busy_ = 0;
   div_busy_ = 0;
   lu_valid_ = 0;
-  for (int i = 0; i < kMqSize; ++i) mq_valid_[i] = 0;
+  mq_valid_.fill(0);
   f_pc_ = new_pc;
   // The store buffer survives: its entries are committed (validated) state.
 }
@@ -374,18 +405,22 @@ template <bool kTraced>
 void OoOCore<kTraced>::broadcast(std::uint64_t robid, std::uint32_t value) {
   rob_result_[robid & (kRobSize - 1)] = value;
   rob_done_[robid & (kRobSize - 1)] = 1;
-  // Tag match over every entry without a branch per entry (read_if logs
-  // what `valid && !rdy && tag == robid` read), then wake up the hits.
+  // Tag match over the waiting entries (the log gets what `valid && !rdy
+  // && tag == robid` read), then wake up the hits.
+  iq_valid_.note_read(kAllIq);
+  iq_s1rdy_.note_read(iq_live_);
+  iq_s2rdy_.note_read(iq_live_);
   std::uint32_t hit1 = 0, hit2 = 0;
-  for (int i = 0; i < kIqSize; ++i) {
-    const bool valid = iq_valid_[i] != 0;
-    const bool wait1 = valid & (iq_s1rdy_[i].read_if(valid) == 0);
-    const bool wait2 = valid & (iq_s2rdy_[i].read_if(valid) == 0);
-    hit1 |= static_cast<std::uint32_t>(
-                wait1 & (iq_s1tag_[i].read_if(wait1) == robid)) << i;
-    hit2 |= static_cast<std::uint32_t>(
-                wait2 & (iq_s2tag_[i].read_if(wait2) == robid)) << i;
+  for (std::uint32_t m = iq_wait1_; m != 0; m &= m - 1) {
+    const int i = __builtin_ctz(m);
+    hit1 |= static_cast<std::uint32_t>(iq_s1tag_[i] == robid) << i;
   }
+  for (std::uint32_t m = iq_wait2_; m != 0; m &= m - 1) {
+    const int i = __builtin_ctz(m);
+    hit2 |= static_cast<std::uint32_t>(iq_s2tag_[i] == robid) << i;
+  }
+  iq_wait1_ &= ~hit1;
+  iq_wait2_ &= ~hit2;
   for (; hit1 != 0; hit1 &= hit1 - 1) {
     const int i = __builtin_ctz(hit1);
     iq_s1val_[i] = value;
@@ -440,7 +475,7 @@ bool OoOCore<kTraced>::monitor_validate_and_apply(int robid) {
   // therefore invisible to the checker -- the escape path that bounds the
   // monitor's improvement (paper Table 3: 19x).
   if (expect_pc / 4 < prog_->code.size()) {
-    const auto dec = isa::decode(prog_->code[expect_pc / 4]);
+    const auto& dec = decoded_[expect_pc / 4];
     if (dec && isa::is_load(dec->op)) {
       const std::uint32_t addr =
           shadow_->reg(dec->rs1) + static_cast<std::uint32_t>(dec->imm);
@@ -786,39 +821,33 @@ void OoOCore<kTraced>::do_load_unit() {
 
 template <bool kTraced>
 void OoOCore<kTraced>::do_issue() {
-  // Ready entries, without a branch per entry (read_if logs what
-  // `valid && s1rdy && s2rdy` read).
-  std::uint32_t ready = 0;
-  for (int i = 0; i < kIqSize; ++i) {
-    const bool valid = iq_valid_[i] != 0;
-    const bool rdy1 = valid & (iq_s1rdy_[i].read_if(valid) != 0);
-    const bool rdy2 = rdy1 & (iq_s2rdy_[i].read_if(rdy1) != 0);
-    ready |= static_cast<std::uint32_t>(rdy2) << i;
-  }
+  // Ready entries (the log gets what `valid && s1rdy && s2rdy` read).
+  iq_valid_.note_read(kAllIq);
+  iq_s1rdy_.note_read(iq_live_);
+  const std::uint32_t rdy1 = iq_live_ & ~iq_wait1_;
+  iq_s2rdy_.note_read(rdy1);
+  std::uint32_t ready = rdy1 & ~iq_wait2_;
   // Oldest-first (by ROB age) selection of up to 2 ready entries: each
   // pick takes the smallest key (age, IQ index), so a flipped robid that
   // ties two ages goes to the lower index.  Ages count as read only when
   // two or more entries are ready: a lone candidate needs no age.
   const bool compared = (ready & (ready - 1)) != 0;
   const std::uint64_t head = rob_head_.read_if(compared);
-  std::array<std::int16_t, kIqSize> key;
-  key.fill(kNoKey);
+  std::array<std::uint32_t, kIqSize> key;
   for (std::uint32_t m = ready; m != 0; m &= m - 1) {
     const int i = __builtin_ctz(m);
     const std::uint64_t age =
         (iq_robid_[i].read_if(compared) - head) & (kRobSize - 1);
-    key[i] = static_cast<std::int16_t>(age << 4 | i);
+    key[i] = static_cast<std::uint32_t>(age << 4 | i);
   }
   int issued = 0;
   while (ready != 0 && issued < 2) {
-    // The smallest key, as a tree of pairwise minima: 4 dependent steps,
-    // not 16 as in a linear scan, and the first step vectorizes.
-    std::array<std::int16_t, kIqSize> m = key;
-    for (int w = kIqSize / 2; w > 0; w /= 2) {
-      for (int j = 0; j < w; ++j) m[j] = std::min(m[j], m[j + w]);
+    // The smallest key: a linear min over the few ready entries.
+    int i = __builtin_ctz(ready);
+    for (std::uint32_t m = ready & (ready - 1); m != 0; m &= m - 1) {
+      const int j = __builtin_ctz(m);
+      if (key[j] < key[i]) i = j;
     }
-    const int i = m[0] & (kIqSize - 1);
-    key[i] = kNoKey;
     ready &= ~(1u << i);
     const std::uint64_t opv = iq_op_[i];
     const Op op = valid_op(opv) ? static_cast<Op>(opv) : Op::kHalt;
@@ -831,7 +860,7 @@ void OoOCore<kTraced>::do_issue() {
       mul_op_ = opv;
       mul_lo_ = isa::alu_eval(Op::kMul, iq_s1val_[i].u32(), iq_s2val_[i].u32());
       mul_hi_ = isa::alu_eval(Op::kMulh, iq_s1val_[i].u32(), iq_s2val_[i].u32());
-      iq_valid_[i] = 0;
+      leave_iq(i);
       ++issued;
       continue;
     }
@@ -841,7 +870,7 @@ void OoOCore<kTraced>::do_issue() {
         rob_trap_[iq_robid_[i] & (kRobSize - 1)] =
             static_cast<std::uint64_t>(Trap::kDivByZero);
         broadcast(iq_robid_[i], 0);
-        iq_valid_[i] = 0;
+        leave_iq(i);
         ++issued;
         continue;
       }
@@ -851,7 +880,7 @@ void OoOCore<kTraced>::do_issue() {
       div_op_ = opv;
       div_q_ = isa::alu_eval(Op::kDiv, iq_s1val_[i].u32(), iq_s2val_[i].u32());
       div_r_ = isa::alu_eval(Op::kRem, iq_s1val_[i].u32(), iq_s2val_[i].u32());
-      iq_valid_[i] = 0;
+      leave_iq(i);
       ++issued;
       continue;
     }
@@ -863,7 +892,7 @@ void OoOCore<kTraced>::do_issue() {
         rob_trap_[iq_robid_[i] & (kRobSize - 1)] =
             static_cast<std::uint64_t>(Trap::kMisalignedLoad);
         broadcast(iq_robid_[i], 0);
-        iq_valid_[i] = 0;
+        leave_iq(i);
         ++issued;
         continue;
       }
@@ -871,40 +900,53 @@ void OoOCore<kTraced>::do_issue() {
         rob_trap_[iq_robid_[i] & (kRobSize - 1)] =
             static_cast<std::uint64_t>(Trap::kLoadOutOfBounds);
         broadcast(iq_robid_[i], 0);
-        iq_valid_[i] = 0;
+        leave_iq(i);
         ++issued;
         continue;
       }
-      // Memory disambiguation against older in-flight stores.
+      // Memory disambiguation against older in-flight stores, in index
+      // order: an older store with an unknown address stalls the load
+      // (conservatively), one to the same word forwards when it is a whole
+      // word to a lw (the last such store in index order wins) and stalls
+      // it otherwise (partial overlap: wait for drain).  The scans read
+      // every entry; the log gets what the in-order scan, which stops at
+      // the first stall, read.
       const std::uint32_t my_age = rob_age(iq_robid_[i]);
-      bool blocked = false;
-      bool fwd = false;
+      const auto same_word = [addr](std::uint64_t a) {
+        return (static_cast<std::uint32_t>(a) & ~3u) == (addr & ~3u);
+      };
+      const std::uint32_t live = stq_valid_.bits_if(0);
+      const std::uint32_t older =
+          live & stq_robid_.scan_if(0, [head, my_age](std::uint64_t r) {
+            return ((r - head) & (kRobSize - 1)) < my_age;
+          });
+      const std::uint32_t known = older & stq_ready_.bits_if(0);
+      const std::uint32_t same = known & stq_addr_.scan_if(0, same_word);
+      const std::uint32_t whole =
+          op == Op::kLw ? same & ~stq_byte_.bits_if(0) : 0;
+      const std::uint32_t stall = (older & ~known) | (same & ~whole);
+      const std::uint32_t reached = up_to_first(stall, (1u << kStqSize) - 1);
+      stq_valid_.note_read(reached);
+      stq_robid_.note_read(live & reached);
+      stq_ready_.note_read(older & reached);
+      stq_addr_.note_read(known & reached);
+      stq_byte_.note_read(same & reached);
+      const std::uint32_t fwds = whole & reached;  // all before the stall
+      bool blocked = stall != 0;
       std::uint32_t fwdval = 0;
-      for (int s = 0; s < kStqSize; ++s) {
-        if (stq_valid_[s] == 0) continue;
-        if (rob_age(stq_robid_[s]) >= my_age) continue;  // younger store
-        if (stq_ready_[s] == 0) {
-          blocked = true;  // unknown older address: conservative stall
-          break;
-        }
-        if ((stq_addr_[s].u32() & ~3u) == (addr & ~3u)) {
-          if (stq_byte_[s] == 0 && op == Op::kLw) {
-            fwd = true;  // newest matching older store wins (scan continues)
-            fwdval = stq_data_[s].u32();
-          } else {
-            blocked = true;  // partial overlap: wait for drain
-            break;
-          }
-        }
+      for (std::uint32_t m = fwds; m != 0; m &= m - 1) {
+        fwdval = stq_data_[__builtin_ctz(m)].u32();
       }
+      const bool fwd = fwds != 0;
       if (!blocked) {
         // Committed-but-undrained stores in the store buffer also overlap.
-        for (int s = 0; s < kSbSize; ++s) {
-          if (sb_valid_[s] != 0 && (sb_addr_[s].u32() & ~3u) == (addr & ~3u)) {
-            blocked = true;
-            break;
-          }
-        }
+        const std::uint32_t sb_live = sb_valid_.bits_if(0);
+        const std::uint32_t sb_same = sb_live & sb_addr_.scan_if(0, same_word);
+        const std::uint32_t sb_reached =
+            up_to_first(sb_same, (1u << kSbSize) - 1);
+        sb_valid_.note_read(sb_reached);
+        sb_addr_.note_read(sb_live & sb_reached);
+        blocked = sb_same != 0;
       }
       if (blocked) continue;  // retry next cycle
       lu_valid_ = 1;
@@ -933,7 +975,7 @@ void OoOCore<kTraced>::do_issue() {
       l1d_accessaddr_[0] = addr;
       l1d_accesshit0_ = hit ? 1 : 0;
       l1d_addr1_out_ = addr;
-      iq_valid_[i] = 0;
+      leave_iq(i);
       ++issued;
       continue;
     }
@@ -953,7 +995,7 @@ void OoOCore<kTraced>::do_issue() {
     ex_imm_[pipe] = static_cast<std::uint64_t>(iq_imm_[i]);
     ex_pc_[pipe] = static_cast<std::uint64_t>(iq_pc_[i]);
     ex_stq_[pipe] = static_cast<std::uint64_t>(iq_stq_[i]);
-    iq_valid_[i] = 0;
+    leave_iq(i);
     ++issued;
   }
   // Miss-queue countdown (decorative timing state).
@@ -969,6 +1011,9 @@ void OoOCore<kTraced>::do_issue() {
 
 template <bool kTraced>
 void OoOCore<kTraced>::do_rename() {
+  // Free IQ entries: until a slot below re-reads them, only this stage's
+  // own allocations change them.
+  std::uint32_t free_iq = ~iq_live_ & kAllIq;
   for (int slot = 0; slot < 2; ++slot) {
     if (fb_count_ == 0) return;
     if (rob_count_ >= kRobSize) return;
@@ -982,17 +1027,13 @@ void OoOCore<kTraced>::do_rename() {
     const std::uint32_t inst = fb_inst_[h].u32();
     const std::uint32_t pc = fb_pc_[h].u32();
     const std::uint32_t pred = fb_pred_[h].u32();
-    const auto dec = isa::decode(inst);
+    const auto dec = decode_at(pc / 4, inst);
 
     const std::uint64_t robid = rob_tail_;
     const bool need_iq = dec && !rename_only(dec->op);
     const bool need_stq = dec && isa::is_store(dec->op);
-    // Free IQ entries; they count as read only when an entry is needed.
-    std::uint32_t free_iq = 0;
-    for (int i = 0; i < kIqSize; ++i) {
-      free_iq |= static_cast<std::uint32_t>(
-                     iq_valid_[i].read_if(need_iq) == 0) << i;
-    }
+    // The free-entry scan counts as read only when an entry is needed.
+    iq_valid_.note_read(need_iq ? kAllIq : 0);
     if (need_iq && free_iq == 0) return;
     if (need_stq && stq_count_ >= kStqSize) return;
 
@@ -1049,13 +1090,14 @@ void OoOCore<kTraced>::do_rename() {
 
     // Issue-queue entry with renamed sources: the lowest free one.
     const int iq = __builtin_ctz(free_iq);
+    free_iq &= free_iq - 1;
     iq_valid_[iq] = 1;
     iq_op_[iq] = static_cast<std::uint64_t>(op);
     iq_rd_[iq] = dec->rd;
     iq_robid_[iq] = robid;
     iq_imm_[iq] = static_cast<std::uint32_t>(dec->imm);
     iq_pc_[iq] = pc;
-    auto rename_src = [&](int r, Reg& rdy, Reg& tag, Reg& val) {
+    auto rename_src = [&](int r, Reg rdy, Reg tag, Reg val) {
       if (r == 0) {
         rdy = 1;
         val = 0;
@@ -1114,15 +1156,15 @@ void OoOCore<kTraced>::do_fetch() {
     std::uint32_t inst = 0;
     bool oob = false;
     if ((pc & 3u) != 0 ||
-        pc / 4 >= static_cast<std::uint32_t>(prog_->code.size())) {
+        pc / 4 >= static_cast<std::uint32_t>(code_.size())) {
       oob = true;
     } else {
-      inst = prog_->code[pc / 4];
+      inst = code_[pc / 4];
     }
     // Predecode-based next-PC prediction.
     std::uint32_t pred = pc + 4;
     if (!oob) {
-      const auto dec = isa::decode(inst);
+      const auto& dec = decoded_[pc / 4];
       if (dec) {
         if (dec->op == Op::kJal) {
           pred = pc + static_cast<std::uint32_t>(dec->imm) * 4;
@@ -1176,6 +1218,9 @@ void OoOCore<kTraced>::step_pipeline() {
   do_commit();
   if (status_ != isa::RunStatus::kRunning) return;
   drain_store_buffer();
+  iq_live_ = iq_valid_.bits_if(0);
+  iq_wait1_ = iq_live_ & ~iq_s1rdy_.bits_if(0);
+  iq_wait2_ = iq_live_ & ~iq_s2rdy_.bits_if(0);
   do_execute();
   do_load_unit();
   do_issue();
