@@ -32,8 +32,15 @@ void explore_core(const std::string& cn) {
           << p.imp_due << '\n';
     }
   }
-  std::printf("\n%s: %zu combinations evaluated -> %s\n", cn.c_str(),
-              ledger.records.size(), path.c_str());
+  // The header's 586 counts combinations: the evaluated points, not the
+  // two fixed-reference anchor records per core.
+  std::size_t points = 0, anchors = 0;
+  for (const auto& p : ledger.records) {
+    points += p.kind == explore::RecordKind::kPoint ? 1 : 0;
+    anchors += p.kind == explore::RecordKind::kAnchor ? 1 : 0;
+  }
+  std::printf("\n%s: %zu combinations evaluated, %zu anchors -> %s\n",
+              cn.c_str(), points, anchors, path.c_str());
 
   bench::TextTable t({"Pareto combos (by energy)", "Energy",
                       "% SDC protected", "SDC imp"});

@@ -22,10 +22,18 @@ std::string embed_json(const std::string& json, const std::string& indent) {
   return out;
 }
 
-std::optional<obs::Snapshot> snapshot_of(const util::Json* doc) {
+// Reads a clear-metrics-v1 member into *out; JSON null reads as no
+// snapshot where `null_ok`.  False for anything else.
+bool snapshot_of(const util::Json& doc, bool null_ok,
+                 std::optional<obs::Snapshot>* out) {
+  if (null_ok && doc.kind == util::Json::Kind::kNull) {
+    out->reset();
+    return true;
+  }
   obs::Snapshot s;
-  if (doc == nullptr || !obs::snapshot_from_json(*doc, &s)) return {};
-  return s;
+  if (!obs::snapshot_from_json(doc, &s)) return false;
+  *out = std::move(s);
+  return true;
 }
 
 }  // namespace
@@ -91,11 +99,20 @@ bool status_from_json(const std::string& json, FleetStatus* out,
       row.state = w.str_at("state");
       row.shards_done = w.u64_at("shards_done");
       row.inflight = static_cast<std::uint32_t>(w.u64_at("inflight"));
-      row.metrics = snapshot_of(w.find("metrics"));
+      const util::Json* metrics = w.find("metrics");
+      if (metrics == nullptr || !snapshot_of(*metrics, true, &row.metrics)) {
+        *error = "worker " + std::to_string(row.index) +
+                 ": metrics is neither null nor a clear-metrics-v1 document";
+        return false;
+      }
       st.workers.push_back(std::move(row));
     }
   }
-  st.driver = snapshot_of(doc.find("driver"));
+  if (const util::Json* driver = doc.find("driver");
+      driver != nullptr && !snapshot_of(*driver, false, &st.driver)) {
+    *error = "driver: not a clear-metrics-v1 document";
+    return false;
+  }
   *out = std::move(st);
   return true;
 }

@@ -49,7 +49,9 @@ struct FleetStatus {
 [[nodiscard]] std::string status_to_json(const FleetStatus& status);
 
 // Reads a document back.  Returns false and fills *error when `json` does
-// not parse or is not of schema clear-fleet-status-v1.
+// not parse, is not of schema clear-fleet-status-v1, or holds a worker
+// `metrics` that is neither null nor a decodable clear-metrics-v1 document
+// or a `driver` that is present but not one.
 bool status_from_json(const std::string& json, FleetStatus* out,
                       std::string* error);
 

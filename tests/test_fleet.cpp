@@ -1109,12 +1109,25 @@ TEST(FleetStatus, ReaderRefusesWhatItDidNotWrite) {
   std::string renamed = json;
   renamed.replace(renamed.find("status-v1"), 9, "status-v2");
   EXPECT_FALSE(fleet::status_from_json(renamed, &back, &err));
-  // A worker snapshot of the wrong schema reads as "no metrics".
+  // A worker snapshot of the wrong schema, or none at all, is refused,
+  // naming the worker; so is a driver that is present but not a snapshot.
   std::string bad_metrics = json;
   bad_metrics.replace(bad_metrics.find("clear-metrics-v1"), 16,
                       "clear-metrics-v9");
-  ASSERT_TRUE(fleet::status_from_json(bad_metrics, &back, &err)) << err;
+  EXPECT_FALSE(fleet::status_from_json(bad_metrics, &back, &err));
+  EXPECT_NE(err.find("worker 0"), std::string::npos) << err;
+  std::string no_metrics = json;
+  no_metrics.replace(no_metrics.find("\"metrics\""), 9, "\"metricz\"");
+  EXPECT_FALSE(fleet::status_from_json(no_metrics, &back, &err));
+  EXPECT_NE(err.find("worker 0"), std::string::npos) << err;
+  st.workers[0].metrics.reset();
+  const std::string null_metrics = fleet::status_to_json(st);
+  ASSERT_TRUE(fleet::status_from_json(null_metrics, &back, &err)) << err;
   EXPECT_FALSE(back.workers[0].metrics.has_value());
+  std::string null_driver = null_metrics;
+  null_driver.insert(null_driver.rfind('}'), ", \"driver\": null");
+  EXPECT_FALSE(fleet::status_from_json(null_driver, &back, &err));
+  EXPECT_NE(err.find("driver"), std::string::npos) << err;
 }
 
 TEST(FleetShards, DuplicateShardIdsAreRefusedBeforeConnecting) {
