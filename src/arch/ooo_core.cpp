@@ -196,10 +196,16 @@ class OoOCore final : public CoreShell<OoOCore<kTraced>, kTraced> {
   // when it is the program's word (decode is a pure function of the word).
   std::vector<std::uint32_t> code_;
   std::vector<std::optional<isa::Instr>> decoded_;
-  [[nodiscard]] std::optional<isa::Instr> decode_at(
-      std::uint32_t k, std::uint32_t word) const {
-    return k < code_.size() && code_[k] == word ? decoded_[k]
-                                                : isa::decode(word);
+  // isa::decode(word) for a word fetched from program index k: the table's
+  // entry when it is the program's word there, else decoded into *scratch.
+  // (A reference, not a copy: a copied optional<Instr> is rebuilt byte by
+  // byte on the stack and read back whole, which stalls store forwarding.)
+  [[nodiscard]] const std::optional<isa::Instr>& decode_at(
+      std::uint32_t k, std::uint32_t word,
+      std::optional<isa::Instr>* scratch) const {
+    if (k < code_.size() && code_[k] == word) return decoded_[k];
+    *scratch = isa::decode(word);
+    return *scratch;
   }
 
   std::unique_ptr<isa::Machine> shadow_;  // monitor core golden model
@@ -1027,7 +1033,8 @@ void OoOCore<kTraced>::do_rename() {
     const std::uint32_t inst = fb_inst_[h].u32();
     const std::uint32_t pc = fb_pc_[h].u32();
     const std::uint32_t pred = fb_pred_[h].u32();
-    const auto dec = decode_at(pc / 4, inst);
+    std::optional<isa::Instr> scratch;
+    const auto& dec = decode_at(pc / 4, inst, &scratch);
 
     const std::uint64_t robid = rob_tail_;
     const bool need_iq = dec && !rename_only(dec->op);
