@@ -417,13 +417,14 @@ void OoOCore<kTraced>::broadcast(std::uint64_t robid, std::uint32_t value) {
   iq_s1rdy_.note_read(iq_live_);
   iq_s2rdy_.note_read(iq_live_);
   std::uint32_t hit1 = 0, hit2 = 0;
-  for (std::uint32_t m = iq_wait1_; m != 0; m &= m - 1) {
+  for (std::uint32_t m = iq_wait1_ | iq_wait2_; m != 0; m &= m - 1) {
     const int i = __builtin_ctz(m);
-    hit1 |= static_cast<std::uint32_t>(iq_s1tag_[i] == robid) << i;
-  }
-  for (std::uint32_t m = iq_wait2_; m != 0; m &= m - 1) {
-    const int i = __builtin_ctz(m);
-    hit2 |= static_cast<std::uint32_t>(iq_s2tag_[i] == robid) << i;
+    const bool wait1 = ((iq_wait1_ >> i) & 1u) != 0;
+    const bool wait2 = ((iq_wait2_ >> i) & 1u) != 0;
+    hit1 |= static_cast<std::uint32_t>(
+                wait1 & (iq_s1tag_[i].read_if(wait1) == robid)) << i;
+    hit2 |= static_cast<std::uint32_t>(
+                wait2 & (iq_s2tag_[i].read_if(wait2) == robid)) << i;
   }
   iq_wait1_ &= ~hit1;
   iq_wait2_ &= ~hit2;
@@ -849,11 +850,11 @@ void OoOCore<kTraced>::do_issue() {
   int issued = 0;
   while (ready != 0 && issued < 2) {
     // The smallest key: a linear min over the few ready entries.
-    int i = __builtin_ctz(ready);
-    for (std::uint32_t m = ready & (ready - 1); m != 0; m &= m - 1) {
-      const int j = __builtin_ctz(m);
-      if (key[j] < key[i]) i = j;
+    std::uint32_t best = ~0u;
+    for (std::uint32_t m = ready; m != 0; m &= m - 1) {
+      best = std::min(best, key[__builtin_ctz(m)]);
     }
+    const int i = static_cast<int>(best & (kIqSize - 1));
     ready &= ~(1u << i);
     const std::uint64_t opv = iq_op_[i];
     const Op op = valid_op(opv) ? static_cast<Op>(opv) : Op::kHalt;
