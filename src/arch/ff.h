@@ -165,7 +165,7 @@ class BasicRegArray : private detail::ArrayTrace<kTraced> {
                 detail::ArrayTrace<kTraced> trace = {})
       : detail::ArrayTrace<kTraced>(trace), base_(base), mask_(mask) {}
 
-  [[nodiscard]] static constexpr std::size_t size() noexcept { return N; }
+  static constexpr std::size_t kSize = N;
   BasicReg<kTraced> operator[](std::size_t i) const noexcept {
     assert(i < N);
     return BasicReg<kTraced>(base_ + i, mask_, this->at(i));

@@ -226,7 +226,7 @@ void OoOCore<kTraced>::build() {
 
   auto add_array = [&ffs](auto& arr, const std::string& prefix,
                           const std::string& suffix, int width, FFFlags fl) {
-    constexpr std::size_t n = std::remove_reference_t<decltype(arr)>::size();
+    constexpr std::size_t n = std::remove_reference_t<decltype(arr)>::kSize;
     arr = ffs.add_array<kTraced, n>(prefix, suffix, width, fl);
   };
 
